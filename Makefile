@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-service test-3d coverage bench bench-gate bench-scaling chaos chaos-service examples results clean docs-check check verify-gate verify-full
+.PHONY: install test test-service test-3d coverage bench bench-gate bench-scaling chaos chaos-service examples results clean docs-check check check-gates verify-gate verify-full
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation
@@ -10,46 +10,70 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
+# every gate below ends by printing "gate-status: <gate> ran" (or
+# "skipped(<reason>)" from the tools that can skip); `make check`
+# replays those lines as its closing summary
 docs-check:
 	$(PYTHON) tools/check_links.py
 	$(PYTHON) tools/check_docstrings.py
+	$(PYTHON) tools/check_imports.py
+	@echo "gate-status: docs-check ran"
 
 # fast service-layer subset: the multi-job engine (submit/cancel/
 # priority/preempt-resume/isolation) and the spool/CLI front-end
 test-service:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_service_engine.py tests/test_service_cli.py tests/test_service_recovery.py
+	@echo "gate-status: test-service ran"
 
 # 3D feature-parity subset: kernels/orderings, the parity acceptance
 # tests (fused==split bitwise, numpy-mp deposit bitwise at 2 and 4
 # workers), and 3D checkpoint/resume
 test-3d:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_pic3d.py tests/test_pic3d_parity.py tests/test_checkpoint3d.py tests/test_curves3d.py
+	@echo "gate-status: test-3d ran"
 
 # line-coverage floor on repro.pic3d + repro.verify (skips with exit 0
 # when pytest-cov is not installed — the gate never requires an install)
 coverage:
 	$(PYTHON) tools/coverage_gate.py
 
-check: docs-check chaos chaos-service bench-gate verify-gate test-service test-3d coverage
+check-gates: docs-check chaos chaos-service bench-gate verify-gate test-service test-3d coverage
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/
+	@echo "gate-status: tests ran"
+
+# all gates, then one line per gate — ran or skipped(<reason>) — so a
+# numba-less / pytest-cov-less host does not read as all-green
+check:
+	@log=$$(mktemp); \
+	{ $(MAKE) --no-print-directory check-gates; echo $$? > $$log.rc; } 2>&1 | tee $$log; \
+	rc=$$(cat $$log.rc); \
+	echo "== make check: gates =="; \
+	sed -n 's/^gate-status: /  /p' $$log; \
+	rm -f $$log $$log.rc; \
+	if [ $$rc -ne 0 ]; then echo "make check: FAILED (exit $$rc)"; fi; \
+	exit $$rc
 
 # fault-injection suite under a fixed seed, then assert zero leaked
 # /dev/shm segments and zero checkpoint temp files
 chaos:
 	$(PYTHON) tools/chaos_check.py
+	@echo "gate-status: chaos ran"
 
 # service-level chaos gate: SIGKILL `repro serve` mid-campaign, restart
 # with --recover, assert every job settles bitwise-equal to an
 # uninterrupted golden run and no *.tmp / orphan *.lease litter remains
 chaos-service:
 	PYTHONPATH=src $(PYTHON) tools/chaos_service.py
+	@echo "gate-status: chaos-service ran"
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# fused-vs-split performance gate: fails if a fused-capable backend's
-# single-pass kernel is slower than its split rendering; skips cleanly
-# when no fused-capable backend (numba) is installed
+# performance gates: fails if a fused-capable backend's single-pass
+# kernel is slower than its split rendering (skipped, and reported as
+# skipped, when no fused-capable backend — numba — is installed), or if
+# the histogram-balanced deposit cuts lose to equal cells on a skewed
+# plasma
 bench-gate:
 	$(PYTHON) tools/bench_gate.py
 

@@ -9,25 +9,18 @@ per worker count, against the serial numpy backend and against the
 (which prices an ideal paper-machine thread team, so it is the upper
 envelope, not a fit).
 
-A second sweep holds the worker count fixed and varies the deposit
-*partition mode* (flat / curve / curve-balanced cuts of the cell rows,
-:mod:`repro.parallel.partition`) on the skewed Gaussian-bump plasma —
-the workload where the balanced cuts should earn their keep.  Every
-mode must reproduce the serial ``rho`` checksum exactly (the bitwise
-cell-ownership promise), so the rows differ only in time and in the
-measured balance ratio the engine's data-movement ledger reports.
+Every worker count must reproduce the serial ``rho`` checksum exactly
+(the bitwise cell-ownership promise under the engine's
+histogram-balanced cuts, :mod:`repro.parallel.partition`).  The
+``shm-partition`` rows in ``BENCH_baseline.json`` are the historical
+flat / curve / curve-balanced comparison that retired the first two
+modes (PR 12); nothing regenerates them.
 
 Output: ``benchmarks/results/BENCH_shm_scaling.json`` with one entry
-per worker count plus the serial baseline and the partition-mode rows.
-Also runnable standalone:
+per worker count plus the serial baseline.  Also runnable standalone:
 
     PYTHONPATH=src python benchmarks/bench_shm_scaling.py \
-        [--smoke] [--workers N] [--update-baseline]
-
-``--update-baseline`` additionally writes the partition-mode rows into
-the repo-root ``BENCH_baseline.json`` under ``results["shm-partition"]``
-(what ``tools/bench_gate.py --update-baseline`` does for the loop-mode
-rows).
+        [--smoke] [--workers N]
 """
 
 from __future__ import annotations
@@ -43,8 +36,7 @@ from repro.core import OptimizationConfig, Simulation
 from repro.grid import GridSpec
 from repro.parallel.executor import MultiprocessBackend
 from repro.parallel.openmp import ThreadScalingModel
-from repro.parallel.partition import PARTITION_MODES
-from repro.particles import GaussianBump, LandauDamping
+from repro.particles import LandauDamping
 from repro.perf.experiments import default_scaled_machine
 
 GRID_SIDE = 32
@@ -52,9 +44,6 @@ N_PARTICLES = 60_000
 N_STEPS = 10
 SMOKE_PARTICLES = 8_000
 SMOKE_STEPS = 4
-#: fixed worker count for the partition-mode sweep — enough shards
-#: for the cuts to matter, small enough for any CI box
-PARTITION_WORKERS = 3
 
 
 def _config(backend: str, workers: int | None = None) -> OptimizationConfig:
@@ -94,62 +83,6 @@ def _model_prediction(worker_counts: list[int], n_particles: int) -> dict:
     return {str(p): base / totals[p] for p in worker_counts}
 
 
-def measure_partition_modes(
-    n_particles: int, n_steps: int, workers: int = PARTITION_WORKERS
-) -> dict:
-    """Partition-mode sweep on the skewed Gaussian-bump plasma.
-
-    Runs the same simulation once per partition mode at a fixed worker
-    count, asserts every mode reproduces the serial numpy ``rho``
-    checksum (the bitwise promise), and reports throughput plus the
-    balance ratio / repartition count from the engine's data-movement
-    ledger.
-    """
-    grid = GridSpec(GRID_SIDE, GRID_SIDE, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
-
-    def run_one(cfg):
-        with Simulation(
-            grid, GaussianBump(), n_particles, cfg, dt=0.1, quiet=True, seed=3
-        ) as sim:
-            sim.run(n_steps)
-            dm = sim.instrumentation.timings.datamove
-            return {
-                "kernel_seconds": sim.timings.kernel_total,
-                "particles_per_second": sim.timings.particles_per_second(),
-                "rho_checksum": float(np.sum(np.abs(sim.stepper.rho_grid))),
-                "datamove": dict(dm.get("last", {})),
-            }
-
-    serial = run_one(_config("numpy"))
-    rows = []
-    for mode in PARTITION_MODES:
-        cfg = _config("numpy-mp", workers).with_(
-            partition=mode, repartition_every=2, rebalance_threshold=1.1
-        )
-        entry = run_one(cfg)
-        assert entry["rho_checksum"] == serial["rho_checksum"], (
-            "partition mode %r diverged from serial numpy" % mode
-        )
-        dm = entry.pop("datamove")
-        rows.append({
-            "mode": mode,
-            "workers": workers,
-            "kernel_seconds": entry["kernel_seconds"],
-            "particles_per_second": entry["particles_per_second"],
-            "balance_ratio": dm.get("balance_ratio"),
-            "total_bytes": dm.get("total_bytes"),
-            "repartitions": dm.get("repartitions", 0),
-        })
-    return {
-        "case": "gaussian-bump",
-        "particles": n_particles,
-        "steps": n_steps,
-        "serial_particles_per_second": serial["particles_per_second"],
-        "rho_checksum": serial["rho_checksum"],
-        "modes": rows,
-    }
-
-
 def measure_scaling(n_particles: int, n_steps: int, max_workers: int) -> dict:
     worker_counts = list(range(1, max_workers + 1))
     serial = _run("numpy", None, n_particles, n_steps)
@@ -178,9 +111,6 @@ def measure_scaling(n_particles: int, n_steps: int, max_workers: int) -> dict:
         "serial_numpy": serial,
         "numpy_mp": series,
         "model_speedup": _model_prediction(worker_counts, n_particles),
-        "partition_modes": measure_partition_modes(
-            n_particles, n_steps, min(PARTITION_WORKERS, max_workers)
-        ),
     }
 
 
@@ -204,37 +134,7 @@ def _report(result: dict) -> str:
             f"{p:7d}  {entry['particles_per_second']:11.0f}"
             f"  {entry['speedup_vs_serial']:7.2f}  {model:5.2f}"
         )
-    part = result.get("partition_modes")
-    if part:
-        lines.append("")
-        lines.append(f"partition modes (gaussian-bump, "
-                     f"{part['modes'][0]['workers']} workers)")
-        lines.append("mode            particles/s  balance  repartitions")
-        for row in part["modes"]:
-            bal = row["balance_ratio"]
-            lines.append(
-                f"{row['mode']:15s} {row['particles_per_second']:11.0f}"
-                f"  {bal if bal is not None else float('nan'):7.2f}"
-                f"  {row['repartitions']:12d}"
-            )
     return "\n".join(lines)
-
-
-def _update_baseline(partition_result: dict) -> str:
-    """Write the partition-mode rows into the repo-root baseline doc."""
-    path = os.path.join(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        "BENCH_baseline.json",
-    )
-    doc = {"meta": {}, "results": {}}
-    if os.path.exists(path):
-        with open(path) as fh:
-            doc = json.load(fh)
-    doc.setdefault("results", {})["shm-partition"] = partition_result
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
 
 
 def test_shm_scaling(benchmark):
@@ -271,9 +171,6 @@ def main(argv: list[str]) -> int:
     path = _write(result)
     print(_report(result))
     print(f"[written to {path}]")
-    if "--update-baseline" in argv:
-        base = _update_baseline(result["partition_modes"])
-        print(f"[partition rows written to {base}]")
     return 0
 
 

@@ -44,34 +44,21 @@ def _make_sim(config, n=N):
     )
 
 
-#: block size of the "adaptive" row below — large enough that the 64x16
-#: bench grid splits into a handful of blocks, small enough that the
-#: density dispatcher actually has per-block decisions to make
-ADAPTIVE_BLOCK_SIZE = 64
-
-#: the per-mode config deltas of :func:`measure_loop_modes` — "adaptive"
-#: is split loops plus the tiled density-aware deposit
+#: the per-mode config deltas of :func:`measure_loop_modes`
 _MODE_OVERRIDES = {
     "split": dict(loop_mode="split"),
     "fused": dict(loop_mode="fused"),
-    "adaptive": dict(loop_mode="split", block_size=ADAPTIVE_BLOCK_SIZE,
-                     deposit_threads=1),
 }
 
 
 def measure_loop_modes(backend="numpy", n=N, steps=STEPS, warmup_steps=1):
-    """Split vs fused vs adaptive on one backend: seconds and rates.
+    """Split vs fused on one backend: seconds and rates.
 
     Each mode gets a fresh simulation; ``warmup_steps`` throwaway steps
     absorb JIT compilation and first-touch page faults before the
-    measured window.  The ``"adaptive"`` mode is the split loop
-    structure with the tiled density-aware charge deposit
-    (``block_size=64``) — bitwise-identical physics, so any spread vs
-    ``"split"`` is pure dispatch overhead, which is exactly what
-    ``tools/bench_gate.py`` gates.  Returns ``{mode: record}`` with
-    per-phase windowed seconds, particle-steps/s for the particle
-    phases, and the loop path(s) the stepper actually took —
-    JSON-ready.
+    measured window.  Returns ``{mode: record}`` with per-phase
+    windowed seconds, particle-steps/s for the particle phases, and
+    the loop path(s) the stepper actually took — JSON-ready.
     """
     out = {}
     for mode, overrides in _MODE_OVERRIDES.items():
@@ -105,7 +92,6 @@ def measure_loop_modes(backend="numpy", n=N, steps=STEPS, warmup_steps=1):
                     for p in PARTICLE_PHASES
                 },
                 "loop_paths": dict(t.loop_paths),
-                "deposit_variants": dict(t.deposit_variants),
             }
         finally:
             sim.close()
@@ -130,7 +116,7 @@ def main(argv=None):
     ]
     results = {}
     for backend in backends:
-        print(f"measuring {backend} (split vs fused vs adaptive, "
+        print(f"measuring {backend} (split vs fused, "
               f"n={args.particles}, steps={args.steps}) ...", flush=True)
         results[backend] = measure_loop_modes(
             backend, args.particles, args.steps, args.warmup_steps

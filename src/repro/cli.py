@@ -115,30 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
                      "'auto' trials both, then keeps adapting per step "
                      "(EWMA cost model with hysteresis; decisions land in "
                      "--timings-json — see docs/tuning.md)")
-    run.add_argument("--block-size", type=int, default=0, metavar="CELLS",
-                     help="cells per block for the tiled density-aware "
-                     "charge deposit (0 disables tiling; bitwise-identical "
-                     "physics at any value — see docs/tuning.md)")
-    run.add_argument("--deposit-threads", type=int, default=1, metavar="N",
-                     help="simulated-thread count of the sharded per-block "
-                     "deposit kernel (structural knob; bitwise-identical "
-                     "at any value)")
-    run.add_argument("--partition",
-                     choices=("flat", "curve", "curve-balanced"),
-                     default="flat",
-                     help="cell-ownership cut of the parallel deposit: "
-                     "'flat' equal cells, 'curve' equal cells snapped to "
-                     "power-of-two curve-block boundaries, 'curve-balanced' "
-                     "histogram-weighted ~equal particles per worker "
-                     "(bitwise-identical physics in every mode; see "
-                     "docs/parallelism.md)")
-    run.add_argument("--repartition-every", type=int, default=10, metavar="K",
-                     help="curve-balanced: deposit calls between repartition "
-                     "checks (0 freezes the initial cut; default: 10)")
-    run.add_argument("--rebalance-threshold", type=float, default=1.5,
-                     metavar="R",
-                     help="curve-balanced: max/mean load ratio above which "
-                     "a due repartition check moves the cuts (default: 1.5)")
     run.add_argument("--workers", type=int, default=None, metavar="N",
                      help="worker-process count for --backend numpy-mp "
                      "(default: cpu count)")
@@ -219,10 +195,11 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--rtol", type=float, default=1e-9,
                      help="relative tolerance for tolerance-level combos")
     ver.add_argument("--no-mp", action="store_true",
-                     help="exclude the numpy-mp combo (skips worker-pool "
+                     help="exclude the numpy-mp combos (skips worker-pool "
                      "startup on tiny runs)")
     ver.add_argument("--mp-workers", type=int, default=2, metavar="N",
-                     help="worker count for the numpy-mp combo (default: 2)")
+                     help="worker count for the first 2D numpy-mp combo; a "
+                     "second runs at 4 (2 when N is 4) (default: 2)")
     ver.add_argument("--oracles", action="store_true",
                      help="also run the physics acceptance oracles "
                      "(Landau/two-stream rates, energy, momentum, 3D)")
@@ -354,15 +331,7 @@ def _cmd_run(args) -> int:
     cfg = OptimizationConfig.fully_optimized(args.ordering)
     if args.ordering == "hilbert":
         cfg = cfg.with_(position_update="modulo")
-    cfg = cfg.with_(
-        backend=args.backend,
-        loop_mode=args.loop_mode,
-        block_size=args.block_size,
-        deposit_threads=args.deposit_threads,
-        partition=args.partition,
-        repartition_every=args.repartition_every,
-        rebalance_threshold=args.rebalance_threshold,
-    )
+    cfg = cfg.with_(backend=args.backend, loop_mode=args.loop_mode)
     if args.workers is not None:
         cfg = cfg.with_(workers=args.workers)
     if args.mp_timeout is not None:

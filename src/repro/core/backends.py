@@ -120,12 +120,6 @@ class KernelBackend(abc.ABC):
     #: * ``"counting_sort"`` — a backend-native
     #:   :meth:`counting_sort_permutation` (compiled cursor loop rather
     #:   than the SciPy scatter).
-    #: * ``"tiled_deposit"`` — :meth:`accumulate_redundant_tiled`, the
-    #:   density-aware per-block deposit dispatcher
-    #:   (:mod:`repro.core.deposit`), bitwise equal to the serial
-    #:   deposit at any block size and thread count.  Backends with
-    #:   this capability also serve :meth:`accumulate_redundant_tiled_3d`
-    #:   (the same dispatcher over the trilinear kernels).
     #: * ``"fused3d"`` — :meth:`fused_interp_kick_push_3d`, the 3D
     #:   single-pass kernel (``stepper3d`` selects its
     #:   ``fused-backend`` loop path on it).
@@ -225,46 +219,6 @@ class KernelBackend(abc.ABC):
             f"backend {self.name!r} does not offer the 'parallel_deposit' capability"
         )
 
-    def accumulate_redundant_tiled(
-        self,
-        rho_1d,
-        icell,
-        dx,
-        dy,
-        charge=1.0,
-        *,
-        block_size,
-        thresholds=(4.0, 64.0),
-        nthreads=1,
-        partition="flat",
-    ) -> dict:
-        """Density-aware tiled deposit (per-block kernel dispatch).
-
-        Bins particles into blocks of ``block_size`` curve cells and
-        deposits each block with the kernel its local density warrants
-        (serial / sharded cell-ownership / parallel private-copies);
-        must be bitwise equal to :meth:`accumulate_redundant` for any
-        block size, thread count, shard ``partition`` mode
-        (:mod:`repro.parallel.partition`) and thresholds.  Returns the
-        executed
-        per-variant block counts.  Only callable on backends
-        advertising the ``"tiled_deposit"`` capability; the default
-        implementation drives this backend's own kernels through the
-        generic dispatcher in :mod:`repro.core.deposit`.
-        """
-        if not self.supports("tiled_deposit"):
-            raise NotImplementedError(
-                f"backend {self.name!r} does not offer the "
-                f"'tiled_deposit' capability"
-            )
-        from repro.core.deposit import accumulate_redundant_tiled
-
-        return accumulate_redundant_tiled(
-            self, rho_1d, icell, dx, dy, charge,
-            block_size=block_size, thresholds=thresholds, nthreads=nthreads,
-            perm_fn=self.counting_sort_permutation, partition=partition,
-        )
-
     def fused_interp_kick_push_3d(
         self,
         fields,
@@ -296,42 +250,6 @@ class KernelBackend(abc.ABC):
         """
         raise NotImplementedError(
             f"backend {self.name!r} does not offer the 'parallel_deposit' capability"
-        )
-
-    def accumulate_redundant_tiled_3d(
-        self,
-        rho_1d,
-        icell,
-        dx,
-        dy,
-        dz,
-        charge=1.0,
-        *,
-        block_size,
-        thresholds=(4.0, 64.0),
-        nthreads=1,
-        partition="flat",
-    ) -> dict:
-        """Density-aware tiled 3D deposit (per-block kernel dispatch).
-
-        The trilinear twin of :meth:`accumulate_redundant_tiled`: same
-        binning, same density decision, same bitwise promise against
-        :meth:`accumulate_redundant_3d`.  Gated on the same
-        ``"tiled_deposit"`` capability; the default implementation
-        drives this backend's 3D kernels through the generic dispatcher
-        in :mod:`repro.core.deposit`.
-        """
-        if not self.supports("tiled_deposit"):
-            raise NotImplementedError(
-                f"backend {self.name!r} does not offer the "
-                f"'tiled_deposit' capability"
-            )
-        from repro.core.deposit import accumulate_redundant_tiled_3d
-
-        return accumulate_redundant_tiled_3d(
-            self, rho_1d, icell, dx, dy, dz, charge,
-            block_size=block_size, thresholds=thresholds, nthreads=nthreads,
-            perm_fn=self.counting_sort_permutation, partition=partition,
         )
 
     def counting_sort_permutation(self, keys, ncells):
@@ -570,7 +488,6 @@ class NumpyBackend(KernelBackend):
     name = "numpy"
     priority = 10
     degrades_to = None  # end of every chain: pure NumPy always works
-    capabilities = frozenset({"tiled_deposit"})
 
     accumulate_standard = staticmethod(_k.accumulate_standard)
     accumulate_redundant = staticmethod(_k.accumulate_redundant)
@@ -610,7 +527,7 @@ class NumbaBackend(KernelBackend):
     priority = 20
     degrades_to = "numpy-mp"
     capabilities = frozenset(
-        {"fused", "fused3d", "parallel_deposit", "counting_sort", "tiled_deposit"}
+        {"fused", "fused3d", "parallel_deposit", "counting_sort"}
     )
 
     @classmethod

@@ -16,7 +16,6 @@ _PARTICLE_LAYOUTS = ("soa", "aos")
 _LOOP_MODES = ("fused", "split", "auto")
 _POSITION_UPDATES = ("branch", "modulo", "bitwise")
 _SORT_VARIANTS = ("out-of-place", "in-place")
-_PARTITION_MODES = ("flat", "curve", "curve-balanced")
 
 
 @dataclass(frozen=True)
@@ -84,44 +83,6 @@ class OptimizationConfig:
         before killing and respawning the worker and recomputing the
         shard serially (surfaced as the ``fallbacks`` counter in the
         step timings).
-    block_size:
-        Cells per block for tiled/fine-grain binning (0, the default,
-        disables tiling: the deposit runs one whole-grid pass).  With
-        ``block_size > 0`` and a backend advertising ``tiled_deposit``,
-        the charge deposit bins particles into blocks of this many
-        consecutive curve cells and dispatches a kernel per block on
-        local density (:mod:`repro.core.deposit`) — bitwise-identical
-        to the untiled deposit at any setting.  Redundant layout only;
-        see ``docs/tuning.md`` for guidance.
-    deposit_thresholds:
-        ``(sparse, dense)`` particles-per-cell cutoffs of the
-        density-aware dispatcher: blocks at or below ``sparse`` run
-        the serial kernel, at or above ``dense`` the parallel
-        private-copies kernel, in between the sharded cell-ownership
-        kernel.
-    deposit_threads:
-        Simulated-thread count of the sharded per-block deposit
-        (contiguous cell sub-ranges per thread; §V-B cell ownership).
-        Purely a structural knob in-process — any value is
-        bitwise-identical.
-    partition:
-        How cell ownership is cut into contiguous curve segments for
-        the parallel deposit (``numpy-mp`` worker ranges and the tiled
-        deposit's shard cuts): ``"flat"`` equal cells (default),
-        ``"curve"`` equal cells snapped to power-of-two curve-block
-        boundaries, ``"curve-balanced"`` histogram-weighted ~equal
-        particles per worker (:mod:`repro.parallel.partition`).
-        Bitwise-identical physics in every mode — the cuts move work
-        between workers, never what is summed into a ``rho`` row.
-    repartition_every:
-        ``curve-balanced`` only: deposit calls between repartition
-        checks of the ``numpy-mp`` engine (0 freezes the initial
-        partition).  Each check recomputes the per-cell histogram and
-        moves the cuts only past the hysteresis threshold below.
-    rebalance_threshold:
-        ``curve-balanced`` only: max/mean particle-load ratio above
-        which a due repartition check actually moves the cuts
-        (>= 1.0; higher = more hysteresis, less churn).
     """
 
     field_layout: str = "redundant"
@@ -138,12 +99,6 @@ class OptimizationConfig:
     backend: str = "auto"
     workers: int | None = None
     mp_task_timeout: float = 60.0
-    block_size: int = 0
-    deposit_thresholds: tuple = (4.0, 64.0)
-    deposit_threads: int = 1
-    partition: str = "flat"
-    repartition_every: int = 10
-    rebalance_threshold: float = 1.5
 
     def __post_init__(self):
         if self.field_layout not in _FIELD_LAYOUTS:
@@ -164,30 +119,6 @@ class OptimizationConfig:
             raise ValueError("workers must be >= 1 (or None for cpu count)")
         if self.mp_task_timeout <= 0:
             raise ValueError("mp_task_timeout must be positive")
-        if self.block_size < 0:
-            raise ValueError("block_size must be >= 0 (0 disables tiling)")
-        # normalize: JSON round-trips (checkpoints, job specs) hand the
-        # thresholds back as a list — equality must survive that
-        object.__setattr__(
-            self, "deposit_thresholds", tuple(self.deposit_thresholds)
-        )
-        if (
-            len(self.deposit_thresholds) != 2
-            or self.deposit_thresholds[0] < 0
-            or self.deposit_thresholds[1] < self.deposit_thresholds[0]
-        ):
-            raise ValueError(
-                "deposit_thresholds must be (sparse, dense) with "
-                "0 <= sparse <= dense"
-            )
-        if self.deposit_threads < 1:
-            raise ValueError("deposit_threads must be >= 1")
-        if self.partition not in _PARTITION_MODES:
-            raise ValueError(f"partition must be one of {_PARTITION_MODES}")
-        if self.repartition_every < 0:
-            raise ValueError("repartition_every must be >= 0")
-        if self.rebalance_threshold < 1.0:
-            raise ValueError("rebalance_threshold must be >= 1.0")
         # deferred import: backends depends on kernels, not on config
         from repro.core.backends import AUTO, known_backend_names
 

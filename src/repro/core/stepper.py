@@ -384,28 +384,10 @@ class PICStepper:
     def _phase_accumulate(self, sl: slice | None = None) -> None:
         p = self.particles if sl is None else _ChunkView(self.particles, sl)
         if self.fields.layout == "redundant":
-            # full-array deposits: density-aware tiled dispatch when
-            # configured (bitwise-equal to every other rendering), else
-            # thread-parallel when offered (the cell-ownership scheme
-            # is bitwise-equal to the serial kernel); chunked (sl)
-            # deposits stay serial — per-chunk thread fan-out would
-            # cost more than the scatter itself
-            cfg = self.config
-            if (
-                sl is None
-                and cfg.block_size > 0
-                and self.backend.supports("tiled_deposit")
-            ):
-                counts = self.backend.accumulate_redundant_tiled(
-                    self.fields.rho_1d, p.icell, p.dx, p.dy,
-                    self._charge_factor,
-                    block_size=cfg.block_size,
-                    thresholds=cfg.deposit_thresholds,
-                    nthreads=cfg.deposit_threads,
-                    partition=cfg.partition,
-                )
-                self.instrumentation.record_deposit_variants(counts)
-                return
+            # full-array deposits run thread-parallel when offered (the
+            # cell-ownership scheme is bitwise-equal to the serial
+            # kernel); chunked (sl) deposits stay serial — per-chunk
+            # thread fan-out would cost more than the scatter itself
             if sl is None and self.backend.supports("parallel_deposit"):
                 self.backend.accumulate_redundant_parallel(
                     self.fields.rho_1d, p.icell, p.dx, p.dy, self._charge_factor

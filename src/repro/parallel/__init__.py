@@ -22,9 +22,9 @@ Threads split the particle loops with a per-thread charge reduction
   ``multiprocessing.shared_memory``, the three particle loops fanned
   out over a persistent worker-process pool, registered as the
   ``"numpy-mp"`` kernel backend (see ``docs/parallelism.md``).
-* :mod:`~repro.parallel.partition` — curve-aware, load-balanced cell
-  partitioning for the parallel deposit (flat / curve / curve-balanced
-  cuts + the hysteresis-guarded :class:`PartitionPlanner`).
+* :mod:`~repro.parallel.partition` — histogram-balanced cell
+  partitioning for the parallel deposit (~equal particles per worker
+  along the curve + the hysteresis-guarded :class:`PartitionPlanner`).
 """
 
 from repro.parallel.mpi import CollectiveCostModel, SimComm, SimMPI
@@ -32,12 +32,12 @@ from repro.parallel.openmp import (
     ThreadScalingModel,
     parallel_accumulate_redundant,
     parallel_accumulate_standard,
-    partition_range,
 )
 from repro.parallel.partition import (
     PartitionPlanner,
     balance_ratio,
     partition_cells,
+    partition_range,
 )
 from repro.parallel.domain_decomp import (
     DomainDecompositionModel,

@@ -42,8 +42,11 @@ import numpy as np
 from repro.core import kernels as _k
 from repro.core.backends import NumpyBackend, register_backend
 from repro.curves.base import get_ordering
-from repro.parallel.openmp import partition_range
-from repro.parallel.partition import PartitionPlanner, partition_cells
+from repro.parallel.partition import (
+    PartitionPlanner,
+    partition_cells,
+    partition_range,
+)
 from repro.parallel.shm import (
     SharedArena,
     SharedGrid,
@@ -147,29 +150,27 @@ _SHARD_DEPOSIT = None
 def _shard_deposit_kernel():
     """The shard-deposit kernel this process uses (resolved once).
 
-    Backend composition: when :mod:`numba` is importable, ``numpy-mp``
-    worker shards run the compiled
+    Backend composition: when :mod:`repro.core.njit_kernels` imports
+    (i.e. :mod:`numba` is installed and working), ``numpy-mp`` worker
+    shards run the compiled
     :func:`~repro.core.njit_kernels.accumulate_redundant_shard_njit`
     loop instead of the NumPy bincount deposit — same cell-ownership
     scheme, same ``w * charge`` particle-order arithmetic, so the two
     kernels are bitwise interchangeable and a pool may freely mix them
     (e.g. a parent whose serial retry resolves differently than a
-    worker).  Set ``REPRO_MP_NJIT=0`` to pin the NumPy kernel; a broken
-    numba install falls back to it silently (one debug log line).
+    worker).  A missing or broken numba install falls back to the
+    NumPy kernel silently (one debug log line).
     """
     global _SHARD_DEPOSIT
     if _SHARD_DEPOSIT is None:
-        kernel = None
-        if os.environ.get("REPRO_MP_NJIT", "1") != "0":
-            try:
-                from repro.core.njit_kernels import (
-                    accumulate_redundant_shard_njit,
-                )
-
-                kernel = accumulate_redundant_shard_njit
-            except Exception:
-                _log.debug("njit shard deposit unavailable", exc_info=True)
-        _SHARD_DEPOSIT = kernel if kernel is not None else _shard_deposit_numpy
+        try:
+            from repro.core.njit_kernels import (
+                accumulate_redundant_shard_njit as kernel,
+            )
+        except Exception:
+            _log.debug("njit shard deposit unavailable", exc_info=True)
+            kernel = _shard_deposit_numpy
+        _SHARD_DEPOSIT = kernel
     return _SHARD_DEPOSIT
 
 
@@ -206,29 +207,23 @@ def _shard_deposit_kernel_3d():
 
     Mirrors :func:`_shard_deposit_kernel`: the compiled
     :func:`~repro.core.njit_kernels.accumulate_redundant_shard_3d_njit`
-    when numba is importable, else the NumPy
+    when :mod:`repro.core.njit_kernels` imports, else the NumPy
     :func:`~repro.pic3d.kernels3d.accumulate_redundant_shard_3d`.  Both
     multiply each corner weight as ``((wx*wy)*wz)*charge`` — the NumPy
     deposit's association — so a pool may freely mix the two (parent
     serial retries vs. worker shards) and stay bitwise consistent.
-    ``REPRO_MP_NJIT=0`` pins the NumPy kernel.
     """
     global _SHARD_DEPOSIT_3D
     if _SHARD_DEPOSIT_3D is None:
-        kernel = None
-        if os.environ.get("REPRO_MP_NJIT", "1") != "0":
-            try:
-                from repro.core.njit_kernels import (
-                    accumulate_redundant_shard_3d_njit,
-                )
-
-                kernel = accumulate_redundant_shard_3d_njit
-            except Exception:
-                _log.debug("njit 3D shard deposit unavailable", exc_info=True)
-        if kernel is None:
-            from repro.pic3d.kernels3d import accumulate_redundant_shard_3d
-
-            kernel = accumulate_redundant_shard_3d
+        try:
+            from repro.core.njit_kernels import (
+                accumulate_redundant_shard_3d_njit as kernel,
+            )
+        except Exception:
+            _log.debug("njit 3D shard deposit unavailable", exc_info=True)
+            from repro.pic3d.kernels3d import (
+                accumulate_redundant_shard_3d as kernel,
+            )
         _SHARD_DEPOSIT_3D = kernel
     return _SHARD_DEPOSIT_3D
 
@@ -521,14 +516,13 @@ class ShmEngine:
     field arrays into shared memory (the stepper keeps using them
     through the same attributes) and sets up both partitions: particle
     ranges for gather/kick/push (fixed for the engine's lifetime), and
-    cell ranges + private slabs for the deposit — cut by the
-    :class:`~repro.parallel.partition.PartitionPlanner` according to
-    ``OptimizationConfig.partition`` and, in ``"curve-balanced"``
-    mode, re-cut every ``repartition_every`` deposits when the
-    measured load imbalance warrants it.  Whenever the deposit path
-    computes a per-cell histogram anyway, a data-movement sample
+    cell ranges + private slabs for the deposit — cut from the t=0
+    particle histogram (~equal particles per worker) and re-cut by the
+    :class:`~repro.parallel.partition.PartitionPlanner` every
+    ``repartition_every`` deposits when the measured load imbalance
+    warrants it.  Each such check also records a data-movement sample
     (:func:`repro.perf.datamove.deposit_movement` + ``resource``
-    counters) is recorded into the step timings.
+    counters) into the step timings, from the same histogram.
     """
 
     def __init__(self, stepper, nworkers=None, task_timeout=None):
@@ -546,19 +540,11 @@ class ShmEngine:
         )
         stepper._sort_buffer = None
         nalloc = int(stepper.fields.rho_1d.shape[0])
-        self.planner = PartitionPlanner(
-            nalloc=nalloc,
-            nparts=self.nworkers,
-            mode=getattr(cfg, "partition", "flat"),
-            repartition_every=getattr(cfg, "repartition_every", 10),
-            rebalance_threshold=getattr(cfg, "rebalance_threshold", 1.5),
+        self.planner = PartitionPlanner(nalloc=nalloc, nparts=self.nworkers)
+        hist0 = np.bincount(
+            np.asarray(stepper.particles.icell, dtype=np.int64),
+            minlength=nalloc,
         )
-        hist0 = None
-        if self.planner.mode == "curve-balanced":
-            hist0 = np.bincount(
-                np.asarray(stepper.particles.icell, dtype=np.int64),
-                minlength=nalloc,
-            )
         self.grid_shared = SharedGrid(
             stepper.fields, self.nworkers, self.arena,
             cell_ranges=self.planner.initial(hist0),
@@ -721,17 +707,15 @@ class ShmEngine:
         # repartition + data-movement sampling share one histogram; a
         # bincount is computed only on the steps that need it, and the
         # cut never moves mid-deposit (ranges adopted before sharding)
-        every = self.planner.repartition_every
-        sample_due = every > 0 and (self.planner.calls + 1) % every == 0
         hist = None
-        if sample_due or self.planner.wants_histogram():
+        if self.planner.wants_histogram():
             hist = np.bincount(
                 np.asarray(icell, dtype=np.int64), minlength=gs.nalloc
             )
         new_ranges = self.planner.maybe_repartition(hist)
         if new_ranges is not None:
             gs.set_cell_ranges(new_ranges)
-        if hist is not None and sample_due:
+        if hist is not None:
             self._record_datamove(hist)
         specs_base = self._spec(icell=icell, dx=dx, dy=dy)
         shards = []
@@ -762,8 +746,7 @@ class ShmEngine:
         from repro.perf.datamove import deposit_movement, rusage_sample
 
         stats = deposit_movement(
-            self.grid_shared.cell_ranges, hist,
-            mode=self.planner.mode, ordering=self.ordering,
+            self.grid_shared.cell_ranges, hist, ordering=self.ordering
         )
         stats["repartitions"] = len(self.planner.events)
         if self.planner.events:
@@ -813,10 +796,10 @@ class ShmEngine3D:
     *through* those arrays (``arr[:] = ...`` discipline in the 3D
     kernels and sort), so workers always see current state without any
     per-step copying.  Private ``(nalloc, 8)`` slabs per worker, static
-    cell cuts from :func:`~repro.parallel.partition.partition_cells`
-    (mode from ``OptimizationConfig.partition``), parent-side reduce in
-    worker order: bitwise-identical to the serial deposit at any worker
-    count, same argument as 2D.
+    cell cuts from :func:`~repro.parallel.partition.partition_cells` on
+    the t=0 particle histogram, parent-side reduce in worker order:
+    bitwise-identical to the serial deposit at any worker count, same
+    argument as 2D.
 
     ``rho_1d`` itself stays in parent memory — only the parent reduces
     into it, so it never needs to cross a process boundary.
@@ -841,15 +824,10 @@ class ShmEngine3D:
         nalloc = int(self.rho_target.shape[0])
         self.nalloc = nalloc
 
-        mode = getattr(cfg, "partition", "flat")
-        hist0 = None
-        if mode == "curve-balanced":
-            hist0 = np.bincount(
-                np.asarray(self.icell, dtype=np.int64), minlength=nalloc
-            )
-        self.cell_ranges = partition_cells(
-            nalloc, self.nworkers, mode=mode, histogram=hist0
+        hist0 = np.bincount(
+            np.asarray(self.icell, dtype=np.int64), minlength=nalloc
         )
+        self.cell_ranges = partition_cells(nalloc, self.nworkers, hist0)
         self.slabs = [
             self.arena.alloc((nalloc, 8)) for _ in range(self.nworkers)
         ]
@@ -862,12 +840,14 @@ class ShmEngine3D:
         _LIVE_ENGINES.append(self)
         atexit.register(self.close)
 
-    # the dispatch/retry policy and helpers are dimension-agnostic;
-    # borrow them from the 2D engine rather than duplicating the logic
+    # the dispatch/retry policy, helpers and shutdown are
+    # dimension-agnostic; borrow them from the 2D engine rather than
+    # duplicating the logic
     _spec = ShmEngine._spec
     _dispatch = ShmEngine._dispatch
     ping = ShmEngine.ping
     fallbacks = ShmEngine.fallbacks
+    close = ShmEngine.close
 
     def accumulate_redundant_3d(self, icell, dx, dy, dz, charge) -> None:
         """Cell-ownership deposit into the stepper's ``rho_1d``."""
@@ -892,22 +872,6 @@ class ShmEngine3D:
         for wid in sorted(active):
             cr = self.cell_ranges[wid]
             self.rho_target[cr] += self.slabs[wid][: cr.stop - cr.start]
-
-    def close(self) -> None:
-        """Shut the pool down and unlink every shared segment."""
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            _LIVE_ENGINES.remove(self)
-        except ValueError:  # pragma: no cover
-            pass
-        try:
-            atexit.unregister(self.close)
-        except Exception:  # pragma: no cover - interpreter shutdown
-            pass
-        self.pool.close()
-        self.arena.close()
 
 
 def _engine_owning(*arrays):

@@ -26,37 +26,17 @@ import numpy as np
 
 from repro.core.config import OptimizationConfig
 from repro.core.kernels import accumulate_redundant, accumulate_standard
+from repro.parallel.partition import partition_range
 from repro.perf.bandwidth import BandwidthModel, loop_bytes_per_particle
 from repro.perf.costmodel import LoopCostModel, LoopKind
 from repro.perf.machine import MachineSpec
 
 __all__ = [
-    "partition_range",
     "parallel_accumulate_redundant",
     "parallel_accumulate_standard",
     "cellwise_accumulate_redundant",
     "ThreadScalingModel",
 ]
-
-
-def partition_range(n: int, nthreads: int) -> list[slice]:
-    """Static (OpenMP-default) partition of ``range(n)`` into ``nthreads``.
-
-    Chunk sizes differ by at most one (the first ``n % nthreads``
-    chunks take the extra element).  For ``nthreads > n`` the first
-    ``n`` slices hold one element each and the empty slices all
-    *trail* — they are never interleaved with non-empty ones, so a
-    worker id below the element count always has work.
-    """
-    if nthreads <= 0:
-        raise ValueError("nthreads must be positive")
-    base, rem = divmod(int(n), int(nthreads))
-    out, lo = [], 0
-    for t in range(nthreads):
-        hi = lo + base + (1 if t < rem else 0)
-        out.append(slice(lo, hi))
-        lo = hi
-    return out
 
 
 def parallel_accumulate_redundant(

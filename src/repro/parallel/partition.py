@@ -1,33 +1,32 @@
-"""Curve-aware, load-balanced cell partitioning for the parallel deposit.
+"""Histogram-balanced cell partitioning for the parallel deposit.
 
 The §V-B deposit gives each worker a *contiguous range of cell rows* of
 the redundant ``rho_1d[ncell][4]`` array; since ``icell`` **is** the
 index along the active space-filling curve, every contiguous range is
 automatically a contiguous curve segment — a compact spatial region
-under Morton/Hilbert orderings.  What the fixed equal-cell split
-ignores is the particle *histogram*: once an instability clumps the
-plasma, one worker's cells can hold most of the particles while the
-others idle.  Walker & Skjellum (arXiv 2307.07828) make exactly this
-point for SFC-segment partitioning: the curve supplies locality, the
-weights must supply balance.
+under Morton/Hilbert orderings.  What an equal-cell split ignores is
+the particle *histogram*: once an instability clumps the plasma, one
+worker's cells can hold most of the particles while the others idle.
+Walker & Skjellum (arXiv 2307.07828) make exactly this point for
+SFC-segment partitioning: the curve supplies locality, the weights
+must supply balance.
 
-Three partition modes (``OptimizationConfig.partition``):
+So there is one cut rule: :func:`partition_cells` places the cuts from
+the per-cell particle histogram so every worker owns ~equal
+*particles* (prefix-sum + searchsorted along the curve).  Without a
+histogram — or on an empty one — it degenerates to equal cell counts,
+which is also what the balanced cut converges to on a uniform plasma.
+:func:`partition_range` is that equal-count split on its own, used for
+the particle ranges of gather/kick/push.
 
-* ``"flat"`` — equal cell counts (the status-quo static split);
-* ``"curve"`` — equal cell counts snapped to power-of-two-aligned
-  curve-block boundaries, so each worker's segment is a union of whole
-  curve blocks (maximally compact spatial tiles under Morton/Hilbert);
-* ``"curve-balanced"`` — cut positions chosen from the per-cell
-  particle histogram so every worker owns ~equal *particles*
-  (prefix-sum + searchsorted along the curve).
-
-Every mode yields disjoint contiguous ranges covering ``[0, nalloc)``
-with any empty ranges trailing — the invariant the bitwise promise of
-the cell-ownership deposit rests on (each ``rho`` row has exactly one
-owner, each owner deposits its particles in global particle order).
-:class:`PartitionPlanner` adds cheap every-K-step repartitioning with
-hysteresis: ranges move only when the measured load imbalance exceeds
-a threshold, so a quiescent plasma never pays repartition churn.
+Every partition is a list of disjoint contiguous ranges covering
+``[0, nalloc)`` with any empty ranges trailing — the invariant the
+bitwise promise of the cell-ownership deposit rests on (each ``rho``
+row has exactly one owner, each owner deposits its particles in global
+particle order).  :class:`PartitionPlanner` adds cheap every-K-step
+repartitioning with hysteresis: ranges move only when the measured
+load imbalance exceeds a threshold, so a quiescent plasma never pays
+repartition churn.
 """
 
 from __future__ import annotations
@@ -37,46 +36,44 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "PARTITION_MODES",
+    "partition_range",
     "partition_cells",
     "balance_ratio",
     "PartitionPlanner",
 ]
 
-#: The recognised partition modes, in documentation order.
-PARTITION_MODES = ("flat", "curve", "curve-balanced")
 
+def partition_range(n: int, nparts: int) -> list[slice]:
+    """Static equal-count partition of ``range(n)`` into ``nparts``.
 
-def _flat_cuts(n: int, nparts: int) -> np.ndarray:
-    """Equal-count boundaries: sizes differ by <= 1, empties trailing."""
+    Chunk sizes differ by at most one (the first ``n % nparts`` chunks
+    take the extra element).  For ``nparts > n`` the first ``n`` slices
+    hold one element each and the empty slices all *trail* — they are
+    never interleaved with non-empty ones, so a worker id below the
+    element count always has work.  Deterministic — a pure function
+    of ``(n, nparts)`` with no shared state, safe to call from any
+    thread or process.
+    """
+    if nparts <= 0:
+        raise ValueError("nparts must be positive")
     base, rem = divmod(int(n), int(nparts))
-    sizes = np.full(nparts, base, dtype=np.int64)
-    sizes[:rem] += 1
-    bounds = np.zeros(nparts + 1, dtype=np.int64)
-    np.cumsum(sizes, out=bounds[1:])
-    return bounds
+    out, lo = [], 0
+    for t in range(nparts):
+        hi = lo + base + (1 if t < rem else 0)
+        out.append(slice(lo, hi))
+        lo = hi
+    return out
 
 
-def _aligned_cuts(n: int, nparts: int, align: int) -> np.ndarray:
-    """Equal-*block* boundaries: every interior cut is a multiple of
-    ``align``; the final (possibly partial) block joins the last
-    non-empty range."""
-    align = max(1, int(align))
-    nblocks = -(-int(n) // align)  # ceil
-    bounds = _flat_cuts(nblocks, nparts) * align
-    np.minimum(bounds, int(n), out=bounds)
-    return bounds
-
-
-def _balanced_cuts(n: int, nparts: int, histogram: np.ndarray) -> np.ndarray:
-    """Histogram-weighted boundaries: ~equal particles per range."""
+def _balanced_cuts(n: int, nparts: int, histogram: np.ndarray) -> np.ndarray | None:
+    """Histogram-weighted boundaries (``None`` for an empty histogram)."""
     hist = np.asarray(histogram, dtype=np.int64)
     if hist.shape[0] < n:
         hist = np.concatenate([hist, np.zeros(n - hist.shape[0], np.int64)])
     prefix = np.cumsum(hist[:n])
     total = int(prefix[-1]) if n else 0
     if total <= 0:
-        return _flat_cuts(n, nparts)
+        return None
     targets = (total * np.arange(1, nparts, dtype=np.float64)) / nparts
     interior = np.searchsorted(prefix, targets, side="left") + 1
     bounds = np.empty(nparts + 1, dtype=np.int64)
@@ -92,24 +89,14 @@ def _balanced_cuts(n: int, nparts: int, histogram: np.ndarray) -> np.ndarray:
     return bounds
 
 
-def partition_cells(
-    nalloc: int,
-    nparts: int,
-    *,
-    mode: str = "flat",
-    histogram=None,
-    align: int | None = None,
-) -> list[slice]:
+def partition_cells(nalloc: int, nparts: int, histogram=None) -> list[slice]:
     """Cut ``[0, nalloc)`` cell rows into ``nparts`` contiguous ranges.
 
-    ``mode`` selects the cut rule (see the module docstring):
-    ``"flat"`` equal cells, ``"curve"`` equal cells snapped to
-    ``align``-cell curve-block boundaries (default: the largest power
-    of two ``<= nalloc // nparts``), ``"curve-balanced"`` ~equal
-    particles from the per-cell ``histogram`` (falls back to the flat
-    split when no histogram is given or it is empty).
+    With a per-cell particle ``histogram`` the cuts give every range
+    ~equal *particles*; without one (or when it is empty) they give
+    equal cell counts (:func:`partition_range`).
 
-    Every mode returns disjoint contiguous slices that cover
+    Either way the result is disjoint contiguous slices that cover
     ``[0, nalloc)`` exactly, with any empty slices trailing (never
     interleaved), and is deterministic — the same inputs always
     produce the identical partition, so runs are reproducible.
@@ -124,18 +111,13 @@ def partition_cells(
         raise ValueError("nparts must be positive")
     if nalloc < 0:
         raise ValueError("nalloc must be >= 0")
-    if mode not in PARTITION_MODES:
-        raise ValueError(f"mode must be one of {PARTITION_MODES}")
-    if mode == "curve-balanced" and histogram is not None:
+    if histogram is not None:
         bounds = _balanced_cuts(nalloc, nparts, histogram)
-    elif mode == "curve" and nalloc:
-        if align is None:
-            per = max(1, nalloc // nparts)
-            align = 1 << max(0, per.bit_length() - 1)
-        bounds = _aligned_cuts(nalloc, nparts, align)
-    else:
-        bounds = _flat_cuts(nalloc, nparts)
-    return [slice(int(bounds[t]), int(bounds[t + 1])) for t in range(nparts)]
+        if bounds is not None:
+            return [
+                slice(int(bounds[t]), int(bounds[t + 1])) for t in range(nparts)
+            ]
+    return partition_range(nalloc, nparts)
 
 
 def balance_ratio(ranges, histogram) -> float:
@@ -169,9 +151,8 @@ class PartitionPlanner:
     workers and decides, from the per-cell particle histogram the
     deposit path already has, when to move the cuts:
 
-    * only in ``"curve-balanced"`` mode and only every
-      ``repartition_every`` deposit calls (0 freezes the initial
-      partition);
+    * only every ``repartition_every`` deposit calls (0 freezes the
+      initial partition);
     * only when the *measured* imbalance of the current partition
       exceeds ``rebalance_threshold`` (max/mean particle load) — the
       hysteresis guard that keeps a well-balanced run from paying
@@ -186,7 +167,6 @@ class PartitionPlanner:
 
     nalloc: int
     nparts: int
-    mode: str = "flat"
     repartition_every: int = 10
     rebalance_threshold: float = 1.5
     current: list = field(default_factory=list)
@@ -194,8 +174,6 @@ class PartitionPlanner:
     calls: int = field(default=0)
 
     def __post_init__(self):
-        if self.mode not in PARTITION_MODES:
-            raise ValueError(f"mode must be one of {PARTITION_MODES}")
         if self.repartition_every < 0:
             raise ValueError("repartition_every must be >= 0")
         if self.rebalance_threshold < 1.0:
@@ -204,16 +182,14 @@ class PartitionPlanner:
     # ------------------------------------------------------------------
     def initial(self, histogram=None) -> list[slice]:
         """Compute and adopt the starting partition (histogram optional)."""
-        self.current = partition_cells(
-            self.nalloc, self.nparts, mode=self.mode, histogram=histogram
-        )
+        self.current = partition_cells(self.nalloc, self.nparts, histogram)
         return self.current
 
     def wants_histogram(self) -> bool:
         """Whether the *next* :meth:`maybe_repartition` call will look
         at a histogram (lets the caller skip the bincount entirely on
-        off-steps and in the static modes)."""
-        if self.mode != "curve-balanced" or self.repartition_every <= 0:
+        off-steps)."""
+        if self.repartition_every <= 0:
             return False
         return (self.calls + 1) % self.repartition_every == 0
 
@@ -225,8 +201,7 @@ class PartitionPlanner:
         """
         self.calls += 1
         if (
-            self.mode != "curve-balanced"
-            or self.repartition_every <= 0
+            self.repartition_every <= 0
             or histogram is None
             or self.calls % self.repartition_every != 0
         ):
@@ -234,9 +209,7 @@ class PartitionPlanner:
         before = balance_ratio(self.current, histogram)
         if before <= self.rebalance_threshold:
             return None
-        candidate = partition_cells(
-            self.nalloc, self.nparts, mode=self.mode, histogram=histogram
-        )
+        candidate = partition_cells(self.nalloc, self.nparts, histogram)
         after = balance_ratio(candidate, histogram)
         if after >= before:
             return None

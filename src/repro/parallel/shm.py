@@ -28,7 +28,7 @@ Three pieces:
   ``np.bincount`` deposit would put in those rows.  The slabs are
   allocated at full grid capacity, so ownership is *recomputable*:
   :meth:`SharedGrid.set_cell_ranges` moves the cuts between steps
-  (curve-aware / load-balanced partitions from
+  (the histogram-balanced partitions of
   :mod:`repro.parallel.partition`) without touching the arena.
 
 Workers attach to segments lazily by name via :func:`attach_array`;
@@ -46,7 +46,7 @@ from multiprocessing import resource_tracker, shared_memory
 import numpy as np
 
 from repro.grid.fields import RedundantFields
-from repro.parallel.openmp import partition_range
+from repro.parallel.partition import partition_range
 from repro.particles.storage import ParticleSoA
 
 __all__ = [

@@ -271,8 +271,9 @@ class GaussianBump(InitialCondition):
     purpose is the *density profile*: most particles in a few cells of
     one corner of the domain, which makes any equal-cell deposit
     partition maximally imbalanced.  This is the load-balancing
-    stress case for ``OptimizationConfig.partition`` (the verifier's
-    partition-flip pins and the bench gate's skewed scenario run it).
+    stress case for the ``numpy-mp`` engine's histogram-balanced cell
+    cuts (:mod:`repro.parallel.partition`; the verifier's sampled
+    scenarios and ``tests/test_parallel_partition.py`` run it).
 
     The off-center default (0.3, 0.3) is deliberate: a *centered* blob
     straddles all four Morton quadrants and can be accidentally

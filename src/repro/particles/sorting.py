@@ -20,18 +20,6 @@ Three variants mirror §V-B1:
   threads write disjoint output slices so no synchronization is needed
   beyond the shared histogram.
 
-On top of the whole-grid sort sits **tiled / fine-grain binning**
-(:func:`bin_particles_by_block`, :class:`BlockBins`): the cell range is
-cut into fixed-size *blocks* of consecutive cells along the active
-space-filling curve, and the same histogram + prefix-sum + stable
-scatter machinery groups particles by block instead of by cell.  The
-per-block histogram is what the density-aware deposit dispatcher
-(:mod:`repro.core.deposit`) reads to pick a deposit kernel per block —
-the fine-grain sorting idea of Beck et al. (arXiv 1810.03949).  Because
-the binning permutation is stable, particles of any one cell keep their
-global order inside their block, which is what makes every tiled
-consumer bitwise-reproducible against its whole-grid counterpart.
-
 Every function in this module is a pure function of its array inputs
 (plus in-place writes to caller-owned outputs); none keeps global
 mutable state, so all are thread-safe to call concurrently on disjoint
@@ -53,8 +41,6 @@ registers an ``@njit`` cursor-loop variant on top
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.particles.storage import ParticleStorage
@@ -63,10 +49,6 @@ __all__ = [
     "counting_sort_permutation",
     "counting_sort_permutation_reference",
     "parallel_counting_sort_permutation",
-    "BlockBins",
-    "block_histogram",
-    "bin_particles_by_block",
-    "tiled_counting_sort_permutation",
     "sort_out_of_place",
     "sort_in_place",
     "CYCLE_SORT_THRESHOLD",
@@ -97,7 +79,7 @@ def counting_sort_permutation(keys: np.ndarray, ncells: int) -> np.ndarray:
 
     Equivalence promise: stability makes the permutation *unique*, so
     every implementation in the repo (this scatter, the Python
-    reference, the njit cursor loop, the parallel and tiled variants)
+    reference, the njit cursor loop, the parallel variant)
     returns the bitwise-identical index array.  Thread-safety: a pure
     function of ``keys`` — no module state is touched, concurrent calls
     are safe.
@@ -182,153 +164,6 @@ def parallel_counting_sort_permutation(
         )
         perm[out_lo:out_hi] = mine[order]
     return perm, slices
-
-
-@dataclass(frozen=True)
-class BlockBins:
-    """Particles grouped by fixed-size cell *block* along the curve.
-
-    A block is ``block_size`` consecutive cells of the active
-    space-filling curve (cell ``c`` belongs to block ``c //
-    block_size``), so block locality inherits whatever spatial locality
-    the curve provides.  ``perm`` lists particle indices grouped by
-    block; ``starts`` (exclusive prefix sum of ``counts``) delimits
-    each block's contiguous slice of ``perm``.
-
-    Equivalence promise: the grouping permutation is *stable* —
-    within a block, and hence within every single cell, particles keep
-    their global input order.  Consumers that process blocks
-    independently (the tiled deposit, the tiled sort) therefore
-    reproduce their whole-grid counterparts bitwise.  Thread-safety:
-    instances are frozen and the arrays are never mutated after
-    construction, so a ``BlockBins`` may be shared across threads
-    freely.
-    """
-
-    #: cells per block (the configurable fine-grain knob)
-    block_size: int
-    #: total cells (``nblocks * block_size`` rounds up past it)
-    ncells: int
-    #: particle indices grouped by block, stable within each block
-    perm: np.ndarray
-    #: ``starts[b]:starts[b+1]`` is block ``b``'s slice of ``perm``
-    starts: np.ndarray
-    #: particles per block (the histogram the density dispatcher reads)
-    counts: np.ndarray
-
-    @property
-    def nblocks(self) -> int:
-        """Number of blocks covering ``[0, ncells)``."""
-        return len(self.counts)
-
-    def cell_range(self, b: int) -> tuple[int, int]:
-        """Half-open cell range ``[lo, hi)`` owned by block ``b``."""
-        lo = b * self.block_size
-        return lo, min(lo + self.block_size, self.ncells)
-
-    def particles_of(self, b: int) -> np.ndarray:
-        """Indices of block ``b``'s particles, in global input order."""
-        return self.perm[int(self.starts[b]):int(self.starts[b + 1])]
-
-
-def _block_ids(keys, ncells: int, block_size: int):
-    """Validate and map cell keys to block ids; returns (ids, nblocks)."""
-    if block_size <= 0:
-        raise ValueError("block_size must be positive")
-    if ncells <= 0:
-        raise ValueError("ncells must be positive")
-    keys = np.asarray(keys)
-    if keys.size and (keys.min() < 0 or keys.max() >= ncells):
-        raise ValueError("keys out of range [0, ncells)")
-    nblocks = -(-int(ncells) // int(block_size))  # ceil division
-    return keys.astype(np.int64, copy=False) // int(block_size), nblocks
-
-
-def block_histogram(
-    keys: np.ndarray, ncells: int, block_size: int
-) -> np.ndarray:
-    """Particles per block — the density signal without the permutation.
-
-    The histogram half of :func:`bin_particles_by_block`: one integer
-    divide and one ``np.bincount``, O(N + nblocks), no stable scatter.
-    The deposit dispatcher reads this first to decide whether any
-    per-block pass is needed at all; when every block takes the same
-    serial kernel it never pays for the grouping permutation.  The
-    counts are identical to ``bin_particles_by_block(...).counts`` for
-    the same inputs — deterministic, a pure function of its arrays.
-    Thread-safety: no shared state, safe to call concurrently.
-    """
-    block_of, nblocks = _block_ids(keys, ncells, block_size)
-    return np.bincount(block_of, minlength=nblocks).astype(np.int64)
-
-
-def bin_particles_by_block(
-    keys: np.ndarray, ncells: int, block_size: int, perm_fn=None
-) -> BlockBins:
-    """Group particles into fixed-size cell blocks — fine-grain binning.
-
-    The O(N + nblocks) analogue of the whole-grid counting sort one
-    level up: histogram particles per *block* of ``block_size``
-    consecutive curve cells, prefix-sum, stable scatter.  This is the
-    binning step of Beck et al.'s fine-grain scheme: the per-block
-    histogram (``BlockBins.counts``) is the local-density signal the
-    deposit dispatcher switches kernels on, and the stable grouping is
-    what lets each block be deposited independently yet
-    bitwise-identically to one whole-grid pass.
-
-    ``perm_fn`` overrides the stable grouping-permutation builder (the
-    stepper passes its backend's compiled counting sort); any override
-    must be a stable counting sort or the bitwise promise is void.
-    Thread-safety: pure function of its inputs, safe concurrently.
-    """
-    block_of, nblocks = _block_ids(keys, ncells, block_size)
-    n = np.asarray(keys).size
-    counts = np.bincount(block_of, minlength=nblocks).astype(np.int64)
-    starts = np.zeros(nblocks + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
-    perm_fn = perm_fn or counting_sort_permutation
-    perm = (
-        perm_fn(block_of, nblocks)
-        if n
-        else np.empty(0, dtype=np.int64)
-    )
-    return BlockBins(
-        block_size=int(block_size),
-        ncells=int(ncells),
-        perm=np.asarray(perm, dtype=np.int64),
-        starts=starts,
-        counts=counts,
-    )
-
-
-def tiled_counting_sort_permutation(
-    keys: np.ndarray, ncells: int, block_size: int, perm_fn=None
-) -> np.ndarray:
-    """Full cell sort built blockwise from the fine-grain binning.
-
-    Groups particles by block (:func:`bin_particles_by_block`), then
-    runs the stable counting sort *inside* each block on block-local
-    keys.  Because blocks are consecutive, disjoint cell ranges and
-    both passes are stable, the composed permutation is
-    bitwise-identical to :func:`counting_sort_permutation` over the
-    whole grid, for every ``block_size`` — the property the tiled-sort
-    tests pin.  The per-block working set is what makes this the
-    cache-sized rendering of the paper's sort (§IV-E) at fine grain.
-    Thread-safety: blocks write disjoint output slices, so a real
-    threaded rendering needs no locks; the function is pure.
-    """
-    bins = bin_particles_by_block(keys, ncells, block_size, perm_fn=perm_fn)
-    keys = np.asarray(keys)
-    perm_fn = perm_fn or counting_sort_permutation
-    out = np.empty(keys.size, dtype=np.int64)
-    for b in range(bins.nblocks):
-        idx = bins.particles_of(b)
-        if idx.size == 0:
-            continue
-        lo, hi = bins.cell_range(b)
-        order = perm_fn(keys[idx] - lo, hi - lo)
-        out[int(bins.starts[b]):int(bins.starts[b + 1])] = idx[order]
-    return out
 
 
 def sort_out_of_place(

@@ -56,7 +56,6 @@ def deposit_movement(
     cell_ranges,
     histogram,
     *,
-    mode: str = "flat",
     ordering=None,
 ) -> dict:
     """Per-worker bytes-touched / span / overlap ledger for one deposit.
@@ -123,7 +122,6 @@ def deposit_movement(
     from repro.parallel.partition import balance_ratio
 
     out = {
-        "mode": mode,
         "particles": n_total,
         "balance_ratio": balance_ratio(cell_ranges, hist),
         "total_bytes": int(total_bytes),

@@ -84,10 +84,6 @@ class StepTimings:
     worker_phases: dict = field(default_factory=dict)
     #: steps taken per loop path, e.g. ``{"split": 40, "fused-backend": 10}``
     loop_paths: dict = field(default_factory=dict)
-    #: blocks deposited per tiled-deposit variant, e.g. ``{"serial": 40,
-    #: "shard": 12, "parallel": 3, "coalesced": 5}`` (empty when the
-    #: deposit runs untiled; see :mod:`repro.core.deposit`)
-    deposit_variants: dict = field(default_factory=dict)
     #: continuous loop-mode autotuner decisions, in order — settle /
     #: probe / switch / keep event dicts from
     #: :attr:`repro.core.autotune.LoopModeAutoTuner.decisions` (empty
@@ -165,7 +161,6 @@ class StepTimings:
         rec["rollbacks"] = self.rollbacks
         rec["workers"] = {w: dict(p) for w, p in self.worker_phases.items()}
         rec["loop_paths"] = dict(self.loop_paths)
-        rec["deposit_variants"] = dict(self.deposit_variants)
         rec["autotune"] = list(self.autotune)
         rec["datamove"] = dict(self.datamove)
         return rec
@@ -191,7 +186,6 @@ class StepTimings:
             rollbacks=int(rec.get("rollbacks", 0)),
             worker_phases=rec.get("workers", {}),
             loop_paths=rec.get("loop_paths", {}),
-            deposit_variants=rec.get("deposit_variants", {}),
             autotune=rec.get("autotune", []),
             datamove=rec.get("datamove", {}),
         )
@@ -268,25 +262,6 @@ class Instrumentation:
         self.timings.loop_paths[path] = self.timings.loop_paths.get(path, 0) + 1
         if self._current is not None:
             self._current["path"] = path
-
-    def record_deposit_variants(self, counts: dict) -> None:
-        """Accumulate one tiled deposit's per-variant block counts.
-
-        ``counts`` is what
-        :meth:`repro.core.backends.KernelBackend.accumulate_redundant_tiled`
-        returned, e.g. ``{"serial": 12, "shard": 3}``; sums into
-        :attr:`StepTimings.deposit_variants` and tags the current
-        per-step record so time series can correlate density decisions
-        with phase seconds.
-        """
-        for variant, n in counts.items():
-            self.timings.deposit_variants[variant] = (
-                self.timings.deposit_variants.get(variant, 0) + int(n)
-            )
-        if self._current is not None and counts:
-            per = self._current.setdefault("deposit_variants", {})
-            for variant, n in counts.items():
-                per[variant] = per.get(variant, 0) + int(n)
 
     def record_autotune(self, decision: dict) -> None:
         """Append one loop-mode autotuner decision to the ledger.

@@ -2,11 +2,10 @@
 
 Capability parity with the 2D :class:`repro.core.stepper.PICStepper`:
 the same ``_select_loop_path`` dispatch (``split`` /
-``fused-backend`` / ``fused-chunked``), the density-aware tiled
-deposit, the ``parallel_deposit`` and ``fused3d`` backend
-capabilities, phase hooks for the differential verifier, and the
-``numpy-mp`` cell-ownership deposit — all over the trilinear 8-corner
-kernels of :mod:`repro.pic3d.kernels3d`.
+``fused-backend`` / ``fused-chunked``), the ``parallel_deposit`` and
+``fused3d`` backend capabilities, phase hooks for the differential
+verifier, and the ``numpy-mp`` cell-ownership deposit — all over the
+trilinear 8-corner kernels of :mod:`repro.pic3d.kernels3d`.
 
 Two deliberate divergences from 2D, both in the service of bitwise
 verification:
@@ -120,8 +119,8 @@ class PICStepper3D:
 
     Parameters mirror the legacy constructor; a full
     :class:`~repro.core.config.OptimizationConfig` may be supplied via
-    ``config`` to drive loop-path dispatch, tiled deposit, sorting and
-    backend selection exactly as in 2D (``backend``/``sort_period``
+    ``config`` to drive loop-path dispatch, sorting and backend
+    selection exactly as in 2D (``backend``/``sort_period``
     are then taken from the config and the legacy kwargs ignored).
     Particles are a plain dict of arrays keyed by
     :data:`PARTICLE_KEYS_3D`; all kernels write *through* those arrays
@@ -286,23 +285,10 @@ class PICStepper3D:
         )
 
     def _phase_accumulate(self) -> None:
-        """Whole-grid deposit through the same dispatch ladder as 2D:
-        tiled (density-aware per-block) when configured, the backend's
-        parallel cell-ownership kernel when offered, serial otherwise —
-        all bitwise-identical by construction."""
-        cfg = self.config
+        """Whole-grid deposit through the same two-rung ladder as 2D:
+        the backend's parallel cell-ownership kernel when offered,
+        serial otherwise — bitwise-identical by construction."""
         p = self.particles
-        if cfg.block_size > 0 and self.backend.supports("tiled_deposit"):
-            counts = self.backend.accumulate_redundant_tiled_3d(
-                self.fields.rho_1d, p["icell"], p["dx"], p["dy"], p["dz"],
-                self._charge_factor,
-                block_size=cfg.block_size,
-                thresholds=cfg.deposit_thresholds,
-                nthreads=cfg.deposit_threads,
-                partition=cfg.partition,
-            )
-            self.instrumentation.record_deposit_variants(counts)
-            return
         if self.backend.supports("parallel_deposit"):
             self.backend.accumulate_redundant_parallel_3d(
                 self.fields.rho_1d, p["icell"], p["dx"], p["dy"], p["dz"],

@@ -45,8 +45,8 @@ _PUSH_POOL = ("branch", "modulo", "bitwise")
 _SORT_PERIODS = (0, 2, 3, 5)
 _SORT_VARIANTS = ("in-place", "out-of-place")
 #: ``gaussian-bump`` is the skewed-density load-balancing stress case:
-#: most particles clumped in one corner, so the partition axis below
-#: actually moves the deposit cuts it is supposed to exercise.  The
+#: most particles clumped in one corner, so the ``numpy-mp`` combos'
+#: histogram-balanced deposit cuts sit far from the equal-cell ones.  The
 #: scenario-zoo cases (``bounded-wall``/``beam-plasma``/``exb-drift``)
 #: route the stepper through its reflecting-boundary, drifting-beam
 #: and Boris-rotation paths — each forces the split loop path, so
@@ -56,22 +56,6 @@ _CASE_POOL = (
     "landau", "two-stream", "gaussian-bump",
     "bounded-wall", "beam-plasma", "exb-drift",
 )
-#: block sizes for the tiled deposit — weighted toward 0 (untiled)
-#: so most scenarios still exercise the classic whole-grid kernels;
-#: the nonzero entries hit per-cell, small-block, and large-block
-#: dispatch.  Bitwise-identical to 0 by construction, which is
-#: exactly what the differ asserts.
-_BLOCK_POOL = (0, 0, 1, 4, 64)
-#: ``(sparse, dense)`` cutoffs for the density-aware dispatcher: the
-#: defaults (mixed variants), all-parallel/shard (everything dense),
-#: and all-serial (everything sparse, which coalesces to one pass).
-_THRESHOLD_POOL = ((4.0, 64.0), (0.0, 0.0), (1e30, 2e30))
-_DEPOSIT_THREADS_POOL = (1, 2, 7)
-#: partition modes of the parallel/sharded deposit — all bitwise by
-#: the cell-ownership argument; the differ additionally pins a
-#: partition *flip* per scenario so flat vs curve-balanced is compared
-#: directly
-_PARTITION_POOL = ("flat", "curve", "curve-balanced")
 
 #: dimensionality axis — 2D-weighted (the paper's study is 2D; the 3D
 #: port rides along at one scenario in four so the sampled matrix
@@ -105,10 +89,6 @@ class Scenario:
     chunk_size: int
     dt: float = 0.05
     seed: int = 0
-    block_size: int = 0
-    deposit_thresholds: tuple = (4.0, 64.0)
-    deposit_threads: int = 1
-    partition: str = "flat"
     dims: int = 2  #: 2 -> PICStepper, 3 -> PICStepper3D
     ncz: int = 1  #: z cell count (only meaningful when ``dims == 3``)
 
@@ -156,10 +136,6 @@ class Scenario:
             sort_variant=self.sort_variant,
             chunk_size=self.chunk_size,
             backend=backend,
-            block_size=self.block_size,
-            deposit_thresholds=self.deposit_thresholds,
-            deposit_threads=self.deposit_threads,
-            partition=self.partition,
         )
         if workers is not None:
             kwargs["workers"] = workers
@@ -167,8 +143,6 @@ class Scenario:
 
     def label(self) -> str:
         sort = f"sort{self.sort_period}" if self.sort_period else "nosort"
-        tile = f" bs{self.block_size}" if self.block_size else ""
-        part = f" {self.partition}" if self.partition != "flat" else ""
         shape = f"{self.ncx}x{self.ncy}"
         if self.dims == 3:
             shape += f"x{self.ncz} 3d"
@@ -176,7 +150,7 @@ class Scenario:
             f"#{self.index} {self.case_name} {shape} "
             f"n={self.n_particles} {self.ordering}/{self.field_layout}/"
             f"{self.loop_mode}/{self.position_update} "
-            f"{'hoist' if self.hoisting else 'nohoist'} {sort}{tile}{part}"
+            f"{'hoist' if self.hoisting else 'nohoist'} {sort}"
         )
 
 
@@ -227,10 +201,6 @@ class ScenarioSampler:
             sort_variant=self._pick(_SORT_VARIANTS),
             chunk_size=8192,
             seed=int(self._rng.integers(2**31)),
-            block_size=int(self._pick(_BLOCK_POOL)),
-            deposit_thresholds=self._pick(_THRESHOLD_POOL),
-            deposit_threads=int(self._pick(_DEPOSIT_THREADS_POOL)),
-            partition=self._pick(_PARTITION_POOL),
         )
         self._count += 1
         return scenario
@@ -240,9 +210,8 @@ class ScenarioSampler:
 
         The layout is always redundant and units always hoisted (the
         3D stepper's two hard constraints); the remaining knobs (loop
-        path, push variant, sorting, tiled deposit, partition) sweep
-        the same pools as 2D so the promise matrix covers the ported
-        dispatch ladder end to end.
+        path, push variant, sorting) sweep the same pools as 2D so the
+        promise matrix covers the ported dispatch ladder end to end.
         """
         ncx, ncy, ncz = self._pick(_GRID3D_POOL)
         scenario = Scenario(
@@ -261,10 +230,6 @@ class ScenarioSampler:
             sort_variant="out-of-place",
             chunk_size=8192,
             seed=int(self._rng.integers(2**31)),
-            block_size=int(self._pick(_BLOCK_POOL)),
-            deposit_thresholds=self._pick(_THRESHOLD_POOL),
-            deposit_threads=int(self._pick(_DEPOSIT_THREADS_POOL)),
-            partition=self._pick(_PARTITION_POOL),
             dims=3,
             ncz=ncz,
         )

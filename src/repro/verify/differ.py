@@ -10,36 +10,30 @@ matrix**:
 ==================================  =========================================
 combo vs baseline                   promised relation
 ==================================  =========================================
-numpy-mp, same loop path            bitwise (PR 3: shared-memory fan-out
-                                    preserves per-bin addition order)
+numpy-mp, same loop path            bitwise at 2 *and* 4 workers (PR 3:
+                                    shared-memory fan-out preserves per-bin
+                                    addition order; the histogram-balanced
+                                    cuts of :mod:`repro.parallel.partition`
+                                    differ per worker count and move work
+                                    between workers, never what a rho row
+                                    sums or in which order)
 numpy fused, n <= chunk_size        bitwise (single chunk == the split pass)
 numpy fused, n > chunk_size         tolerance (per-chunk deposits change
                                     the per-bin fold association)
 numba split / fused                 tolerance (LLVM scalar loops vs numpy
                                     SIMD association)
 in-place vs out-of-place sort       bitwise (same stable permutation)
-tiled deposit, any block size       bitwise (blocks own disjoint contiguous
-                                    cell ranges; stable binning preserves
-                                    each cell's particle order, so every
-                                    rho element receives the identical
-                                    per-cell sum — see
-                                    :mod:`repro.core.deposit`)
-deposit partition flip              bitwise (flat vs curve vs curve-balanced
-                                    cuts move work between workers/shards,
-                                    never what a rho row sums or in which
-                                    order — :mod:`repro.parallel.partition`)
 scalar ReferenceStepper             bitwise (checked separately in tests;
                                     too slow for the sampled matrix)
 ==================================  =========================================
 
 3D scenarios (``Scenario.dims == 3``) run the same lockstep drive over
-:class:`~repro.pic3d.stepper3d.PICStepper3D` with two promises
+:class:`~repro.pic3d.stepper3d.PICStepper3D` with one promise
 *strengthened* relative to 2D: the numpy fused path is bitwise at
 **every** population size (the 3D fused-chunked loop defers one
 whole-grid deposit past the chunk loop, so chunking is purely
-elementwise), and the ``numpy-mp`` cell-ownership deposit is pinned
-bitwise at **both 2 and 4 workers** per scenario (the acceptance bar
-for the 3D port).
+elementwise).  Like 2D, the ``numpy-mp`` cell-ownership deposit is
+pinned bitwise at **both 2 and 4 workers** per scenario.
 
 Because the steppers advance in lockstep with
 :attr:`~repro.core.stepper.PICStepper.phase_hook` capture, a
@@ -101,8 +95,6 @@ class Combo:
     loop_mode: str | None = None  #: None -> the scenario's own loop mode
     workers: int | None = None
     sort_variant: str | None = None  #: None -> the scenario's own variant
-    block_size: int | None = None  #: None -> the scenario's own block size
-    partition: str | None = None  #: None -> the scenario's own partition
 
     def label(self) -> str:
         parts = [self.backend]
@@ -112,10 +104,6 @@ class Combo:
             parts.append(f"w{self.workers}")
         if self.sort_variant is not None:
             parts.append(self.sort_variant)
-        if self.block_size is not None:
-            parts.append(f"bs{self.block_size}")
-        if self.partition is not None:
-            parts.append(self.partition)
         return "/".join(parts)
 
 
@@ -216,10 +204,6 @@ class _Run:
         )
         if combo.sort_variant is not None:
             cfg = replace(cfg, sort_variant=combo.sort_variant)
-        if combo.block_size is not None:
-            cfg = replace(cfg, block_size=combo.block_size)
-        if combo.partition is not None:
-            cfg = replace(cfg, partition=combo.partition)
         if scenario.dims == 3:
             from repro.pic3d.stepper3d import PICStepper3D
 
@@ -299,7 +283,10 @@ class DifferentialRunner:
         default; the CLI exposes ``--no-mp`` because worker-pool
         startup dominates tiny runs.
     mp_workers:
-        Worker count for the ``numpy-mp`` combo.
+        Worker count for the first ``numpy-mp`` combo of a 2D
+        scenario; a second runs at the flipped count (4, or 2 when
+        ``mp_workers`` is 4), so every scenario pins two different
+        histogram cuts against the serial deposit.
     """
 
     def __init__(self, rtol: float = 1e-9, include_mp: bool = True,
@@ -326,20 +313,9 @@ class DifferentialRunner:
             else "tolerance"
         )
         combos.append((Combo("numpy", loop_mode="fused"), fused_rel))
-        # partition flip: run the deposit-partitioned combos under the
-        # mode the scenario did NOT sample, so every scenario pins
-        # flat-vs-curve-balanced bitwise identity directly (the cuts
-        # move work between workers, never what a rho row sums)
-        part_flip = (
-            "curve-balanced" if scenario.partition != "curve-balanced"
-            else "flat"
-        )
-        if "numpy-mp" in avail and self.include_mp:
-            combos.append(
-                (Combo("numpy-mp", loop_mode="split", workers=self.mp_workers,
-                       partition=part_flip),
-                 "bitwise")
-            )
+        # worker-count flip: two pools, two different cuts of the rows
+        flipped_workers = 2 if self.mp_workers == 4 else 4
+        combos += self._mp_combos(avail, (self.mp_workers, flipped_workers))
         if "numba" in avail:
             combos.append((Combo("numba", loop_mode="split"), "tolerance"))
             combos.append((Combo("numba", loop_mode="fused"), "tolerance"))
@@ -352,55 +328,38 @@ class DifferentialRunner:
                 (Combo("numpy", loop_mode="split", sort_variant=flipped),
                  "bitwise")
             )
-        # tiled density-aware deposit at a block size different from the
-        # scenario's own: promised bitwise-identical to the baseline at
-        # *any* block size (redundant layout only; on the standard
-        # layout the knob is inert, which this combo also pins down)
-        if scenario.field_layout == "redundant":
-            alt_block = 4 if scenario.block_size != 4 else 16
-            combos.append(
-                (Combo("numpy", loop_mode="split", block_size=alt_block,
-                       partition=part_flip),
-                 "bitwise")
-            )
         return combos
+
+    def _mp_combos(self, avail: set,
+                   worker_counts: tuple) -> list[tuple[Combo, str]]:
+        """One bitwise ``numpy-mp`` combo per worker count: each pool
+        cuts the cell rows at different histogram-balanced positions,
+        and every cut must reproduce the serial deposit."""
+        if "numpy-mp" not in avail or not self.include_mp:
+            return []
+        return [
+            (Combo("numpy-mp", loop_mode="split", workers=w), "bitwise")
+            for w in worker_counts
+        ]
 
     def _combos_3d(self, scenario: Scenario,
                    avail: set) -> list[tuple[Combo, str]]:
         """The 3D promise matrix for one scenario.
 
-        Differences from 2D, both strengthenings: the fused path is
-        bitwise at *any* population size (the 3D fused-chunked loop
-        defers one whole-grid deposit past the chunk loop), and the
-        ``numpy-mp`` cell-ownership deposit is pinned at both 2 and 4
-        workers.  No sort-variant flip — the 3D stepper has a single
+        One strengthening over 2D: the fused path is bitwise at *any*
+        population size (the 3D fused-chunked loop defers one
+        whole-grid deposit past the chunk loop).  The ``numpy-mp``
+        cell-ownership deposit is pinned at both 2 and 4 workers, as
+        in 2D.  No sort-variant flip — the 3D stepper has a single
         stable argsort.
         """
         combos: list[tuple[Combo, str]] = [
             (Combo("numpy", loop_mode="fused"), "bitwise"),
         ]
-        part_flip = (
-            "curve-balanced" if scenario.partition != "curve-balanced"
-            else "flat"
-        )
-        if "numpy-mp" in avail and self.include_mp:
-            combos.append(
-                (Combo("numpy-mp", loop_mode="split", workers=2,
-                       partition=part_flip),
-                 "bitwise")
-            )
-            combos.append(
-                (Combo("numpy-mp", loop_mode="split", workers=4), "bitwise")
-            )
+        combos += self._mp_combos(avail, (2, 4))
         if "numba" in avail:
             combos.append((Combo("numba", loop_mode="split"), "tolerance"))
             combos.append((Combo("numba", loop_mode="fused"), "tolerance"))
-        alt_block = 4 if scenario.block_size != 4 else 16
-        combos.append(
-            (Combo("numpy", loop_mode="split", block_size=alt_block,
-                   partition=part_flip),
-             "bitwise")
-        )
         return combos
 
     # -- comparison ---------------------------------------------------

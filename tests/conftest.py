@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -35,3 +37,25 @@ def random_particle_arrays(rng, n, ncx, ncy):
     vx = rng.normal(0, 1, n)
     vy = rng.normal(0, 1, n)
     return ix, iy, dx, dy, vx, vy
+
+
+#: the six ``OptimizationConfig`` keys PR 12 retired, as a pre-PR-12
+#: archive carries them (``curve`` no longer names anything at all)
+RETIRED_CONFIG = {
+    "block_size": 64,
+    "deposit_thresholds": [0.0, 0.0],
+    "deposit_threads": 2,
+    "partition": "curve",
+    "repartition_every": 3,
+    "rebalance_threshold": 1.1,
+}
+
+
+def rewrite_saved_config(path, extra):
+    """Re-save the archive at ``path`` with ``extra`` keys merged into
+    its stored config (what an older or foreign writer would leave)."""
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files if k != "_meta"}
+        meta = json.loads(str(data["_meta"]))
+    meta["config"] = json.dumps({**json.loads(meta["config"]), **extra})
+    np.savez(path, _meta=json.dumps(meta), **arrays)

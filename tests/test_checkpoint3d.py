@@ -22,6 +22,7 @@ from repro.core.checkpoint import (
 from repro.core.config import OptimizationConfig
 from repro.pic3d import GridSpec3D, PICStepper3D, TwoStream3D
 from repro.pic3d.stepper3d import PARTICLE_KEYS_3D
+from tests.conftest import RETIRED_CONFIG, rewrite_saved_config
 
 
 def _grid():
@@ -115,6 +116,25 @@ class TestPreemptResume3D:
         resumed = load_checkpoint_3d(
             park, _config(backend="numpy-mp", workers=2)
         )
+        try:
+            resumed.run(8)
+            _assert_state_equal(resumed, ref)
+        finally:
+            resumed.close()
+            ref.close()
+
+
+    def test_pre_pr12_archive_resumes_bitwise(self, tmp_path):
+        """An archive whose stored config still carries the six keys
+        PR 12 retired loads and resumes exactly like a current one."""
+        ref = _fresh()
+        ref.run(14)
+        a = _fresh()
+        a.run(6)
+        park = save_checkpoint_3d(a, tmp_path / "park")
+        a.close()
+        rewrite_saved_config(park, RETIRED_CONFIG)
+        resumed = load_checkpoint_3d(park)
         try:
             resumed.run(8)
             _assert_state_equal(resumed, ref)

@@ -159,16 +159,22 @@ class TestRun:
         code, out = run_cli(
             capsys, "run", "--case", "gaussian-bump", "--particles", "4000",
             "--steps", "3", "--grid", "16", "16",
-            "--partition", "curve-balanced", "--repartition-every", "2",
+            "--backend", "numpy-mp", "--workers", "2",
         )
         assert code == 0
         assert "case=gaussian-bump" in out
 
-    def test_rejects_unknown_partition(self):
+    @pytest.mark.parametrize("flag,value", [
+        ("--block-size", "64"),
+        ("--deposit-threads", "2"),
+        ("--partition", "curve-balanced"),
+        ("--repartition-every", "2"),
+        ("--rebalance-threshold", "1.1"),
+    ])
+    def test_rejects_retired_flags(self, flag, value):
+        """The tiled-deposit and partition knobs are gone, not hidden."""
         with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["run", "--partition", "zigzag"]
-            )
+            build_parser().parse_args(["run", flag, value])
 
 
 class TestCalibrateCommand:

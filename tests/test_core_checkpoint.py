@@ -1,5 +1,7 @@
 """Checkpoint save/restore tests: bit-exact continuation."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.core.checkpoint import (
 )
 from repro.grid import GridSpec
 from repro.particles import LandauDamping
+from tests.conftest import RETIRED_CONFIG, rewrite_saved_config
 
 
 @pytest.fixture
@@ -107,8 +110,6 @@ class TestCompatibilityChecks:
         b.step()  # runs fine
 
     def test_bad_version_rejected(self, grid, tmp_path):
-        import json
-
         a = fresh_stepper(grid)
         path = save_checkpoint(a, tmp_path / "ck.npz")
         with np.load(path) as data:
@@ -117,6 +118,36 @@ class TestCompatibilityChecks:
         meta["format_version"] = 999
         np.savez_compressed(path, _meta=json.dumps(meta), **arrays)
         with pytest.raises(CheckpointMismatchError, match="version"):
+            load_checkpoint(path)
+
+
+class TestRetiredConfigKeys:
+    def test_pre_pr12_archive_resumes_bitwise(self, grid, tmp_path):
+        """A rotation checkpoint written before the tiled deposit and
+        the partition knobs were retired must still load — otherwise
+        ``repro serve --recover`` silently restarts jobs from step 0."""
+        ref = fresh_stepper(grid)
+        ref.run(12)
+        a = fresh_stepper(grid)
+        a.run(5)
+        path = save_checkpoint(a, tmp_path / "ck.npz")
+        rewrite_saved_config(path, RETIRED_CONFIG)
+        b = load_checkpoint(path)
+        assert b.config == a.config
+        b.run(7)
+        assert b.iteration == ref.iteration
+        for name in ("icell", "dx", "dy", "vx", "vy"):
+            assert np.asarray(getattr(b.particles, name)).tobytes() == \
+                np.asarray(getattr(ref.particles, name)).tobytes(), name
+        for name in ("rho_grid", "ex_grid", "ey_grid"):
+            assert getattr(b, name).tobytes() == \
+                getattr(ref, name).tobytes(), name
+
+    def test_other_unknown_key_still_rejected(self, grid, tmp_path):
+        a = fresh_stepper(grid, n=500)
+        path = save_checkpoint(a, tmp_path / "ck.npz")
+        rewrite_saved_config(path, {**RETIRED_CONFIG, "warp_factor": 9})
+        with pytest.raises(CheckpointMismatchError, match="unusable config"):
             load_checkpoint(path)
 
 
@@ -164,8 +195,6 @@ class TestCrashSafety:
             load_checkpoint(path)
 
     def test_missing_array_rejected(self, grid, tmp_path):
-        import json
-
         a = fresh_stepper(grid, n=500)
         path = save_checkpoint(a, tmp_path / "ck.npz")
         with np.load(path) as data:

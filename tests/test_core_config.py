@@ -1,8 +1,13 @@
 """OptimizationConfig tests: validation, presets, the Table IV stack."""
 
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.core import OptimizationConfig
+from tests.conftest import RETIRED_CONFIG
 
 
 class TestValidation:
@@ -19,6 +24,22 @@ class TestValidation:
     def test_rejects_unknown_choices(self, field, value):
         with pytest.raises(ValueError):
             OptimizationConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", sorted(RETIRED_CONFIG))
+    def test_rejects_retired_fields(self, field):
+        """The tiled-deposit and partition knobs are gone, not hidden."""
+        with pytest.raises(TypeError):
+            OptimizationConfig(**{field: 1})
+
+    def test_every_field_has_a_knob_ledger_row(self):
+        """Every knob pays rent: docs/tuning.md justifies each field."""
+        ledger = (
+            Path(__file__).resolve().parents[1] / "docs" / "tuning.md"
+        ).read_text()
+        rows = set(re.findall(r"^\| `(\w+)` \|", ledger, flags=re.M))
+        fields = {f.name for f in dataclasses.fields(OptimizationConfig)}
+        assert len(fields) == 14
+        assert rows == fields
 
     def test_rejects_negative_sort_period(self):
         with pytest.raises(ValueError):

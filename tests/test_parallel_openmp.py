@@ -10,8 +10,8 @@ from repro.parallel.openmp import (
     ThreadScalingModel,
     parallel_accumulate_redundant,
     parallel_accumulate_standard,
-    partition_range,
 )
+from repro.parallel.partition import partition_range
 from repro.perf.costmodel import LoopKind
 from repro.perf.machine import MachineSpec
 from tests.conftest import random_particle_arrays

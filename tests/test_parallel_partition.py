@@ -1,14 +1,14 @@
-"""Tests for curve-aware shard partitioning + measured data movement.
+"""Tests for histogram-balanced shard partitioning + measured data movement.
 
 The contract under test (docs/parallelism.md, §V-B): cutting the
 redundant ``rho_1d`` cell rows along *any* contiguous curve segments —
-flat, curve-aligned, or histogram-balanced — never changes the deposit
-result, because each row has exactly one owner and each owner visits
-its particles in global order.  So the bitwise promise must hold for
-every partition mode at every worker count, while ``curve-balanced``
-must *measurably* improve the max/mean particle load on a skewed
-density.  The data-movement ledger and the stall-parameter calibration
-ride the same machinery and must be deterministic.
+equal cells (no histogram) or histogram-balanced — never changes the
+deposit result, because each row has exactly one owner and each owner
+visits its particles in global order.  So the bitwise promise must
+hold for both cuts at every worker count, while the histogram cut must
+*measurably* improve the max/mean particle load on a skewed density.
+The data-movement ledger and the stall-parameter calibration ride the
+same machinery and must be deterministic.
 """
 
 from __future__ import annotations
@@ -23,12 +23,11 @@ from repro.core.config import OptimizationConfig
 from repro.core.simulation import Simulation
 from repro.curves import get_ordering
 from repro.grid.spec import GridSpec
-from repro.parallel.openmp import partition_range
 from repro.parallel.partition import (
-    PARTITION_MODES,
     PartitionPlanner,
     balance_ratio,
     partition_cells,
+    partition_range,
 )
 from repro.particles.initializers import GaussianBump
 from repro.perf.datamove import (
@@ -48,6 +47,14 @@ def _skewed_histogram(nalloc: int, n: int, hot_cells: int = 8) -> np.ndarray:
     return np.bincount(np.concatenate([hot, cold]), minlength=nalloc)
 
 
+#: the two cuts of ``partition_cells``: without a histogram (equal
+#: cells) and with one (~equal particles along the curve)
+CUTS = pytest.mark.parametrize("balanced", [
+    pytest.param(False, id="flat"),
+    pytest.param(True, id="curve-balanced"),
+])
+
+
 def _coverage_ok(ranges, nalloc):
     """Slices tile [0, nalloc) contiguously with empties trailing only."""
     assert ranges[0].start == 0
@@ -64,52 +71,42 @@ def _coverage_ok(ranges, nalloc):
 
 
 class TestPartitionCells:
-    @pytest.mark.parametrize("mode", PARTITION_MODES)
+    @CUTS
     @pytest.mark.parametrize("nparts", [1, 2, 3, 5, 7, 16])
-    def test_covers_exactly(self, mode, nparts):
+    def test_covers_exactly(self, balanced, nparts):
         nalloc = 64
-        hist = _skewed_histogram(nalloc, 1000)
-        ranges = partition_cells(nalloc, nparts, mode=mode, histogram=hist)
+        hist = _skewed_histogram(nalloc, 1000) if balanced else None
+        ranges = partition_cells(nalloc, nparts, hist)
         assert len(ranges) == nparts
         _coverage_ok(ranges, nalloc)
 
-    @pytest.mark.parametrize("mode", PARTITION_MODES)
-    def test_more_parts_than_cells_trails_empties(self, mode):
-        hist = np.array([50, 1, 1], dtype=np.int64)
-        ranges = partition_cells(3, 7, mode=mode, histogram=hist)
+    @CUTS
+    def test_more_parts_than_cells_trails_empties(self, balanced):
+        hist = np.array([50, 1, 1], dtype=np.int64) if balanced else None
+        ranges = partition_cells(3, 7, hist)
         _coverage_ok(ranges, 3)
         nonempty = [sl for sl in ranges if sl.stop > sl.start]
         assert len(nonempty) == 3
         assert all(sl.stop - sl.start == 1 for sl in nonempty)
 
-    @pytest.mark.parametrize("mode", PARTITION_MODES)
-    def test_zero_cells(self, mode):
-        ranges = partition_cells(0, 4, mode=mode, histogram=np.zeros(0, np.int64))
+    @CUTS
+    def test_zero_cells(self, balanced):
+        hist = np.zeros(0, np.int64) if balanced else None
+        ranges = partition_cells(0, 4, hist)
         assert len(ranges) == 4
         assert all(sl.start == 0 and sl.stop == 0 for sl in ranges)
 
     def test_flat_sizes_differ_by_at_most_one(self):
-        ranges = partition_cells(100, 7, mode="flat")
+        ranges = partition_cells(100, 7)
         sizes = [sl.stop - sl.start for sl in ranges]
         assert max(sizes) - min(sizes) <= 1
-
-    def test_curve_cuts_are_block_aligned(self):
-        nalloc, nparts = 256, 3
-        per = nalloc // nparts
-        align = 1 << (per.bit_length() - 1)  # largest pow2 <= per
-        ranges = partition_cells(nalloc, nparts, mode="curve")
-        for sl in ranges[:-1]:
-            assert sl.stop % align == 0 or sl.stop == nalloc
-        _coverage_ok(ranges, nalloc)
 
     def test_balanced_strictly_improves_skew(self):
         nalloc = 256
         hist = _skewed_histogram(nalloc, 20_000)
         for nparts in (2, 3, 5, 7):
-            flat = partition_cells(nalloc, nparts, mode="flat")
-            bal = partition_cells(
-                nalloc, nparts, mode="curve-balanced", histogram=hist
-            )
+            flat = partition_cells(nalloc, nparts)
+            bal = partition_cells(nalloc, nparts, hist)
             r_flat = balance_ratio(flat, hist)
             r_bal = balance_ratio(bal, hist)
             # the skew puts ~90% of particles in worker 0's flat range
@@ -120,50 +117,50 @@ class TestPartitionCells:
             assert r_bal <= 2.0
 
     def test_balanced_without_histogram_falls_back_to_flat(self):
-        assert partition_cells(64, 4, mode="curve-balanced") == partition_cells(
-            64, 4, mode="flat"
-        )
+        """An empty histogram carries no balance signal: equal cells."""
         zeros = np.zeros(64, np.int64)
-        assert partition_cells(
-            64, 4, mode="curve-balanced", histogram=zeros
-        ) == partition_cells(64, 4, mode="flat")
+        assert partition_cells(64, 4, zeros) == partition_cells(64, 4)
 
-    @pytest.mark.parametrize("mode", PARTITION_MODES)
-    def test_deterministic(self, mode):
-        hist = _skewed_histogram(128, 5000)
-        a = partition_cells(128, 5, mode=mode, histogram=hist)
-        b = partition_cells(128, 5, mode=mode, histogram=hist)
-        assert a == b
+    def test_uniform_histogram_degenerates_to_flat(self):
+        """On a uniform plasma the histogram cut *is* the equal-cell cut
+        (why it can be the engine's only policy)."""
+        uniform = np.full(64, 10, np.int64)
+        for nparts in (2, 4, 8):
+            assert partition_cells(64, nparts, uniform) == \
+                partition_cells(64, nparts)
+
+    @CUTS
+    def test_deterministic(self, balanced):
+        hist = _skewed_histogram(128, 5000) if balanced else None
+        assert partition_cells(128, 5, hist) == partition_cells(128, 5, hist)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             partition_cells(64, 0)
         with pytest.raises(ValueError):
             partition_cells(-1, 2)
-        with pytest.raises(ValueError):
-            partition_cells(64, 2, mode="zigzag")
 
 
 class TestBalanceRatio:
     def test_perfect_balance_is_one(self):
         hist = np.full(8, 10, np.int64)
-        ranges = partition_cells(8, 4, mode="flat")
+        ranges = partition_cells(8, 4)
         assert balance_ratio(ranges, hist) == pytest.approx(1.0)
 
     def test_idle_workers_count_as_imbalance(self):
         hist = np.array([100, 0, 0, 0], np.int64)
-        ranges = partition_cells(4, 4, mode="flat")
+        ranges = partition_cells(4, 4)
         # one worker has all load, mean divides by 4 -> ratio 4
         assert balance_ratio(ranges, hist) == pytest.approx(4.0)
 
     def test_empty_histogram_is_one(self):
-        ranges = partition_cells(4, 2, mode="flat")
+        ranges = partition_cells(4, 2)
         assert balance_ratio(ranges, np.zeros(4, np.int64)) == 1.0
         assert balance_ratio([], np.array([5])) == 1.0
 
 
 class TestPartitionRange:
-    """Degenerate-case contract of the simulated-OpenMP static split."""
+    """Degenerate-case contract of the static equal-count split."""
 
     def test_more_threads_than_items_trails_empties(self):
         ranges = partition_range(3, 8)
@@ -177,26 +174,15 @@ class TestPartitionRange:
         assert all(sl.start == 0 and sl.stop == 0 for sl in ranges)
 
     def test_matches_flat_partition_cells(self):
-        assert partition_range(100, 7) == partition_cells(100, 7, mode="flat")
+        assert partition_range(100, 7) == partition_cells(100, 7)
 
 
 class TestPartitionPlanner:
     def _skew(self, nalloc=64, n=5000):
         return _skewed_histogram(nalloc, n)
 
-    def test_static_modes_never_repartition(self):
-        for mode in ("flat", "curve"):
-            p = PartitionPlanner(nalloc=64, nparts=4, mode=mode,
-                                 repartition_every=1)
-            p.initial()
-            assert not p.wants_histogram()
-            for _ in range(5):
-                assert p.maybe_repartition(self._skew()) is None
-            assert p.events == []
-
     def test_every_zero_freezes_partition(self):
-        p = PartitionPlanner(nalloc=64, nparts=4, mode="curve-balanced",
-                             repartition_every=0)
+        p = PartitionPlanner(nalloc=64, nparts=4, repartition_every=0)
         first = list(p.initial(self._skew()))
         assert not p.wants_histogram()
         for _ in range(5):
@@ -204,7 +190,7 @@ class TestPartitionPlanner:
         assert p.current == first
 
     def test_repartitions_only_on_cadence(self):
-        p = PartitionPlanner(nalloc=64, nparts=4, mode="curve-balanced",
+        p = PartitionPlanner(nalloc=64, nparts=4,
                              repartition_every=3, rebalance_threshold=1.1)
         p.initial()  # flat-equivalent: no histogram yet -> imbalanced
         hist = self._skew()
@@ -222,7 +208,7 @@ class TestPartitionPlanner:
 
     def test_hysteresis_blocks_balanced_repartition(self):
         hist = self._skew()
-        p = PartitionPlanner(nalloc=64, nparts=4, mode="curve-balanced",
+        p = PartitionPlanner(nalloc=64, nparts=4,
                              repartition_every=1, rebalance_threshold=1.5)
         p.initial(hist)  # already balanced against this histogram
         assert p.maybe_repartition(hist) is None
@@ -230,7 +216,7 @@ class TestPartitionPlanner:
 
     def test_threshold_guard(self):
         uniform = np.full(64, 10, np.int64)
-        p = PartitionPlanner(nalloc=64, nparts=4, mode="curve-balanced",
+        p = PartitionPlanner(nalloc=64, nparts=4,
                              repartition_every=1, rebalance_threshold=1.5)
         p.initial()
         # perfectly uniform load never crosses the threshold
@@ -238,8 +224,6 @@ class TestPartitionPlanner:
             assert p.maybe_repartition(uniform) is None
 
     def test_validates_arguments(self):
-        with pytest.raises(ValueError):
-            PartitionPlanner(nalloc=8, nparts=2, mode="bogus")
         with pytest.raises(ValueError):
             PartitionPlanner(nalloc=8, nparts=2, repartition_every=-1)
         with pytest.raises(ValueError):
@@ -283,9 +267,8 @@ class TestBitwiseOwnershipDeposit:
         backend.accumulate_redundant(rho_ref, icell, dx, dy, 1.0)
 
         hist = np.bincount(icell, minlength=nalloc)
-        for mode in PARTITION_MODES:
-            ranges = partition_cells(nalloc, nworkers, mode=mode,
-                                     histogram=hist)
+        for cut, histogram in (("flat", None), ("balanced", hist)):
+            ranges = partition_cells(nalloc, nworkers, histogram)
             rho = np.zeros((nalloc, 4))
             for sl in ranges:
                 if sl.stop <= sl.start:
@@ -298,7 +281,7 @@ class TestBitwiseOwnershipDeposit:
                     dx[mine], dy[mine], 1.0,
                 )
             assert np.array_equal(rho, rho_ref), (
-                f"{mode} partition broke bitwise identity "
+                f"{cut} partition broke bitwise identity "
                 f"({curve}, {nworkers} workers)"
             )
 
@@ -307,33 +290,13 @@ class TestBitwiseOwnershipDeposit:
         icell, _, _ = self._skewed_particles(ordering)
         hist = np.bincount(icell, minlength=ordering.ncells_allocated)
         for nworkers in (2, 3, 5, 7):
-            flat = partition_cells(len(hist), nworkers, mode="flat")
-            bal = partition_cells(len(hist), nworkers,
-                                  mode="curve-balanced", histogram=hist)
+            flat = partition_cells(len(hist), nworkers)
+            bal = partition_cells(len(hist), nworkers, hist)
             assert balance_ratio(bal, hist) < balance_ratio(flat, hist)
-
-    def test_tiled_dispatcher_bitwise_per_partition(self):
-        """The sharded tiled deposit honors the partition kwarg bitwise."""
-        from repro.core.deposit import accumulate_redundant_tiled
-
-        ordering = get_ordering("hilbert", 16, 16)
-        nalloc = ordering.ncells_allocated
-        icell, dx, dy = self._skewed_particles(ordering, n=4000)
-        backend = get_backend("numpy")
-        rho_ref = np.zeros((nalloc, 4))
-        backend.accumulate_redundant(rho_ref, icell, dx, dy, 1.0)
-        for mode in PARTITION_MODES:
-            rho = np.zeros((nalloc, 4))
-            accumulate_redundant_tiled(
-                backend, rho, icell, dx, dy, 1.0,
-                block_size=64, thresholds=(0.0, 0.0),  # everything sharded
-                nthreads=3, partition=mode,
-            )
-            assert np.array_equal(rho, rho_ref)
 
 
 class TestNumpyMpPartitionIntegration:
-    """Real worker-pool runs: partition modes bitwise vs serial numpy."""
+    """Real worker-pool runs: the histogram cut bitwise vs serial numpy."""
 
     pytestmark = pytest.mark.skipif(
         not pytest.importorskip(
@@ -344,13 +307,19 @@ class TestNumpyMpPartitionIntegration:
 
     N, STEPS = 2000, 6
 
-    def _run(self, backend, **cfg_kw):
+    def _run(self, backend, *, eager_planner=False, **cfg_kw):
         cfg = OptimizationConfig(
             backend=backend, particle_layout="soa", field_layout="redundant",
             loop_mode="split", sort_period=3, **cfg_kw,
         )
         grid = GridSpec(16, 16)
         sim = Simulation(grid, GaussianBump(), self.N, cfg, dt=0.05, seed=7)
+        if eager_planner:
+            # the engine's own cadence (every 10 deposits, 1.5x) never
+            # fires in a 6-step run; tighten it so the cuts move mid-run
+            planner = get_backend(backend).engine_for(sim.stepper).planner
+            planner.repartition_every = 2
+            planner.rebalance_threshold = 1.05
         sim.run(self.STEPS)
         st = sim.stepper
         state = {
@@ -361,32 +330,44 @@ class TestNumpyMpPartitionIntegration:
         }
         return state, sim
 
-    @pytest.mark.parametrize("partition", PARTITION_MODES)
-    def test_partition_modes_bitwise_vs_serial(self, partition):
+    @pytest.mark.parametrize("eager_planner", [
+        pytest.param(False, id="static-cut"),
+        pytest.param(True, id="repartitioning"),
+    ])
+    def test_histogram_cut_bitwise_vs_serial(self, eager_planner):
         ref, _ = self._run("numpy")
         got, sim = self._run(
-            "numpy-mp", workers=3, partition=partition,
-            repartition_every=2, rebalance_threshold=1.05,
+            "numpy-mp", workers=3, eager_planner=eager_planner
         )
         for key in ref:
-            assert np.array_equal(ref[key], got[key]), (
-                f"{key} diverged under partition={partition}"
-            )
+            assert np.array_equal(ref[key], got[key]), f"{key} diverged"
+        planner = get_backend("numpy-mp").engine_for(sim.stepper).planner
         dm = sim.instrumentation.timings.datamove
+        if not eager_planner:
+            assert planner.events == [] and dm == {}
+            return
         assert dm.get("samples", 0) >= 1
         last = dm["last"]
-        assert last["mode"] == partition
         assert last["particles"] == self.N
         assert last["total_bytes"] > 0
         assert set(last["per_worker"]) == {"worker0", "worker1", "worker2"}
 
+    def test_initial_cut_is_histogram_balanced(self):
+        """The engine cuts from the t=0 histogram, not into equal cells."""
+        cfg = OptimizationConfig(backend="numpy-mp", workers=3)
+        with Simulation(GridSpec(16, 16), GaussianBump(), self.N, cfg,
+                        dt=0.05, seed=7) as sim:
+            st = sim.stepper
+            ranges = get_backend("numpy-mp").engine_for(st).grid_shared.cell_ranges
+            nalloc = st.fields.rho_1d.shape[0]
+            hist = np.bincount(np.asarray(st.particles.icell), minlength=nalloc)
+        assert ranges == partition_cells(nalloc, 3, hist)
+        assert balance_ratio(ranges, hist) < \
+            balance_ratio(partition_range(nalloc, 3), hist)
+
     def test_curve_balanced_repartitions_on_skew(self):
-        _, sim = self._run(
-            "numpy-mp", workers=3, partition="curve-balanced",
-            repartition_every=2, rebalance_threshold=1.05,
-        )
+        _, sim = self._run("numpy-mp", workers=3, eager_planner=True)
         planner = get_backend("numpy-mp").engine_for(sim.stepper).planner
-        assert planner.mode == "curve-balanced"
         # the bump keeps the load skewed enough to trip the threshold
         assert len(planner.events) >= 1
         dm = sim.instrumentation.timings.datamove
@@ -397,9 +378,8 @@ class TestDepositMovement:
     def test_ledger_accounts_every_particle_and_cell(self):
         nalloc, nworkers = 64, 4
         hist = _skewed_histogram(nalloc, 3000)
-        ranges = partition_cells(nalloc, nworkers, mode="flat")
-        stats = deposit_movement(ranges, hist, mode="flat")
-        assert stats["mode"] == "flat"
+        ranges = partition_cells(nalloc, nworkers)
+        stats = deposit_movement(ranges, hist)
         assert stats["particles"] == int(hist.sum())
         per = stats["per_worker"]
         assert sum(w["particles"] for w in per.values()) == int(hist.sum())
@@ -415,9 +395,8 @@ class TestDepositMovement:
         ordering = get_ordering("morton", 8, 8)
         nalloc = ordering.ncells_allocated
         hist = np.ones(nalloc, np.int64)
-        ranges = partition_cells(nalloc, 4, mode="curve")
-        stats = deposit_movement(ranges, hist, mode="curve",
-                                 ordering=ordering)
+        ranges = partition_cells(nalloc, 4, hist)
+        stats = deposit_movement(ranges, hist, ordering=ordering)
         assert "bbox_overlap_cells" in stats
         for w in stats["per_worker"].values():
             if w["cells"]:
@@ -432,8 +411,8 @@ class TestDepositMovement:
 
     def test_json_serializable(self):
         hist = _skewed_histogram(32, 500)
-        ranges = partition_cells(32, 3, mode="curve-balanced", histogram=hist)
-        stats = deposit_movement(ranges, hist, mode="curve-balanced",
+        ranges = partition_cells(32, 3, hist)
+        stats = deposit_movement(ranges, hist,
                                  ordering=get_ordering("hilbert", 8, 4))
         json.dumps(stats)  # must not raise
 

@@ -44,6 +44,14 @@ class TestStepTimings:
         assert back.fused == 0.0
         assert back.loop_paths == {}
 
+    def test_from_json_ignores_retired_deposit_variants(self):
+        """Records written while the tiled deposit existed still load."""
+        rec = StepTimings(accumulate=2.0, steps=4).as_record()
+        rec["deposit_variants"] = {"serial": 12, "coalesced": 4}
+        back = StepTimings.from_json(json.dumps(rec))
+        assert back.accumulate == 2.0 and back.steps == 4
+        assert "deposit_variants" not in back.as_record()
+
     def test_loop_path_round_trip(self):
         t = StepTimings(fused=1.0, loop_paths={"fused-backend": 3, "split": 1})
         back = StepTimings.from_json(t.to_json())

@@ -8,7 +8,6 @@ The 3D port's acceptance bar, enforced directly:
   chunk loop, so chunking is purely elementwise);
 * the ``numpy-mp`` cell-ownership deposit is **bitwise identical** to
   the serial deposit at both 2 and 4 workers;
-* the tiled density-aware deposit is bitwise at any block size;
 * the differential-verify machinery covers 3D: the sampler emits 3D
   scenarios, the runner's 3D promise matrix pins the combos above, and
   the bisector localizes an injected 3D perturbation.
@@ -113,29 +112,12 @@ class TestMpDepositParity:
         )
 
     def test_mp_deposit_bitwise_curve_balanced_partition(self):
+        """An odd worker count puts the histogram cuts off every
+        power-of-two curve-block boundary."""
         _run_pair(
             _config(backend="numpy"),
-            _config(backend="numpy-mp", workers=3,
-                    partition="curve-balanced"),
+            _config(backend="numpy-mp", workers=3),
             n=1000, steps=4,
-        )
-
-
-class TestTiledDepositParity:
-    @pytest.mark.parametrize("block", [1, 4, 64])
-    def test_tiled_bitwise_any_block_size(self, block):
-        _run_pair(
-            _config(block_size=0),
-            _config(block_size=block),
-            n=1000, steps=4,
-        )
-
-    def test_tiled_threshold_and_partition_flips_bitwise(self):
-        _run_pair(
-            _config(block_size=4, deposit_thresholds=(0.0, 0.0)),
-            _config(block_size=16, deposit_thresholds=(1e30, 2e30),
-                    partition="curve-balanced"),
-            n=900, steps=4,
         )
 
 

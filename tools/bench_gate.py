@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Performance gates: fused must beat splitting; adaptive must not drag.
+"""Performance gates: fused must beat splitting; balanced cuts must not lose.
 
 Two executable performance claims, checked in one run:
 
@@ -18,40 +18,27 @@ inverse of the paper's §IV-B trade under a vectorizing C compiler):
   importable: the numpy rendering of fusion is chunked looping, which
   carries no such guarantee, so there is nothing to gate.
 
-**Adaptive-deposit gate** — the tiled density-aware charge deposit
-(:mod:`repro.core.deposit`) promises bitwise-identical physics, so the
-only thing it may cost is dispatch overhead.  This gate bounds it:
-
-* time the adaptive deposit kernel against the static whole-grid
-  deposit on the live particle state of the committed baseline
-  workload, min-of-``--repeats`` windows each (min-of-k is the only
-  robust statistic on a noisy box — a single window routinely reads
-  1.5x on a true 1.1x);
-* **fail** (exit 1) if adaptive exceeds ``--max-adaptive-ratio``
-  (default 1.25) times the static time.  On the uniform bench plasma
-  the dispatcher coalesces into one whole-grid pass, so the measured
-  overhead is just the block histogram — a real regression shows up
-  far above 1.25x.
-
-This gate always runs: it needs only the ``tiled_deposit`` capability,
-which the pure-numpy backend provides.
-
 **Partition gate** — on a skewed plasma the histogram-balanced curve
 cuts (:mod:`repro.parallel.partition`) must not lose to the flat
 equal-cell split on the deposit's critical path:
 
 * build a 90%-clumped particle population, cut the cell rows both ways
-  (``partition_cells`` flat vs curve-balanced), and time each shard's
-  deposit; the *max* shard time is the critical path a worker pool
-  would wait on, min-of-``--repeats`` windows;
+  (``partition_cells`` without and with the histogram), and time each
+  shard's deposit; the *max* shard time is the critical path a worker
+  pool would wait on, min-of-``--repeats`` windows (min-of-k is the
+  only robust statistic on a noisy box — a single window routinely
+  reads 1.5x on a true 1.1x);
 * **fail** (exit 1) if the balanced critical path exceeds
   ``--max-partition-ratio`` (default 1.10) times the flat one, or if
   the balanced cuts do not strictly improve the max/mean particle
   balance ratio — the quantity the whole subsystem exists to shrink.
 
-Wired into ``make bench-gate`` (and ``make check``).  Pass
-``--update-baseline`` to refresh ``BENCH_baseline.json`` with the
-measured numbers.
+This gate always runs: it needs only the pure-numpy backend.
+
+Wired into ``make bench-gate`` (and ``make check``, whose closing
+summary replays the ``gate-status:`` line each gate prints — ``ran`` or
+``skipped(<reason>)``).  Pass ``--update-baseline`` to refresh
+``BENCH_baseline.json`` with the measured numbers.
 """
 
 import argparse
@@ -62,58 +49,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "benchmarks"))
-
-
-def _adaptive_deposit_ratio(backend_name, n, repeats):
-    """Adaptive vs static deposit, min-of-``repeats`` kernel windows.
-
-    Advances the committed baseline workload a couple of steps so the
-    particle distribution is the one the bench measures, then times the
-    two deposit renderings on the frozen arrays — no solver, no push,
-    no per-step noise sources in the window.
-    """
-    import time
-
-    import numpy as np
-    from bench_simulation_throughput import ADAPTIVE_BLOCK_SIZE, _make_sim
-
-    from repro.core import OptimizationConfig
-    from repro.core.backends import get_backend
-
-    backend = get_backend(backend_name)
-    cfg = OptimizationConfig.fully_optimized().with_(backend=backend_name)
-    sim = _make_sim(cfg, n)
-    try:
-        sim.run(2)
-        p = sim.stepper.particles
-        icell = np.array(p.icell)
-        dx, dy = np.array(p.dx), np.array(p.dy)
-        ncells = int(sim.stepper.fields.rho_1d.shape[0])
-    finally:
-        sim.close()
-
-    rho = np.zeros((ncells, 4))
-
-    def best(fn):
-        b = float("inf")
-        for _ in range(repeats):
-            rho[:] = 0.0
-            t0 = time.perf_counter()
-            fn()
-            b = min(b, time.perf_counter() - t0)
-        return b
-
-    variants = {}
-
-    def adaptive():
-        variants.update(backend.accumulate_redundant_tiled(
-            rho, icell, dx, dy, 1.0, block_size=ADAPTIVE_BLOCK_SIZE
-        ))
-
-    static = best(lambda: backend.accumulate_redundant(rho, icell, dx, dy, 1.0))
-    adapt = best(adaptive)
-    ratio = adapt / static if static > 0 else 1.0
-    return ratio, static, adapt, variants
 
 
 def _skewed_partition_times(backend_name, n, nworkers, repeats):
@@ -166,10 +101,8 @@ def _skewed_partition_times(backend_name, n, nworkers, repeats):
             best = min(best, worst)
         return best
 
-    flat = partition_cells(ncells, nworkers, mode="flat")
-    balanced = partition_cells(
-        ncells, nworkers, mode="curve-balanced", histogram=hist
-    )
+    flat = partition_cells(ncells, nworkers)
+    balanced = partition_cells(ncells, nworkers, hist)
     return {
         "particles": int(n),
         "cells": ncells,
@@ -198,18 +131,14 @@ def main(argv=None):
                          "this factor faster than split (default 1.0)")
     ap.add_argument("--target-speedup", type=float, default=1.5,
                     help="soft target on the deposit+interpolate phases")
-    ap.add_argument("--max-adaptive-ratio", type=float, default=1.25,
-                    help="hard gate: the adaptive deposit may cost at most "
-                         "this factor of the static whole-grid deposit "
-                         "(default 1.25)")
     ap.add_argument("--repeats", type=int, default=5,
-                    help="kernel windows per side for the adaptive gate; "
+                    help="kernel windows per side for the partition gate; "
                          "min-of-k is compared (default 5)")
     ap.add_argument("--max-partition-ratio", type=float, default=1.10,
                     help="hard gate: on the skewed workload the "
-                         "curve-balanced deposit critical path may cost at "
-                         "most this factor of the flat split's (default "
-                         "1.10)")
+                         "histogram-balanced deposit critical path may "
+                         "cost at most this factor of the equal-cell "
+                         "split's (default 1.10)")
     ap.add_argument("--partition-workers", type=int, default=4,
                     help="shard count for the partition gate (default 4)")
     ap.add_argument("--update-baseline", action="store_true",
@@ -220,7 +149,7 @@ def main(argv=None):
 
     def measure(backend):
         if backend not in measured:
-            print(f"bench-gate: measuring split vs fused vs adaptive on "
+            print(f"bench-gate: measuring split vs fused on "
                   f"{backend!r} (n={args.particles}, steps={args.steps})",
                   flush=True)
             measured[backend] = measure_loop_modes(
@@ -250,8 +179,11 @@ def main(argv=None):
               "available (numba is not installed); the numpy rendering of "
               "fusion is chunked looping, which this gate does not "
               "constrain")
+        print("gate-status: bench-gate/fused skipped(no fused-capable "
+              "backend: numba not installed)")
 
     if fused_backend is not None:
+        print("gate-status: bench-gate/fused ran")
         rec = measure(fused_backend)
         split, fused = rec["split"], rec["fused"]
 
@@ -288,37 +220,8 @@ def main(argv=None):
                   f"{di_speedup:.2f}x below the {args.target_speedup:.2f}x "
                   f"target on this machine)")
 
-    # -- gate 2: adaptive deposit must not drag -----------------------
-    tiled_capable = [
-        b for b in available_backends()
-        if get_backend(b).supports("tiled_deposit")
-    ]
-    if not tiled_capable:
-        print("bench-gate: adaptive gate SKIP — no tiled_deposit-capable "
-              "backend available")
-    else:
-        adaptive_backend = (
-            fused_backend if fused_backend in tiled_capable
-            else max(tiled_capable, key=lambda b: get_backend(b).priority)
-        )
-        if args.update_baseline:
-            measure(adaptive_backend)  # full mode rows for the baseline
-        ratio, static_s, adaptive_s, variants = _adaptive_deposit_ratio(
-            adaptive_backend, args.particles, args.repeats
-        )
-        print(f"  adaptive deposit on {adaptive_backend!r}: "
-              f"{adaptive_s * 1e3:.2f} ms vs static "
-              f"{static_s * 1e3:.2f} ms (min of {args.repeats}) — ratio "
-              f"{ratio:.2f}x (gate: <= {args.max_adaptive_ratio:.2f}x; "
-              f"variants: {variants})")
-        if ratio > args.max_adaptive_ratio:
-            failures.append(
-                f"adaptive deposit costs {ratio:.2f}x the static "
-                f"whole-grid deposit on {adaptive_backend!r} "
-                f"(> {args.max_adaptive_ratio:.2f}x)"
-            )
-
-    # -- gate 3: balanced cuts must not lose on a skewed plasma -------
+    # -- gate 2: balanced cuts must not lose on a skewed plasma -------
+    print("gate-status: bench-gate/partition ran")
     part_backend = max(
         available_backends(), key=lambda b: get_backend(b).priority
     )
@@ -339,18 +242,20 @@ def main(argv=None):
           f"{part['flat_balance_ratio']:.2f} max/mean")
     if part_ratio > args.max_partition_ratio:
         failures.append(
-            f"curve-balanced deposit critical path costs "
+            f"histogram-balanced deposit critical path costs "
             f"{part_ratio:.2f}x the flat split on the skewed workload "
             f"(> {args.max_partition_ratio:.2f}x)"
         )
     if part["balanced_balance_ratio"] >= part["flat_balance_ratio"]:
         failures.append(
-            f"curve-balanced cuts do not improve the balance ratio "
+            f"histogram-balanced cuts do not improve the balance ratio "
             f"({part['balanced_balance_ratio']:.2f} >= "
             f"{part['flat_balance_ratio']:.2f})"
         )
 
     if args.update_baseline:
+        if not measured:  # fused gate skipped: still refresh the mode rows
+            measure(part_backend)
         path = ROOT / "BENCH_baseline.json"
         doc = json.loads(path.read_text()) if path.exists() else {
             "meta": {}, "results": {},

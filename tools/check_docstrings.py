@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docstring lint for the modules carrying the bitwise-equivalence promise.
 
-The tiled-binning / density-aware-deposit / autotuner surface makes two
+The counting-sort / partitioning / autotuner surface makes two
 promises that live only in prose: every rendering is *bitwise-identical*
 to its reference, and every entry point documents its *thread-safety*.
 Prose promises rot silently, so this lint makes them structural:
@@ -30,7 +30,6 @@ ROOT = Path(__file__).resolve().parents[1]
 TARGET_MODULES = (
     "src/repro/particles/sorting.py",
     "src/repro/core/autotune.py",
-    "src/repro/core/deposit.py",
     "src/repro/parallel/partition.py",
     "src/repro/perf/datamove.py",
 )

@@ -54,7 +54,9 @@ def main(argv=None):
     if importlib.util.find_spec("pytest_cov") is None:
         print("coverage-gate: SKIP — pytest-cov not importable in this "
               "environment (floor not enforced)")
+        print("gate-status: coverage skipped(pytest-cov not installed)")
         return 0
+    print("gate-status: coverage ran")
 
     cmd = [sys.executable, "-m", "pytest", "-q"]
     for target in COVER_TARGETS:

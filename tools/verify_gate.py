@@ -34,7 +34,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 
 def main(argv=None):
-    from repro.core.backends import available_backends
+    from repro.core.backends import available_backends, known_backend_names
     from repro.verify.golden import (
         check_golden,
         generate_golden,
@@ -74,14 +74,17 @@ def main(argv=None):
               + " (generate with: python tools/verify_gate.py --regenerate)")
         return 2
 
-    backends = args.backend or list(available_backends())
+    backends = args.backend or list(known_backend_names())
     importable = set(available_backends())
     failures = 0
     for requested in backends:
         if requested not in importable:
             print(f"verify-gate: SKIP backend {requested!r} — not importable "
                   "in this environment")
+            print(f"gate-status: verify-gate/{requested} "
+                  "skipped(backend not importable)")
             continue
+        print(f"gate-status: verify-gate/{requested} ran")
         for name, path in paths.items():
             try:
                 doc = load_golden(path)
