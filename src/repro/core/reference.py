@@ -161,7 +161,7 @@ def push_axis_ref(x: float, nc: int) -> tuple[int, float]:
 def push_axis_variant_ref(x: float, nc: int, variant: str) -> tuple[int, float]:
     """Scalar rendering of one §IV-C axis-wrap variant.
 
-    Bit-for-bit mirror of the whole-array kernels in
+    Bit-for-bit mirror of the vectorized kernels in
     :data:`repro.core.kernels.AXIS_KERNELS`: same operations in the
     same order (``np.mod`` where the vectorized kernel uses it, since
     its rounding is what the fast path produces).  Returns

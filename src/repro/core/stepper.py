@@ -7,14 +7,13 @@ solver, and advances the coupled system one time step at a time:
     sort (periodically) -> reset rho -> particle loops -> Poisson solve
 
 The particle loops run either *split* (three full passes: update-v,
-update-x, accumulate — §IV-A) or *fused* (all three steps in one pass
-over the particles — the baseline).  Fused has two renderings, picked
-by :meth:`PICStepper._select_loop_path`: backends advertising the
-``fused`` capability run a true single-pass interpolate+kick+push
-kernel with the deposit following (``fused-backend``); others run the
-split kernels chunk by cache-sized chunk (``fused-chunked``).  All
-paths produce identical physics; they differ in memory behaviour,
-which the perf substrate prices and the instrumentation records.
+update-x, accumulate — §IV-A) or *fused* (``fused-backend``: the
+backend's single-pass interpolate+kick+push kernel with the deposit
+following — the baseline).  Cache blocking is not the stepper's
+business: the NumPy kernels block internally
+(:mod:`repro.core.kernels`), on either path.  Both paths produce
+identical physics; they differ in memory behaviour, which the perf
+substrate prices and the instrumentation records.
 
 Unit conventions
 ----------------
@@ -160,8 +159,7 @@ class PICStepper:
         #: of :meth:`step` completes — ``"sort"``, the particle-loop
         #: phases (``"update_v"``/``"update_x"``/``"accumulate"`` when
         #: split, ``"fused"``/``"accumulate"`` on the fused-backend
-        #: path, a single ``"accumulate"`` after the chunk loop on the
-        #: fused-chunked path) and ``"solve"``.  The differential
+        #: path) and ``"solve"``.  The differential
         #: verifier's bisector (:mod:`repro.verify.differ`) uses this to
         #: attribute a divergence to the kernel phase that produced it;
         #: hooks must not mutate the stepper state.
@@ -338,57 +336,37 @@ class PICStepper:
             p.vx, p.vy, ex_p, ey_p, 0.5 * cvx, 0.5 * cvy
         )
 
-    def _phase_update_v(self, sl: slice | None = None) -> None:
-        p = self.particles
-        if sl is None:
-            if self.bz != 0.0 or self.ext_e != (0.0, 0.0):
-                self._phase_update_v_boris()
-                return
-            ex_p, ey_p = self._interpolate()
-            cvx, cvy = self._update_v_coef()
-            self.backend.update_velocities(p.vx, p.vy, ex_p, ey_p, cvx, cvy)
+    def _phase_update_v(self) -> None:
+        if self.bz != 0.0 or self.ext_e != (0.0, 0.0):
+            self._phase_update_v_boris()
             return
-        # fused mode: operate on a chunk view
-        chunk = _ChunkView(p, sl)
-        if self.fields.layout == "redundant":
-            ex_p, ey_p = self.backend.interpolate_redundant(
-                self.fields.e_1d, chunk.icell, chunk.dx, chunk.dy
-            )
-        else:
-            if p.store_coords:
-                ix, iy = chunk.ix, chunk.iy
-            else:
-                ix, iy = self.ordering.decode(chunk.icell)
-            ex_p, ey_p = self.backend.interpolate_standard(
-                self.fields.ex, self.fields.ey, ix, iy, chunk.dx, chunk.dy
-            )
+        p = self.particles
+        ex_p, ey_p = self._interpolate()
         cvx, cvy = self._update_v_coef()
-        self.backend.update_velocities(chunk.vx, chunk.vy, ex_p, ey_p, cvx, cvy)
+        self.backend.update_velocities(p.vx, p.vy, ex_p, ey_p, cvx, cvy)
 
-    def _phase_update_x(self, sl: slice | None = None) -> None:
+    def _phase_update_x(self) -> None:
         g = self.grid
-        target = self.particles if sl is None else _ChunkView(self.particles, sl)
         if self.config.hoisting:
             sx = sy = 1.0
         else:
             sx, sy = self.dt / g.dx, self.dt / g.dy
         if self.boundary == "reflecting":
             push_positions_reflecting(
-                target, g.ncx, g.ncy, self.ordering, sx, sy
+                self.particles, g.ncx, g.ncy, self.ordering, sx, sy
             )
             return
         self.backend.push_positions(
-            target, g.ncx, g.ncy, self.ordering, self.config.position_update, sx, sy
+            self.particles, g.ncx, g.ncy, self.ordering,
+            self.config.position_update, sx, sy,
         )
 
-    def _phase_accumulate(self, sl: slice | None = None) -> None:
-        p = self.particles if sl is None else _ChunkView(self.particles, sl)
+    def _phase_accumulate(self) -> None:
+        p = self.particles
         if self.fields.layout == "redundant":
-            # full-array deposits run thread-parallel when offered (the
-            # cell-ownership scheme is bitwise-equal to the serial
-            # kernel); chunked (sl) deposits stay serial — per-chunk
-            # thread fan-out would cost more than the scatter itself
-            if sl is None and self.backend.supports("parallel_deposit"):
+            # thread-parallel when offered: the cell-ownership scheme is
+            # bitwise-equal to the serial kernel
+            if self.backend.supports("parallel_deposit"):
                 self.backend.accumulate_redundant_parallel(
                     self.fields.rho_1d, p.icell, p.dx, p.dy, self._charge_factor
                 )
@@ -442,14 +420,10 @@ class PICStepper:
     def _select_loop_path(self) -> str:
         """Which particle-loop path this step will run.
 
-        * ``"split"`` — three whole-array passes (§IV-A/B);
+        * ``"split"`` — three passes over the population (§IV-A/B);
         * ``"fused-backend"`` — the backend's single-pass
-          interpolate+kick+push kernel (``loop_mode="fused"`` on a
-          backend advertising the ``fused`` capability);
-        * ``"fused-chunked"`` — the chunked rendering of fusion for
-          backends without a native fused kernel: the split kernels run
-          per cache-sized chunk so the chunk stays resident between
-          sub-loop passes.
+          interpolate+kick+push kernel (``loop_mode="fused"``; every
+          shipped backend has one).
 
         With ``loop_mode="auto"`` the continuous tuner names the mode
         for this step (trial phase first, then its adaptive choice).
@@ -470,11 +444,7 @@ class PICStepper:
         mode = self.config.loop_mode
         if mode == "auto":
             mode = self.loop_tuner.mode
-        if mode == "split":
-            return "split"
-        if self.backend.supports("fused"):
-            return "fused-backend"
-        return "fused-chunked"
+        return "split" if mode == "split" else "fused-backend"
 
     def _deposit_and_solve(self) -> None:
         """Accumulate rho from current positions, then solve for E."""
@@ -529,28 +499,13 @@ class PICStepper:
                     self._phase_accumulate()
                 if hook is not None:
                     hook("accumulate", self)
-            elif path == "fused-backend":
+            else:  # fused-backend
                 with instr.phase("fused"):
                     self._phase_fused()
                 if hook is not None:
                     hook("fused", self)
                 with instr.phase("accumulate"):
                     self._phase_accumulate()
-                if hook is not None:
-                    hook("accumulate", self)
-            else:  # fused-chunked
-                n = self.particles.n
-                size = cfg.chunk_size
-                for lo in range(0, n, size):
-                    sl = slice(lo, min(lo + size, n))
-                    with instr.phase("update_v"):
-                        self._phase_update_v(sl)
-                    with instr.phase("update_x"):
-                        self._phase_update_x(sl)
-                    with instr.phase("accumulate"):
-                        self._phase_accumulate(sl)
-                # the chunk-interleaved phases are only comparable once
-                # every chunk has been kicked, pushed and deposited
                 if hook is not None:
                     hook("accumulate", self)
 
@@ -575,47 +530,3 @@ class PICStepper:
         """Advance ``n_steps`` iterations."""
         for _ in range(n_steps):
             self.step()
-
-
-class _ChunkView:
-    """A slice-of-particles proxy exposing the ParticleStorage interface.
-
-    Lets the fused loop run the same kernels on contiguous chunks; all
-    attribute views alias the parent storage so in-place kernel writes
-    land in the right place.
-    """
-
-    def __init__(self, parent: ParticleStorage, sl: slice):
-        self._parent = parent
-        self._sl = sl
-        self.store_coords = parent.store_coords
-        self.weight = parent.weight
-        self.n = len(range(*sl.indices(parent.n)))
-
-    @property
-    def icell(self):
-        return self._parent.icell[self._sl]
-
-    @property
-    def dx(self):
-        return self._parent.dx[self._sl]
-
-    @property
-    def dy(self):
-        return self._parent.dy[self._sl]
-
-    @property
-    def vx(self):
-        return self._parent.vx[self._sl]
-
-    @property
-    def vy(self):
-        return self._parent.vy[self._sl]
-
-    @property
-    def ix(self):
-        return self._parent.ix[self._sl]
-
-    @property
-    def iy(self):
-        return self._parent.iy[self._sl]

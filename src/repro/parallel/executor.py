@@ -86,8 +86,8 @@ class PoolUnrecoverableError(RuntimeError):
 # ----------------------------------------------------------------------
 def _exec_interp(e_1d, icell, dx, dy, ex_p, ey_p, lo, hi):
     """Gather E into the per-particle scratch slice (idempotent)."""
-    ex_p[lo:hi], ey_p[lo:hi] = _k.interpolate_redundant(
-        e_1d, icell[lo:hi], dx[lo:hi], dy[lo:hi]
+    _k.interpolate_redundant(
+        e_1d, icell[lo:hi], dx[lo:hi], dy[lo:hi], out=(ex_p[lo:hi], ey_p[lo:hi])
     )
 
 
@@ -111,27 +111,21 @@ def _exec_kick(vx, vy, ex_p, ey_p, vx_new, vy_new, lo, hi, coef_x, coef_y):
 def _exec_push(arrs, lo, hi, ncx, ncy, ordering, variant, scale_x, scale_y):
     """Stage the position update into the ``*_new`` arrays (crash-safe).
 
-    Mirrors :meth:`KernelBackend.push_positions` element for element;
-    staging instead of writing in place keeps the inputs intact until
-    the parent commits, so a retry after a mid-write crash still reads
-    unmodified state.
+    The body is :func:`repro.core.kernels.push_blocked` — the one
+    :meth:`KernelBackend.push_positions` runs in place; staging instead
+    keeps the inputs intact until the parent commits, so a retry after
+    a mid-write crash still reads unmodified state.
     """
-    sl = slice(lo, hi)
-    if "ix" in arrs:
-        ix_old, iy_old = arrs["ix"][sl], arrs["iy"][sl]
-    else:
-        ix_old, iy_old = ordering.decode(arrs["icell"][sl])
-    x = ix_old + arrs["dx"][sl] + scale_x * arrs["vx"][sl]
-    y = iy_old + arrs["dy"][sl] + scale_y * arrs["vy"][sl]
-    axis_fn = _k.AXIS_KERNELS[variant]
-    ix, dxo = axis_fn(np.asarray(x), ncx)
-    iy, dyo = axis_fn(np.asarray(y), ncy)
-    arrs["icell_new"][sl] = ordering.encode(ix, iy)
-    arrs["dx_new"][sl] = dxo
-    arrs["dy_new"][sl] = dyo
-    if "ix_new" in arrs:
-        arrs["ix_new"][sl] = ix
-        arrs["iy_new"][sl] = iy
+    src, dst = {}, {}
+    for key, arr in arrs.items():
+        if key.endswith("_new"):
+            dst[key[:-4]] = arr[lo:hi]
+        else:
+            src[key] = arr[lo:hi]
+    _k.push_blocked(
+        src, dst, (ncx, ncy), ordering, _k.AXIS_KERNELS[variant],
+        (scale_x, scale_y),
+    )
 
 
 def _shard_deposit_numpy(slab_rows, icell, dx, dy, charge, cell_lo, cell_hi):
@@ -891,13 +885,13 @@ class MultiprocessBackend(NumpyBackend):
     Inherits every kernel from :class:`NumpyBackend`; calls whose
     arrays belong to a live :class:`ShmEngine` (i.e. came from a
     prepared stepper in split-loop redundant-SoA mode) are dispatched
-    to the pool, everything else — direct kernel calls, fused-mode
-    chunk views, standard/AoS layouts — runs serially with identical
+    to the pool, everything else — direct kernel calls, the fused
+    sweep, standard/AoS layouts — runs serially with identical
     results.  A 3D stepper (``redundant3d`` fields + dict particles)
     gets a deposit-only :class:`ShmEngine3D`: its whole-grid deposit
     fans out by cell ownership while gather/kick/push stay serial, and
-    any loop mode qualifies because the 3D fused-chunked path defers
-    its single deposit past the chunk loop.  Deliberately the *lowest*
+    any loop mode qualifies because the one whole-grid deposit follows
+    the sweep on either path.  Deliberately the *lowest*
     priority so ``"auto"`` never picks it; multiprocessing is opt-in.
     """
 

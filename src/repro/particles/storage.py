@@ -106,12 +106,15 @@ class ParticleStorage(abc.ABC):
         per = 5 * 8 + (2 * 8 if self.store_coords else 0)
         return self.n * per
 
+    def views(self) -> dict[str, np.ndarray]:
+        """Live views of all attributes, keyed by name — the mapping
+        the blocked kernels of :mod:`repro.core.kernels` slice."""
+        names = _FIELDS + (_COORD_FIELDS if self.store_coords else ())
+        return {f: getattr(self, f) for f in names}
+
     def as_dict(self) -> dict[str, np.ndarray]:
         """Copies of all attributes (testing convenience)."""
-        out = {f: np.array(getattr(self, f)) for f in _FIELDS}
-        if self.store_coords:
-            out.update({f: np.array(getattr(self, f)) for f in _COORD_FIELDS})
-        return out
+        return {f: np.array(v) for f, v in self.views().items()}
 
 
 class ParticleSoA(ParticleStorage):

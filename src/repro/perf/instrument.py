@@ -16,8 +16,8 @@ The phase set mirrors Fig. 1's main loop: ``sort``, ``update_v``
 ``accumulate`` (charge deposit), ``solve`` (Poisson) — plus ``fused``,
 the single-pass interpolate+kick+push kernel that replaces ``update_v``
 and ``update_x`` when a backend offers the fused capability.  A step
-records which loop path actually ran (``split`` / ``fused-backend`` /
-``fused-chunked``) so backend comparisons know what they timed.
+records which loop path actually ran (``split`` / ``fused-backend``)
+so backend comparisons know what they timed.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ PHASES = ("sort", "update_v", "update_x", "fused", "accumulate", "solve")
 PARTICLE_PHASES = ("update_v", "update_x", "fused", "accumulate", "sort")
 
 #: The loop paths a step can take (see ``PICStepper._select_loop_path``).
-LOOP_PATHS = ("split", "fused-backend", "fused-chunked")
+LOOP_PATHS = ("split", "fused-backend")
 
 
 @dataclass
@@ -185,6 +185,7 @@ class StepTimings:
             fallbacks=int(rec.get("fallbacks", 0)),
             rollbacks=int(rec.get("rollbacks", 0)),
             worker_phases=rec.get("workers", {}),
+            # kept as recorded: older records may count "fused-chunked"
             loop_paths=rec.get("loop_paths", {}),
             autotune=rec.get("autotune", []),
             datamove=rec.get("datamove", {}),
@@ -196,10 +197,10 @@ class Instrumentation:
     """Recorder the steppers drive around each kernel phase.
 
     One :meth:`step` context per time step, one :meth:`phase` context
-    per kernel call inside it (fused loops enter the same phase once
-    per chunk; the chunk times sum into the step's record).  Keeps the
-    cumulative :class:`StepTimings` plus, when ``keep_per_step`` is
-    true, one record per step for time-series inspection.
+    per kernel call inside it (a phase entered more than once sums
+    into the step's record).  Keeps the cumulative
+    :class:`StepTimings` plus, when ``keep_per_step`` is true, one
+    record per step for time-series inspection.
     """
 
     keep_per_step: bool = True

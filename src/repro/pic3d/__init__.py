@@ -24,7 +24,6 @@ from repro.pic3d.kernels3d import (
     accumulate_redundant_3d,
     accumulate_redundant_shard_3d,
     corner_weights_3d,
-    fused_interp_kick_push_3d,
     interpolate_redundant_3d,
     push_positions_bitwise_3d,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "corner_weights_3d",
     "accumulate_redundant_3d",
     "accumulate_redundant_shard_3d",
-    "fused_interp_kick_push_3d",
     "interpolate_redundant_3d",
     "push_positions_bitwise_3d",
     "SpectralPoissonSolver3D",

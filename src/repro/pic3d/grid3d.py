@@ -113,6 +113,16 @@ class RedundantFields3D:
             self._corner_cell[c] = self.ordering.encode(
                 (ix - ox) % g.ncx, (iy - oy) % g.ncy, (iz - oz) % g.ncz
             )
+        # gather map of load_field_from_grid: flat grid-point index of
+        # corner c of the cell stored in row r; padding rows point one
+        # past the grid, at a zero the loader appends
+        self._corner_point = np.full(
+            (self.ordering.ncells_allocated, 8), g.ncells, dtype=np.int64
+        )
+        for c, (ox, oy, oz) in enumerate(_CORNERS):
+            self._corner_point[self._cell_index_map, c] = (
+                ((ix + ox) % g.ncx) * g.ncy + (iy + oy) % g.ncy
+            ) * g.ncz + (iz + oz) % g.ncz
 
     def reset_rho(self) -> None:
         self.rho_1d[:] = 0.0
@@ -125,14 +135,12 @@ class RedundantFields3D:
         return out
 
     def load_field_from_grid(self, ex, ey, ez) -> None:
-        """Broadcast point-based field arrays into the redundant rows."""
-        idx = self._cell_index_map
-        for c, (ox, oy, oz) in enumerate(_CORNERS):
-            for comp, arr in enumerate((ex, ey, ez)):
-                shifted = np.roll(
-                    np.roll(np.roll(arr, -ox, axis=0), -oy, axis=1), -oz, axis=2
-                )
-                self.e_1d[idx, 8 * comp + c] = shifted
+        """Broadcast point-based field arrays into the redundant rows
+        (one precomputed gather per component)."""
+        for comp, arr in enumerate((ex, ey, ez)):
+            self.e_1d[:, 8 * comp:8 * comp + 8] = np.append(arr, 0.0)[
+                self._corner_point
+            ]
 
     def field_at_grid(self):
         """Recover point-based (Ex, Ey, Ez) from corner 0 of each cell."""

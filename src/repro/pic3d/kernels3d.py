@@ -3,19 +3,21 @@
 The straight generalization of the 2D kernels: 8 corners with weights
 ``prod(c_i + s_i * d_i)``, one contiguous row per particle for both the
 deposit and the gather, and the §IV-C3 cast-floor + bitwise-and wrap
-per axis.
+per axis.  Cache-blocked like the 2D kernels, through the same block
+loop, deposit body and push body of :mod:`repro.core.kernels`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.kernels import AXIS_KERNELS, blocks, deposit_rows, push_blocked
+
 __all__ = [
     "corner_weights_3d",
     "accumulate_redundant_3d",
     "accumulate_redundant_shard_3d",
     "interpolate_redundant_3d",
-    "fused_interp_kick_push_3d",
     "push_positions_bitwise_3d",
 ]
 
@@ -26,21 +28,23 @@ _S = np.array([[2.0 * ((c >> b) & 1) - 1.0 for c in range(8)] for b in (2, 1, 0)
 
 
 def corner_weights_3d(dx, dy, dz) -> np.ndarray:
-    """Trilinear CiC weights, ``(N, 8)``; rows sum to 1."""
-    dx = np.asarray(dx, dtype=np.float64)[..., None]
-    dy = np.asarray(dy, dtype=np.float64)[..., None]
-    dz = np.asarray(dz, dtype=np.float64)[..., None]
-    return (
-        (_C[0] + _S[0] * dx) * (_C[1] + _S[1] * dy) * (_C[2] + _S[2] * dz)
-    )
+    """Trilinear CiC weights, ``(N, 8)``; rows sum to 1.  Corner-major
+    in memory, like :func:`repro.grid.fields.corner_weights`."""
+    dx = np.asarray(dx, dtype=np.float64)
+    dy = np.asarray(dy, dtype=np.float64)
+    dz = np.asarray(dz, dtype=np.float64)
+    c = _C.reshape((3, 8) + (1,) * dx.ndim)
+    s = _S.reshape((3, 8) + (1,) * dx.ndim)
+    w = (c[0] + s[0] * dx) * (c[1] + s[1] * dy) * (c[2] + s[2] * dz)
+    return np.moveaxis(w, 0, -1)
 
 
 def accumulate_redundant_3d(rho_1d, icell, dx, dy, dz, charge=1.0) -> None:
     """Scatter CiC charge onto the 8-corner redundant rows."""
-    w = corner_weights_3d(dx, dy, dz) * charge
-    flat_idx = (np.asarray(icell, dtype=np.int64)[:, None] * 8) + np.arange(8)
-    flat = rho_1d.reshape(-1)
-    flat += np.bincount(flat_idx.ravel(), weights=w.ravel(), minlength=flat.size)
+    deposit_rows(
+        rho_1d, icell,
+        lambda sl: corner_weights_3d(dx[sl], dy[sl], dz[sl]) * charge,
+    )
 
 
 def accumulate_redundant_shard_3d(
@@ -67,19 +71,17 @@ def accumulate_redundant_shard_3d(
 
 def interpolate_redundant_3d(e_1d, icell, dx, dy, dz):
     """Gather (Ex, Ey, Ez) at particles from the 24-column rows."""
-    rows = e_1d[np.asarray(icell, dtype=np.int64)]  # (N, 24)
-    w = corner_weights_3d(dx, dy, dz)  # (N, 8)
-    ex = np.einsum("nc,nc->n", rows[:, 0:8], w)
-    ey = np.einsum("nc,nc->n", rows[:, 8:16], w)
-    ez = np.einsum("nc,nc->n", rows[:, 16:24], w)
+    n = len(icell)
+    ex, ey, ez = np.empty(n), np.empty(n), np.empty(n)
+    for sl in blocks(n):
+        rows = e_1d[np.asarray(icell[sl], dtype=np.int64)]  # (B, 24)
+        # einsum picks its association from the operand strides: a
+        # row-major (B, 8) copy keeps the bits of the original kernel
+        w = np.ascontiguousarray(corner_weights_3d(dx[sl], dy[sl], dz[sl]))
+        np.einsum("nc,nc->n", rows[:, 0:8], w, out=ex[sl])
+        np.einsum("nc,nc->n", rows[:, 8:16], w, out=ey[sl])
+        np.einsum("nc,nc->n", rows[:, 16:24], w, out=ez[sl])
     return ex, ey, ez
-
-
-def _axis_bitwise(x, nc):
-    if nc & (nc - 1):
-        raise ValueError(f"bitwise wrap requires power-of-two extent, got {nc}")
-    fx = x.astype(np.int64) - (x < 0.0)
-    return fx & (nc - 1), x - fx
 
 
 def push_positions_bitwise_3d(particles, shape, ordering, scale=(1.0, 1.0, 1.0)):
@@ -88,50 +90,10 @@ def push_positions_bitwise_3d(particles, shape, ordering, scale=(1.0, 1.0, 1.0))
     ``particles`` is a plain dict of arrays (the 3D engine keeps SoA as
     a dict rather than a class — the layout study lives in 2D):
     keys ``icell, ix, iy, iz, dx, dy, dz, vx, vy, vz``.  Writes go
-    *through* the dict's arrays (``arr[:] = ...``) rather than
-    rebinding the keys, so the same code path works on a dict of slice
-    views (the fused-chunked loop) and on shared-memory arrays a
-    ``numpy-mp`` deposit engine has already exported to its workers.
+    *through* the dict's arrays (``arr[sl] = ...``) rather than
+    rebinding the keys, so shared-memory arrays a ``numpy-mp`` deposit
+    engine has already exported to its workers stay current.
     """
-    ncx, ncy, ncz = shape
-    x = particles["ix"] + particles["dx"] + scale[0] * particles["vx"]
-    y = particles["iy"] + particles["dy"] + scale[1] * particles["vy"]
-    z = particles["iz"] + particles["dz"] + scale[2] * particles["vz"]
-    ix, dxo = _axis_bitwise(x, ncx)
-    iy, dyo = _axis_bitwise(y, ncy)
-    iz, dzo = _axis_bitwise(z, ncz)
-    particles["ix"][:] = ix
-    particles["iy"][:] = iy
-    particles["iz"][:] = iz
-    particles["dx"][:] = dxo
-    particles["dy"][:] = dyo
-    particles["dz"][:] = dzo
-    particles["icell"][:] = ordering.encode(ix, iy, iz)
-
-
-def fused_interp_kick_push_3d(
-    e_1d, particles, shape, ordering,
-    coef=(1.0, 1.0, 1.0), scale=(1.0, 1.0, 1.0), push=None,
-):
-    """One fused sweep: gather E, kick v, advance + wrap x — 3D.
-
-    The NumPy port of the paper's single-pass loop for the 3D stepper's
-    ``fused-chunked`` path: ``particles`` may be a dict of slice views
-    into a larger population, so a chunk's record is touched once while
-    hot.  Every operation is elementwise per particle and reuses the
-    exact split-path kernels (:func:`interpolate_redundant_3d`, the
-    same push), so running this per chunk is bitwise identical to the
-    split path at *any* chunk size — unlike 2D, where per-chunk
-    deposits re-associate the charge sums, the 3D stepper defers its
-    single whole-grid deposit until after the chunk loop.
-
-    ``push`` lets the caller substitute the backend's variant-aware
-    position driver; the default is the bitwise wrap.
-    """
-    ex, ey, ez = interpolate_redundant_3d(
-        e_1d, particles["icell"], particles["dx"], particles["dy"], particles["dz"]
+    push_blocked(
+        particles, particles, shape, ordering, AXIS_KERNELS["bitwise"], scale
     )
-    particles["vx"] += coef[0] * ex
-    particles["vy"] += coef[1] * ey
-    particles["vz"] += coef[2] * ez
-    (push or push_positions_bitwise_3d)(particles, shape, ordering, scale)

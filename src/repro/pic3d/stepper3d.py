@@ -2,24 +2,18 @@
 
 Capability parity with the 2D :class:`repro.core.stepper.PICStepper`:
 the same ``_select_loop_path`` dispatch (``split`` /
-``fused-backend`` / ``fused-chunked``), the ``parallel_deposit`` and
-``fused3d`` backend capabilities, phase hooks for the differential
-verifier, and the ``numpy-mp`` cell-ownership deposit — all over the
-trilinear 8-corner kernels of :mod:`repro.pic3d.kernels3d`.
+``fused-backend``), the ``parallel_deposit`` and ``fused3d`` backend
+capabilities, phase hooks for the differential verifier, and the
+``numpy-mp`` cell-ownership deposit — all over the trilinear 8-corner
+kernels of :mod:`repro.pic3d.kernels3d`.
 
-Two deliberate divergences from 2D, both in the service of bitwise
-verification:
-
-* the 3D stepper only implements *hoisted* units (velocities stored
-  as grid displacement per step, field rows pre-scaled by
-  ``q*dt^2/(m*spacing)``) — the hoisting study itself lives in 2D;
-* the ``fused-chunked`` path runs interpolate+kick+push per chunk but
-  defers one whole-grid deposit until after the chunk loop, so the
-  fused path is **bitwise identical to the split path at every
-  population size** (2D deposits per chunk, which re-associates the
-  charge sums once ``n > chunk_size``).  Every operation before the
-  deposit is elementwise per particle, so chunking cannot change a
-  single bit.
+One deliberate divergence from 2D: the 3D stepper only implements
+*hoisted* units (velocities stored as grid displacement per step,
+field rows pre-scaled by ``q*dt^2/(m*spacing)``) — the hoisting study
+itself lives in 2D.  As in 2D, the fused path is **bitwise identical
+to the split path at every population size**: the sweep before the
+deposit is elementwise per particle, and one whole-grid deposit
+follows it on either path.
 """
 
 from __future__ import annotations
@@ -31,7 +25,6 @@ from repro.core.config import OptimizationConfig
 from repro.particles.initializers import halton_sequence, sample_perturbed_positions
 from repro.perf.instrument import Instrumentation
 from repro.pic3d.grid3d import GridSpec3D, RedundantFields3D
-from repro.pic3d.kernels3d import fused_interp_kick_push_3d
 from repro.pic3d.ordering3d import Morton3DOrdering, Ordering3D, RowMajor3DOrdering
 from repro.pic3d.poisson3d import SpectralPoissonSolver3D
 
@@ -243,42 +236,24 @@ class PICStepper3D:
             arr[:] = arr[order]
 
     # ------------------------------------------------------------------
-    # Phases (sl=None: whole population; else a chunk slice)
+    # Phases
     # ------------------------------------------------------------------
-    def _phase_update_v(self, sl: slice | None = None) -> None:
+    def _phase_update_v(self) -> None:
         p = self.particles
-        if sl is None:
-            sl = slice(None)
         ex, ey, ez = self.backend.interpolate_redundant_3d(
-            self.fields.e_1d, p["icell"][sl], p["dx"][sl], p["dy"][sl], p["dz"][sl]
+            self.fields.e_1d, p["icell"], p["dx"], p["dy"], p["dz"]
         )
-        p["vx"][sl] += ex
-        p["vy"][sl] += ey
-        p["vz"][sl] += ez
+        p["vx"] += ex
+        p["vy"] += ey
+        p["vz"] += ez
 
-    def _phase_update_x(self, sl: slice | None = None) -> None:
-        p = self.particles
-        target = p if sl is None else {k: v[sl] for k, v in p.items()}
+    def _phase_update_x(self) -> None:
         self.backend.push_positions_3d(
-            target, self.grid.shape, self.ordering,
+            self.particles, self.grid.shape, self.ordering,
             variant=self.config.position_update,
         )
 
-    def _phase_fused_chunk(self, sl: slice) -> None:
-        """One chunk through the fused NumPy sweep (kernels3d port)."""
-        view = {k: v[sl] for k, v in self.particles.items()}
-
-        def push(particles, shape, ordering, scale):
-            self.backend.push_positions_3d(
-                particles, shape, ordering, scale=scale,
-                variant=self.config.position_update,
-            )
-
-        fused_interp_kick_push_3d(
-            self.fields.e_1d, view, self.grid.shape, self.ordering, push=push
-        )
-
-    def _phase_fused_backend(self) -> None:
+    def _phase_fused(self) -> None:
         self.backend.fused_interp_kick_push_3d(
             self.fields, self.particles, self.ordering,
             self.config.position_update,
@@ -315,26 +290,18 @@ class PICStepper3D:
     def _select_loop_path(self) -> str:
         """Which particle-loop path this step will run.
 
-        Mirrors the 2D selector: ``"split"`` — three whole-array
-        passes; ``"fused-backend"`` — the backend's single-pass 3D
-        kernel (``fused3d`` capability); ``"fused-chunked"`` — the
-        fused NumPy sweep per cache-sized chunk.  ``loop_mode="auto"``
-        resolves to ``split`` (the 2D continuous tuner is not ported).
+        Mirrors the 2D selector: ``"split"`` — three passes over the
+        population; ``"fused-backend"`` — the backend's single-pass 3D
+        kernel.  ``loop_mode="auto"`` resolves to ``split`` (the 2D
+        continuous tuner is not ported).
         """
-        mode = self.config.loop_mode
-        if mode in ("auto", "split"):
-            return "split"
-        if self.backend.supports("fused3d"):
-            return "fused-backend"
-        return "fused-chunked"
+        return "fused-backend" if self.config.loop_mode == "fused" else "split"
 
     # ------------------------------------------------------------------
     def step(self) -> None:
-        cfg = self.config
         instr = self.instrumentation
         hook = self.phase_hook
-        n = self.n
-        with instr.step(n):
+        with instr.step(self.n):
             with instr.phase("sort"):
                 if (
                     self.sort_period
@@ -357,23 +324,14 @@ class PICStepper3D:
                     self._phase_update_x()
                 if hook is not None:
                     hook("update_x", self)
-            elif path == "fused-backend":
+            else:  # fused-backend
                 with instr.phase("fused"):
-                    self._phase_fused_backend()
+                    self._phase_fused()
                 if hook is not None:
                     hook("fused", self)
-            else:  # fused-chunked
-                size = cfg.chunk_size
-                for lo in range(0, n, size):
-                    sl = slice(lo, min(lo + size, n))
-                    with instr.phase("update_v"):
-                        self._phase_update_v(sl)
-                    with instr.phase("update_x"):
-                        self._phase_update_x(sl)
-            # ONE whole-grid deposit on every path — this is what makes
-            # 3D fused bitwise-equal to split at any chunk count (the
-            # per-particle phases above are elementwise, and the deposit
-            # sees the identical arrays in the identical order)
+            # one whole-grid deposit on either path: the per-particle
+            # phases above are elementwise, and the deposit sees the
+            # identical arrays in the identical order
             with instr.phase("accumulate"):
                 self._phase_accumulate()
             if hook is not None:

@@ -12,7 +12,7 @@ runner sweeps per scenario, so they live in
 matrix: a divergence report can be replayed bit-for-bit from its seed
 and index.  The sampler respects the codebase's structural
 constraints (power-of-two grids so the bitwise push is always legal,
-populations that exercise both single- and multi-chunk fused paths).
+populations on both sides of the kernels' cache-block size).
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ class Scenario:
     hoisting: bool
     sort_period: int
     sort_variant: str
-    chunk_size: int
     dt: float = 0.05
     seed: int = 0
     dims: int = 2  #: 2 -> PICStepper, 3 -> PICStepper3D
@@ -134,7 +133,6 @@ class Scenario:
             hoisting=self.hoisting,
             sort_period=self.sort_period,
             sort_variant=self.sort_variant,
-            chunk_size=self.chunk_size,
             backend=backend,
         )
         if workers is not None:
@@ -167,8 +165,8 @@ class ScenarioSampler:
     """
 
     seed: int = 0
-    #: particle counts straddle the default chunk to hit both the
-    #: single-chunk (bitwise) and multi-chunk (tolerance) fused paths
+    #: particle counts straddle :data:`repro.core.kernels.BLOCK`, so
+    #: the sampled matrix runs single-block and multi-block kernels
     n_particles_pool: tuple[int, ...] = (500, 2000, 9000)
     n_steps_pool: tuple[int, ...] = (6, 10)
     _rng: np.random.Generator = field(init=False, repr=False)
@@ -199,7 +197,6 @@ class ScenarioSampler:
             hoisting=bool(self._rng.integers(2)),
             sort_period=int(self._pick(_SORT_PERIODS)),
             sort_variant=self._pick(_SORT_VARIANTS),
-            chunk_size=8192,
             seed=int(self._rng.integers(2**31)),
         )
         self._count += 1
@@ -228,7 +225,6 @@ class ScenarioSampler:
             hoisting=True,
             sort_period=int(self._pick(_SORT_PERIODS)),
             sort_variant="out-of-place",
-            chunk_size=8192,
             seed=int(self._rng.integers(2**31)),
             dims=3,
             ncz=ncz,

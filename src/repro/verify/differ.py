@@ -17,9 +17,10 @@ numpy-mp, same loop path            bitwise at 2 *and* 4 workers (PR 3:
                                     differ per worker count and move work
                                     between workers, never what a rho row
                                     sums or in which order)
-numpy fused, n <= chunk_size        bitwise (single chunk == the split pass)
-numpy fused, n > chunk_size         tolerance (per-chunk deposits change
-                                    the per-bin fold association)
+numpy fused, any n                  bitwise (the blocked sweep is elementwise
+                                    per particle and runs the split
+                                    kernels' own code; one whole-population
+                                    deposit follows on either path)
 numba split / fused                 tolerance (LLVM scalar loops vs numpy
                                     SIMD association)
 in-place vs out-of-place sort       bitwise (same stable permutation)
@@ -28,12 +29,10 @@ scalar ReferenceStepper             bitwise (checked separately in tests;
 ==================================  =========================================
 
 3D scenarios (``Scenario.dims == 3``) run the same lockstep drive over
-:class:`~repro.pic3d.stepper3d.PICStepper3D` with one promise
-*strengthened* relative to 2D: the numpy fused path is bitwise at
-**every** population size (the 3D fused-chunked loop defers one
-whole-grid deposit past the chunk loop, so chunking is purely
-elementwise).  Like 2D, the ``numpy-mp`` cell-ownership deposit is
-pinned bitwise at **both 2 and 4 workers** per scenario.
+:class:`~repro.pic3d.stepper3d.PICStepper3D` under the same promises:
+numpy fused bitwise at every population size, and the ``numpy-mp``
+cell-ownership deposit pinned bitwise at **both 2 and 4 workers** per
+scenario.
 
 Because the steppers advance in lockstep with
 :attr:`~repro.core.stepper.PICStepper.phase_hook` capture, a
@@ -305,14 +304,9 @@ class DifferentialRunner:
         avail = set(available_backends())
         if scenario.dims == 3:
             return self._combos_3d(scenario, avail)
-        combos: list[tuple[Combo, str]] = []
-        # fused-vs-split on the reference backend: bitwise promise only
-        # while the whole population fits one chunk
-        fused_rel = (
-            "bitwise" if scenario.n_particles <= scenario.chunk_size
-            else "tolerance"
-        )
-        combos.append((Combo("numpy", loop_mode="fused"), fused_rel))
+        combos: list[tuple[Combo, str]] = [
+            (Combo("numpy", loop_mode="fused"), "bitwise"),
+        ]
         # worker-count flip: two pools, two different cuts of the rows
         flipped_workers = 2 if self.mp_workers == 4 else 4
         combos += self._mp_combos(avail, (self.mp_workers, flipped_workers))
@@ -344,15 +338,9 @@ class DifferentialRunner:
 
     def _combos_3d(self, scenario: Scenario,
                    avail: set) -> list[tuple[Combo, str]]:
-        """The 3D promise matrix for one scenario.
-
-        One strengthening over 2D: the fused path is bitwise at *any*
-        population size (the 3D fused-chunked loop defers one
-        whole-grid deposit past the chunk loop).  The ``numpy-mp``
-        cell-ownership deposit is pinned at both 2 and 4 workers, as
-        in 2D.  No sort-variant flip — the 3D stepper has a single
-        stable argsort.
-        """
+        """The 3D promise matrix for one scenario: the 2D one without
+        the sort-variant flip (the 3D stepper has a single stable
+        argsort)."""
         combos: list[tuple[Combo, str]] = [
             (Combo("numpy", loop_mode="fused"), "bitwise"),
         ]

@@ -39,9 +39,11 @@ def random_particle_arrays(rng, n, ncx, ncy):
     return ix, iy, dx, dy, vx, vy
 
 
-#: the six ``OptimizationConfig`` keys PR 12 retired, as a pre-PR-12
-#: archive carries them (``curve`` no longer names anything at all)
+#: the ``OptimizationConfig`` keys PR 12 (six) and PR 13 (``chunk_size``)
+#: retired, as an older archive carries them (``curve`` no longer names
+#: anything at all)
 RETIRED_CONFIG = {
+    "chunk_size": 8192,
     "block_size": 64,
     "deposit_thresholds": [0.0, 0.0],
     "deposit_threads": 2,

@@ -27,7 +27,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("field", sorted(RETIRED_CONFIG))
     def test_rejects_retired_fields(self, field):
-        """The tiled-deposit and partition knobs are gone, not hidden."""
+        """The tiled-deposit, partition and chunk knobs are gone, not hidden."""
         with pytest.raises(TypeError):
             OptimizationConfig(**{field: 1})
 
@@ -38,16 +38,12 @@ class TestValidation:
         ).read_text()
         rows = set(re.findall(r"^\| `(\w+)` \|", ledger, flags=re.M))
         fields = {f.name for f in dataclasses.fields(OptimizationConfig)}
-        assert len(fields) == 14
+        assert len(fields) == 13
         assert rows == fields
 
     def test_rejects_negative_sort_period(self):
         with pytest.raises(ValueError):
             OptimizationConfig(sort_period=-1)
-
-    def test_rejects_bad_chunk(self):
-        with pytest.raises(ValueError):
-            OptimizationConfig(chunk_size=0)
 
     def test_frozen(self):
         cfg = OptimizationConfig()

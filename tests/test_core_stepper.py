@@ -159,9 +159,11 @@ class TestConfigEquivalence:
         fe = 0.5 * np.sum(s.ex_grid**2 + s.ey_grid**2)
         assert fe == pytest.approx(reference_energy, rel=1e-9), ordering
 
-    def test_chunk_size_irrelevant(self, grid, reference_energy):
-        cfg = OptimizationConfig.baseline().with_(chunk_size=17)
-        s = make_stepper(grid, cfg, n=4000)
+    def test_block_size_irrelevant(self, grid, reference_energy, monkeypatch):
+        # 4000 particles in 17-particle kernel blocks (236 iterations of
+        # the block loop, a ragged last one) on the fused baseline
+        monkeypatch.setattr("repro.core.kernels.BLOCK", 17)
+        s = make_stepper(grid, OptimizationConfig.baseline(), n=4000)
         s.run(self.REFERENCE_STEPS)
         fe = 0.5 * np.sum(s.ex_grid**2 + s.ey_grid**2)
         assert fe == pytest.approx(reference_energy, rel=1e-9)

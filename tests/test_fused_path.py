@@ -1,6 +1,6 @@
 """The fused single-pass particle loop and the thread-parallel deposit.
 
-Covers the dispatch plumbing (split / fused-backend / fused-chunked),
+Covers the dispatch plumbing (split / fused-backend),
 bitwise equivalence of the fused path against the split numpy oracle
 across every position-update variant and both field layouts, the
 thread-count invariance of the cell-ownership parallel deposit, the
@@ -119,11 +119,11 @@ class TestLoopPathDispatch:
             assert t.loop_paths == {"split": 3}
             assert t.update_v > 0 and t.fused == 0.0
 
-    def test_fused_without_capability_chunks(self):
+    def test_fused_on_numpy_runs_backend_kernel(self):
         with _sim({"loop_mode": "fused", "backend": "numpy"}, steps=3) as sim:
             t = sim.timings
-            assert t.loop_paths == {"fused-chunked": 3}
-            assert t.update_v > 0 and t.fused == 0.0
+            assert t.loop_paths == {"fused-backend": 3}
+            assert t.fused > 0 and t.update_v == 0.0 and t.update_x == 0.0
 
     def test_fused_with_capability_uses_backend_kernel(self):
         with _sim({"loop_mode": "fused", "backend": "fused-composite"},
@@ -276,12 +276,11 @@ class TestLoopModeAutoTuner:
 
 class TestSupervisorDegradesFusedBackend:
     def test_fused_backend_degrades_to_numpy_bitwise(self):
-        # chunk_size > n makes numpy's fused-chunked rendering a single
-        # whole-array pass, bitwise-equal to the composite's fused
-        # kernel — so the clean run, the pre-degradation steps and the
-        # post-degradation steps must all agree exactly
-        cfg_kw = {"loop_mode": "fused", "chunk_size": 10 ** 6,
-                  "sort_period": 3}
+        # numpy's blocked fused sweep is bitwise-equal to the
+        # composite's fused kernel — so the clean run, the
+        # pre-degradation steps and the post-degradation steps must all
+        # agree exactly
+        cfg_kw = {"loop_mode": "fused", "sort_period": 3}
         with _sim({**cfg_kw, "backend": "numpy"}, n=1200, seed=7) as clean:
             clean.run(12)
             clean_hist = clean.history
@@ -299,8 +298,8 @@ class TestSupervisorDegradesFusedBackend:
             ]
             assert sup.backend_name == "numpy"
             assert sup.sim.stepper.backend.name == "numpy"
-            # the rebuilt stepper falls back to the chunked rendering
-            assert "fused-chunked" in sup.sim.timings.loop_paths
+            # the rebuilt stepper runs numpy's own fused kernel
+            assert set(sup.sim.timings.loop_paths) == {"fused-backend"}
             assert h.field_energy == clean_hist.field_energy
             assert h.kinetic_energy == clean_hist.kinetic_energy
 

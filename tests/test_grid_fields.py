@@ -107,6 +107,29 @@ class TestRedundantFields:
             np.testing.assert_allclose(redundant.e_1d[idx, c], ex[gx, gy])
             np.testing.assert_allclose(redundant.e_1d[idx, 4 + c], ey[gx, gy])
 
+    @pytest.mark.parametrize(
+        "name,kw,shape",
+        [("morton", {}, (16, 8)), ("l4d", {"size": 3}, (12, 10)),
+         ("l4d", {"size": 8}, (7, 5)), ("row-major", {}, (7, 5))],
+    )
+    def test_gather_map_equals_rolled_scatter(self, rng, name, kw, shape):
+        """The precomputed corner gather is a pure copy of what eight
+        rolled 2D scatters wrote, and padding rows (orderings that
+        allocate more rows than cells) stay zero across reloads."""
+        ordering = get_ordering(name, *shape, **kw)
+        fields = RedundantFields(GridSpec(*shape, 0, 1, 0, 1), ordering)
+        idx = fields.cell_index_map()
+        padding = np.setdiff1d(np.arange(ordering.ncells_allocated), idx)
+        for _ in range(2):
+            ex, ey = rng.normal(size=shape), rng.normal(size=shape)
+            fields.load_field_from_grid(ex, ey)
+            want = np.zeros_like(fields.e_1d)
+            for c, (ox, oy) in enumerate(corner_offsets()):
+                want[idx, c] = np.roll(ex, (-ox, -oy), axis=(0, 1))
+                want[idx, 4 + c] = np.roll(ey, (-ox, -oy), axis=(0, 1))
+            assert fields.e_1d.tobytes() == want.tobytes()
+            assert not fields.e_1d[padding].any()
+
     def test_reduce_rho_folds_corners(self, redundant):
         """A unit charge written to all 4 corners of one cell lands on
         the cell's 4 surrounding grid points after reduction."""

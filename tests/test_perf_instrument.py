@@ -52,6 +52,14 @@ class TestStepTimings:
         assert back.accumulate == 2.0 and back.steps == 4
         assert "deposit_variants" not in back.as_record()
 
+    def test_from_json_keeps_a_retired_loop_path_count(self):
+        """Records from before the stepper-level chunk loop was deleted
+        (``BENCH_baseline.json`` has one) load with their counts."""
+        rec = StepTimings(update_v=1.0, steps=5).as_record()
+        rec["loop_paths"] = {"fused-chunked": 5}
+        back = StepTimings.from_json(json.dumps(rec))
+        assert back.loop_paths == {"fused-chunked": 5} and back.steps == 5
+
     def test_loop_path_round_trip(self):
         t = StepTimings(fused=1.0, loop_paths={"fused-backend": 3, "split": 1})
         back = StepTimings.from_json(t.to_json())
@@ -194,15 +202,18 @@ class TestSimulationSurface:
         assert len(doc["per_step"]) == 6
         assert doc["cumulative"]["particles_per_second"] > 0
 
-    def test_fused_mode_sums_chunks(self):
+    def test_fused_mode_one_record_per_step(self, monkeypatch):
+        # 2000 particles in 512-particle kernel blocks: the blocks are
+        # the kernel's business — the fused sweep is one phase entry and
+        # one record per step, booked under ``fused``
+        monkeypatch.setattr("repro.core.kernels.BLOCK", 512)
         grid = GridSpec(16, 16, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
-        cfg = OptimizationConfig.baseline().with_(chunk_size=512)
         sim = Simulation(
-            grid, LandauDamping(0.05), 2000, cfg, dt=0.1, quiet=True, seed=None
+            grid, LandauDamping(0.05), 2000, OptimizationConfig.baseline(),
+            dt=0.1, quiet=True, seed=None,
         )
         sim.run(2)
-        # 2000 particles / 512 per chunk = 4 chunk entries per phase,
-        # summed into one record per step
         assert len(sim.history.step_timings) == 2
-        assert sim.timings.update_v > 0
+        assert sim.timings.fused > 0 and sim.timings.update_v == 0.0
+        assert sim.timings.loop_paths == {"fused-backend": 2}
         assert sim.timings.particle_steps == 4000

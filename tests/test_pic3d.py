@@ -127,6 +127,22 @@ class TestFields3D:
         np.testing.assert_allclose(by, ey)
         np.testing.assert_allclose(bz, ez)
 
+    def test_gather_map_equals_rolled_scatter(self, rng):
+        """Every row holds E at its cell's 8 corners, bit for bit (a
+        non-cubic grid, so a swapped axis would show)."""
+        shape = (8, 4, 2)
+        fields = RedundantFields3D(GridSpec3D(*shape), Morton3DOrdering(*shape))
+        comps = [rng.normal(size=shape) for _ in range(3)]
+        fields.load_field_from_grid(*comps)
+        ix, iy, iz = np.meshgrid(*(np.arange(n) for n in shape), indexing="ij")
+        idx = fields.ordering.encode(ix, iy, iz)
+        want = np.zeros_like(fields.e_1d)
+        for c in range(8):
+            shift = (-((c >> 2) & 1), -((c >> 1) & 1), -(c & 1))
+            for k, arr in enumerate(comps):
+                want[idx, 8 * k + c] = np.roll(arr, shift, axis=(0, 1, 2))
+        assert fields.e_1d.tobytes() == want.tobytes()
+
     def test_reduce_folds_8_corners(self, setup):
         _, fields = setup
         icell = int(fields.ordering.encode(3, 4, 5))

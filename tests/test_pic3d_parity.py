@@ -3,9 +3,9 @@
 The 3D port's acceptance bar, enforced directly:
 
 * the fused loop path is **bitwise identical** to the split path at
-  every population size — including populations spanning many chunks
-  (the 3D fused-chunked loop defers one whole-grid deposit past the
-  chunk loop, so chunking is purely elementwise);
+  every population size — including populations spanning many kernel
+  blocks (the blocked sweep is elementwise per particle; one
+  whole-grid deposit follows it on either path);
 * the ``numpy-mp`` cell-ownership deposit is **bitwise identical** to
   the serial deposit at both 2 and 4 workers;
 * the differential-verify machinery covers 3D: the sampler emits 3D
@@ -65,19 +65,18 @@ class TestFusedSplitParity:
     def test_fused_bitwise_equals_split_single_chunk(self):
         _run_pair(_config(loop_mode="split"), _config(loop_mode="fused"))
 
-    def test_fused_bitwise_equals_split_multi_chunk(self):
-        """The strengthened 3D promise: bitwise at n >> chunk_size."""
+    def test_fused_bitwise_equals_split_multi_chunk(self, monkeypatch):
+        """Bitwise with the population spread over 8 kernel blocks."""
+        monkeypatch.setattr("repro.core.kernels.BLOCK", 128)
         _run_pair(
-            _config(loop_mode="split", chunk_size=128),
-            _config(loop_mode="fused", chunk_size=128),
-            n=1000,
+            _config(loop_mode="split"), _config(loop_mode="fused"), n=1000,
         )
 
     @pytest.mark.parametrize("push", ["branch", "modulo", "bitwise"])
     def test_fused_parity_every_push_variant(self, push):
         _run_pair(
             _config(loop_mode="split", position_update=push),
-            _config(loop_mode="fused", position_update=push, chunk_size=256),
+            _config(loop_mode="fused", position_update=push),
             n=800, steps=4,
         )
 
@@ -91,9 +90,7 @@ class TestFusedSplitParity:
                             config=_config(loop_mode="auto"))
         try:
             assert split._select_loop_path() == "split"
-            assert fused._select_loop_path() in (
-                "fused-backend", "fused-chunked"
-            )
+            assert fused._select_loop_path() == "fused-backend"
             assert auto._select_loop_path() == "split"
         finally:
             split.close()
@@ -126,7 +123,7 @@ def _scenario_3d(**overrides) -> Scenario:
         index=0, ncx=8, ncy=4, n_particles=1200, n_steps=5,
         case_name="two-stream", ordering="morton", field_layout="redundant",
         loop_mode="split", position_update="bitwise", hoisting=True,
-        sort_period=2, sort_variant="out-of-place", chunk_size=8192,
+        sort_period=2, sort_variant="out-of-place",
         seed=1, dims=3, ncz=4,
     )
     params.update(overrides)

@@ -166,7 +166,7 @@ class TestVerificationHooks:
                 index=0, ncx=16, ncy=8, n_particles=500, n_steps=4,
                 case_name=name, ordering="morton", field_layout="redundant",
                 loop_mode="split", position_update="bitwise", hoisting=True,
-                sort_period=0, sort_variant="out-of-place", chunk_size=8192,
+                sort_period=0, sort_variant="out-of-place",
             )
             assert s.case() is not None
 

@@ -65,8 +65,12 @@ class TestScenarioSampler:
             assert s.case() is not None
 
     def test_population_straddles_chunk_size(self):
+        """The sampled populations sit on both sides of one kernel
+        block (the chunk every NumPy kernel works in)."""
+        from repro.core.kernels import BLOCK
+
         pools = ScenarioSampler(seed=0).n_particles_pool
-        assert min(pools) <= 8192 < max(pools)
+        assert min(pools) <= BLOCK < max(pools)
 
 
 def _small_scenario(**overrides) -> Scenario:
@@ -74,7 +78,7 @@ def _small_scenario(**overrides) -> Scenario:
         index=0, ncx=32, ncy=8, n_particles=1500, n_steps=6,
         case_name="landau", ordering="morton", field_layout="redundant",
         loop_mode="split", position_update="bitwise", hoisting=True,
-        sort_period=2, sort_variant="out-of-place", chunk_size=8192,
+        sort_period=2, sort_variant="out-of-place",
         seed=11,
     )
     params.update(overrides)
@@ -100,6 +104,8 @@ class TestDifferentialRunner:
         assert report.ok, report.describe()
 
     def test_fused_single_chunk_promised_bitwise(self):
+        """numpy fused is promised bitwise whether the population fits
+        a single kernel block or spans several."""
         runner = DifferentialRunner(include_mp=False)
         combos = dict(
             (c.backend + "/" + (c.loop_mode or ""), rel)
@@ -110,7 +116,7 @@ class TestDifferentialRunner:
             (c.backend + "/" + (c.loop_mode or ""), rel)
             for c, rel in runner.combos(_small_scenario(n_particles=9000))
         )
-        assert combos_big["numpy/fused"] == "tolerance"
+        assert combos_big["numpy/fused"] == "bitwise"
 
     def test_bisection_pinpoints_injected_phase(self):
         """A one-ULP bump at (step 2, update_v, vx) must be attributed

@@ -1,22 +1,28 @@
 #!/usr/bin/env python
-"""Performance gates: fused must beat splitting; balanced cuts must not lose.
+"""Performance gates: fused must not lose to splitting; balanced cuts must not lose.
 
 Two executable performance claims, checked in one run:
 
-**Fused gate** — a JIT backend's single sweep over the particle arrays
-must win over three split passes that re-stream them from DRAM (the
-inverse of the paper's §IV-B trade under a vectorizing C compiler):
+**Fused gate** — the backend's single sweep over the particle arrays
+against three split passes.  On a JIT backend the sweep must *win*
+(the split passes re-stream the arrays from DRAM — the inverse of the
+paper's §IV-B trade under a vectorizing C compiler); on ``numpy`` both
+paths run the same cache-blocked kernels in a different order, so the
+claim is only that fusing costs nothing:
 
-* measure split vs fused on the best fused-capable backend (numba)
-  via :func:`benchmarks.bench_simulation_throughput.measure_loop_modes`;
-* **fail** (exit 1) if the fused kernel path is slower than the split
-  path (``--min-speedup``, default 1.0);
+* measure split vs fused on the best fused-capable backend (numba,
+  else numpy) via
+  :func:`benchmarks.bench_simulation_throughput.measure_loop_modes`,
+  ``--repeats`` fresh runs per side, min-of-k kernel seconds compared;
+* **fail** (exit 1) if the fused/split kernel speedup is below the
+  floor: 1.0 on a compiled backend, :data:`NUMPY_FUSED_FLOOR` on numpy
+  (``--min-speedup`` overrides either);
 * report the deposit+interpolate phase speedup against the paper-scale
-  target (``--target-speedup``, default 1.5) — a warning, not a
-  failure, since it depends on core count and memory bandwidth;
-* **skip this gate** (with a message) when no fused-capable backend is
-  importable: the numpy rendering of fusion is chunked looping, which
-  carries no such guarantee, so there is nothing to gate.
+  target (``--target-speedup``, default 1.5) on a compiled backend — a
+  warning, not a failure, since it depends on core count and memory
+  bandwidth.
+
+Every shipped backend is fused-capable, so this gate always runs.
 
 **Partition gate** — on a skewed plasma the histogram-balanced curve
 cuts (:mod:`repro.parallel.partition`) must not lose to the flat
@@ -47,6 +53,14 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+#: Fused-gate floor on the pure-NumPy backends, where fused and split
+#: run the same blocked kernels: "not slower beyond min-of-k noise".
+#: Ten consecutive runs on the 2-core reference host read 0.86-1.06,
+#: median 0.92 (EXPERIMENTS.md, "bench-gate on numpy"): 0.80 passes
+#: 10/10 there and still trips on a rendering that costs a quarter more
+#: (the deleted stepper-level chunk loop read 0.5 on sparse cells).
+NUMPY_FUSED_FLOOR = 0.80
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "benchmarks"))
 
@@ -117,7 +131,7 @@ def _skewed_partition_times(backend_name, n, nworkers, repeats):
 def main(argv=None):
     from bench_simulation_throughput import measure_loop_modes
 
-    from repro.core.backends import available_backends, get_backend
+    from repro.core.backends import NumpyBackend, available_backends, get_backend
 
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--particles", type=int, default=1_000_000,
@@ -126,13 +140,14 @@ def main(argv=None):
     ap.add_argument("--warmup-steps", type=int, default=1)
     ap.add_argument("--backend", default=None,
                     help="fused-capable backend (default: best available)")
-    ap.add_argument("--min-speedup", type=float, default=1.0,
-                    help="hard gate: fused kernel time must be at least "
-                         "this factor faster than split (default 1.0)")
+    ap.add_argument("--min-speedup", type=float, default=None,
+                    help="hard gate: split/fused kernel-time ratio floor "
+                         "(default: 1.0 on a compiled backend, "
+                         f"{NUMPY_FUSED_FLOOR} on numpy)")
     ap.add_argument("--target-speedup", type=float, default=1.5,
                     help="soft target on the deposit+interpolate phases")
     ap.add_argument("--repeats", type=int, default=5,
-                    help="kernel windows per side for the partition gate; "
+                    help="measurements per side in both gates; "
                          "min-of-k is compared (default 5)")
     ap.add_argument("--max-partition-ratio", type=float, default=1.10,
                     help="hard gate: on the skewed workload the "
@@ -150,75 +165,80 @@ def main(argv=None):
     def measure(backend):
         if backend not in measured:
             print(f"bench-gate: measuring split vs fused on "
-                  f"{backend!r} (n={args.particles}, steps={args.steps})",
-                  flush=True)
-            measured[backend] = measure_loop_modes(
-                backend, args.particles, args.steps, args.warmup_steps
-            )
+                  f"{backend!r} (n={args.particles}, steps={args.steps}, "
+                  f"min of {args.repeats})", flush=True)
+            runs = [
+                measure_loop_modes(
+                    backend, args.particles, args.steps, args.warmup_steps
+                )
+                for _ in range(args.repeats)
+            ]
+            measured[backend] = {
+                mode: min(
+                    (run[mode] for run in runs),
+                    key=lambda rec: rec["kernel_seconds_per_step"],
+                )
+                for mode in runs[0]
+            }
         return measured[backend]
 
     failures = []
 
-    # -- gate 1: fused beats split on a JIT backend -------------------
+    # -- gate 1: fused vs split on the best fused-capable backend -----
     fused_capable = [
         b for b in available_backends() if get_backend(b).supports("fused")
     ]
-    if args.backend:
-        if args.backend not in fused_capable:
-            print(f"bench-gate: FAIL — backend {args.backend!r} does not "
-                  f"offer the 'fused' capability (capable: {fused_capable})")
-            return 1
-        fused_backend = args.backend
-    elif fused_capable:
-        fused_backend = max(
-            fused_capable, key=lambda b: get_backend(b).priority
-        )
-    else:
-        fused_backend = None
-        print("bench-gate: fused gate SKIP — no fused-capable backend "
-              "available (numba is not installed); the numpy rendering of "
-              "fusion is chunked looping, which this gate does not "
-              "constrain")
-        print("gate-status: bench-gate/fused skipped(no fused-capable "
-              "backend: numba not installed)")
+    if args.backend and args.backend not in fused_capable:
+        print(f"bench-gate: FAIL — backend {args.backend!r} does not "
+              f"offer the 'fused' capability (capable: {fused_capable})")
+        return 1
+    fused_backend = args.backend or max(
+        fused_capable, key=lambda b: get_backend(b).priority
+    )
+    # a NumpyBackend (numpy, numpy-mp) fuses by re-ordering its own
+    # kernels; anything else brings a separately compiled fused kernel
+    compiled = not isinstance(get_backend(fused_backend), NumpyBackend)
+    min_speedup = args.min_speedup
+    if min_speedup is None:
+        min_speedup = 1.0 if compiled else NUMPY_FUSED_FLOOR
 
-    if fused_backend is not None:
-        print("gate-status: bench-gate/fused ran")
-        rec = measure(fused_backend)
-        split, fused = rec["split"], rec["fused"]
+    print("gate-status: bench-gate/fused ran")
+    rec = measure(fused_backend)
+    split, fused = rec["split"], rec["fused"]
 
-        kernel_speedup = (
-            split["kernel_seconds_per_step"] / fused["kernel_seconds_per_step"]
-            if fused["kernel_seconds_per_step"] > 0 else float("inf")
-        )
-        # deposit+interpolate: the phases the paper's §V-B numbers
-        # isolate.  Split renders interpolation inside update_v; fused
-        # folds it into the single-pass kernel — either way deposit
-        # rides along.
-        split_di = (split["phase_seconds"]["update_v"]
-                    + split["phase_seconds"]["accumulate"])
-        fused_di = (fused["phase_seconds"]["fused"]
-                    + fused["phase_seconds"]["accumulate"])
-        di_speedup = split_di / fused_di if fused_di > 0 else float("inf")
+    kernel_speedup = (
+        split["kernel_seconds_per_step"] / fused["kernel_seconds_per_step"]
+        if fused["kernel_seconds_per_step"] > 0 else float("inf")
+    )
+    # deposit+interpolate: the phases the paper's §V-B numbers
+    # isolate.  Split renders interpolation inside update_v; fused
+    # folds it into the single-pass kernel — either way deposit
+    # rides along.
+    split_di = (split["phase_seconds"]["update_v"]
+                + split["phase_seconds"]["accumulate"])
+    fused_di = (fused["phase_seconds"]["fused"]
+                + fused["phase_seconds"]["accumulate"])
+    di_speedup = split_di / fused_di if fused_di > 0 else float("inf")
 
-        for mode, r in (("split", split), ("fused", fused)):
-            print(f"  {mode:6s}: {r['kernel_seconds_per_step'] * 1e3:8.2f} "
-                  f"ms/step kernels, {r['particles_per_second'] / 1e6:7.2f} "
-                  f"M particle-steps/s  (paths: {r['loop_paths']})")
-        print(f"  fused kernel speedup:              {kernel_speedup:5.2f}x "
-              f"(gate: >= {args.min_speedup:.2f}x)")
+    for mode, r in (("split", split), ("fused", fused)):
+        print(f"  {mode:6s}: {r['kernel_seconds_per_step'] * 1e3:8.2f} "
+              f"ms/step kernels, {r['particles_per_second'] / 1e6:7.2f} "
+              f"M particle-steps/s  (paths: {r['loop_paths']})")
+    print(f"  fused kernel speedup:              {kernel_speedup:5.2f}x "
+          f"(gate: >= {min_speedup:.2f}x)")
+    if compiled:
         print(f"  deposit+interpolate phase speedup: {di_speedup:5.2f}x "
               f"(target: >= {args.target_speedup:.2f}x)")
 
-        if kernel_speedup < args.min_speedup:
-            failures.append(
-                f"fused path is slower than split on {fused_backend!r} "
-                f"({kernel_speedup:.2f}x < {args.min_speedup:.2f}x)"
-            )
-        elif di_speedup < args.target_speedup:
-            print(f"  (warning: deposit+interpolate speedup "
-                  f"{di_speedup:.2f}x below the {args.target_speedup:.2f}x "
-                  f"target on this machine)")
+    if kernel_speedup < min_speedup:
+        failures.append(
+            f"fused path is slower than split on {fused_backend!r} "
+            f"({kernel_speedup:.2f}x < {min_speedup:.2f}x)"
+        )
+    elif compiled and di_speedup < args.target_speedup:
+        print(f"  (warning: deposit+interpolate speedup "
+              f"{di_speedup:.2f}x below the {args.target_speedup:.2f}x "
+              f"target on this machine)")
 
     # -- gate 2: balanced cuts must not lose on a skewed plasma -------
     print("gate-status: bench-gate/partition ran")
@@ -254,8 +274,6 @@ def main(argv=None):
         )
 
     if args.update_baseline:
-        if not measured:  # fused gate skipped: still refresh the mode rows
-            measure(part_backend)
         path = ROOT / "BENCH_baseline.json"
         doc = json.loads(path.read_text()) if path.exists() else {
             "meta": {}, "results": {},
