@@ -98,10 +98,12 @@ verify-full:
 	PYTHONPATH=src $(PYTHON) -m pytest -q -m verify_full tests/
 	PYTHONPATH=src $(PYTHON) -m repro verify --seed 0 --samples 16 --oracles --golden
 
-# quick strong-scaling smoke of the numpy-mp engine (2 workers);
-# the full sweep runs via `pytest benchmarks/bench_shm_scaling.py`
+# numpy-mp vs numpy at 10k and 100k particles, 1 and 2 workers (quick);
+# the full crossover sweep up to 1M, which rewrites
+# benchmarks/results/BENCH_shm_scaling.json, is the same script
+# without --smoke
 bench-scaling:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_shm_scaling.py --smoke --workers 2
+	PYTHONPATH=src $(PYTHON) benchmarks/bench_shm_scaling.py --smoke
 
 examples:
 	for f in examples/*.py; do echo "== $$f =="; $(PYTHON) $$f || exit 1; done

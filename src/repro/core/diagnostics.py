@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.kernels import blocks
+
 __all__ = [
     "field_energy",
     "kinetic_energy",
@@ -29,9 +31,25 @@ def field_energy(ex: np.ndarray, ey: np.ndarray, cell_area: float, eps0: float =
     return 0.5 * eps0 * float(np.sum(ex * ex + ey * ey)) * cell_area
 
 
-def kinetic_energy(vx: np.ndarray, vy: np.ndarray, weight: float, mass: float = 1.0) -> float:
-    """Kinetic energy ``(m/2) * w * sum(v^2)`` of the macro-particles."""
-    return 0.5 * mass * weight * float(np.sum(np.square(vx) + np.square(vy)))
+def kinetic_energy(
+    vx: np.ndarray, vy: np.ndarray, weight: float, mass: float = 1.0,
+    scale=(1.0, 1.0), scratch: np.ndarray | None = None,
+) -> float:
+    """Kinetic energy ``(m/2) * w * sum(v^2)`` of the macro-particles.
+
+    ``scale`` converts stored velocities to physical ones per axis.
+    The squares are formed block by block into one N-sized array —
+    ``scratch`` when the caller keeps one across steps — and summed in
+    a single ``np.sum`` over it: the values and the reduction of
+    ``sum(square(vx*sx) + square(vy*sy))`` without its five N-sized
+    temporaries.
+    """
+    vx, vy = np.asarray(vx), np.asarray(vy)
+    e = np.empty(len(vx)) if scratch is None else scratch
+    for sl in blocks(len(vx)):
+        np.square(vx[sl] * scale[0], out=e[sl])
+        e[sl] += np.square(vy[sl] * scale[1])
+    return 0.5 * mass * weight * float(np.sum(e))
 
 
 def mode_amplitude(rho: np.ndarray, mode_x: int = 1, mode_y: int = 0) -> float:

@@ -38,6 +38,7 @@ __all__ = [
     "accumulate_redundant",
     "interpolate_standard",
     "interpolate_redundant",
+    "kick",
     "update_velocities",
     "push_blocked",
     "fused_sweep",
@@ -97,7 +98,7 @@ def accumulate_standard(rho, ix, iy, dx, dy, charge=1.0):
         flat += np.bincount(idx[c], weights=w[c], minlength=flat.size)
 
 
-def deposit_rows(rho_1d, icell, block_weights):
+def deposit_rows(rho_1d, icell, block_weights, corners=None):
     """Blocked scatter onto redundant ``rho_1d[ncell][ncorner]`` rows.
 
     ``block_weights(sl)`` returns the ``(B, ncorner)`` charge-scaled
@@ -108,26 +109,38 @@ def deposit_rows(rho_1d, icell, block_weights):
     bincount would, in the same (particle) order, so the result is
     bitwise independent of the block size — and of the 2D/3D corner
     count, which is why both deposits share this body.
+
+    Each column is its own reduction, so any subset of them can be
+    deposited alone: with ``corners`` (a list of column indices)
+    ``block_weights`` returns only those columns' weights and only
+    those columns of ``rho_1d`` are touched — with the bits the full
+    deposit would have put there.  That is the ``numpy-mp`` engine's
+    unit of ownership.
     """
     icell = np.ascontiguousarray(icell, dtype=np.int64)
-    ncell, ncorner = rho_1d.shape
-    w = np.empty((ncorner, len(icell)))
+    ncell = rho_1d.shape[0]
+    cols = range(rho_1d.shape[1]) if corners is None else corners
+    w = np.empty((len(cols), len(icell)))
     for sl in blocks(len(icell)):
         w[:, sl] = block_weights(sl).T
-    for c in range(ncorner):
-        rho_1d[:, c] += np.bincount(icell, weights=w[c], minlength=ncell)
+    for w_c, c in zip(w, cols):
+        rho_1d[:, c] += np.bincount(icell, weights=w_c, minlength=ncell)
 
 
-def accumulate_redundant(rho_1d, icell, dx, dy, charge=1.0):
+def accumulate_redundant(rho_1d, icell, dx, dy, charge=1.0, corners=None):
     """Scatter CiC charge onto the redundant ``rho_1d[ncell][4]``.
 
     Each particle writes one contiguous 4-element row — the
     vectorizable lower variant of Fig. 2.  No periodic wrap is needed
     here; the fold to grid points happens in
     :meth:`~repro.grid.fields.RedundantFields.reduce_rho_to_grid`.
+    ``corners`` restricts the deposit to those columns
+    (:func:`deposit_rows`).
     """
     deposit_rows(
-        rho_1d, icell, lambda sl: corner_weights(dx[sl], dy[sl]) * charge
+        rho_1d, icell,
+        lambda sl: corner_weights(dx[sl], dy[sl], corners) * charge,
+        corners,
     )
 
 
@@ -186,12 +199,12 @@ def interpolate_redundant(e_1d, icell, dx, dy, out=None):
 # ----------------------------------------------------------------------
 # Velocity update (Fig. 1 line 9)
 # ----------------------------------------------------------------------
-def _kick(v, e_p, coef):
-    """``v += coef * e_p`` in place, multiply-free for the scalar 1.0."""
-    if np.ndim(coef) == 0 and coef == 1.0:
-        v += e_p
-    else:
-        v += coef * e_p
+def kick(v, e_p, coef, out=None):
+    """``v + coef * e_p`` into ``out`` (default: in place, into ``v``);
+    multiply-free for the scalar 1.0."""
+    if np.ndim(coef) != 0 or coef != 1.0:
+        e_p = coef * e_p
+    np.add(v, e_p, out=v if out is None else out)
 
 
 def update_velocities(vx, vy, ex_p, ey_p, coef_x=1.0, coef_y=1.0):
@@ -205,8 +218,8 @@ def update_velocities(vx, vy, ex_p, ey_p, coef_x=1.0, coef_y=1.0):
     particle charge-to-mass ratios); the multiply-free fast path only
     applies to the scalar 1.0.
     """
-    _kick(vx, ex_p, coef_x)
-    _kick(vy, ey_p, coef_y)
+    kick(vx, ex_p, coef_x)
+    kick(vy, ey_p, coef_y)
 
 
 # ----------------------------------------------------------------------
@@ -316,7 +329,7 @@ def fused_sweep(arrs, gather, extents, ordering, axis_fn, coefs, scales):
     for sl in blocks(len(arrs["icell"])):
         block = {k: v[sl] for k, v in arrs.items()}
         for a, e_p, coef in zip(axes, gather(block), coefs):
-            _kick(block["v" + a], e_p, coef)
+            kick(block["v" + a], e_p, coef)
         push_blocked(block, block, extents, ordering, axis_fn, scales)
 
 

@@ -46,11 +46,9 @@ __all__ = [
     "fused_redundant_njit",
     "fused_standard_njit",
     "accumulate_redundant_parallel_njit",
-    "accumulate_redundant_shard_njit",
     "counting_sort_permutation_njit",
     "fused_redundant_3d_njit",
     "accumulate_redundant_parallel_3d_njit",
-    "accumulate_redundant_shard_3d_njit",
 ]
 
 # `cache=True` persists compiled machine code next to the source so the
@@ -358,30 +356,6 @@ def accumulate_redundant_parallel_njit(rho_1d, icell, dx, dy, charge):
                 rho_1d[c, k] += priv[t, c, k]
 
 
-@njit(**_JIT)
-def accumulate_redundant_shard_njit(rho_1d, icell, dx, dy, charge, cell_lo, cell_hi):
-    """Serial deposit of one owned cell range ``[cell_lo, cell_hi)``.
-
-    The ``numpy-mp`` worker's inner loop: scans all particles, deposits
-    the owned ones into the shard slab (rows shifted by ``cell_lo``).
-    Same arithmetic as the NumPy shard deposit (``w * charge``,
-    particle order), so a pool mixing njit and NumPy workers — or
-    retrying a crashed shard serially in the parent — stays bitwise
-    reproducible; unlike the NumPy version it needs no ``flatnonzero``
-    index temporary.
-    """
-    for p in range(icell.size):
-        c = icell[p]
-        if cell_lo <= c < cell_hi:
-            r = c - cell_lo
-            fx = dx[p]
-            fy = dy[p]
-            rho_1d[r, 0] += ((1.0 - fx) * (1.0 - fy)) * charge
-            rho_1d[r, 1] += ((1.0 - fx) * fy) * charge
-            rho_1d[r, 2] += (fx * (1.0 - fy)) * charge
-            rho_1d[r, 3] += (fx * fy) * charge
-
-
 # ----------------------------------------------------------------------
 # §IV-E counting sort — the O(N + C) cursor loop, compiled
 # ----------------------------------------------------------------------
@@ -546,31 +520,3 @@ def accumulate_redundant_parallel_3d_njit(rho_1d, icell, dx, dy, dz, charge):
         for c in range(lo, hi):
             for k in range(8):
                 rho_1d[c, k] += priv[t, c, k]
-
-
-@njit(**_JIT)
-def accumulate_redundant_shard_3d_njit(
-    rho_1d, icell, dx, dy, dz, charge, cell_lo, cell_hi
-):
-    """Serial 3D deposit of one owned cell range ``[cell_lo, cell_hi)``.
-
-    The ``numpy-mp`` 3D worker's inner loop.  Unlike the numba
-    backend's serial kernel this one multiplies ``charge`` *last*
-    (``((wx*wy)*wz) * charge``), because it must bitwise-match the
-    NumPy :func:`repro.pic3d.kernels3d.accumulate_redundant_3d` weights
-    (``corner_weights_3d(...) * charge``) — a pool mixing njit and
-    NumPy workers, or a crashed shard retried serially in the parent,
-    must stay bitwise reproducible against the serial NumPy deposit.
-    """
-    for p in range(icell.size):
-        c = icell[p]
-        if cell_lo <= c < cell_hi:
-            r = c - cell_lo
-            fx = dx[p]
-            fy = dy[p]
-            fz = dz[p]
-            for corner in range(8):
-                wx = fx if corner & 4 else 1.0 - fx
-                wy = fy if corner & 2 else 1.0 - fy
-                wz = fz if corner & 1 else 1.0 - fz
-                rho_1d[r, corner] += ((wx * wy) * wz) * charge

@@ -86,6 +86,9 @@ class Simulation:
     parked job resumes without re-running initialization.
     """
 
+    #: N-sized scratch of the kinetic-energy diagnostic, kept across steps
+    _ke_scratch: np.ndarray | None = None
+
     def __init__(
         self,
         grid: GridSpec,
@@ -173,13 +176,19 @@ class Simulation:
     def _record(self) -> None:
         st = self.stepper
         g = st.grid
-        vx, vy = st.physical_velocities()
+        p = st.particles
+        if self._ke_scratch is None or len(self._ke_scratch) != p.n:
+            self._ke_scratch = np.empty(p.n)
         self.history.times.append(st.iteration * st.dt)
         self.history.field_energy.append(
             field_energy(st.ex_grid, st.ey_grid, g.cell_area, st.eps0)
         )
         self.history.kinetic_energy.append(
-            kinetic_energy(vx, vy, st.particles.weight, st.m)
+            kinetic_energy(
+                p.vx, p.vy, p.weight, st.m,
+                scale=(st._vel_scale_x, st._vel_scale_y),
+                scratch=self._ke_scratch,
+            )
         )
         self.history.mode_amplitude.append(
             mode_amplitude(st.rho_grid, self.mode_x, self.mode_y)

@@ -103,7 +103,7 @@ def corner_offsets() -> np.ndarray:
     return _CORNER_OFFSETS.copy()
 
 
-def corner_weights(dx_off: np.ndarray, dy_off: np.ndarray) -> np.ndarray:
+def corner_weights(dx_off: np.ndarray, dy_off: np.ndarray, corners=None) -> np.ndarray:
     """Cloud-in-Cell weights of the 4 corners for offsets in ``[0,1)``.
 
     Returns an ``(N, 4)`` array; rows sum to 1 exactly in exact
@@ -113,14 +113,18 @@ def corner_weights(dx_off: np.ndarray, dy_off: np.ndarray) -> np.ndarray:
     ``w[:, c]`` contiguous): NumPy's inner loop then runs over the
     particles instead of over 4 corners, which is ~7x faster, and the
     kernels consume the weights one corner column at a time anyway.
-    Elementwise, so the layout cannot change a bit of any weight.
+    Elementwise, so the layout cannot change a bit of any weight — and
+    neither can ``corners``, an index (list or slice) selecting which
+    corner columns to compute: the ``numpy-mp`` deposit hands each
+    worker a subset.
     """
     dx_off = np.asarray(dx_off, dtype=np.float64)
     dy_off = np.asarray(dy_off, dtype=np.float64)
-    corner = (4,) + (1,) * dx_off.ndim
-    w = (_CX.reshape(corner) + _SX.reshape(corner) * dx_off) * (
-        _CY.reshape(corner) + _SY.reshape(corner) * dy_off
+    sel = slice(None) if corners is None else corners
+    cx, sx, cy, sy = (
+        t[sel].reshape((-1,) + (1,) * dx_off.ndim) for t in (_CX, _SX, _CY, _SY)
     )
+    w = (cx + sx * dx_off) * (cy + sy * dy_off)
     return np.moveaxis(w, 0, -1)
 
 

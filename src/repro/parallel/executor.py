@@ -6,13 +6,16 @@ genuine OS processes:
 
 * a persistent :class:`WorkerPool` of ``multiprocessing`` processes,
   each attached lazily to the shared-memory arrays of
-  :mod:`repro.parallel.shm`;
+  :mod:`repro.parallel.shm`, each on its own pair of pipes; the parent
+  sleeps in one ``multiprocessing.connection.wait`` on the result
+  pipes and process sentinels until something happens;
 * a per-stepper :class:`ShmEngine` that partitions the three particle
   loops of Fig. 1 across the pool — gather/kick/push by particle
-  range, the charge deposit by **cell ownership** (each worker deposits
-  only particles whose cell falls in its contiguous cell range, into a
-  private slab, reduced in worker order) so the parallel ρ is
-  bitwise-identical to the serial NumPy deposit at any worker count;
+  range, the charge deposit by **corner ownership** (each worker folds
+  whole corner columns of ``rho_1d`` — cut into cell ranges only
+  beyond ``ncorner`` workers — into a private slab the parent adds) so
+  the parallel ρ is bitwise-identical to the serial NumPy deposit at
+  any worker count;
 * a :class:`MultiprocessBackend` registered as ``"numpy-mp"`` so the
   stepper, :class:`~repro.core.simulation.Simulation` and the CLI
   (``--backend numpy-mp --workers N``) drive it unchanged.
@@ -22,10 +25,11 @@ task timeout (``OptimizationConfig.mp_task_timeout``), and a serial
 degradation path — a crashed or hung worker is killed and respawned
 and its shards are recomputed in the parent, counted in
 :class:`~repro.perf.instrument.StepTimings` as ``fallbacks``.  The
-update-v/update-x loops write to *staging* arrays committed by the
-parent, so a worker dying mid-write never corrupts the inputs the
-serial retry reads; the deposit slabs are private and re-zeroed, so
-every retry is idempotent.
+update-v/update-x loops write to a *back buffer* the parent commits by
+exchanging array bindings (:meth:`SharedParticleStorage.flip`), so a
+worker dying mid-write never corrupts the inputs the serial retry
+reads; the deposit slab is private and re-zeroed, so every retry is
+idempotent.
 """
 
 from __future__ import annotations
@@ -33,9 +37,9 @@ from __future__ import annotations
 import atexit
 import logging
 import os
-import queue
 import time
 import traceback
+from multiprocessing.connection import wait
 
 import numpy as np
 
@@ -44,7 +48,7 @@ from repro.core.backends import NumpyBackend, register_backend
 from repro.curves.base import get_ordering
 from repro.parallel.partition import (
     PartitionPlanner,
-    partition_cells,
+    corner_tasks,
     partition_range,
 )
 from repro.parallel.shm import (
@@ -94,18 +98,15 @@ def _exec_interp(e_1d, icell, dx, dy, ex_p, ey_p, lo, hi):
 def _exec_kick(vx, vy, ex_p, ey_p, vx_new, vy_new, lo, hi, coef_x, coef_y):
     """Stage ``v + coef*E`` without touching ``v`` (crash-safe).
 
-    Mirrors :func:`repro.core.kernels.update_velocities` including its
-    ``coef == 1`` fast path, so the staged values are bitwise what the
-    in-place serial kick would produce.
+    :func:`repro.core.kernels.kick` — the in-place serial kick's own
+    body, ``coef == 1`` fast path included — writing block by block
+    straight into the staging slice, so the staged values are bitwise
+    what the serial kick would produce.
     """
-    if coef_x == 1.0:
-        vx_new[lo:hi] = vx[lo:hi] + ex_p[lo:hi]
-    else:
-        vx_new[lo:hi] = vx[lo:hi] + coef_x * ex_p[lo:hi]
-    if coef_y == 1.0:
-        vy_new[lo:hi] = vy[lo:hi] + ey_p[lo:hi]
-    else:
-        vy_new[lo:hi] = vy[lo:hi] + coef_y * ey_p[lo:hi]
+    for sl in _k.blocks(hi - lo):
+        sl = slice(lo + sl.start, lo + sl.stop)
+        _k.kick(vx[sl], ex_p[sl], coef_x, out=vx_new[sl])
+        _k.kick(vy[sl], ey_p[sl], coef_y, out=vy_new[sl])
 
 
 def _exec_push(arrs, lo, hi, ncx, ncy, ordering, variant, scale_x, scale_y):
@@ -128,120 +129,31 @@ def _exec_push(arrs, lo, hi, ncx, ncy, ordering, variant, scale_x, scale_y):
     )
 
 
-def _shard_deposit_numpy(slab_rows, icell, dx, dy, charge, cell_lo, cell_hi):
-    """NumPy shard deposit: flatnonzero-select the owned particles."""
-    sel = np.flatnonzero((icell >= cell_lo) & (icell < cell_hi))
-    if sel.size:
-        _k.accumulate_redundant(
-            slab_rows, icell[sel] - cell_lo, dx[sel], dy[sel], charge
-        )
+def _exec_deposit(slab, icell, offsets, groups, charge):
+    """Fold the owned ``(cell_lo, cell_hi, corners)`` groups into ``slab``.
 
-
-#: Resolved shard-deposit kernel (lazy; see :func:`_shard_deposit_kernel`).
-_SHARD_DEPOSIT = None
-
-
-def _shard_deposit_kernel():
-    """The shard-deposit kernel this process uses (resolved once).
-
-    Backend composition: when :mod:`repro.core.njit_kernels` imports
-    (i.e. :mod:`numba` is installed and working), ``numpy-mp`` worker
-    shards run the compiled
-    :func:`~repro.core.njit_kernels.accumulate_redundant_shard_njit`
-    loop instead of the NumPy bincount deposit — same cell-ownership
-    scheme, same ``w * charge`` particle-order arithmetic, so the two
-    kernels are bitwise interchangeable and a pool may freely mix them
-    (e.g. a parent whose serial retry resolves differently than a
-    worker).  A missing or broken numba install falls back to the
-    NumPy kernel silently (one debug log line).
-    """
-    global _SHARD_DEPOSIT
-    if _SHARD_DEPOSIT is None:
-        try:
-            from repro.core.njit_kernels import (
-                accumulate_redundant_shard_njit as kernel,
-            )
-        except Exception:
-            _log.debug("njit shard deposit unavailable", exc_info=True)
-            kernel = _shard_deposit_numpy
-        _SHARD_DEPOSIT = kernel
-    return _SHARD_DEPOSIT
-
-
-def _exec_deposit(slab, icell, dx, dy, cell_lo, cell_hi, charge):
-    """Deposit the owned cell range ``[cell_lo, cell_hi)`` into ``slab``.
-
-    The serial deposit's ``np.bincount`` sums each bin's contributions
-    in particle order; scanning (or selecting) the owned particles in
-    index order preserves that order, so every slab row holds
-    bitwise the terms the serial deposit would put in the matching
-    ``rho_1d`` row.  The slab is re-zeroed first, making retries
+    The one deposit op, 2D and 3D (two or three ``offsets``).  Each
+    group runs the serial kernel restricted to its corner columns
+    (:func:`repro.core.kernels.deposit_rows`): that corner's weights,
+    then one ``np.bincount`` over the particles in index order — the
+    serial deposit's own operations and order, hence its bits.  A range
+    spanning the grid takes the particle arrays as they are; a proper
+    sub-range selects its particles first (``flatnonzero`` keeps index
+    order).  The owned slab pieces are re-zeroed first, making retries
     idempotent.
     """
-    nrows = cell_hi - cell_lo
-    slab[:nrows] = 0.0
-    icell = np.asarray(icell, dtype=np.int64)
-    _shard_deposit_kernel()(
-        slab[:nrows],
-        icell,
-        np.asarray(dx, dtype=np.float64),
-        np.asarray(dy, dtype=np.float64),
-        float(charge),
-        int(cell_lo),
-        int(cell_hi),
-    )
-
-
-#: Resolved 3D shard-deposit kernel (lazy, same policy as 2D).
-_SHARD_DEPOSIT_3D = None
-
-
-def _shard_deposit_kernel_3d():
-    """The 3D shard-deposit kernel this process uses (resolved once).
-
-    Mirrors :func:`_shard_deposit_kernel`: the compiled
-    :func:`~repro.core.njit_kernels.accumulate_redundant_shard_3d_njit`
-    when :mod:`repro.core.njit_kernels` imports, else the NumPy
-    :func:`~repro.pic3d.kernels3d.accumulate_redundant_shard_3d`.  Both
-    multiply each corner weight as ``((wx*wy)*wz)*charge`` — the NumPy
-    deposit's association — so a pool may freely mix the two (parent
-    serial retries vs. worker shards) and stay bitwise consistent.
-    """
-    global _SHARD_DEPOSIT_3D
-    if _SHARD_DEPOSIT_3D is None:
-        try:
-            from repro.core.njit_kernels import (
-                accumulate_redundant_shard_3d_njit as kernel,
-            )
-        except Exception:
-            _log.debug("njit 3D shard deposit unavailable", exc_info=True)
-            from repro.pic3d.kernels3d import (
-                accumulate_redundant_shard_3d as kernel,
-            )
-        _SHARD_DEPOSIT_3D = kernel
-    return _SHARD_DEPOSIT_3D
-
-
-def _exec_deposit_3d(slab, icell, dx, dy, dz, cell_lo, cell_hi, charge):
-    """3D twin of :func:`_exec_deposit`: one owned cell range into a slab.
-
-    Same cell-ownership argument: the owned particles are selected in
-    index order, so each 8-corner slab row holds bitwise the terms the
-    serial whole-grid deposit would put in the matching ``rho_1d`` row.
-    Re-zeroing the live prefix first keeps retries idempotent.
-    """
-    nrows = cell_hi - cell_lo
-    slab[:nrows] = 0.0
-    _shard_deposit_kernel_3d()(
-        slab[:nrows],
-        np.asarray(icell, dtype=np.int64),
-        np.asarray(dx, dtype=np.float64),
-        np.asarray(dy, dtype=np.float64),
-        np.asarray(dz, dtype=np.float64),
-        float(charge),
-        int(cell_lo),
-        int(cell_hi),
-    )
+    if len(offsets) == 2:
+        accumulate = _k.accumulate_redundant
+    else:
+        from repro.pic3d.kernels3d import accumulate_redundant_3d as accumulate
+    for lo, hi, corners in groups:
+        slab[corners, lo:hi] = 0.0
+        keys, offs = icell, offsets
+        if (lo, hi) != (0, slab.shape[1]):
+            sel = np.flatnonzero((icell >= lo) & (icell < hi))
+            keys, offs = icell[sel] - lo, [o[sel] for o in offsets]
+        # slab is corner-major: .T is the (rows, ncorner) rho_1d shape
+        accumulate(slab.T[lo:hi], keys, *offs, charge, corners=corners)
 
 
 def _cached_ordering(spec, cache):
@@ -275,15 +187,11 @@ def _execute(op, msg, seg_cache, ordering_cache):
             arrs, msg["lo"], msg["hi"], msg["ncx"], msg["ncy"],
             ordering, msg["variant"], msg["scale_x"], msg["scale_y"],
         )
-    elif op == "deposit2d":
+    elif op == "deposit":
         _exec_deposit(
-            arrs["slab"], arrs["icell"], arrs["dx"], arrs["dy"],
-            msg["cell_lo"], msg["cell_hi"], msg["charge"],
-        )
-    elif op == "deposit3d":
-        _exec_deposit_3d(
-            arrs["slab"], arrs["icell"], arrs["dx"], arrs["dy"], arrs["dz"],
-            msg["cell_lo"], msg["cell_hi"], msg["charge"],
+            arrs["slab"], arrs["icell"],
+            [arrs[k] for k in ("dx", "dy", "dz") if k in arrs],
+            msg["groups"], msg["charge"],
         )
     elif op == "ping":
         pass
@@ -293,26 +201,29 @@ def _execute(op, msg, seg_cache, ordering_cache):
         raise KeyError(f"unknown worker op {op!r}")
 
 
-def _worker_main(wid, task_q, result_q):
+def _worker_main(wid, tasks, results):
     """Worker process loop: attach lazily, execute shards, report."""
     seg_cache: dict = {}
     ordering_cache: dict = {}
     while True:
-        msg = task_q.get()
+        try:
+            msg = tasks.recv()
+        except EOFError:  # parent gone
+            break
         if msg is None:
             break
         tid = msg["tid"]
         try:
             t0 = time.perf_counter()
             _execute(msg["op"], msg, seg_cache, ordering_cache)
-            result_q.put(("done", wid, tid, time.perf_counter() - t0))
+            results.send(("done", wid, tid, time.perf_counter() - t0))
         except Exception:
             # Truncate so the pickled message stays under PIPE_BUF and
             # the pipe write is a single atomic os.write — a SIGKILL can
             # then never leave a half-written result in the pipe.
             err = traceback.format_exc()[-2000:]
             try:
-                result_q.put(("error", wid, tid, err))
+                results.send(("error", wid, tid, err))
             except Exception:  # pragma: no cover - parent gone
                 break
     for seg, _arr in seg_cache.values():
@@ -326,20 +237,19 @@ def _worker_main(wid, task_q, result_q):
 # Worker pool
 # ----------------------------------------------------------------------
 class _Worker:
-    __slots__ = ("proc", "task_q", "result_q")
+    """The parent's handle on one worker: the process, the send end of
+    its task pipe and the receive end of its result pipe."""
 
-    def __init__(self, proc, task_q, result_q):
+    __slots__ = ("proc", "tasks", "results")
+
+    def __init__(self, proc, tasks, results):
         self.proc = proc
-        self.task_q = task_q
-        self.result_q = result_q
+        self.tasks = tasks
+        self.results = results
 
-    def close_queues(self) -> None:
-        for q_ in (self.task_q, self.result_q):
-            try:
-                q_.close()
-                q_.cancel_join_thread()
-            except Exception:  # pragma: no cover
-                pass
+    def close_pipes(self) -> None:
+        self.tasks.close()
+        self.results.close()
 
 
 class WorkerPool:
@@ -347,17 +257,17 @@ class WorkerPool:
 
     Shards are addressed to a specific worker (the engine's partitions
     are static, as in the paper's OpenMP scheme).  ``run_shards``
-    gathers results until done, a worker dies (detected by liveness
-    polling), or the timeout expires; dead or hung workers are killed
-    and respawned with fresh queues, and their shards are returned as
-    *failed* for the caller to retry serially.
+    sleeps in :func:`multiprocessing.connection.wait` on the busy
+    workers' result pipes and process sentinels until a result
+    arrives, a worker dies, or the timeout expires; dead or hung
+    workers are killed and respawned with fresh pipes, and their
+    shards are returned as *failed* for the caller to retry serially.
 
-    Each worker owns a **private** pair of queues.  A shared result
-    queue would let one SIGKILLed worker — dead while its queue feeder
-    thread holds the queue's cross-process write-lock — wedge every
-    other worker's result path permanently; with per-worker queues the
-    only lock a dying worker can orphan lives in queues that are
-    discarded when it is respawned.
+    Each worker owns a **private** pair of one-way pipes, written with
+    plain ``Connection.send`` — no queue feeder thread and no
+    cross-process lock, so a SIGKILLed worker can orphan nothing the
+    others depend on, and everything it held is discarded when it is
+    respawned.
     """
 
     def __init__(self, nworkers, timeout=60.0, start_method=None):
@@ -378,23 +288,27 @@ class WorkerPool:
         self._workers = [self._spawn(w) for w in range(self.nworkers)]
 
     def _spawn(self, wid) -> _Worker:
-        task_q = self._ctx.Queue()
-        result_q = self._ctx.Queue()
+        task_r, task_w = self._ctx.Pipe(duplex=False)
+        result_r, result_w = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(wid, task_q, result_q),
+            args=(wid, task_r, result_w),
             daemon=True,
             name=f"repro-shm-worker-{wid}",
         )
         proc.start()
-        return _Worker(proc, task_q, result_q)
+        # the worker's ends live in the worker only, so its death
+        # reads as EOF on the result pipe
+        task_r.close()
+        result_w.close()
+        return _Worker(proc, task_w, result_r)
 
     def _restart(self, wid) -> None:
         w = self._workers[wid]
         if w.proc.is_alive():
             w.proc.kill()
         w.proc.join(timeout=5.0)
-        w.close_queues()
+        w.close_pipes()
         self._workers[wid] = self._spawn(wid)
         self.restarts += 1
         _log.warning("worker %d restarted (total restarts: %d)", wid, self.restarts)
@@ -417,48 +331,56 @@ class WorkerPool:
             m = dict(msg)
             m["tid"] = self._tid
             pending[self._tid] = (wid, m)
-            self._workers[wid].task_q.put(m)
+            try:
+                self._workers[wid].tasks.send(m)
+            except OSError:
+                pass  # worker already dead: its sentinel fails the shard below
         deadline = time.monotonic() + timeout
-        grace_until = None
+        in_grace = False
         while pending:
-            res = None
-            for w in self._workers:
-                try:
-                    res = w.result_q.get_nowait()
+            busy = {wid for wid, _m in pending.values()}
+            sources = {}
+            for wid in busy:
+                w = self._workers[wid]
+                sources[w.results] = sources[w.proc.sentinel] = wid
+            ready = wait(list(sources), max(0.0, deadline - time.monotonic()))
+            if not ready:
+                if in_grace:
                     break
-                except queue.Empty:
+                # timeout: keep draining briefly so results already in
+                # flight still count as done, then give up
+                in_grace = True
+                deadline = time.monotonic() + 0.25
+                continue
+            dead: set[int] = set()
+            # results before sentinels: what a worker reported before
+            # it died still counts
+            for src in sorted(ready, key=lambda r: isinstance(r, int)):
+                wid = sources[src]
+                if wid in dead:
                     continue
-            now = time.monotonic()
-            if res is not None:
-                kind, wid, tid = res[0], res[1], res[2]
-                if 0 <= wid < self.nworkers:
-                    self.last_seen[wid] = now
+                if isinstance(src, int):
+                    if not self._workers[wid].results.poll():
+                        dead.add(wid)
+                    continue
+                try:
+                    kind, _wid, tid, payload = src.recv()
+                except (EOFError, OSError):
+                    dead.add(wid)
+                    continue
+                self.last_seen[wid] = time.monotonic()
                 entry = pending.pop(tid, None)
                 if entry is None:  # stale result from a pre-restart task
                     continue
                 if kind == "done":
-                    done.append((entry, res[3]))
+                    done.append((entry, payload))
                 else:
-                    _log.warning("worker %d task failed:\n%s", wid, res[3])
+                    _log.warning("worker %d task failed:\n%s", wid, payload)
                     failed.append(entry)
-                continue
-            time.sleep(0.002)
-            if grace_until is not None:
-                if now >= grace_until:
-                    break
-                continue
-            restarted: set[int] = set()
-            for tid in list(pending):
-                wid, _m = pending[tid]
-                if not self._workers[wid].proc.is_alive():
+            for wid in dead:
+                for tid in [t for t, (w_, _m) in pending.items() if w_ == wid]:
                     failed.append(pending.pop(tid))
-                    if wid not in restarted:
-                        restarted.add(wid)
-                        self._restart(wid)
-            if now >= deadline and pending:
-                # timeout: keep draining briefly so results already in
-                # flight still count as done, then give up
-                grace_until = now + 0.25
+                self._restart(wid)
         # anything still pending after the grace period is hung: kill
         # and respawn its worker so no failed shard is still executing
         for wid in {wid for wid, _m in pending.values()}:
@@ -489,29 +411,43 @@ class WorkerPool:
         self._closed = True
         for w in self._workers:
             try:
-                w.task_q.put_nowait(None)
-            except Exception:  # pragma: no cover
+                w.tasks.send(None)
+            except OSError:  # worker already dead
                 pass
         for w in self._workers:
             w.proc.join(timeout=1.0)
             if w.proc.is_alive():
                 w.proc.kill()
                 w.proc.join(timeout=1.0)
-            w.close_queues()
+            w.close_pipes()
 
 
 # ----------------------------------------------------------------------
 # The per-stepper engine
 # ----------------------------------------------------------------------
+def _initial_cuts(planner, icell):
+    """The planner's t=0 cell ranges; the histogram is only taken when
+    there is more than one range to balance."""
+    hist = None
+    if planner.nparts > 1:
+        hist = np.bincount(
+            np.asarray(icell, dtype=np.int64), minlength=planner.nalloc
+        )
+    return planner.initial(hist)
+
+
 class ShmEngine:
     """Drives one stepper's particle loops across the worker pool.
 
     Construction relocates the stepper's particle storage and redundant
     field arrays into shared memory (the stepper keeps using them
-    through the same attributes) and sets up both partitions: particle
+    through the same attributes), gives the stepper a shared back
+    buffer — staging for the kick/push commits *and* the out-of-place
+    sort's double buffer — and sets up both partitions: particle
     ranges for gather/kick/push (fixed for the engine's lifetime), and
-    cell ranges + private slabs for the deposit — cut from the t=0
-    particle histogram (~equal particles per worker) and re-cut by the
+    corner columns for the deposit.  Beyond ``ncorner`` workers the
+    columns are also cut into cell ranges, from the t=0 particle
+    histogram (~equal particles per range) and re-cut by the
     :class:`~repro.parallel.partition.PartitionPlanner` every
     ``repartition_every`` deposits when the measured load imbalance
     warrants it.  Each such check also records a data-movement sample
@@ -520,28 +456,24 @@ class ShmEngine:
     """
 
     def __init__(self, stepper, nworkers=None, task_timeout=None):
+        self._configure(stepper, nworkers, task_timeout)
         cfg = stepper.config
-        if nworkers is None:
-            nworkers = getattr(cfg, "workers", None) or os.cpu_count() or 1
-        self.nworkers = max(1, int(nworkers))
-        if task_timeout is None:
-            task_timeout = getattr(cfg, "mp_task_timeout", 60.0)
-        self.task_timeout = float(task_timeout)
-
-        self.arena = SharedArena()
-        stepper.particles = SharedParticleStorage.from_storage(
+        # rebind before allocating the back buffer: the plain storage
+        # is released first, so the two never add to the peak footprint
+        stepper.particles = front = SharedParticleStorage.from_storage(
             stepper.particles, self.arena
         )
-        stepper._sort_buffer = None
-        nalloc = int(stepper.fields.rho_1d.shape[0])
-        self.planner = PartitionPlanner(nalloc=nalloc, nparts=self.nworkers)
-        hist0 = np.bincount(
-            np.asarray(stepper.particles.icell, dtype=np.int64),
-            minlength=nalloc,
+        stepper._sort_buffer = front.clone_empty()
+        #: commits exchange array bindings between the stepper's
+        #: ``particles`` (front) and ``_sort_buffer`` (back), whichever
+        #: storage object currently plays which role
+        self._stepper = stepper
+        nalloc, ncorner = stepper.fields.rho_1d.shape
+        self.planner = PartitionPlanner(
+            nalloc=nalloc, nparts=-(-self.nworkers // ncorner)
         )
         self.grid_shared = SharedGrid(
-            stepper.fields, self.nworkers, self.arena,
-            cell_ranges=self.planner.initial(hist0),
+            stepper.fields, self.arena, _initial_cuts(self.planner, front.icell)
         )
         self.ordering = stepper.ordering
         self._ordering_spec = (
@@ -550,25 +482,25 @@ class ShmEngine:
             stepper.grid.ncy,
             tuple(sorted(cfg.ordering_kwargs.items())),
         )
-        self.instrumentation = stepper.instrumentation
-        self.n = stepper.particles.n
-        self.store_coords = stepper.particles.store_coords
+        self.n = front.n
         self.particle_ranges = partition_range(self.n, self.nworkers)
+        # per-particle gather targets
+        self.ex_p = self.arena.alloc(self.n)
+        self.ey_p = self.arena.alloc(self.n)
+        self._start_pool()
 
-        # per-particle scratch: gather targets + staging for the
-        # update-v / update-x commits
-        a = self.arena
-        self.ex_p = a.alloc(self.n)
-        self.ey_p = a.alloc(self.n)
-        self._vx_new = a.alloc(self.n)
-        self._vy_new = a.alloc(self.n)
-        self._icell_new = a.alloc(self.n, dtype=np.int64)
-        self._dx_new = a.alloc(self.n)
-        self._dy_new = a.alloc(self.n)
-        if self.store_coords:
-            self._ix_new = a.alloc(self.n, dtype=np.int64)
-            self._iy_new = a.alloc(self.n, dtype=np.int64)
+    def _configure(self, stepper, nworkers, task_timeout) -> None:
+        cfg = stepper.config
+        if nworkers is None:
+            nworkers = getattr(cfg, "workers", None) or os.cpu_count() or 1
+        self.nworkers = max(1, int(nworkers))
+        if task_timeout is None:
+            task_timeout = getattr(cfg, "mp_task_timeout", 60.0)
+        self.task_timeout = float(task_timeout)
+        self.instrumentation = stepper.instrumentation
+        self.arena = SharedArena()
 
+    def _start_pool(self) -> None:
         self.pool = WorkerPool(self.nworkers, timeout=self.task_timeout)
         #: consecutive dispatches in which *every* shard failed; at
         #: ``max_failure_streak`` the engine declares itself
@@ -650,34 +582,42 @@ class ShmEngine:
             )
         return self.ex_p, self.ey_p
 
-    def update_velocities(self, vx, vy, ex_p, ey_p, coef_x, coef_y):
+    def front_back(self, particles=None, **live):
+        """``(front, back)`` storages for a commit, or ``None``.
+
+        The front is the stepper's current ``particles``; the answer
+        is ``None`` unless the caller passed that storage, or arrays
+        that *are* its live ones (``vx=..., vy=...``) — anything else
+        runs the inherited in-place kernel on the caller's arrays.
+        """
+        front, back = self._stepper.particles, self._stepper._sort_buffer
+        if particles is front or (live and all(
+            getattr(front, "_" + key) is arr for key, arr in live.items()
+        )):
+            return front, back
+        return None
+
+    def update_velocities(self, stores, ex_p, ey_p, coef_x, coef_y):
+        front, back = stores
+        arrays = {  # in _exec_kick's argument order
+            "vx": front.vx, "vy": front.vy, "ex_p": ex_p, "ey_p": ey_p,
+            "vx_new": back.vx, "vy_new": back.vy,
+        }
         shards = self._particle_shards(
-            "kick2d",
-            {"vx": vx, "vy": vy, "ex_p": ex_p, "ey_p": ey_p,
-             "vx_new": self._vx_new, "vy_new": self._vy_new},
-            coef_x=float(coef_x), coef_y=float(coef_y),
+            "kick2d", arrays, coef_x=float(coef_x), coef_y=float(coef_y),
         )
         for _wid, msg in self._dispatch("update_v", shards):
             _exec_kick(
-                vx, vy, ex_p, ey_p, self._vx_new, self._vy_new,
-                msg["lo"], msg["hi"], float(coef_x), float(coef_y),
+                *arrays.values(), msg["lo"], msg["hi"],
+                float(coef_x), float(coef_y),
             )
-        # parent-side commit of the staged kick (plain memcpy)
-        vx[:] = self._vx_new
-        vy[:] = self._vy_new
+        front.flip(back, ("vx", "vy"))
 
-    def push_positions(self, particles, ncx, ncy, variant, scale_x, scale_y):
-        arrays = {
-            "icell": particles.icell, "dx": particles.dx, "dy": particles.dy,
-            "vx": particles.vx, "vy": particles.vy,
-            "icell_new": self._icell_new,
-            "dx_new": self._dx_new, "dy_new": self._dy_new,
-        }
-        if self.store_coords:
-            arrays.update(
-                ix=particles.ix, iy=particles.iy,
-                ix_new=self._ix_new, iy_new=self._iy_new,
-            )
+    def push_positions(self, stores, ncx, ncy, variant, scale_x, scale_y):
+        front, back = stores
+        arrays = front.views()
+        staged = [key for key in arrays if key not in ("vx", "vy")]
+        arrays.update((key + "_new", getattr(back, key)) for key in staged)
         shards = self._particle_shards(
             "push2d", arrays,
             ncx=int(ncx), ncy=int(ncy), variant=variant,
@@ -689,12 +629,7 @@ class ShmEngine:
                 arrays, msg["lo"], msg["hi"], int(ncx), int(ncy),
                 self.ordering, variant, float(scale_x), float(scale_y),
             )
-        particles.icell[:] = self._icell_new
-        particles.dx[:] = self._dx_new
-        particles.dy[:] = self._dy_new
-        if self.store_coords:
-            particles.ix[:] = self._ix_new
-            particles.iy[:] = self._iy_new
+        front.flip(back, staged)
 
     def accumulate_redundant(self, icell, dx, dy, charge):
         gs = self.grid_shared
@@ -711,26 +646,25 @@ class ShmEngine:
             gs.set_cell_ranges(new_ranges)
         if hist is not None:
             self._record_datamove(hist)
-        specs_base = self._spec(icell=icell, dx=dx, dy=dy)
-        shards = []
-        active = []
-        for wid, cr in enumerate(gs.cell_ranges):
-            if cr.stop <= cr.start:
-                continue
-            active.append(wid)
-            specs = dict(specs_base)
-            specs["slab"] = self.arena.spec_for(gs.slabs[wid])
-            shards.append((wid, {
-                "op": "deposit2d", "cell_lo": cr.start, "cell_hi": cr.stop,
-                "charge": float(charge), "arrays": specs,
-            }))
-        failed = self._dispatch("accumulate", shards)
-        for wid, msg in failed:
-            _exec_deposit(
-                gs.slabs[wid], icell, dx, dy,
-                msg["cell_lo"], msg["cell_hi"], float(charge),
+        self._deposit(gs.rho_1d, gs.slab, gs.cell_ranges, icell, (dx, dy), charge)
+
+    def _deposit(self, rho_1d, slab, cell_ranges, icell, offsets, charge):
+        """Corner-owned deposit into ``rho_1d`` (2D and 3D engines)."""
+        specs = self._spec(
+            slab=slab, icell=icell, **dict(zip(("dx", "dy", "dz"), offsets))
+        )
+        shards = [
+            (wid, {"op": "deposit", "groups": groups, "charge": float(charge),
+                   "arrays": specs})
+            for wid, groups in enumerate(
+                corner_tasks(cell_ranges, slab.shape[0], self.nworkers)
             )
-        gs.reduce_slabs(active)
+            if groups
+        ]
+        for _wid, msg in self._dispatch("accumulate", shards):
+            _exec_deposit(slab, icell, offsets, msg["groups"], float(charge))
+        # the tasks tile the slab, so one add is the whole reduction
+        rho_1d += slab.T
 
     def _record_datamove(self, hist) -> None:
         """Sample the deposit's measured data movement into the timings."""
@@ -783,89 +717,54 @@ class ShmEngine3D:
 
     The 3D stepper keeps its particles as a plain dict of arrays and
     its gather/kick/push loops are cheap NumPy sweeps; the deposit is
-    the phase worth fanning out (and the one whose bitwise promise the
-    cell-ownership scheme buys).  Construction relocates the deposit's
+    the phase worth fanning out (and the one whose bitwise promise
+    corner ownership buys).  Construction relocates the deposit's
     input arrays — ``icell, dx, dy, dz`` — into shared memory by
     rebinding the dict keys once; every later stepper write goes
     *through* those arrays (``arr[:] = ...`` discipline in the 3D
     kernels and sort), so workers always see current state without any
-    per-step copying.  Private ``(nalloc, 8)`` slabs per worker, static
-    cell cuts from :func:`~repro.parallel.partition.partition_cells` on
-    the t=0 particle histogram, parent-side reduce in worker order:
-    bitwise-identical to the serial deposit at any worker count, same
-    argument as 2D.
+    per-step copying.  The deposit is :meth:`ShmEngine._deposit` on an
+    ``(8, nalloc)`` slab: whole corner columns up to 8 workers, beyond
+    that static cell cuts from
+    :func:`~repro.parallel.partition.partition_cells` on the t=0
+    particle histogram.
 
     ``rho_1d`` itself stays in parent memory — only the parent reduces
     into it, so it never needs to cross a process boundary.
     """
 
     def __init__(self, stepper, nworkers=None, task_timeout=None):
-        cfg = stepper.config
-        if nworkers is None:
-            nworkers = getattr(cfg, "workers", None) or os.cpu_count() or 1
-        self.nworkers = max(1, int(nworkers))
-        if task_timeout is None:
-            task_timeout = getattr(cfg, "mp_task_timeout", 60.0)
-        self.task_timeout = float(task_timeout)
-
-        self.arena = SharedArena()
+        self._configure(stepper, nworkers, task_timeout)
         p = stepper.particles
         for key in ("icell", "dx", "dy", "dz"):
             p[key] = self.arena.share_copy(np.asarray(p[key]))
-        self.icell = p["icell"]
-        self.n = int(self.icell.shape[0])
+        self.n = int(p["icell"].shape[0])
         self.rho_target = stepper.fields.rho_1d
-        nalloc = int(self.rho_target.shape[0])
-        self.nalloc = nalloc
-
-        hist0 = np.bincount(
-            np.asarray(self.icell, dtype=np.int64), minlength=nalloc
+        nalloc, ncorner = self.rho_target.shape
+        self.cell_ranges = _initial_cuts(
+            PartitionPlanner(nalloc=nalloc, nparts=-(-self.nworkers // ncorner)),
+            p["icell"],
         )
-        self.cell_ranges = partition_cells(nalloc, self.nworkers, hist0)
-        self.slabs = [
-            self.arena.alloc((nalloc, 8)) for _ in range(self.nworkers)
-        ]
-        self.instrumentation = stepper.instrumentation
-        self.pool = WorkerPool(self.nworkers, timeout=self.task_timeout)
-        self.max_failure_streak = 3
-        self._failure_streak = 0
-        self.unrecoverable = False
-        self._closed = False
-        _LIVE_ENGINES.append(self)
-        atexit.register(self.close)
+        self.slab = self.arena.alloc((ncorner, nalloc))
+        self._start_pool()
 
-    # the dispatch/retry policy, helpers and shutdown are
+    # set-up, the dispatch/retry policy, the deposit and shutdown are
     # dimension-agnostic; borrow them from the 2D engine rather than
     # duplicating the logic
+    _configure = ShmEngine._configure
+    _start_pool = ShmEngine._start_pool
     _spec = ShmEngine._spec
     _dispatch = ShmEngine._dispatch
+    _deposit = ShmEngine._deposit
     ping = ShmEngine.ping
     fallbacks = ShmEngine.fallbacks
     close = ShmEngine.close
 
     def accumulate_redundant_3d(self, icell, dx, dy, dz, charge) -> None:
-        """Cell-ownership deposit into the stepper's ``rho_1d``."""
-        specs_base = self._spec(icell=icell, dx=dx, dy=dy, dz=dz)
-        shards, active = [], []
-        for wid, cr in enumerate(self.cell_ranges):
-            if cr.stop <= cr.start:
-                continue
-            active.append(wid)
-            specs = dict(specs_base)
-            specs["slab"] = self.arena.spec_for(self.slabs[wid])
-            shards.append((wid, {
-                "op": "deposit3d", "cell_lo": cr.start, "cell_hi": cr.stop,
-                "charge": float(charge), "arrays": specs,
-            }))
-        failed = self._dispatch("accumulate", shards)
-        for wid, msg in failed:
-            _exec_deposit_3d(
-                self.slabs[wid], icell, dx, dy, dz,
-                msg["cell_lo"], msg["cell_hi"], float(charge),
-            )
-        for wid in sorted(active):
-            cr = self.cell_ranges[wid]
-            self.rho_target[cr] += self.slabs[wid][: cr.stop - cr.start]
+        """Corner-owned deposit into the stepper's ``rho_1d``."""
+        self._deposit(
+            self.rho_target, self.slab, self.cell_ranges, icell, (dx, dy, dz), charge
+        )
 
 
 def _engine_owning(*arrays):
@@ -985,9 +884,10 @@ class MultiprocessBackend(NumpyBackend):
 
     def update_velocities(self, vx, vy, ex_p, ey_p, coef_x=1.0, coef_y=1.0):
         eng = _engine_owning(vx, vy, ex_p, ey_p)
-        if eng is None or len(vx) != eng.n:
+        stores = eng.front_back(vx=vx, vy=vy) if eng is not None else None
+        if stores is None:
             return _k.update_velocities(vx, vy, ex_p, ey_p, coef_x, coef_y)
-        eng.update_velocities(vx, vy, ex_p, ey_p, coef_x, coef_y)
+        eng.update_velocities(stores, ex_p, ey_p, coef_x, coef_y)
 
     def accumulate_redundant(self, rho_1d, icell, dx, dy, charge=1.0):
         eng = _engine_owning(rho_1d, icell, dx, dy)
@@ -1014,18 +914,10 @@ class MultiprocessBackend(NumpyBackend):
     def push_positions(
         self, particles, ncx, ncy, ordering, variant, scale_x=1.0, scale_y=1.0
     ):
-        try:
-            arrays = [
-                particles.icell, particles.dx, particles.dy,
-                particles.vx, particles.vy,
-            ]
-            if particles.store_coords:
-                arrays += [particles.ix, particles.iy]
-        except AttributeError:  # pragma: no cover - exotic storages
-            arrays = None
-        eng = _engine_owning(*arrays) if arrays else None
-        if eng is None or ordering is not eng.ordering or particles.n != eng.n:
+        eng = _engine_owning(particles.icell)
+        stores = eng.front_back(particles) if eng is not None else None
+        if stores is None or ordering is not eng.ordering:
             return super().push_positions(
                 particles, ncx, ncy, ordering, variant, scale_x, scale_y
             )
-        eng.push_positions(particles, ncx, ncy, variant, scale_x, scale_y)
+        eng.push_positions(stores, ncx, ncy, variant, scale_x, scale_y)

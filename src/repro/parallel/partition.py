@@ -1,29 +1,38 @@
-"""Histogram-balanced cell partitioning for the parallel deposit.
+"""Ownership of the parallel deposit: corner columns, then cell ranges.
 
-The §V-B deposit gives each worker a *contiguous range of cell rows* of
-the redundant ``rho_1d[ncell][4]`` array; since ``icell`` **is** the
-index along the active space-filling curve, every contiguous range is
-automatically a contiguous curve segment — a compact spatial region
-under Morton/Hilbert orderings.  What an equal-cell split ignores is
-the particle *histogram*: once an instability clumps the plasma, one
-worker's cells can hold most of the particles while the others idle.
-Walker & Skjellum (arXiv 2307.07828) make exactly this point for
-SFC-segment partitioning: the curve supplies locality, the weights
-must supply balance.
+Every column ``rho_1d[:, c]`` of the redundant ``rho_1d[ncell][ncorner]``
+array is an independent reduction (Vincenti et al., arXiv 1601.02056,
+make the same observation for their vertex-structured ρ), so the
+§V-B deposit's first unit of ownership is the **corner**: a worker that
+owns a column computes that corner's weight for every particle and
+folds it with one whole-population ``np.bincount`` — no particle
+selection, and a load that is equal whatever the plasma does.  Up to
+``ncorner`` workers that is the whole scheme.
+
+Beyond ``ncorner`` workers each column is also cut into contiguous
+*cell ranges*; since ``icell`` **is** the index along the active
+space-filling curve, every range is a contiguous curve segment — a
+compact spatial region under Morton/Hilbert orderings.  What an
+equal-cell split ignores is the particle *histogram*: once an
+instability clumps the plasma, one range can hold most of the
+particles.  Walker & Skjellum (arXiv 2307.07828) make exactly this
+point for SFC-segment partitioning: the curve supplies locality, the
+weights must supply balance.
 
 So there is one cut rule: :func:`partition_cells` places the cuts from
-the per-cell particle histogram so every worker owns ~equal
+the per-cell particle histogram so every range holds ~equal
 *particles* (prefix-sum + searchsorted along the curve).  Without a
 histogram — or on an empty one — it degenerates to equal cell counts,
 which is also what the balanced cut converges to on a uniform plasma.
 :func:`partition_range` is that equal-count split on its own, used for
-the particle ranges of gather/kick/push.
+the particle ranges of gather/kick/push.  :func:`corner_tasks` deals
+the ``(cell range, corner)`` tasks to the workers.
 
 Every partition is a list of disjoint contiguous ranges covering
 ``[0, nalloc)`` with any empty ranges trailing — the invariant the
-bitwise promise of the cell-ownership deposit rests on (each ``rho``
-row has exactly one owner, each owner deposits its particles in global
-particle order).  :class:`PartitionPlanner` adds cheap every-K-step
+bitwise promise of the deposit rests on (each ``rho`` element has
+exactly one owner, each owner folds its particles in global particle
+order).  :class:`PartitionPlanner` adds cheap every-K-step
 repartitioning with hysteresis: ranges move only when the measured
 load imbalance exceeds a threshold, so a quiescent plasma never pays
 repartition churn.
@@ -38,6 +47,7 @@ import numpy as np
 __all__ = [
     "partition_range",
     "partition_cells",
+    "corner_tasks",
     "balance_ratio",
     "PartitionPlanner",
 ]
@@ -101,7 +111,7 @@ def partition_cells(nalloc: int, nparts: int, histogram=None) -> list[slice]:
     interleaved), and is deterministic — the same inputs always
     produce the identical partition, so runs are reproducible.
     Because ``rho_1d`` rows are already in curve order, *any* such
-    partition preserves the cell-ownership deposit's bitwise
+    partition preserves the deposit's bitwise
     equivalence to the serial deposit: the cuts move work between
     workers, never change what is summed into a row or in which
     order.  Thread-safety: pure function of its arguments (no shared
@@ -118,6 +128,29 @@ def partition_cells(nalloc: int, nparts: int, histogram=None) -> list[slice]:
                 slice(int(bounds[t]), int(bounds[t + 1])) for t in range(nparts)
             ]
     return partition_range(nalloc, nparts)
+
+
+def corner_tasks(cell_ranges, ncorner: int, nparts: int) -> list[list[tuple]]:
+    """Deal the deposit's ``(cell range, corner)`` tasks round-robin.
+
+    Returns, per worker, its ``(cell_lo, cell_hi, corners)`` groups —
+    the corners it owns of each non-empty range.  With one range and
+    ``nparts`` dividing ``ncorner`` every worker gets the same number
+    of whole columns, i.e. the same work at any particle density.
+    Every task is dealt to exactly one worker, so each ``rho`` element
+    keeps a single owner and the deposit stays bitwise-identical to
+    the serial one however the deal falls.  Deterministic and pure
+    (no shared state): safe to call from any thread or process.
+    """
+    owned: list[dict] = [{} for _ in range(nparts)]
+    tasks = (
+        (cr.start, cr.stop, c)
+        for cr in cell_ranges if cr.stop > cr.start
+        for c in range(ncorner)
+    )
+    for k, (lo, hi, c) in enumerate(tasks):
+        owned[k % nparts].setdefault((lo, hi), []).append(c)
+    return [[(lo, hi, cs) for (lo, hi), cs in g.items()] for g in owned]
 
 
 def balance_ratio(ranges, histogram) -> float:
@@ -147,8 +180,8 @@ def balance_ratio(ranges, histogram) -> float:
 class PartitionPlanner:
     """Every-K-step, hysteresis-guarded repartitioning policy.
 
-    Owns the current partition of ``nalloc`` cell rows over ``nparts``
-    workers and decides, from the per-cell particle histogram the
+    Owns the current partition of ``nalloc`` cell rows into ``nparts``
+    ranges and decides, from the per-cell particle histogram the
     deposit path already has, when to move the cuts:
 
     * only every ``repartition_every`` deposit calls (0 freezes the
@@ -189,8 +222,8 @@ class PartitionPlanner:
         """Whether the *next* :meth:`maybe_repartition` call will look
         at a histogram (lets the caller skip the bincount entirely on
         off-steps)."""
-        if self.repartition_every <= 0:
-            return False
+        if self.repartition_every <= 0 or self.nparts < 2:
+            return False  # a single range has no cut to move
         return (self.calls + 1) % self.repartition_every == 0
 
     def maybe_repartition(self, histogram=None) -> list[slice] | None:

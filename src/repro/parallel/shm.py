@@ -16,20 +16,21 @@ Three pieces:
   identity so the engine can recognise "its" arrays when the stepper
   passes them back into kernel calls.
 * :class:`SharedParticleStorage` — a :class:`ParticleSoA` whose
-  attribute arrays live in an arena.  ``clone_empty`` allocates the
-  out-of-place sort's double buffer from the *same* arena, so the
-  stepper's buffer swap keeps both storages visible to the workers.
+  attribute arrays live in an arena.  The engine keeps two of them, a
+  front (the stepper's ``particles``) and a back buffer: workers write
+  kick/push results into the back arrays and the parent commits by
+  :meth:`~SharedParticleStorage.flip` — exchanging the two storages'
+  array bindings, O(1), no copy.  The same back buffer is the
+  out-of-place sort's double buffer.
 * :class:`SharedGrid` — moves a :class:`RedundantFields`' ``rho_1d`` /
-  ``e_1d`` into the arena and adds one private deposit slab per worker
-  plus the cell-range partition that makes the parallel deposit
-  bitwise-deterministic: worker ``w`` owns the contiguous cell rows
-  ``cell_ranges[w]`` and deposits only particles whose cell falls
-  inside them, in particle order — exactly the terms the serial
-  ``np.bincount`` deposit would put in those rows.  The slabs are
-  allocated at full grid capacity, so ownership is *recomputable*:
-  :meth:`SharedGrid.set_cell_ranges` moves the cuts between steps
-  (the histogram-balanced partitions of
-  :mod:`repro.parallel.partition`) without touching the arena.
+  ``e_1d`` into the arena and adds the deposit's private target: one
+  corner-major ``(ncorner, nalloc)`` slab.  A deposit task owns one
+  corner (one slab row) over one cell range and folds the particles
+  there in particle order — exactly the terms the serial
+  ``np.bincount`` deposit puts in that part of that ``rho_1d`` column
+  (:mod:`repro.parallel.partition`).  The slab spans the whole grid,
+  so :meth:`SharedGrid.set_cell_ranges` can move the cuts between
+  steps without touching the arena.
 
 Workers attach to segments lazily by name via :func:`attach_array`;
 the attach path neutralises the ``resource_tracker`` so only the
@@ -46,7 +47,6 @@ from multiprocessing import resource_tracker, shared_memory
 import numpy as np
 
 from repro.grid.fields import RedundantFields
-from repro.parallel.partition import partition_range
 from repro.particles.storage import ParticleSoA
 
 __all__ = [
@@ -185,9 +185,8 @@ class SharedParticleStorage(ParticleSoA):
 
     Behaviourally identical to the plain SoA storage (same properties,
     same ``reorder``); only the allocation differs, so the stepper and
-    all kernels are none the wiser.  ``clone_empty`` — used by the
-    out-of-place sort for its double buffer — allocates from the same
-    arena, keeping the swapped-in storage shareable.
+    all kernels are none the wiser.  ``clone_empty`` allocates from the
+    same arena, keeping a swapped-in storage shareable.
     """
 
     def __init__(self, n, weight=1.0, store_coords=True, *, arena: SharedArena):
@@ -209,6 +208,21 @@ class SharedParticleStorage(ParticleSoA):
             self.n, self.weight, self.store_coords, arena=self._arena
         )
 
+    def flip(self, other: "SharedParticleStorage", names) -> None:
+        """Exchange the named attribute arrays with ``other``.
+
+        The engine's commit: ``other`` holds the staged results, and
+        after the flip they are this storage's live arrays while the
+        superseded ones become the next phase's staging.  Anything
+        that kept a reference to an old live array now looks at
+        staging memory — read attributes through the storage.
+        """
+        for name in names:
+            key = "_" + name
+            mine, theirs = getattr(self, key), getattr(other, key)
+            setattr(self, key, theirs)
+            setattr(other, key, mine)
+
     @classmethod
     def from_storage(cls, src, arena: SharedArena) -> "SharedParticleStorage":
         """Copy an existing storage's state into a shared one."""
@@ -221,66 +235,43 @@ class SharedParticleStorage(ParticleSoA):
 
 
 class SharedGrid:
-    """Shared redundant field storage plus per-worker deposit slabs.
+    """Shared redundant field storage plus the deposit's private slab.
 
     Moves ``fields.rho_1d`` / ``fields.e_1d`` into the arena (the
     :class:`RedundantFields` instance adopts the shared arrays in
     place, so every stepper-side read and the Poisson fold see them),
-    and holds the deposit partition:
+    and holds the deposit's target and cuts:
 
-    * ``cell_ranges[w]`` — the contiguous slice of cell rows worker
-      ``w`` currently owns (any disjoint contiguous cover of
-      ``ncells_allocated``; defaults to the equal-cell split);
-    * ``slabs[w]`` — worker ``w``'s private ``(nalloc, 4)`` deposit
-      target, written by the worker and added into
-      ``rho_1d[cell_ranges[w]]`` by the parent in worker order.
+    * ``slab`` — corner-major ``(ncorner, nalloc)``; task ``(c, range)``
+      zeroes and fills ``slab[c, range]``, and the parent adds the
+      whole slab into ``rho_1d`` once every task is in;
+    * ``cell_ranges`` — the contiguous cell ranges each column is cut
+      into (any disjoint contiguous cover of ``nalloc``; one range
+      spanning the grid until there are more workers than corners).
 
-    Slabs are sized to the *full* grid rather than the current range,
-    so :meth:`set_cell_ranges` can move ownership between steps (the
-    load-balanced partitions of :mod:`repro.parallel.partition`)
-    without reallocating shared segments mid-run — workers attach to a
-    segment once and only ever use its ``[:range_len]`` prefix.
-
-    Because the ranges are disjoint and each slab row receives exactly
+    Every ``slab`` element has one owning task, which folds exactly
     the bincount terms the serial deposit would put in the matching
-    ``rho_1d`` row (same particles, same order), the reduction is
-    bitwise-identical to the serial deposit at any worker count and
-    for any partition.
+    ``rho_1d`` element (same particles, same order), so the reduction
+    is bitwise-identical to the serial deposit at any worker count and
+    for any cuts.
     """
 
-    def __init__(
-        self,
-        fields: RedundantFields,
-        nworkers: int,
-        arena: SharedArena,
-        cell_ranges=None,
-    ):
+    def __init__(self, fields: RedundantFields, arena: SharedArena, cell_ranges):
         if fields.layout != "redundant":
             raise ValueError("SharedGrid requires the redundant field layout")
         self.fields = fields
         self.arena = arena
-        self.nworkers = int(nworkers)
-        self.nalloc = int(fields.rho_1d.shape[0])
+        self.nalloc, ncorner = (int(s) for s in fields.rho_1d.shape)
         self.rho_1d = arena.share_copy(fields.rho_1d)
         self.e_1d = arena.share_copy(fields.e_1d)
         fields.adopt_arrays(self.rho_1d, self.e_1d)
-        self.slabs = [
-            arena.alloc((self.nalloc, 4)) for _ in range(self.nworkers)
-        ]
-        self.set_cell_ranges(
-            cell_ranges
-            if cell_ranges is not None
-            else partition_range(self.nalloc, self.nworkers)
-        )
+        self.slab = arena.alloc((ncorner, self.nalloc))
+        self.set_cell_ranges(cell_ranges)
 
     def set_cell_ranges(self, ranges) -> None:
-        """Adopt a new ownership partition (validated, effective at the
-        next deposit — the full-capacity slabs need no reallocation)."""
+        """Adopt new cuts (validated, effective at the next deposit —
+        the full-grid slab needs no reallocation)."""
         ranges = list(ranges)
-        if len(ranges) != self.nworkers:
-            raise ValueError(
-                f"expected {self.nworkers} ranges, got {len(ranges)}"
-            )
         pos = 0
         for sl in ranges:
             if sl.start != pos or sl.stop < sl.start:
@@ -289,10 +280,3 @@ class SharedGrid:
         if pos != self.nalloc:
             raise ValueError(f"ranges must cover all {self.nalloc} cell rows")
         self.cell_ranges = ranges
-
-    def reduce_slabs(self, worker_ids) -> None:
-        """Add the given workers' slabs into ``rho_1d`` (disjoint rows)."""
-        for w in sorted(worker_ids):
-            sl = self.cell_ranges[w]
-            if sl.stop > sl.start:
-                self.rho_1d[sl] += self.slabs[w][: sl.stop - sl.start]

@@ -6,11 +6,11 @@ accounting of what the ``numpy-mp`` deposit actually moves on the
 host, and a fitting routine that pulls the cost model's free stall
 parameters toward real wall-clock measurements:
 
-* :func:`deposit_movement` — for one partition + per-cell histogram,
-  the per-worker traffic ledger: particles owned, cell rows owned,
-  bytes touched (key scan + attribute reads + slab/row traffic), and —
-  when the active curve ordering is supplied — the spatial compactness
-  of each worker's rho region (bounding-box span and pairwise
+* :func:`deposit_movement` — for one set of cell cuts + per-cell
+  histogram, the per-range traffic ledger: particles owned, cell rows
+  owned, bytes touched (key scan + attribute reads + slab traffic),
+  and — when the active curve ordering is supplied — the spatial
+  compactness of each range's rho region (bounding-box span and pairwise
   bounding-box overlap, the quantities Walker & Skjellum's SFC-segment
   argument is about).
 * :func:`rusage_sample` — a :mod:`resource` counter snapshot (page
@@ -50,6 +50,7 @@ DEFAULT_CALIBRATION_MISSES = {
 }
 
 _FLOAT = 8  # bytes per float64 / int64 element
+_NCORNER = 4  # column tasks per cell range (the 2D engine samples this)
 
 
 def deposit_movement(
@@ -58,19 +59,22 @@ def deposit_movement(
     *,
     ordering=None,
 ) -> dict:
-    """Per-worker bytes-touched / span / overlap ledger for one deposit.
+    """Per-range bytes-touched / span / overlap ledger for one deposit.
 
-    ``cell_ranges`` is the ownership partition (slices over the
+    ``cell_ranges`` are the deposit's cell cuts (slices over the
     allocated cell rows), ``histogram`` the per-cell particle counts
-    of the step.  Per worker the ledger prices the cell-ownership
-    scheme's real traffic: one full key scan (every worker reads every
-    ``icell``), the owned particles' ``dx``/``dy`` reads and slab-row
-    read+write, and the parent-side reduction of its cell rows.  With
+    of the step.  Each range is served by one task per corner column,
+    and the ledger (one ``per_worker`` entry per range — the name
+    predates corner ownership) prices their real traffic: with more
+    than one range, a full key scan per task to select its particles;
+    the owned particles' key, ``dx``/``dy`` reads and weight
+    write+read; and the slab-column write plus the parent-side
+    reduction of its cells.  With
     ``ordering`` given (a :class:`repro.curves.base.CellOrdering`),
-    each worker's occupied cells are decoded to grid coordinates and
+    each range's occupied cells are decoded to grid coordinates and
     summarized as a bounding box: ``span_ratio`` (bbox area / occupied
     cells, 1.0 = perfectly compact) and the total pairwise bbox
-    ``overlap_cells`` across workers — small, compact, disjoint
+    ``overlap_cells`` across ranges — small, compact, disjoint
     regions are exactly what curve-segment partitioning buys.
 
     Pure measurement: deterministic in its inputs, touches no shared
@@ -89,11 +93,10 @@ def deposit_movement(
         lo, hi = max(0, sl.start), min(nalloc, sl.stop)
         owned = int(prefix[hi] - prefix[lo]) if hi > lo else 0
         cells = max(0, hi - lo)
-        bytes_touched = (
-            n_total * _FLOAT  # the key scan (every worker reads all keys)
-            + owned * 2 * _FLOAT  # dx, dy of the owned particles
-            + owned * 8 * _FLOAT  # slab row read+write per deposit (4 corners)
-            + cells * 12 * _FLOAT  # reduction: slab read + rho read+write
+        bytes_touched = _NCORNER * _FLOAT * (
+            (n_total if len(cell_ranges) > 1 else 0)  # selection key scan
+            + owned * 5  # key, dx, dy reads; weight write + read
+            + cells * 4  # slab write; reduction: slab read, rho read+write
         )
         total_bytes += bytes_touched
         rec = {

@@ -22,7 +22,6 @@ from repro.pic3d.ordering3d import Morton3DOrdering, Ordering3D, RowMajor3DOrder
 from repro.pic3d.grid3d import GridSpec3D, RedundantFields3D
 from repro.pic3d.kernels3d import (
     accumulate_redundant_3d,
-    accumulate_redundant_shard_3d,
     corner_weights_3d,
     interpolate_redundant_3d,
     push_positions_bitwise_3d,
@@ -43,7 +42,6 @@ __all__ = [
     "RedundantFields3D",
     "corner_weights_3d",
     "accumulate_redundant_3d",
-    "accumulate_redundant_shard_3d",
     "interpolate_redundant_3d",
     "push_positions_bitwise_3d",
     "SpectralPoissonSolver3D",

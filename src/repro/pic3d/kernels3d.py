@@ -16,7 +16,6 @@ from repro.core.kernels import AXIS_KERNELS, blocks, deposit_rows, push_blocked
 __all__ = [
     "corner_weights_3d",
     "accumulate_redundant_3d",
-    "accumulate_redundant_shard_3d",
     "interpolate_redundant_3d",
     "push_positions_bitwise_3d",
 ]
@@ -27,45 +26,27 @@ _C = np.array([[1.0 - ((c >> b) & 1) for c in range(8)] for b in (2, 1, 0)])
 _S = np.array([[2.0 * ((c >> b) & 1) - 1.0 for c in range(8)] for b in (2, 1, 0)])
 
 
-def corner_weights_3d(dx, dy, dz) -> np.ndarray:
+def corner_weights_3d(dx, dy, dz, corners=None) -> np.ndarray:
     """Trilinear CiC weights, ``(N, 8)``; rows sum to 1.  Corner-major
-    in memory, like :func:`repro.grid.fields.corner_weights`."""
+    in memory and restrictable to a ``corners`` subset, like
+    :func:`repro.grid.fields.corner_weights`."""
     dx = np.asarray(dx, dtype=np.float64)
     dy = np.asarray(dy, dtype=np.float64)
     dz = np.asarray(dz, dtype=np.float64)
-    c = _C.reshape((3, 8) + (1,) * dx.ndim)
-    s = _S.reshape((3, 8) + (1,) * dx.ndim)
+    sel = slice(None) if corners is None else corners
+    c = _C[:, sel].reshape((3, -1) + (1,) * dx.ndim)
+    s = _S[:, sel].reshape((3, -1) + (1,) * dx.ndim)
     w = (c[0] + s[0] * dx) * (c[1] + s[1] * dy) * (c[2] + s[2] * dz)
     return np.moveaxis(w, 0, -1)
 
 
-def accumulate_redundant_3d(rho_1d, icell, dx, dy, dz, charge=1.0) -> None:
-    """Scatter CiC charge onto the 8-corner redundant rows."""
+def accumulate_redundant_3d(rho_1d, icell, dx, dy, dz, charge=1.0, corners=None) -> None:
+    """Scatter CiC charge onto the 8-corner redundant rows (all of
+    them, or only the ``corners`` columns)."""
     deposit_rows(
         rho_1d, icell,
-        lambda sl: corner_weights_3d(dx[sl], dy[sl], dz[sl]) * charge,
-    )
-
-
-def accumulate_redundant_shard_3d(
-    rho_rows, icell, dx, dy, dz, charge, cell_lo, cell_hi
-) -> None:
-    """Deposit one owned cell range ``[cell_lo, cell_hi)`` into a slab.
-
-    The ``numpy-mp`` 3D worker's deposit: select the particles whose
-    home cell falls in the owned range (``flatnonzero`` preserves
-    particle order), shift their cell indices to slab rows, and run the
-    ordinary serial deposit on the subset.  Because the ranges are
-    disjoint and ``bincount`` accumulates in input order, each slab row
-    is bitwise equal to the corresponding rows of one whole-grid serial
-    deposit — the cell-ownership argument, unchanged from 2D.
-    """
-    icell = np.asarray(icell, dtype=np.int64)
-    mine = np.flatnonzero((icell >= cell_lo) & (icell < cell_hi))
-    if mine.size == 0:
-        return
-    accumulate_redundant_3d(
-        rho_rows, icell[mine] - cell_lo, dx[mine], dy[mine], dz[mine], charge
+        lambda sl: corner_weights_3d(dx[sl], dy[sl], dz[sl], corners) * charge,
+        corners,
     )
 
 

@@ -4,7 +4,7 @@ Capability parity with the 2D :class:`repro.core.stepper.PICStepper`:
 the same ``_select_loop_path`` dispatch (``split`` /
 ``fused-backend``), the ``parallel_deposit`` and ``fused3d`` backend
 capabilities, phase hooks for the differential verifier, and the
-``numpy-mp`` cell-ownership deposit — all over the trilinear 8-corner
+``numpy-mp`` corner-ownership deposit — all over the trilinear 8-corner
 kernels of :mod:`repro.pic3d.kernels3d`.
 
 One deliberate divergence from 2D: the 3D stepper only implements

@@ -31,7 +31,7 @@ scalar ReferenceStepper             bitwise (checked separately in tests;
 3D scenarios (``Scenario.dims == 3``) run the same lockstep drive over
 :class:`~repro.pic3d.stepper3d.PICStepper3D` under the same promises:
 numpy fused bitwise at every population size, and the ``numpy-mp``
-cell-ownership deposit pinned bitwise at **both 2 and 4 workers** per
+corner-ownership deposit pinned bitwise at **both 2 and 4 workers** per
 scenario.
 
 Because the steppers advance in lockstep with

@@ -106,7 +106,7 @@ class TestPreemptResume3D:
 
     def test_resume_onto_numpy_mp_bitwise(self, tmp_path):
         """Backend switch on restore (the supervisor's degrade move):
-        the mp cell-ownership deposit keeps the run bitwise."""
+        the mp corner-ownership deposit keeps the run bitwise."""
         ref = _fresh()
         ref.run(14)
         a = _fresh()

@@ -26,6 +26,7 @@ from repro.grid.spec import GridSpec
 from repro.parallel.partition import (
     PartitionPlanner,
     balance_ratio,
+    corner_tasks,
     partition_cells,
     partition_range,
 )
@@ -296,7 +297,8 @@ class TestBitwiseOwnershipDeposit:
 
 
 class TestNumpyMpPartitionIntegration:
-    """Real worker-pool runs: the histogram cut bitwise vs serial numpy."""
+    """Real worker-pool runs beyond ``ncorner`` workers, where the
+    deposit's columns are cut into histogram-balanced cell ranges."""
 
     pytestmark = pytest.mark.skipif(
         not pytest.importorskip(
@@ -306,6 +308,8 @@ class TestNumpyMpPartitionIntegration:
     )
 
     N, STEPS = 2000, 6
+    #: 9 workers over 4 corners -> 3 cell ranges per column
+    WORKERS, RANGES = 9, 3
 
     def _run(self, backend, *, eager_planner=False, **cfg_kw):
         cfg = OptimizationConfig(
@@ -337,7 +341,7 @@ class TestNumpyMpPartitionIntegration:
     def test_histogram_cut_bitwise_vs_serial(self, eager_planner):
         ref, _ = self._run("numpy")
         got, sim = self._run(
-            "numpy-mp", workers=3, eager_planner=eager_planner
+            "numpy-mp", workers=self.WORKERS, eager_planner=eager_planner
         )
         for key in ref:
             assert np.array_equal(ref[key], got[key]), f"{key} diverged"
@@ -354,24 +358,64 @@ class TestNumpyMpPartitionIntegration:
 
     def test_initial_cut_is_histogram_balanced(self):
         """The engine cuts from the t=0 histogram, not into equal cells."""
-        cfg = OptimizationConfig(backend="numpy-mp", workers=3)
+        cfg = OptimizationConfig(backend="numpy-mp", workers=self.WORKERS)
         with Simulation(GridSpec(16, 16), GaussianBump(), self.N, cfg,
                         dt=0.05, seed=7) as sim:
             st = sim.stepper
             ranges = get_backend("numpy-mp").engine_for(st).grid_shared.cell_ranges
             nalloc = st.fields.rho_1d.shape[0]
             hist = np.bincount(np.asarray(st.particles.icell), minlength=nalloc)
-        assert ranges == partition_cells(nalloc, 3, hist)
+        assert ranges == partition_cells(nalloc, self.RANGES, hist)
         assert balance_ratio(ranges, hist) < \
-            balance_ratio(partition_range(nalloc, 3), hist)
+            balance_ratio(partition_range(nalloc, self.RANGES), hist)
 
     def test_curve_balanced_repartitions_on_skew(self):
-        _, sim = self._run("numpy-mp", workers=3, eager_planner=True)
+        _, sim = self._run(
+            "numpy-mp", workers=self.WORKERS, eager_planner=True
+        )
         planner = get_backend("numpy-mp").engine_for(sim.stepper).planner
         # the bump keeps the load skewed enough to trip the threshold
         assert len(planner.events) >= 1
         dm = sim.instrumentation.timings.datamove
         assert dm["last"].get("repartitions", 0) == len(planner.events)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_up_to_ncorner_workers_take_no_histogram(self, workers):
+        """Whole columns only: one range, no cuts, no sampling — and
+        equal column counts whenever ``workers`` divides ``ncorner``."""
+        _, sim = self._run("numpy-mp", workers=workers, eager_planner=True)
+        eng = get_backend("numpy-mp").engine_for(sim.stepper)
+        assert eng.grid_shared.cell_ranges == [slice(0, eng.planner.nalloc)]
+        assert eng.planner.events == []
+        assert sim.instrumentation.timings.datamove == {}
+        owned = [
+            sum(len(corners) for _lo, _hi, corners in groups)
+            for groups in corner_tasks(eng.grid_shared.cell_ranges, 4, workers)
+        ]
+        assert sum(owned) == 4
+        if 4 % workers == 0:
+            assert len(set(owned)) == 1
+
+
+class TestCornerTasks:
+    def test_every_task_dealt_exactly_once(self):
+        for ncorner, nworkers, ranges in [
+            (4, 1, partition_range(64, 1)), (4, 3, partition_range(64, 1)),
+            (4, 5, partition_range(64, 2)), (8, 9, partition_range(64, 2)),
+            (4, 9, partition_range(2, 3)),  # trailing empty range dropped
+        ]:
+            dealt = corner_tasks(ranges, ncorner, nworkers)
+            assert len(dealt) == nworkers
+            tasks = sorted(
+                (lo, hi, c) for groups in dealt
+                for lo, hi, corners in groups for c in corners
+            )
+            assert tasks == sorted(
+                (r.start, r.stop, c) for r in ranges if r.stop > r.start
+                for c in range(ncorner)
+            )
+            sizes = [sum(len(g[2]) for g in groups) for groups in dealt]
+            assert max(sizes) - min(sizes) <= 1  # round-robin
 
 
 class TestDepositMovement:

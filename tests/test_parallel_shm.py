@@ -19,6 +19,7 @@ from repro.core.config import OptimizationConfig
 from repro.core.simulation import Simulation
 from repro.grid.spec import GridSpec
 from repro.parallel.executor import MultiprocessBackend, WorkerPool
+from repro.parallel.shm import SharedParticleStorage
 from repro.particles.initializers import LandauDamping
 
 pytestmark = pytest.mark.skipif(
@@ -82,6 +83,18 @@ class TestBitwiseEquivalence:
             assert mp.timings.fallbacks == 0
             _assert_bitwise_equal(_state(ref), _state(mp))
 
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5, 8])
+    def test_ownership_matrix_25_steps(self, workers):
+        """Whole corner columns (<= 4 workers: 1, 2, 4 even, 3 uneven)
+        and columns cut into two cell ranges (5, 8), through 8 sorts."""
+        with _make_sim("numpy") as ref, _make_sim("numpy-mp", workers) as mp:
+            ranges = _engine(mp).grid_shared.cell_ranges
+            assert len(ranges) == (1 if workers <= 4 else 2)
+            ref.run(25)
+            mp.run(25)
+            assert mp.timings.fallbacks == 0
+            _assert_bitwise_equal(_state(ref), _state(mp))
+
     def test_repeated_runs_are_deterministic(self):
         with _make_sim("numpy-mp", 2) as a, _make_sim("numpy-mp", 2) as b:
             a.run(N_STEPS)
@@ -126,6 +139,61 @@ class TestFaultTolerance:
             assert eng.pool.restarts >= 1
             _assert_bitwise_equal(_state(ref), _state(mp))
 
+    @pytest.mark.parametrize("op", ["kick2d", "push2d", "deposit"])
+    def test_worker_dying_mid_write_retries_bitwise(self, op):
+        """Kill a worker as the phase is dispatched, after scribbling
+        over everything the phase writes — what a worker that died
+        half-way through its shard leaves behind.  The inputs are
+        untouched (they are the other buffer), so the parent's retry
+        reproduces the serial bits."""
+        with (
+            _make_sim("numpy") as ref,
+            _make_sim("numpy-mp", 2, **self.TIMEOUT_KW) as mp,
+        ):
+            ref.run(N_STEPS)
+            eng = _engine(mp)
+            mp.run(2)
+            run_shards, fired = eng.pool.run_shards, []
+
+            def dying(shards, timeout=None):
+                if shards[0][1]["op"] == op and not fired:
+                    fired.append(op)
+                    for arr in mp.stepper._sort_buffer.views().values():
+                        arr[...] = -1 if arr.dtype.kind == "i" else np.nan
+                    eng.grid_shared.slab[...] = np.nan
+                    eng.pool.kill_worker(0)
+                return run_shards(shards, timeout)
+
+            eng.pool.run_shards = dying
+            mp.run(N_STEPS - 2)
+            assert fired == [op]
+            assert mp.timings.fallbacks >= 1
+            _assert_bitwise_equal(_state(ref), _state(mp))
+
+    def test_dead_workers_shard_fails_without_waiting(self):
+        """The wait is on the process sentinel too: a worker found dead
+        costs no poll interval and no timeout."""
+        import time
+
+        pool = WorkerPool(2, timeout=30.0)
+        try:
+            assert pool.ping() == [True, True]
+            pool.kill_worker(0)
+            pool._workers[0].proc.join(timeout=5.0)
+            t0 = time.perf_counter()
+            done, failed = pool.run_shards(
+                [(0, {"op": "ping"}), (1, {"op": "ping"})]
+            )
+            # the clock stops before the replacement is forked; this
+            # bound includes it and still sits far below any timeout
+            elapsed = time.perf_counter() - t0
+            assert [wid for (wid, _m), _s in done] == [1]
+            assert [wid for wid, _m in failed] == [0]
+            assert elapsed < 0.1, f"took {elapsed * 1e3:.1f} ms"
+            assert pool.restarts == 1 and pool.ping() == [True, True]
+        finally:
+            pool.close()
+
     def test_heartbeat_reports_and_recovers(self):
         with _make_sim("numpy-mp", 2, **self.TIMEOUT_KW) as mp:
             eng = _engine(mp)
@@ -146,6 +214,93 @@ class TestFaultTolerance:
             assert pool.ping() == [True, True]  # replacement is healthy
         finally:
             pool.close()
+
+
+# ----------------------------------------------------------------------
+# The flip commit
+# ----------------------------------------------------------------------
+class TestFlipCommit:
+    NAMES = ("icell", "dx", "dy", "vx", "vy", "ix", "iy")
+
+    @staticmethod
+    def _bindings(storage):
+        return {k: getattr(storage, "_" + k) for k in TestFlipCommit.NAMES}
+
+    def test_step_commits_by_exchanging_bindings(self):
+        """After a step the live arrays *are* the former back-buffer
+        arrays (and vice versa): nothing was copied in the parent."""
+        with _make_sim("numpy-mp", 2, ordering="morton") as mp:
+            st = mp.stepper
+            front, back = st.particles, st._sort_buffer
+            assert isinstance(front, SharedParticleStorage)
+            assert isinstance(back, SharedParticleStorage)
+            was_front, was_back = self._bindings(front), self._bindings(back)
+            mp.run(1)
+            assert st.particles is front and st._sort_buffer is back
+            arena = _engine(mp).arena
+            for key in self.NAMES:
+                live, staged = getattr(front, key), getattr(back, key)
+                assert live is was_back[key] and staged is was_front[key], key
+                assert np.shares_memory(live, was_back[key])
+                assert not np.shares_memory(live, was_front[key])
+                assert arena.owns(live, staged)
+
+    def test_one_back_buffer_is_staging_and_sort_buffer(self):
+        """16 particle-sized shared arrays (7 front, 7 back, 2 gather
+        targets), and a sort step allocates nothing."""
+        with _make_sim("numpy-mp", 2, ordering="morton") as mp:
+            eng = _engine(mp)
+
+            def particle_sized():
+                return sum(
+                    spec[2] == (N_PARTICLES,)
+                    for _arr, spec in eng.arena._arrays.values()
+                )
+
+            assert particle_sized() == 16
+            mp.run(SORT_PERIOD + 1)  # through an out-of-place sort
+            assert particle_sized() == 16
+
+    @pytest.mark.parametrize("sort_variant", ["out-of-place", "in-place"])
+    def test_flips_interleave_with_the_sort_swap(self, sort_variant):
+        """Across a sort step the storages swap roles (out-of-place)
+        while their arrays keep flipping; every combination of the two
+        must leave the stepper on the serial state."""
+        kw = {"sort_variant": sort_variant, "ordering": "morton"}
+        with _make_sim("numpy", **kw) as ref, _make_sim("numpy-mp", 2, **kw) as mp:
+            st = mp.stepper
+            stores = {id(st.particles), id(st._sort_buffer)}
+            for step in range(2 * SORT_PERIOD + 2):
+                before = st.particles
+                ref.run(1)
+                mp.run(1)
+                sorted_now = step and step % SORT_PERIOD == 0
+                swapped = sorted_now and sort_variant == "out-of-place"
+                assert (st.particles is not before) == bool(swapped), step
+                assert {id(st.particles), id(st._sort_buffer)} == stores
+                _assert_bitwise_equal(_state(ref), _state(mp))
+
+    def test_arrays_that_are_not_live_take_the_in_place_kernel(self):
+        """A kick on copies — or on the back buffer's arrays — must not
+        flip anything: it is the caller's arrays that get updated."""
+        with _make_sim("numpy-mp", 2) as mp:
+            st, eng = mp.stepper, _engine(mp)
+            p, back = st.particles, st._sort_buffer
+            live_vx, live_vy, staged_vx = p.vx, p.vy, back.vx
+            ex_p, ey_p = st.backend.interpolate_redundant(
+                st.fields.e_1d, p.icell, p.dx, p.dy
+            )
+            before = np.array(p.vx)
+            want = before + 2.0 * ex_p
+            back.vx[:], back.vy[:] = p.vx, p.vy
+            copies = np.array(p.vx), np.array(p.vy)
+            for vx, vy in ((back.vx, back.vy), copies):
+                st.backend.update_velocities(vx, vy, ex_p, ey_p, 2.0, 2.0)
+                assert np.array_equal(vx, want)
+                assert p.vx is live_vx and p.vy is live_vy
+                assert back.vx is staged_vx
+                assert np.array_equal(p.vx, before)
+            assert eng.fallbacks == 0
 
 
 # ----------------------------------------------------------------------

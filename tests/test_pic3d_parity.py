@@ -6,7 +6,7 @@ The 3D port's acceptance bar, enforced directly:
   every population size — including populations spanning many kernel
   blocks (the blocked sweep is elementwise per particle; one
   whole-grid deposit follows it on either path);
-* the ``numpy-mp`` cell-ownership deposit is **bitwise identical** to
+* the ``numpy-mp`` corner-ownership deposit is **bitwise identical** to
   the serial deposit at both 2 and 4 workers;
 * the differential-verify machinery covers 3D: the sampler emits 3D
   scenarios, the runner's 3D promise matrix pins the combos above, and
@@ -98,24 +98,81 @@ class TestFusedSplitParity:
             auto.close()
 
 
+class _ClumpedPlasma3D:
+    """A warm blob in one octant on a thin uniform background: the
+    blob's cells hold most particles at t=0 and shed them as it
+    disperses, so any cut of the cells made at t=0 goes stale."""
+
+    def sample(self, n, grid):
+        rng = np.random.default_rng(11)
+        lo = np.array([grid.xmin, grid.ymin, grid.zmin])
+        lengths = np.array(grid.lengths)
+        pos = rng.random((n, 3))
+        blob = rng.random(n) < 0.7
+        pos[blob] = 0.3 + 0.12 * rng.standard_normal((int(blob.sum()), 3))
+        x, y, z = (lo + lengths * (pos % 1.0)).T
+        vx, vy, vz = 3.0 * rng.standard_normal((3, n))
+        return x, y, z, vx, vy, vz
+
+
 class TestMpDepositParity:
-    @pytest.mark.parametrize("workers", [2, 4])
+    @pytest.mark.parametrize("workers", [2, 4, 8, 9])
     def test_mp_deposit_bitwise_vs_serial(self, workers):
-        """The acceptance bar: numpy-mp == serial at 2 and 4 workers."""
+        """The acceptance bar: numpy-mp == serial, 25 steps, on whole
+        corner columns (2, 4, 8 workers) and on columns cut into two
+        cell ranges (9)."""
         _run_pair(
             _config(backend="numpy"),
             _config(backend="numpy-mp", workers=workers),
-            n=1500, steps=5,
+            n=1500, steps=25,
         )
 
     def test_mp_deposit_bitwise_curve_balanced_partition(self):
-        """An odd worker count puts the histogram cuts off every
-        power-of-two curve-block boundary."""
+        """17 workers cut every column into three histogram-balanced
+        ranges, whose boundaries sit off every power-of-two
+        curve-block boundary."""
         _run_pair(
             _config(backend="numpy"),
-            _config(backend="numpy-mp", workers=3),
+            _config(backend="numpy-mp", workers=17),
             n=1000, steps=4,
         )
+
+    def test_dispersing_clump_keeps_deposit_load_equal(self):
+        """The PR 12 caveat, closed: a t=0 cell cut goes stale as a
+        clump disperses (static cut, 4 workers: 2.16 after 6 steps on
+        the 2D bump, 2.16 on this blob too), while corner columns weigh the same whatever the
+        density does."""
+        from repro.core.backends import get_backend
+        from repro.parallel.partition import (
+            balance_ratio, corner_tasks, partition_cells,
+        )
+
+        workers = 4
+        st = PICStepper3D(
+            _grid(8, 8, 8), _ClumpedPlasma3D(), 4000, dt=0.1,
+            config=_config(backend="numpy-mp", workers=workers),
+        )
+        try:
+            eng = get_backend("numpy-mp").engine_for(st)
+            nalloc = st.fields.rho_1d.shape[0]
+            assert eng.cell_ranges == [slice(0, nalloc)]
+            hist0 = np.bincount(st.particles["icell"], minlength=nalloc)
+            static_cut = partition_cells(nalloc, workers, hist0)
+            assert balance_ratio(static_cut, hist0) < 1.2
+            for _ in range(6):
+                st.step()
+            hist = np.bincount(st.particles["icell"], minlength=nalloc)
+            assert balance_ratio(static_cut, hist) > 1.5  # the stale cut
+            prefix = np.concatenate([[0], np.cumsum(hist)])
+            loads = [
+                sum((prefix[hi] - prefix[lo]) * len(corners)
+                    for lo, hi, corners in groups)
+                for groups in corner_tasks(eng.cell_ranges, 8, workers)
+            ]
+            assert loads == [2 * st.n] * workers
+            assert st.timings.fallbacks == 0
+        finally:
+            st.close()
 
 
 def _scenario_3d(**overrides) -> Scenario:
