@@ -26,10 +26,10 @@ test-service:
 	@echo "gate-status: test-service ran"
 
 # 3D feature-parity subset: kernels/orderings, the parity acceptance
-# tests (fused==split bitwise, numpy-mp deposit bitwise at 2 and 4
-# workers), and 3D checkpoint/resume
+# tests (fused==split bitwise, numpy-mp bitwise at 2, 4, 8 and 9
+# workers), and the 2D/3D checkpoint/resume suite
 test-3d:
-	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_pic3d.py tests/test_pic3d_parity.py tests/test_checkpoint3d.py tests/test_curves3d.py
+	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_pic3d.py tests/test_pic3d_parity.py tests/test_core_checkpoint.py tests/test_curves3d.py
 	@echo "gate-status: test-3d ran"
 
 # line-coverage floor on repro.pic3d + repro.verify (skips with exit 0

@@ -231,7 +231,7 @@ class KernelBackend(abc.ABC):
     ) -> None:
         """3D single-pass interpolate + kick + push over all particles.
 
-        ``particles`` is the 3D dict-of-arrays; semantics match running
+        ``particles`` is a 3D particle storage; semantics match running
         ``interpolate_redundant_3d`` + the three kicks +
         ``push_positions_3d`` back to back.  Only callable on backends
         advertising the ``"fused3d"`` capability.
@@ -270,31 +270,37 @@ class KernelBackend(abc.ABC):
     # Shared position-update drivers (axis math per backend, cell
     # bookkeeping common)
     # ------------------------------------------------------------------
-    def push_positions(
-        self, particles, ncx, ncy, ordering, variant, scale_x=1.0, scale_y=1.0
-    ) -> None:
-        """Advance 2D positions, wrap, re-derive ``(icell, ix, iy)``.
+    def kick(self, vs, e_ps, coefs) -> None:
+        """``v += coef * e_p`` in place, per axis of the tuples — the
+        velocity update of any dimension (the 3D stepper's only one)."""
+        for v, e_p, coef in zip(vs, e_ps, coefs):
+            _k.kick(v, e_p, coef)
+
+    def push(self, particles, extents, ordering, variant, scales) -> None:
+        """Advance positions, wrap, re-derive ``icell`` and the cell
+        coordinates, over ``len(extents)`` axes.
 
         The blocked body of :func:`repro.core.kernels.push_blocked`,
         in place, with this backend's axis formulation for ``variant``.
+        ``particles`` is a storage or a plain mapping of arrays; writes
+        go *through* its arrays (``arr[sl] = ...``).
         """
-        arrs = particles.views()
         _k.push_blocked(
-            arrs, arrs, (ncx, ncy), ordering,
-            lambda x, nc: self.push_axis(x, nc, variant), (scale_x, scale_y),
+            particles, particles, extents, ordering,
+            lambda x, nc: self.push_axis(x, nc, variant), scales,
         )
+
+    def push_positions(
+        self, particles, ncx, ncy, ordering, variant, scale_x=1.0, scale_y=1.0
+    ) -> None:
+        """:meth:`push` with the two axes spelled out."""
+        self.push(particles, (ncx, ncy), ordering, variant, (scale_x, scale_y))
 
     def push_positions_3d(
         self, particles, shape, ordering, scale=(1.0, 1.0, 1.0), variant="bitwise"
     ) -> None:
-        """Advance and wrap a 3D particle dict in place — the same body
-        as 2D over three axes.  Writes go through the dict's arrays
-        (``arr[sl] = ...``), so shared-memory arrays already exported
-        to ``numpy-mp`` workers stay current."""
-        _k.push_blocked(
-            particles, particles, shape, ordering,
-            lambda x, nc: self.push_axis(x, nc, variant), scale,
-        )
+        """:meth:`push` over three axes."""
+        self.push(particles, shape, ordering, variant, scale)
 
     # ------------------------------------------------------------------
     # Stepper lifecycle hooks (no-ops for in-process backends)
@@ -471,10 +477,32 @@ class NumpyBackend(KernelBackend):
     capabilities = frozenset({"fused", "fused3d"})
 
     accumulate_standard = staticmethod(_k.accumulate_standard)
-    accumulate_redundant = staticmethod(_k.accumulate_redundant)
     interpolate_standard = staticmethod(_k.interpolate_standard)
-    interpolate_redundant = staticmethod(_k.interpolate_redundant)
-    update_velocities = staticmethod(_k.update_velocities)
+
+    # The redundant-row kernels once, over a tuple of per-axis offsets;
+    # the 2D and 3D methods of the kernel surface are these with the
+    # axes spelled out.  ``numpy-mp`` overrides the generic pair (and
+    # ``kick``/``push``) and so serves both dimensions.
+    def interpolate_rows(self, e_1d, icell, offsets):
+        return _k.row_kernels(len(offsets))[0](e_1d, icell, *offsets)
+
+    def accumulate_rows(self, rho_1d, icell, offsets, charge=1.0) -> None:
+        _k.row_kernels(len(offsets))[1](rho_1d, icell, *offsets, charge)
+
+    def interpolate_redundant(self, e_1d, icell, dx, dy):
+        return self.interpolate_rows(e_1d, icell, (dx, dy))
+
+    def interpolate_redundant_3d(self, e_1d, icell, dx, dy, dz):
+        return self.interpolate_rows(e_1d, icell, (dx, dy, dz))
+
+    def accumulate_redundant(self, rho_1d, icell, dx, dy, charge=1.0):
+        self.accumulate_rows(rho_1d, icell, (dx, dy), charge)
+
+    def accumulate_redundant_3d(self, rho_1d, icell, dx, dy, dz, charge=1.0):
+        self.accumulate_rows(rho_1d, icell, (dx, dy, dz), charge)
+
+    def update_velocities(self, vx, vy, ex_p, ey_p, coef_x=1.0, coef_y=1.0):
+        self.kick((vx, vy), (ex_p, ey_p), (coef_x, coef_y))
 
     def push_axis(self, x, nc, variant):
         return _k.AXIS_KERNELS[variant](x, nc)
@@ -509,21 +537,9 @@ class NumpyBackend(KernelBackend):
 
         g = fields.grid
         _k.fused_sweep(
-            particles.views(), gather, (g.ncx, g.ncy), ordering,
+            particles, gather, (g.ncx, g.ncy), ordering,
             _k.AXIS_KERNELS[variant], (coef_x, coef_y), (scale_x, scale_y),
         )
-
-    # The 3D kernels live in repro.pic3d, which depends on repro.core —
-    # import them at call time to keep the layering acyclic.
-    def accumulate_redundant_3d(self, rho_1d, icell, dx, dy, dz, charge=1.0):
-        from repro.pic3d.kernels3d import accumulate_redundant_3d
-
-        accumulate_redundant_3d(rho_1d, icell, dx, dy, dz, charge)
-
-    def interpolate_redundant_3d(self, e_1d, icell, dx, dy, dz):
-        from repro.pic3d.kernels3d import interpolate_redundant_3d
-
-        return interpolate_redundant_3d(e_1d, icell, dx, dy, dz)
 
     def fused_interp_kick_push_3d(
         self,
@@ -534,12 +550,10 @@ class NumpyBackend(KernelBackend):
         coef=(1.0, 1.0, 1.0),
         scale=(1.0, 1.0, 1.0),
     ):
-        from repro.pic3d.kernels3d import interpolate_redundant_3d
+        interpolate = _k.row_kernels(3)[0]
 
         def gather(p):
-            return interpolate_redundant_3d(
-                fields.e_1d, p["icell"], p["dx"], p["dy"], p["dz"]
-            )
+            return interpolate(fields.e_1d, p["icell"], p["dx"], p["dy"], p["dz"])
 
         _k.fused_sweep(
             particles, gather, fields.grid.shape, ordering,
@@ -786,7 +800,7 @@ class NumbaBackend(KernelBackend):
         iz_out = np.empty(n, dtype=np.int64)
         code = self._jit.VARIANT_CODES[variant]
         # dx/dy/dz/vx/vy/vz are read *and written* in place: pass the
-        # dict's arrays directly, copy only the read-only inputs
+        # storage's arrays directly, copy only the read-only inputs
         self._jit.fused_redundant_3d_njit(
             np.ascontiguousarray(fields.e_1d, dtype=np.float64),
             np.ascontiguousarray(p["icell"], dtype=np.int64),

@@ -8,18 +8,22 @@ fields (which are deterministic functions of the particles, but saving
 them avoids an extra solve and preserves bit-exactness across the
 restart boundary).
 
-Crash safety: :func:`save_checkpoint` writes to a ``.tmp`` sibling,
-fsyncs, and atomically renames into place, so an interrupted save can
-never leave a torn archive under the final name.  :func:`load_checkpoint`
-rejects torn/corrupt/incomplete archives with
-:class:`CheckpointMismatchError` instead of leaking ``zipfile`` or
-``KeyError`` tracebacks — the error type the run supervisor
-(:mod:`repro.resilience.supervisor`) relies on to skip a bad rotation
-entry and fall back to an older checkpoint.
+The 2D and the 3D entry points are two thin descriptions — which
+metadata, which grid arrays, which stepper class — over one body: one
+atomic writer, one archive reader/validator, one state restore.
+
+Crash safety: the writer writes to a ``.tmp`` sibling, fsyncs, and
+atomically renames into place, so an interrupted save can never leave
+a torn archive under the final name.  The reader rejects
+torn/corrupt/incomplete archives with :class:`CheckpointMismatchError`
+instead of leaking ``zipfile`` or ``KeyError`` tracebacks — the error
+type the run supervisor (:mod:`repro.resilience.supervisor`) relies on
+to skip a bad rotation entry and fall back to an older checkpoint.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import pathlib
@@ -32,7 +36,7 @@ import numpy as np
 from repro.core.config import OptimizationConfig
 from repro.core.stepper import PICStepper
 from repro.grid.spec import GridSpec
-from repro.particles.storage import make_storage
+from repro.particles.storage import ParticleSoA, make_storage, particle_fields
 
 __all__ = [
     "save_checkpoint",
@@ -42,19 +46,20 @@ __all__ = [
     "CheckpointMismatchError",
 ]
 
-_FORMAT_VERSION = 1
+#: config fields that give the stored arrays their meaning; a restore
+#: target must agree on them (the backend, notably, is *not* one)
+_STATE_FIELDS_3D = ("field_layout", "ordering", "ordering_kwargs", "hoisting")
+_STATE_FIELDS = ("particle_layout", *_STATE_FIELDS_3D, "effective_store_coords")
 
-#: every array key a v1 checkpoint must contain (coords conditional)
-_REQUIRED_ARRAYS = ("icell", "pdx", "pdy", "vx", "vy",
-                    "ex_grid", "ey_grid", "rho_grid")
-
-_FORMAT_VERSION_3D = 1
-
-#: every array key a v1 3D checkpoint must contain
-_REQUIRED_ARRAYS_3D = (
-    "icell", "pix", "piy", "piz", "pdx", "pdy", "pdz",
-    "vx", "vy", "vz", "ex_grid", "ey_grid", "ez_grid", "rho_grid",
-)
+#: per dimension: the metadata key holding the format version (an
+#: archive of the other dimension carries none under it), the version
+#: this module reads and writes, the solved grids stored next to the
+#: particle columns, and the state-compatibility fields
+_FORMATS = {
+    2: ("format_version", 1, ("ex_grid", "ey_grid", "rho_grid"), _STATE_FIELDS),
+    3: ("format_version_3d", 1, ("ex_grid", "ey_grid", "ez_grid", "rho_grid"),
+        _STATE_FIELDS_3D),
+}
 
 #: what a torn/truncated/garbage archive surfaces as, depending on
 #: where the corruption sits (zip directory, member header, deflate
@@ -69,8 +74,12 @@ class CheckpointMismatchError(RuntimeError):
     is state-incompatible with the saved one."""
 
 
-def _config_json(config: OptimizationConfig) -> str:
-    return json.dumps(asdict(config), sort_keys=True)
+def _array_key(column: str) -> str:
+    """Archive key of a particle column: offsets and cell coordinates
+    carry a ``p`` prefix (``pdx``, ``pix``) so they cannot collide with
+    a grid array; ``icell`` and the velocities are stored under their
+    own names."""
+    return column if column == "icell" or column[0] == "v" else "p" + column
 
 
 #: ``OptimizationConfig`` fields retired in PR 12 (the tiled deposit
@@ -105,59 +114,35 @@ def _saved_config(meta: dict, path) -> OptimizationConfig:
         ) from exc
 
 
-def save_checkpoint(stepper: PICStepper, path, *, compress: bool = False) -> pathlib.Path:
-    """Write the stepper's full state to ``path`` (.npz), atomically.
+# ----------------------------------------------------------------------
+# The one body: writer, reader, restore
+# ----------------------------------------------------------------------
+def _write_archive(stepper, path, meta: dict, compress) -> pathlib.Path:
+    """Write particles + grids + ``meta`` to ``path`` (.npz), atomically.
 
-    Returns the path written (with ``.npz`` appended if missing, the
-    same normalisation :func:`numpy.savez` applies).  The particle
-    attributes are stored in the stepper's internal units (hoisted or
-    not) together with the metadata needed to validate a restore.
-
-    ``compress`` defaults to off: particle phase space is high-entropy
-    float64, so deflate shrinks the archive by well under half while
-    costing ~30x the write time — the wrong trade on the supervisor's
-    checkpoint cadence.  Pass ``compress=True`` for archival
-    checkpoints where size matters more than latency.
-
-    The archive is first written to a ``<name>.tmp`` sibling, flushed
-    and fsynced, then moved over the final name with :func:`os.replace`
-    — a crash mid-save leaves at worst a stale ``.tmp`` file, never a
-    torn archive where a previous good checkpoint used to be.
+    The particle columns are stored in the stepper's internal units
+    (hoisted or not), one array per column.  The archive is first
+    written to a ``<name>.tmp`` sibling, flushed and fsynced, then
+    moved over the final name with :func:`os.replace` — a crash
+    mid-save leaves at worst a stale ``.tmp`` file, never a torn
+    archive where a previous good checkpoint used to be.
     """
     path = pathlib.Path(path)
-    p = stepper.particles
+    version_key, version, grid_arrays, _ = _FORMATS[stepper.particles.ndim]
     arrays = {
-        "icell": np.asarray(p.icell),
-        "pdx": np.asarray(p.dx),
-        "pdy": np.asarray(p.dy),
-        "vx": np.asarray(p.vx),
-        "vy": np.asarray(p.vy),
-        "ex_grid": stepper.ex_grid,
-        "ey_grid": stepper.ey_grid,
-        "rho_grid": stepper.rho_grid,
+        _array_key(name): np.asarray(column)
+        for name, column in stepper.particles.items()
     }
-    if p.store_coords:
-        arrays["pix"] = np.asarray(p.ix)
-        arrays["piy"] = np.asarray(p.iy)
+    arrays.update((name, getattr(stepper, name)) for name in grid_arrays)
     meta = {
-        "format_version": _FORMAT_VERSION,
+        **meta,
+        version_key: version,
         "iteration": stepper.iteration,
         "dt": stepper.dt,
         "q": stepper.q,
         "m": stepper.m,
-        "eps0": stepper.eps0,
-        "weight": p.weight,
-        "layout": p.layout,
-        "store_coords": p.store_coords,
-        "grid": [stepper.grid.ncx, stepper.grid.ncy,
-                 stepper.grid.xmin, stepper.grid.xmax,
-                 stepper.grid.ymin, stepper.grid.ymax],
-        "config": _config_json(stepper.config),
-        # scenario-zoo physics attributes; absent keys on old archives
-        # restore to the plain periodic electrostatic defaults
-        "boundary": stepper.boundary,
-        "bz": stepper.bz,
-        "ext_e": list(stepper.ext_e),
+        "weight": stepper.particles.weight,
+        "config": json.dumps(asdict(stepper.config), sort_keys=True),
     }
     if path.suffix != ".npz":
         path = path.with_name(path.name + ".npz")
@@ -186,6 +171,121 @@ def save_checkpoint(stepper: PICStepper, path, *, compress: bool = False) -> pat
     return path
 
 
+@contextlib.contextmanager
+def _open_archive(path, ndim, config):
+    """Open, validate and config-check an ``ndim``-dimensional archive;
+    yields ``(meta, data, config)`` with ``config`` defaulted to the
+    saved one.
+
+    Everything unusable — truncated or corrupt archives, unknown
+    format versions (including a checkpoint of the other dimension),
+    missing arrays, a state-incompatible ``config`` — raises
+    :class:`CheckpointMismatchError`, never a raw
+    :mod:`zipfile`/``KeyError`` traceback.
+    """
+    path = pathlib.Path(path)
+    version_key, version, grid_arrays, state_fields = _FORMATS[ndim]
+    try:
+        npz = np.load(path, allow_pickle=False)
+    except _CORRUPT_ERRORS as exc:
+        raise CheckpointMismatchError(
+            f"checkpoint {path} is unreadable or corrupt: {exc}"
+        ) from exc
+    with npz as data:
+        try:
+            meta = json.loads(str(data["_meta"]))
+        except (KeyError, *_CORRUPT_ERRORS) as exc:
+            raise CheckpointMismatchError(
+                f"checkpoint {path} has a missing or corrupt metadata "
+                f"record: {exc}"
+            ) from exc
+        if meta.get(version_key) != version:
+            raise CheckpointMismatchError(
+                f"unsupported checkpoint version: {version_key} is "
+                f"{meta.get(version_key)!r}, this loader reads {version}"
+            )
+        columns = particle_fields(ndim, meta.get("store_coords", True))
+        required = [_array_key(name) for name in columns] + list(grid_arrays)
+        missing = [k for k in required if k not in data.files]
+        if missing:
+            raise CheckpointMismatchError(
+                f"checkpoint {path} is incomplete: missing arrays {missing}"
+            )
+        saved_cfg = _saved_config(meta, path)
+        if config is None:
+            config = saved_cfg
+        else:
+            for fld in state_fields:
+                if getattr(config, fld) != getattr(saved_cfg, fld):
+                    raise CheckpointMismatchError(
+                        f"config field {fld!r} differs from the checkpoint "
+                        f"({getattr(config, fld)!r} vs {getattr(saved_cfg, fld)!r})"
+                    )
+        try:
+            yield meta, data, config
+        except (KeyError, TypeError, *_CORRUPT_ERRORS) as exc:
+            raise CheckpointMismatchError(
+                f"checkpoint {path} holds inconsistent state: {exc}"
+            ) from exc
+
+
+def _restore(stepper, grid, config, particles, meta, data, instrumentation):
+    """Fill a blank stepper (``cls.__new__``) with checkpointed state —
+    no re-initialization, the state is given."""
+    stepper.grid = grid
+    stepper.config = config
+    stepper.dt = float(meta["dt"])
+    stepper.q = float(meta["q"])
+    stepper.m = float(meta["m"])
+    stepper._build_fields()
+    particles.set_state(
+        **{name: data[_array_key(name)] for name in particles.keys()}
+    )
+    stepper.particles = particles
+    stepper._attach_runtime(instrumentation)
+    stepper.iteration = int(meta["iteration"])
+    for name in _FORMATS[particles.ndim][2]:
+        setattr(stepper, name, np.array(data[name]))
+    # reload the stored-unit field into the layout so the next
+    # update-velocities sees exactly what it would have seen
+    stepper._load_fields()
+    # backend hook, as in the constructors: multi-process backends
+    # relocate the restored state into shared memory here (values are
+    # copied verbatim, so the restore stays bit-exact)
+    stepper._prepare()
+    return stepper
+
+
+# ----------------------------------------------------------------------
+# 2D
+# ----------------------------------------------------------------------
+def save_checkpoint(stepper: PICStepper, path, *, compress: bool = False) -> pathlib.Path:
+    """Write the stepper's full state to ``path`` (.npz), atomically.
+
+    Returns the path written (with ``.npz`` appended if missing, the
+    same normalisation :func:`numpy.savez` applies).
+
+    ``compress`` defaults to off: particle phase space is high-entropy
+    float64, so deflate shrinks the archive by well under half while
+    costing ~30x the write time — the wrong trade on the supervisor's
+    checkpoint cadence.  Pass ``compress=True`` for archival
+    checkpoints where size matters more than latency.
+    """
+    p, g = stepper.particles, stepper.grid
+    meta = {
+        "eps0": stepper.eps0,
+        "layout": p.layout,
+        "store_coords": p.store_coords,
+        "grid": [g.ncx, g.ncy, g.xmin, g.xmax, g.ymin, g.ymax],
+        # scenario-zoo physics attributes; absent keys on old archives
+        # restore to the plain periodic electrostatic defaults
+        "boundary": stepper.boundary,
+        "bz": stepper.bz,
+        "ext_e": list(stepper.ext_e),
+    }
+    return _write_archive(stepper, path, meta, compress)
+
+
 def load_checkpoint(
     path,
     config: OptimizationConfig | None = None,
@@ -206,327 +306,64 @@ def load_checkpoint(
     into (rollback keeps one wall-clock ledger per run); by default a
     fresh recorder is created.
 
-    Raises :class:`CheckpointMismatchError` for anything unusable —
-    truncated or corrupt archives, unknown format versions, missing
-    arrays — never a raw :mod:`zipfile`/``KeyError`` traceback.
+    Raises :class:`CheckpointMismatchError` for anything unusable.
     """
-    path = pathlib.Path(path)
-    try:
-        npz = np.load(path, allow_pickle=False)
-    except _CORRUPT_ERRORS as exc:
-        raise CheckpointMismatchError(
-            f"checkpoint {path} is unreadable or corrupt: {exc}"
-        ) from exc
-    with npz as data:
-        try:
-            meta = json.loads(str(data["_meta"]))
-        except (KeyError, *_CORRUPT_ERRORS) as exc:
-            raise CheckpointMismatchError(
-                f"checkpoint {path} has a missing or corrupt metadata "
-                f"record: {exc}"
-            ) from exc
-        if meta.get("format_version") != _FORMAT_VERSION:
-            raise CheckpointMismatchError(
-                f"unsupported checkpoint version {meta.get('format_version')}"
-            )
-        required = _REQUIRED_ARRAYS + (
-            ("pix", "piy") if meta.get("store_coords") else ()
-        )
-        missing = [k for k in required if k not in data.files]
-        if missing:
-            raise CheckpointMismatchError(
-                f"checkpoint {path} is incomplete: missing arrays {missing}"
-            )
-        saved_cfg = _saved_config(meta, path)
-        if config is None:
-            config = saved_cfg
-        else:
-            for fld in ("particle_layout", "field_layout", "ordering",
-                        "ordering_kwargs", "hoisting"):
-                if getattr(config, fld) != getattr(saved_cfg, fld):
-                    raise CheckpointMismatchError(
-                        f"config field {fld!r} differs from the checkpoint "
-                        f"({getattr(config, fld)!r} vs {getattr(saved_cfg, fld)!r})"
-                    )
-            if config.effective_store_coords != saved_cfg.effective_store_coords:
-                raise CheckpointMismatchError("store_coords differs from checkpoint")
-        try:
-            ncx, ncy, xmin, xmax, ymin, ymax = meta["grid"]
-            grid = GridSpec(int(ncx), int(ncy), xmin, xmax, ymin, ymax)
-            n = len(data["icell"])
-            particles = make_storage(
-                meta["layout"], n, weight=meta["weight"],
-                store_coords=meta["store_coords"],
-            )
-            particles.set_state(
-                data["icell"], data["pdx"], data["pdy"], data["vx"], data["vy"],
-                data["pix"] if meta["store_coords"] else None,
-                data["piy"] if meta["store_coords"] else None,
-            )
-        except (KeyError, TypeError, *_CORRUPT_ERRORS) as exc:
-            raise CheckpointMismatchError(
-                f"checkpoint {path} holds inconsistent state: {exc}"
-            ) from exc
+    with _open_archive(path, 2, config) as (meta, data, config):
+        ncx, ncy, xmin, xmax, ymin, ymax = meta["grid"]
         stepper = PICStepper.__new__(PICStepper)
-        # rebuild without re-running initialization (the state is given)
-        _reconstruct(stepper, grid, config, particles, meta, data,
-                     instrumentation)
-    return stepper
-
-
-def _reconstruct(stepper, grid, config, particles, meta, data,
-                 instrumentation=None) -> None:
-    """Fill a blank PICStepper with checkpointed state (no re-init)."""
-    from repro.core.backends import get_backend
-    from repro.curves.base import get_ordering
-    from repro.perf.instrument import Instrumentation
-    from repro.grid.fields import RedundantFields, StandardFields
-    from repro.grid.poisson import SpectralPoissonSolver
-
-    stepper.grid = grid
-    stepper.config = config
-    stepper.dt = float(meta["dt"])
-    stepper.q = float(meta["q"])
-    stepper.m = float(meta["m"])
-    stepper.eps0 = float(meta["eps0"])
-    stepper.ordering = get_ordering(
-        config.ordering, grid.ncx, grid.ncy, **config.ordering_kwargs
-    )
-    if config.field_layout == "redundant":
-        stepper.fields = RedundantFields(grid, stepper.ordering)
-    else:
-        stepper.fields = StandardFields(grid)
-    stepper.solver = SpectralPoissonSolver(grid, stepper.eps0)
-    stepper.particles = particles
-    stepper._sort_buffer = None
-    stepper.backend = get_backend(config.backend)
-    stepper.instrumentation = (
-        instrumentation if instrumentation is not None else Instrumentation()
-    )
-    stepper.timings = stepper.instrumentation.timings
-    # hooks are observers of a live run, never part of checkpointed state
-    stepper.phase_hook = None
-    # tuner state is adaptive-only (never physics): a restored "auto"
-    # run re-trials from scratch, exactly like a fresh stepper
-    if config.loop_mode == "auto":
-        from repro.core.autotune import LoopModeAutoTuner
-
-        stepper.loop_tuner = LoopModeAutoTuner(
-            continuous=True, trial_iterations=5,
-            recheck_every=25, probe_iterations=3,
+        stepper.eps0 = float(meta["eps0"])
+        # scenario-zoo physics: wall boundary, magnetization, drive field
+        # (pre-zoo checkpoints carry none of these -> periodic defaults)
+        stepper.boundary = str(meta.get("boundary", "periodic"))
+        stepper.bz = float(meta.get("bz", 0.0))
+        stepper.ext_e = tuple(float(v) for v in meta.get("ext_e", (0.0, 0.0)))
+        particles = make_storage(
+            meta["layout"], len(data["icell"]), weight=meta["weight"],
+            store_coords=meta["store_coords"],
         )
-    else:
-        stepper.loop_tuner = None
-    stepper.iteration = int(meta["iteration"])
-    # scenario-zoo physics: wall boundary, magnetization, drive field
-    # (pre-zoo checkpoints carry none of these -> periodic defaults)
-    stepper.boundary = str(meta.get("boundary", "periodic"))
-    stepper.bz = float(meta.get("bz", 0.0))
-    stepper.ext_e = tuple(float(v) for v in meta.get("ext_e", (0.0, 0.0)))
-    stepper._closed = False
-    stepper.ex_grid = np.array(data["ex_grid"])
-    stepper.ey_grid = np.array(data["ey_grid"])
-    stepper.rho_grid = np.array(data["rho_grid"])
-    # reload the stored-unit field into the layout so the next
-    # update-velocities sees exactly what it would have seen
-    stepper.fields.set_field_from_grid(
-        stepper.ex_grid * stepper._field_scale_x,
-        stepper.ey_grid * stepper._field_scale_y,
-    )
-    # backend hook, as in PICStepper.__init__: multi-process backends
-    # relocate the restored state into shared memory here (values are
-    # copied verbatim, so the restore stays bit-exact)
-    try:
-        stepper.backend.prepare_stepper(stepper)
-    except BaseException:
-        stepper.close()
-        raise
+        return _restore(
+            stepper, GridSpec(int(ncx), int(ncy), xmin, xmax, ymin, ymax),
+            config, particles, meta, data, instrumentation,
+        )
 
 
 # ----------------------------------------------------------------------
-# 3D checkpoints
+# 3D
 # ----------------------------------------------------------------------
 def save_checkpoint_3d(stepper, path, *, compress: bool = False) -> pathlib.Path:
-    """Write a :class:`~repro.pic3d.stepper3d.PICStepper3D`'s state.
-
-    Same atomic tmp-write/fsync/rename discipline as the 2D
-    :func:`save_checkpoint`; the particle dict is stored key by key in
-    the stepper's hoisted units, so a restore (and any numpy-mp
-    relocation inside it) is bit-exact.
-    """
-    path = pathlib.Path(path)
-    p = stepper.particles
-    arrays = {
-        "icell": np.asarray(p["icell"]),
-        "pix": np.asarray(p["ix"]),
-        "piy": np.asarray(p["iy"]),
-        "piz": np.asarray(p["iz"]),
-        "pdx": np.asarray(p["dx"]),
-        "pdy": np.asarray(p["dy"]),
-        "pdz": np.asarray(p["dz"]),
-        "vx": np.asarray(p["vx"]),
-        "vy": np.asarray(p["vy"]),
-        "vz": np.asarray(p["vz"]),
-        "ex_grid": stepper.ex_grid,
-        "ey_grid": stepper.ey_grid,
-        "ez_grid": stepper.ez_grid,
-        "rho_grid": stepper.rho_grid,
-    }
+    """Write a :class:`~repro.pic3d.stepper3d.PICStepper3D`'s state —
+    :func:`save_checkpoint` for the 3D stepper."""
     g = stepper.grid
     meta = {
-        "format_version_3d": _FORMAT_VERSION_3D,
-        "iteration": stepper.iteration,
-        "dt": stepper.dt,
-        "q": stepper.q,
-        "m": stepper.m,
-        "weight": stepper.weight,
         "grid": [g.ncx, g.ncy, g.ncz,
                  g.xmin, g.xmax, g.ymin, g.ymax, g.zmin, g.zmax],
-        "config": _config_json(stepper.config),
     }
-    if path.suffix != ".npz":
-        path = path.with_name(path.name + ".npz")
-    tmp = path.with_name(path.name + ".tmp")
-    writer = np.savez_compressed if compress else np.savez
-    try:
-        with open(tmp, "wb") as fh:
-            writer(fh, _meta=json.dumps(meta), **arrays)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
-        raise
-    try:
-        dir_fd = os.open(path.parent, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
-    except OSError:  # pragma: no cover - e.g. directories not fsync-able
-        pass
-    return path
+    return _write_archive(stepper, path, meta, compress)
 
 
-def load_checkpoint_3d(path, config: OptimizationConfig | None = None):
-    """Rebuild a :class:`~repro.pic3d.stepper3d.PICStepper3D`.
+def load_checkpoint_3d(
+    path,
+    config: OptimizationConfig | None = None,
+    *,
+    instrumentation=None,
+):
+    """Rebuild a :class:`~repro.pic3d.stepper3d.PICStepper3D` —
+    :func:`load_checkpoint` for 3D archives, with the same ``config``
+    compatibility rule (field layout, ordering and hoisting must agree;
+    the backend may change) and ``instrumentation`` hand-over."""
+    from repro.pic3d.grid3d import GridSpec3D
+    from repro.pic3d.stepper3d import PICStepper3D
 
-    ``config`` defaults to the checkpointed one; a different config
-    must be state-compatible (same field layout, ordering and
-    hoisting — the axes that give the stored arrays their meaning).
-    Backend switches are state-compatible, exactly as in 2D.  Raises
-    :class:`CheckpointMismatchError` for anything unusable.
-    """
-    path = pathlib.Path(path)
-    try:
-        npz = np.load(path, allow_pickle=False)
-    except _CORRUPT_ERRORS as exc:
-        raise CheckpointMismatchError(
-            f"checkpoint {path} is unreadable or corrupt: {exc}"
-        ) from exc
-    with npz as data:
-        try:
-            meta = json.loads(str(data["_meta"]))
-        except (KeyError, *_CORRUPT_ERRORS) as exc:
-            raise CheckpointMismatchError(
-                f"checkpoint {path} has a missing or corrupt metadata "
-                f"record: {exc}"
-            ) from exc
-        if meta.get("format_version_3d") != _FORMAT_VERSION_3D:
-            raise CheckpointMismatchError(
-                f"unsupported 3D checkpoint version "
-                f"{meta.get('format_version_3d')}"
-            )
-        missing = [k for k in _REQUIRED_ARRAYS_3D if k not in data.files]
-        if missing:
-            raise CheckpointMismatchError(
-                f"checkpoint {path} is incomplete: missing arrays {missing}"
-            )
-        saved_cfg = _saved_config(meta, path)
-        if config is None:
-            config = saved_cfg
-        else:
-            for fld in ("field_layout", "ordering", "ordering_kwargs",
-                        "hoisting"):
-                if getattr(config, fld) != getattr(saved_cfg, fld):
-                    raise CheckpointMismatchError(
-                        f"config field {fld!r} differs from the checkpoint "
-                        f"({getattr(config, fld)!r} vs "
-                        f"{getattr(saved_cfg, fld)!r})"
-                    )
-        try:
-            from repro.pic3d.grid3d import GridSpec3D
-
-            ncx, ncy, ncz, xmin, xmax, ymin, ymax, zmin, zmax = meta["grid"]
-            grid = GridSpec3D(
-                int(ncx), int(ncy), int(ncz),
-                xmin=xmin, xmax=xmax, ymin=ymin, ymax=ymax,
-                zmin=zmin, zmax=zmax,
-            )
-            particles = {
-                "icell": np.array(data["icell"]),
-                "ix": np.array(data["pix"]),
-                "iy": np.array(data["piy"]),
-                "iz": np.array(data["piz"]),
-                "dx": np.array(data["pdx"]),
-                "dy": np.array(data["pdy"]),
-                "dz": np.array(data["pdz"]),
-                "vx": np.array(data["vx"]),
-                "vy": np.array(data["vy"]),
-                "vz": np.array(data["vz"]),
-            }
-        except (KeyError, TypeError, *_CORRUPT_ERRORS) as exc:
-            raise CheckpointMismatchError(
-                f"checkpoint {path} holds inconsistent state: {exc}"
-            ) from exc
-        stepper = _reconstruct_3d(grid, config, particles, meta, data)
-    return stepper
-
-
-def _reconstruct_3d(grid, config, particles, meta, data):
-    """Fill a blank PICStepper3D with checkpointed state (no re-init)."""
-    from repro.core.backends import get_backend
-    from repro.perf.instrument import Instrumentation
-    from repro.pic3d.grid3d import RedundantFields3D
-    from repro.pic3d.poisson3d import SpectralPoissonSolver3D
-    from repro.pic3d.stepper3d import PICStepper3D, _ordering_for
-
-    stepper = PICStepper3D.__new__(PICStepper3D)
-    stepper.grid = grid
-    stepper.config = config
-    stepper.dt = float(meta["dt"])
-    stepper.q = float(meta["q"])
-    stepper.m = float(meta["m"])
-    stepper.weight = float(meta["weight"])
-    stepper.sort_period = int(config.sort_period)
-    stepper.ordering = _ordering_for(config.ordering, grid)
-    stepper.fields = RedundantFields3D(grid, stepper.ordering)
-    stepper.solver = SpectralPoissonSolver3D(grid)
-    stepper.backend = get_backend(config.backend)
-    stepper.instrumentation = Instrumentation()
-    stepper.timings = stepper.instrumentation.timings
-    stepper.phase_hook = None
-    stepper.iteration = int(meta["iteration"])
-    stepper.particles = particles
-    stepper._closed = False
-    stepper.ex_grid = np.array(data["ex_grid"])
-    stepper.ey_grid = np.array(data["ey_grid"])
-    stepper.ez_grid = np.array(data["ez_grid"])
-    stepper.rho_grid = np.array(data["rho_grid"])
-    # reload the stored-unit field rows exactly as _solve left them
-    sx, sy, sz = stepper._field_scales
-    stepper.fields.load_field_from_grid(
-        stepper.ex_grid * sx, stepper.ey_grid * sy, stepper.ez_grid * sz
-    )
-    # backend hook, as in PICStepper3D.__init__: the numpy-mp engine
-    # relocates the restored dict into shared memory here (verbatim
-    # copies, so the restore stays bit-exact)
-    try:
-        stepper.backend.prepare_stepper(stepper)
-    except BaseException:
-        stepper.close()
-        raise
-    return stepper
+    with _open_archive(path, 3, config) as (meta, data, config):
+        ncx, ncy, ncz, xmin, xmax, ymin, ymax, zmin, zmax = meta["grid"]
+        grid = GridSpec3D(
+            int(ncx), int(ncy), int(ncz),
+            xmin=xmin, xmax=xmax, ymin=ymin, ymax=ymax, zmin=zmin, zmax=zmax,
+        )
+        particles = ParticleSoA(
+            len(data["icell"]), meta["weight"], store_coords=True, ndim=3
+        )
+        return _restore(
+            PICStepper3D.__new__(PICStepper3D), grid, config, particles,
+            meta, data, instrumentation,
+        )

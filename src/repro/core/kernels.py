@@ -38,6 +38,7 @@ __all__ = [
     "accumulate_redundant",
     "interpolate_standard",
     "interpolate_redundant",
+    "row_kernels",
     "kick",
     "update_velocities",
     "push_blocked",
@@ -196,6 +197,18 @@ def interpolate_redundant(e_1d, icell, dx, dy, out=None):
     return ex_p, ey_p
 
 
+def row_kernels(ndim):
+    """``(interpolate, accumulate)`` over the redundant rows of an
+    ``ndim``-dimensional grid — called as ``f(rows, icell, *offsets,
+    ...)``.  The 3D pair lives in :mod:`repro.pic3d.kernels3d`, which
+    imports this module, hence the call-time import."""
+    if ndim == 2:
+        return interpolate_redundant, accumulate_redundant
+    from repro.pic3d.kernels3d import accumulate_redundant_3d, interpolate_redundant_3d
+
+    return interpolate_redundant_3d, accumulate_redundant_3d
+
+
 # ----------------------------------------------------------------------
 # Velocity update (Fig. 1 line 9)
 # ----------------------------------------------------------------------
@@ -280,10 +293,11 @@ def push_blocked(src, dst, extents, ordering, axis_fn, scales):
     ``src`` maps ``icell``, ``d<a>``, ``v<a>`` (and ``i<a>`` when cell
     coordinates are stored; otherwise they are decoded from ``icell``)
     to arrays, for each axis ``a`` of ``"xyz"[:len(extents)]``; ``dst``
-    maps ``icell``, ``d<a>`` (and ``i<a>``) to the arrays written.
-    Passing the same mapping twice updates in place (the backends);
-    the ``numpy-mp`` worker passes its ``*_new`` staging arrays as
-    ``dst`` so a crash mid-write leaves the inputs intact.
+    maps ``icell``, ``d<a>`` (and ``i<a>``) to the arrays written.  A
+    :class:`~repro.particles.storage.ParticleStorage` is such a
+    mapping.  Passing the same one twice updates in place (the
+    backends); the ``numpy-mp`` worker passes slices of the back
+    buffer as ``dst`` so a crash mid-write leaves the inputs intact.
 
     ``ordering`` supplies the coordinates <-> icell bijection,
     ``axis_fn(x, nc) -> (icoord, offset)`` the periodic fold and
@@ -335,8 +349,9 @@ def fused_sweep(arrs, gather, extents, ordering, axis_fn, coefs, scales):
 
 def _push(particles, ncx, ncy, ordering, axis_fn, scale_x=1.0, scale_y=1.0):
     """In-place 2D push of a :class:`~repro.particles.storage.ParticleStorage`."""
-    arrs = particles.views()
-    push_blocked(arrs, arrs, (ncx, ncy), ordering, axis_fn, (scale_x, scale_y))
+    push_blocked(
+        particles, particles, (ncx, ncy), ordering, axis_fn, (scale_x, scale_y)
+    )
 
 
 def push_positions_branch(particles, ncx, ncy, ordering, scale_x=1.0, scale_y=1.0):

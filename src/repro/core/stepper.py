@@ -23,6 +23,11 @@ time step* and the field is loaded into the storage pre-scaled by
 ``q*dt^2 / (m*spacing)``, so both inner loops are multiply-free; the
 stepper converts back to physical units for diagnostics.  Without
 hoisting, velocities are physical and the loops carry the multiplies.
+
+:class:`StepLoop` is the loop itself — sort cadence, path selection,
+phase order, hooks, instrumentation, backend lifecycle — and knows no
+dimension; :class:`PICStepper` supplies the 2d2v state and phase
+bodies, :class:`repro.pic3d.stepper3d.PICStepper3D` the 3d3v ones.
 """
 
 from __future__ import annotations
@@ -42,10 +47,218 @@ from repro.particles.sorting import sort_in_place, sort_out_of_place
 from repro.particles.storage import ParticleStorage
 from repro.perf.instrument import Instrumentation, StepTimings
 
-__all__ = ["PICStepper", "StepTimings"]
+__all__ = ["StepLoop", "PICStepper", "StepTimings"]
 
 
-class PICStepper:
+class StepLoop:
+    """Fig. 1's main loop over whatever state a subclass owns.
+
+    A subclass builds ``grid``, ``config``, ``ordering``, ``fields``,
+    ``solver`` and ``particles`` (a
+    :class:`~repro.particles.storage.ParticleStorage`), then calls
+    :meth:`_attach_runtime` and :meth:`_prepare`, and supplies the
+    phase bodies ``_phase_update_v`` / ``_phase_update_x`` /
+    ``_phase_fused`` / ``_phase_accumulate`` and ``_solve_fields``.
+    """
+
+    # scenario-zoo attributes as class-level defaults so instances
+    # reconstructed via ``__new__`` (the checkpoint loader, including
+    # pre-zoo checkpoints) and steppers without a zoo (3D) behave as
+    # plain periodic electrostatic steppers unless the case says
+    # otherwise
+    boundary = "periodic"
+    bz = 0.0
+    ext_e = (0.0, 0.0)
+
+    def _attach_runtime(self, instrumentation=None) -> None:
+        """Everything a stepper holds besides physics state; shared by
+        the constructors and the checkpoint loader."""
+        #: resolved kernel-execution backend (config.backend, "auto" applied)
+        self.backend: KernelBackend = get_backend(self.config.backend)
+        #: per-phase wall-clock recorder; `.timings` is its cumulative view
+        self.instrumentation = (
+            instrumentation if instrumentation is not None else Instrumentation()
+        )
+        self.timings: StepTimings = self.instrumentation.timings
+        #: optional ``hook(phase_name, stepper)`` called after each phase
+        #: of :meth:`step` completes — ``"sort"``, the particle-loop
+        #: phases (``"update_v"``/``"update_x"``/``"accumulate"`` when
+        #: split, ``"fused"``/``"accumulate"`` on the fused-backend
+        #: path) and ``"solve"``.  The differential
+        #: verifier's bisector (:mod:`repro.verify.differ`) uses this to
+        #: attribute a divergence to the kernel phase that produced it;
+        #: hooks must not mutate the stepper state, and are observers
+        #: of a live run, never part of checkpointed state.
+        self.phase_hook = None
+        self.iteration = 0
+        #: fused-vs-split tuner (2D, ``loop_mode="auto"`` only).  Its
+        #: state is adaptive-only, never physics: a restored run
+        #: re-trials from scratch, exactly like a fresh stepper
+        self.loop_tuner: LoopModeAutoTuner | None = self._make_loop_tuner()
+        #: double buffer of the out-of-place sort.  Allocated with the
+        #: particles, not at the first sort: there it would be carved
+        #: out of the heap space the kernels' N-sized temporaries keep
+        #: reusing, and the next deposit would have to grow the heap
+        #: (+10 % peak RSS at 1M particles)
+        self._sort_buffer: ParticleStorage | None = None
+        if self.config.sort_period and self.config.sort_variant != "in-place":
+            self._sort_buffer = self.particles.clone_empty()
+        self._closed = False
+
+    def _make_loop_tuner(self) -> LoopModeAutoTuner | None:
+        return None
+
+    def _prepare(self, init=None) -> None:
+        """Backend hook, then ``init()``: multi-process backends
+        relocate the particle and field storage into shared memory
+        here, before the first kernel call (a t=0 deposit/solve in
+        ``init`` already runs through it).  If anything after the hook
+        raises, release what the hook acquired — a failed construction
+        must not leak a worker pool or /dev/shm segments until
+        interpreter exit."""
+        try:
+            self.backend.prepare_stepper(self)
+            if init is not None:
+                init()
+        except BaseException:
+            self.close()
+            raise
+
+    def close(self) -> None:
+        """Release backend-held per-stepper resources (idempotent).
+
+        In-process backends hold none; the ``numpy-mp`` backend shuts
+        down its worker pool and unlinks its shared-memory segments.
+        Safe to call any number of times, including from exception
+        paths and after a failed construction.
+        """
+        if getattr(self, "_closed", False):
+            return
+        self._closed = True
+        self.backend.release_stepper(self)
+
+    # ------------------------------------------------------------------
+    def _phase_sort(self) -> None:
+        ncells = self.ordering.ncells_allocated
+        # the permutation build routes through the backend: same stable
+        # counting sort, compiled cursor loop on backends that have one
+        perm_fn = self.backend.counting_sort_permutation
+        if self.config.sort_variant == "in-place":
+            sort_in_place(self.particles, ncells, perm_fn=perm_fn)
+            return
+        if self._sort_buffer is None:  # sort_period == 0, sorted by hand
+            self._sort_buffer = self.particles.clone_empty()
+        sorted_parts = sort_out_of_place(
+            self.particles, ncells, self._sort_buffer, perm_fn=perm_fn
+        )
+        self._sort_buffer = self.particles
+        self.particles = sorted_parts
+
+    def _select_loop_path(self) -> str:
+        """Which particle-loop path this step will run.
+
+        * ``"split"`` — three passes over the population (§IV-A/B);
+        * ``"fused-backend"`` — the backend's single-pass
+          interpolate+kick+push kernel (``loop_mode="fused"``; every
+          shipped backend has one).
+
+        With ``loop_mode="auto"`` the continuous tuner names the mode
+        for this step (trial phase first, then its adaptive choice);
+        a stepper without one (3D) runs ``"split"``.
+
+        Scenario-zoo cases that carry a non-periodic boundary, a
+        magnetic field or an external field always run ``"split"``:
+        the Boris rotation and the wall fold are whole-population
+        phases, so the fused renderings would have to degenerate to
+        split anyway — forcing it keeps every backend on the identical
+        (hence bitwise-comparable) code path.
+        """
+        if (
+            self.boundary != "periodic"
+            or self.bz != 0.0
+            or self.ext_e != (0.0, 0.0)
+        ):
+            return "split"
+        mode = self.config.loop_mode
+        if self.loop_tuner is not None:
+            mode = self.loop_tuner.mode
+        return "fused-backend" if mode == "fused" else "split"
+
+    def _deposit_and_solve(self) -> None:
+        """Accumulate rho from current positions, then solve for E."""
+        self.fields.reset_rho()
+        self._phase_accumulate()
+        self._solve_fields()
+
+    # ------------------------------------------------------------------
+    # The public step
+    # ------------------------------------------------------------------
+    def step(self) -> None:
+        """One iteration of Fig. 1's main loop (lines 4–13)."""
+        cfg = self.config
+        instr = self.instrumentation
+        hook = self.phase_hook
+        kernel_before = self.timings.kernel_total
+        with instr.step(self.particles.n):
+            with instr.phase("sort"):
+                if (
+                    cfg.sort_period
+                    and self.iteration % cfg.sort_period == 0
+                    and self.iteration
+                ):
+                    self._phase_sort()
+            if hook is not None:
+                hook("sort", self)
+
+            self.fields.reset_rho()
+            path = self._select_loop_path()
+            instr.record_path(path)
+            if path == "split":
+                with instr.phase("update_v"):
+                    self._phase_update_v()
+                if hook is not None:
+                    hook("update_v", self)
+                with instr.phase("update_x"):
+                    self._phase_update_x()
+                if hook is not None:
+                    hook("update_x", self)
+            else:  # fused-backend
+                with instr.phase("fused"):
+                    self._phase_fused()
+                if hook is not None:
+                    hook("fused", self)
+            # one whole-grid deposit on either path: the per-particle
+            # phases above are elementwise, and the deposit sees the
+            # identical arrays in the identical order
+            with instr.phase("accumulate"):
+                self._phase_accumulate()
+            if hook is not None:
+                hook("accumulate", self)
+
+            with instr.phase("solve"):
+                self._solve_fields()
+            if hook is not None:
+                hook("solve", self)
+
+            if self.loop_tuner is not None:
+                # feed the particle-loop seconds of the step just taken
+                # (the only phases the mode changes) and mirror any
+                # decision the tuner makes into the step ledger
+                seen = len(self.loop_tuner.decisions)
+                self.loop_tuner.record(
+                    self.timings.kernel_total - kernel_before
+                )
+                for decision in self.loop_tuner.decisions[seen:]:
+                    instr.record_autotune(decision)
+        self.iteration += 1
+
+    def run(self, n_steps: int) -> None:
+        """Advance ``n_steps`` iterations."""
+        for _ in range(n_steps):
+            self.step()
+
+
+class PICStepper(StepLoop):
     """Advance a 2d2v periodic Vlasov–Poisson system by leap-frog.
 
     Parameters
@@ -68,14 +281,6 @@ class PICStepper:
         A :class:`~repro.grid.poisson.PoissonSolver`; defaults to the
         spectral solver.
     """
-
-    # scenario-zoo attributes as class-level defaults so instances
-    # reconstructed via ``__new__`` (the checkpoint loader, including
-    # pre-zoo checkpoints) behave as plain periodic electrostatic
-    # steppers unless the case says otherwise
-    boundary = "periodic"
-    bz = 0.0
-    ext_e = (0.0, 0.0)
 
     def __init__(
         self,
@@ -117,14 +322,7 @@ class PICStepper:
         self.bz = float(getattr(case, "bz", 0.0) or 0.0)
         ext = getattr(case, "ext_e", None) or (0.0, 0.0)
         self.ext_e = (float(ext[0]), float(ext[1]))
-        self.ordering = get_ordering(
-            config.ordering, grid.ncx, grid.ncy, **config.ordering_kwargs
-        )
-        if config.field_layout == "redundant":
-            self.fields = RedundantFields(grid, self.ordering)
-        else:
-            self.fields = StandardFields(grid)
-        self.solver = solver if solver is not None else SpectralPoissonSolver(grid, eps0)
+        self._build_fields(solver)
 
         if particles is not None:
             if case is not None:
@@ -148,72 +346,38 @@ class PICStepper:
                 "particle storage store_coords does not match config "
                 f"({self.particles.store_coords} vs {config.effective_store_coords})"
             )
-        #: double buffer for the out-of-place sort.  Allocated with the
-        #: particles, not at the first sort: there it would be carved
-        #: out of the heap space the kernels' N-sized temporaries keep
-        #: reusing, and the next deposit would have to grow the heap
-        #: (+10 % peak RSS at 1M particles)
-        self._sort_buffer: ParticleStorage | None = None
-        if config.sort_period and config.sort_variant != "in-place":
-            self._sort_buffer = self.particles.clone_empty()
-        #: resolved kernel-execution backend (config.backend, "auto" applied)
-        self.backend: KernelBackend = get_backend(config.backend)
-        #: per-phase wall-clock recorder; `.timings` is its cumulative view
-        self.instrumentation = Instrumentation()
-        self.timings: StepTimings = self.instrumentation.timings
-        #: optional ``hook(phase_name, stepper)`` called after each phase
-        #: of :meth:`step` completes — ``"sort"``, the particle-loop
-        #: phases (``"update_v"``/``"update_x"``/``"accumulate"`` when
-        #: split, ``"fused"``/``"accumulate"`` on the fused-backend
-        #: path) and ``"solve"``.  The differential
-        #: verifier's bisector (:mod:`repro.verify.differ`) uses this to
-        #: attribute a divergence to the kernel phase that produced it;
-        #: hooks must not mutate the stepper state.
-        self.phase_hook = None
-        self.iteration = 0
-        #: continuous fused-vs-split tuner, active iff
-        #: ``config.loop_mode == "auto"``: short A/B trials, then EWMA
-        #: tracking with hysteresis; every decision is mirrored into
-        #: the instrumentation ledger (see docs/tuning.md)
-        self.loop_tuner: LoopModeAutoTuner | None = (
-            LoopModeAutoTuner(
-                continuous=True, trial_iterations=5,
-                recheck_every=25, probe_iterations=3,
-            )
-            if config.loop_mode == "auto"
-            else None
-        )
+        self._attach_runtime()
         #: physical (Ex, Ey) at grid points from the latest solve
         self.ex_grid = np.zeros((grid.ncx, grid.ncy))
         self.ey_grid = np.zeros((grid.ncx, grid.ncy))
         self.rho_grid = np.zeros((grid.ncx, grid.ncy))
+        self._prepare(self._init_fields_and_stagger)
 
-        self._closed = False
-        # backend hook: multi-process backends relocate the particle and
-        # field storage into shared memory here, before the first kernel
-        # call (the t=0 deposit/solve below already runs through it).
-        # If anything after the hook raises, release what the hook
-        # acquired — a failed construction must not leak a worker pool
-        # or /dev/shm segments until interpreter exit.
-        try:
-            self.backend.prepare_stepper(self)
-            self._init_fields_and_stagger()
-        except BaseException:
-            self.close()
-            raise
+    def _build_fields(self, solver: PoissonSolver | None = None) -> None:
+        """Ordering, field storage and solver from grid + config."""
+        grid, config = self.grid, self.config
+        self.ordering = get_ordering(
+            config.ordering, grid.ncx, grid.ncy, **config.ordering_kwargs
+        )
+        if config.field_layout == "redundant":
+            self.fields = RedundantFields(grid, self.ordering)
+        else:
+            self.fields = StandardFields(grid)
+        self.solver = (
+            solver if solver is not None else SpectralPoissonSolver(grid, self.eps0)
+        )
 
-    def close(self) -> None:
-        """Release backend-held per-stepper resources (idempotent).
-
-        In-process backends hold none; the ``numpy-mp`` backend shuts
-        down its worker pool and unlinks its shared-memory segments.
-        Safe to call any number of times, including from exception
-        paths and after a failed construction.
-        """
-        if getattr(self, "_closed", False):
-            return
-        self._closed = True
-        self.backend.release_stepper(self)
+    def _make_loop_tuner(self) -> LoopModeAutoTuner | None:
+        """Continuous fused-vs-split tuner, active iff
+        ``config.loop_mode == "auto"``: short A/B trials, then EWMA
+        tracking with hysteresis; every decision is mirrored into the
+        instrumentation ledger (see docs/tuning.md)."""
+        if self.config.loop_mode != "auto":
+            return None
+        return LoopModeAutoTuner(
+            continuous=True, trial_iterations=5,
+            recheck_every=25, probe_iterations=3,
+        )
 
     # ------------------------------------------------------------------
     # Unit scalings (§IV-D)
@@ -389,22 +553,6 @@ class PICStepper:
                 self.fields.rho, ix, iy, p.dx, p.dy, self._charge_factor
             )
 
-    def _phase_sort(self) -> None:
-        ncells = self.ordering.ncells_allocated
-        # the permutation build routes through the backend: same stable
-        # counting sort, compiled cursor loop on backends that have one
-        perm_fn = self.backend.counting_sort_permutation
-        if self.config.sort_variant == "in-place":
-            sort_in_place(self.particles, ncells, perm_fn=perm_fn)
-            return
-        if self._sort_buffer is None:  # a stepper restored from a checkpoint
-            self._sort_buffer = self.particles.clone_empty()
-        sorted_parts = sort_out_of_place(
-            self.particles, ncells, self._sort_buffer, perm_fn=perm_fn
-        )
-        self._sort_buffer = self.particles
-        self.particles = sorted_parts
-
     def _phase_fused(self) -> None:
         """Single-pass interpolate + kick + push through the backend."""
         cvx, cvy = self._update_v_coef()
@@ -423,116 +571,16 @@ class PICStepper:
             sy,
         )
 
-    def _select_loop_path(self) -> str:
-        """Which particle-loop path this step will run.
-
-        * ``"split"`` — three passes over the population (§IV-A/B);
-        * ``"fused-backend"`` — the backend's single-pass
-          interpolate+kick+push kernel (``loop_mode="fused"``; every
-          shipped backend has one).
-
-        With ``loop_mode="auto"`` the continuous tuner names the mode
-        for this step (trial phase first, then its adaptive choice).
-
-        Scenario-zoo cases that carry a non-periodic boundary, a
-        magnetic field or an external field always run ``"split"``:
-        the Boris rotation and the wall fold are whole-population
-        phases, so the fused renderings would have to degenerate to
-        split anyway — forcing it keeps every backend on the identical
-        (hence bitwise-comparable) code path.
-        """
-        if (
-            self.boundary != "periodic"
-            or self.bz != 0.0
-            or self.ext_e != (0.0, 0.0)
-        ):
-            return "split"
-        mode = self.config.loop_mode
-        if mode == "auto":
-            mode = self.loop_tuner.mode
-        return "split" if mode == "split" else "fused-backend"
-
-    def _deposit_and_solve(self) -> None:
-        """Accumulate rho from current positions, then solve for E."""
-        self.fields.reset_rho()
-        self._phase_accumulate()
-        self._solve_fields()
-
     def _solve_fields(self) -> None:
         self.rho_grid = self.fields.rho_grid()
-        _, ex, ey = self.solver.solve(self.rho_grid)
-        self.ex_grid, self.ey_grid = ex, ey
-        # both layouts store the field in *stepper* units: pre-scaled to
-        # grid-displacement-per-step when hoisting is on (§IV-D), physical
-        # otherwise; diagnostics read the physical ex_grid/ey_grid instead
+        _, self.ex_grid, self.ey_grid = self.solver.solve(self.rho_grid)
+        self._load_fields()
+
+    def _load_fields(self) -> None:
+        """Store the solved field in *stepper* units, both layouts:
+        pre-scaled to grid-displacement-per-step when hoisting is on
+        (§IV-D), physical otherwise; diagnostics read the physical
+        ex_grid/ey_grid instead."""
         self.fields.set_field_from_grid(
-            ex * self._field_scale_x, ey * self._field_scale_y
+            self.ex_grid * self._field_scale_x, self.ey_grid * self._field_scale_y
         )
-
-    # ------------------------------------------------------------------
-    # The public step
-    # ------------------------------------------------------------------
-    def step(self) -> None:
-        """One iteration of Fig. 1's main loop (lines 4–13)."""
-        cfg = self.config
-        instr = self.instrumentation
-        hook = self.phase_hook
-        kernel_before = self.timings.kernel_total
-        with instr.step(self.particles.n):
-            with instr.phase("sort"):
-                if (
-                    cfg.sort_period
-                    and self.iteration % cfg.sort_period == 0
-                    and self.iteration
-                ):
-                    self._phase_sort()
-            if hook is not None:
-                hook("sort", self)
-
-            self.fields.reset_rho()
-            path = self._select_loop_path()
-            instr.record_path(path)
-            if path == "split":
-                with instr.phase("update_v"):
-                    self._phase_update_v()
-                if hook is not None:
-                    hook("update_v", self)
-                with instr.phase("update_x"):
-                    self._phase_update_x()
-                if hook is not None:
-                    hook("update_x", self)
-                with instr.phase("accumulate"):
-                    self._phase_accumulate()
-                if hook is not None:
-                    hook("accumulate", self)
-            else:  # fused-backend
-                with instr.phase("fused"):
-                    self._phase_fused()
-                if hook is not None:
-                    hook("fused", self)
-                with instr.phase("accumulate"):
-                    self._phase_accumulate()
-                if hook is not None:
-                    hook("accumulate", self)
-
-            with instr.phase("solve"):
-                self._solve_fields()
-            if hook is not None:
-                hook("solve", self)
-
-            if self.loop_tuner is not None:
-                # feed the particle-loop seconds of the step just taken
-                # (the only phases the mode changes) and mirror any
-                # decision the tuner makes into the step ledger
-                seen = len(self.loop_tuner.decisions)
-                self.loop_tuner.record(
-                    self.timings.kernel_total - kernel_before
-                )
-                for decision in self.loop_tuner.decisions[seen:]:
-                    instr.record_autotune(decision)
-        self.iteration += 1
-
-    def run(self, n_steps: int) -> None:
-        """Advance ``n_steps`` iterations."""
-        for _ in range(n_steps):
-            self.step()

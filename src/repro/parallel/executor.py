@@ -9,7 +9,8 @@ genuine OS processes:
   :mod:`repro.parallel.shm`, each on its own pair of pipes; the parent
   sleeps in one ``multiprocessing.connection.wait`` on the result
   pipes and process sentinels until something happens;
-* a per-stepper :class:`ShmEngine` that partitions the three particle
+* a per-stepper :class:`ShmEngine` — one engine for 2D and 3D
+  steppers — that partitions the three particle
   loops of Fig. 1 across the pool — gather/kick/push by particle
   range, the charge deposit by **corner ownership** (each worker folds
   whole corner columns of ``rho_1d`` — cut into cell ranges only
@@ -62,7 +63,6 @@ from repro.particles.storage import ParticleSoA
 __all__ = [
     "WorkerPool",
     "ShmEngine",
-    "ShmEngine3D",
     "MultiprocessBackend",
     "PoolUnrecoverableError",
 ]
@@ -86,16 +86,19 @@ class PoolUnrecoverableError(RuntimeError):
 
 # ----------------------------------------------------------------------
 # Shard executors — shared by the workers and the parent's serial-retry
-# path, so the fallback recomputes the exact same bits.
+# path, so the fallback recomputes the exact same bits.  Per-axis
+# arguments are sequences (two or three entries): one body per op, not
+# one per dimension.
 # ----------------------------------------------------------------------
-def _exec_interp(e_1d, icell, dx, dy, ex_p, ey_p, lo, hi):
+def _exec_interp(e_1d, icell, offsets, out, lo, hi):
     """Gather E into the per-particle scratch slice (idempotent)."""
-    _k.interpolate_redundant(
-        e_1d, icell[lo:hi], dx[lo:hi], dy[lo:hi], out=(ex_p[lo:hi], ey_p[lo:hi])
+    _k.row_kernels(len(offsets))[0](
+        e_1d, icell[lo:hi], *(d[lo:hi] for d in offsets),
+        out=tuple(e_p[lo:hi] for e_p in out),
     )
 
 
-def _exec_kick(vx, vy, ex_p, ey_p, vx_new, vy_new, lo, hi, coef_x, coef_y):
+def _exec_kick(v, e_p, out, lo, hi, coefs):
     """Stage ``v + coef*E`` without touching ``v`` (crash-safe).
 
     :func:`repro.core.kernels.kick` — the in-place serial kick's own
@@ -105,35 +108,29 @@ def _exec_kick(vx, vy, ex_p, ey_p, vx_new, vy_new, lo, hi, coef_x, coef_y):
     """
     for sl in _k.blocks(hi - lo):
         sl = slice(lo + sl.start, lo + sl.stop)
-        _k.kick(vx[sl], ex_p[sl], coef_x, out=vx_new[sl])
-        _k.kick(vy[sl], ey_p[sl], coef_y, out=vy_new[sl])
+        for v_a, e_a, out_a, coef in zip(v, e_p, out, coefs):
+            _k.kick(v_a[sl], e_a[sl], coef, out=out_a[sl])
 
 
-def _exec_push(arrs, lo, hi, ncx, ncy, ordering, variant, scale_x, scale_y):
-    """Stage the position update into the ``*_new`` arrays (crash-safe).
+def _exec_push(src, dst, lo, hi, extents, ordering, variant, scales):
+    """Stage the position update into the ``dst`` arrays (crash-safe).
 
     The body is :func:`repro.core.kernels.push_blocked` — the one
-    :meth:`KernelBackend.push_positions` runs in place; staging instead
+    :meth:`KernelBackend.push` runs in place; staging instead
     keeps the inputs intact until the parent commits, so a retry after
     a mid-write crash still reads unmodified state.
     """
-    src, dst = {}, {}
-    for key, arr in arrs.items():
-        if key.endswith("_new"):
-            dst[key[:-4]] = arr[lo:hi]
-        else:
-            src[key] = arr[lo:hi]
     _k.push_blocked(
-        src, dst, (ncx, ncy), ordering, _k.AXIS_KERNELS[variant],
-        (scale_x, scale_y),
+        {key: arr[lo:hi] for key, arr in src.items()},
+        {key: arr[lo:hi] for key, arr in dst.items()},
+        extents, ordering, _k.AXIS_KERNELS[variant], scales,
     )
 
 
 def _exec_deposit(slab, icell, offsets, groups, charge):
     """Fold the owned ``(cell_lo, cell_hi, corners)`` groups into ``slab``.
 
-    The one deposit op, 2D and 3D (two or three ``offsets``).  Each
-    group runs the serial kernel restricted to its corner columns
+    Each group runs the serial kernel restricted to its corner columns
     (:func:`repro.core.kernels.deposit_rows`): that corner's weights,
     then one ``np.bincount`` over the particles in index order — the
     serial deposit's own operations and order, hence its bits.  A range
@@ -142,10 +139,7 @@ def _exec_deposit(slab, icell, offsets, groups, charge):
     order).  The owned slab pieces are re-zeroed first, making retries
     idempotent.
     """
-    if len(offsets) == 2:
-        accumulate = _k.accumulate_redundant
-    else:
-        from repro.pic3d.kernels3d import accumulate_redundant_3d as accumulate
+    accumulate = _k.row_kernels(len(offsets))[1]
     for lo, hi, corners in groups:
         slab[corners, lo:hi] = 0.0
         keys, offs = icell, offsets
@@ -156,43 +150,50 @@ def _exec_deposit(slab, icell, offsets, groups, charge):
         accumulate(slab.T[lo:hi], keys, *offs, charge, corners=corners)
 
 
-def _cached_ordering(spec, cache):
+#: worker op name -> executor; a shard message carries the op's array
+#: arguments as a tree of attach specs and the rest under ``"args"``
+_OPS = {
+    "interp": _exec_interp,
+    "kick": _exec_kick,
+    "push": _exec_push,
+    "deposit": _exec_deposit,
+}
+
+
+def _map_arrays(fn, tree):
+    """``tree`` (arrays or attach specs, nested in dicts/lists) with
+    ``fn`` applied to every leaf."""
+    if isinstance(tree, dict):
+        return {key: _map_arrays(fn, sub) for key, sub in tree.items()}
+    if isinstance(tree, list):
+        return [_map_arrays(fn, sub) for sub in tree]
+    return fn(tree)
+
+
+def _ordering_from_spec(spec, cache):
+    """The ordering a ``(name, extents, kwargs)`` spec names — two
+    extents resolve through the 2D registry, three through the 3D
+    stepper's name mapping — built once per worker."""
     ordering = cache.get(spec)
     if ordering is None:
-        name, ncx, ncy, kwargs = spec
-        ordering = get_ordering(name, ncx, ncy, **dict(kwargs))
+        name, extents, kwargs = spec
+        if len(extents) == 2:
+            ordering = get_ordering(name, *extents, **dict(kwargs))
+        else:
+            from repro.pic3d.stepper3d import _ordering_for
+
+            ordering = _ordering_for(name, extents)
         cache[spec] = ordering
     return ordering
 
 
 def _execute(op, msg, seg_cache, ordering_cache):
-    arrs = {
-        key: attach_array(spec, seg_cache)
-        for key, spec in msg.get("arrays", {}).items()
-    }
-    if op == "interp2d":
-        _exec_interp(
-            arrs["e_1d"], arrs["icell"], arrs["dx"], arrs["dy"],
-            arrs["ex_p"], arrs["ey_p"], msg["lo"], msg["hi"],
-        )
-    elif op == "kick2d":
-        _exec_kick(
-            arrs["vx"], arrs["vy"], arrs["ex_p"], arrs["ey_p"],
-            arrs["vx_new"], arrs["vy_new"], msg["lo"], msg["hi"],
-            msg["coef_x"], msg["coef_y"],
-        )
-    elif op == "push2d":
-        ordering = _cached_ordering(msg["ordering"], ordering_cache)
-        _exec_push(
-            arrs, msg["lo"], msg["hi"], msg["ncx"], msg["ncy"],
-            ordering, msg["variant"], msg["scale_x"], msg["scale_y"],
-        )
-    elif op == "deposit":
-        _exec_deposit(
-            arrs["slab"], arrs["icell"],
-            [arrs[k] for k in ("dx", "dy", "dz") if k in arrs],
-            msg["groups"], msg["charge"],
-        )
+    if op in _OPS:
+        args = dict(msg["args"])
+        if "ordering" in args:
+            args["ordering"] = _ordering_from_spec(args["ordering"], ordering_cache)
+        arrays = _map_arrays(lambda spec: attach_array(spec, seg_cache), msg["arrays"])
+        _OPS[op](**arrays, **args)
     elif op == "ping":
         pass
     elif op == "sleep":  # test hook for the timeout path
@@ -425,29 +426,21 @@ class WorkerPool:
 # ----------------------------------------------------------------------
 # The per-stepper engine
 # ----------------------------------------------------------------------
-def _initial_cuts(planner, icell):
-    """The planner's t=0 cell ranges; the histogram is only taken when
-    there is more than one range to balance."""
-    hist = None
-    if planner.nparts > 1:
-        hist = np.bincount(
-            np.asarray(icell, dtype=np.int64), minlength=planner.nalloc
-        )
-    return planner.initial(hist)
-
-
 class ShmEngine:
     """Drives one stepper's particle loops across the worker pool.
 
-    Construction relocates the stepper's particle storage and redundant
-    field arrays into shared memory (the stepper keeps using them
-    through the same attributes), gives the stepper a shared back
-    buffer — staging for the kick/push commits *and* the out-of-place
-    sort's double buffer — and sets up both partitions: particle
-    ranges for gather/kick/push (fixed for the engine's lifetime), and
-    corner columns for the deposit.  Beyond ``ncorner`` workers the
-    columns are also cut into cell ranges, from the t=0 particle
-    histogram (~equal particles per range) and re-cut by the
+    Serves any stepper whose particles are a
+    :class:`~repro.particles.storage.ParticleSoA` and whose fields hold
+    redundant ``rho_1d``/``e_1d`` rows — 2D and 3D alike; every
+    per-axis quantity travels as a tuple.  Construction relocates the
+    particle storage and the field rows into shared memory (the stepper
+    keeps using them through the same attributes), gives the stepper a
+    shared back buffer — staging for the kick/push commits *and* the
+    out-of-place sort's double buffer — and sets up both partitions:
+    particle ranges for gather/kick/push (fixed for the engine's
+    lifetime), and corner columns for the deposit.  Beyond ``ncorner``
+    workers the columns are also cut into cell ranges, from the t=0
+    particle histogram (~equal particles per range) and re-cut by the
     :class:`~repro.parallel.partition.PartitionPlanner` every
     ``repartition_every`` deposits when the measured load imbalance
     warrants it.  Each such check also records a data-movement sample
@@ -456,8 +449,15 @@ class ShmEngine:
     """
 
     def __init__(self, stepper, nworkers=None, task_timeout=None):
-        self._configure(stepper, nworkers, task_timeout)
         cfg = stepper.config
+        if nworkers is None:
+            nworkers = getattr(cfg, "workers", None) or os.cpu_count() or 1
+        self.nworkers = max(1, int(nworkers))
+        if task_timeout is None:
+            task_timeout = getattr(cfg, "mp_task_timeout", 60.0)
+        self.task_timeout = float(task_timeout)
+        self.instrumentation = stepper.instrumentation
+        self.arena = SharedArena()
         # rebind before allocating the back buffer: the plain storage
         # is released first, so the two never add to the peak footprint
         stepper.particles = front = SharedParticleStorage.from_storage(
@@ -472,35 +472,20 @@ class ShmEngine:
         self.planner = PartitionPlanner(
             nalloc=nalloc, nparts=-(-self.nworkers // ncorner)
         )
+        # the t=0 histogram is only taken when there is more than one
+        # range to balance
+        hist = None
+        if self.planner.nparts > 1:
+            hist = np.bincount(front.icell, minlength=nalloc)
         self.grid_shared = SharedGrid(
-            stepper.fields, self.arena, _initial_cuts(self.planner, front.icell)
+            stepper.fields, self.arena, self.planner.initial(hist)
         )
         self.ordering = stepper.ordering
-        self._ordering_spec = (
-            cfg.ordering,
-            stepper.grid.ncx,
-            stepper.grid.ncy,
-            tuple(sorted(cfg.ordering_kwargs.items())),
-        )
+        self._ordering_kwargs = tuple(sorted(cfg.ordering_kwargs.items()))
         self.n = front.n
         self.particle_ranges = partition_range(self.n, self.nworkers)
-        # per-particle gather targets
-        self.ex_p = self.arena.alloc(self.n)
-        self.ey_p = self.arena.alloc(self.n)
-        self._start_pool()
-
-    def _configure(self, stepper, nworkers, task_timeout) -> None:
-        cfg = stepper.config
-        if nworkers is None:
-            nworkers = getattr(cfg, "workers", None) or os.cpu_count() or 1
-        self.nworkers = max(1, int(nworkers))
-        if task_timeout is None:
-            task_timeout = getattr(cfg, "mp_task_timeout", 60.0)
-        self.task_timeout = float(task_timeout)
-        self.instrumentation = stepper.instrumentation
-        self.arena = SharedArena()
-
-    def _start_pool(self) -> None:
+        #: per-particle gather targets, one per axis
+        self.e_p = [self.arena.alloc(self.n) for _ in range(front.ndim)]
         self.pool = WorkerPool(self.nworkers, timeout=self.task_timeout)
         #: consecutive dispatches in which *every* shard failed; at
         #: ``max_failure_streak`` the engine declares itself
@@ -513,15 +498,6 @@ class ShmEngine:
         atexit.register(self.close)
 
     # ------------------------------------------------------------------
-    def _spec(self, **arrays):
-        out = {}
-        for key, arr in arrays.items():
-            spec = self.arena.spec_for(arr)
-            if spec is None:  # pragma: no cover - callers check ownership
-                raise ValueError(f"array {key!r} is not arena-owned")
-            out[key] = spec
-        return out
-
     def _dispatch(self, phase, shards):
         """Run shards; record per-worker timings; return failed msgs.
 
@@ -556,82 +532,81 @@ class ShmEngine:
             self._failure_streak = 0
         return failed
 
-    def _particle_shards(self, op, arrays, **extra):
-        specs = self._spec(**arrays)
-        shards = []
-        for wid, sl in enumerate(self.particle_ranges):
-            if sl.stop <= sl.start:
-                continue
-            msg = {"op": op, "lo": sl.start, "hi": sl.stop, "arrays": specs}
-            msg.update(extra)
-            shards.append((wid, msg))
-        return shards
+    def _run(self, phase, op, arrays, shard_args):
+        """Run ``_OPS[op]`` on ``arrays`` (a tree of arena-owned
+        arrays), one shard per ``(wid, args)``; shards whose worker
+        failed are recomputed here by the same executor."""
+        specs = _map_arrays(self.arena.spec_for, arrays)
+        shards = [
+            (wid, {"op": op, "arrays": specs, "args": args})
+            for wid, args in shard_args
+        ]
+        for _wid, msg in self._dispatch(phase, shards):
+            args = msg["args"]
+            if "ordering" in args:
+                args = {**args, "ordering": self.ordering}
+            _OPS[op](**arrays, **args)
+
+    def _particle_shards(self, **args):
+        """One ``(wid, args)`` per non-empty particle range."""
+        return [
+            (wid, {**args, "lo": sl.start, "hi": sl.stop})
+            for wid, sl in enumerate(self.particle_ranges)
+            if sl.stop > sl.start
+        ]
 
     # ------------------------------------------------------------------
     # Phase drivers (called by MultiprocessBackend)
     # ------------------------------------------------------------------
-    def interpolate_redundant(self, e_1d, icell, dx, dy):
-        shards = self._particle_shards(
-            "interp2d",
-            {"e_1d": e_1d, "icell": icell, "dx": dx, "dy": dy,
-             "ex_p": self.ex_p, "ey_p": self.ey_p},
-        )
-        for _wid, msg in self._dispatch("update_v", shards):
-            _exec_interp(
-                e_1d, icell, dx, dy, self.ex_p, self.ey_p, msg["lo"], msg["hi"]
-            )
-        return self.ex_p, self.ey_p
+    def interpolate(self, e_1d, icell, offsets):
+        arrays = {"e_1d": e_1d, "icell": icell, "offsets": list(offsets),
+                  "out": self.e_p}
+        self._run("update_v", "interp", arrays, self._particle_shards())
+        return tuple(self.e_p)
 
-    def front_back(self, particles=None, **live):
+    def front_back(self, particles=None, velocities=()):
         """``(front, back)`` storages for a commit, or ``None``.
 
         The front is the stepper's current ``particles``; the answer
-        is ``None`` unless the caller passed that storage, or arrays
-        that *are* its live ones (``vx=..., vy=...``) — anything else
-        runs the inherited in-place kernel on the caller's arrays.
+        is ``None`` unless the caller passed that storage, or
+        ``velocities`` that *are* its live per-axis arrays — anything
+        else runs the inherited in-place kernel on the caller's arrays.
         """
         front, back = self._stepper.particles, self._stepper._sort_buffer
-        if particles is front or (live and all(
-            getattr(front, "_" + key) is arr for key, arr in live.items()
-        )):
+        if particles is front or (
+            len(velocities) == front.ndim
+            and all(front["v" + a] is v for a, v in zip("xyz", velocities))
+        ):
             return front, back
         return None
 
-    def update_velocities(self, stores, ex_p, ey_p, coef_x, coef_y):
+    def kick(self, stores, e_ps, coefs):
         front, back = stores
-        arrays = {  # in _exec_kick's argument order
-            "vx": front.vx, "vy": front.vy, "ex_p": ex_p, "ey_p": ey_p,
-            "vx_new": back.vx, "vy_new": back.vy,
-        }
-        shards = self._particle_shards(
-            "kick2d", arrays, coef_x=float(coef_x), coef_y=float(coef_y),
+        names = [key for key in front.keys() if key[0] == "v"]
+        arrays = {"v": [front[k] for k in names], "e_p": list(e_ps),
+                  "out": [back[k] for k in names]}
+        self._run(
+            "update_v", "kick", arrays,
+            self._particle_shards(coefs=[float(c) for c in coefs]),
         )
-        for _wid, msg in self._dispatch("update_v", shards):
-            _exec_kick(
-                *arrays.values(), msg["lo"], msg["hi"],
-                float(coef_x), float(coef_y),
-            )
-        front.flip(back, ("vx", "vy"))
+        front.flip(back, names)
 
-    def push_positions(self, stores, ncx, ncy, variant, scale_x, scale_y):
+    def push(self, stores, extents, variant, scales):
         front, back = stores
-        arrays = front.views()
-        staged = [key for key in arrays if key not in ("vx", "vy")]
-        arrays.update((key + "_new", getattr(back, key)) for key in staged)
-        shards = self._particle_shards(
-            "push2d", arrays,
-            ncx=int(ncx), ncy=int(ncy), variant=variant,
-            scale_x=float(scale_x), scale_y=float(scale_y),
-            ordering=self._ordering_spec,
+        staged = [key for key in front.keys() if key[0] != "v"]
+        arrays = {"src": dict(front), "dst": {key: back[key] for key in staged}}
+        extents = tuple(int(nc) for nc in extents)
+        self._run(
+            "update_x", "push", arrays,
+            self._particle_shards(
+                extents=extents, variant=variant,
+                scales=[float(sc) for sc in scales],
+                ordering=(self.ordering.name, extents, self._ordering_kwargs),
+            ),
         )
-        for _wid, msg in self._dispatch("update_x", shards):
-            _exec_push(
-                arrays, msg["lo"], msg["hi"], int(ncx), int(ncy),
-                self.ordering, variant, float(scale_x), float(scale_y),
-            )
         front.flip(back, staged)
 
-    def accumulate_redundant(self, icell, dx, dy, charge):
+    def accumulate(self, icell, offsets, charge):
         gs = self.grid_shared
         # repartition + data-movement sampling share one histogram; a
         # bincount is computed only on the steps that need it, and the
@@ -646,25 +621,15 @@ class ShmEngine:
             gs.set_cell_ranges(new_ranges)
         if hist is not None:
             self._record_datamove(hist)
-        self._deposit(gs.rho_1d, gs.slab, gs.cell_ranges, icell, (dx, dy), charge)
-
-    def _deposit(self, rho_1d, slab, cell_ranges, icell, offsets, charge):
-        """Corner-owned deposit into ``rho_1d`` (2D and 3D engines)."""
-        specs = self._spec(
-            slab=slab, icell=icell, **dict(zip(("dx", "dy", "dz"), offsets))
+        arrays = {"slab": gs.slab, "icell": icell, "offsets": list(offsets)}
+        tasks = corner_tasks(gs.cell_ranges, gs.slab.shape[0], self.nworkers)
+        self._run(
+            "accumulate", "deposit", arrays,
+            [(wid, {"groups": groups, "charge": float(charge)})
+             for wid, groups in enumerate(tasks) if groups],
         )
-        shards = [
-            (wid, {"op": "deposit", "groups": groups, "charge": float(charge),
-                   "arrays": specs})
-            for wid, groups in enumerate(
-                corner_tasks(cell_ranges, slab.shape[0], self.nworkers)
-            )
-            if groups
-        ]
-        for _wid, msg in self._dispatch("accumulate", shards):
-            _exec_deposit(slab, icell, offsets, msg["groups"], float(charge))
         # the tasks tile the slab, so one add is the whole reduction
-        rho_1d += slab.T
+        gs.rho_1d += gs.slab.T
 
     def _record_datamove(self, hist) -> None:
         """Sample the deposit's measured data movement into the timings."""
@@ -674,7 +639,8 @@ class ShmEngine:
         from repro.perf.datamove import deposit_movement, rusage_sample
 
         stats = deposit_movement(
-            self.grid_shared.cell_ranges, hist, ordering=self.ordering
+            self.grid_shared.cell_ranges, hist, ordering=self.ordering,
+            ndim=self._stepper.particles.ndim,
         )
         stats["repartitions"] = len(self.planner.events)
         if self.planner.events:
@@ -712,61 +678,6 @@ class ShmEngine:
         self.arena.close()
 
 
-class ShmEngine3D:
-    """Deposit-only shared-memory engine for the 3D stepper.
-
-    The 3D stepper keeps its particles as a plain dict of arrays and
-    its gather/kick/push loops are cheap NumPy sweeps; the deposit is
-    the phase worth fanning out (and the one whose bitwise promise
-    corner ownership buys).  Construction relocates the deposit's
-    input arrays — ``icell, dx, dy, dz`` — into shared memory by
-    rebinding the dict keys once; every later stepper write goes
-    *through* those arrays (``arr[:] = ...`` discipline in the 3D
-    kernels and sort), so workers always see current state without any
-    per-step copying.  The deposit is :meth:`ShmEngine._deposit` on an
-    ``(8, nalloc)`` slab: whole corner columns up to 8 workers, beyond
-    that static cell cuts from
-    :func:`~repro.parallel.partition.partition_cells` on the t=0
-    particle histogram.
-
-    ``rho_1d`` itself stays in parent memory — only the parent reduces
-    into it, so it never needs to cross a process boundary.
-    """
-
-    def __init__(self, stepper, nworkers=None, task_timeout=None):
-        self._configure(stepper, nworkers, task_timeout)
-        p = stepper.particles
-        for key in ("icell", "dx", "dy", "dz"):
-            p[key] = self.arena.share_copy(np.asarray(p[key]))
-        self.n = int(p["icell"].shape[0])
-        self.rho_target = stepper.fields.rho_1d
-        nalloc, ncorner = self.rho_target.shape
-        self.cell_ranges = _initial_cuts(
-            PartitionPlanner(nalloc=nalloc, nparts=-(-self.nworkers // ncorner)),
-            p["icell"],
-        )
-        self.slab = self.arena.alloc((ncorner, nalloc))
-        self._start_pool()
-
-    # set-up, the dispatch/retry policy, the deposit and shutdown are
-    # dimension-agnostic; borrow them from the 2D engine rather than
-    # duplicating the logic
-    _configure = ShmEngine._configure
-    _start_pool = ShmEngine._start_pool
-    _spec = ShmEngine._spec
-    _dispatch = ShmEngine._dispatch
-    _deposit = ShmEngine._deposit
-    ping = ShmEngine.ping
-    fallbacks = ShmEngine.fallbacks
-    close = ShmEngine.close
-
-    def accumulate_redundant_3d(self, icell, dx, dy, dz, charge) -> None:
-        """Corner-owned deposit into the stepper's ``rho_1d``."""
-        self._deposit(
-            self.rho_target, self.slab, self.cell_ranges, icell, (dx, dy, dz), charge
-        )
-
-
 def _engine_owning(*arrays):
     for eng in _LIVE_ENGINES:
         if eng.arena.owns(*arrays):
@@ -786,11 +697,8 @@ class MultiprocessBackend(NumpyBackend):
     prepared stepper in split-loop redundant-SoA mode) are dispatched
     to the pool, everything else — direct kernel calls, the fused
     sweep, standard/AoS layouts — runs serially with identical
-    results.  A 3D stepper (``redundant3d`` fields + dict particles)
-    gets a deposit-only :class:`ShmEngine3D`: its whole-grid deposit
-    fans out by cell ownership while gather/kick/push stay serial, and
-    any loop mode qualifies because the one whole-grid deposit follows
-    the sweep on either path.  Deliberately the *lowest*
+    results.  2D and 3D steppers get the same engine under the same
+    eligibility rule.  Deliberately the *lowest*
     priority so ``"auto"`` never picks it; multiprocessing is opt-in.
     """
 
@@ -823,23 +731,10 @@ class MultiprocessBackend(NumpyBackend):
     # -- stepper lifecycle ----------------------------------------------
     def prepare_stepper(self, stepper) -> None:
         cfg = stepper.config
-        if getattr(stepper.fields, "layout", None) == "redundant3d":
-            try:
-                engine = ShmEngine3D(stepper)
-            except OSError as exc:  # pragma: no cover - no /dev/shm etc.
-                _log.warning(
-                    "numpy-mp: shared memory unavailable (%s); running 3D "
-                    "deposit serially", exc,
-                )
-                return
-            self._engines[id(stepper)] = engine
-            _log.info(
-                "numpy-mp 3D deposit engine: %d workers, task timeout %.1fs",
-                engine.nworkers, engine.task_timeout,
-            )
-            return
+        # one rule for both dimensions: redundant rows the engine can
+        # adopt, SoA columns it can share, and the split loop
         eligible = (
-            stepper.fields.layout == "redundant"
+            hasattr(stepper.fields, "adopt_arrays")
             and isinstance(stepper.particles, ParticleSoA)
             and cfg.loop_mode == "split"
         )
@@ -875,49 +770,34 @@ class MultiprocessBackend(NumpyBackend):
         """The live engine prepared for ``stepper``, if any."""
         return self._engines.get(id(stepper))
 
-    # -- kernel dispatch -------------------------------------------------
-    def interpolate_redundant(self, e_1d, icell, dx, dy):
-        eng = _engine_owning(e_1d, icell, dx, dy)
+    # -- kernel dispatch: the four axis-generic kernels, each serving
+    # -- the 2D and the 3D method names of the kernel surface
+    def interpolate_rows(self, e_1d, icell, offsets):
+        eng = _engine_owning(e_1d, icell, *offsets)
         if eng is None or len(icell) != eng.n:
-            return _k.interpolate_redundant(e_1d, icell, dx, dy)
-        return eng.interpolate_redundant(e_1d, icell, dx, dy)
+            return super().interpolate_rows(e_1d, icell, offsets)
+        return eng.interpolate(e_1d, icell, offsets)
 
-    def update_velocities(self, vx, vy, ex_p, ey_p, coef_x=1.0, coef_y=1.0):
-        eng = _engine_owning(vx, vy, ex_p, ey_p)
-        stores = eng.front_back(vx=vx, vy=vy) if eng is not None else None
+    def kick(self, vs, e_ps, coefs):
+        eng = _engine_owning(*vs, *e_ps)
+        stores = eng.front_back(velocities=vs) if eng is not None else None
         if stores is None:
-            return _k.update_velocities(vx, vy, ex_p, ey_p, coef_x, coef_y)
-        eng.update_velocities(stores, ex_p, ey_p, coef_x, coef_y)
+            return super().kick(vs, e_ps, coefs)
+        eng.kick(stores, e_ps, coefs)
 
-    def accumulate_redundant(self, rho_1d, icell, dx, dy, charge=1.0):
-        eng = _engine_owning(rho_1d, icell, dx, dy)
+    def accumulate_rows(self, rho_1d, icell, offsets, charge=1.0):
+        eng = _engine_owning(rho_1d, icell, *offsets)
         if (
             eng is None
             or rho_1d is not eng.grid_shared.rho_1d
             or len(icell) != eng.n
         ):
-            return _k.accumulate_redundant(rho_1d, icell, dx, dy, charge)
-        eng.accumulate_redundant(icell, dx, dy, charge)
+            return super().accumulate_rows(rho_1d, icell, offsets, charge)
+        eng.accumulate(icell, offsets, charge)
 
-    def accumulate_redundant_3d(self, rho_1d, icell, dx, dy, dz, charge=1.0):
-        eng = _engine_owning(icell, dx, dy, dz)
-        if (
-            eng is None
-            or rho_1d is not getattr(eng, "rho_target", None)
-            or len(icell) != eng.n
-        ):
-            return super().accumulate_redundant_3d(
-                rho_1d, icell, dx, dy, dz, charge
-            )
-        eng.accumulate_redundant_3d(icell, dx, dy, dz, charge)
-
-    def push_positions(
-        self, particles, ncx, ncy, ordering, variant, scale_x=1.0, scale_y=1.0
-    ):
-        eng = _engine_owning(particles.icell)
+    def push(self, particles, extents, ordering, variant, scales):
+        eng = _engine_owning(particles["icell"])
         stores = eng.front_back(particles) if eng is not None else None
         if stores is None or ordering is not eng.ordering:
-            return super().push_positions(
-                particles, ncx, ncy, ordering, variant, scale_x, scale_y
-            )
-        eng.push_positions(stores, ncx, ncy, variant, scale_x, scale_y)
+            return super().push(particles, extents, ordering, variant, scales)
+        eng.push(stores, extents, variant, scales)

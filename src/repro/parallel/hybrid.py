@@ -44,13 +44,9 @@ class DistributedPICStepper(PICStepper):
         super().__init__(*args, **kwargs)
 
     def _solve_fields(self) -> None:
-        local_rho = self.fields.rho_grid()
-        self.rho_grid = self.comm.allreduce(local_rho)
-        _, ex, ey = self.solver.solve(self.rho_grid)
-        self.ex_grid, self.ey_grid = ex, ey
-        self.fields.set_field_from_grid(
-            ex * self._field_scale_x, ey * self._field_scale_y
-        )
+        self.rho_grid = self.comm.allreduce(self.fields.rho_grid())
+        _, self.ex_grid, self.ey_grid = self.solver.solve(self.rho_grid)
+        self._load_fields()
 
 
 def split_population(particles: ParticleStorage, nranks: int) -> list[dict]:

@@ -22,8 +22,8 @@ Three pieces:
   :meth:`~SharedParticleStorage.flip` — exchanging the two storages'
   array bindings, O(1), no copy.  The same back buffer is the
   out-of-place sort's double buffer.
-* :class:`SharedGrid` — moves a :class:`RedundantFields`' ``rho_1d`` /
-  ``e_1d`` into the arena and adds the deposit's private target: one
+* :class:`SharedGrid` — moves the redundant ``rho_1d`` / ``e_1d`` rows
+  of a 2D or 3D field storage into the arena and adds the deposit's private target: one
   corner-major ``(ncorner, nalloc)`` slab.  A deposit task owns one
   corner (one slab row) over one cell range and folds the particles
   there in particle order — exactly the terms the serial
@@ -46,7 +46,6 @@ from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
-from repro.grid.fields import RedundantFields
 from repro.particles.storage import ParticleSoA
 
 __all__ = [
@@ -183,29 +182,21 @@ def attach_array(spec: ArraySpec, cache: dict) -> np.ndarray:
 class SharedParticleStorage(ParticleSoA):
     """A :class:`ParticleSoA` whose attribute arrays live in an arena.
 
-    Behaviourally identical to the plain SoA storage (same properties,
+    Behaviourally identical to the plain SoA storage (same columns,
     same ``reorder``); only the allocation differs, so the stepper and
     all kernels are none the wiser.  ``clone_empty`` allocates from the
     same arena, keeping a swapped-in storage shareable.
     """
 
-    def __init__(self, n, weight=1.0, store_coords=True, *, arena: SharedArena):
+    def __init__(self, n, weight=1.0, store_coords=True, ndim=2, *,
+                 arena: SharedArena):
         self._arena = arena
-        super().__init__(n, weight, store_coords)
-
-    def _allocate(self, n: int, store_coords: bool) -> None:
-        self._icell = self._arena.alloc(n, dtype=np.int64)
-        self._dx = self._arena.alloc(n)
-        self._dy = self._arena.alloc(n)
-        self._vx = self._arena.alloc(n)
-        self._vy = self._arena.alloc(n)
-        if store_coords:
-            self._ix = self._arena.alloc(n, dtype=np.int64)
-            self._iy = self._arena.alloc(n, dtype=np.int64)
+        self._alloc = arena.alloc
+        super().__init__(n, weight, store_coords, ndim)
 
     def clone_empty(self):
         return SharedParticleStorage(
-            self.n, self.weight, self.store_coords, arena=self._arena
+            self.n, self.weight, self.store_coords, self.ndim, arena=self._arena
         )
 
     def flip(self, other: "SharedParticleStorage", names) -> None:
@@ -217,20 +208,15 @@ class SharedParticleStorage(ParticleSoA):
         that kept a reference to an old live array now looks at
         staging memory — read attributes through the storage.
         """
+        mine, theirs = self._columns, other._columns
         for name in names:
-            key = "_" + name
-            mine, theirs = getattr(self, key), getattr(other, key)
-            setattr(self, key, theirs)
-            setattr(other, key, mine)
+            mine[name], theirs[name] = theirs[name], mine[name]
 
     @classmethod
     def from_storage(cls, src, arena: SharedArena) -> "SharedParticleStorage":
         """Copy an existing storage's state into a shared one."""
-        out = cls(src.n, src.weight, src.store_coords, arena=arena)
-        if src.store_coords:
-            out.set_state(src.icell, src.dx, src.dy, src.vx, src.vy, src.ix, src.iy)
-        else:
-            out.set_state(src.icell, src.dx, src.dy, src.vx, src.vy)
+        out = cls(src.n, src.weight, src.store_coords, src.ndim, arena=arena)
+        out.set_state(**src)
         return out
 
 
@@ -238,8 +224,9 @@ class SharedGrid:
     """Shared redundant field storage plus the deposit's private slab.
 
     Moves ``fields.rho_1d`` / ``fields.e_1d`` into the arena (the
-    :class:`RedundantFields` instance adopts the shared arrays in
-    place, so every stepper-side read and the Poisson fold see them),
+    field storage — :class:`~repro.grid.fields.RedundantFields` or its
+    3D counterpart — adopts the shared arrays in place, so every
+    stepper-side read and the Poisson fold see them),
     and holds the deposit's target and cuts:
 
     * ``slab`` — corner-major ``(ncorner, nalloc)``; task ``(c, range)``
@@ -256,9 +243,7 @@ class SharedGrid:
     for any cuts.
     """
 
-    def __init__(self, fields: RedundantFields, arena: SharedArena, cell_ranges):
-        if fields.layout != "redundant":
-            raise ValueError("SharedGrid requires the redundant field layout")
+    def __init__(self, fields, arena: SharedArena, cell_ranges):
         self.fields = fields
         self.arena = arena
         self.nalloc, ncorner = (int(s) for s in fields.rho_1d.shape)

@@ -19,6 +19,7 @@ from repro.particles.storage import (
     ParticleSoA,
     ParticleStorage,
     make_storage,
+    particle_fields,
 )
 from repro.particles.initializers import (
     BeamPlasma,
@@ -47,6 +48,7 @@ __all__ = [
     "ParticleSoA",
     "ParticleAoS",
     "make_storage",
+    "particle_fields",
     "InitialCondition",
     "LandauDamping",
     "TwoStream",

@@ -218,9 +218,7 @@ def sort_in_place(
     """
     perm_fn = perm_fn or counting_sort_permutation
     perm = perm_fn(particles.icell, ncells)
-    arrays = [particles.icell, particles.dx, particles.dy, particles.vx, particles.vy]
-    if particles.store_coords:
-        arrays += [particles.ix, particles.iy]
+    arrays = [arr for _name, arr in particles.items()]
     n = particles.n
     if cycle_threshold is None:
         cycle_threshold = CYCLE_SORT_THRESHOLD

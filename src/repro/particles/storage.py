@@ -1,20 +1,27 @@
 """Particle storage: Structure-of-Arrays vs Array-of-Structures.
 
-Both containers hold the paper's particle representation:
+Both containers hold the paper's particle representation, in ``ndim``
+dimensions (axes ``a`` in ``"xyz"[:ndim]``):
 
 * ``icell`` — linear cell index under the active cell ordering
-* ``dx, dy`` — normalized in-cell offsets in ``[0, 1)``
-* ``vx, vy`` — velocities (in grid units per time step when the
+* ``d<a>`` — normalized in-cell offsets in ``[0, 1)``
+* ``v<a>`` — velocities (in grid units per time step when the
   loop-hoisting optimization is on, physical units otherwise; the
   stepper records which)
-* optionally ``ix, iy`` — integer cell coordinates, stored only for
+* optionally ``i<a>`` — integer cell coordinates, stored only for
   orderings whose decode is not a single operation (paper §IV-B keeps
   them for L4D and Morton, recomputes for row-major)
 
+:func:`particle_fields` is the one place that spells this list; a
+storage keeps its columns in one mapping keyed by those names and
+reads both as attributes (``p.dx``) and as a read-only mapping
+(``p["dx"]``, ``"ix" in p``, ``dict(p)``) — the form the blocked
+kernels of :mod:`repro.core.kernels` slice.
+
 :class:`ParticleSoA` keeps one contiguous numpy array per attribute —
 the layout that vectorizes (unit stride).  :class:`ParticleAoS` keeps a
-single structured (record) array — attribute access returns *strided*
-views, faithfully reproducing the stride-of-the-record access pattern
+single structured (record) array — its columns are *strided* views,
+faithfully reproducing the stride-of-the-record access pattern
 that defeats auto-vectorization in the paper (and measurably slows
 numpy kernels here, since every kernel touching a strided view pays a
 gather/copy).
@@ -26,10 +33,40 @@ import abc
 
 import numpy as np
 
-__all__ = ["ParticleStorage", "ParticleSoA", "ParticleAoS", "make_storage"]
+__all__ = [
+    "particle_fields",
+    "ParticleStorage",
+    "ParticleSoA",
+    "ParticleAoS",
+    "make_storage",
+]
 
-_FIELDS = ("icell", "dx", "dy", "vx", "vy")
-_COORD_FIELDS = ("ix", "iy")
+
+def particle_fields(ndim: int, store_coords: bool) -> tuple[str, ...]:
+    """Column names of an ``ndim``-dimensional particle population, in
+    the order every consumer (``set_state``, the checkpoint format, the
+    differential verifier) iterates them."""
+    axes = "xyz"[:ndim]
+    names = ("icell", *("d" + a for a in axes), *("v" + a for a in axes))
+    return names + tuple("i" + a for a in axes) if store_coords else names
+
+
+def _dtype(name: str):
+    """``icell`` and the cell coordinates are integers, the rest floats."""
+    return np.int64 if name[0] == "i" else np.float64
+
+
+def _column(name: str) -> property:
+    def get(self):
+        try:
+            return self._columns[name]
+        except KeyError:
+            raise AttributeError(
+                f"{name!r} is not stored (ndim={self.ndim}, "
+                f"store_coords={self.store_coords})"
+            ) from None
+
+    return property(get)
 
 
 class ParticleStorage(abc.ABC):
@@ -38,48 +75,51 @@ class ParticleStorage(abc.ABC):
     #: "soa" or "aos"
     layout: str
 
-    def __init__(self, n: int, weight: float, store_coords: bool):
+    def __init__(self, n: int, weight: float = 1.0, store_coords: bool = True,
+                 ndim: int = 2):
         self.n = int(n)
         #: statistical weight of every macro-particle (uniform, §II)
         self.weight = float(weight)
         #: whether integer cell coordinates are stored alongside icell
         self.store_coords = bool(store_coords)
+        self.ndim = int(ndim)
+        #: column name -> live array, in :func:`particle_fields` order
+        self._columns: dict[str, np.ndarray] = self._allocate(
+            self.n, particle_fields(self.ndim, self.store_coords)
+        )
 
-    # -- attribute views ------------------------------------------------
-    @property
     @abc.abstractmethod
-    def icell(self) -> np.ndarray: ...
+    def _allocate(self, n: int, names) -> dict[str, np.ndarray]:
+        """Zero-filled columns of length ``n``, keyed by name."""
 
-    @property
-    @abc.abstractmethod
-    def dx(self) -> np.ndarray: ...
+    # -- columns as attributes and as a read-only mapping ----------------
+    icell, dx, dy, dz, vx, vy, vz, ix, iy, iz = map(_column, particle_fields(3, True))
 
-    @property
-    @abc.abstractmethod
-    def dy(self) -> np.ndarray: ...
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._columns[name]
 
-    @property
-    @abc.abstractmethod
-    def vx(self) -> np.ndarray: ...
+    def __contains__(self, name) -> bool:
+        return name in self._columns
 
-    @property
-    @abc.abstractmethod
-    def vy(self) -> np.ndarray: ...
+    def keys(self):
+        return self._columns.keys()
 
-    @property
-    @abc.abstractmethod
-    def ix(self) -> np.ndarray: ...
-
-    @property
-    @abc.abstractmethod
-    def iy(self) -> np.ndarray: ...
+    def items(self):
+        return self._columns.items()
 
     # -- bulk operations -------------------------------------------------
-    @abc.abstractmethod
-    def set_state(self, icell, dx, dy, vx, vy, ix=None, iy=None) -> None:
-        """Overwrite all attributes from plain arrays."""
+    def set_state(self, *columns, **named) -> None:
+        """Overwrite all attributes from plain arrays, given in
+        :func:`particle_fields` order and/or by name."""
+        named.update(zip(self._columns, columns))
+        for name, arr in self._columns.items():
+            if named.get(name) is None:
+                raise ValueError(
+                    f"no {name!r} given (ndim={self.ndim}, store_coords="
+                    f"{self.store_coords} requires {tuple(self._columns)})"
+                )
+            arr[:] = named[name]
 
-    @abc.abstractmethod
     def reorder(self, perm: np.ndarray, out: "ParticleStorage | None" = None):
         """Apply a permutation: element j of the result is element perm[j].
 
@@ -90,6 +130,15 @@ class ParticleStorage(abc.ABC):
         for the cycle-following in-place variant).
         Returns the storage holding the reordered particles.
         """
+        dst = out if out is not None else self.clone_empty()
+        if dst.layout != self.layout:
+            raise TypeError(f"out must be a {type(self).__name__}")
+        self._take(perm, dst)
+        return dst
+
+    def _take(self, perm, dst) -> None:
+        for name, arr in self._columns.items():
+            np.take(arr, perm, out=dst[name])
 
     @abc.abstractmethod
     def clone_empty(self) -> "ParticleStorage":
@@ -103,18 +152,11 @@ class ParticleStorage(abc.ABC):
     @property
     def memory_bytes(self) -> int:
         """Bytes held by the particle attributes (for the bandwidth model)."""
-        per = 5 * 8 + (2 * 8 if self.store_coords else 0)
-        return self.n * per
-
-    def views(self) -> dict[str, np.ndarray]:
-        """Live views of all attributes, keyed by name — the mapping
-        the blocked kernels of :mod:`repro.core.kernels` slice."""
-        names = _FIELDS + (_COORD_FIELDS if self.store_coords else ())
-        return {f: getattr(self, f) for f in names}
+        return sum(arr.nbytes for arr in self._columns.values())
 
     def as_dict(self) -> dict[str, np.ndarray]:
         """Copies of all attributes (testing convenience)."""
-        return {f: np.array(v) for f, v in self.views().items()}
+        return {f: np.array(v) for f, v in self._columns.items()}
 
 
 class ParticleSoA(ParticleStorage):
@@ -122,170 +164,42 @@ class ParticleSoA(ParticleStorage):
 
     layout = "soa"
 
-    def __init__(self, n: int, weight: float = 1.0, store_coords: bool = True):
-        super().__init__(n, weight, store_coords)
-        self._allocate(self.n, self.store_coords)
+    #: ``alloc(n, dtype=...)`` of one zero-filled column — the hook by
+    #: which :class:`repro.parallel.shm.SharedParticleStorage` places
+    #: the arrays in shared memory instead
+    _alloc = staticmethod(np.zeros)
 
-    def _allocate(self, n: int, store_coords: bool) -> None:
-        """Allocation hook: subclasses may place the arrays elsewhere
-        (e.g. :class:`repro.parallel.shm.SharedParticleStorage` backs
-        them with shared memory)."""
-        self._icell = np.zeros(n, dtype=np.int64)
-        self._dx = np.zeros(n)
-        self._dy = np.zeros(n)
-        self._vx = np.zeros(n)
-        self._vy = np.zeros(n)
-        if store_coords:
-            self._ix = np.zeros(n, dtype=np.int64)
-            self._iy = np.zeros(n, dtype=np.int64)
-
-    @property
-    def icell(self):
-        return self._icell
-
-    @property
-    def dx(self):
-        return self._dx
-
-    @property
-    def dy(self):
-        return self._dy
-
-    @property
-    def vx(self):
-        return self._vx
-
-    @property
-    def vy(self):
-        return self._vy
-
-    @property
-    def ix(self):
-        if not self.store_coords:
-            raise AttributeError("coords not stored (store_coords=False)")
-        return self._ix
-
-    @property
-    def iy(self):
-        if not self.store_coords:
-            raise AttributeError("coords not stored (store_coords=False)")
-        return self._iy
-
-    def set_state(self, icell, dx, dy, vx, vy, ix=None, iy=None):
-        self._icell[:] = icell
-        self._dx[:] = dx
-        self._dy[:] = dy
-        self._vx[:] = vx
-        self._vy[:] = vy
-        if self.store_coords:
-            if ix is None or iy is None:
-                raise ValueError("store_coords=True requires ix and iy")
-            self._ix[:] = ix
-            self._iy[:] = iy
-
-    def reorder(self, perm, out=None):
-        dst = out if out is not None else self.clone_empty()
-        if not isinstance(dst, ParticleSoA):
-            raise TypeError("out must be a ParticleSoA")
-        np.take(self._icell, perm, out=dst._icell)
-        np.take(self._dx, perm, out=dst._dx)
-        np.take(self._dy, perm, out=dst._dy)
-        np.take(self._vx, perm, out=dst._vx)
-        np.take(self._vy, perm, out=dst._vy)
-        if self.store_coords:
-            np.take(self._ix, perm, out=dst._ix)
-            np.take(self._iy, perm, out=dst._iy)
-        return dst
+    def _allocate(self, n, names):
+        return {name: self._alloc(n, dtype=_dtype(name)) for name in names}
 
     def clone_empty(self):
-        return ParticleSoA(self.n, self.weight, self.store_coords)
-
-
-def _aos_dtype(store_coords: bool) -> np.dtype:
-    fields = [
-        ("icell", np.int64),
-        ("dx", np.float64),
-        ("dy", np.float64),
-        ("vx", np.float64),
-        ("vy", np.float64),
-    ]
-    if store_coords:
-        fields += [("ix", np.int64), ("iy", np.int64)]
-    return np.dtype(fields)
+        return ParticleSoA(self.n, self.weight, self.store_coords, self.ndim)
 
 
 class ParticleAoS(ParticleStorage):
     """Array of Structures: one record array, strided attribute views.
 
-    Attribute properties return views with ``strides = record size``;
+    The columns are views with ``strides = record size``;
     any numpy kernel consuming them pays the non-unit-stride cost,
     which is the Python-level analogue of the paper's observation that
-    AoS blocks (GNU) or degrades (Intel) auto-vectorization.
+    AoS blocks (GNU) or degrades (Intel) auto-vectorization.  2D only:
+    it exists for the Table VII layout study.
     """
 
     layout = "aos"
 
     def __init__(self, n: int, weight: float = 1.0, store_coords: bool = True):
-        super().__init__(n, weight, store_coords)
-        self._data = np.zeros(n, dtype=_aos_dtype(store_coords))
+        super().__init__(n, weight, store_coords, ndim=2)
 
-    @property
-    def icell(self):
-        return self._data["icell"]
+    def _allocate(self, n, names):
+        self._data = np.zeros(n, dtype=[(name, _dtype(name)) for name in names])
+        return {name: self._data[name] for name in names}
 
-    @property
-    def dx(self):
-        return self._data["dx"]
-
-    @property
-    def dy(self):
-        return self._data["dy"]
-
-    @property
-    def vx(self):
-        return self._data["vx"]
-
-    @property
-    def vy(self):
-        return self._data["vy"]
-
-    @property
-    def ix(self):
-        if not self.store_coords:
-            raise AttributeError("coords not stored (store_coords=False)")
-        return self._data["ix"]
-
-    @property
-    def iy(self):
-        if not self.store_coords:
-            raise AttributeError("coords not stored (store_coords=False)")
-        return self._data["iy"]
-
-    def set_state(self, icell, dx, dy, vx, vy, ix=None, iy=None):
-        self._data["icell"] = icell
-        self._data["dx"] = dx
-        self._data["dy"] = dy
-        self._data["vx"] = vx
-        self._data["vy"] = vy
-        if self.store_coords:
-            if ix is None or iy is None:
-                raise ValueError("store_coords=True requires ix and iy")
-            self._data["ix"] = ix
-            self._data["iy"] = iy
-
-    def reorder(self, perm, out=None):
-        dst = out if out is not None else self.clone_empty()
-        if not isinstance(dst, ParticleAoS):
-            raise TypeError("out must be a ParticleAoS")
+    def _take(self, perm, dst) -> None:
         np.take(self._data, perm, out=dst._data)
-        return dst
 
     def clone_empty(self):
         return ParticleAoS(self.n, self.weight, self.store_coords)
-
-    @property
-    def memory_bytes(self) -> int:
-        return self._data.nbytes
 
 
 def make_storage(

@@ -50,7 +50,6 @@ DEFAULT_CALIBRATION_MISSES = {
 }
 
 _FLOAT = 8  # bytes per float64 / int64 element
-_NCORNER = 4  # column tasks per cell range (the 2D engine samples this)
 
 
 def deposit_movement(
@@ -58,6 +57,7 @@ def deposit_movement(
     histogram,
     *,
     ordering=None,
+    ndim: int = 2,
 ) -> dict:
     """Per-range bytes-touched / span / overlap ledger for one deposit.
 
@@ -67,12 +67,13 @@ def deposit_movement(
     and the ledger (one ``per_worker`` entry per range — the name
     predates corner ownership) prices their real traffic: with more
     than one range, a full key scan per task to select its particles;
-    the owned particles' key, ``dx``/``dy`` reads and weight
+    the owned particles' key, ``ndim`` offset reads and weight
     write+read; and the slab-column write plus the parent-side
     reduction of its cells.  With
-    ``ordering`` given (a :class:`repro.curves.base.CellOrdering`),
-    each range's occupied cells are decoded to grid coordinates and
-    summarized as a bounding box: ``span_ratio`` (bbox area / occupied
+    ``ordering`` given (a 2D :class:`repro.curves.base.CellOrdering`
+    or a 3D ordering), each range's occupied cells are decoded to grid
+    coordinates and summarized as a bounding box (``[lo, hi]`` per
+    axis, flattened): ``span_ratio`` (bbox volume / occupied
     cells, 1.0 = perfectly compact) and the total pairwise bbox
     ``overlap_cells`` across ranges — small, compact, disjoint
     regions are exactly what curve-segment partitioning buys.
@@ -93,9 +94,9 @@ def deposit_movement(
         lo, hi = max(0, sl.start), min(nalloc, sl.stop)
         owned = int(prefix[hi] - prefix[lo]) if hi > lo else 0
         cells = max(0, hi - lo)
-        bytes_touched = _NCORNER * _FLOAT * (
+        bytes_touched = 2**ndim * _FLOAT * (  # one column task per corner
             (n_total if len(cell_ranges) > 1 else 0)  # selection key scan
-            + owned * 5  # key, dx, dy reads; weight write + read
+            + owned * (3 + ndim)  # key, offset reads; weight write + read
             + cells * 4  # slab write; reduction: slab read, rho read+write
         )
         total_bytes += bytes_touched
@@ -107,21 +108,22 @@ def deposit_movement(
         if ordering is not None and cells:
             occ = lo + np.flatnonzero(hist[lo:hi])
             if occ.size:
-                ix, iy = ordering.decode(occ)
-                box = (int(ix.min()), int(ix.max()), int(iy.min()), int(iy.max()))
-                area = (box[1] - box[0] + 1) * (box[3] - box[2] + 1)
-                rec["bbox"] = list(box)
-                rec["span_ratio"] = area / occ.size
+                box = [(int(c.min()), int(c.max())) for c in ordering.decode(occ)]
+                rec["bbox"] = [edge for side in box for edge in side]
+                rec["span_ratio"] = (
+                    int(np.prod([hi_ - lo_ + 1 for lo_, hi_ in box])) / occ.size
+                )
                 boxes.append(box)
         per_worker[f"worker{w}"] = rec
     overlap = 0
     for i in range(len(boxes)):
         for j in range(i + 1, len(boxes)):
-            a, b = boxes[i], boxes[j]
-            dx = min(a[1], b[1]) - max(a[0], b[0]) + 1
-            dy = min(a[3], b[3]) - max(a[2], b[2]) + 1
-            if dx > 0 and dy > 0:
-                overlap += dx * dy
+            shared = [
+                min(a[1], b[1]) - max(a[0], b[0]) + 1
+                for a, b in zip(boxes[i], boxes[j])
+            ]
+            if min(shared) > 0:
+                overlap += int(np.prod(shared))
     from repro.parallel.partition import balance_ratio
 
     out = {

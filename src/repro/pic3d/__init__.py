@@ -27,12 +27,7 @@ from repro.pic3d.kernels3d import (
     push_positions_bitwise_3d,
 )
 from repro.pic3d.poisson3d import SpectralPoissonSolver3D
-from repro.pic3d.stepper3d import (
-    PARTICLE_KEYS_3D,
-    LandauDamping3D,
-    PICStepper3D,
-    TwoStream3D,
-)
+from repro.pic3d.stepper3d import LandauDamping3D, PICStepper3D, TwoStream3D
 
 __all__ = [
     "Ordering3D",
@@ -46,7 +41,6 @@ __all__ = [
     "push_positions_bitwise_3d",
     "SpectralPoissonSolver3D",
     "PICStepper3D",
-    "PARTICLE_KEYS_3D",
     "LandauDamping3D",
     "TwoStream3D",
 ]

@@ -124,6 +124,15 @@ class RedundantFields3D:
                 ((ix + ox) % g.ncx) * g.ncy + (iy + oy) % g.ncy
             ) * g.ncz + (iz + oz) % g.ncz
 
+    def adopt_arrays(self, rho_1d: np.ndarray, e_1d: np.ndarray) -> None:
+        """Rebind storage to caller-provided arrays carrying the current
+        contents (the shared-memory engine's relocation hook, as in
+        :meth:`repro.grid.fields.RedundantFields.adopt_arrays`)."""
+        if rho_1d.shape != self.rho_1d.shape or e_1d.shape != self.e_1d.shape:
+            raise ValueError("adopted arrays must match the existing shapes")
+        self.rho_1d = rho_1d
+        self.e_1d = e_1d
+
     def reset_rho(self) -> None:
         self.rho_1d[:] = 0.0
 

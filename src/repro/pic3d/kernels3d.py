@@ -50,10 +50,11 @@ def accumulate_redundant_3d(rho_1d, icell, dx, dy, dz, charge=1.0, corners=None)
     )
 
 
-def interpolate_redundant_3d(e_1d, icell, dx, dy, dz):
-    """Gather (Ex, Ey, Ez) at particles from the 24-column rows."""
+def interpolate_redundant_3d(e_1d, icell, dx, dy, dz, out=None):
+    """Gather (Ex, Ey, Ez) at particles from the 24-column rows, into
+    fresh arrays or the triple passed as ``out``."""
     n = len(icell)
-    ex, ey, ez = np.empty(n), np.empty(n), np.empty(n)
+    ex, ey, ez = out if out is not None else (np.empty(n), np.empty(n), np.empty(n))
     for sl in blocks(n):
         rows = e_1d[np.asarray(icell[sl], dtype=np.int64)]  # (B, 24)
         # einsum picks its association from the operand strides: a
@@ -66,14 +67,11 @@ def interpolate_redundant_3d(e_1d, icell, dx, dy, dz):
 
 
 def push_positions_bitwise_3d(particles, shape, ordering, scale=(1.0, 1.0, 1.0)):
-    """Advance and wrap a 3D particle dict in place.
+    """Advance and wrap 3D particles in place.
 
-    ``particles`` is a plain dict of arrays (the 3D engine keeps SoA as
-    a dict rather than a class — the layout study lives in 2D):
-    keys ``icell, ix, iy, iz, dx, dy, dz, vx, vy, vz``.  Writes go
-    *through* the dict's arrays (``arr[sl] = ...``) rather than
-    rebinding the keys, so shared-memory arrays a ``numpy-mp`` deposit
-    engine has already exported to its workers stay current.
+    ``particles`` is a :class:`~repro.particles.storage.ParticleSoA`
+    with ``ndim=3`` (or any mapping of its ten columns); writes go
+    *through* its arrays (``arr[sl] = ...``).
     """
     push_blocked(
         particles, particles, shape, ordering, AXIS_KERNELS["bitwise"], scale

@@ -1,10 +1,11 @@
 """Config-driven 3d3v leap-frog PIC stepper on redundant cell rows.
 
-Capability parity with the 2D :class:`repro.core.stepper.PICStepper`:
-the same ``_select_loop_path`` dispatch (``split`` /
-``fused-backend``), the ``parallel_deposit`` and ``fused3d`` backend
-capabilities, phase hooks for the differential verifier, and the
-``numpy-mp`` corner-ownership deposit — all over the trilinear 8-corner
+A client of the 2D machinery: the step loop, sort, loop-path
+dispatch, phase hooks and backend lifecycle are
+:class:`repro.core.stepper.StepLoop`'s, the particles a
+:class:`~repro.particles.storage.ParticleSoA` with ``ndim=3``, and
+``numpy-mp`` drives it through the same engine as 2D.  What lives here
+is the 3D state and the four phase bodies over the trilinear 8-corner
 kernels of :mod:`repro.pic3d.kernels3d`.
 
 One deliberate divergence from 2D: the 3D stepper only implements
@@ -20,22 +21,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.backends import KernelBackend, get_backend
 from repro.core.config import OptimizationConfig
+from repro.core.stepper import StepLoop
+from repro.curves.base import available_orderings
 from repro.particles.initializers import halton_sequence, sample_perturbed_positions
-from repro.perf.instrument import Instrumentation
+from repro.particles.storage import ParticleSoA
 from repro.pic3d.grid3d import GridSpec3D, RedundantFields3D
 from repro.pic3d.ordering3d import Morton3DOrdering, Ordering3D, RowMajor3DOrdering
 from repro.pic3d.poisson3d import SpectralPoissonSolver3D
 
 __all__ = ["LandauDamping3D", "TwoStream3D", "PICStepper3D"]
-
-#: per-particle arrays of the dict-of-arrays 3D storage (the order the
-#: checkpoint format and the differential verifier iterate them in)
-PARTICLE_KEYS_3D = (
-    "icell", "ix", "iy", "iz", "dx", "dy", "dz", "vx", "vy", "vz",
-)
-
 
 class LandauDamping3D:
     """3D Landau damping: Maxwellian with a cos(kx x) density ripple."""
@@ -95,19 +90,31 @@ class TwoStream3D:
         return x, y, z, normal(7) + beam, normal(13), normal(19)
 
 
-def _ordering_for(name: str, grid: GridSpec3D) -> Ordering3D:
-    """Map a 2D-config ordering name onto the two 3D curves.
+def _ordering_for(name: str, shape) -> Ordering3D:
+    """Map an ordering name onto the two 3D curves.
 
-    3D ships exactly two orderings; ``"row-major"`` (and its transpose
-    twin) map to the row-major curve, every space-filling-curve name
-    maps to Morton — the closest 3D analogue of each.
+    3D ships exactly two orderings.  The 2D registry's names are
+    accepted, each mapped to its closest 3D analogue — ``"row-major"``
+    and its transpose twin to the row-major curve, every
+    space-filling-curve name to Morton — and so are the two curves' own
+    names; anything else raises :class:`KeyError`, as
+    :func:`repro.curves.base.get_ordering` does in 2D.
     """
-    if name in ("row-major", "column-major", "row-major-3d"):
-        return RowMajor3DOrdering(*grid.shape)
-    return Morton3DOrdering(*grid.shape)
+    curves = {cls.name: cls for cls in (RowMajor3DOrdering, Morton3DOrdering)}
+    name = name.lower()
+    if name in ("row-major", "column-major"):
+        name = RowMajor3DOrdering.name
+    elif name in available_orderings():
+        name = Morton3DOrdering.name
+    if name not in curves:
+        raise KeyError(
+            f"unknown ordering {name!r}; known: "
+            f"{available_orderings() + sorted(curves)}"
+        )
+    return curves[name](*shape)
 
 
-class PICStepper3D:
+class PICStepper3D(StepLoop):
     """Leap-frog 3d3v Vlasov–Poisson stepper (hoisted units).
 
     Parameters mirror the legacy constructor; a full
@@ -115,10 +122,6 @@ class PICStepper3D:
     ``config`` to drive loop-path dispatch, sorting and backend
     selection exactly as in 2D (``backend``/``sort_period``
     are then taken from the config and the legacy kwargs ignored).
-    Particles are a plain dict of arrays keyed by
-    :data:`PARTICLE_KEYS_3D`; all kernels write *through* those arrays
-    so a ``numpy-mp`` engine can relocate them into shared memory
-    once, in :meth:`~repro.core.backends.KernelBackend.prepare_stepper`.
     """
 
     def __init__(
@@ -142,6 +145,9 @@ class PICStepper3D:
                 position_update="bitwise",
                 hoisting=True,
                 sort_period=int(sort_period),
+                # no double buffer: ten N-sized columns more would sit
+                # on top of the peak footprint the construction sets
+                sort_variant="in-place",
                 backend=backend,
             )
         if not config.hoisting:
@@ -155,63 +161,44 @@ class PICStepper3D:
         self.dt = float(dt)
         self.q = float(q)
         self.m = float(m)
-        self.sort_period = int(config.sort_period)
-        self.ordering = ordering or _ordering_for(config.ordering, grid)
-        self.fields = RedundantFields3D(grid, self.ordering)
-        self.solver = SpectralPoissonSolver3D(grid)
-        self.backend: KernelBackend = get_backend(config.backend)
-        self.instrumentation = Instrumentation()
-        self.timings = self.instrumentation.timings
-        #: optional ``hook(phase_name, stepper)`` — same contract as the
-        #: 2D stepper's: called after ``"sort"``, the particle-loop
-        #: phases (``"update_v"``/``"update_x"``/``"accumulate"`` when
-        #: split, ``"fused"``/``"accumulate"`` otherwise) and
-        #: ``"solve"``; hooks must not mutate stepper state.
-        self.phase_hook = None
-        self.iteration = 0
+        self._build_fields(ordering)
 
-        x, y, z, vx, vy, vz = case.sample(n_particles, grid)
-        dx, dy, dz = grid.spacings
-        xg = (x - grid.xmin) / dx
-        yg = (y - grid.ymin) / dy
-        zg = (z - grid.zmin) / dz
-        ix = np.floor(xg).astype(np.int64) % grid.ncx
-        iy = np.floor(yg).astype(np.int64) % grid.ncy
-        iz = np.floor(zg).astype(np.int64) % grid.ncz
-        self.weight = grid.volume / n_particles  # density 1
-        self.particles = {
-            "icell": self.ordering.encode(ix, iy, iz),
-            "ix": ix, "iy": iy, "iz": iz,
-            "dx": xg - np.floor(xg), "dy": yg - np.floor(yg), "dz": zg - np.floor(zg),
-            # hoisted: grid displacement per step
-            "vx": vx * self.dt / dx, "vy": vy * self.dt / dy, "vz": vz * self.dt / dz,
-        }
-        self._sort()
-        self._closed = False
-        # backend hook before the first kernel call, exactly as in 2D:
-        # the numpy-mp engine relocates the deposit inputs into shared
-        # memory here, so the t=0 deposit below already runs through it.
-        try:
-            self.backend.prepare_stepper(self)
-            self._deposit_and_solve()
-            # leap-frog stagger: half kick backwards
-            ex, ey, ez = self.backend.interpolate_redundant_3d(
-                self.fields.e_1d, self.particles["icell"],
-                self.particles["dx"], self.particles["dy"], self.particles["dz"],
-            )
-            self.particles["vx"] -= 0.5 * ex
-            self.particles["vy"] -= 0.5 * ey
-            self.particles["vz"] -= 0.5 * ez
-        except BaseException:
-            self.close()
-            raise
+        self.particles = self._load_particles(case, n_particles)
+        self._attach_runtime()
+        self._phase_sort()
+        self._prepare(self._init_fields_and_stagger)
 
-    def close(self) -> None:
-        """Release backend-held per-stepper resources (idempotent)."""
-        if getattr(self, "_closed", True):
-            return
-        self._closed = True
-        self.backend.release_stepper(self)
+    def _build_fields(self, ordering: Ordering3D | None = None) -> None:
+        """Ordering, field storage and solver from grid + config."""
+        self.ordering = ordering or _ordering_for(
+            self.config.ordering, self.grid.shape
+        )
+        self.fields = RedundantFields3D(self.grid, self.ordering)
+        self.solver = SpectralPoissonSolver3D(self.grid)
+
+    def _load_particles(self, case, n: int) -> ParticleSoA:
+        """Sample ``case`` at density 1, every column computed straight
+        into the store (in hoisted units: grid displacement per step)."""
+        grid = self.grid
+        p = ParticleSoA(n, grid.volume / n, store_coords=True, ndim=3)
+        sample = case.sample(n, grid)
+        lows = (grid.xmin, grid.ymin, grid.zmin)
+        for a, x, v, low, h, nc in zip(
+            "xyz", sample[:3], sample[3:], lows, grid.spacings, grid.shape
+        ):
+            xg = (x - low) / h
+            cell = np.floor(xg)
+            p["i" + a][:] = cell.astype(np.int64) % nc
+            p["d" + a][:] = xg - cell
+            p["v" + a][:] = v * self.dt / h
+        p.icell[:] = self.ordering.encode(p.ix, p.iy, p.iz)
+        return p
+
+    def _init_fields_and_stagger(self) -> None:
+        """rho and E at t=0, then the leap-frog half kick backwards."""
+        self._deposit_and_solve()
+        p = self.particles
+        self.backend.kick((p.vx, p.vy, p.vz), self._interpolate(), (-0.5,) * 3)
 
     # ------------------------------------------------------------------
     @property
@@ -226,26 +213,28 @@ class PICStepper3D:
 
     @property
     def n(self) -> int:
-        return len(self.particles["icell"])
+        return self.particles.n
 
-    def _sort(self) -> None:
-        order = np.argsort(self.particles["icell"], kind="stable")
-        # scatter in place (arr[order] materializes first) so shared-
-        # memory arrays exported to numpy-mp workers keep their identity
-        for arr in self.particles.values():
-            arr[:] = arr[order]
+    @property
+    def weight(self) -> float:
+        return self.particles.weight
+
+    @property
+    def sort_period(self) -> int:
+        return self.config.sort_period
 
     # ------------------------------------------------------------------
     # Phases
     # ------------------------------------------------------------------
+    def _interpolate(self):
+        p = self.particles
+        return self.backend.interpolate_redundant_3d(
+            self.fields.e_1d, p.icell, p.dx, p.dy, p.dz
+        )
+
     def _phase_update_v(self) -> None:
         p = self.particles
-        ex, ey, ez = self.backend.interpolate_redundant_3d(
-            self.fields.e_1d, p["icell"], p["dx"], p["dy"], p["dz"]
-        )
-        p["vx"] += ex
-        p["vy"] += ey
-        p["vz"] += ez
+        self.backend.kick((p.vx, p.vy, p.vz), self._interpolate(), (1.0,) * 3)
 
     def _phase_update_x(self) -> None:
         self.backend.push_positions_3d(
@@ -265,87 +254,22 @@ class PICStepper3D:
         serial otherwise — bitwise-identical by construction."""
         p = self.particles
         if self.backend.supports("parallel_deposit"):
-            self.backend.accumulate_redundant_parallel_3d(
-                self.fields.rho_1d, p["icell"], p["dx"], p["dy"], p["dz"],
-                self._charge_factor,
-            )
-            return
-        self.backend.accumulate_redundant_3d(
-            self.fields.rho_1d, p["icell"], p["dx"], p["dy"], p["dz"],
-            self._charge_factor,
-        )
+            deposit = self.backend.accumulate_redundant_parallel_3d
+        else:
+            deposit = self.backend.accumulate_redundant_3d
+        deposit(self.fields.rho_1d, p.icell, p.dx, p.dy, p.dz, self._charge_factor)
 
-    def _solve(self) -> None:
+    def _solve_fields(self) -> None:
         self.rho_grid = self.fields.reduce_rho_to_grid()
-        _, ex, ey, ez = self.solver.solve(self.rho_grid)
-        self.ex_grid, self.ey_grid, self.ez_grid = ex, ey, ez
+        _, self.ex_grid, self.ey_grid, self.ez_grid = self.solver.solve(self.rho_grid)
+        self._load_fields()
+
+    def _load_fields(self) -> None:
+        """Store the solved field pre-scaled to displacement per step."""
         sx, sy, sz = self._field_scales
-        self.fields.load_field_from_grid(ex * sx, ey * sy, ez * sz)
-
-    def _deposit_and_solve(self) -> None:
-        self.fields.reset_rho()
-        self._phase_accumulate()
-        self._solve()
-
-    def _select_loop_path(self) -> str:
-        """Which particle-loop path this step will run.
-
-        Mirrors the 2D selector: ``"split"`` — three passes over the
-        population; ``"fused-backend"`` — the backend's single-pass 3D
-        kernel.  ``loop_mode="auto"`` resolves to ``split`` (the 2D
-        continuous tuner is not ported).
-        """
-        return "fused-backend" if self.config.loop_mode == "fused" else "split"
-
-    # ------------------------------------------------------------------
-    def step(self) -> None:
-        instr = self.instrumentation
-        hook = self.phase_hook
-        with instr.step(self.n):
-            with instr.phase("sort"):
-                if (
-                    self.sort_period
-                    and self.iteration
-                    and self.iteration % self.sort_period == 0
-                ):
-                    self._sort()
-            if hook is not None:
-                hook("sort", self)
-
-            self.fields.reset_rho()
-            path = self._select_loop_path()
-            instr.record_path(path)
-            if path == "split":
-                with instr.phase("update_v"):
-                    self._phase_update_v()
-                if hook is not None:
-                    hook("update_v", self)
-                with instr.phase("update_x"):
-                    self._phase_update_x()
-                if hook is not None:
-                    hook("update_x", self)
-            else:  # fused-backend
-                with instr.phase("fused"):
-                    self._phase_fused()
-                if hook is not None:
-                    hook("fused", self)
-            # one whole-grid deposit on either path: the per-particle
-            # phases above are elementwise, and the deposit sees the
-            # identical arrays in the identical order
-            with instr.phase("accumulate"):
-                self._phase_accumulate()
-            if hook is not None:
-                hook("accumulate", self)
-
-            with instr.phase("solve"):
-                self._solve()
-            if hook is not None:
-                hook("solve", self)
-        self.iteration += 1
-
-    def run(self, n_steps: int) -> None:
-        for _ in range(n_steps):
-            self.step()
+        self.fields.load_field_from_grid(
+            self.ex_grid * sx, self.ey_grid * sy, self.ez_grid * sz
+        )
 
     # ------------------------------------------------------------------
     def field_energy(self) -> float:
@@ -357,9 +281,9 @@ class PICStepper3D:
         dx, dy, dz = self.grid.spacings
         p = self.particles
         v2 = (
-            (p["vx"] * dx / self.dt) ** 2
-            + (p["vy"] * dy / self.dt) ** 2
-            + (p["vz"] * dz / self.dt) ** 2
+            (p.vx * dx / self.dt) ** 2
+            + (p.vy * dy / self.dt) ** 2
+            + (p.vz * dz / self.dt) ** 2
         )
         return 0.5 * self.m * self.weight * float(np.sum(v2))
 

@@ -29,10 +29,8 @@ scalar ReferenceStepper             bitwise (checked separately in tests;
 ==================================  =========================================
 
 3D scenarios (``Scenario.dims == 3``) run the same lockstep drive over
-:class:`~repro.pic3d.stepper3d.PICStepper3D` under the same promises:
-numpy fused bitwise at every population size, and the ``numpy-mp``
-corner-ownership deposit pinned bitwise at **both 2 and 4 workers** per
-scenario.
+:class:`~repro.pic3d.stepper3d.PICStepper3D` under the same matrix —
+the step loop, the sort and the ``numpy-mp`` engine are the 2D ones.
 
 Because the steppers advance in lockstep with
 :attr:`~repro.core.stepper.PICStepper.phase_hook` capture, a
@@ -59,6 +57,7 @@ import numpy as np
 
 from repro.core.backends import available_backends
 from repro.core.stepper import PICStepper
+from repro.particles.storage import particle_fields
 from repro.verify.configspace import Scenario
 
 __all__ = [
@@ -72,18 +71,6 @@ __all__ = [
 
 #: canonical phase order used when bisecting within a step
 _PHASE_ORDER = ("sort", "update_v", "update_x", "fused", "accumulate", "solve")
-
-#: particle arrays captured at every phase checkpoint
-_PARTICLE_ARRAYS = ("icell", "dx", "dy", "vx", "vy")
-
-#: their 3D counterparts (the stepper's dict-of-arrays storage)
-_PARTICLE_ARRAYS_3D = ("icell", "dx", "dy", "dz", "vx", "vy", "vz")
-
-
-def _particle_array(stepper, name: str) -> np.ndarray:
-    """One particle array, from attribute (2D) or dict (3D) storage."""
-    p = stepper.particles
-    return p[name] if isinstance(p, dict) else np.asarray(getattr(p, name))
 
 
 @dataclass(frozen=True)
@@ -123,7 +110,7 @@ class Perturbation:
     factor: float | None = None  #: None -> one-ULP nextafter bump
 
     def apply(self, stepper) -> None:
-        arr = _particle_array(stepper, self.array)
+        arr = stepper.particles[self.array]
         if self.factor is None:
             arr[:] = np.nextafter(arr, np.inf)
         else:
@@ -203,16 +190,17 @@ class _Run:
         )
         if combo.sort_variant is not None:
             cfg = replace(cfg, sort_variant=combo.sort_variant)
+        #: particle arrays captured at every phase checkpoint (the cell
+        #: coordinates are a function of ``icell``)
+        self.arrays = particle_fields(scenario.dims, store_coords=False)
         if scenario.dims == 3:
             from repro.pic3d.stepper3d import PICStepper3D
 
-            self.arrays = _PARTICLE_ARRAYS_3D
             self.stepper = PICStepper3D(
                 scenario.grid3d(), scenario.case3d(), scenario.n_particles,
                 dt=scenario.dt, config=cfg,
             )
         else:
-            self.arrays = _PARTICLE_ARRAYS
             self.stepper = PICStepper(
                 scenario.grid(), cfg,
                 case=scenario.case(), n_particles=scenario.n_particles,
@@ -224,10 +212,7 @@ class _Run:
 
     def _snapshot(self, phase: str) -> dict[str, np.ndarray]:
         st = self.stepper
-        state = {
-            name: np.array(_particle_array(st, name))
-            for name in self.arrays
-        }
+        state = {name: np.array(st.particles[name]) for name in self.arrays}
         if phase in ("accumulate", "solve"):
             if st.fields.layout.startswith("redundant"):
                 state["rho_raw"] = np.array(st.fields.rho_1d)
@@ -282,7 +267,7 @@ class DifferentialRunner:
         default; the CLI exposes ``--no-mp`` because worker-pool
         startup dominates tiny runs.
     mp_workers:
-        Worker count for the first ``numpy-mp`` combo of a 2D
+        Worker count for the first ``numpy-mp`` combo of a
         scenario; a second runs at the flipped count (4, or 2 when
         ``mp_workers`` is 4), so every scenario pins two different
         histogram cuts against the serial deposit.
@@ -302,14 +287,18 @@ class DifferentialRunner:
         combo is compared against it.
         """
         avail = set(available_backends())
-        if scenario.dims == 3:
-            return self._combos_3d(scenario, avail)
         combos: list[tuple[Combo, str]] = [
             (Combo("numpy", loop_mode="fused"), "bitwise"),
         ]
-        # worker-count flip: two pools, two different cuts of the rows
-        flipped_workers = 2 if self.mp_workers == 4 else 4
-        combos += self._mp_combos(avail, (self.mp_workers, flipped_workers))
+        if "numpy-mp" in avail and self.include_mp:
+            # worker-count flip: two pools cut the cell rows at
+            # different histogram-balanced positions, and every cut
+            # must reproduce the serial deposit
+            for workers in (self.mp_workers, 2 if self.mp_workers == 4 else 4):
+                combos.append(
+                    (Combo("numpy-mp", loop_mode="split", workers=workers),
+                     "bitwise")
+                )
         if "numba" in avail:
             combos.append((Combo("numba", loop_mode="split"), "tolerance"))
             combos.append((Combo("numba", loop_mode="fused"), "tolerance"))
@@ -322,32 +311,6 @@ class DifferentialRunner:
                 (Combo("numpy", loop_mode="split", sort_variant=flipped),
                  "bitwise")
             )
-        return combos
-
-    def _mp_combos(self, avail: set,
-                   worker_counts: tuple) -> list[tuple[Combo, str]]:
-        """One bitwise ``numpy-mp`` combo per worker count: each pool
-        cuts the cell rows at different histogram-balanced positions,
-        and every cut must reproduce the serial deposit."""
-        if "numpy-mp" not in avail or not self.include_mp:
-            return []
-        return [
-            (Combo("numpy-mp", loop_mode="split", workers=w), "bitwise")
-            for w in worker_counts
-        ]
-
-    def _combos_3d(self, scenario: Scenario,
-                   avail: set) -> list[tuple[Combo, str]]:
-        """The 3D promise matrix for one scenario: the 2D one without
-        the sort-variant flip (the 3D stepper has a single stable
-        argsort)."""
-        combos: list[tuple[Combo, str]] = [
-            (Combo("numpy", loop_mode="fused"), "bitwise"),
-        ]
-        combos += self._mp_combos(avail, (2, 4))
-        if "numba" in avail:
-            combos.append((Combo("numba", loop_mode="split"), "tolerance"))
-            combos.append((Combo("numba", loop_mode="fused"), "tolerance"))
         return combos
 
     # -- comparison ---------------------------------------------------
@@ -396,7 +359,7 @@ class DifferentialRunner:
             for step in range(scenario.n_steps):
                 if scenario.sort_period and step and step % scenario.sort_period == 0:
                     prev_particles = {
-                        name: np.array(_particle_array(base.stepper, name))
+                        name: np.array(base.stepper.particles[name])
                         for name in base.arrays
                     }
                 else:
@@ -446,7 +409,7 @@ class DifferentialRunner:
 
 def _is_permutation(before: dict[str, np.ndarray],
                     after: dict[str, np.ndarray],
-                    names: tuple[str, ...] = _PARTICLE_ARRAYS) -> bool:
+                    names: tuple[str, ...]) -> bool:
     """True iff ``after`` is exactly a reordering of ``before``.
 
     Rows are particle tuples over ``names``; both sides are brought to

@@ -1,6 +1,17 @@
-"""Checkpoint save/restore tests: bit-exact continuation."""
+"""Checkpoint save/restore tests: bit-exact continuation.
+
+:class:`TestBothDimensions` is the 2D/3D suite over the one checkpoint
+body (``pytest.mark.parametrize`` over ``ndim``): verbatim round trip,
+preempt→resume **bitwise identical** to the uninterrupted run (on
+numpy and resumed onto ``numpy-mp``, the backend switch the supervisor
+uses), archives from before PR 12 and PR 15, and the error surface —
+torn archives, missing arrays, version/config mismatches and
+cross-dimensional loads are :class:`CheckpointMismatchError`, never a
+raw traceback.  The classes below it are 2D-only specifics.
+"""
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -9,11 +20,20 @@ from repro.core import OptimizationConfig, PICStepper
 from repro.core.checkpoint import (
     CheckpointMismatchError,
     load_checkpoint,
+    load_checkpoint_3d,
     save_checkpoint,
+    save_checkpoint_3d,
 )
 from repro.grid import GridSpec
 from repro.particles import LandauDamping
+from repro.perf.instrument import Instrumentation
+from repro.pic3d import GridSpec3D, PICStepper3D, TwoStream3D
 from tests.conftest import RETIRED_CONFIG, rewrite_saved_config
+
+#: a 3D archive written by the parent of PR 15 (commit 678ba87) —
+#: dict-of-arrays particles, hand-spelled writer: ``_config_3d()``
+#: stepper, 400 particles, after 6 steps
+ARCHIVE_3D_PR14 = pathlib.Path(__file__).parent / "data" / "checkpoint3d_pr14.npz"
 
 
 @pytest.fixture
@@ -27,6 +47,228 @@ def fresh_stepper(grid, cfg=None, n=3000):
         grid, cfg, case=LandauDamping(alpha=0.05), n_particles=n,
         dt=0.1, quiet=True, seed=None,
     )
+
+
+def _config_3d(**overrides):
+    params = dict(
+        field_layout="redundant", ordering="morton", loop_mode="split",
+        position_update="bitwise", hoisting=True, sort_period=3,
+        backend="numpy",
+    )
+    params.update(overrides)
+    return OptimizationConfig(**params)
+
+
+class _Dim:
+    """What differs between the two checkpoint entry points."""
+
+    def __init__(self, ndim):
+        self.ndim = ndim
+        if ndim == 2:
+            self.save, self.load = save_checkpoint, load_checkpoint
+            self.config = lambda **kw: OptimizationConfig.fully_optimized().with_(
+                **{"sort_period": 3, "backend": "numpy", **kw})
+            self.grids = ("rho_grid", "ex_grid", "ey_grid")
+        else:
+            self.save, self.load = save_checkpoint_3d, load_checkpoint_3d
+            self.config = _config_3d
+            self.grids = ("rho_grid", "ex_grid", "ey_grid", "ez_grid")
+
+    def fresh(self, n=1500, cfg=None):
+        cfg = cfg or self.config()
+        if self.ndim == 2:
+            return PICStepper(
+                GridSpec(16, 16, 0.0, 4 * np.pi, 0.0, 4 * np.pi), cfg,
+                case=LandauDamping(alpha=0.05), n_particles=n, dt=0.1,
+                quiet=True, seed=None,
+            )
+        grid = GridSpec3D(8, 8, 4, xmax=4 * np.pi, ymax=2 * np.pi, zmax=2 * np.pi)
+        return PICStepper3D(grid, TwoStream3D(), n, dt=0.1, config=cfg)
+
+    def saved(self, tmp_path, n=300, steps=0):
+        s = self.fresh(n)
+        try:
+            s.run(steps)
+            return self.save(s, tmp_path / f"ck{self.ndim}d")
+        finally:
+            s.close()
+
+    def assert_state_equal(self, a, b):
+        assert a.particles.keys() == b.particles.keys()
+        for key in a.particles.keys():
+            assert a.particles[key].tobytes() == b.particles[key].tobytes(), key
+        for name in self.grids:
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+def _rewrite(path, drop=(), **meta_updates):
+    """Re-save an archive without the ``drop`` arrays / with metadata
+    keys overwritten — what a foreign or damaged writer leaves."""
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files if k not in ("_meta", *drop)}
+        meta = json.loads(str(data["_meta"]))
+    meta.update(meta_updates)
+    np.savez_compressed(path, _meta=json.dumps(meta), **arrays)
+
+
+@pytest.fixture(params=[2, 3], ids=["2d", "3d"])
+def dim(request):
+    return _Dim(request.param)
+
+
+class TestBothDimensions:
+    # -- round trip ----------------------------------------------------
+    # [3d] was test_checkpoint3d.py::TestRoundtrip::test_save_load_preserves_state_verbatim
+    def test_save_load_preserves_state_verbatim(self, dim, tmp_path):
+        s = dim.fresh()
+        s.run(5)
+        path = dim.save(s, tmp_path / "ck")
+        assert path.suffix == ".npz"
+        restored = dim.load(path)
+        try:
+            assert restored.iteration == s.iteration
+            assert restored.particles.weight == s.particles.weight
+            assert restored.grid == s.grid
+            dim.assert_state_equal(restored, s)
+        finally:
+            restored.close()
+            s.close()
+
+    # [3d] was test_checkpoint3d.py::TestRoundtrip::test_compressed_roundtrip
+    def test_compressed_roundtrip(self, dim, tmp_path):
+        s = dim.fresh(n=400)
+        s.run(2)
+        restored = dim.load(dim.save(s, tmp_path / "ck", compress=True))
+        try:
+            dim.assert_state_equal(restored, s)
+        finally:
+            restored.close()
+            s.close()
+
+    def test_instrumentation_is_handed_over(self, dim, tmp_path):
+        """Both loaders keep accumulating into a caller's recorder."""
+        instr = Instrumentation()
+        restored = dim.load(dim.saved(tmp_path, steps=1), instrumentation=instr)
+        try:
+            restored.step()
+            assert restored.instrumentation is instr
+            assert instr.timings.steps == 1
+        finally:
+            restored.close()
+
+    # -- preempt -> resume ---------------------------------------------
+    # [3d] was test_checkpoint3d.py::TestPreemptResume3D::(same name)
+    def test_preempt_then_resume_bitwise_equals_uninterrupted(self, dim, tmp_path):
+        """The headline guarantee: park/restore costs zero ULPs across
+        sorts and field solves."""
+        ref = dim.fresh()
+        ref.run(20)
+        park = dim.saved(tmp_path, n=1500, steps=8)
+        resumed = dim.load(park)
+        try:
+            resumed.run(12)
+            dim.assert_state_equal(resumed, ref)
+        finally:
+            resumed.close()
+            ref.close()
+
+    # [3d] was test_checkpoint3d.py::TestPreemptResume3D::(same name)
+    def test_resume_onto_numpy_mp_bitwise(self, dim, tmp_path):
+        """Backend switch on restore is state-compatible (the
+        supervisor's degrade move) and keeps the run bitwise."""
+        ref = dim.fresh()
+        ref.run(14)
+        park = dim.saved(tmp_path, n=1500, steps=6)
+        resumed = dim.load(park, dim.config(backend="numpy-mp", workers=2))
+        try:
+            assert resumed.backend.engine_for(resumed) is not None
+            resumed.run(8)
+            dim.assert_state_equal(resumed, ref)
+            assert resumed.timings.fallbacks == 0
+        finally:
+            resumed.close()
+            ref.close()
+
+    # [2d] was TestRetiredConfigKeys::(same name),
+    # [3d] was test_checkpoint3d.py::TestPreemptResume3D::(same name)
+    def test_pre_pr12_archive_resumes_bitwise(self, dim, tmp_path):
+        """A rotation checkpoint written before the tiled deposit and
+        the partition knobs were retired must still load — otherwise
+        ``repro serve --recover`` silently restarts jobs from step 0."""
+        ref = dim.fresh()
+        ref.run(14)
+        park = dim.saved(tmp_path, n=1500, steps=6)
+        rewrite_saved_config(park, RETIRED_CONFIG)
+        resumed = dim.load(park)
+        try:
+            assert resumed.config == ref.config
+            resumed.run(8)
+            assert resumed.iteration == ref.iteration
+            dim.assert_state_equal(resumed, ref)
+        finally:
+            resumed.close()
+            ref.close()
+
+    # -- error surface -------------------------------------------------
+    # [3d] was test_checkpoint3d.py::TestErrorSurface::(same name)
+    def test_missing_file_raises_mismatch(self, dim, tmp_path):
+        with pytest.raises(CheckpointMismatchError):
+            dim.load(tmp_path / "nope.npz")
+
+    # [2d] was TestCrashSafety::test_truncated_archive_rejected,
+    # [3d] was test_checkpoint3d.py::TestErrorSurface::(same name)
+    def test_torn_archive_raises_mismatch(self, dim, tmp_path):
+        path = dim.saved(tmp_path)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        with pytest.raises(CheckpointMismatchError, match="corrupt"):
+            dim.load(path)
+
+    # [2d] was TestCrashSafety::test_missing_array_rejected
+    def test_missing_array_rejected(self, dim, tmp_path):
+        path = dim.saved(tmp_path)
+        _rewrite(path, drop=("vx",))
+        with pytest.raises(CheckpointMismatchError, match="missing arrays.*vx"):
+            dim.load(path)
+
+    # [2d] was TestCompatibilityChecks::test_bad_version_rejected
+    def test_wrong_version_rejected(self, dim, tmp_path):
+        path = dim.saved(tmp_path)
+        key = "format_version" if dim.ndim == 2 else "format_version_3d"
+        _rewrite(path, **{key: 999})
+        with pytest.raises(CheckpointMismatchError, match="version"):
+            dim.load(path)
+
+    # both were test_checkpoint3d.py::TestErrorSurface::
+    # test_2d_loader_rejects_3d_archive_and_vice_versa
+    def test_cross_dimensional_load_rejected(self, dim, tmp_path):
+        path = _Dim(5 - dim.ndim).saved(tmp_path)  # the other dimension's
+        with pytest.raises(CheckpointMismatchError, match="version"):
+            dim.load(path)
+
+    # [2d] was TestCompatibilityChecks::test_incompatible_ordering_rejected,
+    # [3d] was test_checkpoint3d.py::TestErrorSurface::(same name)
+    def test_incompatible_config_rejected(self, dim, tmp_path):
+        path = dim.saved(tmp_path)
+        with pytest.raises(CheckpointMismatchError, match="ordering"):
+            dim.load(path, dim.config(ordering="row-major"))
+
+
+def test_pre_pr15_3d_archive_resumes_bitwise():
+    """An archive the pre-unification 3D writer produced (committed
+    bytes) loads through the shared body and continues exactly like an
+    uninterrupted run of today's stepper."""
+    dim = _Dim(3)
+    ref = dim.fresh(n=400)
+    ref.run(14)
+    resumed = load_checkpoint_3d(ARCHIVE_3D_PR14)
+    try:
+        assert resumed.iteration == 6
+        resumed.run(8)
+        dim.assert_state_equal(resumed, ref)
+    finally:
+        resumed.close()
+        ref.close()
 
 
 class TestRoundTrip:
@@ -90,14 +332,6 @@ class TestCompatibilityChecks:
                 path, OptimizationConfig.fully_optimized().with_(particle_layout="aos")
             )
 
-    def test_incompatible_ordering_rejected(self, grid, tmp_path):
-        a = fresh_stepper(grid)
-        path = save_checkpoint(a, tmp_path / "ck.npz")
-        with pytest.raises(CheckpointMismatchError, match="ordering"):
-            load_checkpoint(
-                path, OptimizationConfig.fully_optimized("hilbert")
-            )
-
     def test_compatible_override_allowed(self, grid, tmp_path):
         """Changing the sort period is state-compatible."""
         a = fresh_stepper(grid)
@@ -109,40 +343,7 @@ class TestCompatibilityChecks:
         assert b.config.sort_period == 7
         b.step()  # runs fine
 
-    def test_bad_version_rejected(self, grid, tmp_path):
-        a = fresh_stepper(grid)
-        path = save_checkpoint(a, tmp_path / "ck.npz")
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files if k != "_meta"}
-            meta = json.loads(str(data["_meta"]))
-        meta["format_version"] = 999
-        np.savez_compressed(path, _meta=json.dumps(meta), **arrays)
-        with pytest.raises(CheckpointMismatchError, match="version"):
-            load_checkpoint(path)
-
-
 class TestRetiredConfigKeys:
-    def test_pre_pr12_archive_resumes_bitwise(self, grid, tmp_path):
-        """A rotation checkpoint written before the tiled deposit and
-        the partition knobs were retired must still load — otherwise
-        ``repro serve --recover`` silently restarts jobs from step 0."""
-        ref = fresh_stepper(grid)
-        ref.run(12)
-        a = fresh_stepper(grid)
-        a.run(5)
-        path = save_checkpoint(a, tmp_path / "ck.npz")
-        rewrite_saved_config(path, RETIRED_CONFIG)
-        b = load_checkpoint(path)
-        assert b.config == a.config
-        b.run(7)
-        assert b.iteration == ref.iteration
-        for name in ("icell", "dx", "dy", "vx", "vy"):
-            assert np.asarray(getattr(b.particles, name)).tobytes() == \
-                np.asarray(getattr(ref.particles, name)).tobytes(), name
-        for name in ("rho_grid", "ex_grid", "ey_grid"):
-            assert getattr(b, name).tobytes() == \
-                getattr(ref, name).tobytes(), name
-
     def test_other_unknown_key_still_rejected(self, grid, tmp_path):
         a = fresh_stepper(grid, n=500)
         path = save_checkpoint(a, tmp_path / "ck.npz")
@@ -179,31 +380,10 @@ class TestCrashSafety:
         assert path.read_bytes() == good  # old archive untouched
         assert list(tmp_path.glob("*.tmp")) == []  # no litter either
 
-    def test_truncated_archive_rejected(self, grid, tmp_path):
-        a = fresh_stepper(grid, n=500)
-        path = save_checkpoint(a, tmp_path / "ck.npz")
-        size = path.stat().st_size
-        with open(path, "r+b") as fh:
-            fh.truncate(size // 2)
-        with pytest.raises(CheckpointMismatchError, match="corrupt"):
-            load_checkpoint(path)
-
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "ck.npz"
         path.write_bytes(b"this is not a zip archive at all")
         with pytest.raises(CheckpointMismatchError):
-            load_checkpoint(path)
-
-    def test_missing_array_rejected(self, grid, tmp_path):
-        a = fresh_stepper(grid, n=500)
-        path = save_checkpoint(a, tmp_path / "ck.npz")
-        with np.load(path) as data:
-            arrays = {
-                k: data[k] for k in data.files if k not in ("_meta", "vx")
-            }
-            meta = str(data["_meta"])
-        np.savez_compressed(path, _meta=meta, **arrays)
-        with pytest.raises(CheckpointMismatchError, match="missing arrays.*vx"):
             load_checkpoint(path)
 
     def test_missing_meta_rejected(self, grid, tmp_path):

@@ -21,6 +21,7 @@ from repro.grid.spec import GridSpec
 from repro.parallel.executor import MultiprocessBackend, WorkerPool
 from repro.parallel.shm import SharedParticleStorage
 from repro.particles.initializers import LandauDamping
+from repro.pic3d import GridSpec3D, PICStepper3D, TwoStream3D
 
 pytestmark = pytest.mark.skipif(
     not MultiprocessBackend.is_available(),
@@ -33,7 +34,31 @@ N_STEPS = 7
 SORT_PERIOD = 3
 
 
-def _make_sim(backend, workers=None, **cfg_kw):
+class _Run3D:
+    """The slice of ``Simulation``'s surface these tests use, over a
+    bare 3D stepper."""
+
+    def __init__(self, stepper):
+        self.stepper = stepper
+        self.run = stepper.run
+        self.timings = stepper.timings
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.stepper.close()
+
+
+def _make_sim(backend, workers=None, ndim=2, **cfg_kw):
+    if ndim == 3:
+        cfg = OptimizationConfig(
+            backend=backend, workers=workers, sort_period=SORT_PERIOD, **cfg_kw
+        )
+        grid = GridSpec3D(8, 4, 4, xmax=4 * np.pi, ymax=2 * np.pi, zmax=2 * np.pi)
+        return _Run3D(
+            PICStepper3D(grid, TwoStream3D(), N_PARTICLES, dt=0.1, config=cfg)
+        )
     cfg = OptimizationConfig(
         backend=backend,
         workers=workers,
@@ -50,14 +75,12 @@ def _make_sim(backend, workers=None, **cfg_kw):
 def _state(sim):
     """Bitwise-comparable snapshot: fields + particle attribute arrays."""
     st = sim.stepper
-    p = st.particles
     out = {
-        "rho": st.rho_grid.copy(),
-        "ex": st.ex_grid.copy(),
-        "ey": st.ey_grid.copy(),
+        name: getattr(st, name).copy()
+        for name in ("rho_grid", "ex_grid", "ey_grid", "ez_grid")
+        if hasattr(st, name)
     }
-    for a in ("vx", "vy", "icell", "dx", "dy"):
-        out[a] = getattr(p, a).copy()
+    out.update(st.particles.as_dict())
     return out
 
 
@@ -139,16 +162,19 @@ class TestFaultTolerance:
             assert eng.pool.restarts >= 1
             _assert_bitwise_equal(_state(ref), _state(mp))
 
-    @pytest.mark.parametrize("op", ["kick2d", "push2d", "deposit"])
-    def test_worker_dying_mid_write_retries_bitwise(self, op):
+    # [kick-2] / [push-2] / [deposit-2] were [kick2d] / [push2d] / [deposit]
+    @pytest.mark.parametrize("ndim", [2, 3])
+    @pytest.mark.parametrize("op", ["interp", "kick", "push", "deposit"])
+    def test_worker_dying_mid_write_retries_bitwise(self, op, ndim):
         """Kill a worker as the phase is dispatched, after scribbling
         over everything the phase writes — what a worker that died
         half-way through its shard leaves behind.  The inputs are
         untouched (they are the other buffer), so the parent's retry
-        reproduces the serial bits."""
+        reproduces the serial bits — through the one engine, in both
+        dimensions."""
         with (
-            _make_sim("numpy") as ref,
-            _make_sim("numpy-mp", 2, **self.TIMEOUT_KW) as mp,
+            _make_sim("numpy", ndim=ndim) as ref,
+            _make_sim("numpy-mp", 2, ndim=ndim, **self.TIMEOUT_KW) as mp,
         ):
             ref.run(N_STEPS)
             eng = _engine(mp)
@@ -158,9 +184,12 @@ class TestFaultTolerance:
             def dying(shards, timeout=None):
                 if shards[0][1]["op"] == op and not fired:
                     fired.append(op)
-                    for arr in mp.stepper._sort_buffer.views().values():
+                    for _name, arr in mp.stepper._sort_buffer.items():
                         arr[...] = -1 if arr.dtype.kind == "i" else np.nan
                     eng.grid_shared.slab[...] = np.nan
+                    if op == "interp":  # the kick's inputs otherwise
+                        for arr in eng.e_p:
+                            arr[...] = np.nan
                     eng.pool.kill_worker(0)
                 return run_shards(shards, timeout)
 
@@ -216,6 +245,25 @@ class TestFaultTolerance:
             pool.close()
 
 
+def test_ordering_spec_resolves_two_or_three_extents():
+    """One resolver, one small picklable tuple per shard message."""
+    import pickle
+
+    from repro.parallel.executor import _ordering_from_spec
+    from repro.pic3d import Morton3DOrdering
+
+    cache = {}
+    spec2 = ("l4d", (16, 16), (("size", 8),))
+    spec3 = ("morton-3d", (8, 4, 4), ())
+    two = _ordering_from_spec(pickle.loads(pickle.dumps(spec2)), cache)
+    three = _ordering_from_spec(pickle.loads(pickle.dumps(spec3)), cache)
+    assert (two.name, two.ncx, two.ncy, two.size) == ("l4d", 16, 16, 8)
+    assert type(three) is Morton3DOrdering
+    assert (three.ncx, three.ncy, three.ncz) == (8, 4, 4)
+    assert _ordering_from_spec(spec3, cache) is three  # built once per worker
+    assert len(pickle.dumps(spec3)) < 100
+
+
 # ----------------------------------------------------------------------
 # The flip commit
 # ----------------------------------------------------------------------
@@ -224,7 +272,7 @@ class TestFlipCommit:
 
     @staticmethod
     def _bindings(storage):
-        return {k: getattr(storage, "_" + k) for k in TestFlipCommit.NAMES}
+        return {k: storage[k] for k in TestFlipCommit.NAMES}
 
     def test_step_commits_by_exchanging_bindings(self):
         """After a step the live arrays *are* the former back-buffer

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.particles import ParticleAoS, ParticleSoA, make_storage
+from repro.particles import ParticleAoS, ParticleSoA, make_storage, particle_fields
 
 
 @pytest.fixture(params=["soa", "aos"])
@@ -133,3 +133,147 @@ class TestLayoutDifferences:
         assert s.memory_bytes == 10 * 56
         s2 = make_storage("soa", 10, store_coords=False)
         assert s2.memory_bytes == 10 * 40
+
+
+# ----------------------------------------------------------------------
+# The axis-generic SoA store: one column tuple, two or three dimensions
+# ----------------------------------------------------------------------
+@pytest.fixture(params=[2, 3], ids=["2d", "3d"])
+def ndim(request):
+    return request.param
+
+
+@pytest.fixture(params=[True, False], ids=["coords", "no-coords"])
+def store_coords(request):
+    return request.param
+
+
+def _random_state(names, n, rng):
+    return {
+        k: rng.integers(0, 64, n) if k[0] == "i" else rng.normal(size=n)
+        for k in names
+    }
+
+
+class TestAxisGenericSoA:
+    N = 37
+
+    def test_columns_come_from_particle_fields(self, ndim, store_coords):
+        axes = "xyz"[:ndim]
+        want = ["icell"] + ["d" + a for a in axes] + ["v" + a for a in axes]
+        if store_coords:
+            want += ["i" + a for a in axes]
+        assert list(particle_fields(ndim, store_coords)) == want
+        p = ParticleSoA(self.N, 0.5, store_coords, ndim)
+        assert list(p.keys()) == want
+        for name in want:
+            assert p[name].shape == (self.N,)
+            assert p[name].dtype == (np.int64 if name[0] == "i" else np.float64)
+            assert not p[name].any()  # allocated zero-filled
+
+    def test_set_state_by_position_and_by_name(self, ndim, store_coords, rng):
+        names = particle_fields(ndim, store_coords)
+        state = _random_state(names, self.N, rng)
+        by_name = ParticleSoA(self.N, 1.0, store_coords, ndim)
+        by_name.set_state(**state)
+        by_position = by_name.clone_empty()
+        by_position.set_state(*state.values())
+        for name in names:
+            np.testing.assert_array_equal(by_name[name], state[name])
+            np.testing.assert_array_equal(by_position[name], state[name])
+
+    def test_set_state_missing_column_raises(self, ndim, store_coords, rng):
+        names = particle_fields(ndim, store_coords)
+        state = _random_state(names[:-1], self.N, rng)
+        with pytest.raises(ValueError, match=names[-1]):
+            ParticleSoA(self.N, 1.0, store_coords, ndim).set_state(**state)
+
+    def test_reorder_into_buffer(self, ndim, store_coords, rng):
+        p = ParticleSoA(self.N, 1.0, store_coords, ndim)
+        state = _random_state(p.keys(), self.N, rng)
+        p.set_state(**state)
+        perm = rng.permutation(self.N)
+        buf = p.clone_empty()
+        assert p.reorder(perm, out=buf) is buf
+        for name, arr in buf.items():
+            np.testing.assert_array_equal(arr, state[name][perm])
+            np.testing.assert_array_equal(p[name], state[name])  # source intact
+
+    def test_clone_empty_keeps_shape(self, ndim, store_coords):
+        p = ParticleSoA(self.N, 0.25, store_coords, ndim)
+        c = p.clone_empty()
+        assert type(c) is ParticleSoA
+        assert (c.n, c.weight, c.store_coords, c.ndim) == (self.N, 0.25, store_coords, ndim)
+        assert c.keys() == p.keys()
+        assert all(c[k] is not p[k] for k in p.keys())
+
+    def test_mapping_protocol_and_attributes_agree(self, ndim, store_coords):
+        p = ParticleSoA(self.N, 1.0, store_coords, ndim)
+        as_dict = dict(p)
+        assert list(as_dict) == list(p.keys())
+        for name, arr in p.items():
+            assert as_dict[name] is arr is p[name] is getattr(p, name)
+            assert name in p
+        missing = {"dz", "vz", "ix", "iy", "iz"} - set(p.keys())
+        for name in missing:
+            assert name not in p
+            with pytest.raises(KeyError):
+                p[name]
+            with pytest.raises(AttributeError, match=name):
+                getattr(p, name)
+        with pytest.raises(TypeError):  # read-only: columns are not rebindable
+            p["dx"] = np.zeros(self.N)
+
+    def test_memory_bytes_counts_every_column(self, ndim, store_coords):
+        p = ParticleSoA(self.N, 1.0, store_coords, ndim)
+        ncol = 1 + 2 * ndim + (ndim if store_coords else 0)
+        assert p.memory_bytes == self.N * 8 * ncol
+
+    def test_sort_in_place_and_out_of_place_agree(self, ndim, store_coords, rng):
+        from repro.particles import sort_in_place, sort_out_of_place
+
+        p = ParticleSoA(self.N, 1.0, store_coords, ndim)
+        p.set_state(**_random_state(p.keys(), self.N, rng))
+        q = p.clone_empty()
+        q.set_state(**p)
+        sort_in_place(p, 64, cycle_threshold=0)  # the vectorized gather
+        sort_in_place(q, 64, cycle_threshold=10**9)  # the cycle walk
+        out = sort_out_of_place(q, 64)
+        assert np.all(np.diff(p.icell) >= 0)
+        for name in p.keys():
+            np.testing.assert_array_equal(p[name], q[name])
+            np.testing.assert_array_equal(p[name], out[name])
+
+
+def test_aos_takes_its_record_from_the_same_tuple():
+    for store_coords in (True, False):
+        s = ParticleAoS(5, store_coords=store_coords)
+        assert s._data.dtype.names == particle_fields(2, store_coords)
+        assert s.ndim == 2
+
+
+def test_shared_storage_flip_on_a_3d_store():
+    """The engine's commit on ten columns: bindings are exchanged, not
+    copied, and only the named ones."""
+    from repro.parallel.shm import SharedArena, SharedParticleStorage
+
+    arena = SharedArena()
+    try:
+        front = SharedParticleStorage(8, 1.0, True, 3, arena=arena)
+        back = front.clone_empty()
+        assert back.ndim == 3 and isinstance(back, SharedParticleStorage)
+        assert all(arena.owns(arr) for _k, arr in (*front.items(), *back.items()))
+        was_front, was_back = dict(front), dict(back)
+        staged = [k for k in front.keys() if k[0] != "v"]
+        front.flip(back, staged)
+        for name in front.keys():
+            flipped = name in staged
+            assert front[name] is (was_back if flipped else was_front)[name]
+            assert back[name] is (was_front if flipped else was_back)[name]
+        plain = ParticleSoA(8, 1.0, True, 3)
+        plain.set_state(**{k: np.arange(8) for k in plain.keys()})
+        moved = SharedParticleStorage.from_storage(plain, arena)
+        assert moved.ndim == 3 and moved.keys() == plain.keys()
+        assert all(np.array_equal(moved[k], plain[k]) for k in plain.keys())
+    finally:
+        arena.close()

@@ -234,6 +234,27 @@ class TestStepper3D:
         with pytest.raises(ValueError):
             PICStepper3D(GridSpec3D(12, 8, 8), LandauDamping3D(), 100)
 
+    def test_ordering_names_map_onto_the_two_curves_or_raise(self):
+        """The 2D registry's names (and the curves' own) resolve; a
+        typo raises like ``get_ordering`` does instead of silently
+        running Morton."""
+        from repro.curves import available_orderings
+        from repro.pic3d.stepper3d import _ordering_for
+
+        shape = (8, 4, 4)
+        for name in available_orderings() + ["row-major-3d", "morton-3d"]:
+            curve = _ordering_for(name, shape)
+            row_major = name.startswith(("row-major", "column-major"))
+            assert type(curve) is (RowMajor3DOrdering if row_major else Morton3DOrdering)
+            assert (curve.ncx, curve.ncy, curve.ncz) == shape
+        with pytest.raises(KeyError, match="mortn.*morton"):
+            _ordering_for("mortn", shape)
+        from repro.core.config import OptimizationConfig
+
+        with pytest.raises(KeyError, match="mortn"):
+            PICStepper3D(GridSpec3D(*shape), LandauDamping3D(), 100,
+                         config=OptimizationConfig(ordering="mortn"))
+
     def test_initial_perturbation_present(self, stepper):
         assert stepper.field_energy() > 0
         assert np.abs(stepper.ex_grid).max() > 10 * np.abs(stepper.ey_grid).max()

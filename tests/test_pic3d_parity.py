@@ -6,8 +6,12 @@ The 3D port's acceptance bar, enforced directly:
   every population size — including populations spanning many kernel
   blocks (the blocked sweep is elementwise per particle; one
   whole-grid deposit follows it on either path);
-* the ``numpy-mp`` corner-ownership deposit is **bitwise identical** to
-  the serial deposit at both 2 and 4 workers;
+* ``numpy-mp`` — the 2D engine: gather, kick and push by particle
+  range with flip commits, the deposit by corner ownership — is
+  **bitwise identical** to ``numpy`` at 2, 4, 8 and 9 workers, and its
+  planner re-cuts the cell ranges of a dispersing clump;
+* the counting-sort permutation the shared sort applies equals the
+  stable argsort the 3D stepper used to run;
 * the differential-verify machinery covers 3D: the sampler emits 3D
   scenarios, the runner's 3D promise matrix pins the combos above, and
   the bisector localizes an injected 3D perturbation.
@@ -18,7 +22,6 @@ import pytest
 
 from repro.core.config import OptimizationConfig
 from repro.pic3d import GridSpec3D, PICStepper3D, TwoStream3D
-from repro.pic3d.stepper3d import PARTICLE_KEYS_3D
 from repro.verify.configspace import Scenario, ScenarioSampler
 from repro.verify.differ import DifferentialRunner, Perturbation
 
@@ -39,9 +42,9 @@ def _config(**overrides):
 
 
 def _assert_state_equal(a, b, context=""):
-    for key in PARTICLE_KEYS_3D:
-        assert np.asarray(a.particles[key]).tobytes() == \
-            np.asarray(b.particles[key]).tobytes(), (context, key)
+    for key in a.particles.keys():
+        assert a.particles[key].tobytes() == b.particles[key].tobytes(), \
+            (context, key)
     for name in ("rho_grid", "ex_grid", "ey_grid", "ez_grid"):
         assert np.asarray(getattr(a, name)).tobytes() == \
             np.asarray(getattr(b, name)).tobytes(), (context, name)
@@ -127,6 +130,16 @@ class TestMpDepositParity:
             n=1500, steps=25,
         )
 
+    def test_mp_bitwise_on_the_row_major_curve(self):
+        """The workers rebuild the ordering from the engine's
+        ``(name, extents, kwargs)`` spec: three extents resolve to the
+        3D curves, here the one that is not the default."""
+        _run_pair(
+            _config(backend="numpy", ordering="row-major"),
+            _config(backend="numpy-mp", workers=2, ordering="row-major"),
+            n=1000, steps=5,
+        )
+
     def test_mp_deposit_bitwise_curve_balanced_partition(self):
         """17 workers cut every column into three histogram-balanced
         ranges, whose boundaries sit off every power-of-two
@@ -155,7 +168,7 @@ class TestMpDepositParity:
         try:
             eng = get_backend("numpy-mp").engine_for(st)
             nalloc = st.fields.rho_1d.shape[0]
-            assert eng.cell_ranges == [slice(0, nalloc)]
+            assert eng.grid_shared.cell_ranges == [slice(0, nalloc)]
             hist0 = np.bincount(st.particles["icell"], minlength=nalloc)
             static_cut = partition_cells(nalloc, workers, hist0)
             assert balance_ratio(static_cut, hist0) < 1.2
@@ -167,12 +180,78 @@ class TestMpDepositParity:
             loads = [
                 sum((prefix[hi] - prefix[lo]) * len(corners)
                     for lo, hi, corners in groups)
-                for groups in corner_tasks(eng.cell_ranges, 8, workers)
+                for groups in corner_tasks(eng.grid_shared.cell_ranges, 8, workers)
             ]
             assert loads == [2 * st.n] * workers
             assert st.timings.fallbacks == 0
         finally:
             st.close()
+
+    def test_planner_repartitions_a_dispersing_clump(self):
+        """Beyond 8 workers the columns are cut into cell ranges; as
+        the blob disperses the planner moves the cut (and samples the
+        data movement in three dimensions) — bitwise equal to the
+        serial run throughout."""
+        from repro.core.backends import get_backend
+
+        def build(**kw):
+            return PICStepper3D(_grid(8, 8, 8), _ClumpedPlasma3D(), 4000,
+                                dt=0.1, config=_config(**kw))
+
+        ref, st = build(backend="numpy"), build(backend="numpy-mp", workers=9)
+        try:
+            eng = get_backend("numpy-mp").engine_for(st)
+            assert len(eng.grid_shared.cell_ranges) == 2
+            cut0 = list(eng.grid_shared.cell_ranges)
+            # the engine's own cadence (every 10 deposits) is too slow
+            # for a 25-step test to see more than two checks
+            eng.planner.repartition_every = 2
+            for step in range(25):
+                ref.step()
+                st.step()
+                _assert_state_equal(ref, st, context=f"step {step}")
+            assert len(eng.planner.events) >= 1
+            assert eng.grid_shared.cell_ranges != cut0
+            last = st.timings.datamove["last"]
+            assert last["repartitions"] == len(eng.planner.events)
+            assert all(len(rec["bbox"]) == 6 for rec in last["per_worker"].values())
+            assert st.timings.fallbacks == 0
+        finally:
+            ref.close()
+            st.close()
+
+    def test_engine_runs_every_particle_loop_with_flip_commits(self):
+        """All three particle loops run in the workers (each reports
+        worker time), and a step commits by exchanging the front and
+        back bindings of all ten columns."""
+        from repro.parallel.shm import SharedParticleStorage
+
+        st = PICStepper3D(_grid(), TwoStream3D(), 1200, dt=0.1,
+                          config=_config(backend="numpy-mp", workers=2))
+        try:
+            front, back = st.particles, st._sort_buffer
+            assert isinstance(front, SharedParticleStorage) and front.ndim == 3
+            was_front, was_back = dict(front), dict(back)
+            st.step()
+            assert st.particles is front and st._sort_buffer is back
+            for key in front.keys():
+                assert front[key] is was_back[key] and back[key] is was_front[key]
+            for per in st.timings.worker_phases.values():
+                assert min(per["update_v"], per["update_x"], per["accumulate"]) > 0
+        finally:
+            st.close()
+
+
+def test_counting_sort_equals_stable_argsort_on_morton_3d():
+    """What deleting the 3D stepper's private argsort rests on."""
+    from repro.particles import counting_sort_permutation
+    from repro.pic3d import Morton3DOrdering
+
+    rng = np.random.default_rng(3)
+    ordering = Morton3DOrdering(16, 8, 4)
+    icell = ordering.encode(*(rng.integers(0, nc, 50_000) for nc in (16, 8, 4)))
+    perm = counting_sort_permutation(icell, ordering.ncells_allocated)
+    assert np.array_equal(perm, np.argsort(icell, kind="stable"))
 
 
 def _scenario_3d(**overrides) -> Scenario:
@@ -239,3 +318,23 @@ class TestDiffer3D:
         runner = DifferentialRunner(include_mp=True)
         report = runner.run_scenario(_scenario_3d(n_particles=2000))
         assert report.ok, report.describe()
+
+
+def test_dimension_ratchet_is_green():
+    """``tools/check_imports.py``: no dimension-suffixed definition
+    outside its written-down allow-list, none at all (nor a ``2d``/
+    ``3d`` string) in the store, the engine and the differ."""
+    import importlib.util
+    import pathlib
+
+    tool = pathlib.Path(__file__).parents[1] / "tools" / "check_imports.py"
+    spec = importlib.util.spec_from_file_location("check_imports", tool)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    assert mod.check_dimension_ratchet() == []
+    executor = mod.SRC / "repro" / "parallel" / "executor.py"
+    assert mod.check_dimension_names(executor, strings=True) == []
+    backends = mod.SRC / "repro" / "core" / "backends.py"
+    flagged = mod.check_dimension_names(backends, strings=True)
+    assert any("push_positions_3d" in e for e in flagged)
+    assert any("'fused3d'" in e for e in flagged)

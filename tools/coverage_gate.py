@@ -37,7 +37,7 @@ COVER_TARGETS = ("repro.pic3d", "repro.verify")
 TEST_FILES = (
     "tests/test_pic3d.py",
     "tests/test_pic3d_parity.py",
-    "tests/test_checkpoint3d.py",
+    "tests/test_core_checkpoint.py",
     "tests/test_scenario_zoo.py",
     "tests/test_verify_differential.py",
     "tests/test_verify_oracles.py",
