@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-service test-3d coverage bench bench-gate ledger-smoke bench-scaling chaos chaos-service examples results clean docs-check check check-gates verify-gate verify-full
+.PHONY: install test test-service serve-latency test-3d coverage bench bench-gate ledger-smoke bench-scaling chaos chaos-service examples results clean docs-check check check-gates verify-gate verify-full
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation
@@ -20,10 +20,17 @@ docs-check:
 	@echo "gate-status: docs-check ran"
 
 # fast service-layer subset: the multi-job engine (submit/cancel/
-# priority/preempt-resume/isolation) and the spool/CLI front-end
-test-service:
+# priority/preempt-resume/isolation), the spool/CLI front-end, and the
+# latency gate below
+test-service: serve-latency
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_service_engine.py tests/test_service_cli.py tests/test_service_recovery.py
 	@echo "gate-status: test-service ran"
+
+# ten spaced jobs through a default-settings `repro serve` child: the
+# median submit->result latency must stay under half the default --poll
+# (nobody sits out a timer); skips where the tmp filesystem has no FIFOs
+serve-latency:
+	$(PYTHON) tools/serve_latency_gate.py
 
 # 3D feature-parity subset: kernels/orderings, the parity acceptance
 # tests (fused==split bitwise, numpy-mp bitwise at 2, 4, 8 and 9
@@ -37,7 +44,7 @@ test-3d:
 coverage:
 	$(PYTHON) tools/coverage_gate.py
 
-check-gates: docs-check chaos chaos-service bench-gate ledger-smoke verify-gate test-service test-3d coverage
+check-gates: docs-check chaos chaos-service bench-gate ledger-smoke verify-gate serve-latency test-service test-3d coverage
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/
 	@echo "gate-status: tests ran"
 

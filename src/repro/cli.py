@@ -223,7 +223,11 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--max-workers", type=int, default=2, metavar="N",
                      help="concurrent jobs the engine runs (default: 2)")
     srv.add_argument("--poll", type=float, default=0.2, metavar="SECS",
-                     help="queue polling interval (default: 0.2)")
+                     help="longest wait before the server looks at the "
+                     "spool without having been woken by a submit or a "
+                     "finished job — the cost of a lost wake-up — and the "
+                     "period of lease heartbeats and the stale-claim sweep "
+                     "(default: 0.2)")
     srv.add_argument("--drain", action="store_true",
                      help="exit once the queue is empty and every claimed "
                      "job settled (batch-campaign mode); default is to "
@@ -252,8 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
                      "quarantined documents older than AGE (e.g. 90, 30s, "
                      "5m, 2h, 1d; default: keep forever)")
     srv.add_argument("--gc-every", type=int, default=50, metavar="N",
-                     help="polls between gc sweeps when --gc-older-than is "
-                     "set (default: 50)")
+                     help="--poll periods between gc sweeps when "
+                     "--gc-older-than is set (default: 50, i.e. every 10 s "
+                     "at the default --poll)")
 
     smt = sub.add_parser(
         "submit",
@@ -575,7 +580,7 @@ def _cmd_serve(args) -> int:
     import threading
 
     from repro.service import serve_spool
-    from repro.service.spool import parse_age
+    from repro.service.spool import parse_age, wake_server
 
     if args.recover and not args.data_dir:
         raise ValueError("--recover requires --data-dir (the journal and "
@@ -605,11 +610,13 @@ def _cmd_serve(args) -> int:
         print(f"received {signal.Signals(signum).name}; draining "
               "(running jobs will be parked)", file=sys.stderr)
         stop.set()
+        wake_server(args.spool)  # end the serve loop's wait now
 
     previous = {sig: signal.signal(sig, _on_signal)
                 for sig in (signal.SIGTERM, signal.SIGINT)}
     print(f"serving spool {args.spool} with {args.max_workers} worker(s)"
           + (" (drain mode)" if args.drain else " (SIGTERM/Ctrl-C to stop)"))
+    stats = {}
     try:
         settled = serve_spool(
             args.spool,
@@ -625,11 +632,15 @@ def _cmd_serve(args) -> int:
             gc_older_than=gc_older_than,
             gc_every=args.gc_every,
             stop=stop.is_set,
+            stats=stats,
         )
     finally:
         for sig, handler in previous.items():
             signal.signal(sig, handler)
-    print(f"served {settled} job(s)")
+    wakes = stats["wakes"]
+    print(f"served {settled} job(s) (wakes: nudge {wakes['nudge']} / engine "
+          f"{wakes['engine']} / poll {wakes['poll']}; lease writes "
+          f"{stats['lease_writes']})")
     return 5 if stop.is_set() else 0
 
 
@@ -670,9 +681,27 @@ def _cmd_submit(args) -> int:
           f"{doc['segments']} segment(s))")
     if drift is not None:
         print(f"drift    : {drift:.3e}")
+    latency = _latency_line(doc)
+    if latency:
+        print(latency)
     if doc.get("error"):
         print(f"error    : {doc['error']}", file=sys.stderr)
     return 0 if doc["state"] == "succeeded" else 1
+
+
+def _latency_line(doc: dict) -> str | None:
+    """Submit→result latency of a settled job and its four parts, from
+    the result document's ``spool`` and ``engine`` blocks; ``None``
+    when a stamp is missing (a result written by an older server)."""
+    stamps, engine = doc.get("spool", {}), doc.get("engine", {})
+    try:
+        total = stamps["settled_at"] - stamps["submitted_at"]
+        claim = stamps["claimed_at"] - stamps["submitted_at"]
+        queue, run = engine["queue_wait_seconds"], engine["run_seconds"]
+    except (KeyError, TypeError):
+        return None
+    return (f"latency  : {total:.3f} s (claim {claim:.3f} / queue {queue:.3f} "
+            f"/ run {run:.3f} / settle {total - claim - queue - run:.3f})")
 
 
 def _cmd_spool(args) -> int:

@@ -267,6 +267,7 @@ class JobEngine:
         self._heap: list[tuple[int, int, str]] = []
         self._running: dict[str, _JobRecord] = {}
         self._threads: list[threading.Thread] = []
+        self._terminal_listeners: list = []
         self._seq = 0
         self._stop = False
         self._closed = False
@@ -430,6 +431,19 @@ class JobEngine:
     def submit_many(self, jobs, **kwargs) -> list[str]:
         """Submit an iterable of jobs; returns their ids in order."""
         return [self.submit(job, **kwargs) for job in jobs]
+
+    def add_terminal_listener(self, listener) -> None:
+        """Call ``listener(job_id)`` the moment a job turns terminal.
+
+        The hook an event-driven front-end waits on instead of polling
+        :meth:`status` (``serve_spool`` hangs a self-pipe write on it).
+        It runs on the settling thread **with the engine lock held**:
+        keep it to a flag set or a pipe write, and never call back
+        into the engine.  A listener that raises is logged and
+        swallowed — it cannot take the worker or the result with it.
+        """
+        with self._lock:
+            self._terminal_listeners.append(listener)
 
     # ------------------------------------------------------------------
     # Introspection / control API
@@ -895,3 +909,9 @@ class JobEngine:
             retries=int(rec.supervisor_agg.get("recoveries", 0)))
         shutil.rmtree(rec.ckpt_dir, ignore_errors=True)
         self._cond.notify_all()
+        for listener in self._terminal_listeners:
+            try:
+                listener(rec.job_id)
+            except Exception:
+                logger.exception("terminal listener failed for %s",
+                                 rec.job_id)

@@ -5,26 +5,41 @@ sockets, no daemons to misconfigure, works over any shared
 filesystem.  Layout::
 
     <spool>/
+      wake                             FIFO: submitters nudge the server
       queue/     job-*.json            submitted, not yet claimed
       claimed/   job-*.json            claimed by a serving engine
                  job-*.json.lease      claim ownership + heartbeat
                  *.rejected            quarantined unparsable documents
                  *.rejected.json       forensics sidecar (error + time)
       results/   job-*.json            terminal outcome (summary record)
+                 job-*.wait            FIFO: the server nudges a waiter
 
 ``repro submit`` writes a job document into ``queue/`` atomically
 (tmp + fsync + rename, the checkpoint module's crash-safety idiom — a
 reader never sees a torn document).  ``repro serve`` runs a
-:class:`~repro.service.engine.JobEngine`, polls ``queue/``, claims
+:class:`~repro.service.engine.JobEngine`, scans ``queue/``, claims
 documents by renaming them into ``claimed/`` (an atomic rename: two
-servers polling one spool never double-claim a job), and writes each
+servers on one spool never double-claim a job), and writes each
 job's :meth:`~repro.service.job.JobResult.summary` into ``results/``
-when it settles.  ``repro submit --wait`` simply polls ``results/``.
+when it settles.  ``repro submit --wait`` reads ``results/``.
+
+Nobody waits on a timer (wake-ups)
+----------------------------------
+Server and waiter each block in one ``poll(2)`` whose timeout is the
+``poll`` period, and are woken early by a byte: the submitter writes
+one into ``<spool>/wake`` after its rename, the engine writes one into
+the server's self-pipe the moment a job turns terminal, and the server
+writes one into ``results/<id>.wait`` after the result's rename.  The
+byte carries nothing — the directories stay the only truth, every
+nudge is non-blocking and best-effort (:func:`_nudge`), and a nudge
+that is lost, a filesystem without FIFOs, a second server draining the
+same FIFO or a submitter on another host all leave the timeout, which
+is exactly the polling protocol this grew out of.
 
 Crash tolerance (the at-least-once contract)
 --------------------------------------------
 Every claim carries a ``*.lease`` sidecar naming its owner, rewritten
-(heartbeat) on every server poll.  A server that dies — SIGKILL
+(heartbeat) every ``poll`` seconds.  A server that dies — SIGKILL
 included — stops heartbeating, and *any* server sweeping the spool
 moves claims whose lease is stale past ``lease_ttl`` back into
 ``queue/`` (:func:`reclaim_stale`), so the job is re-run elsewhere.
@@ -37,16 +52,21 @@ anyway).  The same server restarted with ``--recover`` instead
 resumes the jobs from their journal + checkpoints — see
 :meth:`~repro.service.engine.JobEngine.recover`.
 
-Job documents are ``{"job": <PICJob.as_dict()>, "id": ...}``; result
-documents are the summary dict plus the full diagnostic series.
+Job documents are ``{"job": <PICJob.as_dict()>, "id": ...,
+"submitted_at": ...}``; result documents are the summary dict plus the
+full diagnostic series and a ``spool`` block (``submitted_at``,
+``claimed_at``, ``settled_at`` wall-clock stamps and ``woke_by``, what
+ended the server's wait before it settled the job).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import os
 import pathlib
+import select
 import time
 import uuid
 
@@ -56,7 +76,7 @@ from repro.service.journal import read_json_tolerant, write_json_atomic
 
 __all__ = ["submit_to_spool", "read_result", "wait_for_result",
            "serve_spool", "spool_dirs", "reclaim_stale", "gc_spool",
-           "parse_age"]
+           "parse_age", "wake_server"]
 
 logger = logging.getLogger("repro.service")
 
@@ -82,10 +102,6 @@ def spool_dirs(spool) -> tuple[pathlib.Path, pathlib.Path, pathlib.Path]:
     return dirs
 
 
-def _write_json_atomic(path: pathlib.Path, payload: dict) -> None:
-    write_json_atomic(path, payload)
-
-
 def default_owner() -> str:
     """A unique identity for one serving process (host-pid-nonce)."""
     import socket
@@ -94,13 +110,69 @@ def default_owner() -> str:
             f"{uuid.uuid4().hex[:6]}")
 
 
+# ----------------------------------------------------------------------
+# Wake-ups
+# ----------------------------------------------------------------------
+def _nudge(fifo: pathlib.Path) -> None:
+    """Wake whoever blocks on ``fifo`` with one byte; never blocks.
+
+    No FIFO (``ENOENT``), nobody holding it open (``ENXIO`` — a
+    SIGKILLed server leaves one behind) or a full buffer (``EAGAIN``:
+    a wake-up is pending already) all mean there is nothing to do: the
+    other side's ``poll`` timeout finds the work regardless.
+    """
+    with contextlib.suppress(OSError):
+        fd = os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
+        try:
+            os.write(fd, b"\0")
+        finally:
+            os.close(fd)
+
+
+def wake_server(spool) -> None:
+    """End the current wait of the server(s) on ``spool`` early."""
+    _nudge(pathlib.Path(spool) / "wake")
+
+
+def _open_fifo(path: pathlib.Path) -> int | None:
+    """Create (if missing) and open the reading side of a wake FIFO.
+
+    ``O_RDWR`` keeps a writer on it, so the open never blocks and a
+    departing nudger never reads as end-of-file.  ``None`` where the
+    filesystem has no FIFOs: the timeout alone paces the wait then.
+    """
+    try:
+        with contextlib.suppress(FileExistsError):
+            os.mkfifo(path)
+        return os.open(path, os.O_RDWR | os.O_NONBLOCK)
+    except OSError:
+        return None
+
+
+def _wait_readable(fds, timeout: float) -> list[int]:
+    """Block until one of the non-blocking ``fds`` has bytes or
+    ``timeout`` seconds pass; returns the ones that had, emptied — so
+    a burst of nudges is one wake-up, not one per byte."""
+    poller = select.poll()
+    for fd in fds:
+        poller.register(fd, select.POLLIN)
+    ready = [fd for fd, _ in poller.poll(1e3 * max(0.0, timeout))]
+    for fd in ready:
+        with contextlib.suppress(BlockingIOError):
+            while os.read(fd, 4096):
+                pass
+    return ready
+
+
 def submit_to_spool(spool, job: PICJob, *, job_id: str | None = None) -> str:
-    """Write a job document into the spool's queue; returns its id."""
+    """Write a job document into the spool's queue and nudge the
+    server; returns the job's id."""
     queue, _, _ = spool_dirs(spool)
     if job_id is None:
         job_id = f"job-{uuid.uuid4().hex[:12]}"
-    doc = {"id": job_id, "job": job.as_dict()}
-    _write_json_atomic(queue / f"{job_id}.json", doc)
+    doc = {"id": job_id, "job": job.as_dict(), "submitted_at": time.time()}
+    write_json_atomic(queue / f"{job_id}.json", doc)
+    wake_server(spool)
     return job_id
 
 
@@ -117,16 +189,35 @@ def read_result(spool, job_id: str) -> dict | None:
 
 def wait_for_result(spool, job_id: str, *, timeout: float | None = None,
                     poll: float = 0.2) -> dict:
-    """Poll ``results/`` until the job settles; raises
-    :class:`TimeoutError` after ``timeout`` seconds."""
+    """Block until the job's result document exists and return it;
+    raises :class:`TimeoutError` after ``timeout`` seconds.
+
+    The wait is on a ``results/<id>.wait`` FIFO the server nudges
+    right after the result's rename; ``poll`` is only its timeout (the
+    re-read period when no nudge arrives).  The FIFO exists before the
+    first read — a result landing in between is found by that read —
+    and is unlinked on every way out.
+    """
+    _, _, results = spool_dirs(spool)
+    fifo = results / f"{job_id}.wait"
     deadline = None if timeout is None else time.monotonic() + timeout
-    while True:
-        doc = read_result(spool, job_id)
-        if doc is not None:
-            return doc
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError(f"no result for {job_id} after {timeout}s")
-        time.sleep(poll)
+    fd = _open_fifo(fifo)
+    try:
+        while True:
+            doc = read_result(spool, job_id)
+            if doc is not None:
+                return doc
+            wait = poll
+            if deadline is not None:
+                wait = min(poll, deadline - time.monotonic())
+                if wait <= 0:
+                    raise TimeoutError(
+                        f"no result for {job_id} after {timeout}s")
+            _wait_readable(() if fd is None else (fd,), wait)
+    finally:
+        if fd is not None:
+            os.close(fd)
+        fifo.unlink(missing_ok=True)
 
 
 # ----------------------------------------------------------------------
@@ -137,7 +228,7 @@ def _lease_path(claim: pathlib.Path) -> pathlib.Path:
 
 
 def _write_lease(claim: pathlib.Path, owner: str) -> None:
-    """(Re)assert ownership of a claim — the per-poll heartbeat."""
+    """(Re)assert ownership of a claim — the heartbeat."""
     write_json_atomic(_lease_path(claim), {
         "owner": owner, "ts": _lease_now(), "pid": os.getpid(),
     })
@@ -272,9 +363,10 @@ def parse_age(text: str) -> float:
 def gc_spool(spool, older_than_s: float, *, now: float | None = None) -> int:
     """Remove settled/quarantined spool litter older than a cutoff.
 
-    Collects result documents in ``results/`` and rejected documents
-    (plus their forensics sidecars) in ``claimed/`` whose mtime is
-    more than ``older_than_s`` seconds before ``now``.  Queued and
+    Collects result documents and ``*.wait`` FIFOs (a SIGKILLed
+    waiter's orphan) in ``results/`` and rejected documents (plus
+    their forensics sidecars) in ``claimed/`` whose mtime is more
+    than ``older_than_s`` seconds before ``now``.  Queued and
     claimed *job* documents — in-flight work — are never touched, so
     gc can run at any cadence without losing jobs.  Returns the number
     of files removed.
@@ -284,7 +376,7 @@ def gc_spool(spool, older_than_s: float, *, now: float | None = None) -> int:
         now = time.time()
     cutoff = now - float(older_than_s)
     removed = 0
-    candidates = list(results.glob("*.json"))
+    candidates = [*results.glob("*.json"), *results.glob("*.wait")]
     candidates += [p for p in claimed.iterdir()
                    if p.name.endswith((".rejected", ".rejected.json"))]
     for path in candidates:
@@ -304,22 +396,102 @@ def gc_spool(spool, older_than_s: float, *, now: float | None = None) -> int:
 # ----------------------------------------------------------------------
 # Serving
 # ----------------------------------------------------------------------
+class _Wakeups:
+    """What the serve loop blocks on: the spool's ``wake`` FIFO
+    (submitters) and a self-pipe the engine's terminal listener writes
+    (:meth:`on_terminal`).  ``counts`` tallies what ended each wait."""
+
+    def __init__(self, fifo: pathlib.Path):
+        self.counts = {"nudge": 0, "engine": 0, "poll": 0}
+        self._pipe_r, self._pipe_w = os.pipe()
+        os.set_blocking(self._pipe_r, False)
+        os.set_blocking(self._pipe_w, False)
+        self._sources = {self._pipe_r: "engine"}
+        fifo_fd = _open_fifo(fifo)
+        if fifo_fd is not None:
+            self._sources[fifo_fd] = "nudge"
+
+    def on_terminal(self, _job_id: str) -> None:
+        with contextlib.suppress(BlockingIOError):  # full = one is pending
+            os.write(self._pipe_w, b"\0")
+
+    def wait(self, timeout: float) -> str:
+        """Block for at most ``timeout`` seconds; returns what woke
+        the loop — ``"engine"``, ``"nudge"`` or ``"poll"`` (timeout)."""
+        woke = {self._sources[fd]
+                for fd in _wait_readable(self._sources, timeout)}
+        for source in woke or ("poll",):
+            self.counts[source] += 1
+        return ("engine" if "engine" in woke
+                else "nudge" if woke else "poll")
+
+    def close(self) -> None:
+        for fd in (*self._sources, self._pipe_w):
+            os.close(fd)
+
+
+class _Chores:
+    """The serve loop's timed housekeeping — sweep stale claims back
+    into the queue, heartbeat the live ones, every ``gc_every``-th
+    round collect old litter — at most once per ``poll`` seconds,
+    however often wake-ups turn the loop."""
+
+    def __init__(self, spool, *, owner: str, poll: float, lease_ttl: float,
+                 gc_older_than: float | None, gc_every: int):
+        self.spool, self.owner, self.poll = spool, owner, poll
+        self.queue, self.claimed, _ = spool_dirs(spool)
+        self.lease_ttl = lease_ttl
+        self.gc_older_than, self.gc_every = gc_older_than, gc_every
+        self.heartbeats = 0
+        self._rounds = 0
+        self._due = time.monotonic()
+
+    def remaining(self) -> float:
+        """Seconds until the next round is due: the loop's timeout."""
+        return max(0.0, self._due - time.monotonic())
+
+    def run(self, live_claims) -> None:
+        if self.remaining() > 0:
+            return
+        self._due = time.monotonic() + self.poll
+        self._rounds += 1
+        for name in reclaim_stale(self.queue, self.claimed, owner=self.owner,
+                                  lease_ttl=self.lease_ttl):
+            logger.warning("reclaimed stale claim %s into queue", name)
+        for claim in live_claims:
+            if claim.exists():
+                _write_lease(claim, self.owner)
+                self.heartbeats += 1
+        if (self.gc_older_than is not None and self.gc_every > 0
+                and self._rounds % self.gc_every == 0):
+            gc_spool(self.spool, self.gc_older_than)
+
+
 def serve_spool(spool, *, max_workers: int = 2, poll: float = 0.2,
                 drain: bool = False, max_jobs: int | None = None,
                 data_dir=None, on_settle=None,
                 lease_ttl: float = DEFAULT_LEASE_TTL,
                 owner: str | None = None, recover: bool = False,
                 gc_older_than: float | None = None, gc_every: int = 50,
-                stop=None) -> int:
+                stop=None, stats: dict | None = None) -> int:
     """Run a :class:`JobEngine` against a spool directory.
 
     Claims queued job documents, submits them, and writes a result
     document as each settles.  Returns the number of jobs settled.
 
+    One loop — claim, settle, wait — whose wait ends on a submitter's
+    nudge, on a job turning terminal, or after ``poll`` seconds,
+    whichever is first (see the module docstring).
+
+    ``poll``:
+        The longest the server waits before it looks at the spool
+        again without having been woken — what a lost nudge costs —
+        and the period of the housekeeping (lease heartbeats, the
+        stale-claim sweep).
     ``drain``:
         Exit once the queue is empty and every claimed job is
         terminal — the batch-campaign mode (``repro serve --drain``);
-        without it the server polls forever (SIGTERM/Ctrl-C to stop;
+        without it the server serves forever (SIGTERM/Ctrl-C to stop;
         running jobs are parked by the engine's shutdown).
     ``max_jobs``:
         Stop claiming after this many jobs and exit once they settle.
@@ -328,10 +500,11 @@ def serve_spool(spool, *, max_workers: int = 2, poll: float = 0.2,
         document is written (the CLI prints a line per job).
     ``lease_ttl`` / ``owner``:
         Claim-lease parameters: every claim this server holds is
-        heartbeat every poll under ``owner`` (default: a unique
-        host-pid-nonce string), and claims owned by *other* servers
-        whose lease is stale past ``lease_ttl`` seconds are swept back
-        into ``queue/`` each poll (see :func:`reclaim_stale`).
+        heartbeat every ``poll`` seconds under ``owner`` (default: a
+        unique host-pid-nonce string), and claims owned by *other*
+        servers whose lease is stale past ``lease_ttl`` seconds are
+        swept back into ``queue/`` at the same cadence (see
+        :func:`reclaim_stale`).
     ``recover``:
         Rebuild the engine from ``data_dir``'s journal
         (:meth:`JobEngine.recover`) instead of starting empty, and
@@ -341,58 +514,68 @@ def serve_spool(spool, *, max_workers: int = 2, poll: float = 0.2,
         journal does not exist yet.
     ``gc_older_than`` / ``gc_every``:
         When set, run :func:`gc_spool` with this age (seconds) every
-        ``gc_every`` polls.
+        ``gc_every * poll`` seconds.
     ``stop``:
-        Optional zero-argument callable polled once per loop; when it
-        returns true the server stops claiming, parks running jobs
-        (engine close) and returns — the graceful-drain hook the CLI
-        wires to SIGTERM/SIGINT.
+        Optional zero-argument callable checked once per loop turn;
+        when it returns true the server stops claiming, parks running
+        jobs (engine close) and returns — the graceful-drain hook the
+        CLI wires to SIGTERM/SIGINT.  Follow a change of its answer
+        with :func:`wake_server`, or it is seen up to ``poll`` later.
+    ``stats``:
+        Optional dict filled in on return: ``wakes`` (how many waits
+        ended by ``nudge`` / ``engine`` / ``poll``) and
+        ``lease_writes`` (claims + adoptions + heartbeats).
     """
     queue, claimed, results = spool_dirs(spool)
     if owner is None:
         owner = default_owner()
-    settled: set[str] = set()
-    submitted: dict[str, str] = {}  # engine job id -> spool id
-    claim_paths: dict[str, pathlib.Path] = {}  # spool id -> claimed doc
-    claimed_count = 0
+    live: dict[str, tuple[pathlib.Path, dict]] = {}  # id -> claim, stamps
+    settled = claimed_count = leases = 0
     journal_path = (None if data_dir is None
                     else pathlib.Path(data_dir) / "journal.jsonl")
-    if recover and journal_path is not None and journal_path.exists():
-        engine = JobEngine.recover(data_dir, max_workers=max_workers)
-    else:
-        engine = JobEngine(max_workers=max_workers, data_dir=data_dir)
-    with engine:
-        # adopt recovered jobs: they are ours again, so re-lease their
-        # claims under our identity *before* the first stale sweep —
-        # otherwise a short TTL could bounce our own claims through
-        # queue/ and into a duplicate submit
-        for info in engine.list_jobs():
-            submitted[info.job_id] = info.job_id
-            claimed_count += 1
-            claim = claimed / f"{info.job_id}.json"
-            claim_paths[info.job_id] = claim
-            if claim.exists():
-                _write_lease(claim, owner)
-            logger.info("adopted recovered job %s (%s)", info.job_id,
-                        info.state.value)
-        polls = 0
-        try:
+    chores = _Chores(spool, owner=owner, poll=poll, lease_ttl=lease_ttl,
+                     gc_older_than=gc_older_than, gc_every=gc_every)
+    wakeups = _Wakeups(pathlib.Path(spool) / "wake")
+    try:
+        if recover and journal_path is not None and journal_path.exists():
+            engine = JobEngine.recover(data_dir, max_workers=max_workers)
+        else:
+            engine = JobEngine(max_workers=max_workers, data_dir=data_dir)
+        with engine:  # closed (workers joined) before the pipe it writes
+            # a job settling from here on wakes the loop; one that
+            # settled earlier is found by the first turn's own look
+            engine.add_terminal_listener(wakeups.on_terminal)
+            # adopt recovered jobs: they are ours again, so re-lease their
+            # claims under our identity *before* the first stale sweep —
+            # otherwise a short TTL could bounce our own claims through
+            # queue/ and into a duplicate submit
+            for info in engine.list_jobs():
+                claim = claimed / f"{info.job_id}.json"
+                submitted_at = (read_json_tolerant(claim) or {}).get(
+                    "submitted_at")
+                live[info.job_id] = (claim, {"submitted_at": submitted_at,
+                                             "claimed_at": time.time()})
+                if claim.exists():
+                    _write_lease(claim, owner)
+                    leases += 1
+                logger.info("adopted recovered job %s (%s)", info.job_id,
+                            info.state.value)
+            claimed_count = len(live)
+            woke = "poll"  # the first turn looks unprompted
             while True:
                 if stop is not None and stop():
                     logger.info("stop requested; parking running jobs")
-                    return len(settled)
-                for name in reclaim_stale(queue, claimed, owner=owner,
-                                          lease_ttl=lease_ttl):
-                    logger.warning("reclaimed stale claim %s into queue",
-                                   name)
+                    return settled
+                chores.run(claim for claim, _ in live.values())
                 if max_jobs is None or claimed_count < max_jobs:
                     limit = (None if max_jobs is None
                              else max_jobs - claimed_count)
                     for doc in _claim(queue, claimed, limit, owner=owner):
                         spool_id = doc["id"]
                         job = doc["job"]
+                        leases += 1
                         try:
-                            engine_id = engine.submit(job, job_id=spool_id)
+                            engine.submit(job, job_id=spool_id)
                         except ValueError as exc:  # duplicate id resubmitted
                             logger.warning(
                                 "settling duplicate submission %s: %s",
@@ -400,54 +583,49 @@ def serve_spool(spool, *, max_workers: int = 2, poll: float = 0.2,
                             _settle_duplicate(results, spool_id,
                                               doc["path"], exc)
                             continue
-                        submitted[engine_id] = spool_id
-                        claim_paths[spool_id] = doc["path"]
+                        live[spool_id] = (doc["path"], {
+                            "submitted_at": doc.get("submitted_at"),
+                            "claimed_at": time.time()})
                         claimed_count += 1
                         logger.info("claimed %s: %s", spool_id,
                                     job.describe())
-                for engine_id, spool_id in list(submitted.items()):
-                    if spool_id in settled:
+                for spool_id, (claim, stamps) in list(live.items()):
+                    if not engine.status(spool_id).state.terminal:
                         continue
-                    claim = claim_paths.get(
-                        spool_id, claimed / f"{spool_id}.json")
-                    info = engine.status(engine_id)
-                    if not info.state.terminal:
-                        if claim.exists():  # heartbeat our live claims
-                            _write_lease(claim, owner)
-                        continue
-                    result = engine.result(engine_id)
-                    doc = result.summary()
+                    doc = engine.result(spool_id).summary()
                     doc["id"] = spool_id
+                    doc["spool"] = dict(stamps, settled_at=time.time(),
+                                        woke_by=woke)
                     existing = read_result(spool, spool_id)
                     if existing is None or existing.get("state") == "duplicate":
-                        _write_json_atomic(results / f"{spool_id}.json", doc)
+                        write_json_atomic(results / f"{spool_id}.json", doc)
+                        _nudge(results / f"{spool_id}.wait")
                     else:
                         # another server settled it first (at-least-once
                         # re-run); determinism makes the docs identical,
                         # so skipping the write is the idempotent choice
                         doc = existing
-                    settled.add(spool_id)
+                    del live[spool_id]
+                    settled += 1
                     _lease_path(claim).unlink(missing_ok=True)
                     claim.unlink(missing_ok=True)
                     if on_settle is not None:
                         on_settle(spool_id, doc)
-                polls += 1
-                if (gc_older_than is not None and gc_every > 0
-                        and polls % gc_every == 0):
-                    gc_spool(spool, gc_older_than)
                 done_claiming = (max_jobs is not None
                                  and claimed_count >= max_jobs)
-                queue_empty = not any(
-                    p for p in queue.glob("*.json")
-                    if not p.name.endswith(".rejected.json"))
-                all_settled = len(settled) == len(submitted)
-                if (drain or done_claiming) and all_settled and (
-                        queue_empty or done_claiming):
-                    return len(settled)
-                time.sleep(poll)
-        except KeyboardInterrupt:  # pragma: no cover - interactive stop
-            logger.info("interrupted; parking running jobs")
-            return len(settled)
+                if not live and (done_claiming or (drain and not any(
+                        p for p in queue.glob("*.json")
+                        if not p.name.endswith(".rejected.json")))):
+                    return settled
+                woke = wakeups.wait(chores.remaining())
+    except KeyboardInterrupt:  # pragma: no cover - interactive stop
+        logger.info("interrupted; parking running jobs")
+        return settled
+    finally:
+        wakeups.close()
+        if stats is not None:
+            stats.update(wakes=wakeups.counts,
+                         lease_writes=leases + chores.heartbeats)
 
 
 def _settle_duplicate(results: pathlib.Path, spool_id: str,
@@ -460,11 +638,12 @@ def _settle_duplicate(results: pathlib.Path, spool_id: str,
     result (present or future) always wins.
     """
     if read_json_tolerant(results / f"{spool_id}.json") is None:
-        _write_json_atomic(results / f"{spool_id}.json", {
+        write_json_atomic(results / f"{spool_id}.json", {
             "id": spool_id,
             "job_id": spool_id,
             "state": "duplicate",
             "error": str(exc),
         })
+        _nudge(results / f"{spool_id}.wait")
     _lease_path(claim).unlink(missing_ok=True)
     claim.unlink(missing_ok=True)

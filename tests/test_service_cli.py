@@ -4,20 +4,28 @@ anchor validation (the docs half of the service PR)."""
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
 import json
+import os
 import pathlib
+import threading
+import time
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.service import (
     PICJob,
+    gc_spool,
     read_result,
     serve_spool,
     submit_to_spool,
     wait_for_result,
+    write_json_atomic,
 )
+from repro.service import spool as spool_mod
+from repro.service.spool import spool_dirs, wake_server
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -89,6 +97,194 @@ class TestSpool:
 
 
 # ----------------------------------------------------------------------
+# Wake-ups: the event path, and the poll timeout it degrades to
+# ----------------------------------------------------------------------
+@contextlib.contextmanager
+def running_server(spool, **kwargs):
+    """``serve_spool`` on a thread, started and (on exit) stopped;
+    yields a dict that holds ``settled`` and ``stats`` afterwards."""
+    stop = threading.Event()
+    out = {"stats": {}}
+
+    def serve():
+        out["settled"] = serve_spool(spool, stop=stop.is_set,
+                                     stats=out["stats"], **kwargs)
+
+    thread = threading.Thread(target=serve)
+    thread.start()
+    try:
+        yield out
+    finally:
+        stop.set()
+        wake_server(spool)
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+
+
+def wait_until_idle(spool):
+    """Return once the server is past its first turn, blocked in a wait."""
+    deadline = time.monotonic() + 30
+    while not (pathlib.Path(spool) / "wake").exists():
+        assert time.monotonic() < deadline, "server never opened its FIFO"
+        time.sleep(0.01)
+    time.sleep(0.3)
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestWakeups:
+    def test_idle_server_settles_a_job_without_waiting_for_the_poll(
+            self, tmp_path):
+        with running_server(tmp_path, poll=5.0) as server:
+            wait_until_idle(tmp_path)
+            t0 = time.monotonic()
+            jid = submit_to_spool(tmp_path, PICJob(**fast_args()))
+            doc = wait_for_result(tmp_path, jid, timeout=30, poll=5.0)
+            assert time.monotonic() - t0 < 2.0
+        stamps = doc["spool"]
+        assert stamps["woke_by"] != "poll"
+        assert (stamps["submitted_at"] <= stamps["claimed_at"]
+                <= stamps["settled_at"])
+        wakes = server["stats"]["wakes"]
+        assert wakes["nudge"] >= 1 and wakes["engine"] >= 1
+
+    @pytest.mark.parametrize("lose", ["nudges", "fifo"])
+    def test_lost_wakeups_fall_back_to_the_poll(self, tmp_path, monkeypatch,
+                                                lose):
+        if lose == "nudges":
+            monkeypatch.setattr(spool_mod, "_nudge", lambda fifo: None)
+        with running_server(tmp_path, poll=0.05):
+            wait_until_idle(tmp_path)
+            if lose == "fifo":
+                (tmp_path / "wake").unlink()
+            ids = [submit_to_spool(tmp_path, PICJob(**fast_args(steps=5)))
+                   for _ in range(3)]
+            for jid in ids:
+                doc = wait_for_result(tmp_path, jid, timeout=30, poll=0.05)
+                assert doc["state"] == "succeeded"
+
+    def test_orphaned_fifo_never_blocks_a_submitter(self, tmp_path):
+        spool_dirs(tmp_path)
+        os.mkfifo(tmp_path / "wake")  # what a SIGKILLed server leaves
+        t0 = time.monotonic()
+        jid = submit_to_spool(tmp_path, PICJob(**fast_args(steps=5)))
+        assert time.monotonic() - t0 < 0.05
+        # the next server finds the job on its first turn, not a poll later
+        t0 = time.monotonic()
+        assert serve_spool(tmp_path, max_workers=1, drain=True,
+                           poll=5.0) == 1
+        assert time.monotonic() - t0 < 4.0
+        assert read_result(tmp_path, jid)["state"] == "succeeded"
+
+    def test_burst_costs_leases_per_job_not_per_wakeup(self, tmp_path):
+        n = 20  # one worker: every job's settling is a turn of its own
+        with running_server(tmp_path, poll=2.0, max_workers=1) as server:
+            wait_until_idle(tmp_path)
+            ids = [submit_to_spool(tmp_path, PICJob(**fast_args(steps=30)))
+                   for _ in range(n)]
+            for jid in ids:
+                doc = wait_for_result(tmp_path, jid, timeout=60, poll=2.0)
+                assert doc["state"] == "succeeded"
+        assert server["settled"] == n
+        # one lease per claim plus a heartbeat per live claim per poll
+        # period; a heartbeat per turn would write n + ~n*n/2 (251 here)
+        assert n <= server["stats"]["lease_writes"] <= 3 * n
+
+    def test_two_servers_on_one_spool_claim_each_job_once(self, tmp_path):
+        ids = {submit_to_spool(tmp_path, PICJob(**fast_args(steps=5)))
+               for _ in range(6)}
+        seen, counts = [], []
+
+        def serve():
+            counts.append(serve_spool(
+                tmp_path, max_workers=1, drain=True, poll=0.05,
+                on_settle=lambda job_id, doc: seen.append(job_id)))
+
+        threads = [threading.Thread(target=serve) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        assert sorted(seen) == sorted(ids) and sum(counts) == len(ids)
+
+    def test_idle_server_writes_nothing_and_scans_once_per_poll(
+            self, tmp_path, monkeypatch):
+        calls = {"claim": 0, "sweep": 0, "write": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(spool_mod, "_claim",
+                            counting("claim", spool_mod._claim))
+        monkeypatch.setattr(spool_mod, "reclaim_stale",
+                            counting("sweep", spool_mod.reclaim_stale))
+        monkeypatch.setattr(spool_mod, "write_json_atomic",
+                            counting("write", spool_mod.write_json_atomic))
+        with running_server(tmp_path, poll=0.2):
+            time.sleep(1.0)
+        assert calls["write"] == 0
+        assert 2 <= calls["claim"] <= 8 and calls["sweep"] <= 8
+
+    def test_serve_and_wait_leave_no_fds_and_no_fifos(self, tmp_path):
+        _, _, results = spool_dirs(tmp_path)
+        before = open_fds()
+        jid = submit_to_spool(tmp_path, PICJob(**fast_args(steps=5)))
+        assert serve_spool(tmp_path, max_workers=1, drain=True,
+                           poll=0.05) == 1
+        wait_for_result(tmp_path, jid, timeout=5)
+        with pytest.raises(TimeoutError):
+            wait_for_result(tmp_path, "never", timeout=0.1, poll=0.05)
+        assert open_fds() == before
+        assert not list(results.glob("*.wait"))
+
+    def test_waiter_wakes_on_the_servers_nudge(self, tmp_path):
+        _, _, results = spool_dirs(tmp_path)
+
+        def settle():
+            time.sleep(0.2)
+            write_json_atomic(results / "late.json", {"state": "succeeded"})
+            spool_mod._nudge(results / "late.wait")
+
+        t = threading.Thread(target=settle)
+        t.start()
+        t0 = time.monotonic()
+        try:
+            doc = wait_for_result(tmp_path, "late", timeout=30, poll=5.0)
+        finally:
+            t.join()
+        assert doc["state"] == "succeeded" and time.monotonic() - t0 < 2.0
+
+    def test_wait_reads_once_more_at_the_deadline(self, tmp_path):
+        """A result that lands during the last wait (no nudge) is
+        returned, and the deadline is not overshot by a poll period."""
+        _, _, results = spool_dirs(tmp_path)
+        t = threading.Timer(0.1, write_json_atomic,
+                            (results / "quiet.json", {"state": "succeeded"}))
+        t.start()
+        t0 = time.monotonic()
+        try:
+            doc = wait_for_result(tmp_path, "quiet", timeout=0.4, poll=5.0)
+        finally:
+            t.join()
+        assert doc["state"] == "succeeded" and time.monotonic() - t0 < 2.0
+
+    def test_gc_collects_an_orphaned_wait_fifo(self, tmp_path):
+        _, _, results = spool_dirs(tmp_path)
+        for name, age in (("dead.wait", 3600), ("live.wait", 0)):
+            os.mkfifo(results / name)
+            stamp = time.time() - age
+            os.utime(results / name, (stamp, stamp))
+        assert gc_spool(tmp_path, 60.0) == 1
+        assert [p.name for p in results.iterdir()] == ["live.wait"]
+
+
+# ----------------------------------------------------------------------
 # CLI: parsing and end-to-end
 # ----------------------------------------------------------------------
 class TestServiceCLI:
@@ -114,13 +310,28 @@ class TestServiceCLI:
         out = capsys.readouterr().out
         assert rc == 0
         assert "settled cli-a: succeeded 10/10" in out
-        assert "served 1 job(s)" in out
+        assert "served 1 job(s) (wakes: nudge " in out
         # --wait on an already-settled job returns its summary
         rc = main(["submit", "--spool", spool, "--job-id", "cli-a",
                    "--wait", "--timeout", "1"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "result   : succeeded" in out
+        assert "latency  : " in out and " / settle " in out
+
+    def test_wait_reads_a_result_without_the_spool_block(self, tmp_path,
+                                                         capsys):
+        """What a server from before the wake-ups wrote."""
+        _, _, results = spool_dirs(tmp_path)
+        write_json_atomic(results / "old.json", {
+            "id": "old", "state": "succeeded", "steps_done": 5,
+            "steps_total": 5, "preemptions": 0, "segments": 1,
+            "energy_drift": 1e-4, "engine": {"run_seconds": 0.1}})
+        rc = main(["submit", "--spool", str(tmp_path), "--job-id", "old",
+                   "--wait", "--timeout", "1"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "result   : succeeded" in out and "latency" not in out
 
     def test_submit_validation_error_is_exit_2(self, tmp_path, capsys):
         rc = main(["submit", "--spool", str(tmp_path / "s"),

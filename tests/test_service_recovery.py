@@ -468,6 +468,22 @@ class TestSpoolRobustness:
         assert read_result(tmp_path, "dup")["state"] == "succeeded"
         assert list(claimed.iterdir()) == []
 
+    def test_raising_terminal_listener_is_logged_and_swallowed(self, caplog):
+        seen = []
+
+        def broken(job_id):
+            raise RuntimeError("listener bug")
+
+        with JobEngine(max_workers=1) as engine:
+            engine.add_terminal_listener(broken)
+            engine.add_terminal_listener(seen.append)
+            # the second job needs the worker thread the first settled on
+            ids = [engine.submit(small_job(steps=4, checkpoint_every=50))
+                   for _ in range(2)]
+            assert all(engine.result(j, timeout=60).ok for j in ids)
+        assert seen == ids
+        assert "terminal listener failed" in caplog.text
+
     def test_stop_callable_parks_and_returns(self, tmp_path):
         job = small_job(steps=2000, checkpoint_every=100)
         submit_to_spool(tmp_path, job, job_id="parked")

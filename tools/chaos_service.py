@@ -15,12 +15,15 @@ Procedure (all sizes and the kill point are seeded):
    against a fresh spool + data dir, and SIGKILL it after a seeded
    number of jobs have settled (plus a seeded jitter sleep, so the
    kill lands at an arbitrary point of a job, not a settle boundary);
-3. restart ``repro serve --drain --recover`` on the same spool and
+3. while the server is down, submit two more jobs — the dead server
+   left its ``wake`` FIFO behind with nobody reading it, and a
+   submitter must neither block on it nor lose the job;
+4. restart ``repro serve --drain --recover`` on the same spool and
    data dir and let it drain;
-4. assert every job settled, every summary matches the golden one
-   **bitwise** (state, steps, energy drift and the full diagnostic
-   series), and the spool + data dirs hold no ``*.tmp`` or orphaned
-   ``*.lease`` litter.
+5. assert every job settled — the interrupted ones and the two late
+   ones — every summary matches the golden one **bitwise** (state,
+   steps, energy drift and the full diagnostic series), and the spool
+   + data dirs hold no ``*.tmp`` or orphaned ``*.lease`` litter.
 
 Exit status 0 only when all assertions hold.  ``make chaos-service``
 runs this; ``make check`` includes it.
@@ -50,6 +53,9 @@ from repro.service import PICJob, serve_spool, submit_to_spool  # noqa: E402
 #: checkpoint counts — legitimately differ; physics must not)
 _COMPARED_KEYS = ("state", "steps_done", "steps_total", "error",
                   "energy_drift", "series")
+
+#: jobs submitted between the kill and the restart
+LATE_JOBS = 2
 
 
 def build_campaign(n_jobs: int, steps: int) -> list[tuple[str, PICJob]]:
@@ -129,18 +135,19 @@ def main() -> int:
     args = ap.parse_args()
 
     rng = random.Random(args.seed)
-    campaign = build_campaign(args.jobs, args.steps)
+    campaign = build_campaign(args.jobs + LATE_JOBS, args.steps)
+    late = campaign[args.jobs:]  # submitted while the server is down
     workdir = pathlib.Path(tempfile.mkdtemp(prefix="repro-chaos-service-"))
     failures: list[str] = []
     try:
-        print(f"golden campaign: {args.jobs} jobs x {args.steps} steps "
+        print(f"golden campaign: {len(campaign)} jobs x {args.steps} steps "
               f"(seed {args.seed})")
         golden = golden_run(campaign, workdir)
 
         spool = workdir / "spool"
         data = workdir / "data"
         results = spool / "results"
-        for job_id, job in campaign:
+        for job_id, job in campaign[:args.jobs]:
             submit_to_spool(spool, job, job_id=job_id)
 
         kill_after = rng.randrange(0, max(1, args.jobs - 1))
@@ -167,6 +174,18 @@ def main() -> int:
         else:
             failures.append("server drained before the kill point — "
                             "enlarge --steps so the kill lands mid-campaign")
+
+        if not (spool / "wake").exists():
+            os.mkfifo(spool / "wake")  # killed before it got that far
+        t0 = time.monotonic()
+        for job_id, job in late:
+            submit_to_spool(spool, job, job_id=job_id)
+        blocked = time.monotonic() - t0
+        print(f"submitted {len(late)} job(s) with the server down "
+              f"in {blocked:.3f}s")
+        if blocked > 1.0:
+            failures.append(f"submitting to a dead server's spool took "
+                            f"{blocked:.1f}s (blocked on the orphaned FIFO?)")
 
         print("restarting with --recover")
         proc = serve_subprocess(spool, data, recover=True)
@@ -202,8 +221,9 @@ def main() -> int:
             if args.keep:
                 print(f"work dir kept at {workdir}", file=sys.stderr)
             return 1
-        print(f"chaos-service OK: {len(campaign)} job(s) killed-and-"
-              "recovered bitwise-equal to golden, no spool litter")
+        print(f"chaos-service OK: {args.jobs} job(s) killed-and-recovered "
+              f"and {len(late)} submitted to the dead server's spool, all "
+              "bitwise-equal to golden, no spool litter")
         return 0
     finally:
         if not (args.keep and failures):
