@@ -113,12 +113,16 @@ bench-scaling:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_shm_scaling.py --smoke
 
 examples:
-	for f in examples/*.py; do echo "== $$f =="; $(PYTHON) $$f || exit 1; done
+	for f in examples/*.py; do echo "== $$f =="; PYTHONPATH=src $(PYTHON) $$f || exit 1; done
 
 results: test bench
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
+# untracked run litter only: everything under benchmarks/ is either
+# committed (benchmarks/results/ holds the paper tables) or ignored
+# ledger output, and stays
 clean:
-	rm -rf .pytest_cache benchmarks/results src/*.egg-info
+	rm -rf .pytest_cache .hypothesis .benchmarks src/*.egg-info
+	rm -f .coverage test_output.txt bench_output.txt
 	find . -name __pycache__ -type d -exec rm -rf {} +

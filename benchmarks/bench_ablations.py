@@ -17,11 +17,10 @@ Three knobs the paper discusses but does not tabulate:
 import numpy as np
 
 from repro.core import OptimizationConfig
-from repro.core.autotune import tune_sort_period_model
-from repro.parallel.domain_decomp import compare_schemes
-from repro.perf.costmodel import LoopCostModel, LoopKind
-from repro.perf.experiments import MissExperiment, default_scaled_machine
-from repro.perf.machine import MachineSpec
+from repro.model.costmodel import LoopCostModel, tune_sort_period_model
+from repro.model.domain_decomp import compare_schemes
+from repro.model.experiments import MissExperiment, default_scaled_machine
+from repro.model.machine import MachineSpec
 
 from conftest import BENCH_GRID, run_once, write_result
 

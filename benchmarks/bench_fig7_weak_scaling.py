@@ -14,7 +14,7 @@ near-flat — half a trillion particles at 8192 cores remain practical.
 """
 
 from repro.core import OptimizationConfig
-from repro.parallel.scaling import weak_scaling_series
+from repro.model.scaling import weak_scaling_series
 
 from conftest import PAPER_N, run_once, write_result
 

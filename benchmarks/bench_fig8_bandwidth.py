@@ -12,10 +12,10 @@ Paper (Sandy Bridge socket, theoretical peak 51.2 GB/s):
 """
 
 from repro.core import OptimizationConfig
-from repro.parallel.openmp import ThreadScalingModel
-from repro.perf.bandwidth import BandwidthModel
-from repro.perf.costmodel import LoopKind
-from repro.perf.machine import MachineSpec
+from repro.model.bandwidth import BandwidthModel
+from repro.model.costmodel import LoopKind
+from repro.model.machine import MachineSpec
+from repro.model.openmp import ThreadScalingModel
 
 from conftest import PAPER_N, run_once, write_result
 

@@ -8,7 +8,7 @@ the total and the speedup is far from the ideal 64.
 """
 
 from repro.core import OptimizationConfig
-from repro.parallel.scaling import strong_scaling_hybrid
+from repro.model.scaling import strong_scaling_hybrid
 
 from conftest import run_once, write_result
 

@@ -10,7 +10,7 @@ two cores), as seconds per step.  Each configuration is built once,
 warmed up, and timed over ``repeats`` windows of ``steps`` steps; the
 fastest window counts (min-of-k: host noise only ever adds time).  The
 crossover is the smallest swept N at which a numpy-mp row beats serial.
-The :class:`~repro.parallel.openmp.ThreadScalingModel` roofline
+The :class:`~repro.model.openmp.ThreadScalingModel` roofline
 prediction rides along (it prices an ideal paper-machine thread team,
 so it is the upper envelope, not a fit).
 
@@ -37,10 +37,10 @@ import numpy as np
 
 from repro.core import OptimizationConfig, Simulation
 from repro.grid import GridSpec
+from repro.model.experiments import default_scaled_machine
+from repro.model.openmp import ThreadScalingModel
 from repro.parallel.executor import MultiprocessBackend
-from repro.parallel.openmp import ThreadScalingModel
 from repro.particles import LandauDamping
-from repro.perf.experiments import default_scaled_machine
 
 GRID_SIDE = 64
 SIZES = (10_000, 100_000, 1_000_000)

@@ -18,7 +18,7 @@ every sort (Figs. 5/6).
 
 import numpy as np
 
-from repro.perf.costmodel import LoopKind
+from repro.model.costmodel import LoopKind
 
 from conftest import (
     BENCH_ITERATIONS,

@@ -16,8 +16,8 @@ beat 2d-standard on accumulate thanks to the vectorizable rows.
 """
 
 from repro.core import OptimizationConfig
-from repro.perf.costmodel import LoopCostModel, LoopKind
-from repro.perf.machine import MachineSpec
+from repro.model.costmodel import LoopCostModel, LoopKind
+from repro.model.machine import MachineSpec
 
 from conftest import (
     BENCH_SORT_PERIOD,

@@ -26,8 +26,8 @@ stall saved is smaller than the Morton-encode cost in the still-scalar
 update-x and the full stack lands well past the paper's -42.8%.
 """
 
-from repro.perf.costmodel import LoopCostModel, LoopKind
-from repro.perf.machine import MachineSpec
+from repro.model.costmodel import LoopCostModel, LoopKind
+from repro.model.machine import MachineSpec
 
 from conftest import PAPER_ITERS, PAPER_N, run_once, write_result
 
@@ -86,7 +86,7 @@ def test_table4_cumulative_gains(benchmark, table4_miss_data):
     assert sorted(step_gains, reverse=True).index(soa_step) <= 1
     # the SFC mechanism itself works: its row's L2 misses (irregular
     # loops) drop substantially vs the row-major row before it
-    from repro.perf.costmodel import LoopKind as LK
+    from repro.model.costmodel import LoopKind as LK
 
     mpp_soa = table4_miss_data[4][2]
     mpp_sfc = table4_miss_data[5][2]

@@ -16,8 +16,8 @@ Bridge; accumulate shows the largest relative win; sorting costs ~2
 ns/particle/iteration at the optimal sort period.
 """
 
-from repro.perf.costmodel import LoopCostModel, LoopKind
-from repro.perf.machine import MachineSpec
+from repro.model.costmodel import LoopCostModel, LoopKind
+from repro.model.machine import MachineSpec
 
 from conftest import ordering_config, run_once, write_result
 

@@ -12,8 +12,8 @@ is exactly the roofline this model implements).
 """
 
 from repro.core import OptimizationConfig
-from repro.parallel.scaling import strong_scaling_threads
-from repro.perf.machine import MachineSpec
+from repro.model.machine import MachineSpec
+from repro.model.scaling import strong_scaling_threads
 
 from conftest import PAPER_N, run_once, write_result
 

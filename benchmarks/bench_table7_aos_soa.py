@@ -19,8 +19,8 @@ overall worst (AoS fused), and the SoA-beats-AoS relations all hold.
 """
 
 from repro.core import OptimizationConfig
-from repro.parallel.openmp import ThreadScalingModel
-from repro.perf.machine import MachineSpec
+from repro.model.machine import MachineSpec
+from repro.model.openmp import ThreadScalingModel
 
 from conftest import PAPER_ITERS, PAPER_N, run_once, write_result
 

@@ -22,8 +22,8 @@ import pytest
 
 from repro.core import OptimizationConfig
 from repro.grid import GridSpec
-from repro.perf.costmodel import LoopKind
-from repro.perf.experiments import MissExperiment, default_scaled_machine
+from repro.model.costmodel import LoopKind
+from repro.model.experiments import MissExperiment, default_scaled_machine
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 

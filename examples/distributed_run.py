@@ -13,8 +13,8 @@ Run:  python examples/distributed_run.py
 import numpy as np
 
 from repro.core import OptimizationConfig
-from repro.parallel.hybrid import run_distributed_landau
-from repro.parallel.scaling import weak_scaling_series
+from repro.model.hybrid import run_distributed_landau
+from repro.model.scaling import weak_scaling_series
 
 
 def main():

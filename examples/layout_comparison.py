@@ -14,9 +14,9 @@ import numpy as np
 from repro.core import OptimizationConfig
 from repro.curves import get_ordering, neighbor_locality_report
 from repro.grid import GridSpec
-from repro.perf.costmodel import LoopCostModel, LoopKind
-from repro.perf.experiments import MissExperiment, default_scaled_machine
-from repro.perf.machine import MachineSpec
+from repro.model.costmodel import LoopCostModel, LoopKind
+from repro.model.experiments import MissExperiment, default_scaled_machine
+from repro.model.machine import MachineSpec
 
 ORDERINGS = ["row-major", "l4d", "morton", "hilbert"]
 

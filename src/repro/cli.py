@@ -106,15 +106,13 @@ def build_parser() -> argparse.ArgumentParser:
                      help="kernel execution backend (default: auto-select; "
                      "numpy-mp fans the particle loops out over worker "
                      "processes)")
-    run.add_argument("--loop-mode", choices=("split", "fused", "auto"),
+    run.add_argument("--loop-mode", choices=("split", "fused"),
                      default="split",
                      help="particle-loop structure: 'split' runs three "
                      "passes over the particles; 'fused' runs the "
                      "backend's single-pass interpolate+kick+push kernel, "
-                     "then the deposit; "
-                     "'auto' trials both, then keeps adapting per step "
-                     "(EWMA cost model with hysteresis; decisions land in "
-                     "--timings-json — see docs/tuning.md)")
+                     "then the deposit (bitwise-equal; which is faster "
+                     "is per backend — see docs/tuning.md)")
     run.add_argument("--workers", type=int, default=None, metavar="N",
                      help="worker-process count for --backend numpy-mp "
                      "(default: cpu count)")
@@ -437,20 +435,18 @@ def _cmd_locality(args) -> int:
 
 def _cmd_tune_sort(args) -> int:
     from repro.core import OptimizationConfig
-    from repro.core.autotune import tune_sort_period_model
-    from repro.perf.costmodel import LoopCostModel, LoopKind
-    from repro.perf.machine import MachineSpec
+    from repro.model.costmodel import (
+        FRESH_SORT_MISSES,
+        LoopCostModel,
+        tune_sort_period_model,
+    )
+    from repro.model.machine import MachineSpec
 
     machine = getattr(MachineSpec, args.machine)()
     model = LoopCostModel(machine)
-    base = {
-        LoopKind.UPDATE_V: {"L1": 1.1, "L2": 0.11, "L3": 0.03},
-        LoopKind.UPDATE_X: {"L1": 0.9},
-        LoopKind.ACCUMULATE: {"L1": 0.76, "L2": 0.06, "L3": 0.02},
-    }
     res = tune_sort_period_model(
         model, OptimizationConfig.fully_optimized(), args.particles,
-        base, miss_growth_per_iter=args.growth,
+        FRESH_SORT_MISSES, miss_growth_per_iter=args.growth,
     )
     print(f"machine={args.machine}, miss growth {args.growth}/iter:")
     for period in sorted(res.costs):
@@ -464,8 +460,8 @@ def _cmd_calibrate(args) -> int:
     import json
     import pathlib
 
-    from repro.perf.datamove import fit_stall_overlap
-    from repro.perf.machine import MachineSpec
+    from repro.model.costmodel import fit_stall_overlap
+    from repro.model.machine import MachineSpec
 
     record = json.loads(pathlib.Path(args.timings).read_text())
     machine = getattr(MachineSpec, args.machine)()
@@ -486,7 +482,7 @@ def _cmd_calibrate(args) -> int:
 def _cmd_misses(args) -> int:
     from repro.core import OptimizationConfig
     from repro.grid import GridSpec
-    from repro.perf.experiments import MissExperiment, default_scaled_machine
+    from repro.model.experiments import MissExperiment, default_scaled_machine
 
     grid = GridSpec(args.grid_side, args.grid_side, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
     machine = default_scaled_machine()
@@ -723,7 +719,7 @@ def _cmd_info(_args) -> int:
         resolve_backend_name,
     )
     from repro.curves import available_orderings
-    from repro.perf.machine import MachineSpec
+    from repro.model.machine import MachineSpec
 
     print("repro — PIC data-structures reproduction (IPDPSW 2017)")
     print("orderings:", ", ".join(available_orderings()))

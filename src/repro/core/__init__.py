@@ -15,14 +15,6 @@ Public entry points:
 * :mod:`~repro.core.diagnostics` — energies, mode amplitudes, rate fits.
 """
 
-from repro.core.autotune import (
-    LoopModeAutoTuner,
-    LoopModeResult,
-    SortPeriodAutoTuner,
-    TuneResult,
-    tune_loop_mode,
-    tune_sort_period_model,
-)
 from repro.core.backends import (
     BackendUnavailableError,
     KernelBackend,
@@ -64,12 +56,6 @@ __all__ = [
     "mode_amplitude",
     "damping_rate_fit",
     "growth_rate_fit",
-    "SortPeriodAutoTuner",
-    "TuneResult",
-    "tune_sort_period_model",
-    "LoopModeAutoTuner",
-    "LoopModeResult",
-    "tune_loop_mode",
     "push_positions_reflecting",
     "push_positions_absorbing",
     "compact_particles",

@@ -101,13 +101,19 @@ _RETIRED_CONFIG_KEYS = frozenset(
 
 
 def _saved_config(meta: dict, path) -> OptimizationConfig:
-    """The config a checkpoint was written under (retired keys dropped;
-    any other unknown key makes the archive unusable)."""
+    """The config a checkpoint was written under (retired keys dropped,
+    the retired ``loop_mode`` value ``"auto"`` read as ``"split"``; any
+    other unknown key makes the archive unusable)."""
     try:
-        saved = json.loads(meta["config"])
-        return OptimizationConfig(
-            **{k: v for k, v in saved.items() if k not in _RETIRED_CONFIG_KEYS}
-        )
+        saved = {
+            k: v for k, v in json.loads(meta["config"]).items()
+            if k not in _RETIRED_CONFIG_KEYS
+        }
+        # fused == split bitwise and the tuner behind "auto" kept no
+        # checkpointed state, so no output bit moves
+        if saved.get("loop_mode") == "auto":
+            saved["loop_mode"] = "split"
+        return OptimizationConfig(**saved)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CheckpointMismatchError(
             f"checkpoint {path} carries an unusable config: {exc}"

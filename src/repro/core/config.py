@@ -13,7 +13,7 @@ __all__ = ["OptimizationConfig"]
 
 _FIELD_LAYOUTS = ("standard", "redundant")
 _PARTICLE_LAYOUTS = ("soa", "aos")
-_LOOP_MODES = ("fused", "split", "auto")
+_LOOP_MODES = ("fused", "split")
 _POSITION_UPDATES = ("branch", "modulo", "bitwise")
 _SORT_VARIANTS = ("out-of-place", "in-place")
 
@@ -40,11 +40,8 @@ class OptimizationConfig:
         ``"fused"`` — one sweep doing interpolate / update-v /
         update-x per particle, the deposit following (the baseline);
         ``"split"`` — three full passes (§IV-A, enables vectorizing
-        update-x); ``"auto"``
-        — the stepper's continuous
-        :class:`~repro.core.autotune.LoopModeAutoTuner` trials both
-        and keeps adapting per step (EWMA + hysteresis; decisions land
-        in the step timings — see ``docs/tuning.md``).
+        update-x).  Bitwise-equal on every in-process backend; which
+        is faster is a measured fact per backend (``docs/tuning.md``).
     position_update:
         ``"branch"`` — test-and-wrap (the `if` version);
         ``"modulo"`` — unconditional floor+modulo;

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.autotune import LoopModeAutoTuner
 from repro.core.backends import KernelBackend, get_backend
 from repro.core.boundaries import push_positions_reflecting
 from repro.core.config import OptimizationConfig
@@ -91,10 +90,6 @@ class StepLoop:
         #: of a live run, never part of checkpointed state.
         self.phase_hook = None
         self.iteration = 0
-        #: fused-vs-split tuner (2D, ``loop_mode="auto"`` only).  Its
-        #: state is adaptive-only, never physics: a restored run
-        #: re-trials from scratch, exactly like a fresh stepper
-        self.loop_tuner: LoopModeAutoTuner | None = self._make_loop_tuner()
         #: double buffer of the out-of-place sort.  Allocated with the
         #: particles, not at the first sort: there it would be carved
         #: out of the heap space the kernels' N-sized temporaries keep
@@ -104,9 +99,6 @@ class StepLoop:
         if self.config.sort_period and self.config.sort_variant != "in-place":
             self._sort_buffer = self.particles.clone_empty()
         self._closed = False
-
-    def _make_loop_tuner(self) -> LoopModeAutoTuner | None:
-        return None
 
     def _prepare(self, init=None) -> None:
         """Backend hook, then ``init()``: multi-process backends
@@ -162,10 +154,6 @@ class StepLoop:
           interpolate+kick+push kernel (``loop_mode="fused"``; every
           shipped backend has one).
 
-        With ``loop_mode="auto"`` the continuous tuner names the mode
-        for this step (trial phase first, then its adaptive choice);
-        a stepper without one (3D) runs ``"split"``.
-
         Scenario-zoo cases that carry a non-periodic boundary, a
         magnetic field or an external field always run ``"split"``:
         the Boris rotation and the wall fold are whole-population
@@ -179,10 +167,7 @@ class StepLoop:
             or self.ext_e != (0.0, 0.0)
         ):
             return "split"
-        mode = self.config.loop_mode
-        if self.loop_tuner is not None:
-            mode = self.loop_tuner.mode
-        return "fused-backend" if mode == "fused" else "split"
+        return "fused-backend" if self.config.loop_mode == "fused" else "split"
 
     def _deposit_and_solve(self) -> None:
         """Accumulate rho from current positions, then solve for E."""
@@ -198,7 +183,6 @@ class StepLoop:
         cfg = self.config
         instr = self.instrumentation
         hook = self.phase_hook
-        kernel_before = self.timings.kernel_total
         with instr.step(self.particles.n):
             with instr.phase("sort"):
                 if (
@@ -239,17 +223,6 @@ class StepLoop:
                 self._solve_fields()
             if hook is not None:
                 hook("solve", self)
-
-            if self.loop_tuner is not None:
-                # feed the particle-loop seconds of the step just taken
-                # (the only phases the mode changes) and mirror any
-                # decision the tuner makes into the step ledger
-                seen = len(self.loop_tuner.decisions)
-                self.loop_tuner.record(
-                    self.timings.kernel_total - kernel_before
-                )
-                for decision in self.loop_tuner.decisions[seen:]:
-                    instr.record_autotune(decision)
         self.iteration += 1
 
     def run(self, n_steps: int) -> None:
@@ -365,18 +338,6 @@ class PICStepper(StepLoop):
             self.fields = StandardFields(grid)
         self.solver = (
             solver if solver is not None else SpectralPoissonSolver(grid, self.eps0)
-        )
-
-    def _make_loop_tuner(self) -> LoopModeAutoTuner | None:
-        """Continuous fused-vs-split tuner, active iff
-        ``config.loop_mode == "auto"``: short A/B trials, then EWMA
-        tracking with hysteresis; every decision is mirrored into the
-        instrumentation ledger (see docs/tuning.md)."""
-        if self.config.loop_mode != "auto":
-            return None
-        return LoopModeAutoTuner(
-            continuous=True, trial_iterations=5,
-            recheck_every=25, probe_iterations=3,
         )
 
     # ------------------------------------------------------------------

@@ -10,7 +10,7 @@ update-positions loop takes 133 s vs ~15 s).  We implement the
 conversion with numpy ``where``-based rotations (J. Skilling,
 "Programming the Hilbert curve", AIP Conf. Proc. 707, 2004), which is
 vectorized in the numpy sense but still costs O(log n) dependent passes
-per conversion — the cost model (``repro.perf.costmodel``) prices this
+per conversion — the cost model (``repro.model.costmodel``) prices this
 serial dependency explicitly.
 
 Rectangular power-of-two grids are handled by tiling the longer

@@ -18,7 +18,6 @@ reference solver used to cross-check it in the tests.
 
 from repro.grid.spec import GridSpec
 from repro.grid.fields import (
-    InterlacedFields,
     RedundantFields,
     StandardFields,
     corner_offsets,
@@ -34,7 +33,6 @@ from repro.grid.poisson import (
 __all__ = [
     "GridSpec",
     "StandardFields",
-    "InterlacedFields",
     "RedundantFields",
     "corner_offsets",
     "corner_weights",

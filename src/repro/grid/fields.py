@@ -40,7 +40,6 @@ __all__ = [
     "corner_offsets",
     "corner_weights",
     "StandardFields",
-    "InterlacedFields",
     "RedundantFields",
 ]
 
@@ -52,50 +51,6 @@ _CX = np.array([1.0, 1.0, 0.0, 0.0])
 _SX = np.array([-1.0, -1.0, 1.0, 1.0])
 _CY = np.array([1.0, 0.0, 1.0, 0.0])
 _SY = np.array([-1.0, 1.0, -1.0, 1.0])
-
-
-class InterlacedFields:
-    """Component-interlaced field storage: ``exy[ncx][ncy][2]``.
-
-    The intermediate layout of Decyk et al. the paper quotes in §II
-    ("storing components of the field in only one array") — both field
-    components of a grid point sit side by side, halving the number of
-    distinct streams the update-velocities gather touches, but the four
-    corners of a cell remain non-contiguous.  Kept here so the full
-    lineage standard -> interlaced -> redundant is runnable; rho stays
-    a plain grid array (the interlacing only ever applied to E).
-    """
-
-    layout = "interlaced"
-
-    def __init__(self, grid: GridSpec):
-        self.grid = grid
-        self.rho = np.zeros((grid.ncx, grid.ncy))
-        #: ``exy[ix, iy, 0]`` = Ex, ``exy[ix, iy, 1]`` = Ey
-        self.exy = np.zeros((grid.ncx, grid.ncy, 2))
-
-    def reset_rho(self) -> None:
-        self.rho[:] = 0.0
-
-    def rho_grid(self) -> np.ndarray:
-        return self.rho
-
-    def set_field_from_grid(self, ex: np.ndarray, ey: np.ndarray) -> None:
-        self.exy[:, :, 0] = ex
-        self.exy[:, :, 1] = ey
-
-    @property
-    def ex(self) -> np.ndarray:
-        """Strided Ex view (non-contiguous: stride 2 doubles)."""
-        return self.exy[:, :, 0]
-
-    @property
-    def ey(self) -> np.ndarray:
-        return self.exy[:, :, 1]
-
-    @property
-    def memory_bytes(self) -> int:
-        return self.rho.nbytes + self.exy.nbytes
 
 
 def corner_offsets() -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.perf.machine import MachineSpec
+from repro.model.machine import MachineSpec
 
 __all__ = ["BandwidthModel", "stream_triad_time", "loop_bytes_per_particle"]
 

@@ -2,7 +2,7 @@
 
 Substitute for the paper's perf/PAPI hardware counters: the simulator
 replays the exact byte-address stream a loop generates (from
-:mod:`repro.perf.trace`) through an inclusive L1/L2/L3 hierarchy and
+:mod:`repro.model.trace`) through an inclusive L1/L2/L3 hierarchy and
 counts per-level misses — the quantity Figs. 5/6 and Table II report.
 
 The model is classical: physical-indexed, true-LRU, allocate-on-miss
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.perf.machine import CacheLevelSpec, MachineSpec
+from repro.model.machine import CacheLevelSpec, MachineSpec
 
 __all__ = ["CacheLevel", "CacheHierarchy", "CacheSimResult"]
 

@@ -7,7 +7,7 @@ loop variant's time per particle is::
            + stall_overlap * sum_l misses_l * penalty_l
 
 ``op_cycles`` is an operation count priced by
-:class:`~repro.perf.machine.OpCosts`.  ``throughput`` captures the
+:class:`~repro.model.machine.OpCosts`.  ``throughput`` captures the
 paper's whole single-core story — which variants vectorize and how
 well::
 
@@ -33,6 +33,15 @@ level miss penalties, derated by ``stall_overlap`` because out-of-order
 cores overlap most miss latency with work.  The default 0.25 is
 calibrated so the Morton-vs-row-major stall delta matches Table III
 given Table II's miss deltas.
+
+Two queries on the model live next to it: :func:`tune_sort_period_model`
+(the paper's §IV-E future work — "an automatic finding of this optimal
+number" of iterations between sorts — answered analytically: the sort
+amortizes as ``C_sort / T`` while the stall cost of disorder ramps with
+the period, the Fig. 5 sawtooth) and :func:`fit_stall_overlap` (pull
+``stall_overlap`` and a host frequency scale toward a measured
+``--timings-json`` record — ``repro calibrate``).  Both read
+:data:`FRESH_SORT_MISSES` when the caller has no measured miss table.
 """
 
 from __future__ import annotations
@@ -40,16 +49,38 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.core.config import OptimizationConfig
-from repro.perf.machine import MachineSpec
+import numpy as np
 
-__all__ = ["LoopKind", "LoopCosts", "LoopCostModel"]
+from repro.core.config import OptimizationConfig
+from repro.model.machine import MachineSpec
+
+__all__ = [
+    "LoopKind",
+    "LoopCosts",
+    "LoopCostModel",
+    "FRESH_SORT_MISSES",
+    "TuneResult",
+    "tune_sort_period_model",
+    "fit_stall_overlap",
+]
 
 
 class LoopKind(enum.Enum):
+    """The three particle loops of Fig. 1 the model prices."""
+
     UPDATE_V = "update_v"
     UPDATE_X = "update_x"
     ACCUMULATE = "accumulate"
+
+
+#: Per-particle misses of each loop right after a sort (Table II
+#: shape): what ``repro tune-sort`` ramps from and what ``repro
+#: calibrate`` assumes when the caller brings no measured table.
+FRESH_SORT_MISSES = {
+    LoopKind.UPDATE_V: {"L1": 1.1, "L2": 0.11, "L3": 0.03},
+    LoopKind.UPDATE_X: {"L1": 0.9},
+    LoopKind.ACCUMULATE: {"L1": 0.76, "L2": 0.06, "L3": 0.02},
+}
 
 
 #: (icell-encode op cycles, vectorizable) per ordering; Hilbert's cost
@@ -76,6 +107,7 @@ class LoopCosts:
 
     @property
     def cycles_per_particle(self) -> float:
+        """Instruction plus stall cycles."""
         return self.instr_cycles + self.stall_cycles
 
     def seconds(self, n_particles: int, machine: MachineSpec) -> float:
@@ -83,6 +115,7 @@ class LoopCosts:
         return self.cycles_per_particle * n_particles / (machine.freq_ghz * 1e9)
 
     def ns_per_particle(self, machine: MachineSpec) -> float:
+        """Nanoseconds per particle at the machine's clock."""
         return self.cycles_per_particle / machine.freq_ghz
 
 
@@ -312,3 +345,154 @@ class LoopCostModel:
             out["sort"] = 0.0
         out["total"] = sum(out.values())
         return out
+
+
+@dataclass(frozen=True)
+class TuneResult:
+    """Outcome of a sort-period tuning run."""
+
+    best_period: int
+    #: mapping period -> modeled seconds per iteration
+    costs: dict
+
+    def cost_of(self, period: int) -> float:
+        """Modeled per-iteration cost of one candidate period."""
+        return self.costs[period]
+
+
+def tune_sort_period_model(
+    model: LoopCostModel,
+    config: OptimizationConfig,
+    n_particles: int,
+    base_misses: dict[LoopKind, dict[str, float]],
+    miss_growth_per_iter: float = 0.08,
+    candidates=(1, 2, 5, 10, 20, 30, 50, 75, 100, 150),
+) -> TuneResult:
+    """Pick the sort period minimizing modeled time per iteration.
+
+    ``base_misses`` is the freshly-sorted per-particle miss table;
+    ``miss_growth_per_iter`` is the fractional growth of the irregular
+    loops' misses per un-sorted iteration (the sawtooth slope of
+    Fig. 5, measurable with
+    :class:`repro.model.experiments.MissExperiment`).  Averaging the
+    ramp over a period of T iterations multiplies the stall term by
+    ``1 + g*(T-1)/2``; the sort itself costs ``C_sort / T`` per
+    iteration.  The optimum shifts the way the paper observed (cheaper
+    memory / pricier misses -> sort more often: Haswell 20 vs Sandy
+    Bridge 50).
+
+    Deterministic: a pure function of the model and its arguments —
+    identical inputs give the identical result — and the chosen period
+    never changes the physics (sorting is a pure reordering), only the
+    machine behaviour.  Thread-safety: no shared state, safe to call
+    concurrently.
+    """
+    if miss_growth_per_iter < 0:
+        raise ValueError("miss growth must be non-negative")
+    costs = {}
+    sort_cost = model.sort_seconds_per_call(n_particles, config)
+    for period in candidates:
+        ramp = 1.0 + miss_growth_per_iter * (period - 1) / 2.0
+        total = sort_cost / period
+        for kind in LoopKind:
+            mpp = {
+                lv: m * ramp for lv, m in base_misses.get(kind, {}).items()
+            }
+            total += model.loop_costs(kind, config, mpp).seconds(
+                n_particles, model.machine
+            )
+        costs[period] = total
+    best = min(costs, key=costs.get)
+    return TuneResult(best, costs)
+
+
+def fit_stall_overlap(
+    record: dict,
+    machine: MachineSpec | None = None,
+    config: OptimizationConfig | None = None,
+    misses: dict[LoopKind, dict[str, float]] | None = None,
+    grid_points: int = 101,
+) -> dict:
+    """Fit the cost model's stall parameters to measured phase seconds.
+
+    ``record`` is a ``--timings-json`` document — either the
+    :meth:`repro.perf.instrument.Instrumentation.as_record` shape
+    (phase seconds under ``"cumulative"``) or a bare
+    :meth:`repro.perf.instrument.StepTimings.as_record`.  The model
+    says a loop's run time is ``(instr + stall_overlap * raw_stall)
+    * particle_steps / freq``; this routine grid-searches
+    ``stall_overlap`` over ``[0, 1]`` (``grid_points`` samples) and,
+    for each candidate, solves the least-squares host ``freq_scale``
+    in closed form over the three particle loops, keeping the
+    candidate with the smallest residual.  ``misses`` is the per-loop
+    per-particle miss table (default :data:`FRESH_SORT_MISSES`).
+    Deterministic by construction — no randomness, no wall clock — so
+    the same record, machine and misses always yield the bit-identical
+    calibration (``repro calibrate`` run twice writes equivalent
+    documents).  Thread-safety: pure function of its arguments (builds
+    private model objects, shares nothing), safe to call concurrently
+    from any thread or process.
+    """
+    if machine is None:
+        machine = MachineSpec.haswell()
+    if config is None:
+        config = OptimizationConfig.fully_optimized()
+    if misses is None:
+        misses = FRESH_SORT_MISSES
+    cum = record.get("cumulative", record)
+    particle_steps = int(cum.get("particle_steps", 0))
+    if particle_steps <= 0:
+        raise ValueError("record carries no particle_steps to calibrate on")
+    measured = {
+        kind.value: float(cum.get(kind.value, 0.0)) for kind in LoopKind
+    }
+    if all(v <= 0.0 for v in measured.values()):
+        raise ValueError("record carries no particle-loop seconds")
+
+    # decompose each loop into its overlap-independent and
+    # overlap-linear second terms (stall_overlap enters linearly)
+    hz = machine.freq_ghz * 1e9
+    base_model = LoopCostModel(machine, stall_overlap=0.0)
+    full_model = LoopCostModel(machine, stall_overlap=1.0)
+    instr_s, stall_s = {}, {}
+    for kind in LoopKind:
+        m = misses.get(kind)
+        instr_s[kind.value] = (
+            base_model.loop_costs(kind, config, m).cycles_per_particle
+            * particle_steps / hz
+        )
+        stall_s[kind.value] = (
+            full_model.loop_costs(kind, config, m).stall_cycles
+            * particle_steps / hz
+        )
+
+    best = None
+    for s in np.linspace(0.0, 1.0, int(grid_points)):
+        model = {k: instr_s[k] + s * stall_s[k] for k in measured}
+        num = sum(measured[k] * model[k] for k in measured)
+        den = sum(model[k] ** 2 for k in measured)
+        scale = num / den if den > 0 else 0.0
+        resid = sum((measured[k] - scale * model[k]) ** 2 for k in measured)
+        if best is None or resid < best[0]:
+            best = (resid, float(s), float(scale), model)
+    resid, stall_overlap, freq_scale, model = best
+    return {
+        "stall_overlap": stall_overlap,
+        "freq_scale": freq_scale,
+        "residual_rms_s": float(np.sqrt(resid / len(measured))),
+        "machine": machine.name,
+        "particle_steps": particle_steps,
+        "steps": int(cum.get("steps", 0)),
+        "loops": {
+            k: {
+                "measured_s": measured[k],
+                "modeled_s": freq_scale * model[k],
+                "instr_s": instr_s[k],
+                "stall_s_at_full_overlap": stall_s[k],
+            }
+            for k in sorted(measured)
+        },
+        "misses_assumed": {
+            kind.value: dict(misses[kind]) for kind in LoopKind if kind in misses
+        },
+    }

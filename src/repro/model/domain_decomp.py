@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.parallel.mpi import CollectiveCostModel
+from repro.model.mpi import CollectiveCostModel
 
 __all__ = ["DomainDecompositionModel", "SchemeComparison", "compare_schemes"]
 

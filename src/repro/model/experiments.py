@@ -3,7 +3,7 @@
 Drives a real (scaled-down) simulation phase by phase; before each
 particle loop it generates that loop's address trace from the live
 particle state and replays it through a warm
-:class:`~repro.perf.cache.CacheHierarchy`.  The resulting per-iteration
+:class:`~repro.model.cache.CacheHierarchy`.  The resulting per-iteration
 miss series is Fig. 5/6; its average over iterations is Table II; and
 the per-particle averages feed the cost model's stall term for
 Tables III/IV/VII.
@@ -24,17 +24,17 @@ import numpy as np
 from repro.core.config import OptimizationConfig
 from repro.core.stepper import PICStepper
 from repro.grid.spec import GridSpec
-from repro.particles.initializers import InitialCondition, LandauDamping
-from repro.perf.cache import CacheHierarchy, CacheSimResult
-from repro.perf.costmodel import LoopKind
-from repro.perf.machine import MachineSpec
-from repro.perf.trace import (
+from repro.model.cache import CacheHierarchy, CacheSimResult
+from repro.model.costmodel import LoopKind
+from repro.model.machine import MachineSpec
+from repro.model.trace import (
     MemoryLayoutMap,
     trace_accumulate,
     trace_fused_loop,
     trace_update_positions,
     trace_update_velocities,
 )
+from repro.particles.initializers import InitialCondition, LandauDamping
 
 __all__ = ["MissExperiment", "MissSeries", "default_scaled_machine"]
 

@@ -7,7 +7,7 @@ and every rank solves the identical Poisson problem redundantly.  No
 particle ever migrates, so load balance is automatic and communication
 volume is independent of the particle dynamics.
 
-Because :class:`~repro.parallel.mpi.SimComm.allreduce` sums in rank
+Because :class:`~repro.model.mpi.SimComm.allreduce` sums in rank
 order deterministically, a distributed run is *bitwise identical* to a
 serial run over the concatenated particle population (up to the
 floating-point grouping of the per-rank partial sums, which the
@@ -22,7 +22,7 @@ from repro.core.config import OptimizationConfig
 from repro.core.simulation import Simulation
 from repro.core.stepper import PICStepper
 from repro.grid.spec import GridSpec
-from repro.parallel.mpi import SimComm, SimMPI
+from repro.model.mpi import SimComm, SimMPI
 from repro.particles.initializers import InitialCondition, LandauDamping
 from repro.particles.storage import ParticleStorage
 

@@ -10,7 +10,7 @@ everywhere — which is what lets the tests demand *bitwise* equality
 between a distributed run and its serial counterpart.
 
 Timing is separate: :class:`CollectiveCostModel` prices collectives
-with a LogP-flavored tree model, used by :mod:`repro.parallel.scaling`
+with a LogP-flavored tree model, used by :mod:`repro.model.scaling`
 to produce the weak/strong scaling curves.  (On this substrate the
 threads share one interpreter, so wall-clock timing of the simulated
 ranks would measure the GIL, not Curie.)

@@ -26,10 +26,10 @@ import numpy as np
 
 from repro.core.config import OptimizationConfig
 from repro.core.kernels import accumulate_redundant, accumulate_standard
+from repro.model.bandwidth import BandwidthModel, loop_bytes_per_particle
+from repro.model.costmodel import LoopCostModel, LoopKind
+from repro.model.machine import MachineSpec
 from repro.parallel.partition import partition_range
-from repro.perf.bandwidth import BandwidthModel, loop_bytes_per_particle
-from repro.perf.costmodel import LoopCostModel, LoopKind
-from repro.perf.machine import MachineSpec
 
 __all__ = [
     "parallel_accumulate_redundant",

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.config import OptimizationConfig
-from repro.parallel.mpi import CollectiveCostModel
-from repro.parallel.openmp import ThreadScalingModel
-from repro.perf.costmodel import LoopCostModel, LoopKind
-from repro.perf.machine import MachineSpec
+from repro.model.costmodel import LoopCostModel, LoopKind
+from repro.model.machine import MachineSpec
+from repro.model.mpi import CollectiveCostModel
+from repro.model.openmp import ThreadScalingModel
 
 __all__ = [
     "ScalingPoint",

@@ -1,6 +1,6 @@
 """Real shared-memory multiprocessing engine for the §V-B loops.
 
-Where :mod:`repro.parallel.openmp` *emulates* the paper's thread-team
+Where :mod:`repro.model.openmp` *emulates* the paper's thread-team
 semantics inside one interpreter, this module executes them across
 genuine OS processes:
 

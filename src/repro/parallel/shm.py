@@ -1,7 +1,7 @@
 """Shared-memory storage for the real multiprocessing engine (§V-B).
 
-The simulated layers (:mod:`repro.parallel.mpi`,
-:mod:`repro.parallel.openmp`) reproduce the paper's *semantics* inside
+The simulated layers (:mod:`repro.model.mpi`,
+:mod:`repro.model.openmp`) reproduce the paper's *semantics* inside
 one interpreter.  This module provides the storage half of the real
 thing: particle attributes and the redundant ``E_1d``/``rho_1d`` grids
 placed in :mod:`multiprocessing.shared_memory` blocks so genuine OS

@@ -11,7 +11,7 @@ Landau damping, two-stream instability), with random or quiet
 (Halton low-discrepancy) starts.
 
 Sorting is the periodic counting sort by cell index of §II/§V-B1, in
-out-of-place, in-place, and simulated-parallel variants.
+out-of-place and in-place variants.
 """
 
 from repro.particles.storage import (
@@ -38,7 +38,6 @@ from repro.particles.initializers import (
 from repro.particles.sorting import (
     counting_sort_permutation,
     counting_sort_permutation_reference,
-    parallel_counting_sort_permutation,
     sort_in_place,
     sort_out_of_place,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "load_particles",
     "counting_sort_permutation",
     "counting_sort_permutation_reference",
-    "parallel_counting_sort_permutation",
     "sort_out_of_place",
     "sort_in_place",
 ]

@@ -5,7 +5,7 @@ The paper sorts the particle array by ``icell`` every 20–50 iterations
 field/charge cells.  Because the number of cells is much smaller than
 the number of particles, a counting (bucket) sort is linear in N.
 
-Three variants mirror §V-B1:
+Two variants mirror §V-B1:
 
 * **out-of-place** — one pass to histogram, one scatter pass into a
   second buffer; one store per particle but double memory.  The paper
@@ -15,10 +15,6 @@ Three variants mirror §V-B1:
   ``CYCLE_SORT_THRESHOLD`` particles the Python cycle walk is replaced
   by a vectorized permutation application (one scratch array per
   attribute) — same result, linear speed.
-* **parallel** — each simulated thread owns a contiguous range of
-  cells and scatters only the particles belonging to its cells; the
-  threads write disjoint output slices so no synchronization is needed
-  beyond the shared histogram.
 
 Every function in this module is a pure function of its array inputs
 (plus in-place writes to caller-owned outputs); none keeps global
@@ -48,7 +44,6 @@ from repro.particles.storage import ParticleStorage
 __all__ = [
     "counting_sort_permutation",
     "counting_sort_permutation_reference",
-    "parallel_counting_sort_permutation",
     "sort_out_of_place",
     "sort_in_place",
     "CYCLE_SORT_THRESHOLD",
@@ -79,8 +74,8 @@ def counting_sort_permutation(keys: np.ndarray, ncells: int) -> np.ndarray:
 
     Equivalence promise: stability makes the permutation *unique*, so
     every implementation in the repo (this scatter, the Python
-    reference, the njit cursor loop, the parallel variant)
-    returns the bitwise-identical index array.  Thread-safety: a pure
+    reference, the njit cursor loop) returns the bitwise-identical
+    index array.  Thread-safety: a pure
     function of ``keys`` — no module state is touched, concurrent calls
     are safe.
     """
@@ -120,50 +115,6 @@ def counting_sort_permutation_reference(keys: np.ndarray, ncells: int) -> np.nda
         perm[cursor[k]] = p
         cursor[k] += 1
     return perm
-
-
-def parallel_counting_sort_permutation(
-    keys: np.ndarray, ncells: int, nthreads: int
-) -> tuple[np.ndarray, list[slice]]:
-    """Counting sort scatter partitioned over simulated threads.
-
-    Thread ``t`` manages the contiguous cell range
-    ``[t*ncells/nthreads, (t+1)*ncells/nthreads)`` and scatters exactly
-    the particles whose key falls in its range (paper §V-B1: "give a
-    set of cells to manage to every thread").  The shared prefix-sum of
-    the histogram fixes each thread's disjoint output slice.
-
-    Returns ``(perm, slices)`` where ``slices[t]`` is thread ``t``'s
-    output region — the tests assert the regions are disjoint and cover
-    the array, which is what makes the scheme race-free.
-
-    Equivalence promise: ``perm`` is bitwise-identical to
-    :func:`counting_sort_permutation` for every ``nthreads`` (each
-    thread performs the stable scatter of exactly its own cells).
-    Thread-safety: the simulated threads write disjoint ``perm``
-    slices, so a real concurrent rendering needs no locks; the function
-    itself is pure and safe to call concurrently.
-    """
-    if nthreads <= 0:
-        raise ValueError("nthreads must be positive")
-    keys = np.asarray(keys)
-    counts = np.bincount(keys, minlength=ncells)
-    starts = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    perm = np.empty(len(keys), dtype=np.int64)
-    bounds = np.linspace(0, ncells, nthreads + 1).astype(np.int64)
-    slices: list[slice] = []
-    for t in range(nthreads):
-        lo_cell, hi_cell = bounds[t], bounds[t + 1]
-        out_lo, out_hi = starts[lo_cell], starts[hi_cell]
-        slices.append(slice(int(out_lo), int(out_hi)))
-        mine = np.nonzero((keys >= lo_cell) & (keys < hi_cell))[0]
-        # particles of one thread, ordered by (key, input order): the
-        # thread's own stable counting-sort scatter on shifted keys
-        order = counting_sort_permutation(
-            keys[mine] - lo_cell, int(hi_cell - lo_cell)
-        )
-        perm[out_lo:out_hi] = mine[order]
-    return perm, slices
 
 
 def sort_out_of_place(

@@ -1,72 +1,21 @@
-"""Machine-behaviour substrate: the simulated "testbed".
+"""Measured performance of a real run — the clocks, not the model.
 
-The paper's evaluation is about hardware effects — cache misses
-(perf/PAPI counters), SIMD speedups, memory-channel saturation.  This
-package reproduces those observables on explicit models:
+* :mod:`~repro.perf.instrument` — per-phase wall-clock
+  instrumentation the steppers drive (``--timings-json``, the
+  wall-clock benchmarks, the ledger).
+* :mod:`~repro.perf.datamove` — the measured data-movement ledger of
+  the ``numpy-mp`` deposit and :mod:`resource` counter snapshots.
 
-* :mod:`~repro.perf.machine` — machine descriptions (cache geometry,
-  SIMD width, operation costs), with Haswell- and SandyBridge-like
-  presets and a documented down-scaling rule.
-* :mod:`~repro.perf.cache` — a multi-level set-associative LRU cache
-  simulator fed with exact address traces.
-* :mod:`~repro.perf.trace` — address-trace generators for every PIC
-  loop x data-layout x ordering combination, built from real particle
-  states.
-* :mod:`~repro.perf.costmodel` — a per-loop timing model: an
-  instruction/SIMD term per code variant plus a stall term from the
-  cache simulator.
-* :mod:`~repro.perf.bandwidth` — STREAM-triad-calibrated
-  channel-saturation bandwidth curve and roofline helpers.
-* :mod:`~repro.perf.instrument` — the one *real* clock in the package:
-  per-phase wall-clock instrumentation the steppers drive, for
-  backend comparisons and throughput reporting on the host machine.
+The paper-machine *predictions* (cache simulator, cost model,
+bandwidth curve) live in :mod:`repro.model`; nothing here imports it.
 """
 
+from repro.perf.datamove import deposit_movement, rusage_sample
 from repro.perf.instrument import Instrumentation, StepTimings
-from repro.perf.machine import CacheLevelSpec, MachineSpec, OpCosts
-from repro.perf.cache import CacheHierarchy, CacheLevel, CacheSimResult
-from repro.perf.trace import (
-    MemoryLayoutMap,
-    trace_accumulate,
-    trace_fused_loop,
-    trace_update_positions,
-    trace_update_velocities,
-)
-from repro.perf.costmodel import LoopCostModel, LoopCosts, LoopKind
-from repro.perf.reuse import (
-    ReuseProfile,
-    miss_ratio_curve,
-    reuse_distances,
-    reuse_profile,
-)
-from repro.perf.bandwidth import (
-    BandwidthModel,
-    loop_bytes_per_particle,
-    stream_triad_time,
-)
 
 __all__ = [
     "Instrumentation",
     "StepTimings",
-    "CacheLevelSpec",
-    "MachineSpec",
-    "OpCosts",
-    "CacheHierarchy",
-    "CacheLevel",
-    "CacheSimResult",
-    "MemoryLayoutMap",
-    "trace_update_velocities",
-    "trace_update_positions",
-    "trace_accumulate",
-    "trace_fused_loop",
-    "LoopCostModel",
-    "LoopCosts",
-    "LoopKind",
-    "BandwidthModel",
-    "stream_triad_time",
-    "loop_bytes_per_particle",
-    "ReuseProfile",
-    "reuse_distances",
-    "reuse_profile",
-    "miss_ratio_curve",
+    "deposit_movement",
+    "rusage_sample",
 ]

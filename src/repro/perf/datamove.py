@@ -1,10 +1,8 @@
-"""Measured data movement of the parallel deposit + costmodel calibration.
+"""Measured data movement of the parallel deposit.
 
-The cache/cost models in this package *predict* paper-machine
-behaviour; this module complements them with oclude-style **measured**
-accounting of what the ``numpy-mp`` deposit actually moves on the
-host, and a fitting routine that pulls the cost model's free stall
-parameters toward real wall-clock measurements:
+The cache/cost models of :mod:`repro.model` *predict* paper-machine
+behaviour; this module is the oclude-style **measured** accounting of
+what the ``numpy-mp`` deposit actually moves on the host:
 
 * :func:`deposit_movement` — for one set of cell cuts + per-cell
   histogram, the per-range traffic ledger: particles owned, cell rows
@@ -16,12 +14,6 @@ parameters toward real wall-clock measurements:
 * :func:`rusage_sample` — a :mod:`resource` counter snapshot (page
   faults, context switches, peak RSS) for parent and worker processes,
   so the ledger can be joined with OS-level movement evidence.
-* :func:`fit_stall_overlap` — calibrate
-  :class:`repro.perf.costmodel.LoopCostModel` against a measured
-  ``--timings-json`` record: a deterministic grid search over
-  ``stall_overlap`` with a closed-form least-squares host frequency
-  scale, so the same record always produces the identical calibration
-  (the property ``repro calibrate`` exposes).
 
 Everything here *observes*; nothing feeds back into kernel execution,
 so recording data movement can never change the physics — the deposit
@@ -32,22 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "DEFAULT_CALIBRATION_MISSES",
-    "deposit_movement",
-    "rusage_sample",
-    "fit_stall_overlap",
-]
-
-#: Per-loop per-particle miss counts assumed by the calibration when
-#: the caller supplies none (the Table II-shaped defaults the sort
-#: autotuner also uses).  Keys are :class:`~repro.perf.costmodel.
-#: LoopKind` values.
-DEFAULT_CALIBRATION_MISSES = {
-    "update_v": {"L1": 1.1, "L2": 0.11, "L3": 0.03},
-    "update_x": {"L1": 0.9},
-    "accumulate": {"L1": 0.76, "L2": 0.06, "L3": 0.02},
-}
+__all__ = ["deposit_movement", "rusage_sample"]
 
 _FLOAT = 8  # bytes per float64 / int64 element
 
@@ -168,96 +145,4 @@ def rusage_sample() -> dict | None:
     return {
         "self": _row(resource.RUSAGE_SELF),
         "children": _row(resource.RUSAGE_CHILDREN),
-    }
-
-
-def fit_stall_overlap(
-    record: dict,
-    machine=None,
-    config=None,
-    misses: dict | None = None,
-    grid_points: int = 101,
-) -> dict:
-    """Fit the cost model's stall parameters to measured phase seconds.
-
-    ``record`` is a ``--timings-json`` document — either the
-    :meth:`repro.perf.instrument.Instrumentation.as_record` shape
-    (phase seconds under ``"cumulative"``) or a bare
-    :meth:`repro.perf.instrument.StepTimings.as_record`.  The model
-    says a loop's run time is ``(instr + stall_overlap * raw_stall)
-    * particle_steps / freq``; this routine grid-searches
-    ``stall_overlap`` over ``[0, 1]`` (``grid_points`` samples) and,
-    for each candidate, solves the least-squares host ``freq_scale``
-    in closed form over the three particle loops, keeping the
-    candidate with the smallest residual.  Deterministic by
-    construction — no randomness, no wall clock — so the same record,
-    machine and misses always yield the bit-identical calibration
-    (``repro calibrate`` run twice writes equivalent documents).
-    Thread-safety: pure function of its arguments (builds private
-    model objects, shares nothing), safe to call concurrently from
-    any thread or process.
-    """
-    from repro.core.config import OptimizationConfig
-    from repro.perf.costmodel import LoopCostModel, LoopKind
-    from repro.perf.machine import MachineSpec
-
-    if machine is None:
-        machine = MachineSpec.haswell()
-    if config is None:
-        config = OptimizationConfig.fully_optimized()
-    misses = misses if misses is not None else DEFAULT_CALIBRATION_MISSES
-    cum = record.get("cumulative", record)
-    particle_steps = int(cum.get("particle_steps", 0))
-    if particle_steps <= 0:
-        raise ValueError("record carries no particle_steps to calibrate on")
-    measured = {
-        kind.value: float(cum.get(kind.value, 0.0)) for kind in LoopKind
-    }
-    if all(v <= 0.0 for v in measured.values()):
-        raise ValueError("record carries no particle-loop seconds")
-
-    # decompose each loop into its overlap-independent and
-    # overlap-linear second terms (stall_overlap enters linearly)
-    hz = machine.freq_ghz * 1e9
-    base_model = LoopCostModel(machine, stall_overlap=0.0)
-    full_model = LoopCostModel(machine, stall_overlap=1.0)
-    instr_s, stall_s = {}, {}
-    for kind in LoopKind:
-        m = misses.get(kind.value)
-        instr_s[kind.value] = (
-            base_model.loop_costs(kind, config, m).cycles_per_particle
-            * particle_steps / hz
-        )
-        stall_s[kind.value] = (
-            full_model.loop_costs(kind, config, m).stall_cycles
-            * particle_steps / hz
-        )
-
-    best = None
-    for s in np.linspace(0.0, 1.0, int(grid_points)):
-        model = {k: instr_s[k] + s * stall_s[k] for k in measured}
-        num = sum(measured[k] * model[k] for k in measured)
-        den = sum(model[k] ** 2 for k in measured)
-        scale = num / den if den > 0 else 0.0
-        resid = sum((measured[k] - scale * model[k]) ** 2 for k in measured)
-        if best is None or resid < best[0]:
-            best = (resid, float(s), float(scale), model)
-    resid, stall_overlap, freq_scale, model = best
-    return {
-        "stall_overlap": stall_overlap,
-        "freq_scale": freq_scale,
-        "residual_rms_s": float(np.sqrt(resid / len(measured))),
-        "machine": machine.name,
-        "particle_steps": particle_steps,
-        "steps": int(cum.get("steps", 0)),
-        "loops": {
-            k: {
-                "measured_s": measured[k],
-                "modeled_s": freq_scale * model[k],
-                "instr_s": instr_s[k],
-                "stall_s_at_full_overlap": stall_s[k],
-            }
-            for k in sorted(measured)
-        },
-        "misses_assumed": {k: dict(v) for k, v in sorted(misses.items())},
     }

@@ -1,9 +1,9 @@
 """Per-step wall-clock instrumentation for the PIC steppers.
 
-The perf package's cache/cost models predict *paper-machine* behaviour;
-this module measures what the Python kernels actually cost on the host,
-so backend comparisons (NumPy vs Numba) and throughput numbers rest on
-real wall-clock data:
+The cache/cost models of :mod:`repro.model` predict *paper-machine*
+behaviour; this module measures what the Python kernels actually cost
+on the host, so backend comparisons (NumPy vs Numba) and throughput
+numbers rest on real wall-clock data:
 
 * :class:`StepTimings` — cumulative monotonic-clock seconds per kernel
   phase plus particle-step counters, JSON round-trippable.
@@ -54,7 +54,7 @@ class StepTimings:
 
     These are *measured* times of the host kernels (used by the
     wall-clock benchmarks); the paper-shaped machine timings come from
-    :mod:`repro.perf.costmodel` instead.  ``particle_steps`` counts
+    :mod:`repro.model.costmodel` instead.  ``particle_steps`` counts
     particles advanced (particles x steps), so
     :meth:`particles_per_second` is a true throughput.
     """
@@ -84,11 +84,6 @@ class StepTimings:
     worker_phases: dict = field(default_factory=dict)
     #: steps taken per loop path, e.g. ``{"split": 40, "fused-backend": 10}``
     loop_paths: dict = field(default_factory=dict)
-    #: continuous loop-mode autotuner decisions, in order — settle /
-    #: probe / switch / keep event dicts from
-    #: :attr:`repro.core.autotune.LoopModeAutoTuner.decisions` (empty
-    #: unless ``loop_mode="auto"``)
-    autotune: list = field(default_factory=list)
     #: measured data movement of the parallel deposit: ``{"samples": n,
     #: "last": {...}}`` where ``last`` is the most recent
     #: :func:`repro.perf.datamove.deposit_movement` ledger (per-worker
@@ -161,7 +156,6 @@ class StepTimings:
         rec["rollbacks"] = self.rollbacks
         rec["workers"] = {w: dict(p) for w, p in self.worker_phases.items()}
         rec["loop_paths"] = dict(self.loop_paths)
-        rec["autotune"] = list(self.autotune)
         rec["datamove"] = dict(self.datamove)
         return rec
 
@@ -171,7 +165,8 @@ class StepTimings:
 
     @classmethod
     def from_json(cls, text: str) -> "StepTimings":
-        """Rebuild from :meth:`to_json` output (derived fields ignored)."""
+        """Rebuild from :meth:`to_json` output (derived fields, and the
+        ``autotune`` list older records carry, ignored)."""
         rec = json.loads(text)
         return cls(
             update_v=rec["update_v"],
@@ -187,7 +182,6 @@ class StepTimings:
             worker_phases=rec.get("workers", {}),
             # kept as recorded: older records may count "fused-chunked"
             loop_paths=rec.get("loop_paths", {}),
-            autotune=rec.get("autotune", []),
             datamove=rec.get("datamove", {}),
         )
 
@@ -263,19 +257,6 @@ class Instrumentation:
         self.timings.loop_paths[path] = self.timings.loop_paths.get(path, 0) + 1
         if self._current is not None:
             self._current["path"] = path
-
-    def record_autotune(self, decision: dict) -> None:
-        """Append one loop-mode autotuner decision to the ledger.
-
-        ``decision`` is one event dict from
-        :attr:`repro.core.autotune.LoopModeAutoTuner.decisions`
-        (settle / probe / switch / keep); lands in
-        :attr:`StepTimings.autotune` and on the current per-step
-        record, so ``--timings-json`` exports the full decision trail.
-        """
-        self.timings.autotune.append(dict(decision))
-        if self._current is not None:
-            self._current.setdefault("autotune", []).append(dict(decision))
 
     def record_fallback(self, count: int = 1) -> None:
         """Count serial-retry events (numpy-mp worker crash/timeout)."""

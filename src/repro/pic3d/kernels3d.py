@@ -1,23 +1,24 @@
-"""3D particle kernels: trilinear deposit/gather, bitwise push.
+"""3D particle kernels: trilinear deposit/gather.
 
 The straight generalization of the 2D kernels: 8 corners with weights
 ``prod(c_i + s_i * d_i)``, one contiguous row per particle for both the
-deposit and the gather, and the §IV-C3 cast-floor + bitwise-and wrap
-per axis.  Cache-blocked like the 2D kernels, through the same block
-loop, deposit body and push body of :mod:`repro.core.kernels`.
+deposit and the gather.  Cache-blocked like the 2D kernels, through the
+same block loop and deposit body of :mod:`repro.core.kernels`; the
+§IV-C3 bitwise push is the dimension-generic
+:func:`repro.core.kernels.push_blocked`, reached through
+``KernelBackend.push_positions_3d``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kernels import AXIS_KERNELS, blocks, deposit_rows, push_blocked
+from repro.core.kernels import blocks, deposit_rows
 
 __all__ = [
     "corner_weights_3d",
     "accumulate_redundant_3d",
     "interpolate_redundant_3d",
-    "push_positions_bitwise_3d",
 ]
 
 # weight(corner c) = (cx + sx*dx)(cy + sy*dy)(cz + sz*dz), with the
@@ -65,14 +66,3 @@ def interpolate_redundant_3d(e_1d, icell, dx, dy, dz, out=None):
         np.einsum("nc,nc->n", rows[:, 16:24], w, out=ez[sl])
     return ex, ey, ez
 
-
-def push_positions_bitwise_3d(particles, shape, ordering, scale=(1.0, 1.0, 1.0)):
-    """Advance and wrap 3D particles in place.
-
-    ``particles`` is a :class:`~repro.particles.storage.ParticleSoA`
-    with ``ndim=3`` (or any mapping of its ten columns); writes go
-    *through* its arrays (``arr[sl] = ...``).
-    """
-    push_blocked(
-        particles, particles, shape, ordering, AXIS_KERNELS["bitwise"], scale
-    )

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -37,6 +39,16 @@ def random_particle_arrays(rng, n, ncx, ncy):
     vx = rng.normal(0, 1, n)
     vy = rng.normal(0, 1, n)
     return ix, iy, dx, dy, vx, vy
+
+
+def load_tool(name: str):
+    """``tools/<name>.py`` as a module (the tools are scripts, not a
+    package)."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 #: the ``OptimizationConfig`` keys PR 12 (six) and PR 13 (``chunk_size``)

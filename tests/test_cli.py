@@ -1,9 +1,18 @@
 """CLI tests (driving main() in-process, capturing stdout)."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+
+#: written by ``repro run --loop-mode auto --timings-json`` at commit
+#: adb824f (12 steps, 2000 particles): ``cumulative`` and the step-9
+#: record carry the retired tuner's ``autotune`` list
+LEGACY_TIMINGS = (
+    pathlib.Path(__file__).parent / "data" / "timings_loop_mode_auto_pr16.json"
+)
 
 
 def run_cli(capsys, *argv):
@@ -176,6 +185,16 @@ class TestRun:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", flag, value])
 
+    def test_loop_mode_is_split_or_fused(self, capsys):
+        """The online fused-vs-split tuner is gone: ``auto`` is an
+        ordinary invalid choice."""
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--loop-mode", "auto"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'auto'" in err
+        assert "'split'" in err and "'fused'" in err
+
 
 class TestCalibrateCommand:
     def test_calibrate_roundtrip_is_deterministic(self, capsys, tmp_path):
@@ -200,6 +219,16 @@ class TestCalibrateCommand:
         cal = json.loads(out1.read_text())
         assert 0.0 <= cal["stall_overlap"] <= 1.0
         assert set(cal["loops"]) == {"update_v", "update_x", "accumulate"}
+
+
+    def test_accepts_a_record_saved_under_loop_mode_auto(self, capsys):
+        """A ``--timings-json`` file the parent of PR 19 wrote with
+        ``--loop-mode auto`` (committed bytes; carries the retired
+        ``autotune`` lists) still calibrates."""
+        code, text = run_cli(capsys, "calibrate", "--timings", str(LEGACY_TIMINGS))
+        assert code == 0
+        assert '"particle_steps": 24000' in text
+        assert "stall_overlap=" in text
 
 
 class TestSupervisedRunCommand:

@@ -4,7 +4,8 @@
 body (``pytest.mark.parametrize`` over ``ndim``): verbatim round trip,
 preempt→resume **bitwise identical** to the uninterrupted run (on
 numpy and resumed onto ``numpy-mp``, the backend switch the supervisor
-uses), archives from before PR 12 and PR 15, and the error surface —
+uses), archives from before PR 12 and PR 15 or saved under the retired
+``loop_mode="auto"``, and the error surface —
 torn archives, missing arrays, version/config mismatches and
 cross-dimensional loads are :class:`CheckpointMismatchError`, never a
 raw traceback.  The classes below it are 2D-only specifics.
@@ -12,6 +13,7 @@ raw traceback.  The classes below it are 2D-only specifics.
 
 import json
 import pathlib
+import shutil
 
 import numpy as np
 import pytest
@@ -209,6 +211,13 @@ class TestBothDimensions:
             resumed.close()
             ref.close()
 
+    def test_archive_saved_under_loop_mode_auto_resumes_bitwise(self, dim, tmp_path):
+        """``loop_mode="auto"`` (the retired online tuner) reads as
+        ``"split"``: the archive loads and continues exactly like the
+        same archive saved under ``"split"``."""
+        park = dim.saved(tmp_path, n=1500, steps=6)
+        _assert_auto_archive_resumes_like(dim, park, tmp_path)
+
     # -- error surface -------------------------------------------------
     # [3d] was test_checkpoint3d.py::TestErrorSurface::(same name)
     def test_missing_file_raises_mismatch(self, dim, tmp_path):
@@ -269,6 +278,28 @@ def test_pre_pr15_3d_archive_resumes_bitwise():
     finally:
         resumed.close()
         ref.close()
+
+
+def _assert_auto_archive_resumes_like(dim, archive, tmp_path):
+    """``archive`` with its stored ``loop_mode`` rewritten to ``"auto"``
+    loads as ``"split"`` and steps bitwise-equal to ``archive`` itself."""
+    legacy = tmp_path / "legacy_auto.npz"
+    shutil.copy(archive, legacy)
+    rewrite_saved_config(legacy, {"loop_mode": "auto"})
+    ref, resumed = dim.load(archive), dim.load(legacy)
+    try:
+        assert ref.config.loop_mode == "split"
+        assert resumed.config == ref.config
+        ref.run(8)
+        resumed.run(8)
+        dim.assert_state_equal(resumed, ref)
+    finally:
+        resumed.close()
+        ref.close()
+
+
+def test_pre_pr15_3d_archive_with_loop_mode_auto_resumes_bitwise(tmp_path):
+    _assert_auto_archive_resumes_like(_Dim(3), ARCHIVE_3D_PR14, tmp_path)
 
 
 class TestRoundTrip:

@@ -25,6 +25,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             OptimizationConfig(**{field: value})
 
+    def test_loop_mode_auto_is_an_ordinary_unknown_choice(self):
+        with pytest.raises(
+            ValueError, match=r"must be one of \('fused', 'split'\)"
+        ):
+            OptimizationConfig(loop_mode="auto")
+
     @pytest.mark.parametrize("field", sorted(RETIRED_CONFIG))
     def test_rejects_retired_fields(self, field):
         """The tiled-deposit, partition and chunk knobs are gone, not hidden."""

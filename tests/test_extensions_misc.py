@@ -1,5 +1,5 @@
-"""Tests for the smaller extensions: interlaced fields, new diagnostics,
-bump-on-tail initial condition."""
+"""Tests for the smaller extensions: new diagnostics, bump-on-tail
+initial condition."""
 
 import numpy as np
 import pytest
@@ -10,69 +10,8 @@ from repro.core.diagnostics import (
     velocity_histogram,
     velocity_moments,
 )
-from repro.grid import GridSpec, InterlacedFields, StandardFields
+from repro.grid import GridSpec
 from repro.particles import BumpOnTail
-
-
-class TestInterlacedFields:
-    @pytest.fixture
-    def fields(self, small_grid):
-        return InterlacedFields(small_grid)
-
-    def test_component_views_alias_storage(self, fields, rng):
-        ex = rng.random((16, 16))
-        ey = rng.random((16, 16))
-        fields.set_field_from_grid(ex, ey)
-        np.testing.assert_array_equal(fields.ex, ex)
-        np.testing.assert_array_equal(fields.ey, ey)
-        # views alias exy: writing through them lands in the record
-        fields.ex[3, 4] = 99.0
-        assert fields.exy[3, 4, 0] == 99.0
-
-    def test_views_are_strided(self, fields):
-        # the defining property: component access is stride-2 doubles
-        assert fields.ex.strides[-1] == 16
-        assert fields.ey.strides[-1] == 16
-
-    def test_point_record_contiguous(self, fields, rng):
-        fields.set_field_from_grid(rng.random((16, 16)), rng.random((16, 16)))
-        rec = fields.exy[5, 7]
-        assert rec.flags["C_CONTIGUOUS"]
-        assert rec.shape == (2,)
-
-    def test_interpolation_agrees_with_standard(self, small_grid, rng):
-        """The layout changes memory, not math: interpolating from the
-        strided views equals the standard layout exactly."""
-        from repro.core.kernels import interpolate_standard
-        from tests.conftest import random_particle_arrays
-
-        inter = InterlacedFields(small_grid)
-        std = StandardFields(small_grid)
-        ex = rng.random((16, 16))
-        ey = rng.random((16, 16))
-        inter.set_field_from_grid(ex, ey)
-        std.set_field_from_grid(ex, ey)
-        ix, iy, dx, dy, _, _ = random_particle_arrays(rng, 200, 16, 16)
-        fx1, fy1 = interpolate_standard(inter.ex, inter.ey, ix, iy, dx, dy)
-        fx2, fy2 = interpolate_standard(std.ex, std.ey, ix, iy, dx, dy)
-        np.testing.assert_allclose(fx1, fx2, atol=1e-14)
-        np.testing.assert_allclose(fy1, fy2, atol=1e-14)
-
-    def test_rho_and_reset(self, fields):
-        fields.rho[1, 1] = 5.0
-        assert fields.rho_grid()[1, 1] == 5.0
-        fields.reset_rho()
-        assert fields.rho.sum() == 0.0
-
-    def test_memory_between_standard_and_redundant(self, small_grid):
-        from repro.curves import get_ordering
-        from repro.grid import RedundantFields
-
-        inter = InterlacedFields(small_grid).memory_bytes
-        std = StandardFields(small_grid).memory_bytes
-        red = RedundantFields(small_grid, get_ordering("morton", 16, 16)).memory_bytes
-        assert inter == std  # same data, different arrangement
-        assert red > 3 * inter
 
 
 class TestMomentum:

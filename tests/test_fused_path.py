@@ -3,9 +3,8 @@
 Covers the dispatch plumbing (split / fused-backend),
 bitwise equivalence of the fused path against the split numpy oracle
 across every position-update variant and both field layouts, the
-thread-count invariance of the cell-ownership parallel deposit, the
-fused-vs-split autotuner, and the supervisor degrading a fused-capable
-backend down the chain.
+thread-count invariance of the cell-ownership parallel deposit, and
+the supervisor degrading a fused-capable backend down the chain.
 
 The composite test backend renders ``fused_interp_kick_push`` by
 composing the split numpy kernels, so it is bitwise-identical to the
@@ -23,12 +22,11 @@ import pytest
 
 import repro.core.backends as B
 from repro.core import OptimizationConfig, Simulation
-from repro.core.autotune import LoopModeAutoTuner, tune_loop_mode
 from repro.core.backends import NumbaBackend, NumpyBackend, register_backend
 from repro.core.kernels import accumulate_redundant
 from repro.curves import get_ordering
 from repro.grid import GridSpec
-from repro.parallel.openmp import cellwise_accumulate_redundant
+from repro.model.openmp import cellwise_accumulate_redundant
 from repro.particles import LandauDamping
 from repro.resilience import FaultInjector, SupervisedRun
 
@@ -42,7 +40,7 @@ class _FusedComposite(NumpyBackend):
 
     The fused kernel is the split kernels run back to back on the full
     arrays, and the parallel deposit is the cell-ownership scheme from
-    :mod:`repro.parallel.openmp` — both bitwise-equal to the plain
+    :mod:`repro.model.openmp` — both bitwise-equal to the plain
     numpy rendering, so any mismatch a test sees is the stepper's
     fault, not the kernel's.
     """
@@ -212,66 +210,6 @@ class TestCellwiseParallelDeposit:
             _FusedComposite.accumulate_redundant_parallel = orig
         # t=0 deposit + one per step: every one whole-array (n=900)
         assert calls and all(c == 900 for c in calls)
-
-
-class TestLoopModeAutoTuner:
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="unknown loop mode"):
-            LoopModeAutoTuner(candidates=("fused", "warp"))
-
-    def test_requires_candidates_and_positive_trials(self):
-        with pytest.raises(ValueError):
-            LoopModeAutoTuner(candidates=())
-        with pytest.raises(ValueError):
-            LoopModeAutoTuner(trial_iterations=0)
-
-    def test_trial_cycle_and_result(self):
-        tuner = LoopModeAutoTuner(trial_iterations=2)
-        assert tuner.mode == "fused" and not tuner.finished
-        tuner.record(1.0)
-        tuner.record(3.0)
-        assert tuner.mode == "split"
-        tuner.record(1.0)
-        tuner.record(1.0)
-        assert tuner.finished
-        res = tuner.result()
-        assert res.best_mode == "split"
-        assert res.costs == {"fused": 2.0, "split": 1.0}
-        assert res.cost_of("fused") == 2.0
-        assert res.speedup() == 2.0
-        # after finishing, .mode settles on the winner
-        assert tuner.mode == "split"
-        tuner.record(99.0)  # ignored once finished
-        assert tuner.result().costs == res.costs
-
-    def test_result_excludes_partial_trial(self):
-        tuner = LoopModeAutoTuner(trial_iterations=2)
-        with pytest.raises(RuntimeError):
-            tuner.result()
-        tuner.record(1.0)
-        tuner.record(1.0)
-        tuner.record(5.0)  # partial "split" trial
-        res = tuner.result()
-        assert set(res.costs) == {"fused"}
-
-    def test_tune_loop_mode_measures_both_modes(self):
-        def factory(cfg):
-            return Simulation(
-                GridSpec(16, 16, 0.0, 4 * np.pi, 0.0, 4 * np.pi),
-                LandauDamping(alpha=0.05), 400, cfg, dt=0.05, seed=3,
-            )
-
-        base = OptimizationConfig.fully_optimized().with_(backend="numpy")
-        res = tune_loop_mode(factory, base, steps=2, warmup_steps=1)
-        assert set(res.costs) == {"fused", "split"}
-        assert res.best_mode in res.costs
-        assert all(c > 0 for c in res.costs.values())
-        assert res.speedup() >= 1.0
-
-    def test_tune_loop_mode_rejects_nonpositive_steps(self):
-        with pytest.raises(ValueError, match="steps"):
-            tune_loop_mode(lambda cfg: None, OptimizationConfig.baseline(),
-                           steps=0)
 
 
 class TestSupervisorDegradesFusedBackend:

@@ -1,0 +1,77 @@
+"""The engine/model boundary is a directory: ``src/repro/model/`` holds
+the paper-model testbed, and nothing a run executes loads it.
+
+Two halves: the static rule of ``tools/check_imports.py`` (no import of
+``repro.model`` under ``src/repro/`` outside ``repro/model/`` and
+``cli.py``, at any nesting depth) and its runtime counterpart (a
+stepped ``numpy`` / ``numpy-mp`` run and an idle ``JobEngine`` leave no
+``repro.model*`` module in ``sys.modules``).
+"""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+from tests.conftest import load_tool
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+
+_PROBE = """
+import sys
+import numpy as np
+import repro.core, repro.parallel.executor, repro.perf.instrument
+import repro.service, repro.resilience, repro.verify
+from repro.core import OptimizationConfig, Simulation
+from repro.grid import GridSpec
+from repro.particles import LandauDamping
+from repro.service import JobEngine
+
+grid = GridSpec(16, 16, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
+for backend in ("numpy", "numpy-mp"):
+    cfg = OptimizationConfig.fully_optimized().with_(backend=backend, workers=2)
+    with Simulation(grid, LandauDamping(alpha=0.05), 2000, cfg, seed=1) as sim:
+        sim.run(2)
+with JobEngine(max_workers=1):
+    pass
+print(sorted(m for m in sys.modules if m.startswith("repro.model")))
+"""
+
+
+def test_a_run_never_loads_the_model():
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE], capture_output=True, text=True,
+        timeout=300, env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_lint_is_green_on_the_tree():
+    assert load_tool("check_imports").check_model_imports() == []
+
+
+def test_lint_sees_an_import_at_any_depth(tmp_path):
+    """A function-level (or ``TYPE_CHECKING``, or relative) import of
+    the model from an engine package fails; the model itself and
+    ``cli.py`` may import it."""
+    pkg = tmp_path / "repro"
+    for sub in ("core", "model"):
+        (pkg / sub).mkdir(parents=True)
+    (pkg / "core" / "lazy.py").write_text(
+        "def f():\n    from repro.model import costmodel\n    return costmodel\n"
+    )
+    (pkg / "core" / "typed.py").write_text(
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n    import repro.model.machine\n"
+    )
+    (pkg / "core" / "relative.py").write_text("from ..model import cache\n")
+    (pkg / "core" / "clean.py").write_text("import repro.perf.instrument\n")
+    (pkg / "model" / "scaling.py").write_text("from repro.model import mpi\n")
+    (pkg / "cli.py").write_text(
+        "def cmd():\n    from repro.model.machine import MachineSpec\n"
+    )
+    errors = load_tool("check_imports").check_model_imports(tmp_path)
+    flagged = sorted(e.split(":")[0].rsplit("/", 1)[-1] for e in errors)
+    assert flagged == ["lazy.py", "relative.py", "typed.py"]
+    assert any(e.split(":")[1] == "2" and "lazy.py" in e for e in errors)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.parallel.domain_decomp import (
+from repro.model.domain_decomp import (
     DomainDecompositionModel,
     compare_schemes,
 )

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core import OptimizationConfig
+from repro.curves import get_ordering
 from repro.grid import GridSpec
-from repro.parallel.hybrid import (
+from repro.model.hybrid import (
     DistributedPICStepper,
     run_distributed_landau,
     split_population,
 )
 from repro.particles import LandauDamping, load_particles
-from repro.curves import get_ordering
 
 
 class TestSplitPopulation:
@@ -71,7 +71,7 @@ class TestDistributedStepper:
     def test_rho_is_global_on_every_rank(self):
         """Each rank's rho_grid after a step must be the full-population
         density, not its local share."""
-        from repro.parallel.mpi import SimMPI
+        from repro.model.mpi import SimMPI
         from repro.particles.storage import make_storage
 
         grid = GridSpec(16, 16, 0.0, 4 * np.pi, 0.0, 4 * np.pi)

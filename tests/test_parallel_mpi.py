@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.parallel.mpi import CollectiveCostModel, SimMPI
+from repro.model.mpi import CollectiveCostModel, SimMPI
 
 
 class TestAllreduce:

@@ -6,14 +6,14 @@ import pytest
 from repro.core import OptimizationConfig
 from repro.core.kernels import accumulate_redundant, accumulate_standard
 from repro.curves import get_ordering
-from repro.parallel.openmp import (
+from repro.model.costmodel import LoopKind
+from repro.model.machine import MachineSpec
+from repro.model.openmp import (
     ThreadScalingModel,
     parallel_accumulate_redundant,
     parallel_accumulate_standard,
 )
 from repro.parallel.partition import partition_range
-from repro.perf.costmodel import LoopKind
-from repro.perf.machine import MachineSpec
 from tests.conftest import random_particle_arrays
 
 OPT = OptimizationConfig.fully_optimized()
@@ -125,7 +125,7 @@ class TestTable6And7Shapes:
     """The thread-scaling tables' qualitative content."""
 
     def test_table6_knee_at_eight_threads(self):
-        from repro.parallel.scaling import strong_scaling_threads
+        from repro.model.scaling import strong_scaling_threads
 
         rows = dict(
             strong_scaling_threads(

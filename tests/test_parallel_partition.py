@@ -7,8 +7,8 @@ deposit result, because each row has exactly one owner and each owner
 visits its particles in global order.  So the bitwise promise must
 hold for both cuts at every worker count, while the histogram cut must
 *measurably* improve the max/mean particle load on a skewed density.
-The data-movement ledger and the stall-parameter calibration ride the
-same machinery and must be deterministic.
+The data-movement ledger rides the same machinery and must be
+deterministic.
 """
 
 from __future__ import annotations
@@ -31,12 +31,7 @@ from repro.parallel.partition import (
     partition_range,
 )
 from repro.particles.initializers import GaussianBump
-from repro.perf.datamove import (
-    DEFAULT_CALIBRATION_MISSES,
-    deposit_movement,
-    fit_stall_overlap,
-    rusage_sample,
-)
+from repro.perf.datamove import deposit_movement, rusage_sample
 from repro.perf.instrument import StepTimings
 
 
@@ -468,48 +463,6 @@ class TestDepositMovement:
             assert set(sample[row]) == {
                 "minflt", "majflt", "nvcsw", "nivcsw", "maxrss_kb"
             }
-
-
-class TestCalibration:
-    def _record(self):
-        return {
-            "cumulative": {
-                "particle_steps": 1_000_000,
-                "steps": 50,
-                "update_v": 0.030,
-                "update_x": 0.012,
-                "accumulate": 0.040,
-            }
-        }
-
-    def test_fit_is_deterministic(self):
-        a = fit_stall_overlap(self._record())
-        b = fit_stall_overlap(self._record())
-        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-
-    def test_fit_output_shape(self):
-        cal = fit_stall_overlap(self._record())
-        assert 0.0 <= cal["stall_overlap"] <= 1.0
-        assert cal["freq_scale"] > 0
-        assert np.isfinite(cal["residual_rms_s"])
-        assert cal["particle_steps"] == 1_000_000
-        assert set(cal["loops"]) == {"update_v", "update_x", "accumulate"}
-        for row in cal["loops"].values():
-            assert row["modeled_s"] > 0
-        assert cal["misses_assumed"] == {
-            k: dict(v) for k, v in DEFAULT_CALIBRATION_MISSES.items()
-        }
-
-    def test_accepts_bare_steptimings_record(self):
-        bare = self._record()["cumulative"]
-        cal = fit_stall_overlap(bare)
-        assert cal["steps"] == 50
-
-    def test_rejects_empty_records(self):
-        with pytest.raises(ValueError):
-            fit_stall_overlap({"cumulative": {"particle_steps": 0}})
-        with pytest.raises(ValueError):
-            fit_stall_overlap({"cumulative": {"particle_steps": 100}})
 
 
 class TestDatamoveTimingsRoundTrip:

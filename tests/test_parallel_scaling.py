@@ -3,8 +3,8 @@
 import pytest
 
 from repro.core import OptimizationConfig
-from repro.parallel.mpi import CollectiveCostModel
-from repro.parallel.scaling import (
+from repro.model.mpi import CollectiveCostModel
+from repro.model.scaling import (
     strong_scaling_hybrid,
     strong_scaling_threads,
     weak_scaling_series,

@@ -1,4 +1,4 @@
-"""Sorting tests: counting-sort variants, parallel partition safety."""
+"""Sorting tests: the counting-sort variants."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.particles import (
     counting_sort_permutation,
     counting_sort_permutation_reference,
     make_storage,
-    parallel_counting_sort_permutation,
     sort_in_place,
     sort_out_of_place,
 )
@@ -44,43 +43,6 @@ class TestCountingSortPermutation:
 
     def test_empty(self):
         assert len(counting_sort_permutation(np.array([], dtype=int), 4)) == 0
-
-
-class TestParallelCountingSort:
-    def test_same_result_any_thread_count(self, rng):
-        keys = rng.integers(0, 64, 1000)
-        serial = counting_sort_permutation(keys, 64)
-        for t in (1, 2, 3, 7, 16):
-            perm, _ = parallel_counting_sort_permutation(keys, 64, t)
-            np.testing.assert_array_equal(perm, serial, err_msg=f"t={t}")
-
-    def test_slices_disjoint_and_cover(self, rng):
-        keys = rng.integers(0, 64, 500)
-        _, slices = parallel_counting_sort_permutation(keys, 64, 5)
-        covered = []
-        for sl in slices:
-            covered.extend(range(sl.start, sl.stop))
-        assert sorted(covered) == list(range(500))
-
-    def test_each_thread_writes_only_its_cells(self, rng):
-        keys = rng.integers(0, 60, 400)
-        perm, slices = parallel_counting_sort_permutation(keys, 60, 4)
-        bounds = np.linspace(0, 60, 5).astype(int)
-        for t, sl in enumerate(slices):
-            written_keys = keys[perm[sl]]
-            if len(written_keys):
-                assert written_keys.min() >= bounds[t]
-                assert written_keys.max() < bounds[t + 1]
-
-    def test_more_threads_than_cells(self, rng):
-        keys = rng.integers(0, 4, 50)
-        perm, slices = parallel_counting_sort_permutation(keys, 4, 16)
-        assert len(slices) == 16
-        np.testing.assert_array_equal(keys[perm], np.sort(keys))
-
-    def test_rejects_bad_thread_count(self):
-        with pytest.raises(ValueError):
-            parallel_counting_sort_permutation(np.array([0]), 1, 0)
 
 
 @pytest.mark.parametrize("layout", ["soa", "aos"])

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.perf.bandwidth import (
+from repro.model.bandwidth import (
     BandwidthModel,
     loop_bytes_per_particle,
     stream_triad_time,
 )
-from repro.perf.machine import MachineSpec
+from repro.model.machine import MachineSpec
 
 
 @pytest.fixture

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.perf.cache import CacheHierarchy, CacheLevel, CacheSimResult
-from repro.perf.machine import CacheLevelSpec, MachineSpec
+from repro.model.cache import CacheHierarchy, CacheLevel, CacheSimResult
+from repro.model.machine import CacheLevelSpec, MachineSpec
 
 
 def level(capacity=256, line=64, assoc=2, name="L1"):

@@ -2,14 +2,25 @@
 
 These tests pin the *shape* of the model — who is faster than whom and
 why — not absolute times.  Every assertion corresponds to a sentence
-in §IV of the paper.
+in §IV of the paper.  The two queries that live next to the model —
+the sort-period tuner (§IV-E future work) and the ``repro calibrate``
+fit — are tested at the bottom.
 """
 
+import json
+
+import numpy as np
 import pytest
 
 from repro.core import OptimizationConfig
-from repro.perf.costmodel import LoopCostModel, LoopKind
-from repro.perf.machine import MachineSpec
+from repro.model.costmodel import (
+    FRESH_SORT_MISSES,
+    LoopCostModel,
+    LoopKind,
+    fit_stall_overlap,
+    tune_sort_period_model,
+)
+from repro.model.machine import MachineSpec
 
 
 @pytest.fixture
@@ -187,3 +198,91 @@ class TestTable4Monotonicity:
         assert c.throughput > MachineSpec.haswell().scalar_ipc
         c2 = model.loop_costs(LoopKind.UPDATE_X, OPT.with_(position_update="branch"))
         assert c2.throughput == MachineSpec.haswell().scalar_ipc
+
+
+BASE_MISSES = {
+    LoopKind.UPDATE_V: {"L2": 0.10, "L3": 0.03},
+    LoopKind.UPDATE_X: {},
+    LoopKind.ACCUMULATE: {"L2": 0.06, "L3": 0.02},
+}
+
+
+class TestModelTuner:
+    def test_finds_interior_optimum(self, model):
+        res = tune_sort_period_model(model, OPT, 1_000_000, BASE_MISSES)
+        assert res.best_period in res.costs
+        # an interior optimum: both extremes cost more
+        periods = sorted(res.costs)
+        assert res.costs[res.best_period] <= res.costs[periods[0]]
+        assert res.costs[res.best_period] <= res.costs[periods[-1]]
+
+    def test_costlier_misses_mean_sorting_more_often(self, model):
+        """The paper's observation: Haswell (sort every 20) vs Sandy
+        Bridge (every 50) — pricier stalls shift the optimum down."""
+        cheap = tune_sort_period_model(
+            model, OPT, 1_000_000, BASE_MISSES, miss_growth_per_iter=0.01
+        )
+        pricey = tune_sort_period_model(
+            model, OPT, 1_000_000, BASE_MISSES, miss_growth_per_iter=0.5
+        )
+        assert pricey.best_period <= cheap.best_period
+
+    def test_zero_growth_never_sorts(self, model):
+        res = tune_sort_period_model(
+            model, OPT, 1_000_000, BASE_MISSES, miss_growth_per_iter=0.0
+        )
+        # with no disorder penalty the longest period wins
+        assert res.best_period == max(res.costs)
+
+    def test_rejects_negative_growth(self, model):
+        with pytest.raises(ValueError):
+            tune_sort_period_model(
+                model, OPT, 1000, BASE_MISSES, miss_growth_per_iter=-0.1
+            )
+
+    def test_cost_of_accessor(self, model):
+        res = tune_sort_period_model(model, OPT, 1000, BASE_MISSES)
+        for p, c in res.costs.items():
+            assert res.cost_of(p) == c
+
+
+class TestCalibration:
+    def _record(self):
+        return {
+            "cumulative": {
+                "particle_steps": 1_000_000,
+                "steps": 50,
+                "update_v": 0.030,
+                "update_x": 0.012,
+                "accumulate": 0.040,
+            }
+        }
+
+    def test_fit_is_deterministic(self):
+        a = fit_stall_overlap(self._record())
+        b = fit_stall_overlap(self._record())
+        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+    def test_fit_output_shape(self):
+        cal = fit_stall_overlap(self._record())
+        assert 0.0 <= cal["stall_overlap"] <= 1.0
+        assert cal["freq_scale"] > 0
+        assert np.isfinite(cal["residual_rms_s"])
+        assert cal["particle_steps"] == 1_000_000
+        assert set(cal["loops"]) == {"update_v", "update_x", "accumulate"}
+        for row in cal["loops"].values():
+            assert row["modeled_s"] > 0
+        assert cal["misses_assumed"] == {
+            k.value: dict(v) for k, v in FRESH_SORT_MISSES.items()
+        }
+
+    def test_accepts_bare_steptimings_record(self):
+        bare = self._record()["cumulative"]
+        cal = fit_stall_overlap(bare)
+        assert cal["steps"] == 50
+
+    def test_rejects_empty_records(self):
+        with pytest.raises(ValueError):
+            fit_stall_overlap({"cumulative": {"particle_steps": 0}})
+        with pytest.raises(ValueError):
+            fit_stall_overlap({"cumulative": {"particle_steps": 100}})

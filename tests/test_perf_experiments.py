@@ -5,9 +5,9 @@ import pytest
 
 from repro.core import OptimizationConfig
 from repro.grid import GridSpec
-from repro.perf.costmodel import LoopKind
-from repro.perf.experiments import MissExperiment, default_scaled_machine
-from repro.perf.machine import MachineSpec
+from repro.model.costmodel import LoopKind
+from repro.model.experiments import MissExperiment, default_scaled_machine
+from repro.model.machine import MachineSpec
 
 
 @pytest.fixture(scope="module")

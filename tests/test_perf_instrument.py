@@ -52,6 +52,19 @@ class TestStepTimings:
         assert back.accumulate == 2.0 and back.steps == 4
         assert "deposit_variants" not in back.as_record()
 
+    def test_from_json_ignores_a_retired_autotune_list(self):
+        """Records written while ``loop_mode="auto"`` existed carry its
+        decision trail; they still load (and feed ``repro calibrate``)."""
+        rec = StepTimings(update_v=1.0, steps=40).as_record()
+        rec["autotune"] = [
+            {"event": "settle", "step": 10, "mode": "split",
+             "costs": {"fused": 9.2e-4, "split": 7.8e-4}},
+            {"event": "probe", "step": 35, "mode": "fused"},
+        ]
+        back = StepTimings.from_json(json.dumps(rec))
+        assert back.update_v == 1.0 and back.steps == 40
+        assert "autotune" not in back.as_record()
+
     def test_from_json_keeps_a_retired_loop_path_count(self):
         """Records from before the stepper-level chunk loop was deleted
         (``BENCH_baseline.json`` has one) load with their counts."""

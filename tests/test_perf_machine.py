@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.perf.machine import CacheLevelSpec, MachineSpec, OpCosts
+from repro.model.machine import CacheLevelSpec, MachineSpec, OpCosts
 
 
 class TestCacheLevelSpec:

@@ -5,14 +5,14 @@ import pytest
 
 from repro.core import OptimizationConfig
 from repro.curves import get_ordering
-from repro.particles import make_storage
-from repro.perf.trace import (
+from repro.model.trace import (
     MemoryLayoutMap,
     trace_accumulate,
     trace_fused_loop,
     trace_update_positions,
     trace_update_velocities,
 )
+from repro.particles import make_storage
 from tests.conftest import random_particle_arrays
 
 NCX = NCY = 16

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.backends import get_backend
 from repro.pic3d import (
     GridSpec3D,
     LandauDamping3D,
@@ -15,7 +16,6 @@ from repro.pic3d import (
     accumulate_redundant_3d,
     corner_weights_3d,
     interpolate_redundant_3d,
-    push_positions_bitwise_3d,
 )
 from repro.pic3d.grid3d import corner_offsets_3d
 
@@ -215,7 +215,7 @@ class TestPush3D:
         p["icell"] = o.encode(p["ix"], p["iy"], p["iz"])
         x_before = p["ix"] + p["dx"]
         v = p["vx"].copy()
-        push_positions_bitwise_3d(p, (8, 8, 8), o)
+        get_backend("numpy").push_positions_3d(p, (8, 8, 8), o)
         assert p["ix"].min() >= 0 and p["ix"].max() < 8
         wrapped = np.mod(p["ix"] + p["dx"] - x_before - v + 4, 8) - 4
         np.testing.assert_allclose(wrapped, 0.0, atol=1e-9)

@@ -24,6 +24,7 @@ from repro.core.config import OptimizationConfig
 from repro.pic3d import GridSpec3D, PICStepper3D, TwoStream3D
 from repro.verify.configspace import Scenario, ScenarioSampler
 from repro.verify.differ import DifferentialRunner, Perturbation
+from tests.conftest import load_tool
 
 
 def _grid(ncx=8, ncy=4, ncz=4):
@@ -89,16 +90,12 @@ class TestFusedSplitParity:
                              config=_config(loop_mode="split"))
         fused = PICStepper3D(grid, TwoStream3D(), 100,
                              config=_config(loop_mode="fused"))
-        auto = PICStepper3D(grid, TwoStream3D(), 100,
-                            config=_config(loop_mode="auto"))
         try:
             assert split._select_loop_path() == "split"
             assert fused._select_loop_path() == "fused-backend"
-            assert auto._select_loop_path() == "split"
         finally:
             split.close()
             fused.close()
-            auto.close()
 
 
 class _ClumpedPlasma3D:
@@ -324,13 +321,7 @@ def test_dimension_ratchet_is_green():
     """``tools/check_imports.py``: no dimension-suffixed definition
     outside its written-down allow-list, none at all (nor a ``2d``/
     ``3d`` string) in the store, the engine and the differ."""
-    import importlib.util
-    import pathlib
-
-    tool = pathlib.Path(__file__).parents[1] / "tools" / "check_imports.py"
-    spec = importlib.util.spec_from_file_location("check_imports", tool)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
+    mod = load_tool("check_imports")
     assert mod.check_dimension_ratchet() == []
     executor = mod.SRC / "repro" / "parallel" / "executor.py"
     assert mod.check_dimension_names(executor, strings=True) == []

@@ -109,22 +109,6 @@ def test_counting_sort_matches_reference(keys):
 
 
 @given(
-    keys=st.lists(st.integers(0, 15), min_size=1, max_size=200),
-    nthreads=st.integers(1, 8),
-)
-@settings(max_examples=100, deadline=None)
-def test_parallel_sort_equals_serial(keys, nthreads):
-    from repro.particles.sorting import parallel_counting_sort_permutation
-
-    keys = np.asarray(keys, dtype=np.int64)
-    serial = counting_sort_permutation(keys, 16)
-    par, slices = parallel_counting_sort_permutation(keys, 16, nthreads)
-    np.testing.assert_array_equal(par, serial)
-    covered = sorted(i for sl in slices for i in range(sl.start, sl.stop))
-    assert covered == list(range(len(keys)))
-
-
-@given(
     n=st.integers(1, 60),
     seed=st.integers(0, 2**31 - 1),
 )
@@ -152,8 +136,8 @@ def test_interpolation_bounded_by_field_extrema(n, seed):
 @given(seed=st.integers(0, 2**31 - 1), nc_log=st.integers(2, 8))
 @settings(max_examples=30, deadline=None)
 def test_cache_hit_on_immediate_reaccess(seed, nc_log):
-    from repro.perf.cache import CacheHierarchy
-    from repro.perf.machine import CacheLevelSpec
+    from repro.model.cache import CacheHierarchy
+    from repro.model.machine import CacheLevelSpec
 
     rng = np.random.default_rng(seed)
     h = CacheHierarchy(

@@ -167,8 +167,8 @@ class TestHybridComposition:
         then the ranks allreduce — the total must equal one serial
         deposit of the union."""
         from repro.core.kernels import accumulate_redundant as serial_acc
-        from repro.parallel.mpi import SimMPI
-        from repro.parallel.openmp import parallel_accumulate_redundant
+        from repro.model.mpi import SimMPI
+        from repro.model.openmp import parallel_accumulate_redundant
 
         o = get_ordering("morton", 16, 16)
         n = 4000

@@ -5,7 +5,6 @@ anchor validation (the docs half of the service PR)."""
 from __future__ import annotations
 
 import contextlib
-import importlib.util
 import json
 import os
 import pathlib
@@ -26,6 +25,7 @@ from repro.service import (
 )
 from repro.service import spool as spool_mod
 from repro.service.spool import spool_dirs, wake_server
+from tests.conftest import load_tool
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -393,18 +393,10 @@ class TestServiceCLI:
 # ----------------------------------------------------------------------
 # check_links: anchor-fragment validation
 # ----------------------------------------------------------------------
-def _load_check_links():
-    spec = importlib.util.spec_from_file_location(
-        "check_links", REPO / "tools" / "check_links.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
 class TestCheckLinksAnchors:
     @pytest.fixture(scope="class")
     def cl(self):
-        return _load_check_links()
+        return load_tool("check_links")
 
     def test_duplicate_heading_suffixes(self, cl):
         slugs = cl.slug_sequence(["Knobs", "Other", "Knobs", "Knobs"])

@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Docstring lint for the modules carrying the bitwise-equivalence promise.
 
-The counting-sort / partitioning / autotuner surface makes two
+The counting-sort / partitioning / data-movement surface (and the
+sort-period tuner and calibration fit next to the cost model) makes two
 promises that live only in prose: every rendering is *bitwise-identical*
 to its reference, and every entry point documents its *thread-safety*.
 Prose promises rot silently, so this lint makes them structural:
@@ -29,9 +30,9 @@ ROOT = Path(__file__).resolve().parents[1]
 #: the modules whose public surface carries the promise
 TARGET_MODULES = (
     "src/repro/particles/sorting.py",
-    "src/repro/core/autotune.py",
     "src/repro/parallel/partition.py",
     "src/repro/perf/datamove.py",
+    "src/repro/model/costmodel.py",
 )
 
 EQUIV_KEYWORDS = (

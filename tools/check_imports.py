@@ -1,21 +1,27 @@
 #!/usr/bin/env python
-"""Structure lints: the engine never imports the paper-model substrate,
-and dimension-suffixed code only lives where it is written down.
+"""Structure lints: nothing a run executes imports the paper-model
+testbed, and dimension-suffixed code only lives where it is written
+down.
 
-The repo holds two kinds of code.  The *engine* is what a run executes:
-``repro.core`` and the real shared-memory backend
-(``repro.parallel.executor`` / ``shm`` / ``partition``).  The *model*
-is the simulated testbed that reproduces the paper's Tables II–VII on
-a modelled machine: simulated MPI/OpenMP and the scaling series in
-``repro.parallel``, the cache/trace/cost/bandwidth models in
-``repro.perf``.  The dependency is one-way — the model may import the
-engine, never the reverse — so the engine can be read, profiled and
-eventually split out without dragging the testbed along.
+The repo holds two kinds of code.  The *engine* is what a run, a
+worker process or a ``repro serve`` process executes.  The *model* is
+the simulated testbed that reproduces the paper's Tables II–VII on a
+modelled machine — cache/trace/cost/bandwidth models, simulated
+MPI/OpenMP, the scaling series — and it is one directory:
+``src/repro/model/``.  The dependency is one-way, and the rule is the
+directory listing:
 
-Checked statically (AST), **module-level imports only**: an import
-inside a function or under ``if TYPE_CHECKING:`` is a deliberate lazy
-edge (e.g. the sort autotuner's optional cost model) and does not run
-when the engine is imported.
+    nothing under ``src/repro/`` outside ``repro/model/`` and
+    ``cli.py`` imports ``repro.model``.
+
+Checked statically with ``ast.walk``, so at **any nesting depth**: an
+import inside a function, a class body or ``if TYPE_CHECKING:`` counts
+the same as one at module level (``cli.py``, whose ``tune-sort`` /
+``calibrate`` / ``misses`` / ``info`` verbs front the model, is the
+one exemption, and imports it lazily per verb).
+``tests/test_model_boundary.py`` holds the runtime half: a stepped
+``numpy`` and ``numpy-mp`` run and an idle ``JobEngine`` leave no
+``repro.model*`` key in ``sys.modules``.
 
 The second lint is a ratchet on the 2D/3D fork (ROADMAP, "One
 dimension-generic core").  A ``class``/``def`` whose name ends in
@@ -39,23 +45,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
-#: engine modules (globs relative to ``src/``)
-ENGINE_GLOBS = (
-    "repro/core/*.py",
-    "repro/parallel/executor.py",
-    "repro/parallel/shm.py",
-    "repro/parallel/partition.py",
-)
-
-#: model modules the engine must not import at module level
-MODEL_MODULES = frozenset(
-    [f"repro.parallel.{m}" for m in
-     ("openmp", "mpi", "hybrid", "scaling", "domain_decomp")]
-    + [f"repro.perf.{m}" for m in
-       ("cache", "trace", "costmodel", "bandwidth", "reuse", "machine",
-        "experiments")]
-)
-
+#: the model package, and the files under ``src/repro/`` that may
+#: import it (paths relative to ``src/``)
+MODEL_PACKAGE = "repro.model"
+MODEL_IMPORTERS = ("repro/model/", "repro/cli.py")
 
 #: where a dimension-suffixed class/def still lives (globs relative to
 #: ``src/``): the 3D grid/fields/solver/ordering classes and kernels,
@@ -114,50 +107,51 @@ def check_dimension_ratchet() -> list[str]:
     return errors
 
 
-def _imported_modules(node) -> list[str]:
-    """Dotted module names one module-level import statement binds."""
+def _imported_modules(node, package: list[str]) -> list[str]:
+    """Dotted module names one import statement (in a module of
+    ``package``) binds."""
     if isinstance(node, ast.Import):
         return [alias.name for alias in node.names]
-    if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-        # ``from repro.perf import costmodel`` names a module too
-        return [node.module] + [
-            f"{node.module}.{alias.name}" for alias in node.names
-        ]
+    if isinstance(node, ast.ImportFrom):
+        base = package[: len(package) - node.level + 1] if node.level else []
+        module = ".".join(base + ([node.module] if node.module else []))
+        # ``from repro import model`` names a module too
+        return [module] + [f"{module}.{alias.name}" for alias in node.names]
     return []
 
 
-def check_module(path: Path) -> list[str]:
-    """Model imports at the top level of one engine module."""
-    rel = path.relative_to(ROOT)
-    tree = ast.parse(path.read_text(), filename=str(rel))
+def check_model_imports(src: Path = SRC) -> list[str]:
+    """Imports of the model package, at any depth, in every module
+    under ``src/repro/`` that is not allowed one."""
     errors = []
-    for node in tree.body:
-        hits = {
-            m for name in _imported_modules(node) for m in MODEL_MODULES
-            if name == m or name.startswith(m + ".")
-        }
-        for hit in sorted(hits):
-            errors.append(
-                f"{rel}:{node.lineno}: engine module imports model "
-                f"module {hit!r}"
-            )
+    for path in sorted((src / "repro").rglob("*.py")):
+        rel = path.relative_to(src).as_posix()
+        if rel.startswith(MODEL_IMPORTERS):
+            continue
+        shown = path.relative_to(src.parent)
+        package = rel.split("/")[:-1]
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(shown))):
+            if any(
+                name == MODEL_PACKAGE or name.startswith(MODEL_PACKAGE + ".")
+                for name in _imported_modules(node, package)
+            ):
+                errors.append(
+                    f"{shown}:{node.lineno}: imports {MODEL_PACKAGE} "
+                    f"outside {' and '.join(MODEL_IMPORTERS)}"
+                )
     return errors
 
 
 def main() -> int:
-    paths = sorted(p for g in ENGINE_GLOBS for p in SRC.glob(g))
-    if not paths:
-        print("check_imports: FAIL — no engine modules found")
-        return 1
-    errors = [e for p in paths for e in check_module(p)]
-    errors += check_dimension_ratchet()
+    errors = check_model_imports() + check_dimension_ratchet()
     if errors:
         print("check_imports: FAIL")
         for e in errors:
             print(f"  {e}")
         return 1
-    print(f"check_imports: OK — {len(paths)} engine modules import no "
-          f"model module; dimension-suffixed definitions only in "
+    print(f"check_imports: OK — nothing under src/repro/ outside "
+          f"{' and '.join(MODEL_IMPORTERS)} imports {MODEL_PACKAGE}; "
+          f"dimension-suffixed definitions only in "
           f"{len(DIMENSIONAL_ALLOWED)} allow-listed places")
     return 0
 
