@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-service serve-latency test-3d coverage bench bench-gate ledger-smoke bench-scaling chaos chaos-service examples results clean docs-check check check-gates verify-gate verify-full
+.PHONY: install test test-service serve-latency test-3d coverage csan bench bench-gate ledger-smoke bench-scaling chaos chaos-service examples results clean docs-check check check-gates verify-gate verify-full
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation
@@ -44,12 +44,18 @@ test-3d:
 coverage:
 	$(PYTHON) tools/coverage_gate.py
 
-check-gates: docs-check chaos chaos-service bench-gate ledger-smoke verify-gate serve-latency test-service test-3d coverage
+# ckernels.c under -std=c99 -pedantic -Wall -Wextra -Werror, then its
+# equivalence and every-input tests against a -fsanitize=undefined
+# build; skips where there is no compiler or no libubsan
+csan:
+	$(PYTHON) tools/c_sanitize_gate.py
+
+check-gates: docs-check chaos chaos-service csan bench-gate ledger-smoke verify-gate serve-latency test-service test-3d coverage
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/
 	@echo "gate-status: tests ran"
 
 # all gates, then one line per gate — ran or skipped(<reason>) — so a
-# numba-less / pytest-cov-less host does not read as all-green
+# compiler-less / pytest-cov-less host does not read as all-green
 check:
 	@log=$$(mktemp); \
 	{ $(MAKE) --no-print-directory check-gates; echo $$? > $$log.rc; } 2>&1 | tee $$log; \
@@ -91,10 +97,10 @@ ledger-smoke:
 	@echo "gate-status: ledger-smoke ran"
 
 # golden-run regression gate: every importable backend must reproduce
-# the committed golden/GOLDEN_*.json documents (bitwise for numpy and
-# numpy-mp, within recorded tolerances for numba); regenerate after an
-# intentional numerics change with `python tools/verify_gate.py
-# --regenerate` (workflow: docs/verification.md)
+# the committed golden/GOLDEN_*.json documents (bitwise for numpy, c
+# and numpy-mp); regenerate after an intentional numerics change with
+# `python tools/verify_gate.py --regenerate` (workflow:
+# docs/verification.md)
 verify-gate:
 	$(PYTHON) tools/verify_gate.py
 

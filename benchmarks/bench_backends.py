@@ -1,4 +1,4 @@
-"""Backend comparison: NumPy whole-array vs Numba JIT scalar loops.
+"""Backend comparison: NumPy whole-array vs compiled C scalar loops.
 
 The paper's Table III/IV story is "the same loops, executed better" —
 this benchmark replays it on the host machine across the kernel
@@ -6,10 +6,10 @@ this benchmark replays it on the host machine across the kernel
 backend runs the same simulation and the same standalone kernels, and
 the comparison lands in ``benchmarks/results/backend_comparison.json``
 (machine-readable, one entry per backend) so the perf trajectory files
-record NumPy-vs-JIT numbers over time.
+record NumPy-vs-C numbers over time.
 
-When numba is not installed only the numpy entry is emitted and the
-JSON notes the missing backend — the comparison degrades, it does not
+Without a C compiler only the numpy entries are emitted and the JSON
+notes the missing backend — the comparison degrades, it does not
 fail.
 """
 

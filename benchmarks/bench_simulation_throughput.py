@@ -54,38 +54,56 @@ _MODE_OVERRIDES = {
 def measure_loop_modes(backend="numpy", n=N, steps=STEPS, warmup_steps=1):
     """Split vs fused on one backend: seconds and rates.
 
-    Each mode gets a fresh simulation; ``warmup_steps`` throwaway steps
-    absorb JIT compilation and first-touch page faults before the
-    measured window.  Returns ``{mode: record}`` with per-phase
-    windowed seconds, particle-steps/s for the particle phases, and
-    the loop path(s) the stepper actually took — JSON-ready.
+    Both modes get a fresh simulation, and the two are stepped
+    *alternately* — a split step, a fused step, ... — so that each pair
+    of steps sees the same host (this one's speed wanders by ±20 %
+    over seconds, which two windows run one after the other read as a
+    difference between the modes).  ``warmup_steps`` throwaway steps
+    absorb first-touch page faults before the measured window.
+    Returns ``{mode: record}`` with per-phase windowed seconds,
+    particle-steps/s for the particle phases, the kernel seconds of the
+    window's fastest step, and the loop path(s) the stepper actually
+    took — JSON-ready.
     """
-    out = {}
-    for mode, overrides in _MODE_OVERRIDES.items():
-        cfg = OptimizationConfig.fully_optimized().with_(
-            backend=backend, **overrides
-        )
-        sim = _make_sim(cfg, n)
-        try:
-            if warmup_steps:
-                sim.run(warmup_steps)
+    sims = {}
+    try:
+        for mode, overrides in _MODE_OVERRIDES.items():
+            cfg = OptimizationConfig.fully_optimized().with_(
+                backend=backend, **overrides
+            )
+            sims[mode] = _make_sim(cfg, n)
+            sims[mode].run(warmup_steps)
+        counters = (*PHASES, "total", "kernel_total")
+        before = {
+            mode: {c: getattr(sim.timings, c) for c in counters}
+            for mode, sim in sims.items()
+        }
+        wall = dict.fromkeys(sims, 0.0)
+        for _ in range(steps):
+            for mode, sim in sims.items():
+                wall0 = time.perf_counter()
+                sim.run(1)
+                wall[mode] += time.perf_counter() - wall0
+        out = {}
+        for mode, sim in sims.items():
             t = sim.timings
-            before = {p: getattr(t, p) for p in PHASES}
-            total0, kernel0 = t.total, t.kernel_total
-            wall0 = time.perf_counter()
-            sim.run(steps)
-            wall = time.perf_counter() - wall0
-            t = sim.timings
-            phase_seconds = {p: getattr(t, p) - before[p] for p in PHASES}
+            since = {c: getattr(t, c) - before[mode][c] for c in counters}
+            phase_seconds = {p: since[p] for p in PHASES}
+            window = sim.stepper.instrumentation.per_step[-steps:]
             out[mode] = {
                 "backend": backend,
                 "mode": mode,
                 "particles": n,
                 "steps": steps,
-                "wall_seconds": wall,
-                "seconds_per_step": (t.total - total0) / steps,
-                "kernel_seconds_per_step": (t.kernel_total - kernel0) / steps,
-                "particles_per_second": n * steps / wall,
+                "wall_seconds": wall[mode],
+                "seconds_per_step": since["total"] / steps,
+                "kernel_seconds_per_step": since["kernel_total"] / steps,
+                # the fastest step of the window: what the kernels cost
+                # when the host left them alone
+                "best_kernel_seconds": min(
+                    sum(rec[p] for p in PHASES) for rec in window
+                ),
+                "particles_per_second": n * steps / wall[mode],
                 "phase_seconds": phase_seconds,
                 "phase_particles_per_second": {
                     p: (n * steps / s if (s := phase_seconds[p]) > 0 else 0.0)
@@ -93,9 +111,10 @@ def measure_loop_modes(backend="numpy", n=N, steps=STEPS, warmup_steps=1):
                 },
                 "loop_paths": dict(t.loop_paths),
             }
-        finally:
+        return out
+    finally:
+        for sim in sims.values():
             sim.close()
-    return out
 
 
 def main(argv=None):

@@ -78,6 +78,9 @@ def _make_case(name: str, alpha: float | None):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.core.backends import AUTO, known_backend_names
+
+    backends = (AUTO, *known_backend_names())
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of Barsamian/Hirstoaga/Violard IPDPSW 2017 "
@@ -101,8 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="print diagnostics every N steps")
     run.add_argument("--checkpoint", type=str, default=None,
                      help="write a checkpoint here after the run")
-    run.add_argument("--backend", choices=("auto", "numpy", "numba", "numpy-mp"),
-                     default="auto",
+    run.add_argument("--backend", choices=backends, default="auto",
                      help="kernel execution backend (default: auto-select; "
                      "numpy-mp fans the particle loops out over worker "
                      "processes)")
@@ -273,8 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     smt.add_argument("--grid", type=int, nargs=2, default=(32, 16),
                      metavar=("NCX", "NCY"))
     smt.add_argument("--ordering", choices=_ORDERINGS, default="morton")
-    smt.add_argument("--backend", choices=("auto", "numpy", "numba", "numpy-mp"),
-                     default="numpy")
+    smt.add_argument("--backend", choices=backends, default="numpy")
     smt.add_argument("--workers", type=int, default=None, metavar="N",
                      help="worker-process count for --backend numpy-mp")
     smt.add_argument("--seed", type=int, default=None,
@@ -713,8 +714,11 @@ def _cmd_spool(args) -> int:
 def _cmd_info(_args) -> int:
     import os
 
+    from repro.core import cbuild
     from repro.core.backends import (
+        BackendUnavailableError,
         available_backends,
+        get_backend,
         known_backend_names,
         resolve_backend_name,
     )
@@ -728,6 +732,17 @@ def _cmd_info(_args) -> int:
         f"{n}{'' if n in avail else ' (unavailable)'}"
         for n in known_backend_names()
     ), f"(auto -> {resolve_backend_name()})")
+    if "c" in avail:
+        try:
+            info = get_backend("c").build_info
+        except BackendUnavailableError as exc:
+            print(f"c kernels: failed to build ({exc})")
+        else:
+            version = cbuild.compiler_version(info.cc) if info.cc else "-"
+            how = "compiled by this process" if info.compiled else "cache hit"
+            print(f"c kernels: {info.cc or 'no compiler on PATH'}"
+                  f" [{version}] {' '.join(info.flags)}\n"
+                  f"           {info.path} ({how}, {1e3 * info.seconds:.0f} ms)")
     ncpu = os.cpu_count() or 1
     print(f"cpus     : {ncpu} "
           f"(numpy-mp {'available' if 'numpy-mp' in avail else 'unavailable'}; "

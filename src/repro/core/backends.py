@@ -7,15 +7,13 @@ execution strategy as a named **backend** rather than hard-wiring one:
 * ``"numpy"`` — the cache-blocked NumPy array kernels of
   :mod:`repro.core.kernels` (the Python rendering of the paper's
   auto-vectorized C loops).  Always available.
-* ``"numba"`` — ``@njit`` scalar loops mirroring the reference
-  implementations in :mod:`repro.core.reference`, compiled at first
-  use (the Python rendering of the paper's *explicit* per-particle
-  loops).  Soft dependency: only usable when :mod:`numba` is
-  installed (``pip install repro[jit]``); everything else keeps
-  working without it.
+* ``"c"`` — the scalar C99 loops of ``ckernels.c``, the rendering the
+  paper itself times: compiled with the host ``cc`` at first use,
+  cached per user, loaded through :mod:`ctypes`.  Bitwise equal to
+  ``"numpy"`` (the 3D gather to rounding).  Usable wherever a C
+  compiler is on ``PATH``; everything else keeps working without one.
 * ``"auto"`` — the selection policy: the highest-priority backend
-  whose dependencies are importable (``numba`` first, then
-  ``numpy``).
+  that is available (``c`` first, then ``numpy``).
 
 Every backend implements the same kernel surface — the 2D accumulate /
 interpolate / update-velocities / push-positions family plus their 3D
@@ -38,7 +36,7 @@ call through the resulting object.
 from __future__ import annotations
 
 import abc
-import importlib.util
+import ctypes
 import logging
 
 import numpy as np
@@ -48,7 +46,7 @@ from repro.core import kernels as _k
 __all__ = [
     "KernelBackend",
     "NumpyBackend",
-    "NumbaBackend",
+    "CBackend",
     "BackendUnavailableError",
     "register_backend",
     "get_backend",
@@ -86,7 +84,7 @@ def _load_plugin_backends() -> None:
 
 
 class BackendUnavailableError(ImportError):
-    """Requested backend exists but its dependencies are not installed."""
+    """Requested backend exists but cannot run on this host."""
 
 
 class KernelBackend(abc.ABC):
@@ -109,27 +107,22 @@ class KernelBackend(abc.ABC):
     #: at selection time, ``degrades_to`` encodes which simpler engine
     #: can take over mid-run with identical physics.
     degrades_to: str | None = None
+    #: What :meth:`is_available` found missing, for the error message.
+    needs: str = "extra dependencies that are not installed"
     #: Optional fast paths this backend implements beyond the required
     #: kernel surface.  Known capability names:
     #:
     #: * ``"fused"`` — :meth:`fused_interp_kick_push`, the single-pass
     #:   interpolate+kick+push kernel (no whole-population
     #:   ``ex_p``/``ey_p`` temporaries);
-    #: * ``"parallel_deposit"`` — :meth:`accumulate_redundant_parallel`,
-    #:   the §V-B private-copies + reduction deposit, bitwise equal to
-    #:   the serial one at any thread count;
     #: * ``"counting_sort"`` — a backend-native
     #:   :meth:`counting_sort_permutation` (compiled cursor loop rather
     #:   than the SciPy scatter).
     #: * ``"fused3d"`` — :meth:`fused_interp_kick_push_3d`, the 3D
     #:   single-pass kernel.
     #:
-    #: The stepper dispatches on ``"parallel_deposit"``;
     #: ``loop_mode="fused"`` calls the fused kernel outright (every
     #: shipped backend has one).  Physics must be identical either way.
-    #: ``"parallel_deposit"`` covers both the 2D and the 3D
-    #: private-copies kernels (:meth:`accumulate_redundant_parallel` /
-    #: :meth:`accumulate_redundant_parallel_3d`).
     capabilities: frozenset[str] = frozenset()
 
     @classmethod
@@ -209,17 +202,6 @@ class KernelBackend(abc.ABC):
             f"backend {self.name!r} does not offer the 'fused' capability"
         )
 
-    def accumulate_redundant_parallel(self, rho_1d, icell, dx, dy, charge=1.0) -> None:
-        """Thread-parallel CiC scatter (private copies + reduction).
-
-        Must be bitwise equal to :meth:`accumulate_redundant` for any
-        thread count.  Only callable on backends advertising the
-        ``"parallel_deposit"`` capability.
-        """
-        raise NotImplementedError(
-            f"backend {self.name!r} does not offer the 'parallel_deposit' capability"
-        )
-
     def fused_interp_kick_push_3d(
         self,
         fields,
@@ -238,19 +220,6 @@ class KernelBackend(abc.ABC):
         """
         raise NotImplementedError(
             f"backend {self.name!r} does not offer the 'fused3d' capability"
-        )
-
-    def accumulate_redundant_parallel_3d(
-        self, rho_1d, icell, dx, dy, dz, charge=1.0
-    ) -> None:
-        """Thread-parallel trilinear scatter (private copies + reduction).
-
-        Must be bitwise equal to :meth:`accumulate_redundant_3d` for
-        any thread count.  Only callable on backends advertising the
-        ``"parallel_deposit"`` capability.
-        """
-        raise NotImplementedError(
-            f"backend {self.name!r} does not offer the 'parallel_deposit' capability"
         )
 
     def counting_sort_permutation(self, keys, ncells):
@@ -368,9 +337,9 @@ def _auto_candidates() -> list[str]:
 def degradation_chain(name: str = AUTO) -> tuple[str, ...]:
     """The runtime fallback chain starting at ``name``.
 
-    Follows :attr:`KernelBackend.degrades_to` links (``numba`` →
-    ``numpy-mp`` → ``numpy`` with everything installed), keeping only
-    backends whose dependencies are importable, so the result is the
+    Follows :attr:`KernelBackend.degrades_to` links (``c`` → ``numpy``,
+    ``numpy-mp`` → ``numpy``), keeping only
+    backends that are available, so the result is the
     ordered list of engines a supervised run may degrade through —
     index 0 is the backend ``name`` resolves to.  Unknown names yield
     a single-element chain of themselves resolved (the caller will hit
@@ -397,8 +366,8 @@ def resolve_backend_name(name: str = AUTO) -> str:
     """Apply the auto-selection policy without instantiating.
 
     ``"auto"`` resolves to the available backend with the highest
-    :attr:`~KernelBackend.priority` — a working ``numba`` install
-    always beats ``numpy``, and ``numpy-mp`` (priority below both) is
+    :attr:`~KernelBackend.priority` — ``c`` wherever it can be built
+    beats ``numpy``, and ``numpy-mp`` (priority below both) is
     never auto-picked; an explicit name resolves to itself (validity
     is checked by :func:`get_backend`).
     """
@@ -413,8 +382,7 @@ def _instantiate(name: str) -> KernelBackend:
         cls = _REGISTRY[name]
         if not cls.is_available():
             raise BackendUnavailableError(
-                f"backend {name!r} requires extra dependencies that are not "
-                f"installed (try: pip install repro[jit])"
+                f"backend {name!r} is not available here: it needs {cls.needs}"
             )
         _INSTANCES[name] = cls()
     return _INSTANCES[name]
@@ -426,10 +394,10 @@ def get_backend(name: str = AUTO) -> KernelBackend:
     Raises :class:`KeyError` for unknown names and
     :class:`BackendUnavailableError` for known backends whose
     dependencies are missing.  ``"auto"`` is resilient: if the
-    preferred backend's dependencies pass the availability probe but
-    its construction still fails (e.g. a broken numba install), the
-    next candidate is used instead; either way one log line states the
-    resolved backend.
+    preferred backend passes the availability probe but its
+    construction still fails (the compiler exits non-zero, the object
+    does not load), the next candidate is used instead, with one
+    warning; either way one log line states the resolved backend.
     """
     _load_plugin_backends()
     if name != AUTO:
@@ -442,7 +410,7 @@ def get_backend(name: str = AUTO) -> KernelBackend:
     for candidate in _auto_candidates():
         try:
             backend = _instantiate(candidate)
-        except Exception as exc:  # pragma: no cover - needs broken install
+        except Exception as exc:
             _log.warning(
                 "backend %r is nominally available but failed to "
                 "initialize (%s); trying the next candidate", candidate, exc,
@@ -482,7 +450,8 @@ class NumpyBackend(KernelBackend):
     # The redundant-row kernels once, over a tuple of per-axis offsets;
     # the 2D and 3D methods of the kernel surface are these with the
     # axes spelled out.  ``numpy-mp`` overrides the generic pair (and
-    # ``kick``/``push``) and so serves both dimensions.
+    # ``kick``/``push``) and so serves both dimensions; ``c`` overrides
+    # the pair, ``push`` and ``fused_rows``.
     def interpolate_rows(self, e_1d, icell, offsets):
         return _k.row_kernels(len(offsets))[0](e_1d, icell, *offsets)
 
@@ -507,6 +476,22 @@ class NumpyBackend(KernelBackend):
     def push_axis(self, x, nc, variant):
         return _k.AXIS_KERNELS[variant](x, nc)
 
+    def fused_rows(self, e_1d, particles, extents, ordering, variant,
+                   coefs, scales) -> None:
+        """Interpolate -> kick -> push over the redundant rows in one
+        sweep, any dimension; the 2D and 3D fused methods of the kernel
+        surface are this with the axes spelled out."""
+        axes = "xyz"[: len(extents)]
+        interpolate = _k.row_kernels(len(extents))[0]
+
+        def gather(p):
+            return interpolate(e_1d, p["icell"], *(p["d" + a] for a in axes))
+
+        _k.fused_sweep(
+            particles, gather, extents, ordering,
+            _k.AXIS_KERNELS[variant], coefs, scales,
+        )
+
     def fused_interp_kick_push(
         self,
         fields,
@@ -518,27 +503,26 @@ class NumpyBackend(KernelBackend):
         scale_x=1.0,
         scale_y=1.0,
     ):
-        if fields.layout == "redundant":
-
-            def gather(p):
-                return _k.interpolate_redundant(
-                    fields.e_1d, p["icell"], p["dx"], p["dy"]
-                )
-        else:
-
-            def gather(p):
-                if "ix" in p:
-                    ix, iy = p["ix"], p["iy"]
-                else:
-                    ix, iy = ordering.decode(p["icell"])
-                return _k.interpolate_standard(
-                    fields.ex, fields.ey, ix, iy, p["dx"], p["dy"]
-                )
-
         g = fields.grid
+        coefs, scales = (coef_x, coef_y), (scale_x, scale_y)
+        if fields.layout == "redundant":
+            return self.fused_rows(
+                fields.e_1d, particles, (g.ncx, g.ncy), ordering, variant,
+                coefs, scales,
+            )
+
+        def gather(p):
+            if "ix" in p:
+                ix, iy = p["ix"], p["iy"]
+            else:
+                ix, iy = ordering.decode(p["icell"])
+            return _k.interpolate_standard(
+                fields.ex, fields.ey, ix, iy, p["dx"], p["dy"]
+            )
+
         _k.fused_sweep(
             particles, gather, (g.ncx, g.ncy), ordering,
-            _k.AXIS_KERNELS[variant], (coef_x, coef_y), (scale_x, scale_y),
+            _k.AXIS_KERNELS[variant], coefs, scales,
         )
 
     def fused_interp_kick_push_3d(
@@ -550,282 +534,232 @@ class NumpyBackend(KernelBackend):
         coef=(1.0, 1.0, 1.0),
         scale=(1.0, 1.0, 1.0),
     ):
-        interpolate = _k.row_kernels(3)[0]
-
-        def gather(p):
-            return interpolate(fields.e_1d, p["icell"], p["dx"], p["dy"], p["dz"])
-
-        _k.fused_sweep(
-            particles, gather, fields.grid.shape, ordering,
-            _k.AXIS_KERNELS[variant], coef, scale,
+        self.fused_rows(
+            fields.e_1d, particles, fields.grid.shape, ordering, variant,
+            coef, scale,
         )
 
 
 # ----------------------------------------------------------------------
-# Numba backend: JIT-compiled scalar loops
+# C backend: the paper's scalar loops, compiled by the host compiler
 # ----------------------------------------------------------------------
-@register_backend
-class NumbaBackend(KernelBackend):
-    """``@njit`` scalar loops mirroring :mod:`repro.core.reference`.
+#: ``ckernels.c``'s WRAP_* and ORDER_* codes.  Orderings not named here
+#: (L4D, Hilbert, anything registered later) are ORDER_OTHER: the C
+#: loop writes the coordinates and ``ordering.encode`` runs in Python.
+_WRAP_CODES = {"branch": 0, "modulo": 1, "bitwise": 2}
+_ORDER_OTHER, _ORDER_ROW_MAJOR, _ORDER_COLUMN_MAJOR, _ORDER_MORTON = range(4)
+_ORDER_CODES = {
+    "row-major": _ORDER_ROW_MAJOR, "row-major-3d": _ORDER_ROW_MAJOR,
+    "morton": _ORDER_MORTON, "morton-3d": _ORDER_MORTON,
+    "column-major": _ORDER_COLUMN_MAJOR,
+}
 
-    The jitted functions live in :mod:`repro.core.njit_kernels`, which
-    imports :mod:`numba` at module level — so this class only imports
-    it on first instantiation, keeping NumPy-only installs working.
+_INT, _I64, _F64, _PTR = (
+    ctypes.c_int, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+)
+_COLS, _I64S, _F64S = (ctypes.POINTER(t) for t in (_PTR, _I64, _F64))
+#: the per-axis argument arrays, by ndim.  Made here, not at the first
+#: call: ctypes keeps an array type for the life of the process, and
+#: one made mid-run sits on the heap above the particle arrays, which
+#: glibc then cannot return when they are freed (docs/kernels.md).
+_PTR_N, _I64_N, _F64_N = (
+    {ndim: t * ndim for ndim in (2, 3)} for t in (_PTR, _I64, _F64)
+)
+#: ``ckernels.c``'s exported functions: (restype, argtypes)
+_C_SIGNATURES = {
+    "interp_rows": (_I64, (_INT, _I64, _I64, _PTR, _PTR, _COLS, _COLS)),
+    "push": (None, (_INT, _I64, _INT, _INT, _I64S, _F64S, _PTR,
+                    _COLS, _COLS, _COLS)),
+    "fused": (_I64, (_INT, _I64, _I64, _PTR, _F64S, _INT, _INT, _I64S, _F64S,
+                     _PTR, _COLS, _COLS, _COLS)),
+    "deposit_rows": (_I64, (_INT, _I64, _I64, _PTR, _PTR, _PTR, _COLS, _F64)),
+    "sort_permutation": (_I64, (_I64, _I64, _PTR, _PTR, _PTR)),
+}
+
+
+def _fits(a, dtype, shape) -> bool:
+    """Whether ``ckernels.c`` can index ``a`` as it is: a writeable
+    C-contiguous array of exactly this dtype and shape.  Anything else
+    (a strided :class:`~repro.particles.storage.ParticleAoS` column, a
+    list, an int32 index) takes the inherited NumPy kernel, which
+    converts or raises as it always did."""
+    return (
+        isinstance(a, np.ndarray) and a.dtype == dtype and a.shape == shape
+        and a.flags.c_contiguous and a.flags.writeable
+    )
+
+
+def _columns(arrays, dtype, n):
+    """The ``double *const *`` / ``int64_t *const *`` argument over
+    ``arrays`` — or ``None`` unless there are two or three and every
+    one :func:`_fits` length ``n``."""
+    if len(arrays) not in _PTR_N or not all(
+        _fits(a, dtype, (n,)) for a in arrays
+    ):
+        return None
+    return _PTR_N[len(arrays)](*(a.ctypes.data for a in arrays))
+
+
+def _check_cells(bad, icell, ncell) -> None:
+    if bad >= 0:
+        raise IndexError(
+            f"particle {bad}: cell index {icell[bad]} outside [0, {ncell})"
+        )
+
+
+@register_backend
+class CBackend(NumpyBackend):
+    """The scalar C99 loops of ``ckernels.c`` — the rendering the paper
+    times — compiled by the host ``cc`` at first use
+    (:mod:`repro.core.cbuild`) and called through :mod:`ctypes`, which
+    releases the GIL for the duration of each call.
+
+    Overrides the redundant-row gather and deposit, the push, the
+    fused sweep and the sort permutation; the standard-layout kernels,
+    the stand-alone kick (one ``np.add``, which measures no slower than
+    a C loop) and any argument that does not :func:`_fits` the C ABI
+    run the inherited NumPy kernels.  The arithmetic is written to
+    NumPy's bits: everything is bitwise equal to ``numpy`` except the
+    3D gather (NumPy's is an ``einsum`` of unspecified association),
+    which agrees to rounding.
     """
 
-    name = "numba"
+    name = "c"
     priority = 20
-    degrades_to = "numpy-mp"
-    capabilities = frozenset(
-        {"fused", "fused3d", "parallel_deposit", "counting_sort"}
-    )
+    degrades_to = "numpy"
+    needs = "a C compiler on PATH (cc, gcc or clang)"
+    capabilities = frozenset({"fused", "fused3d", "counting_sort"})
 
     @classmethod
     def is_available(cls) -> bool:
-        return importlib.util.find_spec("numba") is not None
+        """A C compiler on ``PATH``, or an object built earlier."""
+        # imported where used: 15 ms a numpy-only process need not pay
+        from repro.core import cbuild
 
-    def __init__(self):
-        from repro.core import njit_kernels
+        return cbuild.find_compiler() is not None or bool(cbuild.cached_objects())
 
-        self._jit = njit_kernels
+    def __init__(self, extra_flags=()):
+        from repro.core import cbuild
 
-    # -- 2D ------------------------------------------------------------
-    def accumulate_standard(self, rho, ix, iy, dx, dy, charge=1.0):
-        self._jit.accumulate_standard_njit(
-            rho,
-            np.ascontiguousarray(ix, dtype=np.int64),
-            np.ascontiguousarray(iy, dtype=np.int64),
-            np.ascontiguousarray(dx, dtype=np.float64),
-            np.ascontiguousarray(dy, dtype=np.float64),
-            float(charge),
+        #: the loaded library and where it came from (``repro info``)
+        try:
+            self._lib, self.build_info = cbuild.load(extra_flags)
+        except cbuild.BuildError as exc:
+            raise BackendUnavailableError(f"backend 'c': {exc}") from exc
+        for fn, (restype, argtypes) in _C_SIGNATURES.items():
+            getattr(self._lib, fn).restype = restype
+            getattr(self._lib, fn).argtypes = argtypes
+
+    # -- redundant rows ------------------------------------------------
+    @staticmethod
+    def _row_offsets(rows, width, icell, offsets):
+        """The offsets' column pointers, if the row kernels' arguments
+        fit ``ckernels.c`` (``rows`` being ``(ncell, width)``)."""
+        n = len(icell)
+        if _fits(rows, np.float64, (len(rows), width)) and _fits(icell, np.int64, (n,)):
+            return _columns(offsets, np.float64, n)
+        return None
+
+    def interpolate_rows(self, e_1d, icell, offsets):
+        ndim, n = len(offsets), len(icell)
+        d = self._row_offsets(e_1d, ndim << ndim, icell, offsets)
+        if d is None:
+            return super().interpolate_rows(e_1d, icell, offsets)
+        e_p = tuple(np.empty(n) for _ in offsets)
+        bad = self._lib.interp_rows(
+            ndim, n, len(e_1d), e_1d.ctypes.data, icell.ctypes.data,
+            d, _columns(e_p, np.float64, n),
         )
+        _check_cells(bad, icell, len(e_1d))
+        return e_p
 
-    def accumulate_redundant(self, rho_1d, icell, dx, dy, charge=1.0):
-        self._jit.accumulate_redundant_njit(
-            rho_1d,
-            np.ascontiguousarray(icell, dtype=np.int64),
-            np.ascontiguousarray(dx, dtype=np.float64),
-            np.ascontiguousarray(dy, dtype=np.float64),
-            float(charge),
+    def accumulate_rows(self, rho_1d, icell, offsets, charge=1.0) -> None:
+        ndim = len(offsets)
+        d = self._row_offsets(rho_1d, 1 << ndim, icell, offsets)
+        if d is None or np.ndim(charge):
+            return super().accumulate_rows(rho_1d, icell, offsets, charge)
+        scratch = np.zeros_like(rho_1d)
+        bad = self._lib.deposit_rows(
+            ndim, len(icell), len(rho_1d), rho_1d.ctypes.data,
+            scratch.ctypes.data, icell.ctypes.data, d, charge,
         )
+        _check_cells(bad, icell, len(rho_1d))
 
-    def interpolate_standard(self, ex, ey, ix, iy, dx, dy):
-        n = len(np.asarray(dx))
-        ex_p = np.empty(n, dtype=np.float64)
-        ey_p = np.empty(n, dtype=np.float64)
-        self._jit.interpolate_standard_njit(
-            np.ascontiguousarray(ex, dtype=np.float64),
-            np.ascontiguousarray(ey, dtype=np.float64),
-            np.ascontiguousarray(ix, dtype=np.int64),
-            np.ascontiguousarray(iy, dtype=np.int64),
-            np.ascontiguousarray(dx, dtype=np.float64),
-            np.ascontiguousarray(dy, dtype=np.float64),
-            ex_p,
-            ey_p,
-        )
-        return ex_p, ey_p
-
-    def interpolate_redundant(self, e_1d, icell, dx, dy):
-        n = len(np.asarray(icell))
-        ex_p = np.empty(n, dtype=np.float64)
-        ey_p = np.empty(n, dtype=np.float64)
-        self._jit.interpolate_redundant_njit(
-            np.ascontiguousarray(e_1d, dtype=np.float64),
-            np.ascontiguousarray(icell, dtype=np.int64),
-            np.ascontiguousarray(dx, dtype=np.float64),
-            np.ascontiguousarray(dy, dtype=np.float64),
-            ex_p,
-            ey_p,
-        )
-        return ex_p, ey_p
-
-    def update_velocities(self, vx, vy, ex_p, ey_p, coef_x=1.0, coef_y=1.0):
-        # array-valued coefficients (per-particle q/m) broadcast through
-        # numpy; the njit scalar kernel covers the hot scalar case
-        if np.ndim(coef_x) == 0:
-            self._jit.update_velocities_njit(vx, ex_p, float(coef_x))
-        else:
-            vx += coef_x * ex_p
-        if np.ndim(coef_y) == 0:
-            self._jit.update_velocities_njit(vy, ey_p, float(coef_y))
-        else:
-            vy += coef_y * ey_p
-
-    def push_axis(self, x, nc, variant):
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        i_out = np.empty(x.size, dtype=np.int64)
-        d_out = np.empty(x.size, dtype=np.float64)
-        if variant == "bitwise":
-            if nc & (nc - 1):
+    # -- push, fused ---------------------------------------------------
+    def _sweep(self, p, extents, ordering, variant, scales, e_1d=None,
+               coefs=None) -> bool:
+        """``ckernels.c``'s ``push`` over the population ``p`` — with
+        ``e_1d`` and ``coefs``, its ``fused`` — in place.  Returns
+        ``False``, having done nothing, when an argument does not fit
+        the C ABI."""
+        ndim, icell = len(extents), p["icell"]
+        n, axes = len(icell), "xyz"[: len(extents)]
+        wrap = _WRAP_CODES[variant]
+        for nc in extents:
+            if variant == "bitwise" and nc & (nc - 1):
                 raise ValueError(
                     f"bitwise wrap requires power-of-two extent, got {nc}"
                 )
-            self._jit.axis_bitwise_njit(x, nc, i_out, d_out)
-        elif variant == "modulo":
-            self._jit.axis_modulo_njit(x, nc, i_out, d_out)
-        elif variant == "branch":
-            self._jit.axis_branch_njit(x, nc, i_out, d_out)
-        else:
-            raise KeyError(f"unknown position-update variant {variant!r}")
-        return i_out, d_out
-
-    # -- optional fast paths -------------------------------------------
-    def fused_interp_kick_push(
-        self,
-        fields,
-        particles,
-        ordering,
-        variant,
-        coef_x=1.0,
-        coef_y=1.0,
-        scale_x=1.0,
-        scale_y=1.0,
-    ):
-        if np.ndim(coef_x) or np.ndim(coef_y):
-            raise ValueError("fused path requires scalar kick coefficients")
-        if variant not in self._jit.VARIANT_CODES:
-            raise KeyError(f"unknown position-update variant {variant!r}")
-        g = fields.grid
-        ncx, ncy = g.ncx, g.ncy
-        if variant == "bitwise" and ((ncx & (ncx - 1)) or (ncy & (ncy - 1))):
-            raise ValueError(
-                f"bitwise wrap requires power-of-two extents, got {ncx} x {ncy}"
-            )
-        p = particles
-        n = len(np.asarray(p.icell))
-        if p.store_coords:
-            ix_old = np.ascontiguousarray(p.ix, dtype=np.int64)
-            iy_old = np.ascontiguousarray(p.iy, dtype=np.int64)
-        else:
-            ix_dec, iy_dec = ordering.decode(np.asarray(p.icell))
-            ix_old = np.ascontiguousarray(ix_dec, dtype=np.int64)
-            iy_old = np.ascontiguousarray(iy_dec, dtype=np.int64)
-        ix_out = np.empty(n, dtype=np.int64)
-        iy_out = np.empty(n, dtype=np.int64)
-        code = self._jit.VARIANT_CODES[variant]
-        # dx/dy/vx/vy are read *and written* in place: pass the storage
-        # views directly (njit handles strided AoS views; a contiguous
-        # copy would silently drop the writes)
-        if fields.layout == "redundant":
-            self._jit.fused_redundant_njit(
-                np.ascontiguousarray(fields.e_1d, dtype=np.float64),
-                np.ascontiguousarray(p.icell, dtype=np.int64),
-                ix_old, iy_old, p.dx, p.dy, p.vx, p.vy,
-                float(coef_x), float(coef_y), float(scale_x), float(scale_y),
-                ncx, ncy, code, ix_out, iy_out,
-            )
-        else:
-            self._jit.fused_standard_njit(
-                np.ascontiguousarray(fields.ex, dtype=np.float64),
-                np.ascontiguousarray(fields.ey, dtype=np.float64),
-                ix_old, iy_old, p.dx, p.dy, p.vx, p.vy,
-                float(coef_x), float(coef_y), float(scale_x), float(scale_y),
-                code, ix_out, iy_out,
-            )
-        # the space-filling-curve encode is vectorized Python: outside njit
-        p.icell[:] = ordering.encode(ix_out, iy_out)
-        if p.store_coords:
-            p.ix[:] = ix_out
-            p.iy[:] = iy_out
-
-    def accumulate_redundant_parallel(self, rho_1d, icell, dx, dy, charge=1.0):
-        self._jit.accumulate_redundant_parallel_njit(
-            rho_1d,
-            np.ascontiguousarray(icell, dtype=np.int64),
-            np.ascontiguousarray(dx, dtype=np.float64),
-            np.ascontiguousarray(dy, dtype=np.float64),
-            float(charge),
-        )
-
-    def counting_sort_permutation(self, keys, ncells):
-        keys = np.ascontiguousarray(keys, dtype=np.int64)
-        if keys.size and (keys.min() < 0 or keys.max() >= ncells):
-            raise ValueError("keys out of range [0, ncells)")
-        return self._jit.counting_sort_permutation_njit(keys, int(ncells))
-
-    # -- 3D ------------------------------------------------------------
-    def accumulate_redundant_3d(self, rho_1d, icell, dx, dy, dz, charge=1.0):
-        self._jit.accumulate_redundant_3d_njit(
-            rho_1d,
-            np.ascontiguousarray(icell, dtype=np.int64),
-            np.ascontiguousarray(dx, dtype=np.float64),
-            np.ascontiguousarray(dy, dtype=np.float64),
-            np.ascontiguousarray(dz, dtype=np.float64),
-            float(charge),
-        )
-
-    def interpolate_redundant_3d(self, e_1d, icell, dx, dy, dz):
-        n = len(np.asarray(icell))
-        ex = np.empty(n, dtype=np.float64)
-        ey = np.empty(n, dtype=np.float64)
-        ez = np.empty(n, dtype=np.float64)
-        self._jit.interpolate_redundant_3d_njit(
-            np.ascontiguousarray(e_1d, dtype=np.float64),
-            np.ascontiguousarray(icell, dtype=np.int64),
-            np.ascontiguousarray(dx, dtype=np.float64),
-            np.ascontiguousarray(dy, dtype=np.float64),
-            np.ascontiguousarray(dz, dtype=np.float64),
-            ex,
-            ey,
-            ez,
-        )
-        return ex, ey, ez
-
-    def fused_interp_kick_push_3d(
-        self,
-        fields,
-        particles,
-        ordering,
-        variant,
-        coef=(1.0, 1.0, 1.0),
-        scale=(1.0, 1.0, 1.0),
-    ):
-        if any(np.ndim(c) for c in coef):
-            raise ValueError("fused path requires scalar kick coefficients")
-        if variant not in self._jit.VARIANT_CODES:
-            raise KeyError(f"unknown position-update variant {variant!r}")
-        g = fields.grid
-        ncx, ncy, ncz = g.ncx, g.ncy, g.ncz
-        if variant == "bitwise" and (
-            (ncx & (ncx - 1)) or (ncy & (ncy - 1)) or (ncz & (ncz - 1))
+        order = _ORDER_CODES.get(ordering.name, _ORDER_OTHER)
+        d = _columns([p["d" + a] for a in axes], np.float64, n)
+        v = _columns([p["v" + a] for a in axes], np.float64, n)
+        if (
+            d is None or v is None
+            or not _fits(icell, np.int64, (n,))
+            or not all(0 < nc < 2**31 for nc in extents)
+            or any(np.ndim(s) for s in (*scales, *(coefs or ())))
         ):
-            raise ValueError(
-                f"bitwise wrap requires power-of-two extents, "
-                f"got {ncx} x {ncy} x {ncz}"
+            return False
+        # scan orders decode inline; other curves keep the coordinates
+        # stored, or have them decoded here into temporaries
+        coords = icoord = None
+        if "ix" in p:
+            coords = [p["i" + a] for a in axes]
+        elif order not in (_ORDER_ROW_MAJOR, _ORDER_COLUMN_MAJOR):
+            coords = [np.ascontiguousarray(c, dtype=np.int64)
+                      for c in ordering.decode(icell)]
+        if coords is not None:
+            icoord = _columns(coords, np.int64, n)
+            if icoord is None:
+                return False
+        spec = (wrap, order, _I64_N[ndim](*extents), _F64_N[ndim](*scales),
+                icell.ctypes.data, d, v, icoord)
+        if e_1d is None:
+            self._lib.push(ndim, n, *spec)
+        elif _fits(e_1d, np.float64, (len(e_1d), ndim << ndim)):
+            bad = self._lib.fused(
+                ndim, n, len(e_1d), e_1d.ctypes.data, _F64_N[ndim](*coefs),
+                *spec,
             )
-        p = particles
-        n = len(np.asarray(p["icell"]))
-        ix_out = np.empty(n, dtype=np.int64)
-        iy_out = np.empty(n, dtype=np.int64)
-        iz_out = np.empty(n, dtype=np.int64)
-        code = self._jit.VARIANT_CODES[variant]
-        # dx/dy/dz/vx/vy/vz are read *and written* in place: pass the
-        # storage's arrays directly, copy only the read-only inputs
-        self._jit.fused_redundant_3d_njit(
-            np.ascontiguousarray(fields.e_1d, dtype=np.float64),
-            np.ascontiguousarray(p["icell"], dtype=np.int64),
-            np.ascontiguousarray(p["ix"], dtype=np.int64),
-            np.ascontiguousarray(p["iy"], dtype=np.int64),
-            np.ascontiguousarray(p["iz"], dtype=np.int64),
-            p["dx"], p["dy"], p["dz"], p["vx"], p["vy"], p["vz"],
-            float(coef[0]), float(coef[1]), float(coef[2]),
-            float(scale[0]), float(scale[1]), float(scale[2]),
-            ncx, ncy, ncz, code, ix_out, iy_out, iz_out,
-        )
-        # the space-filling-curve encode is vectorized Python: outside njit
-        p["ix"][:] = ix_out
-        p["iy"][:] = iy_out
-        p["iz"][:] = iz_out
-        p["icell"][:] = ordering.encode(ix_out, iy_out, iz_out)
+            _check_cells(bad, icell, len(e_1d))
+        else:
+            return False
+        if order == _ORDER_OTHER:
+            icell[:] = ordering.encode(*coords)
+        return True
 
-    def accumulate_redundant_parallel_3d(
-        self, rho_1d, icell, dx, dy, dz, charge=1.0
-    ):
-        self._jit.accumulate_redundant_parallel_3d_njit(
-            rho_1d,
-            np.ascontiguousarray(icell, dtype=np.int64),
-            np.ascontiguousarray(dx, dtype=np.float64),
-            np.ascontiguousarray(dy, dtype=np.float64),
-            np.ascontiguousarray(dz, dtype=np.float64),
-            float(charge),
-        )
+    def push(self, particles, extents, ordering, variant, scales) -> None:
+        if not self._sweep(particles, extents, ordering, variant, scales):
+            super().push(particles, extents, ordering, variant, scales)
+
+    def fused_rows(self, e_1d, particles, extents, ordering, variant,
+                   coefs, scales) -> None:
+        if not self._sweep(
+            particles, extents, ordering, variant, scales, e_1d, coefs
+        ):
+            super().fused_rows(
+                e_1d, particles, extents, ordering, variant, coefs, scales
+            )
+
+    # -- sort ----------------------------------------------------------
+    def counting_sort_permutation(self, keys, ncells):
+        n = len(keys)
+        if not _fits(keys, np.int64, (n,)):
+            return super().counting_sort_permutation(keys, ncells)
+        perm = np.empty(n, dtype=np.int64)
+        cursor = np.empty(ncells, dtype=np.int64)
+        if self._lib.sort_permutation(
+            n, ncells, keys.ctypes.data, cursor.ctypes.data, perm.ctypes.data
+        ) >= 0:
+            raise ValueError("keys out of range [0, ncells)")
+        return perm

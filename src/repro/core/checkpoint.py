@@ -102,8 +102,9 @@ _RETIRED_CONFIG_KEYS = frozenset(
 
 def _saved_config(meta: dict, path) -> OptimizationConfig:
     """The config a checkpoint was written under (retired keys dropped,
-    the retired ``loop_mode`` value ``"auto"`` read as ``"split"``; any
-    other unknown key makes the archive unusable)."""
+    the retired ``loop_mode`` value ``"auto"`` read as ``"split"`` and
+    the retired ``backend`` ``"numba"`` as ``"auto"``; any other
+    unknown key makes the archive unusable)."""
     try:
         saved = {
             k: v for k, v in json.loads(meta["config"]).items()
@@ -113,6 +114,9 @@ def _saved_config(meta: dict, path) -> OptimizationConfig:
         # checkpointed state, so no output bit moves
         if saved.get("loop_mode") == "auto":
             saved["loop_mode"] = "split"
+        # numba was tolerance-class; "auto" is what took its place
+        if saved.get("backend") == "numba":
+            saved["backend"] = "auto"
         return OptimizationConfig(**saved)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CheckpointMismatchError(

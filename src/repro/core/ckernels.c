@@ -1,0 +1,404 @@
+/* The paper's particle loops (Fig. 1 lines 9-11, Fig. 2), scalar C99.
+ *
+ * One statement of every hot kernel over the redundant [ncell][2^ndim]
+ * rows, ndim in {2, 3}; built by repro/core/cbuild.py, called through
+ * ctypes by CBackend.  The arithmetic is written to be BITWISE EQUAL to
+ * repro/core/kernels.py (docs/kernels.md, "C rendering"):
+ *
+ *  - weights are left-fold products of (1 - d) / (0 + d) per axis, the
+ *    values of Fig. 2's c + s*d tables (0 + d keeps d = -0.0 identical);
+ *  - the gather is a left fold in corner order;
+ *  - the deposit adds into a zeroed scratch in particle order, then
+ *    rho += scratch once: the fold of one np.bincount per corner;
+ *  - build with -ffp-contract=off: a fused multiply-add rounds once
+ *    where NumPy rounds twice.
+ *
+ * Every function is defined on every input: no out-of-range
+ * double -> int64 conversion, no signed overflow, no index outside the
+ * arrays.  Functions that index by icell return -1, or the index of the
+ * first particle whose cell is outside [0, ncell).
+ */
+#include <math.h>
+#include <stdint.h>
+
+#define MAXDIM 3
+#define MAXCORNER 8
+
+/* The loops below are written once over ndim (and the sweep over the
+ * wrap variant) and instantiated by inlining with constant arguments;
+ * without the attribute the compiler may keep one general copy. */
+#if defined(__GNUC__)
+#define INLINE static inline __attribute__((always_inline))
+#else
+#define INLINE static inline
+#endif
+
+enum { WRAP_BRANCH, WRAP_MODULO, WRAP_BITWISE };
+enum { ORDER_OTHER, ORDER_ROW_MAJOR, ORDER_COLUMN_MAJOR, ORDER_MORTON };
+
+/* ------------------------------------------------------------------ */
+/* CiC weights (Fig. 2): corner c takes d along the axes whose bit is
+ * set, 1 - d along the others; axis 0 owns the most significant bit. */
+INLINE void weights(const int ndim, const double *d, double *w)
+{
+    double lo[MAXDIM], hi[MAXDIM];
+    for (int a = 0; a < ndim; a++) {
+        lo[a] = 1.0 - d[a];
+        hi[a] = 0.0 + d[a];
+    }
+    for (int c = 0; c < 1 << ndim; c++) {
+        double p = (c >> (ndim - 1)) & 1 ? hi[0] : lo[0];
+        for (int a = 1; a < ndim; a++)
+            p *= (c >> (ndim - 1 - a)) & 1 ? hi[a] : lo[a];
+        w[c] = p;
+    }
+}
+
+/* Field at one particle from its row e[ndim][ncorner] (Fig. 1 line 9,
+ * the gather half): per axis, a left fold over the corners. */
+INLINE void gather(const int ndim, const double *row, const double *d,
+                          double *e_p)
+{
+    const int nc = 1 << ndim;
+    double w[MAXCORNER];
+    weights(ndim, d, w);
+    for (int a = 0; a < ndim; a++) {
+        double acc = w[0] * row[a * nc];
+        for (int c = 1; c < nc; c++)
+            acc += w[c] * row[a * nc + c];
+        e_p[a] = acc;
+    }
+}
+
+/* ------------------------------------------------------------------ */
+/* The three periodic wraps of one axis (paper section IV-C).
+ *
+ * x86's cvttsd2si returns INT64_MIN for NaN and anything outside
+ * int64; in C that conversion is undefined, so it is spelled out.
+ * With it a non-finite x comes back as a non-finite offset, exactly as
+ * from NumPy on x86, and the supervisor's finite guard sees it. */
+INLINE int64_t to_int64(double x)
+{
+    return fabs(x) < 0x1p63 ? (int64_t)x : INT64_MIN;
+}
+
+/* np.mod(x, nc) for nc > 0: the sign follows nc, a zero is +0.0 */
+INLINE double floored_mod(double x, double nc)
+{
+    double m = fmod(x, nc);
+    if (m != 0.0)
+        return m < 0.0 ? m + nc : m;
+    return 0.0;
+}
+
+INLINE void wrap(const int variant, double x, int64_t nc,
+                        int64_t *icoord, double *offset)
+{
+    if (variant == WRAP_BITWISE) {
+        /* floor(x) = (int)x - (x < 0); mod = & (nc - 1), nc = 2^k */
+        uint64_t fx = (uint64_t)to_int64(x) - (uint64_t)(x < 0.0);
+        *icoord = (int64_t)(fx & (uint64_t)(nc - 1));
+        *offset = x - (double)(int64_t)fx;
+    } else if (variant == WRAP_MODULO) {
+        double fx = floor(x);
+        *icoord = to_int64(floored_mod(fx, (double)nc));
+        *offset = x - fx;
+    } else {
+        if (x < 0.0 || x >= (double)nc)
+            x = floored_mod(x, (double)nc);
+        double fx = floor(x);
+        int64_t i = to_int64(fx);
+        if (i == nc) { /* the float modulo rounded up to nc itself */
+            i = 0;
+            fx = 0.0;
+            x = 0.0;
+        }
+        *icoord = i;
+        *offset = x - fx;
+    }
+}
+
+/* ------------------------------------------------------------------ */
+/* Cell index of a coordinate tuple, in the closed forms section IV-B
+ * picks because they inline here: scan orders, and Morton by
+ * shift-and-mask dilation (Raman & Wise; no lookup table).  Unsigned
+ * throughout, so coordinates of a non-finite position wrap instead of
+ * overflowing. */
+INLINE uint64_t dilate(const int ndim, uint64_t x)
+{
+    if (ndim == 2) { /* a 16-bit value in each 32-bit half */
+        x &= 0x0000FFFF0000FFFF;
+        x = (x | (x << 8)) & 0x00FF00FF00FF00FF;
+        x = (x | (x << 4)) & 0x0F0F0F0F0F0F0F0F;
+        x = (x | (x << 2)) & 0x3333333333333333;
+        x = (x | (x << 1)) & 0x5555555555555555;
+    } else {
+        x &= 0xFFFF;
+        x = (x | (x << 32)) & 0xFFFF00000000FFFF;
+        x = (x | (x << 16)) & 0x00FF0000FF0000FF;
+        x = (x | (x << 8)) & 0xF00F00F00F00F00F;
+        x = (x | (x << 4)) & 0x30C30C30C30C30C3;
+        x = (x | (x << 2)) & 0x9249249249249249;
+    }
+    return x;
+}
+
+INLINE int64_t encode(const int ndim, const int order,
+                             const int64_t *extent, const int *log2_extent,
+                             const int64_t *icoord)
+{
+    uint64_t code = 0;
+    if (order == ORDER_ROW_MAJOR) {
+        for (int a = 0; a < ndim; a++)
+            code = code * (uint64_t)extent[a] + (uint64_t)icoord[a];
+    } else if (order == ORDER_COLUMN_MAJOR) {
+        for (int a = ndim - 1; a >= 0; a--)
+            code = code * (uint64_t)extent[a] + (uint64_t)icoord[a];
+    } else {
+        /* the low `shared` bits of every axis interleave (last axis
+         * least significant); longer axes append their surplus above */
+        int shared = log2_extent[0];
+        for (int a = 1; a < ndim; a++)
+            if (log2_extent[a] < shared)
+                shared = log2_extent[a];
+        const uint64_t mask = ((uint64_t)1 << shared) - 1;
+        int shift = ndim * shared;
+        if (ndim == 2) { /* both axes in one dilation: 1 ns a particle */
+            const uint64_t t = dilate(2, ((uint64_t)icoord[0] & mask) << 32
+                                             | ((uint64_t)icoord[1] & mask));
+            code = ((t >> 31) | t) & 0xFFFFFFFF;
+        } else
+            for (int a = 0; a < ndim; a++)
+                code |= dilate(ndim, (uint64_t)icoord[a] & mask)
+                        << (ndim - 1 - a);
+        for (int a = 0; a < ndim; a++)
+            if (log2_extent[a] > shared) {
+                code |= (((uint64_t)icoord[a] >> shared) & 0xFFFF) << shift;
+                shift += log2_extent[a] - shared;
+            }
+    }
+    return (int64_t)code;
+}
+
+/* Scan orders decode in one division per axis, so their coordinates
+ * are recomputed rather than stored (section IV-B). */
+INLINE void decode_scan(const int ndim, const int order,
+                               const int64_t *extent, int64_t icell,
+                               int64_t *icoord)
+{
+    uint64_t rest = (uint64_t)icell;
+    for (int k = 0; k < ndim; k++) {
+        const int a = order == ORDER_ROW_MAJOR ? ndim - 1 - k : k;
+        icoord[a] = (int64_t)(rest % (uint64_t)extent[a]);
+        rest /= (uint64_t)extent[a];
+    }
+}
+
+/* ------------------------------------------------------------------ */
+/* One pass over the population: the position update alone, or — with
+ * field rows `e` — gather, kick and position update per particle.
+ * `d`, `v`, `icoord` are arrays of ndim column pointers; `icoord` is
+ * NULL when the coordinates are not stored (scan orders only). */
+typedef struct {
+    int variant, order;
+    int64_t n, ncell;
+    const double *e, *coef, *scale;
+    int64_t extent[MAXDIM];
+    int log2_extent[MAXDIM];
+    int64_t *icell;
+    double *const *d, *const *v;
+    int64_t *const *icoord;
+} sweep_args;
+
+/* The loop, over compile-time `fuse`, `ndim`, `variant` and `stored`:
+ * sweep() below instantiates every combination, so that each runs
+ * without a per-particle dispatch (a third faster than one loop that
+ * tests them). */
+INLINE int64_t sweep_loop(const int fuse, const int ndim, const int variant,
+                          const int stored, const sweep_args *s)
+{
+    const int width = ndim << ndim;
+    for (int64_t k = 0; k < s->n; k++) {
+        int64_t i[MAXDIM];
+        double dk[MAXDIM], vk[MAXDIM];
+        for (int a = 0; a < ndim; a++) {
+            dk[a] = s->d[a][k];
+            vk[a] = s->v[a][k];
+        }
+        if (fuse) { /* Fig. 1 line 9 */
+            double ek[MAXDIM];
+            if ((uint64_t)s->icell[k] >= (uint64_t)s->ncell)
+                return k;
+            gather(ndim, s->e + s->icell[k] * width, dk, ek);
+            for (int a = 0; a < ndim; a++) {
+                vk[a] += s->coef[a] * ek[a];
+                s->v[a][k] = vk[a];
+            }
+        }
+        /* Fig. 1 line 10: x = i + d + scale * v per axis, wrapped */
+        if (stored)
+            for (int a = 0; a < ndim; a++)
+                i[a] = s->icoord[a][k];
+        else
+            decode_scan(ndim, s->order, s->extent, s->icell[k], i);
+        for (int a = 0; a < ndim; a++) {
+            double x = (double)i[a] + dk[a] + s->scale[a] * vk[a];
+            wrap(variant, x, s->extent[a], &i[a], &s->d[a][k]);
+            if (stored)
+                s->icoord[a][k] = i[a];
+        }
+        if (s->order != ORDER_OTHER)
+            s->icell[k] = encode(ndim, s->order, s->extent, s->log2_extent, i);
+    }
+    return -1;
+}
+
+INLINE int64_t sweep_variant(const int fuse, const int ndim, const int variant,
+                             const sweep_args *s)
+{
+    return s->icoord ? sweep_loop(fuse, ndim, variant, 1, s)
+                     : sweep_loop(fuse, ndim, variant, 0, s);
+}
+
+INLINE int64_t sweep_ndim(const int fuse, const int ndim, const sweep_args *s)
+{
+    switch (s->variant) {
+    case WRAP_BRANCH:
+        return sweep_variant(fuse, ndim, WRAP_BRANCH, s);
+    case WRAP_MODULO:
+        return sweep_variant(fuse, ndim, WRAP_MODULO, s);
+    default:
+        return sweep_variant(fuse, ndim, WRAP_BITWISE, s);
+    }
+}
+
+INLINE int64_t sweep(const int fuse, int ndim, int64_t n, int64_t ncell,
+                     const double *e, const double *coef, int variant,
+                     int order, const int64_t *extent, const double *scale,
+                     int64_t *icell, double *const *d, double *const *v,
+                     int64_t *const *icoord)
+{
+    sweep_args s;
+    s.variant = variant, s.order = order;
+    s.n = n, s.ncell = ncell;
+    s.e = e, s.coef = coef, s.scale = scale;
+    s.icell = icell, s.d = d, s.v = v, s.icoord = icoord;
+    for (int a = 0; a < ndim; a++) {
+        s.extent[a] = extent[a];
+        s.log2_extent[a] = 0;
+        while (s.log2_extent[a] < 31
+               && ((int64_t)2 << s.log2_extent[a]) <= extent[a])
+            s.log2_extent[a]++;
+    }
+    return ndim == 2 ? sweep_ndim(fuse, 2, &s) : sweep_ndim(fuse, 3, &s);
+}
+
+/* ------------------------------------------------------------------ */
+/* The row kernels' loops over a compile-time ndim. */
+INLINE int64_t interp_loop(const int ndim, int64_t n, int64_t ncell,
+                           const double *e, const int64_t *icell,
+                           double *const *d, double *const *e_p)
+{
+    const int width = ndim << ndim;
+    for (int64_t k = 0; k < n; k++) {
+        double dk[MAXDIM], ek[MAXDIM];
+        if ((uint64_t)icell[k] >= (uint64_t)ncell)
+            return k;
+        for (int a = 0; a < ndim; a++)
+            dk[a] = d[a][k];
+        gather(ndim, e + icell[k] * width, dk, ek);
+        for (int a = 0; a < ndim; a++)
+            e_p[a][k] = ek[a];
+    }
+    return -1;
+}
+
+INLINE int64_t deposit_loop(const int ndim, int64_t n, int64_t ncell,
+                            double *rho, double *scratch,
+                            const int64_t *icell, double *const *d,
+                            double charge)
+{
+    const int nc = 1 << ndim;
+    for (int64_t k = 0; k < n; k++) {
+        double dk[MAXDIM], w[MAXCORNER];
+        if ((uint64_t)icell[k] >= (uint64_t)ncell)
+            return k;
+        for (int a = 0; a < ndim; a++)
+            dk[a] = d[a][k];
+        weights(ndim, dk, w);
+        for (int c = 0; c < nc; c++)
+            scratch[icell[k] * nc + c] += w[c] * charge;
+    }
+    for (int64_t j = 0; j < ncell * nc; j++)
+        rho[j] += scratch[j];
+    return -1;
+}
+
+/* ------------------------------------------------------------------ */
+/* Exported entry points.  Column-pointer arguments hold ndim pointers
+ * to contiguous columns n long; ndim is 2 or 3. */
+
+/* Gather: e_p[a][k] = field along axis a at particle k. */
+int64_t interp_rows(int ndim, int64_t n, int64_t ncell, const double *e,
+                    const int64_t *icell, double *const *d,
+                    double *const *e_p)
+{
+    return ndim == 2 ? interp_loop(2, n, ncell, e, icell, d, e_p)
+                     : interp_loop(3, n, ncell, e, icell, d, e_p);
+}
+
+/* Fig. 1 line 10 over the population (one of the three loops of
+ * section IV-A). */
+void push(int ndim, int64_t n, int variant, int order, const int64_t *extent,
+          const double *scale, int64_t *icell, double *const *d,
+          double *const *v, int64_t *const *icoord)
+{
+    sweep(0, ndim, n, 0, 0, 0, variant, order, extent, scale, icell, d, v,
+          icoord);
+}
+
+/* Fig. 1 lines 9-10 in one pass per particle: the paper's baseline
+ * loop, before section IV-A splits it. */
+int64_t fused(int ndim, int64_t n, int64_t ncell, const double *e,
+              const double *coef, int variant, int order,
+              const int64_t *extent, const double *scale, int64_t *icell,
+              double *const *d, double *const *v, int64_t *const *icoord)
+{
+    return sweep(1, ndim, n, ncell, e, coef, variant, order, extent, scale,
+                 icell, d, v, icoord);
+}
+
+/* Fig. 1 line 11 / Fig. 2 (bottom): one contiguous row per particle.
+ * `scratch` is ncell rows of zeros. */
+int64_t deposit_rows(int ndim, int64_t n, int64_t ncell, double *rho,
+                     double *scratch, const int64_t *icell, double *const *d,
+                     double charge)
+{
+    return ndim == 2
+        ? deposit_loop(2, n, ncell, rho, scratch, icell, d, charge)
+        : deposit_loop(3, n, ncell, rho, scratch, icell, d, charge);
+}
+
+/* Stable counting sort by cell (section IV-E): histogram, exclusive
+ * prefix sum, cursor scatter.  `cursor` is ncell entries of scratch.
+ * Returns -1, or the index of the first key outside [0, ncell). */
+int64_t sort_permutation(int64_t n, int64_t ncell, const int64_t *key,
+                         int64_t *cursor, int64_t *perm)
+{
+    for (int64_t c = 0; c < ncell; c++)
+        cursor[c] = 0;
+    for (int64_t k = 0; k < n; k++) {
+        if ((uint64_t)key[k] >= (uint64_t)ncell)
+            return k;
+        cursor[key[k]]++;
+    }
+    int64_t start = 0;
+    for (int64_t c = 0; c < ncell; c++) {
+        const int64_t count = cursor[c];
+        cursor[c] = start;
+        start += count;
+    }
+    for (int64_t k = 0; k < n; k++)
+        perm[cursor[key[k]]++] = k;
+    return -1;
+}

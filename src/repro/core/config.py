@@ -62,11 +62,12 @@ class OptimizationConfig:
         operation (§IV-B).
     backend:
         Kernel execution backend: ``"numpy"`` (cache-blocked array kernels),
-        ``"numba"`` (JIT-compiled scalar loops; requires the ``jit``
-        extra), ``"numpy-mp"`` (the shared-memory multiprocessing
+        ``"c"`` (the scalar C loops of ``ckernels.c``, built with the
+        host compiler at first use; bitwise equal to ``"numpy"``),
+        ``"numpy-mp"`` (the shared-memory multiprocessing
         engine of :mod:`repro.parallel.executor`), or ``"auto"``
-        (default) — the highest-priority backend whose dependencies
-        are installed (never ``numpy-mp``; multiprocessing is opt-in).
+        (default) — ``"c"`` where a C compiler is on ``PATH``, else
+        ``"numpy"`` (never ``numpy-mp``; multiprocessing is opt-in).
         All backends produce identical physics; see
         :mod:`repro.core.backends`.
     workers:

@@ -495,13 +495,6 @@ class PICStepper(StepLoop):
     def _phase_accumulate(self) -> None:
         p = self.particles
         if self.fields.layout == "redundant":
-            # thread-parallel when offered: the cell-ownership scheme is
-            # bitwise-equal to the serial kernel
-            if self.backend.supports("parallel_deposit"):
-                self.backend.accumulate_redundant_parallel(
-                    self.fields.rho_1d, p.icell, p.dx, p.dy, self._charge_factor
-                )
-                return
             self.backend.accumulate_redundant(
                 self.fields.rho_1d, p.icell, p.dx, p.dy, self._charge_factor
             )

@@ -76,9 +76,7 @@ def cellwise_accumulate_redundant(
     order — exactly the order the serial deposit sums them — so the
     reduction is bitwise equal to the serial result and invariant to
     ``nthreads``.  The trade is p passes over the particle keys for a
-    race-free, reproducible reduction; the ``@njit`` twin
-    (:func:`repro.core.njit_kernels.accumulate_redundant_parallel_njit`)
-    runs the p scans concurrently so the extra reads are the only cost.
+    race-free, reproducible reduction.
     """
     icell = np.asarray(icell)
     for sl in partition_range(rho_1d.shape[0], nthreads):

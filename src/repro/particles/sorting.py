@@ -30,9 +30,8 @@ exactly the counting-sort cursor scatter (stable: within each cell the
 original particle order survives).  On 2M keys over 4096 cells this
 measures ~5x faster than ``np.argsort(kind="stable")``.  Installs
 without SciPy fall back to the stable argsort (radix sort on int64 —
-same permutation, just not the textbook scatter).  The numba backend
-registers an ``@njit`` cursor-loop variant on top
-(:func:`repro.core.njit_kernels.counting_sort_permutation_njit`).
+same permutation, just not the textbook scatter).  The ``c`` backend
+runs the cursor loop itself (``sort_permutation`` in ``ckernels.c``).
 """
 
 from __future__ import annotations
@@ -74,7 +73,7 @@ def counting_sort_permutation(keys: np.ndarray, ncells: int) -> np.ndarray:
 
     Equivalence promise: stability makes the permutation *unique*, so
     every implementation in the repo (this scatter, the Python
-    reference, the njit cursor loop) returns the bitwise-identical
+    reference, the C cursor loop) returns the bitwise-identical
     index array.  Thread-safety: a pure
     function of ``keys`` — no module state is touched, concurrent calls
     are safe.
@@ -128,7 +127,7 @@ def sort_out_of_place(
     Returns the sorted storage (the buffer); callers typically swap the
     two containers each sorting step, exactly like the double-buffered
     C code.  ``perm_fn`` overrides the permutation builder (the stepper
-    passes its backend's — e.g. the ``@njit`` cursor loop).
+    passes its backend's — e.g. the C cursor loop).
 
     Equivalence promise: any stable ``perm_fn`` yields the identical
     particle ordering (the stable permutation is unique), so backend

@@ -2,7 +2,7 @@
 
 The cache/cost models of :mod:`repro.model` predict *paper-machine*
 behaviour; this module measures what the Python kernels actually cost
-on the host, so backend comparisons (NumPy vs Numba) and throughput
+on the host, so backend comparisons (NumPy vs C) and throughput
 numbers rest on real wall-clock data:
 
 * :class:`StepTimings` — cumulative monotonic-clock seconds per kernel

@@ -249,15 +249,10 @@ class PICStepper3D(StepLoop):
         )
 
     def _phase_accumulate(self) -> None:
-        """Whole-grid deposit through the same two-rung ladder as 2D:
-        the backend's parallel cell-ownership kernel when offered,
-        serial otherwise — bitwise-identical by construction."""
         p = self.particles
-        if self.backend.supports("parallel_deposit"):
-            deposit = self.backend.accumulate_redundant_parallel_3d
-        else:
-            deposit = self.backend.accumulate_redundant_3d
-        deposit(self.fields.rho_1d, p.icell, p.dx, p.dy, p.dz, self._charge_factor)
+        self.backend.accumulate_redundant_3d(
+            self.fields.rho_1d, p.icell, p.dx, p.dy, p.dz, self._charge_factor
+        )
 
     def _solve_fields(self) -> None:
         self.rho_grid = self.fields.reduce_rho_to_grid()

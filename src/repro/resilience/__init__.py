@@ -8,7 +8,7 @@ from run-killers into bounded detours:
   (finite state, cell bounds, charge conservation, energy drift);
 * :mod:`repro.resilience.supervisor` — :class:`SupervisedRun`, which
   checkpoints on a rotation, rolls back and retries on failure, and
-  degrades the kernel backend (``numba`` → ``numpy-mp`` → ``numpy``)
+  degrades the kernel backend (``c`` → ``numpy``, ``numpy-mp`` → ``numpy``)
   when retries don't help;
 * :mod:`repro.resilience.faultinject` — a deterministic, seeded fault
   injector used by the chaos tests to prove the above actually works.

@@ -16,7 +16,7 @@ identical** to an unsupervised one — while adding, between steps:
    are discarded, restored state is re-guarded) and retries, with
    optional exponential backoff; after ``max_retries`` consecutive
    failures without progress the kernel backend is **degraded** along
-   :func:`~repro.core.backends.degradation_chain` (``numba`` →
+   :func:`~repro.core.backends.degradation_chain` (``c`` → ``numpy``,
    ``numpy-mp`` → ``numpy``) — all backends produce identical physics,
    so a degraded run is slower, never wrong.
 

@@ -28,8 +28,6 @@ CASES = ("landau", "nonlinear-landau", "two-stream", "bump-on-tail",
          "uniform")
 #: cell orderings a job may request
 ORDERINGS = ("row-major", "column-major", "l4d", "morton", "hilbert")
-#: kernel-execution backends a job may request
-BACKENDS = ("auto", "numpy", "numba", "numpy-mp")
 
 
 class JobState(enum.Enum):
@@ -176,9 +174,12 @@ class PICJob:
         if self.ordering not in ORDERINGS:
             raise ValueError(
                 f"ordering must be one of {ORDERINGS}, got {self.ordering!r}")
-        if self.backend not in BACKENDS:
+        from repro.core.backends import AUTO, known_backend_names
+
+        backends = (AUTO, *known_backend_names())
+        if self.backend not in backends:
             raise ValueError(
-                f"backend must be one of {BACKENDS}, got {self.backend!r}")
+                f"backend must be one of {backends}, got {self.backend!r}")
         if self.loop_mode not in ("split", "fused"):
             raise ValueError("loop_mode must be 'split' or 'fused'")
         object.__setattr__(self, "grid", tuple(int(g) for g in self.grid))

@@ -21,8 +21,14 @@ numpy fused, any n                  bitwise (the blocked sweep is elementwise
                                     per particle and runs the split
                                     kernels' own code; one whole-population
                                     deposit follows on either path)
-numba split / fused                 tolerance (LLVM scalar loops vs numpy
-                                    SIMD association)
+c split / fused, 2D                 bitwise (``ckernels.c`` is written to
+                                    NumPy's bits: same fold orders, no FMA
+                                    contraction; on ``ParticleAoS`` the
+                                    strided columns take the inherited
+                                    NumPy kernels)
+c split / fused, 3D                 tolerance (deposit and push bitwise;
+                                    NumPy's 3D gather is an ``einsum`` of
+                                    unspecified association)
 in-place vs out-of-place sort       bitwise (same stable permutation)
 scalar ReferenceStepper             bitwise (checked separately in tests;
                                     too slow for the sampled matrix)
@@ -299,9 +305,10 @@ class DifferentialRunner:
                     (Combo("numpy-mp", loop_mode="split", workers=workers),
                      "bitwise")
                 )
-        if "numba" in avail:
-            combos.append((Combo("numba", loop_mode="split"), "tolerance"))
-            combos.append((Combo("numba", loop_mode="fused"), "tolerance"))
+        if "c" in avail:
+            relation = "bitwise" if scenario.dims == 2 else "tolerance"
+            combos.append((Combo("c", loop_mode="split"), relation))
+            combos.append((Combo("c", loop_mode="fused"), relation))
         if scenario.sort_period:
             flipped = (
                 "out-of-place" if scenario.sort_variant == "in-place"

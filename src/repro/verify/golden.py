@@ -11,12 +11,13 @@ exact round-tripping float64 values.
 The gate (:mod:`tools.verify_gate`) then holds backends to the
 document per the promise matrix:
 
-* **bitwise backends** (numpy, numpy-mp): every per-step digest and
+* **bitwise backends** (numpy, c, numpy-mp): every per-step digest and
   every series value must match *exactly* — a single-ULP change
   anywhere in the state flips the sha256 and fails the gate, which is
   precisely the sensitivity a numerical-regression tripwire needs;
-* **tolerance backends** (numba): the series must agree within the
-  per-quantity tolerances recorded in the document.
+* **tolerance backends** (anything registered beyond those three): the
+  series must agree within the per-quantity tolerances recorded in
+  the document.
 
 Regeneration (after an *intentional* numerics change) is one command —
 ``python tools/verify_gate.py --regenerate`` — followed by a commit of
@@ -60,7 +61,7 @@ GOLDEN_SCHEMA = 1
 
 #: backends promised bitwise-equal to the reference path: held to
 #: exact digests and exact series values
-_BITWISE_BACKENDS = ("numpy", "numpy-mp")
+_BITWISE_BACKENDS = ("numpy", "c", "numpy-mp")
 
 #: per-quantity relative tolerances for tolerance-level backends
 _SERIES_TOLERANCES = {

@@ -5,9 +5,10 @@ installed) must reproduce the scalar reference kernels of
 :mod:`repro.core.reference` on float64 to tight tolerance — the same
 oracle discipline `tests/test_core_kernels.py` applies to the numpy
 kernels, now applied uniformly through the backend interface.  The
-numba-absent path (registry still lists it, `get_backend` refuses
-politely, "auto" falls back) is covered whether or not numba is
-installed.
+compiler-less path (registry still lists `c`, `get_backend` refuses
+politely, "auto" falls back) is covered by masking the compiler, so it
+runs on every host; the `c`-vs-`numpy` bitwise matrix is in
+`tests/test_ckernels.py`.
 """
 
 import numpy as np
@@ -17,8 +18,8 @@ from repro.core import OptimizationConfig, Simulation
 from repro.core.backends import (
     AUTO,
     BackendUnavailableError,
+    CBackend,
     KernelBackend,
-    NumbaBackend,
     available_backends,
     get_backend,
     known_backend_names,
@@ -39,7 +40,18 @@ from tests.conftest import random_particle_arrays
 NCX = NCY = 16
 N = 300
 
-HAS_NUMBA = NumbaBackend.is_available()
+
+@pytest.fixture
+def no_compiler(monkeypatch, tmp_path):
+    """A host with no C compiler and nothing cached: ``PATH`` and the
+    cache directories point at empty directories, and the instance
+    the registry may already hold is set aside."""
+    import repro.core.backends as B
+
+    monkeypatch.setenv("PATH", str(tmp_path))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
+    monkeypatch.delitem(B._INSTANCES, "c", raising=False)
 
 
 @pytest.fixture(params=sorted(available_backends()))
@@ -55,10 +67,14 @@ class TestRegistry:
     def test_numpy_always_available(self):
         assert "numpy" in available_backends()
 
-    def test_numba_always_registered(self):
-        # registered even when not importable: the name is known, the
+    def test_registry_lists_exactly_three(self):
+        assert known_backend_names() == ("numpy", "c", "numpy-mp")
+
+    def test_c_always_registered(self, no_compiler):
+        # registered even when it cannot build: the name is known, the
         # instantiation is what's gated
-        assert "numba" in known_backend_names()
+        assert "c" in known_backend_names()
+        assert "c" not in available_backends()
 
     def test_auto_resolves_to_available(self):
         assert resolve_backend_name(AUTO) in available_backends()
@@ -83,19 +99,27 @@ class TestRegistry:
         assert OptimizationConfig().resolved_backend in available_backends()
         assert OptimizationConfig(backend="numpy").resolved_backend == "numpy"
 
-    @pytest.mark.skipif(HAS_NUMBA, reason="numba installed: skip-path untestable")
-    def test_numba_absent_raises_unavailable(self):
-        with pytest.raises(BackendUnavailableError, match="repro\\[jit\\]"):
-            get_backend("numba")
+    def test_c_without_compiler_raises_unavailable(self, no_compiler):
+        with pytest.raises(BackendUnavailableError, match="C compiler on PATH"):
+            get_backend("c")
 
-    @pytest.mark.skipif(HAS_NUMBA, reason="numba installed: skip-path untestable")
-    def test_auto_falls_back_to_numpy_without_numba(self):
+    def test_auto_falls_back_to_numpy_without_compiler(self, no_compiler):
         assert resolve_backend_name(AUTO) == "numpy"
         assert get_backend(AUTO).name == "numpy"
 
-    @pytest.mark.skipif(not HAS_NUMBA, reason="needs numba")
-    def test_auto_prefers_numba_when_installed(self):
-        assert resolve_backend_name(AUTO) == "numba"
+    @pytest.mark.skipif(not CBackend.is_available(), reason="no C compiler")
+    def test_auto_prefers_c_where_it_builds(self):
+        assert resolve_backend_name(AUTO) == "c"
+
+    def test_retired_numba_name_is_rejected(self):
+        from repro.service import PICJob
+
+        with pytest.raises(KeyError, match="unknown kernel backend"):
+            get_backend("numba")
+        with pytest.raises(ValueError, match="backend must be one of"):
+            OptimizationConfig(backend="numba")
+        with pytest.raises(ValueError, match="backend must be one of"):
+            PICJob(backend="numba")
 
 
 # ----------------------------------------------------------------------

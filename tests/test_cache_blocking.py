@@ -9,7 +9,9 @@ shard bodies all run through):
   past a block boundary;
 * state digests of runs longer than one block, **recorded from the
   commit before the kernels were blocked**, are reproduced by numpy
-  split, numpy fused and ``numpy-mp`` at 2 and 4 workers;
+  split, numpy fused and ``numpy-mp`` at 2 and 4 workers — and, in 2D,
+  by ``c`` split and fused (its 3D gather agrees with NumPy's
+  ``einsum`` to rounding only, so the 3D digest is not its to match);
 * the transient memory of the blocked kernels does not grow with the
   population (a ``tracemalloc`` byte count, identical on every host).
 """
@@ -22,7 +24,7 @@ import pytest
 
 import repro.core.kernels as kernels
 from repro.core import OptimizationConfig, Simulation
-from repro.core.backends import get_backend
+from repro.core.backends import CBackend, get_backend
 from repro.curves import get_ordering
 from repro.grid import GridSpec
 from repro.grid.fields import RedundantFields, StandardFields
@@ -174,9 +176,16 @@ COMBOS = [
     pytest.param("numpy-mp", "split", 2, id="numpy-mp-w2"),
     pytest.param("numpy-mp", "split", 4, id="numpy-mp-w4"),
 ]
+_needs_cc = pytest.mark.skipif(
+    not CBackend.is_available(), reason="no C compiler"
+)
+COMBOS_2D = COMBOS + [
+    pytest.param("c", "split", None, id="c-split", marks=_needs_cc),
+    pytest.param("c", "fused", None, id="c-fused", marks=_needs_cc),
+]
 
 
-@pytest.mark.parametrize("backend,loop_mode,workers", COMBOS)
+@pytest.mark.parametrize("backend,loop_mode,workers", COMBOS_2D)
 def test_parent_digest_beyond_one_block_2d(backend, loop_mode, workers):
     cfg = OptimizationConfig(backend=backend, loop_mode=loop_mode, workers=workers)
     grid = GridSpec(32, 32, 0.0, 4 * np.pi, 0.0, 4 * np.pi)

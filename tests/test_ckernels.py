@@ -1,0 +1,508 @@
+"""The C rendering: ``ckernels.c`` through ``CBackend``.
+
+Three promises, each with its own class:
+
+* **NumPy's bits** — every ``c`` kernel equals its ``numpy`` twin with
+  ``np.array_equal`` (the 3D gather to rounding: NumPy's is an
+  ``einsum``), over both dimensions, populations around the NumPy
+  block size, all three wraps, every ordering, stored and recomputed
+  coordinates, scales 0 / 1 / other and particles several periods
+  outside the box; the fused sweep equals the split passes.
+* **Defined on every input** — non-finite positions, cell indices
+  outside the grid, empty and one-particle populations, columns that do
+  not fit the C ABI.  ``tools/c_sanitize_gate.py`` runs the first two
+  classes against a ``-fsanitize=undefined`` build.
+* **The build** — concurrent builders, a refused cache directory, a
+  failing compiler, an object that does not load, cache hits.
+"""
+
+import json
+import logging
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import repro.core.backends as B
+from repro.core import OptimizationConfig, Simulation, cbuild
+from repro.core.backends import (
+    BackendUnavailableError,
+    CBackend,
+    get_backend,
+)
+from repro.core.kernels import BLOCK
+from repro.curves import get_ordering
+from repro.grid import GridSpec
+from repro.particles import LandauDamping
+from repro.particles.storage import ParticleSoA
+from repro.pic3d.ordering3d import Morton3DOrdering, RowMajor3DOrdering
+from repro.resilience import FaultInjector, SupervisedRun
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+needs_cc = pytest.mark.skipif(
+    not CBackend.is_available(), reason="no C compiler"
+)
+
+SIZES = [0, 1, BLOCK - 1, 2 * BLOCK + 17]
+VARIANTS = ["branch", "modulo", "bitwise"]
+#: (ndim, ordering name) — every 2D curve of the registry, both 3D ones
+CURVES = [
+    (2, "row-major"), (2, "column-major"), (2, "morton"), (2, "l4d"),
+    (2, "hilbert"), (3, "row-major-3d"), (3, "morton-3d"),
+]
+
+
+def _ordering(ndim, name):
+    if ndim == 3:
+        cls = {"row-major-3d": RowMajor3DOrdering, "morton-3d": Morton3DOrdering}
+        return cls[name](8, 4, 16), (8, 4, 16)
+    # rectangular where the curve allows it: Morton's surplus bits
+    shape = (16, 16) if name == "hilbert" else (16, 8)
+    return get_ordering(name, *shape), shape
+
+
+def _population(rng, ndim, n, ordering, shape, stored):
+    """A random population whose velocities carry it several periods
+    outside the box."""
+    coords = [rng.integers(0, nc, n) for nc in shape]
+    cols = {"icell": ordering.encode(*coords)}
+    for a, c, nc in zip("xyz", coords, shape):
+        cols["d" + a] = rng.random(n)
+        cols["v" + a] = rng.normal(0.0, 3.0 * nc, n)
+        if stored:
+            cols["i" + a] = c
+    p = ParticleSoA(n, 1.0, store_coords=stored, ndim=ndim)
+    p.set_state(**cols)
+    return p
+
+
+def _copy(p):
+    q = ParticleSoA(p.n, p.weight, p.store_coords, p.ndim)
+    q.set_state(**p.as_dict())
+    return q
+
+
+def _assert_same(p, q, what):
+    for name in p.keys():
+        assert np.array_equal(p[name], q[name]), (what, name)
+
+
+class _Fields:
+    """What a fused kernel reads of a field storage."""
+
+    layout = "redundant"
+
+    def __init__(self, e_1d, shape):
+        self.e_1d = e_1d
+        self.grid = GridSpec(*shape) if len(shape) == 2 else None
+        if self.grid is None:
+            from repro.pic3d import GridSpec3D
+
+            self.grid = GridSpec3D(*shape)
+
+
+def _fused(backend, fields, p, ordering, variant, coefs, scales):
+    if p.ndim == 2:
+        backend.fused_interp_kick_push(
+            fields, p, ordering, variant, *coefs, *scales)
+    else:
+        backend.fused_interp_kick_push_3d(
+            fields, p, ordering, variant, coefs, scales)
+
+
+# ----------------------------------------------------------------------
+# NumPy's bits
+# ----------------------------------------------------------------------
+@needs_cc
+class TestEquivalence:
+    @pytest.mark.parametrize("stored", [True, False], ids=["stored", "recomputed"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("ndim,curve", CURVES)
+    def test_kernels_equal_numpy(self, ndim, curve, n, variant, stored):
+        c, numpy = get_backend("c"), get_backend("numpy")
+        rng = np.random.default_rng(n + ndim)
+        ordering, shape = _ordering(ndim, curve)
+        axes = "xyz"[:ndim]
+        state = _population(rng, ndim, n, ordering, shape, stored)
+        ncell = ordering.ncells_allocated
+        e_1d = rng.normal(size=(ncell, ndim << ndim))
+        offsets = tuple(state["d" + a] for a in axes)
+
+        # gather
+        got = c.interpolate_rows(e_1d, state.icell, offsets)
+        want = numpy.interpolate_rows(e_1d, state.icell, offsets)
+        for g, w in zip(got, want):
+            if ndim == 2:
+                assert np.array_equal(g, w)
+            else:
+                np.testing.assert_allclose(
+                    g, w, rtol=1e-14, atol=1e-14 * np.abs(e_1d).max())
+
+        # deposit, onto a density that is not zero
+        rho = rng.normal(size=(ncell, 1 << ndim))
+        rho_c, rho_n = rho.copy(), rho.copy()
+        c.accumulate_rows(rho_c, state.icell, offsets, -0.37)
+        numpy.accumulate_rows(rho_n, state.icell, offsets, -0.37)
+        assert np.array_equal(rho_c, rho_n)
+
+        # push: the ledger's zero displacement, hoisted, un-hoisted
+        for scales in ((0.0,) * ndim, (1.0,) * ndim, (0.37, 1.9, 0.5)[:ndim]):
+            p, q = _copy(state), _copy(state)
+            c.push(p, shape, ordering, variant, scales)
+            numpy.push(q, shape, ordering, variant, scales)
+            _assert_same(p, q, ("push", scales))
+
+        # sort permutation
+        assert np.array_equal(
+            c.counting_sort_permutation(state.icell, ncell),
+            numpy.counting_sort_permutation(state.icell, ncell),
+        )
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("ndim,curve", CURVES)
+    def test_fused_equals_split(self, ndim, curve, n, variant):
+        """One pass per particle == three passes, bitwise, on ``c``; in
+        2D both equal ``numpy``'s fused sweep too."""
+        c, numpy = get_backend("c"), get_backend("numpy")
+        rng = np.random.default_rng(n + ndim)
+        ordering, shape = _ordering(ndim, curve)
+        axes = "xyz"[:ndim]
+        state = _population(rng, ndim, n, ordering, shape, stored=True)
+        for a in axes:  # a kick must not be lost in the displacement
+            state["v" + a][:] = rng.normal(size=n)
+        fields = _Fields(
+            rng.normal(size=(ordering.ncells_allocated, ndim << ndim)), shape)
+        coefs, scales = (0.7, 1.0, -0.3)[:ndim], (1.0, 0.5, 1.9)[:ndim]
+
+        fused = _copy(state)
+        _fused(c, fields, fused, ordering, variant, coefs, scales)
+        split = _copy(state)
+        e_p = c.interpolate_rows(
+            fields.e_1d, split.icell, tuple(split["d" + a] for a in axes))
+        c.kick([split["v" + a] for a in axes], e_p, coefs)
+        c.push(split, shape, ordering, variant, scales)
+        _assert_same(fused, split, "fused vs split")
+        if ndim == 2:
+            ref = _copy(state)
+            _fused(numpy, fields, ref, ordering, variant, coefs, scales)
+            _assert_same(fused, ref, "c fused vs numpy fused")
+
+    def test_aos_run_has_numpy_bits(self):
+        """Strided ``ParticleAoS`` columns do not fit the C ABI: the
+        run takes the inherited NumPy kernels, and their bits."""
+        grid = GridSpec(16, 16, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
+        states = {}
+        for backend in ("c", "numpy"):
+            cfg = OptimizationConfig(
+                particle_layout="aos", sort_period=3, backend=backend)
+            with Simulation(grid, LandauDamping(alpha=0.05), 1500, cfg,
+                            dt=0.05, seed=11) as sim:
+                sim.run(7)
+                states[backend] = (
+                    sim.particles.as_dict(), sim.stepper.rho_grid.copy())
+        for name, want in states["numpy"][0].items():
+            assert np.array_equal(states["c"][0][name], want), name
+        assert np.array_equal(states["c"][1], states["numpy"][1])
+
+
+# ----------------------------------------------------------------------
+# Defined on every input
+# ----------------------------------------------------------------------
+@needs_cc
+class TestDefinedOnEveryInput:
+    BAD = [np.nan, np.inf, -np.inf, 1e300, -1e300, 2.0**63, -(2.0**63)]
+
+    def _poisoned(self, stored=True):
+        rng = np.random.default_rng(0)
+        ordering, shape = _ordering(2, "morton")
+        p = _population(rng, 2, 64, ordering, shape, stored)
+        p.vx[:] = rng.normal(size=64)
+        p.vy[:] = rng.normal(size=64)
+        p.vx[: len(self.BAD)] = self.BAD
+        p.vy[8 : 8 + len(self.BAD)] = self.BAD
+        return p, ordering, shape
+
+    def test_bitwise_push_of_non_finite_positions(self):
+        """``icoord`` stays a coordinate and the offset carries the
+        poison out, for the supervisor's finite guard to find."""
+        p, ordering, shape = self._poisoned()
+        get_backend("c").push(p, shape, ordering, "bitwise", (1.0, 1.0))
+        bad = slice(0, 3)  # nan, +inf, -inf
+        assert not np.isfinite(p.dx[bad]).any()
+        assert np.isnan(p.dx[0]) and p.dx[1] == np.inf and p.dx[2] == -np.inf
+        assert ((0 <= p.ix) & (p.ix < shape[0])).all()
+        assert ((0 <= p.icell) & (p.icell < ordering.ncells_allocated)).all()
+        clean = slice(16, None)
+        assert np.isfinite(p.dx[clean]).all() and np.isfinite(p.dy[clean]).all()
+
+    @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                        reason="NumPy's out-of-range cast is per-ISA")
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_non_finite_push_has_x86_numpy_bits(self, variant):
+        """Where NumPy's ``astype(int64)`` is itself defined (x86's
+        cvttsd2si), the C loops return the same values — so the guard
+        trips at the same step on either backend."""
+        p, ordering, shape = self._poisoned()
+        q = _copy(p)
+        get_backend("c").push(p, shape, ordering, variant, (1.0, 1.0))
+        with np.errstate(invalid="ignore"):
+            get_backend("numpy").push(q, shape, ordering, variant, (1.0, 1.0))
+        for name in ("dx", "dy", "ix", "iy"):
+            np.testing.assert_array_equal(p[name], q[name], err_msg=name)
+
+    def test_guard_trips_at_the_same_step_as_numpy(self):
+        def failures(backend):
+            grid = GridSpec(16, 16, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
+            cfg = OptimizationConfig(backend=backend)
+            sim = Simulation(grid, LandauDamping(alpha=0.05), 1500, cfg,
+                             dt=0.05, seed=11)
+            inj = FaultInjector(seed=3).add_nan(step=7, array="vx", count=5)
+            with SupervisedRun(sim, checkpoint_every=5, injector=inj) as sup:
+                history = sup.run(12)
+                return ([(f["step"], f["error"]) for f in sup.report.failures],
+                        history.field_energy)
+
+        with np.errstate(invalid="ignore"):
+            want = failures("numpy")
+        assert want[0] and want[0][0][1] == "GuardTrippedError"
+        assert failures("c") == want
+
+    def test_cell_outside_the_grid_raises_and_touches_nothing(self):
+        c = get_backend("c")
+        rng = np.random.default_rng(0)
+        n, ncell = 100, 64
+        icell = rng.integers(0, ncell, n)
+        d = (rng.random(n), rng.random(n))
+        rho = rng.normal(size=(ncell, 4))
+        before = rho.copy()
+        for bad in (ncell, -1, np.iinfo(np.int64).min):
+            icell[37] = bad
+            with pytest.raises(IndexError, match="particle 37"):
+                c.accumulate_rows(rho, icell, d, 1.0)
+            assert np.array_equal(rho, before)
+            with pytest.raises(IndexError, match="particle 37"):
+                c.interpolate_rows(rng.normal(size=(ncell, 8)), icell, d)
+            with pytest.raises(ValueError, match="keys out of range"):
+                c.counting_sort_permutation(icell, ncell)
+
+    def test_arguments_that_do_not_fit_take_the_numpy_kernel(self):
+        """Lists, int32 indices, strided views and read-only arrays:
+        NumPy's answer, not a bad pointer."""
+        c, numpy = get_backend("c"), get_backend("numpy")
+        rng = np.random.default_rng(0)
+        n, ncell = 50, 64
+        e_1d = rng.normal(size=(ncell, 8))
+        icell = rng.integers(0, ncell, n)
+        dx, dy = rng.random(2 * n)[::2], rng.random(n)
+        frozen = rng.random(n)
+        frozen.flags.writeable = False
+        for args in (
+            (e_1d, icell.astype(np.int32), (dy, dy)),
+            (e_1d, list(icell), (dy, dy)),
+            (e_1d, icell, (dx, dy)),
+            (e_1d, icell, (frozen, dy)),
+            (np.asfortranarray(e_1d), icell, (dy, dy)),
+        ):
+            for g, w in zip(c.interpolate_rows(*args),
+                            numpy.interpolate_rows(*args)):
+                assert np.array_equal(g, w)
+
+    def test_bad_variant_and_extent_raise_like_numpy(self):
+        p, ordering, shape = self._poisoned()
+        c = get_backend("c")
+        with pytest.raises(KeyError):
+            c.push(p, shape, ordering, "no-such-wrap", (1.0, 1.0))
+        with pytest.raises(ValueError, match="power-of-two"):
+            c.push(p, (12, 8), ordering, "bitwise", (1.0, 1.0))
+
+
+# ----------------------------------------------------------------------
+# The build
+# ----------------------------------------------------------------------
+@pytest.fixture
+def fresh_cache(monkeypatch, tmp_path):
+    """Empty cache candidates under ``tmp_path``; the registry's cached
+    ``c`` instance is set aside for the test."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
+    monkeypatch.delitem(B._INSTANCES, "c", raising=False)
+    return tmp_path / "xdg" / "repro"
+
+
+def _stub_compiler(tmp_path, monkeypatch, script):
+    bindir = tmp_path / "bin"
+    bindir.mkdir()
+    cc = bindir / "cc"
+    cc.write_text("#!/bin/sh\n" + script)
+    cc.chmod(0o755)
+    monkeypatch.setenv("PATH", str(bindir))
+
+
+class TestBuild:
+    @needs_cc
+    def test_first_build_logs_once_then_hits_the_cache(self, fresh_cache, caplog):
+        with caplog.at_level(logging.INFO, logger="repro.backends"):
+            first = CBackend().build_info
+            second = CBackend().build_info
+        assert first.compiled and not second.compiled
+        assert first.path == second.path and first.path.parent == fresh_cache
+        assert first.flags == cbuild.FLAGS and "-ffast-math" not in first.flags
+        lines = [r for r in caplog.records if "compiled the C kernels" in r.message]
+        assert len(lines) == 1
+        assert fresh_cache.stat().st_mode & 0o777 == 0o700
+        assert not list(fresh_cache.glob("*.tmp"))
+
+    @needs_cc
+    def test_two_processes_building_at_once_both_load(self, tmp_path):
+        script = (
+            "from repro.core.backends import CBackend\n"
+            "import numpy as np\n"
+            "b = CBackend()\n"
+            "perm = b.counting_sort_permutation(np.array([2, 0, 1, 0]), 3)\n"
+            "assert perm.tolist() == [1, 3, 2, 0]\n"
+            "print(b.build_info.path)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC, XDG_CACHE_HOME=str(tmp_path))
+        procs = [
+            subprocess.Popen([sys.executable, "-c", script], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             text=True)
+            for _ in range(2)
+        ]
+        outs = [p.communicate(timeout=120) for p in procs]
+        assert [p.returncode for p in procs] == [0, 0], outs
+        assert outs[0][0] == outs[1][0]
+        left = sorted(f.name for f in (tmp_path / "repro").iterdir())
+        assert len(left) == 1 and left[0].endswith(".so"), left
+
+    @needs_cc
+    def test_cache_directory_others_can_write_is_refused(self, fresh_cache, caplog):
+        fresh_cache.mkdir(parents=True)
+        fresh_cache.chmod(0o777)
+        planted = fresh_cache / f"ckernels-{cbuild._source_key(cbuild.FLAGS)}-0.so"
+        planted.write_bytes(b"not an object")
+        assert cbuild.cached_objects() == []
+        with caplog.at_level(logging.WARNING, logger="repro.backends"):
+            info = CBackend().build_info
+        assert info.path.parent != fresh_cache
+        assert info.path.parent.name == f"repro-{os.getuid()}"
+        assert any("refusing" in r.message for r in caplog.records)
+        assert sorted(fresh_cache.iterdir()) == [planted]
+
+    @needs_cc
+    @pytest.mark.skipif(os.getuid() != 0, reason="needs chown")
+    def test_cache_directory_of_another_user_is_refused(self, fresh_cache):
+        fresh_cache.mkdir(parents=True, mode=0o700)
+        os.chown(fresh_cache, 12345, -1)
+        assert CBackend().build_info.path.parent != fresh_cache
+        assert not list(fresh_cache.iterdir())
+
+    def test_failing_compiler_falls_back_to_numpy_with_one_warning(
+        self, fresh_cache, tmp_path, monkeypatch, caplog
+    ):
+        _stub_compiler(tmp_path, monkeypatch, "exit 1\n")
+        assert CBackend.is_available()
+        with pytest.raises(BackendUnavailableError, match="exited 1"):
+            get_backend("c")
+        with caplog.at_level(logging.WARNING, logger="repro.backends"):
+            assert get_backend("auto").name == "numpy"
+        warned = [r for r in caplog.records
+                  if "failed to initialize" in r.getMessage()]
+        assert len(warned) == 1
+        assert not fresh_cache.exists() or not list(fresh_cache.iterdir())
+
+    @needs_cc
+    def test_object_that_does_not_load_raises(
+        self, fresh_cache, tmp_path, monkeypatch
+    ):
+        # under another directory: the loader would hand back the
+        # object this process has already mapped for a path it knows
+        name = CBackend().build_info.path.name
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "other"))
+        (tmp_path / "other" / "repro").mkdir(parents=True, mode=0o700)
+        (tmp_path / "other" / "repro" / name).write_bytes(b"\x7fELF garbage")
+        with pytest.raises(BackendUnavailableError, match="cannot load"):
+            CBackend()
+
+    @needs_cc
+    def test_cached_object_serves_a_host_without_compiler(
+        self, fresh_cache, tmp_path, monkeypatch
+    ):
+        built = CBackend().build_info.path
+        monkeypatch.setenv("PATH", str(tmp_path))
+        assert cbuild.find_compiler() is None and CBackend.is_available()
+        info = CBackend().build_info
+        assert info.path == built and info.cc is None and not info.compiled
+
+
+    @needs_cc
+    def test_closed_run_returns_its_memory(self):
+        """Nothing the backend allocates for good may land on the heap
+        above the particle arrays, or glibc cannot return them when the
+        run is closed: a ``c`` run leaves the arena as small as a
+        ``numpy`` one.  (It held 125 MB more while a cache hit still ran
+        ``cc --version`` — the ``subprocess`` machinery's first use —
+        and made its ``ctypes`` array types at the first kernel call.)"""
+        script = (
+            "import ctypes, gc, sys\n"
+            "import numpy as np\n"
+            "from repro.core import OptimizationConfig, Simulation\n"
+            "from repro.grid import GridSpec\n"
+            "from repro.particles import LandauDamping\n"
+            "libc = ctypes.CDLL(None)\n"
+            "if not hasattr(libc, 'mallinfo2'):\n"
+            "    sys.exit(77)\n"
+            "class Info(ctypes.Structure):\n"
+            "    _fields_ = [(str(i), ctypes.c_size_t) for i in range(10)]\n"
+            "libc.mallinfo2.restype = Info\n"
+            "grid = GridSpec(64, 64, 0.0, 4 * np.pi, 0.0, 4 * np.pi)\n"
+            "sim = Simulation(grid, LandauDamping(alpha=0.05), 1_000_000,\n"
+            "                 OptimizationConfig(backend=sys.argv[1]), dt=0.1, seed=1)\n"
+            "sim.run(3)\n"
+            "sim.close(); del sim; gc.collect()\n"
+            "print(getattr(libc.mallinfo2(), '0') / 2**20)\n"  # .arena
+        )
+        arena = {}
+        for backend in ("numpy", "c"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, backend], capture_output=True,
+                text=True, timeout=120, env=dict(os.environ, PYTHONPATH=SRC))
+            if proc.returncode == 77:
+                pytest.skip("no mallinfo2 (not glibc >= 2.33)")
+            assert proc.returncode == 0, proc.stderr
+            arena[backend] = float(proc.stdout)
+        assert arena["c"] < arena["numpy"] + 16, arena
+
+
+# ----------------------------------------------------------------------
+# What the user sees
+# ----------------------------------------------------------------------
+@needs_cc
+class TestObservability:
+    def test_info_names_the_compiler_and_the_object(self, capsys):
+        from repro.cli import main
+
+        assert main(["info"]) == 0
+        out = capsys.readouterr().out
+        info = get_backend("c").build_info
+        assert "(auto -> c)" in out
+        assert info.cc in out and str(info.path) in out
+        assert "-ffp-contract=off" in out
+        assert "cache hit" in out or "compiled by this process" in out
+
+    def test_run_records_the_backend_as_c(self, capsys, tmp_path):
+        from repro.cli import main
+
+        tj = tmp_path / "timings.json"
+        assert main(["run", "--particles", "2000", "--steps", "4",
+                     "--grid", "16", "8", "--supervise",
+                     "--timings-json", str(tj)]) == 0
+        assert "backend=c" in capsys.readouterr().out
+        doc = json.loads(tj.read_text())
+        assert doc["supervisor"]["backend_history"] == ["c"]

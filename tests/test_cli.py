@@ -195,6 +195,17 @@ class TestRun:
         assert "invalid choice: 'auto'" in err
         assert "'split'" in err and "'fused'" in err
 
+    @pytest.mark.parametrize("verb", ["run", "submit"])
+    def test_backend_choices_are_the_registry(self, capsys, verb):
+        """``numba`` went with its backend: an ordinary invalid choice,
+        answered with the names the registry holds."""
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--backend", "numba"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'numba'" in err
+        assert "'auto', 'numpy', 'c', 'numpy-mp'" in err
+
 
 class TestCalibrateCommand:
     def test_calibrate_roundtrip_is_deterministic(self, capsys, tmp_path):

@@ -218,6 +218,11 @@ class TestBothDimensions:
         park = dim.saved(tmp_path, n=1500, steps=6)
         _assert_auto_archive_resumes_like(dim, park, tmp_path)
 
+    def test_archive_saved_under_backend_numba_resumes_as_auto(self, dim, tmp_path):
+        """``backend="numba"`` (retired for ``c``) reads as ``"auto"``."""
+        park = dim.saved(tmp_path, n=1500, steps=6)
+        _assert_numba_archive_resumes_as_auto(dim, park, tmp_path)
+
     # -- error surface -------------------------------------------------
     # [3d] was test_checkpoint3d.py::TestErrorSurface::(same name)
     def test_missing_file_raises_mismatch(self, dim, tmp_path):
@@ -300,6 +305,31 @@ def _assert_auto_archive_resumes_like(dim, archive, tmp_path):
 
 def test_pre_pr15_3d_archive_with_loop_mode_auto_resumes_bitwise(tmp_path):
     _assert_auto_archive_resumes_like(_Dim(3), ARCHIVE_3D_PR14, tmp_path)
+
+
+def _assert_numba_archive_resumes_as_auto(dim, archive, tmp_path):
+    """``archive`` with its stored ``backend`` rewritten to ``"numba"``
+    loads as ``"auto"`` and steps bitwise-equal to the same archive
+    stored under ``"auto"``."""
+    stored = {}
+    for backend in ("numba", "auto"):
+        stored[backend] = tmp_path / f"stored_{backend}.npz"
+        shutil.copy(archive, stored[backend])
+        rewrite_saved_config(stored[backend], {"backend": backend})
+    ref, resumed = dim.load(stored["auto"]), dim.load(stored["numba"])
+    try:
+        assert resumed.config.backend == "auto"
+        assert resumed.config == ref.config
+        ref.run(8)
+        resumed.run(8)
+        dim.assert_state_equal(resumed, ref)
+    finally:
+        resumed.close()
+        ref.close()
+
+
+def test_pre_pr15_3d_archive_with_backend_numba_resumes_as_auto(tmp_path):
+    _assert_numba_archive_resumes_as_auto(_Dim(3), ARCHIVE_3D_PR14, tmp_path)
 
 
 class TestRoundTrip:

@@ -1,28 +1,24 @@
-"""The fused single-pass particle loop and the thread-parallel deposit.
+"""The fused single-pass particle loop and the cell-ownership deposit.
 
 Covers the dispatch plumbing (split / fused-backend),
 bitwise equivalence of the fused path against the split numpy oracle
 across every position-update variant and both field layouts, the
-thread-count invariance of the cell-ownership parallel deposit, and
+thread-count invariance of the model's cell-ownership deposit, and
 the supervisor degrading a fused-capable backend down the chain.
 
 The composite test backend renders ``fused_interp_kick_push`` by
 composing the split numpy kernels, so it is bitwise-identical to the
 split path *by construction* — that isolates the stepper dispatch and
 bookkeeping under test from the compiled kernel itself, which the
-numba-gated tests at the bottom exercise when numba is installed.
+tests at the bottom exercise on the ``c`` backend.
 """
-
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro.core.backends as B
 from repro.core import OptimizationConfig, Simulation
-from repro.core.backends import NumbaBackend, NumpyBackend, register_backend
+from repro.core.backends import CBackend, NumpyBackend, register_backend
 from repro.core.kernels import accumulate_redundant
 from repro.curves import get_ordering
 from repro.grid import GridSpec
@@ -30,25 +26,18 @@ from repro.model.openmp import cellwise_accumulate_redundant
 from repro.particles import LandauDamping
 from repro.resilience import FaultInjector, SupervisedRun
 
-HAS_NUMBA = NumbaBackend.is_available()
-
-SRC = str(Path(__file__).resolve().parents[1] / "src")
-
 
 class _FusedComposite(NumpyBackend):
-    """Numpy backend advertising the fast-path capabilities.
-
-    The fused kernel is the split kernels run back to back on the full
-    arrays, and the parallel deposit is the cell-ownership scheme from
-    :mod:`repro.model.openmp` — both bitwise-equal to the plain
-    numpy rendering, so any mismatch a test sees is the stepper's
-    fault, not the kernel's.
+    """Numpy backend whose fused kernel is the split kernels run back
+    to back on the full arrays — bitwise-equal to the plain numpy
+    rendering, so any mismatch a test sees is the stepper's fault, not
+    the kernel's.
     """
 
     name = "fused-composite"
     priority = -5  # never auto-picked
     degrades_to = "numpy"
-    capabilities = frozenset({"fused", "parallel_deposit"})
+    capabilities = frozenset({"fused"})
 
     def fused_interp_kick_push(
         self, fields, particles, ordering, variant,
@@ -70,9 +59,6 @@ class _FusedComposite(NumpyBackend):
         self.update_velocities(p.vx, p.vy, ex_p, ey_p, coef_x, coef_y)
         g = fields.grid
         self.push_positions(p, g.ncx, g.ncy, ordering, variant, scale_x, scale_y)
-
-    def accumulate_redundant_parallel(self, rho_1d, icell, dx, dy, charge=1.0):
-        cellwise_accumulate_redundant(rho_1d, icell, dx, dy, charge, nthreads=3)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -129,7 +115,7 @@ class TestLoopPathDispatch:
             t = sim.timings
             assert t.loop_paths == {"fused-backend": 3}
             assert t.fused > 0 and t.update_v == 0.0 and t.update_x == 0.0
-            # the deposit still runs (through the parallel capability)
+            # the deposit still runs, as its own phase
             assert t.accumulate > 0
             rates = t.phase_particles_per_second()
             assert rates["fused"] > 0 and rates["update_v"] == 0.0
@@ -193,24 +179,6 @@ class TestCellwiseParallelDeposit:
         cellwise_accumulate_redundant(par, icell, dx, dy, -1.5, 4)
         np.testing.assert_array_equal(par, serial)
 
-    def test_stepper_routes_full_deposit_through_parallel_capability(self):
-        calls = []
-        orig = _FusedComposite.accumulate_redundant_parallel
-
-        def spy(self, rho_1d, icell, dx, dy, charge=1.0):
-            calls.append(len(np.asarray(icell)))
-            orig(self, rho_1d, icell, dx, dy, charge)
-
-        _FusedComposite.accumulate_redundant_parallel = spy
-        try:
-            with _sim({"loop_mode": "fused", "backend": "fused-composite"},
-                      n=900, steps=2):
-                pass
-        finally:
-            _FusedComposite.accumulate_redundant_parallel = orig
-        # t=0 deposit + one per step: every one whole-array (n=900)
-        assert calls and all(c == 900 for c in calls)
-
 
 class TestSupervisorDegradesFusedBackend:
     def test_fused_backend_degrades_to_numpy_bitwise(self):
@@ -243,70 +211,67 @@ class TestSupervisorDegradesFusedBackend:
 
 
 # ----------------------------------------------------------------------
-# Numba-gated: the real compiled kernels (skipped when numba is absent)
+# The compiled kernels: ckernels.c's fused sweep and cursor sort
 # ----------------------------------------------------------------------
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-class TestNumbaFusedKernels:
+@pytest.mark.skipif(not CBackend.is_available(), reason="no C compiler")
+class TestCFusedKernels:
     STEPS = 7
 
     @pytest.mark.parametrize("variant", ["branch", "modulo", "bitwise"])
     @pytest.mark.parametrize("layout", ["redundant", "standard"])
-    def test_numba_fused_bitwise_matches_split_numpy(self, variant, layout):
+    def test_c_fused_bitwise_matches_split_numpy(self, variant, layout):
         base = {"position_update": variant, "field_layout": layout,
                 "sort_period": 3}
         with _sim({**base, "loop_mode": "split", "backend": "numpy"},
                   steps=self.STEPS) as split_sim, \
-             _sim({**base, "loop_mode": "fused", "backend": "numba"},
+             _sim({**base, "loop_mode": "fused", "backend": "c"},
                   steps=self.STEPS) as fused_sim:
             assert fused_sim.timings.loop_paths == {"fused-backend": self.STEPS}
             _assert_bitwise_equal_states(fused_sim, split_sim)
 
-    def test_njit_counting_sort_matches_reference(self, rng):
+    def test_c_fused_matches_split_without_hoisting(self):
+        # non-unit kick coefficients and position scales
+        base = {"hoisting": False, "sort_period": 3}
+        with _sim({**base, "loop_mode": "split", "backend": "numpy"},
+                  steps=self.STEPS) as split_sim, \
+             _sim({**base, "loop_mode": "fused", "backend": "c"},
+                  steps=self.STEPS) as fused_sim:
+            _assert_bitwise_equal_states(fused_sim, split_sim)
+
+    def test_c_counting_sort_matches_reference(self, rng):
         from repro.core.backends import get_backend
         from repro.particles.sorting import counting_sort_permutation_reference
 
         keys = rng.integers(0, 97, 4000).astype(np.int64)
-        perm = get_backend("numba").counting_sort_permutation(keys, 97)
+        perm = get_backend("c").counting_sort_permutation(keys, 97)
         np.testing.assert_array_equal(
             perm, counting_sort_permutation_reference(keys, 97)
         )
 
-    def test_parallel_deposit_thread_count_invariant(self):
-        """NUMBA_NUM_THREADS ∈ {1, 2, 4}: identical bits.
+    def test_c_degrades_to_numpy_bitwise(self):
+        """A supervised ``c`` run that loses its fused kernel mid-run
+        finishes on ``numpy`` with an undisturbed ``numpy`` run's bits."""
+        cfg_kw = {"loop_mode": "fused", "sort_period": 3}
+        with _sim({**cfg_kw, "backend": "numpy"}, n=1200, seed=7) as clean:
+            clean.run(12)
+            clean_hist = clean.history
+            clean_state = clean.particles.as_dict()
 
-        Subprocesses because numba pins its thread count at the first
-        parallel kernel launch in a process.
-        """
-        script = (
-            "import hashlib, numpy as np\n"
-            "from repro.core.backends import get_backend\n"
-            "rng = np.random.default_rng(0)\n"
-            "n, ncells = 20000, 256\n"
-            "icell = rng.integers(0, ncells, n).astype(np.int64)\n"
-            "dx, dy = rng.random(n), rng.random(n)\n"
-            "rho = np.zeros((ncells, 4))\n"
-            "get_backend('numba').accumulate_redundant_parallel("
-            "rho, icell, dx, dy, 0.37)\n"
-            "print(hashlib.sha256(rho.tobytes()).hexdigest())\n"
+        inj = FaultInjector().add_kernel_raise(
+            step=4, kernel="fused_interp_kick_push", backend="c",
         )
-        digests = {}
-        for nthreads in (1, 2, 4):
-            proc = subprocess.run(
-                [sys.executable, "-c", script],
-                capture_output=True, text=True, timeout=300,
-                env={"PYTHONPATH": SRC, "NUMBA_NUM_THREADS": str(nthreads),
-                     "PATH": "/usr/bin:/bin"},
-            )
-            assert proc.returncode == 0, proc.stderr
-            digests[nthreads] = proc.stdout.strip()
-        assert len(set(digests.values())) == 1, digests
-        # ... and those bits are the serial numpy deposit's bits
-        rng = np.random.default_rng(0)
-        n, ncells = 20000, 256
-        icell = rng.integers(0, ncells, n).astype(np.int64)
-        dx, dy = rng.random(n), rng.random(n)
-        rho = np.zeros((ncells, 4))
-        accumulate_redundant(rho, icell, dx, dy, 0.37)
-        import hashlib
-
-        assert hashlib.sha256(rho.tobytes()).hexdigest() == digests[1]
+        sim = _sim({**cfg_kw, "backend": "c"}, n=1200, seed=7)
+        with SupervisedRun(
+            sim, checkpoint_every=3, max_retries=1, injector=inj,
+        ) as sup:
+            h = sup.run(12)
+            assert sup.report.degradations == [
+                {"step": 4, "from": "c", "to": "numpy"}
+            ]
+            assert sup.sim.stepper.backend.name == "numpy"
+            assert h.field_energy == clean_hist.field_energy
+            assert h.kinetic_energy == clean_hist.kinetic_energy
+            for name, want in clean_state.items():
+                np.testing.assert_array_equal(
+                    np.asarray(sup.sim.particles[name]), want, err_msg=name
+                )

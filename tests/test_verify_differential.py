@@ -276,7 +276,8 @@ class TestGoldenGate:
         )
         assert rc == 1
 
-    def test_gate_tool_skips_unimportable_backend(self, tmp_path, capsys):
+    def test_gate_tool_skips_unimportable_backend(self, tmp_path, capsys,
+                                                  monkeypatch):
         import sys
 
         sys.path.insert(0, str(ROOT / "tools"))
@@ -284,19 +285,20 @@ class TestGoldenGate:
             import verify_gate
         finally:
             sys.path.pop(0)
-        from repro.core.backends import available_backends
+        from repro.core.backends import CBackend
 
-        if "numba" in available_backends():
-            pytest.skip("numba importable here; nothing to skip")
+        # a host without a C compiler
+        monkeypatch.setattr(CBackend, "is_available", classmethod(lambda cls: False))
         for name in golden_cases():
             src = ROOT / "golden" / f"GOLDEN_{name}.json"
             (tmp_path / src.name).write_text(src.read_text())
         rc = verify_gate.main(
-            ["--golden-dir", str(tmp_path), "--backend", "numba"]
+            ["--golden-dir", str(tmp_path), "--backend", "c"]
         )
         out = capsys.readouterr().out
         assert rc == 0
         assert "SKIP" in out
+        assert "gate-status: verify-gate/c skipped(no cc)" in out
 
     def test_missing_golden_reports_error(self, tmp_path):
         import sys

@@ -25,7 +25,7 @@ one exemption, and imports it lazily per verb).
 
 The second lint is a ratchet on the 2D/3D fork (ROADMAP, "One
 dimension-generic core").  A ``class``/``def`` whose name ends in
-``3d``/``3D`` (or carries it before a ``_njit``-style suffix) may
+``3d``/``3D`` (or carries it before a ``_``-separated suffix) may
 only appear in the files of
 :data:`DIMENSIONAL_ALLOWED`; an entry that no longer needs its
 exemption fails the lint too, so the list can only shrink.  The
@@ -52,14 +52,13 @@ MODEL_IMPORTERS = ("repro/model/", "repro/cli.py")
 
 #: where a dimension-suffixed class/def still lives (globs relative to
 #: ``src/``): the 3D grid/fields/solver/ordering classes and kernels,
-#: the ``*_3d`` backend methods and their njit bodies, the two 3D
+#: the ``*_3d`` backend methods, the two 3D
 #: checkpoint entry points, the verifier's 3D scenario sampler and its
 #: 3D two-stream oracle
 DIMENSIONAL_ALLOWED = (
     "repro/pic3d/*.py",
     "repro/curves/curves3d.py",
     "repro/core/backends.py",
-    "repro/core/njit_kernels.py",
     "repro/core/checkpoint.py",
     "repro/verify/configspace.py",
     "repro/verify/oracles.py",

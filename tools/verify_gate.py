@@ -5,17 +5,17 @@ For every committed ``golden/GOLDEN_*.json`` document and every
 importable backend, re-run the golden scenario and hold the result to
 the promise matrix (:mod:`repro.verify.golden`):
 
-* numpy and numpy-mp are **bitwise** backends: every per-step sha256
-  state digest and every diagnostic series value must match the
+* numpy, c and numpy-mp are **bitwise** backends: every per-step
+  sha256 state digest and every diagnostic series value must match the
   document exactly — a one-ULP change anywhere fails the gate;
-* numba (when importable) is a **tolerance** backend: the diagnostic
-  series must agree within the per-quantity tolerances recorded in
-  the document.
+* any other registered backend is a **tolerance** backend: the
+  diagnostic series must agree within the per-quantity tolerances
+  recorded in the document.
 
 Exit codes: 0 = all checks pass (or nothing to check), 1 = divergence
-from golden, 2 = missing/corrupt golden artifacts.  Backends whose
-dependencies are not importable are skipped with a message, never
-failed — the gate constrains what *can* run here.
+from golden, 2 = missing/corrupt golden artifacts.  Backends that
+cannot run here (``c`` without a C compiler) are skipped with a
+message, never failed — the gate constrains what *can* run here.
 
 Wired into ``make verify-gate`` (and ``make check``).  After an
 *intentional* numerics change, regenerate with::
@@ -79,10 +79,10 @@ def main(argv=None):
     failures = 0
     for requested in backends:
         if requested not in importable:
-            print(f"verify-gate: SKIP backend {requested!r} — not importable "
+            reason = "no cc" if requested == "c" else "backend not available"
+            print(f"verify-gate: SKIP backend {requested!r} — {reason} "
                   "in this environment")
-            print(f"gate-status: verify-gate/{requested} "
-                  "skipped(backend not importable)")
+            print(f"gate-status: verify-gate/{requested} skipped({reason})")
             continue
         print(f"gate-status: verify-gate/{requested} ran")
         for name, path in paths.items():
