@@ -82,7 +82,7 @@ chaos-service:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# performance gates: fails if the best fused-capable backend's
+# performance gates: fails if the preferred available backend's
 # single-pass kernel loses to its split rendering (floor 1.0x on a
 # compiled backend; on numpy, where both run the same blocked kernels,
 # "not slower beyond min-of-k noise"), or if the histogram-balanced

@@ -86,15 +86,10 @@ def _kernel_entry(backend_name: str) -> dict:
     rho = np.zeros_like(fields.rho_1d)
     out = {
         "accumulate_redundant": best_of(
-            lambda: backend.accumulate_redundant(rho, icell, dx, dy)
+            lambda: backend.accumulate_rows(rho, icell, (dx, dy))
         ),
         "interpolate_redundant": best_of(
-            lambda: backend.interpolate_redundant(fields.e_1d, icell, dx, dy)
-        ),
-        "push_axis_bitwise": best_of(
-            lambda: backend.push_axis(
-                np.asarray(ix + dx + 0.3, dtype=np.float64), GRID_SIDE, "bitwise"
-            )
+            lambda: backend.interpolate_rows(fields.e_1d, icell, (dx, dy))
         ),
     }
     return {k: {"seconds": v, "particles_per_second": KERNEL_N / v}

@@ -192,8 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="config-space sampler seed (default: 0)")
     ver.add_argument("--samples", type=int, default=8,
                      help="number of sampled scenarios (default: 8)")
-    ver.add_argument("--rtol", type=float, default=1e-9,
-                     help="relative tolerance for tolerance-level combos")
     ver.add_argument("--no-mp", action="store_true",
                      help="exclude the numpy-mp combos (skips worker-pool "
                      "startup on tiny runs)")
@@ -520,11 +518,9 @@ def _cmd_verify(args) -> int:
 
     failures = 0
 
-    print(f"differential matrix: seed={args.seed} samples={args.samples} "
-          f"rtol={args.rtol:g}")
+    print(f"differential matrix: seed={args.seed} samples={args.samples}")
     sampler = ScenarioSampler(seed=args.seed)
     runner = DifferentialRunner(
-        rtol=args.rtol,
         include_mp=not args.no_mp,
         mp_workers=args.mp_workers,
     )

@@ -10,14 +10,14 @@ execution strategy as a named **backend** rather than hard-wiring one:
 * ``"c"`` — the scalar C99 loops of ``ckernels.c``, the rendering the
   paper itself times: compiled with the host ``cc`` at first use,
   cached per user, loaded through :mod:`ctypes`.  Bitwise equal to
-  ``"numpy"`` (the 3D gather to rounding).  Usable wherever a C
-  compiler is on ``PATH``; everything else keeps working without one.
+  ``"numpy"`` in both dimensions.  Usable wherever a C compiler is on
+  ``PATH``; everything else keeps working without one.
 * ``"auto"`` — the selection policy: the highest-priority backend
   that is available (``c`` first, then ``numpy``).
 
-Every backend implements the same kernel surface — the 2D accumulate /
-interpolate / update-velocities / push-positions family plus their 3D
-counterparts — and all backends must produce identical physics; the
+Every backend implements the same nine kernels (:class:`KernelBackend`)
+— six over the redundant rows of any dimension, three over the 2D
+standard layout — and all backends must produce identical physics; the
 cross-backend equivalence suite (``tests/test_backends.py``) checks
 each registered backend against the scalar oracles.
 
@@ -26,7 +26,7 @@ Usage::
     from repro.core.backends import get_backend, available_backends
 
     backend = get_backend("auto")
-    backend.accumulate_redundant(rho_1d, icell, dx, dy, charge)
+    backend.accumulate_rows(rho_1d, icell, (dx, dy), charge)
 
 The stepper resolves :attr:`OptimizationConfig.backend` through
 :func:`get_backend` once at construction and dispatches every kernel
@@ -90,11 +90,13 @@ class BackendUnavailableError(ImportError):
 class KernelBackend(abc.ABC):
     """One execution strategy for the PIC inner loops.
 
-    Subclasses provide the per-axis position wrap and the four particle
-    kernels (2D and 3D); the position-update *drivers* — which mix the
-    axis math with the Python-side cell-ordering encode/decode — are
-    shared here so every backend agrees on the (icell, ix, iy)
-    bookkeeping.
+    The abstract methods are the whole overridable surface, and what
+    the steppers call: six kernels over the redundant
+    ``[ncell][2^ndim]`` rows, written over tuples of per-axis arrays so
+    one method serves 2D and 3D, and the 2D standard-layout trio (the
+    paper's Table IV baseline row).  :class:`NumpyBackend` implements
+    all nine; a faster backend subclasses it and overrides what it
+    accelerates.
     """
 
     #: Registry key; subclasses must override.
@@ -109,166 +111,96 @@ class KernelBackend(abc.ABC):
     degrades_to: str | None = None
     #: What :meth:`is_available` found missing, for the error message.
     needs: str = "extra dependencies that are not installed"
-    #: Optional fast paths this backend implements beyond the required
-    #: kernel surface.  Known capability names:
-    #:
-    #: * ``"fused"`` — :meth:`fused_interp_kick_push`, the single-pass
-    #:   interpolate+kick+push kernel (no whole-population
-    #:   ``ex_p``/``ey_p`` temporaries);
-    #: * ``"counting_sort"`` — a backend-native
-    #:   :meth:`counting_sort_permutation` (compiled cursor loop rather
-    #:   than the SciPy scatter).
-    #: * ``"fused3d"`` — :meth:`fused_interp_kick_push_3d`, the 3D
-    #:   single-pass kernel.
-    #:
-    #: ``loop_mode="fused"`` calls the fused kernel outright (every
-    #: shipped backend has one).  Physics must be identical either way.
-    capabilities: frozenset[str] = frozenset()
 
     @classmethod
     def is_available(cls) -> bool:
         """Whether this backend's dependencies are importable."""
         return True
 
-    def supports(self, capability: str) -> bool:
-        """Whether this backend offers the named optional fast path."""
-        return capability in self.capabilities
-
     # ------------------------------------------------------------------
-    # 2D kernels
+    # Redundant rows, any dimension: per-axis arguments are tuples
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def accumulate_standard(self, rho, ix, iy, dx, dy, charge=1.0) -> None:
-        """CiC scatter onto the point-based ``rho[ncx][ncy]``."""
+    def interpolate_rows(self, e_1d, icell, offsets):
+        """Gather the field at the particles from the redundant
+        ``e_1d[ncell][ndim * 2^ndim]`` rows: one array per axis."""
 
     @abc.abstractmethod
-    def accumulate_redundant(self, rho_1d, icell, dx, dy, charge=1.0) -> None:
-        """CiC scatter onto the redundant ``rho_1d[ncell][4]``."""
+    def accumulate_rows(self, rho_1d, icell, offsets, charge=1.0) -> None:
+        """CiC scatter onto the redundant ``rho_1d[ncell][2^ndim]``."""
 
+    @abc.abstractmethod
+    def kick(self, vs, e_ps, coefs) -> None:
+        """``v += coef * e_p`` in place, per axis of the tuples."""
+
+    @abc.abstractmethod
+    def push(self, particles, extents, ordering, variant, scales) -> None:
+        """Advance positions, wrap, re-derive ``icell`` and the cell
+        coordinates, over ``len(extents)`` axes, in place.
+
+        ``variant`` is one of ``"branch"`` / ``"modulo"`` / ``"bitwise"``
+        (§IV-C; ``"bitwise"`` requires power-of-two extents).
+        ``particles`` is a storage or a plain mapping of arrays; writes
+        go *through* its arrays (``arr[sl] = ...``).
+        """
+
+    @abc.abstractmethod
+    def fused_rows(self, e_1d, particles, extents, ordering, variant,
+                   coefs, scales) -> None:
+        """Single-pass interpolate + kick + push over all particles:
+        the same results as :meth:`interpolate_rows` + :meth:`kick` +
+        :meth:`push` back to back, with no per-particle field
+        temporaries (``loop_mode="fused"``)."""
+
+    @abc.abstractmethod
+    def counting_sort_permutation(self, keys, ncells):
+        """Stable O(N + C) counting-sort permutation of ``keys``
+        (stability fixes it uniquely, whoever computes it)."""
+
+    # ------------------------------------------------------------------
+    # Standard point-based layout (2D only)
+    # ------------------------------------------------------------------
     @abc.abstractmethod
     def interpolate_standard(self, ex, ey, ix, iy, dx, dy):
         """Gather ``(ex_p, ey_p)`` from the point-based field arrays."""
 
     @abc.abstractmethod
+    def accumulate_standard(self, rho, ix, iy, dx, dy, charge=1.0) -> None:
+        """CiC scatter onto the point-based ``rho[ncx][ncy]``."""
+
+    @abc.abstractmethod
+    def fused_standard(self, ex, ey, particles, ordering, variant,
+                       coefs, scales) -> None:
+        """:meth:`fused_rows` reading the point-based ``ex`` / ``ey``."""
+
+    # ------------------------------------------------------------------
+    # The axis-spelled names the frozen benchmark ledger calls
+    # (benchmarks/ledger/simbench.py): adapters onto the kernels above,
+    # overridden nowhere and called by nothing under src/.
+    # ------------------------------------------------------------------
     def interpolate_redundant(self, e_1d, icell, dx, dy):
-        """Gather ``(ex_p, ey_p)`` from the redundant 8-column rows."""
+        return self.interpolate_rows(e_1d, icell, (dx, dy))
 
-    @abc.abstractmethod
-    def update_velocities(self, vx, vy, ex_p, ey_p, coef_x=1.0, coef_y=1.0) -> None:
-        """``v += coef * E_p`` in place."""
-
-    @abc.abstractmethod
-    def push_axis(self, x, nc, variant):
-        """Wrap one coordinate axis: returns ``(icoord, offset)``.
-
-        ``variant`` is one of ``"branch"`` / ``"modulo"`` / ``"bitwise"``
-        (§IV-C); ``"bitwise"`` requires power-of-two ``nc``.
-        """
-
-    # ------------------------------------------------------------------
-    # 3D kernels
-    # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def accumulate_redundant_3d(self, rho_1d, icell, dx, dy, dz, charge=1.0) -> None:
-        """Trilinear CiC scatter onto the 8-corner redundant rows."""
-
-    @abc.abstractmethod
     def interpolate_redundant_3d(self, e_1d, icell, dx, dy, dz):
-        """Gather ``(ex, ey, ez)`` from the 24-column redundant rows."""
+        return self.interpolate_rows(e_1d, icell, (dx, dy, dz))
 
-    # ------------------------------------------------------------------
-    # Optional fast paths (advertised through ``capabilities``)
-    # ------------------------------------------------------------------
-    def fused_interp_kick_push(
-        self,
-        fields,
-        particles,
-        ordering,
-        variant,
-        coef_x=1.0,
-        coef_y=1.0,
-        scale_x=1.0,
-        scale_y=1.0,
-    ) -> None:
-        """Single-pass interpolate + kick + push over all particles.
+    def accumulate_redundant(self, rho_1d, icell, dx, dy, charge=1.0) -> None:
+        self.accumulate_rows(rho_1d, icell, (dx, dy), charge)
 
-        Semantically identical to running ``interpolate`` +
-        ``update_velocities`` + ``push_positions`` back to back, but in
-        one sweep of the particle arrays with no per-particle field
-        temporaries.  Only callable on backends advertising the
-        ``"fused"`` capability.
-        """
-        raise NotImplementedError(
-            f"backend {self.name!r} does not offer the 'fused' capability"
-        )
+    def accumulate_redundant_3d(self, rho_1d, icell, dx, dy, dz, charge=1.0) -> None:
+        self.accumulate_rows(rho_1d, icell, (dx, dy, dz), charge)
 
-    def fused_interp_kick_push_3d(
-        self,
-        fields,
-        particles,
-        ordering,
-        variant,
-        coef=(1.0, 1.0, 1.0),
-        scale=(1.0, 1.0, 1.0),
-    ) -> None:
-        """3D single-pass interpolate + kick + push over all particles.
-
-        ``particles`` is a 3D particle storage; semantics match running
-        ``interpolate_redundant_3d`` + the three kicks +
-        ``push_positions_3d`` back to back.  Only callable on backends
-        advertising the ``"fused3d"`` capability.
-        """
-        raise NotImplementedError(
-            f"backend {self.name!r} does not offer the 'fused3d' capability"
-        )
-
-    def counting_sort_permutation(self, keys, ncells):
-        """Stable O(N + C) counting-sort permutation of ``keys``.
-
-        Default: the vectorized histogram+prefix-sum+scatter from
-        :mod:`repro.particles.sorting`.  Backends advertising
-        ``"counting_sort"`` substitute a native (compiled) scatter; the
-        permutation must be identical either way (stability fixes it
-        uniquely).
-        """
-        from repro.particles.sorting import counting_sort_permutation
-
-        return counting_sort_permutation(keys, ncells)
-
-    # ------------------------------------------------------------------
-    # Shared position-update drivers (axis math per backend, cell
-    # bookkeeping common)
-    # ------------------------------------------------------------------
-    def kick(self, vs, e_ps, coefs) -> None:
-        """``v += coef * e_p`` in place, per axis of the tuples — the
-        velocity update of any dimension (the 3D stepper's only one)."""
-        for v, e_p, coef in zip(vs, e_ps, coefs):
-            _k.kick(v, e_p, coef)
-
-    def push(self, particles, extents, ordering, variant, scales) -> None:
-        """Advance positions, wrap, re-derive ``icell`` and the cell
-        coordinates, over ``len(extents)`` axes.
-
-        The blocked body of :func:`repro.core.kernels.push_blocked`,
-        in place, with this backend's axis formulation for ``variant``.
-        ``particles`` is a storage or a plain mapping of arrays; writes
-        go *through* its arrays (``arr[sl] = ...``).
-        """
-        _k.push_blocked(
-            particles, particles, extents, ordering,
-            lambda x, nc: self.push_axis(x, nc, variant), scales,
-        )
+    def update_velocities(self, vx, vy, ex_p, ey_p, coef_x=1.0, coef_y=1.0) -> None:
+        self.kick((vx, vy), (ex_p, ey_p), (coef_x, coef_y))
 
     def push_positions(
         self, particles, ncx, ncy, ordering, variant, scale_x=1.0, scale_y=1.0
     ) -> None:
-        """:meth:`push` with the two axes spelled out."""
         self.push(particles, (ncx, ncy), ordering, variant, (scale_x, scale_y))
 
     def push_positions_3d(
         self, particles, shape, ordering, scale=(1.0, 1.0, 1.0), variant="bitwise"
     ) -> None:
-        """:meth:`push` over three axes."""
         self.push(particles, shape, ordering, variant, scale)
 
     # ------------------------------------------------------------------
@@ -442,102 +374,54 @@ class NumpyBackend(KernelBackend):
     name = "numpy"
     priority = 10
     degrades_to = None  # end of every chain: pure NumPy always works
-    capabilities = frozenset({"fused", "fused3d"})
 
-    accumulate_standard = staticmethod(_k.accumulate_standard)
+    interpolate_rows = staticmethod(_k.interpolate_rows)
+    accumulate_rows = staticmethod(_k.accumulate_rows)
     interpolate_standard = staticmethod(_k.interpolate_standard)
+    accumulate_standard = staticmethod(_k.accumulate_standard)
 
-    # The redundant-row kernels once, over a tuple of per-axis offsets;
-    # the 2D and 3D methods of the kernel surface are these with the
-    # axes spelled out.  ``numpy-mp`` overrides the generic pair (and
-    # ``kick``/``push``) and so serves both dimensions; ``c`` overrides
-    # the pair, ``push`` and ``fused_rows``.
-    def interpolate_rows(self, e_1d, icell, offsets):
-        return _k.row_kernels(len(offsets))[0](e_1d, icell, *offsets)
+    def kick(self, vs, e_ps, coefs) -> None:
+        for v, e_p, coef in zip(vs, e_ps, coefs):
+            _k.kick(v, e_p, coef)
 
-    def accumulate_rows(self, rho_1d, icell, offsets, charge=1.0) -> None:
-        _k.row_kernels(len(offsets))[1](rho_1d, icell, *offsets, charge)
-
-    def interpolate_redundant(self, e_1d, icell, dx, dy):
-        return self.interpolate_rows(e_1d, icell, (dx, dy))
-
-    def interpolate_redundant_3d(self, e_1d, icell, dx, dy, dz):
-        return self.interpolate_rows(e_1d, icell, (dx, dy, dz))
-
-    def accumulate_redundant(self, rho_1d, icell, dx, dy, charge=1.0):
-        self.accumulate_rows(rho_1d, icell, (dx, dy), charge)
-
-    def accumulate_redundant_3d(self, rho_1d, icell, dx, dy, dz, charge=1.0):
-        self.accumulate_rows(rho_1d, icell, (dx, dy, dz), charge)
-
-    def update_velocities(self, vx, vy, ex_p, ey_p, coef_x=1.0, coef_y=1.0):
-        self.kick((vx, vy), (ex_p, ey_p), (coef_x, coef_y))
-
-    def push_axis(self, x, nc, variant):
-        return _k.AXIS_KERNELS[variant](x, nc)
+    def push(self, particles, extents, ordering, variant, scales) -> None:
+        _k.push_blocked(
+            particles, particles, extents, ordering,
+            _k.AXIS_KERNELS[variant], scales,
+        )
 
     def fused_rows(self, e_1d, particles, extents, ordering, variant,
                    coefs, scales) -> None:
-        """Interpolate -> kick -> push over the redundant rows in one
-        sweep, any dimension; the 2D and 3D fused methods of the kernel
-        surface are this with the axes spelled out."""
         axes = "xyz"[: len(extents)]
-        interpolate = _k.row_kernels(len(extents))[0]
 
         def gather(p):
-            return interpolate(e_1d, p["icell"], *(p["d" + a] for a in axes))
+            return _k.interpolate_rows(e_1d, p["icell"], [p["d" + a] for a in axes])
 
         _k.fused_sweep(
             particles, gather, extents, ordering,
             _k.AXIS_KERNELS[variant], coefs, scales,
         )
 
-    def fused_interp_kick_push(
-        self,
-        fields,
-        particles,
-        ordering,
-        variant,
-        coef_x=1.0,
-        coef_y=1.0,
-        scale_x=1.0,
-        scale_y=1.0,
-    ):
-        g = fields.grid
-        coefs, scales = (coef_x, coef_y), (scale_x, scale_y)
-        if fields.layout == "redundant":
-            return self.fused_rows(
-                fields.e_1d, particles, (g.ncx, g.ncy), ordering, variant,
-                coefs, scales,
-            )
-
+    def fused_standard(self, ex, ey, particles, ordering, variant,
+                       coefs, scales) -> None:
         def gather(p):
             if "ix" in p:
                 ix, iy = p["ix"], p["iy"]
             else:
                 ix, iy = ordering.decode(p["icell"])
-            return _k.interpolate_standard(
-                fields.ex, fields.ey, ix, iy, p["dx"], p["dy"]
-            )
+            return _k.interpolate_standard(ex, ey, ix, iy, p["dx"], p["dy"])
 
         _k.fused_sweep(
-            particles, gather, (g.ncx, g.ncy), ordering,
+            particles, gather, ex.shape, ordering,
             _k.AXIS_KERNELS[variant], coefs, scales,
         )
 
-    def fused_interp_kick_push_3d(
-        self,
-        fields,
-        particles,
-        ordering,
-        variant,
-        coef=(1.0, 1.0, 1.0),
-        scale=(1.0, 1.0, 1.0),
-    ):
-        self.fused_rows(
-            fields.e_1d, particles, fields.grid.shape, ordering, variant,
-            coef, scale,
-        )
+    def counting_sort_permutation(self, keys, ncells):
+        """The vectorized histogram + prefix-sum + scatter of
+        :mod:`repro.particles.sorting`."""
+        from repro.particles.sorting import counting_sort_permutation
+
+        return counting_sort_permutation(keys, ncells)
 
 
 # ----------------------------------------------------------------------
@@ -619,16 +503,15 @@ class CBackend(NumpyBackend):
     the stand-alone kick (one ``np.add``, which measures no slower than
     a C loop) and any argument that does not :func:`_fits` the C ABI
     run the inherited NumPy kernels.  The arithmetic is written to
-    NumPy's bits: everything is bitwise equal to ``numpy`` except the
-    3D gather (NumPy's is an ``einsum`` of unspecified association),
-    which agrees to rounding.
+    NumPy's bits — the same weight products, the same corner fold, no
+    FMA contraction — so everything is bitwise equal to ``numpy`` in
+    both dimensions.
     """
 
     name = "c"
     priority = 20
     degrades_to = "numpy"
     needs = "a C compiler on PATH (cc, gcc or clang)"
-    capabilities = frozenset({"fused", "fused3d", "counting_sort"})
 
     @classmethod
     def is_available(cls) -> bool:

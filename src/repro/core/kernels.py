@@ -28,31 +28,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.grid.fields import corner_weights
+from repro.grid.fields import corner_offsets
 
 __all__ = [
     "BLOCK",
     "blocks",
+    "corner_weights",
     "accumulate_standard",
     "deposit_rows",
-    "accumulate_redundant",
+    "accumulate_rows",
     "interpolate_standard",
-    "interpolate_redundant",
-    "row_kernels",
+    "interpolate_rows",
     "kick",
-    "update_velocities",
     "push_blocked",
     "fused_sweep",
-    "push_positions_branch",
-    "push_positions_modulo",
-    "push_positions_bitwise",
-    "POSITION_UPDATE_KERNELS",
     "AXIS_KERNELS",
 ]
 
 
-#: Particles per block of every kernel in this module (and of the 3D
-#: kernels, which import :func:`blocks`).  At 8192 a 2D gather block
+#: Particles per block of every kernel in this module, in either
+#: dimension.  At 8192 a 2D gather block
 #: allocates ~1.3 MiB of rows, weights and products and a 3D one
 #: ~3 MiB — inside one core's L2; the measured sweep is in
 #: ``docs/kernels.md``.  Deliberately a constant, not a config field:
@@ -65,6 +60,54 @@ def blocks(n):
     """Slices of at most :data:`BLOCK` particles covering ``range(n)``."""
     for lo in range(0, n, BLOCK):
         yield slice(lo, min(lo + BLOCK, n))
+
+
+# ----------------------------------------------------------------------
+# Cloud-in-Cell weights (Fig. 2) — the one statement, any dimension
+# ----------------------------------------------------------------------
+def _weight_tables(ndim):
+    """Fig. 2's coefficient tables, ``(ndim, 2^ndim)`` each: the weight
+    of corner ``c`` is the product over axes of ``c_a + s_a * d_a``,
+    i.e. ``d`` along the axes whose corner bit is set and ``1 - d``
+    along the others."""
+    bit = corner_offsets(ndim).T.astype(np.float64)
+    return 1.0 - bit, 2.0 * bit - 1.0
+
+
+_WEIGHT_TABLES = {ndim: _weight_tables(ndim) for ndim in (2, 3)}
+
+
+def corner_weights(offsets, corners=None) -> np.ndarray:
+    """Cloud-in-Cell weights of the ``2^ndim`` corners for the per-axis
+    offsets ``(dx, dy[, dz])`` in ``[0, 1)``.
+
+    Returns an ``(N, 2^ndim)`` array; rows sum to 1 exactly in exact
+    arithmetic (and to within rounding here), which is what makes the
+    scheme charge-conserving.  Written in the ``c + s*d`` form of
+    Fig. 2, multiplied left to right over the axes with axis 0 on the
+    most significant corner bit — the order ``ckernels.c::weights``
+    uses, so both renderings produce the same bits.  The memory behind
+    the result is corner-major (each ``w[:, c]`` contiguous): NumPy's
+    inner loop then runs over the particles instead of over the
+    corners, which is ~7x faster, and the kernels consume the weights
+    one corner column at a time anyway.  Elementwise, so the layout
+    cannot change a bit of any weight — and neither can ``corners``, an
+    index (list or slice) selecting which corner columns to compute:
+    the ``numpy-mp`` deposit hands each worker a subset.
+    """
+    offsets = [np.asarray(d, dtype=np.float64) for d in offsets]
+    sel = slice(None) if corners is None else corners
+    c, s = (
+        t[:, sel].reshape((len(offsets), -1) + (1,) * offsets[0].ndim)
+        for t in _WEIGHT_TABLES[len(offsets)]
+    )
+    w = c[0] + s[0] * offsets[0]
+    for axis in range(1, len(offsets)):
+        # in place, the factor never bound to a name: it is freed before
+        # the next one is made, so the allocator hands back the same,
+        # cache-hot block (a named factor costs 25 % of this function)
+        w *= c[axis] + s[axis] * offsets[axis]
+    return np.moveaxis(w, 0, -1)
 
 
 # ----------------------------------------------------------------------
@@ -91,7 +134,7 @@ def accumulate_standard(rho, ix, iy, dx, dy, charge=1.0):
     idx = np.empty((4, n), dtype=np.int64)
     w = np.empty((4, n))
     for sl in blocks(n):
-        w[:, sl] = (corner_weights(dx[sl], dy[sl]) * charge).T
+        w[:, sl] = (corner_weights((dx[sl], dy[sl])) * charge).T
         for c, (jx, jy) in enumerate(_wrapped_corners(ix[sl], iy[sl], ncx, ncy)):
             idx[c, sl] = jx * ncy + jy
     flat = rho.reshape(-1)
@@ -128,10 +171,10 @@ def deposit_rows(rho_1d, icell, block_weights, corners=None):
         rho_1d[:, c] += np.bincount(icell, weights=w_c, minlength=ncell)
 
 
-def accumulate_redundant(rho_1d, icell, dx, dy, charge=1.0, corners=None):
-    """Scatter CiC charge onto the redundant ``rho_1d[ncell][4]``.
+def accumulate_rows(rho_1d, icell, offsets, charge=1.0, corners=None):
+    """Scatter CiC charge onto the redundant ``rho_1d[ncell][2^ndim]``.
 
-    Each particle writes one contiguous 4-element row — the
+    Each particle writes one contiguous ``2^ndim``-element row — the
     vectorizable lower variant of Fig. 2.  No periodic wrap is needed
     here; the fold to grid points happens in
     :meth:`~repro.grid.fields.RedundantFields.reduce_rho_to_grid`.
@@ -140,7 +183,7 @@ def accumulate_redundant(rho_1d, icell, dx, dy, charge=1.0, corners=None):
     """
     deposit_rows(
         rho_1d, icell,
-        lambda sl: corner_weights(dx[sl], dy[sl], corners) * charge,
+        lambda sl: corner_weights([d[sl] for d in offsets], corners) * charge,
         corners,
     )
 
@@ -160,53 +203,40 @@ def interpolate_standard(ex, ey, ix, iy, dx, dy):
     ex_p = np.zeros(n)
     ey_p = np.zeros(n)
     for sl in blocks(n):
-        w = corner_weights(dx[sl], dy[sl])
+        w = corner_weights((dx[sl], dy[sl]))
         for c, (jx, jy) in enumerate(_wrapped_corners(ix[sl], iy[sl], ncx, ncy)):
             ex_p[sl] += w[:, c] * ex[jx, jy]
             ey_p[sl] += w[:, c] * ey[jx, jy]
     return ex_p, ey_p
 
 
-def interpolate_redundant(e_1d, icell, dx, dy, out=None):
+def interpolate_rows(e_1d, icell, offsets, out=None):
     """Gather E at particle positions from the redundant layout.
 
-    One contiguous 8-value row per particle (a single cache line in
-    the paper's machines).  Returns ``(ex_p, ey_p)`` — freshly
-    allocated, or the pair of arrays passed as ``out`` (the ``numpy-mp``
-    worker hands in its slice of the shared scratch).
+    One contiguous ``ndim * 2^ndim``-value row per particle (in 2D a
+    single cache line in the paper's machines).  Returns one array per
+    axis — freshly allocated, or the arrays passed as ``out`` (the
+    ``numpy-mp`` worker hands in its slice of the shared scratch).
 
-    The 4-corner reduction is written as explicit sequential adds (a
-    left fold in corner order) rather than ``einsum``: einsum's SIMD/FMA
-    contraction has an unspecified association, which makes the result
-    impossible to reproduce with scalar arithmetic.  The fold keeps the
-    kernel bitwise-mirrorable by the scalar reference stepper
-    (:class:`repro.core.reference.ReferenceStepper`), which the
-    differential-verification subsystem uses as its baseline.
+    The corner reduction is written as explicit sequential adds (a
+    left fold in corner order) rather than an ``einsum``, whose
+    SIMD/FMA contraction has an unspecified association and cannot be
+    reproduced with scalar arithmetic.  The fold is what
+    ``ckernels.c::gather`` and the scalar reference stepper
+    (:class:`repro.core.reference.ReferenceStepper`) compute, bit for
+    bit, in either dimension.
     """
-    n = len(icell)
-    ex_p, ey_p = out if out is not None else (np.empty(n), np.empty(n))
+    n, ncorner = len(icell), 1 << len(offsets)
+    e_p = out if out is not None else tuple(np.empty(n) for _ in offsets)
     for sl in blocks(n):
-        rows = e_1d[np.asarray(icell[sl], dtype=np.int64)]  # (B, 8)
-        w = corner_weights(dx[sl], dy[sl])  # (B, 4)
-        ex_b, ey_b = ex_p[sl], ey_p[sl]
-        np.multiply(w[:, 0], rows[:, 0], out=ex_b)
-        np.multiply(w[:, 0], rows[:, 4], out=ey_b)
-        for c in range(1, 4):
-            ex_b += w[:, c] * rows[:, c]
-            ey_b += w[:, c] * rows[:, 4 + c]
-    return ex_p, ey_p
-
-
-def row_kernels(ndim):
-    """``(interpolate, accumulate)`` over the redundant rows of an
-    ``ndim``-dimensional grid — called as ``f(rows, icell, *offsets,
-    ...)``.  The 3D pair lives in :mod:`repro.pic3d.kernels3d`, which
-    imports this module, hence the call-time import."""
-    if ndim == 2:
-        return interpolate_redundant, accumulate_redundant
-    from repro.pic3d.kernels3d import accumulate_redundant_3d, interpolate_redundant_3d
-
-    return interpolate_redundant_3d, accumulate_redundant_3d
+        rows = e_1d[np.asarray(icell[sl], dtype=np.int64)]  # (B, ndim * ncorner)
+        w = corner_weights([d[sl] for d in offsets])  # (B, ncorner)
+        for axis, e_axis in enumerate(e_p):
+            lo, e_b = axis * ncorner, e_axis[sl]
+            np.multiply(w[:, 0], rows[:, lo], out=e_b)
+            for c in range(1, ncorner):
+                e_b += w[:, c] * rows[:, lo + c]
+    return e_p
 
 
 # ----------------------------------------------------------------------
@@ -220,26 +250,29 @@ def kick(v, e_p, coef, out=None):
     np.add(v, e_p, out=v if out is None else out)
 
 
-def update_velocities(vx, vy, ex_p, ey_p, coef_x=1.0, coef_y=1.0):
-    """``v += coef * E_p`` in place.
-
-    With hoisting the field arrives pre-scaled and ``coef`` is 1.0 —
-    the loop body is a bare fused add; without hoisting ``coef`` is
-    ``q*dt/m`` (times ``dt/spacing`` when positions are advanced in
-    grid units), multiplied per particle per step.  ``coef_*`` may be
-    scalar or an array broadcastable against the velocities (per-
-    particle charge-to-mass ratios); the multiply-free fast path only
-    applies to the scalar 1.0.
-    """
-    kick(vx, ex_p, coef_x)
-    kick(vy, ey_p, coef_y)
-
-
 # ----------------------------------------------------------------------
 # Position update (Fig. 1 line 10) — the three §IV-C variants.
 # Each takes current (ix_or_none, dx, displacement) per axis and
 # returns new (icoord, offset); `wrap_*` selects the periodic fold.
 # ----------------------------------------------------------------------
+_INT64_MIN = np.iinfo(np.int64).min
+
+
+def _to_int64(x):
+    """``x`` truncated toward zero as int64, defined on every input:
+    NaN, ±inf and ``|x| >= 2^63`` become ``INT64_MIN`` — the value
+    ``ckernels.c::to_int64`` returns (and x86's conversion produces),
+    where a bare ``astype`` is undefined and warns.  One reduction
+    guards the plain cast (NaN fails the comparison); only a block
+    that holds such a value pays for the masked path, and a non-finite
+    position still comes back as a non-finite offset for the
+    supervisor's guard to see."""
+    if x.size == 0 or np.abs(x).max() < 2.0**63:
+        return x.astype(np.int64)
+    ok = np.abs(x) < 2.0**63
+    return np.where(ok, np.where(ok, x, 0.0).astype(np.int64), _INT64_MIN)
+
+
 def _axis_branch(x, nc):
     """Test-and-wrap: apply the float modulo only to escaped particles.
 
@@ -252,7 +285,7 @@ def _axis_branch(x, nc):
         x = x.copy()
         x[outside] = np.mod(x[outside], nc)
     fx = np.floor(x)
-    i = fx.astype(np.int64)
+    i = _to_int64(fx)
     # float modulo can round up to exactly nc: fold that particle home
     hit = i == nc
     if np.any(hit):
@@ -269,7 +302,7 @@ def _axis_modulo(x, nc):
     the misprediction and keeps the loop vectorizable (§IV-C2).
     """
     fx = np.floor(x)
-    i = np.mod(fx, nc).astype(np.int64)
+    i = _to_int64(np.mod(fx, nc))
     return i, x - fx
 
 
@@ -283,7 +316,7 @@ def _axis_bitwise(x, nc):
     """
     if nc & (nc - 1):
         raise ValueError(f"bitwise wrap requires power-of-two extent, got {nc}")
-    fx = x.astype(np.int64) - (x < 0.0)
+    fx = _to_int64(x) - (x < 0.0)
     return fx & (nc - 1), x - fx
 
 
@@ -346,35 +379,6 @@ def fused_sweep(arrs, gather, extents, ordering, axis_fn, coefs, scales):
             kick(block["v" + a], e_p, coef)
         push_blocked(block, block, extents, ordering, axis_fn, scales)
 
-
-def _push(particles, ncx, ncy, ordering, axis_fn, scale_x=1.0, scale_y=1.0):
-    """In-place 2D push of a :class:`~repro.particles.storage.ParticleStorage`."""
-    push_blocked(
-        particles, particles, (ncx, ncy), ordering, axis_fn, (scale_x, scale_y)
-    )
-
-
-def push_positions_branch(particles, ncx, ncy, ordering, scale_x=1.0, scale_y=1.0):
-    """Position update with the test-and-wrap (`if`) formulation."""
-    _push(particles, ncx, ncy, ordering, _axis_branch, scale_x, scale_y)
-
-
-def push_positions_modulo(particles, ncx, ncy, ordering, scale_x=1.0, scale_y=1.0):
-    """Position update with the unconditional-modulo formulation."""
-    _push(particles, ncx, ncy, ordering, _axis_modulo, scale_x, scale_y)
-
-
-def push_positions_bitwise(particles, ncx, ncy, ordering, scale_x=1.0, scale_y=1.0):
-    """Position update with the cast-floor + bitwise-and formulation."""
-    _push(particles, ncx, ncy, ordering, _axis_bitwise, scale_x, scale_y)
-
-
-#: Dispatch table used by the stepper, keyed by config.position_update.
-POSITION_UPDATE_KERNELS = {
-    "branch": push_positions_branch,
-    "modulo": push_positions_modulo,
-    "bitwise": push_positions_bitwise,
-}
 
 #: Per-axis wrap kernels, keyed the same way — the building blocks the
 #: backend layer (:mod:`repro.core.backends`) composes with the shared

@@ -25,9 +25,13 @@ stepper converts back to physical units for diagnostics.  Without
 hoisting, velocities are physical and the loops carry the multiplies.
 
 :class:`StepLoop` is the loop itself — sort cadence, path selection,
-phase order, hooks, instrumentation, backend lifecycle — and knows no
-dimension; :class:`PICStepper` supplies the 2d2v state and phase
-bodies, :class:`repro.pic3d.stepper3d.PICStepper3D` the 3d3v ones.
+phase order, hooks, instrumentation, backend lifecycle — and the phase
+bodies over the redundant rows in hoisted units, written once over
+``grid.shape`` and the particle store's axis columns.
+:class:`PICStepper` adds what only 2D has (the standard layout, Boris /
+external drive, the reflecting wall, un-hoisted coefficients);
+:class:`repro.pic3d.stepper3d.PICStepper3D` is a constructor, a loader,
+the energies and the solve.
 """
 
 from __future__ import annotations
@@ -55,9 +59,10 @@ class StepLoop:
     A subclass builds ``grid``, ``config``, ``ordering``, ``fields``,
     ``solver`` and ``particles`` (a
     :class:`~repro.particles.storage.ParticleStorage`), then calls
-    :meth:`_attach_runtime` and :meth:`_prepare`, and supplies the
-    phase bodies ``_phase_update_v`` / ``_phase_update_x`` /
-    ``_phase_fused`` / ``_phase_accumulate`` and ``_solve_fields``.
+    :meth:`_attach_runtime` and :meth:`_prepare`, and supplies
+    ``_charge_factor`` and ``_solve_fields``.  The phase bodies here
+    serve redundant rows in hoisted units; a subclass with more cases
+    overrides the body and falls through to these.
     """
 
     # scenario-zoo attributes as class-level defaults so instances
@@ -174,6 +179,54 @@ class StepLoop:
         self.fields.reset_rho()
         self._phase_accumulate()
         self._solve_fields()
+
+    # ------------------------------------------------------------------
+    # Phase bodies: redundant rows, any dimension.  Hoisted units make
+    # every per-axis factor 1.0; PICStepper overrides the two factor
+    # hooks for the un-hoisted study.
+    # ------------------------------------------------------------------
+    def _columns(self, prefix: str) -> tuple:
+        """The particle store's per-axis columns ``<prefix>x``, ..."""
+        p = self.particles
+        return tuple(p[prefix + a] for a in "xyz"[: p.ndim])
+
+    def _kick_coefs(self) -> tuple:
+        """Multiplier applied inside update-velocities, per axis."""
+        return (1.0,) * self.particles.ndim
+
+    def _push_scales(self) -> tuple:
+        """Stored velocity -> grid displacement per step, per axis."""
+        return (1.0,) * self.particles.ndim
+
+    def _interpolate(self) -> tuple:
+        """Field at particles, in *stored* units (scaled when hoisted)."""
+        return self.backend.interpolate_rows(
+            self.fields.e_1d, self.particles.icell, self._columns("d")
+        )
+
+    def _phase_update_v(self) -> None:
+        self.backend.kick(
+            self._columns("v"), self._interpolate(), self._kick_coefs()
+        )
+
+    def _phase_update_x(self) -> None:
+        self.backend.push(
+            self.particles, self.grid.shape, self.ordering,
+            self.config.position_update, self._push_scales(),
+        )
+
+    def _phase_fused(self) -> None:
+        """Single-pass interpolate + kick + push through the backend."""
+        self.backend.fused_rows(
+            self.fields.e_1d, self.particles, self.grid.shape, self.ordering,
+            self.config.position_update, self._kick_coefs(), self._push_scales(),
+        )
+
+    def _phase_accumulate(self) -> None:
+        self.backend.accumulate_rows(
+            self.fields.rho_1d, self.particles.icell, self._columns("d"),
+            self._charge_factor,
+        )
 
     # ------------------------------------------------------------------
     # The public step
@@ -395,36 +448,35 @@ class PICStepper(StepLoop):
         # a magnetic field this stays a plain electric half-kick (the
         # gyrophase offset is a one-off transient the time-averaging
         # oracles are insensitive to)
-        ex_p, ey_p = self._interpolate()
-        ex_p, ey_p = self._add_external_field(ex_p, ey_p)
-        cvx, cvy = self._update_v_coef()
-        self.backend.update_velocities(
-            self.particles.vx, self.particles.vy, ex_p, ey_p, -0.5 * cvx, -0.5 * cvy
-        )
+        e_p = self._add_external_field(*self._interpolate())
+        cvx, cvy = self._kick_coefs()
+        self.backend.kick(self._columns("v"), e_p, (-0.5 * cvx, -0.5 * cvy))
 
     # ------------------------------------------------------------------
-    # Phases
+    # Phases: what 2D adds to StepLoop's bodies
     # ------------------------------------------------------------------
-    def _interpolate(self) -> tuple[np.ndarray, np.ndarray]:
-        """Field at particles, in *stored* units (scaled when hoisted)."""
+    def _cell_coords(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(ix, iy)`` of every particle, stored or decoded."""
         p = self.particles
+        return (p.ix, p.iy) if p.store_coords else self.ordering.decode(p.icell)
+
+    def _interpolate(self) -> tuple[np.ndarray, np.ndarray]:
         if self.fields.layout == "redundant":
-            return self.backend.interpolate_redundant(
-                self.fields.e_1d, p.icell, p.dx, p.dy
-            )
-        if p.store_coords:
-            ix, iy = p.ix, p.iy
-        else:
-            ix, iy = self.ordering.decode(p.icell)
+            return super()._interpolate()
+        p = self.particles
         return self.backend.interpolate_standard(
-            self.fields.ex, self.fields.ey, ix, iy, p.dx, p.dy
+            self.fields.ex, self.fields.ey, *self._cell_coords(), p.dx, p.dy
         )
 
-    def _update_v_coef(self) -> tuple[float, float]:
-        """Multiplier applied inside update-velocities (1.0 when hoisted)."""
+    def _kick_coefs(self) -> tuple[float, float]:
         if self.config.hoisting:
             return 1.0, 1.0
         return self.q * self.dt / self.m, self.q * self.dt / self.m
+
+    def _push_scales(self) -> tuple[float, float]:
+        if self.config.hoisting:
+            return 1.0, 1.0
+        return self.dt / self.grid.dx, self.dt / self.grid.dy
 
     def _add_external_field(self, ex_p, ey_p):
         """Add the case's uniform external E (stored units); no-op bitwise
@@ -444,16 +496,13 @@ class PICStepper(StepLoop):
         cheap whole-array sweep in the parent.
         """
         p = self.particles
-        ex_p, ey_p = self._interpolate()
-        ex_p, ey_p = self._add_external_field(ex_p, ey_p)
-        cvx, cvy = self._update_v_coef()
+        e_p = self._add_external_field(*self._interpolate())
+        cvx, cvy = self._kick_coefs()
         if self.bz == 0.0:
             # external E only: one full kick, same kernel as unmagnetized
-            self.backend.update_velocities(p.vx, p.vy, ex_p, ey_p, cvx, cvy)
+            self.backend.kick((p.vx, p.vy), e_p, (cvx, cvy))
             return
-        self.backend.update_velocities(
-            p.vx, p.vy, ex_p, ey_p, 0.5 * cvx, 0.5 * cvy
-        )
+        self.backend.kick((p.vx, p.vy), e_p, (0.5 * cvx, 0.5 * cvy))
         t = self.q * self.bz * self.dt / (2.0 * self.m)
         s = 2.0 * t / (1.0 + t * t)
         svx, svy = self._vel_scale_x, self._vel_scale_y
@@ -463,66 +512,37 @@ class PICStepper(StepLoop):
         vpy = vy_ph - vx_ph * t
         p.vx[:] = (vx_ph + vpy * s) / svx
         p.vy[:] = (vy_ph - vpx * s) / svy
-        self.backend.update_velocities(
-            p.vx, p.vy, ex_p, ey_p, 0.5 * cvx, 0.5 * cvy
-        )
+        self.backend.kick((p.vx, p.vy), e_p, (0.5 * cvx, 0.5 * cvy))
 
     def _phase_update_v(self) -> None:
         if self.bz != 0.0 or self.ext_e != (0.0, 0.0):
             self._phase_update_v_boris()
-            return
-        p = self.particles
-        ex_p, ey_p = self._interpolate()
-        cvx, cvy = self._update_v_coef()
-        self.backend.update_velocities(p.vx, p.vy, ex_p, ey_p, cvx, cvy)
+        else:
+            super()._phase_update_v()
 
     def _phase_update_x(self) -> None:
-        g = self.grid
-        if self.config.hoisting:
-            sx = sy = 1.0
-        else:
-            sx, sy = self.dt / g.dx, self.dt / g.dy
         if self.boundary == "reflecting":
+            g = self.grid
             push_positions_reflecting(
-                self.particles, g.ncx, g.ncy, self.ordering, sx, sy
+                self.particles, g.ncx, g.ncy, self.ordering, *self._push_scales()
             )
-            return
-        self.backend.push_positions(
-            self.particles, g.ncx, g.ncy, self.ordering,
-            self.config.position_update, sx, sy,
-        )
+        else:
+            super()._phase_update_x()
 
     def _phase_accumulate(self) -> None:
-        p = self.particles
         if self.fields.layout == "redundant":
-            self.backend.accumulate_redundant(
-                self.fields.rho_1d, p.icell, p.dx, p.dy, self._charge_factor
-            )
-        else:
-            if p.store_coords:
-                ix, iy = p.ix, p.iy
-            else:
-                ix, iy = self.ordering.decode(p.icell)
-            self.backend.accumulate_standard(
-                self.fields.rho, ix, iy, p.dx, p.dy, self._charge_factor
-            )
+            return super()._phase_accumulate()
+        p = self.particles
+        self.backend.accumulate_standard(
+            self.fields.rho, *self._cell_coords(), p.dx, p.dy, self._charge_factor
+        )
 
     def _phase_fused(self) -> None:
-        """Single-pass interpolate + kick + push through the backend."""
-        cvx, cvy = self._update_v_coef()
-        if self.config.hoisting:
-            sx = sy = 1.0
-        else:
-            sx, sy = self.dt / self.grid.dx, self.dt / self.grid.dy
-        self.backend.fused_interp_kick_push(
-            self.fields,
-            self.particles,
-            self.ordering,
-            self.config.position_update,
-            cvx,
-            cvy,
-            sx,
-            sy,
+        if self.fields.layout == "redundant":
+            return super()._phase_fused()
+        self.backend.fused_standard(
+            self.fields.ex, self.fields.ey, self.particles, self.ordering,
+            self.config.position_update, self._kick_coefs(), self._push_scales(),
         )
 
     def _solve_fields(self) -> None:

@@ -21,7 +21,6 @@ from repro.grid.fields import (
     RedundantFields,
     StandardFields,
     corner_offsets,
-    corner_weights,
 )
 from repro.grid.poisson import (
     PoissonSolver,
@@ -35,7 +34,6 @@ __all__ = [
     "StandardFields",
     "RedundantFields",
     "corner_offsets",
-    "corner_weights",
     "PoissonSolver",
     "SpectralPoissonSolver",
     "JacobiPoissonSolver",

@@ -21,6 +21,12 @@ tables)::
 corner values, so a particle's whole field read is one contiguous
 64-byte row (exactly one cache line in the paper's machines).
 
+The layout is written once over ``grid.shape``: in 3D a cell has 8
+corners (corner ``c = 4*ox + 2*oy + oz``), ``rho_1d`` is ``(ncell, 8)``
+and ``e_1d`` is ``(ncell, 24)`` — Ex in columns 0..7, Ey in 8..15, Ez
+in 16..23, three lines per cell, still contiguous per particle; the
+memory factor over the point-based layout grows from 4 to 8.
+
 The redundant rho is a *scatter* target: after accumulation the corner
 contributions must be folded back onto grid points (each grid point is
 a corner of four cells, with periodic wrap) before the Poisson solve —
@@ -33,54 +39,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.curves.base import CellOrdering
 from repro.grid.spec import GridSpec
 
 __all__ = [
     "corner_offsets",
-    "corner_weights",
     "StandardFields",
     "RedundantFields",
 ]
 
-#: Grid-point offsets of the four cell corners, ``(4, 2)`` int array.
-_CORNER_OFFSETS = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.int64)
 
-#: Fig. 2's coefficient tables: weight(corner) = (cx + sx*dx) * (cy + sy*dy).
-_CX = np.array([1.0, 1.0, 0.0, 0.0])
-_SX = np.array([-1.0, -1.0, 1.0, 1.0])
-_CY = np.array([1.0, 0.0, 1.0, 0.0])
-_SY = np.array([-1.0, 1.0, -1.0, 1.0])
-
-
-def corner_offsets() -> np.ndarray:
-    """The ``(4, 2)`` corner offset table (copy; callers may not mutate)."""
-    return _CORNER_OFFSETS.copy()
-
-
-def corner_weights(dx_off: np.ndarray, dy_off: np.ndarray, corners=None) -> np.ndarray:
-    """Cloud-in-Cell weights of the 4 corners for offsets in ``[0,1)``.
-
-    Returns an ``(N, 4)`` array; rows sum to 1 exactly in exact
-    arithmetic (and to within rounding here), which is what makes the
-    scheme charge-conserving.  Written in the ``c + s*d`` form of
-    Fig. 2.  The memory behind the result is corner-major (each
-    ``w[:, c]`` contiguous): NumPy's inner loop then runs over the
-    particles instead of over 4 corners, which is ~7x faster, and the
-    kernels consume the weights one corner column at a time anyway.
-    Elementwise, so the layout cannot change a bit of any weight — and
-    neither can ``corners``, an index (list or slice) selecting which
-    corner columns to compute: the ``numpy-mp`` deposit hands each
-    worker a subset.
-    """
-    dx_off = np.asarray(dx_off, dtype=np.float64)
-    dy_off = np.asarray(dy_off, dtype=np.float64)
-    sel = slice(None) if corners is None else corners
-    cx, sx, cy, sy = (
-        t[sel].reshape((-1,) + (1,) * dx_off.ndim) for t in (_CX, _SX, _CY, _SY)
-    )
-    w = (cx + sx * dx_off) * (cy + sy * dy_off)
-    return np.moveaxis(w, 0, -1)
+def corner_offsets(ndim: int) -> np.ndarray:
+    """Grid-point offsets of a cell's ``2^ndim`` corners, ``(2^ndim,
+    ndim)`` ints in ``{0, 1}``: axis 0 owns the most significant bit of
+    the corner number (the order of Fig. 2's tables, of
+    :func:`repro.core.kernels.corner_weights` and of
+    ``ckernels.c::weights``)."""
+    c = np.arange(1 << ndim, dtype=np.int64)
+    return np.stack([(c >> (ndim - 1 - a)) & 1 for a in range(ndim)], axis=1)
 
 
 class StandardFields:
@@ -114,12 +89,13 @@ class StandardFields:
 
 
 class RedundantFields:
-    """Cell-based redundant storage ordered by a space-filling curve.
+    """Cell-based redundant storage ordered by a space-filling curve,
+    in as many dimensions as ``grid.shape`` has entries.
 
     Parameters
     ----------
     grid:
-        The grid specification.
+        The grid specification (``GridSpec`` or ``GridSpec3D``).
     ordering:
         Bijection deciding which cell goes where in memory.  Padding
         cells (L4D) are allocated and stay zero forever.
@@ -127,53 +103,54 @@ class RedundantFields:
 
     layout = "redundant"
 
-    def __init__(self, grid: GridSpec, ordering: CellOrdering):
-        if (ordering.ncx, ordering.ncy) != (grid.ncx, grid.ncy):
-            raise ValueError(
-                "ordering grid shape "
-                f"{(ordering.ncx, ordering.ncy)} != grid {(grid.ncx, grid.ncy)}"
-            )
+    def __init__(self, grid, ordering):
+        shape = grid.shape
+        ordering_shape = tuple(getattr(ordering, "nc" + a) for a in "xyz"[: len(shape)])
+        if ordering_shape != shape:
+            raise ValueError(f"ordering grid shape {ordering_shape} != grid {shape}")
         self.grid = grid
         self.ordering = ordering
         nalloc = ordering.ncells_allocated
-        #: per-cell corner charges, ``(nalloc, 4)``
-        self.rho_1d = np.zeros((nalloc, 4))
-        #: per-cell corner fields, ``(nalloc, 8)``: cols 0..3 Ex, 4..7 Ey
-        self.e_1d = np.zeros((nalloc, 8))
+        ncorner = 1 << len(shape)
+        #: per-cell corner charges, ``(nalloc, ncorner)``
+        self.rho_1d = np.zeros((nalloc, ncorner))
+        #: per-cell corner fields, ``(nalloc, ndim * ncorner)``: one
+        #: ``ncorner``-wide group per component (2D: cols 0..3 Ex, 4..7 Ey)
+        self.e_1d = np.zeros((nalloc, len(shape) * ncorner))
         self._build_maps()
 
     def _build_maps(self) -> None:
         """Precompute gather/scatter index maps between grid points and cells.
 
-        ``_cell_index_map[ix, iy]`` is the linear index of cell (ix, iy).
-        ``_corner_cell[c]`` (shape ``(ncx, ncy)``) is, for grid point
-        (gx, gy), the linear index of the cell whose corner ``c`` is that
-        point — i.e. cell ``(gx - ox) mod ncx, (gy - oy) mod ncy``.
+        ``_cell_index_map[ix, iy, ...]`` is the linear index of that cell.
+        ``_corner_cell[c]`` (grid-shaped) is, for each grid point, the
+        linear index of the cell whose corner ``c`` is that point —
+        the cell at ``(point - offset_c) mod shape``.
         ``_corner_point[r, c]`` is the inverse gather map of
         :meth:`load_field_from_grid`: the flat grid-point index of
         corner ``c`` of the cell stored in row ``r``.  Padding rows
         (orderings that allocate more rows than cells) point one past
         the grid, at a zero the loader appends, so they stay zero.
         """
-        g = self.grid
-        ix, iy = np.meshgrid(
-            np.arange(g.ncx, dtype=np.int64),
-            np.arange(g.ncy, dtype=np.int64),
-            indexing="ij",
+        shape = self.grid.shape
+        coords = np.meshgrid(
+            *(np.arange(nc, dtype=np.int64) for nc in shape), indexing="ij"
         )
-        self._cell_index_map = self.ordering.encode(ix, iy)
-        self._corner_cell = np.empty((4, g.ncx, g.ncy), dtype=np.int64)
-        for c, (ox, oy) in enumerate(_CORNER_OFFSETS):
-            self._corner_cell[c] = self.ordering.encode(
-                (ix - ox) % g.ncx, (iy - oy) % g.ncy
-            )
+        offsets = corner_offsets(len(shape))
+        self._cell_index_map = self.ordering.encode(*coords)
+        self._corner_cell = np.empty((len(offsets),) + shape, dtype=np.int64)
         self._corner_point = np.full(
-            (self.ordering.ncells_allocated, 4), g.ncx * g.ncy, dtype=np.int64
+            (self.ordering.ncells_allocated, len(offsets)),
+            self.grid.ncells, dtype=np.int64,
         )
-        for c, (ox, oy) in enumerate(_CORNER_OFFSETS):
-            self._corner_point[self._cell_index_map, c] = (
-                (ix + ox) % g.ncx
-            ) * g.ncy + (iy + oy) % g.ncy
+        for c, offset in enumerate(offsets):
+            self._corner_cell[c] = self.ordering.encode(
+                *((i - o) % nc for i, o, nc in zip(coords, offset, shape))
+            )
+            self._corner_point[self._cell_index_map, c] = np.ravel_multi_index(
+                tuple((i + o) % nc for i, o, nc in zip(coords, offset, shape)),
+                shape,
+            )
 
     # ------------------------------------------------------------------
     def adopt_arrays(self, rho_1d: np.ndarray, e_1d: np.ndarray) -> None:
@@ -194,7 +171,7 @@ class RedundantFields:
         self.rho_1d[:] = 0.0
 
     def cell_index_map(self) -> np.ndarray:
-        """``(ncx, ncy)`` map of linear cell indices (read-only view)."""
+        """Grid-shaped map of linear cell indices (read-only view)."""
         v = self._cell_index_map.view()
         v.flags.writeable = False
         return v
@@ -202,49 +179,51 @@ class RedundantFields:
     def reduce_rho_to_grid(self) -> np.ndarray:
         """Fold redundant corner charges onto grid points (periodic).
 
-        Grid point (gx, gy) receives the contributions written to it as
-        corner 0 of cell (gx, gy), corner 1 of cell (gx, gy-1),
-        corner 2 of cell (gx-1, gy) and corner 3 of cell (gx-1, gy-1).
+        A grid point receives what was written to it as corner ``c`` of
+        the cell one corner offset behind it, for every ``c`` (2D:
+        corner 0 of cell (gx, gy), corner 1 of (gx, gy-1), corner 2 of
+        (gx-1, gy), corner 3 of (gx-1, gy-1)), added in corner order.
         """
-        g = self.grid
-        out = np.zeros((g.ncx, g.ncy))
-        for c in range(4):
-            out += self.rho_1d[self._corner_cell[c], c]
+        out = np.zeros(self.grid.shape)
+        for c, cells in enumerate(self._corner_cell):
+            out += self.rho_1d[cells, c]
         return out
 
-    def load_field_from_grid(self, ex: np.ndarray, ey: np.ndarray) -> None:
-        """Broadcast point-based field arrays into the redundant layout.
+    def load_field_from_grid(self, *components: np.ndarray) -> None:
+        """Broadcast point-based field arrays (one per axis) into the
+        redundant layout.
 
-        Each cell's row gets the field values at its four corners (with
-        periodic wrap), Ex in columns 0..3 and Ey in 4..7.  This is the
-        step that costs 4x memory and buys contiguous per-particle
-        reads.  One precomputed gather per component, written row by
-        row in memory order.
+        Each cell's row gets the field values at its corners (with
+        periodic wrap), one group of columns per component.  This is the
+        step that costs ``2^ndim`` x memory and buys contiguous
+        per-particle reads.  One precomputed gather per component,
+        written row by row in memory order.
         """
-        g = self.grid
-        ex = np.asarray(ex, dtype=np.float64)
-        ey = np.asarray(ey, dtype=np.float64)
-        if ex.shape != (g.ncx, g.ncy) or ey.shape != (g.ncx, g.ncy):
+        shape = self.grid.shape
+        if len(components) != len(shape) or any(
+            np.shape(comp) != shape for comp in components
+        ):
             raise ValueError("field arrays must have grid shape")
-        for lo, comp in ((0, ex), (4, ey)):
-            self.e_1d[:, lo:lo + 4] = np.append(comp, 0.0)[self._corner_point]
+        ncorner = self.rho_1d.shape[1]
+        for k, comp in enumerate(components):
+            self.e_1d[:, k * ncorner:(k + 1) * ncorner] = np.append(
+                np.asarray(comp, dtype=np.float64), 0.0
+            )[self._corner_point]
 
-    def set_field_from_grid(self, ex: np.ndarray, ey: np.ndarray) -> None:
-        """Alias matching :class:`StandardFields`' API."""
-        self.load_field_from_grid(ex, ey)
+    #: the names :class:`StandardFields` gives the same two operations
+    set_field_from_grid = load_field_from_grid
+    rho_grid = reduce_rho_to_grid
 
-    def rho_grid(self) -> np.ndarray:
-        """Alias matching :class:`StandardFields`' API."""
-        return self.reduce_rho_to_grid()
-
-    def field_at_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """Recover point-based (Ex, Ey) from the redundant layout.
+    def field_at_grid(self) -> tuple[np.ndarray, ...]:
+        """Recover the point-based components from the redundant layout.
 
         Reads corner 0 of each cell; used by tests to verify the
         broadcast round-trips.
         """
-        idx = self._cell_index_map
-        return self.e_1d[idx, 0].copy(), self.e_1d[idx, 4].copy()
+        idx, ncorner = self._cell_index_map, self.rho_1d.shape[1]
+        return tuple(
+            self.e_1d[idx, k * ncorner].copy() for k in range(len(self.grid.shape))
+        )
 
     @property
     def memory_bytes(self) -> int:

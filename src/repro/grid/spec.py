@@ -58,6 +58,11 @@ class GridSpec:
         return self.ly / self.ncy
 
     @property
+    def shape(self) -> tuple[int, int]:
+        """Cells per axis — what dimension-generic code reads."""
+        return (self.ncx, self.ncy)
+
+    @property
     def ncells(self) -> int:
         return self.ncx * self.ncy
 

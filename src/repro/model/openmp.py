@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import OptimizationConfig
-from repro.core.kernels import accumulate_redundant, accumulate_standard
+from repro.core.kernels import accumulate_rows, accumulate_standard
 from repro.model.bandwidth import BandwidthModel, loop_bytes_per_particle
 from repro.model.costmodel import LoopCostModel, LoopKind
 from repro.model.machine import MachineSpec
@@ -55,7 +55,7 @@ def parallel_accumulate_redundant(
     privates = []
     for sl in partition_range(len(icell), nthreads):
         priv = np.zeros_like(rho_1d)
-        accumulate_redundant(priv, icell[sl], dx[sl], dy[sl], charge)
+        accumulate_rows(priv, icell[sl], (dx[sl], dy[sl]), charge)
         privates.append(priv)
     for priv in privates:  # deterministic thread-order reduction
         rho_1d += priv
@@ -83,7 +83,7 @@ def cellwise_accumulate_redundant(
         own = (icell >= sl.start) & (icell < sl.stop)
         idx = np.nonzero(own)[0]  # ascending: preserves particle order
         priv = np.zeros((sl.stop - sl.start, rho_1d.shape[1]), dtype=rho_1d.dtype)
-        accumulate_redundant(priv, icell[idx] - sl.start, dx[idx], dy[idx], charge)
+        accumulate_rows(priv, icell[idx] - sl.start, (dx[idx], dy[idx]), charge)
         rho_1d[sl] += priv  # disjoint row ranges: order-free reduction
 
 

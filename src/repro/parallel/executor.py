@@ -92,8 +92,8 @@ class PoolUnrecoverableError(RuntimeError):
 # ----------------------------------------------------------------------
 def _exec_interp(e_1d, icell, offsets, out, lo, hi):
     """Gather E into the per-particle scratch slice (idempotent)."""
-    _k.row_kernels(len(offsets))[0](
-        e_1d, icell[lo:hi], *(d[lo:hi] for d in offsets),
+    _k.interpolate_rows(
+        e_1d, icell[lo:hi], [d[lo:hi] for d in offsets],
         out=tuple(e_p[lo:hi] for e_p in out),
     )
 
@@ -139,7 +139,6 @@ def _exec_deposit(slab, icell, offsets, groups, charge):
     order).  The owned slab pieces are re-zeroed first, making retries
     idempotent.
     """
-    accumulate = _k.row_kernels(len(offsets))[1]
     for lo, hi, corners in groups:
         slab[corners, lo:hi] = 0.0
         keys, offs = icell, offsets
@@ -147,7 +146,7 @@ def _exec_deposit(slab, icell, offsets, groups, charge):
             sel = np.flatnonzero((icell >= lo) & (icell < hi))
             keys, offs = icell[sel] - lo, [o[sel] for o in offsets]
         # slab is corner-major: .T is the (rows, ncorner) rho_1d shape
-        accumulate(slab.T[lo:hi], keys, *offs, charge, corners=corners)
+        _k.accumulate_rows(slab.T[lo:hi], keys, offs, charge, corners=corners)
 
 
 #: worker op name -> executor; a shard message carries the op's array
@@ -770,8 +769,7 @@ class MultiprocessBackend(NumpyBackend):
         """The live engine prepared for ``stepper``, if any."""
         return self._engines.get(id(stepper))
 
-    # -- kernel dispatch: the four axis-generic kernels, each serving
-    # -- the 2D and the 3D method names of the kernel surface
+    # -- kernel dispatch: the four split-loop kernels
     def interpolate_rows(self, e_1d, icell, offsets):
         eng = _engine_owning(e_1d, icell, *offsets)
         if eng is None or len(icell) != eng.n:

@@ -12,20 +12,16 @@ vocabulary as the 2D code:
 * the redundant cell-based layout generalized to 8 corners per cell:
   ``rho_1d[ncell][8]`` and ``e_1d[ncell][24]`` (3 components x 8
   corners — three cache lines per cell on a 64-byte-line machine);
-* trilinear (Cloud-in-Cell) accumulate/interpolate kernels
-  (:mod:`repro.pic3d.kernels3d`) and the branchless bitwise position
-  update (the dimension-generic push of :mod:`repro.core.kernels`);
+* trilinear (Cloud-in-Cell) accumulate/interpolate and the branchless
+  bitwise position update — the dimension-generic kernels of
+  :mod:`repro.core.kernels`, over the generic
+  :class:`repro.grid.fields.RedundantFields`;
 * a 3D spectral Poisson solver and a leap-frog stepper
   (:mod:`repro.pic3d.stepper3d`) validated on 3D Landau damping.
 """
 
 from repro.pic3d.ordering3d import Morton3DOrdering, Ordering3D, RowMajor3DOrdering
-from repro.pic3d.grid3d import GridSpec3D, RedundantFields3D
-from repro.pic3d.kernels3d import (
-    accumulate_redundant_3d,
-    corner_weights_3d,
-    interpolate_redundant_3d,
-)
+from repro.pic3d.grid3d import GridSpec3D
 from repro.pic3d.poisson3d import SpectralPoissonSolver3D
 from repro.pic3d.stepper3d import LandauDamping3D, PICStepper3D, TwoStream3D
 
@@ -34,10 +30,6 @@ __all__ = [
     "RowMajor3DOrdering",
     "Morton3DOrdering",
     "GridSpec3D",
-    "RedundantFields3D",
-    "corner_weights_3d",
-    "accumulate_redundant_3d",
-    "interpolate_redundant_3d",
     "SpectralPoissonSolver3D",
     "PICStepper3D",
     "LandauDamping3D",

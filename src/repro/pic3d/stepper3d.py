@@ -1,12 +1,12 @@
 """Config-driven 3d3v leap-frog PIC stepper on redundant cell rows.
 
 A client of the 2D machinery: the step loop, sort, loop-path
-dispatch, phase hooks and backend lifecycle are
-:class:`repro.core.stepper.StepLoop`'s, the particles a
+dispatch, phase hooks, backend lifecycle *and the phase bodies* are
+:class:`repro.core.stepper.StepLoop`'s, the field store the generic
+:class:`~repro.grid.fields.RedundantFields`, the particles a
 :class:`~repro.particles.storage.ParticleSoA` with ``ndim=3``, and
 ``numpy-mp`` drives it through the same engine as 2D.  What lives here
-is the 3D state and the four phase bodies over the trilinear 8-corner
-kernels of :mod:`repro.pic3d.kernels3d`.
+is the 3D state: constructor, particle loader, energies and the solve.
 
 One deliberate divergence from 2D: the 3D stepper only implements
 *hoisted* units (velocities stored as grid displacement per step,
@@ -24,9 +24,10 @@ import numpy as np
 from repro.core.config import OptimizationConfig
 from repro.core.stepper import StepLoop
 from repro.curves.base import available_orderings
+from repro.grid.fields import RedundantFields
 from repro.particles.initializers import halton_sequence, sample_perturbed_positions
 from repro.particles.storage import ParticleSoA
-from repro.pic3d.grid3d import GridSpec3D, RedundantFields3D
+from repro.pic3d.grid3d import GridSpec3D
 from repro.pic3d.ordering3d import Morton3DOrdering, Ordering3D, RowMajor3DOrdering
 from repro.pic3d.poisson3d import SpectralPoissonSolver3D
 
@@ -173,7 +174,7 @@ class PICStepper3D(StepLoop):
         self.ordering = ordering or _ordering_for(
             self.config.ordering, self.grid.shape
         )
-        self.fields = RedundantFields3D(self.grid, self.ordering)
+        self.fields = RedundantFields(self.grid, self.ordering)
         self.solver = SpectralPoissonSolver3D(self.grid)
 
     def _load_particles(self, case, n: int) -> ParticleSoA:
@@ -197,8 +198,7 @@ class PICStepper3D(StepLoop):
     def _init_fields_and_stagger(self) -> None:
         """rho and E at t=0, then the leap-frog half kick backwards."""
         self._deposit_and_solve()
-        p = self.particles
-        self.backend.kick((p.vx, p.vy, p.vz), self._interpolate(), (-0.5,) * 3)
+        self.backend.kick(self._columns("v"), self._interpolate(), (-0.5,) * 3)
 
     # ------------------------------------------------------------------
     @property
@@ -224,36 +224,6 @@ class PICStepper3D(StepLoop):
         return self.config.sort_period
 
     # ------------------------------------------------------------------
-    # Phases
-    # ------------------------------------------------------------------
-    def _interpolate(self):
-        p = self.particles
-        return self.backend.interpolate_redundant_3d(
-            self.fields.e_1d, p.icell, p.dx, p.dy, p.dz
-        )
-
-    def _phase_update_v(self) -> None:
-        p = self.particles
-        self.backend.kick((p.vx, p.vy, p.vz), self._interpolate(), (1.0,) * 3)
-
-    def _phase_update_x(self) -> None:
-        self.backend.push_positions_3d(
-            self.particles, self.grid.shape, self.ordering,
-            variant=self.config.position_update,
-        )
-
-    def _phase_fused(self) -> None:
-        self.backend.fused_interp_kick_push_3d(
-            self.fields, self.particles, self.ordering,
-            self.config.position_update,
-        )
-
-    def _phase_accumulate(self) -> None:
-        p = self.particles
-        self.backend.accumulate_redundant_3d(
-            self.fields.rho_1d, p.icell, p.dx, p.dy, p.dz, self._charge_factor
-        )
-
     def _solve_fields(self) -> None:
         self.rho_grid = self.fields.reduce_rho_to_grid()
         _, self.ex_grid, self.ey_grid, self.ez_grid = self.solver.solve(self.rho_grid)

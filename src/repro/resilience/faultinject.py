@@ -45,6 +45,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.backends import KernelBackend
+
 __all__ = [
     "Fault",
     "FaultInjector",
@@ -75,7 +77,7 @@ class Fault:
     step: int
     array: str = "vx"
     count: int = 4
-    kernel: str = "accumulate_redundant"
+    kernel: str = "accumulate_rows"
     backend: str | None = None
     worker: int = 0
     once: bool = True
@@ -136,16 +138,25 @@ class FaultInjector:
                                  count=int(count), once=once))
         return self
 
-    def add_kernel_raise(self, step: int, kernel: str = "accumulate_redundant",
+    def add_kernel_raise(self, step: int, kernel: str = "accumulate_rows",
                          backend: str | None = None,
                          once: bool = False) -> "FaultInjector":
         """Make ``backend.<kernel>`` raise from ``step`` onwards.
 
-        With ``backend`` set, the fault only arms while that backend is
+        ``kernel`` is the name the stepper fetches from its backend:
+        one of :class:`~repro.core.backends.KernelBackend`'s abstract
+        kernels (anything else would never fire, so it is a
+        ``ValueError`` here).  With ``backend`` set, the fault only
+        arms while that backend is
         active — a deterministic engine fault that goes away once the
         supervisor degrades to the next backend in the chain.  With
         ``once=True`` the first raise disarms it (a transient glitch).
         """
+        if kernel not in KernelBackend.__abstractmethods__:
+            raise ValueError(
+                f"cannot trap {kernel!r}: the steppers call "
+                f"{sorted(KernelBackend.__abstractmethods__)}"
+            )
         self.faults.append(Fault("kernel_raise", int(step), kernel=kernel,
                                  backend=backend, once=once))
         return self

@@ -21,14 +21,12 @@ numpy fused, any n                  bitwise (the blocked sweep is elementwise
                                     per particle and runs the split
                                     kernels' own code; one whole-population
                                     deposit follows on either path)
-c split / fused, 2D                 bitwise (``ckernels.c`` is written to
-                                    NumPy's bits: same fold orders, no FMA
-                                    contraction; on ``ParticleAoS`` the
-                                    strided columns take the inherited
-                                    NumPy kernels)
-c split / fused, 3D                 tolerance (deposit and push bitwise;
-                                    NumPy's 3D gather is an ``einsum`` of
-                                    unspecified association)
+c split / fused, 2D and 3D          bitwise (``ckernels.c`` and
+                                    :mod:`repro.core.kernels` state the same
+                                    CiC fold: left-product weights, corners
+                                    folded in order, no FMA contraction; on
+                                    ``ParticleAoS`` the strided columns take
+                                    the inherited NumPy kernels)
 in-place vs out-of-place sort       bitwise (same stable permutation)
 scalar ReferenceStepper             bitwise (checked separately in tests;
                                     too slow for the sampled matrix)
@@ -145,7 +143,7 @@ class PairResult:
     """One combo held against the baseline for a whole scenario."""
 
     combo: Combo
-    relation: str  #: "bitwise" or "tolerance"
+    relation: str  #: "bitwise" — the only promise the matrix makes
     ok: bool
     divergence: Divergence | None = None
 
@@ -220,7 +218,7 @@ class _Run:
         st = self.stepper
         state = {name: np.array(st.particles[name]) for name in self.arrays}
         if phase in ("accumulate", "solve"):
-            if st.fields.layout.startswith("redundant"):
+            if st.fields.layout == "redundant":
                 state["rho_raw"] = np.array(st.fields.rho_1d)
             else:
                 state["rho_raw"] = np.array(st.fields.rho)
@@ -264,10 +262,6 @@ class DifferentialRunner:
 
     Parameters
     ----------
-    rtol:
-        Max-norm relative tolerance for combos promised only
-        tolerance-level agreement (default ``1e-9`` — a few hundred
-        ULPs over a 10-step run, far below any physics scale).
     include_mp:
         Include the ``numpy-mp`` combo when importable.  On by
         default; the CLI exposes ``--no-mp`` because worker-pool
@@ -279,9 +273,7 @@ class DifferentialRunner:
         histogram cuts against the serial deposit.
     """
 
-    def __init__(self, rtol: float = 1e-9, include_mp: bool = True,
-                 mp_workers: int = 2):
-        self.rtol = float(rtol)
+    def __init__(self, include_mp: bool = True, mp_workers: int = 2):
         self.include_mp = include_mp
         self.mp_workers = int(mp_workers)
 
@@ -306,9 +298,8 @@ class DifferentialRunner:
                      "bitwise")
                 )
         if "c" in avail:
-            relation = "bitwise" if scenario.dims == 2 else "tolerance"
-            combos.append((Combo("c", loop_mode="split"), relation))
-            combos.append((Combo("c", loop_mode="fused"), relation))
+            combos.append((Combo("c", loop_mode="split"), "bitwise"))
+            combos.append((Combo("c", loop_mode="fused"), "bitwise"))
         if scenario.sort_period:
             flipped = (
                 "out-of-place" if scenario.sort_variant == "in-place"
@@ -321,23 +312,14 @@ class DifferentialRunner:
         return combos
 
     # -- comparison ---------------------------------------------------
-    def _compare_states(self, a: dict, b: dict, relation: str):
-        """First divergent array between two snapshots, or None."""
+    def _compare_states(self, a: dict, b: dict):
+        """First array that differs by a bit between two snapshots, or
+        None."""
         for name in sorted(set(a) & set(b)):
             x, y = a[name], b[name]
-            if relation == "bitwise":
-                if x.tobytes() != y.tobytes():
-                    mx, rel = _max_diffs(x, y)
-                    return name, mx, rel
-            else:
-                if name == "icell":
-                    # tolerance-level runs may legitimately disagree on
-                    # the cell of a boundary-grazing particle; position
-                    # agreement is checked through dx/dy + the fields
-                    continue
+            if x.tobytes() != y.tobytes():
                 mx, rel = _max_diffs(x, y)
-                if rel > self.rtol:
-                    return name, mx, rel
+                return name, mx, rel
         return None
 
     def _comparable_phases(self, base: _Run, other: _Run) -> list[str]:
@@ -383,7 +365,7 @@ class DifferentialRunner:
                     if not res.ok:
                         continue  # already diverged; stop driving it
                     run.step()
-                    div = self._first_divergence(base, run, rel, step)
+                    div = self._first_divergence(base, run, step)
                     if div is not None:
                         res.ok = False
                         res.divergence = div
@@ -398,12 +380,12 @@ class DifferentialRunner:
             sort_permutation_ok=sort_ok,
         )
 
-    def _first_divergence(self, base: _Run, other: _Run, relation: str,
+    def _first_divergence(self, base: _Run, other: _Run,
                           step: int) -> Divergence | None:
         """Bisect the just-completed step down to phase + array."""
         for phase in self._comparable_phases(base, other):
             bad = self._compare_states(
-                base.phase_states[phase], other.phase_states[phase], relation
+                base.phase_states[phase], other.phase_states[phase]
             )
             if bad is not None:
                 name, mx, rel = bad

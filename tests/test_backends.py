@@ -70,6 +70,35 @@ class TestRegistry:
     def test_registry_lists_exactly_three(self):
         assert known_backend_names() == ("numpy", "c", "numpy-mp")
 
+    def test_surface_is_nine_kernels_three_hooks_seven_adapters(self):
+        """What a backend can override is the abstract set; the
+        axis-spelled names the frozen ledger calls are adapters defined
+        once on the base class, and no registered backend overrides
+        one."""
+        import repro.core.backends as B
+
+        kernels = {
+            "interpolate_rows", "accumulate_rows", "kick", "push", "fused_rows",
+            "counting_sort_permutation",
+            "interpolate_standard", "accumulate_standard", "fused_standard",
+        }
+        hooks = {"is_available", "prepare_stepper", "release_stepper"}
+        adapters = {
+            "interpolate_redundant", "interpolate_redundant_3d",
+            "accumulate_redundant", "accumulate_redundant_3d",
+            "update_velocities", "push_positions", "push_positions_3d",
+        }
+        assert KernelBackend.__abstractmethods__ == kernels
+        public = {
+            name for name, value in vars(KernelBackend).items()
+            if not name.startswith("_") and callable(getattr(KernelBackend, name))
+        }
+        assert public == kernels | hooks | adapters
+        for name in known_backend_names():
+            for adapter in adapters:
+                assert (getattr(B._REGISTRY[name], adapter)
+                        is getattr(KernelBackend, adapter)), (name, adapter)
+
     def test_c_always_registered(self, no_compiler):
         # registered even when it cannot build: the name is known, the
         # instantiation is what's gated
@@ -176,23 +205,39 @@ class TestKernelEquivalence:
             np.testing.assert_allclose(vx, want_x, atol=1e-14)
             np.testing.assert_allclose(vy, want_y, atol=1e-14)
 
+    @staticmethod
+    def _at_rest(x, y, ncx, ncy):
+        """A population whose push lands it at ``(x, y)``: everyone in
+        cell (0, 0) at offset 0, the whole move in the velocity."""
+        from repro.particles import make_storage
+
+        n = len(x)
+        zi, zf = np.zeros(n, dtype=np.int64), np.zeros(n)
+        s = make_storage("soa", n, store_coords=True)
+        s.set_state(zi, zf, zf, x, y, zi, zi)
+        return s, get_ordering("row-major", ncx, ncy)
+
     @pytest.mark.parametrize("variant", ["branch", "modulo", "bitwise"])
     def test_push_axis_vs_reference(self, backend, rng, variant):
         # positions up to several periods outside the box, both signs
         x = rng.uniform(-3 * NCX, 4 * NCX, 500)
-        i, off = backend.push_axis(x, NCX, variant)
-        assert np.all((0 <= i) & (i < NCX))
-        assert np.all((0.0 <= off) & (off < 1.0))
-        for p in range(len(x)):
-            ri, roff = push_axis_ref(float(x[p]), NCX)
-            # all variants land the same physical position modulo the box
-            got = (i[p] + off[p]) % NCX
-            want = (ri + roff) % NCX
-            assert got == pytest.approx(want, abs=1e-9)
+        s, ordering = self._at_rest(x, x[::-1].copy(), NCX, NCY)
+        backend.push(s, (NCX, NCY), ordering, variant, (1.0, 1.0))
+        for x_a, i, off in ((x, s.ix, s.dx), (x[::-1], s.iy, s.dy)):
+            assert np.all((0 <= i) & (i < NCX))
+            assert np.all((0.0 <= off) & (off < 1.0))
+            for p in range(len(x_a)):
+                ri, roff = push_axis_ref(float(x_a[p]), NCX)
+                # all variants land the same physical position modulo the box
+                got = (i[p] + off[p]) % NCX
+                want = (ri + roff) % NCX
+                assert got == pytest.approx(want, abs=1e-9)
+        np.testing.assert_array_equal(s.icell, ordering.encode(s.ix, s.iy))
 
     def test_push_axis_bitwise_requires_pow2(self, backend):
+        s, ordering = self._at_rest(np.array([1.5]), np.array([1.5]), 12, 12)
         with pytest.raises(ValueError, match="power-of-two"):
-            backend.push_axis(np.array([1.5]), 12, "bitwise")
+            backend.push(s, (12, 12), ordering, "bitwise", (1.0, 1.0))
 
     def test_push_positions_matches_numpy_backend(self, backend, rng):
         from repro.particles import make_storage
@@ -229,7 +274,7 @@ class TestKernelEquivalence3D:
         return o, o.encode(ix, iy, iz)
 
     def test_accumulate_redundant_3d(self, backend, rng):
-        from repro.pic3d.kernels3d import accumulate_redundant_3d
+        from repro.core.kernels import accumulate_rows
 
         n = 200
         o, icell = self._cells(rng, n)
@@ -237,21 +282,21 @@ class TestKernelEquivalence3D:
         rho = np.zeros((o.ncells_allocated, 8))
         ref = np.zeros((o.ncells_allocated, 8))
         backend.accumulate_redundant_3d(rho, icell, dx, dy, dz, charge=0.9)
-        accumulate_redundant_3d(ref, icell, dx, dy, dz, charge=0.9)
-        np.testing.assert_allclose(rho, ref, atol=1e-12)
+        accumulate_rows(ref, icell, (dx, dy, dz), charge=0.9)
+        np.testing.assert_array_equal(rho, ref)
         assert rho.sum() == pytest.approx(0.9 * n, rel=1e-12)
 
     def test_interpolate_redundant_3d(self, backend, rng):
-        from repro.pic3d.kernels3d import interpolate_redundant_3d
+        from repro.core.kernels import interpolate_rows
 
         n = 200
         o, icell = self._cells(rng, n)
         dx, dy, dz = rng.random(n), rng.random(n), rng.random(n)
         e_1d = rng.random((o.ncells_allocated, 24))
         got = backend.interpolate_redundant_3d(e_1d, icell, dx, dy, dz)
-        want = interpolate_redundant_3d(e_1d, icell, dx, dy, dz)
+        want = interpolate_rows(e_1d, icell, (dx, dy, dz))
         for g, w in zip(got, want):
-            np.testing.assert_allclose(g, w, atol=1e-13)
+            np.testing.assert_array_equal(g, w)
 
 
 # ----------------------------------------------------------------------
@@ -292,9 +337,9 @@ class TestSimulationEquivalence:
             priority = -1  # never auto-selected
             calls = []
 
-            def accumulate_redundant(self, *a, **kw):
-                type(self).calls.append("accumulate_redundant")
-                return super().accumulate_redundant(*a, **kw)
+            def accumulate_rows(self, *a, **kw):
+                type(self).calls.append("accumulate_rows")
+                return super().accumulate_rows(*a, **kw)
 
         try:
             assert "tracing-test" in known_backend_names()

@@ -1,17 +1,18 @@
 """Cache blocking of the NumPy kernels: invisible in the bits.
 
 Three guards on the block loop of :mod:`repro.core.kernels` (which the
-3D kernels, both push drivers, the fused sweep and the ``numpy-mp``
-shard bodies all run through):
+kernels of both dimensions, the push driver, the fused sweep and the
+``numpy-mp`` shard bodies all run through):
 
 * every blocked kernel equals the same kernel run as a single block,
   bitwise, on populations that end exactly on, one short of, and one
   past a block boundary;
-* state digests of runs longer than one block, **recorded from the
-  commit before the kernels were blocked**, are reproduced by numpy
-  split, numpy fused and ``numpy-mp`` at 2 and 4 workers — and, in 2D,
-  by ``c`` split and fused (its 3D gather agrees with NumPy's
-  ``einsum`` to rounding only, so the 3D digest is not its to match);
+* state digests of runs longer than one block, **recorded from an
+  earlier commit**, are reproduced by numpy split, numpy fused,
+  ``numpy-mp`` at 2 and 4 workers and ``c`` split and fused — the 2D
+  one from before the kernels were blocked, the 3D one from the ``c``
+  backend of the commit before NumPy's 3D gather became the left fold
+  ``ckernels.c`` already was (EXPERIMENTS.md, "PR 22");
 * the transient memory of the blocked kernels does not grow with the
   population (a ``tracemalloc`` byte count, identical on every host).
 """
@@ -35,7 +36,6 @@ from repro.pic3d import (
     LandauDamping3D,
     Morton3DOrdering,
     PICStepper3D,
-    RedundantFields3D,
 )
 from repro.verify.golden import state_digest
 
@@ -85,19 +85,24 @@ def _kernels_2d(n, field_layout, particle_layout, variant, sort, rho0):
     out = []
     p = particles()
     if field_layout == "redundant":
-        e_p = b.interpolate_redundant(fields.e_1d, p.icell, p.dx, p.dy)
+        e_p = b.interpolate_rows(fields.e_1d, p.icell, (p.dx, p.dy))
         rho = np.full_like(fields.rho_1d, rho0)
-        b.accumulate_redundant(rho, p.icell, p.dx, p.dy, -0.37)
+        b.accumulate_rows(rho, p.icell, (p.dx, p.dy), -0.37)
     else:
         e_p = b.interpolate_standard(fields.ex, fields.ey, p.ix, p.iy, p.dx, p.dy)
         rho = np.full_like(fields.rho, rho0)
         b.accumulate_standard(rho, p.ix, p.iy, p.dx, p.dy, -0.37)
     out += [*e_p, rho]
-    b.update_velocities(p.vx, p.vy, *e_p, 0.7, 1.0)
-    b.push_positions(p, nc, nc, ordering, variant, 1.0, 0.5)
+    b.kick((p.vx, p.vy), e_p, (0.7, 1.0))
+    b.push(p, (nc, nc), ordering, variant, (1.0, 0.5))
     out += dict(p).values()
     q = particles()
-    b.fused_interp_kick_push(fields, q, ordering, variant, 0.7, 1.0, 1.0, 0.5)
+    if field_layout == "redundant":
+        b.fused_rows(fields.e_1d, q, (nc, nc), ordering, variant,
+                     (0.7, 1.0), (1.0, 0.5))
+    else:
+        b.fused_standard(fields.ex, fields.ey, q, ordering, variant,
+                         (0.7, 1.0), (1.0, 0.5))
     out += dict(q).values()
     return _digest(out)
 
@@ -131,20 +136,21 @@ def _kernels_3d(n, variant, sort, rho0):
     state.update({"i" + a: c[order] for a, c in zip("xyz", coords)})
     state.update({"d" + a: rng.random(n) for a in "xyz"})
     state.update({"v" + a: rng.normal(0, 2, n) for a in "xyz"})
-    fields = RedundantFields3D(grid, ordering)
+    fields = RedundantFields(grid, ordering)
     fields.load_field_from_grid(*(rng.normal(size=shape) for _ in range(3)))
 
     p = {k: v.copy() for k, v in state.items()}
-    e_p = b.interpolate_redundant_3d(fields.e_1d, p["icell"], p["dx"], p["dy"], p["dz"])
+    offsets = (p["dx"], p["dy"], p["dz"])
+    e_p = b.interpolate_rows(fields.e_1d, p["icell"], offsets)
     rho = np.full_like(fields.rho_1d, rho0)
-    b.accumulate_redundant_3d(rho, p["icell"], p["dx"], p["dy"], p["dz"], -0.37)
+    b.accumulate_rows(rho, p["icell"], offsets, -0.37)
     out = [*e_p, rho]
     for a, e in zip("xyz", e_p):
         p["v" + a] += e
-    b.push_positions_3d(p, shape, ordering, variant=variant)
+    b.push(p, shape, ordering, variant, (1.0,) * 3)
     out += p.values()
     q = {k: v.copy() for k, v in state.items()}
-    b.fused_interp_kick_push_3d(fields, q, ordering, variant)
+    b.fused_rows(fields.e_1d, q, shape, ordering, variant, (1.0,) * 3, (1.0,) * 3)
     out += q.values()
     return _digest(out)
 
@@ -167,25 +173,27 @@ def test_blocked_kernels_equal_single_block_3d(monkeypatch, n, variant, sort, rh
 #: at step 20), after 25 steps — ``state_digest`` at commit c47188a
 PARENT_DIGEST_2D = "b14541c8191ae32abdbb3e038200749479b204ad4dee968016253935050dbb64"
 #: 3D Landau, 16x8x8, 40,000 particles, dt 0.1, sort every 5, after 8
-#: steps — particles + rho/E grids at commit c47188a
-PARENT_DIGEST_3D = "de284d301f20ea2b35eaf58da6f9b82b9f88f43fcb64dd61e7658b55f71fbc30"
+#: steps — particles + rho/E grids as the ``c`` backend of commit
+#: bf17aec produced them, split and fused.  (``numpy`` printed
+#: de284d30…fbc30 there: its gather was an ``einsum``, whose association
+#: follows NumPy's SIMD build; deposit, kick, push and sort are
+#: unchanged.)
+PARENT_DIGEST_3D = "277da2c720e29cf1442ef4f43d0a90c995c9d12e8d1b084abed43e29404b8dca"
 
+_needs_cc = pytest.mark.skipif(
+    not CBackend.is_available(), reason="no C compiler"
+)
 COMBOS = [
     pytest.param("numpy", "split", None, id="numpy-split"),
     pytest.param("numpy", "fused", None, id="numpy-fused"),
     pytest.param("numpy-mp", "split", 2, id="numpy-mp-w2"),
     pytest.param("numpy-mp", "split", 4, id="numpy-mp-w4"),
-]
-_needs_cc = pytest.mark.skipif(
-    not CBackend.is_available(), reason="no C compiler"
-)
-COMBOS_2D = COMBOS + [
     pytest.param("c", "split", None, id="c-split", marks=_needs_cc),
     pytest.param("c", "fused", None, id="c-fused", marks=_needs_cc),
 ]
 
 
-@pytest.mark.parametrize("backend,loop_mode,workers", COMBOS_2D)
+@pytest.mark.parametrize("backend,loop_mode,workers", COMBOS)
 def test_parent_digest_beyond_one_block_2d(backend, loop_mode, workers):
     cfg = OptimizationConfig(backend=backend, loop_mode=loop_mode, workers=workers)
     grid = GridSpec(32, 32, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
@@ -233,7 +241,7 @@ def _interp_2d(n):
     rng = np.random.default_rng(0)
     e_1d = rng.random((256, 8))
     icell, dx, dy = rng.integers(0, 256, n), rng.random(n), rng.random(n)
-    return (lambda: kernels.interpolate_redundant(e_1d, icell, dx, dy)), 2 * 8 * n
+    return (lambda: kernels.interpolate_rows(e_1d, icell, (dx, dy))), 2 * 8 * n
 
 
 def _push_2d(n):
@@ -244,17 +252,15 @@ def _push_2d(n):
     p.set_state(ordering.encode(ix, iy), rng.random(n), rng.random(n),
                 rng.normal(size=n), rng.normal(size=n), ix, iy)
     b = get_backend("numpy")
-    return (lambda: b.push_positions(p, 16, 16, ordering, "bitwise")), 0
+    return (lambda: b.push(p, (16, 16), ordering, "bitwise", (1.0, 1.0))), 0
 
 
 def _interp_3d(n):
-    from repro.pic3d.kernels3d import interpolate_redundant_3d
-
     rng = np.random.default_rng(0)
     e_1d = rng.random((512, 24))
     icell = rng.integers(0, 512, n)
     d = [rng.random(n) for _ in range(3)]
-    return (lambda: interpolate_redundant_3d(e_1d, icell, *d)), 3 * 8 * n
+    return (lambda: kernels.interpolate_rows(e_1d, icell, d)), 3 * 8 * n
 
 
 @pytest.mark.parametrize("kernel", [_interp_2d, _push_2d, _interp_3d])

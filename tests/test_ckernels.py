@@ -3,8 +3,7 @@
 Three promises, each with its own class:
 
 * **NumPy's bits** — every ``c`` kernel equals its ``numpy`` twin with
-  ``np.array_equal`` (the 3D gather to rounding: NumPy's is an
-  ``einsum``), over both dimensions, populations around the NumPy
+  ``np.array_equal``, over both dimensions, populations around the NumPy
   block size, all three wraps, every ordering, stored and recomputed
   coordinates, scales 0 / 1 / other and particles several periods
   outside the box; the fused sweep equals the split passes.
@@ -19,9 +18,9 @@ Three promises, each with its own class:
 import json
 import logging
 import os
-import platform
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -91,29 +90,6 @@ def _assert_same(p, q, what):
         assert np.array_equal(p[name], q[name]), (what, name)
 
 
-class _Fields:
-    """What a fused kernel reads of a field storage."""
-
-    layout = "redundant"
-
-    def __init__(self, e_1d, shape):
-        self.e_1d = e_1d
-        self.grid = GridSpec(*shape) if len(shape) == 2 else None
-        if self.grid is None:
-            from repro.pic3d import GridSpec3D
-
-            self.grid = GridSpec3D(*shape)
-
-
-def _fused(backend, fields, p, ordering, variant, coefs, scales):
-    if p.ndim == 2:
-        backend.fused_interp_kick_push(
-            fields, p, ordering, variant, *coefs, *scales)
-    else:
-        backend.fused_interp_kick_push_3d(
-            fields, p, ordering, variant, coefs, scales)
-
-
 # ----------------------------------------------------------------------
 # NumPy's bits
 # ----------------------------------------------------------------------
@@ -137,11 +113,7 @@ class TestEquivalence:
         got = c.interpolate_rows(e_1d, state.icell, offsets)
         want = numpy.interpolate_rows(e_1d, state.icell, offsets)
         for g, w in zip(got, want):
-            if ndim == 2:
-                assert np.array_equal(g, w)
-            else:
-                np.testing.assert_allclose(
-                    g, w, rtol=1e-14, atol=1e-14 * np.abs(e_1d).max())
+            assert np.array_equal(g, w)
 
         # deposit, onto a density that is not zero
         rho = rng.normal(size=(ncell, 1 << ndim))
@@ -167,8 +139,8 @@ class TestEquivalence:
     @pytest.mark.parametrize("n", SIZES)
     @pytest.mark.parametrize("ndim,curve", CURVES)
     def test_fused_equals_split(self, ndim, curve, n, variant):
-        """One pass per particle == three passes, bitwise, on ``c``; in
-        2D both equal ``numpy``'s fused sweep too."""
+        """One pass per particle == three passes, bitwise, on ``c``;
+        both equal ``numpy``'s fused sweep too."""
         c, numpy = get_backend("c"), get_backend("numpy")
         rng = np.random.default_rng(n + ndim)
         ordering, shape = _ordering(ndim, curve)
@@ -176,22 +148,20 @@ class TestEquivalence:
         state = _population(rng, ndim, n, ordering, shape, stored=True)
         for a in axes:  # a kick must not be lost in the displacement
             state["v" + a][:] = rng.normal(size=n)
-        fields = _Fields(
-            rng.normal(size=(ordering.ncells_allocated, ndim << ndim)), shape)
+        e_1d = rng.normal(size=(ordering.ncells_allocated, ndim << ndim))
         coefs, scales = (0.7, 1.0, -0.3)[:ndim], (1.0, 0.5, 1.9)[:ndim]
 
         fused = _copy(state)
-        _fused(c, fields, fused, ordering, variant, coefs, scales)
+        c.fused_rows(e_1d, fused, shape, ordering, variant, coefs, scales)
         split = _copy(state)
         e_p = c.interpolate_rows(
-            fields.e_1d, split.icell, tuple(split["d" + a] for a in axes))
+            e_1d, split.icell, tuple(split["d" + a] for a in axes))
         c.kick([split["v" + a] for a in axes], e_p, coefs)
         c.push(split, shape, ordering, variant, scales)
         _assert_same(fused, split, "fused vs split")
-        if ndim == 2:
-            ref = _copy(state)
-            _fused(numpy, fields, ref, ordering, variant, coefs, scales)
-            _assert_same(fused, ref, "c fused vs numpy fused")
+        ref = _copy(state)
+        numpy.fused_rows(e_1d, ref, shape, ordering, variant, coefs, scales)
+        _assert_same(fused, ref, "c fused vs numpy fused")
 
     def test_aos_run_has_numpy_bits(self):
         """Strided ``ParticleAoS`` columns do not fit the C ABI: the
@@ -241,17 +211,20 @@ class TestDefinedOnEveryInput:
         clean = slice(16, None)
         assert np.isfinite(p.dx[clean]).all() and np.isfinite(p.dy[clean]).all()
 
-    @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
-                        reason="NumPy's out-of-range cast is per-ISA")
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_non_finite_push_has_x86_numpy_bits(self, variant):
-        """Where NumPy's ``astype(int64)`` is itself defined (x86's
-        cvttsd2si), the C loops return the same values — so the guard
-        trips at the same step on either backend."""
+        """``kernels._to_int64`` and ``ckernels.c::to_int64`` define the
+        out-of-range cast to the same value (the one x86's cvttsd2si
+        produces), on every host and without a NumPy cast warning — so
+        the guard trips at the same step on either backend."""
         p, ordering, shape = self._poisoned()
         q = _copy(p)
         get_backend("c").push(p, shape, ordering, variant, (1.0, 1.0))
-        with np.errstate(invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", message=".*encountered in cast")
+            # mod(inf) and inf - inf are NaN by IEEE, and say so
+            warnings.filterwarnings(
+                "ignore", message=".*encountered in (remainder|subtract)")
             get_backend("numpy").push(q, shape, ordering, variant, (1.0, 1.0))
         for name in ("dx", "dy", "ix", "iy"):
             np.testing.assert_array_equal(p[name], q[name], err_msg=name)
@@ -259,7 +232,7 @@ class TestDefinedOnEveryInput:
     def test_guard_trips_at_the_same_step_as_numpy(self):
         def failures(backend):
             grid = GridSpec(16, 16, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
-            cfg = OptimizationConfig(backend=backend)
+            cfg = OptimizationConfig(backend=backend, workers=2)
             sim = Simulation(grid, LandauDamping(alpha=0.05), 1500, cfg,
                              dt=0.05, seed=11)
             inj = FaultInjector(seed=3).add_nan(step=7, array="vx", count=5)
@@ -268,10 +241,10 @@ class TestDefinedOnEveryInput:
                 return ([(f["step"], f["error"]) for f in sup.report.failures],
                         history.field_energy)
 
-        with np.errstate(invalid="ignore"):
-            want = failures("numpy")
+        want = failures("numpy")
         assert want[0] and want[0][0][1] == "GuardTrippedError"
         assert failures("c") == want
+        assert failures("numpy-mp") == want
 
     def test_cell_outside_the_grid_raises_and_touches_nothing(self):
         c = get_backend("c")

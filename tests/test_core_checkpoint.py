@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core import OptimizationConfig, PICStepper
+from repro.core.backends import CBackend
 from repro.core.checkpoint import (
     CheckpointMismatchError,
     load_checkpoint,
@@ -191,6 +192,31 @@ class TestBothDimensions:
             resumed.close()
             ref.close()
 
+    @pytest.mark.skipif(not CBackend.is_available(), reason="no C compiler")
+    @pytest.mark.parametrize("loop_mode", ["split", "fused"])
+    def test_degrade_c_to_numpy_mid_run_bitwise(self, dim, tmp_path, loop_mode):
+        """The supervisor's degrade move — roll back to a checkpoint,
+        reload it under the next backend of the chain — taken from
+        ``c`` to ``numpy`` mid-run ends on the bits of an undisturbed
+        ``numpy`` run, in 3D as in 2D (``c`` and ``numpy`` state the
+        same gather fold)."""
+        ref = dim.fresh(cfg=dim.config(loop_mode=loop_mode))
+        ref.run(14)
+        on_c = dim.fresh(cfg=dim.config(backend="c", loop_mode=loop_mode))
+        try:
+            on_c.run(6)
+            park = dim.save(on_c, tmp_path / "park")
+        finally:
+            on_c.close()
+        resumed = dim.load(park, dim.config(backend="numpy", loop_mode=loop_mode))
+        try:
+            assert resumed.backend.name == "numpy"
+            resumed.run(8)
+            dim.assert_state_equal(resumed, ref)
+        finally:
+            resumed.close()
+            ref.close()
+
     # [2d] was TestRetiredConfigKeys::(same name),
     # [3d] was test_checkpoint3d.py::TestPreemptResume3D::(same name)
     def test_pre_pr12_archive_resumes_bitwise(self, dim, tmp_path):
@@ -268,21 +294,32 @@ class TestBothDimensions:
             dim.load(path, dim.config(ordering="row-major"))
 
 
-def test_pre_pr15_3d_archive_resumes_bitwise():
+def test_pre_pr15_3d_archive_resumes_bitwise(tmp_path):
     """An archive the pre-unification 3D writer produced (committed
-    bytes) loads through the shared body and continues exactly like an
-    uninterrupted run of today's stepper."""
+    bytes) loads through the shared body.  Its six steps were taken
+    with the ``einsum`` gather NumPy had until PR 22, so it holds the
+    run today's stepper makes from scratch to rounding, not to the bit;
+    from there it continues bit for bit like the same state written
+    and read back by today's writer."""
     dim = _Dim(3)
     ref = dim.fresh(n=400)
-    ref.run(14)
     resumed = load_checkpoint_3d(ARCHIVE_3D_PR14)
+    rewritten = None
     try:
         assert resumed.iteration == 6
+        ref.run(6)
+        assert resumed.total_energy() == pytest.approx(ref.total_energy(), rel=1e-10)
+        assert resumed.field_energy() == pytest.approx(ref.field_energy(), rel=1e-8)
+        rewritten = dim.load(dim.save(resumed, tmp_path / "rewritten"))
+        dim.assert_state_equal(resumed, rewritten)
         resumed.run(8)
-        dim.assert_state_equal(resumed, ref)
+        rewritten.run(8)
+        assert resumed.iteration == 14
+        dim.assert_state_equal(resumed, rewritten)
     finally:
-        resumed.close()
-        ref.close()
+        for stepper in (resumed, ref, rewritten):
+            if stepper is not None:
+                stepper.close()
 
 
 def _assert_auto_archive_resumes_like(dim, archive, tmp_path):

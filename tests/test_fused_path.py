@@ -6,7 +6,7 @@ across every position-update variant and both field layouts, the
 thread-count invariance of the model's cell-ownership deposit, and
 the supervisor degrading a fused-capable backend down the chain.
 
-The composite test backend renders ``fused_interp_kick_push`` by
+The composite test backend renders ``fused_rows`` / ``fused_standard`` by
 composing the split numpy kernels, so it is bitwise-identical to the
 split path *by construction* — that isolates the stepper dispatch and
 bookkeeping under test from the compiled kernel itself, which the
@@ -19,7 +19,7 @@ import pytest
 import repro.core.backends as B
 from repro.core import OptimizationConfig, Simulation
 from repro.core.backends import CBackend, NumpyBackend, register_backend
-from repro.core.kernels import accumulate_redundant
+from repro.core.kernels import accumulate_rows
 from repro.curves import get_ordering
 from repro.grid import GridSpec
 from repro.model.openmp import cellwise_accumulate_redundant
@@ -37,28 +37,23 @@ class _FusedComposite(NumpyBackend):
     name = "fused-composite"
     priority = -5  # never auto-picked
     degrades_to = "numpy"
-    capabilities = frozenset({"fused"})
-
-    def fused_interp_kick_push(
-        self, fields, particles, ordering, variant,
-        coef_x=1.0, coef_y=1.0, scale_x=1.0, scale_y=1.0,
-    ):
+    def fused_rows(self, e_1d, particles, extents, ordering, variant,
+                   coefs, scales):
         p = particles
-        if fields.layout == "redundant":
-            ex_p, ey_p = self.interpolate_redundant(
-                fields.e_1d, p.icell, p.dx, p.dy
-            )
+        e_p = self.interpolate_rows(e_1d, p.icell, (p.dx, p.dy))
+        self.kick((p.vx, p.vy), e_p, coefs)
+        self.push(p, extents, ordering, variant, scales)
+
+    def fused_standard(self, ex, ey, particles, ordering, variant,
+                       coefs, scales):
+        p = particles
+        if p.store_coords:
+            ix, iy = p.ix, p.iy
         else:
-            if p.store_coords:
-                ix, iy = p.ix, p.iy
-            else:
-                ix, iy = ordering.decode(p.icell)
-            ex_p, ey_p = self.interpolate_standard(
-                fields.ex, fields.ey, ix, iy, p.dx, p.dy
-            )
-        self.update_velocities(p.vx, p.vy, ex_p, ey_p, coef_x, coef_y)
-        g = fields.grid
-        self.push_positions(p, g.ncx, g.ncy, ordering, variant, scale_x, scale_y)
+            ix, iy = ordering.decode(p.icell)
+        e_p = self.interpolate_standard(ex, ey, ix, iy, p.dx, p.dy)
+        self.kick((p.vx, p.vy), e_p, coefs)
+        self.push(p, ex.shape, ordering, variant, scales)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -165,7 +160,7 @@ class TestCellwiseParallelDeposit:
     def test_bitwise_equal_to_serial_for_any_thread_count(self, rng, nthreads):
         ncells, icell, dx, dy = self._random_deposit_inputs(rng)
         serial = np.zeros((ncells, 4))
-        accumulate_redundant(serial, icell, dx, dy, 0.37)
+        accumulate_rows(serial, icell, (dx, dy), 0.37)
         par = np.zeros((ncells, 4))
         cellwise_accumulate_redundant(par, icell, dx, dy, 0.37, nthreads)
         np.testing.assert_array_equal(par, serial)
@@ -174,7 +169,7 @@ class TestCellwiseParallelDeposit:
         ncells, icell, dx, dy = self._random_deposit_inputs(rng, n=800)
         base = rng.random((ncells, 4))
         serial = base.copy()
-        accumulate_redundant(serial, icell, dx, dy, -1.5)
+        accumulate_rows(serial, icell, (dx, dy), -1.5)
         par = base.copy()
         cellwise_accumulate_redundant(par, icell, dx, dy, -1.5, 4)
         np.testing.assert_array_equal(par, serial)
@@ -192,7 +187,7 @@ class TestSupervisorDegradesFusedBackend:
             clean_hist = clean.history
 
         inj = FaultInjector().add_kernel_raise(
-            step=4, kernel="fused_interp_kick_push", backend="fused-composite",
+            step=4, kernel="fused_rows", backend="fused-composite",
         )
         sim = _sim({**cfg_kw, "backend": "fused-composite"}, n=1200, seed=7)
         with SupervisedRun(
@@ -258,7 +253,7 @@ class TestCFusedKernels:
             clean_state = clean.particles.as_dict()
 
         inj = FaultInjector().add_kernel_raise(
-            step=4, kernel="fused_interp_kick_push", backend="c",
+            step=4, kernel="fused_rows", backend="c",
         )
         sim = _sim({**cfg_kw, "backend": "c"}, n=1200, seed=7)
         with SupervisedRun(

@@ -3,45 +3,46 @@
 import numpy as np
 import pytest
 
+from repro.core.kernels import accumulate_rows, corner_weights
 from repro.curves import get_ordering
 from repro.grid import (
     GridSpec,
     RedundantFields,
     StandardFields,
     corner_offsets,
-    corner_weights,
 )
+from repro.pic3d import GridSpec3D, Morton3DOrdering, RowMajor3DOrdering
 
 
 class TestCornerWeights:
     def test_offsets_table(self):
         np.testing.assert_array_equal(
-            corner_offsets(), [[0, 0], [0, 1], [1, 0], [1, 1]]
+            corner_offsets(2), [[0, 0], [0, 1], [1, 0], [1, 1]]
         )
 
     def test_weights_sum_to_one(self, rng):
-        w = corner_weights(rng.random(1000), rng.random(1000))
+        w = corner_weights((rng.random(1000), rng.random(1000)))
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-14)
 
     def test_weights_at_lower_corner(self):
-        w = corner_weights(np.array([0.0]), np.array([0.0]))
+        w = corner_weights((np.array([0.0]), np.array([0.0])))
         np.testing.assert_allclose(w[0], [1, 0, 0, 0])
 
     def test_weights_at_upper_corner(self):
-        w = corner_weights(np.array([1.0]), np.array([1.0]))
+        w = corner_weights((np.array([1.0]), np.array([1.0])))
         np.testing.assert_allclose(w[0], [0, 0, 0, 1])
 
     def test_weights_match_bilinear_products(self, rng):
         dx = rng.random(50)
         dy = rng.random(50)
-        w = corner_weights(dx, dy)
+        w = corner_weights((dx, dy))
         np.testing.assert_allclose(w[:, 0], (1 - dx) * (1 - dy))
         np.testing.assert_allclose(w[:, 1], (1 - dx) * dy)
         np.testing.assert_allclose(w[:, 2], dx * (1 - dy))
         np.testing.assert_allclose(w[:, 3], dx * dy)
 
     def test_weights_nonnegative(self, rng):
-        w = corner_weights(rng.random(200), rng.random(200))
+        w = corner_weights((rng.random(200), rng.random(200)))
         assert w.min() >= 0
 
 
@@ -101,7 +102,7 @@ class TestRedundantFields:
         redundant.load_field_from_grid(ex, ey)
         o = redundant.ordering
         idx = redundant.cell_index_map()
-        for c, (ox, oy) in enumerate(corner_offsets()):
+        for c, (ox, oy) in enumerate(corner_offsets(2)):
             gx = (np.arange(16)[:, None] + ox) % 16
             gy = (np.arange(16)[None, :] + oy) % 16
             np.testing.assert_allclose(redundant.e_1d[idx, c], ex[gx, gy])
@@ -124,7 +125,7 @@ class TestRedundantFields:
             ex, ey = rng.normal(size=shape), rng.normal(size=shape)
             fields.load_field_from_grid(ex, ey)
             want = np.zeros_like(fields.e_1d)
-            for c, (ox, oy) in enumerate(corner_offsets()):
+            for c, (ox, oy) in enumerate(corner_offsets(2)):
                 want[idx, c] = np.roll(ex, (-ox, -oy), axis=(0, 1))
                 want[idx, 4 + c] = np.roll(ey, (-ox, -oy), axis=(0, 1))
             assert fields.e_1d.tobytes() == want.tobytes()
@@ -176,3 +177,81 @@ class TestRedundantFields:
     def test_load_field_validates_shape(self, redundant):
         with pytest.raises(ValueError):
             redundant.load_field_from_grid(np.zeros((8, 8)), np.zeros((8, 8)))
+
+
+# ----------------------------------------------------------------------
+# The one store, both dimensions
+# ----------------------------------------------------------------------
+def _store(ndim, name):
+    """A ``RedundantFields`` over a non-cubic grid; ``l4d`` with a tile
+    height that does not divide ``ncy`` allocates padding rows."""
+    if ndim == 3:
+        shape = (8, 4, 2)
+        cls = {"row-major": RowMajor3DOrdering, "morton": Morton3DOrdering}[name]
+        return RedundantFields(GridSpec3D(*shape), cls(*shape))
+    shape = (12, 10) if name == "l4d" else (16, 8)
+    kw = {"size": 3} if name == "l4d" else {}
+    return RedundantFields(GridSpec(*shape), get_ordering(name, *shape, **kw))
+
+
+@pytest.mark.parametrize(
+    "ndim,name",
+    [(2, "row-major"), (2, "morton"), (2, "l4d"), (3, "row-major"), (3, "morton")],
+)
+class TestRedundantFieldsAnyDimension:
+    def test_shapes(self, ndim, name):
+        f = _store(ndim, name)
+        nalloc = f.ordering.ncells_allocated
+        assert f.layout == "redundant"
+        assert f.rho_1d.shape == (nalloc, 1 << ndim)
+        assert f.e_1d.shape == (nalloc, ndim << ndim)
+        assert (nalloc > f.grid.ncells) == (name == "l4d")
+
+    def test_field_roundtrip_and_padding(self, ndim, name, rng):
+        f = _store(ndim, name)
+        shape = f.grid.shape
+        padding = np.setdiff1d(
+            np.arange(f.ordering.ncells_allocated), f.cell_index_map()
+        )
+        for _ in range(2):  # a reload must not leak into padding rows
+            comps = [rng.normal(size=shape) for _ in shape]
+            f.load_field_from_grid(*comps)
+            back = f.field_at_grid()
+            assert len(back) == ndim
+            for got, want in zip(back, comps):
+                assert got.tobytes() == want.tobytes()
+            assert not f.e_1d[padding].any()
+        # every corner column is the component rolled by the corner offset
+        idx = f.cell_index_map()
+        for c, offset in enumerate(corner_offsets(ndim)):
+            for k, comp in enumerate(comps):
+                want = np.roll(comp, tuple(-offset), axis=tuple(range(ndim)))
+                assert np.array_equal(f.e_1d[idx, (k << ndim) + c], want)
+
+    def test_load_validates_count_and_shape(self, ndim, name):
+        f = _store(ndim, name)
+        good = [np.zeros(f.grid.shape)] * ndim
+        with pytest.raises(ValueError):
+            f.load_field_from_grid(*good[:-1])
+        with pytest.raises(ValueError):
+            f.load_field_from_grid(*good[:-1], np.zeros((3,) * ndim))
+
+    def test_deposit_then_reduce_conserves_charge(self, ndim, name, rng):
+        f = _store(ndim, name)
+        n = 500
+        coords = [rng.integers(0, nc, n) for nc in f.grid.shape]
+        offsets = [rng.random(n) for _ in coords]
+        accumulate_rows(f.rho_1d, f.ordering.encode(*coords), offsets, 0.25)
+        rho = f.reduce_rho_to_grid()
+        assert rho.shape == f.grid.shape
+        assert rho.sum() == pytest.approx(0.25 * n, rel=1e-12)
+        np.testing.assert_array_equal(f.rho_grid(), rho)
+        # one particle sitting exactly on a node charges only that node
+        f.reset_rho()
+        node = tuple(nc - 1 for nc in f.grid.shape)
+        accumulate_rows(
+            f.rho_1d, np.atleast_1d(f.ordering.encode(*node)),
+            [np.zeros(1)] * ndim, 1.0,
+        )
+        rho = f.reduce_rho_to_grid()
+        assert rho[node] == 1.0 and rho.sum() == 1.0

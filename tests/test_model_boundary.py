@@ -75,3 +75,46 @@ def test_lint_sees_an_import_at_any_depth(tmp_path):
     flagged = sorted(e.split(":")[0].rsplit("/", 1)[-1] for e in errors)
     assert flagged == ["lazy.py", "relative.py", "typed.py"]
     assert any(e.split(":")[1] == "2" and "lazy.py" in e for e in errors)
+
+
+def test_dimension_ratchet_is_by_name(tmp_path):
+    """The 2D/3D ratchet knows each dimension-suffixed definition by
+    file *and name*: a new one fails, so does a listed one that is
+    gone, one defined twice (an overridden adapter), and a listed file
+    that does not exist."""
+    lint = load_tool("check_imports")
+    assert lint.check_dimension_ratchet() == []
+    pkg = tmp_path / "repro" / "core"
+    pkg.mkdir(parents=True)
+    (pkg / "backends.py").write_text(
+        "class Base:\n"
+        "    def push_positions_3d(self): ...\n"
+        "    def fused_3d(self): ...\n"
+        "class Fast(Base):\n"
+        "    def push_positions_3d(self): ...\n"
+    )
+    (pkg / "fields.py").write_text("class Fields: ...\n")
+    allowed = {
+        "repro/core/backends.py": {"push_positions_3d", "kick_3d"},
+        "repro/core/fields.py": {"Fields3D"},
+        "repro/core/kernels3d.py": {"corner_weights_3d"},
+    }
+    errors = lint.check_dimension_ratchet(tmp_path, allowed)
+    assert len(errors) == 5
+    for needle in (
+        "backends.py:3: definition 'fused_3d' is not in",
+        "backends.py:5: 'push_positions_3d' is defined twice",
+        "lists 'kick_3d', which is no longer defined",
+        "lists 'Fields3D', which is no longer defined",
+        "names 'repro/core/kernels3d.py', which does not exist",
+    ):
+        assert any(needle in e for e in errors), (needle, errors)
+    # what this PR's deletions look like to the lint
+    names = {n for listed in lint.DIMENSIONAL_ALLOWED.values() for n in listed}
+    assert not names & {
+        "RedundantFields3D", "corner_weights_3d", "corner_offsets_3d",
+        "fused_interp_kick_push_3d",
+    }
+    assert lint.DIMENSIONAL_ALLOWED["repro/core/backends.py"] == {
+        "interpolate_redundant_3d", "accumulate_redundant_3d", "push_positions_3d",
+    }

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import OptimizationConfig
-from repro.core.kernels import accumulate_redundant, accumulate_standard
+from repro.core.kernels import accumulate_rows, accumulate_standard
 from repro.curves import get_ordering
 from repro.model.costmodel import LoopKind
 from repro.model.machine import MachineSpec
@@ -49,7 +49,7 @@ class TestParallelAccumulate:
         ix, iy, dx, dy, _, _ = random_particle_arrays(rng, 500, 16, 16)
         icell = o.encode(ix, iy)
         serial = np.zeros((o.ncells_allocated, 4))
-        accumulate_redundant(serial, icell, dx, dy, 0.7)
+        accumulate_rows(serial, icell, (dx, dy), 0.7)
         par = np.zeros_like(serial)
         parallel_accumulate_redundant(par, icell, dx, dy, 0.7, nthreads)
         np.testing.assert_allclose(par, serial, atol=1e-12)

@@ -4,20 +4,17 @@ import numpy as np
 import pytest
 
 from repro.core.backends import get_backend
+from repro.core.kernels import accumulate_rows, corner_weights, interpolate_rows
+from repro.grid.fields import RedundantFields, corner_offsets
 from repro.pic3d import (
     GridSpec3D,
     LandauDamping3D,
     Morton3DOrdering,
     PICStepper3D,
-    RedundantFields3D,
     RowMajor3DOrdering,
     SpectralPoissonSolver3D,
     TwoStream3D,
-    accumulate_redundant_3d,
-    corner_weights_3d,
-    interpolate_redundant_3d,
 )
-from repro.pic3d.grid3d import corner_offsets_3d
 
 
 class TestOrderings3D:
@@ -79,25 +76,25 @@ class TestGrid3D:
 
 class TestCornerWeights3D:
     def test_offsets_table(self):
-        offs = corner_offsets_3d()
+        offs = corner_offsets(3)
         assert offs.shape == (8, 3)
         assert len({tuple(r) for r in offs}) == 8
 
     def test_partition_of_unity(self, rng):
-        w = corner_weights_3d(rng.random(500), rng.random(500), rng.random(500))
+        w = corner_weights((rng.random(500), rng.random(500), rng.random(500)))
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-13)
         assert w.min() >= 0
 
     def test_corner_selection(self):
         # at offsets (0,0,0) all weight on corner 0; at (1,1,1) corner 7
-        w0 = corner_weights_3d([0.0], [0.0], [0.0])[0]
+        w0 = corner_weights(([0.0], [0.0], [0.0]))[0]
         np.testing.assert_allclose(w0, np.eye(8)[0])
-        w7 = corner_weights_3d([1.0], [1.0], [1.0])[0]
+        w7 = corner_weights(([1.0], [1.0], [1.0]))[0]
         np.testing.assert_allclose(w7, np.eye(8)[7])
 
     def test_trilinear_products(self, rng):
         dx, dy, dz = rng.random(3)
-        w = corner_weights_3d([dx], [dy], [dz])[0]
+        w = corner_weights(([dx], [dy], [dz]))[0]
         for c in range(8):
             ox, oy, oz = (c >> 2) & 1, (c >> 1) & 1, c & 1
             expected = (
@@ -112,7 +109,7 @@ class TestFields3D:
     @pytest.fixture
     def setup(self):
         grid = GridSpec3D(8, 8, 8, 0, 1, 0, 1, 0, 1)
-        return grid, RedundantFields3D(grid, Morton3DOrdering(8, 8, 8))
+        return grid, RedundantFields(grid, Morton3DOrdering(8, 8, 8))
 
     def test_memory_is_8x_pointwise_rho(self, setup):
         grid, fields = setup
@@ -131,7 +128,7 @@ class TestFields3D:
         """Every row holds E at its cell's 8 corners, bit for bit (a
         non-cubic grid, so a swapped axis would show)."""
         shape = (8, 4, 2)
-        fields = RedundantFields3D(GridSpec3D(*shape), Morton3DOrdering(*shape))
+        fields = RedundantFields(GridSpec3D(*shape), Morton3DOrdering(*shape))
         comps = [rng.normal(size=shape) for _ in range(3)]
         fields.load_field_from_grid(*comps)
         ix, iy, iz = np.meshgrid(*(np.arange(n) for n in shape), indexing="ij")
@@ -160,8 +157,8 @@ class TestFields3D:
         icell = fields.ordering.encode(
             rng.integers(0, 8, n), rng.integers(0, 8, n), rng.integers(0, 8, n)
         )
-        accumulate_redundant_3d(
-            fields.rho_1d, icell, rng.random(n), rng.random(n), rng.random(n), 0.5
+        accumulate_rows(
+            fields.rho_1d, icell, (rng.random(n), rng.random(n), rng.random(n)), 0.5
         )
         assert fields.rho_1d.sum() == pytest.approx(0.5 * n)
         assert fields.reduce_rho_to_grid().sum() == pytest.approx(0.5 * n)
@@ -172,7 +169,7 @@ class TestFields3D:
         fields.load_field_from_grid(ex, ey, ez)
         icell = fields.ordering.encode([2], [3], [4])
         z = np.zeros(1)
-        fx, fy, fz = interpolate_redundant_3d(fields.e_1d, icell, z, z, z)
+        fx, fy, fz = interpolate_rows(fields.e_1d, icell, (z, z, z))
         assert fx[0] == pytest.approx(ex[2, 3, 4])
         assert fy[0] == pytest.approx(ey[2, 3, 4])
         assert fz[0] == pytest.approx(ez[2, 3, 4])

@@ -7,10 +7,10 @@ from repro.core.kernels import (
     _axis_bitwise,
     _axis_branch,
     _axis_modulo,
-    accumulate_redundant,
+    accumulate_rows,
     accumulate_standard,
     corner_weights,
-    interpolate_redundant,
+    interpolate_rows,
 )
 from repro.curves import get_ordering
 from repro.particles.sorting import (
@@ -29,7 +29,7 @@ finite_floats = st.floats(
 )
 @settings(max_examples=200, deadline=None)
 def test_corner_weights_partition_of_unity(dx, dy):
-    w = corner_weights(np.array([dx]), np.array([dy]))
+    w = corner_weights((np.array([dx]), np.array([dy])))
     assert abs(w.sum() - 1.0) < 1e-12
     assert w.min() >= 0.0
 
@@ -71,7 +71,7 @@ def test_charge_conserved_any_ordering(n, seed, name):
     dx = rng.random(n)
     dy = rng.random(n)
     rho = np.zeros((o.ncells_allocated, 4))
-    accumulate_redundant(rho, o.encode(ix, iy), dx, dy, charge=1.25)
+    accumulate_rows(rho, o.encode(ix, iy), (dx, dy), charge=1.25)
     assert abs(rho.sum() - 1.25 * n) < 1e-9 * max(n, 1)
 
 
@@ -91,7 +91,7 @@ def test_standard_and_redundant_deposits_equal(n, seed):
     iy = rng.integers(0, 8, n)
     dx = rng.random(n)
     dy = rng.random(n)
-    accumulate_redundant(fields.rho_1d, o.encode(ix, iy), dx, dy)
+    accumulate_rows(fields.rho_1d, o.encode(ix, iy), (dx, dy))
     std = np.zeros((8, 8))
     accumulate_standard(std, ix, iy, dx, dy)
     np.testing.assert_allclose(fields.reduce_rho_to_grid(), std, atol=1e-10)
@@ -126,8 +126,8 @@ def test_interpolation_bounded_by_field_extrema(n, seed):
     fields.load_field_from_grid(ex, ey)
     ix = rng.integers(0, 8, n)
     iy = rng.integers(0, 8, n)
-    fx, fy = interpolate_redundant(
-        fields.e_1d, o.encode(ix, iy), rng.random(n), rng.random(n)
+    fx, fy = interpolate_rows(
+        fields.e_1d, o.encode(ix, iy), (rng.random(n), rng.random(n))
     )
     assert fx.min() >= ex.min() - 1e-12 and fx.max() <= ex.max() + 1e-12
     assert fy.min() >= ey.min() - 1e-12 and fy.max() <= ey.max() + 1e-12

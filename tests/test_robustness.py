@@ -4,16 +4,21 @@ import numpy as np
 import pytest
 
 from repro.core import OptimizationConfig, PICStepper, Simulation
+from repro.core.backends import get_backend
 from repro.core.kernels import (
-    accumulate_redundant,
+    accumulate_rows,
     accumulate_standard,
-    interpolate_redundant,
-    push_positions_bitwise,
+    interpolate_rows,
 )
 from repro.curves import get_ordering
 from repro.grid import GridSpec, RedundantFields
 from repro.particles import LandauDamping, make_storage
 from repro.particles.sorting import sort_in_place, sort_out_of_place
+
+
+def push_positions_bitwise(s, ncx, ncy, ordering):
+    """The in-place bitwise push of the NumPy kernels."""
+    get_backend("numpy").push(s, (ncx, ncy), ordering, "bitwise", (1.0, 1.0))
 
 
 class TestEmptyAndTiny:
@@ -22,9 +27,9 @@ class TestEmptyAndTiny:
         rho = np.zeros((o.ncells_allocated, 4))
         empty_i = np.array([], dtype=np.int64)
         empty_f = np.array([])
-        accumulate_redundant(rho, empty_i, empty_f, empty_f)
+        accumulate_rows(rho, empty_i, (empty_f, empty_f))
         assert rho.sum() == 0
-        ex, ey = interpolate_redundant(np.zeros((64, 8)), empty_i, empty_f, empty_f)
+        ex, ey = interpolate_rows(np.zeros((64, 8)), empty_i, (empty_f, empty_f))
         assert len(ex) == 0
 
     def test_standard_accumulate_empty(self):
@@ -122,7 +127,7 @@ class TestConservationUnderStress:
         for _ in range(5):
             push_positions_bitwise(s, 16, 16, o)
             fields.reset_rho()
-            accumulate_redundant(fields.rho_1d, s.icell, s.dx, s.dy, 1.0)
+            accumulate_rows(fields.rho_1d, s.icell, (s.dx, s.dy), 1.0)
             assert fields.rho_1d.sum() == pytest.approx(n, rel=1e-12)
 
     def test_all_particles_in_one_cell(self):
@@ -130,9 +135,9 @@ class TestConservationUnderStress:
         o = get_ordering("morton", 8, 8)
         n = 1000
         rho = np.zeros((o.ncells_allocated, 4))
-        accumulate_redundant(
+        accumulate_rows(
             rho, np.zeros(n, dtype=np.int64),
-            np.full(n, 0.25), np.full(n, 0.75), 1.0,
+            (np.full(n, 0.25), np.full(n, 0.75)), 1.0,
         )
         assert rho.sum() == pytest.approx(n)
         assert np.count_nonzero(rho.sum(axis=1)) == 1
@@ -166,7 +171,6 @@ class TestHybridComposition:
         deposits through the simulated-OpenMP private-copy reduction,
         then the ranks allreduce — the total must equal one serial
         deposit of the union."""
-        from repro.core.kernels import accumulate_redundant as serial_acc
         from repro.model.mpi import SimMPI
         from repro.model.openmp import parallel_accumulate_redundant
 
@@ -179,7 +183,7 @@ class TestHybridComposition:
         icell = o.encode(ix, iy)
 
         serial = np.zeros((o.ncells_allocated, 4))
-        serial_acc(serial, icell, dx, dy, 0.5)
+        accumulate_rows(serial, icell, (dx, dy), 0.5)
 
         nranks, nthreads = 4, 3
         bounds = np.linspace(0, n, nranks + 1).astype(int)
@@ -290,7 +294,7 @@ class TestFaultInjector:
 
     def test_kernel_trap_raises_and_delegates(self):
         inj = FaultInjector().add_kernel_raise(
-            step=2, kernel="update_velocities", once=True,
+            step=2, kernel="kick", once=True,
         )
         with _landau_sim() as sim:
             real = sim.stepper.backend
@@ -300,10 +304,16 @@ class TestFaultInjector:
             assert sim.stepper.backend is not real
             assert sim.stepper.backend.name == real.name  # delegation
             with pytest.raises(InjectedKernelError):
-                sim.stepper.backend.update_velocities(None, None, None, None)
+                sim.stepper.backend.kick((), (), ())
             # once=True: the next before_step removes the spent trap
             inj.before_step(sim.stepper, 3)
             assert sim.stepper.backend is real
+
+    def test_unknown_kernel_name_is_refused_at_arm_time(self):
+        # a name no stepper fetches would never fire
+        for name in ("update_velocities", "accumulate_redundant", "kcik"):
+            with pytest.raises(ValueError, match="cannot trap"):
+                FaultInjector().add_kernel_raise(step=2, kernel=name)
 
     def test_truncate_file(self, tmp_path):
         p = tmp_path / "blob.bin"
@@ -381,7 +391,7 @@ class TestSupervisedRun:
     def test_degrades_numpy_mp_to_numpy(self):
         clean = _clean_history(12)
         inj = FaultInjector().add_kernel_raise(
-            step=4, kernel="update_velocities", backend="numpy-mp",
+            step=4, kernel="kick", backend="numpy-mp",
         )
         sim = _landau_sim("numpy-mp", workers=2)
         segs = list(sim.stepper.backend.engine_for(sim.stepper).arena.segment_names)

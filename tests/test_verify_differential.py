@@ -118,6 +118,27 @@ class TestDifferentialRunner:
         )
         assert combos_big["numpy/fused"] == "bitwise"
 
+    @pytest.mark.parametrize("dims", [2, 3])
+    def test_every_combo_is_promised_and_found_bitwise(self, dims):
+        """The matrix has no tolerance row: in either dimension every
+        combo — ``c`` split and fused included — is promised bitwise
+        and holds it."""
+        from repro.core.backends import available_backends
+
+        scenario = _small_scenario(
+            **({"dims": 3, "ncx": 8, "ncy": 4, "ncz": 4} if dims == 3 else {})
+        )
+        runner = DifferentialRunner(include_mp=True)
+        combos = runner.combos(scenario)
+        assert {rel for _combo, rel in combos} == {"bitwise"}
+        labels = {combo.label() for combo, _rel in combos}
+        assert {"numpy/fused", "numpy-mp/split/w2", "numpy-mp/split/w4"} <= labels
+        if "c" in available_backends():
+            assert {"c/split", "c/fused"} <= labels
+        assert not hasattr(runner, "rtol")
+        report = runner.run_scenario(scenario)
+        assert report.ok, report.describe()
+
     def test_bisection_pinpoints_injected_phase(self):
         """A one-ULP bump at (step 2, update_v, vx) must be attributed
         to exactly that step, phase and array."""

@@ -11,7 +11,7 @@ trade, whose split loops vectorize; these are scalar); on ``numpy`` both
 paths run the same cache-blocked kernels in a different order, so the
 claim is only that fusing costs nothing:
 
-* measure split vs fused on the best fused-capable backend (``c``,
+* measure split vs fused on the preferred available backend (``c``,
   else numpy) via
   :func:`benchmarks.bench_simulation_throughput.measure_loop_modes`,
   ``--repeats`` fresh pairs of runs, the two modes stepped
@@ -28,7 +28,7 @@ claim is only that fusing costs nothing:
   warning, not a failure, since it depends on core count and memory
   bandwidth.
 
-Every shipped backend is fused-capable, so this gate always runs.
+Every backend has a fused sweep, so this gate always runs.
 
 **Partition gate** — on a skewed plasma the histogram-balanced curve
 cuts (:mod:`repro.parallel.partition`) must not lose to the flat
@@ -113,9 +113,9 @@ def _skewed_partition_times(backend_name, n, nworkers, repeats):
                 if hi <= lo:
                     continue
                 t0 = time.perf_counter()
-                backend.accumulate_redundant(
+                backend.accumulate_rows(
                     rho[sl.start:sl.stop], icell[lo:hi] - sl.start,
-                    dx[lo:hi], dy[lo:hi], 1.0,
+                    (dx[lo:hi], dy[lo:hi]), 1.0,
                 )
                 worst = max(worst, time.perf_counter() - t0)
             best = min(best, worst)
@@ -145,7 +145,7 @@ def main(argv=None):
     ap.add_argument("--steps", type=int, default=8)
     ap.add_argument("--warmup-steps", type=int, default=1)
     ap.add_argument("--backend", default=None,
-                    help="fused-capable backend (default: best available)")
+                    help="backend to gate (default: best available)")
     ap.add_argument("--min-speedup", type=float, default=None,
                     help="hard gate: split/fused kernel-time ratio floor "
                          "(default: 1.0 on a compiled backend, "
@@ -190,16 +190,13 @@ def main(argv=None):
 
     failures = []
 
-    # -- gate 1: fused vs split on the best fused-capable backend -----
-    fused_capable = [
-        b for b in available_backends() if get_backend(b).supports("fused")
-    ]
-    if args.backend and args.backend not in fused_capable:
-        print(f"bench-gate: FAIL — backend {args.backend!r} does not "
-              f"offer the 'fused' capability (capable: {fused_capable})")
+    # -- gate 1: fused vs split on the preferred available backend ---
+    if args.backend and args.backend not in available_backends():
+        print(f"bench-gate: FAIL — backend {args.backend!r} is not "
+              f"available here (available: {available_backends()})")
         return 1
     fused_backend = args.backend or max(
-        fused_capable, key=lambda b: get_backend(b).priority
+        available_backends(), key=lambda b: get_backend(b).priority
     )
     # numpy and numpy-mp fuse by re-ordering their own kernels; a
     # backend that overrides the sweep brings a compiled one

@@ -24,11 +24,13 @@ one exemption, and imports it lazily per verb).
 ``repro.model*`` key in ``sys.modules``.
 
 The second lint is a ratchet on the 2D/3D fork (ROADMAP, "One
-dimension-generic core").  A ``class``/``def`` whose name ends in
-``3d``/``3D`` (or carries it before a ``_``-separated suffix) may
-only appear in the files of
-:data:`DIMENSIONAL_ALLOWED`; an entry that no longer needs its
-exemption fails the lint too, so the list can only shrink.  The
+statement per kernel").  A ``class``/``def`` whose name ends in
+``3d``/``3D`` (or carries it before a ``_``-separated suffix) must be
+written down in :data:`DIMENSIONAL_ALLOWED`, per file and **by name**:
+a name that is not listed fails, a listed name that is no longer
+defined fails, and so does one defined twice in its file (an override
+of an adapter) — the list can only shrink, and a PR that deletes one
+such definition has to show it here.  The
 modules of :data:`DIMENSION_FREE` — the particle store, the
 shared-memory engine, the differential runner — additionally hold no
 string ending in ``2d``/``3d`` (a worker op name, a layout tag).
@@ -50,19 +52,27 @@ SRC = ROOT / "src"
 MODEL_PACKAGE = "repro.model"
 MODEL_IMPORTERS = ("repro/model/", "repro/cli.py")
 
-#: where a dimension-suffixed class/def still lives (globs relative to
-#: ``src/``): the 3D grid/fields/solver/ordering classes and kernels,
-#: the ``*_3d`` backend methods, the two 3D
-#: checkpoint entry points, the verifier's 3D scenario sampler and its
-#: 3D two-stream oracle
-DIMENSIONAL_ALLOWED = (
-    "repro/pic3d/*.py",
-    "repro/curves/curves3d.py",
-    "repro/core/backends.py",
-    "repro/core/checkpoint.py",
-    "repro/verify/configspace.py",
-    "repro/verify/oracles.py",
-)
+#: every dimension-suffixed class/def that still exists, by file
+#: (relative to ``src/``): the three ``*_3d`` adapters the frozen
+#: benchmark ledger calls, the two 3D checkpoint entry points, the 3D
+#: curves, the 3D grid / ordering / solver / stepper classes, the
+#: verifier's 3D scenario sampler and its 3D two-stream oracle
+DIMENSIONAL_ALLOWED = {
+    "repro/core/backends.py": {
+        "interpolate_redundant_3d", "accumulate_redundant_3d", "push_positions_3d",
+    },
+    "repro/core/checkpoint.py": {"save_checkpoint_3d", "load_checkpoint_3d"},
+    "repro/curves/curves3d.py": {
+        "morton_encode_3d", "morton_decode_3d",
+        "hilbert_encode_3d", "hilbert_decode_3d",
+    },
+    "repro/pic3d/grid3d.py": {"GridSpec3D"},
+    "repro/pic3d/ordering3d.py": {"Ordering3D"},
+    "repro/pic3d/poisson3d.py": {"SpectralPoissonSolver3D"},
+    "repro/pic3d/stepper3d.py": {"LandauDamping3D", "TwoStream3D", "PICStepper3D"},
+    "repro/verify/configspace.py": {"grid3d", "case3d", "_sample_one_3d"},
+    "repro/verify/oracles.py": {"two_stream_3d_oracle"},
+}
 
 #: modules that serve every dimension and name none
 DIMENSION_FREE = (
@@ -73,35 +83,54 @@ DIMENSION_FREE = (
 )
 
 
-def check_dimension_names(path: Path, strings: bool) -> list[str]:
-    """Dimension-suffixed definitions (and, with ``strings``, string
-    constants) in one module."""
-    rel = path.relative_to(ROOT)
-    errors = []
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(rel))):
+def dimension_names(path: Path, strings: bool) -> list[tuple[int, str, str]]:
+    """``(line, "definition" | "string", name)`` of every
+    dimension-suffixed definition (and, with ``strings``, string
+    constant) in one module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             if re.search(r"3[dD](_|$)", node.name):
-                errors.append(f"{rel}:{node.lineno}: definition {node.name!r}")
+                found.append((node.lineno, "definition", node.name))
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             if re.fullmatch(r"\w*[a-z_][23]d", node.value):
-                errors.append(f"{rel}:{node.lineno}: string {node.value!r}")
-    return errors
+                found.append((node.lineno, "string", node.value))
+    return found
 
 
-def check_dimension_ratchet() -> list[str]:
-    allowed = {p: g for g in DIMENSIONAL_ALLOWED for p in SRC.glob(g)}
-    free = {p for g in DIMENSION_FREE for p in SRC.glob(g)}
-    errors, needed = [], set()
-    for path in sorted(SRC.rglob("*.py")):
-        found = check_dimension_names(path, strings=path in free)
-        if path in allowed and found:
-            needed.add(allowed[path])
-        elif found:
-            errors += [f"{e} outside DIMENSIONAL_ALLOWED" for e in found]
+def check_dimension_ratchet(src: Path = SRC, allowed=None) -> list[str]:
+    """Every dimension-suffixed name under ``src`` against ``allowed``
+    (default :data:`DIMENSIONAL_ALLOWED`), both ways."""
+    allowed = DIMENSIONAL_ALLOWED if allowed is None else allowed
+    free = {p for g in DIMENSION_FREE for p in src.glob(g)}
+    errors = []
+    for path in sorted(src.rglob("*.py")):
+        rel = path.relative_to(src).as_posix()
+        listed = allowed.get(rel, set())
+        defined = []
+        for line, kind, name in dimension_names(path, strings=path in free):
+            if kind == "string":
+                errors.append(
+                    f"{rel}:{line}: string {name!r} in a DIMENSION_FREE module"
+                )
+            elif name not in listed:
+                errors.append(
+                    f"{rel}:{line}: definition {name!r} is not in "
+                    f"DIMENSIONAL_ALLOWED"
+                )
+            else:
+                if name in defined:
+                    errors.append(f"{rel}:{line}: {name!r} is defined twice")
+                defined.append(name)
+        errors += [
+            f"tools/check_imports.py: DIMENSIONAL_ALLOWED[{rel!r}] lists "
+            f"{name!r}, which is no longer defined there; remove it"
+            for name in sorted(listed - set(defined))
+        ]
     errors += [
-        f"tools/check_imports.py: DIMENSIONAL_ALLOWED entry {g!r} no longer "
-        f"holds a dimension-suffixed definition; remove it"
-        for g in DIMENSIONAL_ALLOWED if g not in needed
+        f"tools/check_imports.py: DIMENSIONAL_ALLOWED names {rel!r}, "
+        f"which does not exist"
+        for rel in allowed if not (src / rel).is_file()
     ]
     return errors
 
@@ -150,8 +179,8 @@ def main() -> int:
         return 1
     print(f"check_imports: OK — nothing under src/repro/ outside "
           f"{' and '.join(MODEL_IMPORTERS)} imports {MODEL_PACKAGE}; "
-          f"dimension-suffixed definitions only in "
-          f"{len(DIMENSIONAL_ALLOWED)} allow-listed places")
+          f"the {sum(map(len, DIMENSIONAL_ALLOWED.values()))} "
+          f"dimension-suffixed definitions are the ones written down")
     return 0
 
 
