@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """The multi-job engine end-to-end: sweep, stream, cancel, preempt.
 
-Submits a small Landau + two-stream parameter sweep to a two-worker
-:class:`~repro.service.JobEngine` through the :class:`JobClient`
-facade, then demonstrates the operator surface documented in
-docs/service.md:
+Submits a small Landau + two-stream + E×B-drift sweep to a two-worker
+:class:`~repro.service.JobEngine` (``submit`` returns a job id; every
+other call takes one), then demonstrates the operator surface
+documented in docs/service.md:
 
 * per-step diagnostics streamed off a running job,
 * cancelling one job mid-flight (partial history is retained),
@@ -17,7 +17,7 @@ Run:  python examples/service_sweep.py
 
 import numpy as np
 
-from repro.service import JobClient, JobState, PICJob
+from repro.service import JobEngine, JobState, PICJob
 
 
 def base_job(**overrides):
@@ -28,53 +28,55 @@ def base_job(**overrides):
 
 
 def main():
-    print("--- sweep: Landau + two-stream on a 2-worker engine ---")
+    print("--- sweep: Landau + two-stream + ExB drift on a 2-worker engine ---")
     sweep = [base_job(case="landau", alpha=a) for a in (0.01, 0.05)]
-    sweep += [base_job(case="two-stream", n_particles=4_000)]
+    sweep += [base_job(case="two-stream", n_particles=4_000),
+              base_job(case="exb-drift")]
 
-    with JobClient(max_workers=2) as client:
-        handles = client.map(sweep)
+    with JobEngine(max_workers=2) as engine:
+        ids = [engine.submit(job) for job in sweep]
 
         # stream the first job's diagnostics while the pool works
-        print("streaming", handles[0].job_id, f"({sweep[0].describe()})")
-        for event in handles[0].stream():
+        print("streaming", ids[0], f"({sweep[0].describe()})")
+        for event in engine.stream(ids[0]):
             if event["step"] % 10 == 0:
                 print(f"  step {event['step']:3d}  t={event['t']:5.2f}  "
                       f"FE={event['field_energy']:.4e}")
 
-        for h, job in zip(handles, sweep):
-            r = h.result()
-            print(f"{h.job_id}: {r.state.value}  {r.steps_done}/"
+        for job_id, job in zip(ids, sweep):
+            r = engine.result(job_id)
+            print(f"{job_id}: {r.state.value}  {r.steps_done}/"
                   f"{r.steps_total} steps  drift={r.energy_drift():.2e}  "
                   f"({job.case})")
 
         print("\n--- cancel: a queued long job never reaches the pool ---")
-        victim = client.submit(base_job(steps=4_000, priority=-1))
-        victim.cancel()
-        info = victim.status()
-        print(f"{victim.job_id}: {info.state.value} after "
+        victim = engine.submit(base_job(steps=4_000, priority=-1))
+        engine.cancel(victim)
+        info = engine.status(victim)
+        print(f"{victim}: {info.state.value} after "
               f"{info.steps_done} steps, {info.segments} segment(s)")
         assert info.state is JobState.CANCELLED
 
         print("\n--- preempt + resume: bitwise vs uninterrupted ---")
-        runner = client.submit(base_job(case="landau"))
+        # a walled plasma: the boundary rides the parked checkpoint
+        runner = engine.submit(base_job(case="bounded-wall"))
         # wait until it is demonstrably running, then park it
-        for event in runner.stream():
+        for event in engine.stream(runner):
             if event["step"] >= 8:
                 break
-        preempted = runner.preempt()
-        r = runner.result()          # scheduler resumes it automatically
-        ref = client.submit(base_job(case="landau")).result()
+        preempted = engine.preempt(runner)
+        r = engine.result(runner)    # scheduler resumes it automatically
+        ref = engine.result(engine.submit(base_job(case="bounded-wall")))
         fe = np.asarray(r.history.field_energy)
         fe_ref = np.asarray(ref.history.field_energy)
         match = fe.shape == fe_ref.shape and bool(np.all(fe == fe_ref))
-        print(f"{runner.job_id}: {r.state.value} in {r.segments} segment(s), "
+        print(f"{runner}: {r.state.value} in {r.segments} segment(s), "
               f"{r.preemptions} preemption(s) (requested={preempted})")
         print(f"field-energy history bitwise equal to uninterrupted run: "
               f"{match}")
         assert r.state is JobState.SUCCEEDED and match
 
-        stats = client.engine.stats
+        stats = engine.stats
         print(f"\nengine totals: {stats.submitted} submitted, "
               f"{stats.succeeded} succeeded, {stats.cancelled} cancelled, "
               f"{stats.preemptions} preemption(s), {stats.resumes} resume(s)")

@@ -38,49 +38,43 @@ import numpy as np
 
 __all__ = ["main", "build_parser"]
 
-_CASES = ("landau", "nonlinear-landau", "two-stream", "bump-on-tail",
-          "gaussian-bump", "uniform", "bounded-wall", "beam-plasma",
-          "exb-drift")
-_ORDERINGS = ("row-major", "column-major", "l4d", "morton", "hilbert")
+def _run_description(**defaults) -> argparse.ArgumentParser:
+    """The argparse parent of ``run`` and ``submit``: the ten flags
+    that describe a run (a :class:`~repro.service.job.PICJob`'s physics
+    half), declared once; the verbs differ only in ``defaults``.  (A
+    fresh parser per verb: argparse parents share their actions, so one
+    instance would carry the last verb's defaults into both.)"""
+    from repro.core.backends import AUTO, known_backend_names
+    from repro.curves import available_orderings
+    from repro.particles import CASE_NAMES
 
-
-def _make_case(name: str, alpha: float | None):
-    from repro.particles import (
-        BeamPlasma,
-        BoundedPlasma,
-        BumpOnTail,
-        GaussianBump,
-        LandauDamping,
-        MagnetizedExB,
-        TwoStream,
-        UniformMaxwellian,
-    )
-
-    if name == "gaussian-bump":
-        return GaussianBump()
-    if name == "bounded-wall":
-        return BoundedPlasma()
-    if name == "beam-plasma":
-        return BeamPlasma(alpha=alpha if alpha is not None else 1e-3)
-    if name == "exb-drift":
-        return MagnetizedExB()
-    if name == "landau":
-        return LandauDamping(alpha=alpha if alpha is not None else 0.05)
-    if name == "nonlinear-landau":
-        return LandauDamping(alpha=alpha if alpha is not None else 0.5)
-    if name == "two-stream":
-        return TwoStream(alpha=alpha if alpha is not None else 1e-3)
-    if name == "bump-on-tail":
-        return BumpOnTail(alpha=alpha if alpha is not None else 1e-3)
-    if name == "uniform":
-        return UniformMaxwellian()
-    raise ValueError(f"unknown case {name!r}")
+    job = argparse.ArgumentParser(add_help=False)
+    job.add_argument("--case", choices=CASE_NAMES, default="landau")
+    job.add_argument("--particles", type=int)
+    job.add_argument("--steps", type=int, default=100)
+    job.add_argument("--dt", type=float)
+    job.add_argument("--alpha", type=float, default=None,
+                     help="perturbation amplitude (case default if omitted)")
+    job.add_argument("--grid", type=int, nargs=2, metavar=("NCX", "NCY"))
+    job.add_argument("--ordering", choices=available_orderings(),
+                     default="morton")
+    job.add_argument("--backend", choices=(AUTO, *known_backend_names()),
+                     help="kernel execution backend (default: %(default)s; "
+                     "numpy-mp fans the particle loops out over worker "
+                     "processes)")
+    job.add_argument("--workers", type=int, default=None, metavar="N",
+                     help="worker-process count for --backend numpy-mp "
+                     "(default: cpu count)")
+    job.add_argument("--seed", type=int, default=None,
+                     help="random start seed (default: quiet start)")
+    job.set_defaults(**defaults)
+    return job
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.core.backends import AUTO, known_backend_names
+    from repro.curves import available_orderings
 
-    backends = (AUTO, *known_backend_names())
+    orderings = available_orderings()
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of Barsamian/Hirstoaga/Violard IPDPSW 2017 "
@@ -88,26 +82,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run a simulation case")
-    run.add_argument("--case", choices=_CASES, default="landau")
-    run.add_argument("--particles", type=int, default=100_000)
-    run.add_argument("--steps", type=int, default=100)
-    run.add_argument("--dt", type=float, default=0.1)
-    run.add_argument("--alpha", type=float, default=None,
-                     help="perturbation amplitude (case default if omitted)")
-    run.add_argument("--grid", type=int, nargs=2, default=(64, 16),
-                     metavar=("NCX", "NCY"))
-    run.add_argument("--ordering", choices=_ORDERINGS, default="morton")
-    run.add_argument("--seed", type=int, default=None,
-                     help="random start seed (default: quiet start)")
+    run = sub.add_parser(
+        "run", help="run a simulation case",
+        parents=[_run_description(particles=100_000, dt=0.1, grid=(64, 16),
+                                  backend="auto")],
+    )
     run.add_argument("--every", type=int, default=10,
                      help="print diagnostics every N steps")
     run.add_argument("--checkpoint", type=str, default=None,
                      help="write a checkpoint here after the run")
-    run.add_argument("--backend", choices=backends, default="auto",
-                     help="kernel execution backend (default: auto-select; "
-                     "numpy-mp fans the particle loops out over worker "
-                     "processes)")
     run.add_argument("--loop-mode", choices=("split", "fused"),
                      default="split",
                      help="particle-loop structure: 'split' runs three "
@@ -115,9 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
                      "backend's single-pass interpolate+kick+push kernel, "
                      "then the deposit (bitwise-equal; which is faster "
                      "is per backend — see docs/tuning.md)")
-    run.add_argument("--workers", type=int, default=None, metavar="N",
-                     help="worker-process count for --backend numpy-mp "
-                     "(default: cpu count)")
     run.add_argument("--mp-timeout", type=float, default=None, metavar="SECS",
                      help="numpy-mp per-task timeout before a worker is "
                      "restarted and its shard retried serially")
@@ -145,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "after the run)")
 
     om = sub.add_parser("orderings", help="print an ordering's index map")
-    om.add_argument("--ordering", choices=_ORDERINGS, default="morton")
+    om.add_argument("--ordering", choices=orderings, default="morton")
     om.add_argument("--size", type=int, default=8, help="grid side (pow2)")
     om.add_argument("--l4d-size", type=int, default=4, help="L4D tile height")
 
@@ -177,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "(default: 101)")
 
     mi = sub.add_parser("misses", help="scaled cache-miss experiment (Table II)")
-    mi.add_argument("--orderings", nargs="+", choices=_ORDERINGS,
+    mi.add_argument("--orderings", nargs="+", choices=orderings,
                     default=["row-major", "morton"])
     mi.add_argument("--particles", type=int, default=20_000)
     mi.add_argument("--iterations", type=int, default=10)
@@ -259,25 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
                      "at the default --poll)")
 
     smt = sub.add_parser(
-        "submit",
-        help="queue a job document into a spool directory",
+        "submit", help="queue a job document into a spool directory",
+        parents=[_run_description(particles=10_000, dt=0.05, grid=(32, 16),
+                                  backend="numpy")],
     )
     smt.add_argument("--spool", required=True, metavar="DIR",
                      help="spool directory a 'repro serve' watches")
-    smt.add_argument("--case", choices=_CASES, default="landau")
-    smt.add_argument("--particles", type=int, default=10_000)
-    smt.add_argument("--steps", type=int, default=100)
-    smt.add_argument("--dt", type=float, default=0.05)
-    smt.add_argument("--alpha", type=float, default=None,
-                     help="perturbation amplitude (case default if omitted)")
-    smt.add_argument("--grid", type=int, nargs=2, default=(32, 16),
-                     metavar=("NCX", "NCY"))
-    smt.add_argument("--ordering", choices=_ORDERINGS, default="morton")
-    smt.add_argument("--backend", choices=backends, default="numpy")
-    smt.add_argument("--workers", type=int, default=None, metavar="N",
-                     help="worker-process count for --backend numpy-mp")
-    smt.add_argument("--seed", type=int, default=None,
-                     help="random start seed (default: quiet start)")
     smt.add_argument("--priority", type=int, default=0,
                      help="scheduling priority: higher runs first and may "
                      "preempt running lower-priority jobs (default: 0)")
@@ -323,26 +290,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args) -> int:
-    from repro.core import OptimizationConfig, Simulation
-    from repro.grid import GridSpec
+def _job_from_args(args, **fields):
+    """The :class:`~repro.service.job.PICJob` a ``run`` / ``submit``
+    command line describes (``fields``: what only one verb has)."""
+    from repro.service.job import PICJob
 
-    ncx, ncy = args.grid
-    grid = GridSpec(ncx, ncy, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
-    case = _make_case(args.case, args.alpha)
-    cfg = OptimizationConfig.fully_optimized(args.ordering)
-    if args.ordering == "hilbert":
-        cfg = cfg.with_(position_update="modulo")
-    cfg = cfg.with_(backend=args.backend, loop_mode=args.loop_mode)
-    if args.workers is not None:
-        cfg = cfg.with_(workers=args.workers)
+    return PICJob(
+        case=args.case,
+        grid=tuple(args.grid),
+        n_particles=args.particles,
+        steps=args.steps,
+        dt=args.dt,
+        alpha=args.alpha,
+        ordering=args.ordering,
+        backend=args.backend,
+        workers=args.workers,
+        seed=args.seed,
+        checkpoint_every=args.checkpoint_every,
+        guards=args.guards,
+        max_retries=args.max_retries,
+        **fields,
+    )
+
+
+def _cmd_run(args) -> int:
+    job = _job_from_args(args, loop_mode=args.loop_mode)
+    cfg = job.make_config()
     if args.mp_timeout is not None:
         cfg = cfg.with_(mp_task_timeout=args.mp_timeout)
+    sim = job.build_simulation(cfg)
+    ncx, ncy = args.grid
     quiet = args.seed is None
-    sim = Simulation(
-        grid, case, args.particles, cfg, dt=args.dt,
-        quiet=quiet, seed=args.seed,
-    )
     supervisor = None
     try:
         if args.supervise:
@@ -421,11 +399,15 @@ def _cmd_orderings(args) -> int:
 
 
 def _cmd_locality(args) -> int:
-    from repro.curves import get_ordering, neighbor_locality_report
+    from repro.curves import (
+        available_orderings,
+        get_ordering,
+        neighbor_locality_report,
+    )
 
     print(f"unit-move locality on a {args.size} x {args.size} grid "
           "(fraction of neighbor moves with |d icell| <= 8):")
-    for name in _ORDERINGS:
+    for name in available_orderings():
         r = neighbor_locality_report(get_ordering(name, args.size, args.size))
         print(f"  {name:13s} {100 * r.frac_close_isotropic:5.1f}%  "
               f"(x {100 * r.frac_close_dx:5.1f}%, y {100 * r.frac_close_dy:5.1f}%)")
@@ -638,26 +620,11 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_submit(args) -> int:
-    from repro.service import PICJob, submit_to_spool, wait_for_result
+    from repro.service import submit_to_spool, wait_for_result
 
-    job = PICJob(
-        case=args.case,
-        grid=tuple(args.grid),
-        n_particles=args.particles,
-        steps=args.steps,
-        dt=args.dt,
-        alpha=args.alpha,
-        ordering=args.ordering,
-        backend=args.backend,
-        workers=args.workers,
-        seed=args.seed,
-        priority=args.priority,
-        checkpoint_every=args.checkpoint_every,
-        guards=args.guards,
-        max_retries=args.max_retries,
-        deadline_s=args.deadline,
-        retry_backoff=args.retry_backoff,
-    )
+    job = _job_from_args(args, priority=args.priority,
+                         deadline_s=args.deadline,
+                         retry_backoff=args.retry_backoff)
     job_id = submit_to_spool(args.spool, job, job_id=args.job_id)
     print(f"submitted {job_id}: {job.describe()}")
     if not args.wait:

@@ -19,6 +19,9 @@ from repro.particles.initializers import InitialCondition
 
 __all__ = ["Simulation", "SimulationHistory"]
 
+#: the recorded diagnostic series, in the order documents carry them
+_SERIES = ("times", "field_energy", "kinetic_energy", "mode_amplitude")
+
 
 @dataclass
 class SimulationHistory:
@@ -46,13 +49,27 @@ class SimulationHistory:
         return float(np.max(np.abs(tot - tot[0])) / abs(tot[0]))
 
     def as_arrays(self) -> dict[str, np.ndarray]:
-        return {
-            "times": np.asarray(self.times),
-            "field_energy": np.asarray(self.field_energy),
-            "kinetic_energy": np.asarray(self.kinetic_energy),
-            "mode_amplitude": np.asarray(self.mode_amplitude),
-            "total_energy": self.total_energy,
-        }
+        arrays = {name: np.asarray(getattr(self, name)) for name in _SERIES}
+        arrays["total_energy"] = self.total_energy
+        return arrays
+
+    def as_dict(self) -> dict[str, list[float]]:
+        """The diagnostic series as JSON-compatible lists; inverse of
+        :meth:`from_dict`.
+
+        Values are Python floats: JSON's shortest-repr round trip is
+        exact for float64, so a history restored from its document
+        continues bit for bit.  ``step_timings`` (wall-clock
+        bookkeeping) is not part of the document.
+        """
+        return {name: [float(v) for v in getattr(self, name)]
+                for name in _SERIES}
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "SimulationHistory":
+        """Rebuild from :meth:`as_dict` output (other keys ignored)."""
+        return cls(**{name: [float(v) for v in doc[name]]
+                      for name in _SERIES})
 
     def truncate(self, n_entries: int) -> None:
         """Drop diagnostic entries beyond the first ``n_entries``.
@@ -64,10 +81,8 @@ class SimulationHistory:
         bookkeeping, not physics — rolled-back step records are kept
         (honest accounting of time actually spent)."""
         n = max(0, int(n_entries))
-        del self.times[n:]
-        del self.field_energy[n:]
-        del self.kinetic_energy[n:]
-        del self.mode_amplitude[n:]
+        for name in _SERIES:
+            del getattr(self, name)[n:]
 
 
 class Simulation:

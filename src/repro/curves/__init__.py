@@ -40,8 +40,6 @@ from repro.curves.hilbert import (
 )
 from repro.curves.curves3d import (
     dilate3_16,
-    hilbert_decode_3d,
-    hilbert_encode_3d,
     morton_decode_3d,
     morton_encode_3d,
     undilate3_16,
@@ -73,8 +71,6 @@ __all__ = [
     "undilate3_16",
     "morton_encode_3d",
     "morton_decode_3d",
-    "hilbert_encode_3d",
-    "hilbert_decode_3d",
     "LocalityReport",
     "index_distance_histogram",
     "mean_neighbor_distance",

@@ -2,17 +2,14 @@
 
 The conclusion notes that "formulas also exist for space-filling
 curves in three dimensions", opening the way to 3d3v simulations.
-This module provides the 3D counterparts of the 2D orderings:
+This module provides the 3D counterpart of the 2D Morton ordering:
 
 * :func:`dilate3_16` / :func:`undilate3_16` — 3-way dilated integers
   (each bit followed by two zeros), the Raman & Wise machinery in 3D;
-* :func:`morton_encode_3d` / :func:`morton_decode_3d` — 3D Z-order;
-* :func:`hilbert_encode_3d` / :func:`hilbert_decode_3d` — the 3D
-  Hilbert curve via Skilling's transpose algorithm (general-dimension
-  form, specialized here to 3 axes and vectorized with numpy).
+* :func:`morton_encode_3d` / :func:`morton_decode_3d` — 3D Z-order.
 
 All functions are vectorized bijections validated by the same
-round-trip and adjacency properties as the 2D curves.
+round-trip properties as the 2D curves.
 """
 
 from __future__ import annotations
@@ -24,8 +21,6 @@ __all__ = [
     "undilate3_16",
     "morton_encode_3d",
     "morton_decode_3d",
-    "hilbert_encode_3d",
-    "hilbert_decode_3d",
 ]
 
 _U64 = np.uint64
@@ -72,83 +67,3 @@ def morton_decode_3d(code) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ix = undilate3_16(c >> _U64(2))
     return ix.astype(np.int64), iy.astype(np.int64), iz.astype(np.int64)
 
-
-# ----------------------------------------------------------------------
-# Hilbert in 3D: Skilling's transpose algorithm (AIP Conf. Proc. 707),
-# vectorized with numpy where-selects.  The "transpose" form holds the
-# index as 3 words whose bit planes interleave into the linear index.
-# ----------------------------------------------------------------------
-def _axes_to_transpose(x, y, z, order):
-    """Skilling's AxesToTranspose, vectorized over element arrays."""
-    X = [x.copy(), y.copy(), z.copy()]
-    m = 1 << (order - 1)
-    q = m
-    while q > 1:  # inverse undo of the excess work
-        p = q - 1
-        for i in range(3):
-            mask = (X[i] & q) != 0
-            t = np.where(mask, 0, (X[0] ^ X[i]) & p)
-            X[0] = np.where(mask, X[0] ^ p, X[0] ^ t)
-            X[i] = X[i] ^ t
-        q >>= 1
-    for i in range(1, 3):  # Gray encode
-        X[i] = X[i] ^ X[i - 1]
-    t = np.zeros_like(X[0])
-    q = m
-    while q > 1:
-        t = np.where((X[2] & q) != 0, t ^ (q - 1), t)
-        q >>= 1
-    for i in range(3):
-        X[i] = X[i] ^ t
-    return X
-
-
-def _transpose_to_axes(X, order):
-    """Skilling's TransposeToAxes, vectorized."""
-    X = [X[0].copy(), X[1].copy(), X[2].copy()]
-    n = 2 << (order - 1)
-    t = X[2] >> 1  # Gray decode by H ^ (H/2)
-    for i in range(2, 0, -1):
-        X[i] = X[i] ^ X[i - 1]
-    X[0] = X[0] ^ t
-    q = 2
-    while q != n:  # undo excess work
-        p = q - 1
-        for i in range(2, -1, -1):
-            mask = (X[i] & q) != 0
-            t = np.where(mask, 0, (X[0] ^ X[i]) & p)
-            X[0] = np.where(mask, X[0] ^ p, X[0] ^ t)
-            X[i] = X[i] ^ t
-        q <<= 1
-    return X
-
-
-def hilbert_encode_3d(order: int, ix, iy, iz) -> np.ndarray:
-    """Hilbert index on a ``2**order`` cube (vectorized).
-
-    Transpose words interleave bit-plane-wise: bit ``b`` of word ``i``
-    lands at index bit ``3*b + (2 - i)`` (word 0 most significant
-    within a plane).
-    """
-    ix = np.asarray(ix, dtype=np.int64)
-    iy = np.asarray(iy, dtype=np.int64)
-    iz = np.asarray(iz, dtype=np.int64)
-    X = _axes_to_transpose(ix, iy, iz, order)
-    d = np.zeros(np.broadcast(ix, iy, iz).shape, dtype=np.int64)
-    for b in range(order - 1, -1, -1):
-        for i in range(3):
-            d = (d << 1) | ((X[i] >> b) & 1)
-    return d
-
-
-def hilbert_decode_3d(order: int, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inverse of :func:`hilbert_encode_3d`."""
-    d = np.asarray(d, dtype=np.int64)
-    X = [np.zeros(d.shape, dtype=np.int64) for _ in range(3)]
-    bit = 3 * order - 1
-    for b in range(order - 1, -1, -1):
-        for i in range(3):
-            X[i] = X[i] | (((d >> bit) & 1) << b)
-            bit -= 1
-    x, y, z = _transpose_to_axes(X, order)
-    return x, y, z

@@ -97,7 +97,6 @@ class SpectralPoissonSolver(PoissonSolver):
         rho_hat = np.fft.rfft2(rho)
         phi_hat = rho_hat * self._inv_k2 / self.eps0
         phi_hat[0, 0] = 0.0
-        self._last_phi_hat = phi_hat
         return np.fft.irfft2(phi_hat, s=(g.ncx, g.ncy))
 
     def field_from_potential(self, phi: np.ndarray):

@@ -442,9 +442,7 @@ class ShmEngine:
     particle histogram (~equal particles per range) and re-cut by the
     :class:`~repro.parallel.partition.PartitionPlanner` every
     ``repartition_every`` deposits when the measured load imbalance
-    warrants it.  Each such check also records a data-movement sample
-    (:func:`repro.perf.datamove.deposit_movement` + ``resource``
-    counters) into the step timings, from the same histogram.
+    warrants it.
     """
 
     def __init__(self, stepper, nworkers=None, task_timeout=None):
@@ -607,9 +605,9 @@ class ShmEngine:
 
     def accumulate(self, icell, offsets, charge):
         gs = self.grid_shared
-        # repartition + data-movement sampling share one histogram; a
-        # bincount is computed only on the steps that need it, and the
-        # cut never moves mid-deposit (ranges adopted before sharding)
+        # a bincount is computed only on the steps the planner looks at
+        # one, and the cut never moves mid-deposit (ranges adopted
+        # before sharding)
         hist = None
         if self.planner.wants_histogram():
             hist = np.bincount(
@@ -618,8 +616,6 @@ class ShmEngine:
         new_ranges = self.planner.maybe_repartition(hist)
         if new_ranges is not None:
             gs.set_cell_ranges(new_ranges)
-        if hist is not None:
-            self._record_datamove(hist)
         arrays = {"slab": gs.slab, "icell": icell, "offsets": list(offsets)}
         tasks = corner_tasks(gs.cell_ranges, gs.slab.shape[0], self.nworkers)
         self._run(
@@ -629,25 +625,6 @@ class ShmEngine:
         )
         # the tasks tile the slab, so one add is the whole reduction
         gs.rho_1d += gs.slab.T
-
-    def _record_datamove(self, hist) -> None:
-        """Sample the deposit's measured data movement into the timings."""
-        instr = self.instrumentation
-        if instr is None:
-            return
-        from repro.perf.datamove import deposit_movement, rusage_sample
-
-        stats = deposit_movement(
-            self.grid_shared.cell_ranges, hist, ordering=self.ordering,
-            ndim=self._stepper.particles.ndim,
-        )
-        stats["repartitions"] = len(self.planner.events)
-        if self.planner.events:
-            stats["last_repartition"] = dict(self.planner.events[-1])
-        ru = rusage_sample()
-        if ru is not None:
-            stats["rusage"] = ru
-        instr.record_datamove(stats)
 
     # ------------------------------------------------------------------
     def ping(self, timeout=5.0) -> list[bool]:

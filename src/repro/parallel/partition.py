@@ -192,8 +192,8 @@ class PartitionPlanner:
       repartition churn for noise.
 
     Every adopted repartition is appended to :attr:`events` (step
-    counter, old/new balance ratio) so ``--timings-json`` can export
-    the decision trail.  Not thread-safe itself (one planner per
+    counter, old/new balance ratio) — the decision trail a test or an
+    operator reads off the engine.  Not thread-safe itself (one planner per
     engine, driven from the parent process only); the partitions it
     emits are what make the worker-side deposit race-free.
     """

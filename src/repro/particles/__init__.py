@@ -22,6 +22,7 @@ from repro.particles.storage import (
     particle_fields,
 )
 from repro.particles.initializers import (
+    CASE_NAMES,
     BeamPlasma,
     BoundedPlasma,
     BumpOnTail,
@@ -33,6 +34,7 @@ from repro.particles.initializers import (
     UniformMaxwellian,
     halton_sequence,
     load_particles,
+    make_case,
     sample_perturbed_positions,
 )
 from repro.particles.sorting import (
@@ -57,6 +59,8 @@ __all__ = [
     "BoundedPlasma",
     "BeamPlasma",
     "MagnetizedExB",
+    "CASE_NAMES",
+    "make_case",
     "halton_sequence",
     "sample_perturbed_positions",
     "load_particles",

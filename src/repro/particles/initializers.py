@@ -36,6 +36,8 @@ __all__ = [
     "BoundedPlasma",
     "BeamPlasma",
     "MagnetizedExB",
+    "CASE_NAMES",
+    "make_case",
     "halton_sequence",
     "sample_perturbed_positions",
     "load_particles",
@@ -466,6 +468,40 @@ class MagnetizedExB(InitialCondition):
 
     def default_grid(self):
         return GridSpec(32, 32, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
+
+
+#: the named test cases: ``name -> (class, default perturbation)``,
+#: ``None`` for a case that takes none.  The one table behind ``repro
+#: run --case``, ``repro submit --case`` and
+#: :class:`repro.service.PICJob` — a new case is registered here only.
+_CASES = {
+    "landau": (LandauDamping, 0.05),
+    "nonlinear-landau": (LandauDamping, 0.5),
+    "two-stream": (TwoStream, 1e-3),
+    "bump-on-tail": (BumpOnTail, 1e-3),
+    "gaussian-bump": (GaussianBump, None),
+    "uniform": (UniformMaxwellian, None),
+    "bounded-wall": (BoundedPlasma, None),
+    "beam-plasma": (BeamPlasma, 1e-3),
+    "exb-drift": (MagnetizedExB, None),
+}
+CASE_NAMES = tuple(_CASES)
+
+
+def make_case(name: str, alpha: float | None = None) -> InitialCondition:
+    """The initial condition registered under ``name``.
+
+    ``alpha`` overrides the case's default perturbation amplitude; it
+    is ignored by the cases that have none.
+    """
+    try:
+        cls, default = _CASES[name]
+    except KeyError:
+        raise ValueError(
+            f"case must be one of {CASE_NAMES}, got {name!r}") from None
+    if default is None:
+        return cls()
+    return cls(alpha=default if alpha is None else alpha)
 
 
 def load_particles(

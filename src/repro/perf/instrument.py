@@ -84,12 +84,6 @@ class StepTimings:
     worker_phases: dict = field(default_factory=dict)
     #: steps taken per loop path, e.g. ``{"split": 40, "fused-backend": 10}``
     loop_paths: dict = field(default_factory=dict)
-    #: measured data movement of the parallel deposit: ``{"samples": n,
-    #: "last": {...}}`` where ``last`` is the most recent
-    #: :func:`repro.perf.datamove.deposit_movement` ledger (per-worker
-    #: bytes / balance / span / rusage); empty for in-process backends
-    #: and when sampling is off
-    datamove: dict = field(default_factory=dict)
 
     @property
     def total(self) -> float:
@@ -156,7 +150,6 @@ class StepTimings:
         rec["rollbacks"] = self.rollbacks
         rec["workers"] = {w: dict(p) for w, p in self.worker_phases.items()}
         rec["loop_paths"] = dict(self.loop_paths)
-        rec["datamove"] = dict(self.datamove)
         return rec
 
     def to_json(self, **dumps_kwargs) -> str:
@@ -166,7 +159,8 @@ class StepTimings:
     @classmethod
     def from_json(cls, text: str) -> "StepTimings":
         """Rebuild from :meth:`to_json` output (derived fields, and the
-        ``autotune`` list older records carry, ignored)."""
+        ``autotune`` list and data-movement block older records carry,
+        ignored)."""
         rec = json.loads(text)
         return cls(
             update_v=rec["update_v"],
@@ -182,7 +176,6 @@ class StepTimings:
             worker_phases=rec.get("workers", {}),
             # kept as recorded: older records may count "fused-chunked"
             loop_paths=rec.get("loop_paths", {}),
-            datamove=rec.get("datamove", {}),
         )
 
 
@@ -263,22 +256,6 @@ class Instrumentation:
         self.timings.fallbacks += int(count)
         if self._current is not None:
             self._current["fallbacks"] += int(count)
-
-    def record_datamove(self, stats: dict) -> None:
-        """Record one measured data-movement sample of the deposit.
-
-        ``stats`` is a :func:`repro.perf.datamove.deposit_movement`
-        ledger (plus whatever the engine attached — repartition events,
-        ``resource`` counters).  Keeps a sample counter and the latest
-        ledger in :attr:`StepTimings.datamove` and tags the current
-        per-step record, so ``--timings-json`` exports both the trend
-        and the final state without unbounded growth.
-        """
-        dm = self.timings.datamove
-        dm["samples"] = int(dm.get("samples", 0)) + 1
-        dm["last"] = dict(stats)
-        if self._current is not None:
-            self._current["datamove"] = dict(stats)
 
     def record_worker_phase(self, worker: str, phase: str, seconds: float) -> None:
         """Accumulate one worker's wall-clock share of a kernel phase."""

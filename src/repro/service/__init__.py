@@ -9,17 +9,15 @@ isolation (each job runs under its own
 :class:`~repro.resilience.supervisor.SupervisedRun`), streamed
 per-step diagnostics, and engine-level instrumentation.
 
-Three layers, outermost first:
+Two layers:
 
-* :class:`JobClient` / :class:`JobHandle`
-  (:mod:`repro.service.client`) — the estimator-style facade: build a
-  config object, ``submit()``, collect ``result()``.
-* :class:`JobEngine` (:mod:`repro.service.engine`) — the engine
-  proper: submit / status / cancel / preempt / result / stream over a
-  priority queue and a bounded worker pool.
 * :class:`PICJob`, :class:`JobState`, :class:`JobInfo`,
   :class:`JobResult` (:mod:`repro.service.job`) — the job vocabulary:
-  an immutable serializable run description and the lifecycle types.
+  an immutable serializable run description (the one ``repro run``
+  builds its simulation from, too) and the lifecycle types.
+* :class:`JobEngine` (:mod:`repro.service.engine`) — the engine:
+  ``submit(job) -> id``, then status / cancel / preempt / result /
+  stream by id, over a priority queue and a bounded worker pool.
 
 The process-boundary front-end (``repro serve`` / ``repro submit``)
 lives in :mod:`repro.service.spool`.  The operator manual — lifecycle
@@ -28,16 +26,15 @@ failure-handling matrix — is ``docs/service.md``.
 
 Quickstart::
 
-    from repro.service import JobClient, PICJob
+    from repro.service import JobEngine, PICJob
 
     jobs = [PICJob(case="landau", n_particles=n, steps=100)
             for n in (10_000, 20_000)]
-    with JobClient(max_workers=2) as client:
-        for handle in client.map(jobs):
-            print(handle.job_id, handle.result().energy_drift())
+    with JobEngine(max_workers=2) as engine:
+        for job_id in [engine.submit(job) for job in jobs]:
+            print(job_id, engine.result(job_id).energy_drift())
 """
 
-from repro.service.client import JobClient, JobHandle
 from repro.service.engine import (
     EngineClosedError,
     EngineStats,
@@ -65,8 +62,6 @@ __all__ = [
     "EngineStats",
     "EngineClosedError",
     "UnknownJobError",
-    "JobClient",
-    "JobHandle",
     "JobJournal",
     "write_json_atomic",
     "submit_to_spool",

@@ -93,7 +93,8 @@ class EngineStats:
     dispatch and park (capped at 4096 so a long-lived engine cannot
     grow without bound).  ``per_job_phases`` maps job id to that job's
     cumulative per-phase kernel seconds, mirrored from the job ledgers
-    so one JSON document answers "where did the pool's time go".
+    so one record answers "where did the pool's time go"
+    (``dataclasses.asdict`` makes it a JSON document).
     """
 
     submitted: int = 0
@@ -118,22 +119,6 @@ class EngineStats:
             self.queue_depth.append(
                 {"event": event, "depth": int(depth), "running": int(running)}
             )
-
-    def as_dict(self) -> dict:
-        return {
-            "submitted": self.submitted,
-            "succeeded": self.succeeded,
-            "failed": self.failed,
-            "cancelled": self.cancelled,
-            "recovered": self.recovered,
-            "preemptions": self.preemptions,
-            "resumes": self.resumes,
-            "started_order": list(self.started_order),
-            "completed_order": list(self.completed_order),
-            "queue_depth": [dict(s) for s in self.queue_depth],
-            "per_job_phases": {k: dict(v) for k, v in
-                               self.per_job_phases.items()},
-        }
 
 
 class _JobRecord:
@@ -428,10 +413,6 @@ class JobEngine:
         logger.info("submitted %s: %s", job_id, job.describe())
         return job_id
 
-    def submit_many(self, jobs, **kwargs) -> list[str]:
-        """Submit an iterable of jobs; returns their ids in order."""
-        return [self.submit(job, **kwargs) for job in jobs]
-
     def add_terminal_listener(self, listener) -> None:
         """Call ``listener(job_id)`` the moment a job turns terminal.
 
@@ -554,12 +535,6 @@ class JobEngine:
                 event = rec.events[index]
             index += 1
             yield event
-
-    def stats_json(self, **dumps_kwargs) -> str:
-        """The :class:`EngineStats` counters as a JSON string."""
-        import json
-
-        return json.dumps(self.stats.as_dict(), **dumps_kwargs)
 
     def join(self, timeout: float | None = None) -> bool:
         """Wait until every submitted job is terminal.
@@ -815,12 +790,7 @@ class JobEngine:
         if doc is None:
             return None
         try:
-            return SimulationHistory(
-                times=[float(v) for v in doc["times"]],
-                field_energy=[float(v) for v in doc["field_energy"]],
-                kinetic_energy=[float(v) for v in doc["kinetic_energy"]],
-                mode_amplitude=[float(v) for v in doc["mode_amplitude"]],
-            )
+            return SimulationHistory.from_dict(doc)
         except (KeyError, TypeError, ValueError):
             logger.warning("unusable history sidecar for %s", rec.job_id)
             return None
@@ -830,10 +800,9 @@ class JobEngine:
 
         Persists the diagnostic series next to the rotation with the
         same atomic idiom as the checkpoints themselves, so a restart
-        can resume the history bit-exactly.  Values are coerced to
-        Python floats (JSON's shortest-repr round-trip is exact for
-        float64, which is what keeps recovered summaries bitwise equal
-        to uninterrupted ones).
+        can resume the history bit-exactly
+        (:meth:`SimulationHistory.as_dict` is what keeps recovered
+        summaries bitwise equal to uninterrupted ones).
         """
         sidecar = rec.ckpt_dir / "history.json"
 
@@ -841,13 +810,8 @@ class JobEngine:
             h = rec.history
             if h is None:
                 return
-            write_json_atomic(sidecar, {
-                "iteration": int(iteration),
-                "times": [float(v) for v in h.times],
-                "field_energy": [float(v) for v in h.field_energy],
-                "kinetic_energy": [float(v) for v in h.kinetic_energy],
-                "mode_amplitude": [float(v) for v in h.mode_amplitude],
-            })
+            write_json_atomic(
+                sidecar, {"iteration": int(iteration), **h.as_dict()})
 
         return write
 

@@ -23,12 +23,6 @@ from dataclasses import asdict, dataclass, field
 
 __all__ = ["PICJob", "JobState", "JobInfo", "JobResult"]
 
-#: initial-condition names a job may request (mirrors the CLI's set)
-CASES = ("landau", "nonlinear-landau", "two-stream", "bump-on-tail",
-         "uniform")
-#: cell orderings a job may request
-ORDERINGS = ("row-major", "column-major", "l4d", "morton", "hilbert")
-
 
 class JobState(enum.Enum):
     """Lifecycle states of an engine-managed job.
@@ -73,8 +67,12 @@ class PICJob:
     Parameters
     ----------
     case:
-        Initial condition: ``"landau"``, ``"nonlinear-landau"``,
-        ``"two-stream"``, ``"bump-on-tail"`` or ``"uniform"``.
+        Initial condition: any name of
+        :data:`repro.particles.CASE_NAMES` (what ``repro run --help``
+        prints).  The scenario-zoo cases carry their wall boundary,
+        magnetic field and external drive on the case object; the
+        checkpoint metadata records all three, so they park, resume and
+        recover like any other job.
     grid:
         ``(ncx, ncy)`` cell counts.  Power-of-two dimensions are
         required by the default Morton ordering and bitwise position
@@ -90,7 +88,8 @@ class PICJob:
         Perturbation amplitude; ``None`` uses the case's default
         (0.05 for Landau, 0.5 nonlinear, 1e-3 for the instabilities).
     ordering:
-        Cell ordering for the redundant field layout.
+        Cell ordering for the redundant field layout (any name of
+        :func:`repro.curves.available_orderings`).
     backend:
         Kernel-execution backend (``"auto"`` resolves at build time).
         ``"numpy-mp"`` jobs each own a private worker pool and
@@ -142,9 +141,9 @@ class PICJob:
     --------
     >>> job = PICJob(case="landau", grid=(32, 16), n_particles=20_000,
     ...              steps=100, priority=5)
-    >>> with JobClient(max_workers=2) as client:      # doctest: +SKIP
-    ...     handle = client.submit(job)
-    ...     result = handle.result()
+    >>> with JobEngine(max_workers=2) as engine:      # doctest: +SKIP
+    ...     job_id = engine.submit(job)
+    ...     result = engine.result(job_id)
     """
 
     case: str = "landau"
@@ -169,12 +168,17 @@ class PICJob:
     mode_y: int = 0
 
     def __post_init__(self):
-        if self.case not in CASES:
-            raise ValueError(f"case must be one of {CASES}, got {self.case!r}")
-        if self.ordering not in ORDERINGS:
-            raise ValueError(
-                f"ordering must be one of {ORDERINGS}, got {self.ordering!r}")
         from repro.core.backends import AUTO, known_backend_names
+        from repro.curves import available_orderings
+        from repro.particles import CASE_NAMES
+
+        if self.case not in CASE_NAMES:
+            raise ValueError(
+                f"case must be one of {CASE_NAMES}, got {self.case!r}")
+        orderings = tuple(available_orderings())
+        if self.ordering not in orderings:
+            raise ValueError(
+                f"ordering must be one of {orderings}, got {self.ordering!r}")
 
         backends = (AUTO, *known_backend_names())
         if self.backend not in backends:
@@ -209,9 +213,9 @@ class PICJob:
                                  "with xmax > xmin and ymax > ymin")
 
     # ------------------------------------------------------------------
-    # Builders — everything the engine needs to turn the description
-    # into a live run, kept on the job so the facade and the CLI build
-    # byte-identical simulations.
+    # Builders — the one way a description becomes a live run: the
+    # engine, ``repro run`` and the examples all go through these, so
+    # they build byte-identical simulations.
     # ------------------------------------------------------------------
     def make_grid(self):
         """The :class:`~repro.grid.spec.GridSpec` this job runs on."""
@@ -223,30 +227,16 @@ class PICJob:
 
     def make_case(self):
         """The :class:`~repro.particles.InitialCondition` instance."""
-        from repro.particles import (
-            BumpOnTail,
-            LandauDamping,
-            TwoStream,
-            UniformMaxwellian,
-        )
+        from repro.particles import make_case
 
-        a = self.alpha
-        if self.case == "landau":
-            return LandauDamping(alpha=a if a is not None else 0.05)
-        if self.case == "nonlinear-landau":
-            return LandauDamping(alpha=a if a is not None else 0.5)
-        if self.case == "two-stream":
-            return TwoStream(alpha=a if a is not None else 1e-3)
-        if self.case == "bump-on-tail":
-            return BumpOnTail(alpha=a if a is not None else 1e-3)
-        return UniformMaxwellian()
+        return make_case(self.case, self.alpha)
 
     def make_config(self):
         """The :class:`~repro.core.config.OptimizationConfig`.
 
-        Follows the CLI's conventions: the fully-optimized Table IV
-        stack for the chosen ordering, with Hilbert dropping to the
-        modulo position update (its decode needs real coordinates).
+        The fully-optimized Table IV stack for the chosen ordering,
+        with Hilbert dropping to the modulo position update (its decode
+        needs real coordinates).
         """
         from repro.core import OptimizationConfig
 
@@ -258,12 +248,16 @@ class PICJob:
             cfg = cfg.with_(workers=self.workers)
         return cfg
 
-    def build_simulation(self):
+    def build_simulation(self, config=None):
         """A fresh :class:`~repro.core.simulation.Simulation` at step 0.
 
-        What the engine calls on first dispatch; resumes go through
+        What the engine calls on first dispatch and ``repro run`` steps;
+        resumes go through
         :func:`~repro.core.checkpoint.load_checkpoint` +
-        :meth:`Simulation.from_stepper` instead.
+        :meth:`Simulation.from_stepper` instead.  ``config`` replaces
+        :meth:`make_config`'s result — for a caller that adjusts an
+        execution setting the description does not carry (``repro run
+        --mp-timeout``).
         """
         from repro.core import Simulation
 
@@ -271,7 +265,7 @@ class PICJob:
             self.make_grid(),
             self.make_case(),
             self.n_particles,
-            self.make_config(),
+            config if config is not None else self.make_config(),
             dt=self.dt,
             seed=self.seed,
             quiet=self.seed is None,
@@ -310,7 +304,7 @@ class PICJob:
 class JobInfo:
     """Point-in-time status snapshot of an engine-managed job.
 
-    Returned by :meth:`JobEngine.status` / :meth:`JobHandle.status`;
+    Returned by :meth:`JobEngine.status` and :meth:`JobEngine.list_jobs`;
     values are copies, safe to hold across state changes.
     """
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.particles import CASE_NAMES
 
 #: written by ``repro run --loop-mode auto --timings-json`` at commit
 #: adb824f (12 steps, 2000 particles): ``cumulative`` and the step-9
@@ -275,3 +276,101 @@ class TestSupervisedRunCommand:
             "--grid", "16", "8", "--supervise", "--guards", "entropy",
         )
         assert code == 2
+
+
+# ----------------------------------------------------------------------
+# One front door: a run is a PICJob, whichever verb describes it
+# ----------------------------------------------------------------------
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+def verb_parser(verb):
+    return build_parser()._subparsers._group_actions[0].choices[verb]
+
+
+def flag_table(parser) -> dict:
+    """Every optional flag of one verb, as the fixture recorded it."""
+    table = {}
+    for action in parser._actions:
+        if not action.option_strings or action.dest == "help":
+            continue
+        default = action.default
+        table[action.dest] = {
+            "flags": list(action.option_strings),
+            "default": list(default) if isinstance(default, tuple) else default,
+            "choices": (sorted(action.choices)
+                        if action.choices is not None else None),
+            "nargs": action.nargs,
+            "type": getattr(action.type, "__name__", None),
+            "required": action.required,
+        }
+    return table
+
+
+class TestOneFrontDoor:
+    @pytest.mark.parametrize("verb", ["run", "submit", "serve"])
+    def test_flags_and_defaults_are_the_parents(self, verb):
+        """No verb gained, lost or re-defaulted a flag when `run` and
+        `submit` moved their ten shared flags to one argparse parent
+        (fixture: the same table dumped at the PR 22 commit)."""
+        import json
+
+        recorded = json.loads((DATA / "cli_flags_pr22.json").read_text())
+        assert flag_table(verb_parser(verb)) == recorded[verb]
+
+    @pytest.mark.parametrize("name", CASE_NAMES)
+    def test_every_case_on_every_front_door(self, name):
+        """(The nine names themselves are pinned by the flag fixture.)"""
+        from repro.service import PICJob
+
+        for verb in ("run", "submit"):
+            assert name in verb_parser(verb).format_help()
+            argv = [verb, "--case", name] + (
+                ["--spool", "s"] if verb == "submit" else [])
+            assert build_parser().parse_args(argv).case == name
+        assert PICJob(case=name).case == name
+        job = PICJob(case=name, n_particles=2000, steps=3, backend="numpy")
+        with job.build_simulation() as sim:
+            sim.run(3)
+            assert sim.stepper.iteration == 3
+            assert np.all(np.isfinite(sim.history.total_energy))
+
+    @pytest.mark.parametrize("name, argv", [
+        ("landau_quiet", ["--case", "landau"]),
+        ("two_stream_seed3", ["--case", "two-stream", "--seed", "3"]),
+        ("bounded_wall_supervised", ["--case", "bounded-wall", "--supervise"]),
+    ])
+    def test_run_transcript_matches_parent(self, capsys, name, argv):
+        """`repro run`, now stepping `PICJob.build_simulation()`, prints
+        the physics lines the PR 22 commit printed, byte for byte."""
+
+        def physics(text):
+            wall_clock = ("throughput", "phase breakdown", "timings")
+            return [line for line in text.splitlines()
+                    if not line.startswith(wall_clock)
+                    and not line.endswith("%)")]  # the breakdown's rows
+
+        code, out = run_cli(capsys, "run", *argv, "--backend", "numpy",
+                            "--steps", "20", "--particles", "20000")
+        assert code == 0
+        recorded = (DATA / "run_transcripts_pr22" / f"{name}.txt").read_text()
+        assert physics(out) == physics(recorded)
+        assert len(physics(out)) >= 6
+
+    def test_mp_timeout_reaches_the_config(self, monkeypatch):
+        """The one `run` flag that is no PICJob field still lands in
+        the stepper's config, on top of the job's own recipe."""
+        from repro.service import PICJob
+
+        seen = []
+        real = PICJob.build_simulation
+
+        def spy(job, config=None):
+            seen.append((job, config))
+            return real(job, config)
+
+        monkeypatch.setattr(PICJob, "build_simulation", spy)
+        assert main(["run", "--particles", "1000", "--steps", "1", "--grid",
+                     "16", "8", "--backend", "numpy", "--mp-timeout", "7.5"]) == 0
+        (job, config), = seen
+        assert config == job.make_config().with_(mp_task_timeout=7.5)

@@ -62,6 +62,51 @@ class TestHistory:
         assert h is sim.history
 
 
+class TestHistoryDocument:
+    def test_dict_round_trip_keeps_every_bit(self, sim):
+        """The sidecar form: through JSON text and back, each float64
+        of the four series is the same bit pattern; the wall-clock
+        ``step_timings`` stay behind."""
+        import json
+
+        from repro.core.simulation import SimulationHistory
+
+        sim.run(7)
+        h = sim.history
+        h.field_energy[3] = np.nextafter(h.field_energy[3], np.inf)
+        h.mode_amplitude[5] = 5e-324  # smallest subnormal
+        doc = h.as_dict()
+        assert list(doc) == ["times", "field_energy", "kinetic_energy",
+                             "mode_amplitude"]
+        assert all(type(v) is float for series in doc.values() for v in series)
+        back = SimulationHistory.from_dict(json.loads(json.dumps(doc)))
+        for name in doc:
+            a = np.asarray(getattr(h, name), dtype=np.float64)
+            b = np.asarray(getattr(back, name), dtype=np.float64)
+            assert a.tobytes() == b.tobytes(), name
+        assert len(h.step_timings) == 7 and back.step_timings == []
+        assert back.as_dict() == doc
+
+    def test_from_dict_ignores_other_keys_and_needs_all_four(self):
+        from repro.core.simulation import SimulationHistory
+
+        doc = {"iteration": 1, "times": [0, 0.1], "field_energy": [1, 2],
+               "kinetic_energy": [3, 4], "mode_amplitude": [5, 6]}
+        h = SimulationHistory.from_dict(doc)
+        assert h.times == [0.0, 0.1] and h.energy_drift() == 0.5
+        del doc["mode_amplitude"]
+        with pytest.raises(KeyError):
+            SimulationHistory.from_dict(doc)
+
+    def test_truncate_cuts_the_four_series_only(self, sim):
+        sim.run(4)
+        sim.history.truncate(2)
+        assert {k: len(v) for k, v in sim.history.as_dict().items()} == {
+            "times": 2, "field_energy": 2, "kinetic_energy": 2,
+            "mode_amplitude": 2}
+        assert len(sim.history.step_timings) == 4
+
+
 class TestAccessors:
     def test_particles_and_grid_proxies(self, sim):
         assert sim.particles.n == 3000

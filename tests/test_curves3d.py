@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.curves.curves3d import (
     dilate3_16,
-    hilbert_decode_3d,
-    hilbert_encode_3d,
     morton_decode_3d,
     morton_encode_3d,
     undilate3_16,
@@ -72,74 +70,6 @@ class TestMorton3D:
         b = morton_encode_3d(xs.ravel(), ys.ravel(), zs.ravel() + 1)
         frac_unit = np.mean((b - a) == 1)
         assert frac_unit == pytest.approx(8 / 15, abs=0.01)
-
-
-class TestHilbert3D:
-    @pytest.mark.parametrize("order", [1, 2, 3, 4])
-    def test_bijective(self, order):
-        n = 1 << order
-        g = np.arange(n)
-        xs, ys, zs = np.meshgrid(g, g, g, indexing="ij")
-        d = hilbert_encode_3d(order, xs.ravel(), ys.ravel(), zs.ravel())
-        assert len(np.unique(d)) == n**3
-        assert d.min() == 0 and d.max() == n**3 - 1
-
-    @pytest.mark.parametrize("order", [1, 2, 3, 4])
-    def test_roundtrip(self, order):
-        n = 1 << order
-        g = np.arange(n)
-        xs, ys, zs = np.meshgrid(g, g, g, indexing="ij")
-        d = hilbert_encode_3d(order, xs.ravel(), ys.ravel(), zs.ravel())
-        jx, jy, jz = hilbert_decode_3d(order, d)
-        np.testing.assert_array_equal(jx, xs.ravel())
-        np.testing.assert_array_equal(jy, ys.ravel())
-        np.testing.assert_array_equal(jz, zs.ravel())
-
-    @pytest.mark.parametrize("order", [1, 2, 3, 4])
-    def test_adjacency(self, order):
-        """Consecutive Hilbert indices are face-adjacent cube cells —
-        the defining property."""
-        n = 1 << order
-        d = np.arange(n**3)
-        x, y, z = hilbert_decode_3d(order, d)
-        steps = np.abs(np.diff(x)) + np.abs(np.diff(y)) + np.abs(np.diff(z))
-        np.testing.assert_array_equal(steps, np.ones(n**3 - 1))
-
-    def test_starts_at_origin(self):
-        x, y, z = hilbert_decode_3d(3, np.array([0]))
-        assert (int(x[0]), int(y[0]), int(z[0])) == (0, 0, 0)
-
-    def test_locality_beats_morton_worst_case(self):
-        """Hilbert has no long jumps between consecutive indices;
-        Morton does (its Z-jumps span half the cube)."""
-        order = 4
-        n = 1 << order
-        d = np.arange(n**3)
-        hx, hy, hz = hilbert_decode_3d(order, d)
-        mx, my, mz = morton_decode_3d(d)
-        h_steps = np.abs(np.diff(hx)) + np.abs(np.diff(hy)) + np.abs(np.diff(hz))
-        m_steps = np.abs(np.diff(mx)) + np.abs(np.diff(my)) + np.abs(np.diff(mz))
-        assert h_steps.max() == 1
-        assert m_steps.max() > 5
-
-
-@given(
-    order=st.integers(1, 5),
-    seed=st.integers(0, 2**31 - 1),
-)
-@settings(max_examples=50, deadline=None)
-def test_hilbert3d_roundtrip_random(order, seed):
-    rng = np.random.default_rng(seed)
-    n = 1 << order
-    x = rng.integers(0, n, 50)
-    y = rng.integers(0, n, 50)
-    z = rng.integers(0, n, 50)
-    d = hilbert_encode_3d(order, x, y, z)
-    assert d.min() >= 0 and d.max() < n**3
-    jx, jy, jz = hilbert_decode_3d(order, d)
-    np.testing.assert_array_equal(jx, x)
-    np.testing.assert_array_equal(jy, y)
-    np.testing.assert_array_equal(jz, z)
 
 
 @given(

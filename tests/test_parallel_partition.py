@@ -1,4 +1,4 @@
-"""Tests for histogram-balanced shard partitioning + measured data movement.
+"""Tests for histogram-balanced shard partitioning.
 
 The contract under test (docs/parallelism.md, §V-B): cutting the
 redundant ``rho_1d`` cell rows along *any* contiguous curve segments —
@@ -7,8 +7,6 @@ deposit result, because each row has exactly one owner and each owner
 visits its particles in global order.  So the bitwise promise must
 hold for both cuts at every worker count, while the histogram cut must
 *measurably* improve the max/mean particle load on a skewed density.
-The data-movement ledger rides the same machinery and must be
-deterministic.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from repro.parallel.partition import (
     partition_range,
 )
 from repro.particles.initializers import GaussianBump
-from repro.perf.datamove import deposit_movement, rusage_sample
 from repro.perf.instrument import StepTimings
 
 
@@ -341,15 +338,8 @@ class TestNumpyMpPartitionIntegration:
         for key in ref:
             assert np.array_equal(ref[key], got[key]), f"{key} diverged"
         planner = get_backend("numpy-mp").engine_for(sim.stepper).planner
-        dm = sim.instrumentation.timings.datamove
         if not eager_planner:
-            assert planner.events == [] and dm == {}
-            return
-        assert dm.get("samples", 0) >= 1
-        last = dm["last"]
-        assert last["particles"] == self.N
-        assert last["total_bytes"] > 0
-        assert set(last["per_worker"]) == {"worker0", "worker1", "worker2"}
+            assert planner.events == []
 
     def test_initial_cut_is_histogram_balanced(self):
         """The engine cuts from the t=0 histogram, not into equal cells."""
@@ -371,18 +361,15 @@ class TestNumpyMpPartitionIntegration:
         planner = get_backend("numpy-mp").engine_for(sim.stepper).planner
         # the bump keeps the load skewed enough to trip the threshold
         assert len(planner.events) >= 1
-        dm = sim.instrumentation.timings.datamove
-        assert dm["last"].get("repartitions", 0) == len(planner.events)
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_up_to_ncorner_workers_take_no_histogram(self, workers):
-        """Whole columns only: one range, no cuts, no sampling — and
+        """Whole columns only: one range, no cuts — and
         equal column counts whenever ``workers`` divides ``ncorner``."""
         _, sim = self._run("numpy-mp", workers=workers, eager_planner=True)
         eng = get_backend("numpy-mp").engine_for(sim.stepper)
         assert eng.grid_shared.cell_ranges == [slice(0, eng.planner.nalloc)]
         assert eng.planner.events == []
-        assert sim.instrumentation.timings.datamove == {}
         owned = [
             sum(len(corners) for _lo, _hi, corners in groups)
             for groups in corner_tasks(eng.grid_shared.cell_ranges, 4, workers)
@@ -413,73 +400,18 @@ class TestCornerTasks:
             assert max(sizes) - min(sizes) <= 1  # round-robin
 
 
-class TestDepositMovement:
-    def test_ledger_accounts_every_particle_and_cell(self):
-        nalloc, nworkers = 64, 4
-        hist = _skewed_histogram(nalloc, 3000)
-        ranges = partition_cells(nalloc, nworkers)
-        stats = deposit_movement(ranges, hist)
-        assert stats["particles"] == int(hist.sum())
-        per = stats["per_worker"]
-        assert sum(w["particles"] for w in per.values()) == int(hist.sum())
-        assert sum(w["cells"] for w in per.values()) == nalloc
-        # every worker scans every key: bytes >= n_total * 8 each
-        assert all(w["bytes"] >= int(hist.sum()) * 8 for w in per.values())
-        assert stats["total_bytes"] == sum(w["bytes"] for w in per.values())
-        assert stats["balance_ratio"] == pytest.approx(
-            balance_ratio(ranges, hist)
-        )
-
-    def test_bbox_span_and_overlap_with_ordering(self):
-        ordering = get_ordering("morton", 8, 8)
-        nalloc = ordering.ncells_allocated
-        hist = np.ones(nalloc, np.int64)
-        ranges = partition_cells(nalloc, 4, hist)
-        stats = deposit_movement(ranges, hist, ordering=ordering)
-        assert "bbox_overlap_cells" in stats
-        for w in stats["per_worker"].values():
-            if w["cells"]:
-                assert "bbox" in w and "span_ratio" in w
-                assert w["span_ratio"] >= 1.0
-        # pow2-aligned Morton quadrants are compact and disjoint
-        assert all(
-            w["span_ratio"] == pytest.approx(1.0)
-            for w in stats["per_worker"].values()
-        )
-        assert stats["bbox_overlap_cells"] == 0
-
-    def test_json_serializable(self):
-        hist = _skewed_histogram(32, 500)
-        ranges = partition_cells(32, 3, hist)
-        stats = deposit_movement(ranges, hist,
-                                 ordering=get_ordering("hilbert", 8, 4))
-        json.dumps(stats)  # must not raise
-
-    def test_rusage_sample_shape(self):
-        sample = rusage_sample()
-        if sample is None:
-            pytest.skip("resource module unavailable")
-        for row in ("self", "children"):
-            assert set(sample[row]) == {
-                "minflt", "majflt", "nvcsw", "nivcsw", "maxrss_kb"
-            }
-
-
-class TestDatamoveTimingsRoundTrip:
-    def test_step_timings_datamove_survives_json(self):
-        t = StepTimings()
-        t.steps = 3
-        t.datamove = {
+class TestTimingsRecordsOfTheParent:
+    def test_record_with_datamove_block_still_loads(self):
+        """``as_record`` wrote a ``datamove`` block until PR 24; a
+        stored record that carries one loads, the block ignored."""
+        t = StepTimings(update_v=1.5, steps=3, particle_steps=1500)
+        rec = t.as_record()
+        assert "datamove" not in rec
+        rec["datamove"] = {
             "samples": 2,
             "last": {"mode": "curve-balanced", "particles": 500,
                      "total_bytes": 123456, "balance_ratio": 1.25},
         }
-        text = json.dumps(t.as_record())
-        back = StepTimings.from_json(text)
-        assert back.datamove == t.datamove
-
-    def test_default_is_empty_dict(self):
-        t = StepTimings()
-        assert t.datamove == {}
-        back = StepTimings.from_json(json.dumps(t.as_record()))
-        assert back.datamove == {}
+        back = StepTimings.from_json(json.dumps(rec))
+        assert back == t
+        assert back.as_record() == t.as_record()

@@ -186,9 +186,8 @@ class TestMpDepositParity:
 
     def test_planner_repartitions_a_dispersing_clump(self):
         """Beyond 8 workers the columns are cut into cell ranges; as
-        the blob disperses the planner moves the cut (and samples the
-        data movement in three dimensions) — bitwise equal to the
-        serial run throughout."""
+        the blob disperses the planner moves the cut — bitwise equal to
+        the serial run throughout."""
         from repro.core.backends import get_backend
 
         def build(**kw):
@@ -209,9 +208,6 @@ class TestMpDepositParity:
                 _assert_state_equal(ref, st, context=f"step {step}")
             assert len(eng.planner.events) >= 1
             assert eng.grid_shared.cell_ranges != cut0
-            last = st.timings.datamove["last"]
-            assert last["repartitions"] == len(eng.planner.events)
-            assert all(len(rec["bbox"]) == 6 for rec in last["per_worker"].values())
             assert st.timings.fallbacks == 0
         finally:
             ref.close()

@@ -178,10 +178,12 @@ class TestVerificationHooks:
             assert (default_golden_dir() / f"GOLDEN_{name}.json").exists()
 
     def test_cli_spells_zoo_cases(self):
-        from repro.cli import _CASES
+        from repro.cli import build_parser
 
+        parse = build_parser().parse_args
         for name in ("bounded-wall", "beam-plasma", "exb-drift"):
-            assert name in _CASES
+            assert parse(["run", "--case", name]).case == name
+            assert parse(["submit", "--spool", "s", "--case", name]).case == name
 
     def test_oracles_exported(self):
         from repro.verify import oracles

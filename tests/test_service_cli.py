@@ -319,6 +319,23 @@ class TestServiceCLI:
         assert "result   : succeeded" in out
         assert "latency  : " in out and " / settle " in out
 
+    def test_submit_wait_settles_a_zoo_case_on_a_live_server(self, tmp_path,
+                                                            capsys):
+        """`submit --help` always listed the zoo; until the job and the
+        CLI shared one case table the submission exited 2."""
+        spool = str(tmp_path / "spool")
+        with running_server(spool, max_workers=1, poll=0.05) as server:
+            rc = main(["submit", "--spool", spool, "--case", "exb-drift",
+                       "--grid", "16", "16", "--particles", "1500",
+                       "--steps", "10", "--job-id", "zoo", "--wait",
+                       "--timeout", "60"])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        assert "submitted zoo: exb-drift 16x16" in out
+        assert "result   : succeeded (10/10 steps" in out
+        assert server["settled"] == 1
+        assert read_result(spool, "zoo")["state"] == "succeeded"
+
     def test_wait_reads_a_result_without_the_spool_block(self, tmp_path,
                                                          capsys):
         """What a server from before the wake-ups wrote."""

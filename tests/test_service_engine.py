@@ -15,7 +15,6 @@ import pytest
 
 from repro.resilience.faultinject import FaultInjector
 from repro.service import (
-    JobClient,
     JobEngine,
     JobState,
     PICJob,
@@ -145,7 +144,8 @@ class TestSubmitResult:
 
     def test_stats_counters(self):
         with JobEngine(max_workers=2) as engine:
-            ids = engine.submit_many([small_job(), small_job(steps=10)])
+            ids = [engine.submit(job)
+                   for job in (small_job(), small_job(steps=10))]
             assert engine.join(timeout=60)
             stats = engine.stats
         assert stats.submitted == 2 and stats.succeeded == 2
@@ -390,35 +390,81 @@ class TestStreaming:
 
 
 # ----------------------------------------------------------------------
-# The estimator-style facade
+# The scenario zoo, served: walls, Boris and the drive ride the
+# checkpoint metadata through park, resume and recovery
 # ----------------------------------------------------------------------
-class TestClientFacade:
-    def test_map_and_gather(self):
-        jobs = [small_job(steps=6), small_job(steps=8, case="two-stream")]
-        with JobClient(max_workers=2) as client:
-            handles = client.map(jobs)
-            results = client.gather(handles, timeout=120)
-        assert [r.ok for r in results] == [True, True]
-        assert [r.steps_done for r in results] == [6, 8]
-        assert handles[0].job is jobs[0]
+ZOO_FLAGS = ["--grid", "16", "16", "--particles", "1500", "--steps", "120",
+             "--dt", "0.05", "--backend", "numpy", "--checkpoint-every", "25"]
 
-    def test_handle_status_and_done(self):
-        with JobClient(max_workers=1) as client:
-            h = client.submit(small_job(steps=6))
-            h.result(timeout=60)
-            assert h.done()
-            assert h.status().state is JobState.SUCCEEDED
 
-    def test_borrowed_engine_left_open(self):
-        engine = JobEngine(max_workers=1)
-        try:
-            with JobClient(engine) as client:
-                client.submit(small_job(steps=5)).result(timeout=60)
-            # the client must not close an engine it did not create
-            jid = engine.submit(small_job(steps=5))
-            assert engine.result(jid, timeout=60).ok
-        finally:
-            engine.close()
+def job_of_run_command(case: str) -> PICJob:
+    """The PICJob ``repro run --case <case> ZOO_FLAGS`` steps."""
+    from repro.cli import _job_from_args, build_parser
+
+    args = build_parser().parse_args(["run", "--case", case, *ZOO_FLAGS])
+    return _job_from_args(args, loop_mode=args.loop_mode)
+
+
+@pytest.fixture
+def final_digests(monkeypatch):
+    """``{iteration: state_digest}`` of every simulation closed while
+    the fixture is live — the engine closes a job's simulation itself,
+    so this is where its final particle and grid bits can be read."""
+    from repro.core.simulation import Simulation
+    from repro.verify.golden import state_digest
+
+    seen = {}
+    close = Simulation.close
+
+    def recording_close(sim):
+        if not sim._closed:
+            seen[sim.stepper.iteration] = state_digest(sim.stepper)
+        close(sim)
+
+    monkeypatch.setattr(Simulation, "close", recording_close)
+    return seen
+
+
+class TestZooThroughTheService:
+    @pytest.mark.parametrize("case", ["exb-drift", "bounded-wall"])
+    def test_preempted_zoo_job_equals_repro_run(self, case, final_digests):
+        job = job_of_run_command(case)
+        assert job == small_job(case=case, steps=120, checkpoint_every=25)
+        with job.build_simulation() as ref:  # what `repro run` steps
+            ref.run(job.steps)
+        want = final_digests.pop(job.steps)
+
+        with JobEngine(max_workers=1) as engine:
+            jid = engine.submit(job)
+            for event in engine.stream(jid, timeout=60):
+                if event["step"] == 11:
+                    assert engine.preempt(jid)
+            res = engine.result(jid, timeout=120)
+        assert res.ok and res.preemptions == 1 and res.segments == 2
+        assert res.history.as_dict() == ref.history.as_dict()
+        assert final_digests[job.steps] == want
+        # the parked segment really ended mid-run, on a zoo stepper
+        assert any(0 < it < job.steps for it in final_digests)
+
+    def test_parked_zoo_job_recovers_bitwise(self, tmp_path, final_digests):
+        job = small_job(case="bounded-wall", steps=400, checkpoint_every=25)
+        with job.build_simulation() as ref:
+            ref.run(job.steps)
+        want = final_digests.pop(job.steps)
+
+        with JobEngine(max_workers=1, data_dir=tmp_path) as engine:
+            jid = engine.submit(job)
+            for event in engine.stream(jid, timeout=60):
+                if event["step"] >= job.checkpoint_every:
+                    break
+        assert engine.status(jid).state is JobState.PREEMPTED  # parked
+
+        with JobEngine.recover(tmp_path, max_workers=1) as engine:
+            res = engine.result(jid, timeout=120)
+            assert engine.stats.recovered == 1 and engine.stats.resumes == 1
+        assert res.ok
+        assert res.history.as_dict() == ref.history.as_dict()
+        assert final_digests[job.steps] == want
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,6 @@ from repro.resilience import (
     lease_clock_skew,
 )
 from repro.service import (
-    JobClient,
     JobEngine,
     JobJournal,
     JobState,
@@ -194,15 +193,46 @@ class TestEngineRecovery:
                   for r in JobJournal.read_records(tmp_path / "journal.jsonl")]
         assert events.count("shutdown") == 2
 
-    def test_client_recover_facade(self, tmp_path):
-        job = small_job(steps=6, checkpoint_every=50)
+    def test_recover_lists_adopted_jobs_in_submission_order(self, tmp_path):
+        """``list_jobs`` is how a caller finds what ``recover`` adopted."""
         engine = JobEngine(max_workers=1, data_dir=tmp_path, autostart=False)
-        job_id = engine.submit(job)
+        ids = [engine.submit(small_job(steps=6, checkpoint_every=50, seed=s))
+               for s in (1, 2)]
         engine.close()
-        with JobClient.recover(tmp_path, max_workers=1) as client:
-            handles = client.handles()
-            assert [h.job_id for h in handles] == [job_id]
-            assert handles[0].result(timeout=60).state is JobState.SUCCEEDED
+        with JobEngine.recover(tmp_path, max_workers=1) as engine:
+            assert [info.job_id for info in engine.list_jobs()] == ids
+            for job_id in ids:
+                assert engine.result(job_id, timeout=60).ok
+
+
+    def test_adopts_a_data_dir_written_by_the_pr22_engine(self, tmp_path):
+        """``tests/data/engine_parked_pr22`` is what the PR 22 commit's
+        engine left behind when it was closed over a running job: its
+        journal, the parked checkpoint (iteration 101 of 300) and the
+        ``history.json`` sidecar.  The journal's job description, the
+        sidecar's keys and the checkpoint all still load, and the job
+        finishes bitwise equal to an uninterrupted run."""
+        import shutil
+
+        fixture = REPO / "tests" / "data" / "engine_parked_pr22"
+        data = tmp_path / "data"
+        shutil.copytree(fixture, data)
+        journal = JobJournal.replay(data / "journal.jsonl")
+        job = PICJob.from_dict(journal["parent-job"]["job"])
+        assert set(journal["parent-job"]["job"]) == set(job.as_dict())
+        clean = clean_history(job)
+
+        with JobEngine.recover(data, max_workers=1, autostart=False) as engine:
+            assert engine.status("parent-job").state is JobState.PREEMPTED
+            engine.start()
+            first = next(engine.stream("parent-job", timeout=60))
+            result = engine.result("parent-job", timeout=60)
+            assert engine.stats.resumes == 1
+        assert first["step"] == 102  # resumed from the parked iteration
+        assert result.ok and result.steps_done == job.steps
+        assert result.history.as_dict() == clean.as_dict()
+        assert result.history.as_arrays()["total_energy"].tolist() == \
+            clean.as_arrays()["total_energy"].tolist()
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docstring lint for the modules carrying the bitwise-equivalence promise.
 
-The counting-sort / partitioning / data-movement surface (and the
+The counting-sort / partitioning surface (and the
 sort-period tuner and calibration fit next to the cost model) makes two
 promises that live only in prose: every rendering is *bitwise-identical*
 to its reference, and every entry point documents its *thread-safety*.
@@ -31,7 +31,6 @@ ROOT = Path(__file__).resolve().parents[1]
 TARGET_MODULES = (
     "src/repro/particles/sorting.py",
     "src/repro/parallel/partition.py",
-    "src/repro/perf/datamove.py",
     "src/repro/model/costmodel.py",
 )
 

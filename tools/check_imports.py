@@ -55,17 +55,14 @@ MODEL_IMPORTERS = ("repro/model/", "repro/cli.py")
 #: every dimension-suffixed class/def that still exists, by file
 #: (relative to ``src/``): the three ``*_3d`` adapters the frozen
 #: benchmark ledger calls, the two 3D checkpoint entry points, the 3D
-#: curves, the 3D grid / ordering / solver / stepper classes, the
+#: Morton pair, the 3D grid / ordering / solver / stepper classes, the
 #: verifier's 3D scenario sampler and its 3D two-stream oracle
 DIMENSIONAL_ALLOWED = {
     "repro/core/backends.py": {
         "interpolate_redundant_3d", "accumulate_redundant_3d", "push_positions_3d",
     },
     "repro/core/checkpoint.py": {"save_checkpoint_3d", "load_checkpoint_3d"},
-    "repro/curves/curves3d.py": {
-        "morton_encode_3d", "morton_decode_3d",
-        "hilbert_encode_3d", "hilbert_decode_3d",
-    },
+    "repro/curves/curves3d.py": {"morton_encode_3d", "morton_decode_3d"},
     "repro/pic3d/grid3d.py": {"GridSpec3D"},
     "repro/pic3d/ordering3d.py": {"Ordering3D"},
     "repro/pic3d/poisson3d.py": {"SpectralPoissonSolver3D"},
