@@ -83,10 +83,9 @@ bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # performance gates: fails if the preferred available backend's
-# single-pass kernel loses to its split rendering (floor 1.0x on a
-# compiled backend; on numpy, where both run the same blocked kernels,
-# "not slower beyond min-of-k noise"), or if the histogram-balanced
-# deposit cuts lose to equal cells on a skewed plasma
+# single-pass kernel loses to its split rendering beyond min-of-k noise
+# (floor 0.90x on a compiled backend, 0.80x on numpy), or if the
+# histogram-balanced deposit cuts lose to equal cells on a skewed plasma
 bench-gate:
 	$(PYTHON) tools/bench_gate.py
 

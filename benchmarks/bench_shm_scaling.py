@@ -1,21 +1,25 @@
-"""Where the shared-memory engine starts to pay: numpy-mp vs numpy over N.
+"""Where the shared-memory engine starts to pay: numpy-mp vs serial over N.
 
 The §V-B claim is that the three particle loops scale with threads
 because each thread owns a private charge slab and the loops carry no
 other shared writes.  This benchmark measures that for *real* worker
 processes and answers ROADMAP's question — "find the crossover N": the
-same Landau-damping run at N in {10k, 100k, 1M} particles, on the
-serial numpy backend and on numpy-mp at 1 and 2 workers (this host has
-two cores), as seconds per step.  Each configuration is built once,
-warmed up, and timed over ``repeats`` windows of ``steps`` steps; the
-fastest window counts (min-of-k: host noise only ever adds time).  The
-crossover is the smallest swept N at which a numpy-mp row beats serial.
-The :class:`~repro.model.openmp.ThreadScalingModel` roofline
-prediction rides along (it prices an ideal paper-machine thread team,
-so it is the upper envelope, not a fit).
+same Landau-damping run at N in {10k, 100k, 1M} particles, serially on
+the kernel body numpy-mp's workers run (``c`` wherever it builds, else
+``numpy``; the body ``"auto"`` resolves to) and on numpy-mp at 1 and 2
+workers (this host has two cores), as seconds per step.  A serial
+``numpy`` row rides along for comparison with the runs from before the
+workers had compiled kernels.  Each configuration is built once, warmed
+up, and timed over ``repeats`` windows of ``steps`` steps; the fastest
+window counts (min-of-k: host noise only ever adds time).  The
+crossover is the smallest swept N at which a numpy-mp row beats the
+serial body.  The :class:`~repro.model.openmp.ThreadScalingModel`
+roofline prediction rides along (it prices an ideal paper-machine
+thread team, so it is the upper envelope, not a fit).
 
-Every numpy-mp run must reproduce the serial ``rho`` checksum exactly
-(the bitwise corner-ownership promise) with zero serial fallbacks.
+Every run must reproduce the serial ``rho`` checksum exactly (the
+bitwise corner-ownership promise; ``c`` and ``numpy`` share their bits)
+with zero serial fallbacks.
 
 Output: ``benchmarks/results/BENCH_shm_scaling.json``.  Standalone:
 
@@ -36,6 +40,7 @@ import time
 import numpy as np
 
 from repro.core import OptimizationConfig, Simulation
+from repro.core.backends import get_backend
 from repro.grid import GridSpec
 from repro.model.experiments import default_scaled_machine
 from repro.model.openmp import ThreadScalingModel
@@ -90,21 +95,27 @@ def _model_prediction(n_particles: int) -> dict:
 
 
 def measure_scaling(sizes=SIZES, steps=STEPS, repeats=REPEATS) -> dict:
+    body = get_backend("auto").name
     rows = []
     for n in sizes:
-        serial = _run("numpy", None, n, steps, repeats)
+        serial_numpy = _run("numpy", None, n, steps, repeats)
+        serial = serial_numpy if body == "numpy" else _run(body, None, n, steps, repeats)
         series = [_run("numpy-mp", p, n, steps, repeats) for p in WORKERS]
-        for entry in series:
-            # correctness guard: the engine must agree with serial numpy
-            assert entry["rho_checksum"] == serial["rho_checksum"], (
-                f"numpy-mp diverged from numpy at {entry['workers']} workers"
+        for entry in (serial, *series):
+            # correctness guard: every run must agree with serial numpy
+            assert entry["rho_checksum"] == serial_numpy["rho_checksum"], (
+                f"{entry['backend']} diverged from numpy "
+                f"(workers: {entry['workers']})"
             )
-            entry["speedup_vs_serial"] = (
-                serial["step_seconds"] / entry["step_seconds"]
+        for entry in series:
+            entry["speedup_vs_serial"] = serial["step_seconds"] / entry["step_seconds"]
+            entry["speedup_vs_numpy"] = (
+                serial_numpy["step_seconds"] / entry["step_seconds"]
             )
         rows.append({
             "particles": n,
-            "serial_numpy": serial,
+            "serial_numpy": serial_numpy,
+            "serial_body": serial,
             "numpy_mp": series,
             "model_speedup": _model_prediction(n),
         })
@@ -125,8 +136,11 @@ def measure_scaling(sizes=SIZES, steps=STEPS, repeats=REPEATS) -> dict:
             "windows": repeats,
             "timing": "min over windows of seconds per step, after 2 warm-up steps",
         },
+        #: the kernels numpy-mp's workers run, and the serial_body rows
+        "workers_body": body,
         "rows": rows,
-        #: smallest swept N at which numpy-mp beats serial (None: never)
+        #: smallest swept N at which numpy-mp beats the serial body
+        #: (None: never)
         "crossover_particles": min(winners) if winners else None,
     }
 
@@ -141,21 +155,28 @@ def _write(result: dict) -> str:
 
 
 def _report(result: dict) -> str:
-    lines = ["particles  workers  ms/step  speedup  model"]
+    body = result["workers_body"]
+    lines = [f"particles  run       ms/step  vs {body:5s}  vs numpy  model"]
     for row in result["rows"]:
         n = row["particles"]
-        base = row["serial_numpy"]["step_seconds"]
-        lines.append(f"{n:9d}   serial  {1e3 * base:7.2f}     1.00      -")
+        base = row["serial_body"]["step_seconds"]
+        numpy_s = row["serial_numpy"]["step_seconds"]
+        lines.append(f"{n:9d}  numpy     {1e3 * numpy_s:7.2f}  "
+                     f"{base / numpy_s:8.2f}      1.00      -")
+        if body != "numpy":
+            lines.append(f"{n:9d}  {body:8s}  {1e3 * base:7.2f}      1.00"
+                         f"  {numpy_s / base:8.2f}      -")
         for entry in row["numpy_mp"]:
             p = entry["workers"]
             lines.append(
-                f"{n:9d}  {p:7d}  {1e3 * entry['step_seconds']:7.2f}"
-                f"  {entry['speedup_vs_serial']:7.2f}"
+                f"{n:9d}  mp {p} wkr  {1e3 * entry['step_seconds']:7.2f}"
+                f"  {entry['speedup_vs_serial']:8.2f}"
+                f"  {entry['speedup_vs_numpy']:8.2f}"
                 f"  {row['model_speedup'][str(p)]:5.2f}"
             )
     lines.append(
-        f"crossover: numpy-mp first beats serial at "
-        f"N = {result['crossover_particles']} (of the swept sizes)"
+        f"crossover: numpy-mp ({body} workers) first beats serial {body} "
+        f"at N = {result['crossover_particles']} (of the swept sizes)"
     )
     return "\n".join(lines)
 
@@ -177,8 +198,8 @@ def test_shm_scaling(benchmark):
     )
     if (os.cpu_count() or 1) >= 2:
         big = result["rows"][-1]["numpy_mp"][-1]
-        assert big["speedup_vs_serial"] > 1.0, (
-            "numpy-mp at 2 workers must beat serial at 1M particles"
+        assert big["speedup_vs_numpy"] > 1.0, (
+            "numpy-mp at 2 workers must beat serial numpy at 1M particles"
         )
 
 

@@ -707,9 +707,10 @@ def _cmd_info(_args) -> int:
                   f" [{version}] {' '.join(info.flags)}\n"
                   f"           {info.path} ({how}, {1e3 * info.seconds:.0f} ms)")
     ncpu = os.cpu_count() or 1
-    print(f"cpus     : {ncpu} "
-          f"(numpy-mp {'available' if 'numpy-mp' in avail else 'unavailable'}; "
-          f"default --workers {ncpu})")
+    # the engine gives its workers the kernels "auto" resolves to
+    mp = (f"available, workers run {get_backend().name}"
+          if "numpy-mp" in avail else "unavailable")
+    print(f"cpus     : {ncpu} (numpy-mp {mp}; default --workers {ncpu})")
     for name in ("haswell", "sandybridge"):
         m = getattr(MachineSpec, name)()
         caches = ", ".join(

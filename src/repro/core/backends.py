@@ -121,27 +121,34 @@ class KernelBackend(abc.ABC):
     # Redundant rows, any dimension: per-axis arguments are tuples
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def interpolate_rows(self, e_1d, icell, offsets):
+    def interpolate_rows(self, e_1d, icell, offsets, out=None):
         """Gather the field at the particles from the redundant
-        ``e_1d[ncell][ndim * 2^ndim]`` rows: one array per axis."""
+        ``e_1d[ncell][ndim * 2^ndim]`` rows: one array per axis —
+        fresh ones, or the arrays ``out`` (returned)."""
 
     @abc.abstractmethod
-    def accumulate_rows(self, rho_1d, icell, offsets, charge=1.0) -> None:
-        """CiC scatter onto the redundant ``rho_1d[ncell][2^ndim]``."""
+    def accumulate_rows(self, rho_1d, icell, offsets, charge=1.0,
+                        corners=None) -> None:
+        """CiC scatter onto the redundant ``rho_1d[ncell][2^ndim]``;
+        with ``corners`` (a list of column indices) only those columns,
+        with the bits the whole deposit puts there."""
 
     @abc.abstractmethod
     def kick(self, vs, e_ps, coefs) -> None:
         """``v += coef * e_p`` in place, per axis of the tuples."""
 
     @abc.abstractmethod
-    def push(self, particles, extents, ordering, variant, scales) -> None:
+    def push(self, particles, extents, ordering, variant, scales,
+             dst=None) -> None:
         """Advance positions, wrap, re-derive ``icell`` and the cell
-        coordinates, over ``len(extents)`` axes, in place.
+        coordinates, over ``len(extents)`` axes.
 
         ``variant`` is one of ``"branch"`` / ``"modulo"`` / ``"bitwise"``
         (§IV-C; ``"bitwise"`` requires power-of-two extents).
-        ``particles`` is a storage or a plain mapping of arrays; writes
-        go *through* its arrays (``arr[sl] = ...``).
+        ``particles`` is a storage or a plain mapping of arrays, read;
+        the results are written *through* the arrays of ``dst``
+        (``icell``, the offsets and any stored coordinates; default:
+        ``particles`` itself, in place).
         """
 
     @abc.abstractmethod
@@ -384,9 +391,10 @@ class NumpyBackend(KernelBackend):
         for v, e_p, coef in zip(vs, e_ps, coefs):
             _k.kick(v, e_p, coef)
 
-    def push(self, particles, extents, ordering, variant, scales) -> None:
+    def push(self, particles, extents, ordering, variant, scales,
+             dst=None) -> None:
         _k.push_blocked(
-            particles, particles, extents, ordering,
+            particles, particles if dst is None else dst, extents, ordering,
             _k.AXIS_KERNELS[variant], scales,
         )
 
@@ -442,21 +450,22 @@ _INT, _I64, _F64, _PTR = (
     ctypes.c_int, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 )
 _COLS, _I64S, _F64S = (ctypes.POINTER(t) for t in (_PTR, _I64, _F64))
-#: the per-axis argument arrays, by ndim.  Made here, not at the first
-#: call: ctypes keeps an array type for the life of the process, and
-#: one made mid-run sits on the heap above the particle arrays, which
-#: glibc then cannot return when they are freed (docs/kernels.md).
+#: the per-axis (2, 3) and per-corner (4, 8) argument arrays, by
+#: length.  Made here, not at the first call: ctypes keeps an array type
+#: for the life of the process, and one made mid-run sits on the heap
+#: above the particle arrays, which glibc then cannot return when they
+#: are freed (docs/kernels.md).
 _PTR_N, _I64_N, _F64_N = (
-    {ndim: t * ndim for ndim in (2, 3)} for t in (_PTR, _I64, _F64)
+    {k: t * k for k in (2, 3, 4, 8)} for t in (_PTR, _I64, _F64)
 )
 #: ``ckernels.c``'s exported functions: (restype, argtypes)
 _C_SIGNATURES = {
     "interp_rows": (_I64, (_INT, _I64, _I64, _PTR, _PTR, _COLS, _COLS)),
     "push": (None, (_INT, _I64, _INT, _INT, _I64S, _F64S, _PTR,
-                    _COLS, _COLS, _COLS)),
+                    _COLS, _COLS, _COLS, _PTR, _COLS, _COLS)),
     "fused": (_I64, (_INT, _I64, _I64, _PTR, _F64S, _INT, _INT, _I64S, _F64S,
                      _PTR, _COLS, _COLS, _COLS)),
-    "deposit_rows": (_I64, (_INT, _I64, _I64, _PTR, _PTR, _PTR, _COLS, _F64)),
+    "deposit_rows": (_I64, (_INT, _I64, _I64, _COLS, _I64, _PTR, _COLS, _F64)),
     "sort_permutation": (_I64, (_I64, _I64, _PTR, _PTR, _PTR)),
 }
 
@@ -475,9 +484,9 @@ def _fits(a, dtype, shape) -> bool:
 
 def _columns(arrays, dtype, n):
     """The ``double *const *`` / ``int64_t *const *`` argument over
-    ``arrays`` — or ``None`` unless there are two or three and every
-    one :func:`_fits` length ``n``."""
-    if len(arrays) not in _PTR_N or not all(
+    per-axis ``arrays`` — or ``None`` unless there are two or three and
+    every one :func:`_fits` length ``n``."""
+    if len(arrays) not in (2, 3) or not all(
         _fits(a, dtype, (n,)) for a in arrays
     ):
         return None
@@ -543,38 +552,61 @@ class CBackend(NumpyBackend):
             return _columns(offsets, np.float64, n)
         return None
 
-    def interpolate_rows(self, e_1d, icell, offsets):
+    def interpolate_rows(self, e_1d, icell, offsets, out=None):
         ndim, n = len(offsets), len(icell)
         d = self._row_offsets(e_1d, ndim << ndim, icell, offsets)
-        if d is None:
-            return super().interpolate_rows(e_1d, icell, offsets)
-        e_p = tuple(np.empty(n) for _ in offsets)
+        if d is not None:
+            e_p = tuple(np.empty(n) for _ in offsets) if out is None else out
+            cols = _columns(e_p, np.float64, n)
+        if d is None or cols is None:
+            return super().interpolate_rows(e_1d, icell, offsets, out)
         bad = self._lib.interp_rows(
-            ndim, n, len(e_1d), e_1d.ctypes.data, icell.ctypes.data,
-            d, _columns(e_p, np.float64, n),
+            ndim, n, len(e_1d), e_1d.ctypes.data, icell.ctypes.data, d, cols,
         )
         _check_cells(bad, icell, len(e_1d))
         return e_p
 
-    def accumulate_rows(self, rho_1d, icell, offsets, charge=1.0) -> None:
-        ndim = len(offsets)
-        d = self._row_offsets(rho_1d, 1 << ndim, icell, offsets)
-        if d is None or np.ndim(charge):
-            return super().accumulate_rows(rho_1d, icell, offsets, charge)
-        scratch = np.zeros_like(rho_1d)
+    def accumulate_rows(self, rho_1d, icell, offsets, charge=1.0,
+                        corners=None) -> None:
+        """Into a zeroed row-major scratch holding the deposited
+        columns — each particle's corners one contiguous row — then
+        ``rho_1d[:, corners] += scratch``, the last step of NumPy's
+        deposit too.  ``rho_1d`` may be any view (the ``numpy-mp``
+        worker passes its corner-major slab, transposed)."""
+        ndim, n = len(offsets), len(icell)
+        nc = 1 << ndim
+        d = None
+        if (
+            isinstance(rho_1d, np.ndarray) and rho_1d.shape[1:] == (nc,)
+            and _fits(icell, np.int64, (n,)) and not np.ndim(charge)
+        ):
+            d = _columns(offsets, np.float64, n)
+        if d is None:
+            return super().accumulate_rows(rho_1d, icell, offsets, charge, corners)
+        owned = range(nc) if corners is None else corners
+        scratch = np.zeros((len(rho_1d), len(owned)))
+        col = [None] * nc
+        for j, c in enumerate(owned):
+            col[c] = scratch.ctypes.data + j * scratch.itemsize
         bad = self._lib.deposit_rows(
-            ndim, len(icell), len(rho_1d), rho_1d.ctypes.data,
-            scratch.ctypes.data, icell.ctypes.data, d, charge,
+            ndim, n, len(rho_1d), _PTR_N[nc](*col), len(owned),
+            icell.ctypes.data, d, charge,
         )
         _check_cells(bad, icell, len(rho_1d))
+        if corners is None:
+            rho_1d += scratch
+        else:  # a column at a time: a fancy-index add costs 10x more
+            for j, c in enumerate(corners):
+                rho_1d[:, c] += scratch[:, j]
 
     # -- push, fused ---------------------------------------------------
     def _sweep(self, p, extents, ordering, variant, scales, e_1d=None,
-               coefs=None) -> bool:
-        """``ckernels.c``'s ``push`` over the population ``p`` — with
-        ``e_1d`` and ``coefs``, its ``fused`` — in place.  Returns
-        ``False``, having done nothing, when an argument does not fit
-        the C ABI."""
+               coefs=None, dst=None) -> bool:
+        """``ckernels.c``'s ``push`` from the population ``p`` into
+        ``dst`` (default: ``p``) — with ``e_1d`` and ``coefs``, its
+        ``fused``, in place.  Returns ``False``, having done nothing,
+        when an argument does not fit the C ABI."""
+        q = p if dst is None else dst
         ndim, icell = len(extents), p["icell"]
         n, axes = len(icell), "xyz"[: len(extents)]
         wrap = _WRAP_CODES[variant]
@@ -586,30 +618,38 @@ class CBackend(NumpyBackend):
         order = _ORDER_CODES.get(ordering.name, _ORDER_OTHER)
         d = _columns([p["d" + a] for a in axes], np.float64, n)
         v = _columns([p["v" + a] for a in axes], np.float64, n)
+        d_out = d if q is p else _columns([q["d" + a] for a in axes], np.float64, n)
         if (
-            d is None or v is None
+            d is None or v is None or d_out is None
             or not _fits(icell, np.int64, (n,))
+            or not _fits(q["icell"], np.int64, (n,))
+            or ("ix" in p) != ("ix" in q)
             or not all(0 < nc < 2**31 for nc in extents)
             or any(np.ndim(s) for s in (*scales, *(coefs or ())))
         ):
             return False
         # scan orders decode inline; other curves keep the coordinates
-        # stored, or have them decoded here into temporaries
-        coords = icoord = None
+        # stored, or have them decoded here into temporaries the sweep
+        # overwrites
+        coords = coords_out = icoord = icoord_out = None
         if "ix" in p:
             coords = [p["i" + a] for a in axes]
+            coords_out = [q["i" + a] for a in axes]
         elif order not in (_ORDER_ROW_MAJOR, _ORDER_COLUMN_MAJOR):
-            coords = [np.ascontiguousarray(c, dtype=np.int64)
-                      for c in ordering.decode(icell)]
+            coords = coords_out = [np.ascontiguousarray(c, dtype=np.int64)
+                                   for c in ordering.decode(icell)]
         if coords is not None:
             icoord = _columns(coords, np.int64, n)
-            if icoord is None:
+            icoord_out = (icoord if coords_out is coords
+                          else _columns(coords_out, np.int64, n))
+            if icoord is None or icoord_out is None:
                 return False
         spec = (wrap, order, _I64_N[ndim](*extents), _F64_N[ndim](*scales),
                 icell.ctypes.data, d, v, icoord)
         if e_1d is None:
-            self._lib.push(ndim, n, *spec)
-        elif _fits(e_1d, np.float64, (len(e_1d), ndim << ndim)):
+            self._lib.push(ndim, n, *spec, q["icell"].ctypes.data, d_out,
+                           icoord_out)
+        elif q is p and _fits(e_1d, np.float64, (len(e_1d), ndim << ndim)):
             bad = self._lib.fused(
                 ndim, n, len(e_1d), e_1d.ctypes.data, _F64_N[ndim](*coefs),
                 *spec,
@@ -618,12 +658,14 @@ class CBackend(NumpyBackend):
         else:
             return False
         if order == _ORDER_OTHER:
-            icell[:] = ordering.encode(*coords)
+            q["icell"][:] = ordering.encode(*coords_out)
         return True
 
-    def push(self, particles, extents, ordering, variant, scales) -> None:
-        if not self._sweep(particles, extents, ordering, variant, scales):
-            super().push(particles, extents, ordering, variant, scales)
+    def push(self, particles, extents, ordering, variant, scales,
+             dst=None) -> None:
+        if not self._sweep(particles, extents, ordering, variant, scales,
+                           dst=dst):
+            super().push(particles, extents, ordering, variant, scales, dst)
 
     def fused_rows(self, e_1d, particles, extents, ordering, variant,
                    coefs, scales) -> None:

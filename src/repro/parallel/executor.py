@@ -15,8 +15,10 @@ genuine OS processes:
   range, the charge deposit by **corner ownership** (each worker folds
   whole corner columns of ``rho_1d`` — cut into cell ranges only
   beyond ``ncorner`` workers — into a private slab the parent adds) so
-  the parallel ρ is bitwise-identical to the serial NumPy deposit at
-  any worker count;
+  the parallel ρ is bitwise-identical to the serial deposit at any
+  worker count.  Every shard runs one in-process backend's kernels,
+  the engine's *body*, picked once before the pool forks: the compiled
+  ``c`` loops wherever they build, else ``numpy`` (bitwise equal);
 * a :class:`MultiprocessBackend` registered as ``"numpy-mp"`` so the
   stepper, :class:`~repro.core.simulation.Simulation` and the CLI
   (``--backend numpy-mp --workers N``) drive it unchanged.
@@ -45,7 +47,7 @@ from multiprocessing.connection import wait
 import numpy as np
 
 from repro.core import kernels as _k
-from repro.core.backends import NumpyBackend, register_backend
+from repro.core.backends import AUTO, NumpyBackend, get_backend, register_backend
 from repro.curves.base import get_ordering
 from repro.parallel.partition import (
     PartitionPlanner,
@@ -88,11 +90,13 @@ class PoolUnrecoverableError(RuntimeError):
 # Shard executors — shared by the workers and the parent's serial-retry
 # path, so the fallback recomputes the exact same bits.  Per-axis
 # arguments are sequences (two or three entries): one body per op, not
-# one per dimension.
+# one per dimension.  ``body`` is the in-process backend whose kernels
+# the shard runs (:attr:`ShmEngine.body`): ``c`` wherever it builds,
+# else ``numpy`` — bitwise equal, so either serves any shard.
 # ----------------------------------------------------------------------
-def _exec_interp(e_1d, icell, offsets, out, lo, hi):
+def _exec_interp(body, e_1d, icell, offsets, out, lo, hi):
     """Gather E into the per-particle scratch slice (idempotent)."""
-    _k.interpolate_rows(
+    body.interpolate_rows(
         e_1d, icell[lo:hi], [d[lo:hi] for d in offsets],
         out=tuple(e_p[lo:hi] for e_p in out),
     )
@@ -112,32 +116,31 @@ def _exec_kick(v, e_p, out, lo, hi, coefs):
             _k.kick(v_a[sl], e_a[sl], coef, out=out_a[sl])
 
 
-def _exec_push(src, dst, lo, hi, extents, ordering, variant, scales):
+def _exec_push(body, src, dst, lo, hi, extents, ordering, variant, scales):
     """Stage the position update into the ``dst`` arrays (crash-safe).
 
-    The body is :func:`repro.core.kernels.push_blocked` — the one
-    :meth:`KernelBackend.push` runs in place; staging instead
-    keeps the inputs intact until the parent commits, so a retry after
-    a mid-write crash still reads unmodified state.
+    The serial :meth:`KernelBackend.push` with the back buffer's slices
+    as its destination: staging keeps the inputs intact until the
+    parent commits, so a retry after a mid-write crash still reads
+    unmodified state.
     """
-    _k.push_blocked(
+    body.push(
         {key: arr[lo:hi] for key, arr in src.items()},
-        {key: arr[lo:hi] for key, arr in dst.items()},
-        extents, ordering, _k.AXIS_KERNELS[variant], scales,
+        extents, ordering, variant, scales,
+        dst={key: arr[lo:hi] for key, arr in dst.items()},
     )
 
 
-def _exec_deposit(slab, icell, offsets, groups, charge):
+def _exec_deposit(body, slab, icell, offsets, groups, charge):
     """Fold the owned ``(cell_lo, cell_hi, corners)`` groups into ``slab``.
 
-    Each group runs the serial kernel restricted to its corner columns
-    (:func:`repro.core.kernels.deposit_rows`): that corner's weights,
-    then one ``np.bincount`` over the particles in index order — the
-    serial deposit's own operations and order, hence its bits.  A range
-    spanning the grid takes the particle arrays as they are; a proper
-    sub-range selects its particles first (``flatnonzero`` keeps index
-    order).  The owned slab pieces are re-zeroed first, making retries
-    idempotent.
+    Each group runs the serial deposit restricted to its corner columns
+    (``accumulate_rows(..., corners=)``): those corners' weights,
+    folded over the particles in index order — the serial deposit's own
+    operations and order, hence its bits.  A range spanning the grid
+    takes the particle arrays as they are; a proper sub-range selects
+    its particles first (``flatnonzero`` keeps index order).  The owned
+    slab pieces are re-zeroed first, making retries idempotent.
     """
     for lo, hi, corners in groups:
         slab[corners, lo:hi] = 0.0
@@ -146,7 +149,7 @@ def _exec_deposit(slab, icell, offsets, groups, charge):
             sel = np.flatnonzero((icell >= lo) & (icell < hi))
             keys, offs = icell[sel] - lo, [o[sel] for o in offsets]
         # slab is corner-major: .T is the (rows, ncorner) rho_1d shape
-        _k.accumulate_rows(slab.T[lo:hi], keys, offs, charge, corners=corners)
+        body.accumulate_rows(slab.T[lo:hi], keys, offs, charge, corners=corners)
 
 
 #: worker op name -> executor; a shard message carries the op's array
@@ -189,6 +192,8 @@ def _ordering_from_spec(spec, cache):
 def _execute(op, msg, seg_cache, ordering_cache):
     if op in _OPS:
         args = dict(msg["args"])
+        if "body" in args:  # by name: a forked worker has it loaded
+            args["body"] = get_backend(args["body"])
         if "ordering" in args:
             args["ordering"] = _ordering_from_spec(args["ordering"], ordering_cache)
         arrays = _map_arrays(lambda spec: attach_array(spec, seg_cache), msg["arrays"])
@@ -442,7 +447,8 @@ class ShmEngine:
     particle histogram (~equal particles per range) and re-cut by the
     :class:`~repro.parallel.partition.PartitionPlanner` every
     ``repartition_every`` deposits when the measured load imbalance
-    warrants it.
+    warrants it.  :attr:`body` is the backend whose kernels the shards
+    run, in the workers and in the parent's serial retry alike.
     """
 
     def __init__(self, stepper, nworkers=None, task_timeout=None):
@@ -483,6 +489,9 @@ class ShmEngine:
         self.particle_ranges = partition_range(self.n, self.nworkers)
         #: per-particle gather targets, one per axis
         self.e_p = [self.arena.alloc(self.n) for _ in range(front.ndim)]
+        #: the kernels every shard runs, picked once — before the pool
+        #: forks, so the workers start with them loaded
+        self.body = get_backend(AUTO)
         self.pool = WorkerPool(self.nworkers, timeout=self.task_timeout)
         #: consecutive dispatches in which *every* shard failed; at
         #: ``max_failure_streak`` the engine declares itself
@@ -539,9 +548,11 @@ class ShmEngine:
             for wid, args in shard_args
         ]
         for _wid, msg in self._dispatch(phase, shards):
-            args = msg["args"]
+            args = dict(msg["args"])
+            if "body" in args:
+                args["body"] = self.body
             if "ordering" in args:
-                args = {**args, "ordering": self.ordering}
+                args["ordering"] = self.ordering
             _OPS[op](**arrays, **args)
 
     def _particle_shards(self, **args):
@@ -558,7 +569,8 @@ class ShmEngine:
     def interpolate(self, e_1d, icell, offsets):
         arrays = {"e_1d": e_1d, "icell": icell, "offsets": list(offsets),
                   "out": self.e_p}
-        self._run("update_v", "interp", arrays, self._particle_shards())
+        self._run("update_v", "interp", arrays,
+                  self._particle_shards(body=self.body.name))
         return tuple(self.e_p)
 
     def front_back(self, particles=None, velocities=()):
@@ -596,7 +608,7 @@ class ShmEngine:
         self._run(
             "update_x", "push", arrays,
             self._particle_shards(
-                extents=extents, variant=variant,
+                body=self.body.name, extents=extents, variant=variant,
                 scales=[float(sc) for sc in scales],
                 ordering=(self.ordering.name, extents, self._ordering_kwargs),
             ),
@@ -620,7 +632,8 @@ class ShmEngine:
         tasks = corner_tasks(gs.cell_ranges, gs.slab.shape[0], self.nworkers)
         self._run(
             "accumulate", "deposit", arrays,
-            [(wid, {"groups": groups, "charge": float(charge)})
+            [(wid, {"body": self.body.name, "groups": groups,
+                    "charge": float(charge)})
              for wid, groups in enumerate(tasks) if groups],
         )
         # the tasks tile the slab, so one add is the whole reduction
@@ -666,16 +679,19 @@ def _engine_owning(*arrays):
 # ----------------------------------------------------------------------
 @register_backend
 class MultiprocessBackend(NumpyBackend):
-    """NumPy kernels fanned out over shared-memory worker processes.
+    """The split-loop kernels fanned out over shared-memory workers.
 
-    Inherits every kernel from :class:`NumpyBackend`; calls whose
-    arrays belong to a live :class:`ShmEngine` (i.e. came from a
-    prepared stepper in split-loop redundant-SoA mode) are dispatched
-    to the pool, everything else — direct kernel calls, the fused
-    sweep, standard/AoS layouts — runs serially with identical
-    results.  2D and 3D steppers get the same engine under the same
-    eligibility rule.  Deliberately the *lowest*
-    priority so ``"auto"`` never picks it; multiprocessing is opt-in.
+    Calls whose arrays belong to a live :class:`ShmEngine` (i.e. came
+    from a prepared stepper in split-loop redundant-SoA mode) are
+    dispatched to the pool, whose workers run the engine's body — the
+    kernels ``"auto"`` resolves to, ``c``'s compiled loops wherever
+    they build (the name is historical).  Everything else — direct
+    kernel calls, calls with ``out=`` / ``corners=`` / ``dst=``, the
+    sort, the fused sweep, standard/AoS layouts — runs the inherited
+    :class:`NumpyBackend` kernels serially, with identical results.
+    2D and 3D steppers get the same engine under the same eligibility
+    rule.  Deliberately the *lowest* priority so ``"auto"`` never picks
+    it; multiprocessing is opt-in.
     """
 
     name = "numpy-mp"
@@ -732,8 +748,9 @@ class MultiprocessBackend(NumpyBackend):
             return
         self._engines[id(stepper)] = engine
         _log.info(
-            "numpy-mp engine: %d workers, task timeout %.1fs, %d shared "
-            "segments", engine.nworkers, engine.task_timeout,
+            "numpy-mp engine: %d workers running the %s kernels, task "
+            "timeout %.1fs, %d shared segments", engine.nworkers,
+            engine.body.name, engine.task_timeout,
             len(engine.arena.segment_names),
         )
 
@@ -747,10 +764,10 @@ class MultiprocessBackend(NumpyBackend):
         return self._engines.get(id(stepper))
 
     # -- kernel dispatch: the four split-loop kernels
-    def interpolate_rows(self, e_1d, icell, offsets):
+    def interpolate_rows(self, e_1d, icell, offsets, out=None):
         eng = _engine_owning(e_1d, icell, *offsets)
-        if eng is None or len(icell) != eng.n:
-            return super().interpolate_rows(e_1d, icell, offsets)
+        if eng is None or out is not None or len(icell) != eng.n:
+            return super().interpolate_rows(e_1d, icell, offsets, out)
         return eng.interpolate(e_1d, icell, offsets)
 
     def kick(self, vs, e_ps, coefs):
@@ -760,19 +777,23 @@ class MultiprocessBackend(NumpyBackend):
             return super().kick(vs, e_ps, coefs)
         eng.kick(stores, e_ps, coefs)
 
-    def accumulate_rows(self, rho_1d, icell, offsets, charge=1.0):
+    def accumulate_rows(self, rho_1d, icell, offsets, charge=1.0,
+                        corners=None):
         eng = _engine_owning(rho_1d, icell, *offsets)
         if (
             eng is None
+            or corners is not None
             or rho_1d is not eng.grid_shared.rho_1d
             or len(icell) != eng.n
         ):
-            return super().accumulate_rows(rho_1d, icell, offsets, charge)
+            return super().accumulate_rows(rho_1d, icell, offsets, charge,
+                                           corners)
         eng.accumulate(icell, offsets, charge)
 
-    def push(self, particles, extents, ordering, variant, scales):
+    def push(self, particles, extents, ordering, variant, scales, dst=None):
         eng = _engine_owning(particles["icell"])
         stores = eng.front_back(particles) if eng is not None else None
-        if stores is None or ordering is not eng.ordering:
-            return super().push(particles, extents, ordering, variant, scales)
+        if stores is None or dst is not None or ordering is not eng.ordering:
+            return super().push(particles, extents, ordering, variant, scales,
+                                dst)
         eng.push(stores, extents, variant, scales)

@@ -135,6 +135,71 @@ class TestEquivalence:
             numpy.counting_sort_permutation(state.icell, ncell),
         )
 
+    @pytest.mark.parametrize("stored", [True, False], ids=["stored", "recomputed"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("ndim,curve", CURVES)
+    def test_staged_push_equals_numpy(self, ndim, curve, variant, stored):
+        """``push(..., dst=)`` — the ``numpy-mp`` worker's form, on
+        ``[lo, hi)`` slices of a source and a destination (for L4D and
+        Hilbert, ``ordering.encode`` runs on the slice): the source is
+        untouched, the destination outside the slice too, and the slice
+        holds what NumPy stages and what the in-place push leaves."""
+        c, numpy = get_backend("c"), get_backend("numpy")
+        n = 2 * BLOCK + 17
+        rng = np.random.default_rng(ndim)
+        ordering, shape = _ordering(ndim, curve)
+        state = _population(rng, ndim, n, ordering, shape, stored)
+        staged = [k for k in state.keys() if k[0] != "v"]
+        scales = (0.37, 1.9, 0.5)[:ndim]
+        in_place = _copy(state)
+        c.push(in_place, shape, ordering, variant, scales)
+        for lo, hi in ((0, n), (BLOCK - 3, n - 5)):
+            dsts = []
+            for backend in (c, numpy):
+                src = _copy(state)
+                dst = {k: np.full(n, 7, dtype=state[k].dtype) for k in staged}
+                backend.push({k: a[lo:hi] for k, a in src.items()}, shape,
+                             ordering, variant, scales,
+                             dst={k: a[lo:hi] for k, a in dst.items()})
+                _assert_same(src, state, "source")
+                dsts.append(dst)
+            for k in staged:
+                assert np.array_equal(dsts[0][k], dsts[1][k]), (lo, k)
+                assert (dsts[0][k][:lo] == 7).all() and (dsts[0][k][hi:] == 7).all()
+                assert np.array_equal(dsts[0][k][lo:hi], in_place[k][lo:hi]), k
+
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_column_deposit_equals_numpy(self, ndim):
+        """``accumulate_rows(..., corners=)`` — any subset of the
+        columns (the others are NULL to the C loop and untouched), onto
+        a density that is not zero, row-major and through the transposed
+        corner-major slab the ``numpy-mp`` worker passes, whole and on a
+        cell sub-range of it with range-relative keys."""
+        c, numpy = get_backend("c"), get_backend("numpy")
+        nc, n, ncell = 1 << ndim, 2 * BLOCK + 17, 64
+        rng = np.random.default_rng(ndim)
+        icell = rng.integers(0, ncell, n)
+        offsets = tuple(rng.random(n) for _ in range(ndim))
+        lo, hi = 13, 41
+        sel = np.flatnonzero((icell >= lo) & (icell < hi))
+        sub = (icell[sel] - lo, tuple(o[sel] for o in offsets))
+        for corners in ([0], [nc - 1], [1, 2], list(range(0, nc, 2)),
+                        list(range(nc))):
+            others = [k for k in range(nc) if k not in corners]
+            rho = rng.normal(size=(ncell, nc))
+            slab = rng.normal(size=(nc, ncell))
+            got, want = [], []
+            for backend, out in ((c, got), (numpy, want)):
+                r, s = rho.copy(), slab.copy()
+                backend.accumulate_rows(r, icell, offsets, -0.37, corners=corners)
+                backend.accumulate_rows(s.T, icell, offsets, -0.37, corners=corners)
+                backend.accumulate_rows(s.T[lo:hi], *sub, 0.5, corners=corners)
+                out += [r, s]
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), corners
+            assert np.array_equal(got[0][:, others], rho[:, others])
+            assert np.array_equal(got[1][others], slab[others])
+
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("n", SIZES)
     @pytest.mark.parametrize("ndim,curve", CURVES)
@@ -218,7 +283,9 @@ class TestDefinedOnEveryInput:
         produces), on every host and without a NumPy cast warning — so
         the guard trips at the same step on either backend."""
         p, ordering, shape = self._poisoned()
-        q = _copy(p)
+        q, src = _copy(p), _copy(p)
+        staged = {k: np.empty_like(src[k]) for k in ("icell", "dx", "dy", "ix", "iy")}
+        get_backend("c").push(src, shape, ordering, variant, (1.0, 1.0), dst=staged)
         get_backend("c").push(p, shape, ordering, variant, (1.0, 1.0))
         with warnings.catch_warnings():
             warnings.filterwarnings("error", message=".*encountered in cast")
@@ -228,6 +295,7 @@ class TestDefinedOnEveryInput:
             get_backend("numpy").push(q, shape, ordering, variant, (1.0, 1.0))
         for name in ("dx", "dy", "ix", "iy"):
             np.testing.assert_array_equal(p[name], q[name], err_msg=name)
+            np.testing.assert_array_equal(staged[name], q[name], err_msg=name)
 
     def test_guard_trips_at_the_same_step_as_numpy(self):
         def failures(backend):
@@ -256,13 +324,51 @@ class TestDefinedOnEveryInput:
         before = rho.copy()
         for bad in (ncell, -1, np.iinfo(np.int64).min):
             icell[37] = bad
-            with pytest.raises(IndexError, match="particle 37"):
-                c.accumulate_rows(rho, icell, d, 1.0)
-            assert np.array_equal(rho, before)
+            for corners in (None, [1, 2]):
+                with pytest.raises(IndexError, match="particle 37"):
+                    c.accumulate_rows(rho, icell, d, 1.0, corners=corners)
+                assert np.array_equal(rho, before)
             with pytest.raises(IndexError, match="particle 37"):
                 c.interpolate_rows(rng.normal(size=(ncell, 8)), icell, d)
             with pytest.raises(ValueError, match="keys out of range"):
                 c.counting_sort_permutation(icell, ncell)
+
+    def test_cell_outside_the_grid_in_a_worker_shard_raises(self):
+        """``numpy-mp`` on the ``c`` body: the worker's gather refuses
+        the cell, the parent's serial retry raises serial ``c``'s
+        ``IndexError`` (the index counted within the shard), and closing
+        the run leaves no shared segment behind."""
+        from repro.parallel.executor import MultiprocessBackend
+
+        if not MultiprocessBackend.is_available():
+            pytest.skip("POSIX shared memory unavailable")
+        grid = GridSpec(16, 16, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
+
+        def poisoned_step(backend):
+            cfg = OptimizationConfig(backend=backend, workers=2,
+                                     mp_task_timeout=10.0)
+            with Simulation(grid, LandauDamping(alpha=0.05), 2000, cfg,
+                            dt=0.05, seed=11) as sim:
+                st = sim.stepper
+                sim.step()
+                st.particles.icell[1500] = ncell = st.ordering.ncells_allocated
+                segments = ()
+                if backend == "numpy-mp":
+                    engine = st.backend.engine_for(st)
+                    assert engine.body.name == "c"
+                    segments = engine.arena.segment_names
+                with pytest.raises(IndexError) as exc:
+                    sim.step()
+                if segments:
+                    assert st.timings.fallbacks == 1
+            return str(exc.value), ncell, segments
+
+        want, ncell, _ = poisoned_step("c")
+        got, _, segments = poisoned_step("numpy-mp")
+        assert want == f"particle 1500: cell index {ncell} outside [0, {ncell})"
+        assert got == f"particle 500: cell index {ncell} outside [0, {ncell})"
+        if os.path.isdir("/dev/shm"):
+            assert not [s for s in segments if os.path.exists("/dev/shm/" + s)]
 
     def test_arguments_that_do_not_fit_take_the_numpy_kernel(self):
         """Lists, int32 indices, strided views and read-only arrays:

@@ -4,17 +4,21 @@ The contract under test (docs/parallelism.md): running the three §V
 particle loops across worker processes is *bitwise* identical to the
 serial numpy backend — same ρ, same E, same particle state — at any
 worker count, run after run, and even when workers are killed mid-step
-(the parent recomputes the lost shards serially).
+(the parent recomputes the lost shards serially).  The bitwise matrix
+and the kill-mid-phase cases run on both kernel bodies the workers can
+have: ``c``, and ``numpy`` — what a host without a compiler gets.
 """
 
 from __future__ import annotations
 
+import functools
+import logging
 import os
 
 import numpy as np
 import pytest
 
-from repro.core.backends import get_backend
+from repro.core.backends import CBackend, get_backend
 from repro.core.config import OptimizationConfig
 from repro.core.simulation import Simulation
 from repro.grid.spec import GridSpec
@@ -93,6 +97,36 @@ def _engine(sim):
     return sim.stepper.backend.engine_for(sim.stepper)
 
 
+@pytest.fixture(params=["c", "numpy"])
+def body(request, monkeypatch):
+    """The kernels the engine gives its workers: ``c`` where it builds;
+    ``numpy`` once ``c`` is made unavailable, as on a host without a
+    compiler."""
+    if request.param == "c" and not CBackend.is_available():
+        pytest.skip("no C compiler")
+    if request.param == "numpy":
+        monkeypatch.setattr(CBackend, "is_available", classmethod(lambda cls: False))
+    return request.param
+
+
+@functools.lru_cache(maxsize=None)
+def _serial_state(ndim, ordering, steps):
+    """The serial NumPy state after ``steps`` steps (read-only: shared
+    by every worker count and body of the matrix)."""
+    with _make_sim("numpy", ndim=ndim, ordering=ordering) as ref:
+        ref.run(steps)
+        return _state(ref)
+
+
+#: (ndim, ordering) of the bitwise matrix.  A 3D stepper maps every
+#: space-filling curve's name to Morton, so L4D and Hilbert have no 3D
+#: column of their own.
+MATRIX_CURVES = [
+    (2, "row-major"), (2, "morton"), (2, "l4d"), (2, "hilbert"),
+    (3, "row-major"), (3, "morton"),
+]
+
+
 # ----------------------------------------------------------------------
 # Bitwise equivalence with the serial backend
 # ----------------------------------------------------------------------
@@ -107,16 +141,18 @@ class TestBitwiseEquivalence:
             _assert_bitwise_equal(_state(ref), _state(mp))
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5, 8])
-    def test_ownership_matrix_25_steps(self, workers):
-        """Whole corner columns (<= 4 workers: 1, 2, 4 even, 3 uneven)
-        and columns cut into two cell ranges (5, 8), through 8 sorts."""
-        with _make_sim("numpy") as ref, _make_sim("numpy-mp", workers) as mp:
-            ranges = _engine(mp).grid_shared.cell_ranges
-            assert len(ranges) == (1 if workers <= 4 else 2)
-            ref.run(25)
+    @pytest.mark.parametrize("ndim,ordering", MATRIX_CURVES)
+    def test_ownership_matrix_25_steps(self, body, ndim, ordering, workers):
+        """Whole corner columns (up to ``ncorner`` workers: 1, 2, 4 even,
+        3 uneven; 5 and 8 too in 3D) and columns cut into two cell
+        ranges (5, 8 in 2D), through 8 sorts, on either kernel body."""
+        with _make_sim("numpy-mp", workers, ndim=ndim, ordering=ordering) as mp:
+            eng = _engine(mp)
+            assert eng.body.name == body
+            assert len(eng.grid_shared.cell_ranges) == -(-workers // (1 << ndim))
             mp.run(25)
             assert mp.timings.fallbacks == 0
-            _assert_bitwise_equal(_state(ref), _state(mp))
+            _assert_bitwise_equal(_serial_state(ndim, ordering, 25), _state(mp))
 
     def test_repeated_runs_are_deterministic(self):
         with _make_sim("numpy-mp", 2) as a, _make_sim("numpy-mp", 2) as b:
@@ -162,22 +198,22 @@ class TestFaultTolerance:
             assert eng.pool.restarts >= 1
             _assert_bitwise_equal(_state(ref), _state(mp))
 
-    # [kick-2] / [push-2] / [deposit-2] were [kick2d] / [push2d] / [deposit]
     @pytest.mark.parametrize("ndim", [2, 3])
     @pytest.mark.parametrize("op", ["interp", "kick", "push", "deposit"])
-    def test_worker_dying_mid_write_retries_bitwise(self, op, ndim):
+    def test_worker_dying_mid_write_retries_bitwise(self, body, op, ndim):
         """Kill a worker as the phase is dispatched, after scribbling
         over everything the phase writes — what a worker that died
         half-way through its shard leaves behind.  The inputs are
         untouched (they are the other buffer), so the parent's retry
         reproduces the serial bits — through the one engine, in both
-        dimensions."""
+        dimensions, on either kernel body."""
         with (
             _make_sim("numpy", ndim=ndim) as ref,
             _make_sim("numpy-mp", 2, ndim=ndim, **self.TIMEOUT_KW) as mp,
         ):
             ref.run(N_STEPS)
             eng = _engine(mp)
+            assert eng.body.name == body
             mp.run(2)
             run_shards, fired = eng.pool.run_shards, []
 
@@ -243,6 +279,17 @@ class TestFaultTolerance:
             assert pool.ping() == [True, True]  # replacement is healthy
         finally:
             pool.close()
+
+
+def test_log_line_and_info_name_the_workers_kernels(body, caplog, capsys):
+    from repro.cli import main
+
+    with caplog.at_level(logging.INFO, logger="repro.parallel.executor"):
+        with _make_sim("numpy-mp", 2):
+            pass
+    assert f"numpy-mp engine: 2 workers running the {body} kernels" in caplog.text
+    assert main(["info"]) == 0
+    assert f"(numpy-mp available, workers run {body};" in capsys.readouterr().out
 
 
 def test_ordering_spec_resolves_two_or_three_extents():

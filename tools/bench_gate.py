@@ -4,12 +4,12 @@
 Two executable performance claims, checked in one run:
 
 **Fused gate** — the backend's single sweep over the particle arrays
-against three split passes.  On the compiled ``c`` backend the sweep
-must *win* (the split passes re-stream the arrays from DRAM and
-materialise the per-particle field — the inverse of the paper's §IV-B
-trade, whose split loops vectorize; these are scalar); on ``numpy`` both
-paths run the same cache-blocked kernels in a different order, so the
-claim is only that fusing costs nothing:
+against three split passes.  The claim is that fusing costs nothing
+beyond noise: on ``numpy`` both paths run the same cache-blocked
+kernels in a different order; on the compiled ``c`` backend the sweep
+saves the split passes' re-streaming of the arrays and the
+per-particle field, but these scalar loops are compute-bound here and
+the saving measured within noise of zero (:data:`COMPILED_FUSED_FLOOR`):
 
 * measure split vs fused on the preferred available backend (``c``,
   else numpy) via
@@ -21,8 +21,9 @@ claim is only that fusing costs nothing:
   0.97–1.28 over eight trials of an unchanged build; this one reads
   1.04–1.15, EXPERIMENTS.md.)
 * **fail** (exit 1) if the fused/split kernel speedup is below the
-  floor: 1.0 on a compiled backend, :data:`NUMPY_FUSED_FLOOR` on numpy
-  (``--min-speedup`` overrides either);
+  floor: :data:`COMPILED_FUSED_FLOOR` on a compiled backend,
+  :data:`NUMPY_FUSED_FLOOR` on numpy (``--min-speedup`` overrides
+  either);
 * report the deposit+interpolate phase speedup against the paper-scale
   target (``--target-speedup``, default 1.5) on a compiled backend — a
   warning, not a failure, since it depends on core count and memory
@@ -67,6 +68,13 @@ ROOT = Path(__file__).resolve().parents[1]
 #: 10/10 there and still trips on a rendering that costs a quarter more
 #: (the deleted stepper-level chunk loop read 0.5 on sparse cells).
 NUMPY_FUSED_FLOOR = 0.80
+#: The same floor on a compiled backend.  It was 1.0 ("fused must
+#: win"), which an unchanged tree failed on about half the runs: ten
+#: consecutive runs on ``c`` on the 2-core reference host read
+#: 0.95-1.04, median 0.975 (EXPERIMENTS.md, "The fused gate on `c`:
+#: ten runs").  0.90 passes all
+#: ten and still trips on a sweep that costs a tenth more than split.
+COMPILED_FUSED_FLOOR = 0.90
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "benchmarks"))
 
@@ -148,8 +156,8 @@ def main(argv=None):
                     help="backend to gate (default: best available)")
     ap.add_argument("--min-speedup", type=float, default=None,
                     help="hard gate: split/fused kernel-time ratio floor "
-                         "(default: 1.0 on a compiled backend, "
-                         f"{NUMPY_FUSED_FLOOR} on numpy)")
+                         f"(default: {COMPILED_FUSED_FLOOR} on a compiled "
+                         f"backend, {NUMPY_FUSED_FLOOR} on numpy)")
     ap.add_argument("--target-speedup", type=float, default=1.5,
                     help="soft target on the deposit+interpolate phases")
     ap.add_argument("--repeats", type=int, default=5,
@@ -208,7 +216,7 @@ def main(argv=None):
         print("gate-status: bench-gate/fused-compiled skipped(no cc)")
     min_speedup = args.min_speedup
     if min_speedup is None:
-        min_speedup = 1.0 if compiled else NUMPY_FUSED_FLOOR
+        min_speedup = COMPILED_FUSED_FLOOR if compiled else NUMPY_FUSED_FLOOR
 
     print("gate-status: bench-gate/fused ran")
     rec = measure(fused_backend)
