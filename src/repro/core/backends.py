@@ -15,9 +15,11 @@ execution strategy as a named **backend** rather than hard-wiring one:
 * ``"auto"`` — the selection policy: the highest-priority backend
   that is available (``c`` first, then ``numpy``).
 
-Every backend implements the same nine kernels (:class:`KernelBackend`)
-— six over the redundant rows of any dimension, three over the 2D
-standard layout — and all backends must produce identical physics; the
+Every backend implements the same eleven kernels (:class:`KernelBackend`)
+— six particle loops over the redundant rows of any dimension, the two
+per-cell loops of that layout (ρ fold and field broadcast) and three
+particle loops over the 2D standard layout — and all backends must
+produce identical physics; the
 cross-backend equivalence suite (``tests/test_backends.py``) checks
 each registered backend against the scalar oracles.
 
@@ -91,12 +93,13 @@ class KernelBackend(abc.ABC):
     """One execution strategy for the PIC inner loops.
 
     The abstract methods are the whole overridable surface, and what
-    the steppers call: six kernels over the redundant
+    the steppers call: six particle loops over the redundant
     ``[ncell][2^ndim]`` rows, written over tuples of per-axis arrays so
-    one method serves 2D and 3D, and the 2D standard-layout trio (the
-    paper's Table IV baseline row).  :class:`NumpyBackend` implements
-    all nine; a faster backend subclasses it and overrides what it
-    accelerates.
+    one method serves 2D and 3D, the two per-cell loops between those
+    rows and the grid points the solver works on, and the 2D
+    standard-layout trio (the paper's Table IV baseline row).
+    :class:`NumpyBackend` implements all eleven; a faster backend
+    subclasses it and overrides what it accelerates.
     """
 
     #: Registry key; subclasses must override.
@@ -129,9 +132,24 @@ class KernelBackend(abc.ABC):
     @abc.abstractmethod
     def accumulate_rows(self, rho_1d, icell, offsets, charge=1.0,
                         corners=None) -> None:
-        """CiC scatter onto the redundant ``rho_1d[ncell][2^ndim]``;
-        with ``corners`` (a list of column indices) only those columns,
-        with the bits the whole deposit puts there."""
+        """CiC scatter onto the redundant ``rho_1d[ncell][2^ndim]``,
+        written over what was there (``rho = Σ``); with ``corners`` (a
+        list of column indices) only those columns, with the bits the
+        whole deposit puts there."""
+
+    @abc.abstractmethod
+    def reduce_rows(self, fields) -> np.ndarray:
+        """The ρ fold of a :class:`~repro.grid.fields.RedundantFields`:
+        a fresh grid-shaped array in which every grid point starts from
+        +0.0 and adds its ``2^ndim`` corner entries of ``fields.rho_1d``
+        in corner order (periodic)."""
+
+    @abc.abstractmethod
+    def broadcast_rows(self, fields, components, scales) -> None:
+        """The field broadcast: every cell row of ``fields.e_1d`` gets
+        ``components[k][corner point] * scales[k]`` in column group
+        ``k``; :class:`ValueError` unless there is one grid-shaped
+        component per axis.  Padding rows stay zero."""
 
     @abc.abstractmethod
     def kick(self, vs, e_ps, coefs) -> None:
@@ -387,6 +405,17 @@ class NumpyBackend(KernelBackend):
     interpolate_standard = staticmethod(_k.interpolate_standard)
     accumulate_standard = staticmethod(_k.accumulate_standard)
 
+    def reduce_rows(self, fields):
+        return _k.reduce_rows(fields.rho_1d, fields.corner_cell)
+
+    def broadcast_rows(self, fields, components, scales) -> None:
+        shape = fields.grid.shape
+        if len(components) != len(shape) or len(scales) != len(shape) or any(
+            np.shape(comp) != shape for comp in components
+        ):
+            raise ValueError("one grid-shaped field array (and scale) per axis")
+        _k.broadcast_rows(fields.e_1d, fields.corner_point, components, scales)
+
     def kick(self, vs, e_ps, coefs) -> None:
         for v, e_p, coef in zip(vs, e_ps, coefs):
             _k.kick(v, e_p, coef)
@@ -466,37 +495,40 @@ _C_SIGNATURES = {
     "fused": (_I64, (_INT, _I64, _I64, _PTR, _F64S, _INT, _INT, _I64S, _F64S,
                      _PTR, _COLS, _COLS, _COLS)),
     "deposit_rows": (_I64, (_INT, _I64, _I64, _COLS, _I64, _PTR, _COLS, _F64)),
+    "reduce_rows": (_I64, (_INT, _I64S, _I64, _PTR, _PTR, _PTR)),
+    "broadcast_rows": (_I64, (_INT, _I64S, _I64, _PTR, _COLS, _F64S, _PTR)),
     "sort_permutation": (_I64, (_I64, _I64, _PTR, _PTR, _PTR)),
 }
 
 
-def _fits(a, dtype, shape) -> bool:
-    """Whether ``ckernels.c`` can index ``a`` as it is: a writeable
-    C-contiguous array of exactly this dtype and shape.  Anything else
-    (a strided :class:`~repro.particles.storage.ParticleAoS` column, a
+def _fits(a, dtype, shape, write=True) -> bool:
+    """Whether ``ckernels.c`` can index ``a`` as it is: a C-contiguous
+    array of exactly this dtype and shape, writeable unless ``write``
+    is false (an input only the grid loops read).  Anything else (a
+    strided :class:`~repro.particles.storage.ParticleAoS` column, a
     list, an int32 index) takes the inherited NumPy kernel, which
     converts or raises as it always did."""
     return (
         isinstance(a, np.ndarray) and a.dtype == dtype and a.shape == shape
-        and a.flags.c_contiguous and a.flags.writeable
+        and a.flags.c_contiguous and (a.flags.writeable or not write)
     )
 
 
-def _columns(arrays, dtype, n):
+def _columns(arrays, dtype, shape, write=True):
     """The ``double *const *`` / ``int64_t *const *`` argument over
     per-axis ``arrays`` — or ``None`` unless there are two or three and
-    every one :func:`_fits` length ``n``."""
+    every one :func:`_fits` ``shape``."""
     if len(arrays) not in (2, 3) or not all(
-        _fits(a, dtype, (n,)) for a in arrays
+        _fits(a, dtype, shape, write) for a in arrays
     ):
         return None
     return _PTR_N[len(arrays)](*(a.ctypes.data for a in arrays))
 
 
-def _check_cells(bad, icell, ncell) -> None:
+def _check_cells(bad, icell, ncell, what="particle") -> None:
     if bad >= 0:
         raise IndexError(
-            f"particle {bad}: cell index {icell[bad]} outside [0, {ncell})"
+            f"{what} {bad}: cell index {icell.flat[bad]} outside [0, {ncell})"
         )
 
 
@@ -507,8 +539,9 @@ class CBackend(NumpyBackend):
     (:mod:`repro.core.cbuild`) and called through :mod:`ctypes`, which
     releases the GIL for the duration of each call.
 
-    Overrides the redundant-row gather and deposit, the push, the
-    fused sweep and the sort permutation; the standard-layout kernels,
+    Overrides the redundant-row gather and deposit, the ρ fold and the
+    field broadcast, the push, the fused sweep and the sort
+    permutation; the standard-layout kernels,
     the stand-alone kick (one ``np.add``, which measures no slower than
     a C loop) and any argument that does not :func:`_fits` the C ABI
     run the inherited NumPy kernels.  The arithmetic is written to
@@ -549,7 +582,7 @@ class CBackend(NumpyBackend):
         fit ``ckernels.c`` (``rows`` being ``(ncell, width)``)."""
         n = len(icell)
         if _fits(rows, np.float64, (len(rows), width)) and _fits(icell, np.int64, (n,)):
-            return _columns(offsets, np.float64, n)
+            return _columns(offsets, np.float64, (n,))
         return None
 
     def interpolate_rows(self, e_1d, icell, offsets, out=None):
@@ -557,7 +590,7 @@ class CBackend(NumpyBackend):
         d = self._row_offsets(e_1d, ndim << ndim, icell, offsets)
         if d is not None:
             e_p = tuple(np.empty(n) for _ in offsets) if out is None else out
-            cols = _columns(e_p, np.float64, n)
+            cols = _columns(e_p, np.float64, (n,))
         if d is None or cols is None:
             return super().interpolate_rows(e_1d, icell, offsets, out)
         bad = self._lib.interp_rows(
@@ -568,36 +601,77 @@ class CBackend(NumpyBackend):
 
     def accumulate_rows(self, rho_1d, icell, offsets, charge=1.0,
                         corners=None) -> None:
-        """Into a zeroed row-major scratch holding the deposited
-        columns — each particle's corners one contiguous row — then
-        ``rho_1d[:, corners] += scratch``, the last step of NumPy's
-        deposit too.  ``rho_1d`` may be any view (the ``numpy-mp``
-        worker passes its corner-major slab, transposed)."""
+        """Straight into the owned columns of ``rho_1d``, through their
+        strides, which may be any writeable float64 view with positive
+        element strides (the ``numpy-mp`` worker passes its
+        corner-major slab, transposed, whole or cut to a cell range);
+        a C-contiguous ``rho_1d`` gives each particle one contiguous
+        row."""
         ndim, n = len(offsets), len(icell)
         nc = 1 << ndim
         d = None
         if (
-            isinstance(rho_1d, np.ndarray) and rho_1d.shape[1:] == (nc,)
+            isinstance(rho_1d, np.ndarray) and rho_1d.dtype == np.float64
+            and rho_1d.shape[1:] == (nc,) and rho_1d.flags.writeable
+            and all(s > 0 and s % rho_1d.itemsize == 0 for s in rho_1d.strides)
             and _fits(icell, np.int64, (n,)) and not np.ndim(charge)
         ):
-            d = _columns(offsets, np.float64, n)
+            d = _columns(offsets, np.float64, (n,))
         if d is None:
             return super().accumulate_rows(rho_1d, icell, offsets, charge, corners)
-        owned = range(nc) if corners is None else corners
-        scratch = np.zeros((len(rho_1d), len(owned)))
+        stride, step = (s // rho_1d.itemsize for s in rho_1d.strides)
         col = [None] * nc
-        for j, c in enumerate(owned):
-            col[c] = scratch.ctypes.data + j * scratch.itemsize
+        for c in range(nc) if corners is None else corners:
+            col[c] = rho_1d.ctypes.data + c * step * rho_1d.itemsize
         bad = self._lib.deposit_rows(
-            ndim, n, len(rho_1d), _PTR_N[nc](*col), len(owned),
+            ndim, n, len(rho_1d), _PTR_N[nc](*col), stride,
             icell.ctypes.data, d, charge,
         )
         _check_cells(bad, icell, len(rho_1d))
-        if corners is None:
-            rho_1d += scratch
-        else:  # a column at a time: a fancy-index add costs 10x more
-            for j, c in enumerate(corners):
-                rho_1d[:, c] += scratch[:, j]
+
+    # -- the per-cell loops -------------------------------------------
+    @staticmethod
+    def _grid_args(fields, rows, groups):
+        """``(ndim, extents, cell map)`` for the grid loops over
+        ``rows`` — ``groups`` column groups of ``2^ndim`` — or ``None``
+        when the store's arrays do not fit ``ckernels.c``."""
+        cell_map = fields.cell_index_map()
+        ndim = cell_map.ndim
+        if ndim not in (2, 3) or not (
+            _fits(rows, np.float64, (len(rows), groups << ndim))
+            and _fits(cell_map, np.int64, cell_map.shape, write=False)
+        ):
+            return None
+        return ndim, _I64_N[ndim](*cell_map.shape), cell_map
+
+    def reduce_rows(self, fields):
+        args = self._grid_args(fields, fields.rho_1d, 1)
+        if args is None:
+            return super().reduce_rows(fields)
+        ndim, extents, cell_map = args
+        out = np.empty(cell_map.shape)
+        bad = self._lib.reduce_rows(
+            ndim, extents, len(fields.rho_1d), cell_map.ctypes.data,
+            fields.rho_1d.ctypes.data, out.ctypes.data,
+        )
+        _check_cells(bad, cell_map, len(fields.rho_1d), "grid point")
+        return out
+
+    def broadcast_rows(self, fields, components, scales) -> None:
+        args = self._grid_args(fields, fields.e_1d, len(components))
+        comps = None
+        if args is not None and len(scales) == args[0] and not any(
+            np.ndim(s) for s in scales
+        ):
+            comps = _columns(components, np.float64, args[2].shape, write=False)
+        if comps is None:
+            return super().broadcast_rows(fields, components, scales)
+        ndim, extents, cell_map = args
+        bad = self._lib.broadcast_rows(
+            ndim, extents, len(fields.e_1d), cell_map.ctypes.data, comps,
+            _F64_N[ndim](*scales), fields.e_1d.ctypes.data,
+        )
+        _check_cells(bad, cell_map, len(fields.e_1d), "grid point")
 
     # -- push, fused ---------------------------------------------------
     def _sweep(self, p, extents, ordering, variant, scales, e_1d=None,
@@ -616,9 +690,9 @@ class CBackend(NumpyBackend):
                     f"bitwise wrap requires power-of-two extent, got {nc}"
                 )
         order = _ORDER_CODES.get(ordering.name, _ORDER_OTHER)
-        d = _columns([p["d" + a] for a in axes], np.float64, n)
-        v = _columns([p["v" + a] for a in axes], np.float64, n)
-        d_out = d if q is p else _columns([q["d" + a] for a in axes], np.float64, n)
+        d = _columns([p["d" + a] for a in axes], np.float64, (n,))
+        v = _columns([p["v" + a] for a in axes], np.float64, (n,))
+        d_out = d if q is p else _columns([q["d" + a] for a in axes], np.float64, (n,))
         if (
             d is None or v is None or d_out is None
             or not _fits(icell, np.int64, (n,))
@@ -639,9 +713,9 @@ class CBackend(NumpyBackend):
             coords = coords_out = [np.ascontiguousarray(c, dtype=np.int64)
                                    for c in ordering.decode(icell)]
         if coords is not None:
-            icoord = _columns(coords, np.int64, n)
+            icoord = _columns(coords, np.int64, (n,))
             icoord_out = (icoord if coords_out is coords
-                          else _columns(coords_out, np.int64, n))
+                          else _columns(coords_out, np.int64, (n,)))
             if icoord is None or icoord_out is None:
                 return False
         spec = (wrap, order, _I64_N[ndim](*extents), _F64_N[ndim](*scales),

@@ -1,9 +1,19 @@
-"""Vectorized particle kernels: accumulate, interpolate, push.
+"""Vectorized kernels: accumulate, interpolate, push, and the ρ fold
+and field broadcast of the redundant layout.
 
 These are the inner loops of Fig. 1, each in the code variants the
-paper compares.  All kernels work in *grid units*: positions are
-``ix + dx in [0, ncx)``, and when loop hoisting is active velocities
-arrive pre-scaled to displacement-per-step so the push is a bare add.
+paper compares, plus the two per-cell loops the redundant layout adds
+to every step (§II): :func:`reduce_rows` folds the deposited corner
+charges onto grid points before the solve and :func:`broadcast_rows`
+writes the solved field back into the corner rows after it.  All
+kernels work in *grid units*: positions are ``ix + dx in [0, ncx)``,
+and when loop hoisting is active velocities arrive pre-scaled to
+displacement-per-step so the push is a bare add.
+
+Every deposit *writes* its target — ``rho = Σ``, not ``rho += Σ``: a
+bincount sums from +0.0 and never yields −0.0, so adding it into a
+zeroed array would give the same bits, and nothing has to zero ρ
+first.
 
 NumPy array operations are the Python rendering of the
 auto-vectorized C loops; the scalar reference implementations used as
@@ -37,6 +47,8 @@ __all__ = [
     "accumulate_standard",
     "deposit_rows",
     "accumulate_rows",
+    "reduce_rows",
+    "broadcast_rows",
     "interpolate_standard",
     "interpolate_rows",
     "kick",
@@ -127,7 +139,8 @@ def accumulate_standard(rho, ix, iy, dx, dy, charge=1.0):
     (the upper variant of Fig. 2); periodic wrap folds the +1 edges.
     ``charge`` is the per-particle charge factor ``q*w / cell_area``.
     Blocks fill corner-major index and weight buffers; the four
-    whole-population bincounts then fold in particle order.
+    whole-population bincounts then fold in particle order, the first
+    one written over ``rho`` and the other three added in corner order.
     """
     ncx, ncy = rho.shape
     n = len(dx)
@@ -139,7 +152,11 @@ def accumulate_standard(rho, ix, iy, dx, dy, charge=1.0):
             idx[c, sl] = jx * ncy + jy
     flat = rho.reshape(-1)
     for c in range(4):
-        flat += np.bincount(idx[c], weights=w[c], minlength=flat.size)
+        bins = np.bincount(idx[c], weights=w[c], minlength=flat.size)
+        if c:
+            flat += bins
+        else:
+            flat[:] = bins
 
 
 def deposit_rows(rho_1d, icell, block_weights, corners=None):
@@ -148,7 +165,7 @@ def deposit_rows(rho_1d, icell, block_weights, corners=None):
     ``block_weights(sl)`` returns the ``(B, ncorner)`` charge-scaled
     weights of one block; they land in a corner-major ``(ncorner, N)``
     buffer, and one bincount per corner over the *whole* population
-    adds into column ``c``.  Bin ``icell`` of that bincount receives
+    becomes column ``c``.  Bin ``icell`` of that bincount receives
     exactly the terms flat bin ``ncorner*icell + c`` of a single fused
     bincount would, in the same (particle) order, so the result is
     bitwise independent of the block size — and of the 2D/3D corner
@@ -157,9 +174,9 @@ def deposit_rows(rho_1d, icell, block_weights, corners=None):
     Each column is its own reduction, so any subset of them can be
     deposited alone: with ``corners`` (a list of column indices)
     ``block_weights`` returns only those columns' weights and only
-    those columns of ``rho_1d`` are touched — with the bits the full
-    deposit would have put there.  That is the ``numpy-mp`` engine's
-    unit of ownership.
+    those columns of ``rho_1d`` are written — with the bits the full
+    deposit puts there.  That is the ``numpy-mp`` engine's unit of
+    ownership.
     """
     icell = np.ascontiguousarray(icell, dtype=np.int64)
     ncell = rho_1d.shape[0]
@@ -168,7 +185,7 @@ def deposit_rows(rho_1d, icell, block_weights, corners=None):
     for sl in blocks(len(icell)):
         w[:, sl] = block_weights(sl).T
     for w_c, c in zip(w, cols):
-        rho_1d[:, c] += np.bincount(icell, weights=w_c, minlength=ncell)
+        rho_1d[:, c] = np.bincount(icell, weights=w_c, minlength=ncell)
 
 
 def accumulate_rows(rho_1d, icell, offsets, charge=1.0, corners=None):
@@ -176,16 +193,51 @@ def accumulate_rows(rho_1d, icell, offsets, charge=1.0, corners=None):
 
     Each particle writes one contiguous ``2^ndim``-element row — the
     vectorizable lower variant of Fig. 2.  No periodic wrap is needed
-    here; the fold to grid points happens in
-    :meth:`~repro.grid.fields.RedundantFields.reduce_rho_to_grid`.
-    ``corners`` restricts the deposit to those columns
-    (:func:`deposit_rows`).
+    here; the fold to grid points is :func:`reduce_rows`.  ``corners``
+    restricts the deposit to those columns (:func:`deposit_rows`).
     """
     deposit_rows(
         rho_1d, icell,
         lambda sl: corner_weights([d[sl] for d in offsets], corners) * charge,
         corners,
     )
+
+
+# ----------------------------------------------------------------------
+# The per-cell half of the step: ρ fold and field broadcast (§II)
+# ----------------------------------------------------------------------
+def reduce_rows(rho_1d, corner_cell):
+    """Fold the redundant ``rho_1d[ncell][2^ndim]`` onto grid points.
+
+    ``corner_cell[c]`` (grid-shaped) is, for every grid point, the row
+    of the cell whose corner ``c`` the point is — the cell one corner
+    offset behind it, periodically
+    (:attr:`~repro.grid.fields.RedundantFields.corner_cell`).  Each
+    point starts from +0.0 and adds its ``2^ndim`` corner entries in
+    corner order; ``ckernels.c::reduce_rows`` is the same fold.
+    """
+    out = np.zeros(corner_cell.shape[1:])
+    for c, cells in enumerate(corner_cell):
+        out += rho_1d[cells, c]
+    return out
+
+
+def broadcast_rows(e_1d, corner_point, components, scales):
+    """Write grid-point field components into the redundant rows.
+
+    Row ``r`` of column group ``k`` gets ``components[k] * scales[k]``
+    at its cell's corners: ``corner_point[r, c]`` is the flat grid
+    point of corner ``c`` of the cell stored in row ``r``
+    (:attr:`~repro.grid.fields.RedundantFields.corner_point`), or one
+    past the grid for a padding row, which gets the zero appended
+    here.  One gather per component, written row by row in memory
+    order.
+    """
+    ncorner = corner_point.shape[1]
+    for k, (comp, scale) in enumerate(zip(components, scales)):
+        e_1d[:, k * ncorner:(k + 1) * ncorner] = np.append(
+            np.asarray(comp, dtype=np.float64) * scale, 0.0
+        )[corner_point]
 
 
 # ----------------------------------------------------------------------

@@ -125,9 +125,9 @@ def accumulate_standard_corner_major_ref(rho, ix, iy, dx, dy, charge=1.0):
     one-bincount-per-corner scatter produces — so this variant matches
     it bitwise, not just to tolerance.  Each corner's contributions are
     folded into a zeroed scratch array first and added to ``rho`` as
-    one grid-wide add afterwards, because that is what
-    ``rho += bincount(...)`` does: the bincount sums from zero, and the
-    running ``rho`` value joins the fold only once per corner.
+    one grid-wide add afterwards, because that is what the kernel's
+    per-corner ``bincount`` does: it sums from zero, and the running
+    ``rho`` value joins the fold only once per corner.
     """
     ncx, ncy = rho.shape
     n = len(ix)
@@ -194,8 +194,8 @@ class ReferenceStepper:
     Drives the scalar kernels above through the full leap-frog cycle
     the optimized :class:`~repro.core.stepper.PICStepper` runs::
 
-        sort (counting sort, when due) -> reset rho -> interpolate +
-        kick -> push -> deposit -> Poisson solve
+        sort (counting sort, when due) -> interpolate + kick -> push
+        -> zero rho, deposit -> Poisson solve
 
     and must agree with the numpy backend's split path **bitwise**, step
     after step (``tests/test_verify_differential.py`` holds it to 50
@@ -339,13 +339,16 @@ class ReferenceStepper:
         self.icell[:] = self.ordering.encode(self.ix, self.iy)
 
     def _phase_accumulate(self) -> None:
-        self.fields.reset_rho()
+        # the scalar kernels add into rho, so it is zeroed here (the
+        # fast deposits write it outright, to the same bits)
         if self.fields.layout == "redundant":
+            self.fields.rho_1d[:] = 0.0
             accumulate_redundant_ref(
                 self.fields.rho_1d, self.icell, self.dx, self.dy,
                 self._charge_factor,
             )
         else:
+            self.fields.rho[:] = 0.0
             accumulate_standard_corner_major_ref(
                 self.fields.rho, self.ix, self.iy, self.dx, self.dy,
                 self._charge_factor,

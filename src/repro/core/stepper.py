@@ -4,7 +4,11 @@ One :class:`PICStepper` instance owns the grid, the field storage (in
 the layout the config selects), the particle storage, and the Poisson
 solver, and advances the coupled system one time step at a time:
 
-    sort (periodically) -> reset rho -> particle loops -> Poisson solve
+    sort (periodically) -> particle loops -> rho fold -> Poisson solve
+    -> field broadcast
+
+The deposit writes rho outright (it is not added into a zeroed
+array), so there is no reset phase.
 
 The particle loops run either *split* (three full passes: update-v,
 update-x, accumulate — §IV-A) or *fused* (``fused-backend``: the
@@ -26,12 +30,13 @@ hoisting, velocities are physical and the loops carry the multiplies.
 
 :class:`StepLoop` is the loop itself — sort cadence, path selection,
 phase order, hooks, instrumentation, backend lifecycle — and the phase
-bodies over the redundant rows in hoisted units, written once over
+bodies over the redundant rows in hoisted units, the solve (ρ fold,
+Poisson, scaled field broadcast) included, written once over
 ``grid.shape`` and the particle store's axis columns.
 :class:`PICStepper` adds what only 2D has (the standard layout, Boris /
 external drive, the reflecting wall, un-hoisted coefficients);
 :class:`repro.pic3d.stepper3d.PICStepper3D` is a constructor, a loader,
-the energies and the solve.
+the energies and its field scales.
 """
 
 from __future__ import annotations
@@ -52,6 +57,9 @@ from repro.perf.instrument import Instrumentation, StepTimings
 
 __all__ = ["StepLoop", "PICStepper", "StepTimings"]
 
+#: the solved field's grid-point components, physical units, per axis
+_E_GRID = ("ex_grid", "ey_grid", "ez_grid")
+
 
 class StepLoop:
     """Fig. 1's main loop over whatever state a subclass owns.
@@ -60,7 +68,7 @@ class StepLoop:
     ``solver`` and ``particles`` (a
     :class:`~repro.particles.storage.ParticleStorage`), then calls
     :meth:`_attach_runtime` and :meth:`_prepare`, and supplies
-    ``_charge_factor`` and ``_solve_fields``.  The phase bodies here
+    ``_charge_factor`` and ``_field_scales``.  The phase bodies here
     serve redundant rows in hoisted units; a subclass with more cases
     overrides the body and falls through to these.
     """
@@ -79,6 +87,9 @@ class StepLoop:
         the constructors and the checkpoint loader."""
         #: resolved kernel-execution backend (config.backend, "auto" applied)
         self.backend: KernelBackend = get_backend(self.config.backend)
+        if self.fields.layout == "redundant":
+            # the store's own fold / broadcast methods run this body too
+            self.fields.body = self.backend
         #: per-phase wall-clock recorder; `.timings` is its cumulative view
         self.instrumentation = (
             instrumentation if instrumentation is not None else Instrumentation()
@@ -176,7 +187,6 @@ class StepLoop:
 
     def _deposit_and_solve(self) -> None:
         """Accumulate rho from current positions, then solve for E."""
-        self.fields.reset_rho()
         self._phase_accumulate()
         self._solve_fields()
 
@@ -228,6 +238,31 @@ class StepLoop:
             self._charge_factor,
         )
 
+    def _solve_fields(self) -> None:
+        """Fold rho onto grid points, solve, and store the field in
+        stepper units: ``rho_grid`` and the physical ``e<axis>_grid``
+        arrays are what diagnostics and checkpoints read."""
+        self.rho_grid = self._fold_rho()
+        _, *e_grid = self.solver.solve(self.rho_grid)
+        for name, comp in zip(_E_GRID, e_grid):
+            setattr(self, name, comp)
+        self._load_fields()
+
+    def _fold_rho(self) -> np.ndarray:
+        """Grid-point charge density from the redundant corner rows."""
+        return self.backend.reduce_rows(self.fields)
+
+    def _load_fields(self) -> None:
+        """Broadcast the solved field into the rows, each component
+        times its ``_field_scales`` entry: pre-scaled to
+        grid-displacement-per-step when hoisting is on (§IV-D),
+        physical otherwise."""
+        self.backend.broadcast_rows(
+            self.fields,
+            [getattr(self, name) for name in _E_GRID[: len(self.grid.shape)]],
+            self._field_scales,
+        )
+
     # ------------------------------------------------------------------
     # The public step
     # ------------------------------------------------------------------
@@ -247,7 +282,6 @@ class StepLoop:
             if hook is not None:
                 hook("sort", self)
 
-            self.fields.reset_rho()
             path = self._select_loop_path()
             instr.record_path(path)
             if path == "split":
@@ -406,21 +440,18 @@ class PICStepper(StepLoop):
         return self.grid.dy / self.dt if self.config.hoisting else 1.0
 
     @property
-    def _field_scale_x(self) -> float:
-        """Physical-field -> stored-field factor along x.
+    def _field_scales(self) -> tuple[float, float]:
+        """Physical-field -> stored-field factor per axis.
 
-        Hoisted: ``q*dt^2/(m*dx)`` so update-v adds grid displacement
-        directly; otherwise 1 (field stored physical).
+        Hoisted: ``q*dt^2/(m*spacing)`` so update-v adds grid
+        displacement directly; otherwise 1 (field stored physical).
         """
         if self.config.hoisting:
-            return self.q * self.dt**2 / (self.m * self.grid.dx)
-        return 1.0
-
-    @property
-    def _field_scale_y(self) -> float:
-        if self.config.hoisting:
-            return self.q * self.dt**2 / (self.m * self.grid.dy)
-        return 1.0
+            return tuple(
+                self.q * self.dt**2 / (self.m * h)
+                for h in (self.grid.dx, self.grid.dy)
+            )
+        return 1.0, 1.0
 
     @property
     def _charge_factor(self) -> float:
@@ -482,8 +513,9 @@ class PICStepper(StepLoop):
         """Add the case's uniform external E (stored units); no-op bitwise
         when ``ext_e`` is zero — the arrays pass through untouched."""
         if self.ext_e != (0.0, 0.0):
-            ex_p = ex_p + self.ext_e[0] * self._field_scale_x
-            ey_p = ey_p + self.ext_e[1] * self._field_scale_y
+            sx, sy = self._field_scales
+            ex_p = ex_p + self.ext_e[0] * sx
+            ey_p = ey_p + self.ext_e[1] * sy
         return ex_p, ey_p
 
     def _phase_update_v_boris(self) -> None:
@@ -545,16 +577,13 @@ class PICStepper(StepLoop):
             self.config.position_update, self._kick_coefs(), self._push_scales(),
         )
 
-    def _solve_fields(self) -> None:
-        self.rho_grid = self.fields.rho_grid()
-        _, self.ex_grid, self.ey_grid = self.solver.solve(self.rho_grid)
-        self._load_fields()
+    def _fold_rho(self) -> np.ndarray:
+        if self.fields.layout == "redundant":
+            return super()._fold_rho()
+        return self.fields.rho
 
     def _load_fields(self) -> None:
-        """Store the solved field in *stepper* units, both layouts:
-        pre-scaled to grid-displacement-per-step when hoisting is on
-        (§IV-D), physical otherwise; diagnostics read the physical
-        ex_grid/ey_grid instead."""
-        self.fields.set_field_from_grid(
-            self.ex_grid * self._field_scale_x, self.ey_grid * self._field_scale_y
-        )
+        if self.fields.layout == "redundant":
+            return super()._load_fields()
+        sx, sy = self._field_scales
+        self.fields.set_field_from_grid(self.ex_grid * sx, self.ey_grid * sy)

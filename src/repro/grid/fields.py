@@ -29,10 +29,18 @@ memory factor over the point-based layout grows from 4 to 8.
 
 The redundant rho is a *scatter* target: after accumulation the corner
 contributions must be folded back onto grid points (each grid point is
-a corner of four cells, with periodic wrap) before the Poisson solve —
-:meth:`RedundantFields.reduce_rho_to_grid` implements that fold, and
-:meth:`RedundantFields.load_field_from_grid` the inverse broadcast of a
-solved field into the redundant layout.
+a corner of four cells, with periodic wrap) before the Poisson solve,
+and the solved field broadcast back into the rows after it.  Those two
+per-cell loops are kernels like the particle loops —
+``reduce_rows`` / ``broadcast_rows`` of a
+:class:`~repro.core.backends.KernelBackend`, NumPy's in
+:mod:`repro.core.kernels`, C's in ``ckernels.c``.  This module holds
+the storage and the geometry they read: the grid-shaped
+:meth:`RedundantFields.cell_index_map`, which is all the C loops need,
+and the two corner index maps the NumPy bodies gather through, built
+on first use.  :meth:`RedundantFields.reduce_rho_to_grid` and
+:meth:`RedundantFields.load_field_from_grid` call the body the stepper
+hands the store.
 """
 
 from __future__ import annotations
@@ -69,10 +77,6 @@ class StandardFields:
         self.ex = np.zeros((grid.ncx, grid.ncy))
         self.ey = np.zeros((grid.ncx, grid.ncy))
 
-    def reset_rho(self) -> None:
-        """Line 7 of the pseudo-code: zero the charge density."""
-        self.rho[:] = 0.0
-
     def rho_grid(self) -> np.ndarray:
         """Point-based charge density (already in that form here)."""
         return self.rho
@@ -104,12 +108,19 @@ class RedundantFields:
     layout = "redundant"
 
     def __init__(self, grid, ordering):
+        # imported here: the backends import this module
+        from repro.core.backends import get_backend
+
         shape = grid.shape
         ordering_shape = tuple(getattr(ordering, "nc" + a) for a in "xyz"[: len(shape)])
         if ordering_shape != shape:
             raise ValueError(f"ordering grid shape {ordering_shape} != grid {shape}")
         self.grid = grid
         self.ordering = ordering
+        #: the :class:`~repro.core.backends.KernelBackend` whose
+        #: ``reduce_rows`` / ``broadcast_rows`` the fold and broadcast
+        #: methods call; a stepper sets its own backend here
+        self.body = get_backend("numpy")
         nalloc = ordering.ncells_allocated
         ncorner = 1 << len(shape)
         #: per-cell corner charges, ``(nalloc, ncorner)``
@@ -117,40 +128,49 @@ class RedundantFields:
         #: per-cell corner fields, ``(nalloc, ndim * ncorner)``: one
         #: ``ncorner``-wide group per component (2D: cols 0..3 Ex, 4..7 Ey)
         self.e_1d = np.zeros((nalloc, len(shape) * ncorner))
-        self._build_maps()
+        #: ``[ix, iy, ...]`` -> the row that cell is stored in
+        self._cell_index_map = ordering.encode(*np.meshgrid(
+            *(np.arange(nc, dtype=np.int64) for nc in shape), indexing="ij"
+        ))
+        self._corner_cell = self._corner_point = None
 
-    def _build_maps(self) -> None:
-        """Precompute gather/scatter index maps between grid points and cells.
+    # ------------------------------------------------------------------
+    # The NumPy bodies' index maps: 2^ndim int64 per cell each (16 MiB
+    # at 512^2 for the two), so built on first use — a run whose body
+    # reads only the cell index map (``c``) never allocates them
+    # ------------------------------------------------------------------
+    @property
+    def corner_cell(self) -> np.ndarray:
+        """``(2^ndim, *grid.shape)``: ``[c][point]`` is the row of the
+        cell whose corner ``c`` the grid point is — the cell at
+        ``(point - offset_c) mod shape``."""
+        if self._corner_cell is None:
+            idx = self._cell_index_map
+            self._corner_cell = np.stack([
+                np.roll(idx, tuple(offset), axis=tuple(range(idx.ndim)))
+                for offset in corner_offsets(idx.ndim)
+            ])
+        return self._corner_cell
 
-        ``_cell_index_map[ix, iy, ...]`` is the linear index of that cell.
-        ``_corner_cell[c]`` (grid-shaped) is, for each grid point, the
-        linear index of the cell whose corner ``c`` is that point —
-        the cell at ``(point - offset_c) mod shape``.
-        ``_corner_point[r, c]`` is the inverse gather map of
-        :meth:`load_field_from_grid`: the flat grid-point index of
+    @property
+    def corner_point(self) -> np.ndarray:
+        """``(nalloc, 2^ndim)``: ``[r, c]`` is the flat grid point of
         corner ``c`` of the cell stored in row ``r``.  Padding rows
         (orderings that allocate more rows than cells) point one past
-        the grid, at a zero the loader appends, so they stay zero.
-        """
-        shape = self.grid.shape
-        coords = np.meshgrid(
-            *(np.arange(nc, dtype=np.int64) for nc in shape), indexing="ij"
-        )
-        offsets = corner_offsets(len(shape))
-        self._cell_index_map = self.ordering.encode(*coords)
-        self._corner_cell = np.empty((len(offsets),) + shape, dtype=np.int64)
-        self._corner_point = np.full(
-            (self.ordering.ncells_allocated, len(offsets)),
-            self.grid.ncells, dtype=np.int64,
-        )
-        for c, offset in enumerate(offsets):
-            self._corner_cell[c] = self.ordering.encode(
-                *((i - o) % nc for i, o, nc in zip(coords, offset, shape))
+        the grid, at the zero the NumPy broadcast appends, so they stay
+        zero."""
+        if self._corner_point is None:
+            idx = self._cell_index_map
+            flat = np.arange(idx.size, dtype=np.int64).reshape(idx.shape)
+            offsets = corner_offsets(idx.ndim)
+            self._corner_point = np.full(
+                (len(self.rho_1d), len(offsets)), idx.size, dtype=np.int64
             )
-            self._corner_point[self._cell_index_map, c] = np.ravel_multi_index(
-                tuple((i + o) % nc for i, o, nc in zip(coords, offset, shape)),
-                shape,
-            )
+            for c, offset in enumerate(offsets):
+                self._corner_point[idx, c] = np.roll(
+                    flat, tuple(-offset), axis=tuple(range(idx.ndim))
+                )
+        return self._corner_point
 
     # ------------------------------------------------------------------
     def adopt_arrays(self, rho_1d: np.ndarray, e_1d: np.ndarray) -> None:
@@ -168,6 +188,9 @@ class RedundantFields:
         self.e_1d = e_1d
 
     def reset_rho(self) -> None:
+        """Zero the corner charges.  The step never needs it (the
+        deposit writes ``rho_1d``); kept for the frozen benchmark's
+        deposit probe, which calls it between repeats."""
         self.rho_1d[:] = 0.0
 
     def cell_index_map(self) -> np.ndarray:
@@ -182,12 +205,10 @@ class RedundantFields:
         A grid point receives what was written to it as corner ``c`` of
         the cell one corner offset behind it, for every ``c`` (2D:
         corner 0 of cell (gx, gy), corner 1 of (gx, gy-1), corner 2 of
-        (gx-1, gy), corner 3 of (gx-1, gy-1)), added in corner order.
+        (gx-1, gy), corner 3 of (gx-1, gy-1)), added in corner order
+        from +0.0: the body's ``reduce_rows``.
         """
-        out = np.zeros(self.grid.shape)
-        for c, cells in enumerate(self._corner_cell):
-            out += self.rho_1d[cells, c]
-        return out
+        return self.body.reduce_rows(self)
 
     def load_field_from_grid(self, *components: np.ndarray) -> None:
         """Broadcast point-based field arrays (one per axis) into the
@@ -196,19 +217,12 @@ class RedundantFields:
         Each cell's row gets the field values at its corners (with
         periodic wrap), one group of columns per component.  This is the
         step that costs ``2^ndim`` x memory and buys contiguous
-        per-particle reads.  One precomputed gather per component,
-        written row by row in memory order.
+        per-particle reads: the body's ``broadcast_rows`` at unit
+        scales (the stepper calls it with its field scales), which
+        raises :class:`ValueError` unless there is one grid-shaped
+        array per axis.
         """
-        shape = self.grid.shape
-        if len(components) != len(shape) or any(
-            np.shape(comp) != shape for comp in components
-        ):
-            raise ValueError("field arrays must have grid shape")
-        ncorner = self.rho_1d.shape[1]
-        for k, comp in enumerate(components):
-            self.e_1d[:, k * ncorner:(k + 1) * ncorner] = np.append(
-                np.asarray(comp, dtype=np.float64), 0.0
-            )[self._corner_point]
+        self.body.broadcast_rows(self, components, (1.0,) * len(components))
 
     #: the names :class:`StandardFields` gives the same two operations
     set_field_from_grid = load_field_from_grid

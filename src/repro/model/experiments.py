@@ -197,8 +197,8 @@ class MissExperiment:
                 self._advance_iteration()
             else:
                 # mirror the split stepper: trace each loop right before
-                # executing it, against the live state
-                st.fields.reset_rho()
+                # executing it, against the live state (the deposit
+                # writes rho, so nothing is zeroed first)
                 if LoopKind.UPDATE_V in self.loops:
                     res = hierarchy.simulate(
                         trace_update_velocities(st.particles, self.mmap, st.ordering)
@@ -227,7 +227,6 @@ class MissExperiment:
     def _advance_iteration(self) -> None:
         """Advance physics one step without re-tracing (fused mode)."""
         st = self.stepper
-        st.fields.reset_rho()
         st._phase_update_v()
         st._phase_update_x()
         st._phase_accumulate()

@@ -43,10 +43,8 @@ class DistributedPICStepper(PICStepper):
         self.comm = comm
         super().__init__(*args, **kwargs)
 
-    def _solve_fields(self) -> None:
-        self.rho_grid = self.comm.allreduce(self.fields.rho_grid())
-        _, self.ex_grid, self.ey_grid = self.solver.solve(self.rho_grid)
-        self._load_fields()
+    def _fold_rho(self) -> np.ndarray:
+        return self.comm.allreduce(super()._fold_rho())
 
 
 def split_population(particles: ParticleStorage, nranks: int) -> list[dict]:

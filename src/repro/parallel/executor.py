@@ -14,11 +14,13 @@ genuine OS processes:
   loops of Fig. 1 across the pool — gather/kick/push by particle
   range, the charge deposit by **corner ownership** (each worker folds
   whole corner columns of ``rho_1d`` — cut into cell ranges only
-  beyond ``ncorner`` workers — into a private slab the parent adds) so
-  the parallel ρ is bitwise-identical to the serial deposit at any
-  worker count.  Every shard runs one in-process backend's kernels,
-  the engine's *body*, picked once before the pool forks: the compiled
-  ``c`` loops wherever they build, else ``numpy`` (bitwise equal);
+  beyond ``ncorner`` workers — into a private slab the parent copies
+  into ``rho_1d``) so the parallel ρ is bitwise-identical to the serial
+  deposit at any worker count.  Every shard runs one in-process
+  backend's kernels, the engine's *body*, picked once before the pool
+  forks: the compiled ``c`` loops wherever they build, else ``numpy``
+  (bitwise equal); the parent's ρ fold and field broadcast run the same
+  body;
 * a :class:`MultiprocessBackend` registered as ``"numpy-mp"`` so the
   stepper, :class:`~repro.core.simulation.Simulation` and the CLI
   (``--backend numpy-mp --workers N``) drive it unchanged.
@@ -31,8 +33,8 @@ and its shards are recomputed in the parent, counted in
 update-v/update-x loops write to a *back buffer* the parent commits by
 exchanging array bindings (:meth:`SharedParticleStorage.flip`), so a
 worker dying mid-write never corrupts the inputs the serial retry
-reads; the deposit slab is private and re-zeroed, so every retry is
-idempotent.
+reads; the deposit writes its owned slab pieces outright, so every
+retry is idempotent.
 """
 
 from __future__ import annotations
@@ -139,11 +141,11 @@ def _exec_deposit(body, slab, icell, offsets, groups, charge):
     folded over the particles in index order — the serial deposit's own
     operations and order, hence its bits.  A range spanning the grid
     takes the particle arrays as they are; a proper sub-range selects
-    its particles first (``flatnonzero`` keeps index order).  The owned
-    slab pieces are re-zeroed first, making retries idempotent.
+    its particles first (``flatnonzero`` keeps index order).  The
+    deposit writes the owned slab pieces rather than adding into them,
+    so a retry is idempotent.
     """
     for lo, hi, corners in groups:
-        slab[corners, lo:hi] = 0.0
         keys, offs = icell, offsets
         if (lo, hi) != (0, slab.shape[1]):
             sel = np.flatnonzero((icell >= lo) & (icell < hi))
@@ -636,8 +638,8 @@ class ShmEngine:
                     "charge": float(charge)})
              for wid, groups in enumerate(tasks) if groups],
         )
-        # the tasks tile the slab, so one add is the whole reduction
-        gs.rho_1d += gs.slab.T
+        # the tasks tile the slab, so one copy is the whole reduction
+        np.copyto(gs.rho_1d, gs.slab.T)
 
     # ------------------------------------------------------------------
     def ping(self, timeout=5.0) -> list[bool]:
@@ -685,7 +687,9 @@ class MultiprocessBackend(NumpyBackend):
     from a prepared stepper in split-loop redundant-SoA mode) are
     dispatched to the pool, whose workers run the engine's body — the
     kernels ``"auto"`` resolves to, ``c``'s compiled loops wherever
-    they build (the name is historical).  Everything else — direct
+    they build (the name is historical); the ρ fold and the field
+    broadcast of the engine's store run that body in the parent.
+    Everything else — direct
     kernel calls, calls with ``out=`` / ``corners=`` / ``dst=``, the
     sort, the fused sweep, standard/AoS layouts — runs the inherited
     :class:`NumpyBackend` kernels serially, with identical results.
@@ -762,6 +766,19 @@ class MultiprocessBackend(NumpyBackend):
     def engine_for(self, stepper) -> ShmEngine | None:
         """The live engine prepared for ``stepper``, if any."""
         return self._engines.get(id(stepper))
+
+    # -- the parent's per-cell loops run on the engine's body
+    def reduce_rows(self, fields):
+        eng = _engine_owning(fields.rho_1d)
+        if eng is None:
+            return super().reduce_rows(fields)
+        return eng.body.reduce_rows(fields)
+
+    def broadcast_rows(self, fields, components, scales):
+        eng = _engine_owning(fields.e_1d)
+        if eng is None:
+            return super().broadcast_rows(fields, components, scales)
+        eng.body.broadcast_rows(fields, components, scales)
 
     # -- kernel dispatch: the four split-loop kernels
     def interpolate_rows(self, e_1d, icell, offsets, out=None):

@@ -230,16 +230,16 @@ class SharedGrid:
     and holds the deposit's target and cuts:
 
     * ``slab`` — corner-major ``(ncorner, nalloc)``; task ``(c, range)``
-      zeroes and fills ``slab[c, range]``, and the parent adds the
-      whole slab into ``rho_1d`` once every task is in;
+      writes ``slab[c, range]`` (the deposit overwrites), and the parent
+      copies the whole slab into ``rho_1d`` once every task is in;
     * ``cell_ranges`` — the contiguous cell ranges each column is cut
       into (any disjoint contiguous cover of ``nalloc``; one range
       spanning the grid until there are more workers than corners).
 
     Every ``slab`` element has one owning task, which folds exactly
     the bincount terms the serial deposit would put in the matching
-    ``rho_1d`` element (same particles, same order), so the reduction
-    is bitwise-identical to the serial deposit at any worker count and
+    ``rho_1d`` element (same particles, same order), so the copy is
+    bitwise-identical to the serial deposit at any worker count and
     for any cuts.
     """
 

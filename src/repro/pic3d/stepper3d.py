@@ -1,12 +1,13 @@
 """Config-driven 3d3v leap-frog PIC stepper on redundant cell rows.
 
 A client of the 2D machinery: the step loop, sort, loop-path
-dispatch, phase hooks, backend lifecycle *and the phase bodies* are
-:class:`repro.core.stepper.StepLoop`'s, the field store the generic
-:class:`~repro.grid.fields.RedundantFields`, the particles a
-:class:`~repro.particles.storage.ParticleSoA` with ``ndim=3``, and
-``numpy-mp`` drives it through the same engine as 2D.  What lives here
-is the 3D state: constructor, particle loader, energies and the solve.
+dispatch, phase hooks, backend lifecycle *and the phase bodies*, the
+solve included, are :class:`repro.core.stepper.StepLoop`'s, the field
+store the generic :class:`~repro.grid.fields.RedundantFields`, the
+particles a :class:`~repro.particles.storage.ParticleSoA` with
+``ndim=3``, and ``numpy-mp`` drives it through the same engine as 2D.
+What lives here is the 3D state: constructor, particle loader,
+energies and the field scales.
 
 One deliberate divergence from 2D: the 3D stepper only implements
 *hoisted* units (velocities stored as grid displacement per step,
@@ -203,6 +204,7 @@ class PICStepper3D(StepLoop):
     # ------------------------------------------------------------------
     @property
     def _field_scales(self) -> tuple[float, float, float]:
+        """Physical field -> displacement per step, per axis."""
         dx, dy, dz = self.grid.spacings
         f = self.q * self.dt**2 / self.m
         return f / dx, f / dy, f / dz
@@ -222,19 +224,6 @@ class PICStepper3D(StepLoop):
     @property
     def sort_period(self) -> int:
         return self.config.sort_period
-
-    # ------------------------------------------------------------------
-    def _solve_fields(self) -> None:
-        self.rho_grid = self.fields.reduce_rho_to_grid()
-        _, self.ex_grid, self.ey_grid, self.ez_grid = self.solver.solve(self.rho_grid)
-        self._load_fields()
-
-    def _load_fields(self) -> None:
-        """Store the solved field pre-scaled to displacement per step."""
-        sx, sy, sz = self._field_scales
-        self.fields.load_field_from_grid(
-            self.ex_grid * sx, self.ey_grid * sy, self.ez_grid * sz
-        )
 
     # ------------------------------------------------------------------
     def field_energy(self) -> float:

@@ -489,8 +489,11 @@ def serve_spool(spool, *, max_workers: int = 2, poll: float = 0.2,
         and the period of the housekeeping (lease heartbeats, the
         stale-claim sweep).
     ``drain``:
-        Exit once the queue is empty and every claimed job is
-        terminal — the batch-campaign mode (``repro serve --drain``);
+        Exit once the queue is empty, every claimed job is terminal
+        and no other server holds a claim (a killed server's claim
+        returns to the queue once its lease is stale past
+        ``lease_ttl``, and is run here) — the batch-campaign mode
+        (``repro serve --drain``);
         without it the server serves forever (SIGTERM/Ctrl-C to stop;
         running jobs are parked by the engine's shutdown).
     ``max_jobs``:
@@ -613,9 +616,12 @@ def serve_spool(spool, *, max_workers: int = 2, poll: float = 0.2,
                         on_settle(spool_id, doc)
                 done_claiming = (max_jobs is not None
                                  and claimed_count >= max_jobs)
+                # draining waits out other servers' claims too: a dead
+                # one's comes back through the stale sweep, and runs here
                 if not live and (done_claiming or (drain and not any(
                         p for p in queue.glob("*.json")
-                        if not p.name.endswith(".rejected.json")))):
+                        if not p.name.endswith(".rejected.json"))
+                        and not _claim_docs(claimed))):
                     return settled
                 woke = wakeups.wait(chores.remaining())
     except KeyboardInterrupt:  # pragma: no cover - interactive stop

@@ -70,16 +70,17 @@ class TestRegistry:
     def test_registry_lists_exactly_three(self):
         assert known_backend_names() == ("numpy", "c", "numpy-mp")
 
-    def test_surface_is_nine_kernels_three_hooks_seven_adapters(self):
-        """What a backend can override is the abstract set; the
-        axis-spelled names the frozen ledger calls are adapters defined
-        once on the base class, and no registered backend overrides
-        one."""
+    def test_surface_is_eleven_kernels_three_hooks_seven_adapters(self):
+        """What a backend can override is the abstract set — the
+        particle loops of both layouts and the redundant layout's two
+        per-cell loops; the axis-spelled names the frozen ledger calls
+        are adapters defined once on the base class, and no registered
+        backend overrides one."""
         import repro.core.backends as B
 
         kernels = {
             "interpolate_rows", "accumulate_rows", "kick", "push", "fused_rows",
-            "counting_sort_permutation",
+            "counting_sort_permutation", "reduce_rows", "broadcast_rows",
             "interpolate_standard", "accumulate_standard", "fused_standard",
         }
         hooks = {"is_available", "prepare_stepper", "release_stepper"}

@@ -6,11 +6,15 @@ Three promises, each with its own class:
   ``np.array_equal``, over both dimensions, populations around the NumPy
   block size, all three wraps, every ordering, stored and recomputed
   coordinates, scales 0 / 1 / other and particles several periods
-  outside the box; the fused sweep equals the split passes.
+  outside the box; the fused sweep equals the split passes; the ρ fold
+  and the field broadcast equal NumPy's byte for byte on every
+  ordering, non-square and non-power-of-two grids and NaN / ±inf /
+  −0.0 entries; every deposit ignores what its target held.
 * **Defined on every input** — non-finite positions, cell indices
-  outside the grid, empty and one-particle populations, columns that do
-  not fit the C ABI.  ``tools/c_sanitize_gate.py`` runs the first two
-  classes against a ``-fsanitize=undefined`` build.
+  outside the grid (of a particle or of the grid loops' cell map),
+  empty and one-particle populations, columns that do not fit the C
+  ABI.  ``tools/c_sanitize_gate.py`` runs the first two classes against
+  a ``-fsanitize=undefined`` build.
 * **The build** — concurrent builders, a refused cache directory, a
   failing compiler, an object that does not load, cache hits.
 """
@@ -35,9 +39,10 @@ from repro.core.backends import (
 )
 from repro.core.kernels import BLOCK
 from repro.curves import get_ordering
-from repro.grid import GridSpec
+from repro.grid import GridSpec, RedundantFields
 from repro.particles import LandauDamping
 from repro.particles.storage import ParticleSoA
+from repro.pic3d import GridSpec3D
 from repro.pic3d.ordering3d import Morton3DOrdering, RowMajor3DOrdering
 from repro.resilience import FaultInjector, SupervisedRun
 
@@ -62,6 +67,38 @@ def _ordering(ndim, name):
     # rectangular where the curve allows it: Morton's surplus bits
     shape = (16, 16) if name == "hilbert" else (16, 8)
     return get_ordering(name, *shape), shape
+
+
+#: (ndim, ordering, grid shape, ordering kwargs) of the grid loops:
+#: every curve, non-square and non-power-of-two extents where the curve
+#: allows them, and an L4D tile that leaves padding rows
+GRIDS = [
+    (2, "row-major", (24, 40), {}), (2, "column-major", (24, 40), {}),
+    (2, "morton", (16, 8), {}), (2, "l4d", (24, 40), {"size": 7}),
+    (2, "hilbert", (16, 16), {}), (3, "row-major-3d", (12, 8, 20), {}),
+    (3, "morton-3d", (8, 4, 16), {}),
+]
+
+#: the values a fold or a broadcast must carry with NumPy's bits
+SPECIAL = (np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -1e308)
+
+
+def _fields(ndim, name, shape, kw, body):
+    """A field store whose fold and broadcast run ``body``."""
+    if ndim == 3:
+        cls = {"row-major-3d": RowMajor3DOrdering, "morton-3d": Morton3DOrdering}
+        f = RedundantFields(GridSpec3D(*shape), cls[name](*shape))
+    else:
+        f = RedundantFields(GridSpec(*shape), get_ordering(name, *shape, **kw))
+    f.body = body
+    return f
+
+
+def _with_specials(a):
+    """``a`` with every seventh entry one of :data:`SPECIAL`."""
+    flat = a.reshape(-1)
+    flat[::7] = np.resize(SPECIAL, len(flat[::7]))
+    return a
 
 
 def _population(rng, ndim, n, ordering, shape, stored):
@@ -115,12 +152,14 @@ class TestEquivalence:
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 
-        # deposit, onto a density that is not zero
-        rho = rng.normal(size=(ncell, 1 << ndim))
-        rho_c, rho_n = rho.copy(), rho.copy()
+        # deposit, onto garbage that both ignore: rho = sum, bitwise
+        # what a deposit onto zeros leaves
+        rho = _with_specials(rng.normal(size=(ncell, 1 << ndim)))
+        rho_c, rho_n, rho_0 = rho.copy(), rho.copy(), np.zeros_like(rho)
         c.accumulate_rows(rho_c, state.icell, offsets, -0.37)
         numpy.accumulate_rows(rho_n, state.icell, offsets, -0.37)
-        assert np.array_equal(rho_c, rho_n)
+        numpy.accumulate_rows(rho_0, state.icell, offsets, -0.37)
+        assert rho_c.tobytes() == rho_n.tobytes() == rho_0.tobytes()
 
         # push: the ledger's zero displacement, hoisted, un-hoisted
         for scales in ((0.0,) * ndim, (1.0,) * ndim, (0.37, 1.9, 0.5)[:ndim]):
@@ -172,9 +211,9 @@ class TestEquivalence:
     def test_column_deposit_equals_numpy(self, ndim):
         """``accumulate_rows(..., corners=)`` — any subset of the
         columns (the others are NULL to the C loop and untouched), onto
-        a density that is not zero, row-major and through the transposed
-        corner-major slab the ``numpy-mp`` worker passes, whole and on a
-        cell sub-range of it with range-relative keys."""
+        garbage the owned columns ignore, row-major and through the
+        transposed corner-major slab the ``numpy-mp`` worker passes,
+        whole and on a cell sub-range of it with range-relative keys."""
         c, numpy = get_backend("c"), get_backend("numpy")
         nc, n, ncell = 1 << ndim, 2 * BLOCK + 17, 64
         rng = np.random.default_rng(ndim)
@@ -199,6 +238,54 @@ class TestEquivalence:
                 assert np.array_equal(g, w), corners
             assert np.array_equal(got[0][:, others], rho[:, others])
             assert np.array_equal(got[1][others], slab[others])
+            full = np.zeros((ncell, nc))
+            numpy.accumulate_rows(full, icell, offsets, -0.37)
+            assert np.array_equal(got[0][:, corners], full[:, corners])
+
+    @pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
+    @pytest.mark.parametrize("ndim,curve,shape,kw", GRIDS)
+    def test_grid_loops_equal_numpy(self, ndim, curve, shape, kw):
+        """The ρ fold and the field broadcast through the cell map,
+        against NumPy's gathers through the corner maps, byte for byte
+        — NaN, ±inf and −0.0 included — at unit and other scales.  Rows
+        no cell maps to (L4D padding) are not read: NaN there does not
+        reach the fold, and the broadcast leaves them exactly zero."""
+        c, numpy = get_backend("c"), get_backend("numpy")
+        rng = np.random.default_rng(ndim)
+        fc, fn = (_fields(ndim, curve, shape, kw, b) for b in (c, numpy))
+        nalloc = fc.ordering.ncells_allocated
+        padding = np.setdiff1d(np.arange(nalloc), fc.cell_index_map())
+        assert (len(padding) > 0) == (curve == "l4d")
+
+        rho = _with_specials(rng.normal(size=(nalloc, 1 << ndim)))
+        rho[padding] = np.nan
+        fc.rho_1d[...] = fn.rho_1d[...] = rho
+        got, want = fc.reduce_rho_to_grid(), fn.reduce_rho_to_grid()
+        assert got.shape == shape and got.tobytes() == want.tobytes()
+        assert fc._corner_cell is None and fn._corner_cell is not None
+
+        for scales in ((1.0,) * ndim, (-0.37, 2.5, 1e-3)[:ndim]):
+            comps = [_with_specials(rng.normal(size=shape)) for _ in shape]
+            c.broadcast_rows(fc, comps, scales)
+            numpy.broadcast_rows(fn, comps, scales)
+            assert fc.e_1d.tobytes() == fn.e_1d.tobytes(), scales
+            assert not fc.e_1d[padding].tobytes().strip(b"\0")
+        assert fc._corner_point is None
+
+    @pytest.mark.parametrize("backend", ["c", "numpy", "numpy-mp"])
+    def test_corner_maps_are_built_by_the_numpy_body_only(self, backend):
+        """The two index maps (16 MiB at 512²) exist for NumPy's
+        gathers: a ``c`` run — and a ``numpy-mp`` run, whose parent
+        folds and broadcasts on its ``c`` body — never allocates them."""
+        grid = GridSpec(64, 64, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
+        cfg = OptimizationConfig(backend=backend, workers=2, sort_period=2)
+        with Simulation(grid, LandauDamping(alpha=0.05), 4096, cfg,
+                        dt=0.05, seed=1) as sim:
+            sim.run(3)
+            f = sim.stepper.fields
+            maps = (f._corner_cell, f._corner_point)
+        built = backend == "numpy"
+        assert [m is not None for m in maps] == [built, built]
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("n", SIZES)
@@ -369,6 +456,50 @@ class TestDefinedOnEveryInput:
         assert got == f"particle 500: cell index {ncell} outside [0, {ncell})"
         if os.path.isdir("/dev/shm"):
             assert not [s for s in segments if os.path.exists("/dev/shm/" + s)]
+
+    @pytest.mark.parametrize("ndim,curve,shape,kw", [GRIDS[0], GRIDS[3], GRIDS[5]])
+    def test_grid_loop_cell_outside_raises_and_writes_nothing(
+        self, ndim, curve, shape, kw
+    ):
+        c = get_backend("c")
+        rng = np.random.default_rng(0)
+        f = _fields(ndim, curve, shape, kw, c)
+        f.rho_1d[...] = rng.normal(size=f.rho_1d.shape)
+        comps = [rng.normal(size=shape) for _ in shape]
+        f.load_field_from_grid(*comps)
+        before = f.e_1d.copy()
+        nalloc, flat = len(f.rho_1d), f._cell_index_map.reshape(-1)
+        for bad in (nalloc, -1, np.iinfo(np.int64).min):
+            flat[37] = bad
+            with pytest.raises(IndexError, match="grid point 37"):
+                f.reduce_rho_to_grid()
+            with pytest.raises(IndexError, match="grid point 37"):
+                c.broadcast_rows(f, comps, (0.5,) * ndim)
+            assert f.e_1d.tobytes() == before.tobytes()
+
+    def test_grid_loop_arguments_that_do_not_fit_take_the_numpy_kernel(self):
+        """Fortran-order, strided, float32 or list components: NumPy's
+        bits; the wrong count or shape: NumPy's ValueError."""
+        c, numpy = get_backend("c"), get_backend("numpy")
+        rng = np.random.default_rng(0)
+        fc, fn = (_fields(*GRIDS[0], b) for b in (c, numpy))
+        shape = fc.grid.shape
+        ex, ey = rng.normal(size=shape), rng.normal(size=shape)
+        frozen = ey.copy()
+        frozen.flags.writeable = False
+        for comps in (
+            (np.asfortranarray(ex), ey), (ex, frozen),
+            (ex.astype(np.float32), ey), (ex.tolist(), ey),
+            (np.repeat(ex, 2, axis=1)[:, ::2], ey),
+        ):
+            c.broadcast_rows(fc, comps, (0.5, 2.0))
+            numpy.broadcast_rows(fn, comps, (0.5, 2.0))
+            assert fc.e_1d.tobytes() == fn.e_1d.tobytes()
+        for bad in ((ex,), (ex, ey[:, :-1]), (ex, ey, ey)):
+            with pytest.raises(ValueError):
+                fc.load_field_from_grid(*bad)
+        with pytest.raises(ValueError):
+            c.broadcast_rows(fc, (ex, ey), (1.0,))
 
     def test_arguments_that_do_not_fit_take_the_numpy_kernel(self):
         """Lists, int32 indices, strided views and read-only arrays:

@@ -145,13 +145,17 @@ class TestAccumulateStandard:
         assert rho[NCX - 1, 0] == pytest.approx(0.25)
         assert rho[0, NCY - 1] == pytest.approx(0.25)
 
-    def test_accumulates_additively(self, rng):
+    def test_overwrites_its_target(self, rng):
+        """``rho = Σ``, not ``rho += Σ``: whatever ``rho`` held is
+        ignored, and the bits are those of a deposit onto zeros."""
         ix, iy, dx, dy, _, _ = random_particle_arrays(rng, 100, NCX, NCY)
         rho = np.zeros((NCX, NCY))
         accumulate_standard(rho, ix, iy, dx, dy)
         once = rho.copy()
+        rho[:] = rng.normal(size=rho.shape)
+        rho[0, :3] = (np.nan, np.inf, -0.0)
         accumulate_standard(rho, ix, iy, dx, dy)
-        np.testing.assert_allclose(rho, 2 * once, atol=1e-12)
+        assert rho.tobytes() == once.tobytes()
 
 
 class TestAccumulateRedundant:

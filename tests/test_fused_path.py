@@ -166,13 +166,16 @@ class TestCellwiseParallelDeposit:
         np.testing.assert_array_equal(par, serial)
 
     def test_accumulates_into_existing_density(self, rng):
+        """The modelled deposit adds its private copies into what
+        ``rho_1d`` held (the kernel it calls writes its own target):
+        ``base`` plus the serial deposit, bitwise."""
         ncells, icell, dx, dy = self._random_deposit_inputs(rng, n=800)
         base = rng.random((ncells, 4))
-        serial = base.copy()
+        serial = np.zeros((ncells, 4))
         accumulate_rows(serial, icell, (dx, dy), -1.5)
         par = base.copy()
         cellwise_accumulate_redundant(par, icell, dx, dy, -1.5, 4)
-        np.testing.assert_array_equal(par, serial)
+        np.testing.assert_array_equal(par, base + serial)
 
 
 class TestSupervisorDegradesFusedBackend:

@@ -47,12 +47,10 @@ class TestCornerWeights:
 
 
 class TestStandardFields:
-    def test_shapes_and_reset(self, small_grid):
+    def test_shapes(self, small_grid):
         f = StandardFields(small_grid)
-        assert f.rho.shape == (16, 16)
-        f.rho[3, 4] = 7.0
-        f.reset_rho()
-        assert f.rho.sum() == 0.0
+        assert f.rho.shape == f.ex.shape == f.ey.shape == (16, 16)
+        assert f.rho_grid() is f.rho
 
     def test_set_field(self, small_grid, rng):
         f = StandardFields(small_grid)
@@ -247,7 +245,7 @@ class TestRedundantFieldsAnyDimension:
         assert rho.sum() == pytest.approx(0.25 * n, rel=1e-12)
         np.testing.assert_array_equal(f.rho_grid(), rho)
         # one particle sitting exactly on a node charges only that node
-        f.reset_rho()
+        # (the deposit writes rho_1d: the first deposit is gone)
         node = tuple(nc - 1 for nc in f.grid.shape)
         accumulate_rows(
             f.rho_1d, np.atleast_1d(f.ordering.encode(*node)),

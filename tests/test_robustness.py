@@ -126,7 +126,6 @@ class TestConservationUnderStress:
                         rng.normal(0, 40, n), rng.normal(0, 40, n))
         for _ in range(5):
             push_positions_bitwise(s, 16, 16, o)
-            fields.reset_rho()
             accumulate_rows(fields.rho_1d, s.icell, (s.dx, s.dy), 1.0)
             assert fields.rho_1d.sum() == pytest.approx(n, rel=1e-12)
 

@@ -374,6 +374,21 @@ class TestLeases:
             assert spool_mod._CLOCK_SKEW == before + 99.0
         assert spool_mod._CLOCK_SKEW == before
 
+    def test_drain_runs_a_dead_servers_unjournaled_claim(self, tmp_path):
+        """A server killed between claiming a document and journaling
+        it leaves a freshly leased claim no journal knows: a draining
+        server waits for the lease to go stale, sweeps it back and runs
+        it, rather than exiting with the job stranded."""
+        queue, claimed, claim = self._claimed_doc(tmp_path)
+        write_json_atomic(claim, {"id": "job-x", "job": small_job(
+            steps=6, checkpoint_every=50).as_dict()})
+        write_json_atomic(claim.with_name(claim.name + ".lease"),
+                          {"owner": "dead", "ts": time.time(), "pid": 1})
+        assert serve_spool(tmp_path, max_workers=1, poll=0.02, drain=True,
+                           lease_ttl=0.2) == 1
+        assert read_result(tmp_path, "job-x")["state"] == "succeeded"
+        assert list(claimed.iterdir()) == [] and list(queue.iterdir()) == []
+
     def test_serve_leaves_no_lease_litter(self, tmp_path):
         job = small_job(steps=6, checkpoint_every=50)
         submit_to_spool(tmp_path, job, job_id="leased")

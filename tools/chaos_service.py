@@ -12,9 +12,11 @@ Procedure (all sizes and the kill point are seeded):
 1. run the campaign to completion on a pristine spool with an
    in-process ``serve_spool`` — the **golden** summaries;
 2. run the same campaign in a ``repro serve --drain`` *subprocess*
-   against a fresh spool + data dir, and SIGKILL it after a seeded
-   number of jobs have settled (plus a seeded jitter sleep, so the
-   kill lands at an arbitrary point of a job, not a settle boundary);
+   against a fresh spool + data dir, and SIGKILL it once a seeded
+   number of jobs have settled *and* the server's journal shows a job
+   ``running`` that has not settled — so the kill always lands inside
+   a job, never at a settle boundary or after the queue drained (a
+   fixed sleep after the settle count raced small jobs' drain);
 3. while the server is down, submit two more jobs — the dead server
    left its ``wake`` FIFO behind with nobody reading it, and a
    submitter must neither block on it nor lose the job;
@@ -47,6 +49,7 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.service import PICJob, serve_spool, submit_to_spool  # noqa: E402
+from repro.service.journal import JobJournal  # noqa: E402
 
 #: what must match bitwise between a recovered and an uninterrupted
 #: campaign (scheduling artifacts — segments, timings, supervisor
@@ -92,6 +95,13 @@ def golden_run(campaign, workdir: pathlib.Path) -> dict[str, dict]:
     assert settled == len(campaign), f"golden run settled {settled}"
     return {k: normalize(v) for k, v in
             read_results(spool / "results").items()}
+
+
+def running_jobs(data_dir: pathlib.Path) -> list[str]:
+    """Jobs whose last journal record says a segment is running: the
+    server is inside them, and they have not settled."""
+    view = JobJournal.replay(data_dir / "journal.jsonl")
+    return sorted(job_id for job_id, v in view.items() if v["state"] == "running")
 
 
 def serve_subprocess(spool, data_dir, *, recover: bool) -> subprocess.Popen:
@@ -151,26 +161,22 @@ def main() -> int:
             submit_to_spool(spool, job, job_id=job_id)
 
         kill_after = rng.randrange(0, max(1, args.jobs - 1))
-        jitter = rng.uniform(0.0, 0.4)
         print(f"chaos serve: SIGKILL after {kill_after} settled "
-              f"result(s) + {jitter:.2f}s")
+              f"result(s), inside a running job")
         proc = serve_subprocess(spool, data, recover=False)
         deadline = time.monotonic() + args.timeout
-        killed = False
-        while time.monotonic() < deadline:
+        killed = []
+        while time.monotonic() < deadline and proc.poll() is None:
             if len(read_results(results)) >= kill_after:
-                time.sleep(jitter)
-                if proc.poll() is None:
+                killed = running_jobs(data)
+                if killed:
                     proc.send_signal(signal.SIGKILL)
-                    killed = True
-                break
-            if proc.poll() is not None:
-                break
+                    break
             time.sleep(0.02)
         proc.wait(timeout=args.timeout)
         if killed:
-            print(f"killed serve (pid {proc.pid}) with "
-                  f"{len(read_results(results))} result(s) settled")
+            print(f"killed serve (pid {proc.pid}) inside {', '.join(killed)} "
+                  f"with {len(read_results(results))} result(s) settled")
         else:
             failures.append("server drained before the kill point — "
                             "enlarge --steps so the kill lands mid-campaign")
