@@ -50,7 +50,7 @@ coverage:
 csan:
 	$(PYTHON) tools/c_sanitize_gate.py
 
-check-gates: docs-check chaos chaos-service csan bench-gate ledger-smoke verify-gate serve-latency test-service test-3d coverage
+check-gates: docs-check chaos chaos-service csan bench-gate ledger-smoke verify-gate serve-latency test-service test-3d coverage examples
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/
 	@echo "gate-status: tests ran"
 
@@ -117,8 +117,11 @@ verify-full:
 bench-scaling:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_shm_scaling.py --smoke
 
+# every runnable demo under examples/, end to end (~40 s; each asserts
+# what it demonstrates, so a failing one exits non-zero)
 examples:
 	for f in examples/*.py; do echo "== $$f =="; PYTHONPATH=src $(PYTHON) $$f || exit 1; done
+	@echo "gate-status: examples ran"
 
 results: test bench
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt

@@ -7,7 +7,8 @@ other call takes one), then demonstrates the operator surface
 documented in docs/service.md:
 
 * per-step diagnostics streamed off a running job,
-* cancelling one job mid-flight (partial history is retained),
+* cancelling a queued job (it never runs) and two running ones (they
+  stop at a step boundary; partial history is retained),
 * preempting a running job and letting the scheduler resume it from
   its parked checkpoint — and checking the resumed history is
   *bitwise identical* to an uninterrupted reference run.
@@ -49,13 +50,27 @@ def main():
                   f"{r.steps_total} steps  drift={r.energy_drift():.2e}  "
                   f"({job.case})")
 
-        print("\n--- cancel: a queued long job never reaches the pool ---")
+        print("\n--- cancel: a queued job never reaches the pool, "
+              "a running one stops mid-flight ---")
+        # occupy both workers first, so the victim really waits in the
+        # queue (a job's first event means a worker is running it)
+        busy = [engine.submit(base_job(steps=4_000)) for _ in range(2)]
+        for job_id in busy:
+            next(engine.stream(job_id))
         victim = engine.submit(base_job(steps=4_000, priority=-1))
         engine.cancel(victim)
         info = engine.status(victim)
         print(f"{victim}: {info.state.value} after "
               f"{info.steps_done} steps, {info.segments} segment(s)")
-        assert info.state is JobState.CANCELLED
+        assert info.state is JobState.CANCELLED and info.steps_done == 0
+        for job_id in busy:  # cooperative: settles at a step boundary
+            engine.cancel(job_id)
+        for job_id in busy:
+            r = engine.result(job_id)
+            print(f"{job_id}: {r.state.value} after {r.steps_done}/"
+                  f"{r.steps_total} steps (history kept: "
+                  f"{len(r.history.field_energy)} samples)")
+            assert r.state is JobState.CANCELLED and r.steps_done < r.steps_total
 
         print("\n--- preempt + resume: bitwise vs uninterrupted ---")
         # a walled plasma: the boundary rides the parked checkpoint

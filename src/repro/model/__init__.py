@@ -22,22 +22,24 @@ any host:
   ``repro calibrate`` fit query it.
 * :mod:`~repro.model.bandwidth` — STREAM-triad-calibrated
   channel-saturation bandwidth curve and roofline helpers.
-* :mod:`~repro.model.mpi` — an in-process MPI: thread-per-rank
-  execution with real collective semantics over numpy buffers, plus a
-  LogP-style collective cost model for timing.
-* :mod:`~repro.model.openmp` — simulated thread team: real partitioned
-  execution (private rho copies + deterministic reduction) plus the
-  roofline thread-scaling model (compute/p vs traffic/BW(p)).
-* :mod:`~repro.model.hybrid` — a distributed PIC stepper running on
-  the simulated MPI (physics identical to the serial code, which the
-  tests assert).
+* :mod:`~repro.model.mpi` — a LogP-style price of §V-A's per-step
+  charge-density allreduce.
+* :mod:`~repro.model.openmp` — the roofline thread-scaling model
+  (compute/p vs traffic/BW(p)) of §V-B.
 * :mod:`~repro.model.scaling` — the weak/strong scaling series of
   Figs. 7/9 and Tables VI/VII.
 * :mod:`~repro.model.domain_decomp` — the domain-decomposition
   alternative the paper argues against, priced on the same model.
 
+The model prices parallel execution and never performs it: §V's
+decomposition (fixed particle shares, a whole grid per worker, one ρ
+reduction per step) runs for real in the ``numpy-mp`` engine
+(:mod:`repro.parallel`), and no module here imports ``threading``,
+``queue``, ``multiprocessing`` or ``concurrent``
+(``tools/check_imports.py``).
+
 The dependency is one-way: the model imports the engine
-(``repro.core``, ``repro.parallel.partition``, …); nothing under
+(``repro.core``, ``repro.particles``, …); nothing under
 ``src/repro/`` outside this package and ``cli.py`` imports the model
 (``tools/check_imports.py``), so a run, a worker process and a
 ``repro serve`` process never load it.  Import the submodule you need;

@@ -1,165 +1,21 @@
-"""In-process simulated MPI with real collective semantics.
+"""The price of §V-A's one collective: the charge-density allreduce.
 
-``SimMPI(nranks).run(fn)`` executes ``fn(comm)`` once per rank, each on
-its own Python thread, with :class:`SimComm` providing the MPI-flavored
-operations the PIC code needs (``allreduce``, ``bcast``, ``barrier``,
-``gather``, point-to-point ``send``/``recv``).  Data really flows
-between ranks through shared numpy buffers, and reductions are summed
-in rank order on every rank so results are deterministic and identical
-everywhere — which is what lets the tests demand *bitwise* equality
-between a distributed run and its serial counterpart.
-
-Timing is separate: :class:`CollectiveCostModel` prices collectives
-with a LogP-flavored tree model, used by :mod:`repro.model.scaling`
-to produce the weak/strong scaling curves.  (On this substrate the
-threads share one interpreter, so wall-clock timing of the simulated
-ranks would measure the GIL, not Curie.)
+In the paper's scheme every MPI rank keeps a fixed share of the
+particles and a copy of the whole grid, and ρ is summed across ranks
+once per step.  That decomposition is *executed* by the ``numpy-mp``
+engine (:mod:`repro.parallel`), bitwise equal to the serial run at any
+worker count; this module only prices it.  :class:`CollectiveCostModel`
+is a LogP-flavored tree model plus a synchronization-skew term, used by
+:mod:`repro.model.scaling` and :mod:`repro.model.domain_decomp` for the
+weak/strong scaling curves of Figs. 7 and 9.
 """
 
 from __future__ import annotations
 
 import math
-import queue
-import threading
 from dataclasses import dataclass
 
-import numpy as np
-
-__all__ = ["SimMPI", "SimComm", "CollectiveCostModel"]
-
-
-class SimComm:
-    """Communicator handle owned by one simulated rank."""
-
-    def __init__(self, rank: int, size: int, shared: "_SharedState"):
-        self.rank = rank
-        self.size = size
-        self._shared = shared
-
-    # ------------------------------------------------------------------
-    def barrier(self) -> None:
-        """Block until every rank reaches the barrier."""
-        self._shared.barrier.wait()
-
-    def allreduce(self, array: np.ndarray) -> np.ndarray:
-        """Sum ``array`` across ranks; every rank returns the same total.
-
-        The sum is accumulated in ascending rank order on every rank,
-        so the result is bitwise identical everywhere and equal to the
-        serial left-to-right sum over ranks.
-        """
-        sh = self._shared
-        sh.slots[self.rank] = np.asarray(array)
-        sh.barrier.wait()
-        total = np.array(sh.slots[0], dtype=np.float64, copy=True)
-        for r in range(1, self.size):
-            total += sh.slots[r]
-        sh.barrier.wait()  # nobody overwrites slots until all have read
-        return total
-
-    def bcast(self, array: np.ndarray | None, root: int = 0) -> np.ndarray:
-        """Broadcast ``array`` from ``root``; other ranks pass None."""
-        sh = self._shared
-        if self.rank == root:
-            if array is None:
-                raise ValueError("root must supply the array")
-            sh.slots[root] = np.asarray(array)
-        sh.barrier.wait()
-        out = np.array(sh.slots[root], copy=True)
-        sh.barrier.wait()
-        return out
-
-    def gather(self, value, root: int = 0):
-        """Gather one python object per rank; root gets the list."""
-        sh = self._shared
-        sh.slots[self.rank] = value
-        sh.barrier.wait()
-        out = list(sh.slots) if self.rank == root else None
-        sh.barrier.wait()
-        return out
-
-    def allgather(self, value) -> list:
-        """Gather one object per rank onto every rank."""
-        sh = self._shared
-        sh.slots[self.rank] = value
-        sh.barrier.wait()
-        out = list(sh.slots)
-        sh.barrier.wait()
-        return out
-
-    # ------------------------------------------------------------------
-    def send(self, obj, dest: int, tag: int = 0) -> None:
-        """Blocking-queue point-to-point send."""
-        self._shared.channel(self.rank, dest, tag).put(obj)
-
-    def recv(self, source: int, tag: int = 0, timeout: float | None = 30.0):
-        """Receive from ``source``; raises ``queue.Empty`` on timeout."""
-        return self._shared.channel(source, self.rank, tag).get(timeout=timeout)
-
-
-class _SharedState:
-    """Buffers shared by all ranks of one SimMPI world."""
-
-    def __init__(self, size: int):
-        self.barrier = threading.Barrier(size)
-        self.slots: list = [None] * size
-        self._channels: dict[tuple[int, int, int], queue.Queue] = {}
-        self._chan_lock = threading.Lock()
-
-    def channel(self, src: int, dst: int, tag: int) -> queue.Queue:
-        key = (src, dst, tag)
-        with self._chan_lock:
-            if key not in self._channels:
-                self._channels[key] = queue.Queue()
-            return self._channels[key]
-
-
-class SimMPI:
-    """A simulated MPI world of ``nranks`` thread-backed ranks."""
-
-    def __init__(self, nranks: int):
-        if nranks <= 0:
-            raise ValueError("nranks must be positive")
-        self.nranks = nranks
-
-    def run(self, fn, timeout: float = 600.0) -> list:
-        """Execute ``fn(comm)`` on every rank; returns results by rank.
-
-        Exceptions raised on any rank abort the others' barriers and
-        are re-raised (first by rank order) in the caller.
-        """
-        shared = _SharedState(self.nranks)
-        results: list = [None] * self.nranks
-        errors: list = [None] * self.nranks
-
-        def worker(rank: int):
-            comm = SimComm(rank, self.nranks, shared)
-            try:
-                results[rank] = fn(comm)
-            except BaseException as exc:  # noqa: BLE001 - reported to caller
-                errors[rank] = exc
-                shared.barrier.abort()
-
-        threads = [
-            threading.Thread(target=worker, args=(r,), name=f"simmpi-rank-{r}")
-            for r in range(self.nranks)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=timeout)
-        if any(t.is_alive() for t in threads):
-            shared.barrier.abort()
-            raise TimeoutError("simulated MPI ranks did not finish")
-        # prefer the root-cause exception: aborted barriers on other
-        # ranks are a consequence, not the failure itself
-        for err in errors:
-            if err is not None and not isinstance(err, threading.BrokenBarrierError):
-                raise err
-        for err in errors:
-            if err is not None:
-                raise err
-        return results
+__all__ = ["CollectiveCostModel"]
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,13 @@
-"""Simulated OpenMP: partitioned execution + roofline thread scaling.
+"""Roofline thread scaling: the price of §V-B's OpenMP team.
 
-Functional half — the shared-memory semantics of §V-B executed for
-real (single interpreter, thread-partitioned data):
+The shared-memory scheme itself — threads splitting the particle range,
+the deposit race resolved without giving up serial bits — is executed
+by the ``numpy-mp`` engine (:mod:`repro.parallel`), whose corner-owned
+deposit is bitwise equal to the serial one at any worker count.  This
+module only prices it.
 
-* static partitioning of the particle range across threads;
-* the accumulate race resolved the paper's way: each thread deposits
-  into a *private* charge copy, then the copies are reduced in thread
-  order (the hand-coded equivalent of OpenMP 4.5's
-  ``reduction(+:rho[0:ncells][0:4])`` the paper had to write for icc).
-
-Timing half — :class:`ThreadScalingModel`, the paper's own explanation
-of its scaling knee made executable: on ``p`` threads a loop takes
+:class:`ThreadScalingModel` is the paper's own explanation of its
+scaling knee made executable: on ``p`` threads a loop takes
 ``max(compute_time / p, traffic / BW(p))`` where ``BW(p)`` is the
 channel-saturation curve.  update-positions is traffic-bound and stops
 scaling once the channels saturate (4 on SandyBridge); update-v and
@@ -22,82 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.config import OptimizationConfig
-from repro.core.kernels import accumulate_rows, accumulate_standard
 from repro.model.bandwidth import BandwidthModel, loop_bytes_per_particle
 from repro.model.costmodel import LoopCostModel, LoopKind
 from repro.model.machine import MachineSpec
-from repro.parallel.partition import partition_range
 
-__all__ = [
-    "parallel_accumulate_redundant",
-    "parallel_accumulate_standard",
-    "cellwise_accumulate_redundant",
-    "ThreadScalingModel",
-]
-
-
-def parallel_accumulate_redundant(
-    rho_1d: np.ndarray, icell, dx, dy, charge: float, nthreads: int
-) -> None:
-    """Thread-partitioned accumulate with private copies + reduction.
-
-    Each simulated thread deposits its particle slice into its own
-    zero-initialized copy of ``rho_1d``; the copies are then summed in
-    thread order into the shared array.  Per-thread execution is
-    sequential here (one interpreter), but the partitioning, the
-    private buffers, and the reduction order are exactly those of the
-    racing-free OpenMP scheme — the tests assert the result matches the
-    serial deposit.
-    """
-    privates = []
-    for sl in partition_range(len(icell), nthreads):
-        priv = np.zeros_like(rho_1d)
-        accumulate_rows(priv, icell[sl], (dx[sl], dy[sl]), charge)
-        privates.append(priv)
-    for priv in privates:  # deterministic thread-order reduction
-        rho_1d += priv
-
-
-def cellwise_accumulate_redundant(
-    rho_1d: np.ndarray, icell, dx, dy, charge: float, nthreads: int
-) -> None:
-    """Cell-ownership deposit: private copies, *bitwise* thread-invariant.
-
-    The particle-partitioned scheme above matches the serial deposit
-    only to rounding (each bin's sum is re-associated at the thread
-    boundary).  This variant partitions the *cells* instead: thread
-    ``t`` owns the contiguous cell range ``[t*C/p, (t+1)*C/p)``, scans
-    the whole particle array, and deposits only the particles whose
-    cell it owns into its private copy.  Rows are disjoint across
-    threads, and within a bin the contributions arrive in particle
-    order — exactly the order the serial deposit sums them — so the
-    reduction is bitwise equal to the serial result and invariant to
-    ``nthreads``.  The trade is p passes over the particle keys for a
-    race-free, reproducible reduction.
-    """
-    icell = np.asarray(icell)
-    for sl in partition_range(rho_1d.shape[0], nthreads):
-        own = (icell >= sl.start) & (icell < sl.stop)
-        idx = np.nonzero(own)[0]  # ascending: preserves particle order
-        priv = np.zeros((sl.stop - sl.start, rho_1d.shape[1]), dtype=rho_1d.dtype)
-        accumulate_rows(priv, icell[idx] - sl.start, (dx[idx], dy[idx]), charge)
-        rho_1d[sl] += priv  # disjoint row ranges: order-free reduction
-
-
-def parallel_accumulate_standard(
-    rho: np.ndarray, ix, iy, dx, dy, charge: float, nthreads: int
-) -> None:
-    """Thread-partitioned accumulate for the point-based layout."""
-    privates = []
-    for sl in partition_range(len(ix), nthreads):
-        priv = np.zeros_like(rho)
-        accumulate_standard(priv, ix[sl], iy[sl], dx[sl], dy[sl], charge)
-        privates.append(priv)
-    for priv in privates:
-        rho += priv
+__all__ = ["ThreadScalingModel"]
 
 
 @dataclass

@@ -1,8 +1,9 @@
 """Real shared-memory multiprocessing engine for the §V-B loops.
 
-Where :mod:`repro.model.openmp` *emulates* the paper's thread-team
-semantics inside one interpreter, this module executes them across
-genuine OS processes:
+The one executed rendering of §V's decomposition — fixed particle
+shares, a whole grid per worker, one ρ reduction per step (the
+model's :mod:`repro.model.openmp` / :mod:`repro.model.mpi` only price
+it).  It runs across genuine OS processes:
 
 * a persistent :class:`WorkerPool` of ``multiprocessing`` processes,
   each attached lazily to the shared-memory arrays of

@@ -1,9 +1,9 @@
 """Shared-memory storage for the real multiprocessing engine (§V-B).
 
-The simulated layers (:mod:`repro.model.mpi`,
-:mod:`repro.model.openmp`) reproduce the paper's *semantics* inside
-one interpreter.  This module provides the storage half of the real
-thing: particle attributes and the redundant ``E_1d``/``rho_1d`` grids
+The paper-model layers (:mod:`repro.model.mpi`,
+:mod:`repro.model.openmp`) only price §V's parallel execution; the
+``numpy-mp`` engine runs it.  This module is that engine's storage
+half: particle attributes and the redundant ``E_1d``/``rho_1d`` grids
 placed in :mod:`multiprocessing.shared_memory` blocks so genuine OS
 processes can run the three particle loops of Fig. 1 concurrently.
 

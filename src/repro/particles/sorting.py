@@ -10,11 +10,12 @@ Two variants mirror §V-B1:
 * **out-of-place** — one pass to histogram, one scatter pass into a
   second buffer; one store per particle but double memory.  The paper
   measures it twice as fast as in-place and parallelizes it.
-* **in-place** — cycle-following permutation application; no extra
-  buffer but ~3 memory operations per displaced particle.  Above
-  ``CYCLE_SORT_THRESHOLD`` particles the Python cycle walk is replaced
-  by a vectorized permutation application (one scratch array per
-  attribute) — same result, linear speed.
+* **in-place** — the permutation is applied to the storage's own
+  columns, one column at a time: each is gathered (``np.take``) into
+  one N-sized scratch array and copied back.  That is not the paper's
+  O(1)-memory cycle walk (~3 memory operations per displaced particle):
+  at most one column's worth of extra memory is live at a time, and
+  the result is the same ordering.
 
 Every function in this module is a pure function of its array inputs
 (plus in-place writes to caller-owned outputs); none keeps global
@@ -28,15 +29,14 @@ scatter pass, the one step NumPy has no primitive for, is executed at
 C speed through SciPy's COO→CSR conversion, whose inner loop is
 exactly the counting-sort cursor scatter (stable: within each cell the
 original particle order survives).  On 2M keys over 4096 cells this
-measures ~5x faster than ``np.argsort(kind="stable")``.  Installs
-without SciPy fall back to the stable argsort (radix sort on int64 —
-same permutation, just not the textbook scatter).  The ``c`` backend
+measures ~5x faster than ``np.argsort(kind="stable")``.  The ``c`` backend
 runs the cursor loop itself (``sort_permutation`` in ``ckernels.c``).
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from repro.particles.storage import ParticleStorage
 
@@ -45,18 +45,7 @@ __all__ = [
     "counting_sort_permutation_reference",
     "sort_out_of_place",
     "sort_in_place",
-    "CYCLE_SORT_THRESHOLD",
 ]
-
-#: Above this many particles, :func:`sort_in_place` applies the
-#: permutation with vectorized gathers (one scratch array at a time)
-#: instead of the O(N) Python cycle walk.
-CYCLE_SORT_THRESHOLD = 4096
-
-try:  # soft dependency: the stable scatter pass runs through scipy
-    from scipy import sparse as _sparse
-except Exception:  # pragma: no cover - scipy is a declared dependency
-    _sparse = None
 
 
 def counting_sort_permutation(keys: np.ndarray, ncells: int) -> np.ndarray:
@@ -84,9 +73,7 @@ def counting_sort_permutation(keys: np.ndarray, ncells: int) -> np.ndarray:
         raise ValueError("keys out of range [0, ncells)")
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    if _sparse is None:  # pragma: no cover - scipy is a declared dependency
-        return np.argsort(keys, kind="stable")
-    mat = _sparse.csr_matrix(
+    mat = sparse.csr_matrix(
         (
             np.broadcast_to(np.int8(1), (n,)),
             (keys.astype(np.int64, copy=False), np.arange(n, dtype=np.int64)),
@@ -143,22 +130,13 @@ def sort_in_place(
     particles: ParticleStorage,
     ncells: int,
     perm_fn=None,
-    cycle_threshold: int | None = None,
 ) -> None:
-    """Cycle-following in-place sort by cell index.
+    """Sort by cell index into the storage's own columns.
 
-    Applies the sorting permutation attribute-by-attribute using cycle
-    decomposition — O(1) extra storage per attribute, ~3 moves per
-    displaced element, which is why the paper measures it at half the
-    speed of the out-of-place variant.
-
-    The Python cycle walk is O(N) interpreter iterations; above
-    ``cycle_threshold`` particles (default
-    :data:`CYCLE_SORT_THRESHOLD`) it is replaced by a vectorized
-    permutation application — one gather into a scratch array per
-    attribute, copied back — which trades O(1) extra memory for one
-    attribute's worth and runs at memory speed.  Both produce the same
-    ordering.
+    Applies the sorting permutation column by column: one gather into
+    an N-sized scratch array, copied back, so one column's worth of
+    extra memory is live at a time (the paper's variant is an O(1)
+    cycle walk, which it measures at half the out-of-place speed).
 
     Equivalence promise: the final particle ordering is identical to
     :func:`sort_out_of_place` (both apply the same unique stable
@@ -168,28 +146,5 @@ def sort_in_place(
     """
     perm_fn = perm_fn or counting_sort_permutation
     perm = perm_fn(particles.icell, ncells)
-    arrays = [arr for _name, arr in particles.items()]
-    n = particles.n
-    if cycle_threshold is None:
-        cycle_threshold = CYCLE_SORT_THRESHOLD
-    if n > cycle_threshold:
-        for arr in arrays:
-            arr[:] = np.take(np.asarray(arr), perm)
-        return
-    visited = np.zeros(n, dtype=bool)
-    for start in range(n):
-        if visited[start] or perm[start] == start:
-            visited[start] = True
-            continue
-        # rotate the cycle containing `start`
-        cycle = []
-        j = start
-        while not visited[j]:
-            visited[j] = True
-            cycle.append(j)
-            j = perm[j]
-        for arr in arrays:
-            tmp = arr[cycle[0]]
-            for idx in range(len(cycle) - 1):
-                arr[cycle[idx]] = arr[cycle[idx + 1]]
-            arr[cycle[-1]] = tmp
+    for _name, arr in particles.items():
+        arr[:] = np.take(np.asarray(arr), perm)

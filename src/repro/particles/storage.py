@@ -124,10 +124,9 @@ class ParticleStorage(abc.ABC):
         """Apply a permutation: element j of the result is element perm[j].
 
         With ``out`` this is the paper's *out-of-place* sort application
-        (one store per particle, twice the memory); without it a
-        temporary is still created per attribute — numpy fancy indexing
-        cannot permute truly in place (see :func:`repro.particles.sorting.sort_in_place`
-        for the cycle-following in-place variant).
+        (one store per particle, twice the memory); without it a fresh
+        storage is created (:func:`repro.particles.sorting.sort_in_place`
+        permutes the storage's own columns instead).
         Returns the storage holding the reordered particles.
         """
         dst = out if out is not None else self.clone_empty()

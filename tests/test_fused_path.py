@@ -19,10 +19,7 @@ import pytest
 import repro.core.backends as B
 from repro.core import OptimizationConfig, Simulation
 from repro.core.backends import CBackend, NumpyBackend, register_backend
-from repro.core.kernels import accumulate_rows
-from repro.curves import get_ordering
 from repro.grid import GridSpec
-from repro.model.openmp import cellwise_accumulate_redundant
 from repro.particles import LandauDamping
 from repro.resilience import FaultInjector, SupervisedRun
 
@@ -145,37 +142,6 @@ class TestFusedBitwiseEquivalence:
              _sim({**base, "loop_mode": "fused", "backend": "fused-composite"},
                   steps=self.STEPS) as fused_sim:
             _assert_bitwise_equal_states(fused_sim, split_sim)
-
-
-class TestCellwiseParallelDeposit:
-    """§V-B private copies + reduction: bitwise thread invariance."""
-
-    def _random_deposit_inputs(self, rng, n=5000):
-        o = get_ordering("morton", 16, 16)
-        ncells = o.ncells_allocated
-        icell = rng.integers(0, ncells, n).astype(np.int64)
-        return ncells, icell, rng.random(n), rng.random(n)
-
-    @pytest.mark.parametrize("nthreads", [1, 2, 4, 7])
-    def test_bitwise_equal_to_serial_for_any_thread_count(self, rng, nthreads):
-        ncells, icell, dx, dy = self._random_deposit_inputs(rng)
-        serial = np.zeros((ncells, 4))
-        accumulate_rows(serial, icell, (dx, dy), 0.37)
-        par = np.zeros((ncells, 4))
-        cellwise_accumulate_redundant(par, icell, dx, dy, 0.37, nthreads)
-        np.testing.assert_array_equal(par, serial)
-
-    def test_accumulates_into_existing_density(self, rng):
-        """The modelled deposit adds its private copies into what
-        ``rho_1d`` held (the kernel it calls writes its own target):
-        ``base`` plus the serial deposit, bitwise."""
-        ncells, icell, dx, dy = self._random_deposit_inputs(rng, n=800)
-        base = rng.random((ncells, 4))
-        serial = np.zeros((ncells, 4))
-        accumulate_rows(serial, icell, (dx, dy), -1.5)
-        par = base.copy()
-        cellwise_accumulate_redundant(par, icell, dx, dy, -1.5, 4)
-        np.testing.assert_array_equal(par, base + serial)
 
 
 class TestSupervisorDegradesFusedBackend:

@@ -5,7 +5,9 @@ Two halves: the static rule of ``tools/check_imports.py`` (no import of
 ``repro.model`` under ``src/repro/`` outside ``repro/model/`` and
 ``cli.py``, at any nesting depth) and its runtime counterpart (a
 stepped ``numpy`` / ``numpy-mp`` run and an idle ``JobEngine`` leave no
-``repro.model*`` module in ``sys.modules``).
+``repro.model*`` module in ``sys.modules``).  Its mirror: nothing under
+``repro/model/`` imports a concurrency module — the model prices §V's
+parallel execution, ``numpy-mp`` is the one rendering that runs it.
 """
 
 import os
@@ -75,6 +77,40 @@ def test_lint_sees_an_import_at_any_depth(tmp_path):
     flagged = sorted(e.split(":")[0].rsplit("/", 1)[-1] for e in errors)
     assert flagged == ["lazy.py", "relative.py", "typed.py"]
     assert any(e.split(":")[1] == "2" and "lazy.py" in e for e in errors)
+
+
+def test_model_lint_is_green_on_the_tree():
+    assert load_tool("check_imports").check_model_concurrency() == []
+
+
+def test_model_lint_sees_a_concurrency_import_at_any_depth(tmp_path):
+    """The model prices parallel execution and never performs it: an
+    import of ``threading`` / ``queue`` / ``multiprocessing`` /
+    ``concurrent`` anywhere under ``repro/model/`` fails; the engine
+    packages may import them."""
+    pkg = tmp_path / "repro"
+    for sub in ("model", "parallel"):
+        (pkg / sub).mkdir(parents=True)
+    (pkg / "model" / "ranks.py").write_text(
+        "def run():\n    import threading\n    return threading\n"
+    )
+    (pkg / "model" / "pool.py").write_text(
+        "from concurrent.futures import ThreadPoolExecutor\n"
+    )
+    (pkg / "model" / "typed.py").write_text(
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n    import multiprocessing.shared_memory\n"
+    )
+    (pkg / "model" / "chan.py").write_text("x = 1\nfrom queue import Queue\n")
+    (pkg / "model" / "clean.py").write_text(
+        "import math\nfrom . import queueing\nimport repro.parallel.partition\n"
+    )
+    (pkg / "parallel" / "shm.py").write_text("import multiprocessing, threading\n")
+    errors = load_tool("check_imports").check_model_concurrency(tmp_path)
+    flagged = sorted(e.split(":")[0].rsplit("/", 1)[-1] for e in errors)
+    assert flagged == ["chan.py", "pool.py", "ranks.py", "typed.py"]
+    assert any("ranks.py:2: imports threading" in e for e in errors)
+    assert any("chan.py:2: imports queue" in e for e in errors)
 
 
 def test_dimension_ratchet_is_by_name(tmp_path):

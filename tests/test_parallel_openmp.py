@@ -1,74 +1,14 @@
-"""Simulated-OpenMP tests: partitioning, reductions, roofline scaling."""
+"""The roofline thread-scaling model and the Table VI/VII shapes it
+prices."""
 
-import numpy as np
 import pytest
 
 from repro.core import OptimizationConfig
-from repro.core.kernels import accumulate_rows, accumulate_standard
-from repro.curves import get_ordering
 from repro.model.costmodel import LoopKind
 from repro.model.machine import MachineSpec
-from repro.model.openmp import (
-    ThreadScalingModel,
-    parallel_accumulate_redundant,
-    parallel_accumulate_standard,
-)
-from repro.parallel.partition import partition_range
-from tests.conftest import random_particle_arrays
+from repro.model.openmp import ThreadScalingModel
 
 OPT = OptimizationConfig.fully_optimized()
-
-
-class TestPartitionRange:
-    def test_covers_exactly(self):
-        slices = partition_range(100, 7)
-        covered = []
-        for sl in slices:
-            covered.extend(range(sl.start, sl.stop))
-        assert covered == list(range(100))
-
-    def test_balanced(self):
-        sizes = [sl.stop - sl.start for sl in partition_range(100, 7)]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_more_threads_than_work(self):
-        slices = partition_range(2, 8)
-        assert len(slices) == 8
-        sizes = [sl.stop - sl.start for sl in slices]
-        assert sum(sizes) == 2
-
-    def test_rejects_bad_threads(self):
-        with pytest.raises(ValueError):
-            partition_range(10, 0)
-
-
-class TestParallelAccumulate:
-    @pytest.mark.parametrize("nthreads", [1, 2, 3, 8])
-    def test_redundant_matches_serial(self, rng, nthreads):
-        o = get_ordering("morton", 16, 16)
-        ix, iy, dx, dy, _, _ = random_particle_arrays(rng, 500, 16, 16)
-        icell = o.encode(ix, iy)
-        serial = np.zeros((o.ncells_allocated, 4))
-        accumulate_rows(serial, icell, (dx, dy), 0.7)
-        par = np.zeros_like(serial)
-        parallel_accumulate_redundant(par, icell, dx, dy, 0.7, nthreads)
-        np.testing.assert_allclose(par, serial, atol=1e-12)
-
-    @pytest.mark.parametrize("nthreads", [1, 2, 5])
-    def test_standard_matches_serial(self, rng, nthreads):
-        ix, iy, dx, dy, _, _ = random_particle_arrays(rng, 500, 16, 16)
-        serial = np.zeros((16, 16))
-        accumulate_standard(serial, ix, iy, dx, dy, -1.0)
-        par = np.zeros((16, 16))
-        parallel_accumulate_standard(par, ix, iy, dx, dy, -1.0, nthreads)
-        np.testing.assert_allclose(par, serial, atol=1e-12)
-
-    def test_adds_to_existing_content(self, rng):
-        o = get_ordering("row-major", 16, 16)
-        ix, iy, dx, dy, _, _ = random_particle_arrays(rng, 100, 16, 16)
-        rho = np.ones((o.ncells_allocated, 4))
-        parallel_accumulate_redundant(rho, o.encode(ix, iy), dx, dy, 1.0, 2)
-        assert rho.sum() == pytest.approx(o.ncells_allocated * 4 + 100)
 
 
 class TestThreadScalingModel:

@@ -153,7 +153,14 @@ class TestBalanceRatio:
 
 
 class TestPartitionRange:
-    """Degenerate-case contract of the static equal-count split."""
+    """Contract of the static equal-count split."""
+
+    def test_covers_exactly(self):
+        _coverage_ok(partition_range(100, 7), 100)
+
+    def test_rejects_bad_threads(self):
+        with pytest.raises(ValueError):
+            partition_range(10, 0)
 
     def test_more_threads_than_items_trails_empties(self):
         ranges = partition_range(3, 8)

@@ -105,21 +105,6 @@ class TestStorageSorting:
         for k, v in snapshot.items():
             np.testing.assert_array_equal(np.asarray(getattr(out1, k)), v)
 
-    def test_in_place_take_path_equals_cycle_path(self, layout, rng):
-        # above the threshold the in-place sort switches from the
-        # cycle-following walk to whole-array np.take permutation
-        # application; both must land the same bits
-        cyc = self._storage(layout, rng)
-        tak = make_storage(layout, cyc.n, store_coords=True)
-        tak.set_state(**cyc.as_dict())
-        sort_in_place(cyc, 32, cycle_threshold=10 ** 9)  # force cycles
-        sort_in_place(tak, 32, cycle_threshold=0)  # force np.take
-        for k in cyc.as_dict():
-            np.testing.assert_array_equal(
-                np.asarray(getattr(cyc, k)), np.asarray(getattr(tak, k)),
-                err_msg=k,
-            )
-
     def test_custom_perm_fn_is_routed(self, layout, rng):
         # the stepper passes the backend's counting sort through
         # perm_fn; any stable-sort implementation must be accepted
@@ -135,13 +120,3 @@ class TestStorageSorting:
         assert calls == [32, 32]
         assert np.all(np.diff(np.asarray(out.icell)) >= 0)
 
-
-class TestScipylessFallback:
-    def test_matches_scipy_path(self, rng, monkeypatch):
-        import repro.particles.sorting as sorting
-
-        keys = rng.integers(0, 48, 700)
-        with_scipy = counting_sort_permutation(keys, 48)
-        monkeypatch.setattr(sorting, "_sparse", None)
-        without = sorting.counting_sort_permutation(keys, 48)
-        np.testing.assert_array_equal(without, with_scipy)

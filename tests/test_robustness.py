@@ -164,42 +164,6 @@ class TestSolverRobustness:
         assert np.isfinite(phi).all()
 
 
-class TestHybridComposition:
-    def test_mpi_ranks_with_thread_partitioned_deposit(self, rng):
-        """The full hybrid stack composed: each simulated MPI rank
-        deposits through the simulated-OpenMP private-copy reduction,
-        then the ranks allreduce — the total must equal one serial
-        deposit of the union."""
-        from repro.model.mpi import SimMPI
-        from repro.model.openmp import parallel_accumulate_redundant
-
-        o = get_ordering("morton", 16, 16)
-        n = 4000
-        ix = rng.integers(0, 16, n)
-        iy = rng.integers(0, 16, n)
-        dx = rng.random(n)
-        dy = rng.random(n)
-        icell = o.encode(ix, iy)
-
-        serial = np.zeros((o.ncells_allocated, 4))
-        accumulate_rows(serial, icell, (dx, dy), 0.5)
-
-        nranks, nthreads = 4, 3
-        bounds = np.linspace(0, n, nranks + 1).astype(int)
-
-        def rank_fn(comm):
-            sl = slice(bounds[comm.rank], bounds[comm.rank + 1])
-            local = np.zeros((o.ncells_allocated, 4))
-            parallel_accumulate_redundant(
-                local, icell[sl], dx[sl], dy[sl], 0.5, nthreads
-            )
-            return comm.allreduce(local)
-
-        results = SimMPI(nranks).run(rank_fn)
-        for r in results:
-            np.testing.assert_allclose(r, serial, atol=1e-12)
-
-
 # ----------------------------------------------------------------------
 # Resilience layer: guards, fault injection, supervised runs
 # ----------------------------------------------------------------------

@@ -1,13 +1,13 @@
 #!/usr/bin/env python
 """Structure lints: nothing a run executes imports the paper-model
-testbed, and dimension-suffixed code only lives where it is written
-down.
+testbed, the testbed executes nothing in parallel, and
+dimension-suffixed code only lives where it is written down.
 
 The repo holds two kinds of code.  The *engine* is what a run, a
 worker process or a ``repro serve`` process executes.  The *model* is
 the simulated testbed that reproduces the paper's Tables II–VII on a
-modelled machine — cache/trace/cost/bandwidth models, simulated
-MPI/OpenMP, the scaling series — and it is one directory:
+modelled machine — cache/trace/cost/bandwidth models, the MPI/OpenMP
+cost models, the scaling series — and it is one directory:
 ``src/repro/model/``.  The dependency is one-way, and the rule is the
 directory listing:
 
@@ -22,6 +22,11 @@ one exemption, and imports it lazily per verb).
 ``tests/test_model_boundary.py`` holds the runtime half: a stepped
 ``numpy`` and ``numpy-mp`` run and an idle ``JobEngine`` leave no
 ``repro.model*`` key in ``sys.modules``.
+
+Its mirror, with the same walk: no module under ``repro/model/``
+imports ``threading``, ``queue``, ``multiprocessing`` or
+``concurrent``.  The model prices §V's parallel execution; the one
+executed rendering of it is ``repro.parallel`` (``numpy-mp``).
 
 The second lint is a ratchet on the 2D/3D fork (ROADMAP, "One
 statement per kernel").  A ``class``/``def`` whose name ends in
@@ -51,6 +56,10 @@ SRC = ROOT / "src"
 #: import it (paths relative to ``src/``)
 MODEL_PACKAGE = "repro.model"
 MODEL_IMPORTERS = ("repro/model/", "repro/cli.py")
+
+#: what no module of the model package imports: it prices parallel
+#: execution and never performs it
+CONCURRENCY_MODULES = ("threading", "queue", "multiprocessing", "concurrent")
 
 #: every dimension-suffixed class/def that still exists, by file
 #: (relative to ``src/``): the three ``*_3d`` adapters the frozen
@@ -145,37 +154,60 @@ def _imported_modules(node, package: list[str]) -> list[str]:
     return []
 
 
+def _imports_of(path: Path, src: Path, roots) -> list[tuple[Path, int, str]]:
+    """``(path shown, line, module)`` of every import, at any depth, in
+    one module under ``src`` that names one of ``roots`` or a
+    submodule of one."""
+    rel = path.relative_to(src).as_posix()
+    shown = path.relative_to(src.parent)
+    package = rel.split("/")[:-1]
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(shown))):
+        for name in _imported_modules(node, package):
+            if any(name == root or name.startswith(root + ".") for root in roots):
+                found.append((shown, node.lineno, name))
+                break
+    return found
+
+
 def check_model_imports(src: Path = SRC) -> list[str]:
     """Imports of the model package, at any depth, in every module
     under ``src/repro/`` that is not allowed one."""
     errors = []
     for path in sorted((src / "repro").rglob("*.py")):
-        rel = path.relative_to(src).as_posix()
-        if rel.startswith(MODEL_IMPORTERS):
+        if path.relative_to(src).as_posix().startswith(MODEL_IMPORTERS):
             continue
-        shown = path.relative_to(src.parent)
-        package = rel.split("/")[:-1]
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(shown))):
-            if any(
-                name == MODEL_PACKAGE or name.startswith(MODEL_PACKAGE + ".")
-                for name in _imported_modules(node, package)
-            ):
-                errors.append(
-                    f"{shown}:{node.lineno}: imports {MODEL_PACKAGE} "
-                    f"outside {' and '.join(MODEL_IMPORTERS)}"
-                )
+        errors += [
+            f"{shown}:{line}: imports {MODEL_PACKAGE} "
+            f"outside {' and '.join(MODEL_IMPORTERS)}"
+            for shown, line, _name in _imports_of(path, src, (MODEL_PACKAGE,))
+        ]
     return errors
 
 
+def check_model_concurrency(src: Path = SRC) -> list[str]:
+    """Imports of a concurrency module, at any depth, in every module
+    of the model package."""
+    return [
+        f"{shown}:{line}: imports {name}: {MODEL_PACKAGE} prices parallel "
+        f"execution, repro.parallel performs it"
+        for path in sorted((src / "repro" / "model").rglob("*.py"))
+        for shown, line, name in _imports_of(path, src, CONCURRENCY_MODULES)
+    ]
+
+
 def main() -> int:
-    errors = check_model_imports() + check_dimension_ratchet()
+    errors = (
+        check_model_imports() + check_model_concurrency() + check_dimension_ratchet()
+    )
     if errors:
         print("check_imports: FAIL")
         for e in errors:
             print(f"  {e}")
         return 1
     print(f"check_imports: OK — nothing under src/repro/ outside "
-          f"{' and '.join(MODEL_IMPORTERS)} imports {MODEL_PACKAGE}; "
+          f"{' and '.join(MODEL_IMPORTERS)} imports {MODEL_PACKAGE}, "
+          f"which imports no concurrency module; "
           f"the {sum(map(len, DIMENSIONAL_ALLOWED.values()))} "
           f"dimension-suffixed definitions are the ones written down")
     return 0
