@@ -34,9 +34,11 @@ serve-latency:
 
 # 3D feature-parity subset: kernels/orderings, the parity acceptance
 # tests (fused==split bitwise, numpy-mp bitwise at 2, 4, 8 and 9
-# workers), and the 2D/3D checkpoint/resume suite
+# workers), the 2D/3D checkpoint/resume suite, and the curves and
+# solver that serve both dimensions (every index map against the
+# recorded ones)
 test-3d:
-	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_pic3d.py tests/test_pic3d_parity.py tests/test_core_checkpoint.py tests/test_curves3d.py
+	PYTHONPATH=src $(PYTHON) -m pytest -q tests/test_pic3d.py tests/test_pic3d_parity.py tests/test_core_checkpoint.py tests/test_curves_orders.py tests/test_grid_poisson.py
 	@echo "gate-status: test-3d ran"
 
 # line-coverage floor on repro.pic3d + repro.verify (skips with exit 0

@@ -2,10 +2,11 @@
 """3d3v Landau damping on the Morton-ordered redundant layout (§VI).
 
 The paper closes by noting its data structures extend to three
-dimensions.  This example runs the 3D engine (`repro.pic3d`): 3D
-Morton cell ordering, 8-corner redundant deposit/gather (one 64-byte
-rho line and three field lines per cell), bitwise periodic push, 3D
-spectral Poisson solve — and shows the perturbed mode Landau-damping
+dimensions.  This example runs the 3D engine (`repro.pic3d`): Morton cell
+ordering over the 3D shape (the 2D curve classes take three extents),
+8-corner redundant deposit/gather (one 64-byte rho line and three
+field lines per cell), bitwise periodic push, the spectral Poisson
+solve over the 3D shape — and shows the perturbed mode Landau-damping
 away with the total energy conserved.
 
 Run:  python examples/pic3d_landau.py
@@ -13,12 +14,8 @@ Run:  python examples/pic3d_landau.py
 
 import numpy as np
 
-from repro.pic3d import (
-    GridSpec3D,
-    LandauDamping3D,
-    Morton3DOrdering,
-    PICStepper3D,
-)
+from repro.curves import get_ordering
+from repro.pic3d import GridSpec3D, LandauDamping3D, PICStepper3D
 
 
 def main():
@@ -46,16 +43,14 @@ def main():
 
     # 3D locality: fraction of unit moves with a small index jump,
     # Morton vs row-major (the 2D §IV-B argument carries over)
-    from repro.pic3d import RowMajor3DOrdering
-
     print("\nfraction of unit moves with |index jump| <= 8 on a 16^3 grid:")
     g = np.arange(16)
     ix, iy, iz = np.meshgrid(g, g[:-1], g, indexing="ij")  # interior y-moves
-    for o in (RowMajor3DOrdering(16, 16, 16), Morton3DOrdering(16, 16, 16)):
+    for o in (get_ordering(name, 16, 16, 16) for name in ("row-major", "morton")):
         a = o.encode(ix, iy, iz)
         b = o.encode(ix, iy + 1, iz)
         frac = float(np.mean(np.abs(b - a) <= 8))
-        print(f"  {o.name:14s} y-moves: {100 * frac:5.1f}%")
+        print(f"  {o.name:10s} y-moves: {100 * frac:5.1f}%")
 
 
 if __name__ == "__main__":

@@ -470,9 +470,8 @@ class NumpyBackend(KernelBackend):
 _WRAP_CODES = {"branch": 0, "modulo": 1, "bitwise": 2}
 _ORDER_OTHER, _ORDER_ROW_MAJOR, _ORDER_COLUMN_MAJOR, _ORDER_MORTON = range(4)
 _ORDER_CODES = {
-    "row-major": _ORDER_ROW_MAJOR, "row-major-3d": _ORDER_ROW_MAJOR,
-    "morton": _ORDER_MORTON, "morton-3d": _ORDER_MORTON,
-    "column-major": _ORDER_COLUMN_MAJOR,
+    "row-major": _ORDER_ROW_MAJOR, "column-major": _ORDER_COLUMN_MAJOR,
+    "morton": _ORDER_MORTON,
 }
 
 _INT, _I64, _F64, _PTR = (

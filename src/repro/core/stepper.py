@@ -48,7 +48,7 @@ from repro.core.boundaries import push_positions_reflecting
 from repro.core.config import OptimizationConfig
 from repro.curves.base import get_ordering
 from repro.grid.fields import RedundantFields, StandardFields
-from repro.grid.poisson import PoissonSolver, SpectralPoissonSolver
+from repro.grid.poisson import SpectralPoissonSolver
 from repro.grid.spec import GridSpec
 from repro.particles.initializers import InitialCondition, load_particles
 from repro.particles.sorting import sort_in_place, sort_out_of_place
@@ -337,9 +337,6 @@ class PICStepper(StepLoop):
         Charge and mass of the macro-particles' species (electrons by
         default: ``q=-1, m=1``); a uniform neutralizing background is
         implied by the zero-mean Poisson solve.
-    solver:
-        A :class:`~repro.grid.poisson.PoissonSolver`; defaults to the
-        spectral solver.
     """
 
     def __init__(
@@ -356,7 +353,6 @@ class PICStepper(StepLoop):
         eps0: float = 1.0,
         seed: int | None = 0,
         quiet: bool = False,
-        solver: PoissonSolver | None = None,
     ):
         if config.position_update == "bitwise" and not grid.pow2:
             raise ValueError(
@@ -382,7 +378,7 @@ class PICStepper(StepLoop):
         self.bz = float(getattr(case, "bz", 0.0) or 0.0)
         ext = getattr(case, "ext_e", None) or (0.0, 0.0)
         self.ext_e = (float(ext[0]), float(ext[1]))
-        self._build_fields(solver)
+        self._build_fields()
 
         if particles is not None:
             if case is not None:
@@ -413,19 +409,17 @@ class PICStepper(StepLoop):
         self.rho_grid = np.zeros((grid.ncx, grid.ncy))
         self._prepare(self._init_fields_and_stagger)
 
-    def _build_fields(self, solver: PoissonSolver | None = None) -> None:
+    def _build_fields(self) -> None:
         """Ordering, field storage and solver from grid + config."""
         grid, config = self.grid, self.config
         self.ordering = get_ordering(
-            config.ordering, grid.ncx, grid.ncy, **config.ordering_kwargs
+            config.ordering, *grid.shape, **config.ordering_kwargs
         )
         if config.field_layout == "redundant":
             self.fields = RedundantFields(grid, self.ordering)
         else:
             self.fields = StandardFields(grid)
-        self.solver = (
-            solver if solver is not None else SpectralPoissonSolver(grid, self.eps0)
-        )
+        self.solver = SpectralPoissonSolver(grid, self.eps0)
 
     # ------------------------------------------------------------------
     # Unit scalings (§IV-D)

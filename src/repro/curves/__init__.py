@@ -1,4 +1,4 @@
-"""Space-filling curves for cell-index orderings of 2D Cartesian grids.
+"""Space-filling curves for cell-index orderings of 2D and 3D Cartesian grids.
 
 The paper compares four orderings of grid cells used to lay out the
 redundant electric-field / charge-density arrays in memory:
@@ -16,6 +16,12 @@ interface: a vectorized bijection between integer grid coordinates
 padding cells (e.g. L4D with a tile height that does not divide ``ncy``),
 so ``ncells_allocated >= ncx * ncy``; indices of real cells are always
 ``< ncells_allocated`` and the map is injective on the real cells.
+
+The scan orders and Morton take two or three extents — §VI's outlook,
+"formulas also exist for space-filling curves in three dimensions", is
+the same classes over a 3D shape (:func:`~repro.curves.morton.dilate`
+has one shift-and-mask schedule per axis count).  L4D and Hilbert serve
+2D grids only.
 """
 
 from repro.curves.base import (
@@ -26,23 +32,11 @@ from repro.curves.base import (
 )
 from repro.curves.rowmajor import ColumnMajorOrdering, RowMajorOrdering
 from repro.curves.l4d import L4DOrdering
-from repro.curves.morton import (
-    MortonOrdering,
-    dilate_16,
-    morton_decode_2d,
-    morton_encode_2d,
-    undilate_16,
-)
+from repro.curves.morton import MortonOrdering, dilate, undilate
 from repro.curves.hilbert import (
     HilbertOrdering,
     hilbert_decode_2d,
     hilbert_encode_2d,
-)
-from repro.curves.curves3d import (
-    dilate3_16,
-    morton_decode_3d,
-    morton_encode_3d,
-    undilate3_16,
 )
 from repro.curves.locality import (
     LocalityReport,
@@ -61,16 +55,10 @@ __all__ = [
     "L4DOrdering",
     "MortonOrdering",
     "HilbertOrdering",
-    "dilate_16",
-    "undilate_16",
-    "morton_encode_2d",
-    "morton_decode_2d",
+    "dilate",
+    "undilate",
     "hilbert_encode_2d",
     "hilbert_decode_2d",
-    "dilate3_16",
-    "undilate3_16",
-    "morton_encode_3d",
-    "morton_decode_3d",
     "LocalityReport",
     "index_distance_histogram",
     "mean_neighbor_distance",

@@ -1,11 +1,11 @@
 """Common interface for cell orderings (space-filling curves).
 
-A *cell ordering* is a bijection between 2D integer grid coordinates
-``(ix, iy)`` with ``0 <= ix < ncx`` and ``0 <= iy < ncy`` and a linear
-cell index ``icell``.  The PIC code stores the redundant field and
-charge arrays indexed by ``icell``; the ordering therefore decides
-which grid cells are adjacent in memory, and hence how many cache
-misses a stream of spatially-local particles generates.
+A *cell ordering* is a bijection between integer grid coordinates
+``(ix, iy)`` — ``(ix, iy, iz)`` on a 3D grid — with ``0 <= ix < ncx``
+and so on, and a linear cell index ``icell``.  The PIC code stores the
+redundant field and charge arrays indexed by ``icell``; the ordering
+therefore decides which grid cells are adjacent in memory, and hence
+how many cache misses a stream of spatially-local particles generates.
 
 All coordinate transforms are vectorized: they accept and return numpy
 integer arrays (or python scalars) and never loop over elements in
@@ -15,6 +15,7 @@ Python.
 from __future__ import annotations
 
 import abc
+import math
 from typing import Callable
 
 import numpy as np
@@ -33,14 +34,15 @@ _ORDERING_REGISTRY: dict[str, Callable[..., "CellOrdering"]] = {}
 def register_ordering(name: str, factory: Callable[..., "CellOrdering"]) -> None:
     """Register an ordering constructor under ``name`` (case-insensitive).
 
-    ``factory(ncx, ncy, **kwargs)`` must return a :class:`CellOrdering`.
+    ``factory(*extents, **kwargs)`` must return a :class:`CellOrdering`.
     Re-registering an existing name replaces the previous factory.
     """
     _ORDERING_REGISTRY[name.lower()] = factory
 
 
-def get_ordering(name: str, ncx: int, ncy: int, **kwargs) -> "CellOrdering":
-    """Instantiate a registered ordering by name for an ``ncx`` x ``ncy`` grid.
+def get_ordering(name: str, *extents: int, **kwargs) -> "CellOrdering":
+    """Instantiate a registered ordering by name for a grid of
+    ``extents`` cells per axis (two or three of them).
 
     Raises :class:`KeyError` listing the available names if ``name`` is
     unknown.
@@ -51,7 +53,7 @@ def get_ordering(name: str, ncx: int, ncy: int, **kwargs) -> "CellOrdering":
         raise KeyError(
             f"unknown ordering {name!r}; available: {sorted(_ORDERING_REGISTRY)}"
         ) from None
-    return factory(ncx, ncy, **kwargs)
+    return factory(*extents, **kwargs)
 
 
 def available_orderings() -> list[str]:
@@ -59,43 +61,51 @@ def available_orderings() -> list[str]:
     return sorted(_ORDERING_REGISTRY)
 
 
-def _validate_grid_shape(ncx: int, ncy: int) -> None:
-    if ncx <= 0 or ncy <= 0:
-        raise ValueError(f"grid dims must be positive, got {ncx} x {ncy}")
-
-
 class CellOrdering(abc.ABC):
-    """Bijection between grid coordinates ``(ix, iy)`` and cell index.
+    """Bijection between grid coordinates ``(ix, iy[, iz])`` and cell index.
 
     Subclasses implement :meth:`encode` / :meth:`decode`.  The base class
-    provides bounds bookkeeping, a dense index map, and convenience
-    conversions used by the field layouts and the trace generators.
+    provides bounds bookkeeping and a dense index map, used by the field
+    layouts and the trace generators.
 
     Parameters
     ----------
-    ncx, ncy:
-        Grid extents along x and y.  Some orderings additionally require
-        powers of two (Morton, Hilbert).
+    *extents:
+        Cells per axis, one entry per axis of the grid.  Some orderings
+        additionally require powers of two (Morton, Hilbert) or serve
+        2D grids only (L4D, Hilbert).
     """
 
     #: Registry / display name, overridden per subclass.
     name: str = "abstract"
+    #: The numbers of axes the ordering serves.
+    ndims: tuple[int, ...] = (2, 3)
 
-    def __init__(self, ncx: int, ncy: int):
-        _validate_grid_shape(ncx, ncy)
-        self.ncx = int(ncx)
-        self.ncy = int(ncy)
+    def __init__(self, *extents: int):
+        if len(extents) not in self.ndims:
+            raise ValueError(
+                f"{type(self).__name__} orders grids of "
+                f"{' or '.join(map(str, self.ndims))} axes, got extents {extents}"
+            )
+        if min(extents) <= 0:
+            raise ValueError(
+                f"grid dims must be positive, got {' x '.join(map(str, extents))}"
+            )
+        #: cells per axis
+        self.shape = tuple(int(n) for n in extents)
+        self.ncx, self.ncy = self.shape[:2]
 
     # ------------------------------------------------------------------
     # Abstract bijection
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def encode(self, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
-        """Map grid coordinates to linear cell indices (vectorized)."""
+    def encode(self, *coords: np.ndarray) -> np.ndarray:
+        """Map grid coordinates, one array per axis, to linear cell
+        indices (vectorized)."""
 
     @abc.abstractmethod
-    def decode(self, icell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Map linear cell indices back to ``(ix, iy)`` (vectorized).
+    def decode(self, icell: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Map linear cell indices back to one coordinate array per axis.
 
         Behaviour on padding indices (indices not produced by
         :meth:`encode` for any in-bounds coordinate) is undefined.
@@ -105,9 +115,13 @@ class CellOrdering(abc.ABC):
     # Size bookkeeping
     # ------------------------------------------------------------------
     @property
+    def ndim(self) -> int:
+        return len(self.shape)
+
+    @property
     def ncells(self) -> int:
-        """Number of real grid cells, ``ncx * ncy``."""
-        return self.ncx * self.ncy
+        """Number of real grid cells, the product of the extents."""
+        return math.prod(self.shape)
 
     @property
     def ncells_allocated(self) -> int:
@@ -119,41 +133,28 @@ class CellOrdering(abc.ABC):
         """
         return self.ncells
 
-    # ------------------------------------------------------------------
-    # Derived helpers
-    # ------------------------------------------------------------------
-    def encode_checked(self, ix, iy) -> np.ndarray:
-        """Like :meth:`encode` but validates that coordinates are in bounds."""
-        ix = np.asarray(ix)
-        iy = np.asarray(iy)
-        if np.any((ix < 0) | (ix >= self.ncx)) or np.any((iy < 0) | (iy >= self.ncy)):
-            raise ValueError("grid coordinates out of bounds")
-        return self.encode(ix, iy)
+    @property
+    def spec(self) -> tuple:
+        """``(name, extents, kwargs)`` — what :func:`get_ordering`
+        rebuilds this ordering from (a worker process does, from a shard
+        message); an ordering with construction parameters lists them
+        in ``kwargs``."""
+        return self.name, self.shape, ()
 
+    # ------------------------------------------------------------------
     def index_map(self) -> np.ndarray:
-        """Dense ``(ncx, ncy)`` array of cell indices, ``map[ix, iy] = icell``.
+        """Dense grid-shaped array of cell indices, ``map[ix, iy, ...] =
+        icell``.
 
-        Useful for visualising the layout (paper Figs. 3 and 4) and for
-        table-driven encoding in tests.
+        The field layouts read it as their cell index map; it also
+        visualises the layout (paper Figs. 3 and 4).
         """
-        ix, iy = np.meshgrid(
-            np.arange(self.ncx, dtype=np.int64),
-            np.arange(self.ncy, dtype=np.int64),
-            indexing="ij",
-        )
-        return self.encode(ix, iy)
-
-    def neighbor_index(self, icell, dx: int, dy: int) -> np.ndarray:
-        """Cell index of the periodic ``(dx, dy)`` neighbor of ``icell``.
-
-        Decodes, shifts with periodic wrap, and re-encodes; used by the
-        redundant-layout reduction and by locality analysis.
-        """
-        ix, iy = self.decode(np.asarray(icell))
-        return self.encode((ix + dx) % self.ncx, (iy + dy) % self.ncy)
+        return self.encode(*np.meshgrid(
+            *(np.arange(n, dtype=np.int64) for n in self.shape), indexing="ij"
+        ))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(ncx={self.ncx}, ncy={self.ncy})"
+        return f"{type(self).__name__}{self.shape}"
 
 
 def require_power_of_two(value: int, what: str) -> int:

@@ -84,11 +84,12 @@ class HilbertOrdering(CellOrdering):
     """Hilbert layout of an ``ncx`` x ``ncy`` power-of-two grid."""
 
     name = "hilbert"
+    ndims = (2,)
 
-    def __init__(self, ncx: int, ncy: int):
-        super().__init__(ncx, ncy)
-        self.log_ncx = require_power_of_two(ncx, "ncx")
-        self.log_ncy = require_power_of_two(ncy, "ncy")
+    def __init__(self, *extents: int):
+        super().__init__(*extents)
+        self.log_ncx = require_power_of_two(self.ncx, "ncx")
+        self.log_ncy = require_power_of_two(self.ncy, "ncy")
         #: Side of the Hilbert square tiles (shorter grid side).
         self.order = min(self.log_ncx, self.log_ncy)
         self.square = 1 << self.order

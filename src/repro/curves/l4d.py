@@ -37,9 +37,10 @@ class L4DOrdering(CellOrdering):
     """
 
     name = "l4d"
+    ndims = (2,)
 
-    def __init__(self, ncx: int, ncy: int, size: int = 8):
-        super().__init__(ncx, ncy)
+    def __init__(self, *extents: int, size: int = 8):
+        super().__init__(*extents)
         if size <= 0:
             raise ValueError(f"L4D tile height must be positive, got {size}")
         self.size = int(size)
@@ -49,6 +50,10 @@ class L4DOrdering(CellOrdering):
     @property
     def ncells_allocated(self) -> int:
         return self.ncx * self.size * self.nbands
+
+    @property
+    def spec(self) -> tuple:
+        return self.name, self.shape, (("size", self.size),)
 
     def encode(self, ix, iy):
         ix = np.asarray(ix, dtype=np.int64)

@@ -12,8 +12,9 @@ charge density ``rho``) are provided, mirroring the paper §II:
   unit-stride per-particle access and a vectorizable accumulate.
 
 The Poisson solver (:mod:`repro.grid.poisson`) is the Fourier method of
-the paper (FFTW3 there, :mod:`numpy.fft` here), with an iterative
-reference solver used to cross-check it in the tests.
+the paper (FFTW3 there, :mod:`numpy.fft` here) over ``grid.shape`` — one
+class for 2D and 3D grids — with an iterative 2D reference solver used
+to cross-check it in the tests.
 """
 
 from repro.grid.spec import GridSpec
@@ -23,7 +24,6 @@ from repro.grid.fields import (
     corner_offsets,
 )
 from repro.grid.poisson import (
-    PoissonSolver,
     SpectralPoissonSolver,
     JacobiPoissonSolver,
     laplacian_periodic,
@@ -34,7 +34,6 @@ __all__ = [
     "StandardFields",
     "RedundantFields",
     "corner_offsets",
-    "PoissonSolver",
     "SpectralPoissonSolver",
     "JacobiPoissonSolver",
     "laplacian_periodic",

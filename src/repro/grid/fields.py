@@ -86,11 +86,6 @@ class StandardFields:
         self.ex[:] = ex
         self.ey[:] = ey
 
-    @property
-    def memory_bytes(self) -> int:
-        """Footprint of the field+rho storage (for the bandwidth model)."""
-        return self.rho.nbytes + self.ex.nbytes + self.ey.nbytes
-
 
 class RedundantFields:
     """Cell-based redundant storage ordered by a space-filling curve,
@@ -112,9 +107,8 @@ class RedundantFields:
         from repro.core.backends import get_backend
 
         shape = grid.shape
-        ordering_shape = tuple(getattr(ordering, "nc" + a) for a in "xyz"[: len(shape)])
-        if ordering_shape != shape:
-            raise ValueError(f"ordering grid shape {ordering_shape} != grid {shape}")
+        if ordering.shape != shape:
+            raise ValueError(f"ordering grid shape {ordering.shape} != grid {shape}")
         self.grid = grid
         self.ordering = ordering
         #: the :class:`~repro.core.backends.KernelBackend` whose
@@ -129,9 +123,7 @@ class RedundantFields:
         #: ``ncorner``-wide group per component (2D: cols 0..3 Ex, 4..7 Ey)
         self.e_1d = np.zeros((nalloc, len(shape) * ncorner))
         #: ``[ix, iy, ...]`` -> the row that cell is stored in
-        self._cell_index_map = ordering.encode(*np.meshgrid(
-            *(np.arange(nc, dtype=np.int64) for nc in shape), indexing="ij"
-        ))
+        self._cell_index_map = ordering.index_map()
         self._corner_cell = self._corner_point = None
 
     # ------------------------------------------------------------------
@@ -238,7 +230,3 @@ class RedundantFields:
         return tuple(
             self.e_1d[idx, k * ncorner].copy() for k in range(len(self.grid.shape))
         )
-
-    @property
-    def memory_bytes(self) -> int:
-        return self.rho_1d.nbytes + self.e_1d.nbytes

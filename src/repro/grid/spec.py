@@ -63,6 +63,11 @@ class GridSpec:
         return (self.ncx, self.ncy)
 
     @property
+    def spacings(self) -> tuple[float, float]:
+        """Grid spacing per axis, ``(dx, dy)``."""
+        return (self.dx, self.dy)
+
+    @property
     def ncells(self) -> int:
         return self.ncx * self.ncy
 

@@ -176,19 +176,13 @@ def _map_arrays(fn, tree):
 
 
 def _ordering_from_spec(spec, cache):
-    """The ordering a ``(name, extents, kwargs)`` spec names — two
-    extents resolve through the 2D registry, three through the 3D
-    stepper's name mapping — built once per worker."""
+    """The ordering a ``(name, extents, kwargs)`` spec
+    (:attr:`CellOrdering.spec <repro.curves.base.CellOrdering.spec>`)
+    names, built once per worker through the one registry."""
     ordering = cache.get(spec)
     if ordering is None:
         name, extents, kwargs = spec
-        if len(extents) == 2:
-            ordering = get_ordering(name, *extents, **dict(kwargs))
-        else:
-            from repro.pic3d.stepper3d import _ordering_for
-
-            ordering = _ordering_for(name, extents)
-        cache[spec] = ordering
+        ordering = cache[spec] = get_ordering(name, *extents, **dict(kwargs))
     return ordering
 
 
@@ -292,7 +286,6 @@ class WorkerPool:
         self._closed = False
         #: number of workers killed and respawned over the pool's life
         self.restarts = 0
-        self.last_seen = [time.monotonic()] * self.nworkers
         self._workers = [self._spawn(w) for w in range(self.nworkers)]
 
     def _spawn(self, wid) -> _Worker:
@@ -376,7 +369,6 @@ class WorkerPool:
                 except (EOFError, OSError):
                     dead.add(wid)
                     continue
-                self.last_seen[wid] = time.monotonic()
                 entry = pending.pop(tid, None)
                 if entry is None:  # stale result from a pre-restart task
                     continue
@@ -487,7 +479,6 @@ class ShmEngine:
             stepper.fields, self.arena, self.planner.initial(hist)
         )
         self.ordering = stepper.ordering
-        self._ordering_kwargs = tuple(sorted(cfg.ordering_kwargs.items()))
         self.n = front.n
         self.particle_ranges = partition_range(self.n, self.nworkers)
         #: per-particle gather targets, one per axis
@@ -613,7 +604,7 @@ class ShmEngine:
             self._particle_shards(
                 body=self.body.name, extents=extents, variant=variant,
                 scales=[float(sc) for sc in scales],
-                ordering=(self.ordering.name, extents, self._ordering_kwargs),
+                ordering=self.ordering.spec,
             ),
         )
         front.flip(back, staged)

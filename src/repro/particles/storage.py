@@ -148,11 +148,6 @@ class ParticleStorage(abc.ABC):
         """Total macro-charge carried, ``q * w * n``."""
         return q * self.weight * self.n
 
-    @property
-    def memory_bytes(self) -> int:
-        """Bytes held by the particle attributes (for the bandwidth model)."""
-        return sum(arr.nbytes for arr in self._columns.values())
-
     def as_dict(self) -> dict[str, np.ndarray]:
         """Copies of all attributes (testing convenience)."""
         return {f: np.array(v) for f, v in self._columns.items()}

@@ -6,9 +6,8 @@ opens up the possibility to run simulations ... in a three-dimensional
 physical space."  This subpackage takes that step with the same design
 vocabulary as the 2D code:
 
-* a 3D Morton (or row-major) cell ordering over a power-of-two box
-  (:mod:`repro.pic3d.ordering3d`, built on
-  :mod:`repro.curves.curves3d`);
+* a 3D Morton (or row-major) cell ordering over a power-of-two box —
+  the 2D classes of :mod:`repro.curves` over a 3D shape;
 * the redundant cell-based layout generalized to 8 corners per cell:
   ``rho_1d[ncell][8]`` and ``e_1d[ncell][24]`` (3 components x 8
   corners — three cache lines per cell on a 64-byte-line machine);
@@ -16,21 +15,20 @@ vocabulary as the 2D code:
   bitwise position update — the dimension-generic kernels of
   :mod:`repro.core.kernels`, over the generic
   :class:`repro.grid.fields.RedundantFields`;
-* a 3D spectral Poisson solver and a leap-frog stepper
-  (:mod:`repro.pic3d.stepper3d`) validated on 3D Landau damping.
+* the spectral Poisson solve of
+  :class:`repro.grid.poisson.SpectralPoissonSolver` over the 3D shape,
+  and a leap-frog stepper (:mod:`repro.pic3d.stepper3d`) validated on
+  3D Landau damping.
+
+What this package holds is what stays per dimension: the 3D grid, the
+two 3D cases and the stepper.
 """
 
-from repro.pic3d.ordering3d import Morton3DOrdering, Ordering3D, RowMajor3DOrdering
 from repro.pic3d.grid3d import GridSpec3D
-from repro.pic3d.poisson3d import SpectralPoissonSolver3D
 from repro.pic3d.stepper3d import LandauDamping3D, PICStepper3D, TwoStream3D
 
 __all__ = [
-    "Ordering3D",
-    "RowMajor3DOrdering",
-    "Morton3DOrdering",
     "GridSpec3D",
-    "SpectralPoissonSolver3D",
     "PICStepper3D",
     "LandauDamping3D",
     "TwoStream3D",

@@ -24,15 +24,20 @@ import numpy as np
 
 from repro.core.config import OptimizationConfig
 from repro.core.stepper import StepLoop
-from repro.curves.base import available_orderings
+from repro.curves.base import available_orderings, get_ordering
 from repro.grid.fields import RedundantFields
+from repro.grid.poisson import SpectralPoissonSolver
 from repro.particles.initializers import halton_sequence, sample_perturbed_positions
 from repro.particles.storage import ParticleSoA
 from repro.pic3d.grid3d import GridSpec3D
-from repro.pic3d.ordering3d import Morton3DOrdering, Ordering3D, RowMajor3DOrdering
-from repro.pic3d.poisson3d import SpectralPoissonSolver3D
 
 __all__ = ["LandauDamping3D", "TwoStream3D", "PICStepper3D"]
+
+#: the configured ordering names a 3D run lays out row-major; every
+#: other registered name runs Morton (L4D and Hilbert order 2D grids
+#: only)
+_SCAN_ORDERS = ("row-major", "column-major")
+
 
 class LandauDamping3D:
     """3D Landau damping: Maxwellian with a cos(kx x) density ripple."""
@@ -92,30 +97,6 @@ class TwoStream3D:
         return x, y, z, normal(7) + beam, normal(13), normal(19)
 
 
-def _ordering_for(name: str, shape) -> Ordering3D:
-    """Map an ordering name onto the two 3D curves.
-
-    3D ships exactly two orderings.  The 2D registry's names are
-    accepted, each mapped to its closest 3D analogue — ``"row-major"``
-    and its transpose twin to the row-major curve, every
-    space-filling-curve name to Morton — and so are the two curves' own
-    names; anything else raises :class:`KeyError`, as
-    :func:`repro.curves.base.get_ordering` does in 2D.
-    """
-    curves = {cls.name: cls for cls in (RowMajor3DOrdering, Morton3DOrdering)}
-    name = name.lower()
-    if name in ("row-major", "column-major"):
-        name = RowMajor3DOrdering.name
-    elif name in available_orderings():
-        name = Morton3DOrdering.name
-    if name not in curves:
-        raise KeyError(
-            f"unknown ordering {name!r}; known: "
-            f"{available_orderings() + sorted(curves)}"
-        )
-    return curves[name](*shape)
-
-
 class PICStepper3D(StepLoop):
     """Leap-frog 3d3v Vlasov–Poisson stepper (hoisted units).
 
@@ -134,7 +115,6 @@ class PICStepper3D(StepLoop):
         dt: float = 0.1,
         q: float = -1.0,
         m: float = 1.0,
-        ordering: Ordering3D | None = None,
         sort_period: int = 20,
         backend: str = "auto",
         config: OptimizationConfig | None = None,
@@ -163,20 +143,24 @@ class PICStepper3D(StepLoop):
         self.dt = float(dt)
         self.q = float(q)
         self.m = float(m)
-        self._build_fields(ordering)
+        self._build_fields()
 
         self.particles = self._load_particles(case, n_particles)
         self._attach_runtime()
         self._phase_sort()
         self._prepare(self._init_fields_and_stagger)
 
-    def _build_fields(self, ordering: Ordering3D | None = None) -> None:
+    def _build_fields(self) -> None:
         """Ordering, field storage and solver from grid + config."""
-        self.ordering = ordering or _ordering_for(
-            self.config.ordering, self.grid.shape
-        )
+        name = self.config.ordering.lower()
+        if name not in available_orderings():
+            raise KeyError(
+                f"unknown ordering {name!r}; available: {available_orderings()}"
+            )
+        curve = "row-major" if name in _SCAN_ORDERS else "morton"
+        self.ordering = get_ordering(curve, *self.grid.shape)
         self.fields = RedundantFields(self.grid, self.ordering)
-        self.solver = SpectralPoissonSolver3D(self.grid)
+        self.solver = SpectralPoissonSolver(self.grid)
 
     def _load_particles(self, case, n: int) -> ParticleSoA:
         """Sample ``case`` at density 1, every column computed straight

@@ -62,8 +62,9 @@ _CASE_POOL = (
 #: always covers the 3D stepper without dominating the budget)
 _DIMS_POOL = (2, 2, 2, 3)
 #: 3D pools are narrower on purpose: power-of-two dims keep the
-#: bitwise push legal, and the 3D stepper ships exactly two orderings,
-#: the redundant layout, hoisted units, and the two classic cases
+#: bitwise push legal, and the 3D stepper lays cells out on two curves
+#: (row-major and Morton), with the redundant layout, hoisted units and
+#: the two classic cases
 _GRID3D_POOL = ((8, 4, 4), (16, 4, 4), (8, 8, 4))
 _ORDERING3D_POOL = ("row-major", "morton")
 _CASE3D_POOL = ("landau", "two-stream")

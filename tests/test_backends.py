@@ -266,9 +266,9 @@ class TestKernelEquivalence3D:
     NC = 8
 
     def _cells(self, rng, n):
-        from repro.pic3d.ordering3d import Morton3DOrdering
+        from repro.curves import MortonOrdering
 
-        o = Morton3DOrdering(self.NC, self.NC, self.NC)
+        o = MortonOrdering(self.NC, self.NC, self.NC)
         ix = rng.integers(0, self.NC, n)
         iy = rng.integers(0, self.NC, n)
         iz = rng.integers(0, self.NC, n)

@@ -43,7 +43,6 @@ from repro.grid import GridSpec, RedundantFields
 from repro.particles import LandauDamping
 from repro.particles.storage import ParticleSoA
 from repro.pic3d import GridSpec3D
-from repro.pic3d.ordering3d import Morton3DOrdering, RowMajor3DOrdering
 from repro.resilience import FaultInjector, SupervisedRun
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -53,7 +52,8 @@ needs_cc = pytest.mark.skipif(
 
 SIZES = [0, 1, BLOCK - 1, 2 * BLOCK + 17]
 VARIANTS = ["branch", "modulo", "bitwise"]
-#: (ndim, ordering name) — every 2D curve of the registry, both 3D ones
+#: (ndim, ordering label) — every 2D curve of the registry, both 3D
+#: ones (labelled ``-3d``: the same classes over three extents)
 CURVES = [
     (2, "row-major"), (2, "column-major"), (2, "morton"), (2, "l4d"),
     (2, "hilbert"), (3, "row-major-3d"), (3, "morton-3d"),
@@ -62,8 +62,7 @@ CURVES = [
 
 def _ordering(ndim, name):
     if ndim == 3:
-        cls = {"row-major-3d": RowMajor3DOrdering, "morton-3d": Morton3DOrdering}
-        return cls[name](8, 4, 16), (8, 4, 16)
+        return get_ordering(name.removesuffix("-3d"), 8, 4, 16), (8, 4, 16)
     # rectangular where the curve allows it: Morton's surplus bits
     shape = (16, 16) if name == "hilbert" else (16, 8)
     return get_ordering(name, *shape), shape
@@ -85,11 +84,8 @@ SPECIAL = (np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -1e308)
 
 def _fields(ndim, name, shape, kw, body):
     """A field store whose fold and broadcast run ``body``."""
-    if ndim == 3:
-        cls = {"row-major-3d": RowMajor3DOrdering, "morton-3d": Morton3DOrdering}
-        f = RedundantFields(GridSpec3D(*shape), cls[name](*shape))
-    else:
-        f = RedundantFields(GridSpec(*shape), get_ordering(name, *shape, **kw))
+    grid = (GridSpec if ndim == 2 else GridSpec3D)(*shape)
+    f = RedundantFields(grid, get_ordering(name.removesuffix("-3d"), *shape, **kw))
     f.body = body
     return f
 

@@ -58,16 +58,27 @@ class TestBaseBehaviour:
         assert o.ncells == 32
         assert o.ncells_allocated == 32
 
-    def test_encode_checked_rejects_out_of_bounds(self):
-        o = get_ordering("row-major", 8, 8)
-        with pytest.raises(ValueError):
-            o.encode_checked(8, 0)
-        with pytest.raises(ValueError):
-            o.encode_checked(0, -1)
+    @pytest.mark.parametrize("extents", [(8, 4), (8, 4, 2)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("name", ["row-major", "column-major", "morton"])
+    def test_serves_two_and_three_axes(self, name, extents):
+        o = get_ordering(name, *extents)
+        assert (o.shape, o.ndim, o.ncells) == (extents, len(extents), np.prod(extents))
+        coords = np.indices(extents).reshape(len(extents), -1)
+        for got, want in zip(o.decode(o.encode(*coords)), coords):
+            np.testing.assert_array_equal(got, want)
 
-    def test_encode_checked_accepts_in_bounds(self):
-        o = get_ordering("row-major", 8, 8)
-        assert o.encode_checked(7, 7) == 63
+    @pytest.mark.parametrize("name", ["l4d", "hilbert"])
+    def test_2d_only_curves_reject_other_axis_counts(self, name):
+        with pytest.raises(ValueError, match="of 2 axes"):
+            get_ordering(name, 8, 8, 8)
+        with pytest.raises(ValueError, match="of 2 or 3 axes"):
+            get_ordering("row-major", 8)
+
+    def test_spec_rebuilds_the_ordering(self, any_ordering):
+        name, extents, kwargs = any_ordering.spec
+        twin = get_ordering(name, *extents, **dict(kwargs))
+        assert twin.spec == any_ordering.spec
+        assert twin.index_map().tobytes() == any_ordering.index_map().tobytes()
 
     def test_index_map_shape(self, any_ordering):
         m = any_ordering.index_map()
@@ -85,20 +96,6 @@ class TestBaseBehaviour:
         gx, gy = np.meshgrid(np.arange(16), np.arange(16), indexing="ij")
         np.testing.assert_array_equal(ix, gx.ravel())
         np.testing.assert_array_equal(iy, gy.ravel())
-
-    def test_neighbor_index_periodic(self, any_ordering):
-        o = any_ordering
-        icell = o.encode(np.array([0]), np.array([0]))
-        left = o.neighbor_index(icell, -1, 0)
-        ix, iy = o.decode(left)
-        assert ix[0] == o.ncx - 1 and iy[0] == 0
-
-    def test_neighbor_index_interior(self, any_ordering):
-        o = any_ordering
-        icell = o.encode(np.array([5]), np.array([5]))
-        up = o.neighbor_index(icell, 0, 1)
-        ix, iy = o.decode(up)
-        assert ix[0] == 5 and iy[0] == 6
 
     def test_scalar_encode_works(self, any_ordering):
         v = any_ordering.encode(3, 4)

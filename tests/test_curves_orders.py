@@ -1,7 +1,17 @@
-"""Per-ordering unit tests: closed forms, layouts, known index maps."""
+"""Per-ordering unit tests: closed forms, layouts, known index maps.
+
+The curves that serve both dimensions (dilated integers, Morton) are
+tested once per ``ndim``; every registered ordering's index maps are
+held byte for byte to ``tests/data/index_maps_pr27.npz``, recorded
+before one class family replaced the separate 2D and 3D ones.
+"""
+
+import hashlib
+import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.curves import (
     ColumnMajorOrdering,
@@ -9,13 +19,29 @@ from repro.curves import (
     L4DOrdering,
     MortonOrdering,
     RowMajorOrdering,
-    dilate_16,
+    dilate,
+    get_ordering,
     hilbert_decode_2d,
     hilbert_encode_2d,
-    morton_decode_2d,
-    morton_encode_2d,
-    undilate_16,
+    undilate,
 )
+
+#: ``<name>@<extents>[@size=<s>]`` -> the index map, or for maps over
+#: 64 cells a side the SHA-256 of its int64 bytes
+RECORDED = np.load(pathlib.Path(__file__).parent / "data" / "index_maps_pr27.npz")
+
+
+@pytest.mark.parametrize("key", sorted(RECORDED.files))
+def test_index_map_is_the_recorded_one(key):
+    name, extents, *kwargs = key.split("@")
+    kwargs = {k: int(v) for k, v in (kw.split("=") for kw in kwargs)}
+    got = get_ordering(name, *map(int, extents.split("x")), **kwargs).index_map()
+    want = RECORDED[key]
+    assert got.dtype == np.int64
+    if want.dtype.kind == "U":
+        assert hashlib.sha256(got.tobytes()).hexdigest() == str(want)
+    else:
+        assert got.tobytes() == want.tobytes()
 
 
 class TestRowMajor:
@@ -111,26 +137,32 @@ class TestL4D:
         np.testing.assert_array_equal(iy, jy)
 
 
+@pytest.mark.parametrize("ndim", [2, 3])
 class TestDilatedIntegers:
-    def test_dilate_small_values(self):
-        # 0b11 -> 0b0101, 0b111 -> 0b010101
-        assert dilate_16(np.array([0b11]))[0] == 0b0101
-        assert dilate_16(np.array([0b111]))[0] == 0b010101
+    def test_dilate_small_values(self, ndim):
+        # 0b11 -> 0b0101 / 0b1001, 0b111 -> 0b010101 / 0b001001001
+        assert int(dilate(np.array([0b11]), ndim)[0]) == 1 | 1 << ndim
+        assert int(dilate(np.array([0b111]), ndim)[0]) == sum(
+            1 << (ndim * b) for b in range(3)
+        )
 
-    def test_dilate_max_16bit(self):
-        v = dilate_16(np.array([0xFFFF]))[0]
-        assert v == 0x55555555
+    def test_dilate_max_16bit(self, ndim):
+        # every ndim-th bit set, 16 of them, lowest at position 0: 32
+        # bits (0x55555555) in 2D, 48 in 3D
+        v = dilate(np.array([0xFFFF]), ndim)
+        assert v.dtype == (np.uint32 if ndim == 2 else np.uint64)
+        assert int(v[0]) == sum(1 << (ndim * b) for b in range(16))
 
-    def test_undilate_inverts_dilate(self, rng):
-        x = rng.integers(0, 1 << 16, 1000)
-        np.testing.assert_array_equal(undilate_16(dilate_16(x)), x.astype(np.uint32))
+    def test_undilate_inverts_dilate(self, ndim, rng):
+        x = rng.integers(0, 1 << 16, 2000)
+        np.testing.assert_array_equal(undilate(dilate(x, ndim), ndim), x)
 
-    def test_dilate_is_bit_interleave_zero(self):
-        # dilated bits land in even positions
-        x = np.array([0b1011])
-        d = int(dilate_16(x)[0])
+    def test_dilate_is_bit_interleave_zero(self, ndim):
+        # dilated bits land in every ndim-th position only
+        d = int(dilate(np.array([0b1011]), ndim)[0])
         for bit in range(16):
-            assert ((d >> (2 * bit + 1)) & 1) == 0
+            for gap in range(1, ndim):
+                assert ((d >> (ndim * bit + gap)) & 1) == 0
 
 
 class TestMorton:
@@ -146,17 +178,30 @@ class TestMorton:
         assert o.encode(2, 0) == 8
         assert o.encode(7, 7) == 63
 
-    def test_encode_decode_functions(self, rng):
-        ix = rng.integers(0, 256, 500)
-        iy = rng.integers(0, 256, 500)
-        code = morton_encode_2d(ix, iy)
-        jx, jy = morton_decode_2d(code)
-        np.testing.assert_array_equal(ix, jx)
-        np.testing.assert_array_equal(iy, jy)
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_encode_decode_functions(self, ndim, rng):
+        o = MortonOrdering(*(1 << 12,) * ndim)
+        coords = [rng.integers(0, 1 << 12, 3000) for _ in range(ndim)]
+        for got, want in zip(o.decode(o.encode(*coords)), coords):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_unit_cell_order(self, ndim):
+        # the last axis least significant: (0,0,0), (0,0,1), (0,1,0), ...
+        o = MortonOrdering(*(8,) * ndim)
+        corners = np.indices((2,) * ndim).reshape(ndim, -1)
+        np.testing.assert_array_equal(o.encode(*corners), np.arange(1 << ndim))
+
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_bijective_on_cube(self, ndim):
+        m = MortonOrdering(*(8,) * ndim).index_map()
+        np.testing.assert_array_equal(np.sort(m.ravel()), np.arange(8**ndim))
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             MortonOrdering(12, 8)
+        with pytest.raises(ValueError):
+            MortonOrdering(8, 6, 8)
 
     def test_rectangular_wide(self):
         o = MortonOrdering(4, 16)
@@ -170,12 +215,23 @@ class TestMorton:
         assert len(np.unique(m)) == 128
         assert m.max() == 127
 
-    def test_unit_y_move_often_unit_index(self):
-        # half of all +1 y-moves flip only the lowest bit
-        o = MortonOrdering(16, 16)
-        m = o.index_map()
-        deltas = m[:, 1::2] - m[:, 0:-1:2]
-        assert np.all(deltas == 1)
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_last_axis_moves_often_unit_index(self, ndim):
+        # a +1 move along the last axis from an even coordinate flips
+        # only the lowest bit: 8 of the 15 moves along 16 cells
+        m = MortonOrdering(*(16,) * ndim).index_map()
+        deltas = np.diff(m, axis=-1)
+        assert np.all(deltas[..., 0::2] == 1)
+        assert np.mean(deltas == 1) == pytest.approx(8 / 15)
+
+
+@pytest.mark.parametrize("ndim", [2, 3])
+@given(coords=st.lists(st.integers(0, (1 << 16) - 1), min_size=3, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_morton_roundtrip_any_16bit(ndim, coords):
+    o = MortonOrdering(*(1 << 16,) * ndim)
+    coords = coords[:ndim]
+    assert [int(c) for c in o.decode(o.encode(*coords))] == coords
 
 
 class TestHilbert:

@@ -11,7 +11,7 @@ from repro.grid import (
     StandardFields,
     corner_offsets,
 )
-from repro.pic3d import GridSpec3D, Morton3DOrdering, RowMajor3DOrdering
+from repro.pic3d import GridSpec3D
 
 
 class TestCornerWeights:
@@ -59,10 +59,6 @@ class TestStandardFields:
         f.set_field_from_grid(ex, ey)
         np.testing.assert_array_equal(f.ex, ex)
         np.testing.assert_array_equal(f.ey, ey)
-
-    def test_memory_accounting(self, small_grid):
-        f = StandardFields(small_grid)
-        assert f.memory_bytes == 3 * 16 * 16 * 8
 
 
 @pytest.fixture(params=["row-major", "l4d", "morton", "hilbert"])
@@ -185,8 +181,7 @@ def _store(ndim, name):
     height that does not divide ``ncy`` allocates padding rows."""
     if ndim == 3:
         shape = (8, 4, 2)
-        cls = {"row-major": RowMajor3DOrdering, "morton": Morton3DOrdering}[name]
-        return RedundantFields(GridSpec3D(*shape), cls(*shape))
+        return RedundantFields(GridSpec3D(*shape), get_ordering(name, *shape))
     shape = (12, 10) if name == "l4d" else (16, 8)
     kw = {"size": 3} if name == "l4d" else {}
     return RedundantFields(GridSpec(*shape), get_ordering(name, *shape, **kw))

@@ -9,11 +9,17 @@ from repro.grid import (
     SpectralPoissonSolver,
     laplacian_periodic,
 )
+from repro.pic3d import GridSpec3D
 
 
 @pytest.fixture
 def grid():
     return GridSpec(32, 32, 0.0, 2 * np.pi, 0.0, 2 * np.pi)
+
+
+def potential(grid, rho, **kw):
+    """phi of the spectral solve."""
+    return SpectralPoissonSolver(grid, **kw).solve(rho)[0]
 
 
 def single_mode_rho(grid, mx=1, my=0, amp=1.0):
@@ -27,12 +33,12 @@ class TestSpectralSolver:
     def test_single_mode_potential(self, grid):
         # -lap(phi) = rho => phi = rho / k^2 for a single mode
         rho, (kx, ky) = single_mode_rho(grid, 1, 0)
-        phi = SpectralPoissonSolver(grid).solve_potential(rho)
+        phi = potential(grid, rho)
         np.testing.assert_allclose(phi, rho / kx**2, atol=1e-12)
 
     def test_mixed_mode_potential(self, grid):
         rho, (kx, ky) = single_mode_rho(grid, 2, 3)
-        phi = SpectralPoissonSolver(grid).solve_potential(rho)
+        phi = potential(grid, rho)
         np.testing.assert_allclose(phi, rho / (kx**2 + ky**2), atol=1e-12)
 
     def test_field_is_minus_gradient(self, grid):
@@ -44,27 +50,43 @@ class TestSpectralSolver:
         np.testing.assert_allclose(ex, np.sin(kx * gx) / kx, atol=1e-12)
         np.testing.assert_allclose(ey, 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(32, 16), (16, 8, 4)], ids=["2d", "3d"])
+    def test_field_of_an_oblique_mode(self, shape):
+        """One class over any ``grid.shape``: E = k sin(k.x) / |k|^2 on
+        every axis, to round-off."""
+        lengths = (4 * np.pi, 2 * np.pi, np.pi)[: len(shape)]
+        grid = (GridSpec if len(shape) == 2 else GridSpec3D)(
+            *shape, **{f"{a}max": ln for a, ln in zip("xyz", lengths)}
+        )
+        nodes = np.meshgrid(
+            *(h * np.arange(n) for h, n in zip(grid.spacings, shape)), indexing="ij"
+        )
+        k = [2 * np.pi * m / ln for m, ln in zip((1, 2, 1), lengths)]
+        phase = sum(ka * xa for ka, xa in zip(k, nodes))
+        phi, *e = SpectralPoissonSolver(grid).solve(np.cos(phase))
+        k2 = sum(ka**2 for ka in k)
+        np.testing.assert_allclose(phi, np.cos(phase) / k2, atol=1e-14)
+        for ka, ea in zip(k, e):
+            np.testing.assert_allclose(ea, ka * np.sin(phase) / k2, atol=1e-14)
+
     def test_mean_mode_projected_out(self, grid, rng):
         rho = rng.random((32, 32))
-        phi = SpectralPoissonSolver(grid).solve_potential(rho)
+        phi = potential(grid, rho)
         assert abs(phi.mean()) < 1e-12
         # adding a constant to rho changes nothing
-        phi2 = SpectralPoissonSolver(grid).solve_potential(rho + 5.0)
+        phi2 = potential(grid, rho + 5.0)
         np.testing.assert_allclose(phi, phi2, atol=1e-12)
 
     def test_eps0_scaling(self, grid):
         rho, _ = single_mode_rho(grid)
-        phi1 = SpectralPoissonSolver(grid, eps0=1.0).solve_potential(rho)
-        phi2 = SpectralPoissonSolver(grid, eps0=2.0).solve_potential(rho)
+        phi1 = potential(grid, rho, eps0=1.0)
+        phi2 = potential(grid, rho, eps0=2.0)
         np.testing.assert_allclose(phi1, 2 * phi2, atol=1e-12)
 
     def test_residual_random_rho(self, grid, rng):
-        # with the fd derivative the discrete residual closes exactly
-        # at spectral accuracy for band-limited rho
         rho = rng.standard_normal((32, 32))
         rho -= rho.mean()
-        solver = SpectralPoissonSolver(grid)
-        phi = solver.solve_potential(rho)
+        phi = potential(grid, rho)
         # spectral laplacian equals rho: check via FFT round trip
         res = -laplacian_periodic(phi, grid.dx, grid.dy) - rho
         # 5-point laplacian differs from spectral at high k: loose bound
@@ -72,25 +94,20 @@ class TestSpectralSolver:
 
     def test_rejects_wrong_shape(self, grid):
         with pytest.raises(ValueError):
-            SpectralPoissonSolver(grid).solve_potential(np.zeros((8, 8)))
-
-    def test_rejects_unknown_derivative(self, grid):
-        with pytest.raises(ValueError):
-            SpectralPoissonSolver(grid, derivative="nope")
+            potential(grid, np.zeros((8, 8)))
 
     def test_rectangular_grid(self):
         g = GridSpec(64, 16, 0.0, 4 * np.pi, 0.0, np.pi)
         rho, (kx, _) = single_mode_rho(g, 1, 0)
-        phi = SpectralPoissonSolver(g).solve_potential(rho)
+        phi = potential(g, rho)
         np.testing.assert_allclose(phi, rho / kx**2, atol=1e-12)
 
 
 class TestJacobiSolver:
     def test_agrees_with_spectral_on_smooth_rho(self, grid):
         rho, _ = single_mode_rho(grid, 1, 1)
-        spec = SpectralPoissonSolver(grid, derivative="fd")
         jac = JacobiPoissonSolver(grid, tol=1e-11)
-        phi_s = spec.solve_potential(rho)
+        phi_s = potential(grid, rho)
         phi_j = jac.solve_potential(rho)
         # both are zero-mean; Jacobi solves the 5-point stencil which
         # differs from spectral by O(h^2)

@@ -8,6 +8,8 @@ stepped ``numpy`` / ``numpy-mp`` run and an idle ``JobEngine`` leave no
 ``repro.model*`` module in ``sys.modules``).  Its mirror: nothing under
 ``repro/model/`` imports a concurrency module — the model prices §V's
 parallel execution, ``numpy-mp`` is the one rendering that runs it.
+And the engine that runs it names no dimension: nothing under
+``repro/parallel/`` imports ``repro.pic3d``.
 """
 
 import os
@@ -113,6 +115,35 @@ def test_model_lint_sees_a_concurrency_import_at_any_depth(tmp_path):
     assert any("chan.py:2: imports queue" in e for e in errors)
 
 
+def test_parallel_lint_is_green_on_the_tree():
+    assert load_tool("check_imports").check_parallel_imports() == []
+
+
+def test_parallel_lint_sees_a_pic3d_import_at_any_depth(tmp_path):
+    """The engine serves every dimension: an import of ``repro.pic3d``
+    or a module of it anywhere under ``repro/parallel/`` fails — a
+    function-level one included; other packages may import it."""
+    pkg = tmp_path / "repro"
+    for sub in ("parallel", "core"):
+        (pkg / sub).mkdir(parents=True)
+    (pkg / "parallel" / "executor.py").write_text(
+        "def resolve(stepper):\n"
+        "    from repro.pic3d.stepper3d import PICStepper3D\n"
+        "    return isinstance(stepper, PICStepper3D)\n"
+    )
+    (pkg / "parallel" / "shm.py").write_text("from ..pic3d import GridSpec3D\n")
+    (pkg / "parallel" / "clean.py").write_text(
+        "from repro.curves.base import get_ordering\n"
+    )
+    (pkg / "core" / "checkpoint.py").write_text(
+        "def load():\n    from repro.pic3d import PICStepper3D\n"
+    )
+    errors = load_tool("check_imports").check_parallel_imports(tmp_path)
+    flagged = sorted(e.split(":")[0].rsplit("/", 1)[-1] for e in errors)
+    assert flagged == ["executor.py", "shm.py"]
+    assert any("executor.py:2: imports repro.pic3d.stepper3d" in e for e in errors)
+
+
 def test_dimension_ratchet_is_by_name(tmp_path):
     """The 2D/3D ratchet knows each dimension-suffixed definition by
     file *and name*: a new one fails, so does a listed one that is
@@ -145,12 +176,32 @@ def test_dimension_ratchet_is_by_name(tmp_path):
         "names 'repro/core/kernels3d.py', which does not exist",
     ):
         assert any(needle in e for e in errors), (needle, errors)
-    # what this PR's deletions look like to the lint
+    # deletions the ratchet has recorded: the 3D field store and CiC
+    # kernels by name; since the 3D ordering hierarchy, Morton pair and
+    # solver went too, 13 names are left
     names = {n for listed in lint.DIMENSIONAL_ALLOWED.values() for n in listed}
     assert not names & {
         "RedundantFields3D", "corner_weights_3d", "corner_offsets_3d",
         "fused_interp_kick_push_3d",
     }
+    assert len(names) == 13
     assert lint.DIMENSIONAL_ALLOWED["repro/core/backends.py"] == {
         "interpolate_redundant_3d", "accumulate_redundant_3d", "push_positions_3d",
     }
+
+
+def test_dimension_free_modules_hold_no_dimension_tag(tmp_path):
+    """A dimension-tagged string in a ``DIMENSION_FREE`` module fails
+    (a 3D ordering name, say); ``__all__`` entries name definitions,
+    which the definition rule sees, and pass."""
+    pkg = tmp_path / "repro" / "curves"
+    pkg.mkdir(parents=True)
+    (pkg / "hilbert.py").write_text(
+        '__all__ = ["hilbert_encode_2d"]\n'
+        "def hilbert_encode_2d(): ...\n"
+        'CURVE = "morton-3d"\n'
+    )
+    errors = load_tool("check_imports").check_dimension_ratchet(tmp_path, {})
+    assert errors == [
+        "repro/curves/hilbert.py:3: string 'morton-3d' in a DIMENSION_FREE module"
+    ]

@@ -21,11 +21,12 @@ import pytest
 from repro.core.backends import CBackend, get_backend
 from repro.core.config import OptimizationConfig
 from repro.core.simulation import Simulation
+from repro.curves import get_ordering
 from repro.grid.spec import GridSpec
 from repro.parallel.executor import MultiprocessBackend, WorkerPool
 from repro.parallel.shm import SharedParticleStorage
 from repro.particles.initializers import LandauDamping
-from repro.pic3d import GridSpec3D, PICStepper3D, TwoStream3D
+from repro.pic3d import GridSpec3D, LandauDamping3D, PICStepper3D, TwoStream3D
 
 pytestmark = pytest.mark.skipif(
     not MultiprocessBackend.is_available(),
@@ -293,20 +294,27 @@ def test_log_line_and_info_name_the_workers_kernels(body, caplog, capsys):
 
 
 def test_ordering_spec_resolves_two_or_three_extents():
-    """One resolver, one small picklable tuple per shard message."""
+    """One resolver, one registry, one small picklable tuple per shard
+    message — naming the ordering the stepper built, with its own
+    kwargs: a 3D run configured as ``l4d`` ships ``morton``, no
+    ``size``."""
     import pickle
 
     from repro.parallel.executor import _ordering_from_spec
-    from repro.pic3d import Morton3DOrdering
 
+    cfg = OptimizationConfig(ordering="l4d", ordering_kwargs={"size": 8})
+    grid3 = GridSpec3D(8, 4, 4)
+    st = PICStepper3D(grid3, LandauDamping3D(), 64, config=cfg)
+    spec3 = st.ordering.spec
+    st.close()
+    assert spec3 == ("morton", (8, 4, 4), ())
+    spec2 = get_ordering("l4d", 16, 16, size=8).spec
+    assert spec2 == ("l4d", (16, 16), (("size", 8),))
     cache = {}
-    spec2 = ("l4d", (16, 16), (("size", 8),))
-    spec3 = ("morton-3d", (8, 4, 4), ())
     two = _ordering_from_spec(pickle.loads(pickle.dumps(spec2)), cache)
     three = _ordering_from_spec(pickle.loads(pickle.dumps(spec3)), cache)
-    assert (two.name, two.ncx, two.ncy, two.size) == ("l4d", 16, 16, 8)
-    assert type(three) is Morton3DOrdering
-    assert (three.ncx, three.ncy, three.ncz) == (8, 4, 4)
+    assert (type(two).__name__, two.shape, two.size) == ("L4DOrdering", (16, 16), 8)
+    assert (type(three).__name__, three.shape) == ("MortonOrdering", (8, 4, 4))
     assert _ordering_from_spec(spec3, cache) is three  # built once per worker
     assert len(pickle.dumps(spec3)) < 100
 

@@ -124,16 +124,6 @@ class TestLayoutDifferences:
         # record = 7 fields x 8 bytes
         assert s.vx.strides == (56,)
 
-    def test_aos_memory_one_block(self):
-        s = make_storage("aos", 10, store_coords=True)
-        assert s.memory_bytes == 10 * 56
-
-    def test_soa_memory_accounting(self):
-        s = make_storage("soa", 10, store_coords=True)
-        assert s.memory_bytes == 10 * 56
-        s2 = make_storage("soa", 10, store_coords=False)
-        assert s2.memory_bytes == 10 * 40
-
 
 # ----------------------------------------------------------------------
 # The axis-generic SoA store: one column tuple, two or three dimensions
@@ -223,11 +213,6 @@ class TestAxisGenericSoA:
                 getattr(p, name)
         with pytest.raises(TypeError):  # read-only: columns are not rebindable
             p["dx"] = np.zeros(self.N)
-
-    def test_memory_bytes_counts_every_column(self, ndim, store_coords):
-        p = ParticleSoA(self.N, 1.0, store_coords, ndim)
-        ncol = 1 + 2 * ndim + (ndim if store_coords else 0)
-        assert p.memory_bytes == self.N * 8 * ncol
 
     def test_sort_in_place_and_out_of_place_agree(self, ndim, store_coords, rng):
         from repro.particles import sort_in_place, sort_out_of_place

@@ -5,29 +5,26 @@ import pytest
 
 from repro.core.backends import get_backend
 from repro.core.kernels import accumulate_rows, corner_weights, interpolate_rows
+from repro.curves import MortonOrdering, RowMajorOrdering, get_ordering
 from repro.grid.fields import RedundantFields, corner_offsets
-from repro.pic3d import (
-    GridSpec3D,
-    LandauDamping3D,
-    Morton3DOrdering,
-    PICStepper3D,
-    RowMajor3DOrdering,
-    SpectralPoissonSolver3D,
-    TwoStream3D,
-)
+from repro.grid.poisson import SpectralPoissonSolver
+from repro.pic3d import GridSpec3D, LandauDamping3D, PICStepper3D, TwoStream3D
 
 
 class TestOrderings3D:
-    @pytest.mark.parametrize("cls", [RowMajor3DOrdering, Morton3DOrdering])
-    def test_bijective(self, cls):
-        o = cls(8, 4, 16)
+    """The two curves a 3D run lays out its cells on: the 2D classes
+    over three extents."""
+
+    @pytest.mark.parametrize("name", ["row-major", "morton"])
+    def test_bijective(self, name):
+        o = get_ordering(name, 8, 4, 16)
         m = o.index_map()
         assert len(np.unique(m)) == 8 * 4 * 16
         assert m.min() == 0 and m.max() == o.ncells - 1
 
-    @pytest.mark.parametrize("cls", [RowMajor3DOrdering, Morton3DOrdering])
-    def test_roundtrip(self, cls, rng):
-        o = cls(8, 16, 4)
+    @pytest.mark.parametrize("name", ["row-major", "morton"])
+    def test_roundtrip(self, name, rng):
+        o = get_ordering(name, 8, 16, 4)
         ix = rng.integers(0, 8, 500)
         iy = rng.integers(0, 16, 500)
         iz = rng.integers(0, 4, 500)
@@ -37,21 +34,23 @@ class TestOrderings3D:
         np.testing.assert_array_equal(iz, jz)
 
     def test_row_major_closed_form(self):
-        o = RowMajor3DOrdering(4, 8, 16)
+        o = RowMajorOrdering(4, 8, 16)
         assert o.encode(1, 2, 3) == (1 * 8 + 2) * 16 + 3
 
     def test_morton_cube_is_pure_morton(self):
-        from repro.curves.curves3d import morton_encode_3d
-
-        o = Morton3DOrdering(8, 8, 8)
+        """On a cube every bit interleaves: bit b of x, y, z lands at
+        3b + 2, 3b + 1, 3b (spelled bit by bit here)."""
+        o = MortonOrdering(8, 8, 8)
         ix, iy, iz = np.meshgrid(*(np.arange(8),) * 3, indexing="ij")
-        np.testing.assert_array_equal(
-            o.encode(ix, iy, iz), morton_encode_3d(ix, iy, iz)
+        want = sum(
+            ((c >> b) & 1) << (3 * b + 2 - a)
+            for b in range(3) for a, c in enumerate((ix, iy, iz))
         )
+        np.testing.assert_array_equal(o.encode(ix, iy, iz), want)
 
     def test_morton_rejects_non_pow2(self):
         with pytest.raises(ValueError):
-            Morton3DOrdering(6, 8, 8)
+            MortonOrdering(6, 8, 8)
 
 
 class TestGrid3D:
@@ -109,7 +108,7 @@ class TestFields3D:
     @pytest.fixture
     def setup(self):
         grid = GridSpec3D(8, 8, 8, 0, 1, 0, 1, 0, 1)
-        return grid, RedundantFields(grid, Morton3DOrdering(8, 8, 8))
+        return grid, RedundantFields(grid, MortonOrdering(8, 8, 8))
 
     def test_memory_is_8x_pointwise_rho(self, setup):
         grid, fields = setup
@@ -128,7 +127,7 @@ class TestFields3D:
         """Every row holds E at its cell's 8 corners, bit for bit (a
         non-cubic grid, so a swapped axis would show)."""
         shape = (8, 4, 2)
-        fields = RedundantFields(GridSpec3D(*shape), Morton3DOrdering(*shape))
+        fields = RedundantFields(GridSpec3D(*shape), MortonOrdering(*shape))
         comps = [rng.normal(size=shape) for _ in range(3)]
         fields.load_field_from_grid(*comps)
         ix, iy, iz = np.meshgrid(*(np.arange(n) for n in shape), indexing="ij")
@@ -180,7 +179,7 @@ class TestPoisson3D:
         g = GridSpec3D(16, 16, 16, 0, 2 * np.pi, 0, 2 * np.pi, 0, 2 * np.pi)
         x = np.arange(16) * g.spacings[0]
         rho = np.cos(x)[:, None, None] * np.ones((1, 16, 16))
-        phi, ex, ey, ez = SpectralPoissonSolver3D(g).solve(rho)
+        phi, ex, ey, ez = SpectralPoissonSolver(g).solve(rho)
         np.testing.assert_allclose(phi, rho, atol=1e-12)  # k^2 = 1
         np.testing.assert_allclose(ex, np.sin(x)[:, None, None] * np.ones((1, 16, 16)), atol=1e-12)
         np.testing.assert_allclose(ey, 0, atol=1e-12)
@@ -189,18 +188,18 @@ class TestPoisson3D:
     def test_mean_projected(self, rng):
         g = GridSpec3D(8, 8, 8)
         rho = rng.random((8, 8, 8))
-        phi, *_ = SpectralPoissonSolver3D(g).solve(rho)
+        phi, *_ = SpectralPoissonSolver(g).solve(rho)
         assert abs(phi.mean()) < 1e-12
 
     def test_shape_validation(self):
         g = GridSpec3D(8, 8, 8)
         with pytest.raises(ValueError):
-            SpectralPoissonSolver3D(g).solve(np.zeros((4, 4, 4)))
+            SpectralPoissonSolver(g).solve(np.zeros((4, 4, 4)))
 
 
 class TestPush3D:
     def test_positions_wrap_and_consistency(self, rng):
-        o = Morton3DOrdering(8, 8, 8)
+        o = MortonOrdering(8, 8, 8)
         n = 1000
         p = {
             "ix": rng.integers(0, 8, n), "iy": rng.integers(0, 8, n),
@@ -232,23 +231,24 @@ class TestStepper3D:
             PICStepper3D(GridSpec3D(12, 8, 8), LandauDamping3D(), 100)
 
     def test_ordering_names_map_onto_the_two_curves_or_raise(self):
-        """The 2D registry's names (and the curves' own) resolve; a
-        typo raises like ``get_ordering`` does instead of silently
-        running Morton."""
+        """Every configured name runs: the scan orders row-major, the
+        other curves (L4D and Hilbert order 2D grids only) Morton, no
+        L4D ``size`` reaching the curve; a typo raises like
+        ``get_ordering`` does instead of silently running Morton."""
+        from repro.core.config import OptimizationConfig
         from repro.curves import available_orderings
-        from repro.pic3d.stepper3d import _ordering_for
 
         shape = (8, 4, 4)
-        for name in available_orderings() + ["row-major-3d", "morton-3d"]:
-            curve = _ordering_for(name, shape)
-            row_major = name.startswith(("row-major", "column-major"))
-            assert type(curve) is (RowMajor3DOrdering if row_major else Morton3DOrdering)
-            assert (curve.ncx, curve.ncy, curve.ncz) == shape
+        for name in available_orderings():
+            kwargs = {"size": 4} if name == "l4d" else {}
+            cfg = OptimizationConfig(ordering=name, ordering_kwargs=kwargs)
+            st = PICStepper3D(GridSpec3D(*shape), LandauDamping3D(), 100, config=cfg)
+            row_major = name in ("row-major", "column-major")
+            assert st.ordering.spec == (
+                "row-major" if row_major else "morton", shape, ()
+            )
+            st.close()
         with pytest.raises(KeyError, match="mortn.*morton"):
-            _ordering_for("mortn", shape)
-        from repro.core.config import OptimizationConfig
-
-        with pytest.raises(KeyError, match="mortn"):
             PICStepper3D(GridSpec3D(*shape), LandauDamping3D(), 100,
                          config=OptimizationConfig(ordering="mortn"))
 

@@ -237,11 +237,11 @@ class TestMpDepositParity:
 
 def test_counting_sort_equals_stable_argsort_on_morton_3d():
     """What deleting the 3D stepper's private argsort rests on."""
+    from repro.curves import MortonOrdering
     from repro.particles import counting_sort_permutation
-    from repro.pic3d import Morton3DOrdering
 
     rng = np.random.default_rng(3)
-    ordering = Morton3DOrdering(16, 8, 4)
+    ordering = MortonOrdering(16, 8, 4)
     icell = ordering.encode(*(rng.integers(0, nc, 50_000) for nc in (16, 8, 4)))
     perm = counting_sort_permutation(icell, ordering.ncells_allocated)
     assert np.array_equal(perm, np.argsort(icell, kind="stable"))

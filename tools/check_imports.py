@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Structure lints: nothing a run executes imports the paper-model
-testbed, the testbed executes nothing in parallel, and
-dimension-suffixed code only lives where it is written down.
+testbed, the testbed executes nothing in parallel, the parallel engine
+names no dimension, and dimension-suffixed code only lives where it is
+written down.
 
 The repo holds two kinds of code.  The *engine* is what a run, a
 worker process or a ``repro serve`` process executes.  The *model* is
@@ -28,6 +29,12 @@ imports ``threading``, ``queue``, ``multiprocessing`` or
 ``concurrent``.  The model prices §V's parallel execution; the one
 executed rendering of it is ``repro.parallel`` (``numpy-mp``).
 
+And with the same walk again: no module under ``repro/parallel/``
+imports ``repro.pic3d``.  The engine serves 2D and 3D steppers alike; a
+worker rebuilds the stepper's ordering from its
+:attr:`~repro.curves.base.CellOrdering.spec` through the one registry,
+so nothing it executes needs the 3D stepper's module.
+
 The second lint is a ratchet on the 2D/3D fork (ROADMAP, "One
 statement per kernel").  A ``class``/``def`` whose name ends in
 ``3d``/``3D`` (or carries it before a ``_``-separated suffix) must be
@@ -36,9 +43,10 @@ a name that is not listed fails, a listed name that is no longer
 defined fails, and so does one defined twice in its file (an override
 of an adapter) — the list can only shrink, and a PR that deletes one
 such definition has to show it here.  The
-modules of :data:`DIMENSION_FREE` — the particle store, the
-shared-memory engine, the differential runner — additionally hold no
-string ending in ``2d``/``3d`` (a worker op name, a layout tag).
+modules of :data:`DIMENSION_FREE` — the cell orderings, the Poisson
+solver, the particle store, the shared-memory engine, the differential
+runner — additionally hold no string ending in ``2d``/``3d`` (a worker
+op name, a layout tag, an ordering name) outside ``__all__``.
 
 Wired into ``make docs-check`` (and so ``make check``); exit 1 with
 one ``file:line`` per violation.
@@ -61,20 +69,22 @@ MODEL_IMPORTERS = ("repro/model/", "repro/cli.py")
 #: execution and never performs it
 CONCURRENCY_MODULES = ("threading", "queue", "multiprocessing", "concurrent")
 
+#: the 3D package, and the directory (relative to ``src/``) none of
+#: whose modules may import it
+PIC3D_PACKAGE = "repro.pic3d"
+PIC3D_FREE = "repro/parallel/"
+
 #: every dimension-suffixed class/def that still exists, by file
 #: (relative to ``src/``): the three ``*_3d`` adapters the frozen
 #: benchmark ledger calls, the two 3D checkpoint entry points, the 3D
-#: Morton pair, the 3D grid / ordering / solver / stepper classes, the
-#: verifier's 3D scenario sampler and its 3D two-stream oracle
+#: grid / case / stepper classes, the verifier's 3D scenario sampler
+#: and its 3D two-stream oracle
 DIMENSIONAL_ALLOWED = {
     "repro/core/backends.py": {
         "interpolate_redundant_3d", "accumulate_redundant_3d", "push_positions_3d",
     },
     "repro/core/checkpoint.py": {"save_checkpoint_3d", "load_checkpoint_3d"},
-    "repro/curves/curves3d.py": {"morton_encode_3d", "morton_decode_3d"},
     "repro/pic3d/grid3d.py": {"GridSpec3D"},
-    "repro/pic3d/ordering3d.py": {"Ordering3D"},
-    "repro/pic3d/poisson3d.py": {"SpectralPoissonSolver3D"},
     "repro/pic3d/stepper3d.py": {"LandauDamping3D", "TwoStream3D", "PICStepper3D"},
     "repro/verify/configspace.py": {"grid3d", "case3d", "_sample_one_3d"},
     "repro/verify/oracles.py": {"two_stream_3d_oracle"},
@@ -82,6 +92,8 @@ DIMENSIONAL_ALLOWED = {
 
 #: modules that serve every dimension and name none
 DIMENSION_FREE = (
+    "repro/curves/*.py",
+    "repro/grid/poisson.py",
     "repro/parallel/executor.py",
     "repro/parallel/shm.py",
     "repro/particles/*.py",
@@ -92,14 +104,26 @@ DIMENSION_FREE = (
 def dimension_names(path: Path, strings: bool) -> list[tuple[int, str, str]]:
     """``(line, "definition" | "string", name)`` of every
     dimension-suffixed definition (and, with ``strings``, string
-    constant) in one module."""
+    constant) in one module.  The entries of ``__all__`` are no tags:
+    they name definitions, which the definition rule already sees."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    exported = {
+        id(entry)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        for entry in getattr(node.value, "elts", ())
+    }
     found = []
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for node in ast.walk(tree):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             if re.search(r"3[dD](_|$)", node.name):
                 found.append((node.lineno, "definition", node.name))
-        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if re.fullmatch(r"\w*[a-z_][23]d", node.value):
+        elif (
+            strings and isinstance(node, ast.Constant)
+            and isinstance(node.value, str) and id(node) not in exported
+        ):
+            if re.fullmatch(r"[\w-]*[a-z_-][23]d", node.value):
                 found.append((node.lineno, "string", node.value))
     return found
 
@@ -196,9 +220,21 @@ def check_model_concurrency(src: Path = SRC) -> list[str]:
     ]
 
 
+def check_parallel_imports(src: Path = SRC) -> list[str]:
+    """Imports of the 3D package, at any depth, in every module under
+    ``repro/parallel/``."""
+    return [
+        f"{shown}:{line}: imports {name}: the parallel engine serves every "
+        f"dimension and names none"
+        for path in sorted((src / PIC3D_FREE).rglob("*.py"))
+        for shown, line, name in _imports_of(path, src, (PIC3D_PACKAGE,))
+    ]
+
+
 def main() -> int:
     errors = (
-        check_model_imports() + check_model_concurrency() + check_dimension_ratchet()
+        check_model_imports() + check_model_concurrency()
+        + check_parallel_imports() + check_dimension_ratchet()
     )
     if errors:
         print("check_imports: FAIL")
@@ -207,7 +243,8 @@ def main() -> int:
         return 1
     print(f"check_imports: OK — nothing under src/repro/ outside "
           f"{' and '.join(MODEL_IMPORTERS)} imports {MODEL_PACKAGE}, "
-          f"which imports no concurrency module; "
+          f"which imports no concurrency module; nothing under "
+          f"{PIC3D_FREE} imports {PIC3D_PACKAGE}; "
           f"the {sum(map(len, DIMENSIONAL_ALLOWED.values()))} "
           f"dimension-suffixed definitions are the ones written down")
     return 0
