@@ -33,8 +33,7 @@ serve-latency:
 	$(PYTHON) tools/serve_latency_gate.py
 
 # 3D feature-parity subset: kernels/orderings, the parity acceptance
-# tests (fused==split bitwise, numpy-mp bitwise at 2, 4, 8 and 9
-# workers), the 2D/3D checkpoint/resume suite, and the curves and
+# tests (numpy-mp bitwise at 2, 4, 8 and 9 workers), the 2D/3D checkpoint/resume suite, and the curves and
 # solver that serve both dimensions (every index map against the
 # recorded ones)
 test-3d:
@@ -84,10 +83,8 @@ chaos-service:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# performance gates: fails if the preferred available backend's
-# single-pass kernel loses to its split rendering beyond min-of-k noise
-# (floor 0.90x on a compiled backend, 0.80x on numpy), or if the
-# histogram-balanced deposit cuts lose to equal cells on a skewed plasma
+# performance gate: fails if the histogram-balanced deposit cuts lose
+# to equal cells on a skewed plasma
 bench-gate:
 	$(PYTHON) tools/bench_gate.py
 

@@ -91,13 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="print diagnostics every N steps")
     run.add_argument("--checkpoint", type=str, default=None,
                      help="write a checkpoint here after the run")
-    run.add_argument("--loop-mode", choices=("split", "fused"),
-                     default="split",
-                     help="particle-loop structure: 'split' runs three "
-                     "passes over the particles; 'fused' runs the "
-                     "backend's single-pass interpolate+kick+push kernel, "
-                     "then the deposit (bitwise-equal; which is faster "
-                     "is per backend — see docs/tuning.md)")
     run.add_argument("--mp-timeout", type=float, default=None, metavar="SECS",
                      help="numpy-mp per-task timeout before a worker is "
                      "restarted and its shard retried serially")
@@ -314,7 +307,7 @@ def _job_from_args(args, **fields):
 
 
 def _cmd_run(args) -> int:
-    job = _job_from_args(args, loop_mode=args.loop_mode)
+    job = _job_from_args(args)
     cfg = job.make_config()
     if args.mp_timeout is not None:
         cfg = cfg.with_(mp_task_timeout=args.mp_timeout)

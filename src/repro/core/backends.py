@@ -15,9 +15,9 @@ execution strategy as a named **backend** rather than hard-wiring one:
 * ``"auto"`` — the selection policy: the highest-priority backend
   that is available (``c`` first, then ``numpy``).
 
-Every backend implements the same eleven kernels (:class:`KernelBackend`)
-— six particle loops over the redundant rows of any dimension, the two
-per-cell loops of that layout (ρ fold and field broadcast) and three
+Every backend implements the same nine kernels (:class:`KernelBackend`)
+— five particle loops over the redundant rows of any dimension, the two
+per-cell loops of that layout (ρ fold and field broadcast) and two
 particle loops over the 2D standard layout — and all backends must
 produce identical physics; the
 cross-backend equivalence suite (``tests/test_backends.py``) checks
@@ -93,12 +93,12 @@ class KernelBackend(abc.ABC):
     """One execution strategy for the PIC inner loops.
 
     The abstract methods are the whole overridable surface, and what
-    the steppers call: six particle loops over the redundant
+    the steppers call: five particle loops over the redundant
     ``[ncell][2^ndim]`` rows, written over tuples of per-axis arrays so
     one method serves 2D and 3D, the two per-cell loops between those
     rows and the grid points the solver works on, and the 2D
-    standard-layout trio (the paper's Table IV baseline row).
-    :class:`NumpyBackend` implements all eleven; a faster backend
+    standard-layout pair (the paper's Table IV baseline row).
+    :class:`NumpyBackend` implements all nine; a faster backend
     subclasses it and overrides what it accelerates.
     """
 
@@ -170,14 +170,6 @@ class KernelBackend(abc.ABC):
         """
 
     @abc.abstractmethod
-    def fused_rows(self, e_1d, particles, extents, ordering, variant,
-                   coefs, scales) -> None:
-        """Single-pass interpolate + kick + push over all particles:
-        the same results as :meth:`interpolate_rows` + :meth:`kick` +
-        :meth:`push` back to back, with no per-particle field
-        temporaries (``loop_mode="fused"``)."""
-
-    @abc.abstractmethod
     def counting_sort_permutation(self, keys, ncells):
         """Stable O(N + C) counting-sort permutation of ``keys``
         (stability fixes it uniquely, whoever computes it)."""
@@ -192,11 +184,6 @@ class KernelBackend(abc.ABC):
     @abc.abstractmethod
     def accumulate_standard(self, rho, ix, iy, dx, dy, charge=1.0) -> None:
         """CiC scatter onto the point-based ``rho[ncx][ncy]``."""
-
-    @abc.abstractmethod
-    def fused_standard(self, ex, ey, particles, ordering, variant,
-                       coefs, scales) -> None:
-        """:meth:`fused_rows` reading the point-based ``ex`` / ``ey``."""
 
     # ------------------------------------------------------------------
     # The axis-spelled names the frozen benchmark ledger calls
@@ -392,9 +379,7 @@ def get_backend(name: str = AUTO) -> KernelBackend:
 @register_backend
 class NumpyBackend(KernelBackend):
     """Cache-blocked NumPy array kernels — the auto-vectorized
-    rendering.  Its fused kernels are the same kernels swept block by
-    block (:func:`repro.core.kernels.fused_sweep`), bitwise equal to
-    the split passes."""
+    rendering."""
 
     name = "numpy"
     priority = 10
@@ -425,32 +410,6 @@ class NumpyBackend(KernelBackend):
         _k.push_blocked(
             particles, particles if dst is None else dst, extents, ordering,
             _k.AXIS_KERNELS[variant], scales,
-        )
-
-    def fused_rows(self, e_1d, particles, extents, ordering, variant,
-                   coefs, scales) -> None:
-        axes = "xyz"[: len(extents)]
-
-        def gather(p):
-            return _k.interpolate_rows(e_1d, p["icell"], [p["d" + a] for a in axes])
-
-        _k.fused_sweep(
-            particles, gather, extents, ordering,
-            _k.AXIS_KERNELS[variant], coefs, scales,
-        )
-
-    def fused_standard(self, ex, ey, particles, ordering, variant,
-                       coefs, scales) -> None:
-        def gather(p):
-            if "ix" in p:
-                ix, iy = p["ix"], p["iy"]
-            else:
-                ix, iy = ordering.decode(p["icell"])
-            return _k.interpolate_standard(ex, ey, ix, iy, p["dx"], p["dy"])
-
-        _k.fused_sweep(
-            particles, gather, ex.shape, ordering,
-            _k.AXIS_KERNELS[variant], coefs, scales,
         )
 
     def counting_sort_permutation(self, keys, ncells):
@@ -491,8 +450,6 @@ _C_SIGNATURES = {
     "interp_rows": (_I64, (_INT, _I64, _I64, _PTR, _PTR, _COLS, _COLS)),
     "push": (None, (_INT, _I64, _INT, _INT, _I64S, _F64S, _PTR,
                     _COLS, _COLS, _COLS, _PTR, _COLS, _COLS)),
-    "fused": (_I64, (_INT, _I64, _I64, _PTR, _F64S, _INT, _INT, _I64S, _F64S,
-                     _PTR, _COLS, _COLS, _COLS)),
     "deposit_rows": (_I64, (_INT, _I64, _I64, _COLS, _I64, _PTR, _COLS, _F64)),
     "reduce_rows": (_I64, (_INT, _I64S, _I64, _PTR, _PTR, _PTR)),
     "broadcast_rows": (_I64, (_INT, _I64S, _I64, _PTR, _COLS, _F64S, _PTR)),
@@ -539,9 +496,8 @@ class CBackend(NumpyBackend):
     releases the GIL for the duration of each call.
 
     Overrides the redundant-row gather and deposit, the ρ fold and the
-    field broadcast, the push, the fused sweep and the sort
-    permutation; the standard-layout kernels,
-    the stand-alone kick (one ``np.add``, which measures no slower than
+    field broadcast, the push and the sort permutation; the
+    standard-layout kernels, the stand-alone kick (one ``np.add``, which measures no slower than
     a C loop) and any argument that does not :func:`_fits` the C ABI
     run the inherited NumPy kernels.  The arithmetic is written to
     NumPy's bits — the same weight products, the same corner fold, no
@@ -672,14 +628,13 @@ class CBackend(NumpyBackend):
         )
         _check_cells(bad, cell_map, len(fields.e_1d), "grid point")
 
-    # -- push, fused ---------------------------------------------------
-    def _sweep(self, p, extents, ordering, variant, scales, e_1d=None,
-               coefs=None, dst=None) -> bool:
-        """``ckernels.c``'s ``push`` from the population ``p`` into
-        ``dst`` (default: ``p``) — with ``e_1d`` and ``coefs``, its
-        ``fused``, in place.  Returns ``False``, having done nothing,
-        when an argument does not fit the C ABI."""
-        q = p if dst is None else dst
+    # -- push ----------------------------------------------------------
+    def push(self, particles, extents, ordering, variant, scales,
+             dst=None) -> None:
+        """``ckernels.c``'s ``push`` from ``particles`` into ``dst``
+        (default: in place); the inherited NumPy push when an argument
+        does not fit the C ABI."""
+        p, q = particles, particles if dst is None else dst
         ndim, icell = len(extents), p["icell"]
         n, axes = len(icell), "xyz"[: len(extents)]
         wrap = _WRAP_CODES[variant]
@@ -698,11 +653,11 @@ class CBackend(NumpyBackend):
             or not _fits(q["icell"], np.int64, (n,))
             or ("ix" in p) != ("ix" in q)
             or not all(0 < nc < 2**31 for nc in extents)
-            or any(np.ndim(s) for s in (*scales, *(coefs or ())))
+            or any(np.ndim(s) for s in scales)
         ):
-            return False
+            return super().push(particles, extents, ordering, variant, scales, dst)
         # scan orders decode inline; other curves keep the coordinates
-        # stored, or have them decoded here into temporaries the sweep
+        # stored, or have them decoded here into temporaries the push
         # overwrites
         coords = coords_out = icoord = icoord_out = None
         if "ix" in p:
@@ -716,38 +671,15 @@ class CBackend(NumpyBackend):
             icoord_out = (icoord if coords_out is coords
                           else _columns(coords_out, np.int64, (n,)))
             if icoord is None or icoord_out is None:
-                return False
-        spec = (wrap, order, _I64_N[ndim](*extents), _F64_N[ndim](*scales),
-                icell.ctypes.data, d, v, icoord)
-        if e_1d is None:
-            self._lib.push(ndim, n, *spec, q["icell"].ctypes.data, d_out,
-                           icoord_out)
-        elif q is p and _fits(e_1d, np.float64, (len(e_1d), ndim << ndim)):
-            bad = self._lib.fused(
-                ndim, n, len(e_1d), e_1d.ctypes.data, _F64_N[ndim](*coefs),
-                *spec,
-            )
-            _check_cells(bad, icell, len(e_1d))
-        else:
-            return False
+                return super().push(particles, extents, ordering, variant,
+                                    scales, dst)
+        self._lib.push(
+            ndim, n, wrap, order, _I64_N[ndim](*extents), _F64_N[ndim](*scales),
+            icell.ctypes.data, d, v, icoord, q["icell"].ctypes.data, d_out,
+            icoord_out,
+        )
         if order == _ORDER_OTHER:
             q["icell"][:] = ordering.encode(*coords_out)
-        return True
-
-    def push(self, particles, extents, ordering, variant, scales,
-             dst=None) -> None:
-        if not self._sweep(particles, extents, ordering, variant, scales,
-                           dst=dst):
-            super().push(particles, extents, ordering, variant, scales, dst)
-
-    def fused_rows(self, e_1d, particles, extents, ordering, variant,
-                   coefs, scales) -> None:
-        if not self._sweep(
-            particles, extents, ordering, variant, scales, e_1d, coefs
-        ):
-            super().fused_rows(
-                e_1d, particles, extents, ordering, variant, coefs, scales
-            )
 
     # -- sort ----------------------------------------------------------
     def counting_sort_permutation(self, keys, ncells):

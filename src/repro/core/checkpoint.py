@@ -110,8 +110,8 @@ def _saved_config(meta: dict, path) -> OptimizationConfig:
             k: v for k, v in json.loads(meta["config"]).items()
             if k not in _RETIRED_CONFIG_KEYS
         }
-        # fused == split bitwise and the tuner behind "auto" kept no
-        # checkpointed state, so no output bit moves
+        # every loop_mode runs the split loops and the tuner behind
+        # "auto" kept no checkpointed state, so no output bit moves
         if saved.get("loop_mode") == "auto":
             saved["loop_mode"] = "split"
         # numba was tolerance-class; "auto" is what took its place

@@ -28,7 +28,7 @@
 #define MAXDIM 3
 #define MAXCORNER 8
 
-/* The loops below are written once over ndim (and the sweep over the
+/* The loops below are written once over ndim (and the push over the
  * wrap variant) and instantiated by inlining with constant arguments;
  * without the attribute the compiler may keep one general copy. */
 #if defined(__GNUC__)
@@ -199,18 +199,17 @@ INLINE void decode_scan(const int ndim, const int order,
 }
 
 /* ------------------------------------------------------------------ */
-/* One pass over the population: the position update alone, or — with
- * field rows `e` — gather, kick and position update per particle.
- * `d`, `v`, `icoord` are arrays of ndim column pointers; `icoord` is
- * NULL when the coordinates are not stored (scan orders only).  The
- * sweep reads the source columns and writes the `*_out` ones: the same
- * pointers update in place, others stage the result elsewhere (the
- * numpy-mp back buffer).  A particle's inputs are all read before any
- * of its outputs is written, so either is safe. */
+/* One pass of the position update over the population.  `d`, `v`,
+ * `icoord` are arrays of ndim column pointers; `icoord` is NULL when the
+ * coordinates are not stored (scan orders only).  The sweep reads the
+ * source columns and writes the `*_out` ones: the same pointers update
+ * in place, others stage the result elsewhere (the numpy-mp back
+ * buffer).  A particle's inputs are all read before any of its outputs
+ * is written, so either is safe. */
 typedef struct {
     int variant, order;
-    int64_t n, ncell;
-    const double *e, *coef, *scale;
+    int64_t n;
+    const double *scale;
     int64_t extent[MAXDIM];
     int log2_extent[MAXDIM];
     const int64_t *icell;
@@ -221,30 +220,19 @@ typedef struct {
     int64_t *const *icoord_out;
 } sweep_args;
 
-/* The loop, over compile-time `fuse`, `ndim`, `variant` and `stored`:
- * sweep() below instantiates every combination, so that each runs
- * without a per-particle dispatch (a third faster than one loop that
- * tests them). */
-INLINE int64_t sweep_loop(const int fuse, const int ndim, const int variant,
-                          const int stored, const sweep_args *s)
+/* The loop, over compile-time `ndim`, `variant` and `stored`: push()
+ * below instantiates every combination, so that each runs without a
+ * per-particle dispatch (a third faster than one loop that tests
+ * them). */
+INLINE void sweep_loop(const int ndim, const int variant, const int stored,
+                       const sweep_args *s)
 {
-    const int width = ndim << ndim;
     for (int64_t k = 0; k < s->n; k++) {
         int64_t i[MAXDIM];
         double dk[MAXDIM], vk[MAXDIM];
         for (int a = 0; a < ndim; a++) {
             dk[a] = s->d[a][k];
             vk[a] = s->v[a][k];
-        }
-        if (fuse) { /* Fig. 1 line 9 */
-            double ek[MAXDIM];
-            if ((uint64_t)s->icell[k] >= (uint64_t)s->ncell)
-                return k;
-            gather(ndim, s->e + s->icell[k] * width, dk, ek);
-            for (int a = 0; a < ndim; a++) {
-                vk[a] += s->coef[a] * ek[a];
-                s->v[a][k] = vk[a];
-            }
         }
         /* Fig. 1 line 10: x = i + d + scale * v per axis, wrapped */
         if (stored)
@@ -261,50 +249,29 @@ INLINE int64_t sweep_loop(const int fuse, const int ndim, const int variant,
         if (s->order != ORDER_OTHER)
             s->icell_out[k] = encode(ndim, s->order, s->extent, s->log2_extent, i);
     }
-    return -1;
 }
 
-INLINE int64_t sweep_variant(const int fuse, const int ndim, const int variant,
-                             const sweep_args *s)
+INLINE void sweep_variant(const int ndim, const int variant,
+                          const sweep_args *s)
 {
-    return s->icoord ? sweep_loop(fuse, ndim, variant, 1, s)
-                     : sweep_loop(fuse, ndim, variant, 0, s);
+    if (s->icoord)
+        sweep_loop(ndim, variant, 1, s);
+    else
+        sweep_loop(ndim, variant, 0, s);
 }
 
-INLINE int64_t sweep_ndim(const int fuse, const int ndim, const sweep_args *s)
+INLINE void sweep_ndim(const int ndim, const sweep_args *s)
 {
     switch (s->variant) {
     case WRAP_BRANCH:
-        return sweep_variant(fuse, ndim, WRAP_BRANCH, s);
+        sweep_variant(ndim, WRAP_BRANCH, s);
+        break;
     case WRAP_MODULO:
-        return sweep_variant(fuse, ndim, WRAP_MODULO, s);
+        sweep_variant(ndim, WRAP_MODULO, s);
+        break;
     default:
-        return sweep_variant(fuse, ndim, WRAP_BITWISE, s);
+        sweep_variant(ndim, WRAP_BITWISE, s);
     }
-}
-
-INLINE int64_t sweep(const int fuse, int ndim, int64_t n, int64_t ncell,
-                     const double *e, const double *coef, int variant,
-                     int order, const int64_t *extent, const double *scale,
-                     const int64_t *icell, double *const *d,
-                     double *const *v, int64_t *const *icoord,
-                     int64_t *icell_out, double *const *d_out,
-                     int64_t *const *icoord_out)
-{
-    sweep_args s;
-    s.variant = variant, s.order = order;
-    s.n = n, s.ncell = ncell;
-    s.e = e, s.coef = coef, s.scale = scale;
-    s.icell = icell, s.d = d, s.v = v, s.icoord = icoord;
-    s.icell_out = icell_out, s.d_out = d_out, s.icoord_out = icoord_out;
-    for (int a = 0; a < ndim; a++) {
-        s.extent[a] = extent[a];
-        s.log2_extent[a] = 0;
-        while (s.log2_extent[a] < 31
-               && ((int64_t)2 << s.log2_extent[a]) <= extent[a])
-            s.log2_extent[a]++;
-    }
-    return ndim == 2 ? sweep_ndim(fuse, 2, &s) : sweep_ndim(fuse, 3, &s);
 }
 
 /* ------------------------------------------------------------------ */
@@ -539,19 +506,22 @@ void push(int ndim, int64_t n, int variant, int order, const int64_t *extent,
           double *const *v, int64_t *const *icoord, int64_t *icell_out,
           double *const *d_out, int64_t *const *icoord_out)
 {
-    sweep(0, ndim, n, 0, 0, 0, variant, order, extent, scale, icell, d, v,
-          icoord, icell_out, d_out, icoord_out);
-}
-
-/* Fig. 1 lines 9-10 in one pass per particle, in place: the paper's
- * baseline loop, before section IV-A splits it. */
-int64_t fused(int ndim, int64_t n, int64_t ncell, const double *e,
-              const double *coef, int variant, int order,
-              const int64_t *extent, const double *scale, int64_t *icell,
-              double *const *d, double *const *v, int64_t *const *icoord)
-{
-    return sweep(1, ndim, n, ncell, e, coef, variant, order, extent, scale,
-                 icell, d, v, icoord, icell, d, icoord);
+    sweep_args s;
+    s.variant = variant, s.order = order;
+    s.n = n, s.scale = scale;
+    s.icell = icell, s.d = d, s.v = v, s.icoord = icoord;
+    s.icell_out = icell_out, s.d_out = d_out, s.icoord_out = icoord_out;
+    for (int a = 0; a < ndim; a++) {
+        s.extent[a] = extent[a];
+        s.log2_extent[a] = 0;
+        while (s.log2_extent[a] < 31
+               && ((int64_t)2 << s.log2_extent[a]) <= extent[a])
+            s.log2_extent[a]++;
+    }
+    if (ndim == 2)
+        sweep_ndim(2, &s);
+    else
+        sweep_ndim(3, &s);
 }
 
 /* Fig. 1 line 11 / Fig. 2 (bottom), into 1 << ndim column pointers

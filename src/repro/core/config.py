@@ -37,11 +37,11 @@ class OptimizationConfig:
     particle_layout:
         ``"soa"`` or ``"aos"``.
     loop_mode:
-        ``"fused"`` — one sweep doing interpolate / update-v /
-        update-x per particle, the deposit following (the baseline);
-        ``"split"`` — three full passes (§IV-A, enables vectorizing
-        update-x).  Bitwise-equal on every in-process backend; which
-        is faster is a measured fact per backend (``docs/tuning.md``).
+        ``"fused"`` — one loop doing interpolate / update-v / update-x
+        per particle (Table IV's baseline row); ``"split"`` — three
+        full passes (§IV-A, enables vectorizing update-x).  An axis
+        :mod:`repro.model` prices; the steppers run the split loops
+        for either value (``docs/tuning.md``).
     position_update:
         ``"branch"`` — test-and-wrap (the `if` version);
         ``"modulo"`` — unconditional floor+modulo;

@@ -53,7 +53,6 @@ __all__ = [
     "interpolate_rows",
     "kick",
     "push_blocked",
-    "fused_sweep",
     "AXIS_KERNELS",
 ]
 
@@ -408,28 +407,6 @@ def push_blocked(src, dst, extents, ordering, axis_fn, scales):
         if "ix" in dst:
             for a, i_new in zip(axes, new):
                 dst["i" + a][sl] = i_new
-
-
-def fused_sweep(arrs, gather, extents, ordering, axis_fn, coefs, scales):
-    """Interpolate -> kick -> push, one block at a time, in place.
-
-    The NumPy rendering of the paper's single-pass loop: a block's
-    record is gathered, kicked and pushed while it is hot, then the
-    next block.  ``arrs`` is the :func:`push_blocked` mapping;
-    ``gather(block)`` returns the field at the block's particles, one
-    array per axis (the block is a mapping of slice views, so any
-    blocked interpolation kernel runs it as a single iteration).
-    Every operation is elementwise per particle and is the split
-    kernels' own code, so the sweep is bitwise identical to the three
-    split passes at any population and block size; the deposit follows
-    separately, over the whole population.
-    """
-    axes = "xyz"[: len(extents)]
-    for sl in blocks(len(arrs["icell"])):
-        block = {k: v[sl] for k, v in arrs.items()}
-        for a, e_p, coef in zip(axes, gather(block), coefs):
-            kick(block["v" + a], e_p, coef)
-        push_blocked(block, block, extents, ordering, axis_fn, scales)
 
 
 #: Per-axis wrap kernels, keyed the same way — the building blocks the

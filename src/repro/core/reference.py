@@ -197,7 +197,7 @@ class ReferenceStepper:
         sort (counting sort, when due) -> interpolate + kick -> push
         -> zero rho, deposit -> Poisson solve
 
-    and must agree with the numpy backend's split path **bitwise**, step
+    and must agree with the numpy backend **bitwise**, step
     after step (``tests/test_verify_differential.py`` holds it to 50
     steps).  Only the redundant and standard field layouts' *grid-level*
     machinery (corner fold, field broadcast, spectral solve) is shared

@@ -10,14 +10,12 @@ solver, and advances the coupled system one time step at a time:
 The deposit writes rho outright (it is not added into a zeroed
 array), so there is no reset phase.
 
-The particle loops run either *split* (three full passes: update-v,
-update-x, accumulate — §IV-A) or *fused* (``fused-backend``: the
-backend's single-pass interpolate+kick+push kernel with the deposit
-following — the baseline).  Cache blocking is not the stepper's
+The particle loops run split: three full passes (update-v, update-x,
+accumulate — §IV-A).  ``OptimizationConfig.loop_mode`` does not change
+that: the single-loop baseline it names is priced by
+:mod:`repro.model`, not executed.  Cache blocking is not the stepper's
 business: the NumPy kernels block internally
-(:mod:`repro.core.kernels`), on either path.  Both paths produce
-identical physics; they differ in memory behaviour, which the perf
-substrate prices and the instrumentation records.
+(:mod:`repro.core.kernels`).
 
 Unit conventions
 ----------------
@@ -28,11 +26,11 @@ time step* and the field is loaded into the storage pre-scaled by
 stepper converts back to physical units for diagnostics.  Without
 hoisting, velocities are physical and the loops carry the multiplies.
 
-:class:`StepLoop` is the loop itself — sort cadence, path selection,
-phase order, hooks, instrumentation, backend lifecycle — and the phase
-bodies over the redundant rows in hoisted units, the solve (ρ fold,
-Poisson, scaled field broadcast) included, written once over
-``grid.shape`` and the particle store's axis columns.
+:class:`StepLoop` is the loop itself — sort cadence, phase order,
+hooks, instrumentation, backend lifecycle — and the phase bodies over
+the redundant rows in hoisted units, the solve (ρ fold, Poisson,
+scaled field broadcast) included, written once over ``grid.shape``
+and the particle store's axis columns.
 :class:`PICStepper` adds what only 2D has (the standard layout, Boris /
 external drive, the reflecting wall, un-hoisted coefficients);
 :class:`repro.pic3d.stepper3d.PICStepper3D` is a constructor, a loader,
@@ -97,9 +95,8 @@ class StepLoop:
         self.timings: StepTimings = self.instrumentation.timings
         #: optional ``hook(phase_name, stepper)`` called after each phase
         #: of :meth:`step` completes — ``"sort"``, the particle-loop
-        #: phases (``"update_v"``/``"update_x"``/``"accumulate"`` when
-        #: split, ``"fused"``/``"accumulate"`` on the fused-backend
-        #: path) and ``"solve"``.  The differential
+        #: phases ``"update_v"``/``"update_x"``/``"accumulate"`` and
+        #: ``"solve"``.  The differential
         #: verifier's bisector (:mod:`repro.verify.differ`) uses this to
         #: attribute a divergence to the kernel phase that produced it;
         #: hooks must not mutate the stepper state, and are observers
@@ -162,29 +159,6 @@ class StepLoop:
         self._sort_buffer = self.particles
         self.particles = sorted_parts
 
-    def _select_loop_path(self) -> str:
-        """Which particle-loop path this step will run.
-
-        * ``"split"`` — three passes over the population (§IV-A/B);
-        * ``"fused-backend"`` — the backend's single-pass
-          interpolate+kick+push kernel (``loop_mode="fused"``; every
-          shipped backend has one).
-
-        Scenario-zoo cases that carry a non-periodic boundary, a
-        magnetic field or an external field always run ``"split"``:
-        the Boris rotation and the wall fold are whole-population
-        phases, so the fused renderings would have to degenerate to
-        split anyway — forcing it keeps every backend on the identical
-        (hence bitwise-comparable) code path.
-        """
-        if (
-            self.boundary != "periodic"
-            or self.bz != 0.0
-            or self.ext_e != (0.0, 0.0)
-        ):
-            return "split"
-        return "fused-backend" if self.config.loop_mode == "fused" else "split"
-
     def _deposit_and_solve(self) -> None:
         """Accumulate rho from current positions, then solve for E."""
         self._phase_accumulate()
@@ -223,13 +197,6 @@ class StepLoop:
         self.backend.push(
             self.particles, self.grid.shape, self.ordering,
             self.config.position_update, self._push_scales(),
-        )
-
-    def _phase_fused(self) -> None:
-        """Single-pass interpolate + kick + push through the backend."""
-        self.backend.fused_rows(
-            self.fields.e_1d, self.particles, self.grid.shape, self.ordering,
-            self.config.position_update, self._kick_coefs(), self._push_scales(),
         )
 
     def _phase_accumulate(self) -> None:
@@ -282,25 +249,14 @@ class StepLoop:
             if hook is not None:
                 hook("sort", self)
 
-            path = self._select_loop_path()
-            instr.record_path(path)
-            if path == "split":
-                with instr.phase("update_v"):
-                    self._phase_update_v()
-                if hook is not None:
-                    hook("update_v", self)
-                with instr.phase("update_x"):
-                    self._phase_update_x()
-                if hook is not None:
-                    hook("update_x", self)
-            else:  # fused-backend
-                with instr.phase("fused"):
-                    self._phase_fused()
-                if hook is not None:
-                    hook("fused", self)
-            # one whole-grid deposit on either path: the per-particle
-            # phases above are elementwise, and the deposit sees the
-            # identical arrays in the identical order
+            with instr.phase("update_v"):
+                self._phase_update_v()
+            if hook is not None:
+                hook("update_v", self)
+            with instr.phase("update_x"):
+                self._phase_update_x()
+            if hook is not None:
+                hook("update_x", self)
             with instr.phase("accumulate"):
                 self._phase_accumulate()
             if hook is not None:
@@ -561,14 +517,6 @@ class PICStepper(StepLoop):
         p = self.particles
         self.backend.accumulate_standard(
             self.fields.rho, *self._cell_coords(), p.dx, p.dy, self._charge_factor
-        )
-
-    def _phase_fused(self) -> None:
-        if self.fields.layout == "redundant":
-            return super()._phase_fused()
-        self.backend.fused_standard(
-            self.fields.ex, self.fields.ey, self.particles, self.ordering,
-            self.config.position_update, self._kick_coefs(), self._push_scales(),
         )
 
     def _fold_rho(self) -> np.ndarray:

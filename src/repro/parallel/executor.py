@@ -676,14 +676,14 @@ class MultiprocessBackend(NumpyBackend):
     """The split-loop kernels fanned out over shared-memory workers.
 
     Calls whose arrays belong to a live :class:`ShmEngine` (i.e. came
-    from a prepared stepper in split-loop redundant-SoA mode) are
+    from a prepared stepper in redundant-SoA mode) are
     dispatched to the pool, whose workers run the engine's body — the
     kernels ``"auto"`` resolves to, ``c``'s compiled loops wherever
     they build (the name is historical); the ρ fold and the field
     broadcast of the engine's store run that body in the parent.
     Everything else — direct
     kernel calls, calls with ``out=`` / ``corners=`` / ``dst=``, the
-    sort, the fused sweep, standard/AoS layouts — runs the inherited
+    sort, standard/AoS layouts — runs the inherited
     :class:`NumpyBackend` kernels serially, with identical results.
     2D and 3D steppers get the same engine under the same eligibility
     rule.  Deliberately the *lowest* priority so ``"auto"`` never picks
@@ -720,18 +720,16 @@ class MultiprocessBackend(NumpyBackend):
     def prepare_stepper(self, stepper) -> None:
         cfg = stepper.config
         # one rule for both dimensions: redundant rows the engine can
-        # adopt, SoA columns it can share, and the split loop
+        # adopt and SoA columns it can share
         eligible = (
             hasattr(stepper.fields, "adopt_arrays")
             and isinstance(stepper.particles, ParticleSoA)
-            and cfg.loop_mode == "split"
         )
         if not eligible:
             _log.warning(
-                "numpy-mp needs field_layout='redundant', particle_layout="
-                "'soa' and loop_mode='split' to parallelize (got %r/%r/%r); "
-                "running serially",
-                cfg.field_layout, cfg.particle_layout, cfg.loop_mode,
+                "numpy-mp needs field_layout='redundant' and particle_layout="
+                "'soa' to parallelize (got %r/%r); running serially",
+                cfg.field_layout, cfg.particle_layout,
             )
             return
         try:

@@ -13,11 +13,7 @@ numbers rest on real wall-clock data:
 
 The phase set mirrors Fig. 1's main loop: ``sort``, ``update_v``
 (interpolate + velocity kick), ``update_x`` (position push),
-``accumulate`` (charge deposit), ``solve`` (Poisson) — plus ``fused``,
-the single-pass interpolate+kick+push kernel that replaces ``update_v``
-and ``update_x`` when a backend offers the fused capability.  A step
-records which loop path actually ran (``split`` / ``fused-backend``)
-so backend comparisons know what they timed.
+``accumulate`` (charge deposit), ``solve`` (Poisson).
 """
 
 from __future__ import annotations
@@ -30,22 +26,15 @@ from dataclasses import dataclass, field
 __all__ = [
     "PHASES",
     "PARTICLE_PHASES",
-    "LOOP_PATHS",
     "StepTimings",
     "Instrumentation",
 ]
 
-#: Kernel phases of one time step, in execution order.  ``fused`` is
-#: the single-pass interpolate+kick+push kernel; on any given step it
-#: is mutually exclusive with ``update_v``/``update_x`` (a step runs
-#: one loop path or the other).
-PHASES = ("sort", "update_v", "update_x", "fused", "accumulate", "solve")
+#: Kernel phases of one time step, in execution order.
+PHASES = ("sort", "update_v", "update_x", "accumulate", "solve")
 
 #: Phases that sweep the particle arrays (denominator: particle-steps).
-PARTICLE_PHASES = ("update_v", "update_x", "fused", "accumulate", "sort")
-
-#: The loop paths a step can take (see ``PICStepper._select_loop_path``).
-LOOP_PATHS = ("split", "fused-backend")
+PARTICLE_PHASES = ("update_v", "update_x", "accumulate", "sort")
 
 
 @dataclass
@@ -64,9 +53,6 @@ class StepTimings:
     accumulate: float = 0.0
     sort: float = 0.0
     solve: float = 0.0
-    #: single-pass interpolate+kick+push seconds (fused backend path);
-    #: zero whenever the split loops ran instead
-    fused: float = 0.0
     steps: int = 0
     particle_steps: int = 0
     #: serial-retry events of the numpy-mp engine (0 for in-process
@@ -82,15 +68,12 @@ class StepTimings:
     #: ``{"worker0": {"update_v": 1.2, ...}}``; empty for in-process
     #: backends
     worker_phases: dict = field(default_factory=dict)
-    #: steps taken per loop path, e.g. ``{"split": 40, "fused-backend": 10}``
-    loop_paths: dict = field(default_factory=dict)
 
     @property
     def total(self) -> float:
         return (
             self.update_v
             + self.update_x
-            + self.fused
             + self.accumulate
             + self.sort
             + self.solve
@@ -98,12 +81,8 @@ class StepTimings:
 
     @property
     def kernel_total(self) -> float:
-        """Seconds in the particle loops (excludes sort + solve).
-
-        Covers both loop paths: ``update_v + update_x`` on split steps,
-        ``fused`` on fused-backend steps, ``accumulate`` on either.
-        """
-        return self.update_v + self.update_x + self.fused + self.accumulate
+        """Seconds in the particle loops (excludes sort + solve)."""
+        return self.update_v + self.update_x + self.accumulate
 
     def particles_per_second(self) -> float:
         """Particle-steps per wall-clock second over all phases (0 if idle)."""
@@ -115,8 +94,7 @@ class StepTimings:
         The per-phase denominator is the same cumulative
         ``particle_steps`` — each particle phase sweeps every particle
         once per step — so the rates are directly comparable across
-        phases and across loop paths (a fused step books its sweep
-        under ``fused``, a split step under ``update_v``/``update_x``).
+        phases.
         """
         return {
             p: (self.particle_steps / s if (s := getattr(self, p)) > 0 else 0.0)
@@ -128,7 +106,6 @@ class StepTimings:
         return {
             "update_v": self.update_v,
             "update_x": self.update_x,
-            "fused": self.fused,
             "accumulate": self.accumulate,
             "sort": self.sort,
             "solve": self.solve,
@@ -149,7 +126,6 @@ class StepTimings:
         rec["fallbacks"] = self.fallbacks
         rec["rollbacks"] = self.rollbacks
         rec["workers"] = {w: dict(p) for w, p in self.worker_phases.items()}
-        rec["loop_paths"] = dict(self.loop_paths)
         return rec
 
     def to_json(self, **dumps_kwargs) -> str:
@@ -159,8 +135,8 @@ class StepTimings:
     @classmethod
     def from_json(cls, text: str) -> "StepTimings":
         """Rebuild from :meth:`to_json` output (derived fields, and the
-        ``autotune`` list and data-movement block older records carry,
-        ignored)."""
+        ``autotune`` list, data-movement block, ``fused`` phase and
+        ``loop_paths`` counts older records carry, ignored)."""
         rec = json.loads(text)
         return cls(
             update_v=rec["update_v"],
@@ -168,14 +144,11 @@ class StepTimings:
             accumulate=rec["accumulate"],
             sort=rec["sort"],
             solve=rec["solve"],
-            fused=float(rec.get("fused", 0.0)),  # absent in pre-fused records
             steps=int(rec.get("steps", 0)),
             particle_steps=int(rec.get("particle_steps", 0)),
             fallbacks=int(rec.get("fallbacks", 0)),
             rollbacks=int(rec.get("rollbacks", 0)),
             worker_phases=rec.get("workers", {}),
-            # kept as recorded: older records may count "fused-chunked"
-            loop_paths=rec.get("loop_paths", {}),
         )
 
 
@@ -237,19 +210,6 @@ class Instrumentation:
             setattr(self.timings, name, getattr(self.timings, name) + elapsed)
             if self._current is not None:
                 self._current[name] += elapsed
-
-    def record_path(self, path: str) -> None:
-        """Record which loop path the current step ran.
-
-        Counts into :attr:`StepTimings.loop_paths` and tags the current
-        per-step record with ``"path"``, so time series can correlate
-        phase seconds with the path that produced them.
-        """
-        if path not in LOOP_PATHS:
-            raise KeyError(f"unknown loop path {path!r}; expected {LOOP_PATHS}")
-        self.timings.loop_paths[path] = self.timings.loop_paths.get(path, 0) + 1
-        if self._current is not None:
-            self._current["path"] = path
 
     def record_fallback(self, count: int = 1) -> None:
         """Count serial-retry events (numpy-mp worker crash/timeout)."""

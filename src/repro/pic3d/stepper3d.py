@@ -1,7 +1,6 @@
 """Config-driven 3d3v leap-frog PIC stepper on redundant cell rows.
 
-A client of the 2D machinery: the step loop, sort, loop-path
-dispatch, phase hooks, backend lifecycle *and the phase bodies*, the
+A client of the 2D machinery: the step loop, sort, phase hooks, backend lifecycle *and the phase bodies*, the
 solve included, are :class:`repro.core.stepper.StepLoop`'s, the field
 store the generic :class:`~repro.grid.fields.RedundantFields`, the
 particles a :class:`~repro.particles.storage.ParticleSoA` with
@@ -12,10 +11,7 @@ energies and the field scales.
 One deliberate divergence from 2D: the 3D stepper only implements
 *hoisted* units (velocities stored as grid displacement per step,
 field rows pre-scaled by ``q*dt^2/(m*spacing)``) — the hoisting study
-itself lives in 2D.  As in 2D, the fused path is **bitwise identical
-to the split path at every population size**: the sweep before the
-deposit is elementwise per particle, and one whole-grid deposit
-follows it on either path.
+itself lives in 2D.
 """
 
 from __future__ import annotations
@@ -123,7 +119,6 @@ class PICStepper3D(StepLoop):
             config = OptimizationConfig(
                 field_layout="redundant",
                 ordering="morton",
-                loop_mode="split",
                 position_update="bitwise",
                 hoisting=True,
                 sort_period=int(sort_period),

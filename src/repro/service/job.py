@@ -95,8 +95,6 @@ class PICJob:
         ``"numpy-mp"`` jobs each own a private worker pool and
         :class:`~repro.parallel.shm.SharedArena` — jobs never share
         shared-memory segments.
-    loop_mode:
-        ``"split"`` or ``"fused"`` particle-loop structure.
     workers:
         Worker-process count for ``"numpy-mp"`` (``None``: cpu count).
     seed:
@@ -154,7 +152,6 @@ class PICJob:
     alpha: float | None = None
     ordering: str = "morton"
     backend: str = "numpy"
-    loop_mode: str = "split"
     workers: int | None = None
     seed: int | None = None
     domain: tuple[float, float, float, float] | None = None
@@ -184,8 +181,6 @@ class PICJob:
         if self.backend not in backends:
             raise ValueError(
                 f"backend must be one of {backends}, got {self.backend!r}")
-        if self.loop_mode not in ("split", "fused"):
-            raise ValueError("loop_mode must be 'split' or 'fused'")
         object.__setattr__(self, "grid", tuple(int(g) for g in self.grid))
         if len(self.grid) != 2 or min(self.grid) < 2:
             raise ValueError("grid must be (ncx, ncy) with both >= 2")
@@ -243,7 +238,7 @@ class PICJob:
         cfg = OptimizationConfig.fully_optimized(self.ordering)
         if self.ordering == "hilbert":
             cfg = cfg.with_(position_update="modulo")
-        cfg = cfg.with_(backend=self.backend, loop_mode=self.loop_mode)
+        cfg = cfg.with_(backend=self.backend)
         if self.workers is not None:
             cfg = cfg.with_(workers=self.workers)
         return cfg
@@ -284,8 +279,13 @@ class PICJob:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PICJob":
-        """Rebuild from :meth:`as_dict` output (unknown keys rejected)."""
+        """Rebuild from :meth:`as_dict` output (unknown keys rejected).
+
+        A stored ``loop_mode`` is dropped, whatever its value: journals
+        and spool documents written while jobs carried that field run
+        the one particle loop there is now."""
         d = dict(d)
+        d.pop("loop_mode", None)
         if "grid" in d:
             d["grid"] = tuple(d["grid"])
         if d.get("domain") is not None:

@@ -7,11 +7,11 @@ into an enforced contract with three layers:
 
 * :mod:`repro.verify.configspace` — a seeded sampler over the
   optimization-config space (grid size, particle count, ordering,
-  layout, loop mode, sort cadence, axis variant, backend knobs), so
+  layout, sort cadence, axis variant, backend knobs), so
   equivalence is checked across *random* corners of the space rather
   than the handful a human picked;
 * :mod:`repro.verify.differ` — the :class:`DifferentialRunner`, which
-  executes one sampled scenario on every available backend/loop-path
+  executes one sampled scenario on every available backend/worker-count
   combination in lockstep and holds each pair to the repo's **promise
   matrix** (bitwise where the codebase promises bit-identity,
   tolerance-bounded elsewhere), attributing any divergence to the

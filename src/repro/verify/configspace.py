@@ -2,8 +2,8 @@
 
 A :class:`Scenario` is one fully-specified small simulation setup:
 grid, particle population, physics case, and every §IV/§V
-optimization knob *except* the execution strategy (backend, loop
-path, worker count) — those are exactly the axes the differential
+optimization knob *except* the execution strategy (backend, worker
+count, sort variant) — those are exactly the axes the differential
 runner sweeps per scenario, so they live in
 :class:`repro.verify.differ.Combo` instead.
 
@@ -40,7 +40,6 @@ __all__ = ["Scenario", "ScenarioSampler"]
 _GRID_POOL = ((16, 8), (32, 8), (16, 16), (32, 4))
 _ORDERING_POOL = ("row-major", "column-major", "l4d", "morton", "hilbert")
 _LAYOUT_POOL = ("redundant", "redundant", "standard")  # paper-weighted
-_LOOP_POOL = ("split", "fused")
 _PUSH_POOL = ("branch", "modulo", "bitwise")
 _SORT_PERIODS = (0, 2, 3, 5)
 _SORT_VARIANTS = ("in-place", "out-of-place")
@@ -49,9 +48,7 @@ _SORT_VARIANTS = ("in-place", "out-of-place")
 #: histogram-balanced deposit cuts sit far from the equal-cell ones.  The
 #: scenario-zoo cases (``bounded-wall``/``beam-plasma``/``exb-drift``)
 #: route the stepper through its reflecting-boundary, drifting-beam
-#: and Boris-rotation paths — each forces the split loop path, so
-#: every execution combo still runs an identical, bitwise-comparable
-#: phase sequence.
+#: and Boris-rotation paths.
 _CASE_POOL = (
     "landau", "two-stream", "gaussian-bump",
     "bounded-wall", "beam-plasma", "exb-drift",
@@ -82,7 +79,6 @@ class Scenario:
     case_name: str
     ordering: str
     field_layout: str
-    loop_mode: str
     position_update: str
     hoisting: bool
     sort_period: int
@@ -123,13 +119,12 @@ class Scenario:
             return LandauDamping3D(alpha=0.1, vth=1.0)
         return TwoStream3D()
 
-    def config(self, backend: str = "numpy", workers: int | None = None,
-               loop_mode: str | None = None) -> OptimizationConfig:
+    def config(self, backend: str = "numpy",
+               workers: int | None = None) -> OptimizationConfig:
         """The :class:`OptimizationConfig` for one execution combo."""
         kwargs = dict(
             field_layout=self.field_layout,
             ordering=self.ordering,
-            loop_mode=self.loop_mode if loop_mode is None else loop_mode,
             position_update=self.position_update,
             hoisting=self.hoisting,
             sort_period=self.sort_period,
@@ -148,7 +143,7 @@ class Scenario:
         return (
             f"#{self.index} {self.case_name} {shape} "
             f"n={self.n_particles} {self.ordering}/{self.field_layout}/"
-            f"{self.loop_mode}/{self.position_update} "
+            f"{self.position_update} "
             f"{'hoist' if self.hoisting else 'nohoist'} {sort}"
         )
 
@@ -193,8 +188,9 @@ class ScenarioSampler:
             case_name=self._pick(_CASE_POOL),
             ordering=self._pick(_ORDERING_POOL),
             field_layout=self._pick(_LAYOUT_POOL),
-            loop_mode=self._pick(_LOOP_POOL),
-            position_update=self._pick(_PUSH_POOL),
+            # the retired split/fused axis drew here: its draw stays, so
+            # scenario k of seed s still names the same configuration
+            position_update=(self._rng.integers(2), self._pick(_PUSH_POOL))[1],
             hoisting=bool(self._rng.integers(2)),
             sort_period=int(self._pick(_SORT_PERIODS)),
             sort_variant=self._pick(_SORT_VARIANTS),
@@ -207,9 +203,9 @@ class ScenarioSampler:
         """One 3D scenario — the axes the 3D stepper actually offers.
 
         The layout is always redundant and units always hoisted (the
-        3D stepper's two hard constraints); the remaining knobs (loop
-        path, push variant, sorting) sweep the same pools as 2D so the
-        promise matrix covers the ported dispatch ladder end to end.
+        3D stepper's two hard constraints); the remaining knobs (push
+        variant, sorting) sweep the same pools as 2D so the promise
+        matrix covers the 3D stepper end to end.
         """
         ncx, ncy, ncz = self._pick(_GRID3D_POOL)
         scenario = Scenario(
@@ -221,8 +217,9 @@ class ScenarioSampler:
             case_name=self._pick(_CASE3D_POOL),
             ordering=self._pick(_ORDERING3D_POOL),
             field_layout="redundant",
-            loop_mode=self._pick(_LOOP_POOL),
-            position_update=self._pick(_PUSH_POOL),
+            # the retired split/fused axis drew here: its draw stays, so
+            # scenario k of seed s still names the same configuration
+            position_update=(self._rng.integers(2), self._pick(_PUSH_POOL))[1],
             hoisting=True,
             sort_period=int(self._pick(_SORT_PERIODS)),
             sort_variant="out-of-place",

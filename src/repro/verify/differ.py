@@ -2,26 +2,22 @@
 
 For one sampled :class:`~repro.verify.configspace.Scenario`, the
 runner instantiates the same physical setup under several *execution
-combos* (backend × loop path × worker count × sort variant), advances
+combos* (backend × worker count × sort variant), advances
 them in lockstep, and after every step holds each combo to the
-baseline (numpy backend, split loops) under the repo's **promise
+baseline (numpy backend) under the repo's **promise
 matrix**:
 
 ==================================  =========================================
 combo vs baseline                   promised relation
 ==================================  =========================================
-numpy-mp, same loop path            bitwise at 2 *and* 4 workers (PR 3:
+numpy-mp                            bitwise at 2 *and* 4 workers (the
                                     shared-memory fan-out preserves per-bin
                                     addition order; the histogram-balanced
                                     cuts of :mod:`repro.parallel.partition`
                                     differ per worker count and move work
                                     between workers, never what a rho row
                                     sums or in which order)
-numpy fused, any n                  bitwise (the blocked sweep is elementwise
-                                    per particle and runs the split
-                                    kernels' own code; one whole-population
-                                    deposit follows on either path)
-c split / fused, 2D and 3D          bitwise (``ckernels.c`` and
+c, 2D and 3D                        bitwise (``ckernels.c`` and
                                     :mod:`repro.core.kernels` state the same
                                     CiC fold: left-product weights, corners
                                     folded in order, no FMA contraction; on
@@ -41,11 +37,7 @@ Because the steppers advance in lockstep with
 divergence is attributed on the spot: the report names the first
 divergent step, the first divergent *kernel phase* within that step
 (bisection over the captured per-phase snapshots), and the first
-divergent array — no rerun needed.  Phases are only compared where
-both combos produce a comparable checkpoint: ``sort`` /
-``accumulate`` / ``solve`` exist on every loop path, ``update_v`` /
-``update_x`` only when both runs are split, ``fused`` only when both
-run a backend-fused pass.
+divergent array — no rerun needed.
 
 :class:`Perturbation` injects a one-ULP (or scaled) bump into a live
 run at a chosen step/phase — the test suite uses it to prove the
@@ -74,7 +66,7 @@ __all__ = [
 ]
 
 #: canonical phase order used when bisecting within a step
-_PHASE_ORDER = ("sort", "update_v", "update_x", "fused", "accumulate", "solve")
+_PHASE_ORDER = ("sort", "update_v", "update_x", "accumulate", "solve")
 
 
 @dataclass(frozen=True)
@@ -82,14 +74,11 @@ class Combo:
     """One execution strategy: everything the physics must not see."""
 
     backend: str
-    loop_mode: str | None = None  #: None -> the scenario's own loop mode
     workers: int | None = None
     sort_variant: str | None = None  #: None -> the scenario's own variant
 
     def label(self) -> str:
         parts = [self.backend]
-        if self.loop_mode is not None:
-            parts.append(self.loop_mode)
         if self.workers is not None:
             parts.append(f"w{self.workers}")
         if self.sort_variant is not None:
@@ -187,11 +176,7 @@ class _Run:
                  perturbation: Perturbation | None = None):
         self.combo = combo
         self.perturbation = perturbation
-        cfg = scenario.config(
-            backend=combo.backend,
-            workers=combo.workers,
-            loop_mode=combo.loop_mode,
-        )
+        cfg = scenario.config(backend=combo.backend, workers=combo.workers)
         if combo.sort_variant is not None:
             cfg = replace(cfg, sort_variant=combo.sort_variant)
         #: particle arrays captured at every phase checkpoint (the cell
@@ -281,34 +266,25 @@ class DifferentialRunner:
     def combos(self, scenario: Scenario) -> list[tuple[Combo, str]]:
         """(combo, promised relation) pairs for one scenario.
 
-        The baseline (numpy, split) is not included; every returned
-        combo is compared against it.
+        The baseline (numpy) is not included; every returned combo is
+        compared against it.
         """
         avail = set(available_backends())
-        combos: list[tuple[Combo, str]] = [
-            (Combo("numpy", loop_mode="fused"), "bitwise"),
-        ]
+        combos: list[tuple[Combo, str]] = []
         if "numpy-mp" in avail and self.include_mp:
             # worker-count flip: two pools cut the cell rows at
             # different histogram-balanced positions, and every cut
             # must reproduce the serial deposit
             for workers in (self.mp_workers, 2 if self.mp_workers == 4 else 4):
-                combos.append(
-                    (Combo("numpy-mp", loop_mode="split", workers=workers),
-                     "bitwise")
-                )
+                combos.append((Combo("numpy-mp", workers=workers), "bitwise"))
         if "c" in avail:
-            combos.append((Combo("c", loop_mode="split"), "bitwise"))
-            combos.append((Combo("c", loop_mode="fused"), "bitwise"))
+            combos.append((Combo("c"), "bitwise"))
         if scenario.sort_period:
             flipped = (
                 "out-of-place" if scenario.sort_variant == "in-place"
                 else "in-place"
             )
-            combos.append(
-                (Combo("numpy", loop_mode="split", sort_variant=flipped),
-                 "bitwise")
-            )
+            combos.append((Combo("numpy", sort_variant=flipped), "bitwise"))
         return combos
 
     # -- comparison ---------------------------------------------------
@@ -322,10 +298,6 @@ class DifferentialRunner:
                 return name, mx, rel
         return None
 
-    def _comparable_phases(self, base: _Run, other: _Run) -> list[str]:
-        common = set(base.phase_states) & set(other.phase_states)
-        return [p for p in _PHASE_ORDER if p in common]
-
     # -- the lockstep drive -------------------------------------------
     def run_scenario(self, scenario: Scenario,
                      perturbation: Perturbation | None = None) -> ScenarioReport:
@@ -334,7 +306,7 @@ class DifferentialRunner:
         ``perturbation`` (tests only) is injected into every non-
         baseline run, so the report must localize it.
         """
-        baseline_combo = Combo("numpy", loop_mode="split")
+        baseline_combo = Combo("numpy")
         base = _Run(scenario, baseline_combo)
         pairs = [
             (combo, rel, _Run(scenario, combo, perturbation))
@@ -383,7 +355,7 @@ class DifferentialRunner:
     def _first_divergence(self, base: _Run, other: _Run,
                           step: int) -> Divergence | None:
         """Bisect the just-completed step down to phase + array."""
-        for phase in self._comparable_phases(base, other):
+        for phase in _PHASE_ORDER:
             bad = self._compare_states(
                 base.phase_states[phase], other.phase_states[phase]
             )

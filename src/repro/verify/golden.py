@@ -4,7 +4,7 @@ A golden document pins one small, named simulation (`landau`,
 `two_stream`, `gaussian_bump`, and the scenario-zoo cases
 `bounded_wall`, `beam_plasma`, `exb_drift`) as JSON: the exact generator parameters, a **per-step
 sha256 digest** of the full canonical state (particle arrays + solved
-grids) from the reference path (numpy backend, split loops), and the
+grids) from the reference path (numpy backend), and the
 per-step diagnostic series (field/kinetic energy, mode amplitude) as
 exact round-tripping float64 values.
 
@@ -130,9 +130,7 @@ def _build_simulation(params: dict, backend: str) -> Simulation:
                     xmax=params.get("xmax_pi", 4) * np.pi,
                     ymax=params.get("ymax_pi", 2) * np.pi)
     case = _CASE_FACTORIES[params["case"]](params)
-    config = OptimizationConfig.fully_optimized("morton").with_(
-        backend=backend, loop_mode="split"
-    )
+    config = OptimizationConfig.fully_optimized("morton").with_(backend=backend)
     return Simulation(
         grid, case, params["n_particles"], config,
         dt=params["dt"], seed=params["seed"], quiet=True,

@@ -70,7 +70,7 @@ class TestRegistry:
     def test_registry_lists_exactly_three(self):
         assert known_backend_names() == ("numpy", "c", "numpy-mp")
 
-    def test_surface_is_eleven_kernels_three_hooks_seven_adapters(self):
+    def test_surface_is_nine_kernels_three_hooks_seven_adapters(self):
         """What a backend can override is the abstract set — the
         particle loops of both layouts and the redundant layout's two
         per-cell loops; the axis-spelled names the frozen ledger calls
@@ -79,9 +79,9 @@ class TestRegistry:
         import repro.core.backends as B
 
         kernels = {
-            "interpolate_rows", "accumulate_rows", "kick", "push", "fused_rows",
+            "interpolate_rows", "accumulate_rows", "kick", "push",
             "counting_sort_permutation", "reduce_rows", "broadcast_rows",
-            "interpolate_standard", "accumulate_standard", "fused_standard",
+            "interpolate_standard", "accumulate_standard",
         }
         hooks = {"is_available", "prepare_stepper", "release_stepper"}
         adapters = {

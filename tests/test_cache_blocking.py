@@ -1,15 +1,15 @@
 """Cache blocking of the NumPy kernels: invisible in the bits.
 
 Three guards on the block loop of :mod:`repro.core.kernels` (which the
-kernels of both dimensions, the push driver, the fused sweep and the
-``numpy-mp`` shard bodies all run through):
+kernels of both dimensions, the push body and the ``numpy-mp``
+shard bodies all run through):
 
 * every blocked kernel equals the same kernel run as a single block,
   bitwise, on populations that end exactly on, one short of, and one
   past a block boundary;
 * state digests of runs longer than one block, **recorded from an
-  earlier commit**, are reproduced by numpy split, numpy fused,
-  ``numpy-mp`` at 2 and 4 workers and ``c`` split and fused — the 2D
+  earlier commit**, are reproduced by numpy, ``numpy-mp`` at 2 and 4
+  workers and ``c`` — the 2D
   one from before the kernels were blocked, the 3D one from the ``c``
   backend of the commit before NumPy's 3D gather became the left fold
   ``ckernels.c`` already was (EXPERIMENTS.md, "PR 22");
@@ -52,8 +52,8 @@ def _digest(arrays) -> str:
 # Blocked == single block, bitwise
 # ----------------------------------------------------------------------
 def _kernels_2d(n, field_layout, particle_layout, variant, sort, rho0):
-    """Run interpolate, kick+push (split), the fused sweep and the
-    deposit on one seeded random state; return every output's bytes."""
+    """Run interpolate, kick+push and the deposit on one seeded random
+    state; return every output's bytes."""
     rng = np.random.default_rng(n)
     nc = 8
     grid = GridSpec(nc, nc, 0.0, 1.0, 0.0, 1.0)
@@ -91,14 +91,6 @@ def _kernels_2d(n, field_layout, particle_layout, variant, sort, rho0):
     b.kick((p.vx, p.vy), e_p, (0.7, 1.0))
     b.push(p, (nc, nc), ordering, variant, (1.0, 0.5))
     out += dict(p).values()
-    q = particles()
-    if field_layout == "redundant":
-        b.fused_rows(fields.e_1d, q, (nc, nc), ordering, variant,
-                     (0.7, 1.0), (1.0, 0.5))
-    else:
-        b.fused_standard(fields.ex, fields.ey, q, ordering, variant,
-                         (0.7, 1.0), (1.0, 0.5))
-    out += dict(q).values()
     return _digest(out)
 
 
@@ -144,9 +136,6 @@ def _kernels_3d(n, variant, sort, rho0):
         p["v" + a] += e
     b.push(p, shape, ordering, variant, (1.0,) * 3)
     out += p.values()
-    q = {k: v.copy() for k, v in state.items()}
-    b.fused_rows(fields.e_1d, q, shape, ordering, variant, (1.0,) * 3, (1.0,) * 3)
-    out += q.values()
     return _digest(out)
 
 
@@ -172,7 +161,7 @@ def test_blocked_kernels_equal_single_block_3d(monkeypatch, n, variant, sort, rh
 PARENT_DIGEST_2D = "ba99a38fea98c9d6c1924cdc1ebf5f3744354dc5be10a5a5c20d0ec57366e22a"
 #: 3D Landau, 16x8x8, 40,000 particles, dt 0.1, sort every 5, after 8
 #: steps — particles + rho/E grids as the ``c`` backend of commit
-#: bf17aec produced them, split and fused.  (``numpy`` printed
+#: bf17aec produced them.  (``numpy`` printed
 #: de284d30…fbc30 there: its gather was an ``einsum``, whose association
 #: follows NumPy's SIMD build; deposit, kick, push and sort are
 #: unchanged.)
@@ -182,18 +171,16 @@ _needs_cc = pytest.mark.skipif(
     not CBackend.is_available(), reason="no C compiler"
 )
 COMBOS = [
-    pytest.param("numpy", "split", None, id="numpy-split"),
-    pytest.param("numpy", "fused", None, id="numpy-fused"),
-    pytest.param("numpy-mp", "split", 2, id="numpy-mp-w2"),
-    pytest.param("numpy-mp", "split", 4, id="numpy-mp-w4"),
-    pytest.param("c", "split", None, id="c-split", marks=_needs_cc),
-    pytest.param("c", "fused", None, id="c-fused", marks=_needs_cc),
+    pytest.param("numpy", None, id="numpy"),
+    pytest.param("numpy-mp", 2, id="numpy-mp-w2"),
+    pytest.param("numpy-mp", 4, id="numpy-mp-w4"),
+    pytest.param("c", None, id="c", marks=_needs_cc),
 ]
 
 
-@pytest.mark.parametrize("backend,loop_mode,workers", COMBOS)
-def test_parent_digest_beyond_one_block_2d(backend, loop_mode, workers):
-    cfg = OptimizationConfig(backend=backend, loop_mode=loop_mode, workers=workers)
+@pytest.mark.parametrize("backend,workers", COMBOS)
+def test_parent_digest_beyond_one_block_2d(backend, workers):
+    cfg = OptimizationConfig(backend=backend, workers=workers)
     grid = GridSpec(32, 32, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
     with Simulation(grid, LandauDamping(alpha=0.05), 20_000, cfg,
                     dt=0.1, seed=1) as sim:
@@ -202,10 +189,9 @@ def test_parent_digest_beyond_one_block_2d(backend, loop_mode, workers):
         assert state_digest(sim.stepper) == PARENT_DIGEST_2D
 
 
-@pytest.mark.parametrize("backend,loop_mode,workers", COMBOS)
-def test_parent_digest_beyond_one_block_3d(backend, loop_mode, workers):
-    cfg = OptimizationConfig(backend=backend, loop_mode=loop_mode,
-                             workers=workers, sort_period=5)
+@pytest.mark.parametrize("backend,workers", COMBOS)
+def test_parent_digest_beyond_one_block_3d(backend, workers):
+    cfg = OptimizationConfig(backend=backend, workers=workers, sort_period=5)
     grid = GridSpec3D(16, 8, 8, xmax=4 * np.pi, ymax=2 * np.pi, zmax=2 * np.pi)
     st = PICStepper3D(grid, LandauDamping3D(alpha=0.05), 40_000, dt=0.1, config=cfg)
     try:

@@ -6,7 +6,7 @@ Three promises, each with its own class:
   ``np.array_equal``, over both dimensions, populations around the NumPy
   block size, all three wraps, every ordering, stored and recomputed
   coordinates, scales 0 / 1 / other and particles several periods
-  outside the box; the fused sweep equals the split passes; the ρ fold
+  outside the box; the ρ fold
   and the field broadcast equal NumPy's byte for byte on every
   ordering, non-square and non-power-of-two grids and NaN / ±inf /
   −0.0 entries; every deposit ignores what its target held.
@@ -22,6 +22,7 @@ Three promises, each with its own class:
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -283,42 +284,14 @@ class TestEquivalence:
         built = backend == "numpy"
         assert [m is not None for m in maps] == [built, built]
 
-    @pytest.mark.parametrize("variant", VARIANTS)
-    @pytest.mark.parametrize("n", SIZES)
-    @pytest.mark.parametrize("ndim,curve", CURVES)
-    def test_fused_equals_split(self, ndim, curve, n, variant):
-        """One pass per particle == three passes, bitwise, on ``c``;
-        both equal ``numpy``'s fused sweep too."""
-        c, numpy = get_backend("c"), get_backend("numpy")
-        rng = np.random.default_rng(n + ndim)
-        ordering, shape = _ordering(ndim, curve)
-        axes = "xyz"[:ndim]
-        state = _population(rng, ndim, n, ordering, shape, stored=True)
-        for a in axes:  # a kick must not be lost in the displacement
-            state["v" + a][:] = rng.normal(size=n)
-        e_1d = rng.normal(size=(ordering.ncells_allocated, ndim << ndim))
-        coefs, scales = (0.7, 1.0, -0.3)[:ndim], (1.0, 0.5, 1.9)[:ndim]
-
-        fused = _copy(state)
-        c.fused_rows(e_1d, fused, shape, ordering, variant, coefs, scales)
-        split = _copy(state)
-        e_p = c.interpolate_rows(
-            e_1d, split.icell, tuple(split["d" + a] for a in axes))
-        c.kick([split["v" + a] for a in axes], e_p, coefs)
-        c.push(split, shape, ordering, variant, scales)
-        _assert_same(fused, split, "fused vs split")
-        ref = _copy(state)
-        numpy.fused_rows(e_1d, ref, shape, ordering, variant, coefs, scales)
-        _assert_same(fused, ref, "c fused vs numpy fused")
-
-    def test_aos_run_has_numpy_bits(self):
-        """Strided ``ParticleAoS`` columns do not fit the C ABI: the
-        run takes the inherited NumPy kernels, and their bits."""
+    @staticmethod
+    def _assert_run_has_numpy_bits(**cfg_kw):
+        """Seven steps through a sort on ``c`` and ``numpy``: the same
+        particle columns and the same ρ, bit for bit."""
         grid = GridSpec(16, 16, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
         states = {}
         for backend in ("c", "numpy"):
-            cfg = OptimizationConfig(
-                particle_layout="aos", sort_period=3, backend=backend)
+            cfg = OptimizationConfig(sort_period=3, backend=backend, **cfg_kw)
             with Simulation(grid, LandauDamping(alpha=0.05), 1500, cfg,
                             dt=0.05, seed=11) as sim:
                 sim.run(7)
@@ -327,6 +300,42 @@ class TestEquivalence:
         for name, want in states["numpy"][0].items():
             assert np.array_equal(states["c"][0][name], want), name
         assert np.array_equal(states["c"][1], states["numpy"][1])
+
+    def test_aos_run_has_numpy_bits(self):
+        """Strided ``ParticleAoS`` columns do not fit the C ABI: the
+        run takes the inherited NumPy kernels, and their bits."""
+        self._assert_run_has_numpy_bits(particle_layout="aos")
+
+    @pytest.mark.parametrize("layout", ["redundant", "standard"])
+    def test_unhoisted_run_has_numpy_bits(self, layout):
+        """Without hoisting the kick carries ``q*dt/m`` and the push
+        ``dt/spacing``: the C push with non-unit scales leaves NumPy's
+        bits."""
+        self._assert_run_has_numpy_bits(field_layout=layout, hoisting=False)
+
+    def test_c_counting_sort_matches_reference(self, rng):
+        from repro.particles.sorting import counting_sort_permutation_reference
+
+        keys = rng.integers(0, 97, 4000).astype(np.int64)
+        perm = get_backend("c").counting_sort_permutation(keys, 97)
+        np.testing.assert_array_equal(
+            perm, counting_sort_permutation_reference(keys, 97)
+        )
+
+
+def test_exports_are_the_signature_table():
+    """Every function ``ckernels.c`` exports is bound in
+    ``_C_SIGNATURES`` and every binding names one: a kernel whose
+    caller goes cannot outlive it unnoticed."""
+    src = (Path(SRC) / "repro" / "core" / "ckernels.c").read_text()
+    # definitions start in column 0; the static ones (INLINE
+    # included) are not exported
+    exported = {
+        m.group(1) for m in re.finditer(
+            r"^(?!static\b|INLINE\b)[A-Za-z_][\w \t*]*?\b(\w+)\(",
+            src, re.M)
+    }
+    assert exported == set(B._C_SIGNATURES)
 
 
 # ----------------------------------------------------------------------

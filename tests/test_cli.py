@@ -8,7 +8,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.particles import CASE_NAMES
 
-#: written by ``repro run --loop-mode auto --timings-json`` at commit
+#: written by ``repro run --timings-json`` with the loop mode ``auto`` at commit
 #: adb824f (12 steps, 2000 particles): ``cumulative`` and the step-9
 #: record carry the retired tuner's ``autotune`` list
 LEGACY_TIMINGS = (
@@ -186,16 +186,6 @@ class TestRun:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", flag, value])
 
-    def test_loop_mode_is_split_or_fused(self, capsys):
-        """The online fused-vs-split tuner is gone: ``auto`` is an
-        ordinary invalid choice."""
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--loop-mode", "auto"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "invalid choice: 'auto'" in err
-        assert "'split'" in err and "'fused'" in err
-
     @pytest.mark.parametrize("verb", ["run", "submit"])
     def test_backend_choices_are_the_registry(self, capsys, verb):
         """``numba`` went with its backend: an ordinary invalid choice,
@@ -235,12 +225,18 @@ class TestCalibrateCommand:
 
     def test_accepts_a_record_saved_under_loop_mode_auto(self, capsys):
         """A ``--timings-json`` file the parent of PR 19 wrote with
-        ``--loop-mode auto`` (committed bytes; carries the retired
-        ``autotune`` lists) still calibrates."""
+        the loop mode ``auto`` (committed bytes; carries the retired
+        ``autotune`` lists, a ``fused`` phase and ``loop_paths``) still
+        calibrates, to the document it always printed."""
+        import hashlib
+
         code, text = run_cli(capsys, "calibrate", "--timings", str(LEGACY_TIMINGS))
         assert code == 0
         assert '"particle_steps": 24000' in text
         assert "stall_overlap=" in text
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "4fd5ba907099007ed2acd4084794a93adf3d01d9d0727d7ed370a5b6cf9cdba7"
+        )
 
 
 class TestSupervisedRunCommand:

@@ -199,8 +199,10 @@ class TestBothDimensions:
         reload it under the next backend of the chain — taken from
         ``c`` to ``numpy`` mid-run ends on the bits of an undisturbed
         ``numpy`` run, in 3D as in 2D (``c`` and ``numpy`` state the
-        same gather fold)."""
-        ref = dim.fresh(cfg=dim.config(loop_mode=loop_mode))
+        same gather fold).  A run configured ``loop_mode="fused"`` —
+        the retired single-pass loop — saves, loads and resumes on the
+        split run's bits: every stepper runs the split loops."""
+        ref = dim.fresh(cfg=dim.config(loop_mode="split"))
         ref.run(14)
         on_c = dim.fresh(cfg=dim.config(backend="c", loop_mode=loop_mode))
         try:

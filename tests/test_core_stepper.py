@@ -122,7 +122,7 @@ class TestStepInvariants:
         assert t.total > 0
         assert t.update_v > 0 and t.update_x > 0 and t.accumulate > 0
         assert set(t.as_dict()) == {
-            "update_v", "update_x", "fused", "accumulate", "sort", "solve",
+            "update_v", "update_x", "accumulate", "sort", "solve",
             "total",
         }
 
@@ -161,7 +161,7 @@ class TestConfigEquivalence:
 
     def test_block_size_irrelevant(self, grid, reference_energy, monkeypatch):
         # 4000 particles in 17-particle kernel blocks (236 iterations of
-        # the block loop, a ragged last one) on the fused baseline
+        # the block loop, a ragged last one) on the baseline config
         monkeypatch.setattr("repro.core.kernels.BLOCK", 17)
         s = make_stepper(grid, OptimizationConfig.baseline(), n=4000)
         s.run(self.REFERENCE_STEPS)

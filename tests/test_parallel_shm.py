@@ -69,7 +69,6 @@ def _make_sim(backend, workers=None, ndim=2, **cfg_kw):
         workers=workers,
         particle_layout="soa",
         field_layout="redundant",
-        loop_mode="split",
         sort_period=SORT_PERIOD,
         **cfg_kw,
     )
@@ -463,6 +462,18 @@ class TestFallbackPaths:
         with Simulation(GridSpec(16, 16), LandauDamping(), 500, cfg, seed=7) as sim:
             assert _engine(sim) is None
             sim.run(2)  # must still advance correctly
+
+    @pytest.mark.skipif(not CBackend.is_available(), reason="no C compiler")
+    def test_loop_mode_fused_runs_on_the_engine(self):
+        """``loop_mode="fused"`` is no longer refused (it logged a
+        warning and ran serially): the engine takes the run, and through
+        a sort its state is serial ``c``'s, bit for bit."""
+        with _make_sim("numpy-mp", workers=2, loop_mode="fused") as sim, \
+                _make_sim("c", loop_mode="fused") as ref:
+            assert _engine(sim) is not None
+            sim.run(SORT_PERIOD + 1)
+            ref.run(SORT_PERIOD + 1)
+            _assert_bitwise_equal(_state(sim), _state(ref))
 
     def test_config_rejects_bad_worker_counts(self):
         with pytest.raises(ValueError):

@@ -20,20 +20,10 @@ class TestStepTimings:
         assert t.steps == 0 and t.particle_steps == 0
 
     def test_as_dict_keys_stable(self):
-        # the benchmark-facing view keeps its historical shape (plus the
-        # fused phase added with the single-pass loop path)
+        # the benchmark-facing view: Fig. 1's phases and their total
         assert set(StepTimings().as_dict()) == {
-            "update_v", "update_x", "fused", "accumulate", "sort", "solve",
-            "total",
+            "update_v", "update_x", "accumulate", "sort", "solve", "total",
         }
-
-    def test_fused_counts_into_totals(self):
-        t = StepTimings(fused=2.0, accumulate=1.0, particle_steps=6000)
-        assert t.total == pytest.approx(3.0)
-        assert t.kernel_total == pytest.approx(3.0)
-        rates = t.phase_particles_per_second()
-        assert rates["fused"] == pytest.approx(3000.0)
-        assert rates["update_v"] == 0.0
 
     def test_from_json_accepts_pre_fused_records(self):
         rec = {
@@ -41,8 +31,7 @@ class TestStepTimings:
             "sort": 0.0, "solve": 0.5,
         }
         back = StepTimings.from_json(json.dumps(rec))
-        assert back.fused == 0.0
-        assert back.loop_paths == {}
+        assert back.total == pytest.approx(3.5)
 
     def test_from_json_ignores_retired_deposit_variants(self):
         """Records written while the tiled deposit existed still load."""
@@ -65,18 +54,16 @@ class TestStepTimings:
         assert back.update_v == 1.0 and back.steps == 40
         assert "autotune" not in back.as_record()
 
-    def test_from_json_keeps_a_retired_loop_path_count(self):
-        """Records from before the stepper-level chunk loop was deleted
-        (``BENCH_baseline.json`` has one) load with their counts."""
+    def test_from_json_ignores_a_retired_fused_phase_and_loop_paths(self):
+        """Records written while the single-pass loop ran carry its
+        phase seconds and per-path step counts (``BENCH_baseline.json``
+        has one); they still load, and are not written any more."""
         rec = StepTimings(update_v=1.0, steps=5).as_record()
-        rec["loop_paths"] = {"fused-chunked": 5}
+        rec["fused"] = 0.5
+        rec["loop_paths"] = {"split": 3, "fused-chunked": 2}
         back = StepTimings.from_json(json.dumps(rec))
-        assert back.loop_paths == {"fused-chunked": 5} and back.steps == 5
-
-    def test_loop_path_round_trip(self):
-        t = StepTimings(fused=1.0, loop_paths={"fused-backend": 3, "split": 1})
-        back = StepTimings.from_json(t.to_json())
-        assert back.loop_paths == {"fused-backend": 3, "split": 1}
+        assert back.update_v == 1.0 and back.steps == 5
+        assert not {"fused", "loop_paths"} & set(back.as_record())
 
     def test_as_record_extends_as_dict(self):
         rec = StepTimings(update_v=2.0, steps=4, particle_steps=4000).as_record()
@@ -105,7 +92,7 @@ class TestInstrumentation:
         with instr.step(100):
             with instr.phase("update_v"):
                 pass
-            with instr.phase("update_v"):  # fused mode: twice per step
+            with instr.phase("update_v"):  # entered twice in one step
                 pass
         assert instr.timings.steps == 1
         assert instr.timings.particle_steps == 100
@@ -119,22 +106,6 @@ class TestInstrumentation:
         with pytest.raises(KeyError, match="unknown phase"):
             with instr.phase("teleport"):
                 pass
-
-    def test_record_path(self):
-        instr = Instrumentation()
-        with instr.step(10):
-            instr.record_path("split")
-            with instr.phase("update_v"):
-                pass
-        with instr.step(10):
-            instr.record_path("fused-backend")
-            with instr.phase("fused"):
-                pass
-        assert instr.timings.loop_paths == {"split": 1, "fused-backend": 1}
-        assert instr.per_step[0]["path"] == "split"
-        assert instr.per_step[1]["path"] == "fused-backend"
-        with pytest.raises(KeyError, match="unknown loop path"):
-            instr.record_path("warp")
 
     def test_counters_monotone_across_steps(self):
         instr = Instrumentation()
@@ -216,9 +187,10 @@ class TestSimulationSurface:
         assert doc["cumulative"]["particles_per_second"] > 0
 
     def test_fused_mode_one_record_per_step(self, monkeypatch):
-        # 2000 particles in 512-particle kernel blocks: the blocks are
-        # the kernel's business — the fused sweep is one phase entry and
-        # one record per step, booked under ``fused``
+        # 2000 particles in 512-particle kernel blocks under the
+        # baseline's loop_mode="fused": the blocks are the kernels'
+        # business, and the stepper runs the split loops — one record
+        # per step, with the split phases and no path tag
         monkeypatch.setattr("repro.core.kernels.BLOCK", 512)
         grid = GridSpec(16, 16, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
         sim = Simulation(
@@ -227,6 +199,9 @@ class TestSimulationSurface:
         )
         sim.run(2)
         assert len(sim.history.step_timings) == 2
-        assert sim.timings.fused > 0 and sim.timings.update_v == 0.0
-        assert sim.timings.loop_paths == {"fused-backend": 2}
+        assert sim.config.loop_mode == "fused"
+        assert sim.timings.update_v > 0 and sim.timings.update_x > 0
+        assert set(sim.history.step_timings[0]) == {
+            "step", "particles", "fallbacks", *PHASES,
+        }
         assert sim.timings.particle_steps == 4000

@@ -2,10 +2,6 @@
 
 The 3D port's acceptance bar, enforced directly:
 
-* the fused loop path is **bitwise identical** to the split path at
-  every population size — including populations spanning many kernel
-  blocks (the blocked sweep is elementwise per particle; one
-  whole-grid deposit follows it on either path);
 * ``numpy-mp`` — the 2D engine: gather, kick and push by particle
   range with flip commits, the deposit by corner ownership — is
   **bitwise identical** to ``numpy`` at 2, 4, 8 and 9 workers, and its
@@ -34,7 +30,7 @@ def _grid(ncx=8, ncy=4, ncz=4):
 
 def _config(**overrides):
     params = dict(
-        field_layout="redundant", ordering="morton", loop_mode="split",
+        field_layout="redundant", ordering="morton",
         position_update="bitwise", hoisting=True, sort_period=3,
         backend="numpy",
     )
@@ -63,39 +59,6 @@ def _run_pair(cfg_a, cfg_b, n=1200, steps=6, grid=None):
     finally:
         a.close()
         b.close()
-
-
-class TestFusedSplitParity:
-    def test_fused_bitwise_equals_split_single_chunk(self):
-        _run_pair(_config(loop_mode="split"), _config(loop_mode="fused"))
-
-    def test_fused_bitwise_equals_split_multi_chunk(self, monkeypatch):
-        """Bitwise with the population spread over 8 kernel blocks."""
-        monkeypatch.setattr("repro.core.kernels.BLOCK", 128)
-        _run_pair(
-            _config(loop_mode="split"), _config(loop_mode="fused"), n=1000,
-        )
-
-    @pytest.mark.parametrize("push", ["branch", "modulo", "bitwise"])
-    def test_fused_parity_every_push_variant(self, push):
-        _run_pair(
-            _config(loop_mode="split", position_update=push),
-            _config(loop_mode="fused", position_update=push),
-            n=800, steps=4,
-        )
-
-    def test_loop_path_dispatch(self):
-        grid = _grid()
-        split = PICStepper3D(grid, TwoStream3D(), 100,
-                             config=_config(loop_mode="split"))
-        fused = PICStepper3D(grid, TwoStream3D(), 100,
-                             config=_config(loop_mode="fused"))
-        try:
-            assert split._select_loop_path() == "split"
-            assert fused._select_loop_path() == "fused-backend"
-        finally:
-            split.close()
-            fused.close()
 
 
 class _ClumpedPlasma3D:
@@ -251,7 +214,7 @@ def _scenario_3d(**overrides) -> Scenario:
     params = dict(
         index=0, ncx=8, ncy=4, n_particles=1200, n_steps=5,
         case_name="two-stream", ordering="morton", field_layout="redundant",
-        loop_mode="split", position_update="bitwise", hoisting=True,
+        position_update="bitwise", hoisting=True,
         sort_period=2, sort_variant="out-of-place",
         seed=1, dims=3, ncz=4,
     )
@@ -278,15 +241,6 @@ class TestDiffer3D:
         combos = runner.combos(_scenario_3d())
         mp = [(c.workers, rel) for c, rel in combos if c.backend == "numpy-mp"]
         assert (2, "bitwise") in mp and (4, "bitwise") in mp
-
-    def test_3d_fused_promised_bitwise_at_any_population(self):
-        runner = DifferentialRunner(include_mp=False)
-        for n in (100, 50_000):
-            combos = dict(
-                (c.backend + "/" + (c.loop_mode or ""), rel)
-                for c, rel in runner.combos(_scenario_3d(n_particles=n))
-            )
-            assert combos["numpy/fused"] == "bitwise", n
 
     def test_3d_scenario_passes_promise_matrix(self):
         runner = DifferentialRunner(include_mp=False)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import OptimizationConfig, PICStepper, Simulation
-from repro.core.backends import get_backend
+from repro.core.backends import CBackend, get_backend
 from repro.core.kernels import (
     accumulate_rows,
     accumulate_standard,
@@ -371,6 +371,55 @@ class TestSupervisedRun:
         if os.path.isdir("/dev/shm"):
             left = [s for s in segs if os.path.exists("/dev/shm/" + s)]
             assert left == [], f"leaked shared-memory segments: {left}"
+
+    @staticmethod
+    def _assert_push_trap_degrades_to_numpy_bitwise(backend):
+        """A supervised ``backend`` run whose push raises from step 4
+        finishes on ``numpy`` with an undisturbed ``numpy`` run's bits."""
+        with _landau_sim(n=1200, sort_period=3) as clean:
+            clean.run(12)
+            clean_hist = clean.history
+            clean_state = clean.particles.as_dict()
+        inj = FaultInjector().add_kernel_raise(
+            step=4, kernel="push", backend=backend,
+        )
+        sim = _landau_sim(backend, n=1200, sort_period=3)
+        with SupervisedRun(
+            sim, checkpoint_every=3, max_retries=1, injector=inj,
+        ) as sup:
+            h = sup.run(12)
+            assert sup.report.degradations == [
+                {"step": 4, "from": backend, "to": "numpy"}
+            ]
+            assert sup.sim.stepper.backend.name == "numpy"
+            assert h.field_energy == clean_hist.field_energy
+            assert h.kinetic_energy == clean_hist.kinetic_energy
+            for name, want in clean_state.items():
+                np.testing.assert_array_equal(
+                    np.asarray(sup.sim.particles[name]), want, err_msg=name
+                )
+
+    def test_custom_backend_degrades_to_numpy_bitwise(self):
+        """A registered backend of its own that degrades to ``numpy``."""
+        import repro.core.backends as B
+
+        @B.register_backend
+        class Custom(B.NumpyBackend):
+            name = "custom-numpy"
+            priority = -5  # never auto-picked
+            degrades_to = "numpy"
+
+        try:
+            self._assert_push_trap_degrades_to_numpy_bitwise("custom-numpy")
+        finally:
+            B._REGISTRY.pop(Custom.name, None)
+            B._INSTANCES.pop(Custom.name, None)
+
+    @pytest.mark.skipif(
+        not CBackend.is_available(), reason="no C compiler"
+    )
+    def test_degrades_c_to_numpy_bitwise(self):
+        self._assert_push_trap_degrades_to_numpy_bitwise("c")
 
     def test_report_published_into_timings_json(self):
         import json

@@ -83,14 +83,15 @@ class TestInitializers:
 # ----------------------------------------------------------------------
 class TestStepperSemantics:
     def test_zoo_cases_force_split_path(self):
-        """Reflecting/magnetized/driven cases cannot run the fused
-        sweep — the stepper must silently fall back to split."""
+        """Reflecting/magnetized cases run the split phases, under any
+        ``loop_mode`` (every stepper does)."""
         grid = _grid()
         for case in (BoundedPlasma(), MagnetizedExB()):
             s = PICStepper(grid, _config(loop_mode="fused"), case=case,
                            n_particles=300, seed=0, quiet=True)
             try:
-                assert s._select_loop_path() == "split"
+                s.step()
+                assert s.timings.update_v > 0 and s.timings.update_x > 0
             finally:
                 s.close()
 
@@ -165,7 +166,7 @@ class TestVerificationHooks:
             s = Scenario(
                 index=0, ncx=16, ncy=8, n_particles=500, n_steps=4,
                 case_name=name, ordering="morton", field_layout="redundant",
-                loop_mode="split", position_update="bitwise", hoisting=True,
+                position_update="bitwise", hoisting=True,
                 sort_period=0, sort_variant="out-of-place",
             )
             assert s.case() is not None

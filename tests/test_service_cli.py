@@ -77,6 +77,20 @@ class TestSpool:
         rejected = {p.name for p in (spool / "claimed").glob("*.rejected")}
         assert rejected == {"garbage.rejected", "badjob.rejected"}
 
+    def test_document_with_a_retired_loop_mode_runs(self, tmp_path):
+        """An older ``repro submit`` wrote the job's ``loop_mode``; a
+        queued document carrying one — ``"fused"`` included — is claimed
+        and run, not quarantined as ``*.rejected``."""
+        spool = tmp_path / "spool"
+        jid = submit_to_spool(spool, PICJob(**fast_args(steps=6)))
+        path = spool / "queue" / f"{jid}.json"
+        doc = json.loads(path.read_text())
+        doc["job"]["loop_mode"] = "fused"
+        write_json_atomic(path, doc)
+        assert serve_spool(spool, max_workers=1, drain=True, poll=0.05) == 1
+        assert read_result(spool, jid)["state"] == "succeeded"
+        assert not list((spool / "claimed").glob("*.rejected"))
+
     def test_failed_job_settles_with_error(self, tmp_path):
         spool = tmp_path / "spool"
         # 12x12 cannot build a Morton ordering: permanent build failure

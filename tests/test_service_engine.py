@@ -66,6 +66,16 @@ class TestPICJob:
                         domain=(0.0, 1.0, 0.0, 2.0))
         assert PICJob.from_dict(job.as_dict()) == job
 
+    @pytest.mark.parametrize("loop_mode", ["split", "fused", "auto"])
+    def test_from_dict_drops_a_retired_loop_mode(self, loop_mode):
+        """Journals and spool documents written while jobs carried a
+        ``loop_mode`` still load, whatever it held; any other unknown
+        key is still refused."""
+        job = small_job(seed=7)
+        assert PICJob.from_dict({**job.as_dict(), "loop_mode": loop_mode}) == job
+        with pytest.raises(TypeError):
+            PICJob.from_dict({**job.as_dict(), "block_size": 64})
+
     def test_builders_match_cli_conventions(self):
         job = small_job(ordering="hilbert")
         cfg = job.make_config()
@@ -402,7 +412,7 @@ def job_of_run_command(case: str) -> PICJob:
     from repro.cli import _job_from_args, build_parser
 
     args = build_parser().parse_args(["run", "--case", case, *ZOO_FLAGS])
-    return _job_from_args(args, loop_mode=args.loop_mode)
+    return _job_from_args(args)
 
 
 @pytest.fixture

@@ -39,6 +39,28 @@ from repro.verify import (
 
 ROOT = Path(__file__).resolve().parents[1]
 
+#: ``ScenarioSampler(0).sample(16)`` as the sampler with a loop mode
+#: axis drew it: (ncx, ncy, ncz, n_particles, n_steps, case, ordering,
+#: field layout, push, hoisting, sort period, sort variant, seed)
+SEED_0_SCENARIOS = [
+    (16, 4, 4, 2000, 6, 'landau', 'row-major', 'redundant', 'branch', True, 0, 'out-of-place', 1746484540),
+    (32, 4, 1, 2000, 10, 'exb-drift', 'morton', 'redundant', 'modulo', True, 2, 'out-of-place', 1440696408),
+    (32, 8, 1, 9000, 10, 'landau', 'morton', 'standard', 'branch', False, 5, 'in-place', 1162779116),
+    (32, 8, 1, 2000, 6, 'gaussian-bump', 'row-major', 'redundant', 'branch', True, 3, 'out-of-place', 552547096),
+    (32, 4, 1, 2000, 6, 'exb-drift', 'hilbert', 'standard', 'bitwise', True, 3, 'out-of-place', 1478428096),
+    (32, 8, 1, 9000, 6, 'bounded-wall', 'morton', 'standard', 'modulo', False, 2, 'in-place', 1543657889),
+    (8, 4, 4, 9000, 10, 'landau', 'morton', 'redundant', 'branch', True, 2, 'out-of-place', 1545136977),
+    (16, 16, 1, 2000, 10, 'gaussian-bump', 'column-major', 'standard', 'branch', True, 3, 'in-place', 180421576),
+    (32, 4, 1, 2000, 10, 'two-stream', 'column-major', 'standard', 'branch', False, 3, 'in-place', 1231901276),
+    (32, 4, 1, 2000, 10, 'beam-plasma', 'morton', 'redundant', 'branch', True, 2, 'out-of-place', 426303516),
+    (8, 4, 4, 2000, 10, 'two-stream', 'row-major', 'redundant', 'bitwise', True, 5, 'out-of-place', 428456153),
+    (8, 8, 4, 500, 6, 'two-stream', 'row-major', 'redundant', 'modulo', True, 5, 'out-of-place', 1991049241),
+    (32, 8, 1, 2000, 10, 'two-stream', 'l4d', 'redundant', 'bitwise', True, 2, 'out-of-place', 1296558497),
+    (8, 4, 4, 2000, 10, 'two-stream', 'row-major', 'redundant', 'modulo', True, 3, 'out-of-place', 494452713),
+    (8, 4, 4, 2000, 6, 'two-stream', 'morton', 'redundant', 'bitwise', True, 5, 'out-of-place', 396530696),
+    (16, 8, 1, 9000, 10, 'exb-drift', 'morton', 'standard', 'branch', False, 5, 'in-place', 2107100304),
+]
+
 
 # ----------------------------------------------------------------------
 # Sampler
@@ -53,6 +75,18 @@ class TestScenarioSampler:
         a = ScenarioSampler(seed=0).sample(12)
         b = ScenarioSampler(seed=1).sample(12)
         assert a != b
+
+    def test_seed_0_names_the_scenarios_it_always_named(self):
+        """Scenario k of seed 0 is the configuration it was before the
+        split/fused axis retired (recorded from the sampler that still
+        drew it): the draw it made is still consumed in place."""
+        got = [
+            (s.ncx, s.ncy, s.ncz, s.n_particles, s.n_steps, s.case_name,
+             s.ordering, s.field_layout, s.position_update, s.hoisting,
+             s.sort_period, s.sort_variant, s.seed)
+            for s in ScenarioSampler(0).sample(16)
+        ]
+        assert got == SEED_0_SCENARIOS
 
     def test_scenarios_are_constructible(self):
         # every sampled scenario must produce a valid grid + config on
@@ -77,7 +111,7 @@ def _small_scenario(**overrides) -> Scenario:
     params = dict(
         index=0, ncx=32, ncy=8, n_particles=1500, n_steps=6,
         case_name="landau", ordering="morton", field_layout="redundant",
-        loop_mode="split", position_update="bitwise", hoisting=True,
+        position_update="bitwise", hoisting=True,
         sort_period=2, sort_variant="out-of-place",
         seed=11,
     )
@@ -103,26 +137,10 @@ class TestDifferentialRunner:
         assert mp and mp[0].relation == "bitwise"
         assert report.ok, report.describe()
 
-    def test_fused_single_chunk_promised_bitwise(self):
-        """numpy fused is promised bitwise whether the population fits
-        a single kernel block or spans several."""
-        runner = DifferentialRunner(include_mp=False)
-        combos = dict(
-            (c.backend + "/" + (c.loop_mode or ""), rel)
-            for c, rel in runner.combos(_small_scenario(n_particles=100))
-        )
-        assert combos["numpy/fused"] == "bitwise"
-        combos_big = dict(
-            (c.backend + "/" + (c.loop_mode or ""), rel)
-            for c, rel in runner.combos(_small_scenario(n_particles=9000))
-        )
-        assert combos_big["numpy/fused"] == "bitwise"
-
     @pytest.mark.parametrize("dims", [2, 3])
     def test_every_combo_is_promised_and_found_bitwise(self, dims):
         """The matrix has no tolerance row: in either dimension every
-        combo — ``c`` split and fused included — is promised bitwise
-        and holds it."""
+        combo — ``c`` included — is promised bitwise and holds it."""
         from repro.core.backends import available_backends
 
         scenario = _small_scenario(
@@ -132,9 +150,9 @@ class TestDifferentialRunner:
         combos = runner.combos(scenario)
         assert {rel for _combo, rel in combos} == {"bitwise"}
         labels = {combo.label() for combo, _rel in combos}
-        assert {"numpy/fused", "numpy-mp/split/w2", "numpy-mp/split/w4"} <= labels
+        assert {"numpy-mp/w2", "numpy-mp/w4"} <= labels
         if "c" in available_backends():
-            assert {"c/split", "c/fused"} <= labels
+            assert "c" in labels
         assert not hasattr(runner, "rtol")
         report = runner.run_scenario(scenario)
         assert report.ok, report.describe()
@@ -147,13 +165,11 @@ class TestDifferentialRunner:
             _small_scenario(),
             perturbation=Perturbation(step=2, phase="update_v", array="vx"),
         )
-        # the sort-variant-flip combo runs split loops, so update_v is
-        # a comparable checkpoint for it
-        split_pairs = [
+        flipped = [
             p for p in report.pairs if p.combo.sort_variant is not None
         ]
-        assert split_pairs, "expected a split-path combo in the matrix"
-        diverged = split_pairs[0]
+        assert flipped, "expected the sort-variant flip in the matrix"
+        diverged = flipped[0]
         assert not diverged.ok
         assert diverged.divergence.step == 2
         assert diverged.divergence.phase == "update_v"
