@@ -24,7 +24,7 @@ from repro.core.boundaries import (
 )
 from repro.curves import get_ordering
 from repro.grid import GridSpec
-from repro.particles import make_storage
+from repro.particles import ParticleSoA
 
 NC = 64
 N = 50_000
@@ -36,7 +36,7 @@ def make_slab(rng, ordering, drift=0.8):
     y = rng.uniform(0, NC, N)
     ix = np.floor(x).astype(np.int64)
     iy = np.floor(y).astype(np.int64)
-    s = make_storage("soa", N, store_coords=True)
+    s = ParticleSoA(N, store_coords=True)
     s.set_state(
         ordering.encode(ix, iy), x - ix, y - iy,
         rng.normal(drift, 0.2, N), rng.normal(0.0, 0.2, N),

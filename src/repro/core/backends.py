@@ -15,11 +15,10 @@ execution strategy as a named **backend** rather than hard-wiring one:
 * ``"auto"`` — the selection policy: the highest-priority backend
   that is available (``c`` first, then ``numpy``).
 
-Every backend implements the same nine kernels (:class:`KernelBackend`)
-— five particle loops over the redundant rows of any dimension, the two
-per-cell loops of that layout (ρ fold and field broadcast) and two
-particle loops over the 2D standard layout — and all backends must
-produce identical physics; the
+Every backend implements the same seven kernels (:class:`KernelBackend`)
+— five particle loops over the redundant rows of any dimension and the
+two per-cell loops of that layout (ρ fold and field broadcast) — and
+all backends must produce identical physics; the
 cross-backend equivalence suite (``tests/test_backends.py``) checks
 each registered backend against the scalar oracles.
 
@@ -96,9 +95,8 @@ class KernelBackend(abc.ABC):
     the steppers call: five particle loops over the redundant
     ``[ncell][2^ndim]`` rows, written over tuples of per-axis arrays so
     one method serves 2D and 3D, the two per-cell loops between those
-    rows and the grid points the solver works on, and the 2D
-    standard-layout pair (the paper's Table IV baseline row).
-    :class:`NumpyBackend` implements all nine; a faster backend
+    rows and the grid points the solver works on.
+    :class:`NumpyBackend` implements all seven; a faster backend
     subclasses it and overrides what it accelerates.
     """
 
@@ -173,17 +171,6 @@ class KernelBackend(abc.ABC):
     def counting_sort_permutation(self, keys, ncells):
         """Stable O(N + C) counting-sort permutation of ``keys``
         (stability fixes it uniquely, whoever computes it)."""
-
-    # ------------------------------------------------------------------
-    # Standard point-based layout (2D only)
-    # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def interpolate_standard(self, ex, ey, ix, iy, dx, dy):
-        """Gather ``(ex_p, ey_p)`` from the point-based field arrays."""
-
-    @abc.abstractmethod
-    def accumulate_standard(self, rho, ix, iy, dx, dy, charge=1.0) -> None:
-        """CiC scatter onto the point-based ``rho[ncx][ncy]``."""
 
     # ------------------------------------------------------------------
     # The axis-spelled names the frozen benchmark ledger calls
@@ -387,8 +374,6 @@ class NumpyBackend(KernelBackend):
 
     interpolate_rows = staticmethod(_k.interpolate_rows)
     accumulate_rows = staticmethod(_k.accumulate_rows)
-    interpolate_standard = staticmethod(_k.interpolate_standard)
-    accumulate_standard = staticmethod(_k.accumulate_standard)
 
     def reduce_rows(self, fields):
         return _k.reduce_rows(fields.rho_1d, fields.corner_cell)
@@ -461,9 +446,8 @@ def _fits(a, dtype, shape, write=True) -> bool:
     """Whether ``ckernels.c`` can index ``a`` as it is: a C-contiguous
     array of exactly this dtype and shape, writeable unless ``write``
     is false (an input only the grid loops read).  Anything else (a
-    strided :class:`~repro.particles.storage.ParticleAoS` column, a
-    list, an int32 index) takes the inherited NumPy kernel, which
-    converts or raises as it always did."""
+    strided view, a list, an int32 index) takes the inherited NumPy
+    kernel, which converts or raises as it always did."""
     return (
         isinstance(a, np.ndarray) and a.dtype == dtype and a.shape == shape
         and a.flags.c_contiguous and (a.flags.writeable or not write)
@@ -496,10 +480,10 @@ class CBackend(NumpyBackend):
     releases the GIL for the duration of each call.
 
     Overrides the redundant-row gather and deposit, the ρ fold and the
-    field broadcast, the push and the sort permutation; the
-    standard-layout kernels, the stand-alone kick (one ``np.add``, which measures no slower than
-    a C loop) and any argument that does not :func:`_fits` the C ABI
-    run the inherited NumPy kernels.  The arithmetic is written to
+    field broadcast, the push and the sort permutation; the stand-alone
+    kick (one ``np.add``, which measures no slower than a C loop) and
+    any argument that does not :func:`_fits` the C ABI run the
+    inherited NumPy kernels.  The arithmetic is written to
     NumPy's bits — the same weight products, the same corner fold, no
     FMA contraction — so everything is bitwise equal to ``numpy`` in
     both dimensions.

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.particles.storage import ParticleStorage, make_storage
+from repro.particles.storage import ParticleSoA, ParticleStorage
 
 __all__ = [
     "reflect_axis",
@@ -137,10 +137,7 @@ def compact_particles(particles: ParticleStorage, keep: np.ndarray) -> ParticleS
     """
     keep = np.asarray(keep, dtype=bool)
     n_new = int(keep.sum())
-    out = make_storage(
-        particles.layout, n_new, weight=particles.weight,
-        store_coords=particles.store_coords,
-    )
+    out = ParticleSoA(n_new, particles.weight, particles.store_coords)
     state = {k: v[keep] for k, v in particles.as_dict().items()}
     out.set_state(**state)
     return out

@@ -36,7 +36,7 @@ import numpy as np
 from repro.core.config import OptimizationConfig
 from repro.core.stepper import PICStepper
 from repro.grid.spec import GridSpec
-from repro.particles.storage import ParticleSoA, make_storage, particle_fields
+from repro.particles.storage import ParticleSoA, particle_fields
 
 __all__ = [
     "save_checkpoint",
@@ -47,9 +47,12 @@ __all__ = [
 ]
 
 #: config fields that give the stored arrays their meaning; a restore
-#: target must agree on them (the backend, notably, is *not* one)
-_STATE_FIELDS_3D = ("field_layout", "ordering", "ordering_kwargs", "hoisting")
-_STATE_FIELDS = ("particle_layout", *_STATE_FIELDS_3D, "effective_store_coords")
+#: target must agree on them (the backend, notably, is *not* one, nor
+#: are the layout axes only :mod:`repro.model` reads: every stepper
+#: stores redundant rows and SoA columns, so an archive written under
+#: ``"standard"`` / ``"aos"`` holds the same arrays)
+_STATE_FIELDS_3D = ("ordering", "ordering_kwargs", "hoisting")
+_STATE_FIELDS = (*_STATE_FIELDS_3D, "effective_store_coords")
 
 #: per dimension: the metadata key holding the format version (an
 #: archive of the other dimension carries none under it), the version
@@ -284,7 +287,9 @@ def save_checkpoint(stepper: PICStepper, path, *, compress: bool = False) -> pat
     p, g = stepper.particles, stepper.grid
     meta = {
         "eps0": stepper.eps0,
-        "layout": p.layout,
+        # the one stored particle layout; older loaders build their
+        # store from this key, this one ignores it
+        "layout": "soa",
         "store_coords": p.store_coords,
         "grid": [g.ncx, g.ncy, g.xmin, g.xmax, g.ymin, g.ymax],
         # scenario-zoo physics attributes; absent keys on old archives
@@ -305,9 +310,11 @@ def load_checkpoint(
     """Rebuild a stepper from a checkpoint.
 
     ``config`` defaults to the checkpointed one; passing a different
-    config is allowed only if it is state-compatible (same particle
-    layout, coordinate storage, hoisting, field layout and ordering) —
-    anything else would silently reinterpret the stored arrays.
+    config is allowed only if it is state-compatible (same coordinate
+    storage, hoisting and ordering) — anything else would silently
+    reinterpret the stored arrays.  The layout axes are not compared:
+    an archive written under ``"aos"`` or ``"standard"`` loads into the
+    same SoA columns and redundant rows as any other.
     Switching the *backend* is explicitly state-compatible: that is how
     the run supervisor degrades a failing backend during a rollback.
 
@@ -327,9 +334,8 @@ def load_checkpoint(
         stepper.boundary = str(meta.get("boundary", "periodic"))
         stepper.bz = float(meta.get("bz", 0.0))
         stepper.ext_e = tuple(float(v) for v in meta.get("ext_e", (0.0, 0.0)))
-        particles = make_storage(
-            meta["layout"], len(data["icell"]), weight=meta["weight"],
-            store_coords=meta["store_coords"],
+        particles = ParticleSoA(
+            len(data["icell"]), meta["weight"], meta["store_coords"]
         )
         return _restore(
             stepper, GridSpec(int(ncx), int(ncy), xmin, xmax, ymin, ymax),
@@ -359,8 +365,8 @@ def load_checkpoint_3d(
 ):
     """Rebuild a :class:`~repro.pic3d.stepper3d.PICStepper3D` —
     :func:`load_checkpoint` for 3D archives, with the same ``config``
-    compatibility rule (field layout, ordering and hoisting must agree;
-    the backend may change) and ``instrumentation`` hand-over."""
+    compatibility rule (ordering and hoisting must agree; the backend
+    and the layout axes may change) and ``instrumentation`` hand-over."""
     from repro.pic3d.grid3d import GridSpec3D
     from repro.pic3d.stepper3d import PICStepper3D
 

@@ -25,17 +25,21 @@ class OptimizationConfig:
     Parameters
     ----------
     field_layout:
-        ``"standard"`` point-based 2D arrays, or ``"redundant"``
-        cell-based corner arrays (4x memory, vectorizable accumulate).
+        ``"standard"`` point-based 2D arrays (Table IV's baseline
+        rows), or ``"redundant"`` cell-based corner arrays (4x memory,
+        vectorizable accumulate).  An axis :mod:`repro.model` prices;
+        the steppers store redundant rows for either value
+        (``docs/tuning.md``).
     ordering:
         Cell ordering name for the redundant layout (``"row-major"``,
-        ``"l4d"``, ``"morton"``, ``"hilbert"``, ``"column-major"``).
-        With the standard layout the ordering still defines ``icell``
-        (the paper always keys particles by a cell index).
+        ``"l4d"``, ``"morton"``, ``"hilbert"``, ``"column-major"``);
+        it also defines ``icell`` (the paper always keys particles by
+        a cell index).
     ordering_kwargs:
         Extra ordering parameters (L4D tile height: ``{"size": 8}``).
     particle_layout:
-        ``"soa"`` or ``"aos"``.
+        ``"soa"`` or ``"aos"``.  An axis :mod:`repro.model` prices;
+        the steppers store SoA columns for either value.
     loop_mode:
         ``"fused"`` — one loop doing interpolate / update-v / update-x
         per particle (Table IV's baseline row); ``"split"`` — three

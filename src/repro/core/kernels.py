@@ -44,12 +44,10 @@ __all__ = [
     "BLOCK",
     "blocks",
     "corner_weights",
-    "accumulate_standard",
     "deposit_rows",
     "accumulate_rows",
     "reduce_rows",
     "broadcast_rows",
-    "interpolate_standard",
     "interpolate_rows",
     "kick",
     "push_blocked",
@@ -122,42 +120,8 @@ def corner_weights(offsets, corners=None) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Charge accumulation (Fig. 1 line 11; Fig. 2 both variants)
+# Charge accumulation (Fig. 1 line 11; Fig. 2's redundant variant)
 # ----------------------------------------------------------------------
-def _wrapped_corners(ix, iy, ncx, ncy):
-    """The four ``(jx, jy)`` corner grid points, +1 edges wrapped."""
-    ixp = np.where(ix + 1 == ncx, 0, ix + 1)
-    iyp = np.where(iy + 1 == ncy, 0, iy + 1)
-    return (ix, iy), (ix, iyp), (ixp, iy), (ixp, iyp)
-
-
-def accumulate_standard(rho, ix, iy, dx, dy, charge=1.0):
-    """Scatter CiC charge onto the point-based ``rho[ncx][ncy]``.
-
-    The four corner updates hit scattered, non-contiguous addresses
-    (the upper variant of Fig. 2); periodic wrap folds the +1 edges.
-    ``charge`` is the per-particle charge factor ``q*w / cell_area``.
-    Blocks fill corner-major index and weight buffers; the four
-    whole-population bincounts then fold in particle order, the first
-    one written over ``rho`` and the other three added in corner order.
-    """
-    ncx, ncy = rho.shape
-    n = len(dx)
-    idx = np.empty((4, n), dtype=np.int64)
-    w = np.empty((4, n))
-    for sl in blocks(n):
-        w[:, sl] = (corner_weights((dx[sl], dy[sl])) * charge).T
-        for c, (jx, jy) in enumerate(_wrapped_corners(ix[sl], iy[sl], ncx, ncy)):
-            idx[c, sl] = jx * ncy + jy
-    flat = rho.reshape(-1)
-    for c in range(4):
-        bins = np.bincount(idx[c], weights=w[c], minlength=flat.size)
-        if c:
-            flat += bins
-        else:
-            flat[:] = bins
-
-
 def deposit_rows(rho_1d, icell, block_weights, corners=None):
     """Blocked scatter onto redundant ``rho_1d[ncell][ncorner]`` rows.
 
@@ -242,25 +206,6 @@ def broadcast_rows(e_1d, corner_point, components, scales):
 # ----------------------------------------------------------------------
 # Field interpolation (the gather side of update-velocities)
 # ----------------------------------------------------------------------
-def interpolate_standard(ex, ey, ix, iy, dx, dy):
-    """Gather E at particle positions from the point-based arrays.
-
-    Four corner reads per particle per component, periodic wrap —
-    the non-contiguous access pattern the redundant layout removes.
-    Returns ``(ex_p, ey_p)``.
-    """
-    ncx, ncy = ex.shape
-    n = len(dx)
-    ex_p = np.zeros(n)
-    ey_p = np.zeros(n)
-    for sl in blocks(n):
-        w = corner_weights((dx[sl], dy[sl]))
-        for c, (jx, jy) in enumerate(_wrapped_corners(ix[sl], iy[sl], ncx, ncy)):
-            ex_p[sl] += w[:, c] * ex[jx, jy]
-            ey_p[sl] += w[:, c] * ey[jx, jy]
-    return ex_p, ey_p
-
-
 def interpolate_rows(e_1d, icell, offsets, out=None):
     """Gather E at particle positions from the redundant layout.
 

@@ -26,10 +26,7 @@ import math
 import numpy as np
 
 __all__ = [
-    "accumulate_standard_ref",
-    "accumulate_standard_corner_major_ref",
     "accumulate_redundant_ref",
-    "interpolate_standard_ref",
     "interpolate_redundant_ref",
     "push_axis_ref",
     "push_axis_variant_ref",
@@ -51,47 +48,12 @@ def corner_weights_ref(dx: float, dy: float) -> list[float]:
     ]
 
 
-def accumulate_standard_ref(rho, ix, iy, dx, dy, charge=1.0):
-    """Scalar CiC scatter onto point-based rho (upper Fig. 2 variant)."""
-    ncx, ncy = rho.shape
-    for p in range(len(ix)):
-        w = charge
-        i, j = int(ix[p]), int(iy[p])
-        fx, fy = float(dx[p]), float(dy[p])
-        ip, jp = (i + 1) % ncx, (j + 1) % ncy
-        rho[i, j] += w * (1 - fx) * (1 - fy)
-        rho[i, jp] += w * (1 - fx) * fy
-        rho[ip, j] += w * fx * (1 - fy)
-        rho[ip, jp] += w * fx * fy
-
-
 def accumulate_redundant_ref(rho_1d, icell, dx, dy, charge=1.0):
     """Scalar CiC scatter onto redundant rho (lower Fig. 2 variant)."""
     for p in range(len(icell)):
         ws = corner_weights_ref(float(dx[p]), float(dy[p]))
         for c in range(4):
             rho_1d[int(icell[p]), c] += charge * ws[c]
-
-
-def interpolate_standard_ref(ex, ey, ix, iy, dx, dy):
-    """Scalar CiC gather from point-based field arrays."""
-    ncx, ncy = ex.shape
-    n = len(ix)
-    ex_p = np.zeros(n)
-    ey_p = np.zeros(n)
-    for p in range(n):
-        i, j = int(ix[p]), int(iy[p])
-        fx, fy = float(dx[p]), float(dy[p])
-        ip, jp = (i + 1) % ncx, (j + 1) % ncy
-        for (gi, gj, w) in (
-            (i, j, (1 - fx) * (1 - fy)),
-            (i, jp, (1 - fx) * fy),
-            (ip, j, fx * (1 - fy)),
-            (ip, jp, fx * fy),
-        ):
-            ex_p[p] += w * ex[gi, gj]
-            ey_p[p] += w * ey[gi, gj]
-    return ex_p, ey_p
 
 
 def interpolate_redundant_ref(e_1d, icell, dx, dy):
@@ -114,33 +76,6 @@ def interpolate_redundant_ref(e_1d, icell, dx, dy):
         ex_p[p] = ex
         ey_p[p] = ey
     return ex_p, ey_p
-
-
-def accumulate_standard_corner_major_ref(rho, ix, iy, dx, dy, charge=1.0):
-    """Scalar CiC scatter onto point-based rho, corners outermost.
-
-    Same arithmetic as :func:`accumulate_standard_ref`, but iterating
-    corner-major (all particles' corner 0, then corner 1, ...), which
-    is the per-bin addition order the vectorized kernel's
-    one-bincount-per-corner scatter produces — so this variant matches
-    it bitwise, not just to tolerance.  Each corner's contributions are
-    folded into a zeroed scratch array first and added to ``rho`` as
-    one grid-wide add afterwards, because that is what the kernel's
-    per-corner ``bincount`` does: it sums from zero, and the running
-    ``rho`` value joins the fold only once per corner.
-    """
-    ncx, ncy = rho.shape
-    n = len(ix)
-    for c in range(4):
-        corner_sum = np.zeros_like(rho)
-        for p in range(n):
-            i, j = int(ix[p]), int(iy[p])
-            fx, fy = float(dx[p]), float(dy[p])
-            gi = (i + 1) % ncx if c >= 2 else i
-            gj = (j + 1) % ncy if c % 2 else j
-            w = (_CX[c] + _SX[c] * fx) * (_CY[c] + _SY[c] * fy)
-            corner_sum[gi, gj] += w * charge
-        rho += corner_sum
 
 
 def push_axis_ref(x: float, nc: int) -> tuple[int, float]:
@@ -199,14 +134,15 @@ class ReferenceStepper:
 
     and must agree with the numpy backend **bitwise**, step
     after step (``tests/test_verify_differential.py`` holds it to 50
-    steps).  Only the redundant and standard field layouts' *grid-level*
-    machinery (corner fold, field broadcast, spectral solve) is shared
-    with the fast path; every per-particle operation — including the
-    counting sort permutation — is the plain scalar rendering.
+    steps).  Only the redundant layout's *grid-level* machinery (corner
+    fold, field broadcast, spectral solve) is shared with the fast
+    path; every per-particle operation — including the counting sort
+    permutation — is the plain scalar rendering.
 
-    Parameters mirror the stepper's: ``config`` picks layout, ordering,
-    axis variant, hoisting and sort cadence (``loop_mode``, backend and
-    chunking are execution strategies, which a reference has none of).
+    Parameters mirror the stepper's: ``config`` picks ordering, axis
+    variant, hoisting and sort cadence (its layout and loop-mode axes
+    are priced by :mod:`repro.model`, and the backend is an execution
+    strategy, which a reference has none of).
     """
 
     def __init__(
@@ -224,7 +160,7 @@ class ReferenceStepper:
         quiet: bool = False,
     ):
         from repro.curves.base import get_ordering
-        from repro.grid.fields import RedundantFields, StandardFields
+        from repro.grid.fields import RedundantFields
         from repro.grid.poisson import SpectralPoissonSolver
         from repro.particles.initializers import load_particles
 
@@ -236,10 +172,7 @@ class ReferenceStepper:
         self.ordering = get_ordering(
             config.ordering, grid.ncx, grid.ncy, **config.ordering_kwargs
         )
-        if config.field_layout == "redundant":
-            self.fields = RedundantFields(grid, self.ordering)
-        else:
-            self.fields = StandardFields(grid)
+        self.fields = RedundantFields(grid, self.ordering)
         self.solver = SpectralPoissonSolver(grid, eps0)
         loaded = load_particles(
             grid, self.ordering, case, n_particles,
@@ -295,12 +228,8 @@ class ReferenceStepper:
             self.vy[p] += coef * ey_p[p]
 
     def _interpolate(self):
-        if self.fields.layout == "redundant":
-            return interpolate_redundant_ref(
-                self.fields.e_1d, self.icell, self.dx, self.dy
-            )
-        return interpolate_standard_ref(
-            self.fields.ex, self.fields.ey, self.ix, self.iy, self.dx, self.dy
+        return interpolate_redundant_ref(
+            self.fields.e_1d, self.icell, self.dx, self.dy
         )
 
     def _phase_sort(self) -> None:
@@ -339,26 +268,19 @@ class ReferenceStepper:
         self.icell[:] = self.ordering.encode(self.ix, self.iy)
 
     def _phase_accumulate(self) -> None:
-        # the scalar kernels add into rho, so it is zeroed here (the
+        # the scalar kernel adds into rho, so it is zeroed here (the
         # fast deposits write it outright, to the same bits)
-        if self.fields.layout == "redundant":
-            self.fields.rho_1d[:] = 0.0
-            accumulate_redundant_ref(
-                self.fields.rho_1d, self.icell, self.dx, self.dy,
-                self._charge_factor,
-            )
-        else:
-            self.fields.rho[:] = 0.0
-            accumulate_standard_corner_major_ref(
-                self.fields.rho, self.ix, self.iy, self.dx, self.dy,
-                self._charge_factor,
-            )
+        self.fields.rho_1d[:] = 0.0
+        accumulate_redundant_ref(
+            self.fields.rho_1d, self.icell, self.dx, self.dy,
+            self._charge_factor,
+        )
 
     def _phase_solve(self) -> None:
-        self.rho_grid = self.fields.rho_grid()
+        self.rho_grid = self.fields.reduce_rho_to_grid()
         _, ex, ey = self.solver.solve(self.rho_grid)
         self.ex_grid, self.ey_grid = ex, ey
-        self.fields.set_field_from_grid(
+        self.fields.load_field_from_grid(
             ex * self._field_scale_x, ey * self._field_scale_y
         )
 

@@ -1,8 +1,8 @@
 """The leap-frog PIC time stepper (Fig. 1 of the paper).
 
-One :class:`PICStepper` instance owns the grid, the field storage (in
-the layout the config selects), the particle storage, and the Poisson
-solver, and advances the coupled system one time step at a time:
+One :class:`PICStepper` instance owns the grid, the field storage, the
+particle storage, and the Poisson solver, and advances the coupled
+system one time step at a time:
 
     sort (periodically) -> particle loops -> rho fold -> Poisson solve
     -> field broadcast
@@ -11,8 +11,10 @@ The deposit writes rho outright (it is not added into a zeroed
 array), so there is no reset phase.
 
 The particle loops run split: three full passes (update-v, update-x,
-accumulate — §IV-A).  ``OptimizationConfig.loop_mode`` does not change
-that: the single-loop baseline it names is priced by
+accumulate — §IV-A), over redundant field rows (§IV-B) and SoA particle
+columns (§IV-C1).  ``OptimizationConfig``'s ``loop_mode``,
+``field_layout`` and ``particle_layout`` do not change that: the
+single-loop, point-based and AoS baselines they name are priced by
 :mod:`repro.model`, not executed.  Cache blocking is not the stepper's
 business: the NumPy kernels block internally
 (:mod:`repro.core.kernels`).
@@ -31,8 +33,8 @@ hooks, instrumentation, backend lifecycle — and the phase bodies over
 the redundant rows in hoisted units, the solve (ρ fold, Poisson,
 scaled field broadcast) included, written once over ``grid.shape``
 and the particle store's axis columns.
-:class:`PICStepper` adds what only 2D has (the standard layout, Boris /
-external drive, the reflecting wall, un-hoisted coefficients);
+:class:`PICStepper` adds what only 2D has (Boris / external drive, the
+reflecting wall, un-hoisted coefficients);
 :class:`repro.pic3d.stepper3d.PICStepper3D` is a constructor, a loader,
 the energies and its field scales.
 """
@@ -45,7 +47,7 @@ from repro.core.backends import KernelBackend, get_backend
 from repro.core.boundaries import push_positions_reflecting
 from repro.core.config import OptimizationConfig
 from repro.curves.base import get_ordering
-from repro.grid.fields import RedundantFields, StandardFields
+from repro.grid.fields import RedundantFields
 from repro.grid.poisson import SpectralPoissonSolver
 from repro.grid.spec import GridSpec
 from repro.particles.initializers import InitialCondition, load_particles
@@ -85,9 +87,8 @@ class StepLoop:
         the constructors and the checkpoint loader."""
         #: resolved kernel-execution backend (config.backend, "auto" applied)
         self.backend: KernelBackend = get_backend(self.config.backend)
-        if self.fields.layout == "redundant":
-            # the store's own fold / broadcast methods run this body too
-            self.fields.body = self.backend
+        # the store's own fold / broadcast methods run this body too
+        self.fields.body = self.backend
         #: per-phase wall-clock recorder; `.timings` is its cumulative view
         self.instrumentation = (
             instrumentation if instrumentation is not None else Instrumentation()
@@ -209,15 +210,11 @@ class StepLoop:
         """Fold rho onto grid points, solve, and store the field in
         stepper units: ``rho_grid`` and the physical ``e<axis>_grid``
         arrays are what diagnostics and checkpoints read."""
-        self.rho_grid = self._fold_rho()
+        self.rho_grid = self.backend.reduce_rows(self.fields)
         _, *e_grid = self.solver.solve(self.rho_grid)
         for name, comp in zip(_E_GRID, e_grid):
             setattr(self, name, comp)
         self._load_fields()
-
-    def _fold_rho(self) -> np.ndarray:
-        """Grid-point charge density from the redundant corner rows."""
-        return self.backend.reduce_rows(self.fields)
 
     def _load_fields(self) -> None:
         """Broadcast the solved field into the rows, each component
@@ -348,7 +345,6 @@ class PICStepper(StepLoop):
                 self.ordering,
                 case,
                 n_particles,
-                layout=config.particle_layout,
                 seed=seed,
                 quiet=quiet,
                 store_coords=config.effective_store_coords,
@@ -371,10 +367,7 @@ class PICStepper(StepLoop):
         self.ordering = get_ordering(
             config.ordering, *grid.shape, **config.ordering_kwargs
         )
-        if config.field_layout == "redundant":
-            self.fields = RedundantFields(grid, self.ordering)
-        else:
-            self.fields = StandardFields(grid)
+        self.fields = RedundantFields(grid, self.ordering)
         self.solver = SpectralPoissonSolver(grid, self.eps0)
 
     # ------------------------------------------------------------------
@@ -436,19 +429,6 @@ class PICStepper(StepLoop):
     # ------------------------------------------------------------------
     # Phases: what 2D adds to StepLoop's bodies
     # ------------------------------------------------------------------
-    def _cell_coords(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(ix, iy)`` of every particle, stored or decoded."""
-        p = self.particles
-        return (p.ix, p.iy) if p.store_coords else self.ordering.decode(p.icell)
-
-    def _interpolate(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.fields.layout == "redundant":
-            return super()._interpolate()
-        p = self.particles
-        return self.backend.interpolate_standard(
-            self.fields.ex, self.fields.ey, *self._cell_coords(), p.dx, p.dy
-        )
-
     def _kick_coefs(self) -> tuple[float, float]:
         if self.config.hoisting:
             return 1.0, 1.0
@@ -510,22 +490,3 @@ class PICStepper(StepLoop):
             )
         else:
             super()._phase_update_x()
-
-    def _phase_accumulate(self) -> None:
-        if self.fields.layout == "redundant":
-            return super()._phase_accumulate()
-        p = self.particles
-        self.backend.accumulate_standard(
-            self.fields.rho, *self._cell_coords(), p.dx, p.dy, self._charge_factor
-        )
-
-    def _fold_rho(self) -> np.ndarray:
-        if self.fields.layout == "redundant":
-            return super()._fold_rho()
-        return self.fields.rho
-
-    def _load_fields(self) -> None:
-        if self.fields.layout == "redundant":
-            return super()._load_fields()
-        sx, sy = self._field_scales
-        self.fields.set_field_from_grid(self.ex_grid * sx, self.ey_grid * sy)

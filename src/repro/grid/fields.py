@@ -1,13 +1,14 @@
-"""Field and charge-density storage layouts.
+"""Field and charge-density storage: the redundant layout.
 
-Implements the two layouts the paper compares (§II, Fig. 2):
-
-* **Standard** point-based 2D arrays ``rho[ncx][ncy]``, ``Ex``, ``Ey``.
-* **Redundant** cell-based 1D arrays ``rho_1d[ncell][4]`` and
-  ``E_1d[ncell][8]``: for every cell, the values of ``rho`` (resp.
-  ``Ex`` and ``Ey``) at the cell's four corner grid points are stored
-  contiguously, in the memory order chosen by a
-  :class:`~repro.curves.base.CellOrdering`.
+The paper compares two layouts (§II, Fig. 2).  The one stored here is
+the **redundant** cell-based one, 1D arrays ``rho_1d[ncell][4]`` and
+``E_1d[ncell][8]``: for every cell, the values of ``rho`` (resp.
+``Ex`` and ``Ey``) at the cell's four corner grid points are stored
+contiguously, in the memory order chosen by a
+:class:`~repro.curves.base.CellOrdering`.  The **standard** point-based
+arrays ``rho[ncx][ncy]``, ``Ex``, ``Ey`` it starts from are priced by
+:mod:`repro.model`, not stored: ``OptimizationConfig.field_layout`` is a
+model axis, and every stepper keeps its fields here whatever it names.
 
 Corner convention (matches Fig. 2's ``cx/sx/cy/sy`` coefficient
 tables)::
@@ -47,11 +48,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.grid.spec import GridSpec
-
 __all__ = [
     "corner_offsets",
-    "StandardFields",
     "RedundantFields",
 ]
 
@@ -66,27 +64,6 @@ def corner_offsets(ndim: int) -> np.ndarray:
     return np.stack([(c >> (ndim - 1 - a)) & 1 for a in range(ndim)], axis=1)
 
 
-class StandardFields:
-    """Textbook point-based storage: ``rho``, ``Ex``, ``Ey`` of shape (ncx, ncy)."""
-
-    layout = "standard"
-
-    def __init__(self, grid: GridSpec):
-        self.grid = grid
-        self.rho = np.zeros((grid.ncx, grid.ncy))
-        self.ex = np.zeros((grid.ncx, grid.ncy))
-        self.ey = np.zeros((grid.ncx, grid.ncy))
-
-    def rho_grid(self) -> np.ndarray:
-        """Point-based charge density (already in that form here)."""
-        return self.rho
-
-    def set_field_from_grid(self, ex: np.ndarray, ey: np.ndarray) -> None:
-        """Store a solved field given point-based arrays."""
-        self.ex[:] = ex
-        self.ey[:] = ey
-
-
 class RedundantFields:
     """Cell-based redundant storage ordered by a space-filling curve,
     in as many dimensions as ``grid.shape`` has entries.
@@ -99,8 +76,6 @@ class RedundantFields:
         Bijection deciding which cell goes where in memory.  Padding
         cells (L4D) are allocated and stay zero forever.
     """
-
-    layout = "redundant"
 
     def __init__(self, grid, ordering):
         # imported here: the backends import this module
@@ -216,7 +191,7 @@ class RedundantFields:
         """
         self.body.broadcast_rows(self, components, (1.0,) * len(components))
 
-    #: the names :class:`StandardFields` gives the same two operations
+    #: the names the frozen benchmark ledger calls
     set_field_from_grid = load_field_from_grid
     rho_grid = reduce_rho_to_grid
 

@@ -63,7 +63,6 @@ from repro.parallel.shm import (
     SharedParticleStorage,
     attach_array,
 )
-from repro.particles.storage import ParticleSoA
 
 __all__ = [
     "WorkerPool",
@@ -428,9 +427,9 @@ class WorkerPool:
 class ShmEngine:
     """Drives one stepper's particle loops across the worker pool.
 
-    Serves any stepper whose particles are a
-    :class:`~repro.particles.storage.ParticleSoA` and whose fields hold
-    redundant ``rho_1d``/``e_1d`` rows — 2D and 3D alike; every
+    Serves any stepper — its particles are a
+    :class:`~repro.particles.storage.ParticleSoA` and its fields hold
+    redundant ``rho_1d``/``e_1d`` rows, 2D and 3D alike; every
     per-axis quantity travels as a tuple.  Construction relocates the
     particle storage and the field rows into shared memory (the stepper
     keeps using them through the same attributes), gives the stepper a
@@ -676,17 +675,17 @@ class MultiprocessBackend(NumpyBackend):
     """The split-loop kernels fanned out over shared-memory workers.
 
     Calls whose arrays belong to a live :class:`ShmEngine` (i.e. came
-    from a prepared stepper in redundant-SoA mode) are
-    dispatched to the pool, whose workers run the engine's body — the
-    kernels ``"auto"`` resolves to, ``c``'s compiled loops wherever
-    they build (the name is historical); the ρ fold and the field
-    broadcast of the engine's store run that body in the parent.
+    from a prepared stepper) are dispatched to the pool, whose workers
+    run the engine's body — the kernels ``"auto"`` resolves to, ``c``'s
+    compiled loops wherever they build (the name is historical); the ρ
+    fold and the field broadcast of the engine's store run that body in
+    the parent.
     Everything else — direct
     kernel calls, calls with ``out=`` / ``corners=`` / ``dst=``, the
-    sort, standard/AoS layouts — runs the inherited
-    :class:`NumpyBackend` kernels serially, with identical results.
-    2D and 3D steppers get the same engine under the same eligibility
-    rule.  Deliberately the *lowest* priority so ``"auto"`` never picks
+    sort — runs the inherited :class:`NumpyBackend` kernels serially,
+    with identical results.  Every stepper, 2D or 3D, gets the engine:
+    each keeps redundant rows it can adopt and SoA columns it can
+    share.  Deliberately the *lowest* priority so ``"auto"`` never picks
     it; multiprocessing is opt-in.
     """
 
@@ -718,20 +717,6 @@ class MultiprocessBackend(NumpyBackend):
 
     # -- stepper lifecycle ----------------------------------------------
     def prepare_stepper(self, stepper) -> None:
-        cfg = stepper.config
-        # one rule for both dimensions: redundant rows the engine can
-        # adopt and SoA columns it can share
-        eligible = (
-            hasattr(stepper.fields, "adopt_arrays")
-            and isinstance(stepper.particles, ParticleSoA)
-        )
-        if not eligible:
-            _log.warning(
-                "numpy-mp needs field_layout='redundant' and particle_layout="
-                "'soa' to parallelize (got %r/%r); running serially",
-                cfg.field_layout, cfg.particle_layout,
-            )
-            return
         try:
             engine = ShmEngine(stepper)
         except OSError as exc:  # pragma: no cover - no /dev/shm etc.

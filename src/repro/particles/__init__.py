@@ -4,7 +4,8 @@ The paper represents a particle as ``(icell, dx, dy, vx, vy)`` — linear
 cell index plus normalized in-cell offsets — and compares an
 Array-of-Structures layout against a Structure-of-Arrays layout
 (§IV-C1; SoA wins because it gives the update-positions loop unit
-stride).  Both layouts live here behind one API.
+stride).  The SoA store lives here; the AoS layout is priced by
+:mod:`repro.model`, not stored.
 
 Initial conditions cover the paper's test cases (linear and nonlinear
 Landau damping, two-stream instability), with random or quiet
@@ -15,7 +16,6 @@ out-of-place and in-place variants.
 """
 
 from repro.particles.storage import (
-    ParticleAoS,
     ParticleSoA,
     ParticleStorage,
     make_storage,
@@ -47,7 +47,6 @@ from repro.particles.sorting import (
 __all__ = [
     "ParticleStorage",
     "ParticleSoA",
-    "ParticleAoS",
     "make_storage",
     "particle_fields",
     "InitialCondition",

@@ -1,6 +1,6 @@
-"""Particle storage: Structure-of-Arrays vs Array-of-Structures.
+"""Particle storage: the Structure-of-Arrays layout.
 
-Both containers hold the paper's particle representation, in ``ndim``
+A storage holds the paper's particle representation, in ``ndim``
 dimensions (axes ``a`` in ``"xyz"[:ndim]``):
 
 * ``icell`` — linear cell index under the active cell ordering
@@ -19,12 +19,11 @@ reads both as attributes (``p.dx``) and as a read-only mapping
 kernels of :mod:`repro.core.kernels` slice.
 
 :class:`ParticleSoA` keeps one contiguous numpy array per attribute —
-the layout that vectorizes (unit stride).  :class:`ParticleAoS` keeps a
-single structured (record) array — its columns are *strided* views,
-faithfully reproducing the stride-of-the-record access pattern
-that defeats auto-vectorization in the paper (and measurably slows
-numpy kernels here, since every kernel touching a strided view pays a
-gather/copy).
+the layout that vectorizes (unit stride, §IV-C1).  The
+Array-of-Structures layout the paper starts from (Table VII's AoS
+column, Table IV's first rows) is priced by :mod:`repro.model`, not
+stored: ``OptimizationConfig.particle_layout`` is a model axis, and
+every stepper keeps its particles in SoA columns whatever it names.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ __all__ = [
     "particle_fields",
     "ParticleStorage",
     "ParticleSoA",
-    "ParticleAoS",
     "make_storage",
 ]
 
@@ -70,10 +68,7 @@ def _column(name: str) -> property:
 
 
 class ParticleStorage(abc.ABC):
-    """Common interface over the two particle layouts."""
-
-    #: "soa" or "aos"
-    layout: str
+    """The particle-store interface: named columns, bulk state, reorder."""
 
     def __init__(self, n: int, weight: float = 1.0, store_coords: bool = True,
                  ndim: int = 2):
@@ -130,18 +125,15 @@ class ParticleStorage(abc.ABC):
         Returns the storage holding the reordered particles.
         """
         dst = out if out is not None else self.clone_empty()
-        if dst.layout != self.layout:
+        if not isinstance(dst, ParticleStorage):
             raise TypeError(f"out must be a {type(self).__name__}")
-        self._take(perm, dst)
-        return dst
-
-    def _take(self, perm, dst) -> None:
         for name, arr in self._columns.items():
             np.take(arr, perm, out=dst[name])
+        return dst
 
     @abc.abstractmethod
     def clone_empty(self) -> "ParticleStorage":
-        """A new storage of the same layout/size with uninitialized data."""
+        """A new storage of the same size and columns (zero-filled)."""
 
     # -- shared helpers ---------------------------------------------------
     def total_charge(self, q: float) -> float:
@@ -156,8 +148,6 @@ class ParticleStorage(abc.ABC):
 class ParticleSoA(ParticleStorage):
     """Structure of Arrays: one contiguous array per attribute."""
 
-    layout = "soa"
-
     #: ``alloc(n, dtype=...)`` of one zero-filled column — the hook by
     #: which :class:`repro.parallel.shm.SharedParticleStorage` places
     #: the arrays in shared memory instead
@@ -170,38 +160,14 @@ class ParticleSoA(ParticleStorage):
         return ParticleSoA(self.n, self.weight, self.store_coords, self.ndim)
 
 
-class ParticleAoS(ParticleStorage):
-    """Array of Structures: one record array, strided attribute views.
-
-    The columns are views with ``strides = record size``;
-    any numpy kernel consuming them pays the non-unit-stride cost,
-    which is the Python-level analogue of the paper's observation that
-    AoS blocks (GNU) or degrades (Intel) auto-vectorization.  2D only:
-    it exists for the Table VII layout study.
-    """
-
-    layout = "aos"
-
-    def __init__(self, n: int, weight: float = 1.0, store_coords: bool = True):
-        super().__init__(n, weight, store_coords, ndim=2)
-
-    def _allocate(self, n, names):
-        self._data = np.zeros(n, dtype=[(name, _dtype(name)) for name in names])
-        return {name: self._data[name] for name in names}
-
-    def _take(self, perm, dst) -> None:
-        np.take(self._data, perm, out=dst._data)
-
-    def clone_empty(self):
-        return ParticleAoS(self.n, self.weight, self.store_coords)
-
-
 def make_storage(
     layout: str, n: int, weight: float = 1.0, store_coords: bool = True
 ) -> ParticleStorage:
-    """Factory: ``layout`` is ``"soa"`` or ``"aos"``."""
+    """Factory, for callers that name the layout: ``"soa"`` is the only
+    stored one."""
     if layout == "soa":
         return ParticleSoA(n, weight, store_coords)
-    if layout == "aos":
-        return ParticleAoS(n, weight, store_coords)
-    raise ValueError(f"unknown particle layout {layout!r} (want 'soa' or 'aos')")
+    raise ValueError(
+        f"unknown particle layout {layout!r} (the stored one is 'soa'; "
+        "'aos' is priced by repro.model, not stored)"
+    )

@@ -98,7 +98,7 @@ class PICStepper3D(StepLoop):
 
     Parameters mirror the legacy constructor; a full
     :class:`~repro.core.config.OptimizationConfig` may be supplied via
-    ``config`` to drive loop-path dispatch, sorting and backend
+    ``config`` to drive ordering, push variant, sorting and backend
     selection exactly as in 2D (``backend``/``sort_period``
     are then taken from the config and the legacy kwargs ignored).
     """
@@ -117,7 +117,6 @@ class PICStepper3D(StepLoop):
     ):
         if config is None:
             config = OptimizationConfig(
-                field_layout="redundant",
                 ordering="morton",
                 position_update="bitwise",
                 hoisting=True,
@@ -129,8 +128,6 @@ class PICStepper3D(StepLoop):
             )
         if not config.hoisting:
             raise ValueError("the 3D stepper only implements hoisted units")
-        if config.field_layout != "redundant":
-            raise ValueError("the 3D stepper only implements the redundant layout")
         if config.position_update == "bitwise" and not grid.pow2:
             raise ValueError("the bitwise push requires power-of-two dims")
         self.grid = grid

@@ -39,7 +39,8 @@ __all__ = ["Scenario", "ScenarioSampler"]
 #: orderings are available everywhere).
 _GRID_POOL = ((16, 8), (32, 8), (16, 16), (32, 4))
 _ORDERING_POOL = ("row-major", "column-major", "l4d", "morton", "hilbert")
-_LAYOUT_POOL = ("redundant", "redundant", "standard")  # paper-weighted
+#: the retired field-layout axis (paper-weighted); only its draw is left
+_LAYOUT_POOL = ("redundant", "redundant", "standard")
 _PUSH_POOL = ("branch", "modulo", "bitwise")
 _SORT_PERIODS = (0, 2, 3, 5)
 _SORT_VARIANTS = ("in-place", "out-of-place")
@@ -60,8 +61,7 @@ _CASE_POOL = (
 _DIMS_POOL = (2, 2, 2, 3)
 #: 3D pools are narrower on purpose: power-of-two dims keep the
 #: bitwise push legal, and the 3D stepper lays cells out on two curves
-#: (row-major and Morton), with the redundant layout, hoisted units and
-#: the two classic cases
+#: (row-major and Morton), with hoisted units and the two classic cases
 _GRID3D_POOL = ((8, 4, 4), (16, 4, 4), (8, 8, 4))
 _ORDERING3D_POOL = ("row-major", "morton")
 _CASE3D_POOL = ("landau", "two-stream")
@@ -78,7 +78,6 @@ class Scenario:
     n_steps: int
     case_name: str
     ordering: str
-    field_layout: str
     position_update: str
     hoisting: bool
     sort_period: int
@@ -123,7 +122,6 @@ class Scenario:
                workers: int | None = None) -> OptimizationConfig:
         """The :class:`OptimizationConfig` for one execution combo."""
         kwargs = dict(
-            field_layout=self.field_layout,
             ordering=self.ordering,
             position_update=self.position_update,
             hoisting=self.hoisting,
@@ -142,8 +140,7 @@ class Scenario:
             shape += f"x{self.ncz} 3d"
         return (
             f"#{self.index} {self.case_name} {shape} "
-            f"n={self.n_particles} {self.ordering}/{self.field_layout}/"
-            f"{self.position_update} "
+            f"n={self.n_particles} {self.ordering}/{self.position_update} "
             f"{'hoist' if self.hoisting else 'nohoist'} {sort}"
         )
 
@@ -186,10 +183,10 @@ class ScenarioSampler:
             n_particles=int(self._pick(self.n_particles_pool)),
             n_steps=int(self._pick(self.n_steps_pool)),
             case_name=self._pick(_CASE_POOL),
-            ordering=self._pick(_ORDERING_POOL),
-            field_layout=self._pick(_LAYOUT_POOL),
-            # the retired split/fused axis drew here: its draw stays, so
-            # scenario k of seed s still names the same configuration
+            # the retired field-layout and split/fused axes drew here:
+            # their draws stay, so scenario k of seed s still names the
+            # same configuration
+            ordering=(self._pick(_ORDERING_POOL), self._pick(_LAYOUT_POOL))[0],
             position_update=(self._rng.integers(2), self._pick(_PUSH_POOL))[1],
             hoisting=bool(self._rng.integers(2)),
             sort_period=int(self._pick(_SORT_PERIODS)),
@@ -202,8 +199,8 @@ class ScenarioSampler:
     def _sample_one_3d(self) -> Scenario:
         """One 3D scenario — the axes the 3D stepper actually offers.
 
-        The layout is always redundant and units always hoisted (the
-        3D stepper's two hard constraints); the remaining knobs (push
+        Units are always hoisted (the 3D stepper's hard constraint);
+        the remaining knobs (push
         variant, sorting) sweep the same pools as 2D so the promise
         matrix covers the 3D stepper end to end.
         """
@@ -216,7 +213,6 @@ class ScenarioSampler:
             n_steps=int(self._pick(self.n_steps_pool)),
             case_name=self._pick(_CASE3D_POOL),
             ordering=self._pick(_ORDERING3D_POOL),
-            field_layout="redundant",
             # the retired split/fused axis drew here: its draw stays, so
             # scenario k of seed s still names the same configuration
             position_update=(self._rng.integers(2), self._pick(_PUSH_POOL))[1],

@@ -20,9 +20,7 @@ numpy-mp                            bitwise at 2 *and* 4 workers (the
 c, 2D and 3D                        bitwise (``ckernels.c`` and
                                     :mod:`repro.core.kernels` state the same
                                     CiC fold: left-product weights, corners
-                                    folded in order, no FMA contraction; on
-                                    ``ParticleAoS`` the strided columns take
-                                    the inherited NumPy kernels)
+                                    folded in order, no FMA contraction)
 in-place vs out-of-place sort       bitwise (same stable permutation)
 scalar ReferenceStepper             bitwise (checked separately in tests;
                                     too slow for the sampled matrix)
@@ -203,10 +201,7 @@ class _Run:
         st = self.stepper
         state = {name: np.array(st.particles[name]) for name in self.arrays}
         if phase in ("accumulate", "solve"):
-            if st.fields.layout == "redundant":
-                state["rho_raw"] = np.array(st.fields.rho_1d)
-            else:
-                state["rho_raw"] = np.array(st.fields.rho)
+            state["rho_raw"] = np.array(st.fields.rho_1d)
         if phase == "solve":
             state["rho_grid"] = np.array(st.rho_grid)
             state["ex_grid"] = np.array(st.ex_grid)

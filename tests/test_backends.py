@@ -27,9 +27,7 @@ from repro.core.backends import (
 )
 from repro.core.reference import (
     accumulate_redundant_ref,
-    accumulate_standard_ref,
     interpolate_redundant_ref,
-    interpolate_standard_ref,
     push_axis_ref,
 )
 from repro.curves import get_ordering
@@ -70,9 +68,9 @@ class TestRegistry:
     def test_registry_lists_exactly_three(self):
         assert known_backend_names() == ("numpy", "c", "numpy-mp")
 
-    def test_surface_is_nine_kernels_three_hooks_seven_adapters(self):
+    def test_surface_is_seven_kernels_three_hooks_seven_adapters(self):
         """What a backend can override is the abstract set — the
-        particle loops of both layouts and the redundant layout's two
+        particle loops over redundant rows and that layout's two
         per-cell loops; the axis-spelled names the frozen ledger calls
         are adapters defined once on the base class, and no registered
         backend overrides one."""
@@ -81,7 +79,6 @@ class TestRegistry:
         kernels = {
             "interpolate_rows", "accumulate_rows", "kick", "push",
             "counting_sort_permutation", "reduce_rows", "broadcast_rows",
-            "interpolate_standard", "accumulate_standard",
         }
         hooks = {"is_available", "prepare_stepper", "release_stepper"}
         adapters = {
@@ -156,14 +153,6 @@ class TestRegistry:
 # Kernel equivalence vs the scalar oracles (parametrized over backends)
 # ----------------------------------------------------------------------
 class TestKernelEquivalence:
-    def test_accumulate_standard(self, backend, rng):
-        ix, iy, dx, dy, _, _ = random_particle_arrays(rng, N, NCX, NCY)
-        rho = np.zeros((NCX, NCY))
-        ref = np.zeros((NCX, NCY))
-        backend.accumulate_standard(rho, ix, iy, dx, dy, charge=0.7)
-        accumulate_standard_ref(ref, ix, iy, dx, dy, charge=0.7)
-        np.testing.assert_allclose(rho, ref, atol=1e-12)
-
     def test_accumulate_redundant(self, backend, rng):
         ix, iy, dx, dy, _, _ = random_particle_arrays(rng, N, NCX, NCY)
         ordering = get_ordering("morton", NCX, NCY)
@@ -174,15 +163,6 @@ class TestKernelEquivalence:
         backend.accumulate_redundant(rho, icell, dx, dy, charge=1.3)
         accumulate_redundant_ref(ref, icell, dx, dy, charge=1.3)
         np.testing.assert_allclose(rho, ref, atol=1e-12)
-
-    def test_interpolate_standard(self, backend, rng):
-        ix, iy, dx, dy, _, _ = random_particle_arrays(rng, N, NCX, NCY)
-        ex = rng.random((NCX, NCY))
-        ey = rng.random((NCX, NCY))
-        got = backend.interpolate_standard(ex, ey, ix, iy, dx, dy)
-        want = interpolate_standard_ref(ex, ey, ix, iy, dx, dy)
-        np.testing.assert_allclose(got[0], want[0], atol=1e-13)
-        np.testing.assert_allclose(got[1], want[1], atol=1e-13)
 
     def test_interpolate_redundant(self, backend, rng):
         ix, iy, dx, dy, _, _ = random_particle_arrays(rng, N, NCX, NCY)

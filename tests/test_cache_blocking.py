@@ -28,9 +28,9 @@ from repro.core import OptimizationConfig, Simulation
 from repro.core.backends import CBackend, get_backend
 from repro.curves import get_ordering
 from repro.grid import GridSpec
-from repro.grid.fields import RedundantFields, StandardFields
+from repro.grid.fields import RedundantFields
 from repro.particles import LandauDamping
-from repro.particles.storage import make_storage
+from repro.particles.storage import ParticleSoA
 from repro.pic3d import GridSpec3D, LandauDamping3D, PICStepper3D
 from repro.verify.golden import state_digest
 
@@ -51,7 +51,7 @@ def _digest(arrays) -> str:
 # ----------------------------------------------------------------------
 # Blocked == single block, bitwise
 # ----------------------------------------------------------------------
-def _kernels_2d(n, field_layout, particle_layout, variant, sort, rho0):
+def _kernels_2d(n, variant, sort, rho0):
     """Run interpolate, kick+push and the deposit on one seeded random
     state; return every output's bytes."""
     rng = np.random.default_rng(n)
@@ -66,28 +66,15 @@ def _kernels_2d(n, field_layout, particle_layout, variant, sort, rho0):
         ix, iy, icell = ix[order], iy[order], icell[order]
     state = (icell, rng.random(n), rng.random(n),
              rng.normal(0, 2, n), rng.normal(0, 2, n), ix, iy)
-    if field_layout == "redundant":
-        fields = RedundantFields(grid, ordering)
-    else:
-        fields = StandardFields(grid)
-    fields.set_field_from_grid(rng.normal(size=(nc, nc)), rng.normal(size=(nc, nc)))
+    fields = RedundantFields(grid, ordering)
+    fields.load_field_from_grid(rng.normal(size=(nc, nc)), rng.normal(size=(nc, nc)))
+    p = ParticleSoA(n, store_coords=True)
+    p.set_state(*state)
 
-    def particles():
-        p = make_storage(particle_layout, n, store_coords=True)
-        p.set_state(*state)
-        return p
-
-    out = []
-    p = particles()
-    if field_layout == "redundant":
-        e_p = b.interpolate_rows(fields.e_1d, p.icell, (p.dx, p.dy))
-        rho = np.full_like(fields.rho_1d, rho0)
-        b.accumulate_rows(rho, p.icell, (p.dx, p.dy), -0.37)
-    else:
-        e_p = b.interpolate_standard(fields.ex, fields.ey, p.ix, p.iy, p.dx, p.dy)
-        rho = np.full_like(fields.rho, rho0)
-        b.accumulate_standard(rho, p.ix, p.iy, p.dx, p.dy, -0.37)
-    out += [*e_p, rho]
+    e_p = b.interpolate_rows(fields.e_1d, p.icell, (p.dx, p.dy))
+    rho = np.full_like(fields.rho_1d, rho0)
+    b.accumulate_rows(rho, p.icell, (p.dx, p.dy), -0.37)
+    out = [*e_p, rho]
     b.kick((p.vx, p.vy), e_p, (0.7, 1.0))
     b.push(p, (nc, nc), ordering, variant, (1.0, 0.5))
     out += dict(p).values()
@@ -97,13 +84,9 @@ def _kernels_2d(n, field_layout, particle_layout, variant, sort, rho0):
 @pytest.mark.parametrize("rho0", [0.0, 0.25], ids=["rho-zero", "rho-nonzero"])
 @pytest.mark.parametrize("sort", [False, True], ids=["unsorted", "sorted"])
 @pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("particle_layout", ["soa", "aos"])
-@pytest.mark.parametrize("field_layout", ["redundant", "standard"])
 @pytest.mark.parametrize("n", SIZES)
-def test_blocked_kernels_equal_single_block_2d(
-    monkeypatch, n, field_layout, particle_layout, variant, sort, rho0
-):
-    args = (n, field_layout, particle_layout, variant, sort, rho0)
+def test_blocked_kernels_equal_single_block_2d(monkeypatch, n, variant, sort, rho0):
+    args = (n, variant, sort, rho0)
     monkeypatch.setattr(kernels, "BLOCK", 10**9)
     whole = _kernels_2d(*args)
     monkeypatch.setattr(kernels, "BLOCK", B)
@@ -231,7 +214,7 @@ def _interp_2d(n):
 def _push_2d(n):
     rng = np.random.default_rng(0)
     ordering = get_ordering("morton", 16, 16)
-    p = make_storage("soa", n, store_coords=True)
+    p = ParticleSoA(n, store_coords=True)
     ix, iy = rng.integers(0, 16, n), rng.integers(0, 16, n)
     p.set_state(ordering.encode(ix, iy), rng.random(n), rng.random(n),
                 rng.normal(size=n), rng.normal(size=n), ix, iy)

@@ -302,8 +302,8 @@ class TestEquivalence:
         assert np.array_equal(states["c"][1], states["numpy"][1])
 
     def test_aos_run_has_numpy_bits(self):
-        """Strided ``ParticleAoS`` columns do not fit the C ABI: the
-        run takes the inherited NumPy kernels, and their bits."""
+        """A config naming AoS particles stores SoA columns, which fit
+        the C ABI: the compiled loops run, with NumPy's bits."""
         self._assert_run_has_numpy_bits(particle_layout="aos")
 
     @pytest.mark.parametrize("layout", ["redundant", "standard"])

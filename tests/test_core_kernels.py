@@ -6,10 +6,8 @@ import pytest
 from repro.core.kernels import (
     AXIS_KERNELS,
     accumulate_rows,
-    accumulate_standard,
     corner_weights,
     interpolate_rows,
-    interpolate_standard,
     kick,
     push_blocked,
     _axis_bitwise,
@@ -18,12 +16,11 @@ from repro.core.kernels import (
 )
 from repro.core.reference import (
     accumulate_redundant_ref,
-    accumulate_standard_ref,
     interpolate_redundant_ref,
-    interpolate_standard_ref,
     push_axis_ref,
 )
 from repro.curves import get_ordering
+from repro.grid import RedundantFields
 from repro.particles import make_storage
 from tests.conftest import random_particle_arrays
 
@@ -34,6 +31,32 @@ VARIANTS = ["branch", "modulo", "bitwise"]
 def push(s, ordering, variant, scales=(1.0, 1.0)):
     """The in-place 2D push of one wrap variant."""
     push_blocked(s, s, (NCX, NCY), ordering, AXIS_KERNELS[variant], scales)
+
+
+def point_corners(ix, iy):
+    """The four ``(jx, jy)`` grid points around each particle's cell,
+    +1 edges wrapped: the point-based (standard) layout's addresses,
+    Fig. 2's upper variant, which the tests below state by hand."""
+    ixp, iyp = (ix + 1) % NCX, (iy + 1) % NCY
+    return (ix, iy), (ix, iyp), (ixp, iy), (ixp, iyp)
+
+
+def gather_points(ex, ey, ix, iy, dx, dy):
+    """E at the particles from point-indexed ``(NCX, NCY)`` arrays."""
+    w = corner_weights((dx, dy))
+    corners = point_corners(ix, iy)
+    return tuple(
+        sum(w[:, c] * e[jx, jy] for c, (jx, jy) in enumerate(corners))
+        for e in (ex, ey)
+    )
+
+
+def redundant_gather(ex, ey, ix, iy, dx, dy, small_grid, ordering="morton"):
+    """The same gather through redundant rows holding ``(ex, ey)``."""
+    o = get_ordering(ordering, NCX, NCY)
+    fields = RedundantFields(small_grid, o)
+    fields.load_field_from_grid(ex, ey)
+    return interpolate_rows(fields.e_1d, o.encode(ix, iy), (dx, dy))
 
 
 #: Fig. 2's coefficient tables, spelled out: the weight of corner c is
@@ -117,47 +140,6 @@ class TestCornerWeightsAnyDimension:
         assert all(np.array_equal(o, g) for o, g in zip(out, got))
 
 
-class TestAccumulateStandard:
-    def test_matches_reference(self, rng):
-        ix, iy, dx, dy, _, _ = random_particle_arrays(rng, 200, NCX, NCY)
-        rho = np.zeros((NCX, NCY))
-        ref = np.zeros((NCX, NCY))
-        accumulate_standard(rho, ix, iy, dx, dy, charge=0.7)
-        accumulate_standard_ref(ref, ix, iy, dx, dy, charge=0.7)
-        np.testing.assert_allclose(rho, ref, atol=1e-12)
-
-    def test_charge_conservation(self, rng):
-        ix, iy, dx, dy, _, _ = random_particle_arrays(rng, 500, NCX, NCY)
-        rho = np.zeros((NCX, NCY))
-        accumulate_standard(rho, ix, iy, dx, dy, charge=2.0)
-        assert rho.sum() == pytest.approx(2.0 * 500, rel=1e-12)
-
-    def test_periodic_wrap_on_edges(self):
-        rho = np.zeros((NCX, NCY))
-        accumulate_standard(
-            rho,
-            np.array([NCX - 1]),
-            np.array([NCY - 1]),
-            np.array([0.5]),
-            np.array([0.5]),
-        )
-        assert rho[0, 0] == pytest.approx(0.25)
-        assert rho[NCX - 1, 0] == pytest.approx(0.25)
-        assert rho[0, NCY - 1] == pytest.approx(0.25)
-
-    def test_overwrites_its_target(self, rng):
-        """``rho = Σ``, not ``rho += Σ``: whatever ``rho`` held is
-        ignored, and the bits are those of a deposit onto zeros."""
-        ix, iy, dx, dy, _, _ = random_particle_arrays(rng, 100, NCX, NCY)
-        rho = np.zeros((NCX, NCY))
-        accumulate_standard(rho, ix, iy, dx, dy)
-        once = rho.copy()
-        rho[:] = rng.normal(size=rho.shape)
-        rho[0, :3] = (np.nan, np.inf, -0.0)
-        accumulate_standard(rho, ix, iy, dx, dy)
-        assert rho.tobytes() == once.tobytes()
-
-
 class TestAccumulateRedundant:
     def test_matches_reference(self, rng):
         o = get_ordering("morton", NCX, NCY)
@@ -179,28 +161,20 @@ class TestAccumulateRedundant:
     @pytest.mark.parametrize("name", ["row-major", "l4d", "morton", "hilbert"])
     def test_equivalent_to_standard_after_reduction(self, rng, name, small_grid):
         """The central layout invariant: redundant deposit + fold ==
-        standard deposit, for every ordering."""
-        from repro.grid import RedundantFields
-
+        a scatter straight onto grid points (the standard layout's
+        deposit), for every ordering."""
         o = get_ordering(name, NCX, NCY)
         fields = RedundantFields(small_grid, o)
         ix, iy, dx, dy, _, _ = random_particle_arrays(rng, 400, NCX, NCY)
         accumulate_rows(fields.rho_1d, o.encode(ix, iy), (dx, dy), charge=0.5)
         std = np.zeros((NCX, NCY))
-        accumulate_standard(std, ix, iy, dx, dy, charge=0.5)
+        w = corner_weights((dx, dy))
+        for c, (jx, jy) in enumerate(point_corners(ix, iy)):
+            np.add.at(std, (jx, jy), 0.5 * w[:, c])
         np.testing.assert_allclose(fields.reduce_rho_to_grid(), std, atol=1e-12)
 
 
 class TestInterpolate:
-    def test_standard_matches_reference(self, rng):
-        ix, iy, dx, dy, _, _ = random_particle_arrays(rng, 150, NCX, NCY)
-        ex = rng.random((NCX, NCY))
-        ey = rng.random((NCX, NCY))
-        fx, fy = interpolate_standard(ex, ey, ix, iy, dx, dy)
-        rx, ry = interpolate_standard_ref(ex, ey, ix, iy, dx, dy)
-        np.testing.assert_allclose(fx, rx, atol=1e-12)
-        np.testing.assert_allclose(fy, ry, atol=1e-12)
-
     def test_redundant_matches_reference(self, rng):
         o = get_ordering("morton", NCX, NCY)
         e_1d = rng.random((o.ncells_allocated, 8))
@@ -212,41 +186,35 @@ class TestInterpolate:
         np.testing.assert_allclose(fy, ry, atol=1e-12)
 
     def test_layouts_agree_on_same_field(self, rng, small_grid):
-        """Standard and redundant interpolation of the same grid field
-        must produce identical particle fields."""
-        from repro.grid import RedundantFields
-
-        o = get_ordering("l4d", NCX, NCY, size=4)
-        fields = RedundantFields(small_grid, o)
+        """Redundant rows and a gather straight from grid points (the
+        standard layout's reads) of the same grid field must produce
+        identical particle fields."""
         ex = rng.random((NCX, NCY))
         ey = rng.random((NCX, NCY))
-        fields.load_field_from_grid(ex, ey)
         ix, iy, dx, dy, _, _ = random_particle_arrays(rng, 300, NCX, NCY)
-        fx1, fy1 = interpolate_standard(ex, ey, ix, iy, dx, dy)
-        fx2, fy2 = interpolate_rows(fields.e_1d, o.encode(ix, iy), (dx, dy))
+        fx1, fy1 = gather_points(ex, ey, ix, iy, dx, dy)
+        fx2, fy2 = redundant_gather(ex, ey, ix, iy, dx, dy, small_grid, "l4d")
         np.testing.assert_allclose(fx1, fx2, atol=1e-12)
         np.testing.assert_allclose(fy1, fy2, atol=1e-12)
 
-    def test_interpolation_exact_at_nodes(self, rng):
+    def test_interpolation_exact_at_nodes(self, rng, small_grid):
         ex = rng.random((NCX, NCY))
         ey = rng.random((NCX, NCY))
         ix = np.array([3, 7])
         iy = np.array([2, 9])
         zero = np.zeros(2)
-        fx, fy = interpolate_standard(ex, ey, ix, iy, zero, zero)
+        fx, fy = redundant_gather(ex, ey, ix, iy, zero, zero, small_grid)
         np.testing.assert_allclose(fx, ex[ix, iy])
         np.testing.assert_allclose(fy, ey[ix, iy])
 
-    def test_interpolation_linear_in_offset(self, rng):
+    def test_interpolation_linear_in_offset(self, rng, small_grid):
         # along a cell edge the interpolant is linear
         ex = rng.random((NCX, NCY))
         ey = rng.random((NCX, NCY))
-        iy = np.zeros(3, dtype=int)
-        ix = np.zeros(3, dtype=int)
-        f0, _ = interpolate_standard(ex, ey, ix[:1], iy[:1], np.array([0.0]), np.array([0.0]))
-        f1, _ = interpolate_standard(ex, ey, ix[:1], iy[:1], np.array([1.0]), np.array([0.0]))
-        fh, _ = interpolate_standard(ex, ey, ix[:1], iy[:1], np.array([0.5]), np.array([0.0]))
-        assert fh[0] == pytest.approx(0.5 * (f0[0] + f1[0]))
+        ix = iy = np.zeros(3, dtype=np.int64)
+        dx, zero = np.array([0.0, 1.0, 0.5]), np.zeros(3)
+        (f0, f1, fh), _ = redundant_gather(ex, ey, ix, iy, dx, zero, small_grid)
+        assert fh == pytest.approx(0.5 * (f0 + f1))
 
 
 class TestUpdateVelocities:
@@ -336,7 +304,7 @@ class TestAxisWraps:
 @pytest.mark.parametrize(
     "variant", VARIANTS, ids=[f"push_positions_{v}" for v in VARIANTS]
 )
-@pytest.mark.parametrize("layout", ["soa", "aos"])
+@pytest.mark.parametrize("layout", ["soa"])
 class TestPushPositions:
     def _make(self, rng, layout, ordering, n=400):
         ix, iy, dx, dy, vx, vy = random_particle_arrays(rng, n, NCX, NCY)

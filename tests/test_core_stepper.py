@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import OptimizationConfig, PICStepper
-from repro.grid import GridSpec
-from repro.particles import LandauDamping
+from repro.grid import GridSpec, RedundantFields
+from repro.particles import LandauDamping, ParticleSoA
 
 
 @pytest.fixture
@@ -48,11 +48,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match="store_coords"):
             PICStepper(grid, OptimizationConfig.fully_optimized(), particles=parts)
 
-    def test_field_layout_selected(self, grid):
-        s1 = make_stepper(grid, OptimizationConfig.baseline(), n=500)
-        assert s1.fields.layout == "standard"
-        s2 = make_stepper(grid, OptimizationConfig.fully_optimized(), n=500)
-        assert s2.fields.layout == "redundant"
+    def test_every_config_stores_redundant_rows_and_soa_columns(self, grid):
+        """Table IV's baseline names point-based fields and AoS
+        particles; the model prices those, the stepper stores what it
+        always stores."""
+        for cfg in (OptimizationConfig.baseline(),
+                    OptimizationConfig.fully_optimized()):
+            s = make_stepper(grid, cfg, n=500)
+            assert type(s.fields) is RedundantFields
+            assert type(s.particles) is ParticleSoA
 
     def test_initial_fields_computed(self, grid):
         s = make_stepper(grid, OptimizationConfig.fully_optimized(), n=5000)

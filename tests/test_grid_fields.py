@@ -8,7 +8,6 @@ from repro.curves import get_ordering
 from repro.grid import (
     GridSpec,
     RedundantFields,
-    StandardFields,
     corner_offsets,
 )
 from repro.pic3d import GridSpec3D
@@ -46,21 +45,6 @@ class TestCornerWeights:
         assert w.min() >= 0
 
 
-class TestStandardFields:
-    def test_shapes(self, small_grid):
-        f = StandardFields(small_grid)
-        assert f.rho.shape == f.ex.shape == f.ey.shape == (16, 16)
-        assert f.rho_grid() is f.rho
-
-    def test_set_field(self, small_grid, rng):
-        f = StandardFields(small_grid)
-        ex = rng.random((16, 16))
-        ey = rng.random((16, 16))
-        f.set_field_from_grid(ex, ey)
-        np.testing.assert_array_equal(f.ex, ex)
-        np.testing.assert_array_equal(f.ey, ey)
-
-
 @pytest.fixture(params=["row-major", "l4d", "morton", "hilbert"])
 def redundant(request, small_grid):
     ordering = get_ordering(request.param, 16, 16)
@@ -73,9 +57,9 @@ class TestRedundantFields:
         assert redundant.e_1d.shape == (redundant.ordering.ncells_allocated, 8)
 
     def test_memory_is_4x_standard_rho(self, small_grid, redundant):
-        std = StandardFields(small_grid)
-        # paper: the redundant structure needs four times more memory
-        assert redundant.rho_1d.nbytes == 4 * std.rho.nbytes
+        # paper: the redundant structure needs four times the memory of
+        # the point-based rho[ncx][ncy]
+        assert redundant.rho_1d.nbytes == 4 * 8 * small_grid.ncx * small_grid.ncy
 
     def test_rejects_mismatched_ordering(self, small_grid):
         with pytest.raises(ValueError):
@@ -195,7 +179,6 @@ class TestRedundantFieldsAnyDimension:
     def test_shapes(self, ndim, name):
         f = _store(ndim, name)
         nalloc = f.ordering.ncells_allocated
-        assert f.layout == "redundant"
         assert f.rho_1d.shape == (nalloc, 1 << ndim)
         assert f.e_1d.shape == (nalloc, ndim << ndim)
         assert (nalloc > f.grid.ncells) == (name == "l4d")

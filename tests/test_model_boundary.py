@@ -9,7 +9,9 @@ stepped ``numpy`` / ``numpy-mp`` run and an idle ``JobEngine`` leave no
 ``repro/model/`` imports a concurrency module — the model prices §V's
 parallel execution, ``numpy-mp`` is the one rendering that runs it.
 And the engine that runs it names no dimension: nothing under
-``repro/parallel/`` imports ``repro.pic3d``.
+``repro/parallel/`` imports ``repro.pic3d``.  Nor does anything a run
+executes read the config axes only the model prices
+(``field_layout``, ``particle_layout``, ``loop_mode``).
 """
 
 import os
@@ -142,6 +144,39 @@ def test_parallel_lint_sees_a_pic3d_import_at_any_depth(tmp_path):
     flagged = sorted(e.split(":")[0].rsplit("/", 1)[-1] for e in errors)
     assert flagged == ["executor.py", "shm.py"]
     assert any("executor.py:2: imports repro.pic3d.stepper3d" in e for e in errors)
+
+
+def test_model_axis_lint_is_green_on_the_tree():
+    assert load_tool("check_imports").check_model_axes() == []
+
+
+def test_model_axis_lint_sees_a_read_at_any_depth(tmp_path):
+    """Reading ``.field_layout`` / ``.particle_layout`` / ``.loop_mode``
+    anywhere under ``src/repro/`` fails — inside a method or a
+    comprehension too; ``repro/model/`` and ``core/config.py`` may read
+    them, and naming one as a keyword (building a config) is no read."""
+    pkg = tmp_path / "repro"
+    for sub in ("core", "model", "verify"):
+        (pkg / sub).mkdir(parents=True)
+    (pkg / "core" / "stepper.py").write_text(
+        "class S:\n"
+        "    def build(self):\n"
+        "        if self.config.field_layout == 'standard':\n"
+        "            return 1\n"
+    )
+    (pkg / "verify" / "differ.py").write_text(
+        "x = [c.particle_layout for c in ()]\ny = cfg.loop_mode\n"
+    )
+    (pkg / "core" / "config.py").write_text("v = self.loop_mode\n")
+    (pkg / "model" / "trace.py").write_text("v = cfg.field_layout\n")
+    (pkg / "core" / "clean.py").write_text(
+        "cfg = Config(field_layout='standard')\nlayout = 'aos'\n"
+    )
+    errors = load_tool("check_imports").check_model_axes(tmp_path)
+    assert sorted(e.split(": ", 1)[0].split("repro/", 1)[1] for e in errors) == [
+        "core/stepper.py:3", "verify/differ.py:1", "verify/differ.py:2",
+    ]
+    assert any("reads .particle_layout" in e for e in errors)
 
 
 def test_dimension_ratchet_is_by_name(tmp_path):

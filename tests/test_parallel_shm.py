@@ -67,8 +67,6 @@ def _make_sim(backend, workers=None, ndim=2, **cfg_kw):
     cfg = OptimizationConfig(
         backend=backend,
         workers=workers,
-        particle_layout="soa",
-        field_layout="redundant",
         sort_period=SORT_PERIOD,
         **cfg_kw,
     )
@@ -451,17 +449,20 @@ class TestFallbackPaths:
         mpb.accumulate_redundant(rho_b, icell, dx, dy)
         assert np.array_equal(rho_a, rho_b)
 
-    def test_ineligible_layout_runs_without_engine(self):
-        """standard field layout is not shardable -> serial kernels, no engine."""
-        cfg = OptimizationConfig(
-            backend="numpy-mp",
-            particle_layout="soa",
-            field_layout="standard",
-            loop_mode="split",
-        )
-        with Simulation(GridSpec(16, 16), LandauDamping(), 500, cfg, seed=7) as sim:
-            assert _engine(sim) is None
-            sim.run(2)  # must still advance correctly
+    @pytest.mark.skipif(not CBackend.is_available(), reason="no C compiler")
+    def test_standard_aos_config_runs_on_the_engine(self):
+        """A config naming the point-based field layout and AoS
+        particles is no longer refused (it logged a warning and ran
+        serially): every stepper keeps redundant rows and SoA columns,
+        so the engine takes the run, and through a sort its state is
+        serial ``c``'s, bit for bit."""
+        layouts = dict(field_layout="standard", particle_layout="aos")
+        with _make_sim("numpy-mp", workers=2, **layouts) as sim, \
+                _make_sim("c", **layouts) as ref:
+            assert _engine(sim) is not None
+            sim.run(SORT_PERIOD + 1)
+            ref.run(SORT_PERIOD + 1)
+            _assert_bitwise_equal(_state(sim), _state(ref))
 
     @pytest.mark.skipif(not CBackend.is_available(), reason="no C compiler")
     def test_loop_mode_fused_runs_on_the_engine(self):

@@ -45,7 +45,7 @@ class TestCountingSortPermutation:
         assert len(counting_sort_permutation(np.array([], dtype=int), 4)) == 0
 
 
-@pytest.mark.parametrize("layout", ["soa", "aos"])
+@pytest.mark.parametrize("layout", ["soa"])
 class TestStorageSorting:
     def _storage(self, layout, rng, n=200, ncells=32):
         s = make_storage(layout, n, store_coords=True)

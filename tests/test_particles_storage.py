@@ -1,12 +1,12 @@
-"""Particle-storage tests: SoA/AoS parity, reorder, memory layout."""
+"""Particle-storage tests: the SoA store, reorder, memory layout."""
 
 import numpy as np
 import pytest
 
-from repro.particles import ParticleAoS, ParticleSoA, make_storage, particle_fields
+from repro.particles import ParticleSoA, make_storage, particle_fields
 
 
-@pytest.fixture(params=["soa", "aos"])
+@pytest.fixture(params=["soa"])
 def storage(request):
     return make_storage(request.param, 100, weight=0.5, store_coords=True)
 
@@ -28,16 +28,14 @@ def fill(storage, rng):
 
 class TestFactory:
     def test_makes_correct_types(self):
-        assert isinstance(make_storage("soa", 10), ParticleSoA)
-        assert isinstance(make_storage("aos", 10), ParticleAoS)
+        assert type(make_storage("soa", 10)) is ParticleSoA
 
     def test_rejects_unknown_layout(self):
-        with pytest.raises(ValueError):
-            make_storage("csr", 10)
-
-    def test_layout_attribute(self):
-        assert make_storage("soa", 1).layout == "soa"
-        assert make_storage("aos", 1).layout == "aos"
+        """``"soa"`` is the one stored layout: the AoS one the paper
+        starts from is priced by the model, and stores nothing."""
+        for layout in ("csr", "aos"):
+            with pytest.raises(ValueError, match="unknown particle layout"):
+                make_storage(layout, 10)
 
 
 class TestCommonBehaviour:
@@ -72,7 +70,7 @@ class TestCommonBehaviour:
         np.testing.assert_array_equal(np.asarray(buf.vy), state["vy"][::-1])
 
     def test_reorder_rejects_wrong_buffer_type(self, storage):
-        other = make_storage("aos" if storage.layout == "soa" else "soa", storage.n)
+        other = storage.clone_empty().as_dict()  # a plain mapping
         with pytest.raises(TypeError):
             storage.reorder(np.arange(storage.n), out=other)
 
@@ -80,7 +78,7 @@ class TestCommonBehaviour:
         c = storage.clone_empty()
         assert c.n == storage.n
         assert c.weight == storage.weight
-        assert c.layout == storage.layout
+        assert type(c) is type(storage)
 
     def test_total_charge(self, storage):
         assert storage.total_charge(-1.0) == pytest.approx(-0.5 * 100)
@@ -93,7 +91,7 @@ class TestCommonBehaviour:
 
 
 class TestCoordsOptional:
-    @pytest.mark.parametrize("layout", ["soa", "aos"])
+    @pytest.mark.parametrize("layout", ["soa"])
     def test_no_coords_raises_on_access(self, layout):
         s = make_storage(layout, 5, store_coords=False)
         with pytest.raises(AttributeError):
@@ -101,13 +99,13 @@ class TestCoordsOptional:
         with pytest.raises(AttributeError):
             _ = s.iy
 
-    @pytest.mark.parametrize("layout", ["soa", "aos"])
+    @pytest.mark.parametrize("layout", ["soa"])
     def test_set_state_without_coords(self, layout, rng):
         s = make_storage(layout, 5, store_coords=False)
         s.set_state(np.arange(5), *(rng.random(5) for _ in range(4)))
         assert "ix" not in s.as_dict()
 
-    @pytest.mark.parametrize("layout", ["soa", "aos"])
+    @pytest.mark.parametrize("layout", ["soa"])
     def test_set_state_missing_coords_raises(self, layout, rng):
         s = make_storage(layout, 5, store_coords=True)
         with pytest.raises(ValueError):
@@ -118,11 +116,6 @@ class TestLayoutDifferences:
     def test_soa_views_contiguous(self, rng):
         s = make_storage("soa", 50)
         assert s.vx.strides == (8,)
-
-    def test_aos_views_strided(self, rng):
-        s = make_storage("aos", 50, store_coords=True)
-        # record = 7 fields x 8 bytes
-        assert s.vx.strides == (56,)
 
 
 # ----------------------------------------------------------------------
@@ -226,13 +219,6 @@ class TestAxisGenericSoA:
         assert np.all(np.diff(p.icell) >= 0)
         for name in p.keys():
             np.testing.assert_array_equal(p[name], out[name])
-
-
-def test_aos_takes_its_record_from_the_same_tuple():
-    for store_coords in (True, False):
-        s = ParticleAoS(5, store_coords=store_coords)
-        assert s._data.dtype.names == particle_fields(2, store_coords)
-        assert s.ndim == 2
 
 
 def test_shared_storage_flip_on_a_3d_store():

@@ -23,9 +23,9 @@ def ordering():
     return get_ordering("morton", NCX, NCY)
 
 
-def particles_for(rng, layout="soa", n=64, store_coords=True, ordering=None):
+def particles_for(rng, n=64, store_coords=True, ordering=None):
     ix, iy, dx, dy, vx, vy = random_particle_arrays(rng, n, NCX, NCY)
-    s = make_storage(layout, n, store_coords=store_coords)
+    s = make_storage("soa", n, store_coords=store_coords)
     icell = ordering.encode(ix, iy)
     if store_coords:
         s.set_state(icell, dx, dy, vx, vy, ix, iy)
@@ -143,7 +143,9 @@ class TestTraceShapes:
         assert origin in t.tolist()
 
     def test_aos_trace_uses_record_addresses(self, rng, ordering):
-        p = particles_for(rng, layout="aos", ordering=ordering)
+        # the addresses are the map's: the values it traces sit in the
+        # one executed store, SoA
+        p = particles_for(rng, ordering=ordering)
         m = MemoryLayoutMap(p.n, "aos", True, "redundant", 256, NCX, NCY)
         t = trace_update_positions(p, m, ordering).reshape(p.n, 7)
         # all 7 attributes of one particle live within one 56-byte record

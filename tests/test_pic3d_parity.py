@@ -213,7 +213,7 @@ def test_counting_sort_equals_stable_argsort_on_morton_3d():
 def _scenario_3d(**overrides) -> Scenario:
     params = dict(
         index=0, ncx=8, ncy=4, n_particles=1200, n_steps=5,
-        case_name="two-stream", ordering="morton", field_layout="redundant",
+        case_name="two-stream", ordering="morton",
         position_update="bitwise", hoisting=True,
         sort_period=2, sort_variant="out-of-place",
         seed=1, dims=3, ncz=4,
@@ -230,7 +230,6 @@ class TestDiffer3D:
         for s in three_d:
             grid = s.grid3d()
             assert grid.pow2
-            assert s.field_layout == "redundant"
             assert s.hoisting is True
             assert s.case_name in ("landau", "two-stream")
             assert s.case3d() is not None

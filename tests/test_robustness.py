@@ -7,7 +7,6 @@ from repro.core import OptimizationConfig, PICStepper, Simulation
 from repro.core.backends import CBackend, get_backend
 from repro.core.kernels import (
     accumulate_rows,
-    accumulate_standard,
     interpolate_rows,
 )
 from repro.curves import get_ordering
@@ -31,12 +30,6 @@ class TestEmptyAndTiny:
         assert rho.sum() == 0
         ex, ey = interpolate_rows(np.zeros((64, 8)), empty_i, (empty_f, empty_f))
         assert len(ex) == 0
-
-    def test_standard_accumulate_empty(self):
-        rho = np.zeros((8, 8))
-        accumulate_standard(rho, np.array([], dtype=int), np.array([], dtype=int),
-                            np.array([]), np.array([]))
-        assert rho.sum() == 0
 
     def test_push_empty_storage(self):
         o = get_ordering("morton", 8, 8)

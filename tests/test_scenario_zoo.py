@@ -165,7 +165,7 @@ class TestVerificationHooks:
         for name in ("bounded-wall", "beam-plasma", "exb-drift"):
             s = Scenario(
                 index=0, ncx=16, ncy=8, n_particles=500, n_steps=4,
-                case_name=name, ordering="morton", field_layout="redundant",
+                case_name=name, ordering="morton",
                 position_update="bitwise", hoisting=True,
                 sort_period=0, sort_variant="out-of-place",
             )

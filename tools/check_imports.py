@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Structure lints: nothing a run executes imports the paper-model
-testbed, the testbed executes nothing in parallel, the parallel engine
-names no dimension, and dimension-suffixed code only lives where it is
-written down.
+testbed or reads the config axes only the testbed prices, the testbed
+executes nothing in parallel, the parallel engine names no dimension,
+and dimension-suffixed code only lives where it is written down.
 
 The repo holds two kinds of code.  The *engine* is what a run, a
 worker process or a ``repro serve`` process executes.  The *model* is
@@ -34,6 +34,14 @@ imports ``repro.pic3d``.  The engine serves 2D and 3D steppers alike; a
 worker rebuilds the stepper's ordering from its
 :attr:`~repro.curves.base.CellOrdering.spec` through the one registry,
 so nothing it executes needs the 3D stepper's module.
+
+And once more: no module under ``src/repro/`` outside ``repro/model/``
+and ``core/config.py`` reads ``.field_layout``, ``.particle_layout`` or
+``.loop_mode`` (an attribute load, at any depth).  Those three
+:class:`~repro.core.config.OptimizationConfig` axes name the paper's
+baselines — point-based fields, AoS particles, the single loop — which
+the model prices and no stepper executes: every run keeps redundant
+rows and SoA columns and runs the split loops, whatever they say.
 
 The second lint is a ratchet on the 2D/3D fork (ROADMAP, "One
 statement per kernel").  A ``class``/``def`` whose name ends in
@@ -73,6 +81,11 @@ CONCURRENCY_MODULES = ("threading", "queue", "multiprocessing", "concurrent")
 #: whose modules may import it
 PIC3D_PACKAGE = "repro.pic3d"
 PIC3D_FREE = "repro/parallel/"
+
+#: the config axes only the model reads, and the files under
+#: ``src/repro/`` that may read them (relative to ``src/``)
+MODEL_AXES = ("field_layout", "particle_layout", "loop_mode")
+MODEL_AXIS_READERS = ("repro/model/", "repro/core/config.py")
 
 #: every dimension-suffixed class/def that still exists, by file
 #: (relative to ``src/``): the three ``*_3d`` adapters the frozen
@@ -231,10 +244,30 @@ def check_parallel_imports(src: Path = SRC) -> list[str]:
     ]
 
 
+def check_model_axes(src: Path = SRC) -> list[str]:
+    """Attribute loads of a :data:`MODEL_AXES` name, at any depth, in
+    every module under ``src/repro/`` that may not read one."""
+    errors = []
+    for path in sorted((src / "repro").rglob("*.py")):
+        rel = path.relative_to(src).as_posix()
+        if rel.startswith(MODEL_AXIS_READERS):
+            continue
+        tree = ast.parse(path.read_text(), filename=rel)
+        errors += [
+            f"{path.relative_to(src.parent)}:{node.lineno}: reads "
+            f".{node.attr}, an axis only {MODEL_PACKAGE} prices"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in MODEL_AXES
+            and isinstance(node.ctx, ast.Load)
+        ]
+    return errors
+
+
 def main() -> int:
     errors = (
         check_model_imports() + check_model_concurrency()
-        + check_parallel_imports() + check_dimension_ratchet()
+        + check_parallel_imports() + check_model_axes()
+        + check_dimension_ratchet()
     )
     if errors:
         print("check_imports: FAIL")
@@ -244,7 +277,9 @@ def main() -> int:
     print(f"check_imports: OK — nothing under src/repro/ outside "
           f"{' and '.join(MODEL_IMPORTERS)} imports {MODEL_PACKAGE}, "
           f"which imports no concurrency module; nothing under "
-          f"{PIC3D_FREE} imports {PIC3D_PACKAGE}; "
+          f"{PIC3D_FREE} imports {PIC3D_PACKAGE}; only "
+          f"{' and '.join(MODEL_AXIS_READERS)} read "
+          f"{', '.join(MODEL_AXES)}; "
           f"the {sum(map(len, DIMENSIONAL_ALLOWED.values()))} "
           f"dimension-suffixed definitions are the ones written down")
     return 0
