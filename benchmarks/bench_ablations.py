@@ -16,7 +16,7 @@ Three knobs the paper discusses but does not tabulate:
 
 import numpy as np
 
-from repro.core import OptimizationConfig
+from repro.model.config import ModelConfig
 from repro.model.costmodel import LoopCostModel, tune_sort_period_model
 from repro.model.domain_decomp import compare_schemes
 from repro.model.experiments import MissExperiment, default_scaled_machine
@@ -32,7 +32,7 @@ def test_ablation_l4d_tile_size(benchmark, scaled_machine):
     def sweep():
         rows = {}
         for size in (1, 2, 4, 8, 16, 64):
-            cfg = OptimizationConfig.fully_optimized("l4d", size=size).with_(
+            cfg = ModelConfig.fully_optimized("l4d", size=size).with_(
                 sort_period=10
             )
             s = MissExperiment(
@@ -69,7 +69,7 @@ def test_ablation_sort_period_autotune(benchmark, resident_miss_data):
         for name in ("haswell", "sandybridge"):
             machine = getattr(MachineSpec, name)()
             model = LoopCostModel(machine)
-            cfg = OptimizationConfig.fully_optimized()
+            cfg = ModelConfig.fully_optimized()
             results[name] = tune_sort_period_model(
                 model, cfg, 50_000_000, resident_miss_data,
                 miss_growth_per_iter=0.08,
@@ -101,7 +101,7 @@ def test_ablation_domain_decomposition(benchmark, resident_miss_data):
     """§V-A executable: DD wins on a perfectly uniform plasma at scale,
     loses once the plasma bunches (the paper's reason to reject it)."""
     model = LoopCostModel(MachineSpec.sandybridge())
-    cfg = OptimizationConfig.fully_optimized().with_(sort_period=50)
+    cfg = ModelConfig.fully_optimized().with_(sort_period=50)
     compute = model.iteration_seconds(cfg, 50_000_000, resident_miss_data)["total"]
 
     def compare():

@@ -43,7 +43,7 @@ KERNEL_N = 200_000
 def _simulation_entry(backend_name: str) -> dict:
     """Full-simulation wall-clock for one backend, per-phase."""
     grid = GridSpec(GRID_SIDE, GRID_SIDE, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
-    cfg = OptimizationConfig.fully_optimized().with_(backend=backend_name)
+    cfg = OptimizationConfig(backend=backend_name)
     sim = Simulation(
         grid, LandauDamping(0.05), N_PARTICLES, cfg, dt=0.1, quiet=True, seed=None
     )
@@ -143,7 +143,7 @@ def test_backend_comparison(benchmark):
 def test_backend_simulation_wallclock(benchmark, name):
     """Per-backend pytest-benchmark entry (for --benchmark-compare)."""
     grid = GridSpec(GRID_SIDE, GRID_SIDE, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
-    cfg = OptimizationConfig.fully_optimized().with_(backend=name)
+    cfg = OptimizationConfig(backend=name)
 
     def run():
         sim = Simulation(

@@ -13,7 +13,7 @@ ranks at equal cores) stays far lower and its execution time stays
 near-flat — half a trillion particles at 8192 cores remain practical.
 """
 
-from repro.core import OptimizationConfig
+from repro.model.config import ModelConfig
 from repro.model.scaling import weak_scaling_series
 
 from conftest import PAPER_N, run_once, write_result
@@ -23,7 +23,7 @@ CORES = [2**k for k in range(14)]  # 1 .. 8192
 
 
 def test_fig7_weak_scaling(benchmark, resident_miss_data):
-    cfg = OptimizationConfig.fully_optimized().with_(sort_period=50)
+    cfg = ModelConfig.fully_optimized().with_(sort_period=50)
     misses = resident_miss_data
 
     def series():

@@ -11,8 +11,8 @@ Paper (Sandy Bridge socket, theoretical peak 51.2 GB/s):
   not bandwidth-bound).
 """
 
-from repro.core import OptimizationConfig
 from repro.model.bandwidth import BandwidthModel
+from repro.model.config import ModelConfig
 from repro.model.costmodel import LoopKind
 from repro.model.machine import MachineSpec
 from repro.model.openmp import ThreadScalingModel
@@ -26,7 +26,7 @@ def test_fig8_memory_bandwidth(benchmark, resident_miss_data):
     machine = MachineSpec.sandybridge()
     model = ThreadScalingModel(machine)
     bw = BandwidthModel(machine)
-    cfg = OptimizationConfig.fully_optimized().with_(sort_period=50)
+    cfg = ModelConfig.fully_optimized().with_(sort_period=50)
     misses = resident_miss_data
 
     def series():

@@ -7,7 +7,7 @@ Speedup vs 1 node is near-ideal early, then falls away: at 64 nodes
 the total and the speedup is far from the ideal 64.
 """
 
-from repro.core import OptimizationConfig
+from repro.model.config import ModelConfig
 from repro.model.scaling import strong_scaling_hybrid
 
 from conftest import run_once, write_result
@@ -18,7 +18,7 @@ GRID_BYTES = 256 * 256 * 8
 
 
 def test_fig9_strong_scaling(benchmark, resident_miss_data):
-    cfg = OptimizationConfig.fully_optimized().with_(sort_period=20)
+    cfg = ModelConfig.fully_optimized().with_(sort_period=20)
     misses = resident_miss_data
 
     def series():

@@ -56,9 +56,7 @@ SMOKE_STEPS, SMOKE_REPEATS = 4, 2
 
 
 def _config(backend: str, workers: int | None = None) -> OptimizationConfig:
-    return OptimizationConfig.fully_optimized().with_(
-        backend=backend, workers=workers, sort_period=20
-    )
+    return OptimizationConfig(backend=backend, workers=workers, sort_period=20)
 
 
 def _run(backend, workers, n_particles, steps, repeats) -> dict:

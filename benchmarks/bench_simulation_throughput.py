@@ -15,6 +15,7 @@ import pytest
 
 from repro.core import OptimizationConfig, Simulation
 from repro.grid import GridSpec
+from repro.model.config import ModelConfig
 from repro.particles import LandauDamping
 
 N = 100_000
@@ -31,8 +32,8 @@ def _make_sim(config, n=N):
 @pytest.mark.parametrize(
     "label,config",
     [
-        ("baseline", OptimizationConfig.baseline()),
-        ("optimized", OptimizationConfig.fully_optimized()),
+        ("baseline", ModelConfig.baseline()),
+        ("optimized", OptimizationConfig()),
     ],
 )
 def test_simulation_throughput(benchmark, label, config):
@@ -50,8 +51,8 @@ def test_optimized_not_slower_than_baseline():
 
     times = {}
     for label, config in (
-        ("baseline", OptimizationConfig.baseline()),
-        ("optimized", OptimizationConfig.fully_optimized()),
+        ("baseline", ModelConfig.baseline()),
+        ("optimized", OptimizationConfig()),
     ):
         sim = _make_sim(config)
         t0 = time.perf_counter()
@@ -76,7 +77,7 @@ def test_supervision_overhead_under_ten_percent():
     steps = 60  # one rotation checkpoint fires mid-run at iteration 50
 
     def plain_run():
-        sim = _make_sim(OptimizationConfig.fully_optimized())
+        sim = _make_sim(OptimizationConfig())
         t0 = time.perf_counter()
         sim.run(steps)
         elapsed = time.perf_counter() - t0
@@ -84,7 +85,7 @@ def test_supervision_overhead_under_ten_percent():
         return elapsed
 
     def supervised_run():
-        sim = _make_sim(OptimizationConfig.fully_optimized())
+        sim = _make_sim(OptimizationConfig())
         with SupervisedRun(sim, checkpoint_every=50, guards="default") as sup:
             t0 = time.perf_counter()
             sup.run(steps)

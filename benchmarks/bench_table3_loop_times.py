@@ -15,7 +15,7 @@ accumulate; L4D/Morton tie for the best total; the redundant layouts
 beat 2d-standard on accumulate thanks to the vectorizable rows.
 """
 
-from repro.core import OptimizationConfig
+from repro.model.config import ModelConfig
 from repro.model.costmodel import LoopCostModel, LoopKind
 from repro.model.machine import MachineSpec
 
@@ -39,7 +39,7 @@ PAPER_TABLE3 = {
 
 
 def _standard_config():
-    return OptimizationConfig.fully_optimized("row-major").with_(
+    return ModelConfig.fully_optimized("row-major").with_(
         field_layout="standard", sort_period=BENCH_SORT_PERIOD
     )
 

@@ -11,7 +11,7 @@ memory channels saturate (the paper's §V-B/Fig. 8 explanation, which
 is exactly the roofline this model implements).
 """
 
-from repro.core import OptimizationConfig
+from repro.model.config import ModelConfig
 from repro.model.machine import MachineSpec
 from repro.model.scaling import strong_scaling_threads
 
@@ -22,7 +22,7 @@ PAPER_MPS = {1: 45.8, 2: 89.9, 4: 170.0, 8: 266.0}
 
 def test_table6_strong_scaling_threads(benchmark, resident_miss_data):
     misses = resident_miss_data
-    cfg = OptimizationConfig.fully_optimized().with_(sort_period=50)
+    cfg = ModelConfig.fully_optimized().with_(sort_period=50)
 
     def table():
         rows = strong_scaling_threads(

@@ -18,7 +18,7 @@ paper measures the split form 21% faster.  The AoS ordering, the
 overall worst (AoS fused), and the SoA-beats-AoS relations all hold.
 """
 
-from repro.core import OptimizationConfig
+from repro.model.config import ModelConfig
 from repro.model.machine import MachineSpec
 from repro.model.openmp import ThreadScalingModel
 
@@ -38,7 +38,7 @@ def test_table7_aos_soa_loops(benchmark, table7_miss_data):
     def table():
         results = {}
         for (pl, lm), misses in table7_miss_data.items():
-            cfg = OptimizationConfig.fully_optimized("row-major").with_(
+            cfg = ModelConfig.fully_optimized("row-major").with_(
                 particle_layout=pl, loop_mode=lm, sort_period=50
             )
             t = model.iteration_seconds(cfg, PAPER_N, 8, misses)["total"]

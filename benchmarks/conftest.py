@@ -20,8 +20,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro.core import OptimizationConfig
 from repro.grid import GridSpec
+from repro.model.config import ModelConfig
 from repro.model.costmodel import LoopKind
 from repro.model.experiments import MissExperiment, default_scaled_machine
 
@@ -41,12 +41,12 @@ PAPER_ITERS = 100
 ORDERINGS = ("row-major", "l4d", "morton", "hilbert")
 
 
-def ordering_config(name: str) -> OptimizationConfig:
+def ordering_config(name: str) -> ModelConfig:
     """Fully-optimized config for one ordering (L4D gets SIZE=8)."""
     if name == "l4d":
-        cfg = OptimizationConfig.fully_optimized("l4d", size=8)
+        cfg = ModelConfig.fully_optimized("l4d", size=8)
     else:
-        cfg = OptimizationConfig.fully_optimized(name)
+        cfg = ModelConfig.fully_optimized(name)
     return cfg.with_(sort_period=BENCH_SORT_PERIOD)
 
 
@@ -94,7 +94,7 @@ def resident_miss_data():
     resident-L3 machine — the paper-regime stall input for Tables V/VI
     and Figs. 7/8/9."""
     machine = default_scaled_machine(16, 16)
-    cfg = OptimizationConfig.fully_optimized().with_(sort_period=BENCH_SORT_PERIOD)
+    cfg = ModelConfig.fully_optimized().with_(sort_period=BENCH_SORT_PERIOD)
     exp = MissExperiment(
         cfg, BENCH_GRID, 100_000, 6, machine=machine, loops=tuple(LoopKind)
     )
@@ -111,7 +111,7 @@ def table7_miss_data():
     out = {}
     for pl in ("aos", "soa"):
         for lm in ("fused", "split"):
-            cfg = OptimizationConfig.fully_optimized("row-major").with_(
+            cfg = ModelConfig.fully_optimized("row-major").with_(
                 particle_layout=pl, loop_mode=lm, sort_period=BENCH_SORT_PERIOD
             )
             exp = MissExperiment(
@@ -134,7 +134,7 @@ def table4_miss_data():
     """
     machine = default_scaled_machine(16, 16)
     out = []
-    for label, cfg in OptimizationConfig.table4_stack():
+    for label, cfg in ModelConfig.table4_stack():
         cfg = cfg.with_(sort_period=BENCH_SORT_PERIOD)
         exp = MissExperiment(
             cfg,

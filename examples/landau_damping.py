@@ -44,7 +44,7 @@ def run_case(alpha, n, steps, label):
         grid,
         LandauDamping(alpha=alpha),
         n,
-        OptimizationConfig.fully_optimized(),
+        OptimizationConfig(),
         dt=0.1,
         quiet=True,
         seed=None,

@@ -11,9 +11,9 @@ Run:  python examples/layout_comparison.py
 
 import numpy as np
 
-from repro.core import OptimizationConfig
 from repro.curves import get_ordering, neighbor_locality_report
 from repro.grid import GridSpec
+from repro.model.config import ModelConfig
 from repro.model.costmodel import LoopCostModel, LoopKind
 from repro.model.experiments import MissExperiment, default_scaled_machine
 from repro.model.machine import MachineSpec
@@ -39,11 +39,11 @@ def main():
           "(40k particles, 20 iterations, sort every 10) ---")
     misses = {}
     for name in ORDERINGS:
-        cfg = OptimizationConfig.fully_optimized(name)
+        cfg = ModelConfig.fully_optimized(name)
         if name == "hilbert":
             cfg = cfg.with_(position_update="modulo")
         if name == "l4d":
-            cfg = OptimizationConfig.fully_optimized("l4d", size=8)
+            cfg = ModelConfig.fully_optimized("l4d", size=8)
         cfg = cfg.with_(sort_period=10)
         series = MissExperiment(cfg, grid, 40_000, 20, machine=machine).run()
         misses[name] = series
@@ -65,8 +65,8 @@ def main():
     model = LoopCostModel(MachineSpec.haswell())
     print(f"{'ordering':11s} {'update-v':>9s} {'update-x':>9s} {'accumulate':>10s} {'total':>8s}")
     for name in ORDERINGS:
-        cfg = (OptimizationConfig.fully_optimized("l4d", size=8)
-               if name == "l4d" else OptimizationConfig.fully_optimized(name))
+        cfg = (ModelConfig.fully_optimized("l4d", size=8)
+               if name == "l4d" else ModelConfig.fully_optimized(name))
         mpp = misses[name].misses_per_particle()
         times = {}
         for kind in LoopKind:

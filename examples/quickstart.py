@@ -22,7 +22,7 @@ def main():
     # k = 2*pi/Lx = 0.5: the classical linear Landau damping benchmark
     grid = GridSpec(64, 16, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
     case = LandauDamping(alpha=0.05, vth=1.0)
-    config = OptimizationConfig.fully_optimized()
+    config = OptimizationConfig()
 
     print(f"grid      : {grid.ncx} x {grid.ncy} on [0,{grid.lx:.3f}) x [0,{grid.ly:.3f})")
     sim = Simulation(grid, case, n_particles=100_000, config=config,

@@ -44,7 +44,7 @@ def main():
           f"k*v0 = {case.kx(grid) * case.v0:.2f} (unstable band)")
 
     sim = Simulation(
-        grid, case, 200_000, OptimizationConfig.fully_optimized(),
+        grid, case, 200_000, OptimizationConfig(),
         dt=0.1, quiet=True, seed=None,
     )
 

@@ -408,7 +408,7 @@ def _cmd_locality(args) -> int:
 
 
 def _cmd_tune_sort(args) -> int:
-    from repro.core import OptimizationConfig
+    from repro.model.config import ModelConfig
     from repro.model.costmodel import (
         FRESH_SORT_MISSES,
         LoopCostModel,
@@ -419,7 +419,7 @@ def _cmd_tune_sort(args) -> int:
     machine = getattr(MachineSpec, args.machine)()
     model = LoopCostModel(machine)
     res = tune_sort_period_model(
-        model, OptimizationConfig.fully_optimized(), args.particles,
+        model, ModelConfig.fully_optimized(), args.particles,
         FRESH_SORT_MISSES, miss_growth_per_iter=args.growth,
     )
     print(f"machine={args.machine}, miss growth {args.growth}/iter:")
@@ -454,8 +454,8 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_misses(args) -> int:
-    from repro.core import OptimizationConfig
     from repro.grid import GridSpec
+    from repro.model.config import ModelConfig
     from repro.model.experiments import MissExperiment, default_scaled_machine
 
     grid = GridSpec(args.grid_side, args.grid_side, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
@@ -468,7 +468,7 @@ def _cmd_misses(args) -> int:
           f"{args.iterations} iterations, sort every {args.sort_period}")
     print(f"{'ordering':12s} {'L1/iter':>10s} {'L2/iter':>10s} {'L3/iter':>10s}")
     for name in args.orderings:
-        cfg = OptimizationConfig.fully_optimized(name)
+        cfg = ModelConfig.fully_optimized(name)
         if name == "hilbert":
             cfg = cfg.with_(position_update="modulo")
         cfg = cfg.with_(sort_period=args.sort_period)

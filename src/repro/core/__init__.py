@@ -1,11 +1,11 @@
 """Core PIC engine: the paper's optimized 2d2v Vlasov–Poisson solver.
 
 The engine is assembled from interchangeable pieces selected by an
-:class:`~repro.core.config.OptimizationConfig`, so that every row of
-the paper's Table IV (baseline → +hoisting → +splitting → +redundant
-arrays → +SoA → +space-filling curves → +optimized update-positions)
-is a configuration of the *same* stepper rather than a separate code
-path.
+:class:`~repro.core.config.OptimizationConfig` — cell ordering, push
+variant, hoisting, sort cadence and backend — over one stepper.  The
+paper's Table IV stack (baseline → … → optimized update-positions) is
+:class:`repro.model.config.ModelConfig`'s, which prices the rows no
+stepper executes.
 
 Public entry points:
 

@@ -47,21 +47,18 @@ __all__ = [
 ]
 
 #: config fields that give the stored arrays their meaning; a restore
-#: target must agree on them (the backend, notably, is *not* one, nor
-#: are the layout axes only :mod:`repro.model` reads: every stepper
-#: stores redundant rows and SoA columns, so an archive written under
-#: ``"standard"`` / ``"aos"`` holds the same arrays)
-_STATE_FIELDS_3D = ("ordering", "ordering_kwargs", "hoisting")
-_STATE_FIELDS = (*_STATE_FIELDS_3D, "effective_store_coords")
+#: target must agree on them (the backend, notably, is *not* one; the
+#: stored coordinate columns are named by the archive's own
+#: ``store_coords`` record)
+_STATE_FIELDS = ("ordering", "ordering_kwargs", "hoisting")
 
 #: per dimension: the metadata key holding the format version (an
 #: archive of the other dimension carries none under it), the version
-#: this module reads and writes, the solved grids stored next to the
-#: particle columns, and the state-compatibility fields
+#: this module reads and writes, and the solved grids stored next to
+#: the particle columns
 _FORMATS = {
-    2: ("format_version", 1, ("ex_grid", "ey_grid", "rho_grid"), _STATE_FIELDS),
-    3: ("format_version_3d", 1, ("ex_grid", "ey_grid", "ez_grid", "rho_grid"),
-        _STATE_FIELDS_3D),
+    2: ("format_version", 1, ("ex_grid", "ey_grid", "rho_grid")),
+    3: ("format_version_3d", 1, ("ex_grid", "ey_grid", "ez_grid", "rho_grid")),
 }
 
 #: what a torn/truncated/garbage archive surfaces as, depending on
@@ -90,7 +87,11 @@ def _array_key(column: str) -> str:
 #: Archives written before still carry them; none changes a single
 #: output bit of the paths that remain, so they are dropped on load.
 #: Spelled in halves so that grepping ``src/`` for a retired name — the
-#: lint that shows no live code still reads one — stays empty.
+#: lint that shows no live code still reads one — stays empty.  The
+#: model axes (an archive of a :class:`repro.model.config.ModelConfig`
+#: run holds the arrays any run holds) and the ``store_coords``
+#: override (the archive's own ``store_coords`` record names its
+#: particle columns) are dropped the same way.
 _RETIRED_CONFIG_KEYS = frozenset(
     f"{stem}_{tail}" for stem, tail in (
         ("block", "size"),
@@ -100,23 +101,18 @@ _RETIRED_CONFIG_KEYS = frozenset(
         ("rebalance", "threshold"),
         ("chunk", "size"),
     )
-) | {"partition"}
+) | {"partition", "field_layout", "particle_layout", "loop_mode", "store_coords"}
 
 
 def _saved_config(meta: dict, path) -> OptimizationConfig:
-    """The config a checkpoint was written under (retired keys dropped,
-    the retired ``loop_mode`` value ``"auto"`` read as ``"split"`` and
-    the retired ``backend`` ``"numba"`` as ``"auto"``; any other
-    unknown key makes the archive unusable)."""
+    """The run config a checkpoint was written under (retired keys
+    dropped and the retired ``backend`` ``"numba"`` read as
+    ``"auto"``; any other unknown key makes the archive unusable)."""
     try:
         saved = {
             k: v for k, v in json.loads(meta["config"]).items()
             if k not in _RETIRED_CONFIG_KEYS
         }
-        # every loop_mode runs the split loops and the tuner behind
-        # "auto" kept no checkpointed state, so no output bit moves
-        if saved.get("loop_mode") == "auto":
-            saved["loop_mode"] = "split"
         # numba was tolerance-class; "auto" is what took its place
         if saved.get("backend") == "numba":
             saved["backend"] = "auto"
@@ -141,7 +137,7 @@ def _write_archive(stepper, path, meta: dict, compress) -> pathlib.Path:
     archive where a previous good checkpoint used to be.
     """
     path = pathlib.Path(path)
-    version_key, version, grid_arrays, _ = _FORMATS[stepper.particles.ndim]
+    version_key, version, grid_arrays = _FORMATS[stepper.particles.ndim]
     arrays = {
         _array_key(name): np.asarray(column)
         for name, column in stepper.particles.items()
@@ -197,7 +193,7 @@ def _open_archive(path, ndim, config):
     :mod:`zipfile`/``KeyError`` traceback.
     """
     path = pathlib.Path(path)
-    version_key, version, grid_arrays, state_fields = _FORMATS[ndim]
+    version_key, version, grid_arrays = _FORMATS[ndim]
     try:
         npz = np.load(path, allow_pickle=False)
     except _CORRUPT_ERRORS as exc:
@@ -228,7 +224,7 @@ def _open_archive(path, ndim, config):
         if config is None:
             config = saved_cfg
         else:
-            for fld in state_fields:
+            for fld in _STATE_FIELDS:
                 if getattr(config, fld) != getattr(saved_cfg, fld):
                     raise CheckpointMismatchError(
                         f"config field {fld!r} differs from the checkpoint "
@@ -310,11 +306,10 @@ def load_checkpoint(
     """Rebuild a stepper from a checkpoint.
 
     ``config`` defaults to the checkpointed one; passing a different
-    config is allowed only if it is state-compatible (same coordinate
-    storage, hoisting and ordering) — anything else would silently
-    reinterpret the stored arrays.  The layout axes are not compared:
-    an archive written under ``"aos"`` or ``"standard"`` loads into the
-    same SoA columns and redundant rows as any other.
+    config is allowed only if it is state-compatible (same hoisting
+    and ordering) — anything else would silently reinterpret the
+    stored arrays.  The particle columns are the ones the archive
+    stored (its ``store_coords`` record).
     Switching the *backend* is explicitly state-compatible: that is how
     the run supervisor degrades a failing backend during a rollback.
 
@@ -366,7 +361,7 @@ def load_checkpoint_3d(
     """Rebuild a :class:`~repro.pic3d.stepper3d.PICStepper3D` —
     :func:`load_checkpoint` for 3D archives, with the same ``config``
     compatibility rule (ordering and hoisting must agree; the backend
-    and the layout axes may change) and ``instrumentation`` hand-over."""
+    may change) and ``instrumentation`` hand-over."""
     from repro.pic3d.grid3d import GridSpec3D
     from repro.pic3d.stepper3d import PICStepper3D
 

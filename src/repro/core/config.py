@@ -1,8 +1,11 @@
-"""Configuration of the optimization stack (paper Table IV rows).
+"""Configuration of a run: the knobs a stepper executes.
 
-Every single-core optimization the paper studies is an independent
-switch here; the named constructors reproduce the exact cumulative
-stack of Table IV so benchmarks can walk it row by row.
+Every field here changes what a run does — which cell ordering keys
+the particles, which push variant and unit system the loops use, how
+often and how the particles are sorted, which backend runs the kernels.
+The paper's baselines that no stepper executes (point-based fields,
+AoS particles, the single loop) and the cumulative stack of Table IV
+are axes of :class:`repro.model.config.ModelConfig`, which prices them.
 """
 
 from __future__ import annotations
@@ -11,41 +14,27 @@ from dataclasses import dataclass, field, replace
 
 __all__ = ["OptimizationConfig"]
 
-_FIELD_LAYOUTS = ("standard", "redundant")
-_PARTICLE_LAYOUTS = ("soa", "aos")
-_LOOP_MODES = ("fused", "split")
 _POSITION_UPDATES = ("branch", "modulo", "bitwise")
 _SORT_VARIANTS = ("out-of-place", "in-place")
 
 
 @dataclass(frozen=True)
 class OptimizationConfig:
-    """Selects one point in the paper's optimization space.
+    """Selects one executed point in the paper's optimization space.
+
+    Every stepper stores redundant field rows (§IV-B) and SoA particle
+    columns (§IV-C1) and runs the three split particle loops (§IV-A).
 
     Parameters
     ----------
-    field_layout:
-        ``"standard"`` point-based 2D arrays (Table IV's baseline
-        rows), or ``"redundant"`` cell-based corner arrays (4x memory,
-        vectorizable accumulate).  An axis :mod:`repro.model` prices;
-        the steppers store redundant rows for either value
-        (``docs/tuning.md``).
     ordering:
         Cell ordering name for the redundant layout (``"row-major"``,
         ``"l4d"``, ``"morton"``, ``"hilbert"``, ``"column-major"``);
         it also defines ``icell`` (the paper always keys particles by
-        a cell index).
+        a cell index) and whether ``ix``/``iy`` are stored
+        (:attr:`effective_store_coords`).
     ordering_kwargs:
         Extra ordering parameters (L4D tile height: ``{"size": 8}``).
-    particle_layout:
-        ``"soa"`` or ``"aos"``.  An axis :mod:`repro.model` prices;
-        the steppers store SoA columns for either value.
-    loop_mode:
-        ``"fused"`` — one loop doing interpolate / update-v / update-x
-        per particle (Table IV's baseline row); ``"split"`` — three
-        full passes (§IV-A, enables vectorizing update-x).  An axis
-        :mod:`repro.model` prices; the steppers run the split loops
-        for either value (``docs/tuning.md``).
     position_update:
         ``"branch"`` — test-and-wrap (the `if` version);
         ``"modulo"`` — unconditional floor+modulo;
@@ -59,11 +48,6 @@ class OptimizationConfig:
         (0 disables sorting).
     sort_variant:
         ``"out-of-place"`` (double buffer) or ``"in-place"``.
-    store_coords:
-        Keep ``ix``/``iy`` stored per particle.  ``None`` (default)
-        auto-selects the paper's choice: stored for all orderings
-        except row-major/column-major, whose decode is a single
-        operation (§IV-B).
     backend:
         Kernel execution backend: ``"numpy"`` (cache-blocked array kernels),
         ``"c"`` (the scalar C loops of ``ckernels.c``, built with the
@@ -85,27 +69,23 @@ class OptimizationConfig:
         step timings).
     """
 
-    field_layout: str = "redundant"
     ordering: str = "morton"
     ordering_kwargs: dict = field(default_factory=dict)
-    particle_layout: str = "soa"
-    loop_mode: str = "split"
     position_update: str = "bitwise"
     hoisting: bool = True
     sort_period: int = 20
     sort_variant: str = "out-of-place"
-    store_coords: bool | None = None
     backend: str = "auto"
     workers: int | None = None
     mp_task_timeout: float = 60.0
 
+    #: the particle store every stepper runs.  A class constant, not a
+    #: field, so no config can set it; the frozen benchmark ledger
+    #: (``benchmarks/ledger/simbench.py``) reads it to time
+    #: ``load_particles``.
+    particle_layout = "soa"
+
     def __post_init__(self):
-        if self.field_layout not in _FIELD_LAYOUTS:
-            raise ValueError(f"field_layout must be one of {_FIELD_LAYOUTS}")
-        if self.particle_layout not in _PARTICLE_LAYOUTS:
-            raise ValueError(f"particle_layout must be one of {_PARTICLE_LAYOUTS}")
-        if self.loop_mode not in _LOOP_MODES:
-            raise ValueError(f"loop_mode must be one of {_LOOP_MODES}")
         if self.position_update not in _POSITION_UPDATES:
             raise ValueError(f"position_update must be one of {_POSITION_UPDATES}")
         if self.sort_variant not in _SORT_VARIANTS:
@@ -126,79 +106,11 @@ class OptimizationConfig:
     # ------------------------------------------------------------------
     @property
     def effective_store_coords(self) -> bool:
-        """Resolve the ``None`` default of :attr:`store_coords`."""
-        if self.store_coords is not None:
-            return self.store_coords
+        """Whether particles keep ``ix``/``iy`` stored: the paper's
+        §IV-B rule — stored for every ordering except row-major and
+        column-major, whose decode is a single operation."""
         return self.ordering not in ("row-major", "column-major")
-
-    @property
-    def resolved_backend(self) -> str:
-        """The backend name ``"auto"`` selects on this machine."""
-        from repro.core.backends import resolve_backend_name
-
-        return resolve_backend_name(self.backend)
 
     def with_(self, **changes) -> "OptimizationConfig":
         """Functional update (``dataclasses.replace`` wrapper)."""
         return replace(self, **changes)
-
-    # ------------------------------------------------------------------
-    # The cumulative stack of Table IV.  Each named constructor is the
-    # previous one plus exactly one optimization.
-    # ------------------------------------------------------------------
-    @classmethod
-    def baseline(cls) -> "OptimizationConfig":
-        """Table IV row 1: standard 2d arrays, AoS, single loop, branchy."""
-        return cls(
-            field_layout="standard",
-            ordering="row-major",
-            particle_layout="aos",
-            loop_mode="fused",
-            position_update="branch",
-            hoisting=False,
-        )
-
-    @classmethod
-    def with_hoisting(cls) -> "OptimizationConfig":
-        """Table IV row 2: + loop hoisting."""
-        return cls.baseline().with_(hoisting=True)
-
-    @classmethod
-    def with_loop_splitting(cls) -> "OptimizationConfig":
-        """Table IV row 3: + loop splitting (3 particle loops)."""
-        return cls.with_hoisting().with_(loop_mode="split")
-
-    @classmethod
-    def with_redundant_arrays(cls) -> "OptimizationConfig":
-        """Table IV row 4: + redundant cell-based E and rho (row-major)."""
-        return cls.with_loop_splitting().with_(field_layout="redundant")
-
-    @classmethod
-    def with_soa(cls) -> "OptimizationConfig":
-        """Table IV row 5: + structure of arrays for the particles."""
-        return cls.with_redundant_arrays().with_(particle_layout="soa")
-
-    @classmethod
-    def with_space_filling_curve(cls, ordering: str = "morton", **kw):
-        """Table IV row 6: + space-filling-curve ordering of E and rho."""
-        return cls.with_soa().with_(ordering=ordering, ordering_kwargs=kw)
-
-    @classmethod
-    def fully_optimized(cls, ordering: str = "morton", **kw):
-        """Table IV row 7: + optimized (branchless, bitwise) update-x."""
-        return cls.with_space_filling_curve(ordering, **kw).with_(
-            position_update="bitwise"
-        )
-
-    @classmethod
-    def table4_stack(cls) -> list[tuple[str, "OptimizationConfig"]]:
-        """The seven (label, config) rows of Table IV, in order."""
-        return [
-            ("Baseline", cls.baseline()),
-            ("+ Loop Hoisting", cls.with_hoisting()),
-            ("+ Loop Splitting", cls.with_loop_splitting()),
-            ("+ Redundant arrays (E and rho)", cls.with_redundant_arrays()),
-            ("+ Structure of Arrays (particles)", cls.with_soa()),
-            ("+ Space-filling curves (E and rho)", cls.with_space_filling_curve()),
-            ("+ Optimized update-positions loop", cls.fully_optimized()),
-        ]

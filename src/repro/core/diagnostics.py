@@ -20,8 +20,6 @@ __all__ = [
     "damping_rate_fit",
     "growth_rate_fit",
     "log_envelope_peaks",
-    "velocity_moments",
-    "velocity_histogram",
     "phase_space_histogram",
 ]
 
@@ -137,45 +135,6 @@ def momentum(vx, vy, weight: float, mass: float = 1.0) -> tuple[float, float]:
         mass * weight * float(np.sum(vx)),
         mass * weight * float(np.sum(vy)),
     )
-
-
-def velocity_moments(v: np.ndarray) -> dict[str, float]:
-    """Mean, thermal spread, skewness and kurtosis of one component.
-
-    A Maxwellian has skewness 0 and excess kurtosis 0; a two-stream
-    state shows strongly negative excess kurtosis (bimodal), so these
-    moments discriminate the test cases.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    mean = float(v.mean())
-    centered = v - mean
-    var = float(np.mean(centered**2))
-    std = np.sqrt(var)
-    if std == 0.0:
-        return {"mean": mean, "std": 0.0, "skewness": 0.0, "excess_kurtosis": 0.0}
-    return {
-        "mean": mean,
-        "std": std,
-        "skewness": float(np.mean(centered**3)) / std**3,
-        "excess_kurtosis": float(np.mean(centered**4)) / var**2 - 3.0,
-    }
-
-
-def velocity_histogram(v: np.ndarray, vmax: float, bins: int = 64):
-    """Normalized f(v) histogram on [-vmax, vmax]: returns (centers, f).
-
-    The integral of ``f`` over velocity is 1 (probability density of
-    the sampled component).
-    """
-    if vmax <= 0:
-        raise ValueError("vmax must be positive")
-    counts, edges = np.histogram(
-        np.clip(v, -vmax, vmax), bins=bins, range=(-vmax, vmax)
-    )
-    centers = 0.5 * (edges[1:] + edges[:-1])
-    width = edges[1] - edges[0]
-    f = counts / (len(v) * width) if len(v) else counts.astype(float)
-    return centers, f
 
 
 def phase_space_histogram(stepper, vmax: float = 5.0, bins=(64, 32)):

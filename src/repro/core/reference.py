@@ -140,8 +140,7 @@ class ReferenceStepper:
     permutation — is the plain scalar rendering.
 
     Parameters mirror the stepper's: ``config`` picks ordering, axis
-    variant, hoisting and sort cadence (its layout and loop-mode axes
-    are priced by :mod:`repro.model`, and the backend is an execution
+    variant, hoisting and sort cadence (the backend is an execution
     strategy, which a reference has none of).
     """
 

@@ -12,12 +12,8 @@ array), so there is no reset phase.
 
 The particle loops run split: three full passes (update-v, update-x,
 accumulate — §IV-A), over redundant field rows (§IV-B) and SoA particle
-columns (§IV-C1).  ``OptimizationConfig``'s ``loop_mode``,
-``field_layout`` and ``particle_layout`` do not change that: the
-single-loop, point-based and AoS baselines they name are priced by
-:mod:`repro.model`, not executed.  Cache blocking is not the stepper's
-business: the NumPy kernels block internally
-(:mod:`repro.core.kernels`).
+columns (§IV-C1).  Cache blocking is not the stepper's business: the
+NumPy kernels block internally (:mod:`repro.core.kernels`).
 
 Unit conventions
 ----------------

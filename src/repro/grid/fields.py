@@ -5,10 +5,7 @@ the **redundant** cell-based one, 1D arrays ``rho_1d[ncell][4]`` and
 ``E_1d[ncell][8]``: for every cell, the values of ``rho`` (resp.
 ``Ex`` and ``Ey``) at the cell's four corner grid points are stored
 contiguously, in the memory order chosen by a
-:class:`~repro.curves.base.CellOrdering`.  The **standard** point-based
-arrays ``rho[ncx][ncy]``, ``Ex``, ``Ey`` it starts from are priced by
-:mod:`repro.model`, not stored: ``OptimizationConfig.field_layout`` is a
-model axis, and every stepper keeps its fields here whatever it names.
+:class:`~repro.curves.base.CellOrdering`.
 
 Corner convention (matches Fig. 2's ``cx/sx/cy/sy`` coefficient
 tables)::

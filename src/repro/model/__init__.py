@@ -6,6 +6,10 @@ OpenMP scaling on Curie.  This package reproduces those observables on
 explicit models so Tables II–VII and Figs. 5–9 can be regenerated on
 any host:
 
+* :mod:`~repro.model.config` — :class:`~repro.model.config.ModelConfig`,
+  the run config plus the layout axes of the paper's baselines
+  (point-based fields, AoS particles, the single loop), and the
+  cumulative Table IV stack.
 * :mod:`~repro.model.machine` — machine descriptions (cache geometry,
   SIMD width, operation costs), with Haswell- and SandyBridge-like
   presets and a documented down-scaling rule.

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.config import OptimizationConfig
+from repro.model.config import ModelConfig
 from repro.model.machine import MachineSpec
 
 __all__ = [
@@ -180,7 +180,7 @@ class LoopCostModel:
             return cyc * self.log_grid_side + self.machine.ops.func_call, vec
         return cyc, vec
 
-    def _throughput(self, config: OptimizationConfig, loop_vectorizable: bool) -> float:
+    def _throughput(self, config: ModelConfig, loop_vectorizable: bool) -> float:
         """Effective op-cycles divisor after the layout/loop-shape gates."""
         m = self.machine
         fused = config.loop_mode == "fused"
@@ -201,7 +201,7 @@ class LoopCostModel:
             return m.scalar_ipc
         return m.scalar_ipc * max(1.0, gain)
 
-    def _particle_mem(self, config: OptimizationConfig, n_attrs: int) -> float:
+    def _particle_mem(self, config: ModelConfig, n_attrs: int) -> float:
         """Op cycles for ``n_attrs`` particle-attribute accesses."""
         ops = self.machine.ops
         per = ops.gather_element if config.particle_layout == "aos" else ops.load_store
@@ -210,7 +210,7 @@ class LoopCostModel:
     # ------------------------------------------------------------------
     # per-loop op counts (cycles before the throughput divisor)
     # ------------------------------------------------------------------
-    def _update_v_ops(self, config: OptimizationConfig) -> tuple[float, bool, float]:
+    def _update_v_ops(self, config: ModelConfig) -> tuple[float, bool, float]:
         """Returns (divisible ops, vectorizable, serial extra)."""
         ops = self.machine.ops
         # weights: 4 corners x ((c + s*d) x (c + s*d)) = 5 flops each;
@@ -231,7 +231,7 @@ class LoopCostModel:
                 flops += 2  # decode icell -> (ix, iy)
         return flops * ops.flop + mem, True, 0.0
 
-    def _update_x_ops(self, config: OptimizationConfig) -> tuple[float, bool, float]:
+    def _update_x_ops(self, config: ModelConfig) -> tuple[float, bool, float]:
         ops = self.machine.ops
         n_attrs = 5 + (4 if config.effective_store_coords else 0)
         mem = self._particle_mem(config, n_attrs)
@@ -264,7 +264,7 @@ class LoopCostModel:
             vectorizable = False
         return flops * ops.flop + mem + int_cycles + enc_cycles, vectorizable, serial
 
-    def _accumulate_ops(self, config: OptimizationConfig) -> tuple[float, bool, float]:
+    def _accumulate_ops(self, config: ModelConfig) -> tuple[float, bool, float]:
         ops = self.machine.ops
         flops = 4 * 5 + 4  # weights + the += adds
         mem = self._particle_mem(config, 3)  # icell, dx, dy
@@ -284,7 +284,7 @@ class LoopCostModel:
     def loop_costs(
         self,
         kind: LoopKind,
-        config: OptimizationConfig,
+        config: ModelConfig,
         misses_per_particle: dict[str, float] | None = None,
     ) -> LoopCosts:
         """Cost of one loop; ``misses_per_particle`` maps level name ->
@@ -308,7 +308,7 @@ class LoopCostModel:
         return LoopCosts(kind, op_cycles / throughput + serial, stall, throughput)
 
     def sort_seconds_per_call(
-        self, n_particles: int, config: OptimizationConfig
+        self, n_particles: int, config: ModelConfig
     ) -> float:
         """Memory-bound estimate of one counting-sort pass.
 
@@ -323,7 +323,7 @@ class LoopCostModel:
 
     def iteration_seconds(
         self,
-        config: OptimizationConfig,
+        config: ModelConfig,
         n_particles: int,
         misses: dict[LoopKind, dict[str, float]] | None = None,
     ) -> dict[str, float]:
@@ -362,7 +362,7 @@ class TuneResult:
 
 def tune_sort_period_model(
     model: LoopCostModel,
-    config: OptimizationConfig,
+    config: ModelConfig,
     n_particles: int,
     base_misses: dict[LoopKind, dict[str, float]],
     miss_growth_per_iter: float = 0.08,
@@ -409,7 +409,7 @@ def tune_sort_period_model(
 def fit_stall_overlap(
     record: dict,
     machine: MachineSpec | None = None,
-    config: OptimizationConfig | None = None,
+    config: ModelConfig | None = None,
     misses: dict[LoopKind, dict[str, float]] | None = None,
     grid_points: int = 101,
 ) -> dict:
@@ -436,7 +436,7 @@ def fit_stall_overlap(
     if machine is None:
         machine = MachineSpec.haswell()
     if config is None:
-        config = OptimizationConfig.fully_optimized()
+        config = ModelConfig.fully_optimized()
     if misses is None:
         misses = FRESH_SORT_MISSES
     cum = record.get("cumulative", record)

@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.config import OptimizationConfig
 from repro.core.stepper import PICStepper
 from repro.grid.spec import GridSpec
 from repro.model.cache import CacheHierarchy, CacheSimResult
+from repro.model.config import ModelConfig
 from repro.model.costmodel import LoopKind
 from repro.model.machine import MachineSpec
 from repro.model.trace import (
@@ -72,7 +72,7 @@ def default_scaled_machine(scale: int = 16, l3_scale: int = 256) -> MachineSpec:
 class MissSeries:
     """Per-iteration miss counts for one configuration."""
 
-    config: OptimizationConfig
+    config: ModelConfig
     n_particles: int
     n_iterations: int
     machine_name: str
@@ -125,7 +125,7 @@ class MissExperiment:
 
     def __init__(
         self,
-        config: OptimizationConfig,
+        config: ModelConfig,
         grid: GridSpec,
         n_particles: int,
         n_iterations: int,

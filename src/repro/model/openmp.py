@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.config import OptimizationConfig
 from repro.model.bandwidth import BandwidthModel, loop_bytes_per_particle
+from repro.model.config import ModelConfig
 from repro.model.costmodel import LoopCostModel, LoopKind
 from repro.model.machine import MachineSpec
 
@@ -68,7 +68,7 @@ class ThreadScalingModel:
     def loop_seconds(
         self,
         kind: LoopKind,
-        config: OptimizationConfig,
+        config: ModelConfig,
         n_particles: int,
         nthreads: int,
         misses_per_particle: dict[str, float] | None = None,
@@ -97,7 +97,7 @@ class ThreadScalingModel:
     def loop_bandwidth_gbs(
         self,
         kind: LoopKind,
-        config: OptimizationConfig,
+        config: ModelConfig,
         n_particles: int,
         nthreads: int,
         misses_per_particle: dict[str, float] | None = None,
@@ -121,7 +121,7 @@ class ThreadScalingModel:
         return bpp * n_particles / t / 1e9
 
     def sort_seconds(
-        self, config: OptimizationConfig, n_particles: int, nthreads: int
+        self, config: ModelConfig, n_particles: int, nthreads: int
     ) -> float:
         """Parallel out-of-place counting sort: memory-bound, partitioned."""
         serial = self.cost_model.sort_seconds_per_call(n_particles, config)
@@ -130,7 +130,7 @@ class ThreadScalingModel:
 
     def iteration_seconds(
         self,
-        config: OptimizationConfig,
+        config: ModelConfig,
         n_particles: int,
         nthreads: int,
         misses: dict[LoopKind, dict[str, float]] | None = None,

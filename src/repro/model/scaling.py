@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.config import OptimizationConfig
+from repro.model.config import ModelConfig
 from repro.model.costmodel import LoopCostModel, LoopKind
 from repro.model.machine import MachineSpec
 from repro.model.mpi import CollectiveCostModel
@@ -47,7 +47,7 @@ class ScalingPoint:
 
 def _iteration_compute_seconds(
     thread_model: ThreadScalingModel,
-    config: OptimizationConfig,
+    config: ModelConfig,
     n_per_rank: int,
     threads: int,
     misses: dict[LoopKind, dict[str, float]] | None,
@@ -62,7 +62,7 @@ def weak_scaling_series(
     iters: int,
     machine: MachineSpec | None = None,
     comm_model: CollectiveCostModel | None = None,
-    config: OptimizationConfig | None = None,
+    config: ModelConfig | None = None,
     threads_per_rank: int = 1,
     misses: dict[LoopKind, dict[str, float]] | None = None,
 ) -> list[ScalingPoint]:
@@ -75,7 +75,7 @@ def weak_scaling_series(
     """
     machine = machine or MachineSpec.sandybridge()
     comm_model = comm_model or CollectiveCostModel()
-    config = config or OptimizationConfig.fully_optimized()
+    config = config or ModelConfig.fully_optimized()
     thread_model = ThreadScalingModel(machine)
     points = []
     for cores in core_counts:
@@ -103,7 +103,7 @@ def strong_scaling_hybrid(
     iters: int,
     machine: MachineSpec | None = None,
     comm_model: CollectiveCostModel | None = None,
-    config: OptimizationConfig | None = None,
+    config: ModelConfig | None = None,
     sockets_per_node: int = 2,
     threads_per_rank: int = 8,
     misses: dict[LoopKind, dict[str, float]] | None = None,
@@ -111,7 +111,7 @@ def strong_scaling_hybrid(
     """Fig. 9: fixed total population, growing node count (hybrid)."""
     machine = machine or MachineSpec.sandybridge()
     comm_model = comm_model or CollectiveCostModel()
-    config = config or OptimizationConfig.fully_optimized()
+    config = config or ModelConfig.fully_optimized()
     thread_model = ThreadScalingModel(machine)
     points = []
     for nodes in node_counts:
@@ -140,7 +140,7 @@ def strong_scaling_threads(
     n_total: int,
     iters: int,
     machine: MachineSpec | None = None,
-    config: OptimizationConfig | None = None,
+    config: ModelConfig | None = None,
     misses: dict[LoopKind, dict[str, float]] | None = None,
 ) -> list[tuple[int, float]]:
     """Table VI: pure-OpenMP strong scaling on one socket.
@@ -149,7 +149,7 @@ def strong_scaling_threads(
     ``Mp/s = n_total * iters / total_time / 1e6``.
     """
     machine = machine or MachineSpec.sandybridge()
-    config = config or OptimizationConfig.fully_optimized()
+    config = config or ModelConfig.fully_optimized()
     thread_model = ThreadScalingModel(machine)
     rows = []
     for p in thread_counts:

@@ -108,7 +108,7 @@ class MemoryLayoutMap:
 
     @classmethod
     def for_config(cls, config, ordering, n_particles: int) -> "MemoryLayoutMap":
-        """Build the map matching an OptimizationConfig + ordering."""
+        """Build the map matching a ModelConfig + ordering."""
         return cls(
             n_particles=n_particles,
             particle_layout=config.particle_layout,

@@ -19,11 +19,7 @@ reads both as attributes (``p.dx``) and as a read-only mapping
 kernels of :mod:`repro.core.kernels` slice.
 
 :class:`ParticleSoA` keeps one contiguous numpy array per attribute —
-the layout that vectorizes (unit stride, §IV-C1).  The
-Array-of-Structures layout the paper starts from (Table VII's AoS
-column, Table IV's first rows) is priced by :mod:`repro.model`, not
-stored: ``OptimizationConfig.particle_layout`` is a model axis, and
-every stepper keeps its particles in SoA columns whatever it names.
+the layout that vectorizes (unit stride, §IV-C1).
 """
 
 from __future__ import annotations

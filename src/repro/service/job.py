@@ -229,16 +229,15 @@ class PICJob:
     def make_config(self):
         """The :class:`~repro.core.config.OptimizationConfig`.
 
-        The fully-optimized Table IV stack for the chosen ordering,
-        with Hilbert dropping to the modulo position update (its decode
-        needs real coordinates).
+        The default run config for the chosen ordering, with Hilbert
+        dropping to the modulo position update (its decode needs real
+        coordinates).
         """
         from repro.core import OptimizationConfig
 
-        cfg = OptimizationConfig.fully_optimized(self.ordering)
+        cfg = OptimizationConfig(ordering=self.ordering, backend=self.backend)
         if self.ordering == "hilbert":
             cfg = cfg.with_(position_update="modulo")
-        cfg = cfg.with_(backend=self.backend)
         if self.workers is not None:
             cfg = cfg.with_(workers=self.workers)
         return cfg

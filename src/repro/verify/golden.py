@@ -130,7 +130,7 @@ def _build_simulation(params: dict, backend: str) -> Simulation:
                     xmax=params.get("xmax_pi", 4) * np.pi,
                     ymax=params.get("ymax_pi", 2) * np.pi)
     case = _CASE_FACTORIES[params["case"]](params)
-    config = OptimizationConfig.fully_optimized("morton").with_(backend=backend)
+    config = OptimizationConfig(ordering="morton", backend=backend)
     return Simulation(
         grid, case, params["n_particles"], config,
         dt=params["dt"], seed=params["seed"], quiet=True,

@@ -112,7 +112,7 @@ class OracleResult:
 
 
 def _config(backend: str) -> OptimizationConfig:
-    return OptimizationConfig.fully_optimized("morton").with_(backend=backend)
+    return OptimizationConfig(ordering="morton", backend=backend)
 
 
 def landau_damping_oracle(backend: str = "numpy") -> OracleResult:

@@ -123,8 +123,8 @@ class TestRegistry:
             assert OptimizationConfig(backend=name).backend == name
 
     def test_config_resolved_backend(self):
-        assert OptimizationConfig().resolved_backend in available_backends()
-        assert OptimizationConfig(backend="numpy").resolved_backend == "numpy"
+        assert resolve_backend_name(OptimizationConfig().backend) in available_backends()
+        assert resolve_backend_name(OptimizationConfig(backend="numpy").backend) == "numpy"
 
     def test_c_without_compiler_raises_unavailable(self, no_compiler):
         with pytest.raises(BackendUnavailableError, match="C compiler on PATH"):
@@ -290,7 +290,7 @@ class TestSimulationEquivalence:
     def test_backends_produce_identical_physics(self, small_grid):
         histories = {}
         for name in available_backends():
-            cfg = OptimizationConfig.fully_optimized().with_(backend=name)
+            cfg = OptimizationConfig(backend=name)
             sim = Simulation(
                 small_grid, LandauDamping(0.05), 4000, cfg,
                 dt=0.1, quiet=True, seed=None,
@@ -324,7 +324,7 @@ class TestSimulationEquivalence:
 
         try:
             assert "tracing-test" in known_backend_names()
-            cfg = OptimizationConfig.fully_optimized().with_(backend="tracing-test")
+            cfg = OptimizationConfig(backend="tracing-test")
             sim = Simulation(
                 small_grid, LandauDamping(0.05), 1000, cfg,
                 dt=0.1, quiet=True, seed=None,

@@ -41,6 +41,7 @@ from repro.core.backends import (
 from repro.core.kernels import BLOCK
 from repro.curves import get_ordering
 from repro.grid import GridSpec, RedundantFields
+from repro.model.config import ModelConfig
 from repro.particles import LandauDamping
 from repro.particles.storage import ParticleSoA
 from repro.pic3d import GridSpec3D
@@ -287,11 +288,12 @@ class TestEquivalence:
     @staticmethod
     def _assert_run_has_numpy_bits(**cfg_kw):
         """Seven steps through a sort on ``c`` and ``numpy``: the same
-        particle columns and the same ρ, bit for bit."""
+        particle columns and the same ρ, bit for bit.  A
+        :class:`ModelConfig` takes the model axes too."""
         grid = GridSpec(16, 16, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
         states = {}
         for backend in ("c", "numpy"):
-            cfg = OptimizationConfig(sort_period=3, backend=backend, **cfg_kw)
+            cfg = ModelConfig(sort_period=3, backend=backend, **cfg_kw)
             with Simulation(grid, LandauDamping(alpha=0.05), 1500, cfg,
                             dt=0.05, seed=11) as sim:
                 sim.run(7)
@@ -302,7 +304,7 @@ class TestEquivalence:
         assert np.array_equal(states["c"][1], states["numpy"][1])
 
     def test_aos_run_has_numpy_bits(self):
-        """A config naming AoS particles stores SoA columns, which fit
+        """A model config naming AoS particles stores SoA columns, which fit
         the C ABI: the compiled loops run, with NumPy's bits."""
         self._assert_run_has_numpy_bits(particle_layout="aos")
 

@@ -4,13 +4,16 @@
 body (``pytest.mark.parametrize`` over ``ndim``): verbatim round trip,
 preempt→resume **bitwise identical** to the uninterrupted run (on
 numpy and resumed onto ``numpy-mp``, the backend switch the supervisor
-uses), archives from before PR 12 and PR 15 or saved under the retired
-``loop_mode="auto"``, and the error surface —
+uses), archives from before the tiled-deposit knobs went and from the
+pre-unification 3D writer, saved under the retired ``loop_mode="auto"``
+or from a :class:`ModelConfig` run, and the error surface —
 torn archives, missing arrays, version/config mismatches and
 cross-dimensional loads are :class:`CheckpointMismatchError`, never a
 raw traceback.  The classes below it are 2D-only specifics.
 """
 
+import dataclasses
+import hashlib
 import json
 import pathlib
 import shutil
@@ -28,7 +31,9 @@ from repro.core.checkpoint import (
     save_checkpoint_3d,
 )
 from repro.grid import GridSpec, RedundantFields
+from repro.model.config import ModelConfig
 from repro.particles import LandauDamping, ParticleSoA
+from repro.particles.storage import particle_fields
 from repro.perf.instrument import Instrumentation
 from repro.pic3d import GridSpec3D, PICStepper3D, TwoStream3D
 from repro.verify.golden import state_digest
@@ -51,6 +56,40 @@ ARCHIVE_STANDARD_AOS = (
 STANDARD_AOS_DIGEST_8 = (
     "62369c8468561e01702a0ef97084e83a510d81a529cd48f523a1fc290985b9ae"
 )
+#: a 2D archive the job engine parked at step 101 (two-stream, 8x8,
+#: 256 particles, Morton, ``numpy``)
+ARCHIVE_ENGINE_PARKED = (
+    pathlib.Path(__file__).parent / "data" / "engine_parked_pr22"
+    / "parent-job" / "ckpt-00000101.npz"
+)
+#: every committed archive: (path, loader, the iteration it was saved
+#: at, ``_resume_digest`` after four more steps — what the code that
+#: still carried the model axes on the run config printed)
+COMMITTED_ARCHIVES = {
+    "standard-aos": (ARCHIVE_STANDARD_AOS, load_checkpoint, 4, STANDARD_AOS_DIGEST_8),
+    "3d-writer": (ARCHIVE_3D_PR14, load_checkpoint_3d, 6,
+                  "e1c6e2125f0b6cf9305d56074bd5da88e70209292fbb57a282e11997cd4f7be8"),
+    "engine-parked": (ARCHIVE_ENGINE_PARKED, load_checkpoint, 101,
+                      "8e60fd263d55049571d45d0234a66c45f2c099279a8b4a1bc0ddd99c10f498b3"),
+}
+
+
+def _resume_digest(st):
+    """sha256 over every particle column but the stored coordinates
+    and every solved grid — :func:`state_digest` in 2D, with ``dz`` /
+    ``vz`` / ``ez_grid`` in 3D."""
+    h = hashlib.sha256()
+    ndim = st.particles.ndim
+    for name in particle_fields(ndim, False):
+        h.update(np.ascontiguousarray(np.asarray(st.particles[name])).tobytes())
+    for name in ("rho_grid", "ex_grid", "ey_grid", "ez_grid")[: ndim + 1]:
+        h.update(np.ascontiguousarray(getattr(st, name)).tobytes())
+    return h.hexdigest()
+
+
+def _model(cfg, **axes):
+    """``cfg`` as a :class:`ModelConfig` naming ``axes``."""
+    return ModelConfig(**dataclasses.asdict(cfg), **axes)
 
 
 @pytest.fixture
@@ -59,7 +98,7 @@ def grid():
 
 
 def fresh_stepper(grid, cfg=None, n=3000):
-    cfg = cfg or OptimizationConfig.fully_optimized()
+    cfg = cfg or OptimizationConfig()
     return PICStepper(
         grid, cfg, case=LandauDamping(alpha=0.05), n_particles=n,
         dt=0.1, quiet=True, seed=None,
@@ -68,7 +107,7 @@ def fresh_stepper(grid, cfg=None, n=3000):
 
 def _config_3d(**overrides):
     params = dict(
-        ordering="morton", loop_mode="split",
+        ordering="morton",
         position_update="bitwise", hoisting=True, sort_period=3,
         backend="numpy",
     )
@@ -83,7 +122,7 @@ class _Dim:
         self.ndim = ndim
         if ndim == 2:
             self.save, self.load = save_checkpoint, load_checkpoint
-            self.config = lambda **kw: OptimizationConfig.fully_optimized().with_(
+            self.config = lambda **kw: OptimizationConfig(
                 **{"sort_period": 3, "backend": "numpy", **kw})
             self.grids = ("rho_grid", "ex_grid", "ey_grid")
         else:
@@ -213,18 +252,19 @@ class TestBothDimensions:
         reload it under the next backend of the chain — taken from
         ``c`` to ``numpy`` mid-run ends on the bits of an undisturbed
         ``numpy`` run, in 3D as in 2D (``c`` and ``numpy`` state the
-        same gather fold).  A run configured ``loop_mode="fused"`` —
-        the retired single-pass loop — saves, loads and resumes on the
+        same gather fold).  A model config naming ``loop_mode="fused"``
+        — the retired single-pass loop — saves, loads and resumes on the
         split run's bits: every stepper runs the split loops."""
-        ref = dim.fresh(cfg=dim.config(loop_mode="split"))
+        ref = dim.fresh(cfg=dim.config())
         ref.run(14)
-        on_c = dim.fresh(cfg=dim.config(backend="c", loop_mode=loop_mode))
+        on_c = dim.fresh(cfg=_model(dim.config(backend="c"), loop_mode=loop_mode))
         try:
             on_c.run(6)
             park = dim.save(on_c, tmp_path / "park")
         finally:
             on_c.close()
-        resumed = dim.load(park, dim.config(backend="numpy", loop_mode=loop_mode))
+        resumed = dim.load(
+            park, _model(dim.config(backend="numpy"), loop_mode=loop_mode))
         try:
             assert resumed.backend.name == "numpy"
             resumed.run(8)
@@ -254,11 +294,40 @@ class TestBothDimensions:
             ref.close()
 
     def test_archive_saved_under_loop_mode_auto_resumes_bitwise(self, dim, tmp_path):
-        """``loop_mode="auto"`` (the retired online tuner) reads as
-        ``"split"``: the archive loads and continues exactly like the
-        same archive saved under ``"split"``."""
+        """``loop_mode="auto"`` (the retired online tuner) is dropped
+        like any stored ``loop_mode``: the archive loads and continues
+        exactly like the same archive saved without one."""
         park = dim.saved(tmp_path, n=1500, steps=6)
         _assert_auto_archive_resumes_like(dim, park, tmp_path)
+
+    def test_archive_saved_from_a_model_config_loads_as_run_config(
+        self, dim, tmp_path
+    ):
+        """A :class:`ModelConfig` run's archive carries the model axes;
+        it loads back as the plain run config and continues on the bits
+        of the run it was cut from."""
+        model_cfg = _model(dim.config(), field_layout="standard",
+                           particle_layout="aos", loop_mode="fused")
+        ref = dim.fresh(cfg=model_cfg)
+        ref.run(10)
+        cut = dim.fresh(cfg=model_cfg)
+        try:
+            cut.run(4)
+            park = dim.save(cut, tmp_path / "model")
+        finally:
+            cut.close()
+        with np.load(park) as data:
+            saved = json.loads(json.loads(str(data["_meta"]))["config"])
+        assert saved["loop_mode"] == "fused"
+        resumed = dim.load(park)
+        try:
+            assert type(resumed.config) is OptimizationConfig
+            assert resumed.config == dim.config()
+            resumed.run(6)
+            dim.assert_state_equal(resumed, ref)
+        finally:
+            resumed.close()
+            ref.close()
 
     def test_archive_saved_under_backend_numba_resumes_as_auto(self, dim, tmp_path):
         """``backend="numba"`` (retired for ``c``) reads as ``"auto"``."""
@@ -340,13 +409,14 @@ def test_pre_pr15_3d_archive_resumes_bitwise(tmp_path):
 
 def _assert_auto_archive_resumes_like(dim, archive, tmp_path):
     """``archive`` with its stored ``loop_mode`` rewritten to ``"auto"``
-    loads as ``"split"`` and steps bitwise-equal to ``archive`` itself."""
+    loads as the same run config and steps bitwise-equal to ``archive``
+    itself."""
     legacy = tmp_path / "legacy_auto.npz"
     shutil.copy(archive, legacy)
     rewrite_saved_config(legacy, {"loop_mode": "auto"})
     ref, resumed = dim.load(archive), dim.load(legacy)
     try:
-        assert ref.config.loop_mode == "split"
+        assert type(resumed.config) is OptimizationConfig
         assert resumed.config == ref.config
         ref.run(8)
         resumed.run(8)
@@ -413,9 +483,9 @@ class TestRoundTrip:
     @pytest.mark.parametrize(
         "cfg",
         [
-            OptimizationConfig.baseline(),
-            OptimizationConfig.fully_optimized("l4d", size=8),
-            OptimizationConfig.fully_optimized().with_(hoisting=False),
+            ModelConfig.baseline(),
+            OptimizationConfig(ordering="l4d", ordering_kwargs={"size": 8}),
+            OptimizationConfig(hoisting=False),
         ],
         ids=["baseline", "l4d", "no-hoist"],
     )
@@ -428,7 +498,7 @@ class TestRoundTrip:
         np.testing.assert_array_equal(a.ex_grid, b.ex_grid)
 
     def test_sort_state_continues(self, grid, tmp_path):
-        cfg = OptimizationConfig.fully_optimized().with_(sort_period=4)
+        cfg = OptimizationConfig(sort_period=4)
         a = fresh_stepper(grid, cfg)
         a.run(3)  # next step sorts
         b = load_checkpoint(save_checkpoint(a, tmp_path / "ck.npz"))
@@ -437,16 +507,70 @@ class TestRoundTrip:
         np.testing.assert_array_equal(a.ex_grid, b.ex_grid)
 
 
+@pytest.mark.parametrize("name", list(COMMITTED_ARCHIVES))
+def test_committed_archive_resumes_on_its_parent_digest(name):
+    """Every archive under ``tests/data`` — one written under the
+    point-based fields and AoS particles (its metadata says ``layout:
+    "aos"``), one by the pre-unification 3D writer, one the job engine
+    parked — names the model axes in its stored config; each loads as
+    the plain run config into SoA columns and redundant rows and
+    continues on the digest it continued on while the run config still
+    carried the axes."""
+    path, loader, iteration, digest = COMMITTED_ARCHIVES[name]
+    with np.load(path) as data:
+        saved = json.loads(json.loads(str(data["_meta"]))["config"])
+    assert {"field_layout", "particle_layout", "loop_mode"} <= saved.keys()
+    st = loader(path)
+    try:
+        assert st.iteration == iteration
+        assert type(st.config) is OptimizationConfig
+        assert type(st.particles) is ParticleSoA
+        assert type(st.fields) is RedundantFields
+        st.run(4)
+        assert _resume_digest(st) == digest
+    finally:
+        st.close()
+
+
+def test_archive_with_a_store_coords_override_keeps_its_columns(grid, tmp_path):
+    """An archive written under an explicit ``store_coords`` override —
+    a Morton run without ``ix``/``iy``, which the run config can no
+    longer spell — loads with the columns it stored (its
+    ``store_coords`` record says which) and continues on the bits of
+    the same run with stored coordinates."""
+    a = fresh_stepper(grid, n=1500)
+    a.run(6)
+    path = save_checkpoint(a, tmp_path / "ck.npz")
+    # what the writer produced for ``store_coords=False``: no ``pix`` /
+    # ``piy`` arrays, ``False`` in the metadata and in the stored config
+    _rewrite(path, drop=("pix", "piy"), store_coords=False)
+    rewrite_saved_config(path, {"store_coords": False})
+    b = load_checkpoint(path)
+    try:
+        assert b.particles.store_coords is False
+        assert b.config.effective_store_coords is True
+        assert b.config == a.config
+        a.run(8)
+        b.run(8)
+        assert state_digest(b) == state_digest(a)
+        again = load_checkpoint(save_checkpoint(b, tmp_path / "again.npz"))
+        assert again.particles.keys() == b.particles.keys()
+        again.close()
+    finally:
+        b.close()
+        a.close()
+
+
 class TestCompatibilityChecks:
     def test_layout_axes_are_not_compared(self, grid, tmp_path):
         """``field_layout`` and ``particle_layout`` only feed the model:
-        an archive loads under a config naming either baseline, while
-        an axis that gives the arrays their meaning still refuses."""
+        an archive loads under a model config naming either baseline,
+        while an axis that gives the arrays their meaning still
+        refuses."""
         a = fresh_stepper(grid, n=500)
         a.run(2)
         path = save_checkpoint(a, tmp_path / "ck.npz")
-        other = OptimizationConfig.fully_optimized().with_(
-            particle_layout="aos", field_layout="standard")
+        other = ModelConfig(particle_layout="aos", field_layout="standard")
         b = load_checkpoint(path, other)
         assert b.config == other
         for st in (a, b):
@@ -455,31 +579,13 @@ class TestCompatibilityChecks:
         with pytest.raises(CheckpointMismatchError, match="hoisting"):
             load_checkpoint(path, other.with_(hoisting=False))
 
-    def test_standard_aos_archive_resumes_on_undisturbed_bits(self):
-        """An archive the AoS store wrote (``layout: "aos"``, config
-        naming the point-based fields) loads into SoA columns and
-        redundant rows and continues on the bits of the run it was
-        cut from."""
-        with np.load(ARCHIVE_STANDARD_AOS) as data:
-            meta = json.loads(str(data["_meta"]))
-        assert meta["layout"] == "aos"
-        assert json.loads(meta["config"])["field_layout"] == "standard"
-        st = load_checkpoint(ARCHIVE_STANDARD_AOS)
-        assert st.iteration == 4
-        assert (st.config.field_layout, st.config.particle_layout) == (
-            "standard", "aos")
-        assert type(st.particles) is ParticleSoA
-        assert type(st.fields) is RedundantFields
-        st.run(4)
-        assert state_digest(st) == STANDARD_AOS_DIGEST_8
-
     def test_compatible_override_allowed(self, grid, tmp_path):
         """Changing the sort period is state-compatible."""
         a = fresh_stepper(grid)
         a.run(2)
         path = save_checkpoint(a, tmp_path / "ck.npz")
         b = load_checkpoint(
-            path, OptimizationConfig.fully_optimized().with_(sort_period=7)
+            path, OptimizationConfig(sort_period=7)
         )
         assert b.config.sort_period == 7
         b.step()  # runs fine

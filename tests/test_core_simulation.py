@@ -15,7 +15,7 @@ def sim():
         grid,
         LandauDamping(alpha=0.05),
         3000,
-        OptimizationConfig.fully_optimized(),
+        OptimizationConfig(),
         dt=0.1,
         quiet=True,
         seed=None,

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import OptimizationConfig, PICStepper
 from repro.grid import GridSpec, RedundantFields
+from repro.model.config import ModelConfig
 from repro.particles import LandauDamping, ParticleSoA
 
 
@@ -24,7 +25,7 @@ class TestConstruction:
     def test_rejects_bitwise_on_non_pow2(self):
         g = GridSpec(12, 16)
         with pytest.raises(ValueError, match="power-of-two"):
-            PICStepper(g, OptimizationConfig.fully_optimized(), case=LandauDamping(), n_particles=10)
+            PICStepper(g, OptimizationConfig(), case=LandauDamping(), n_particles=10)
 
     def test_rejects_particles_and_case(self, grid):
         from repro.particles import make_storage
@@ -32,34 +33,34 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PICStepper(
                 grid,
-                OptimizationConfig.fully_optimized(),
+                OptimizationConfig(),
                 particles=make_storage("soa", 10),
                 case=LandauDamping(),
             )
 
     def test_rejects_neither(self, grid):
         with pytest.raises(ValueError):
-            PICStepper(grid, OptimizationConfig.fully_optimized())
+            PICStepper(grid, OptimizationConfig())
 
     def test_rejects_store_coords_mismatch(self, grid):
         from repro.particles import make_storage
 
         parts = make_storage("soa", 10, store_coords=False)
         with pytest.raises(ValueError, match="store_coords"):
-            PICStepper(grid, OptimizationConfig.fully_optimized(), particles=parts)
+            PICStepper(grid, OptimizationConfig(), particles=parts)
 
     def test_every_config_stores_redundant_rows_and_soa_columns(self, grid):
         """Table IV's baseline names point-based fields and AoS
         particles; the model prices those, the stepper stores what it
         always stores."""
-        for cfg in (OptimizationConfig.baseline(),
-                    OptimizationConfig.fully_optimized()):
+        for cfg in (ModelConfig.baseline(),
+                    OptimizationConfig()):
             s = make_stepper(grid, cfg, n=500)
             assert type(s.fields) is RedundantFields
             assert type(s.particles) is ParticleSoA
 
     def test_initial_fields_computed(self, grid):
-        s = make_stepper(grid, OptimizationConfig.fully_optimized(), n=5000)
+        s = make_stepper(grid, OptimizationConfig(), n=5000)
         # Landau perturbation must produce a nonzero initial Ex
         assert np.abs(s.ex_grid).max() > 0
         assert s.rho_grid.shape == (16, 16)
@@ -68,7 +69,7 @@ class TestConstruction:
 class TestStepInvariants:
     @pytest.fixture
     def stepper(self, grid):
-        return make_stepper(grid, OptimizationConfig.fully_optimized(), n=5000)
+        return make_stepper(grid, OptimizationConfig(), n=5000)
 
     def test_iteration_counter(self, stepper):
         stepper.run(3)
@@ -95,7 +96,7 @@ class TestStepInvariants:
 
     def test_sort_applied_on_schedule(self, grid):
         s = make_stepper(
-            grid, OptimizationConfig.fully_optimized().with_(sort_period=3), n=3000
+            grid, OptimizationConfig(sort_period=3), n=3000
         )
         s.run(3)  # iterations 0,1,2: sort happens at the start of step 3
         before = np.asarray(s.particles.icell).copy()
@@ -105,15 +106,15 @@ class TestStepInvariants:
 
     def test_no_sort_when_disabled(self, grid):
         s = make_stepper(
-            grid, OptimizationConfig.fully_optimized().with_(sort_period=0), n=3000
+            grid, OptimizationConfig(sort_period=0), n=3000
         )
         s.run(6)
         assert s.timings.sort == pytest.approx(0.0, abs=1e-3)
 
     def test_physical_velocities_scale(self, grid):
-        hoisted = make_stepper(grid, OptimizationConfig.fully_optimized(), n=2000)
+        hoisted = make_stepper(grid, OptimizationConfig(), n=2000)
         raw = make_stepper(
-            grid, OptimizationConfig.fully_optimized().with_(hoisting=False), n=2000
+            grid, OptimizationConfig(hoisting=False), n=2000
         )
         vxh, vyh = hoisted.physical_velocities()
         vxr, vyr = raw.physical_velocities()
@@ -139,13 +140,13 @@ class TestConfigEquivalence:
     @pytest.fixture(scope="class")
     def reference_energy(self, ):
         grid = GridSpec(16, 16, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
-        s = make_stepper(grid, OptimizationConfig.baseline(), n=4000)
+        s = make_stepper(grid, ModelConfig.baseline(), n=4000)
         s.run(self.REFERENCE_STEPS)
         return 0.5 * np.sum(s.ex_grid**2 + s.ey_grid**2)
 
     @pytest.mark.parametrize(
         "label,cfg",
-        [(label, cfg) for label, cfg in OptimizationConfig.table4_stack()[1:]],
+        [(label, cfg) for label, cfg in ModelConfig.table4_stack()[1:]],
     )
     def test_table4_rows_bitwise_equal_physics(self, grid, reference_energy, label, cfg):
         s = make_stepper(grid, cfg, n=4000)
@@ -155,9 +156,7 @@ class TestConfigEquivalence:
 
     @pytest.mark.parametrize("ordering", ["row-major", "column-major", "l4d", "morton", "hilbert"])
     def test_orderings_equal_physics(self, grid, reference_energy, ordering):
-        cfg = OptimizationConfig.fully_optimized().with_(
-            ordering=ordering, store_coords=None
-        )
+        cfg = OptimizationConfig(ordering=ordering)
         s = make_stepper(grid, cfg, n=4000)
         s.run(self.REFERENCE_STEPS)
         fe = 0.5 * np.sum(s.ex_grid**2 + s.ey_grid**2)
@@ -167,14 +166,14 @@ class TestConfigEquivalence:
         # 4000 particles in 17-particle kernel blocks (236 iterations of
         # the block loop, a ragged last one) on the baseline config
         monkeypatch.setattr("repro.core.kernels.BLOCK", 17)
-        s = make_stepper(grid, OptimizationConfig.baseline(), n=4000)
+        s = make_stepper(grid, ModelConfig.baseline(), n=4000)
         s.run(self.REFERENCE_STEPS)
         fe = 0.5 * np.sum(s.ex_grid**2 + s.ey_grid**2)
         assert fe == pytest.approx(reference_energy, rel=1e-9)
 
     def test_sort_variants_equal_physics(self, grid, reference_energy):
         for variant in ("out-of-place", "in-place"):
-            cfg = OptimizationConfig.baseline().with_(
+            cfg = ModelConfig.baseline().with_(
                 sort_period=3, sort_variant=variant
             )
             s = make_stepper(grid, cfg, n=4000)

@@ -7,8 +7,6 @@ import pytest
 from repro.core.diagnostics import (
     momentum,
     phase_space_histogram,
-    velocity_histogram,
-    velocity_moments,
 )
 from repro.grid import GridSpec
 from repro.particles import BumpOnTail
@@ -26,7 +24,7 @@ class TestMomentum:
 
         grid = GridSpec(16, 16, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
         st = PICStepper(
-            grid, OptimizationConfig.fully_optimized(),
+            grid, OptimizationConfig(),
             case=LandauDamping(alpha=0.1), n_particles=5000,
             dt=0.1, quiet=True, seed=None,
         )
@@ -40,37 +38,6 @@ class TestMomentum:
         assert abs(p1[1] - p0[1]) < 1e-6 * scale
 
 
-class TestVelocityDiagnostics:
-    def test_moments_of_maxwellian(self, rng):
-        v = rng.normal(0.5, 2.0, 400_000)
-        m = velocity_moments(v)
-        assert m["mean"] == pytest.approx(0.5, abs=0.02)
-        assert m["std"] == pytest.approx(2.0, rel=0.01)
-        assert abs(m["skewness"]) < 0.02
-        assert abs(m["excess_kurtosis"]) < 0.05
-
-    def test_moments_of_bimodal(self, rng):
-        v = np.concatenate([rng.normal(-3, 0.2, 50_000), rng.normal(3, 0.2, 50_000)])
-        m = velocity_moments(v)
-        assert m["excess_kurtosis"] < -1.5  # strongly bimodal
-
-    def test_moments_degenerate(self):
-        m = velocity_moments(np.full(10, 1.5))
-        assert m["std"] == 0.0 and m["skewness"] == 0.0
-
-    def test_histogram_normalized(self, rng):
-        v = rng.normal(0, 1, 100_000)
-        centers, f = velocity_histogram(v, vmax=6.0, bins=48)
-        width = centers[1] - centers[0]
-        assert np.sum(f) * width == pytest.approx(1.0, rel=1e-12)
-        # shape: peaks near 0
-        assert abs(centers[np.argmax(f)]) < 0.5
-
-    def test_histogram_rejects_bad_vmax(self):
-        with pytest.raises(ValueError):
-            velocity_histogram(np.zeros(5), vmax=0.0)
-
-
 class TestPhaseSpaceHistogram:
     def test_counts_all_particles(self):
         from repro.core import OptimizationConfig, PICStepper
@@ -78,7 +45,7 @@ class TestPhaseSpaceHistogram:
 
         grid = GridSpec(16, 16, 0.0, 10 * np.pi, 0.0, 10 * np.pi)
         st = PICStepper(
-            grid, OptimizationConfig.fully_optimized(),
+            grid, OptimizationConfig(),
             case=TwoStream(), n_particles=4000, dt=0.1, quiet=True, seed=None,
         )
         h = phase_space_histogram(st, vmax=8.0, bins=(32, 16))
@@ -91,7 +58,7 @@ class TestPhaseSpaceHistogram:
 
         grid = GridSpec(16, 16, 0.0, 10 * np.pi, 0.0, 10 * np.pi)
         st = PICStepper(
-            grid, OptimizationConfig.fully_optimized(),
+            grid, OptimizationConfig(),
             case=TwoStream(v0=2.4, vth=0.1), n_particles=8000,
             dt=0.1, quiet=True, seed=None,
         )
@@ -125,7 +92,7 @@ class TestBumpOnTail:
         case = BumpOnTail()
         grid = GridSpec(32, 8, 0.0, 8 * np.pi, 0.0, 8 * np.pi)
         sim = Simulation(
-            grid, case, 10_000, OptimizationConfig.fully_optimized(),
+            grid, case, 10_000, OptimizationConfig(),
             dt=0.1, quiet=True, seed=None,
         )
         sim.run(10)
@@ -140,7 +107,7 @@ class TestBumpOnTail:
         case = BumpOnTail(n_beam=0.1, v_beam=4.0, vth=1.0, vth_beam=0.3, alpha=1e-3)
         grid = GridSpec(64, 4, 0.0, 8 * np.pi, 0.0, 8 * np.pi)
         sim = Simulation(
-            grid, case, 100_000, OptimizationConfig.fully_optimized(),
+            grid, case, 100_000, OptimizationConfig(),
             dt=0.1, quiet=True, seed=None,
         )
         h = sim.run(300).as_arrays()

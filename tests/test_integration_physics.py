@@ -14,6 +14,7 @@ import pytest
 from repro.core import OptimizationConfig, Simulation
 from repro.core.diagnostics import damping_rate_fit
 from repro.grid import GridSpec
+from repro.model.config import ModelConfig
 from repro.particles import LandauDamping, TwoStream, UniformMaxwellian
 from repro.verify.oracles import (
     energy_drift_oracle,
@@ -26,7 +27,7 @@ from repro.verify.oracles import (
 class TestEnergyConservation:
     @pytest.mark.parametrize(
         "cfg",
-        [OptimizationConfig.baseline(), OptimizationConfig.fully_optimized()],
+        [ModelConfig.baseline(), OptimizationConfig()],
         ids=["baseline", "optimized"],
     )
     def test_total_energy_conserved(self, cfg):
@@ -43,7 +44,7 @@ class TestEnergyConservation:
         for dt, steps in ((0.2, 50), (0.05, 200)):
             sim = Simulation(
                 grid, LandauDamping(alpha=0.1), 20_000,
-                OptimizationConfig.fully_optimized(),
+                OptimizationConfig(),
                 dt=dt, quiet=True, seed=None,
             )
             sim.run(steps)
@@ -55,7 +56,7 @@ class TestEnergyConservation:
         grid = GridSpec(16, 16, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
         sim = Simulation(
             grid, UniformMaxwellian(), 40_000,
-            OptimizationConfig.fully_optimized(),
+            OptimizationConfig(),
             dt=0.1, quiet=True, seed=None,
         )
         sim.run(30)
@@ -85,7 +86,7 @@ class TestLandauDamping:
         grid = GridSpec(32, 4, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
         sim = Simulation(
             grid, LandauDamping(alpha=0.05), 50_000,
-            OptimizationConfig.fully_optimized(),
+            OptimizationConfig(),
             dt=0.1, quiet=True, seed=None,
         )
         h = sim.run(80).as_arrays()
@@ -98,7 +99,7 @@ class TestLandauDamping:
         grid = GridSpec(32, 4, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
         sim = Simulation(
             grid, LandauDamping(alpha=0.05), 100_000,
-            OptimizationConfig.fully_optimized(),
+            OptimizationConfig(),
             dt=0.05, quiet=True, seed=None,
         )
         h = sim.run(250).as_arrays()
@@ -115,7 +116,7 @@ class TestLandauDamping:
         grid = GridSpec(32, 4, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
         sim = Simulation(
             grid, LandauDamping(alpha=0.5), 50_000,
-            OptimizationConfig.fully_optimized(),
+            OptimizationConfig(),
             dt=0.1, quiet=True, seed=None,
         )
         h = sim.run(60).as_arrays()
@@ -133,7 +134,7 @@ class TestTwoStream:
         grid = GridSpec(64, 4, 0.0, 10 * np.pi, 0.0, 10 * np.pi)
         sim = Simulation(
             grid, TwoStream(v0=2.4, vth=0.1, alpha=1e-3), 50_000,
-            OptimizationConfig.fully_optimized(),
+            OptimizationConfig(),
             dt=0.1, quiet=True, seed=None,
         )
         h = sim.run(400).as_arrays()
@@ -148,7 +149,7 @@ class TestCrossConfigPhysics:
         grid = GridSpec(32, 8, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
         series = {}
         for ordering in ("row-major", "l4d", "morton", "hilbert"):
-            cfg = OptimizationConfig.fully_optimized(ordering)
+            cfg = OptimizationConfig(ordering=ordering)
             if ordering == "hilbert":
                 cfg = cfg.with_(position_update="modulo")
             sim = Simulation(
@@ -166,7 +167,7 @@ class TestCrossConfigPhysics:
         for quiet, seed in ((True, None), (False, 42)):
             sim = Simulation(
                 grid, LandauDamping(alpha=0.2), 100_000,
-                OptimizationConfig.fully_optimized(),
+                OptimizationConfig(),
                 dt=0.1, quiet=quiet, seed=seed,
             )
             h = sim.run(100).as_arrays()

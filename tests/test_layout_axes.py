@@ -1,6 +1,7 @@
-"""The layout axes are model axes: a config naming the point-based
-field layout (``field_layout="standard"``) or AoS particles
-(``particle_layout="aos"``) runs redundant rows and SoA columns and
+"""The layout axes are model axes: a :class:`ModelConfig` naming the
+point-based field layout (``field_layout="standard"``) or AoS particles
+(``particle_layout="aos"``) — the model runs it through the stepper to
+harvest particle states — runs redundant rows and SoA columns and
 lands on the bits it always landed on.
 
 The digests below were recorded by the code that still executed both
@@ -16,10 +17,10 @@ coordinates, the reflecting wall and the Boris rotation are all in it.
 import numpy as np
 import pytest
 
-from repro.core import OptimizationConfig
 from repro.core.backends import CBackend
 from repro.core.stepper import PICStepper
 from repro.grid import GridSpec, RedundantFields
+from repro.model.config import ModelConfig
 from repro.particles import ParticleSoA, make_case
 from repro.verify.golden import state_digest
 
@@ -52,7 +53,7 @@ def test_layout_named_config_keeps_its_digest(
     case, field_layout, particle_layout, backend
 ):
     ordering, push, hoisting, digest = CASES[case]
-    cfg = OptimizationConfig(
+    cfg = ModelConfig(
         field_layout=field_layout, particle_layout=particle_layout,
         ordering=ordering, position_update=push, hoisting=hoisting,
         sort_period=5, backend=backend,

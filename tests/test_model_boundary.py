@@ -35,7 +35,7 @@ from repro.service import JobEngine
 
 grid = GridSpec(16, 16, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
 for backend in ("numpy", "numpy-mp"):
-    cfg = OptimizationConfig.fully_optimized().with_(backend=backend, workers=2)
+    cfg = OptimizationConfig(backend=backend, workers=2)
     with Simulation(grid, LandauDamping(alpha=0.05), 2000, cfg, seed=1) as sim:
         sim.run(2)
 with JobEngine(max_workers=1):
@@ -153,8 +153,10 @@ def test_model_axis_lint_is_green_on_the_tree():
 def test_model_axis_lint_sees_a_read_at_any_depth(tmp_path):
     """Reading ``.field_layout`` / ``.particle_layout`` / ``.loop_mode``
     anywhere under ``src/repro/`` fails — inside a method or a
-    comprehension too; ``repro/model/`` and ``core/config.py`` may read
-    them, and naming one as a keyword (building a config) is no read."""
+    comprehension too, and in ``core/config.py``, which holds the
+    ledger's ``particle_layout`` constant but reads no axis; only
+    ``repro/model/`` may read them, and naming one as a keyword
+    (building a config) is no read."""
     pkg = tmp_path / "repro"
     for sub in ("core", "model", "verify"):
         (pkg / sub).mkdir(parents=True)
@@ -174,7 +176,8 @@ def test_model_axis_lint_sees_a_read_at_any_depth(tmp_path):
     )
     errors = load_tool("check_imports").check_model_axes(tmp_path)
     assert sorted(e.split(": ", 1)[0].split("repro/", 1)[1] for e in errors) == [
-        "core/stepper.py:3", "verify/differ.py:1", "verify/differ.py:2",
+        "core/config.py:1", "core/stepper.py:3", "verify/differ.py:1",
+        "verify/differ.py:2",
     ]
     assert any("reads .particle_layout" in e for e in errors)
 

@@ -3,12 +3,12 @@ prices."""
 
 import pytest
 
-from repro.core import OptimizationConfig
+from repro.model.config import ModelConfig
 from repro.model.costmodel import LoopKind
 from repro.model.machine import MachineSpec
 from repro.model.openmp import ThreadScalingModel
 
-OPT = OptimizationConfig.fully_optimized()
+OPT = ModelConfig.fully_optimized()
 
 
 class TestThreadScalingModel:

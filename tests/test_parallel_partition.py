@@ -311,10 +311,7 @@ class TestNumpyMpPartitionIntegration:
     WORKERS, RANGES = 9, 3
 
     def _run(self, backend, *, eager_planner=False, **cfg_kw):
-        cfg = OptimizationConfig(
-            backend=backend, particle_layout="soa", field_layout="redundant",
-            loop_mode="split", sort_period=3, **cfg_kw,
-        )
+        cfg = OptimizationConfig(backend=backend, sort_period=3, **cfg_kw)
         grid = GridSpec(16, 16)
         sim = Simulation(grid, GaussianBump(), self.N, cfg, dt=0.05, seed=7)
         if eager_planner:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import OptimizationConfig
+from repro.model.config import ModelConfig
 from repro.model.mpi import CollectiveCostModel
 from repro.model.scaling import (
     strong_scaling_hybrid,
@@ -10,7 +10,7 @@ from repro.model.scaling import (
     weak_scaling_series,
 )
 
-CFG = OptimizationConfig.fully_optimized().with_(sort_period=50)
+CFG = ModelConfig.fully_optimized().with_(sort_period=50)
 GRID_BYTES = 128 * 128 * 8
 
 
@@ -71,7 +71,7 @@ class TestStrongScalingHybrid:
             800_000_000,
             256 * 256 * 8,
             100,
-            config=OptimizationConfig.fully_optimized().with_(sort_period=20),
+            config=ModelConfig.fully_optimized().with_(sort_period=20),
         )
 
     def test_near_ideal_at_small_node_counts(self, points):

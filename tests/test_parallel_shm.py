@@ -23,6 +23,7 @@ from repro.core.config import OptimizationConfig
 from repro.core.simulation import Simulation
 from repro.curves import get_ordering
 from repro.grid.spec import GridSpec
+from repro.model.config import ModelConfig
 from repro.parallel.executor import MultiprocessBackend, WorkerPool
 from repro.parallel.shm import SharedParticleStorage
 from repro.particles.initializers import LandauDamping
@@ -55,7 +56,8 @@ class _Run3D:
         self.stepper.close()
 
 
-def _make_sim(backend, workers=None, ndim=2, **cfg_kw):
+def _make_sim(backend, workers=None, ndim=2, config_cls=OptimizationConfig,
+              **cfg_kw):
     if ndim == 3:
         cfg = OptimizationConfig(
             backend=backend, workers=workers, sort_period=SORT_PERIOD, **cfg_kw
@@ -64,7 +66,7 @@ def _make_sim(backend, workers=None, ndim=2, **cfg_kw):
         return _Run3D(
             PICStepper3D(grid, TwoStream3D(), N_PARTICLES, dt=0.1, config=cfg)
         )
-    cfg = OptimizationConfig(
+    cfg = config_cls(
         backend=backend,
         workers=workers,
         sort_period=SORT_PERIOD,
@@ -451,12 +453,13 @@ class TestFallbackPaths:
 
     @pytest.mark.skipif(not CBackend.is_available(), reason="no C compiler")
     def test_standard_aos_config_runs_on_the_engine(self):
-        """A config naming the point-based field layout and AoS
+        """A model config naming the point-based field layout and AoS
         particles is no longer refused (it logged a warning and ran
         serially): every stepper keeps redundant rows and SoA columns,
         so the engine takes the run, and through a sort its state is
         serial ``c``'s, bit for bit."""
-        layouts = dict(field_layout="standard", particle_layout="aos")
+        layouts = dict(field_layout="standard", particle_layout="aos",
+                       config_cls=ModelConfig)
         with _make_sim("numpy-mp", workers=2, **layouts) as sim, \
                 _make_sim("c", **layouts) as ref:
             assert _engine(sim) is not None
@@ -466,11 +469,12 @@ class TestFallbackPaths:
 
     @pytest.mark.skipif(not CBackend.is_available(), reason="no C compiler")
     def test_loop_mode_fused_runs_on_the_engine(self):
-        """``loop_mode="fused"`` is no longer refused (it logged a
+        """A model config's ``loop_mode="fused"`` is no longer refused (it logged a
         warning and ran serially): the engine takes the run, and through
         a sort its state is serial ``c``'s, bit for bit."""
-        with _make_sim("numpy-mp", workers=2, loop_mode="fused") as sim, \
-                _make_sim("c", loop_mode="fused") as ref:
+        fused = dict(loop_mode="fused", config_cls=ModelConfig)
+        with _make_sim("numpy-mp", workers=2, **fused) as sim, \
+                _make_sim("c", **fused) as ref:
             assert _engine(sim) is not None
             sim.run(SORT_PERIOD + 1)
             ref.run(SORT_PERIOD + 1)

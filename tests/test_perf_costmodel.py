@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import OptimizationConfig
+from repro.model.config import ModelConfig
 from repro.model.costmodel import (
     FRESH_SORT_MISSES,
     LoopCostModel,
@@ -32,7 +32,7 @@ def loop_ns(model, kind, cfg, misses=None):
     return model.loop_costs(kind, cfg, misses).ns_per_particle(model.machine)
 
 
-OPT = OptimizationConfig.fully_optimized()
+OPT = ModelConfig.fully_optimized()
 
 
 class TestUpdateXVariants:
@@ -185,7 +185,7 @@ class TestTable4Monotonicity:
             }
 
         totals = []
-        for label, cfg in OptimizationConfig.table4_stack():
+        for label, cfg in ModelConfig.table4_stack():
             t = model.iteration_seconds(cfg, 1_000_000, misses_for(cfg))
             totals.append((label, t["total"]))
         for (la, ta), (lb, tb) in zip(totals, totals[1:]):

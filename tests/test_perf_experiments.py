@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import OptimizationConfig
 from repro.grid import GridSpec
+from repro.model.config import ModelConfig
 from repro.model.costmodel import LoopKind
 from repro.model.experiments import MissExperiment, default_scaled_machine
 from repro.model.machine import MachineSpec
@@ -39,33 +39,33 @@ class TestDefaultScaledMachine:
 class TestMissSeries:
     def test_series_length(self, tiny_setup):
         grid, machine = tiny_setup
-        s = run_experiment(grid, machine, OptimizationConfig.fully_optimized())
+        s = run_experiment(grid, machine, ModelConfig.fully_optimized())
         assert len(s.per_iteration) == 4
         assert len(s.misses_per_iteration("L2")) == 4
 
     def test_totals_cover_requested_loops(self, tiny_setup):
         grid, machine = tiny_setup
-        s = run_experiment(grid, machine, OptimizationConfig.fully_optimized())
+        s = run_experiment(grid, machine, ModelConfig.fully_optimized())
         assert set(s.totals) == {LoopKind.UPDATE_V, LoopKind.ACCUMULATE}
 
     def test_all_loops_mode(self, tiny_setup):
         grid, machine = tiny_setup
         s = run_experiment(
-            grid, machine, OptimizationConfig.fully_optimized(),
+            grid, machine, ModelConfig.fully_optimized(),
             loops=tuple(LoopKind),
         )
         assert set(s.totals) == set(LoopKind)
 
     def test_misses_per_particle_normalization(self, tiny_setup):
         grid, machine = tiny_setup
-        s = run_experiment(grid, machine, OptimizationConfig.fully_optimized())
+        s = run_experiment(grid, machine, ModelConfig.fully_optimized())
         mpp = s.misses_per_particle()
         total = s.totals[LoopKind.UPDATE_V].misses_by_name()["L1"]
         assert mpp[LoopKind.UPDATE_V]["L1"] == pytest.approx(total / (2000 * 4))
 
     def test_average_misses(self, tiny_setup):
         grid, machine = tiny_setup
-        s = run_experiment(grid, machine, OptimizationConfig.fully_optimized())
+        s = run_experiment(grid, machine, ModelConfig.fully_optimized())
         series = s.misses_per_iteration("L1")
         assert s.average_misses("L1") == pytest.approx(series.mean())
 
@@ -73,7 +73,7 @@ class TestMissSeries:
         grid, machine = tiny_setup
         s = run_experiment(
             grid, machine,
-            OptimizationConfig.baseline(),
+            ModelConfig.baseline(),
             trace_fused=True,
         )
         assert set(s.totals) == set(LoopKind)
@@ -83,7 +83,7 @@ class TestMissSeries:
     def test_physics_advances_during_experiment(self, tiny_setup):
         grid, machine = tiny_setup
         exp = MissExperiment(
-            OptimizationConfig.fully_optimized(), grid, 2000, 3, machine=machine
+            ModelConfig.fully_optimized(), grid, 2000, 3, machine=machine
         )
         before = np.asarray(exp.stepper.particles.dx).copy()
         exp.run()
@@ -100,7 +100,7 @@ class TestOrderingEffect:
         machine = default_scaled_machine(32, 256)
         results = {}
         for name in ("row-major", "morton"):
-            cfg = OptimizationConfig.fully_optimized(name).with_(sort_period=6)
+            cfg = ModelConfig.fully_optimized(name).with_(sort_period=6)
             s = MissExperiment(cfg, grid, 8000, 12, machine=machine).run()
             results[name] = s.average_misses("L2")
         assert results["morton"] < results["row-major"]
@@ -109,7 +109,7 @@ class TestOrderingEffect:
     def test_sort_produces_sawtooth(self):
         grid = GridSpec(32, 32, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
         machine = default_scaled_machine(32, 256)
-        cfg = OptimizationConfig.fully_optimized("row-major").with_(sort_period=6)
+        cfg = ModelConfig.fully_optimized("row-major").with_(sort_period=6)
         s = MissExperiment(cfg, grid, 8000, 13, machine=machine).run()
         l2 = s.misses_per_iteration("L2").astype(float)
         # misses grow during a sort period ...

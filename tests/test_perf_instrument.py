@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import OptimizationConfig, Simulation
 from repro.grid import GridSpec
+from repro.model.config import ModelConfig
 from repro.particles import LandauDamping
 from repro.perf.instrument import PHASES, Instrumentation, StepTimings
 
@@ -157,7 +158,7 @@ class TestSimulationSurface:
         grid = GridSpec(16, 16, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
         sim = Simulation(
             grid, LandauDamping(0.05), 3000,
-            OptimizationConfig.fully_optimized(),
+            OptimizationConfig(),
             dt=0.1, quiet=True, seed=None,
         )
         sim.run(6)
@@ -194,7 +195,7 @@ class TestSimulationSurface:
         monkeypatch.setattr("repro.core.kernels.BLOCK", 512)
         grid = GridSpec(16, 16, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
         sim = Simulation(
-            grid, LandauDamping(0.05), 2000, OptimizationConfig.baseline(),
+            grid, LandauDamping(0.05), 2000, ModelConfig.baseline(),
             dt=0.1, quiet=True, seed=None,
         )
         sim.run(2)

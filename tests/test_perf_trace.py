@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import OptimizationConfig
 from repro.curves import get_ordering
+from repro.model.config import ModelConfig
 from repro.model.trace import (
     MemoryLayoutMap,
     trace_accumulate,
@@ -74,7 +74,7 @@ class TestMemoryLayoutMap:
         assert a[0] - b[0] == 8 * (NCY + 2)
 
     def test_for_config(self, ordering):
-        cfg = OptimizationConfig.fully_optimized()
+        cfg = ModelConfig.fully_optimized()
         m = MemoryLayoutMap.for_config(cfg, ordering, 500)
         assert m.field_layout == "redundant"
         assert m.ncells_allocated == ordering.ncells_allocated

@@ -30,7 +30,7 @@ def _grid(ncx=8, ncy=4, ncz=4):
 
 def _config(**overrides):
     params = dict(
-        field_layout="redundant", ordering="morton",
+        ordering="morton",
         position_update="bitwise", hoisting=True, sort_period=3,
         backend="numpy",
     )

@@ -51,7 +51,7 @@ class TestEmptyAndTiny:
         grid = GridSpec(8, 8, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
         sim = Simulation(
             grid, LandauDamping(alpha=0.0), 1,
-            OptimizationConfig.fully_optimized(), dt=0.1, quiet=True, seed=None,
+            OptimizationConfig(), dt=0.1, quiet=True, seed=None,
         )
         sim.run(10)
         # a single particle with a neutralizing background: E ~ self-field
@@ -79,7 +79,7 @@ class TestExtremeMotion:
         the data structures (finite values, valid indices)."""
         grid = GridSpec(16, 16, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
         st = PICStepper(
-            grid, OptimizationConfig.fully_optimized(),
+            grid, OptimizationConfig(),
             case=LandauDamping(alpha=0.3), n_particles=2000,
             dt=5.0, quiet=True, seed=None,
         )
@@ -92,7 +92,7 @@ class TestExtremeMotion:
     def test_zero_dt_freezes_positions(self):
         grid = GridSpec(16, 16, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
         st = PICStepper(
-            grid, OptimizationConfig.fully_optimized().with_(hoisting=False),
+            grid, OptimizationConfig(hoisting=False),
             case=LandauDamping(alpha=0.1), n_particles=1000,
             dt=0.0, quiet=True, seed=None,
         )
@@ -175,7 +175,7 @@ from repro.resilience import (
 
 def _landau_sim(backend="numpy", n=2000, **cfg_kw):
     grid = _GridSpec(16, 16, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
-    cfg = OptimizationConfig.fully_optimized().with_(backend=backend, **cfg_kw)
+    cfg = OptimizationConfig(backend=backend, **cfg_kw)
     return Simulation(grid, LandauDamping(alpha=0.05), n, cfg, dt=0.05, seed=7)
 
 

@@ -13,12 +13,15 @@ Three layers per scenario:
   oracles run under the ``verify_full`` marker.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.config import OptimizationConfig
 from repro.core.stepper import PICStepper
 from repro.grid.spec import GridSpec
+from repro.model.config import ModelConfig
 from repro.particles.initializers import (
     BeamPlasma,
     BoundedPlasma,
@@ -34,7 +37,7 @@ def _grid(ncx=32, ncy=8):
 
 def _config(**overrides):
     params = dict(
-        field_layout="redundant", ordering="morton", loop_mode="split",
+        ordering="morton",
         position_update="bitwise", hoisting=True, sort_period=0,
         backend="numpy",
     )
@@ -84,10 +87,11 @@ class TestInitializers:
 class TestStepperSemantics:
     def test_zoo_cases_force_split_path(self):
         """Reflecting/magnetized cases run the split phases, under any
-        ``loop_mode`` (every stepper does)."""
+        ``loop_mode`` of a :class:`ModelConfig` (every stepper does)."""
         grid = _grid()
+        cfg = ModelConfig(**dataclasses.asdict(_config()), loop_mode="fused")
         for case in (BoundedPlasma(), MagnetizedExB()):
-            s = PICStepper(grid, _config(loop_mode="fused"), case=case,
+            s = PICStepper(grid, cfg, case=case,
                            n_particles=300, seed=0, quiet=True)
             try:
                 s.step()

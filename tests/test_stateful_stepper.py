@@ -40,8 +40,8 @@ class SteppingMachine(RuleBasedStateMachine):
         hoisting=st.booleans(),
     )
     def setup(self, ordering, sort_period, hoisting):
-        cfg = OptimizationConfig.fully_optimized(ordering).with_(
-            sort_period=sort_period, hoisting=hoisting
+        cfg = OptimizationConfig(
+            ordering=ordering, sort_period=sort_period, hoisting=hoisting
         )
         grid = GridSpec(16, 8, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
         self.stepper = PICStepper(

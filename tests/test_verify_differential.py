@@ -25,6 +25,7 @@ from repro.core.config import OptimizationConfig
 from repro.core.reference import ReferenceStepper
 from repro.core.stepper import PICStepper
 from repro.grid.spec import GridSpec
+from repro.model.config import ModelConfig
 from repro.particles.initializers import LandauDamping
 from repro.verify import (
     DifferentialRunner,
@@ -244,7 +245,7 @@ class TestReferenceBaseline:
     def test_reference_matches_other_variants(self, layout, push, hoist):
         grid = GridSpec(16, 8, xmax=4 * np.pi, ymax=2 * np.pi)
         case = LandauDamping(alpha=0.1, vth=1.0)
-        cfg = OptimizationConfig(
+        cfg = ModelConfig(
             field_layout=layout, ordering="row-major", loop_mode="split",
             position_update=push, hoisting=hoist, sort_period=4,
             backend="numpy",
