@@ -15,9 +15,10 @@ execution strategy as a named **backend** rather than hard-wiring one:
 * ``"auto"`` — the selection policy: the highest-priority backend
   that is available (``c`` first, then ``numpy``).
 
-Every backend implements the same seven kernels (:class:`KernelBackend`)
-— five particle loops over the redundant rows of any dimension and the
-two per-cell loops of that layout (ρ fold and field broadcast) — and
+Every backend implements the same nine kernels (:class:`KernelBackend`)
+— six particle loops over the redundant rows of any dimension, the two
+per-cell loops of that layout (ρ fold and field broadcast) and the
+kinetic-energy terms of the diagnostics — and
 all backends must produce identical physics; the
 cross-backend equivalence suite (``tests/test_backends.py``) checks
 each registered backend against the scalar oracles.
@@ -92,12 +93,13 @@ class KernelBackend(abc.ABC):
     """One execution strategy for the PIC inner loops.
 
     The abstract methods are the whole overridable surface, and what
-    the steppers call: five particle loops over the redundant
+    the steppers call: six particle loops over the redundant
     ``[ncell][2^ndim]`` rows, written over tuples of per-axis arrays so
     one method serves 2D and 3D, the two per-cell loops between those
-    rows and the grid points the solver works on.
-    :class:`NumpyBackend` implements all seven; a faster backend
-    subclasses it and overrides what it accelerates.
+    rows and the grid points the solver works on, and the per-particle
+    terms of the kinetic energy.  :class:`NumpyBackend` implements all
+    nine; a faster backend subclasses it and overrides what it
+    accelerates.
     """
 
     #: Registry key; subclasses must override.
@@ -154,6 +156,13 @@ class KernelBackend(abc.ABC):
         """``v += coef * e_p`` in place, per axis of the tuples."""
 
     @abc.abstractmethod
+    def update_v(self, vs, e_1d, icell, offsets, coefs) -> None:
+        """Update-v (Fig. 1 line 9): ``v += coef * E`` in place, per
+        axis, with ``E`` gathered from the rows as
+        :meth:`interpolate_rows` does — the bits of :meth:`kick` over
+        :meth:`interpolate_rows`' result."""
+
+    @abc.abstractmethod
     def push(self, particles, extents, ordering, variant, scales,
              dst=None) -> None:
         """Advance positions, wrap, re-derive ``icell`` and the cell
@@ -171,6 +180,11 @@ class KernelBackend(abc.ABC):
     def counting_sort_permutation(self, keys, ncells):
         """Stable O(N + C) counting-sort permutation of ``keys``
         (stability fixes it uniquely, whoever computes it)."""
+
+    @abc.abstractmethod
+    def kinetic_terms(self, vs, scales, out):
+        """``out = Σ_a (v_a * scale_a)²`` per particle, a left fold
+        over the axes; returns ``out``."""
 
     # ------------------------------------------------------------------
     # The axis-spelled names the frozen benchmark ledger calls
@@ -390,6 +404,12 @@ class NumpyBackend(KernelBackend):
         for v, e_p, coef in zip(vs, e_ps, coefs):
             _k.kick(v, e_p, coef)
 
+    def update_v(self, vs, e_1d, icell, offsets, coefs) -> None:
+        # both halves through self: numpy-mp shards each on its engine
+        self.kick(vs, self.interpolate_rows(e_1d, icell, offsets), coefs)
+
+    kinetic_terms = staticmethod(_k.kinetic_terms)
+
     def push(self, particles, extents, ordering, variant, scales,
              dst=None) -> None:
         _k.push_blocked(
@@ -433,12 +453,15 @@ _PTR_N, _I64_N, _F64_N = (
 #: ``ckernels.c``'s exported functions: (restype, argtypes)
 _C_SIGNATURES = {
     "interp_rows": (_I64, (_INT, _I64, _I64, _PTR, _PTR, _COLS, _COLS)),
+    "update_v_rows": (_I64, (_INT, _I64, _I64, _PTR, _PTR, _COLS, _COLS,
+                             _F64S)),
     "push": (None, (_INT, _I64, _INT, _INT, _I64S, _F64S, _PTR,
                     _COLS, _COLS, _COLS, _PTR, _COLS, _COLS)),
     "deposit_rows": (_I64, (_INT, _I64, _I64, _COLS, _I64, _PTR, _COLS, _F64)),
     "reduce_rows": (_I64, (_INT, _I64S, _I64, _PTR, _PTR, _PTR)),
     "broadcast_rows": (_I64, (_INT, _I64S, _I64, _PTR, _COLS, _F64S, _PTR)),
     "sort_permutation": (_I64, (_I64, _I64, _PTR, _PTR, _PTR)),
+    "kinetic_terms": (None, (_INT, _I64, _COLS, _F64S, _PTR)),
 }
 
 
@@ -479,14 +502,16 @@ class CBackend(NumpyBackend):
     (:mod:`repro.core.cbuild`) and called through :mod:`ctypes`, which
     releases the GIL for the duration of each call.
 
-    Overrides the redundant-row gather and deposit, the ρ fold and the
-    field broadcast, the push and the sort permutation; the stand-alone
-    kick (one ``np.add``, which measures no slower than a C loop) and
-    any argument that does not :func:`_fits` the C ABI run the
-    inherited NumPy kernels.  The arithmetic is written to
-    NumPy's bits — the same weight products, the same corner fold, no
-    FMA contraction — so everything is bitwise equal to ``numpy`` in
-    both dimensions.
+    Overrides the redundant-row gather, update-v (the gather and the
+    kick in one pass, no N-sized ``e_p`` between them) and the deposit,
+    the ρ fold and the field broadcast, the push, the sort permutation
+    and the kinetic-energy terms; the stand-alone kick (one ``np.add``,
+    which measures no slower than a C loop — the Boris path and the
+    t=0 half-kick call it) and any argument that does not :func:`_fits`
+    the C ABI run the inherited NumPy kernels.  The arithmetic is
+    written to NumPy's bits — the same weight products, the same corner
+    fold, ``v + coef * e`` in NumPy's order, no FMA contraction — so
+    everything is bitwise equal to ``numpy`` in both dimensions.
     """
 
     name = "c"
@@ -537,6 +562,21 @@ class CBackend(NumpyBackend):
         )
         _check_cells(bad, icell, len(e_1d))
         return e_p
+
+    def update_v(self, vs, e_1d, icell, offsets, coefs) -> None:
+        ndim, n = len(offsets), len(icell)
+        d = self._row_offsets(e_1d, ndim << ndim, icell, offsets)
+        v = _columns(vs, np.float64, (n,)) if d is not None else None
+        if (
+            v is None or len(vs) != ndim or len(coefs) != ndim
+            or any(np.ndim(c) for c in coefs)
+        ):
+            return super().update_v(vs, e_1d, icell, offsets, coefs)
+        bad = self._lib.update_v_rows(
+            ndim, n, len(e_1d), e_1d.ctypes.data, icell.ctypes.data, d, v,
+            _F64_N[ndim](*coefs),
+        )
+        _check_cells(bad, icell, len(e_1d))
 
     def accumulate_rows(self, rho_1d, icell, offsets, charge=1.0,
                         corners=None) -> None:
@@ -664,6 +704,20 @@ class CBackend(NumpyBackend):
         )
         if order == _ORDER_OTHER:
             q["icell"][:] = ordering.encode(*coords_out)
+
+    # -- diagnostics ---------------------------------------------------
+    def kinetic_terms(self, vs, scales, out):
+        n = len(out)
+        v = _columns(vs, np.float64, (n,), write=False)
+        if (
+            v is None or not _fits(out, np.float64, (n,))
+            or len(scales) != len(vs) or any(np.ndim(s) for s in scales)
+        ):
+            return super().kinetic_terms(vs, scales, out)
+        self._lib.kinetic_terms(
+            len(vs), n, v, _F64_N[len(vs)](*scales), out.ctypes.data
+        )
+        return out
 
     # -- sort ----------------------------------------------------------
     def counting_sort_permutation(self, keys, ncells):

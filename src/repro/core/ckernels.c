@@ -8,11 +8,15 @@
  *
  *  - weights are left-fold products of (1 - d) / (0 + d) per axis, the
  *    values of Fig. 2's c + s*d tables (0 + d keeps d = -0.0 identical);
- *  - the gather is a left fold in corner order;
+ *  - the gather is a left fold in corner order; update-v adds
+ *    coef * e_p to v, the product skipped when every coef is 1 (as
+ *    NumPy's kick skips it; 1.0 * e is e bit for bit anyway);
  *  - the deposit overwrites its columns: each starts from +0.0 and adds
  *    in particle order — the fold of one np.bincount per corner;
  *  - the rho fold starts every grid point from +0.0 and adds its corner
  *    entries in corner order; the field broadcast is one product;
+ *  - the kinetic-energy terms are a left fold over the axes of
+ *    (v * scale)^2;
  *  - build with -ffp-contract=off: a fused multiply-add rounds once
  *    where NumPy rounds twice.
  *
@@ -20,7 +24,8 @@
  * double -> int64 conversion, no signed overflow, no index outside the
  * arrays.  Functions that index by a cell return -1, or the index of
  * the first particle (grid point) whose cell is outside [0, ncell) —
- * the deposit, the fold and the broadcast check before they write.
+ * update-v, the deposit, the fold and the broadcast check before they
+ * write.
  */
 #include <math.h>
 #include <stdint.h>
@@ -294,6 +299,31 @@ INLINE int64_t interp_loop(const int ndim, int64_t n, int64_t ncell,
     return -1;
 }
 
+/* Fig. 1 line 9 in one pass: the gather above, then v += coef * e per
+ * axis, without the e_p columns in between.  With compile-time `unit`
+ * (every coef is 1, the hoisted loop of section IV-D) the multiply is
+ * not written, as NumPy's kick skips it; otherwise every axis
+ * multiplies, and 1.0 * e is e.  The cells were checked by the
+ * caller. */
+INLINE void update_v_loop(const int ndim, const int unit, int64_t n,
+                          const double *e, const int64_t *icell,
+                          double *const *d, double *const *v,
+                          const double *coef)
+{
+    const int width = ndim << ndim;
+    double cf[MAXDIM];
+    for (int a = 0; a < ndim; a++)
+        cf[a] = coef[a];
+    for (int64_t k = 0; k < n; k++) {
+        double dk[MAXDIM], ek[MAXDIM];
+        for (int a = 0; a < ndim; a++)
+            dk[a] = d[a][k];
+        gather(ndim, e + icell[k] * width, dk, ek);
+        for (int a = 0; a < ndim; a++)
+            v[a][k] = unit ? v[a][k] + ek[a] : v[a][k] + cf[a] * ek[a];
+    }
+}
+
 /* `col[c]` is corner c's column, cell j at col[c][j * stride], or NULL
  * for a corner the caller does not own; every owned column is zeroed
  * over its ncell cells, then folded.  With compile-time `row` the
@@ -498,6 +528,32 @@ int64_t interp_rows(int ndim, int64_t n, int64_t ncell, const double *e,
                      : interp_loop(3, n, ncell, e, icell, d, e_p);
 }
 
+/* Update-v (Fig. 1 line 9, one of the three loops of section IV-A):
+ * v[a][k] += coef[a] * (field along axis a at particle k), in place.
+ * Returns -1, or the first particle whose cell is outside [0, ncell),
+ * before any v is written. */
+int64_t update_v_rows(int ndim, int64_t n, int64_t ncell, const double *e,
+                      const int64_t *icell, double *const *d,
+                      double *const *v, const double *coef)
+{
+    const int64_t bad = first_outside(n, icell, ncell);
+    if (bad >= 0)
+        return bad;
+    int unit = 1;
+    for (int a = 0; a < ndim; a++)
+        unit = unit && coef[a] == 1.0;
+    if (ndim == 2) {
+        if (unit)
+            update_v_loop(2, 1, n, e, icell, d, v, coef);
+        else
+            update_v_loop(2, 0, n, e, icell, d, v, coef);
+    } else if (unit)
+        update_v_loop(3, 1, n, e, icell, d, v, coef);
+    else
+        update_v_loop(3, 0, n, e, icell, d, v, coef);
+    return -1;
+}
+
 /* Fig. 1 line 10 over the population (one of the three loops of
  * section IV-A), from the source columns into the `*_out` ones, which
  * may be the same. */
@@ -613,4 +669,23 @@ int64_t sort_permutation(int64_t n, int64_t ncell, const int64_t *key,
     for (int64_t k = 0; k < n; k++)
         perm[cursor[key[k]]++] = k;
     return -1;
+}
+
+/* The kinetic-energy terms: out[k] = sum over axes of (v[a][k] *
+ * scale[a])^2, a left fold from axis 0; the caller sums out. */
+void kinetic_terms(int ndim, int64_t n, double *const *v,
+                   const double *scale, double *out)
+{
+    double s[MAXDIM];
+    for (int a = 0; a < ndim; a++)
+        s[a] = scale[a];
+    for (int64_t k = 0; k < n; k++) {
+        double t = v[0][k] * s[0];
+        double acc = t * t;
+        for (int a = 1; a < ndim; a++) {
+            t = v[a][k] * s[a];
+            acc += t * t;
+        }
+        out[k] = acc;
+    }
 }

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kernels import blocks
+from repro.core import kernels as _k
 
 __all__ = [
     "field_energy",
@@ -31,32 +31,34 @@ def field_energy(ex: np.ndarray, ey: np.ndarray, cell_area: float, eps0: float =
 
 def kinetic_energy(
     vx: np.ndarray, vy: np.ndarray, weight: float, mass: float = 1.0,
-    scale=(1.0, 1.0), scratch: np.ndarray | None = None,
+    scale=(1.0, 1.0), scratch: np.ndarray | None = None, backend=None,
 ) -> float:
     """Kinetic energy ``(m/2) * w * sum(v^2)`` of the macro-particles.
 
     ``scale`` converts stored velocities to physical ones per axis.
-    The squares are formed block by block into one N-sized array —
-    ``scratch`` when the caller keeps one across steps — and summed in
-    a single ``np.sum`` over it: the values and the reduction of
-    ``sum(square(vx*sx) + square(vy*sy))`` without its five N-sized
-    temporaries.
+    The per-particle terms ``(vx*sx)² + (vy*sy)²`` are written by
+    ``backend.kinetic_terms`` (the NumPy kernel without one) into one
+    N-sized array — ``scratch`` when the caller keeps one across steps
+    — and summed in a single ``np.sum`` over it: the values and the
+    reduction of ``sum(square(vx*sx) + square(vy*sy))`` without its
+    five N-sized temporaries.
     """
-    vx, vy = np.asarray(vx), np.asarray(vy)
-    e = np.empty(len(vx)) if scratch is None else scratch
-    for sl in blocks(len(vx)):
-        np.square(vx[sl] * scale[0], out=e[sl])
-        e[sl] += np.square(vy[sl] * scale[1])
-    return 0.5 * mass * weight * float(np.sum(e))
+    vs = (np.asarray(vx), np.asarray(vy))
+    e = np.empty(len(vs[0])) if scratch is None else scratch
+    terms = _k.kinetic_terms if backend is None else backend.kinetic_terms
+    return 0.5 * mass * weight * float(np.sum(terms(vs, scale, e)))
 
 
 def mode_amplitude(rho: np.ndarray, mode_x: int = 1, mode_y: int = 0) -> float:
     """|FFT coefficient| of a grid quantity at spatial mode (mx, my).
 
     Normalized so a field ``A*cos(k.x)`` returns ``A/2``; used to track
-    the perturbed mode through damping or growth.
+    the perturbed mode through damping or growth.  The row transforms,
+    then the one column transform the mode needs: ``fft2``'s
+    coefficient bit for bit (it transforms axis 1 first, then every
+    column of axis 0), without the other columns.
     """
-    coef = np.fft.fft2(rho)[mode_x, mode_y]
+    coef = np.fft.fft(np.fft.fft(rho, axis=1)[:, mode_y])[mode_x]
     return float(np.abs(coef)) / rho.size
 
 

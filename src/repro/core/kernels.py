@@ -50,6 +50,7 @@ __all__ = [
     "broadcast_rows",
     "interpolate_rows",
     "kick",
+    "kinetic_terms",
     "push_blocked",
     "AXIS_KERNELS",
 ]
@@ -244,6 +245,20 @@ def kick(v, e_p, coef, out=None):
     if np.ndim(coef) != 0 or coef != 1.0:
         e_p = coef * e_p
     np.add(v, e_p, out=v if out is None else out)
+
+
+# ----------------------------------------------------------------------
+# Kinetic-energy terms (the diagnostics' one particle pass)
+# ----------------------------------------------------------------------
+def kinetic_terms(vs, scales, out):
+    """``out = Σ_a (v_a * s_a)²`` per particle, a left fold over the
+    axes, formed block by block without N-sized temporaries; returns
+    ``out``."""
+    for sl in blocks(len(out)):
+        np.square(vs[0][sl] * scales[0], out=out[sl])
+        for v, scale in zip(vs[1:], scales[1:]):
+            out[sl] += np.square(v[sl] * scale)
+    return out
 
 
 # ----------------------------------------------------------------------

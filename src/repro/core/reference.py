@@ -277,7 +277,7 @@ class ReferenceStepper:
 
     def _phase_solve(self) -> None:
         self.rho_grid = self.fields.reduce_rho_to_grid()
-        _, ex, ey = self.solver.solve(self.rho_grid)
+        ex, ey = self.solver.field(self.rho_grid)
         self.ex_grid, self.ey_grid = ex, ey
         self.fields.load_field_from_grid(
             ex * self._field_scale_x, ey * self._field_scale_y

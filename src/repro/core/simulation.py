@@ -202,7 +202,7 @@ class Simulation:
             kinetic_energy(
                 p.vx, p.vy, p.weight, st.m,
                 scale=(st._vel_scale_x, st._vel_scale_y),
-                scratch=self._ke_scratch,
+                scratch=self._ke_scratch, backend=st.backend,
             )
         )
         self.history.mode_amplitude.append(

@@ -186,8 +186,9 @@ class StepLoop:
         )
 
     def _phase_update_v(self) -> None:
-        self.backend.kick(
-            self._columns("v"), self._interpolate(), self._kick_coefs()
+        self.backend.update_v(
+            self._columns("v"), self.fields.e_1d, self.particles.icell,
+            self._columns("d"), self._kick_coefs(),
         )
 
     def _phase_update_x(self) -> None:
@@ -207,7 +208,7 @@ class StepLoop:
         stepper units: ``rho_grid`` and the physical ``e<axis>_grid``
         arrays are what diagnostics and checkpoints read."""
         self.rho_grid = self.backend.reduce_rows(self.fields)
-        _, *e_grid = self.solver.solve(self.rho_grid)
+        e_grid = self.solver.field(self.rho_grid)
         for name, comp in zip(_E_GRID, e_grid):
             setattr(self, name, comp)
         self._load_fields()

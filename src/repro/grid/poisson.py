@@ -39,7 +39,8 @@ class SpectralPoissonSolver:
     """Fourier-method solver (the paper's choice, §II) over ``grid.shape``.
 
     One forward ``rfftn`` of rho gives ``phi_hat = rho_hat / (eps0 k^2)``;
-    phi and every field component are one inverse transform each, the
+    phi and every field component are one inverse transform each
+    (:meth:`field`, which the steppers call, skips phi's), the
     field differentiating ``phi_hat`` directly: ``E_a = -irfftn(i k_a
     phi_hat)``, the exact derivative of phi's Fourier series, with no
     forward transform of phi (docs/verification.md compares it with
@@ -67,14 +68,29 @@ class SpectralPoissonSolver:
         """``(phi, E_x, E_y[, E_z])`` at the grid points; phi has zero
         mean and ``-lap(phi) = (rho - mean) / eps0``."""
         shape = self.grid.shape
+        phi_hat = self._phi_hat(rho)
+        phi = np.fft.irfftn(phi_hat, s=shape, axes=tuple(range(len(shape))))
+        return (phi, *self._gradient(phi_hat))
+
+    def field(self, rho: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``(E_x, E_y[, E_z])`` alone — :meth:`solve` without phi's
+        inverse transform, bit for bit its field."""
+        return self._gradient(self._phi_hat(rho))
+
+    def _phi_hat(self, rho):
+        shape = self.grid.shape
         if rho.shape != shape:
             raise ValueError(f"rho must be {shape}, got {rho.shape}")
         phi_hat = np.fft.rfftn(rho) * self._inv_k2 / self.eps0
         phi_hat[(0,) * len(shape)] = 0.0
+        return phi_hat
+
+    def _gradient(self, phi_hat):
+        """``E = -grad(phi)`` from phi's half spectrum, per axis."""
+        shape = self.grid.shape
         axes = tuple(range(len(shape)))
-        phi = np.fft.irfftn(phi_hat, s=shape, axes=axes)
-        return (phi, *(-np.fft.irfftn(1j * k * phi_hat, s=shape, axes=axes)
-                       for k in self._k))
+        return tuple(-np.fft.irfftn(1j * k * phi_hat, s=shape, axes=axes)
+                     for k in self._k)
 
 
 class JacobiPoissonSolver:

@@ -742,7 +742,7 @@ class MultiprocessBackend(NumpyBackend):
         """The live engine prepared for ``stepper``, if any."""
         return self._engines.get(id(stepper))
 
-    # -- the parent's per-cell loops run on the engine's body
+    # -- the parent's per-cell loops and diagnostics run on the engine's body
     def reduce_rows(self, fields):
         eng = _engine_owning(fields.rho_1d)
         if eng is None:
@@ -754,6 +754,12 @@ class MultiprocessBackend(NumpyBackend):
         if eng is None:
             return super().broadcast_rows(fields, components, scales)
         eng.body.broadcast_rows(fields, components, scales)
+
+    def kinetic_terms(self, vs, scales, out):
+        eng = _engine_owning(*vs)
+        if eng is None:
+            return super().kinetic_terms(vs, scales, out)
+        return eng.body.kinetic_terms(vs, scales, out)
 
     # -- kernel dispatch: the four split-loop kernels
     def interpolate_rows(self, e_1d, icell, offsets, out=None):

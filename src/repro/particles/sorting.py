@@ -7,9 +7,13 @@ the number of particles, a counting (bucket) sort is linear in N.
 
 Two variants mirror §V-B1:
 
-* **out-of-place** — one pass to histogram, one scatter pass into a
-  second buffer; one store per particle but double memory.  The paper
-  measures it twice as fast as in-place and parallelizes it.
+* **out-of-place** — the paper's histogram and one scatter pass into a
+  second buffer, twice the memory; it measures that twice as fast as
+  in-place and parallelizes it.  What runs here is two steps: the
+  counting sort builds an N-sized permutation, then every column
+  (seven with stored cell coordinates) is gathered through it into
+  the second buffer (``np.take``), so each column is read once in
+  permuted order and the permutation once per column.
 * **in-place** — the permutation is applied to the storage's own
   columns, one column at a time: each is gathered (``np.take``) into
   one N-sized scratch array and copied back.  That is not the paper's
@@ -109,7 +113,8 @@ def sort_out_of_place(
     buffer: ParticleStorage | None = None,
     perm_fn=None,
 ) -> ParticleStorage:
-    """Sort by cell index into a second buffer (paper's fast variant).
+    """Sort by cell index into a second buffer (paper's fast variant):
+    the permutation, then one gather per column through it.
 
     Returns the sorted storage (the buffer); callers typically swap the
     two containers each sorting step, exactly like the double-buffered

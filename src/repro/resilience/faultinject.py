@@ -95,6 +95,11 @@ class _KernelTrap:
     def __init__(self, inner, faults):
         self._inner = inner
         self._faults = {f.kernel: f for f in faults}
+        # update-v is the gather and the kick in one call: a trap on
+        # either half fires there too
+        for half in ("interpolate_rows", "kick"):
+            if half in self._faults:
+                self._faults.setdefault("update_v", self._faults[half])
 
     def __getattr__(self, name):
         fault = self._faults.get(name)

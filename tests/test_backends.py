@@ -68,17 +68,18 @@ class TestRegistry:
     def test_registry_lists_exactly_three(self):
         assert known_backend_names() == ("numpy", "c", "numpy-mp")
 
-    def test_surface_is_seven_kernels_three_hooks_seven_adapters(self):
+    def test_surface_is_nine_kernels_three_hooks_seven_adapters(self):
         """What a backend can override is the abstract set — the
-        particle loops over redundant rows and that layout's two
-        per-cell loops; the axis-spelled names the frozen ledger calls
-        are adapters defined once on the base class, and no registered
-        backend overrides one."""
+        particle loops over redundant rows, that layout's two per-cell
+        loops and the kinetic-energy terms; the axis-spelled names the
+        frozen ledger calls are adapters defined once on the base
+        class, and no registered backend overrides one."""
         import repro.core.backends as B
 
         kernels = {
-            "interpolate_rows", "accumulate_rows", "kick", "push",
-            "counting_sort_permutation", "reduce_rows", "broadcast_rows",
+            "interpolate_rows", "accumulate_rows", "kick", "update_v",
+            "push", "counting_sort_permutation", "reduce_rows",
+            "broadcast_rows", "kinetic_terms",
         }
         hooks = {"is_available", "prepare_stepper", "release_stepper"}
         adapters = {

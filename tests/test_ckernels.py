@@ -6,7 +6,8 @@ Three promises, each with its own class:
   ``np.array_equal``, over both dimensions, populations around the NumPy
   block size, all three wraps, every ordering, stored and recomputed
   coordinates, scales 0 / 1 / other and particles several periods
-  outside the box; the ρ fold
+  outside the box; update-v in one loop equals the gather then the
+  kick, every coefficient 1 or not; the ρ fold
   and the field broadcast equal NumPy's byte for byte on every
   ordering, non-square and non-power-of-two grids and NaN / ±inf /
   −0.0 entries; every deposit ignores what its target held.
@@ -171,6 +172,36 @@ class TestEquivalence:
             c.counting_sort_permutation(state.icell, ncell),
             numpy.counting_sort_permutation(state.icell, ncell),
         )
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_update_v_and_kinetic_terms_equal_numpy(self, ndim, n):
+        """Update-v in one C pass has the bits of NumPy's gather then
+        kick — every coef 1 (hoisted), none 1 and mixed — and the
+        kinetic-energy terms those of NumPy's blocked fold, whatever
+        the scratch held."""
+        c, numpy = get_backend("c"), get_backend("numpy")
+        rng = np.random.default_rng(n + ndim)
+        ordering, shape = _ordering(ndim, "morton" if ndim == 2 else "morton-3d")
+        axes = "xyz"[:ndim]
+        state = _population(rng, ndim, n, ordering, shape, True)
+        e_1d = rng.normal(size=(ordering.ncells_allocated, ndim << ndim))
+        offsets = tuple(state["d" + a] for a in axes)
+        vs = tuple(state["v" + a] for a in axes)
+        for coefs in ((1.0,) * ndim, (0.37, -1.9, 0.5)[:ndim],
+                      (1.0, -0.5, 1.0)[:ndim]):
+            got, want, two_pass = ([v.copy() for v in vs] for _ in range(3))
+            c.update_v(got, e_1d, state.icell, offsets, coefs)
+            numpy.update_v(want, e_1d, state.icell, offsets, coefs)
+            numpy.kick(two_pass,
+                       numpy.interpolate_rows(e_1d, state.icell, offsets), coefs)
+            for g, w, t in zip(got, want, two_pass):
+                assert g.tobytes() == w.tobytes() == t.tobytes(), coefs
+
+        for scales in ((1.0,) * ndim, (0.37, 1.9, 3e-3)[:ndim]):
+            got = c.kinetic_terms(vs, scales, np.full(n, np.nan))
+            want = numpy.kinetic_terms(vs, scales, np.full(n, np.nan))
+            assert got.tobytes() == want.tobytes(), scales
 
     @pytest.mark.parametrize("stored", [True, False], ids=["stored", "recomputed"])
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -391,6 +422,30 @@ class TestDefinedOnEveryInput:
             np.testing.assert_array_equal(p[name], q[name], err_msg=name)
             np.testing.assert_array_equal(staged[name], q[name], err_msg=name)
 
+    def test_update_v_and_kinetic_terms_of_non_finite_inputs(self):
+        """NaN, ±inf and beyond-int64 offsets and velocities carry
+        through update-v and the kinetic-energy terms with NumPy's
+        bits; neither converts a double to an integer."""
+        c, numpy = get_backend("c"), get_backend("numpy")
+        p, ordering, _shape = self._poisoned()
+        p.dx[8 : 8 + len(self.BAD)] = self.BAD
+        p.dy[: len(self.BAD)] = self.BAD
+        rng = np.random.default_rng(1)
+        e_1d = rng.normal(size=(ordering.ncells_allocated, 8))
+        for coefs in ((1.0, 1.0), (0.5, -2.0)):
+            got, want = ([p.vx.copy(), p.vy.copy()] for _ in range(2))
+            c.update_v(got, e_1d, p.icell, (p.dx, p.dy), coefs)
+            with np.errstate(all="ignore"):
+                numpy.update_v(want, e_1d, p.icell, (p.dx, p.dy), coefs)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes(), coefs
+            assert np.isnan(got[0][8]) and np.isnan(got[1][0])
+        with np.errstate(all="ignore"):
+            want = numpy.kinetic_terms((p.vx, p.vy), (2.0, 0.5), np.empty(p.n))
+        got = c.kinetic_terms((p.vx, p.vy), (2.0, 0.5), np.empty(p.n))
+        assert got.tobytes() == want.tobytes()
+        assert np.isnan(got[0]) and got[1] == got[2] == np.inf
+
     def test_guard_trips_at_the_same_step_as_numpy(self):
         def failures(backend):
             grid = GridSpec(16, 16, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
@@ -416,12 +471,18 @@ class TestDefinedOnEveryInput:
         d = (rng.random(n), rng.random(n))
         rho = rng.normal(size=(ncell, 4))
         before = rho.copy()
+        vs = (rng.normal(size=n), rng.normal(size=n))
+        v_before = b"".join(v.tobytes() for v in vs)
         for bad in (ncell, -1, np.iinfo(np.int64).min):
             icell[37] = bad
             for corners in (None, [1, 2]):
                 with pytest.raises(IndexError, match="particle 37"):
                     c.accumulate_rows(rho, icell, d, 1.0, corners=corners)
                 assert np.array_equal(rho, before)
+            for coefs in ((1.0, 1.0), (0.5, 2.0)):
+                with pytest.raises(IndexError, match="particle 37"):
+                    c.update_v(vs, rng.normal(size=(ncell, 8)), icell, d, coefs)
+                assert b"".join(v.tobytes() for v in vs) == v_before
             with pytest.raises(IndexError, match="particle 37"):
                 c.interpolate_rows(rng.normal(size=(ncell, 8)), icell, d)
             with pytest.raises(ValueError, match="keys out of range"):
@@ -529,6 +590,10 @@ class TestDefinedOnEveryInput:
             for g, w in zip(c.interpolate_rows(*args),
                             numpy.interpolate_rows(*args)):
                 assert np.array_equal(g, w)
+            vc, vn = ([dy.copy(), frozen.copy()] for _ in range(2))
+            c.update_v(vc, *args, (0.5, 1.0))
+            numpy.update_v(vn, *args, (0.5, 1.0))
+            assert np.array_equal(vc, vn)
 
     def test_bad_variant_and_extent_raise_like_numpy(self):
         p, ordering, shape = self._poisoned()

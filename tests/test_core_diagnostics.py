@@ -55,6 +55,29 @@ class TestModeAmplitude:
     def test_constant_field_zero_in_nonzero_mode(self):
         assert mode_amplitude(np.ones((16, 16)), 1, 0) == 0.0
 
+    @pytest.mark.parametrize("shape", [(32, 8), (32, 16), (16, 24), (64, 64),
+                                       (128, 128), (512, 512)])
+    def test_one_column_transform_is_fft2s_coefficient(self, shape, rng):
+        """The row transforms and one column transform give ``fft2``'s
+        coefficient bit for bit (``rfftn``'s would not), over the golden
+        cases' 32x8 grid and the ledger's 128² and 512²."""
+        for _ in range(4):
+            rho = rng.standard_normal(shape)
+            for mx, my in ((1, 0), (0, 1), (2, 1)):
+                want = float(np.abs(np.fft.fft2(rho)[mx, my])) / rho.size
+                assert mode_amplitude(rho, mx, my) == want
+
+    def test_golden_runs_record_fft2s_coefficient(self):
+        """The six golden cases' ρ at t=0, on the golden grid."""
+        from repro.verify.golden import _CASES, _build_simulation
+
+        for name, params in _CASES.items():
+            with _build_simulation(params, "numpy") as sim:
+                rho = sim.stepper.rho_grid
+                for mx, my in ((1, 0), (0, 1), (2, 1)):
+                    want = float(np.abs(np.fft.fft2(rho)[mx, my])) / rho.size
+                    assert mode_amplitude(rho, mx, my) == want, (name, mx, my)
+
 
 class TestEnvelopeAndFits:
     def _damped_series(self, gamma, omega=1.4, t_end=30.0, dt=0.05):

@@ -69,6 +69,21 @@ class TestSpectralSolver:
         for ka, ea in zip(k, e):
             np.testing.assert_allclose(ea, ka * np.sin(phase) / k2, atol=1e-14)
 
+    @pytest.mark.parametrize("shape", [(32, 16), (16, 8, 4)], ids=["2d", "3d"])
+    def test_field_is_solve_without_phi(self, shape, rng):
+        """``field`` — what the steppers call — is ``solve``'s field bit
+        for bit, and refuses a wrong shape the same way."""
+        grid = (GridSpec if len(shape) == 2 else GridSpec3D)(*shape)
+        solver = SpectralPoissonSolver(grid, eps0=0.7)
+        rho = rng.standard_normal(shape)
+        want = solver.solve(rho)[1:]
+        got = solver.field(rho)
+        assert len(got) == len(shape)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        with pytest.raises(ValueError):
+            solver.field(np.zeros((8, 8)))
+
     def test_mean_mode_projected_out(self, grid, rng):
         rho = rng.random((32, 32))
         phi = potential(grid, rho)

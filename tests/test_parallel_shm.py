@@ -160,6 +160,37 @@ class TestBitwiseEquivalence:
             b.run(N_STEPS)
             _assert_bitwise_equal(_state(a), _state(b))
 
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_update_v_runs_on_the_workers(self, ndim, monkeypatch):
+        """Update-v is one backend call, and under ``numpy-mp`` both of
+        its halves, the gather and the kick, still go to the pool every
+        step — not a loop in the parent — with serial ``c``'s bits after
+        25 steps."""
+        serial = "c" if CBackend.is_available() else "numpy"
+        with _make_sim("numpy-mp", 2, ndim=ndim) as mp, \
+                _make_sim(serial, ndim=ndim) as ref:
+            eng = _engine(mp)
+            ops, run = [], eng._run
+
+            def counted(phase, op, *args):
+                ops.append((phase, op))
+                return run(phase, op, *args)
+
+            monkeypatch.setattr(eng, "_run", counted)
+            busy = 0.0
+            for _ in range(25):
+                ops.clear()
+                mp.run(1)
+                assert ops.count(("update_v", "interp")) == 1, ops
+                assert ops.count(("update_v", "kick")) == 1, ops
+                now = sum(per["update_v"]
+                          for per in mp.timings.worker_phases.values())
+                assert now > busy
+                busy = now
+            assert mp.timings.fallbacks == 0
+            ref.run(25)
+            _assert_bitwise_equal(_state(ref), _state(mp))
+
     def test_worker_phase_timings_recorded(self):
         with _make_sim("numpy-mp", 2) as mp:
             mp.run(2)
