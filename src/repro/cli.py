@@ -698,7 +698,8 @@ def _cmd_info(_args) -> int:
             how = "compiled by this process" if info.compiled else "cache hit"
             print(f"c kernels: {info.cc or 'no compiler on PATH'}"
                   f" [{version}] {' '.join(info.flags)}\n"
-                  f"           {info.path} ({how}, {1e3 * info.seconds:.0f} ms)")
+                  f"           {info.path} ({how}, {1e3 * info.seconds:.0f} ms)\n"
+                  f"           clone: {info.isa}")
     ncpu = os.cpu_count() or 1
     # the engine gives its workers the kernels "auto" resolves to
     mp = (f"available, workers run {get_backend().name}"

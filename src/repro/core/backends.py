@@ -462,6 +462,7 @@ _C_SIGNATURES = {
     "broadcast_rows": (_I64, (_INT, _I64S, _I64, _PTR, _COLS, _F64S, _PTR)),
     "sort_permutation": (_I64, (_I64, _I64, _PTR, _PTR, _PTR)),
     "kinetic_terms": (None, (_INT, _I64, _COLS, _F64S, _PTR)),
+    "kernel_isa": (ctypes.c_char_p, ()),
 }
 
 
@@ -497,10 +498,13 @@ def _check_cells(bad, icell, ncell, what="particle") -> None:
 
 @register_backend
 class CBackend(NumpyBackend):
-    """The scalar C99 loops of ``ckernels.c`` — the rendering the paper
-    times — compiled by the host ``cc`` at first use
-    (:mod:`repro.core.cbuild`) and called through :mod:`ctypes`, which
-    releases the GIL for the duration of each call.
+    """The C99 loops of ``ckernels.c`` — the rendering the paper times —
+    compiled by the host ``cc`` at first use (:mod:`repro.core.cbuild`)
+    and called through :mod:`ctypes`, which releases the GIL for the
+    duration of each call.  On x86-64 the push, update-v, the deposit
+    and the kinetic-energy terms are built twice, for the baseline and
+    for AVX-512 (x86-64-v4), and the loader binds the clone the host
+    runs (``build_info.isa``); both give the same bits.
 
     Overrides the redundant-row gather, update-v (the gather and the
     kick in one pass, no N-sized ``e_p`` between them) and the deposit,
@@ -688,8 +692,10 @@ class CBackend(NumpyBackend):
             coords = [p["i" + a] for a in axes]
             coords_out = [q["i" + a] for a in axes]
         elif order not in (_ORDER_ROW_MAJOR, _ORDER_COLUMN_MAJOR):
-            coords = coords_out = [np.ascontiguousarray(c, dtype=np.int64)
-                                   for c in ordering.decode(icell)]
+            coords = [np.ascontiguousarray(c, dtype=np.int64)
+                      for c in ordering.decode(icell)]
+            # a staged push writes outputs apart from every source
+            coords_out = coords if q is p else [np.empty_like(c) for c in coords]
         if coords is not None:
             icoord = _columns(coords, np.int64, (n,))
             icoord_out = (icoord if coords_out is coords

@@ -5,8 +5,12 @@ into a per-user cache directory and reused by every later process;
 nothing is ever written into the source tree.  The flags are fixed:
 ``-ffp-contract=off`` is what keeps the kernels bitwise equal to NumPy
 (no fused multiply-add), ``-ffast-math`` is never passed for the same
-reason, and there is no ``-march=native`` — it measured no gain, and
-the cache may outlive the host it was built on.
+reason, and there is still no ``-march=native``: the cache may outlive
+the host it was built on.  Instead the hot loops carry GCC's
+``target_clones`` — one baseline x86-64 and one x86-64-v4 (AVX-512)
+body of the same statement — and the dynamic loader's ifunc resolver
+picks between them each time the object is loaded, so one cached object
+serves any host; :attr:`BuildInfo.isa` names the clone it picked.
 
 A cache hit runs no child process, which is why the compiler is
 identified by its binary (resolved path, size, mtime), not by
@@ -51,6 +55,9 @@ class BuildInfo:
     path: Path
     compiled: bool  #: this call ran the compiler (else: cache hit)
     seconds: float  #: compile + load time of this call
+    #: the clone of the hot loops the loader bound: ``"x86-64-v4"``,
+    #: ``"default"``, or ``"single"`` for an object built without clones
+    isa: str
 
 
 def find_compiler() -> str | None:
@@ -159,8 +166,11 @@ def load(extra_flags=()):
         lib = ctypes.CDLL(str(path))
     except OSError as exc:
         raise BuildError(f"cannot load {path}: {exc}") from exc
-    info = BuildInfo(cc, flags, path, compiled, time.perf_counter() - t0)
+    lib.kernel_isa.restype = ctypes.c_char_p
+    info = BuildInfo(cc, flags, path, compiled, time.perf_counter() - t0,
+                     lib.kernel_isa().decode())
     if compiled:
-        _log.info("compiled the C kernels with %s [%s] in %.2f s -> %s",
-                  cc, compiler_version(cc), info.seconds, path)
+        _log.info("compiled the C kernels with %s [%s] in %.2f s -> %s "
+                  "(clone: %s)", cc, compiler_version(cc), info.seconds, path,
+                  info.isa)
     return lib, info

@@ -1,5 +1,7 @@
 /* The paper's particle loops (Fig. 1 lines 9-11, Fig. 2) and the two
- * per-cell loops its redundant layout adds (section II), scalar C99.
+ * per-cell loops its redundant layout adds (section II), in C99 that
+ * GCC vectorizes where section IV says it should (the CLONES macro
+ * below).
  *
  * One statement of every hot kernel over the redundant [ncell][2^ndim]
  * rows, ndim in {2, 3}; built by repro/core/cbuild.py, called through
@@ -18,7 +20,9 @@
  *  - the kinetic-energy terms are a left fold over the axes of
  *    (v * scale)^2;
  *  - build with -ffp-contract=off: a fused multiply-add rounds once
- *    where NumPy rounds twice.
+ *    where NumPy rounds twice.  A vector lane runs the same operations
+ *    in the same order as the scalar statement, so vectorizing moves
+ *    no bit.
  *
  * Every function is defined on every input: no out-of-range
  * double -> int64 conversion, no signed overflow, no index outside the
@@ -28,67 +32,103 @@
  * write.
  */
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 
 #define MAXDIM 3
 #define MAXCORNER 8
 
 /* The loops below are written once over ndim (and the push over the
- * wrap variant) and instantiated by inlining with constant arguments;
- * without the attribute the compiler may keep one general copy. */
+ * wrap variant, the ordering and its argument form) and instantiated by
+ * inlining with constant arguments; without the attribute the compiler
+ * may keep one general copy. */
 #if defined(__GNUC__)
 #define INLINE static inline __attribute__((always_inline))
 #else
 #define INLINE static inline
 #endif
 
+/* The hot entry points (update-v, the bitwise push, the deposit, the
+ * kinetic-energy terms) are compiled twice from the one statement:
+ * for the x86-64 baseline and for x86-64-v4 (AVX-512 F/BW/CD/DQ/VL),
+ * and the dynamic loader's ifunc resolver binds the clone the host
+ * runs, so one cached object serves every host.  AVX2 alone would not
+ * vectorize the push: converting int64 to double (and back) needs
+ * AVX-512DQ.  Neither clone contracts or reassociates (-ffp-contract=off,
+ * no -ffast-math): both give the same bits.  Off x86-64, without glibc
+ * (no ifunc), before GCC 12 (no arch=x86-64-v4 clones) and under
+ * -DCKERNELS_NO_CLONES (the tests build the baseline alone with it, to
+ * compare the two), CLONES is empty and there is one body. */
+#if !defined(CKERNELS_NO_CLONES) && defined(__x86_64__) && defined(__GLIBC__) \
+    && defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12 \
+    && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define CKERNELS_CLONED 1
+#define CLONES __attribute__((target_clones("default", "arch=x86-64-v4")))
+#endif
+#endif
+#ifndef CLONES
+#define CLONES
+#endif
+
 enum { WRAP_BRANCH, WRAP_MODULO, WRAP_BITWISE };
 enum { ORDER_OTHER, ORDER_ROW_MAJOR, ORDER_COLUMN_MAJOR, ORDER_MORTON };
 
 /* ------------------------------------------------------------------ */
-/* CiC weights (Fig. 2): corner c takes d along the axes whose bit is
- * set, 1 - d along the others; axis 0 owns the most significant bit. */
-INLINE void weights(const int ndim, const double *d, double *w)
+/* CiC weights (Fig. 2) of one particle at offsets (d0, d1[, d2]):
+ * corner c takes d along the axes whose bit is set, 1 - d along the
+ * others; axis 0 owns the most significant bit.  C's a * b * c is the
+ * left fold over the axes. */
+INLINE void weights(const int ndim, double d0, double d1, double d2,
+                    double *w)
 {
-    double lo[MAXDIM], hi[MAXDIM];
-    for (int a = 0; a < ndim; a++) {
-        lo[a] = 1.0 - d[a];
-        hi[a] = 0.0 + d[a];
-    }
-    for (int c = 0; c < 1 << ndim; c++) {
-        double p = (c >> (ndim - 1)) & 1 ? hi[0] : lo[0];
-        for (int a = 1; a < ndim; a++)
-            p *= (c >> (ndim - 1 - a)) & 1 ? hi[a] : lo[a];
-        w[c] = p;
+    const double lo0 = 1.0 - d0, hi0 = 0.0 + d0;
+    const double lo1 = 1.0 - d1, hi1 = 0.0 + d1;
+    if (ndim == 2) {
+        w[0] = lo0 * lo1;
+        w[1] = lo0 * hi1;
+        w[2] = hi0 * lo1;
+        w[3] = hi0 * hi1;
+    } else {
+        const double lo2 = 1.0 - d2, hi2 = 0.0 + d2;
+        w[0] = lo0 * lo1 * lo2;
+        w[1] = lo0 * lo1 * hi2;
+        w[2] = lo0 * hi1 * lo2;
+        w[3] = lo0 * hi1 * hi2;
+        w[4] = hi0 * lo1 * lo2;
+        w[5] = hi0 * lo1 * hi2;
+        w[6] = hi0 * hi1 * lo2;
+        w[7] = hi0 * hi1 * hi2;
     }
 }
 
-/* Field at one particle from its row e[ndim][ncorner] (Fig. 1 line 9,
- * the gather half): per axis, a left fold over the corners. */
-INLINE void gather(const int ndim, const double *row, const double *d,
-                          double *e_p)
+/* One axis of the field at a particle from its nc corner values
+ * e[at .. at + nc) (Fig. 1 line 9, the gather half): a left fold over
+ * the corners.  Indexed from `e` itself, not from a row pointer, so
+ * that a vectorized loop can load each corner as one gather. */
+INLINE double gather(const int nc, const double *e, int64_t at,
+                     const double *w)
 {
-    const int nc = 1 << ndim;
-    double w[MAXCORNER];
-    weights(ndim, d, w);
-    for (int a = 0; a < ndim; a++) {
-        double acc = w[0] * row[a * nc];
-        for (int c = 1; c < nc; c++)
-            acc += w[c] * row[a * nc + c];
-        e_p[a] = acc;
-    }
+    double acc = w[0] * e[at];
+    for (int c = 1; c < nc; c++)
+        acc += w[c] * e[at + c];
+    return acc;
 }
 
 /* ------------------------------------------------------------------ */
 /* The three periodic wraps of one axis (paper section IV-C).
  *
  * x86's cvttsd2si returns INT64_MIN for NaN and anything outside
- * int64; in C that conversion is undefined, so it is spelled out.
- * With it a non-finite x comes back as a non-finite offset, exactly as
- * from NumPy on x86, and the supervisor's finite guard sees it. */
+ * int64; in C that conversion is undefined, so it is spelled out —
+ * as two selects around an unconditional conversion of a value known
+ * to be in range, which the vectorizer turns into masks.  With it a
+ * non-finite x comes back as a non-finite offset, exactly as from
+ * NumPy on x86, and the supervisor's finite guard sees it. */
 INLINE int64_t to_int64(double x)
 {
-    return fabs(x) < 0x1p63 ? (int64_t)x : INT64_MIN;
+    const int fits = fabs(x) < 0x1p63;
+    const int64_t t = (int64_t)(fits ? x : 0.0);
+    return fits ? t : INT64_MIN;
 }
 
 /* np.mod(x, nc) for nc > 0: the sign follows nc, a zero is +0.0 */
@@ -100,31 +140,33 @@ INLINE double floored_mod(double x, double nc)
     return 0.0;
 }
 
-INLINE void wrap(const int variant, double x, int64_t nc,
-                        int64_t *icoord, double *offset)
+/* Returns the wrapped coordinate, and its offset through `offset`.
+ * Only the bitwise wrap is free of branches and calls, so only it
+ * vectorizes; the other two call fmod. */
+INLINE int64_t wrap(const int variant, double x, int64_t nc, double *offset)
 {
     if (variant == WRAP_BITWISE) {
         /* floor(x) = (int)x - (x < 0); mod = & (nc - 1), nc = 2^k */
-        uint64_t fx = (uint64_t)to_int64(x) - (uint64_t)(x < 0.0);
-        *icoord = (int64_t)(fx & (uint64_t)(nc - 1));
+        const uint64_t fx = (uint64_t)to_int64(x) - (uint64_t)(x < 0.0);
         *offset = x - (double)(int64_t)fx;
-    } else if (variant == WRAP_MODULO) {
-        double fx = floor(x);
-        *icoord = to_int64(floored_mod(fx, (double)nc));
-        *offset = x - fx;
-    } else {
-        if (x < 0.0 || x >= (double)nc)
-            x = floored_mod(x, (double)nc);
-        double fx = floor(x);
-        int64_t i = to_int64(fx);
-        if (i == nc) { /* the float modulo rounded up to nc itself */
-            i = 0;
-            fx = 0.0;
-            x = 0.0;
-        }
-        *icoord = i;
-        *offset = x - fx;
+        return (int64_t)(fx & (uint64_t)(nc - 1));
     }
+    if (variant == WRAP_MODULO) {
+        const double fx = floor(x);
+        *offset = x - fx;
+        return to_int64(floored_mod(fx, (double)nc));
+    }
+    if (x < 0.0 || x >= (double)nc)
+        x = floored_mod(x, (double)nc);
+    double fx = floor(x);
+    int64_t i = to_int64(fx);
+    if (i == nc) { /* the float modulo rounded up to nc itself */
+        i = 0;
+        fx = 0.0;
+        x = 0.0;
+    }
+    *offset = x - fx;
+    return i;
 }
 
 /* ------------------------------------------------------------------ */
@@ -132,7 +174,46 @@ INLINE void wrap(const int variant, double x, int64_t nc,
  * picks because they inline here: scan orders, and Morton by
  * shift-and-mask dilation (Raman & Wise; no lookup table).  Unsigned
  * throughout, so coordinates of a non-finite position wrap instead of
- * overflowing. */
+ * overflowing.  Everything that depends only on the extents is worked
+ * out once per call, into a `curve`. */
+typedef struct {
+    uint64_t extent[MAXDIM];
+    /* Morton: the low `shared` bits of every axis interleave (mask);
+     * an axis longer than the shortest appends its 16 bits above
+     * `shared` at surplus_shift, where surplus_mask is 0xFFFF (0 for
+     * the other axes) */
+    int shared;
+    uint64_t mask, surplus_mask[MAXDIM];
+    int surplus_shift[MAXDIM];
+} curve;
+
+static curve make_curve(int ndim, const int64_t *extent)
+{
+    curve k;
+    int log2_extent[MAXDIM];
+    for (int a = 0; a < MAXDIM; a++) {
+        k.extent[a] = a < ndim ? (uint64_t)extent[a] : 1;
+        log2_extent[a] = 0;
+        while (a < ndim && log2_extent[a] < 31
+               && ((int64_t)2 << log2_extent[a]) <= extent[a])
+            log2_extent[a]++;
+    }
+    k.shared = log2_extent[0];
+    for (int a = 1; a < ndim; a++)
+        if (log2_extent[a] < k.shared)
+            k.shared = log2_extent[a];
+    k.mask = ((uint64_t)1 << k.shared) - 1;
+    int shift = ndim * k.shared;
+    for (int a = 0; a < MAXDIM; a++) {
+        const int surplus = a < ndim && log2_extent[a] > k.shared;
+        k.surplus_mask[a] = surplus ? 0xFFFF : 0;
+        k.surplus_shift[a] = surplus ? shift : 0;
+        if (surplus)
+            shift += log2_extent[a] - k.shared;
+    }
+    return k;
+}
+
 INLINE uint64_t dilate(const int ndim, uint64_t x)
 {
     if (ndim == 2) { /* a 16-bit value in each 32-bit half */
@@ -152,54 +233,46 @@ INLINE uint64_t dilate(const int ndim, uint64_t x)
     return x;
 }
 
-INLINE int64_t encode(const int ndim, const int order,
-                             const int64_t *extent, const int *log2_extent,
-                             const int64_t *icoord)
+INLINE int64_t encode(const int ndim, const int order, const curve *k,
+                      int64_t i0, int64_t i1, int64_t i2)
 {
-    uint64_t code = 0;
+    const uint64_t u0 = (uint64_t)i0, u1 = (uint64_t)i1, u2 = (uint64_t)i2;
+    uint64_t code;
     if (order == ORDER_ROW_MAJOR) {
-        for (int a = 0; a < ndim; a++)
-            code = code * (uint64_t)extent[a] + (uint64_t)icoord[a];
+        code = u0 * k->extent[1] + u1;
+        if (ndim == 3)
+            code = code * k->extent[2] + u2;
     } else if (order == ORDER_COLUMN_MAJOR) {
-        for (int a = ndim - 1; a >= 0; a--)
-            code = code * (uint64_t)extent[a] + (uint64_t)icoord[a];
+        code = ndim == 3 ? u2 * k->extent[1] + u1 : u1;
+        code = code * k->extent[0] + u0;
     } else {
-        /* the low `shared` bits of every axis interleave (last axis
-         * least significant); longer axes append their surplus above */
-        int shared = log2_extent[0];
-        for (int a = 1; a < ndim; a++)
-            if (log2_extent[a] < shared)
-                shared = log2_extent[a];
-        const uint64_t mask = ((uint64_t)1 << shared) - 1;
-        int shift = ndim * shared;
+        /* the last axis least significant */
         if (ndim == 2) { /* both axes in one dilation: 1 ns a particle */
-            const uint64_t t = dilate(2, ((uint64_t)icoord[0] & mask) << 32
-                                             | ((uint64_t)icoord[1] & mask));
+            const uint64_t t = dilate(2, (u0 & k->mask) << 32 | (u1 & k->mask));
             code = ((t >> 31) | t) & 0xFFFFFFFF;
         } else
-            for (int a = 0; a < ndim; a++)
-                code |= dilate(ndim, (uint64_t)icoord[a] & mask)
-                        << (ndim - 1 - a);
-        for (int a = 0; a < ndim; a++)
-            if (log2_extent[a] > shared) {
-                code |= (((uint64_t)icoord[a] >> shared) & 0xFFFF) << shift;
-                shift += log2_extent[a] - shared;
-            }
+            code = dilate(3, u0 & k->mask) << 2 | dilate(3, u1 & k->mask) << 1
+                   | dilate(3, u2 & k->mask);
+        code |= ((u0 >> k->shared) & k->surplus_mask[0]) << k->surplus_shift[0];
+        code |= ((u1 >> k->shared) & k->surplus_mask[1]) << k->surplus_shift[1];
+        if (ndim == 3)
+            code |= ((u2 >> k->shared) & k->surplus_mask[2])
+                    << k->surplus_shift[2];
     }
     return (int64_t)code;
 }
 
 /* Scan orders decode in one division per axis, so their coordinates
- * are recomputed rather than stored (section IV-B). */
-INLINE void decode_scan(const int ndim, const int order,
-                               const int64_t *extent, int64_t icell,
-                               int64_t *icoord)
+ * are recomputed rather than stored (section IV-B).  Integer division
+ * has no vector form: this path stays scalar. */
+INLINE void decode_scan(const int ndim, const int order, const curve *k,
+                        int64_t icell, int64_t *icoord)
 {
     uint64_t rest = (uint64_t)icell;
-    for (int k = 0; k < ndim; k++) {
-        const int a = order == ORDER_ROW_MAJOR ? ndim - 1 - k : k;
-        icoord[a] = (int64_t)(rest % (uint64_t)extent[a]);
-        rest /= (uint64_t)extent[a];
+    for (int j = 0; j < ndim; j++) {
+        const int a = order == ORDER_ROW_MAJOR ? ndim - 1 - j : j;
+        icoord[a] = (int64_t)(rest % k->extent[a]);
+        rest /= k->extent[a];
     }
 }
 
@@ -207,76 +280,154 @@ INLINE void decode_scan(const int ndim, const int order,
 /* One pass of the position update over the population.  `d`, `v`,
  * `icoord` are arrays of ndim column pointers; `icoord` is NULL when the
  * coordinates are not stored (scan orders only).  The sweep reads the
- * source columns and writes the `*_out` ones: the same pointers update
- * in place, others stage the result elsewhere (the numpy-mp back
- * buffer).  A particle's inputs are all read before any of its outputs
- * is written, so either is safe. */
+ * source columns and writes the `*_out` ones: either every output is
+ * its source column (in place) or none is (the numpy-mp back buffer
+ * stages the result elsewhere). */
 typedef struct {
-    int variant, order;
+    int order;
     int64_t n;
-    const double *scale;
-    int64_t extent[MAXDIM];
-    int log2_extent[MAXDIM];
-    const int64_t *icell;
-    double *const *d, *const *v;
-    int64_t *const *icoord;
-    int64_t *icell_out;
-    double *const *d_out;
-    int64_t *const *icoord_out;
-} sweep_args;
+    double scale[MAXDIM];
+    curve k;
+    int64_t *icell, *icell_out;
+    double *d[MAXDIM], *v[MAXDIM], *d_out[MAXDIM];
+    int64_t *icoord[MAXDIM], *icoord_out[MAXDIM];
+} push_args;
 
-/* The loop, over compile-time `ndim`, `variant` and `stored`: push()
- * below instantiates every combination, so that each runs without a
- * per-particle dispatch (a third faster than one loop that tests
- * them). */
-INLINE void sweep_loop(const int ndim, const int variant, const int stored,
-                       const sweep_args *s)
+/* The loop, over compile-time `ndim`, `variant`, `order`, `stored` and
+ * `staged`: push() below instantiates every combination, so that each
+ * runs without a per-particle dispatch.  Every column is a restrict
+ * parameter (GCC honours restrict on parameters, not on locals loaded
+ * from the column arrays): in place, each column is read and written
+ * through one pointer and the `*o` outputs are NULL; staged, the
+ * outputs are distinct arrays.  Particles are independent, so the
+ * bitwise wrap vectorizes across them. */
+INLINE void push_loop(const int ndim, const int variant, const int order,
+                      const int stored, const int staged, int64_t n,
+                      const curve *curv, const double *scale,
+                      int64_t *restrict cell, double *restrict d0,
+                      double *restrict d1, double *restrict d2,
+                      const double *restrict v0, const double *restrict v1,
+                      const double *restrict v2, int64_t *restrict i0s,
+                      int64_t *restrict i1s, int64_t *restrict i2s,
+                      int64_t *restrict cello, double *restrict d0o,
+                      double *restrict d1o, double *restrict d2o,
+                      int64_t *restrict i0o, int64_t *restrict i1o,
+                      int64_t *restrict i2o)
 {
-    for (int64_t k = 0; k < s->n; k++) {
-        int64_t i[MAXDIM];
-        double dk[MAXDIM], vk[MAXDIM];
-        for (int a = 0; a < ndim; a++) {
-            dk[a] = s->d[a][k];
-            vk[a] = s->v[a][k];
+    const curve k = *curv;
+    const int64_t nc0 = (int64_t)k.extent[0], nc1 = (int64_t)k.extent[1],
+                  nc2 = (int64_t)k.extent[2];
+    const double sc0 = scale[0], sc1 = scale[1], sc2 = scale[2];
+    for (int64_t j = 0; j < n; j++) { /* cvec: push */
+        int64_t i0, i1, i2 = 0;
+        if (stored) {
+            i0 = i0s[j];
+            i1 = i1s[j];
+            if (ndim == 3)
+                i2 = i2s[j];
+        } else {
+            int64_t i[MAXDIM];
+            decode_scan(ndim, order, &k, cell[j], i);
+            i0 = i[0];
+            i1 = i[1];
+            i2 = i[ndim - 1];
         }
         /* Fig. 1 line 10: x = i + d + scale * v per axis, wrapped */
-        if (stored)
-            for (int a = 0; a < ndim; a++)
-                i[a] = s->icoord[a][k];
-        else
-            decode_scan(ndim, s->order, s->extent, s->icell[k], i);
-        for (int a = 0; a < ndim; a++) {
-            double x = (double)i[a] + dk[a] + s->scale[a] * vk[a];
-            wrap(variant, x, s->extent[a], &i[a], &s->d_out[a][k]);
-            if (stored)
-                s->icoord_out[a][k] = i[a];
+        double o0, o1, o2 = 0.0;
+        i0 = wrap(variant, (double)i0 + d0[j] + sc0 * v0[j], nc0, &o0);
+        i1 = wrap(variant, (double)i1 + d1[j] + sc1 * v1[j], nc1, &o1);
+        if (ndim == 3)
+            i2 = wrap(variant, (double)i2 + d2[j] + sc2 * v2[j], nc2, &o2);
+        const int64_t c = encode(ndim, order, &k, i0, i1, i2);
+        if (staged) {
+            d0o[j] = o0;
+            d1o[j] = o1;
+            if (ndim == 3)
+                d2o[j] = o2;
+            if (stored) {
+                i0o[j] = i0;
+                i1o[j] = i1;
+                if (ndim == 3)
+                    i2o[j] = i2;
+            }
+            if (order != ORDER_OTHER)
+                cello[j] = c;
+        } else {
+            d0[j] = o0;
+            d1[j] = o1;
+            if (ndim == 3)
+                d2[j] = o2;
+            if (stored) {
+                i0s[j] = i0;
+                i1s[j] = i1;
+                if (ndim == 3)
+                    i2s[j] = i2;
+            }
+            if (order != ORDER_OTHER)
+                cell[j] = c;
         }
-        if (s->order != ORDER_OTHER)
-            s->icell_out[k] = encode(ndim, s->order, s->extent, s->log2_extent, i);
     }
 }
 
-INLINE void sweep_variant(const int ndim, const int variant,
-                          const sweep_args *s)
+INLINE void push_staged(const int ndim, const int variant, const int order,
+                        const int stored, const push_args *s)
 {
-    if (s->icoord)
-        sweep_loop(ndim, variant, 1, s);
+    int64_t *const *i = s->icoord, *const *io = s->icoord_out;
+    double *const *o = s->d_out;
+    if (o[0] == s->d[0])
+        push_loop(ndim, variant, order, stored, 0, s->n, &s->k, s->scale,
+                  s->icell, s->d[0], s->d[1], s->d[2], s->v[0], s->v[1],
+                  s->v[2], i[0], i[1], i[2], NULL, NULL, NULL, NULL, NULL,
+                  NULL, NULL);
     else
-        sweep_loop(ndim, variant, 0, s);
+        push_loop(ndim, variant, order, stored, 1, s->n, &s->k, s->scale,
+                  s->icell, s->d[0], s->d[1], s->d[2], s->v[0], s->v[1],
+                  s->v[2], i[0], i[1], i[2], s->icell_out, o[0], o[1], o[2],
+                  io[0], io[1], io[2]);
 }
 
-INLINE void sweep_ndim(const int ndim, const sweep_args *s)
+/* Coordinates are stored for every order but the scan orders, which
+ * decode them (a NULL `icoord` with any other order decodes and
+ * encodes column-major). */
+INLINE void push_order(const int ndim, const int variant, const int order,
+                       const push_args *s)
 {
-    switch (s->variant) {
-    case WRAP_BRANCH:
-        sweep_variant(ndim, WRAP_BRANCH, s);
-        break;
-    case WRAP_MODULO:
-        sweep_variant(ndim, WRAP_MODULO, s);
-        break;
-    default:
-        sweep_variant(ndim, WRAP_BITWISE, s);
-    }
+    if (!s->icoord[0]) {
+        if (order == ORDER_ROW_MAJOR)
+            push_staged(ndim, variant, ORDER_ROW_MAJOR, 0, s);
+        else
+            push_staged(ndim, variant, ORDER_COLUMN_MAJOR, 0, s);
+    } else if (order == ORDER_ROW_MAJOR)
+        push_staged(ndim, variant, ORDER_ROW_MAJOR, 1, s);
+    else if (order == ORDER_COLUMN_MAJOR)
+        push_staged(ndim, variant, ORDER_COLUMN_MAJOR, 1, s);
+    else if (order == ORDER_MORTON)
+        push_staged(ndim, variant, ORDER_MORTON, 1, s);
+    else
+        push_staged(ndim, variant, ORDER_OTHER, 1, s);
+}
+
+/* The bitwise wrap is the one that vectorizes (the other two call
+ * fmod), so it alone is cloned. */
+static CLONES void push_bitwise(const int ndim, const push_args *s)
+{
+    if (ndim == 2)
+        push_order(2, WRAP_BITWISE, s->order, s);
+    else
+        push_order(3, WRAP_BITWISE, s->order, s);
+}
+
+static void push_fmod(const int ndim, const int variant, const push_args *s)
+{
+    if (ndim == 2) {
+        if (variant == WRAP_BRANCH)
+            push_order(2, WRAP_BRANCH, s->order, s);
+        else
+            push_order(2, WRAP_MODULO, s->order, s);
+    } else if (variant == WRAP_BRANCH)
+        push_order(3, WRAP_BRANCH, s->order, s);
+    else
+        push_order(3, WRAP_MODULO, s->order, s);
 }
 
 /* ------------------------------------------------------------------ */
@@ -285,16 +436,14 @@ INLINE int64_t interp_loop(const int ndim, int64_t n, int64_t ncell,
                            const double *e, const int64_t *icell,
                            double *const *d, double *const *e_p)
 {
-    const int width = ndim << ndim;
+    const int nc = 1 << ndim, width = ndim << ndim;
     for (int64_t k = 0; k < n; k++) {
-        double dk[MAXDIM], ek[MAXDIM];
+        double w[MAXCORNER];
         if ((uint64_t)icell[k] >= (uint64_t)ncell)
             return k;
+        weights(ndim, d[0][k], d[1][k], d[ndim - 1][k], w);
         for (int a = 0; a < ndim; a++)
-            dk[a] = d[a][k];
-        gather(ndim, e + icell[k] * width, dk, ek);
-        for (int a = 0; a < ndim; a++)
-            e_p[a][k] = ek[a];
+            e_p[a][k] = gather(nc, e, icell[k] * width + a * nc, w);
     }
     return -1;
 }
@@ -304,63 +453,83 @@ INLINE int64_t interp_loop(const int ndim, int64_t n, int64_t ncell,
  * (every coef is 1, the hoisted loop of section IV-D) the multiply is
  * not written, as NumPy's kick skips it; otherwise every axis
  * multiplies, and 1.0 * e is e.  The cells were checked by the
- * caller. */
+ * caller.  Particles are independent: the loop vectorizes across them,
+ * each corner value one gather. */
 INLINE void update_v_loop(const int ndim, const int unit, int64_t n,
-                          const double *e, const int64_t *icell,
-                          double *const *d, double *const *v,
+                          const double *restrict rows,
+                          const int64_t *restrict cell,
+                          const double *restrict d0, const double *restrict d1,
+                          const double *restrict d2, double *restrict v0,
+                          double *restrict v1, double *restrict v2,
                           const double *coef)
 {
-    const int width = ndim << ndim;
-    double cf[MAXDIM];
-    for (int a = 0; a < ndim; a++)
-        cf[a] = coef[a];
-    for (int64_t k = 0; k < n; k++) {
-        double dk[MAXDIM], ek[MAXDIM];
-        for (int a = 0; a < ndim; a++)
-            dk[a] = d[a][k];
-        gather(ndim, e + icell[k] * width, dk, ek);
-        for (int a = 0; a < ndim; a++)
-            v[a][k] = unit ? v[a][k] + ek[a] : v[a][k] + cf[a] * ek[a];
+    const int nc = 1 << ndim, width = ndim << ndim;
+    const double c0 = coef[0], c1 = coef[1], c2 = coef[ndim - 1];
+    for (int64_t k = 0; k < n; k++) { /* cvec: update-v */
+        double w[MAXCORNER];
+        weights(ndim, d0[k], d1[k], d2[k], w);
+        const int64_t at = cell[k] * width;
+        const double e0 = gather(nc, rows, at, w),
+                     e1 = gather(nc, rows, at + nc, w);
+        v0[k] = unit ? v0[k] + e0 : v0[k] + c0 * e0;
+        v1[k] = unit ? v1[k] + e1 : v1[k] + c1 * e1;
+        if (ndim == 3) {
+            const double e2 = gather(nc, rows, at + 2 * nc, w);
+            v2[k] = unit ? v2[k] + e2 : v2[k] + c2 * e2;
+        }
     }
 }
 
 /* `col[c]` is corner c's column, cell j at col[c][j * stride], or NULL
  * for a corner the caller does not own; every owned column is zeroed
- * over its ncell cells, then folded.  With compile-time `row` the
- * columns are known to be one [ncell][ncorner] array, so a particle
- * adds one contiguous row (8 % faster in 2D than four columns).  ndim
- * must be a constant too: with a run-time ndim the loop measured five
- * times slower.  The cells were checked by the caller. */
-INLINE void deposit_loop(const int ndim, const int row, int64_t n,
-                         int64_t ncell, double *const *col, int64_t stride,
-                         const int64_t *icell, double *const *d,
-                         double charge)
+ * over its ncell cells, then folded.  ndim must be a constant: with a
+ * run-time ndim the loop measured five times slower.  The cells were
+ * checked by the caller. */
+INLINE void deposit_columns(const int ndim, int64_t n, int64_t ncell,
+                            double *const *col, int64_t stride,
+                            const int64_t *icell, double *const *d,
+                            double charge)
 {
     const int nc = 1 << ndim;
     double *cp[MAXCORNER];
     for (int c = 0; c < nc; c++)
         cp[c] = col[c];
-    if (row)
-        for (int64_t j = 0; j < ncell * nc; j++)
-            cp[0][j] = 0.0;
-    else
+    for (int c = 0; c < nc; c++)
+        if (cp[c])
+            for (int64_t j = 0; j < ncell; j++)
+                cp[c][j * stride] = 0.0;
+    for (int64_t k = 0; k < n; k++) {
+        double w[MAXCORNER];
+        weights(ndim, d[0][k], d[1][k], d[ndim - 1][k], w);
         for (int c = 0; c < nc; c++)
             if (cp[c])
-                for (int64_t j = 0; j < ncell; j++)
-                    cp[c][j * stride] = 0.0;
+                cp[c][icell[k] * stride] += w[c] * charge;
+    }
+}
+
+/* The columns of one [ncell][ncorner] array: each particle adds one
+ * contiguous row.  Two particles may share a cell, so the loop is not
+ * vectorized across particles; the row add is, across one particle's
+ * 4 (2D) or 8 (3D) corners. */
+INLINE void deposit_row(const int ndim, int64_t n, int64_t ncell,
+                        double *restrict rho, const int64_t *restrict cell,
+                        const double *restrict d0, const double *restrict d1,
+                        const double *restrict d2, double charge)
+{
+    const int nc = 1 << ndim;
+    for (int64_t j = 0; j < ncell * nc; j++)
+        rho[j] = 0.0;
     for (int64_t k = 0; k < n; k++) {
-        double dk[MAXDIM], w[MAXCORNER];
-        for (int a = 0; a < ndim; a++)
-            dk[a] = d[a][k];
-        weights(ndim, dk, w);
-        if (row) {
-            double *r = cp[0] + icell[k] * nc;
-            for (int c = 0; c < nc; c++)
-                r[c] += w[c] * charge;
-        } else
-            for (int c = 0; c < nc; c++)
-                if (cp[c])
-                    cp[c][icell[k] * stride] += w[c] * charge;
+        double w[MAXCORNER];
+        weights(ndim, d0[k], d1[k], d2[k], w);
+        /* summed into a copy, then stored: written as row[c] +=, GCC
+         * cannot tell the corners' addresses apart and adds them one by
+         * one */
+        double *row = rho + cell[k] * nc, sum[MAXCORNER];
+        for (int c = 0; c < nc; c++)
+            sum[c] = row[c] + w[c] * charge;
+        for (int c = 0; c < nc; c++)
+            row[c] = sum[c]; /* cvec: deposit row add */
     }
 }
 
@@ -532,9 +701,10 @@ int64_t interp_rows(int ndim, int64_t n, int64_t ncell, const double *e,
  * v[a][k] += coef[a] * (field along axis a at particle k), in place.
  * Returns -1, or the first particle whose cell is outside [0, ncell),
  * before any v is written. */
-int64_t update_v_rows(int ndim, int64_t n, int64_t ncell, const double *e,
-                      const int64_t *icell, double *const *d,
-                      double *const *v, const double *coef)
+CLONES int64_t update_v_rows(int ndim, int64_t n, int64_t ncell,
+                             const double *e, const int64_t *icell,
+                             double *const *d, double *const *v,
+                             const double *coef)
 {
     const int64_t bad = first_outside(n, icell, ncell);
     if (bad >= 0)
@@ -542,42 +712,47 @@ int64_t update_v_rows(int ndim, int64_t n, int64_t ncell, const double *e,
     int unit = 1;
     for (int a = 0; a < ndim; a++)
         unit = unit && coef[a] == 1.0;
+    double *const d2 = d[ndim - 1], *const v2 = v[ndim - 1];
     if (ndim == 2) {
         if (unit)
-            update_v_loop(2, 1, n, e, icell, d, v, coef);
+            update_v_loop(2, 1, n, e, icell, d[0], d[1], d2, v[0], v[1], v2, coef);
         else
-            update_v_loop(2, 0, n, e, icell, d, v, coef);
+            update_v_loop(2, 0, n, e, icell, d[0], d[1], d2, v[0], v[1], v2, coef);
     } else if (unit)
-        update_v_loop(3, 1, n, e, icell, d, v, coef);
+        update_v_loop(3, 1, n, e, icell, d[0], d[1], d2, v[0], v[1], v2, coef);
     else
-        update_v_loop(3, 0, n, e, icell, d, v, coef);
+        update_v_loop(3, 0, n, e, icell, d[0], d[1], d2, v[0], v[1], v2, coef);
     return -1;
 }
 
 /* Fig. 1 line 10 over the population (one of the three loops of
- * section IV-A), from the source columns into the `*_out` ones, which
- * may be the same. */
-void push(int ndim, int64_t n, int variant, int order, const int64_t *extent,
-          const double *scale, const int64_t *icell, double *const *d,
-          double *const *v, int64_t *const *icoord, int64_t *icell_out,
-          double *const *d_out, int64_t *const *icoord_out)
+ * section IV-A), from the source columns into the `*_out` ones: all of
+ * them the sources themselves, or none. */
+void push(int ndim, int64_t n, int variant, int order,
+                 const int64_t *extent, const double *scale,
+                 const int64_t *icell, double *const *d, double *const *v,
+                 int64_t *const *icoord, int64_t *icell_out,
+                 double *const *d_out, int64_t *const *icoord_out)
 {
-    sweep_args s;
-    s.variant = variant, s.order = order;
-    s.n = n, s.scale = scale;
-    s.icell = icell, s.d = d, s.v = v, s.icoord = icoord;
-    s.icell_out = icell_out, s.d_out = d_out, s.icoord_out = icoord_out;
-    for (int a = 0; a < ndim; a++) {
-        s.extent[a] = extent[a];
-        s.log2_extent[a] = 0;
-        while (s.log2_extent[a] < 31
-               && ((int64_t)2 << s.log2_extent[a]) <= extent[a])
-            s.log2_extent[a]++;
+    push_args s;
+    s.order = order;
+    s.n = n;
+    s.k = make_curve(ndim, extent);
+    s.icell = (int64_t *)icell; /* written only when it is icell_out */
+    s.icell_out = icell_out;
+    for (int a = 0; a < MAXDIM; a++) {
+        const int on = a < ndim;
+        s.scale[a] = on ? scale[a] : 0.0;
+        s.d[a] = on ? d[a] : NULL;
+        s.v[a] = on ? v[a] : NULL;
+        s.d_out[a] = on ? d_out[a] : NULL;
+        s.icoord[a] = on && icoord ? icoord[a] : NULL;
+        s.icoord_out[a] = on && icoord ? icoord_out[a] : NULL;
     }
-    if (ndim == 2)
-        sweep_ndim(2, &s);
+    if (variant == WRAP_BRANCH || variant == WRAP_MODULO)
+        push_fmod(ndim, variant, &s);
     else
-        sweep_ndim(3, &s);
+        push_bitwise(ndim, &s);
 }
 
 /* Fig. 1 line 11 / Fig. 2 (bottom), into 1 << ndim column pointers
@@ -585,9 +760,10 @@ void push(int ndim, int64_t n, int variant, int order, const int64_t *extent,
  * owned column is overwritten with its fold — rho = sum, not rho += sum.
  * The columns of one row-major [ncell][ncorner] array give each
  * particle one contiguous row. */
-int64_t deposit_rows(int ndim, int64_t n, int64_t ncell, double *const *col,
-                     int64_t stride, const int64_t *icell, double *const *d,
-                     double charge)
+CLONES int64_t deposit_rows(int ndim, int64_t n, int64_t ncell,
+                            double *const *col, int64_t stride,
+                            const int64_t *icell, double *const *d,
+                            double charge)
 {
     const int nc = 1 << ndim;
     const int64_t bad = first_outside(n, icell, ncell);
@@ -599,13 +775,13 @@ int64_t deposit_rows(int ndim, int64_t n, int64_t ncell, double *const *col,
                          == (uintptr_t)col[0] + c * sizeof(double);
     if (ndim == 2) {
         if (row)
-            deposit_loop(2, 1, n, ncell, col, stride, icell, d, charge);
+            deposit_row(2, n, ncell, col[0], icell, d[0], d[1], d[1], charge);
         else
-            deposit_loop(2, 0, n, ncell, col, stride, icell, d, charge);
+            deposit_columns(2, n, ncell, col, stride, icell, d, charge);
     } else if (row)
-        deposit_loop(3, 1, n, ncell, col, stride, icell, d, charge);
+        deposit_row(3, n, ncell, col[0], icell, d[0], d[1], d[2], charge);
     else
-        deposit_loop(3, 0, n, ncell, col, stride, icell, d, charge);
+        deposit_columns(3, n, ncell, col, stride, icell, d, charge);
     return -1;
 }
 
@@ -673,19 +849,40 @@ int64_t sort_permutation(int64_t n, int64_t ncell, const int64_t *key,
 
 /* The kinetic-energy terms: out[k] = sum over axes of (v[a][k] *
  * scale[a])^2, a left fold from axis 0; the caller sums out. */
-void kinetic_terms(int ndim, int64_t n, double *const *v,
-                   const double *scale, double *out)
+INLINE void kinetic_loop(const int ndim, int64_t n, const double *restrict v0,
+                         const double *restrict v1, const double *restrict v2,
+                         const double *scale, double *restrict out)
 {
-    double s[MAXDIM];
-    for (int a = 0; a < ndim; a++)
-        s[a] = scale[a];
-    for (int64_t k = 0; k < n; k++) {
-        double t = v[0][k] * s[0];
-        double acc = t * t;
-        for (int a = 1; a < ndim; a++) {
-            t = v[a][k] * s[a];
-            acc += t * t;
+    const double s0 = scale[0], s1 = scale[1], s2 = scale[ndim - 1];
+    for (int64_t k = 0; k < n; k++) { /* cvec: kinetic terms */
+        const double t0 = v0[k] * s0, t1 = v1[k] * s1;
+        double acc = t0 * t0 + t1 * t1;
+        if (ndim == 3) {
+            const double t2 = v2[k] * s2;
+            acc += t2 * t2;
         }
         out[k] = acc;
     }
+}
+
+CLONES void kinetic_terms(int ndim, int64_t n, double *const *v,
+                          const double *scale, double *out)
+{
+    if (ndim == 2)
+        kinetic_loop(2, n, v[0], v[1], v[1], scale, out);
+    else
+        kinetic_loop(3, n, v[0], v[1], v[2], scale, out);
+}
+
+/* The clone of the hot entry points the loader bound: "x86-64-v4" or
+ * "default", by the test GCC's resolver makes, or "single" when this
+ * object was built without clones. */
+const char *kernel_isa(void)
+{
+#ifdef CKERNELS_CLONED
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("x86-64-v4") ? "x86-64-v4" : "default";
+#else
+    return "single";
+#endif
 }

@@ -123,8 +123,16 @@ class ParticleStorage(abc.ABC):
         dst = out if out is not None else self.clone_empty()
         if not isinstance(dst, ParticleStorage):
             raise TypeError(f"out must be a {type(self).__name__}")
+        perm = np.asarray(perm)
+        # the range is checked once, before any column is written; then
+        # mode="wrap" takes straight into `out`, where NumPy's default
+        # mode="raise" first takes into a buffer and copies that over
+        if perm.size and (perm.min() < -self.n or perm.max() >= self.n):
+            bad = perm[(perm < -self.n) | (perm >= self.n)].flat[0]
+            raise IndexError(f"index {bad} is out of bounds for axis 0 "
+                             f"with size {self.n}")
         for name, arr in self._columns.items():
-            np.take(arr, perm, out=dst[name])
+            np.take(arr, perm, out=dst[name], mode="wrap")
         return dst
 
     @abc.abstractmethod

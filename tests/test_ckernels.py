@@ -14,8 +14,11 @@ Three promises, each with its own class:
 * **Defined on every input** — non-finite positions, cell indices
   outside the grid (of a particle or of the grid loops' cell map),
   empty and one-particle populations, columns that do not fit the C
-  ABI.  ``tools/c_sanitize_gate.py`` runs the first two classes against
-  a ``-fsanitize=undefined`` build.
+  ABI.  ``tools/c_sanitize_gate.py`` runs these two classes and the
+  next against a ``-fsanitize=undefined`` build.
+* **One statement, two clones** — the object built without
+  ``target_clones`` (the baseline body every host without AVX-512 runs)
+  gives the same bytes as the one this host loads, kernel by kernel.
 * **The build** — concurrent builders, a refused cache directory, a
   failing compiler, an object that does not load, cache hits.
 """
@@ -53,7 +56,11 @@ needs_cc = pytest.mark.skipif(
     not CBackend.is_available(), reason="no C compiler"
 )
 
-SIZES = [0, 1, BLOCK - 1, 2 * BLOCK + 17]
+#: around the vector width of the x86-64-v4 clone (8 doubles) and its
+#: unroll, so that every vector body meets each remainder its epilogue
+#: handles
+LANES = [7, 8, 9, 15, 16, 17, 63, 64, 65]
+SIZES = [0, 1, *LANES, BLOCK - 1, 2 * BLOCK + 17]
 VARIANTS = ["branch", "modulo", "bitwise"]
 #: (ndim, ordering label) — every 2D curve of the registry, both 3D
 #: ones (labelled ``-3d``: the same classes over three extents)
@@ -80,6 +87,9 @@ GRIDS = [
     (2, "hilbert", (16, 16), {}), (3, "row-major-3d", (12, 8, 20), {}),
     (3, "morton-3d", (8, 4, 16), {}),
 ]
+
+#: the inputs no double -> int64 conversion may meet unguarded
+BAD = (np.nan, np.inf, -np.inf, 1e300, -1e300, 2.0**63, -(2.0**63))
 
 #: the values a fold or a broadcast must carry with NumPy's bits
 SPECIAL = (np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -1e308)
@@ -119,6 +129,15 @@ def _copy(p):
     q = ParticleSoA(p.n, p.weight, p.store_coords, p.ndim)
     q.set_state(**p.as_dict())
     return q
+
+
+def _poison(cols, bad=BAD):
+    """Every third entry of each column one of ``bad`` (cycled, and
+    shifted per column so that the poisons meet and miss each other)."""
+    for j, col in enumerate(cols):
+        picks = np.resize(np.roll(bad, j), len(col[j % 3::3]))
+        col[j % 3::3] = picks
+    return cols
 
 
 def _assert_same(p, q, what):
@@ -376,16 +395,14 @@ def test_exports_are_the_signature_table():
 # ----------------------------------------------------------------------
 @needs_cc
 class TestDefinedOnEveryInput:
-    BAD = [np.nan, np.inf, -np.inf, 1e300, -1e300, 2.0**63, -(2.0**63)]
-
     def _poisoned(self, stored=True):
         rng = np.random.default_rng(0)
         ordering, shape = _ordering(2, "morton")
         p = _population(rng, 2, 64, ordering, shape, stored)
         p.vx[:] = rng.normal(size=64)
         p.vy[:] = rng.normal(size=64)
-        p.vx[: len(self.BAD)] = self.BAD
-        p.vy[8 : 8 + len(self.BAD)] = self.BAD
+        p.vx[: len(BAD)] = BAD
+        p.vy[8 : 8 + len(BAD)] = BAD
         return p, ordering, shape
 
     def test_bitwise_push_of_non_finite_positions(self):
@@ -428,8 +445,8 @@ class TestDefinedOnEveryInput:
         bits; neither converts a double to an integer."""
         c, numpy = get_backend("c"), get_backend("numpy")
         p, ordering, _shape = self._poisoned()
-        p.dx[8 : 8 + len(self.BAD)] = self.BAD
-        p.dy[: len(self.BAD)] = self.BAD
+        p.dx[8 : 8 + len(BAD)] = BAD
+        p.dy[: len(BAD)] = BAD
         rng = np.random.default_rng(1)
         e_1d = rng.normal(size=(ordering.ncells_allocated, 8))
         for coefs in ((1.0, 1.0), (0.5, -2.0)):
@@ -445,6 +462,50 @@ class TestDefinedOnEveryInput:
         got = c.kinetic_terms((p.vx, p.vy), (2.0, 0.5), np.empty(p.n))
         assert got.tobytes() == want.tobytes()
         assert np.isnan(got[0]) and got[1] == got[2] == np.inf
+
+    @pytest.mark.parametrize("n", LANES)
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_non_finite_inputs_at_lane_remainders(self, ndim, n):
+        """Populations around the vector width, a third of every offset
+        and velocity column poisoned: every wrap of the push (in place
+        and staged), update-v and the kinetic-energy terms keep NumPy's
+        bits through the vector bodies and their epilogues."""
+        c, numpy = get_backend("c"), get_backend("numpy")
+        rng = np.random.default_rng(n)
+        ordering, shape = _ordering(ndim, "morton" if ndim == 2 else "morton-3d")
+        axes = "xyz"[:ndim]
+        p = _population(rng, ndim, n, ordering, shape, True)
+        _poison([p["v" + a] for a in axes])
+        scales = (1.0, 0.37, 1.9)[:ndim]
+        for variant in VARIANTS:
+            q, r, src = _copy(p), _copy(p), _copy(p)
+            staged = {k: np.empty_like(src[k]) for k in src.keys() if k[0] != "v"}
+            c.push(q, shape, ordering, variant, scales)
+            c.push(src, shape, ordering, variant, scales, dst=staged)
+            with warnings.catch_warnings():
+                warnings.filterwarnings("error", message=".*encountered in cast")
+                warnings.filterwarnings(
+                    "ignore", message=".*encountered in (remainder|subtract|add)")
+                numpy.push(r, shape, ordering, variant, scales)
+            for k in r.keys():
+                assert q[k].tobytes() == r[k].tobytes(), (variant, k)
+                if k in staged:
+                    assert staged[k].tobytes() == r[k].tobytes(), (variant, k)
+
+        offsets = _poison([p["d" + a].copy() for a in axes])
+        vs = [p["v" + a] for a in axes]
+        e_1d = rng.normal(size=(ordering.ncells_allocated, ndim << ndim))
+        for coefs in ((1.0,) * ndim, (0.5, -2.0, 3.0)[:ndim]):
+            got, want = ([v.copy() for v in vs] for _ in range(2))
+            c.update_v(got, e_1d, p.icell, offsets, coefs)
+            with np.errstate(all="ignore"):
+                numpy.update_v(want, e_1d, p.icell, offsets, coefs)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes(), coefs
+        with np.errstate(all="ignore"):
+            want = numpy.kinetic_terms(vs, (2.0, 0.5, 3.0)[:ndim], np.empty(n))
+        got = c.kinetic_terms(vs, (2.0, 0.5, 3.0)[:ndim], np.empty(n))
+        assert got.tobytes() == want.tobytes()
 
     def test_guard_trips_at_the_same_step_as_numpy(self):
         def failures(backend):
@@ -602,6 +663,101 @@ class TestDefinedOnEveryInput:
             c.push(p, shape, ordering, "no-such-wrap", (1.0, 1.0))
         with pytest.raises(ValueError, match="power-of-two"):
             c.push(p, (12, 8), ordering, "bitwise", (1.0, 1.0))
+
+
+# ----------------------------------------------------------------------
+# One statement, two clones
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def baseline():
+    """``ckernels.c`` built without clones — the baseline body alone —
+    with the extra flags the ``c`` instance of this process carries
+    (the sanitize gate's, under ``make csan``)."""
+    extra = get_backend("c").build_info.flags[len(cbuild.FLAGS):]
+    return CBackend(extra_flags=(*extra, "-DCKERNELS_NO_CLONES"))
+
+
+@needs_cc
+class TestClones:
+    def test_build_info_names_the_clone(self, baseline):
+        assert baseline.build_info.isa == "single"
+        assert get_backend("c").build_info.isa in ("x86-64-v4", "default", "single")
+
+    @pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
+    @pytest.mark.parametrize("n", [*LANES, 2 * BLOCK + 17])
+    @pytest.mark.parametrize("ndim,curve", CURVES)
+    def test_every_kernel_has_the_bits_of_the_baseline_build(
+        self, baseline, ndim, curve, n
+    ):
+        """Push (every wrap, stored and recomputed coordinates, in place
+        and staged), update-v (unit and other coefficients), the
+        deposit (rows and columns), the gather, the kinetic-energy
+        terms, the sort and the grid loops: byte for byte the baseline
+        build's, on populations poisoned with NaN, ±inf and
+        beyond-int64 values."""
+        c = get_backend("c")
+        rng = np.random.default_rng(n + ndim)
+        ordering, shape = _ordering(ndim, curve)
+        axes = "xyz"[:ndim]
+        ncell = ordering.ncells_allocated
+        e_1d = rng.normal(size=(ncell, ndim << ndim))
+        scales = (0.37, 1.9, 0.5)[:ndim]
+        for stored in (True, False):
+            state = _population(rng, ndim, n, ordering, shape, stored)
+            _poison([state["v" + a] for a in axes])
+            for variant in VARIANTS:
+                pushed = []
+                for b in (c, baseline):
+                    p, src = _copy(state), _copy(state)
+                    b.push(p, shape, ordering, variant, scales)
+                    staged = {k: np.empty_like(src[k]) for k in src.keys()
+                              if k[0] != "v"}
+                    b.push(src, shape, ordering, variant, scales, dst=staged)
+                    pushed.append((p, staged))
+                (p, staged), (q, staged_q) = pushed
+                for k in p.keys():
+                    assert p[k].tobytes() == q[k].tobytes(), (variant, stored, k)
+                for k, a in staged.items():
+                    assert a.tobytes() == staged_q[k].tobytes(), (variant, stored, k)
+
+        state = _population(rng, ndim, n, ordering, shape, True)
+        offsets = tuple(state["d" + a] for a in axes)
+        vs = _poison([state["v" + a].copy() for a in axes])
+        got = {}
+        for b in (c, baseline):
+            out = got.setdefault(b.build_info.isa, [])
+            for coefs in ((1.0,) * ndim, (0.37, -1.9, 0.5)[:ndim]):
+                v = [a.copy() for a in vs]
+                b.update_v(v, e_1d, state.icell, offsets, coefs)
+                out += v
+            out += b.interpolate_rows(e_1d, state.icell, offsets)
+            rho = np.full((ncell, 1 << ndim), np.nan)
+            b.accumulate_rows(rho, state.icell, offsets, -0.37)
+            slab = np.full((1 << ndim, ncell), np.nan)
+            b.accumulate_rows(slab.T, state.icell, offsets, 0.5, corners=[0, 1])
+            out += [rho, slab]
+            out.append(b.kinetic_terms(vs, (0.37, 1.9, 3e-3)[:ndim], np.empty(n)))
+            out.append(b.counting_sort_permutation(state.icell, ncell))
+        want, have = got.values()
+        assert len(want) == len(have)
+        for i, (g, w) in enumerate(zip(want, have)):
+            assert g.tobytes() == w.tobytes(), i
+
+    @pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
+    @pytest.mark.parametrize("ndim,curve,shape,kw", GRIDS)
+    def test_grid_loops_have_the_bits_of_the_baseline_build(
+        self, baseline, ndim, curve, shape, kw
+    ):
+        rng = np.random.default_rng(ndim)
+        fc, fb = (_fields(ndim, curve, shape, kw, b)
+                  for b in (get_backend("c"), baseline))
+        fc.rho_1d[...] = fb.rho_1d[...] = _with_specials(
+            rng.normal(size=fc.rho_1d.shape))
+        assert fc.reduce_rho_to_grid().tobytes() == fb.reduce_rho_to_grid().tobytes()
+        comps = [_with_specials(rng.normal(size=shape)) for _ in shape]
+        fc.body.broadcast_rows(fc, comps, (-0.37, 2.5, 1e-3)[:ndim])
+        fb.body.broadcast_rows(fb, comps, (-0.37, 2.5, 1e-3)[:ndim])
+        assert fc.e_1d.tobytes() == fb.e_1d.tobytes()
 
 
 # ----------------------------------------------------------------------

@@ -69,6 +69,26 @@ class TestCommonBehaviour:
         assert out is buf
         np.testing.assert_array_equal(np.asarray(buf.vy), state["vy"][::-1])
 
+    @pytest.mark.parametrize("bad", [100, 10**12, -101])
+    def test_reorder_out_of_range_raises_before_writing(self, storage, rng, bad):
+        """A permutation entry outside ``[-n, n)`` raises NumPy's
+        ``IndexError`` and leaves every column of ``out`` as it was;
+        in-range negative entries count from the end, as in NumPy."""
+        state = fill(storage, rng)
+        buf = storage.clone_empty()
+        fill(buf, rng)
+        before = buf.as_dict()
+        perm = rng.permutation(storage.n)
+        perm[57] = bad
+        with pytest.raises(IndexError, match=f"index {bad} is out of bounds"):
+            storage.reorder(perm, out=buf)
+        for k, v in before.items():
+            np.testing.assert_array_equal(buf[k], v)
+        perm[57] = -1
+        storage.reorder(perm, out=buf)
+        for k, v in state.items():
+            np.testing.assert_array_equal(buf[k], np.take(v, perm))
+
     def test_reorder_rejects_wrong_buffer_type(self, storage):
         other = storage.clone_empty().as_dict()  # a plain mapping
         with pytest.raises(TypeError):

@@ -7,10 +7,12 @@ Two checks on the one foreign-code file the engine loads:
 * built with ``-fsanitize=undefined,float-cast-overflow
   -fno-sanitize-recover`` — through the builder's own ``extra_flags``
   argument, into a throw-away cache directory — it passes the
-  kernel-equivalence and every-input classes of
+  kernel-equivalence, every-input and clone classes of
   ``tests/test_ckernels.py`` (all wraps, orderings and population
-  sizes; NaN, ±inf and beyond-int64 positions; cells outside the grid)
-  with zero sanitizer reports.  The first report aborts the child.
+  sizes, the vector widths' remainders among them; NaN, ±inf and
+  beyond-int64 positions; cells outside the grid; the x86-64-v4 clone
+  this host binds against the baseline body, both sanitized) with zero
+  sanitizer reports.  The first report aborts the child.
 
 Prints ``gate-status: csan ran``, or ``skipped(no cc)`` /
 ``skipped(no libubsan)`` where the check cannot run.  Wired into
@@ -42,7 +44,7 @@ except B.BackendUnavailableError as exc:
     sys.exit({NO_SANITIZER})
 sys.exit(pytest.main(["-q", "-x", "-p", "no:cacheprovider",
                       "tests/test_ckernels.py", "-k",
-                      "TestEquivalence or TestDefinedOnEveryInput"]))
+                      "TestEquivalence or TestDefinedOnEveryInput or TestClones"]))
 """
 
 
