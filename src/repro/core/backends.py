@@ -7,7 +7,7 @@ execution strategy as a named **backend** rather than hard-wiring one:
 * ``"numpy"`` — the cache-blocked NumPy array kernels of
   :mod:`repro.core.kernels` (the Python rendering of the paper's
   auto-vectorized C loops).  Always available.
-* ``"c"`` — the scalar C99 loops of ``ckernels.c``, the rendering the
+* ``"c"`` — the C99 loops of ``ckernels.c``, the rendering the
   paper itself times: compiled with the host ``cc`` at first use,
   cached per user, loaded through :mod:`ctypes`.  Bitwise equal to
   ``"numpy"`` in both dimensions.  Usable wherever a C compiler is on
@@ -15,10 +15,11 @@ execution strategy as a named **backend** rather than hard-wiring one:
 * ``"auto"`` — the selection policy: the highest-priority backend
   that is available (``c`` first, then ``numpy``).
 
-Every backend implements the same nine kernels (:class:`KernelBackend`)
-— six particle loops over the redundant rows of any dimension, the two
-per-cell loops of that layout (ρ fold and field broadcast) and the
-kinetic-energy terms of the diagnostics — and
+Every backend implements the same ten kernels (:class:`KernelBackend`)
+— seven particle loops over the redundant rows of any dimension (one of
+them :meth:`~KernelBackend.advance`, update-v then the push as one
+pass), the two per-cell loops of that layout (ρ fold and field
+broadcast) and the kinetic-energy terms of the diagnostics — and
 all backends must produce identical physics; the
 cross-backend equivalence suite (``tests/test_backends.py``) checks
 each registered backend against the scalar oracles.
@@ -40,6 +41,7 @@ from __future__ import annotations
 import abc
 import ctypes
 import logging
+import time
 
 import numpy as np
 
@@ -93,12 +95,12 @@ class KernelBackend(abc.ABC):
     """One execution strategy for the PIC inner loops.
 
     The abstract methods are the whole overridable surface, and what
-    the steppers call: six particle loops over the redundant
+    the steppers call: seven particle loops over the redundant
     ``[ncell][2^ndim]`` rows, written over tuples of per-axis arrays so
     one method serves 2D and 3D, the two per-cell loops between those
     rows and the grid points the solver works on, and the per-particle
     terms of the kinetic energy.  :class:`NumpyBackend` implements all
-    nine; a faster backend subclasses it and overrides what it
+    ten; a faster backend subclasses it and overrides what it
     accelerates.
     """
 
@@ -175,6 +177,14 @@ class KernelBackend(abc.ABC):
         (``icell``, the offsets and any stored coordinates; default:
         ``particles`` itself, in place).
         """
+
+    @abc.abstractmethod
+    def advance(self, particles, e_1d, coefs, extents, ordering, variant,
+                scales) -> tuple[float, float]:
+        """Update-v, then the in-place push, of ``particles`` — the
+        bits of :meth:`update_v` over the store's columns followed by
+        :meth:`push` — as one pass where the backend has one.  Returns
+        the seconds spent in each of the two loops."""
 
     @abc.abstractmethod
     def counting_sort_permutation(self, keys, ncells):
@@ -417,6 +427,19 @@ class NumpyBackend(KernelBackend):
             _k.AXIS_KERNELS[variant], scales,
         )
 
+    def advance(self, particles, e_1d, coefs, extents, ordering, variant,
+                scales) -> tuple[float, float]:
+        # both loops through self: numpy-mp runs each on its engine
+        axes = "xyz"[: len(extents)]
+        t0 = time.perf_counter()
+        self.update_v(
+            tuple(particles["v" + a] for a in axes), e_1d, particles["icell"],
+            tuple(particles["d" + a] for a in axes), coefs,
+        )
+        t1 = time.perf_counter()
+        self.push(particles, extents, ordering, variant, scales)
+        return t1 - t0, time.perf_counter() - t1
+
     def counting_sort_permutation(self, keys, ncells):
         """The vectorized histogram + prefix-sum + scatter of
         :mod:`repro.particles.sorting`."""
@@ -462,6 +485,8 @@ _C_SIGNATURES = {
     "broadcast_rows": (_I64, (_INT, _I64S, _I64, _PTR, _COLS, _F64S, _PTR)),
     "sort_permutation": (_I64, (_I64, _I64, _PTR, _PTR, _PTR)),
     "kinetic_terms": (None, (_INT, _I64, _COLS, _F64S, _PTR)),
+    "advance": (_I64, (_INT, _I64, _I64, _PTR, _F64S, _INT, _INT, _I64S,
+                       _F64S, _PTR, _COLS, _COLS, _COLS, _F64S)),
     "kernel_isa": (ctypes.c_char_p, ()),
 }
 
@@ -508,11 +533,12 @@ class CBackend(NumpyBackend):
 
     Overrides the redundant-row gather, update-v (the gather and the
     kick in one pass, no N-sized ``e_p`` between them) and the deposit,
-    the ρ fold and the field broadcast, the push, the sort permutation
-    and the kinetic-energy terms; the stand-alone kick (one ``np.add``,
-    which measures no slower than a C loop — the Boris path and the
-    t=0 half-kick call it) and any argument that does not :func:`_fits`
-    the C ABI run the inherited NumPy kernels.  The arithmetic is
+    the ρ fold and the field broadcast, the push, update-v and the push
+    as one pass over cache-sized particle blocks (:meth:`advance`), the
+    sort permutation and the kinetic-energy terms; the stand-alone kick
+    (one ``np.add``, which measures no slower than a C loop — the Boris
+    path and the t=0 half-kick call it) and any argument that does not
+    :func:`_fits` the C ABI run the inherited NumPy kernels.  The arithmetic is
     written to NumPy's bits — the same weight products, the same corner
     fold, ``v + coef * e`` in NumPy's order, no FMA contraction — so
     everything is bitwise equal to ``numpy`` in both dimensions.
@@ -657,12 +683,14 @@ class CBackend(NumpyBackend):
         _check_cells(bad, cell_map, len(fields.e_1d), "grid point")
 
     # -- push ----------------------------------------------------------
-    def push(self, particles, extents, ordering, variant, scales,
-             dst=None) -> None:
-        """``ckernels.c``'s ``push`` from ``particles`` into ``dst``
-        (default: in place); the inherited NumPy push when an argument
-        does not fit the C ABI."""
-        p, q = particles, particles if dst is None else dst
+    @staticmethod
+    def _push_args(p, q, extents, ordering, variant, scales):
+        """``(args, coords)``: the arguments of ``ckernels.c``'s push
+        from ``p`` into ``q`` after ``(ndim, n)``, and the source and
+        output coordinate columns, which the caller holds until the
+        call returns (they may be temporaries ``args`` points into) —
+        or ``None`` when an argument does not fit the C ABI.  Raises
+        for a bad variant or extent as the NumPy push does."""
         ndim, icell = len(extents), p["icell"]
         n, axes = len(icell), "xyz"[: len(extents)]
         wrap = _WRAP_CODES[variant]
@@ -683,7 +711,7 @@ class CBackend(NumpyBackend):
             or not all(0 < nc < 2**31 for nc in extents)
             or any(np.ndim(s) for s in scales)
         ):
-            return super().push(particles, extents, ordering, variant, scales, dst)
+            return None
         # scan orders decode inline; other curves keep the coordinates
         # stored, or have them decoded here into temporaries the push
         # overwrites
@@ -701,15 +729,56 @@ class CBackend(NumpyBackend):
             icoord_out = (icoord if coords_out is coords
                           else _columns(coords_out, np.int64, (n,)))
             if icoord is None or icoord_out is None:
-                return super().push(particles, extents, ordering, variant,
-                                    scales, dst)
-        self._lib.push(
-            ndim, n, wrap, order, _I64_N[ndim](*extents), _F64_N[ndim](*scales),
+                return None
+        args = (
+            wrap, order, _I64_N[ndim](*extents), _F64_N[ndim](*scales),
             icell.ctypes.data, d, v, icoord, q["icell"].ctypes.data, d_out,
             icoord_out,
         )
-        if order == _ORDER_OTHER:
+        return args, (coords, coords_out)
+
+    def push(self, particles, extents, ordering, variant, scales,
+             dst=None) -> None:
+        """``ckernels.c``'s ``push`` from ``particles`` into ``dst``
+        (default: in place); the inherited NumPy push when an argument
+        does not fit the C ABI."""
+        q = particles if dst is None else dst
+        call = self._push_args(particles, q, extents, ordering, variant, scales)
+        if call is None:
+            return super().push(particles, extents, ordering, variant, scales, dst)
+        args, (_coords, coords_out) = call
+        self._lib.push(len(extents), len(particles["icell"]), *args)
+        if args[1] == _ORDER_OTHER:
             q["icell"][:] = ordering.encode(*coords_out)
+
+    def advance(self, particles, e_1d, coefs, extents, ordering, variant,
+                scales) -> tuple[float, float]:
+        """``ckernels.c``'s ``advance``: update-v and the in-place push
+        block by block, with the bits of :meth:`update_v` then
+        :meth:`push`; a cell outside the rows raises before any ``v``
+        or ``x`` is written.  The inherited two calls when an argument
+        does not fit the C ABI."""
+        ndim, icell = len(extents), particles["icell"]
+        call = self._push_args(particles, particles, extents, ordering,
+                               variant, scales)
+        if (
+            call is None
+            or not _fits(e_1d, np.float64, (len(e_1d), ndim << ndim))
+            or len(coefs) != ndim or any(np.ndim(c) for c in coefs)
+        ):
+            return super().advance(particles, e_1d, coefs, extents, ordering,
+                                   variant, scales)
+        (wrap, order, ext, sc, cells, d, v, icoord, *_), (coords, _) = call
+        seconds = _F64_N[2]()
+        bad = self._lib.advance(
+            ndim, len(icell), len(e_1d), e_1d.ctypes.data,
+            _F64_N[ndim](*coefs), wrap, order, ext, sc, cells, d, v, icoord,
+            seconds,
+        )
+        _check_cells(bad, icell, len(e_1d))
+        if order == _ORDER_OTHER:
+            icell[:] = ordering.encode(*coords)
+        return seconds[0], seconds[1]
 
     # -- diagnostics ---------------------------------------------------
     def kinetic_terms(self, vs, scales, out):

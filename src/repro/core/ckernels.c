@@ -28,12 +28,14 @@
  * double -> int64 conversion, no signed overflow, no index outside the
  * arrays.  Functions that index by a cell return -1, or the index of
  * the first particle (grid point) whose cell is outside [0, ncell) —
- * update-v, the deposit, the fold and the broadcast check before they
- * write.
+ * update-v, the push-and-update-v pass, the deposit, the fold and the
+ * broadcast check before they write.
  */
+#define _POSIX_C_SOURCE 199309L /* clock_gettime under -std=c99 */
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <time.h>
 
 #define MAXDIM 3
 #define MAXCORNER 8
@@ -430,6 +432,28 @@ static void push_fmod(const int ndim, const int variant, const push_args *s)
         push_order(3, WRAP_MODULO, s->order, s);
 }
 
+/* The push over particles [lo, hi) of `s`: every column pointer moved
+ * to lo (a NULL one stays NULL). */
+static void push_span(const int ndim, const int variant, const push_args *s,
+                      int64_t lo, int64_t hi)
+{
+    push_args b = *s;
+    b.n = hi - lo;
+    b.icell = s->icell + lo;
+    b.icell_out = s->icell_out ? s->icell_out + lo : NULL;
+    for (int a = 0; a < MAXDIM; a++) {
+        b.d[a] = s->d[a] ? s->d[a] + lo : NULL;
+        b.v[a] = s->v[a] ? s->v[a] + lo : NULL;
+        b.d_out[a] = s->d_out[a] ? s->d_out[a] + lo : NULL;
+        b.icoord[a] = s->icoord[a] ? s->icoord[a] + lo : NULL;
+        b.icoord_out[a] = s->icoord_out[a] ? s->icoord_out[a] + lo : NULL;
+    }
+    if (variant == WRAP_BRANCH || variant == WRAP_MODULO)
+        push_fmod(ndim, variant, &b);
+    else
+        push_bitwise(ndim, &b);
+}
+
 /* ------------------------------------------------------------------ */
 /* The row kernels' loops over a compile-time ndim. */
 INLINE int64_t interp_loop(const int ndim, int64_t n, int64_t ncell,
@@ -478,6 +502,38 @@ INLINE void update_v_loop(const int ndim, const int unit, int64_t n,
             v2[k] = unit ? v2[k] + e2 : v2[k] + c2 * e2;
         }
     }
+}
+
+/* Every coef 1: the loop without the multiply. */
+INLINE int unit_coefs(int ndim, const double *coef)
+{
+    int unit = 1;
+    for (int a = 0; a < ndim; a++)
+        unit = unit && coef[a] == 1.0;
+    return unit;
+}
+
+/* Update-v over particles [lo, hi), whose cells the caller checked. */
+static CLONES void update_v_span(const int ndim, const int unit, int64_t lo,
+                                 int64_t hi, const double *e,
+                                 const int64_t *icell, double *const *d,
+                                 double *const *v, const double *coef)
+{
+    const int64_t n = hi - lo;
+    const int64_t *const cell = icell + lo;
+    double *const d0 = d[0] + lo, *const d1 = d[1] + lo,
+                  *const d2 = d[ndim - 1] + lo;
+    double *const v0 = v[0] + lo, *const v1 = v[1] + lo,
+                  *const v2 = v[ndim - 1] + lo;
+    if (ndim == 2) {
+        if (unit)
+            update_v_loop(2, 1, n, e, cell, d0, d1, d2, v0, v1, v2, coef);
+        else
+            update_v_loop(2, 0, n, e, cell, d0, d1, d2, v0, v1, v2, coef);
+    } else if (unit)
+        update_v_loop(3, 1, n, e, cell, d0, d1, d2, v0, v1, v2, coef);
+    else
+        update_v_loop(3, 0, n, e, cell, d0, d1, d2, v0, v1, v2, coef);
 }
 
 /* `col[c]` is corner c's column, cell j at col[c][j * stride], or NULL
@@ -709,30 +765,16 @@ CLONES int64_t update_v_rows(int ndim, int64_t n, int64_t ncell,
     const int64_t bad = first_outside(n, icell, ncell);
     if (bad >= 0)
         return bad;
-    int unit = 1;
-    for (int a = 0; a < ndim; a++)
-        unit = unit && coef[a] == 1.0;
-    double *const d2 = d[ndim - 1], *const v2 = v[ndim - 1];
-    if (ndim == 2) {
-        if (unit)
-            update_v_loop(2, 1, n, e, icell, d[0], d[1], d2, v[0], v[1], v2, coef);
-        else
-            update_v_loop(2, 0, n, e, icell, d[0], d[1], d2, v[0], v[1], v2, coef);
-    } else if (unit)
-        update_v_loop(3, 1, n, e, icell, d[0], d[1], d2, v[0], v[1], v2, coef);
-    else
-        update_v_loop(3, 0, n, e, icell, d[0], d[1], d2, v[0], v[1], v2, coef);
+    update_v_span(ndim, unit_coefs(ndim, coef), 0, n, e, icell, d, v, coef);
     return -1;
 }
 
-/* Fig. 1 line 10 over the population (one of the three loops of
- * section IV-A), from the source columns into the `*_out` ones: all of
- * them the sources themselves, or none. */
-void push(int ndim, int64_t n, int variant, int order,
-                 const int64_t *extent, const double *scale,
-                 const int64_t *icell, double *const *d, double *const *v,
-                 int64_t *const *icoord, int64_t *icell_out,
-                 double *const *d_out, int64_t *const *icoord_out)
+static push_args make_push_args(int ndim, int64_t n, int order,
+                                const int64_t *extent, const double *scale,
+                                const int64_t *icell, double *const *d,
+                                double *const *v, int64_t *const *icoord,
+                                int64_t *icell_out, double *const *d_out,
+                                int64_t *const *icoord_out)
 {
     push_args s;
     s.order = order;
@@ -749,10 +791,70 @@ void push(int ndim, int64_t n, int variant, int order,
         s.icoord[a] = on && icoord ? icoord[a] : NULL;
         s.icoord_out[a] = on && icoord ? icoord_out[a] : NULL;
     }
-    if (variant == WRAP_BRANCH || variant == WRAP_MODULO)
-        push_fmod(ndim, variant, &s);
-    else
-        push_bitwise(ndim, &s);
+    return s;
+}
+
+/* Fig. 1 line 10 over the population (one of the three loops of
+ * section IV-A), from the source columns into the `*_out` ones: all of
+ * them the sources themselves, or none. */
+void push(int ndim, int64_t n, int variant, int order,
+                 const int64_t *extent, const double *scale,
+                 const int64_t *icell, double *const *d, double *const *v,
+                 int64_t *const *icoord, int64_t *icell_out,
+                 double *const *d_out, int64_t *const *icoord_out)
+{
+    const push_args s = make_push_args(ndim, n, order, extent, scale, icell,
+                                       d, v, icoord, icell_out, d_out,
+                                       icoord_out);
+    push_span(ndim, variant, &s, 0, n);
+}
+
+/* The strip-mined push: update-v, then the in-place push, over one
+ * block of BLOCK particles after another, so that the push reads the
+ * cells, offsets and velocities update-v just streamed from L1/L2
+ * rather than from memory.  Particles are independent in both loops,
+ * so the block size moves no bit; the deposit is not folded in (its
+ * rows and the field's would share L2 with the block, docs/kernels.md
+ * "Strip-mined push").  Every cell is checked first: -1, or the first
+ * particle whose cell is outside [0, ncell), before any v or x is
+ * written.  seconds[0] / seconds[1] get the time spent in update-v /
+ * the push, summed over the blocks (the cell check counts as
+ * update-v's). */
+#define BLOCK 4096
+
+static double now(void)
+{
+    struct timespec t;
+    clock_gettime(CLOCK_MONOTONIC, &t);
+    return (double)t.tv_sec + 1e-9 * (double)t.tv_nsec;
+}
+
+int64_t advance(int ndim, int64_t n, int64_t ncell, const double *e,
+                const double *coef, int variant, int order,
+                const int64_t *extent, const double *scale, int64_t *icell,
+                double *const *d, double *const *v, int64_t *const *icoord,
+                double *seconds)
+{
+    double t0 = now(), update_v = 0.0, update_x = 0.0;
+    const int64_t bad = first_outside(n, icell, ncell);
+    if (bad >= 0)
+        return bad;
+    const int unit = unit_coefs(ndim, coef);
+    const push_args s = make_push_args(ndim, n, order, extent, scale, icell,
+                                       d, v, icoord, icell, d, icoord);
+    for (int64_t lo = 0; lo < n; lo += BLOCK) {
+        const int64_t hi = n - lo < BLOCK ? n : lo + BLOCK;
+        update_v_span(ndim, unit, lo, hi, e, icell, d, v, coef);
+        const double t1 = now();
+        push_span(ndim, variant, &s, lo, hi);
+        const double t2 = now();
+        update_v += t1 - t0;
+        update_x += t2 - t1;
+        t0 = t2;
+    }
+    seconds[0] = update_v;
+    seconds[1] = update_x;
+    return -1;
 }
 
 /* Fig. 1 line 11 / Fig. 2 (bottom), into 1 << ndim column pointers

@@ -10,9 +10,14 @@ system one time step at a time:
 The deposit writes rho outright (it is not added into a zeroed
 array), so there is no reset phase.
 
-The particle loops run split: three full passes (update-v, update-x,
-accumulate — §IV-A), over redundant field rows (§IV-B) and SoA particle
-columns (§IV-C1).  Cache blocking is not the stepper's business: the
+The particle loops run split (§IV-A), over redundant field rows
+(§IV-B) and SoA particle columns (§IV-C1): update-v and update-x as one
+pass of the backend's :meth:`~repro.core.backends.KernelBackend.advance`
+(``c`` runs the two loops block by block, so that update-x reads what
+update-v just streamed from cache), then the deposit as its own full
+pass.  A step with a :attr:`StepLoop.phase_hook`, and the zoo's Python
+bodies, run update-v and update-x as two full passes instead, to the
+same bits.  Cache blocking is otherwise not the stepper's business: the
 NumPy kernels block internally (:mod:`repro.core.kernels`).
 
 Unit conventions
@@ -36,6 +41,8 @@ the energies and its field scales.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 
@@ -77,6 +84,9 @@ class StepLoop:
     boundary = "periodic"
     bz = 0.0
     ext_e = (0.0, 0.0)
+    #: whether update-v or update-x is a Python body of the zoo, which
+    #: the backend's one-pass :meth:`KernelBackend.advance` cannot run
+    _zoo_phases = False
 
     def _attach_runtime(self, instrumentation=None) -> None:
         """Everything a stepper holds besides physics state; shared by
@@ -197,6 +207,15 @@ class StepLoop:
             self.config.position_update, self._push_scales(),
         )
 
+    def _phase_advance(self) -> tuple[float, float]:
+        """Update-v then update-x in one backend pass; the seconds of
+        each loop."""
+        return self.backend.advance(
+            self.particles, self.fields.e_1d, self._kick_coefs(),
+            self.grid.shape, self.ordering, self.config.position_update,
+            self._push_scales(),
+        )
+
     def _phase_accumulate(self) -> None:
         self.backend.accumulate_rows(
             self.fields.rho_1d, self.particles.icell, self._columns("d"),
@@ -243,14 +262,23 @@ class StepLoop:
             if hook is not None:
                 hook("sort", self)
 
-            with instr.phase("update_v"):
-                self._phase_update_v()
-            if hook is not None:
-                hook("update_v", self)
-            with instr.phase("update_x"):
-                self._phase_update_x()
-            if hook is not None:
-                hook("update_x", self)
+            if hook is None and not self._zoo_phases:
+                # update-v's own seconds, and the rest of the call (the
+                # arguments, an encode in Python) with update-x's
+                t0 = time.perf_counter()
+                update_v = self._phase_advance()[0]
+                instr.record_phase("update_v", update_v)
+                instr.record_phase("update_x", time.perf_counter() - t0 - update_v)
+            else:
+                # the bisector reads the state between the two loops
+                with instr.phase("update_v"):
+                    self._phase_update_v()
+                if hook is not None:
+                    hook("update_v", self)
+                with instr.phase("update_x"):
+                    self._phase_update_x()
+                if hook is not None:
+                    hook("update_x", self)
             with instr.phase("accumulate"):
                 self._phase_accumulate()
             if hook is not None:
@@ -472,6 +500,11 @@ class PICStepper(StepLoop):
         p.vx[:] = (vx_ph + vpy * s) / svx
         p.vy[:] = (vy_ph - vpx * s) / svy
         self.backend.kick((p.vx, p.vy), e_p, (0.5 * cvx, 0.5 * cvy))
+
+    @property
+    def _zoo_phases(self) -> bool:
+        return (self.bz != 0.0 or self.ext_e != (0.0, 0.0)
+                or self.boundary == "reflecting")
 
     def _phase_update_v(self) -> None:
         if self.bz != 0.0 or self.ext_e != (0.0, 0.0):

@@ -206,10 +206,17 @@ class Instrumentation:
         try:
             yield
         finally:
-            elapsed = time.perf_counter() - t0
-            setattr(self.timings, name, getattr(self.timings, name) + elapsed)
-            if self._current is not None:
-                self._current[name] += elapsed
+            self.record_phase(name, time.perf_counter() - t0)
+
+    def record_phase(self, name: str, seconds: float) -> None:
+        """Book ``seconds`` to phase ``name`` (what :meth:`phase` does
+        with the time it measures; a pass that runs two phases at once
+        books each its share)."""
+        if name not in PHASES:
+            raise KeyError(f"unknown phase {name!r}; expected one of {PHASES}")
+        setattr(self.timings, name, getattr(self.timings, name) + seconds)
+        if self._current is not None:
+            self._current[name] += seconds
 
     def record_fallback(self, count: int = 1) -> None:
         """Count serial-retry events (numpy-mp worker crash/timeout)."""

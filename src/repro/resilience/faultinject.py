@@ -95,11 +95,14 @@ class _KernelTrap:
     def __init__(self, inner, faults):
         self._inner = inner
         self._faults = {f.kernel: f for f in faults}
-        # update-v is the gather and the kick in one call: a trap on
-        # either half fires there too
-        for half in ("interpolate_rows", "kick"):
-            if half in self._faults:
-                self._faults.setdefault("update_v", self._faults[half])
+        # update-v is the gather and the kick in one call, and advance
+        # update-v and the push in one: a trap on a part fires on the
+        # whole too
+        for whole, parts in (("update_v", ("interpolate_rows", "kick")),
+                             ("advance", ("update_v", "push"))):
+            for part in parts:
+                if part in self._faults:
+                    self._faults.setdefault(whole, self._faults[part])
 
     def __getattr__(self, name):
         fault = self._faults.get(name)

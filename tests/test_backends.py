@@ -68,10 +68,11 @@ class TestRegistry:
     def test_registry_lists_exactly_three(self):
         assert known_backend_names() == ("numpy", "c", "numpy-mp")
 
-    def test_surface_is_nine_kernels_three_hooks_seven_adapters(self):
+    def test_surface_is_ten_kernels_three_hooks_seven_adapters(self):
         """What a backend can override is the abstract set — the
-        particle loops over redundant rows, that layout's two per-cell
-        loops and the kinetic-energy terms; the axis-spelled names the
+        particle loops over redundant rows (update-v and the push as
+        one pass among them), that layout's two per-cell loops and the
+        kinetic-energy terms; the axis-spelled names the
         frozen ledger calls are adapters defined once on the base
         class, and no registered backend overrides one."""
         import repro.core.backends as B
@@ -79,7 +80,7 @@ class TestRegistry:
         kernels = {
             "interpolate_rows", "accumulate_rows", "kick", "update_v",
             "push", "counting_sort_permutation", "reduce_rows",
-            "broadcast_rows", "kinetic_terms",
+            "broadcast_rows", "kinetic_terms", "advance",
         }
         hooks = {"is_available", "prepare_stepper", "release_stepper"}
         adapters = {

@@ -61,6 +61,14 @@ needs_cc = pytest.mark.skipif(
 #: handles
 LANES = [7, 8, 9, 15, 16, 17, 63, 64, 65]
 SIZES = [0, 1, *LANES, BLOCK - 1, 2 * BLOCK + 17]
+#: the particle block of ``ckernels.c``'s ``advance`` (a C constant)
+C_BLOCK = int(re.search(
+    r"^#define BLOCK (\d+)$",
+    (Path(SRC) / "repro" / "core" / "ckernels.c").read_text(), re.M,
+).group(1))
+#: around the block edges of ``advance``, and the vector remainders
+ADVANCE_SIZES = [0, 1, *LANES, C_BLOCK - 1, C_BLOCK, C_BLOCK + 1,
+                 2 * C_BLOCK + 17]
 VARIANTS = ["branch", "modulo", "bitwise"]
 #: (ndim, ordering label) — every 2D curve of the registry, both 3D
 #: ones (labelled ``-3d``: the same classes over three extents)
@@ -145,6 +153,30 @@ def _assert_same(p, q, what):
         assert np.array_equal(p[name], q[name]), (what, name)
 
 
+#: (coefs, scales) of update-v and the push: hoisted (every factor 1),
+#: un-hoisted, and mixed
+FACTORS = [
+    ((1.0, 1.0, 1.0), (1.0, 1.0, 1.0)),
+    ((0.37, -1.9, 0.5), (0.37, 1.9, 0.5)),
+    ((1.0, -0.5, 1.0), (1.0, 1.0, 2.5)),
+]
+
+
+def _advance_pair(c, split, state, e_1d, shape, ordering, variant, coefs,
+                  scales):
+    """``c.advance`` on one copy of ``state`` and ``split``'s update-v
+    then push on another: both stores, after asserting the returned
+    loop seconds are two non-negative numbers."""
+    axes = "xyz"[: len(shape)]
+    one, two = _copy(state), _copy(state)
+    seconds = c.advance(one, e_1d, coefs, shape, ordering, variant, scales)
+    assert len(seconds) == 2 and min(seconds) >= 0.0
+    split.update_v(tuple(two["v" + a] for a in axes), e_1d, two.icell,
+                   tuple(two["d" + a] for a in axes), coefs)
+    split.push(two, shape, ordering, variant, scales)
+    return one, two
+
+
 # ----------------------------------------------------------------------
 # NumPy's bits
 # ----------------------------------------------------------------------
@@ -221,6 +253,31 @@ class TestEquivalence:
             got = c.kinetic_terms(vs, scales, np.full(n, np.nan))
             want = numpy.kinetic_terms(vs, scales, np.full(n, np.nan))
             assert got.tobytes() == want.tobytes(), scales
+
+    @pytest.mark.parametrize("stored", [True, False], ids=["stored", "recomputed"])
+    @pytest.mark.parametrize("n", ADVANCE_SIZES)
+    @pytest.mark.parametrize("ndim,curve", CURVES)
+    def test_advance_equals_update_v_then_push(self, ndim, curve, n, stored):
+        """The strip-mined pass has the bits of update-v over the whole
+        population followed by the push — ``c``'s and NumPy's — on
+        either side of every block edge, for every wrap, ordering (L4D
+        and Hilbert encoded after the last block), stored and
+        recomputed coordinates, and unit and other coefficients and
+        scales."""
+        c, numpy = get_backend("c"), get_backend("numpy")
+        rng = np.random.default_rng(n + ndim)
+        ordering, shape = _ordering(ndim, curve)
+        state = _population(rng, ndim, n, ordering, shape, stored)
+        e_1d = rng.normal(size=(ordering.ncells_allocated, ndim << ndim))
+        for variant in VARIANTS:
+            for coefs, scales in FACTORS:
+                coefs, scales = coefs[:ndim], scales[:ndim]
+                for split in (c, numpy):
+                    one, two = _advance_pair(c, split, state, e_1d, shape,
+                                             ordering, variant, coefs, scales)
+                    for k in state.keys():
+                        assert one[k].tobytes() == two[k].tobytes(), (
+                            split.name, variant, coefs, k)
 
     @pytest.mark.parametrize("stored", [True, False], ids=["stored", "recomputed"])
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -468,8 +525,9 @@ class TestDefinedOnEveryInput:
     def test_non_finite_inputs_at_lane_remainders(self, ndim, n):
         """Populations around the vector width, a third of every offset
         and velocity column poisoned: every wrap of the push (in place
-        and staged), update-v and the kinetic-energy terms keep NumPy's
-        bits through the vector bodies and their epilogues."""
+        and staged), update-v, the strip-mined pass and the
+        kinetic-energy terms keep NumPy's bits through the vector bodies
+        and their epilogues."""
         c, numpy = get_backend("c"), get_backend("numpy")
         rng = np.random.default_rng(n)
         ordering, shape = _ordering(ndim, "morton" if ndim == 2 else "morton-3d")
@@ -477,6 +535,7 @@ class TestDefinedOnEveryInput:
         p = _population(rng, ndim, n, ordering, shape, True)
         _poison([p["v" + a] for a in axes])
         scales = (1.0, 0.37, 1.9)[:ndim]
+        e_1d = rng.normal(size=(ordering.ncells_allocated, ndim << ndim))
         for variant in VARIANTS:
             q, r, src = _copy(p), _copy(p), _copy(p)
             staged = {k: np.empty_like(src[k]) for k in src.keys() if k[0] != "v"}
@@ -487,6 +546,11 @@ class TestDefinedOnEveryInput:
                 warnings.filterwarnings(
                     "ignore", message=".*encountered in (remainder|subtract|add)")
                 numpy.push(r, shape, ordering, variant, scales)
+                for coefs, _ in FACTORS[:2]:
+                    one, two = _advance_pair(c, numpy, p, e_1d, shape, ordering,
+                                             variant, coefs[:ndim], scales)
+                    for k in p.keys():
+                        assert one[k].tobytes() == two[k].tobytes(), (variant, k)
             for k in r.keys():
                 assert q[k].tobytes() == r[k].tobytes(), (variant, k)
                 if k in staged:
@@ -494,7 +558,6 @@ class TestDefinedOnEveryInput:
 
         offsets = _poison([p["d" + a].copy() for a in axes])
         vs = [p["v" + a] for a in axes]
-        e_1d = rng.normal(size=(ordering.ncells_allocated, ndim << ndim))
         for coefs in ((1.0,) * ndim, (0.5, -2.0, 3.0)[:ndim]):
             got, want = ([v.copy() for v in vs] for _ in range(2))
             c.update_v(got, e_1d, p.icell, offsets, coefs)
@@ -506,6 +569,26 @@ class TestDefinedOnEveryInput:
             want = numpy.kinetic_terms(vs, (2.0, 0.5, 3.0)[:ndim], np.empty(n))
         got = c.kinetic_terms(vs, (2.0, 0.5, 3.0)[:ndim], np.empty(n))
         assert got.tobytes() == want.tobytes()
+
+    def test_advance_of_a_cell_outside_the_grid_raises_and_touches_nothing(self):
+        """The cell check runs over every particle before the first
+        block: a bad cell in the second block leaves the first block's
+        velocities and positions as they were."""
+        c = get_backend("c")
+        rng = np.random.default_rng(0)
+        n = 2 * C_BLOCK + 17
+        ordering, shape = _ordering(2, "morton")
+        e_1d = rng.normal(size=(ordering.ncells_allocated, 8))
+        for at in (0, C_BLOCK + 5, n - 1):
+            for bad in (ordering.ncells_allocated, -1, np.iinfo(np.int64).min):
+                p = _population(rng, 2, n, ordering, shape, True)
+                p.icell[at] = bad
+                before = _copy(p)
+                for coefs in ((1.0, 1.0), (0.5, 2.0)):
+                    with pytest.raises(IndexError, match=f"particle {at}:"):
+                        c.advance(p, e_1d, coefs, shape, ordering, "bitwise",
+                                  (1.0, 1.0))
+                    _assert_same(p, before, (at, bad))
 
     def test_guard_trips_at_the_same_step_as_numpy(self):
         def failures(backend):
@@ -690,7 +773,8 @@ class TestClones:
         self, baseline, ndim, curve, n
     ):
         """Push (every wrap, stored and recomputed coordinates, in place
-        and staged), update-v (unit and other coefficients), the
+        and staged), the strip-mined pass (the same, in place, unit and
+        other coefficients), update-v (unit and other coefficients), the
         deposit (rows and columns), the gather, the kinetic-energy
         terms, the sort and the grid loops: byte for byte the baseline
         build's, on populations poisoned with NaN, ±inf and
@@ -713,10 +797,18 @@ class TestClones:
                     staged = {k: np.empty_like(src[k]) for k in src.keys()
                               if k[0] != "v"}
                     b.push(src, shape, ordering, variant, scales, dst=staged)
-                    pushed.append((p, staged))
-                (p, staged), (q, staged_q) = pushed
+                    advanced = []
+                    for coefs, _ in FACTORS[:2]:
+                        a = _copy(state)
+                        b.advance(a, e_1d, coefs[:ndim], shape, ordering,
+                                  variant, scales)
+                        advanced.append(a)
+                    pushed.append((p, staged, advanced))
+                (p, staged, adv), (q, staged_q, adv_q) = pushed
                 for k in p.keys():
                     assert p[k].tobytes() == q[k].tobytes(), (variant, stored, k)
+                    for a, a_q in zip(adv, adv_q):
+                        assert a[k].tobytes() == a_q[k].tobytes(), (variant, stored, k)
                 for k, a in staged.items():
                     assert a.tobytes() == staged_q[k].tobytes(), (variant, stored, k)
 

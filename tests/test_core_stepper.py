@@ -180,3 +180,118 @@ class TestConfigEquivalence:
             s.run(self.REFERENCE_STEPS)
             fe = 0.5 * np.sum(s.ex_grid**2 + s.ey_grid**2)
             assert fe == pytest.approx(reference_energy, rel=1e-9), variant
+
+
+def _available(name):
+    from repro.core.backends import available_backends
+
+    return pytest.param(name, marks=pytest.mark.skipif(
+        name not in available_backends(), reason=f"{name} unavailable"))
+
+
+#: (label, dims, config overrides): the hoisted default, the un-hoisted
+#: loops (coefficients and scales other than 1) on L4D (encoded after
+#: the pass), and 3D
+ONE_PASS_CASES = [
+    ("2d", 2, {}),
+    ("2d-unhoisted-l4d", 2, {"hoisting": False, "ordering": "l4d"}),
+    ("3d", 3, {}),
+]
+
+
+def _one_pass_stepper(dims, backend, **overrides):
+    from repro.pic3d import GridSpec3D, LandauDamping3D, PICStepper3D
+
+    cfg = OptimizationConfig(backend=backend, workers=2, sort_period=3,
+                             **overrides)
+    if dims == 3:
+        return PICStepper3D(GridSpec3D(8, 8, 8), LandauDamping3D(alpha=0.1),
+                            3000, dt=0.1, config=cfg)
+    grid = GridSpec(16, 16, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
+    return make_stepper(grid, cfg, n=3000, seed=5)
+
+
+def _snapshot(stepper):
+    state = {k: np.array(stepper.particles[k]) for k in stepper.particles.keys()}
+    state["rho_grid"] = np.array(stepper.rho_grid)
+    return state
+
+
+class TestOnePass:
+    """An unhooked step runs update-v and update-x as the backend's one
+    ``advance`` pass; a hooked step, and the zoo's Python bodies, run
+    them as two."""
+
+    @pytest.mark.parametrize("backend", [_available(b) for b in ("numpy", "c", "numpy-mp")])
+    @pytest.mark.parametrize("label,dims,overrides", ONE_PASS_CASES,
+                             ids=[c[0] for c in ONE_PASS_CASES])
+    def test_hooked_and_unhooked_steps_have_the_same_bits(
+        self, backend, label, dims, overrides
+    ):
+        states = []
+        for hook in (None, lambda phase, st: None):
+            st = _one_pass_stepper(dims, backend, **overrides)
+            try:
+                st.phase_hook = hook
+                st.run(7)  # two sorts
+                states.append(_snapshot(st))
+            finally:
+                st.close()
+        bare, hooked = states
+        assert bare.keys() == hooked.keys()
+        for k in bare:
+            assert bare[k].tobytes() == hooked[k].tobytes(), (label, k)
+
+    @staticmethod
+    def _count_advances(monkeypatch, raising=False):
+        """Wrap every backend's ``advance`` in a counter (or make it
+        raise); returns the list the calls append to."""
+        import repro.core.backends as B
+
+        calls = []
+        for cls in (B.NumpyBackend, B.CBackend):
+            real = cls.advance
+
+            def spy(self, *args, _real=real, **kwargs):
+                calls.append(self.name)
+                if raising:
+                    raise AssertionError("a zoo phase ran the one-pass kernel")
+                return _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "advance", spy)
+        return calls
+
+    @pytest.mark.parametrize("backend", [_available(b) for b in ("numpy", "c")])
+    def test_unhooked_step_runs_one_pass_and_books_both_loops(
+        self, backend, monkeypatch
+    ):
+        calls = self._count_advances(monkeypatch)
+        st = _one_pass_stepper(2, backend)
+        try:
+            st.run(3)
+            assert calls == [backend] * 3
+            t = st.timings
+            assert t.update_v > 0 and t.update_x > 0
+            for record in st.instrumentation.per_step:
+                assert record["update_v"] > 0 and record["update_x"] > 0
+            st.phase_hook = lambda phase, s: None
+            st.run(2)
+            assert len(calls) == 3
+        finally:
+            st.close()
+
+    @pytest.mark.parametrize("backend", [_available(b) for b in ("numpy", "c")])
+    @pytest.mark.parametrize("case", ["bounded-wall", "exb-drift"])
+    def test_zoo_cases_run_their_python_bodies(self, backend, case, monkeypatch):
+        from repro.particles.initializers import BoundedPlasma, MagnetizedExB
+
+        self._count_advances(monkeypatch, raising=True)
+        ic = BoundedPlasma() if case == "bounded-wall" else MagnetizedExB()
+        grid = GridSpec(32, 8, xmax=4 * np.pi, ymax=2 * np.pi)
+        st = PICStepper(grid, OptimizationConfig(backend=backend), case=ic,
+                        n_particles=2000, seed=0, quiet=True)
+        try:
+            st.run(3)
+            assert np.isfinite(np.asarray(st.particles.vx)).all()
+        finally:
+            st.close()

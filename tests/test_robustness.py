@@ -265,6 +265,24 @@ class TestFaultInjector:
             inj.before_step(sim.stepper, 3)
             assert sim.stepper.backend is real
 
+    @pytest.mark.skipif(not CBackend.is_available(), reason="no C compiler")
+    @pytest.mark.parametrize("kernel", ["update_v", "push", "interpolate_rows",
+                                        "kick"])
+    def test_trap_on_a_loop_fires_on_the_one_pass_c_step(self, kernel):
+        """An unhooked ``c`` step runs update-v and the push as one
+        ``advance`` call: a trap on either loop, or on a half of
+        update-v, fires there, before the pass writes anything."""
+        with _landau_sim("c") as sim:
+            before = sim.particles.as_dict()
+            FaultInjector().add_kernel_raise(step=0, kernel=kernel) \
+                .before_step(sim.stepper, 0)
+            assert sim.stepper.phase_hook is None
+            with pytest.raises(InjectedKernelError, match="'advance'"):
+                sim.stepper.step()
+            for name, want in before.items():
+                np.testing.assert_array_equal(
+                    np.asarray(sim.particles[name]), want, err_msg=name)
+
     def test_unknown_kernel_name_is_refused_at_arm_time(self):
         # a name no stepper fetches would never fire
         for name in ("update_velocities", "accumulate_redundant", "kcik"):
