@@ -126,10 +126,10 @@ class KernelBackend(abc.ABC):
     # Redundant rows, any dimension: per-axis arguments are tuples
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def interpolate_rows(self, e_1d, icell, offsets, out=None):
+    def interpolate_rows(self, e_1d, icell, offsets):
         """Gather the field at the particles from the redundant
-        ``e_1d[ncell][ndim * 2^ndim]`` rows: one array per axis —
-        fresh ones, or the arrays ``out`` (returned)."""
+        ``e_1d[ncell][ndim * 2^ndim]`` rows: one fresh array per
+        axis."""
 
     @abc.abstractmethod
     def accumulate_rows(self, rho_1d, icell, offsets, charge=1.0,
@@ -165,17 +165,15 @@ class KernelBackend(abc.ABC):
         :meth:`interpolate_rows`' result."""
 
     @abc.abstractmethod
-    def push(self, particles, extents, ordering, variant, scales,
-             dst=None) -> None:
+    def push(self, particles, extents, ordering, variant, scales) -> None:
         """Advance positions, wrap, re-derive ``icell`` and the cell
-        coordinates, over ``len(extents)`` axes.
+        coordinates, over ``len(extents)`` axes, in place.
 
         ``variant`` is one of ``"branch"`` / ``"modulo"`` / ``"bitwise"``
         (§IV-C; ``"bitwise"`` requires power-of-two extents).
-        ``particles`` is a storage or a plain mapping of arrays, read;
-        the results are written *through* the arrays of ``dst``
-        (``icell``, the offsets and any stored coordinates; default:
-        ``particles`` itself, in place).
+        ``particles`` is a storage or a plain mapping of arrays; the
+        results are written *through* its ``icell``, offsets and any
+        stored coordinates.
         """
 
     @abc.abstractmethod
@@ -415,21 +413,17 @@ class NumpyBackend(KernelBackend):
             _k.kick(v, e_p, coef)
 
     def update_v(self, vs, e_1d, icell, offsets, coefs) -> None:
-        # both halves through self: numpy-mp shards each on its engine
         self.kick(vs, self.interpolate_rows(e_1d, icell, offsets), coefs)
 
     kinetic_terms = staticmethod(_k.kinetic_terms)
 
-    def push(self, particles, extents, ordering, variant, scales,
-             dst=None) -> None:
+    def push(self, particles, extents, ordering, variant, scales) -> None:
         _k.push_blocked(
-            particles, particles if dst is None else dst, extents, ordering,
-            _k.AXIS_KERNELS[variant], scales,
+            particles, extents, ordering, _k.AXIS_KERNELS[variant], scales
         )
 
     def advance(self, particles, e_1d, coefs, extents, ordering, variant,
                 scales) -> tuple[float, float]:
-        # both loops through self: numpy-mp runs each on its engine
         axes = "xyz"[: len(extents)]
         t0 = time.perf_counter()
         self.update_v(
@@ -449,7 +443,7 @@ class NumpyBackend(KernelBackend):
 
 
 # ----------------------------------------------------------------------
-# C backend: the paper's scalar loops, compiled by the host compiler
+# C backend: the paper's loops, compiled by the host compiler
 # ----------------------------------------------------------------------
 #: ``ckernels.c``'s WRAP_* and ORDER_* codes.  Orderings not named here
 #: (L4D, Hilbert, anything registered later) are ORDER_OTHER: the C
@@ -479,7 +473,7 @@ _C_SIGNATURES = {
     "update_v_rows": (_I64, (_INT, _I64, _I64, _PTR, _PTR, _COLS, _COLS,
                              _F64S)),
     "push": (None, (_INT, _I64, _INT, _INT, _I64S, _F64S, _PTR,
-                    _COLS, _COLS, _COLS, _PTR, _COLS, _COLS)),
+                    _COLS, _COLS, _COLS)),
     "deposit_rows": (_I64, (_INT, _I64, _I64, _COLS, _I64, _PTR, _COLS, _F64)),
     "reduce_rows": (_I64, (_INT, _I64S, _I64, _PTR, _PTR, _PTR)),
     "broadcast_rows": (_I64, (_INT, _I64S, _I64, _PTR, _COLS, _F64S, _PTR)),
@@ -579,14 +573,13 @@ class CBackend(NumpyBackend):
             return _columns(offsets, np.float64, (n,))
         return None
 
-    def interpolate_rows(self, e_1d, icell, offsets, out=None):
+    def interpolate_rows(self, e_1d, icell, offsets):
         ndim, n = len(offsets), len(icell)
         d = self._row_offsets(e_1d, ndim << ndim, icell, offsets)
-        if d is not None:
-            e_p = tuple(np.empty(n) for _ in offsets) if out is None else out
-            cols = _columns(e_p, np.float64, (n,))
-        if d is None or cols is None:
-            return super().interpolate_rows(e_1d, icell, offsets, out)
+        if d is None:
+            return super().interpolate_rows(e_1d, icell, offsets)
+        e_p = tuple(np.empty(n) for _ in offsets)
+        cols = _columns(e_p, np.float64, (n,))
         bad = self._lib.interp_rows(
             ndim, n, len(e_1d), e_1d.ctypes.data, icell.ctypes.data, d, cols,
         )
@@ -684,13 +677,13 @@ class CBackend(NumpyBackend):
 
     # -- push ----------------------------------------------------------
     @staticmethod
-    def _push_args(p, q, extents, ordering, variant, scales):
-        """``(args, coords)``: the arguments of ``ckernels.c``'s push
-        from ``p`` into ``q`` after ``(ndim, n)``, and the source and
-        output coordinate columns, which the caller holds until the
-        call returns (they may be temporaries ``args`` points into) —
-        or ``None`` when an argument does not fit the C ABI.  Raises
-        for a bad variant or extent as the NumPy push does."""
+    def _push_args(p, extents, ordering, variant, scales):
+        """``(args, coords)``: the arguments of ``ckernels.c``'s push of
+        ``p`` after ``(ndim, n)``, and the coordinate columns, which the
+        caller holds until the call returns (they may be temporaries
+        ``args`` points into) — or ``None`` when an argument does not fit
+        the C ABI.  Raises for a bad variant or extent as the NumPy push
+        does."""
         ndim, icell = len(extents), p["icell"]
         n, axes = len(icell), "xyz"[: len(extents)]
         wrap = _WRAP_CODES[variant]
@@ -702,12 +695,9 @@ class CBackend(NumpyBackend):
         order = _ORDER_CODES.get(ordering.name, _ORDER_OTHER)
         d = _columns([p["d" + a] for a in axes], np.float64, (n,))
         v = _columns([p["v" + a] for a in axes], np.float64, (n,))
-        d_out = d if q is p else _columns([q["d" + a] for a in axes], np.float64, (n,))
         if (
-            d is None or v is None or d_out is None
+            d is None or v is None
             or not _fits(icell, np.int64, (n,))
-            or not _fits(q["icell"], np.int64, (n,))
-            or ("ix" in p) != ("ix" in q)
             or not all(0 < nc < 2**31 for nc in extents)
             or any(np.ndim(s) for s in scales)
         ):
@@ -715,41 +705,32 @@ class CBackend(NumpyBackend):
         # scan orders decode inline; other curves keep the coordinates
         # stored, or have them decoded here into temporaries the push
         # overwrites
-        coords = coords_out = icoord = icoord_out = None
+        coords = icoord = None
         if "ix" in p:
             coords = [p["i" + a] for a in axes]
-            coords_out = [q["i" + a] for a in axes]
         elif order not in (_ORDER_ROW_MAJOR, _ORDER_COLUMN_MAJOR):
             coords = [np.ascontiguousarray(c, dtype=np.int64)
                       for c in ordering.decode(icell)]
-            # a staged push writes outputs apart from every source
-            coords_out = coords if q is p else [np.empty_like(c) for c in coords]
         if coords is not None:
             icoord = _columns(coords, np.int64, (n,))
-            icoord_out = (icoord if coords_out is coords
-                          else _columns(coords_out, np.int64, (n,)))
-            if icoord is None or icoord_out is None:
+            if icoord is None:
                 return None
         args = (
             wrap, order, _I64_N[ndim](*extents), _F64_N[ndim](*scales),
-            icell.ctypes.data, d, v, icoord, q["icell"].ctypes.data, d_out,
-            icoord_out,
+            icell.ctypes.data, d, v, icoord,
         )
-        return args, (coords, coords_out)
+        return args, coords
 
-    def push(self, particles, extents, ordering, variant, scales,
-             dst=None) -> None:
-        """``ckernels.c``'s ``push`` from ``particles`` into ``dst``
-        (default: in place); the inherited NumPy push when an argument
-        does not fit the C ABI."""
-        q = particles if dst is None else dst
-        call = self._push_args(particles, q, extents, ordering, variant, scales)
+    def push(self, particles, extents, ordering, variant, scales) -> None:
+        """``ckernels.c``'s ``push``, in place; the inherited NumPy push
+        when an argument does not fit the C ABI."""
+        call = self._push_args(particles, extents, ordering, variant, scales)
         if call is None:
-            return super().push(particles, extents, ordering, variant, scales, dst)
-        args, (_coords, coords_out) = call
+            return super().push(particles, extents, ordering, variant, scales)
+        args, coords = call
         self._lib.push(len(extents), len(particles["icell"]), *args)
         if args[1] == _ORDER_OTHER:
-            q["icell"][:] = ordering.encode(*coords_out)
+            particles["icell"][:] = ordering.encode(*coords)
 
     def advance(self, particles, e_1d, coefs, extents, ordering, variant,
                 scales) -> tuple[float, float]:
@@ -759,8 +740,7 @@ class CBackend(NumpyBackend):
         or ``x`` is written.  The inherited two calls when an argument
         does not fit the C ABI."""
         ndim, icell = len(extents), particles["icell"]
-        call = self._push_args(particles, particles, extents, ordering,
-                               variant, scales)
+        call = self._push_args(particles, extents, ordering, variant, scales)
         if (
             call is None
             or not _fits(e_1d, np.float64, (len(e_1d), ndim << ndim))
@@ -768,7 +748,7 @@ class CBackend(NumpyBackend):
         ):
             return super().advance(particles, e_1d, coefs, extents, ordering,
                                    variant, scales)
-        (wrap, order, ext, sc, cells, d, v, icoord, *_), (coords, _) = call
+        (wrap, order, ext, sc, cells, d, v, icoord), coords = call
         seconds = _F64_N[2]()
         bad = self._lib.advance(
             ndim, len(icell), len(e_1d), e_1d.ctypes.data,

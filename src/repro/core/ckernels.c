@@ -41,7 +41,7 @@
 #define MAXCORNER 8
 
 /* The loops below are written once over ndim (and the push over the
- * wrap variant, the ordering and its argument form) and instantiated by
+ * wrap variant and the ordering) and instantiated by
  * inlining with constant arguments; without the attribute the compiler
  * may keep one general copy. */
 #if defined(__GNUC__)
@@ -279,42 +279,34 @@ INLINE void decode_scan(const int ndim, const int order, const curve *k,
 }
 
 /* ------------------------------------------------------------------ */
-/* One pass of the position update over the population.  `d`, `v`,
- * `icoord` are arrays of ndim column pointers; `icoord` is NULL when the
- * coordinates are not stored (scan orders only).  The sweep reads the
- * source columns and writes the `*_out` ones: either every output is
- * its source column (in place) or none is (the numpy-mp back buffer
- * stages the result elsewhere). */
+/* One pass of the position update over the population, in place.
+ * `d`, `v`, `icoord` are arrays of ndim column pointers; `icoord` is NULL
+ * when the coordinates are not stored (scan orders only). */
 typedef struct {
     int order;
     int64_t n;
     double scale[MAXDIM];
     curve k;
-    int64_t *icell, *icell_out;
-    double *d[MAXDIM], *v[MAXDIM], *d_out[MAXDIM];
-    int64_t *icoord[MAXDIM], *icoord_out[MAXDIM];
+    int64_t *icell;
+    double *d[MAXDIM], *v[MAXDIM];
+    int64_t *icoord[MAXDIM];
 } push_args;
 
-/* The loop, over compile-time `ndim`, `variant`, `order`, `stored` and
- * `staged`: push() below instantiates every combination, so that each
- * runs without a per-particle dispatch.  Every column is a restrict
+/* The loop, over compile-time `ndim`, `variant`, `order` and `stored`:
+ * push() below instantiates every combination, so that each runs
+ * without a per-particle dispatch.  Every column is a restrict
  * parameter (GCC honours restrict on parameters, not on locals loaded
- * from the column arrays): in place, each column is read and written
- * through one pointer and the `*o` outputs are NULL; staged, the
- * outputs are distinct arrays.  Particles are independent, so the
- * bitwise wrap vectorizes across them. */
+ * from the column arrays), read and written through that one pointer.
+ * Particles are independent, so the bitwise wrap vectorizes across
+ * them. */
 INLINE void push_loop(const int ndim, const int variant, const int order,
-                      const int stored, const int staged, int64_t n,
-                      const curve *curv, const double *scale,
-                      int64_t *restrict cell, double *restrict d0,
-                      double *restrict d1, double *restrict d2,
-                      const double *restrict v0, const double *restrict v1,
-                      const double *restrict v2, int64_t *restrict i0s,
-                      int64_t *restrict i1s, int64_t *restrict i2s,
-                      int64_t *restrict cello, double *restrict d0o,
-                      double *restrict d1o, double *restrict d2o,
-                      int64_t *restrict i0o, int64_t *restrict i1o,
-                      int64_t *restrict i2o)
+                      const int stored, int64_t n, const curve *curv,
+                      const double *scale, int64_t *restrict cell,
+                      double *restrict d0, double *restrict d1,
+                      double *restrict d2, const double *restrict v0,
+                      const double *restrict v1, const double *restrict v2,
+                      int64_t *restrict i0s, int64_t *restrict i1s,
+                      int64_t *restrict i2s)
 {
     const curve k = *curv;
     const int64_t nc0 = (int64_t)k.extent[0], nc1 = (int64_t)k.extent[1],
@@ -341,51 +333,29 @@ INLINE void push_loop(const int ndim, const int variant, const int order,
         if (ndim == 3)
             i2 = wrap(variant, (double)i2 + d2[j] + sc2 * v2[j], nc2, &o2);
         const int64_t c = encode(ndim, order, &k, i0, i1, i2);
-        if (staged) {
-            d0o[j] = o0;
-            d1o[j] = o1;
+        d0[j] = o0;
+        d1[j] = o1;
+        if (ndim == 3)
+            d2[j] = o2;
+        if (stored) {
+            i0s[j] = i0;
+            i1s[j] = i1;
             if (ndim == 3)
-                d2o[j] = o2;
-            if (stored) {
-                i0o[j] = i0;
-                i1o[j] = i1;
-                if (ndim == 3)
-                    i2o[j] = i2;
-            }
-            if (order != ORDER_OTHER)
-                cello[j] = c;
-        } else {
-            d0[j] = o0;
-            d1[j] = o1;
-            if (ndim == 3)
-                d2[j] = o2;
-            if (stored) {
-                i0s[j] = i0;
-                i1s[j] = i1;
-                if (ndim == 3)
-                    i2s[j] = i2;
-            }
-            if (order != ORDER_OTHER)
-                cell[j] = c;
+                i2s[j] = i2;
         }
+        if (order != ORDER_OTHER)
+            cell[j] = c;
     }
 }
 
-INLINE void push_staged(const int ndim, const int variant, const int order,
-                        const int stored, const push_args *s)
+/* push_loop over the columns of `s`, as its restrict parameters */
+INLINE void push_columns(const int ndim, const int variant, const int order,
+                         const int stored, const push_args *s)
 {
-    int64_t *const *i = s->icoord, *const *io = s->icoord_out;
-    double *const *o = s->d_out;
-    if (o[0] == s->d[0])
-        push_loop(ndim, variant, order, stored, 0, s->n, &s->k, s->scale,
-                  s->icell, s->d[0], s->d[1], s->d[2], s->v[0], s->v[1],
-                  s->v[2], i[0], i[1], i[2], NULL, NULL, NULL, NULL, NULL,
-                  NULL, NULL);
-    else
-        push_loop(ndim, variant, order, stored, 1, s->n, &s->k, s->scale,
-                  s->icell, s->d[0], s->d[1], s->d[2], s->v[0], s->v[1],
-                  s->v[2], i[0], i[1], i[2], s->icell_out, o[0], o[1], o[2],
-                  io[0], io[1], io[2]);
+    int64_t *const *i = s->icoord;
+    push_loop(ndim, variant, order, stored, s->n, &s->k, s->scale, s->icell,
+              s->d[0], s->d[1], s->d[2], s->v[0], s->v[1], s->v[2], i[0],
+              i[1], i[2]);
 }
 
 /* Coordinates are stored for every order but the scan orders, which
@@ -396,17 +366,17 @@ INLINE void push_order(const int ndim, const int variant, const int order,
 {
     if (!s->icoord[0]) {
         if (order == ORDER_ROW_MAJOR)
-            push_staged(ndim, variant, ORDER_ROW_MAJOR, 0, s);
+            push_columns(ndim, variant, ORDER_ROW_MAJOR, 0, s);
         else
-            push_staged(ndim, variant, ORDER_COLUMN_MAJOR, 0, s);
+            push_columns(ndim, variant, ORDER_COLUMN_MAJOR, 0, s);
     } else if (order == ORDER_ROW_MAJOR)
-        push_staged(ndim, variant, ORDER_ROW_MAJOR, 1, s);
+        push_columns(ndim, variant, ORDER_ROW_MAJOR, 1, s);
     else if (order == ORDER_COLUMN_MAJOR)
-        push_staged(ndim, variant, ORDER_COLUMN_MAJOR, 1, s);
+        push_columns(ndim, variant, ORDER_COLUMN_MAJOR, 1, s);
     else if (order == ORDER_MORTON)
-        push_staged(ndim, variant, ORDER_MORTON, 1, s);
+        push_columns(ndim, variant, ORDER_MORTON, 1, s);
     else
-        push_staged(ndim, variant, ORDER_OTHER, 1, s);
+        push_columns(ndim, variant, ORDER_OTHER, 1, s);
 }
 
 /* The bitwise wrap is the one that vectorizes (the other two call
@@ -440,13 +410,10 @@ static void push_span(const int ndim, const int variant, const push_args *s,
     push_args b = *s;
     b.n = hi - lo;
     b.icell = s->icell + lo;
-    b.icell_out = s->icell_out ? s->icell_out + lo : NULL;
     for (int a = 0; a < MAXDIM; a++) {
         b.d[a] = s->d[a] ? s->d[a] + lo : NULL;
         b.v[a] = s->v[a] ? s->v[a] + lo : NULL;
-        b.d_out[a] = s->d_out[a] ? s->d_out[a] + lo : NULL;
         b.icoord[a] = s->icoord[a] ? s->icoord[a] + lo : NULL;
-        b.icoord_out[a] = s->icoord_out[a] ? s->icoord_out[a] + lo : NULL;
     }
     if (variant == WRAP_BRANCH || variant == WRAP_MODULO)
         push_fmod(ndim, variant, &b);
@@ -771,41 +738,32 @@ CLONES int64_t update_v_rows(int ndim, int64_t n, int64_t ncell,
 
 static push_args make_push_args(int ndim, int64_t n, int order,
                                 const int64_t *extent, const double *scale,
-                                const int64_t *icell, double *const *d,
-                                double *const *v, int64_t *const *icoord,
-                                int64_t *icell_out, double *const *d_out,
-                                int64_t *const *icoord_out)
+                                int64_t *icell, double *const *d,
+                                double *const *v, int64_t *const *icoord)
 {
     push_args s;
     s.order = order;
     s.n = n;
     s.k = make_curve(ndim, extent);
-    s.icell = (int64_t *)icell; /* written only when it is icell_out */
-    s.icell_out = icell_out;
+    s.icell = icell;
     for (int a = 0; a < MAXDIM; a++) {
         const int on = a < ndim;
         s.scale[a] = on ? scale[a] : 0.0;
         s.d[a] = on ? d[a] : NULL;
         s.v[a] = on ? v[a] : NULL;
-        s.d_out[a] = on ? d_out[a] : NULL;
         s.icoord[a] = on && icoord ? icoord[a] : NULL;
-        s.icoord_out[a] = on && icoord ? icoord_out[a] : NULL;
     }
     return s;
 }
 
 /* Fig. 1 line 10 over the population (one of the three loops of
- * section IV-A), from the source columns into the `*_out` ones: all of
- * them the sources themselves, or none. */
-void push(int ndim, int64_t n, int variant, int order,
-                 const int64_t *extent, const double *scale,
-                 const int64_t *icell, double *const *d, double *const *v,
-                 int64_t *const *icoord, int64_t *icell_out,
-                 double *const *d_out, int64_t *const *icoord_out)
+ * section IV-A), in place. */
+void push(int ndim, int64_t n, int variant, int order, const int64_t *extent,
+          const double *scale, int64_t *icell, double *const *d,
+          double *const *v, int64_t *const *icoord)
 {
     const push_args s = make_push_args(ndim, n, order, extent, scale, icell,
-                                       d, v, icoord, icell_out, d_out,
-                                       icoord_out);
+                                       d, v, icoord);
     push_span(ndim, variant, &s, 0, n);
 }
 
@@ -841,7 +799,7 @@ int64_t advance(int ndim, int64_t n, int64_t ncell, const double *e,
         return bad;
     const int unit = unit_coefs(ndim, coef);
     const push_args s = make_push_args(ndim, n, order, extent, scale, icell,
-                                       d, v, icoord, icell, d, icoord);
+                                       d, v, icoord);
     for (int64_t lo = 0; lo < n; lo += BLOCK) {
         const int64_t hi = n - lo < BLOCK ? n : lo + BLOCK;
         update_v_span(ndim, unit, lo, hi, e, icell, d, v, coef);

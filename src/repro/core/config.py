@@ -50,8 +50,9 @@ class OptimizationConfig:
         ``"out-of-place"`` (double buffer) or ``"in-place"``.
     backend:
         Kernel execution backend: ``"numpy"`` (cache-blocked array kernels),
-        ``"c"`` (the scalar C loops of ``ckernels.c``, built with the
-        host compiler at first use; bitwise equal to ``"numpy"``),
+        ``"c"`` (the C loops of ``ckernels.c``, built with the host
+        compiler at first use and vectorized for AVX-512 hosts by an
+        x86-64-v4 clone; bitwise equal to ``"numpy"``),
         ``"numpy-mp"`` (the shared-memory multiprocessing
         engine of :mod:`repro.parallel.executor`), or ``"auto"``
         (default) — ``"c"`` where a C compiler is on ``PATH``, else

@@ -207,13 +207,12 @@ def broadcast_rows(e_1d, corner_point, components, scales):
 # ----------------------------------------------------------------------
 # Field interpolation (the gather side of update-velocities)
 # ----------------------------------------------------------------------
-def interpolate_rows(e_1d, icell, offsets, out=None):
+def interpolate_rows(e_1d, icell, offsets):
     """Gather E at particle positions from the redundant layout.
 
     One contiguous ``ndim * 2^ndim``-value row per particle (in 2D a
-    single cache line in the paper's machines).  Returns one array per
-    axis — freshly allocated, or the arrays passed as ``out`` (the
-    ``numpy-mp`` worker hands in its slice of the shared scratch).
+    single cache line in the paper's machines).  Returns one freshly
+    allocated array per axis.
 
     The corner reduction is written as explicit sequential adds (a
     left fold in corner order) rather than an ``einsum``, whose
@@ -224,7 +223,7 @@ def interpolate_rows(e_1d, icell, offsets, out=None):
     bit, in either dimension.
     """
     n, ncorner = len(icell), 1 << len(offsets)
-    e_p = out if out is not None else tuple(np.empty(n) for _ in offsets)
+    e_p = tuple(np.empty(n) for _ in offsets)
     for sl in blocks(n):
         rows = e_1d[np.asarray(icell[sl], dtype=np.int64)]  # (B, ndim * ncorner)
         w = corner_weights([d[sl] for d in offsets])  # (B, ncorner)
@@ -239,12 +238,11 @@ def interpolate_rows(e_1d, icell, offsets, out=None):
 # ----------------------------------------------------------------------
 # Velocity update (Fig. 1 line 9)
 # ----------------------------------------------------------------------
-def kick(v, e_p, coef, out=None):
-    """``v + coef * e_p`` into ``out`` (default: in place, into ``v``);
-    multiply-free for the scalar 1.0."""
+def kick(v, e_p, coef):
+    """``v += coef * e_p`` in place; multiply-free for the scalar 1.0."""
     if np.ndim(coef) != 0 or coef != 1.0:
         e_p = coef * e_p
-    np.add(v, e_p, out=v if out is None else out)
+    np.add(v, e_p, out=v)
 
 
 # ----------------------------------------------------------------------
@@ -331,42 +329,42 @@ def _axis_bitwise(x, nc):
     return fx & (nc - 1), x - fx
 
 
-def push_blocked(src, dst, extents, ordering, axis_fn, scales):
-    """The one position-update body: advance, wrap, re-derive cells.
+def push_blocked(particles, extents, ordering, axis_fn, scales):
+    """The one position-update body: advance, wrap, re-derive cells, in
+    place.
 
-    ``src`` maps ``icell``, ``d<a>``, ``v<a>`` (and ``i<a>`` when cell
-    coordinates are stored; otherwise they are decoded from ``icell``)
-    to arrays, for each axis ``a`` of ``"xyz"[:len(extents)]``; ``dst``
-    maps ``icell``, ``d<a>`` (and ``i<a>``) to the arrays written.  A
-    :class:`~repro.particles.storage.ParticleStorage` is such a
-    mapping.  Passing the same one twice updates in place (the
-    backends); the ``numpy-mp`` worker passes slices of the back
-    buffer as ``dst`` so a crash mid-write leaves the inputs intact.
+    ``particles`` maps ``icell``, ``d<a>``, ``v<a>`` (and ``i<a>`` when
+    cell coordinates are stored; otherwise they are decoded from
+    ``icell``) to arrays, for each axis ``a`` of
+    ``"xyz"[:len(extents)]``; a
+    :class:`~repro.particles.storage.ParticleStorage` is such a mapping.
+    ``icell``, the offsets and the stored coordinates are overwritten.
 
     ``ordering`` supplies the coordinates <-> icell bijection,
     ``axis_fn(x, nc) -> (icoord, offset)`` the periodic fold and
     ``scales`` the stored-velocity -> grid-displacement factor per axis
-    (1.0 under hoisting).  In-place use is safe: an axis reads only
-    its own arrays, and ``icell`` and the coordinates — the inputs
-    every axis shares — are written last.
+    (1.0 under hoisting).  An axis reads only its own arrays, and
+    ``icell`` and the coordinates — the inputs every axis shares — are
+    written last.
     """
+    p = particles
     axes = "xyz"[: len(extents)]
-    for sl in blocks(len(src["icell"])):
-        if "ix" in src:
-            old = [src["i" + a][sl] for a in axes]
+    for sl in blocks(len(p["icell"])):
+        if "ix" in p:
+            old = [p["i" + a][sl] for a in axes]
         else:
             # row-major family: recompute coords from icell in one op each
-            old = ordering.decode(src["icell"][sl])
+            old = ordering.decode(p["icell"][sl])
         new = []
         for a, i_old, nc, scale in zip(axes, old, extents, scales):
-            x = i_old + src["d" + a][sl] + scale * src["v" + a][sl]
+            x = i_old + p["d" + a][sl] + scale * p["v" + a][sl]
             i_new, offset = axis_fn(np.asarray(x), nc)
-            dst["d" + a][sl] = offset
+            p["d" + a][sl] = offset
             new.append(i_new)
-        dst["icell"][sl] = ordering.encode(*new)
-        if "ix" in dst:
+        p["icell"][sl] = ordering.encode(*new)
+        if "ix" in p:
             for a, i_new in zip(axes, new):
-                dst["i" + a][sl] = i_new
+                p["i" + a][sl] = i_new
 
 
 #: Per-axis wrap kernels, keyed the same way — the building blocks the

@@ -12,7 +12,7 @@ it).  It runs across genuine OS processes:
   pipes and process sentinels until something happens;
 * a per-stepper :class:`ShmEngine` — one engine for 2D and 3D
   steppers — that partitions the three particle
-  loops of Fig. 1 across the pool — gather/kick/push by particle
+  loops of Fig. 1 across the pool — update-v and the push by particle
   range, the charge deposit by **corner ownership** (each worker folds
   whole corner columns of ``rho_1d`` — cut into cell ranges only
   beyond ``ncorner`` workers — into a private slab the parent copies
@@ -30,11 +30,13 @@ Robustness: worker heartbeat (:meth:`WorkerPool.ping`), a configurable
 task timeout (``OptimizationConfig.mp_task_timeout``), and a serial
 degradation path — a crashed or hung worker is killed and respawned
 and its shards are recomputed in the parent, counted in
-:class:`~repro.perf.instrument.StepTimings` as ``fallbacks``.  The
-update-v/update-x loops write to a *back buffer* the parent commits by
-exchanging array bindings (:meth:`SharedParticleStorage.flip`), so a
+:class:`~repro.perf.instrument.StepTimings` as ``fallbacks``.  A
+particle shard copies the columns it writes from the live (front)
+storage into the *back buffer* and runs the body's own in-place kernel
+there; the parent commits by exchanging array bindings
+(:meth:`SharedParticleStorage.flip`).  The front is only read, so a
 worker dying mid-write never corrupts the inputs the serial retry
-reads; the deposit writes its owned slab pieces outright, so every
+re-copies; the deposit writes its owned slab pieces outright, so every
 retry is idempotent.
 """
 
@@ -49,7 +51,6 @@ from multiprocessing.connection import wait
 
 import numpy as np
 
-from repro.core import kernels as _k
 from repro.core.backends import AUTO, NumpyBackend, get_backend, register_backend
 from repro.curves.base import get_ordering
 from repro.parallel.partition import (
@@ -96,41 +97,45 @@ class PoolUnrecoverableError(RuntimeError):
 # the shard runs (:attr:`ShmEngine.body`): ``c`` wherever it builds,
 # else ``numpy`` — bitwise equal, so either serves any shard.
 # ----------------------------------------------------------------------
-def _exec_interp(body, e_1d, icell, offsets, out, lo, hi):
-    """Gather E into the per-particle scratch slice (idempotent)."""
-    body.interpolate_rows(
-        e_1d, icell[lo:hi], [d[lo:hi] for d in offsets],
-        out=tuple(e_p[lo:hi] for e_p in out),
+def _stage(front, back, lo, hi):
+    """Particles ``[lo, hi)`` as one mapping for an in-place kernel:
+    the back buffer's slices of the columns ``back`` names, filled from
+    the front's, and the front's own slices of the rest, which the
+    kernels only read.  The front is never written, so a retry after a
+    mid-write crash re-copies unmodified state."""
+    cols = {}
+    for key, arr in front.items():
+        if key in back:
+            np.copyto(back[key][lo:hi], arr[lo:hi])
+            cols[key] = back[key][lo:hi]
+        else:
+            cols[key] = arr[lo:hi]
+    return cols
+
+
+def _exec_update_v(body, front, back, e_1d, lo, hi, coefs):
+    """Update-v of the shard onto the back buffer's velocities."""
+    p = _stage(front, back, lo, hi)
+    axes = "xyz"[: len(coefs)]
+    body.update_v(
+        tuple(p["v" + a] for a in axes), e_1d, p["icell"],
+        tuple(p["d" + a] for a in axes), coefs,
     )
 
 
-def _exec_kick(v, e_p, out, lo, hi, coefs):
-    """Stage ``v + coef*E`` without touching ``v`` (crash-safe).
-
-    :func:`repro.core.kernels.kick` — the in-place serial kick's own
-    body, ``coef == 1`` fast path included — writing block by block
-    straight into the staging slice, so the staged values are bitwise
-    what the serial kick would produce.
-    """
-    for sl in _k.blocks(hi - lo):
-        sl = slice(lo + sl.start, lo + sl.stop)
-        for v_a, e_a, out_a, coef in zip(v, e_p, out, coefs):
-            _k.kick(v_a[sl], e_a[sl], coef, out=out_a[sl])
+def _exec_push(body, front, back, lo, hi, extents, ordering, variant, scales):
+    """The push of the shard onto the back buffer's cells, offsets and
+    coordinates, from the front's velocities."""
+    body.push(_stage(front, back, lo, hi), extents, ordering, variant, scales)
 
 
-def _exec_push(body, src, dst, lo, hi, extents, ordering, variant, scales):
-    """Stage the position update into the ``dst`` arrays (crash-safe).
-
-    The serial :meth:`KernelBackend.push` with the back buffer's slices
-    as its destination: staging keeps the inputs intact until the
-    parent commits, so a retry after a mid-write crash still reads
-    unmodified state.
-    """
-    body.push(
-        {key: arr[lo:hi] for key, arr in src.items()},
-        extents, ordering, variant, scales,
-        dst={key: arr[lo:hi] for key, arr in dst.items()},
-    )
+def _exec_advance(body, front, back, e_1d, lo, hi, coefs, extents, ordering,
+                  variant, scales):
+    """Update-v then the push of the shard, onto the back buffer's
+    every column, in the body's one pass; returns the body's two loop
+    seconds."""
+    return body.advance(_stage(front, back, lo, hi), e_1d, coefs, extents,
+                        ordering, variant, scales)
 
 
 def _exec_deposit(body, slab, icell, offsets, groups, charge):
@@ -157,9 +162,9 @@ def _exec_deposit(body, slab, icell, offsets, groups, charge):
 #: worker op name -> executor; a shard message carries the op's array
 #: arguments as a tree of attach specs and the rest under ``"args"``
 _OPS = {
-    "interp": _exec_interp,
-    "kick": _exec_kick,
+    "update_v": _exec_update_v,
     "push": _exec_push,
+    "advance": _exec_advance,
     "deposit": _exec_deposit,
 }
 
@@ -186,6 +191,7 @@ def _ordering_from_spec(spec, cache):
 
 
 def _execute(op, msg, seg_cache, ordering_cache):
+    """Run one message; returns what the op's executor returns."""
     if op in _OPS:
         args = dict(msg["args"])
         if "body" in args:  # by name: a forked worker has it loaded
@@ -193,17 +199,17 @@ def _execute(op, msg, seg_cache, ordering_cache):
         if "ordering" in args:
             args["ordering"] = _ordering_from_spec(args["ordering"], ordering_cache)
         arrays = _map_arrays(lambda spec: attach_array(spec, seg_cache), msg["arrays"])
-        _OPS[op](**arrays, **args)
-    elif op == "ping":
-        pass
-    elif op == "sleep":  # test hook for the timeout path
+        return _OPS[op](**arrays, **args)
+    if op == "sleep":  # test hook for the timeout path
         time.sleep(msg["seconds"])
-    else:
+    elif op != "ping":
         raise KeyError(f"unknown worker op {op!r}")
+    return None
 
 
 def _worker_main(wid, tasks, results):
-    """Worker process loop: attach lazily, execute shards, report."""
+    """Worker process loop: attach lazily, execute shards, report each
+    as ``(seconds, what the executor returned)``."""
     seg_cache: dict = {}
     ordering_cache: dict = {}
     while True:
@@ -216,8 +222,8 @@ def _worker_main(wid, tasks, results):
         tid = msg["tid"]
         try:
             t0 = time.perf_counter()
-            _execute(msg["op"], msg, seg_cache, ordering_cache)
-            results.send(("done", wid, tid, time.perf_counter() - t0))
+            out = _execute(msg["op"], msg, seg_cache, ordering_cache)
+            results.send(("done", wid, tid, (time.perf_counter() - t0, out)))
         except Exception:
             # Truncate so the pickled message stays under PIPE_BUF and
             # the pipe write is a single atomic os.write — a SIGKILL can
@@ -317,7 +323,8 @@ class WorkerPool:
     def run_shards(self, shards, timeout=None):
         """Run ``(wid, msg)`` shards; return ``(done, failed)``.
 
-        ``done`` holds ``((wid, msg), seconds)`` per completed shard,
+        ``done`` holds ``((wid, msg), (seconds, result))`` per completed
+        shard,
         ``failed`` holds ``(wid, msg)`` for shards whose worker raised,
         died, or blew the timeout (those workers are respawned before
         returning, so no failed shard is still being executed — the
@@ -433,9 +440,9 @@ class ShmEngine:
     per-axis quantity travels as a tuple.  Construction relocates the
     particle storage and the field rows into shared memory (the stepper
     keeps using them through the same attributes), gives the stepper a
-    shared back buffer — staging for the kick/push commits *and* the
-    out-of-place sort's double buffer — and sets up both partitions:
-    particle ranges for gather/kick/push (fixed for the engine's
+    shared back buffer — staging for the particle loops' commits *and*
+    the out-of-place sort's double buffer — and sets up both partitions:
+    particle ranges for update-v and the push (fixed for the engine's
     lifetime), and corner columns for the deposit.  Beyond ``ncorner``
     workers the columns are also cut into cell ranges, from the t=0
     particle histogram (~equal particles per range) and re-cut by the
@@ -478,10 +485,8 @@ class ShmEngine:
             stepper.fields, self.arena, self.planner.initial(hist)
         )
         self.ordering = stepper.ordering
-        self.n = front.n
+        self.n, self.ndim = front.n, front.ndim
         self.particle_ranges = partition_range(self.n, self.nworkers)
-        #: per-particle gather targets, one per axis
-        self.e_p = [self.arena.alloc(self.n) for _ in range(front.ndim)]
         #: the kernels every shard runs, picked once — before the pool
         #: forks, so the workers start with them loaded
         self.body = get_backend(AUTO)
@@ -498,13 +503,17 @@ class ShmEngine:
 
     # ------------------------------------------------------------------
     def _dispatch(self, phase, shards):
-        """Run shards; record per-worker timings; return failed msgs.
+        """Run shards; record per-worker timings; return ``(results,
+        failed msgs)``.
 
-        Raises :class:`PoolUnrecoverableError` once every shard of
-        ``max_failure_streak`` consecutive dispatches has failed —
-        at that point the pool is doing no useful work (each "retry"
-        is the parent recomputing everything serially) and the caller
-        should degrade to an in-process backend.
+        A shard's seconds are booked to ``phase``, except that an
+        executor returning its body's two loop seconds (the advance)
+        books the first to ``"update_v"`` and the rest of the shard to
+        ``phase``.  Raises :class:`PoolUnrecoverableError` once every
+        shard of ``max_failure_streak`` consecutive dispatches has
+        failed — at that point the pool is doing no useful work (each
+        "retry" is the parent recomputing everything serially) and the
+        caller should degrade to an in-process backend.
         """
         if self.unrecoverable:
             raise PoolUnrecoverableError(
@@ -514,7 +523,10 @@ class ShmEngine:
         done, failed = self.pool.run_shards(shards, timeout=self.task_timeout)
         instr = self.instrumentation
         if instr is not None:
-            for (wid, _msg), secs in done:
+            for (wid, _msg), (secs, loops) in done:
+                if loops is not None:
+                    instr.record_worker_phase(f"worker{wid}", "update_v", loops[0])
+                    secs -= loops[0]
                 instr.record_worker_phase(f"worker{wid}", phase, secs)
             if failed:
                 instr.record_fallback(len(failed))
@@ -529,24 +541,27 @@ class ShmEngine:
                 )
         elif done:
             self._failure_streak = 0
-        return failed
+        return [out for _shard, (_secs, out) in done], failed
 
     def _run(self, phase, op, arrays, shard_args):
         """Run ``_OPS[op]`` on ``arrays`` (a tree of arena-owned
         arrays), one shard per ``(wid, args)``; shards whose worker
-        failed are recomputed here by the same executor."""
+        failed are recomputed here by the same executor.  Returns the
+        executors' results."""
         specs = _map_arrays(self.arena.spec_for, arrays)
         shards = [
             (wid, {"op": op, "arrays": specs, "args": args})
             for wid, args in shard_args
         ]
-        for _wid, msg in self._dispatch(phase, shards):
+        results, failed = self._dispatch(phase, shards)
+        for _wid, msg in failed:
             args = dict(msg["args"])
             if "body" in args:
                 args["body"] = self.body
             if "ordering" in args:
                 args["ordering"] = self.ordering
-            _OPS[op](**arrays, **args)
+            results.append(_OPS[op](**arrays, **args))
+        return results
 
     def _particle_shards(self, **args):
         """One ``(wid, args)`` per non-empty particle range."""
@@ -559,54 +574,52 @@ class ShmEngine:
     # ------------------------------------------------------------------
     # Phase drivers (called by MultiprocessBackend)
     # ------------------------------------------------------------------
-    def interpolate(self, e_1d, icell, offsets):
-        arrays = {"e_1d": e_1d, "icell": icell, "offsets": list(offsets),
-                  "out": self.e_p}
-        self._run("update_v", "interp", arrays,
-                  self._particle_shards(body=self.body.name))
-        return tuple(self.e_p)
+    def is_front(self, particles=None, **columns) -> bool:
+        """Whether ``particles`` is the stepper's live (front) storage,
+        or every ``name=array`` of ``columns`` is its live column of
+        that name; anything else runs the body's in-place kernel on the
+        caller's arrays."""
+        front = self._stepper.particles
+        return particles is front or bool(columns) and all(
+            key in front and front[key] is arr for key, arr in columns.items()
+        )
 
-    def front_back(self, particles=None, velocities=()):
-        """``(front, back)`` storages for a commit, or ``None``.
-
-        The front is the stepper's current ``particles``; the answer
-        is ``None`` unless the caller passed that storage, or
-        ``velocities`` that *are* its live per-axis arrays — anything
-        else runs the inherited in-place kernel on the caller's arrays.
-        """
+    def _run_staged(self, phase, op, names, e_1d=None, **args):
+        """Run ``op`` over the particle ranges with the columns
+        ``names`` staged in the back buffer, then commit them."""
         front, back = self._stepper.particles, self._stepper._sort_buffer
-        if particles is front or (
-            len(velocities) == front.ndim
-            and all(front["v" + a] is v for a, v in zip("xyz", velocities))
-        ):
-            return front, back
-        return None
-
-    def kick(self, stores, e_ps, coefs):
-        front, back = stores
-        names = [key for key in front.keys() if key[0] == "v"]
-        arrays = {"v": [front[k] for k in names], "e_p": list(e_ps),
-                  "out": [back[k] for k in names]}
-        self._run(
-            "update_v", "kick", arrays,
-            self._particle_shards(coefs=[float(c) for c in coefs]),
-        )
+        arrays = {"front": dict(front), "back": {k: back[k] for k in names}}
+        if e_1d is not None:
+            arrays["e_1d"] = e_1d
+        results = self._run(phase, op, arrays,
+                            self._particle_shards(body=self.body.name, **args))
         front.flip(back, names)
+        return results
 
-    def push(self, stores, extents, variant, scales):
-        front, back = stores
-        staged = [key for key in front.keys() if key[0] != "v"]
-        arrays = {"src": dict(front), "dst": {key: back[key] for key in staged}}
-        extents = tuple(int(nc) for nc in extents)
-        self._run(
-            "update_x", "push", arrays,
-            self._particle_shards(
-                body=self.body.name, extents=extents, variant=variant,
-                scales=[float(sc) for sc in scales],
-                ordering=self.ordering.spec,
-            ),
+    def update_v(self, e_1d, coefs):
+        names = [k for k in self._stepper.particles.keys() if k[0] == "v"]
+        self._run_staged("update_v", "update_v", names, e_1d,
+                         coefs=[float(c) for c in coefs])
+
+    def _push_args(self, extents, variant, scales):
+        return {"extents": tuple(int(nc) for nc in extents),
+                "variant": variant, "scales": [float(sc) for sc in scales],
+                "ordering": self.ordering.spec}
+
+    def push(self, extents, variant, scales):
+        names = [k for k in self._stepper.particles.keys() if k[0] != "v"]
+        self._run_staged("update_x", "push", names,
+                         **self._push_args(extents, variant, scales))
+
+    def advance(self, e_1d, coefs, extents, variant, scales):
+        """Both loops in one dispatch; the two loop seconds of the
+        slowest shard."""
+        results = self._run_staged(
+            "update_x", "advance", list(self._stepper.particles.keys()), e_1d,
+            coefs=[float(c) for c in coefs],
+            **self._push_args(extents, variant, scales),
         )
-        front.flip(back, staged)
+        return max(results, key=sum)
 
     def accumulate(self, icell, offsets, charge):
         gs = self.grid_shared
@@ -674,16 +687,18 @@ def _engine_owning(*arrays):
 class MultiprocessBackend(NumpyBackend):
     """The split-loop kernels fanned out over shared-memory workers.
 
-    Calls whose arrays belong to a live :class:`ShmEngine` (i.e. came
-    from a prepared stepper) are dispatched to the pool, whose workers
-    run the engine's body — the kernels ``"auto"`` resolves to, ``c``'s
-    compiled loops wherever they build (the name is historical); the ρ
-    fold and the field broadcast of the engine's store run that body in
-    the parent.
-    Everything else — direct
-    kernel calls, calls with ``out=`` / ``corners=`` / ``dst=``, the
-    sort — runs the inherited :class:`NumpyBackend` kernels serially,
-    with identical results.  Every stepper, 2D or 3D, gets the engine:
+    Update-v, the push and the two as one pass (:meth:`advance`) over a
+    prepared stepper's live particle storage, and the deposit into its
+    ρ rows, are dispatched to the pool of the :class:`ShmEngine` that
+    owns the arrays; its workers run the engine's body — the kernels
+    ``"auto"`` resolves to, ``c``'s compiled loops wherever they build
+    (the name is historical).  The engine's other arrays — the gather
+    and the kick (the zoo's Boris update-v, the t=0 half-kick), the ρ
+    fold, the field broadcast, the kinetic-energy terms, any loop over
+    the back buffer — run that body in the parent, in place.  Arrays
+    no engine owns, a deposit with ``corners=`` and the sort run the
+    inherited :class:`NumpyBackend` kernels serially, with identical
+    results.  Every stepper, 2D or 3D, gets the engine:
     each keeps redundant rows it can adopt and SoA columns it can
     share.  Deliberately the *lowest* priority so ``"auto"`` never picks
     it; multiprocessing is opt-in.
@@ -742,38 +757,56 @@ class MultiprocessBackend(NumpyBackend):
         """The live engine prepared for ``stepper``, if any."""
         return self._engines.get(id(stepper))
 
-    # -- the parent's per-cell loops and diagnostics run on the engine's body
-    def reduce_rows(self, fields):
-        eng = _engine_owning(fields.rho_1d)
-        if eng is None:
-            return super().reduce_rows(fields)
-        return eng.body.reduce_rows(fields)
+    # -- the parent's kernels run on the engine's body
+    def _body_for(self, *arrays):
+        """The body of the engine owning ``arrays``; the inherited NumPy
+        kernels for arrays no engine owns."""
+        eng = _engine_owning(*arrays)
+        return super() if eng is None else eng.body
 
-    def broadcast_rows(self, fields, components, scales):
-        eng = _engine_owning(fields.e_1d)
-        if eng is None:
-            return super().broadcast_rows(fields, components, scales)
-        eng.body.broadcast_rows(fields, components, scales)
-
-    def kinetic_terms(self, vs, scales, out):
-        eng = _engine_owning(*vs)
-        if eng is None:
-            return super().kinetic_terms(vs, scales, out)
-        return eng.body.kinetic_terms(vs, scales, out)
-
-    # -- kernel dispatch: the four split-loop kernels
-    def interpolate_rows(self, e_1d, icell, offsets, out=None):
-        eng = _engine_owning(e_1d, icell, *offsets)
-        if eng is None or out is not None or len(icell) != eng.n:
-            return super().interpolate_rows(e_1d, icell, offsets, out)
-        return eng.interpolate(e_1d, icell, offsets)
+    def interpolate_rows(self, e_1d, icell, offsets):
+        return self._body_for(e_1d, icell, *offsets).interpolate_rows(
+            e_1d, icell, offsets)
 
     def kick(self, vs, e_ps, coefs):
-        eng = _engine_owning(*vs, *e_ps)
-        stores = eng.front_back(velocities=vs) if eng is not None else None
-        if stores is None:
-            return super().kick(vs, e_ps, coefs)
-        eng.kick(stores, e_ps, coefs)
+        self._body_for(*vs).kick(vs, e_ps, coefs)
+
+    def reduce_rows(self, fields):
+        return self._body_for(fields.rho_1d).reduce_rows(fields)
+
+    def broadcast_rows(self, fields, components, scales):
+        self._body_for(fields.e_1d).broadcast_rows(fields, components, scales)
+
+    def kinetic_terms(self, vs, scales, out):
+        return self._body_for(*vs).kinetic_terms(vs, scales, out)
+
+    # -- the particle loops over the live storage go to the pool
+    def update_v(self, vs, e_1d, icell, offsets, coefs):
+        eng = _engine_owning(e_1d, icell, *vs, *offsets)
+        axes = "xyz"[: len(vs)]
+        if eng is None or not (
+            len(vs) == len(offsets) == len(coefs) == eng.ndim
+            and eng.is_front(icell=icell,
+                             **{"v" + a: v for a, v in zip(axes, vs)},
+                             **{"d" + a: d for a, d in zip(axes, offsets)})
+        ):
+            return self._body_for(*vs).update_v(vs, e_1d, icell, offsets, coefs)
+        eng.update_v(e_1d, coefs)
+
+    def push(self, particles, extents, ordering, variant, scales):
+        eng = _engine_owning(particles["icell"])
+        if eng is None or not eng.is_front(particles) or ordering is not eng.ordering:
+            return self._body_for(particles["icell"]).push(
+                particles, extents, ordering, variant, scales)
+        eng.push(extents, variant, scales)
+
+    def advance(self, particles, e_1d, coefs, extents, ordering, variant,
+                scales):
+        eng = _engine_owning(e_1d, particles["icell"])
+        if eng is None or not eng.is_front(particles) or ordering is not eng.ordering:
+            return self._body_for(particles["icell"]).advance(
+                particles, e_1d, coefs, extents, ordering, variant, scales)
+        return eng.advance(e_1d, coefs, extents, variant, scales)
 
     def accumulate_rows(self, rho_1d, icell, offsets, charge=1.0,
                         corners=None):
@@ -787,11 +820,3 @@ class MultiprocessBackend(NumpyBackend):
             return super().accumulate_rows(rho_1d, icell, offsets, charge,
                                            corners)
         eng.accumulate(icell, offsets, charge)
-
-    def push(self, particles, extents, ordering, variant, scales, dst=None):
-        eng = _engine_owning(particles["icell"])
-        stores = eng.front_back(particles) if eng is not None else None
-        if stores is None or dst is not None or ordering is not eng.ordering:
-            return super().push(particles, extents, ordering, variant, scales,
-                                dst)
-        eng.push(stores, extents, variant, scales)

@@ -35,6 +35,25 @@ __all__ = ["LandauDamping3D", "TwoStream3D", "PICStepper3D"]
 _SCAN_ORDERS = ("row-major", "column-major")
 
 
+def _quiet_start(n, grid, alpha, mode, vth):
+    """Quiet-start physical positions and velocities of ``n`` particles:
+    a ``cos(kx x)`` density ripple of amplitude ``alpha`` along x, Halton
+    points across y and z, and a Maxwellian of spread ``vth`` per axis
+    (Box–Muller over Halton pairs)."""
+    lx, ly, lz = grid.lengths
+    kx = 2 * np.pi * mode / lx
+    x = grid.xmin + sample_perturbed_positions(n, lx, alpha, kx, quiet=True)
+    y = grid.ymin + ly * halton_sequence(n, 3)
+    z = grid.zmin + lz * halton_sequence(n, 5)
+
+    def normal(base):
+        u1 = np.clip(halton_sequence(n, base), 1e-12, 1.0)
+        u2 = halton_sequence(n, base + 4)
+        return vth * np.sqrt(-2 * np.log(u1)) * np.cos(2 * np.pi * u2)
+
+    return x, y, z, normal(7), normal(13), normal(19)
+
+
 class LandauDamping3D:
     """3D Landau damping: Maxwellian with a cos(kx x) density ripple."""
 
@@ -45,18 +64,7 @@ class LandauDamping3D:
 
     def sample(self, n: int, grid: GridSpec3D):
         """Quiet-start sample of physical positions and velocities."""
-        lx, ly, lz = grid.lengths
-        kx = 2 * np.pi * self.mode / lx
-        x = grid.xmin + sample_perturbed_positions(n, lx, self.alpha, kx, quiet=True)
-        y = grid.ymin + ly * halton_sequence(n, 3)
-        z = grid.zmin + lz * halton_sequence(n, 5)
-
-        def normal(base):
-            u1 = np.clip(halton_sequence(n, base), 1e-12, 1.0)
-            u2 = halton_sequence(n, base + 4)
-            return self.vth * np.sqrt(-2 * np.log(u1)) * np.cos(2 * np.pi * u2)
-
-        return x, y, z, normal(7), normal(13), normal(19)
+        return _quiet_start(n, grid, self.alpha, self.mode, self.vth)
 
 
 class TwoStream3D:
@@ -78,19 +86,9 @@ class TwoStream3D:
 
     def sample(self, n: int, grid: GridSpec3D):
         """Quiet-start sample of physical positions and velocities."""
-        lx, ly, lz = grid.lengths
-        kx = 2 * np.pi * self.mode / lx
-        x = grid.xmin + sample_perturbed_positions(n, lx, self.alpha, kx, quiet=True)
-        y = grid.ymin + ly * halton_sequence(n, 3)
-        z = grid.zmin + lz * halton_sequence(n, 5)
-
-        def normal(base):
-            u1 = np.clip(halton_sequence(n, base), 1e-12, 1.0)
-            u2 = halton_sequence(n, base + 4)
-            return self.vth * np.sqrt(-2 * np.log(u1)) * np.cos(2 * np.pi * u2)
-
+        x, y, z, vx, vy, vz = _quiet_start(n, grid, self.alpha, self.mode, self.vth)
         beam = np.where(halton_sequence(n, 23) < 0.5, self.v0, -self.v0)
-        return x, y, z, normal(7) + beam, normal(13), normal(19)
+        return x, y, z, vx + beam, vy, vz
 
 
 class PICStepper3D(StepLoop):

@@ -283,11 +283,15 @@ class TestEquivalence:
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("ndim,curve", CURVES)
     def test_staged_push_equals_numpy(self, ndim, curve, variant, stored):
-        """``push(..., dst=)`` — the ``numpy-mp`` worker's form, on
-        ``[lo, hi)`` slices of a source and a destination (for L4D and
-        Hilbert, ``ordering.encode`` runs on the slice): the source is
-        untouched, the destination outside the slice too, and the slice
-        holds what NumPy stages and what the in-place push leaves."""
+        """The ``numpy-mp`` worker's push: particles ``[lo, hi)`` of the
+        non-velocity columns copied from a front into a back buffer and
+        pushed there by the body's in-place push (for L4D and Hilbert,
+        ``ordering.encode`` runs on the slice).  The front is untouched,
+        the back buffer outside the slice too, and the slice holds, on
+        the ``c`` body as on ``numpy``, what the whole in-place push
+        leaves."""
+        from repro.parallel.executor import _exec_push
+
         c, numpy = get_backend("c"), get_backend("numpy")
         n = 2 * BLOCK + 17
         rng = np.random.default_rng(ndim)
@@ -302,9 +306,8 @@ class TestEquivalence:
             for backend in (c, numpy):
                 src = _copy(state)
                 dst = {k: np.full(n, 7, dtype=state[k].dtype) for k in staged}
-                backend.push({k: a[lo:hi] for k, a in src.items()}, shape,
-                             ordering, variant, scales,
-                             dst={k: a[lo:hi] for k, a in dst.items()})
+                _exec_push(backend, dict(src), dst, lo, hi, shape, ordering,
+                           variant, scales)
                 _assert_same(src, state, "source")
                 dsts.append(dst)
             for k in staged:
@@ -482,9 +485,7 @@ class TestDefinedOnEveryInput:
         produces), on every host and without a NumPy cast warning — so
         the guard trips at the same step on either backend."""
         p, ordering, shape = self._poisoned()
-        q, src = _copy(p), _copy(p)
-        staged = {k: np.empty_like(src[k]) for k in ("icell", "dx", "dy", "ix", "iy")}
-        get_backend("c").push(src, shape, ordering, variant, (1.0, 1.0), dst=staged)
+        q = _copy(p)
         get_backend("c").push(p, shape, ordering, variant, (1.0, 1.0))
         with warnings.catch_warnings():
             warnings.filterwarnings("error", message=".*encountered in cast")
@@ -494,7 +495,6 @@ class TestDefinedOnEveryInput:
             get_backend("numpy").push(q, shape, ordering, variant, (1.0, 1.0))
         for name in ("dx", "dy", "ix", "iy"):
             np.testing.assert_array_equal(p[name], q[name], err_msg=name)
-            np.testing.assert_array_equal(staged[name], q[name], err_msg=name)
 
     def test_update_v_and_kinetic_terms_of_non_finite_inputs(self):
         """NaN, ±inf and beyond-int64 offsets and velocities carry
@@ -524,8 +524,8 @@ class TestDefinedOnEveryInput:
     @pytest.mark.parametrize("ndim", [2, 3])
     def test_non_finite_inputs_at_lane_remainders(self, ndim, n):
         """Populations around the vector width, a third of every offset
-        and velocity column poisoned: every wrap of the push (in place
-        and staged), update-v, the strip-mined pass and the
+        and velocity column poisoned: every wrap of the push, update-v,
+        the strip-mined pass and the
         kinetic-energy terms keep NumPy's bits through the vector bodies
         and their epilogues."""
         c, numpy = get_backend("c"), get_backend("numpy")
@@ -537,10 +537,8 @@ class TestDefinedOnEveryInput:
         scales = (1.0, 0.37, 1.9)[:ndim]
         e_1d = rng.normal(size=(ordering.ncells_allocated, ndim << ndim))
         for variant in VARIANTS:
-            q, r, src = _copy(p), _copy(p), _copy(p)
-            staged = {k: np.empty_like(src[k]) for k in src.keys() if k[0] != "v"}
+            q, r = _copy(p), _copy(p)
             c.push(q, shape, ordering, variant, scales)
-            c.push(src, shape, ordering, variant, scales, dst=staged)
             with warnings.catch_warnings():
                 warnings.filterwarnings("error", message=".*encountered in cast")
                 warnings.filterwarnings(
@@ -553,8 +551,6 @@ class TestDefinedOnEveryInput:
                         assert one[k].tobytes() == two[k].tobytes(), (variant, k)
             for k in r.keys():
                 assert q[k].tobytes() == r[k].tobytes(), (variant, k)
-                if k in staged:
-                    assert staged[k].tobytes() == r[k].tobytes(), (variant, k)
 
         offsets = _poison([p["d" + a].copy() for a in axes])
         vs = [p["v" + a] for a in axes]
@@ -772,9 +768,8 @@ class TestClones:
     def test_every_kernel_has_the_bits_of_the_baseline_build(
         self, baseline, ndim, curve, n
     ):
-        """Push (every wrap, stored and recomputed coordinates, in place
-        and staged), the strip-mined pass (the same, in place, unit and
-        other coefficients), update-v (unit and other coefficients), the
+        """Push (every wrap, stored and recomputed coordinates), the
+        strip-mined pass (the same, unit and other coefficients), update-v (unit and other coefficients), the
         deposit (rows and columns), the gather, the kinetic-energy
         terms, the sort and the grid loops: byte for byte the baseline
         build's, on populations poisoned with NaN, ±inf and
@@ -792,25 +787,20 @@ class TestClones:
             for variant in VARIANTS:
                 pushed = []
                 for b in (c, baseline):
-                    p, src = _copy(state), _copy(state)
+                    p = _copy(state)
                     b.push(p, shape, ordering, variant, scales)
-                    staged = {k: np.empty_like(src[k]) for k in src.keys()
-                              if k[0] != "v"}
-                    b.push(src, shape, ordering, variant, scales, dst=staged)
                     advanced = []
                     for coefs, _ in FACTORS[:2]:
                         a = _copy(state)
                         b.advance(a, e_1d, coefs[:ndim], shape, ordering,
                                   variant, scales)
                         advanced.append(a)
-                    pushed.append((p, staged, advanced))
-                (p, staged, adv), (q, staged_q, adv_q) = pushed
+                    pushed.append((p, advanced))
+                (p, adv), (q, adv_q) = pushed
                 for k in p.keys():
                     assert p[k].tobytes() == q[k].tobytes(), (variant, stored, k)
                     for a, a_q in zip(adv, adv_q):
                         assert a[k].tobytes() == a_q[k].tobytes(), (variant, stored, k)
-                for k, a in staged.items():
-                    assert a.tobytes() == staged_q[k].tobytes(), (variant, stored, k)
 
         state = _population(rng, ndim, n, ordering, shape, True)
         offsets = tuple(state["d" + a] for a in axes)

@@ -116,7 +116,7 @@ class TestReflectingPush:
         sp = make_storage("soa", sr.n, store_coords=True)
         sp.set_state(**sr.as_dict())
         push_positions_reflecting(sr, NC, NC, o)
-        push_blocked(sp, sp, (NC, NC), o, AXIS_KERNELS["bitwise"], (1.0, 1.0))
+        push_blocked(sp, (NC, NC), o, AXIS_KERNELS["bitwise"], (1.0, 1.0))
         np.testing.assert_allclose(
             np.asarray(sr.ix) + np.asarray(sr.dx),
             np.asarray(sp.ix) + np.asarray(sp.dx),

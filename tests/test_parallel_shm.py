@@ -162,10 +162,10 @@ class TestBitwiseEquivalence:
 
     @pytest.mark.parametrize("ndim", [2, 3])
     def test_update_v_runs_on_the_workers(self, ndim, monkeypatch):
-        """Update-v is one backend call, and under ``numpy-mp`` both of
-        its halves, the gather and the kick, still go to the pool every
-        step — not a loop in the parent — with serial ``c``'s bits after
-        25 steps."""
+        """Update-v goes to the pool every step — not a loop in the
+        parent: an unhooked step as one ``advance`` op (two dispatches
+        a step with the deposit), a hooked step as one ``update_v`` and
+        one ``push`` op — with serial ``c``'s bits after 25 steps."""
         serial = "c" if CBackend.is_available() else "numpy"
         with _make_sim("numpy-mp", 2, ndim=ndim) as mp, \
                 _make_sim(serial, ndim=ndim) as ref:
@@ -173,16 +173,18 @@ class TestBitwiseEquivalence:
             ops, run = [], eng._run
 
             def counted(phase, op, *args):
-                ops.append((phase, op))
+                ops.append(op)
                 return run(phase, op, *args)
 
             monkeypatch.setattr(eng, "_run", counted)
             busy = 0.0
-            for _ in range(25):
+            for step in range(25):
+                hooked = step % 2 == 1
+                mp.stepper.phase_hook = (lambda phase, st: None) if hooked else None
                 ops.clear()
                 mp.run(1)
-                assert ops.count(("update_v", "interp")) == 1, ops
-                assert ops.count(("update_v", "kick")) == 1, ops
+                want = ["update_v", "push"] if hooked else ["advance"]
+                assert ops == [*want, "deposit"], ops
                 now = sum(per["update_v"]
                           for per in mp.timings.worker_phases.values())
                 assert now > busy
@@ -230,14 +232,15 @@ class TestFaultTolerance:
             _assert_bitwise_equal(_state(ref), _state(mp))
 
     @pytest.mark.parametrize("ndim", [2, 3])
-    @pytest.mark.parametrize("op", ["interp", "kick", "push", "deposit"])
+    @pytest.mark.parametrize("op", ["update_v", "push", "advance", "deposit"])
     def test_worker_dying_mid_write_retries_bitwise(self, body, op, ndim):
         """Kill a worker as the phase is dispatched, after scribbling
         over everything the phase writes — what a worker that died
         half-way through its shard leaves behind.  The inputs are
         untouched (they are the other buffer), so the parent's retry
         reproduces the serial bits — through the one engine, in both
-        dimensions, on either kernel body."""
+        dimensions, on either kernel body.  The split loops run under a
+        no-op phase hook."""
         with (
             _make_sim("numpy", ndim=ndim) as ref,
             _make_sim("numpy-mp", 2, ndim=ndim, **self.TIMEOUT_KW) as mp,
@@ -245,6 +248,8 @@ class TestFaultTolerance:
             ref.run(N_STEPS)
             eng = _engine(mp)
             assert eng.body.name == body
+            if op in ("update_v", "push"):
+                mp.stepper.phase_hook = lambda phase, st: None
             mp.run(2)
             run_shards, fired = eng.pool.run_shards, []
 
@@ -254,9 +259,6 @@ class TestFaultTolerance:
                     for _name, arr in mp.stepper._sort_buffer.items():
                         arr[...] = -1 if arr.dtype.kind == "i" else np.nan
                     eng.grid_shared.slab[...] = np.nan
-                    if op == "interp":  # the kick's inputs otherwise
-                        for arr in eng.e_p:
-                            arr[...] = np.nan
                     eng.pool.kill_worker(0)
                 return run_shards(shards, timeout)
 
@@ -379,8 +381,8 @@ class TestFlipCommit:
                 assert arena.owns(live, staged)
 
     def test_one_back_buffer_is_staging_and_sort_buffer(self):
-        """16 particle-sized shared arrays (7 front, 7 back, 2 gather
-        targets), and a sort step allocates nothing."""
+        """14 particle-sized shared arrays (7 front, 7 back: no gather
+        scratch), and a sort step allocates nothing."""
         with _make_sim("numpy-mp", 2, ordering="morton") as mp:
             eng = _engine(mp)
 
@@ -390,9 +392,9 @@ class TestFlipCommit:
                     for _arr, spec in eng.arena._arrays.values()
                 )
 
-            assert particle_sized() == 16
+            assert particle_sized() == 14
             mp.run(SORT_PERIOD + 1)  # through an out-of-place sort
-            assert particle_sized() == 16
+            assert particle_sized() == 14
 
     @pytest.mark.parametrize("sort_variant", ["out-of-place", "in-place"])
     def test_flips_interleave_with_the_sort_swap(self, sort_variant):
@@ -414,8 +416,9 @@ class TestFlipCommit:
                 _assert_bitwise_equal(_state(ref), _state(mp))
 
     def test_arrays_that_are_not_live_take_the_in_place_kernel(self):
-        """A kick on copies — or on the back buffer's arrays — must not
-        flip anything: it is the caller's arrays that get updated."""
+        """A kick or an update-v on copies — or on the back buffer's
+        arrays — must not flip anything: it is the caller's arrays that
+        get updated."""
         with _make_sim("numpy-mp", 2) as mp:
             st, eng = mp.stepper, _engine(mp)
             p, back = st.particles, st._sort_buffer
@@ -423,16 +426,23 @@ class TestFlipCommit:
             ex_p, ey_p = st.backend.interpolate_redundant(
                 st.fields.e_1d, p.icell, p.dx, p.dy
             )
-            before = np.array(p.vx)
-            want = before + 2.0 * ex_p
-            back.vx[:], back.vy[:] = p.vx, p.vy
+            before = np.array(p.vx), np.array(p.vy)
+            want = before[0] + 2.0 * ex_p
             copies = np.array(p.vx), np.array(p.vy)
             for vx, vy in ((back.vx, back.vy), copies):
-                st.backend.update_velocities(vx, vy, ex_p, ey_p, 2.0, 2.0)
-                assert np.array_equal(vx, want)
-                assert p.vx is live_vx and p.vy is live_vy
-                assert back.vx is staged_vx
-                assert np.array_equal(p.vx, before)
+                for update in (
+                    lambda: st.backend.update_velocities(
+                        vx, vy, ex_p, ey_p, 2.0, 2.0),
+                    lambda: st.backend.update_v(
+                        (vx, vy), st.fields.e_1d, p.icell, (p.dx, p.dy),
+                        (2.0, 2.0)),
+                ):
+                    vx[:], vy[:] = before
+                    update()
+                    assert np.array_equal(vx, want)
+                    assert p.vx is live_vx and p.vy is live_vy
+                    assert back.vx is staged_vx
+                    assert np.array_equal(p.vx, before[0])
             assert eng.fallbacks == 0
 
 
