@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-service serve-latency test-3d coverage csan cvec bench bench-gate ledger-smoke bench-scaling chaos chaos-service examples results clean docs-check check check-gates verify-gate verify-full
+.PHONY: install test test-service serve-latency test-3d coverage csan cvec threads-gate bench bench-gate ledger-smoke bench-scaling chaos chaos-service examples results clean docs-check check check-gates verify-gate verify-full
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation
@@ -58,7 +58,14 @@ csan:
 cvec:
 	$(PYTHON) tools/c_vectorize_gate.py
 
-check-gates: docs-check chaos chaos-service csan cvec bench-gate ledger-smoke verify-gate serve-latency test-service test-3d coverage examples
+# the c backend's thread team: its bitwise matrix (1-8 threads) and the
+# parent digests at 2, 4 and 8 threads, unpinned and then under
+# `taskset -c 0`, where the threads share one CPU and must neither
+# change a bit nor hang
+threads-gate:
+	$(PYTHON) tools/threads_gate.py
+
+check-gates: docs-check chaos chaos-service csan cvec threads-gate bench-gate ledger-smoke verify-gate serve-latency test-service test-3d coverage examples
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/
 	@echo "gate-status: tests ran"
 

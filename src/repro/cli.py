@@ -63,8 +63,8 @@ def _run_description(**defaults) -> argparse.ArgumentParser:
                      "numpy-mp fans the particle loops out over worker "
                      "processes)")
     job.add_argument("--workers", type=int, default=None, metavar="N",
-                     help="worker-process count for --backend numpy-mp "
-                     "(default: cpu count)")
+                     help="threads of the c backend's team, or worker "
+                     "processes of numpy-mp (default: usable cpus)")
     job.add_argument("--seed", type=int, default=None,
                      help="random start seed (default: quiet start)")
     job.set_defaults(**defaults)
@@ -668,8 +668,6 @@ def _cmd_spool(args) -> int:
 
 
 def _cmd_info(_args) -> int:
-    import os
-
     from repro.core import cbuild
     from repro.core.backends import (
         BackendUnavailableError,
@@ -678,6 +676,7 @@ def _cmd_info(_args) -> int:
         known_backend_names,
         resolve_backend_name,
     )
+    from repro.core.team import usable_cpus
     from repro.curves import available_orderings
     from repro.model.machine import MachineSpec
 
@@ -700,11 +699,11 @@ def _cmd_info(_args) -> int:
                   f" [{version}] {' '.join(info.flags)}\n"
                   f"           {info.path} ({how}, {1e3 * info.seconds:.0f} ms)\n"
                   f"           clone: {info.isa}")
-    ncpu = os.cpu_count() or 1
+    ncpu = usable_cpus()
     # the engine gives its workers the kernels "auto" resolves to
     mp = (f"available, workers run {get_backend().name}"
           if "numpy-mp" in avail else "unavailable")
-    print(f"cpus     : {ncpu} (numpy-mp {mp}; default --workers {ncpu})")
+    print(f"cpus     : {ncpu} usable (numpy-mp {mp}; default --workers {ncpu})")
     for name in ("haswell", "sandybridge"):
         m = getattr(MachineSpec, name)()
         caches = ", ".join(

@@ -481,6 +481,7 @@ _C_SIGNATURES = {
     "kinetic_terms": (None, (_INT, _I64, _COLS, _F64S, _PTR)),
     "advance": (_I64, (_INT, _I64, _I64, _PTR, _F64S, _INT, _INT, _I64S,
                        _F64S, _PTR, _COLS, _COLS, _COLS, _F64S)),
+    "first_outside": (_I64, (_I64, _PTR, _I64)),
     "kernel_isa": (ctypes.c_char_p, ()),
 }
 
@@ -759,6 +760,15 @@ class CBackend(NumpyBackend):
         if order == _ORDER_OTHER:
             icell[:] = ordering.encode(*coords)
         return seconds[0], seconds[1]
+
+    def first_outside(self, icell, ncell) -> int:
+        """-1, or the index of the first cell in ``icell`` (an int64
+        column) outside ``[0, ncell)`` — the check every row kernel
+        makes before it writes, on its own so that the stepper's thread
+        team can make it for every shard first."""
+        if not _fits(icell, np.int64, (len(icell),), write=False):
+            raise TypeError("icell must be a C-contiguous int64 column")
+        return self._lib.first_outside(len(icell), icell.ctypes.data, ncell)
 
     # -- diagnostics ---------------------------------------------------
     def kinetic_terms(self, vs, scales, out):

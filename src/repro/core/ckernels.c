@@ -559,8 +559,9 @@ INLINE void deposit_row(const int ndim, int64_t n, int64_t ncell,
 /* -1, or the first k with key[k] outside [0, bound).  A branch-free OR
  * per block (the top bit of key, or of bound - 1 - key, is set exactly
  * for a key outside) so the pass runs at memory speed; only a block
- * that fails is searched. */
-static int64_t first_outside(int64_t n, const int64_t *key, int64_t bound)
+ * that fails is searched.  Every row kernel runs it first; exported so
+ * that a thread team can check all of its shards before any writes. */
+int64_t first_outside(int64_t n, const int64_t *key, int64_t bound)
 {
     if (bound <= 0)
         return n > 0 ? 0 : -1;

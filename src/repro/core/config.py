@@ -60,9 +60,13 @@ class OptimizationConfig:
         All backends produce identical physics; see
         :mod:`repro.core.backends`.
     workers:
-        Worker-process count for the ``numpy-mp`` backend; ``None``
-        (default) uses ``os.cpu_count()``.  Ignored by the in-process
-        backends.
+        Threads of the ``c`` backend's thread team
+        (:mod:`repro.core.team`: update-v, the push and the sort's
+        gathers over particle shards, bitwise equal to one thread), or
+        worker processes of the ``numpy-mp`` backend; ``None``
+        (default) uses the usable CPUs
+        (:func:`~repro.core.team.usable_cpus`, which honours
+        ``taskset``).  The ``numpy`` backend ignores it.
     mp_task_timeout:
         Seconds the ``numpy-mp`` engine waits for a worker's shard
         before killing and respawning the worker and recomputing the
@@ -94,7 +98,7 @@ class OptimizationConfig:
         if self.sort_period < 0:
             raise ValueError("sort_period must be >= 0")
         if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be >= 1 (or None for cpu count)")
+            raise ValueError("workers must be >= 1 (or None for usable cpus)")
         if self.mp_task_timeout <= 0:
             raise ValueError("mp_task_timeout must be positive")
         # deferred import: backends depends on kernels, not on config

@@ -46,9 +46,10 @@ import time
 
 import numpy as np
 
-from repro.core.backends import KernelBackend, get_backend
+from repro.core.backends import CBackend, KernelBackend, _check_cells, get_backend
 from repro.core.boundaries import push_positions_reflecting
 from repro.core.config import OptimizationConfig
+from repro.core.team import ThreadTeam, shard_slices, usable_cpus
 from repro.curves.base import get_ordering
 from repro.grid.fields import RedundantFields
 from repro.grid.poisson import SpectralPoissonSolver
@@ -118,18 +119,21 @@ class StepLoop:
         self._sort_buffer: ParticleStorage | None = None
         if self.config.sort_period and self.config.sort_variant != "in-place":
             self._sort_buffer = self.particles.clone_empty()
+        #: the ``c`` backend's thread team (:meth:`_prepare` starts it)
+        self._team: ThreadTeam | None = None
         self._closed = False
 
     def _prepare(self, init=None) -> None:
-        """Backend hook, then ``init()``: multi-process backends
-        relocate the particle and field storage into shared memory
-        here, before the first kernel call (a t=0 deposit/solve in
-        ``init`` already runs through it).  If anything after the hook
-        raises, release what the hook acquired — a failed construction
-        must not leak a worker pool or /dev/shm segments until
-        interpreter exit."""
+        """Backend hook, the thread team, then ``init()``:
+        multi-process backends relocate the particle and field storage
+        into shared memory here, before the first kernel call (a t=0
+        deposit/solve in ``init`` already runs through it).  If
+        anything after the hook raises, release what the hook acquired
+        — a failed construction must not leak a worker pool, /dev/shm
+        segments or threads until interpreter exit."""
         try:
             self.backend.prepare_stepper(self)
+            self._start_team()
             if init is not None:
                 init()
         except BaseException:
@@ -142,12 +146,62 @@ class StepLoop:
         In-process backends hold none; the ``numpy-mp`` backend shuts
         down its worker pool and unlinks its shared-memory segments.
         Safe to call any number of times, including from exception
-        paths and after a failed construction.
+        paths and after a failed construction.  Stops the thread team.
         """
         if getattr(self, "_closed", False):
             return
         self._closed = True
+        team, self._team = getattr(self, "_team", None), None
+        if team is not None:
+            team.close()
         self.backend.release_stepper(self)
+
+    # ------------------------------------------------------------------
+    # The thread team (§V's threads inside the process)
+    # ------------------------------------------------------------------
+    def _start_team(self) -> None:
+        """A stepper on the ``c`` backend gets ``config.workers``
+        threads (``None``: the usable CPUs), one per shard of
+        :func:`~repro.core.team.shard_slices`; one shard starts none.
+        Other backends get no team: ``numpy-mp`` has its processes, and
+        NumPy's ufuncs hold the GIL for most of a shard
+        (EXPERIMENTS.md)."""
+        if not isinstance(self.backend, CBackend):
+            return
+        size = len(shard_slices(self.particles.n,
+                                self.config.workers or usable_cpus()))
+        if size > 1:
+            self._team = ThreadTeam(size)
+
+    def _shards(self) -> list:
+        """The team's row ranges of the particles: none without a team,
+        nor while the backend is not the ``c`` backend itself (the fault
+        injector's trap stands in for it: a trapped kernel then raises
+        once, as it does serially)."""
+        team = self._team
+        if team is None or not isinstance(self.backend, CBackend):
+            return []
+        return shard_slices(self.particles.n, team.size)
+
+    def _on_team(self, body, check_cells: bool = False) -> list:
+        """``body(columns)`` over the particles: once over the store
+        without a team, else over every shard's mapping of column views
+        at once, one shard per thread.  Every loop this runs is
+        per-particle with no fold across particles, so a shard's bits
+        are the serial loop's.  With ``check_cells`` every shard's
+        cells are checked against the rows first, so that a cell
+        outside them raises the serial :class:`IndexError` (global
+        particle index) before any shard writes."""
+        p, shards = self.particles, self._shards()
+        if len(shards) < 2:
+            return [body(p)]
+        views = [{name: col[s] for name, col in p.items()} for s in shards]
+        if check_cells:
+            ncell, first_outside = len(self.fields.e_1d), self.backend.first_outside
+            bad = self._team.map(lambda v: first_outside(v["icell"], ncell), views)
+            for s, k in zip(shards, bad):
+                _check_cells(s.start + k if k >= 0 else -1, p.icell, ncell)
+        return self._team.map(body, views)
 
     # ------------------------------------------------------------------
     def _phase_sort(self) -> None:
@@ -160,8 +214,12 @@ class StepLoop:
             return
         if self._sort_buffer is None:  # sort_period == 0, sorted by hand
             self._sort_buffer = self.particles.clone_empty()
+        # the gathers are row copies: the team splits them by row range
+        shards = self._shards()
         sorted_parts = sort_out_of_place(
-            self.particles, ncells, self._sort_buffer, perm_fn=perm_fn
+            self.particles, ncells, self._sort_buffer, perm_fn=perm_fn,
+            map_rows=(lambda gather: self._team.map(gather, shards))
+            if len(shards) > 1 else None,
         )
         self._sort_buffer = self.particles
         self.particles = sorted_parts
@@ -176,10 +234,11 @@ class StepLoop:
     # every per-axis factor 1.0; PICStepper overrides the two factor
     # hooks for the un-hoisted study.
     # ------------------------------------------------------------------
-    def _columns(self, prefix: str) -> tuple:
-        """The particle store's per-axis columns ``<prefix>x``, ..."""
-        p = self.particles
-        return tuple(p[prefix + a] for a in "xyz"[: p.ndim])
+    def _columns(self, prefix: str, p=None) -> tuple:
+        """The per-axis columns ``<prefix>x``, ... of ``p`` (a mapping
+        of columns; the particle store by default)."""
+        p = self.particles if p is None else p
+        return tuple(p[prefix + a] for a in "xyz"[: len(self.grid.shape)])
 
     def _kick_coefs(self) -> tuple:
         """Multiplier applied inside update-velocities, per axis."""
@@ -196,25 +255,25 @@ class StepLoop:
         )
 
     def _phase_update_v(self) -> None:
-        self.backend.update_v(
-            self._columns("v"), self.fields.e_1d, self.particles.icell,
-            self._columns("d"), self._kick_coefs(),
-        )
+        e_1d, coefs = self.fields.e_1d, self._kick_coefs()
+        self._on_team(lambda p: self.backend.update_v(
+            self._columns("v", p), e_1d, p["icell"], self._columns("d", p),
+            coefs,
+        ), check_cells=True)
 
     def _phase_update_x(self) -> None:
-        self.backend.push(
-            self.particles, self.grid.shape, self.ordering,
-            self.config.position_update, self._push_scales(),
-        )
+        args = (self.grid.shape, self.ordering, self.config.position_update,
+                self._push_scales())
+        self._on_team(lambda p: self.backend.push(p, *args))
 
     def _phase_advance(self) -> tuple[float, float]:
         """Update-v then update-x in one backend pass; the seconds of
-        each loop."""
-        return self.backend.advance(
-            self.particles, self.fields.e_1d, self._kick_coefs(),
-            self.grid.shape, self.ordering, self.config.position_update,
-            self._push_scales(),
-        )
+        each loop (on the team: of the caller's shard)."""
+        args = (self.fields.e_1d, self._kick_coefs(), self.grid.shape,
+                self.ordering, self.config.position_update,
+                self._push_scales())
+        return self._on_team(lambda p: self.backend.advance(p, *args),
+                             check_cells=True)[0]
 
     def _phase_accumulate(self) -> None:
         self.backend.accumulate_rows(

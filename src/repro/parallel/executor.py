@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import atexit
 import logging
-import os
 import time
 import traceback
 from multiprocessing.connection import wait
@@ -52,6 +51,7 @@ from multiprocessing.connection import wait
 import numpy as np
 
 from repro.core.backends import AUTO, NumpyBackend, get_backend, register_backend
+from repro.core.team import usable_cpus
 from repro.curves.base import get_ordering
 from repro.parallel.partition import (
     PartitionPlanner,
@@ -455,7 +455,7 @@ class ShmEngine:
     def __init__(self, stepper, nworkers=None, task_timeout=None):
         cfg = stepper.config
         if nworkers is None:
-            nworkers = getattr(cfg, "workers", None) or os.cpu_count() or 1
+            nworkers = getattr(cfg, "workers", None) or usable_cpus()
         self.nworkers = max(1, int(nworkers))
         if task_timeout is None:
             task_timeout = getattr(cfg, "mp_task_timeout", 60.0)

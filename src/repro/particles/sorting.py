@@ -112,6 +112,7 @@ def sort_out_of_place(
     ncells: int,
     buffer: ParticleStorage | None = None,
     perm_fn=None,
+    map_rows=None,
 ) -> ParticleStorage:
     """Sort by cell index into a second buffer (paper's fast variant):
     the permutation, then one gather per column through it.
@@ -119,7 +120,8 @@ def sort_out_of_place(
     Returns the sorted storage (the buffer); callers typically swap the
     two containers each sorting step, exactly like the double-buffered
     C code.  ``perm_fn`` overrides the permutation builder (the stepper
-    passes its backend's — e.g. the C cursor loop).
+    passes its backend's — e.g. the C cursor loop); ``map_rows`` splits
+    the gathers by row range (:meth:`ParticleStorage.reorder`).
 
     Equivalence promise: any stable ``perm_fn`` yields the identical
     particle ordering (the stable permutation is unique), so backend
@@ -128,7 +130,7 @@ def sort_out_of_place(
     """
     perm_fn = perm_fn or counting_sort_permutation
     perm = perm_fn(particles.icell, ncells)
-    return particles.reorder(perm, out=buffer)
+    return particles.reorder(perm, out=buffer, map_rows=map_rows)
 
 
 def sort_in_place(

@@ -111,13 +111,17 @@ class ParticleStorage(abc.ABC):
                 )
             arr[:] = named[name]
 
-    def reorder(self, perm: np.ndarray, out: "ParticleStorage | None" = None):
+    def reorder(self, perm: np.ndarray, out: "ParticleStorage | None" = None,
+                map_rows=None):
         """Apply a permutation: element j of the result is element perm[j].
 
         With ``out`` this is the paper's *out-of-place* sort application
         (one store per particle, twice the memory); without it a fresh
         storage is created (:func:`repro.particles.sorting.sort_in_place`
-        permutes the storage's own columns instead).
+        permutes the storage's own columns instead).  ``map_rows``, if
+        given, runs ``gather(rows)`` over row slices that cover the
+        result and returns when all are done (the stepper's thread
+        team); every row is a copy, so any cut gives the same bits.
         Returns the storage holding the reordered particles.
         """
         dst = out if out is not None else self.clone_empty()
@@ -131,8 +135,15 @@ class ParticleStorage(abc.ABC):
             bad = perm[(perm < -self.n) | (perm >= self.n)].flat[0]
             raise IndexError(f"index {bad} is out of bounds for axis 0 "
                              f"with size {self.n}")
-        for name, arr in self._columns.items():
-            np.take(arr, perm, out=dst[name], mode="wrap")
+
+        def gather(rows):
+            for name, arr in self._columns.items():
+                np.take(arr, perm[rows], out=dst[name][rows], mode="wrap")
+
+        if map_rows is None:
+            gather(slice(None))
+        else:
+            map_rows(gather)
         return dst
 
     @abc.abstractmethod

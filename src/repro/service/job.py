@@ -96,7 +96,8 @@ class PICJob:
         :class:`~repro.parallel.shm.SharedArena` — jobs never share
         shared-memory segments.
     workers:
-        Worker-process count for ``"numpy-mp"`` (``None``: cpu count).
+        Threads of the ``"c"`` backend's team, or worker processes of
+        ``"numpy-mp"`` (``None``: the usable CPUs).
     seed:
         Start seed; ``None`` selects the low-noise quiet start.
     domain:
@@ -199,7 +200,7 @@ class PICJob:
         if self.retry_backoff < 0:
             raise ValueError("retry_backoff must be >= 0")
         if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be >= 1 (or None for cpu count)")
+            raise ValueError("workers must be >= 1 (or None for usable cpus)")
         if self.domain is not None:
             dom = tuple(float(v) for v in self.domain)
             object.__setattr__(self, "domain", dom)

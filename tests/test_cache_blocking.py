@@ -9,7 +9,7 @@ shard bodies all run through):
   past a block boundary;
 * state digests of runs longer than one block, **recorded from an
   earlier commit**, are reproduced by numpy, ``numpy-mp`` at 2 and 4
-  workers and ``c`` — the 2D
+  workers and ``c`` at 1, 2, 4 and 8 threads — the 2D
   one from before the kernels were blocked, the 3D one from the ``c``
   backend of the commit before NumPy's 3D gather became the left fold
   ``ckernels.c`` already was (EXPERIMENTS.md, "PR 22");
@@ -158,6 +158,10 @@ COMBOS = [
     pytest.param("numpy-mp", 2, id="numpy-mp-w2"),
     pytest.param("numpy-mp", 4, id="numpy-mp-w4"),
     pytest.param("c", None, id="c", marks=_needs_cc),
+    # the thread team: 2D runs 3 shards at most, 3D 5
+    pytest.param("c", 2, id="c-t2", marks=_needs_cc),
+    pytest.param("c", 4, id="c-t4", marks=_needs_cc),
+    pytest.param("c", 8, id="c-t8", marks=_needs_cc),
 ]
 
 
