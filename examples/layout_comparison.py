@@ -40,8 +40,6 @@ def main():
     misses = {}
     for name in ORDERINGS:
         cfg = ModelConfig.fully_optimized(name)
-        if name == "hilbert":
-            cfg = cfg.with_(position_update="modulo")
         if name == "l4d":
             cfg = ModelConfig.fully_optimized("l4d", size=8)
         cfg = cfg.with_(sort_period=10)

@@ -3,8 +3,9 @@
 
 Builds the paper's fully-optimized configuration (Morton-ordered
 redundant field rows, SoA particles, split loops, bitwise update-x,
-hoisting — the first three are what every run executes; the
-baselines they replace are priced by ``repro.model``), runs 100
+hoisting — all but the ordering and the update-x variant are what
+every run executes; the baselines they replace are priced by
+``repro.model``), runs 100
 leap-frog steps, and prints the energy budget — the basic "does it
 simulate a plasma" smoke test.
 

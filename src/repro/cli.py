@@ -468,10 +468,7 @@ def _cmd_misses(args) -> int:
           f"{args.iterations} iterations, sort every {args.sort_period}")
     print(f"{'ordering':12s} {'L1/iter':>10s} {'L2/iter':>10s} {'L3/iter':>10s}")
     for name in args.orderings:
-        cfg = ModelConfig.fully_optimized(name)
-        if name == "hilbert":
-            cfg = cfg.with_(position_update="modulo")
-        cfg = cfg.with_(sort_period=args.sort_period)
+        cfg = ModelConfig.fully_optimized(name).with_(sort_period=args.sort_period)
         series = MissExperiment(
             cfg, grid, args.particles, args.iterations, machine=machine
         ).run()

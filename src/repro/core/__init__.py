@@ -2,7 +2,7 @@
 
 The engine is assembled from interchangeable pieces selected by an
 :class:`~repro.core.config.OptimizationConfig` — cell ordering, push
-variant, hoisting, sort cadence and backend — over one stepper.  The
+variant, sort cadence and backend — over one stepper, in hoisted units.  The
 paper's Table IV stack (baseline → … → optimized update-positions) is
 :class:`repro.model.config.ModelConfig`'s, which prices the rows no
 stepper executes.

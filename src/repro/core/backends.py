@@ -158,11 +158,11 @@ class KernelBackend(abc.ABC):
         """``v += coef * e_p`` in place, per axis of the tuples."""
 
     @abc.abstractmethod
-    def update_v(self, vs, e_1d, icell, offsets, coefs) -> None:
-        """Update-v (Fig. 1 line 9): ``v += coef * E`` in place, per
-        axis, with ``E`` gathered from the rows as
-        :meth:`interpolate_rows` does — the bits of :meth:`kick` over
-        :meth:`interpolate_rows`' result."""
+    def update_v(self, vs, e_1d, icell, offsets) -> None:
+        """Update-v (Fig. 1 line 9) in hoisted units: ``v += E`` in
+        place, per axis, with ``E`` gathered from the rows as
+        :meth:`interpolate_rows` does — the bits of :meth:`kick` with
+        every coefficient 1 over :meth:`interpolate_rows`' result."""
 
     @abc.abstractmethod
     def push(self, particles, extents, ordering, variant, scales) -> None:
@@ -177,12 +177,13 @@ class KernelBackend(abc.ABC):
         """
 
     @abc.abstractmethod
-    def advance(self, particles, e_1d, coefs, extents, ordering, variant,
-                scales) -> tuple[float, float]:
-        """Update-v, then the in-place push, of ``particles`` — the
-        bits of :meth:`update_v` over the store's columns followed by
-        :meth:`push` — as one pass where the backend has one.  Returns
-        the seconds spent in each of the two loops."""
+    def advance(self, particles, e_1d, extents, ordering,
+                variant) -> tuple[float, float]:
+        """Update-v, then the in-place push, of ``particles`` in hoisted
+        units — the bits of :meth:`update_v` over the store's columns
+        followed by :meth:`push` with every scale 1 — as one pass where
+        the backend has one.  Returns the seconds spent in each of the
+        two loops."""
 
     @abc.abstractmethod
     def counting_sort_permutation(self, keys, ncells):
@@ -412,8 +413,9 @@ class NumpyBackend(KernelBackend):
         for v, e_p, coef in zip(vs, e_ps, coefs):
             _k.kick(v, e_p, coef)
 
-    def update_v(self, vs, e_1d, icell, offsets, coefs) -> None:
-        self.kick(vs, self.interpolate_rows(e_1d, icell, offsets), coefs)
+    def update_v(self, vs, e_1d, icell, offsets) -> None:
+        self.kick(vs, self.interpolate_rows(e_1d, icell, offsets),
+                  (1.0,) * len(vs))
 
     kinetic_terms = staticmethod(_k.kinetic_terms)
 
@@ -422,16 +424,16 @@ class NumpyBackend(KernelBackend):
             particles, extents, ordering, _k.AXIS_KERNELS[variant], scales
         )
 
-    def advance(self, particles, e_1d, coefs, extents, ordering, variant,
-                scales) -> tuple[float, float]:
+    def advance(self, particles, e_1d, extents, ordering,
+                variant) -> tuple[float, float]:
         axes = "xyz"[: len(extents)]
         t0 = time.perf_counter()
         self.update_v(
             tuple(particles["v" + a] for a in axes), e_1d, particles["icell"],
-            tuple(particles["d" + a] for a in axes), coefs,
+            tuple(particles["d" + a] for a in axes),
         )
         t1 = time.perf_counter()
-        self.push(particles, extents, ordering, variant, scales)
+        self.push(particles, extents, ordering, variant, (1.0,) * len(axes))
         return t1 - t0, time.perf_counter() - t1
 
     def counting_sort_permutation(self, keys, ncells):
@@ -470,8 +472,7 @@ _PTR_N, _I64_N, _F64_N = (
 #: ``ckernels.c``'s exported functions: (restype, argtypes)
 _C_SIGNATURES = {
     "interp_rows": (_I64, (_INT, _I64, _I64, _PTR, _PTR, _COLS, _COLS)),
-    "update_v_rows": (_I64, (_INT, _I64, _I64, _PTR, _PTR, _COLS, _COLS,
-                             _F64S)),
+    "update_v_rows": (_I64, (_INT, _I64, _I64, _PTR, _PTR, _COLS, _COLS)),
     "push": (None, (_INT, _I64, _INT, _INT, _I64S, _F64S, _PTR,
                     _COLS, _COLS, _COLS)),
     "deposit_rows": (_I64, (_INT, _I64, _I64, _COLS, _I64, _PTR, _COLS, _F64)),
@@ -479,8 +480,8 @@ _C_SIGNATURES = {
     "broadcast_rows": (_I64, (_INT, _I64S, _I64, _PTR, _COLS, _F64S, _PTR)),
     "sort_permutation": (_I64, (_I64, _I64, _PTR, _PTR, _PTR)),
     "kinetic_terms": (None, (_INT, _I64, _COLS, _F64S, _PTR)),
-    "advance": (_I64, (_INT, _I64, _I64, _PTR, _F64S, _INT, _INT, _I64S,
-                       _F64S, _PTR, _COLS, _COLS, _COLS, _F64S)),
+    "advance": (_I64, (_INT, _I64, _I64, _PTR, _INT, _INT, _I64S, _PTR,
+                       _COLS, _COLS, _COLS, _F64S)),
     "first_outside": (_I64, (_I64, _PTR, _I64)),
     "kernel_isa": (ctypes.c_char_p, ()),
 }
@@ -535,7 +536,7 @@ class CBackend(NumpyBackend):
     path and the t=0 half-kick call it) and any argument that does not
     :func:`_fits` the C ABI run the inherited NumPy kernels.  The arithmetic is
     written to NumPy's bits — the same weight products, the same corner
-    fold, ``v + coef * e`` in NumPy's order, no FMA contraction — so
+    fold, ``v + e`` in NumPy's order, no FMA contraction — so
     everything is bitwise equal to ``numpy`` in both dimensions.
     """
 
@@ -587,18 +588,14 @@ class CBackend(NumpyBackend):
         _check_cells(bad, icell, len(e_1d))
         return e_p
 
-    def update_v(self, vs, e_1d, icell, offsets, coefs) -> None:
+    def update_v(self, vs, e_1d, icell, offsets) -> None:
         ndim, n = len(offsets), len(icell)
         d = self._row_offsets(e_1d, ndim << ndim, icell, offsets)
         v = _columns(vs, np.float64, (n,)) if d is not None else None
-        if (
-            v is None or len(vs) != ndim or len(coefs) != ndim
-            or any(np.ndim(c) for c in coefs)
-        ):
-            return super().update_v(vs, e_1d, icell, offsets, coefs)
+        if v is None or len(vs) != ndim:
+            return super().update_v(vs, e_1d, icell, offsets)
         bad = self._lib.update_v_rows(
             ndim, n, len(e_1d), e_1d.ctypes.data, icell.ctypes.data, d, v,
-            _F64_N[ndim](*coefs),
         )
         _check_cells(bad, icell, len(e_1d))
 
@@ -733,28 +730,23 @@ class CBackend(NumpyBackend):
         if args[1] == _ORDER_OTHER:
             particles["icell"][:] = ordering.encode(*coords)
 
-    def advance(self, particles, e_1d, coefs, extents, ordering, variant,
-                scales) -> tuple[float, float]:
+    def advance(self, particles, e_1d, extents, ordering,
+                variant) -> tuple[float, float]:
         """``ckernels.c``'s ``advance``: update-v and the in-place push
         block by block, with the bits of :meth:`update_v` then
         :meth:`push`; a cell outside the rows raises before any ``v``
         or ``x`` is written.  The inherited two calls when an argument
         does not fit the C ABI."""
         ndim, icell = len(extents), particles["icell"]
-        call = self._push_args(particles, extents, ordering, variant, scales)
-        if (
-            call is None
-            or not _fits(e_1d, np.float64, (len(e_1d), ndim << ndim))
-            or len(coefs) != ndim or any(np.ndim(c) for c in coefs)
-        ):
-            return super().advance(particles, e_1d, coefs, extents, ordering,
-                                   variant, scales)
-        (wrap, order, ext, sc, cells, d, v, icoord), coords = call
+        call = self._push_args(particles, extents, ordering, variant,
+                               (1.0,) * ndim)
+        if call is None or not _fits(e_1d, np.float64, (len(e_1d), ndim << ndim)):
+            return super().advance(particles, e_1d, extents, ordering, variant)
+        (wrap, order, ext, _, cells, d, v, icoord), coords = call
         seconds = _F64_N[2]()
         bad = self._lib.advance(
-            ndim, len(icell), len(e_1d), e_1d.ctypes.data,
-            _F64_N[ndim](*coefs), wrap, order, ext, sc, cells, d, v, icoord,
-            seconds,
+            ndim, len(icell), len(e_1d), e_1d.ctypes.data, wrap, order, ext,
+            cells, d, v, icoord, seconds,
         )
         _check_cells(bad, icell, len(e_1d))
         if order == _ORDER_OTHER:

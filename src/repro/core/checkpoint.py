@@ -50,7 +50,7 @@ __all__ = [
 #: target must agree on them (the backend, notably, is *not* one; the
 #: stored coordinate columns are named by the archive's own
 #: ``store_coords`` record)
-_STATE_FIELDS = ("ordering", "ordering_kwargs", "hoisting")
+_STATE_FIELDS = ("ordering", "ordering_kwargs")
 
 #: per dimension: the metadata key holding the format version (an
 #: archive of the other dimension carries none under it), the version
@@ -91,7 +91,9 @@ def _array_key(column: str) -> str:
 #: model axes (an archive of a :class:`repro.model.config.ModelConfig`
 #: run holds the arrays any run holds) and the ``store_coords``
 #: override (the archive's own ``store_coords`` record names its
-#: particle columns) are dropped the same way.
+#: particle columns) are dropped the same way.  So is ``hoisting``,
+#: which :func:`_saved_config` reads first: an archive that says
+#: ``false`` holds physical velocities, which :func:`_restore` converts.
 _RETIRED_CONFIG_KEYS = frozenset(
     f"{stem}_{tail}" for stem, tail in (
         ("block", "size"),
@@ -101,22 +103,25 @@ _RETIRED_CONFIG_KEYS = frozenset(
         ("rebalance", "threshold"),
         ("chunk", "size"),
     )
-) | {"partition", "field_layout", "particle_layout", "loop_mode", "store_coords"}
+) | {"partition", "field_layout", "particle_layout", "loop_mode", "store_coords",
+     "hoisting"}
 
 
-def _saved_config(meta: dict, path) -> OptimizationConfig:
+def _saved_config(meta: dict, path) -> tuple[OptimizationConfig, bool]:
     """The run config a checkpoint was written under (retired keys
     dropped and the retired ``backend`` ``"numba"`` read as
-    ``"auto"``; any other unknown key makes the archive unusable)."""
+    ``"auto"``; any other unknown key makes the archive unusable), and
+    whether its velocities are stored hoisted — false only for an
+    archive written by an un-hoisted run, before every run was
+    hoisted."""
     try:
-        saved = {
-            k: v for k, v in json.loads(meta["config"]).items()
-            if k not in _RETIRED_CONFIG_KEYS
-        }
+        saved = json.loads(meta["config"])
+        hoisted = bool(saved.get("hoisting", True))
+        saved = {k: v for k, v in saved.items() if k not in _RETIRED_CONFIG_KEYS}
         # numba was tolerance-class; "auto" is what took its place
         if saved.get("backend") == "numba":
             saved["backend"] = "auto"
-        return OptimizationConfig(**saved)
+        return OptimizationConfig(**saved), hoisted
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CheckpointMismatchError(
             f"checkpoint {path} carries an unusable config: {exc}"
@@ -129,9 +134,11 @@ def _saved_config(meta: dict, path) -> OptimizationConfig:
 def _write_archive(stepper, path, meta: dict, compress) -> pathlib.Path:
     """Write particles + grids + ``meta`` to ``path`` (.npz), atomically.
 
-    The particle columns are stored in the stepper's internal units
-    (hoisted or not), one array per column.  The archive is first
-    written to a ``<name>.tmp`` sibling, flushed and fsynced, then
+    The particle columns are stored in the stepper's internal (hoisted)
+    units, one array per column; the stored config names no
+    ``hoisting`` (a :class:`repro.model.config.ModelConfig` naming
+    un-hoisted units ran hoisted, and so are its arrays).  The archive
+    is first written to a ``<name>.tmp`` sibling, flushed and fsynced, then
     moved over the final name with :func:`os.replace` — a crash
     mid-save leaves at worst a stale ``.tmp`` file, never a torn
     archive where a previous good checkpoint used to be.
@@ -151,7 +158,10 @@ def _write_archive(stepper, path, meta: dict, compress) -> pathlib.Path:
         "q": stepper.q,
         "m": stepper.m,
         "weight": stepper.particles.weight,
-        "config": json.dumps(asdict(stepper.config), sort_keys=True),
+        "config": json.dumps(
+            {k: v for k, v in asdict(stepper.config).items() if k != "hoisting"},
+            sort_keys=True,
+        ),
     }
     if path.suffix != ".npz":
         path = path.with_name(path.name + ".npz")
@@ -183,8 +193,9 @@ def _write_archive(stepper, path, meta: dict, compress) -> pathlib.Path:
 @contextlib.contextmanager
 def _open_archive(path, ndim, config):
     """Open, validate and config-check an ``ndim``-dimensional archive;
-    yields ``(meta, data, config)`` with ``config`` defaulted to the
-    saved one.
+    yields ``(meta, data, config, hoisted)`` with ``config`` defaulted
+    to the saved one and ``hoisted`` whether the stored velocities are
+    (:func:`_saved_config`).
 
     Everything unusable — truncated or corrupt archives, unknown
     format versions (including a checkpoint of the other dimension),
@@ -220,7 +231,7 @@ def _open_archive(path, ndim, config):
             raise CheckpointMismatchError(
                 f"checkpoint {path} is incomplete: missing arrays {missing}"
             )
-        saved_cfg = _saved_config(meta, path)
+        saved_cfg, hoisted = _saved_config(meta, path)
         if config is None:
             config = saved_cfg
         else:
@@ -231,16 +242,19 @@ def _open_archive(path, ndim, config):
                         f"({getattr(config, fld)!r} vs {getattr(saved_cfg, fld)!r})"
                     )
         try:
-            yield meta, data, config
+            yield meta, data, config, hoisted
         except (KeyError, TypeError, *_CORRUPT_ERRORS) as exc:
             raise CheckpointMismatchError(
                 f"checkpoint {path} holds inconsistent state: {exc}"
             ) from exc
 
 
-def _restore(stepper, grid, config, particles, meta, data, instrumentation):
+def _restore(stepper, grid, config, particles, meta, data, hoisted,
+             instrumentation):
     """Fill a blank stepper (``cls.__new__``) with checkpointed state —
-    no re-initialization, the state is given."""
+    no re-initialization, the state is given.  Physical velocities
+    (``hoisted`` false) are converted to grid displacement per step by
+    the constructor's own expression, once."""
     stepper.grid = grid
     stepper.config = config
     stepper.dt = float(meta["dt"])
@@ -250,6 +264,9 @@ def _restore(stepper, grid, config, particles, meta, data, instrumentation):
     particles.set_state(
         **{name: data[_array_key(name)] for name in particles.keys()}
     )
+    if not hoisted:
+        for a, h in zip("xyz", grid.spacings):
+            particles["v" + a][:] = particles["v" + a] * (stepper.dt / h)
     stepper.particles = particles
     stepper._attach_runtime(instrumentation)
     stepper.iteration = int(meta["iteration"])
@@ -306,9 +323,10 @@ def load_checkpoint(
     """Rebuild a stepper from a checkpoint.
 
     ``config`` defaults to the checkpointed one; passing a different
-    config is allowed only if it is state-compatible (same hoisting
-    and ordering) — anything else would silently reinterpret the
-    stored arrays.  The particle columns are the ones the archive
+    config is allowed only if it is state-compatible (same ordering) —
+    anything else would silently reinterpret the stored arrays.  An
+    archive written by an un-hoisted run (physical velocities) is
+    converted to hoisted units on load.  The particle columns are the ones the archive
     stored (its ``store_coords`` record).
     Switching the *backend* is explicitly state-compatible: that is how
     the run supervisor degrades a failing backend during a rollback.
@@ -320,7 +338,7 @@ def load_checkpoint(
 
     Raises :class:`CheckpointMismatchError` for anything unusable.
     """
-    with _open_archive(path, 2, config) as (meta, data, config):
+    with _open_archive(path, 2, config) as (meta, data, config, hoisted):
         ncx, ncy, xmin, xmax, ymin, ymax = meta["grid"]
         stepper = PICStepper.__new__(PICStepper)
         stepper.eps0 = float(meta["eps0"])
@@ -334,7 +352,7 @@ def load_checkpoint(
         )
         return _restore(
             stepper, GridSpec(int(ncx), int(ncy), xmin, xmax, ymin, ymax),
-            config, particles, meta, data, instrumentation,
+            config, particles, meta, data, hoisted, instrumentation,
         )
 
 
@@ -360,12 +378,12 @@ def load_checkpoint_3d(
 ):
     """Rebuild a :class:`~repro.pic3d.stepper3d.PICStepper3D` —
     :func:`load_checkpoint` for 3D archives, with the same ``config``
-    compatibility rule (ordering and hoisting must agree; the backend
-    may change) and ``instrumentation`` hand-over."""
+    compatibility rule (the ordering must agree; the backend may
+    change) and ``instrumentation`` hand-over."""
     from repro.pic3d.grid3d import GridSpec3D
     from repro.pic3d.stepper3d import PICStepper3D
 
-    with _open_archive(path, 3, config) as (meta, data, config):
+    with _open_archive(path, 3, config) as (meta, data, config, hoisted):
         ncx, ncy, ncz, xmin, xmax, ymin, ymax, zmin, zmax = meta["grid"]
         grid = GridSpec3D(
             int(ncx), int(ncy), int(ncz),
@@ -376,5 +394,5 @@ def load_checkpoint_3d(
         )
         return _restore(
             PICStepper3D.__new__(PICStepper3D), grid, config, particles,
-            meta, data, instrumentation,
+            meta, data, hoisted, instrumentation,
         )

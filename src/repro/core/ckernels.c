@@ -10,9 +10,9 @@
  *
  *  - weights are left-fold products of (1 - d) / (0 + d) per axis, the
  *    values of Fig. 2's c + s*d tables (0 + d keeps d = -0.0 identical);
- *  - the gather is a left fold in corner order; update-v adds
- *    coef * e_p to v, the product skipped when every coef is 1 (as
- *    NumPy's kick skips it; 1.0 * e is e bit for bit anyway);
+ *  - the gather is a left fold in corner order; update-v adds e_p to v
+ *    (hoisted units, section IV-D: the field rows are pre-scaled, so
+ *    there is no coefficient, as NumPy's kick has none for 1.0);
  *  - the deposit overwrites its columns: each starts from +0.0 and adds
  *    in particle order — the fold of one np.bincount per corner;
  *  - the rho fold starts every grid point from +0.0 and adds its corner
@@ -439,52 +439,33 @@ INLINE int64_t interp_loop(const int ndim, int64_t n, int64_t ncell,
     return -1;
 }
 
-/* Fig. 1 line 9 in one pass: the gather above, then v += coef * e per
- * axis, without the e_p columns in between.  With compile-time `unit`
- * (every coef is 1, the hoisted loop of section IV-D) the multiply is
- * not written, as NumPy's kick skips it; otherwise every axis
- * multiplies, and 1.0 * e is e.  The cells were checked by the
- * caller.  Particles are independent: the loop vectorizes across them,
- * each corner value one gather. */
-INLINE void update_v_loop(const int ndim, const int unit, int64_t n,
+/* Fig. 1 line 9 in one pass: the gather above, then v += e per axis
+ * (hoisted units), without the e_p columns in between.  The cells were
+ * checked by the caller.  Particles are independent: the loop
+ * vectorizes across them, each corner value one gather. */
+INLINE void update_v_loop(const int ndim, int64_t n,
                           const double *restrict rows,
                           const int64_t *restrict cell,
                           const double *restrict d0, const double *restrict d1,
                           const double *restrict d2, double *restrict v0,
-                          double *restrict v1, double *restrict v2,
-                          const double *coef)
+                          double *restrict v1, double *restrict v2)
 {
     const int nc = 1 << ndim, width = ndim << ndim;
-    const double c0 = coef[0], c1 = coef[1], c2 = coef[ndim - 1];
     for (int64_t k = 0; k < n; k++) { /* cvec: update-v */
         double w[MAXCORNER];
         weights(ndim, d0[k], d1[k], d2[k], w);
         const int64_t at = cell[k] * width;
-        const double e0 = gather(nc, rows, at, w),
-                     e1 = gather(nc, rows, at + nc, w);
-        v0[k] = unit ? v0[k] + e0 : v0[k] + c0 * e0;
-        v1[k] = unit ? v1[k] + e1 : v1[k] + c1 * e1;
-        if (ndim == 3) {
-            const double e2 = gather(nc, rows, at + 2 * nc, w);
-            v2[k] = unit ? v2[k] + e2 : v2[k] + c2 * e2;
-        }
+        v0[k] = v0[k] + gather(nc, rows, at, w);
+        v1[k] = v1[k] + gather(nc, rows, at + nc, w);
+        if (ndim == 3)
+            v2[k] = v2[k] + gather(nc, rows, at + 2 * nc, w);
     }
 }
 
-/* Every coef 1: the loop without the multiply. */
-INLINE int unit_coefs(int ndim, const double *coef)
-{
-    int unit = 1;
-    for (int a = 0; a < ndim; a++)
-        unit = unit && coef[a] == 1.0;
-    return unit;
-}
-
 /* Update-v over particles [lo, hi), whose cells the caller checked. */
-static CLONES void update_v_span(const int ndim, const int unit, int64_t lo,
-                                 int64_t hi, const double *e,
-                                 const int64_t *icell, double *const *d,
-                                 double *const *v, const double *coef)
+static CLONES void update_v_span(const int ndim, int64_t lo, int64_t hi,
+                                 const double *e, const int64_t *icell,
+                                 double *const *d, double *const *v)
 {
     const int64_t n = hi - lo;
     const int64_t *const cell = icell + lo;
@@ -492,15 +473,10 @@ static CLONES void update_v_span(const int ndim, const int unit, int64_t lo,
                   *const d2 = d[ndim - 1] + lo;
     double *const v0 = v[0] + lo, *const v1 = v[1] + lo,
                   *const v2 = v[ndim - 1] + lo;
-    if (ndim == 2) {
-        if (unit)
-            update_v_loop(2, 1, n, e, cell, d0, d1, d2, v0, v1, v2, coef);
-        else
-            update_v_loop(2, 0, n, e, cell, d0, d1, d2, v0, v1, v2, coef);
-    } else if (unit)
-        update_v_loop(3, 1, n, e, cell, d0, d1, d2, v0, v1, v2, coef);
+    if (ndim == 2)
+        update_v_loop(2, n, e, cell, d0, d1, d2, v0, v1, v2);
     else
-        update_v_loop(3, 0, n, e, cell, d0, d1, d2, v0, v1, v2, coef);
+        update_v_loop(3, n, e, cell, d0, d1, d2, v0, v1, v2);
 }
 
 /* `col[c]` is corner c's column, cell j at col[c][j * stride], or NULL
@@ -722,18 +698,17 @@ int64_t interp_rows(int ndim, int64_t n, int64_t ncell, const double *e,
 }
 
 /* Update-v (Fig. 1 line 9, one of the three loops of section IV-A):
- * v[a][k] += coef[a] * (field along axis a at particle k), in place.
- * Returns -1, or the first particle whose cell is outside [0, ncell),
- * before any v is written. */
+ * v[a][k] += (field along axis a at particle k), in place.  Returns
+ * -1, or the first particle whose cell is outside [0, ncell), before
+ * any v is written. */
 CLONES int64_t update_v_rows(int ndim, int64_t n, int64_t ncell,
                              const double *e, const int64_t *icell,
-                             double *const *d, double *const *v,
-                             const double *coef)
+                             double *const *d, double *const *v)
 {
     const int64_t bad = first_outside(n, icell, ncell);
     if (bad >= 0)
         return bad;
-    update_v_span(ndim, unit_coefs(ndim, coef), 0, n, e, icell, d, v, coef);
+    update_v_span(ndim, 0, n, e, icell, d, v);
     return -1;
 }
 
@@ -768,10 +743,10 @@ void push(int ndim, int64_t n, int variant, int order, const int64_t *extent,
     push_span(ndim, variant, &s, 0, n);
 }
 
-/* The strip-mined push: update-v, then the in-place push, over one
- * block of BLOCK particles after another, so that the push reads the
- * cells, offsets and velocities update-v just streamed from L1/L2
- * rather than from memory.  Particles are independent in both loops,
+/* The strip-mined push: update-v, then the in-place push (hoisted
+ * units: every scale 1), over one block of BLOCK particles after
+ * another, so that the push reads the cells, offsets and velocities
+ * update-v just streamed from L1/L2 rather than from memory.  Particles are independent in both loops,
  * so the block size moves no bit; the deposit is not folded in (its
  * rows and the field's would share L2 with the block, docs/kernels.md
  * "Strip-mined push").  Every cell is checked first: -1, or the first
@@ -789,21 +764,20 @@ static double now(void)
 }
 
 int64_t advance(int ndim, int64_t n, int64_t ncell, const double *e,
-                const double *coef, int variant, int order,
-                const int64_t *extent, const double *scale, int64_t *icell,
-                double *const *d, double *const *v, int64_t *const *icoord,
-                double *seconds)
+                int variant, int order, const int64_t *extent,
+                int64_t *icell, double *const *d, double *const *v,
+                int64_t *const *icoord, double *seconds)
 {
+    static const double unit[MAXDIM] = {1.0, 1.0, 1.0};
     double t0 = now(), update_v = 0.0, update_x = 0.0;
     const int64_t bad = first_outside(n, icell, ncell);
     if (bad >= 0)
         return bad;
-    const int unit = unit_coefs(ndim, coef);
-    const push_args s = make_push_args(ndim, n, order, extent, scale, icell,
+    const push_args s = make_push_args(ndim, n, order, extent, unit, icell,
                                        d, v, icoord);
     for (int64_t lo = 0; lo < n; lo += BLOCK) {
         const int64_t hi = n - lo < BLOCK ? n : lo + BLOCK;
-        update_v_span(ndim, unit, lo, hi, e, icell, d, v, coef);
+        update_v_span(ndim, lo, hi, e, icell, d, v);
         const double t1 = now();
         push_span(ndim, variant, &s, lo, hi);
         const double t2 = now();

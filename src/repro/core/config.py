@@ -1,10 +1,10 @@
 """Configuration of a run: the knobs a stepper executes.
 
 Every field here changes what a run does — which cell ordering keys
-the particles, which push variant and unit system the loops use, how
-often and how the particles are sorted, which backend runs the kernels.
-The paper's baselines that no stepper executes (point-based fields,
-AoS particles, the single loop) and the cumulative stack of Table IV
+the particles, which push variant the loops use, how often and how the
+particles are sorted, which backend runs the kernels.  The paper's
+baselines that no stepper executes (point-based fields, AoS particles,
+the single loop, un-hoisted units) and the cumulative stack of Table IV
 are axes of :class:`repro.model.config.ModelConfig`, which prices them.
 """
 
@@ -23,7 +23,9 @@ class OptimizationConfig:
     """Selects one executed point in the paper's optimization space.
 
     Every stepper stores redundant field rows (§IV-B) and SoA particle
-    columns (§IV-C1) and runs the three split particle loops (§IV-A).
+    columns (§IV-C1), runs the three split particle loops (§IV-A), and
+    keeps velocities and the field in hoisted units, so that the
+    particle loops carry no per-particle multiplies (§IV-D).
 
     Parameters
     ----------
@@ -40,9 +42,6 @@ class OptimizationConfig:
         ``"modulo"`` — unconditional floor+modulo;
         ``"bitwise"`` — cast-based floor and ``& (nc-1)`` wrap
         (§IV-C2/3; requires power-of-two grid dims).
-    hoisting:
-        Store velocities and field pre-scaled to grid units so the
-        particle loops carry no per-particle multiplies (§IV-D).
     sort_period:
         Sort particles by cell index every this many iterations
         (0 disables sorting).
@@ -77,7 +76,6 @@ class OptimizationConfig:
     ordering: str = "morton"
     ordering_kwargs: dict = field(default_factory=dict)
     position_update: str = "bitwise"
-    hoisting: bool = True
     sort_period: int = 20
     sort_variant: str = "out-of-place"
     backend: str = "auto"

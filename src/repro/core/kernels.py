@@ -7,8 +7,8 @@ to every step (§II): :func:`reduce_rows` folds the deposited corner
 charges onto grid points before the solve and :func:`broadcast_rows`
 writes the solved field back into the corner rows after it.  All
 kernels work in *grid units*: positions are ``ix + dx in [0, ncx)``,
-and when loop hoisting is active velocities arrive pre-scaled to
-displacement-per-step so the push is a bare add.
+and the stepper's velocities arrive pre-scaled to displacement per
+step (loop hoisting, §IV-D), so its push passes scale 1.
 
 Every deposit *writes* its target — ``rho = Σ``, not ``rho += Σ``: a
 bincount sums from +0.0 and never yields −0.0, so adding it into a
@@ -343,7 +343,7 @@ def push_blocked(particles, extents, ordering, axis_fn, scales):
     ``ordering`` supplies the coordinates <-> icell bijection,
     ``axis_fn(x, nc) -> (icoord, offset)`` the periodic fold and
     ``scales`` the stored-velocity -> grid-displacement factor per axis
-    (1.0 under hoisting).  An axis reads only its own arrays, and
+    (1.0 in the stepper's hoisted units).  An axis reads only its own arrays, and
     ``icell`` and the coordinates — the inputs every axis shares — are
     written last.
     """

@@ -140,8 +140,9 @@ class ReferenceStepper:
     permutation — is the plain scalar rendering.
 
     Parameters mirror the stepper's: ``config`` picks ordering, axis
-    variant, hoisting and sort cadence (the backend is an execution
-    strategy, which a reference has none of).
+    variant and sort cadence (the backend is an execution strategy,
+    which a reference has none of); units are hoisted, as in the
+    stepper.
     """
 
     def __init__(
@@ -193,38 +194,29 @@ class ReferenceStepper:
     # -- unit scalings (identical expressions to the stepper's) --------
     @property
     def _field_scale_x(self) -> float:
-        if self.config.hoisting:
-            return self.q * self.dt**2 / (self.m * self.grid.dx)
-        return 1.0
+        return self.q * self.dt**2 / (self.m * self.grid.dx)
 
     @property
     def _field_scale_y(self) -> float:
-        if self.config.hoisting:
-            return self.q * self.dt**2 / (self.m * self.grid.dy)
-        return 1.0
+        return self.q * self.dt**2 / (self.m * self.grid.dy)
 
     @property
     def _charge_factor(self) -> float:
         return self.q * self.weight / self.grid.cell_area
 
-    def _update_v_coef(self) -> float:
-        return 1.0 if self.config.hoisting else self.q * self.dt / self.m
-
     # -- phases --------------------------------------------------------
     def _init_fields_and_stagger(self) -> None:
-        if self.config.hoisting:
-            sx = self.dt / self.grid.dx
-            sy = self.dt / self.grid.dy
-            for p in range(self.n):
-                self.vx[p] = self.vx[p] * sx
-                self.vy[p] = self.vy[p] * sy
+        sx = self.dt / self.grid.dx
+        sy = self.dt / self.grid.dy
+        for p in range(self.n):
+            self.vx[p] = self.vx[p] * sx
+            self.vy[p] = self.vy[p] * sy
         self._phase_accumulate()
         self._phase_solve()
         ex_p, ey_p = self._interpolate()
-        coef = -0.5 * self._update_v_coef()
         for p in range(self.n):
-            self.vx[p] += coef * ex_p[p]
-            self.vy[p] += coef * ey_p[p]
+            self.vx[p] += -0.5 * ex_p[p]
+            self.vy[p] += -0.5 * ey_p[p]
 
     def _interpolate(self):
         return interpolate_redundant_ref(
@@ -242,26 +234,16 @@ class ReferenceStepper:
 
     def _phase_update_v(self) -> None:
         ex_p, ey_p = self._interpolate()
-        coef = self._update_v_coef()
-        if coef == 1.0:  # hoisted: the multiply-free add
-            for p in range(self.n):
-                self.vx[p] += ex_p[p]
-                self.vy[p] += ey_p[p]
-        else:
-            for p in range(self.n):
-                self.vx[p] += coef * ex_p[p]
-                self.vy[p] += coef * ey_p[p]
+        for p in range(self.n):
+            self.vx[p] += ex_p[p]
+            self.vy[p] += ey_p[p]
 
     def _phase_update_x(self) -> None:
         g = self.grid
-        if self.config.hoisting:
-            sx = sy = 1.0
-        else:
-            sx, sy = self.dt / g.dx, self.dt / g.dy
         variant = self.config.position_update
         for p in range(self.n):
-            x = (int(self.ix[p]) + float(self.dx[p])) + sx * float(self.vx[p])
-            y = (int(self.iy[p]) + float(self.dy[p])) + sy * float(self.vy[p])
+            x = (int(self.ix[p]) + float(self.dx[p])) + float(self.vx[p])
+            y = (int(self.iy[p]) + float(self.dy[p])) + float(self.vy[p])
             self.ix[p], self.dx[p] = push_axis_variant_ref(x, g.ncx, variant)
             self.iy[p], self.dy[p] = push_axis_variant_ref(y, g.ncy, variant)
         self.icell[:] = self.ordering.encode(self.ix, self.iy)

@@ -22,12 +22,13 @@ NumPy kernels block internally (:mod:`repro.core.kernels`).
 
 Unit conventions
 ----------------
-Positions always live in grid units (``ix + dx in [0, ncx)``).  With
-loop hoisting (§IV-D) velocities are stored as *grid displacement per
-time step* and the field is loaded into the storage pre-scaled by
-``q*dt^2 / (m*spacing)``, so both inner loops are multiply-free; the
-stepper converts back to physical units for diagnostics.  Without
-hoisting, velocities are physical and the loops carry the multiplies.
+Positions always live in grid units (``ix + dx in [0, ncx)``).  Loop
+hoisting (§IV-D) is how every stepper runs: velocities are stored as
+*grid displacement per time step* and the field is loaded into the
+storage pre-scaled by ``q*dt^2 / (m*spacing)``, so both inner loops
+are multiply-free; the stepper converts back to physical units for
+diagnostics.  The un-hoisted baseline of Table IV is priced by
+:mod:`repro.model` only.
 
 :class:`StepLoop` is the loop itself — sort cadence, phase order,
 hooks, instrumentation, backend lifecycle — and the phase bodies over
@@ -35,7 +36,7 @@ the redundant rows in hoisted units, the solve (ρ fold, Poisson,
 scaled field broadcast) included, written once over ``grid.shape``
 and the particle store's axis columns.
 :class:`PICStepper` adds what only 2D has (Boris / external drive, the
-reflecting wall, un-hoisted coefficients);
+reflecting wall);
 :class:`repro.pic3d.stepper3d.PICStepper3D` is a constructor, a loader,
 the energies and its field scales.
 """
@@ -230,9 +231,8 @@ class StepLoop:
         self._solve_fields()
 
     # ------------------------------------------------------------------
-    # Phase bodies: redundant rows, any dimension.  Hoisted units make
-    # every per-axis factor 1.0; PICStepper overrides the two factor
-    # hooks for the un-hoisted study.
+    # Phase bodies: redundant rows, any dimension, hoisted units (no
+    # per-axis factor in update-v or update-x)
     # ------------------------------------------------------------------
     def _columns(self, prefix: str, p=None) -> tuple:
         """The per-axis columns ``<prefix>x``, ... of ``p`` (a mapping
@@ -240,38 +240,28 @@ class StepLoop:
         p = self.particles if p is None else p
         return tuple(p[prefix + a] for a in "xyz"[: len(self.grid.shape)])
 
-    def _kick_coefs(self) -> tuple:
-        """Multiplier applied inside update-velocities, per axis."""
-        return (1.0,) * self.particles.ndim
-
-    def _push_scales(self) -> tuple:
-        """Stored velocity -> grid displacement per step, per axis."""
-        return (1.0,) * self.particles.ndim
-
     def _interpolate(self) -> tuple:
-        """Field at particles, in *stored* units (scaled when hoisted)."""
+        """Field at particles, in *stored* (hoisted) units."""
         return self.backend.interpolate_rows(
             self.fields.e_1d, self.particles.icell, self._columns("d")
         )
 
     def _phase_update_v(self) -> None:
-        e_1d, coefs = self.fields.e_1d, self._kick_coefs()
+        e_1d = self.fields.e_1d
         self._on_team(lambda p: self.backend.update_v(
             self._columns("v", p), e_1d, p["icell"], self._columns("d", p),
-            coefs,
         ), check_cells=True)
 
     def _phase_update_x(self) -> None:
         args = (self.grid.shape, self.ordering, self.config.position_update,
-                self._push_scales())
+                (1.0,) * len(self.grid.shape))
         self._on_team(lambda p: self.backend.push(p, *args))
 
     def _phase_advance(self) -> tuple[float, float]:
         """Update-v then update-x in one backend pass; the seconds of
         each loop (on the team: of the caller's shard)."""
-        args = (self.fields.e_1d, self._kick_coefs(), self.grid.shape,
-                self.ordering, self.config.position_update,
-                self._push_scales())
+        args = (self.fields.e_1d, self.grid.shape, self.ordering,
+                self.config.position_update)
         return self._on_team(lambda p: self.backend.advance(p, *args),
                              check_cells=True)[0]
 
@@ -294,8 +284,7 @@ class StepLoop:
     def _load_fields(self) -> None:
         """Broadcast the solved field into the rows, each component
         times its ``_field_scales`` entry: pre-scaled to
-        grid-displacement-per-step when hoisting is on (§IV-D),
-        physical otherwise."""
+        grid displacement per step (§IV-D)."""
         self.backend.broadcast_rows(
             self.fields,
             [getattr(self, name) for name in _E_GRID[: len(self.grid.shape)]],
@@ -460,25 +449,21 @@ class PICStepper(StepLoop):
     @property
     def _vel_scale_x(self) -> float:
         """Stored-velocity -> physical-velocity factor along x."""
-        return self.grid.dx / self.dt if self.config.hoisting else 1.0
+        return self.grid.dx / self.dt
 
     @property
     def _vel_scale_y(self) -> float:
-        return self.grid.dy / self.dt if self.config.hoisting else 1.0
+        return self.grid.dy / self.dt
 
     @property
     def _field_scales(self) -> tuple[float, float]:
-        """Physical-field -> stored-field factor per axis.
-
-        Hoisted: ``q*dt^2/(m*spacing)`` so update-v adds grid
-        displacement directly; otherwise 1 (field stored physical).
-        """
-        if self.config.hoisting:
-            return tuple(
-                self.q * self.dt**2 / (self.m * h)
-                for h in (self.grid.dx, self.grid.dy)
-            )
-        return 1.0, 1.0
+        """Physical-field -> stored-field factor per axis:
+        ``q*dt^2/(m*spacing)``, so update-v adds grid displacement
+        directly."""
+        return tuple(
+            self.q * self.dt**2 / (self.m * h)
+            for h in (self.grid.dx, self.grid.dy)
+        )
 
     @property
     def _charge_factor(self) -> float:
@@ -486,7 +471,7 @@ class PICStepper(StepLoop):
         return self.q * self.particles.weight / self.grid.cell_area
 
     def physical_velocities(self) -> tuple[np.ndarray, np.ndarray]:
-        """Velocities in physical units regardless of hoisting."""
+        """Velocities in physical units."""
         return (
             np.asarray(self.particles.vx) * self._vel_scale_x,
             np.asarray(self.particles.vy) * self._vel_scale_y,
@@ -497,32 +482,20 @@ class PICStepper(StepLoop):
     # ------------------------------------------------------------------
     def _init_fields_and_stagger(self) -> None:
         """Compute rho and E at t=0, then shift v to t = -dt/2 (leap-frog)."""
-        if self.config.hoisting:
-            # loaded velocities are physical: convert to grid units/step
-            self.particles.vx[:] = self.particles.vx * (self.dt / self.grid.dx)
-            self.particles.vy[:] = self.particles.vy * (self.dt / self.grid.dy)
+        # loaded velocities are physical: convert to grid units/step
+        self.particles.vx[:] = self.particles.vx * (self.dt / self.grid.dx)
+        self.particles.vy[:] = self.particles.vy * (self.dt / self.grid.dy)
         self._deposit_and_solve()
         # half-kick backwards so v sits at -dt/2 while x sits at 0; with
         # a magnetic field this stays a plain electric half-kick (the
         # gyrophase offset is a one-off transient the time-averaging
         # oracles are insensitive to)
         e_p = self._add_external_field(*self._interpolate())
-        cvx, cvy = self._kick_coefs()
-        self.backend.kick(self._columns("v"), e_p, (-0.5 * cvx, -0.5 * cvy))
+        self.backend.kick(self._columns("v"), e_p, (-0.5, -0.5))
 
     # ------------------------------------------------------------------
     # Phases: what 2D adds to StepLoop's bodies
     # ------------------------------------------------------------------
-    def _kick_coefs(self) -> tuple[float, float]:
-        if self.config.hoisting:
-            return 1.0, 1.0
-        return self.q * self.dt / self.m, self.q * self.dt / self.m
-
-    def _push_scales(self) -> tuple[float, float]:
-        if self.config.hoisting:
-            return 1.0, 1.0
-        return self.dt / self.grid.dx, self.dt / self.grid.dy
-
     def _add_external_field(self, ex_p, ey_p):
         """Add the case's uniform external E (stored units); no-op bitwise
         when ``ext_e`` is zero — the arrays pass through untouched."""
@@ -543,12 +516,11 @@ class PICStepper(StepLoop):
         """
         p = self.particles
         e_p = self._add_external_field(*self._interpolate())
-        cvx, cvy = self._kick_coefs()
         if self.bz == 0.0:
             # external E only: one full kick, same kernel as unmagnetized
-            self.backend.kick((p.vx, p.vy), e_p, (cvx, cvy))
+            self.backend.kick((p.vx, p.vy), e_p, (1.0, 1.0))
             return
-        self.backend.kick((p.vx, p.vy), e_p, (0.5 * cvx, 0.5 * cvy))
+        self.backend.kick((p.vx, p.vy), e_p, (0.5, 0.5))
         t = self.q * self.bz * self.dt / (2.0 * self.m)
         s = 2.0 * t / (1.0 + t * t)
         svx, svy = self._vel_scale_x, self._vel_scale_y
@@ -558,7 +530,7 @@ class PICStepper(StepLoop):
         vpy = vy_ph - vx_ph * t
         p.vx[:] = (vx_ph + vpy * s) / svx
         p.vy[:] = (vy_ph - vpx * s) / svy
-        self.backend.kick((p.vx, p.vy), e_p, (0.5 * cvx, 0.5 * cvy))
+        self.backend.kick((p.vx, p.vy), e_p, (0.5, 0.5))
 
     @property
     def _zoo_phases(self) -> bool:
@@ -574,8 +546,6 @@ class PICStepper(StepLoop):
     def _phase_update_x(self) -> None:
         if self.boundary == "reflecting":
             g = self.grid
-            push_positions_reflecting(
-                self.particles, g.ncx, g.ncy, self.ordering, *self._push_scales()
-            )
+            push_positions_reflecting(self.particles, g.ncx, g.ncy, self.ordering)
         else:
             super()._phase_update_x()

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,12 +91,6 @@ class GridSpec:
         y = (np.asarray(y_phys, dtype=np.float64) - self.ymin) / self.dy
         return x, y
 
-    def to_physical_coords(self, x_grid, y_grid) -> tuple[np.ndarray, np.ndarray]:
-        """Grid coordinates -> physical positions."""
-        x = np.asarray(x_grid, dtype=np.float64) * self.dx + self.xmin
-        y = np.asarray(y_grid, dtype=np.float64) * self.dy + self.ymin
-        return x, y
-
     def split_coords(self, x_grid, y_grid):
         """Grid coords -> ``(ix, iy, dx_off, dy_off)`` with periodic wrap.
 
@@ -111,9 +105,3 @@ class GridSpec:
         ix = np.where(ix == self.ncx, 0, ix)
         iy = np.where(iy == self.ncy, 0, iy)
         return ix, iy, x - np.floor(x), y - np.floor(y)
-
-    def node_coords(self) -> tuple[np.ndarray, np.ndarray]:
-        """Physical coordinates of the grid nodes, each ``(ncx, ncy)``."""
-        gx = self.xmin + self.dx * np.arange(self.ncx)
-        gy = self.ymin + self.dy * np.arange(self.ncy)
-        return np.meshgrid(gx, gy, indexing="ij")

@@ -4,10 +4,11 @@ paper's baselines, and the cumulative stack of Table IV.
 A :class:`ModelConfig` is an
 :class:`~repro.core.config.OptimizationConfig` — the model still runs
 it through :class:`~repro.core.simulation.Simulation` to harvest real
-particle states — with three more axes the model prices and no stepper
-executes: the point-based field layout, AoS particles and the single
-particle loop.  Every run stores redundant rows and SoA columns and
-runs the split loops whatever they say (``tests/test_layout_axes.py``).
+particle states — with four more axes the model prices and no stepper
+executes: the point-based field layout, AoS particles, the single
+particle loop and un-hoisted units.  Every run stores redundant rows
+and SoA columns, runs the split loops and keeps hoisted units whatever
+they say (``tests/test_layout_axes.py``).
 """
 
 from __future__ import annotations
@@ -40,11 +41,17 @@ class ModelConfig(OptimizationConfig):
         ``"fused"`` — one loop doing interpolate / update-v / update-x
         per particle (Table IV's baseline row); ``"split"`` — three
         full passes (§IV-A, enables vectorizing update-x).
+    hoisting:
+        ``True`` — velocities and field stored pre-scaled to grid units,
+        so the particle loops carry no per-particle multiplies (§IV-D,
+        Table IV row 2); ``False`` — physical units, a multiply per
+        axis in update-v and update-x.
     """
 
     field_layout: str = "redundant"
     particle_layout: str = "soa"
     loop_mode: str = "split"
+    hoisting: bool = True
 
     def __post_init__(self):
         super().__post_init__()

@@ -113,13 +113,14 @@ def _stage(front, back, lo, hi):
     return cols
 
 
-def _exec_update_v(body, front, back, e_1d, lo, hi, coefs):
-    """Update-v of the shard onto the back buffer's velocities."""
+def _exec_update_v(body, front, back, e_1d, lo, hi):
+    """Update-v of the shard onto the back buffer's velocities (``back``
+    names exactly those, one per axis)."""
     p = _stage(front, back, lo, hi)
-    axes = "xyz"[: len(coefs)]
+    axes = "xyz"[: len(back)]
     body.update_v(
         tuple(p["v" + a] for a in axes), e_1d, p["icell"],
-        tuple(p["d" + a] for a in axes), coefs,
+        tuple(p["d" + a] for a in axes),
     )
 
 
@@ -129,13 +130,13 @@ def _exec_push(body, front, back, lo, hi, extents, ordering, variant, scales):
     body.push(_stage(front, back, lo, hi), extents, ordering, variant, scales)
 
 
-def _exec_advance(body, front, back, e_1d, lo, hi, coefs, extents, ordering,
-                  variant, scales):
+def _exec_advance(body, front, back, e_1d, lo, hi, extents, ordering,
+                  variant):
     """Update-v then the push of the shard, onto the back buffer's
     every column, in the body's one pass; returns the body's two loop
     seconds."""
-    return body.advance(_stage(front, back, lo, hi), e_1d, coefs, extents,
-                        ordering, variant, scales)
+    return body.advance(_stage(front, back, lo, hi), e_1d, extents,
+                        ordering, variant)
 
 
 def _exec_deposit(body, slab, icell, offsets, groups, charge):
@@ -596,28 +597,26 @@ class ShmEngine:
         front.flip(back, names)
         return results
 
-    def update_v(self, e_1d, coefs):
+    def update_v(self, e_1d):
         names = [k for k in self._stepper.particles.keys() if k[0] == "v"]
-        self._run_staged("update_v", "update_v", names, e_1d,
-                         coefs=[float(c) for c in coefs])
+        self._run_staged("update_v", "update_v", names, e_1d)
 
-    def _push_args(self, extents, variant, scales):
+    def _push_args(self, extents, variant):
         return {"extents": tuple(int(nc) for nc in extents),
-                "variant": variant, "scales": [float(sc) for sc in scales],
-                "ordering": self.ordering.spec}
+                "variant": variant, "ordering": self.ordering.spec}
 
     def push(self, extents, variant, scales):
         names = [k for k in self._stepper.particles.keys() if k[0] != "v"]
         self._run_staged("update_x", "push", names,
-                         **self._push_args(extents, variant, scales))
+                         scales=[float(sc) for sc in scales],
+                         **self._push_args(extents, variant))
 
-    def advance(self, e_1d, coefs, extents, variant, scales):
+    def advance(self, e_1d, extents, variant):
         """Both loops in one dispatch; the two loop seconds of the
         slowest shard."""
         results = self._run_staged(
             "update_x", "advance", list(self._stepper.particles.keys()), e_1d,
-            coefs=[float(c) for c in coefs],
-            **self._push_args(extents, variant, scales),
+            **self._push_args(extents, variant),
         )
         return max(results, key=sum)
 
@@ -781,17 +780,17 @@ class MultiprocessBackend(NumpyBackend):
         return self._body_for(*vs).kinetic_terms(vs, scales, out)
 
     # -- the particle loops over the live storage go to the pool
-    def update_v(self, vs, e_1d, icell, offsets, coefs):
+    def update_v(self, vs, e_1d, icell, offsets):
         eng = _engine_owning(e_1d, icell, *vs, *offsets)
         axes = "xyz"[: len(vs)]
         if eng is None or not (
-            len(vs) == len(offsets) == len(coefs) == eng.ndim
+            len(vs) == len(offsets) == eng.ndim
             and eng.is_front(icell=icell,
                              **{"v" + a: v for a, v in zip(axes, vs)},
                              **{"d" + a: d for a, d in zip(axes, offsets)})
         ):
-            return self._body_for(*vs).update_v(vs, e_1d, icell, offsets, coefs)
-        eng.update_v(e_1d, coefs)
+            return self._body_for(*vs).update_v(vs, e_1d, icell, offsets)
+        eng.update_v(e_1d)
 
     def push(self, particles, extents, ordering, variant, scales):
         eng = _engine_owning(particles["icell"])
@@ -800,13 +799,12 @@ class MultiprocessBackend(NumpyBackend):
                 particles, extents, ordering, variant, scales)
         eng.push(extents, variant, scales)
 
-    def advance(self, particles, e_1d, coefs, extents, ordering, variant,
-                scales):
+    def advance(self, particles, e_1d, extents, ordering, variant):
         eng = _engine_owning(e_1d, particles["icell"])
         if eng is None or not eng.is_front(particles) or ordering is not eng.ordering:
             return self._body_for(particles["icell"]).advance(
-                particles, e_1d, coefs, extents, ordering, variant, scales)
-        return eng.advance(e_1d, coefs, extents, variant, scales)
+                particles, e_1d, extents, ordering, variant)
+        return eng.advance(e_1d, extents, variant)
 
     def accumulate_rows(self, rho_1d, icell, offsets, charge=1.0,
                         corners=None):

@@ -5,9 +5,8 @@ dimensions (axes ``a`` in ``"xyz"[:ndim]``):
 
 * ``icell`` — linear cell index under the active cell ordering
 * ``d<a>`` — normalized in-cell offsets in ``[0, 1)``
-* ``v<a>`` — velocities (in grid units per time step when the
-  loop-hoisting optimization is on, physical units otherwise; the
-  stepper records which)
+* ``v<a>`` — velocities, in the stepper's grid units per time step
+  (loop hoisting, §IV-D)
 * optionally ``i<a>`` — integer cell coordinates, stored only for
   orderings whose decode is not a single operation (paper §IV-B keeps
   them for L4D and Morton, recomputes for row-major)

@@ -6,12 +6,9 @@ store the generic :class:`~repro.grid.fields.RedundantFields`, the
 particles a :class:`~repro.particles.storage.ParticleSoA` with
 ``ndim=3``, and ``numpy-mp`` drives it through the same engine as 2D.
 What lives here is the 3D state: constructor, particle loader,
-energies and the field scales.
-
-One deliberate divergence from 2D: the 3D stepper only implements
-*hoisted* units (velocities stored as grid displacement per step,
-field rows pre-scaled by ``q*dt^2/(m*spacing)``) — the hoisting study
-itself lives in 2D.
+energies and the field scales.  Units are hoisted, as in 2D
+(velocities stored as grid displacement per step, field rows
+pre-scaled by ``q*dt^2/(m*spacing)``).
 """
 
 from __future__ import annotations
@@ -117,15 +114,12 @@ class PICStepper3D(StepLoop):
             config = OptimizationConfig(
                 ordering="morton",
                 position_update="bitwise",
-                hoisting=True,
                 sort_period=int(sort_period),
                 # no double buffer: ten N-sized columns more would sit
                 # on top of the peak footprint the construction sets
                 sort_variant="in-place",
                 backend=backend,
             )
-        if not config.hoisting:
-            raise ValueError("the 3D stepper only implements hoisted units")
         if config.position_update == "bitwise" and not grid.pow2:
             raise ValueError("the bitwise push requires power-of-two dims")
         self.grid = grid

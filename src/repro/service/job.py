@@ -228,17 +228,11 @@ class PICJob:
         return make_case(self.case, self.alpha)
 
     def make_config(self):
-        """The :class:`~repro.core.config.OptimizationConfig`.
-
-        The default run config for the chosen ordering, with Hilbert
-        dropping to the modulo position update (its decode needs real
-        coordinates).
-        """
+        """The :class:`~repro.core.config.OptimizationConfig`: the
+        default run config for the chosen ordering."""
         from repro.core import OptimizationConfig
 
         cfg = OptimizationConfig(ordering=self.ordering, backend=self.backend)
-        if self.ordering == "hilbert":
-            cfg = cfg.with_(position_update="modulo")
         if self.workers is not None:
             cfg = cfg.with_(workers=self.workers)
         return cfg

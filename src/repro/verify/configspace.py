@@ -60,8 +60,8 @@ _CASE_POOL = (
 #: always covers the 3D stepper without dominating the budget)
 _DIMS_POOL = (2, 2, 2, 3)
 #: 3D pools are narrower on purpose: power-of-two dims keep the
-#: bitwise push legal, and the 3D stepper lays cells out on two curves
-#: (row-major and Morton), with hoisted units and the two classic cases
+#: bitwise push legal, the 3D stepper lays cells out on two curves
+#: (row-major and Morton), and it has the two classic cases
 _GRID3D_POOL = ((8, 4, 4), (16, 4, 4), (8, 8, 4))
 _ORDERING3D_POOL = ("row-major", "morton")
 _CASE3D_POOL = ("landau", "two-stream")
@@ -79,7 +79,6 @@ class Scenario:
     case_name: str
     ordering: str
     position_update: str
-    hoisting: bool
     sort_period: int
     sort_variant: str
     dt: float = 0.05
@@ -124,7 +123,6 @@ class Scenario:
         kwargs = dict(
             ordering=self.ordering,
             position_update=self.position_update,
-            hoisting=self.hoisting,
             sort_period=self.sort_period,
             sort_variant=self.sort_variant,
             backend=backend,
@@ -141,7 +139,7 @@ class Scenario:
         return (
             f"#{self.index} {self.case_name} {shape} "
             f"n={self.n_particles} {self.ordering}/{self.position_update} "
-            f"{'hoist' if self.hoisting else 'nohoist'} {sort}"
+            f"{sort}"
         )
 
 
@@ -183,13 +181,12 @@ class ScenarioSampler:
             n_particles=int(self._pick(self.n_particles_pool)),
             n_steps=int(self._pick(self.n_steps_pool)),
             case_name=self._pick(_CASE_POOL),
-            # the retired field-layout and split/fused axes drew here:
-            # their draws stay, so scenario k of seed s still names the
-            # same configuration
+            # the retired field-layout, split/fused and hoisting axes
+            # drew here: their draws stay, so scenario k of seed s
+            # still names the same configuration
             ordering=(self._pick(_ORDERING_POOL), self._pick(_LAYOUT_POOL))[0],
             position_update=(self._rng.integers(2), self._pick(_PUSH_POOL))[1],
-            hoisting=bool(self._rng.integers(2)),
-            sort_period=int(self._pick(_SORT_PERIODS)),
+            sort_period=(self._rng.integers(2), int(self._pick(_SORT_PERIODS)))[1],
             sort_variant=self._pick(_SORT_VARIANTS),
             seed=int(self._rng.integers(2**31)),
         )
@@ -199,10 +196,8 @@ class ScenarioSampler:
     def _sample_one_3d(self) -> Scenario:
         """One 3D scenario — the axes the 3D stepper actually offers.
 
-        Units are always hoisted (the 3D stepper's hard constraint);
-        the remaining knobs (push
-        variant, sorting) sweep the same pools as 2D so the promise
-        matrix covers the 3D stepper end to end.
+        The knobs (push variant, sorting) sweep the same pools as 2D so
+        the promise matrix covers the 3D stepper end to end.
         """
         ncx, ncy, ncz = self._pick(_GRID3D_POOL)
         scenario = Scenario(
@@ -216,7 +211,6 @@ class ScenarioSampler:
             # the retired split/fused axis drew here: its draw stays, so
             # scenario k of seed s still names the same configuration
             position_update=(self._rng.integers(2), self._pick(_PUSH_POOL))[1],
-            hoisting=True,
             sort_period=int(self._pick(_SORT_PERIODS)),
             sort_variant="out-of-place",
             seed=int(self._rng.integers(2**31)),

@@ -7,7 +7,7 @@ Three promises, each with its own class:
   block size, all three wraps, every ordering, stored and recomputed
   coordinates, scales 0 / 1 / other and particles several periods
   outside the box; update-v in one loop equals the gather then the
-  kick, every coefficient 1 or not; the ρ fold
+  kick; the ρ fold
   and the field broadcast equal NumPy's byte for byte on every
   ordering, non-square and non-power-of-two grids and NaN / ±inf /
   −0.0 entries; every deposit ignores what its target held.
@@ -153,27 +153,18 @@ def _assert_same(p, q, what):
         assert np.array_equal(p[name], q[name]), (what, name)
 
 
-#: (coefs, scales) of update-v and the push: hoisted (every factor 1),
-#: un-hoisted, and mixed
-FACTORS = [
-    ((1.0, 1.0, 1.0), (1.0, 1.0, 1.0)),
-    ((0.37, -1.9, 0.5), (0.37, 1.9, 0.5)),
-    ((1.0, -0.5, 1.0), (1.0, 1.0, 2.5)),
-]
-
-
-def _advance_pair(c, split, state, e_1d, shape, ordering, variant, coefs,
-                  scales):
+def _advance_pair(c, split, state, e_1d, shape, ordering, variant):
     """``c.advance`` on one copy of ``state`` and ``split``'s update-v
-    then push on another: both stores, after asserting the returned
-    loop seconds are two non-negative numbers."""
+    then push (every scale 1: hoisted units) on another: both stores,
+    after asserting the returned loop seconds are two non-negative
+    numbers."""
     axes = "xyz"[: len(shape)]
     one, two = _copy(state), _copy(state)
-    seconds = c.advance(one, e_1d, coefs, shape, ordering, variant, scales)
+    seconds = c.advance(one, e_1d, shape, ordering, variant)
     assert len(seconds) == 2 and min(seconds) >= 0.0
     split.update_v(tuple(two["v" + a] for a in axes), e_1d, two.icell,
-                   tuple(two["d" + a] for a in axes), coefs)
-    split.push(two, shape, ordering, variant, scales)
+                   tuple(two["d" + a] for a in axes))
+    split.push(two, shape, ordering, variant, (1.0,) * len(shape))
     return one, two
 
 
@@ -211,7 +202,7 @@ class TestEquivalence:
         numpy.accumulate_rows(rho_0, state.icell, offsets, -0.37)
         assert rho_c.tobytes() == rho_n.tobytes() == rho_0.tobytes()
 
-        # push: the ledger's zero displacement, hoisted, un-hoisted
+        # push: the ledger's zero displacement, unit and other scales
         for scales in ((0.0,) * ndim, (1.0,) * ndim, (0.37, 1.9, 0.5)[:ndim]):
             p, q = _copy(state), _copy(state)
             c.push(p, shape, ordering, variant, scales)
@@ -228,9 +219,8 @@ class TestEquivalence:
     @pytest.mark.parametrize("ndim", [2, 3])
     def test_update_v_and_kinetic_terms_equal_numpy(self, ndim, n):
         """Update-v in one C pass has the bits of NumPy's gather then
-        kick — every coef 1 (hoisted), none 1 and mixed — and the
-        kinetic-energy terms those of NumPy's blocked fold, whatever
-        the scratch held."""
+        kick, and the kinetic-energy terms those of NumPy's blocked
+        fold, whatever the scratch held."""
         c, numpy = get_backend("c"), get_backend("numpy")
         rng = np.random.default_rng(n + ndim)
         ordering, shape = _ordering(ndim, "morton" if ndim == 2 else "morton-3d")
@@ -239,15 +229,13 @@ class TestEquivalence:
         e_1d = rng.normal(size=(ordering.ncells_allocated, ndim << ndim))
         offsets = tuple(state["d" + a] for a in axes)
         vs = tuple(state["v" + a] for a in axes)
-        for coefs in ((1.0,) * ndim, (0.37, -1.9, 0.5)[:ndim],
-                      (1.0, -0.5, 1.0)[:ndim]):
-            got, want, two_pass = ([v.copy() for v in vs] for _ in range(3))
-            c.update_v(got, e_1d, state.icell, offsets, coefs)
-            numpy.update_v(want, e_1d, state.icell, offsets, coefs)
-            numpy.kick(two_pass,
-                       numpy.interpolate_rows(e_1d, state.icell, offsets), coefs)
-            for g, w, t in zip(got, want, two_pass):
-                assert g.tobytes() == w.tobytes() == t.tobytes(), coefs
+        got, want, two_pass = ([v.copy() for v in vs] for _ in range(3))
+        c.update_v(got, e_1d, state.icell, offsets)
+        numpy.update_v(want, e_1d, state.icell, offsets)
+        numpy.kick(two_pass, numpy.interpolate_rows(e_1d, state.icell, offsets),
+                   (1.0,) * ndim)
+        for g, w, t in zip(got, want, two_pass):
+            assert g.tobytes() == w.tobytes() == t.tobytes()
 
         for scales in ((1.0,) * ndim, (0.37, 1.9, 3e-3)[:ndim]):
             got = c.kinetic_terms(vs, scales, np.full(n, np.nan))
@@ -262,22 +250,19 @@ class TestEquivalence:
         population followed by the push — ``c``'s and NumPy's — on
         either side of every block edge, for every wrap, ordering (L4D
         and Hilbert encoded after the last block), stored and
-        recomputed coordinates, and unit and other coefficients and
-        scales."""
+        recomputed coordinates."""
         c, numpy = get_backend("c"), get_backend("numpy")
         rng = np.random.default_rng(n + ndim)
         ordering, shape = _ordering(ndim, curve)
         state = _population(rng, ndim, n, ordering, shape, stored)
         e_1d = rng.normal(size=(ordering.ncells_allocated, ndim << ndim))
         for variant in VARIANTS:
-            for coefs, scales in FACTORS:
-                coefs, scales = coefs[:ndim], scales[:ndim]
-                for split in (c, numpy):
-                    one, two = _advance_pair(c, split, state, e_1d, shape,
-                                             ordering, variant, coefs, scales)
-                    for k in state.keys():
-                        assert one[k].tobytes() == two[k].tobytes(), (
-                            split.name, variant, coefs, k)
+            for split in (c, numpy):
+                one, two = _advance_pair(c, split, state, e_1d, shape,
+                                         ordering, variant)
+                for k in state.keys():
+                    assert one[k].tobytes() == two[k].tobytes(), (
+                        split.name, variant, k)
 
     @pytest.mark.parametrize("stored", [True, False], ids=["stored", "recomputed"])
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -420,9 +405,9 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("layout", ["redundant", "standard"])
     def test_unhoisted_run_has_numpy_bits(self, layout):
-        """Without hoisting the kick carries ``q*dt/m`` and the push
-        ``dt/spacing``: the C push with non-unit scales leaves NumPy's
-        bits."""
+        """A model config naming un-hoisted units (and either field
+        layout) runs the hoisted loops: the compiled loops run, with
+        NumPy's bits."""
         self._assert_run_has_numpy_bits(field_layout=layout, hoisting=False)
 
     def test_c_counting_sort_matches_reference(self, rng):
@@ -506,14 +491,13 @@ class TestDefinedOnEveryInput:
         p.dy[: len(BAD)] = BAD
         rng = np.random.default_rng(1)
         e_1d = rng.normal(size=(ordering.ncells_allocated, 8))
-        for coefs in ((1.0, 1.0), (0.5, -2.0)):
-            got, want = ([p.vx.copy(), p.vy.copy()] for _ in range(2))
-            c.update_v(got, e_1d, p.icell, (p.dx, p.dy), coefs)
-            with np.errstate(all="ignore"):
-                numpy.update_v(want, e_1d, p.icell, (p.dx, p.dy), coefs)
-            for g, w in zip(got, want):
-                assert g.tobytes() == w.tobytes(), coefs
-            assert np.isnan(got[0][8]) and np.isnan(got[1][0])
+        got, want = ([p.vx.copy(), p.vy.copy()] for _ in range(2))
+        c.update_v(got, e_1d, p.icell, (p.dx, p.dy))
+        with np.errstate(all="ignore"):
+            numpy.update_v(want, e_1d, p.icell, (p.dx, p.dy))
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        assert np.isnan(got[0][8]) and np.isnan(got[1][0])
         with np.errstate(all="ignore"):
             want = numpy.kinetic_terms((p.vx, p.vy), (2.0, 0.5), np.empty(p.n))
         got = c.kinetic_terms((p.vx, p.vy), (2.0, 0.5), np.empty(p.n))
@@ -544,23 +528,21 @@ class TestDefinedOnEveryInput:
                 warnings.filterwarnings(
                     "ignore", message=".*encountered in (remainder|subtract|add)")
                 numpy.push(r, shape, ordering, variant, scales)
-                for coefs, _ in FACTORS[:2]:
-                    one, two = _advance_pair(c, numpy, p, e_1d, shape, ordering,
-                                             variant, coefs[:ndim], scales)
-                    for k in p.keys():
-                        assert one[k].tobytes() == two[k].tobytes(), (variant, k)
+                one, two = _advance_pair(c, numpy, p, e_1d, shape, ordering,
+                                         variant)
+                for k in p.keys():
+                    assert one[k].tobytes() == two[k].tobytes(), (variant, k)
             for k in r.keys():
                 assert q[k].tobytes() == r[k].tobytes(), (variant, k)
 
         offsets = _poison([p["d" + a].copy() for a in axes])
         vs = [p["v" + a] for a in axes]
-        for coefs in ((1.0,) * ndim, (0.5, -2.0, 3.0)[:ndim]):
-            got, want = ([v.copy() for v in vs] for _ in range(2))
-            c.update_v(got, e_1d, p.icell, offsets, coefs)
-            with np.errstate(all="ignore"):
-                numpy.update_v(want, e_1d, p.icell, offsets, coefs)
-            for g, w in zip(got, want):
-                assert g.tobytes() == w.tobytes(), coefs
+        got, want = ([v.copy() for v in vs] for _ in range(2))
+        c.update_v(got, e_1d, p.icell, offsets)
+        with np.errstate(all="ignore"):
+            numpy.update_v(want, e_1d, p.icell, offsets)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
         with np.errstate(all="ignore"):
             want = numpy.kinetic_terms(vs, (2.0, 0.5, 3.0)[:ndim], np.empty(n))
         got = c.kinetic_terms(vs, (2.0, 0.5, 3.0)[:ndim], np.empty(n))
@@ -580,11 +562,9 @@ class TestDefinedOnEveryInput:
                 p = _population(rng, 2, n, ordering, shape, True)
                 p.icell[at] = bad
                 before = _copy(p)
-                for coefs in ((1.0, 1.0), (0.5, 2.0)):
-                    with pytest.raises(IndexError, match=f"particle {at}:"):
-                        c.advance(p, e_1d, coefs, shape, ordering, "bitwise",
-                                  (1.0, 1.0))
-                    _assert_same(p, before, (at, bad))
+                with pytest.raises(IndexError, match=f"particle {at}:"):
+                    c.advance(p, e_1d, shape, ordering, "bitwise")
+                _assert_same(p, before, (at, bad))
 
     def test_guard_trips_at_the_same_step_as_numpy(self):
         def failures(backend):
@@ -619,10 +599,9 @@ class TestDefinedOnEveryInput:
                 with pytest.raises(IndexError, match="particle 37"):
                     c.accumulate_rows(rho, icell, d, 1.0, corners=corners)
                 assert np.array_equal(rho, before)
-            for coefs in ((1.0, 1.0), (0.5, 2.0)):
-                with pytest.raises(IndexError, match="particle 37"):
-                    c.update_v(vs, rng.normal(size=(ncell, 8)), icell, d, coefs)
-                assert b"".join(v.tobytes() for v in vs) == v_before
+            with pytest.raises(IndexError, match="particle 37"):
+                c.update_v(vs, rng.normal(size=(ncell, 8)), icell, d)
+            assert b"".join(v.tobytes() for v in vs) == v_before
             with pytest.raises(IndexError, match="particle 37"):
                 c.interpolate_rows(rng.normal(size=(ncell, 8)), icell, d)
             with pytest.raises(ValueError, match="keys out of range"):
@@ -731,8 +710,8 @@ class TestDefinedOnEveryInput:
                             numpy.interpolate_rows(*args)):
                 assert np.array_equal(g, w)
             vc, vn = ([dy.copy(), frozen.copy()] for _ in range(2))
-            c.update_v(vc, *args, (0.5, 1.0))
-            numpy.update_v(vn, *args, (0.5, 1.0))
+            c.update_v(vc, *args)
+            numpy.update_v(vn, *args)
             assert np.array_equal(vc, vn)
 
     def test_bad_variant_and_extent_raise_like_numpy(self):
@@ -769,7 +748,7 @@ class TestClones:
         self, baseline, ndim, curve, n
     ):
         """Push (every wrap, stored and recomputed coordinates), the
-        strip-mined pass (the same, unit and other coefficients), update-v (unit and other coefficients), the
+        strip-mined pass (the same), update-v, the
         deposit (rows and columns), the gather, the kinetic-energy
         terms, the sort and the grid loops: byte for byte the baseline
         build's, on populations poisoned with NaN, ±inf and
@@ -789,18 +768,13 @@ class TestClones:
                 for b in (c, baseline):
                     p = _copy(state)
                     b.push(p, shape, ordering, variant, scales)
-                    advanced = []
-                    for coefs, _ in FACTORS[:2]:
-                        a = _copy(state)
-                        b.advance(a, e_1d, coefs[:ndim], shape, ordering,
-                                  variant, scales)
-                        advanced.append(a)
-                    pushed.append((p, advanced))
-                (p, adv), (q, adv_q) = pushed
+                    a = _copy(state)
+                    b.advance(a, e_1d, shape, ordering, variant)
+                    pushed.append((p, a))
+                (p, a), (q, a_q) = pushed
                 for k in p.keys():
                     assert p[k].tobytes() == q[k].tobytes(), (variant, stored, k)
-                    for a, a_q in zip(adv, adv_q):
-                        assert a[k].tobytes() == a_q[k].tobytes(), (variant, stored, k)
+                    assert a[k].tobytes() == a_q[k].tobytes(), (variant, stored, k)
 
         state = _population(rng, ndim, n, ordering, shape, True)
         offsets = tuple(state["d" + a] for a in axes)
@@ -808,10 +782,9 @@ class TestClones:
         got = {}
         for b in (c, baseline):
             out = got.setdefault(b.build_info.isa, [])
-            for coefs in ((1.0,) * ndim, (0.37, -1.9, 0.5)[:ndim]):
-                v = [a.copy() for a in vs]
-                b.update_v(v, e_1d, state.icell, offsets, coefs)
-                out += v
+            v = [a.copy() for a in vs]
+            b.update_v(v, e_1d, state.icell, offsets)
+            out += v
             out += b.interpolate_rows(e_1d, state.icell, offsets)
             rho = np.full((ncell, 1 << ndim), np.nan)
             b.accumulate_rows(rho, state.icell, offsets, -0.37)

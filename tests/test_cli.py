@@ -136,7 +136,7 @@ class TestRun:
         assert physics_lines(out1) == physics_lines(out2)
 
     def test_hilbert_ordering_switches_update(self, capsys):
-        # hilbert must run (position update silently switched to modulo)
+        # hilbert runs the default bitwise update, like every ordering
         code, out = run_cli(
             capsys, "run", "--particles", "2000", "--steps", "2",
             "--grid", "16", "8", "--ordering", "hilbert",

@@ -30,6 +30,7 @@ from repro.core.checkpoint import (
     save_checkpoint,
     save_checkpoint_3d,
 )
+from repro.core.diagnostics import field_energy, kinetic_energy
 from repro.grid import GridSpec, RedundantFields
 from repro.model.config import ModelConfig
 from repro.particles import LandauDamping, ParticleSoA
@@ -51,11 +52,22 @@ ARCHIVE_3D_PR14 = pathlib.Path(__file__).parent / "data" / "checkpoint3d_pr14.np
 ARCHIVE_STANDARD_AOS = (
     pathlib.Path(__file__).parent / "data" / "checkpoint_standard_aos.npz"
 )
-#: ``state_digest`` of that run, undisturbed, after 8 steps — recorded
-#: by the same code; a redundant/SoA run printed the same value
-STANDARD_AOS_DIGEST_8 = (
-    "62369c8468561e01702a0ef97084e83a510d81a529cd48f523a1fc290985b9ae"
+#: what that archive continues on since every run is hoisted: its
+#: velocities converted once (``v * dt / spacing``) and its field
+#: re-scaled, then 4 more steps — recorded by the code that still ran
+#: un-hoisted units, with the conversion made by hand.  (Its un-hoisted
+#: continuation, ``62369c84…b9ae``, was the undisturbed run's
+#: ``state_digest`` after 8 steps.)
+STANDARD_AOS_HOISTED_8 = (
+    "931efea1ff76519d958f7932b7718eda4d15f9d7b550c4d264075a3c94ed0aa5"
 )
+#: a 2D archive written by an un-hoisted run of the last code that had
+#: one (physical velocities, field rows unscaled): Landau, 16x16,
+#: 2,000 particles, seed 7, dt 0.1, Morton, sort every 3, ``numpy``,
+#: saved after 5 steps; beside it, that code's field and kinetic
+#: energy over 10 more steps
+ARCHIVE_UNHOISTED = pathlib.Path(__file__).parent / "data" / "checkpoint_unhoisted_pr36.npz"
+UNHOISTED_ENERGIES = ARCHIVE_UNHOISTED.with_suffix(".json")
 #: a 2D archive the job engine parked at step 101 (two-stream, 8x8,
 #: 256 particles, Morton, ``numpy``)
 ARCHIVE_ENGINE_PARKED = (
@@ -66,7 +78,7 @@ ARCHIVE_ENGINE_PARKED = (
 #: at, ``_resume_digest`` after four more steps — what the code that
 #: still carried the model axes on the run config printed)
 COMMITTED_ARCHIVES = {
-    "standard-aos": (ARCHIVE_STANDARD_AOS, load_checkpoint, 4, STANDARD_AOS_DIGEST_8),
+    "standard-aos": (ARCHIVE_STANDARD_AOS, load_checkpoint, 4, STANDARD_AOS_HOISTED_8),
     "3d-writer": (ARCHIVE_3D_PR14, load_checkpoint_3d, 6,
                   "e1c6e2125f0b6cf9305d56074bd5da88e70209292fbb57a282e11997cd4f7be8"),
     "engine-parked": (ARCHIVE_ENGINE_PARKED, load_checkpoint, 101,
@@ -108,7 +120,7 @@ def fresh_stepper(grid, cfg=None, n=3000):
 def _config_3d(**overrides):
     params = dict(
         ordering="morton",
-        position_update="bitwise", hoisting=True, sort_period=3,
+        position_update="bitwise", sort_period=3,
         backend="numpy",
     )
     params.update(overrides)
@@ -485,7 +497,7 @@ class TestRoundTrip:
         [
             ModelConfig.baseline(),
             OptimizationConfig(ordering="l4d", ordering_kwargs={"size": 8}),
-            OptimizationConfig(hoisting=False),
+            ModelConfig(hoisting=False),
         ],
         ids=["baseline", "l4d", "no-hoist"],
     )
@@ -515,7 +527,8 @@ def test_committed_archive_resumes_on_its_parent_digest(name):
     parked — names the model axes in its stored config; each loads as
     the plain run config into SoA columns and redundant rows and
     continues on the digest it continued on while the run config still
-    carried the axes."""
+    carried the axes (the un-hoisted standard/AoS archive: on the
+    digest of its hoisted continuation)."""
     path, loader, iteration, digest = COMMITTED_ARCHIVES[name]
     with np.load(path) as data:
         saved = json.loads(json.loads(str(data["_meta"]))["config"])
@@ -563,21 +576,22 @@ def test_archive_with_a_store_coords_override_keeps_its_columns(grid, tmp_path):
 
 class TestCompatibilityChecks:
     def test_layout_axes_are_not_compared(self, grid, tmp_path):
-        """``field_layout`` and ``particle_layout`` only feed the model:
-        an archive loads under a model config naming either baseline,
-        while an axis that gives the arrays their meaning still
-        refuses."""
+        """``field_layout``, ``particle_layout`` and ``hoisting`` only
+        feed the model: an archive loads under a model config naming
+        any baseline, while a field that gives the arrays their meaning
+        still refuses."""
         a = fresh_stepper(grid, n=500)
         a.run(2)
         path = save_checkpoint(a, tmp_path / "ck.npz")
-        other = ModelConfig(particle_layout="aos", field_layout="standard")
+        other = ModelConfig(particle_layout="aos", field_layout="standard",
+                            hoisting=False)
         b = load_checkpoint(path, other)
         assert b.config == other
         for st in (a, b):
             st.run(2)
         assert state_digest(b) == state_digest(a)
-        with pytest.raises(CheckpointMismatchError, match="hoisting"):
-            load_checkpoint(path, other.with_(hoisting=False))
+        with pytest.raises(CheckpointMismatchError, match="ordering"):
+            load_checkpoint(path, other.with_(ordering="row-major"))
 
     def test_compatible_override_allowed(self, grid, tmp_path):
         """Changing the sort period is state-compatible."""
@@ -589,6 +603,34 @@ class TestCompatibilityChecks:
         )
         assert b.config.sort_period == 7
         b.step()  # runs fine
+
+def test_unhoisted_archive_resumes_in_hoisted_units(grid, tmp_path):
+    """An archive of an un-hoisted run loads with no error: its
+    physical velocities are converted once, and the run continues
+    within the tolerance the two unit systems always agreed to (Table
+    IV's rows, ``rel=1e-9``) of the energies the code that wrote it
+    continued on.  Saved again, the archive names no ``hoisting``."""
+    want = json.loads(UNHOISTED_ENERGIES.read_text())
+    st = load_checkpoint(ARCHIVE_UNHOISTED)
+    try:
+        assert st.iteration == 5
+        assert type(st.config) is OptimizationConfig
+        field, kinetic = [], []
+        for _ in range(want["steps"]):
+            st.step()
+            field.append(field_energy(st.ex_grid, st.ey_grid,
+                                      st.grid.cell_area, st.eps0))
+            kinetic.append(kinetic_energy(*st.physical_velocities(),
+                                          st.particles.weight, st.m))
+        assert field == pytest.approx(want["field_energy"], rel=1e-9)
+        assert kinetic == pytest.approx(want["kinetic_energy"], rel=1e-9)
+        path = save_checkpoint(st, tmp_path / "again.npz")
+    finally:
+        st.close()
+    with np.load(path) as data:
+        saved = json.loads(json.loads(str(data["_meta"]))["config"])
+    assert "hoisting" not in saved
+
 
 class TestRetiredConfigKeys:
     def test_other_unknown_key_still_rejected(self, grid, tmp_path):

@@ -11,15 +11,15 @@ from repro.core import OptimizationConfig
 from repro.model.config import ModelConfig
 from tests.conftest import RETIRED_CONFIG
 
-#: the nine fields a run executes
+#: the eight fields a run executes
 RUN_FIELDS = (
-    "ordering", "ordering_kwargs", "position_update", "hoisting",
+    "ordering", "ordering_kwargs", "position_update",
     "sort_period", "sort_variant", "backend", "workers", "mp_task_timeout",
 )
-#: the keywords that left the run config: the three model axes and the
+#: the keywords that left the run config: the four model axes and the
 #: ``store_coords`` override
 MODEL_ONLY = {"field_layout": "standard", "particle_layout": "aos",
-              "loop_mode": "fused", "store_coords": False}
+              "loop_mode": "fused", "hoisting": False, "store_coords": False}
 
 
 class TestValidation:
@@ -56,7 +56,7 @@ class TestValidation:
         with pytest.raises(TypeError):
             OptimizationConfig(**{field: MODEL_ONLY[field]})
 
-    def test_run_config_is_the_nine_executed_fields(self):
+    def test_run_config_is_the_eight_executed_fields(self):
         assert tuple(
             f.name for f in dataclasses.fields(OptimizationConfig)
         ) == RUN_FIELDS
@@ -85,12 +85,12 @@ class TestValidation:
     def test_frozen(self):
         cfg = OptimizationConfig()
         with pytest.raises(AttributeError):
-            cfg.hoisting = False
+            cfg.sort_period = 0
 
     def test_with_functional_update(self):
-        cfg = OptimizationConfig().with_(hoisting=False)
-        assert cfg.hoisting is False
-        assert OptimizationConfig().hoisting is True
+        cfg = OptimizationConfig().with_(sort_period=0)
+        assert cfg.sort_period == 0
+        assert OptimizationConfig().sort_period == 20
 
 
 class TestStoreCoordsDefault:

@@ -152,13 +152,14 @@ def test_model_axis_lint_is_green_on_the_tree():
 
 def test_model_axis_lint_sees_a_read_at_any_depth(tmp_path):
     """Reading ``.field_layout`` / ``.particle_layout`` / ``.loop_mode``
-    anywhere under ``src/repro/`` fails — inside a method or a
-    comprehension too, and in ``core/config.py``, which holds the
-    ledger's ``particle_layout`` constant but reads no axis; only
-    ``repro/model/`` may read them, and naming one as a keyword
-    (building a config) is no read."""
+    / ``.hoisting`` anywhere under ``src/repro/`` fails — inside a
+    method or a comprehension too, and in ``core/config.py``, which
+    holds the ledger's ``particle_layout`` constant but reads no axis;
+    only ``repro/model/`` may read them, and naming one as a keyword
+    (building a config) or a dict key (an old archive's stored config)
+    is no read."""
     pkg = tmp_path / "repro"
-    for sub in ("core", "model", "verify"):
+    for sub in ("core", "model", "verify", "pic3d"):
         (pkg / sub).mkdir(parents=True)
     (pkg / "core" / "stepper.py").write_text(
         "class S:\n"
@@ -171,15 +172,23 @@ def test_model_axis_lint_sees_a_read_at_any_depth(tmp_path):
     )
     (pkg / "core" / "config.py").write_text("v = self.loop_mode\n")
     (pkg / "model" / "trace.py").write_text("v = cfg.field_layout\n")
+    (pkg / "pic3d" / "stepper3d.py").write_text(
+        "def check(config):\n"
+        "    if not config.hoisting:\n"
+        "        raise ValueError('hoisted units only')\n"
+    )
+    (pkg / "model" / "costmodel.py").write_text("extra = not cfg.hoisting\n")
     (pkg / "core" / "clean.py").write_text(
-        "cfg = Config(field_layout='standard')\nlayout = 'aos'\n"
+        "cfg = Config(field_layout='standard', hoisting=False)\n"
+        "layout = 'aos'\nhoisted = saved.get('hoisting', True)\n"
     )
     errors = load_tool("check_imports").check_model_axes(tmp_path)
     assert sorted(e.split(": ", 1)[0].split("repro/", 1)[1] for e in errors) == [
-        "core/config.py:1", "core/stepper.py:3", "verify/differ.py:1",
-        "verify/differ.py:2",
+        "core/config.py:1", "core/stepper.py:3", "pic3d/stepper3d.py:2",
+        "verify/differ.py:1", "verify/differ.py:2",
     ]
     assert any("reads .particle_layout" in e for e in errors)
+    assert any("reads .hoisting" in e for e in errors)
 
 
 def test_dimension_ratchet_is_by_name(tmp_path):

@@ -427,15 +427,13 @@ class TestFlipCommit:
                 st.fields.e_1d, p.icell, p.dx, p.dy
             )
             before = np.array(p.vx), np.array(p.vy)
-            want = before[0] + 2.0 * ex_p
+            want = before[0] + ex_p
             copies = np.array(p.vx), np.array(p.vy)
             for vx, vy in ((back.vx, back.vy), copies):
                 for update in (
-                    lambda: st.backend.update_velocities(
-                        vx, vy, ex_p, ey_p, 2.0, 2.0),
+                    lambda: st.backend.update_velocities(vx, vy, ex_p, ey_p),
                     lambda: st.backend.update_v(
-                        (vx, vy), st.fields.e_1d, p.icell, (p.dx, p.dy),
-                        (2.0, 2.0)),
+                        (vx, vy), st.fields.e_1d, p.icell, (p.dx, p.dy)),
                 ):
                     vx[:], vy[:] = before
                     update()

@@ -92,7 +92,7 @@ class TestExtremeMotion:
     def test_zero_dt_freezes_positions(self):
         grid = GridSpec(16, 16, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
         st = PICStepper(
-            grid, OptimizationConfig(hoisting=False),
+            grid, OptimizationConfig(),
             case=LandauDamping(alpha=0.1), n_particles=1000,
             dt=0.0, quiet=True, seed=None,
         )

@@ -38,7 +38,7 @@ def _grid(ncx=32, ncy=8):
 def _config(**overrides):
     params = dict(
         ordering="morton",
-        position_update="bitwise", hoisting=True, sort_period=0,
+        position_update="bitwise", sort_period=0,
         backend="numpy",
     )
     params.update(overrides)
@@ -170,7 +170,7 @@ class TestVerificationHooks:
             s = Scenario(
                 index=0, ncx=16, ncy=8, n_particles=500, n_steps=4,
                 case_name=name, ordering="morton",
-                position_update="bitwise", hoisting=True,
+                position_update="bitwise",
                 sort_period=0, sort_variant="out-of-place",
             )
             assert s.case() is not None

@@ -80,7 +80,7 @@ class TestPICJob:
         job = small_job(ordering="hilbert")
         cfg = job.make_config()
         assert cfg.ordering == "hilbert"
-        assert cfg.position_update == "modulo"  # hilbert needs real coords
+        assert cfg.position_update == "bitwise"  # the default: no special case
         assert cfg.backend == "numpy"
         grid = job.make_grid()
         assert (grid.ncx, grid.ncy) == (16, 16)

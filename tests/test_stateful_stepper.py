@@ -37,12 +37,9 @@ class SteppingMachine(RuleBasedStateMachine):
     @initialize(
         ordering=st.sampled_from(["row-major", "morton", "l4d"]),
         sort_period=st.sampled_from([0, 3, 10]),
-        hoisting=st.booleans(),
     )
-    def setup(self, ordering, sort_period, hoisting):
-        cfg = OptimizationConfig(
-            ordering=ordering, sort_period=sort_period, hoisting=hoisting
-        )
+    def setup(self, ordering, sort_period):
+        cfg = OptimizationConfig(ordering=ordering, sort_period=sort_period)
         grid = GridSpec(16, 8, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
         self.stepper = PICStepper(
             grid, cfg, case=LandauDamping(alpha=0.1),

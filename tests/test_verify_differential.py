@@ -41,26 +41,26 @@ from repro.verify import (
 ROOT = Path(__file__).resolve().parents[1]
 
 #: ``ScenarioSampler(0).sample(16)`` as the sampler with a loop mode
-#: axis and a field-layout axis drew it: (ncx, ncy, ncz, n_particles,
-#: n_steps, case, ordering, push, hoisting, sort period, sort variant,
-#: seed)
+#: axis, a field-layout axis and a hoisting axis drew it (the hoisting
+#: draw dropped): (ncx, ncy, ncz, n_particles, n_steps, case, ordering,
+#: push, sort period, sort variant, seed)
 SEED_0_SCENARIOS = [
-    (16, 4, 4, 2000, 6, 'landau', 'row-major', 'branch', True, 0, 'out-of-place', 1746484540),
-    (32, 4, 1, 2000, 10, 'exb-drift', 'morton', 'modulo', True, 2, 'out-of-place', 1440696408),
-    (32, 8, 1, 9000, 10, 'landau', 'morton', 'branch', False, 5, 'in-place', 1162779116),
-    (32, 8, 1, 2000, 6, 'gaussian-bump', 'row-major', 'branch', True, 3, 'out-of-place', 552547096),
-    (32, 4, 1, 2000, 6, 'exb-drift', 'hilbert', 'bitwise', True, 3, 'out-of-place', 1478428096),
-    (32, 8, 1, 9000, 6, 'bounded-wall', 'morton', 'modulo', False, 2, 'in-place', 1543657889),
-    (8, 4, 4, 9000, 10, 'landau', 'morton', 'branch', True, 2, 'out-of-place', 1545136977),
-    (16, 16, 1, 2000, 10, 'gaussian-bump', 'column-major', 'branch', True, 3, 'in-place', 180421576),
-    (32, 4, 1, 2000, 10, 'two-stream', 'column-major', 'branch', False, 3, 'in-place', 1231901276),
-    (32, 4, 1, 2000, 10, 'beam-plasma', 'morton', 'branch', True, 2, 'out-of-place', 426303516),
-    (8, 4, 4, 2000, 10, 'two-stream', 'row-major', 'bitwise', True, 5, 'out-of-place', 428456153),
-    (8, 8, 4, 500, 6, 'two-stream', 'row-major', 'modulo', True, 5, 'out-of-place', 1991049241),
-    (32, 8, 1, 2000, 10, 'two-stream', 'l4d', 'bitwise', True, 2, 'out-of-place', 1296558497),
-    (8, 4, 4, 2000, 10, 'two-stream', 'row-major', 'modulo', True, 3, 'out-of-place', 494452713),
-    (8, 4, 4, 2000, 6, 'two-stream', 'morton', 'bitwise', True, 5, 'out-of-place', 396530696),
-    (16, 8, 1, 9000, 10, 'exb-drift', 'morton', 'branch', False, 5, 'in-place', 2107100304),
+    (16, 4, 4, 2000, 6, 'landau', 'row-major', 'branch', 0, 'out-of-place', 1746484540),
+    (32, 4, 1, 2000, 10, 'exb-drift', 'morton', 'modulo', 2, 'out-of-place', 1440696408),
+    (32, 8, 1, 9000, 10, 'landau', 'morton', 'branch', 5, 'in-place', 1162779116),
+    (32, 8, 1, 2000, 6, 'gaussian-bump', 'row-major', 'branch', 3, 'out-of-place', 552547096),
+    (32, 4, 1, 2000, 6, 'exb-drift', 'hilbert', 'bitwise', 3, 'out-of-place', 1478428096),
+    (32, 8, 1, 9000, 6, 'bounded-wall', 'morton', 'modulo', 2, 'in-place', 1543657889),
+    (8, 4, 4, 9000, 10, 'landau', 'morton', 'branch', 2, 'out-of-place', 1545136977),
+    (16, 16, 1, 2000, 10, 'gaussian-bump', 'column-major', 'branch', 3, 'in-place', 180421576),
+    (32, 4, 1, 2000, 10, 'two-stream', 'column-major', 'branch', 3, 'in-place', 1231901276),
+    (32, 4, 1, 2000, 10, 'beam-plasma', 'morton', 'branch', 2, 'out-of-place', 426303516),
+    (8, 4, 4, 2000, 10, 'two-stream', 'row-major', 'bitwise', 5, 'out-of-place', 428456153),
+    (8, 8, 4, 500, 6, 'two-stream', 'row-major', 'modulo', 5, 'out-of-place', 1991049241),
+    (32, 8, 1, 2000, 10, 'two-stream', 'l4d', 'bitwise', 2, 'out-of-place', 1296558497),
+    (8, 4, 4, 2000, 10, 'two-stream', 'row-major', 'modulo', 3, 'out-of-place', 494452713),
+    (8, 4, 4, 2000, 6, 'two-stream', 'morton', 'bitwise', 5, 'out-of-place', 396530696),
+    (16, 8, 1, 9000, 10, 'exb-drift', 'morton', 'branch', 5, 'in-place', 2107100304),
 ]
 
 
@@ -80,12 +80,12 @@ class TestScenarioSampler:
 
     def test_seed_0_names_the_scenarios_it_always_named(self):
         """Scenario k of seed 0 is the configuration it was before the
-        split/fused and field-layout axes retired (recorded from the
-        samplers that still drew them): the draws they made are still
-        consumed in place."""
+        split/fused, field-layout and hoisting axes retired (recorded
+        from the samplers that still drew them), in every remaining
+        field: the draws they made are still consumed in place."""
         got = [
             (s.ncx, s.ncy, s.ncz, s.n_particles, s.n_steps, s.case_name,
-             s.ordering, s.position_update, s.hoisting,
+             s.ordering, s.position_update,
              s.sort_period, s.sort_variant, s.seed)
             for s in ScenarioSampler(0).sample(16)
         ]
@@ -114,7 +114,7 @@ def _small_scenario(**overrides) -> Scenario:
     params = dict(
         index=0, ncx=32, ncy=8, n_particles=1500, n_steps=6,
         case_name="landau", ordering="morton",
-        position_update="bitwise", hoisting=True,
+        position_update="bitwise",
         sort_period=2, sort_variant="out-of-place",
         seed=11,
     )
@@ -215,7 +215,7 @@ class TestReferenceBaseline:
         grid = GridSpec(32, 8, xmax=4 * np.pi, ymax=2 * np.pi)
         case = LandauDamping(alpha=0.1, vth=1.0)
         cfg = OptimizationConfig(
-            ordering="morton", position_update="bitwise", hoisting=True,
+            ordering="morton", position_update="bitwise",
             sort_period=10,
             backend="numpy",
         )

@@ -31,11 +31,10 @@ sys.path.insert(0, str(ROOT / "src"))
 #: marker name -> (how GCC must report it, instantiations): the bitwise
 #: push per ndim x the four orders with stored coordinates (recomputed
 #: scan coordinates divide, and stay scalar; the other wraps call fmod);
-#: update-v per ndim x unit / other coefficients; the kinetic terms and
-#: the row deposit per ndim
+#: update-v, the kinetic terms and the row deposit per ndim
 REQUIRED = {
     "push": ("loop", 2 * 4),
-    "update-v": ("loop", 2 * 2),
+    "update-v": ("loop", 2),
     "kinetic terms": ("loop", 2),
     "deposit row add": ("basic block part", 2),
 }

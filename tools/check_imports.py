@@ -36,14 +36,16 @@ worker rebuilds the stepper's ordering from its
 so nothing it executes needs the 3D stepper's module.
 
 And once more: no module under ``src/repro/`` outside ``repro/model/``
-reads ``.field_layout``, ``.particle_layout`` or ``.loop_mode`` (an
-attribute load, at any depth).  Those three
+reads ``.field_layout``, ``.particle_layout``, ``.loop_mode`` or
+``.hoisting`` (an attribute load, at any depth).  Those four
 :class:`~repro.model.config.ModelConfig` axes name the paper's
-baselines — point-based fields, AoS particles, the single loop — which
-the model prices and no stepper executes: every run keeps redundant
-rows and SoA columns and runs the split loops.  The run config's
-``particle_layout`` class constant, which the frozen benchmark ledger
-reads, is no exception.
+baselines — point-based fields, AoS particles, the single loop,
+un-hoisted units — which the model prices and no stepper executes:
+every run keeps redundant rows and SoA columns, runs the split loops
+and stores hoisted units.  The run config's ``particle_layout`` class
+constant, which the frozen benchmark ledger reads, is no exception;
+the checkpoint loader reads an old archive's ``"hoisting"`` key, not
+the attribute.
 
 The second lint is a ratchet on the 2D/3D fork (ROADMAP, "One
 statement per kernel").  A ``class``/``def`` whose name ends in
@@ -86,7 +88,7 @@ PIC3D_FREE = "repro/parallel/"
 
 #: the config axes only the model reads, and the files under
 #: ``src/repro/`` that may read them (relative to ``src/``)
-MODEL_AXES = ("field_layout", "particle_layout", "loop_mode")
+MODEL_AXES = ("field_layout", "particle_layout", "loop_mode", "hoisting")
 MODEL_AXIS_READERS = ("repro/model/",)
 
 #: every dimension-suffixed class/def that still exists, by file
