@@ -91,9 +91,11 @@ def _array_key(column: str) -> str:
 #: model axes (an archive of a :class:`repro.model.config.ModelConfig`
 #: run holds the arrays any run holds) and the ``store_coords``
 #: override (the archive's own ``store_coords`` record names its
-#: particle columns) are dropped the same way.  So is ``hoisting``,
-#: which :func:`_saved_config` reads first: an archive that says
-#: ``false`` holds physical velocities, which :func:`_restore` converts.
+#: particle columns) are dropped the same way — ``sort_variant`` among
+#: the axes: both sorts applied the same permutation.  So is
+#: ``hoisting``, which :func:`_saved_config` reads first: an archive
+#: that says ``false`` holds physical velocities, which
+#: :func:`_restore` converts.
 _RETIRED_CONFIG_KEYS = frozenset(
     f"{stem}_{tail}" for stem, tail in (
         ("block", "size"),
@@ -104,7 +106,7 @@ _RETIRED_CONFIG_KEYS = frozenset(
         ("chunk", "size"),
     )
 ) | {"partition", "field_layout", "particle_layout", "loop_mode", "store_coords",
-     "hoisting"}
+     "hoisting", "sort_variant"}
 
 
 def _saved_config(meta: dict, path) -> tuple[OptimizationConfig, bool]:

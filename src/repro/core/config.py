@@ -1,11 +1,12 @@
 """Configuration of a run: the knobs a stepper executes.
 
 Every field here changes what a run does — which cell ordering keys
-the particles, which push variant the loops use, how often and how the
+the particles, which push variant the loops use, how often the
 particles are sorted, which backend runs the kernels.  The paper's
-baselines that no stepper executes (point-based fields, AoS particles,
-the single loop, un-hoisted units) and the cumulative stack of Table IV
-are axes of :class:`repro.model.config.ModelConfig`, which prices them.
+variants that no stepper executes (point-based fields, AoS particles,
+the single loop, un-hoisted units, the in-place sort) and the
+cumulative stack of Table IV are axes of
+:class:`repro.model.config.ModelConfig`, which prices them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass, field, replace
 __all__ = ["OptimizationConfig"]
 
 _POSITION_UPDATES = ("branch", "modulo", "bitwise")
-_SORT_VARIANTS = ("out-of-place", "in-place")
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,9 @@ class OptimizationConfig:
     Every stepper stores redundant field rows (§IV-B) and SoA particle
     columns (§IV-C1), runs the three split particle loops (§IV-A), and
     keeps velocities and the field in hoisted units, so that the
-    particle loops carry no per-particle multiplies (§IV-D).
+    particle loops carry no per-particle multiplies (§IV-D); its sort
+    gathers every particle column out of place (§V-B1,
+    :meth:`~repro.particles.storage.ParticleStorage.reorder`).
 
     Parameters
     ----------
@@ -45,8 +47,6 @@ class OptimizationConfig:
     sort_period:
         Sort particles by cell index every this many iterations
         (0 disables sorting).
-    sort_variant:
-        ``"out-of-place"`` (double buffer) or ``"in-place"``.
     backend:
         Kernel execution backend: ``"numpy"`` (cache-blocked array kernels),
         ``"c"`` (the C loops of ``ckernels.c``, built with the host
@@ -77,7 +77,6 @@ class OptimizationConfig:
     ordering_kwargs: dict = field(default_factory=dict)
     position_update: str = "bitwise"
     sort_period: int = 20
-    sort_variant: str = "out-of-place"
     backend: str = "auto"
     workers: int | None = None
     mp_task_timeout: float = 60.0
@@ -91,8 +90,6 @@ class OptimizationConfig:
     def __post_init__(self):
         if self.position_update not in _POSITION_UPDATES:
             raise ValueError(f"position_update must be one of {_POSITION_UPDATES}")
-        if self.sort_variant not in _SORT_VARIANTS:
-            raise ValueError(f"sort_variant must be one of {_SORT_VARIANTS}")
         if self.sort_period < 0:
             raise ValueError("sort_period must be >= 0")
         if self.workers is not None and self.workers < 1:

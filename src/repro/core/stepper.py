@@ -56,7 +56,6 @@ from repro.grid.fields import RedundantFields
 from repro.grid.poisson import SpectralPoissonSolver
 from repro.grid.spec import GridSpec
 from repro.particles.initializers import InitialCondition, load_particles
-from repro.particles.sorting import sort_in_place, sort_out_of_place
 from repro.particles.storage import ParticleStorage
 from repro.perf.instrument import Instrumentation, StepTimings
 
@@ -112,14 +111,6 @@ class StepLoop:
         #: of a live run, never part of checkpointed state.
         self.phase_hook = None
         self.iteration = 0
-        #: double buffer of the out-of-place sort.  Allocated with the
-        #: particles, not at the first sort: there it would be carved
-        #: out of the heap space the kernels' N-sized temporaries keep
-        #: reusing, and the next deposit would have to grow the heap
-        #: (+10 % peak RSS at 1M particles)
-        self._sort_buffer: ParticleStorage | None = None
-        if self.config.sort_period and self.config.sort_variant != "in-place":
-            self._sort_buffer = self.particles.clone_empty()
         #: the ``c`` backend's thread team (:meth:`_prepare` starts it)
         self._team: ThreadTeam | None = None
         self._closed = False
@@ -206,24 +197,16 @@ class StepLoop:
 
     # ------------------------------------------------------------------
     def _phase_sort(self) -> None:
-        ncells = self.ordering.ncells_allocated
         # the permutation build routes through the backend: same stable
         # counting sort, compiled cursor loop on backends that have one
-        perm_fn = self.backend.counting_sort_permutation
-        if self.config.sort_variant == "in-place":
-            sort_in_place(self.particles, ncells, perm_fn=perm_fn)
-            return
-        if self._sort_buffer is None:  # sort_period == 0, sorted by hand
-            self._sort_buffer = self.particles.clone_empty()
+        perm = self.backend.counting_sort_permutation(
+            self.particles.icell, self.ordering.ncells_allocated)
         # the gathers are row copies: the team splits them by row range
         shards = self._shards()
-        sorted_parts = sort_out_of_place(
-            self.particles, ncells, self._sort_buffer, perm_fn=perm_fn,
-            map_rows=(lambda gather: self._team.map(gather, shards))
+        self.particles.reorder(
+            perm, map_rows=(lambda gather: self._team.map(gather, shards))
             if len(shards) > 1 else None,
         )
-        self._sort_buffer = self.particles
-        self.particles = sorted_parts
 
     def _deposit_and_solve(self) -> None:
         """Accumulate rho from current positions, then solve for E."""
@@ -380,6 +363,8 @@ class PICStepper(StepLoop):
         seed: int | None = 0,
         quiet: bool = False,
     ):
+        if not dt > 0:
+            raise ValueError("dt must be positive")
         if config.position_update == "bitwise" and not grid.pow2:
             raise ValueError(
                 "bitwise position update requires power-of-two grid dims "

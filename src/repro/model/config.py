@@ -4,11 +4,12 @@ paper's baselines, and the cumulative stack of Table IV.
 A :class:`ModelConfig` is an
 :class:`~repro.core.config.OptimizationConfig` — the model still runs
 it through :class:`~repro.core.simulation.Simulation` to harvest real
-particle states — with four more axes the model prices and no stepper
+particle states — with five more axes the model prices and no stepper
 executes: the point-based field layout, AoS particles, the single
-particle loop and un-hoisted units.  Every run stores redundant rows
-and SoA columns, runs the split loops and keeps hoisted units whatever
-they say (``tests/test_layout_axes.py``).
+particle loop, un-hoisted units and the in-place sort.  Every run
+stores redundant rows and SoA columns, runs the split loops, keeps
+hoisted units and sorts out of place whatever they say
+(``tests/test_layout_axes.py``).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ __all__ = ["ModelConfig"]
 _FIELD_LAYOUTS = ("standard", "redundant")
 _PARTICLE_LAYOUTS = ("soa", "aos")
 _LOOP_MODES = ("fused", "split")
+_SORT_VARIANTS = ("out-of-place", "in-place")
 
 
 @dataclass(frozen=True)
@@ -46,12 +48,17 @@ class ModelConfig(OptimizationConfig):
         so the particle loops carry no per-particle multiplies (§IV-D,
         Table IV row 2); ``False`` — physical units, a multiply per
         axis in update-v and update-x.
+    sort_variant:
+        ``"out-of-place"`` — every particle record gathered once into
+        fresh memory (§V-B1, measured twice as fast); ``"in-place"`` —
+        the O(1)-memory cycle walk, ~3 moves per displaced record.
     """
 
     field_layout: str = "redundant"
     particle_layout: str = "soa"
     loop_mode: str = "split"
     hoisting: bool = True
+    sort_variant: str = "out-of-place"
 
     def __post_init__(self):
         super().__post_init__()
@@ -61,6 +68,8 @@ class ModelConfig(OptimizationConfig):
             raise ValueError(f"particle_layout must be one of {_PARTICLE_LAYOUTS}")
         if self.loop_mode not in _LOOP_MODES:
             raise ValueError(f"loop_mode must be one of {_LOOP_MODES}")
+        if self.sort_variant not in _SORT_VARIANTS:
+            raise ValueError(f"sort_variant must be one of {_SORT_VARIANTS}")
 
     # ------------------------------------------------------------------
     # The cumulative stack of Table IV.  Each named constructor is the

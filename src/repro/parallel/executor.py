@@ -440,9 +440,9 @@ class ShmEngine:
     redundant ``rho_1d``/``e_1d`` rows, 2D and 3D alike; every
     per-axis quantity travels as a tuple.  Construction relocates the
     particle storage and the field rows into shared memory (the stepper
-    keeps using them through the same attributes), gives the stepper a
-    shared back buffer — staging for the particle loops' commits *and*
-    the out-of-place sort's double buffer — and sets up both partitions:
+    keeps using them through the same attributes), allocates a shared
+    back buffer — staging for the particle loops' commits *and* the
+    gather target of the particles' sort — and sets up both partitions:
     particle ranges for update-v and the push (fixed for the engine's
     lifetime), and corner columns for the deposit.  Beyond ``ncorner``
     workers the columns are also cut into cell ranges, from the t=0
@@ -468,10 +468,11 @@ class ShmEngine:
         stepper.particles = front = SharedParticleStorage.from_storage(
             stepper.particles, self.arena
         )
-        stepper._sort_buffer = front.clone_empty()
-        #: commits exchange array bindings between the stepper's
-        #: ``particles`` (front) and ``_sort_buffer`` (back), whichever
-        #: storage object currently plays which role
+        #: the back buffer: staging of the particle loops' commits and
+        #: the gather target of the front's sort, both of which
+        #: exchange array bindings with the stepper's ``particles``
+        #: (the front), so neither store object ever changes roles
+        self.back = front.back = front.clone_empty()
         self._stepper = stepper
         nalloc, ncorner = stepper.fields.rho_1d.shape
         self.planner = PartitionPlanner(
@@ -588,7 +589,7 @@ class ShmEngine:
     def _run_staged(self, phase, op, names, e_1d=None, **args):
         """Run ``op`` over the particle ranges with the columns
         ``names`` staged in the back buffer, then commit them."""
-        front, back = self._stepper.particles, self._stepper._sort_buffer
+        front, back = self._stepper.particles, self.back
         arrays = {"front": dict(front), "back": {k: back[k] for k in names}}
         if e_1d is not None:
             arrays["e_1d"] = e_1d

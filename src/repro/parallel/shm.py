@@ -20,8 +20,8 @@ Three pieces:
   front (the stepper's ``particles``) and a back buffer: workers write
   kick/push results into the back arrays and the parent commits by
   :meth:`~SharedParticleStorage.flip` — exchanging the two storages'
-  array bindings, O(1), no copy.  The same back buffer is the
-  out-of-place sort's double buffer.
+  array bindings, O(1), no copy.  The front's sort gathers into the
+  same back buffer and flips every column.
 * :class:`SharedGrid` — moves the redundant ``rho_1d`` / ``e_1d`` rows
   of a 2D or 3D field storage into the arena and adds the deposit's private target: one
   corner-major ``(ncorner, nalloc)`` slab.  A deposit task owns one
@@ -46,7 +46,7 @@ from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
-from repro.particles.storage import ParticleSoA
+from repro.particles.storage import ParticleSoA, _gather
 
 __all__ = [
     "ArraySpec",
@@ -185,7 +185,9 @@ class SharedParticleStorage(ParticleSoA):
     Behaviourally identical to the plain SoA storage (same columns,
     same ``reorder``); only the allocation differs, so the stepper and
     all kernels are none the wiser.  ``clone_empty`` allocates from the
-    same arena, keeping a swapped-in storage shareable.
+    same arena.  It keeps no spare columns: its sort gathers every
+    column into :attr:`back` and flips the two, so the store object
+    never changes.
     """
 
     def __init__(self, n, weight=1.0, store_coords=True, ndim=2, *,
@@ -193,6 +195,14 @@ class SharedParticleStorage(ParticleSoA):
         self._arena = arena
         self._alloc = arena.alloc
         super().__init__(n, weight, store_coords, ndim)
+        #: the engine's back buffer, the sort's gather target (set by
+        #: the engine; a store outside one cannot sort itself)
+        self.back: SharedParticleStorage | None = None
+
+    def _permute(self, perm, map_rows):
+        back = self.back
+        _gather(perm, [(col, back[name]) for name, col in self.items()], map_rows)
+        self.flip(back, self.keys())
 
     def clone_empty(self):
         return SharedParticleStorage(

@@ -11,8 +11,8 @@ Initial conditions cover the paper's test cases (linear and nonlinear
 Landau damping, two-stream instability), with random or quiet
 (Halton low-discrepancy) starts.
 
-Sorting is the periodic counting sort by cell index of §II/§V-B1, in
-out-of-place and in-place variants.
+Sorting is the periodic counting sort by cell index of §II/§V-B1: a
+counting-sort permutation, applied out of place by the store itself.
 """
 
 from repro.particles.storage import (
@@ -40,8 +40,6 @@ from repro.particles.initializers import (
 from repro.particles.sorting import (
     counting_sort_permutation,
     counting_sort_permutation_reference,
-    sort_in_place,
-    sort_out_of_place,
 )
 
 __all__ = [
@@ -65,6 +63,4 @@ __all__ = [
     "load_particles",
     "counting_sort_permutation",
     "counting_sort_permutation_reference",
-    "sort_out_of_place",
-    "sort_in_place",
 ]

@@ -5,26 +5,18 @@ The paper sorts the particle array by ``icell`` every 20–50 iterations
 field/charge cells.  Because the number of cells is much smaller than
 the number of particles, a counting (bucket) sort is linear in N.
 
-Two variants mirror §V-B1:
+The paper applies the permutation out of place (§V-B1: a second
+buffer, twice the memory, measured twice as fast as in place).  What
+runs here is two steps: the counting sort builds an N-sized
+permutation, then the store gathers every column through it
+(:meth:`~repro.particles.storage.ParticleStorage.reorder`), one column
+at a time into a spare column whose binding it then takes — out of
+place, at one column's extra memory per dtype.  The in-place cycle
+walk is priced by :mod:`repro.model` only.
 
-* **out-of-place** — the paper's histogram and one scatter pass into a
-  second buffer, twice the memory; it measures that twice as fast as
-  in-place and parallelizes it.  What runs here is two steps: the
-  counting sort builds an N-sized permutation, then every column
-  (seven with stored cell coordinates) is gathered through it into
-  the second buffer (``np.take``), so each column is read once in
-  permuted order and the permutation once per column.
-* **in-place** — the permutation is applied to the storage's own
-  columns, one column at a time: each is gathered (``np.take``) into
-  one N-sized scratch array and copied back.  That is not the paper's
-  O(1)-memory cycle walk (~3 memory operations per displaced particle):
-  at most one column's worth of extra memory is live at a time, and
-  the result is the same ordering.
-
-Every function in this module is a pure function of its array inputs
-(plus in-place writes to caller-owned outputs); none keeps global
-mutable state, so all are thread-safe to call concurrently on disjoint
-outputs.
+Every function in this module is a pure function of its array inputs;
+none keeps global mutable state, so all are thread-safe to call
+concurrently.
 
 The permutation itself (:func:`counting_sort_permutation`) is a *real*
 O(N + C) counting sort — histogram (``np.bincount``), exclusive prefix
@@ -42,13 +34,9 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from repro.particles.storage import ParticleStorage
-
 __all__ = [
     "counting_sort_permutation",
     "counting_sort_permutation_reference",
-    "sort_out_of_place",
-    "sort_in_place",
 ]
 
 
@@ -106,52 +94,3 @@ def counting_sort_permutation_reference(keys: np.ndarray, ncells: int) -> np.nda
         cursor[k] += 1
     return perm
 
-
-def sort_out_of_place(
-    particles: ParticleStorage,
-    ncells: int,
-    buffer: ParticleStorage | None = None,
-    perm_fn=None,
-    map_rows=None,
-) -> ParticleStorage:
-    """Sort by cell index into a second buffer (paper's fast variant):
-    the permutation, then one gather per column through it.
-
-    Returns the sorted storage (the buffer); callers typically swap the
-    two containers each sorting step, exactly like the double-buffered
-    C code.  ``perm_fn`` overrides the permutation builder (the stepper
-    passes its backend's — e.g. the C cursor loop); ``map_rows`` splits
-    the gathers by row range (:meth:`ParticleStorage.reorder`).
-
-    Equivalence promise: any stable ``perm_fn`` yields the identical
-    particle ordering (the stable permutation is unique), so backend
-    choice never changes the result.  Thread-safety: mutates only
-    ``buffer``; concurrent calls on distinct storages are safe.
-    """
-    perm_fn = perm_fn or counting_sort_permutation
-    perm = perm_fn(particles.icell, ncells)
-    return particles.reorder(perm, out=buffer, map_rows=map_rows)
-
-
-def sort_in_place(
-    particles: ParticleStorage,
-    ncells: int,
-    perm_fn=None,
-) -> None:
-    """Sort by cell index into the storage's own columns.
-
-    Applies the sorting permutation column by column: one gather into
-    an N-sized scratch array, copied back, so one column's worth of
-    extra memory is live at a time (the paper's variant is an O(1)
-    cycle walk, which it measures at half the out-of-place speed).
-
-    Equivalence promise: the final particle ordering is identical to
-    :func:`sort_out_of_place` (both apply the same unique stable
-    permutation).  Thread-safety: mutates ``particles`` in place —
-    callers must not run other kernels on the same storage
-    concurrently; calls on distinct storages are safe.
-    """
-    perm_fn = perm_fn or counting_sort_permutation
-    perm = perm_fn(particles.icell, ncells)
-    for _name, arr in particles.items():
-        arr[:] = np.take(np.asarray(arr), perm)

@@ -18,7 +18,11 @@ reads both as attributes (``p.dx``) and as a read-only mapping
 kernels of :mod:`repro.core.kernels` slice.
 
 :class:`ParticleSoA` keeps one contiguous numpy array per attribute —
-the layout that vectorizes (unit stride, §IV-C1).
+the layout that vectorizes (unit stride, §IV-C1) — and, from its first
+sort on, one spare column per dtype: the periodic sort
+(:meth:`ParticleStorage.reorder` without ``out``) gathers each column
+into the spare of its dtype and swaps the two bindings, out of place
+at one column's extra memory.
 """
 
 from __future__ import annotations
@@ -60,6 +64,19 @@ def _column(name: str) -> property:
             ) from None
 
     return property(get)
+
+
+def _gather(perm, pairs, map_rows) -> None:
+    """``dst[:] = src[perm]`` for every ``(src, dst)`` of ``pairs``, over
+    the row slices of ``map_rows`` (:meth:`ParticleStorage.reorder`)."""
+    def gather(rows):
+        for src, dst in pairs:
+            np.take(src, perm[rows], out=dst[rows], mode="wrap")
+
+    if map_rows is None:
+        gather(slice(None))
+    else:
+        map_rows(gather)
 
 
 class ParticleStorage(abc.ABC):
@@ -114,36 +131,36 @@ class ParticleStorage(abc.ABC):
                 map_rows=None):
         """Apply a permutation: element j of the result is element perm[j].
 
-        With ``out`` this is the paper's *out-of-place* sort application
-        (one store per particle, twice the memory); without it a fresh
-        storage is created (:func:`repro.particles.sorting.sort_in_place`
-        permutes the storage's own columns instead).  ``map_rows``, if
-        given, runs ``gather(rows)`` over row slices that cover the
-        result and returns when all are done (the stepper's thread
-        team); every row is a copy, so any cut gives the same bits.
-        Returns the storage holding the reordered particles.
+        Without ``out`` — the sort every stepper runs — the store
+        permutes its own columns and returns itself (:meth:`_permute`):
+        every column is gathered out of place, the paper's fast variant
+        (§V-B1), into a column that then takes its binding, so nothing
+        is copied back.  With ``out`` every column is gathered into
+        that store of the same shape, which is returned (a double
+        buffer, twice the memory).  ``map_rows``, if given, runs
+        ``gather(rows)`` over row slices that cover the result and
+        returns when all are done (the stepper's thread team); every
+        row is a copy, so any cut gives the same bits.
         """
-        dst = out if out is not None else self.clone_empty()
-        if not isinstance(dst, ParticleStorage):
-            raise TypeError(f"out must be a {type(self).__name__}")
         perm = np.asarray(perm)
         # the range is checked once, before any column is written; then
-        # mode="wrap" takes straight into `out`, where NumPy's default
-        # mode="raise" first takes into a buffer and copies that over
+        # mode="wrap" takes straight into the target, where NumPy's
+        # default mode="raise" first takes into a buffer and copies that
         if perm.size and (perm.min() < -self.n or perm.max() >= self.n):
             bad = perm[(perm < -self.n) | (perm >= self.n)].flat[0]
             raise IndexError(f"index {bad} is out of bounds for axis 0 "
                              f"with size {self.n}")
+        if out is None:
+            self._permute(perm, map_rows)
+            return self
+        if not isinstance(out, ParticleStorage):
+            raise TypeError(f"out must be a {type(self).__name__}")
+        _gather(perm, [(col, out[name]) for name, col in self.items()], map_rows)
+        return out
 
-        def gather(rows):
-            for name, arr in self._columns.items():
-                np.take(arr, perm[rows], out=dst[name][rows], mode="wrap")
-
-        if map_rows is None:
-            gather(slice(None))
-        else:
-            map_rows(gather)
-        return dst
+    @abc.abstractmethod
+    def _permute(self, perm: np.ndarray, map_rows) -> None:
+        """Permute the store's own columns through a checked ``perm``."""
 
     @abc.abstractmethod
     def clone_empty(self) -> "ParticleStorage":
@@ -168,7 +185,26 @@ class ParticleSoA(ParticleStorage):
     _alloc = staticmethod(np.zeros)
 
     def _allocate(self, n, names):
+        #: dtype -> the spare column :meth:`_permute` gathers into
+        self._spares = {}
         return {name: self._alloc(n, dtype=_dtype(name)) for name in names}
+
+    def _permute(self, perm, map_rows):
+        """One column at a time: gather it into the spare of its dtype,
+        which becomes the column, and keep the old column as the spare.
+        So the store holds one column per dtype more than it stores,
+        whatever the number of columns.  The spares are allocated at the
+        first sort, not with the columns: a loader builds the store on
+        top of its N-sized temporaries, and two more columns there raise
+        the construction's peak footprint (+15 MiB at 1M particles)."""
+        columns, spares = self._columns, self._spares
+        for name, col in columns.items():
+            dt = col.dtype.type
+            spare = spares.get(dt)
+            if spare is None:
+                spare = self._alloc(self.n, dtype=dt)
+            _gather(perm, [(col, spare)], map_rows)
+            columns[name], spares[dt] = spare, col
 
     def clone_empty(self):
         return ParticleSoA(self.n, self.weight, self.store_coords, self.ndim)

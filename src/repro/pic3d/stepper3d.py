@@ -8,7 +8,10 @@ particles a :class:`~repro.particles.storage.ParticleSoA` with
 What lives here is the 3D state: constructor, particle loader,
 energies and the field scales.  Units are hoisted, as in 2D
 (velocities stored as grid displacement per step, field rows
-pre-scaled by ``q*dt^2/(m*spacing)``).
+pre-scaled by ``q*dt^2/(m*spacing)``), and the sort is 2D's: the store
+gathers each of its ten columns through a spare column of its dtype,
+split by row range on the ``c`` team, so no second store sits on the
+peak footprint the construction sets.
 """
 
 from __future__ import annotations
@@ -115,11 +118,10 @@ class PICStepper3D(StepLoop):
                 ordering="morton",
                 position_update="bitwise",
                 sort_period=int(sort_period),
-                # no double buffer: ten N-sized columns more would sit
-                # on top of the peak footprint the construction sets
-                sort_variant="in-place",
                 backend=backend,
             )
+        if not dt > 0:
+            raise ValueError("dt must be positive")
         if config.position_update == "bitwise" and not grid.pow2:
             raise ValueError("the bitwise push requires power-of-two dims")
         self.grid = grid

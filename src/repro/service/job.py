@@ -189,7 +189,7 @@ class PICJob:
             raise ValueError("n_particles must be positive")
         if self.steps < 1:
             raise ValueError("steps must be positive")
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")

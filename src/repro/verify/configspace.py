@@ -43,6 +43,7 @@ _ORDERING_POOL = ("row-major", "column-major", "l4d", "morton", "hilbert")
 _LAYOUT_POOL = ("redundant", "redundant", "standard")
 _PUSH_POOL = ("branch", "modulo", "bitwise")
 _SORT_PERIODS = (0, 2, 3, 5)
+#: the retired sort-variant axis; only its draw is left
 _SORT_VARIANTS = ("in-place", "out-of-place")
 #: ``gaussian-bump`` is the skewed-density load-balancing stress case:
 #: most particles clumped in one corner, so the ``numpy-mp`` combos'
@@ -80,7 +81,6 @@ class Scenario:
     ordering: str
     position_update: str
     sort_period: int
-    sort_variant: str
     dt: float = 0.05
     seed: int = 0
     dims: int = 2  #: 2 -> PICStepper, 3 -> PICStepper3D
@@ -124,7 +124,6 @@ class Scenario:
             ordering=self.ordering,
             position_update=self.position_update,
             sort_period=self.sort_period,
-            sort_variant=self.sort_variant,
             backend=backend,
         )
         if workers is not None:
@@ -181,13 +180,13 @@ class ScenarioSampler:
             n_particles=int(self._pick(self.n_particles_pool)),
             n_steps=int(self._pick(self.n_steps_pool)),
             case_name=self._pick(_CASE_POOL),
-            # the retired field-layout, split/fused and hoisting axes
-            # drew here: their draws stay, so scenario k of seed s
-            # still names the same configuration
+            # the retired field-layout, split/fused, hoisting and
+            # sort-variant axes drew here: their draws stay, so
+            # scenario k of seed s still names the same configuration
             ordering=(self._pick(_ORDERING_POOL), self._pick(_LAYOUT_POOL))[0],
             position_update=(self._rng.integers(2), self._pick(_PUSH_POOL))[1],
-            sort_period=(self._rng.integers(2), int(self._pick(_SORT_PERIODS)))[1],
-            sort_variant=self._pick(_SORT_VARIANTS),
+            sort_period=(self._rng.integers(2), int(self._pick(_SORT_PERIODS)),
+                         self._pick(_SORT_VARIANTS))[1],
             seed=int(self._rng.integers(2**31)),
         )
         self._count += 1
@@ -212,7 +211,6 @@ class ScenarioSampler:
             # scenario k of seed s still names the same configuration
             position_update=(self._rng.integers(2), self._pick(_PUSH_POOL))[1],
             sort_period=int(self._pick(_SORT_PERIODS)),
-            sort_variant="out-of-place",
             seed=int(self._rng.integers(2**31)),
             dims=3,
             ncz=ncz,

@@ -2,7 +2,7 @@
 
 For one sampled :class:`~repro.verify.configspace.Scenario`, the
 runner instantiates the same physical setup under several *execution
-combos* (backend × worker count × sort variant), advances
+combos* (backend × worker count), advances
 them in lockstep, and after every step holds each combo to the
 baseline (numpy backend) under the repo's **promise
 matrix**:
@@ -21,7 +21,6 @@ c, 2D and 3D                        bitwise (``ckernels.c`` and
                                     :mod:`repro.core.kernels` state the same
                                     CiC fold: left-product weights, corners
                                     folded in order, no FMA contraction)
-in-place vs out-of-place sort       bitwise (same stable permutation)
 scalar ReferenceStepper             bitwise (checked separately in tests;
                                     too slow for the sampled matrix)
 ==================================  =========================================
@@ -45,7 +44,7 @@ the end-of-run mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,14 +72,11 @@ class Combo:
 
     backend: str
     workers: int | None = None
-    sort_variant: str | None = None  #: None -> the scenario's own variant
 
     def label(self) -> str:
         parts = [self.backend]
         if self.workers is not None:
             parts.append(f"w{self.workers}")
-        if self.sort_variant is not None:
-            parts.append(self.sort_variant)
         return "/".join(parts)
 
 
@@ -175,8 +171,6 @@ class _Run:
         self.combo = combo
         self.perturbation = perturbation
         cfg = scenario.config(backend=combo.backend, workers=combo.workers)
-        if combo.sort_variant is not None:
-            cfg = replace(cfg, sort_variant=combo.sort_variant)
         #: particle arrays captured at every phase checkpoint (the cell
         #: coordinates are a function of ``icell``)
         self.arrays = particle_fields(scenario.dims, store_coords=False)
@@ -274,12 +268,6 @@ class DifferentialRunner:
                 combos.append((Combo("numpy-mp", workers=workers), "bitwise"))
         if "c" in avail:
             combos.append((Combo("c"), "bitwise"))
-        if scenario.sort_period:
-            flipped = (
-                "out-of-place" if scenario.sort_variant == "in-place"
-                else "in-place"
-            )
-            combos.append((Combo("numpy", sort_variant=flipped), "bitwise"))
         return combos
 
     # -- comparison ---------------------------------------------------

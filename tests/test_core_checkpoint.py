@@ -633,6 +633,27 @@ def test_unhoisted_archive_resumes_in_hoisted_units(grid, tmp_path):
 
 
 class TestRetiredConfigKeys:
+    def test_in_place_sort_archive_continues_as_out_of_place(self, grid, tmp_path):
+        """An archive whose stored config names the retired
+        ``sort_variant="in-place"`` loads as the run config and
+        continues, across sorts, on the bits of the same archive saved
+        as ``"out-of-place"``: both sorts applied one permutation."""
+        a = fresh_stepper(grid, OptimizationConfig(sort_period=3), n=1500)
+        a.run(5)
+        digests = []
+        for variant in ("in-place", "out-of-place"):
+            path = save_checkpoint(a, tmp_path / f"{variant}.npz")
+            rewrite_saved_config(path, {"sort_variant": variant})
+            b = load_checkpoint(path)
+            try:
+                assert b.config == a.config
+                b.run(7)
+                digests.append(state_digest(b))
+            finally:
+                b.close()
+        a.close()
+        assert digests[0] == digests[1]
+
     def test_other_unknown_key_still_rejected(self, grid, tmp_path):
         a = fresh_stepper(grid, n=500)
         path = save_checkpoint(a, tmp_path / "ck.npz")

@@ -11,15 +11,16 @@ from repro.core import OptimizationConfig
 from repro.model.config import ModelConfig
 from tests.conftest import RETIRED_CONFIG
 
-#: the eight fields a run executes
+#: the seven fields a run executes
 RUN_FIELDS = (
     "ordering", "ordering_kwargs", "position_update",
-    "sort_period", "sort_variant", "backend", "workers", "mp_task_timeout",
+    "sort_period", "backend", "workers", "mp_task_timeout",
 )
-#: the keywords that left the run config: the four model axes and the
+#: the keywords that left the run config: the five model axes and the
 #: ``store_coords`` override
 MODEL_ONLY = {"field_layout": "standard", "particle_layout": "aos",
-              "loop_mode": "fused", "hoisting": False, "store_coords": False}
+              "loop_mode": "fused", "hoisting": False,
+              "sort_variant": "in-place", "store_coords": False}
 
 
 class TestValidation:
@@ -56,7 +57,7 @@ class TestValidation:
         with pytest.raises(TypeError):
             OptimizationConfig(**{field: MODEL_ONLY[field]})
 
-    def test_run_config_is_the_eight_executed_fields(self):
+    def test_run_config_is_the_seven_executed_fields(self):
         assert tuple(
             f.name for f in dataclasses.fields(OptimizationConfig)
         ) == RUN_FIELDS

@@ -177,6 +177,8 @@ class TestConfigEquivalence:
         assert fe == pytest.approx(reference_energy, rel=1e-9)
 
     def test_sort_variants_equal_physics(self, grid, reference_energy):
+        """The sort variant is a model axis: either value runs the one
+        sort, on the reference physics."""
         for variant in ("out-of-place", "in-place"):
             cfg = ModelConfig.baseline().with_(
                 sort_period=3, sort_variant=variant

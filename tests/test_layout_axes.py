@@ -1,9 +1,10 @@
-"""The layout and unit axes are model axes: a :class:`ModelConfig`
+"""The layout, unit and sort axes are model axes: a :class:`ModelConfig`
 naming the point-based field layout (``field_layout="standard"``), AoS
-particles (``particle_layout="aos"``) or un-hoisted units
-(``hoisting=False``) — the model runs it through the stepper to
-harvest particle states — runs redundant rows, SoA columns and hoisted
-units, and lands on the bits of the hoisted run.
+particles (``particle_layout="aos"``), un-hoisted units
+(``hoisting=False``) or the in-place sort (``sort_variant="in-place"``)
+— the model runs it through the stepper to harvest particle states —
+runs redundant rows, SoA columns, hoisted units and the one sort, and
+lands on the bits of the hoisted run.
 
 The digests below were recorded by the code that still executed both
 layouts and both unit systems, from the hoisted run, where every
@@ -58,11 +59,11 @@ def test_layout_named_config_keeps_its_digest(
 ):
     ordering, push, digest = CASES[case]
     grid = GridSpec(16, 16, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
-    for hoisting in (True, False):
+    for hoisting, sort_variant in ((True, "out-of-place"), (False, "in-place")):
         cfg = ModelConfig(
             field_layout=field_layout, particle_layout=particle_layout,
             ordering=ordering, position_update=push, hoisting=hoisting,
-            sort_period=5, backend=backend,
+            sort_variant=sort_variant, sort_period=5, backend=backend,
         )
         st = PICStepper(grid, cfg, case=make_case(case), n_particles=3000,
                         dt=0.1, seed=3)

@@ -256,7 +256,7 @@ class TestFaultTolerance:
             def dying(shards, timeout=None):
                 if shards[0][1]["op"] == op and not fired:
                     fired.append(op)
-                    for _name, arr in mp.stepper._sort_buffer.items():
+                    for _name, arr in eng.back.items():
                         arr[...] = -1 if arr.dtype.kind == "i" else np.nan
                     eng.grid_shared.slab[...] = np.nan
                     eng.pool.kill_worker(0)
@@ -365,14 +365,14 @@ class TestFlipCommit:
         """After a step the live arrays *are* the former back-buffer
         arrays (and vice versa): nothing was copied in the parent."""
         with _make_sim("numpy-mp", 2, ordering="morton") as mp:
-            st = mp.stepper
-            front, back = st.particles, st._sort_buffer
+            st, eng = mp.stepper, _engine(mp)
+            front, back = st.particles, eng.back
             assert isinstance(front, SharedParticleStorage)
             assert isinstance(back, SharedParticleStorage)
             was_front, was_back = self._bindings(front), self._bindings(back)
             mp.run(1)
-            assert st.particles is front and st._sort_buffer is back
-            arena = _engine(mp).arena
+            assert st.particles is front and eng.back is back
+            arena = eng.arena
             for key in self.NAMES:
                 live, staged = getattr(front, key), getattr(back, key)
                 assert live is was_back[key] and staged is was_front[key], key
@@ -393,26 +393,31 @@ class TestFlipCommit:
                 )
 
             assert particle_sized() == 14
-            mp.run(SORT_PERIOD + 1)  # through an out-of-place sort
+            mp.run(SORT_PERIOD + 1)  # through a sort
             assert particle_sized() == 14
+            assert eng.back is mp.stepper.particles.back
 
     @pytest.mark.parametrize("sort_variant", ["out-of-place", "in-place"])
     def test_flips_interleave_with_the_sort_swap(self, sort_variant):
-        """Across a sort step the storages swap roles (out-of-place)
-        while their arrays keep flipping; every combination of the two
-        must leave the stepper on the serial state."""
-        kw = {"sort_variant": sort_variant, "ordering": "morton"}
+        """Across sorts and commits — unhooked steps (advance and
+        deposit dispatches), then hooked ones (update-v, push and
+        deposit) — the arrays keep flipping between the front and the
+        engine's back buffer, the sort's flips included, while neither
+        store object changes and every array stays the arena's; every
+        step ends on the serial state.  The sort variant is a model
+        axis: a ModelConfig naming either one runs the one sort."""
+        kw = {"sort_variant": sort_variant, "ordering": "morton",
+              "config_cls": ModelConfig}
         with _make_sim("numpy", **kw) as ref, _make_sim("numpy-mp", 2, **kw) as mp:
-            st = mp.stepper
-            stores = {id(st.particles), id(st._sort_buffer)}
-            for step in range(2 * SORT_PERIOD + 2):
-                before = st.particles
+            st, eng = mp.stepper, _engine(mp)
+            front, back = st.particles, eng.back
+            for step in range(4 * SORT_PERIOD + 2):
+                if step == 2 * SORT_PERIOD + 1:
+                    st.phase_hook = lambda phase, stepper: None
                 ref.run(1)
                 mp.run(1)
-                sorted_now = step and step % SORT_PERIOD == 0
-                swapped = sorted_now and sort_variant == "out-of-place"
-                assert (st.particles is not before) == bool(swapped), step
-                assert {id(st.particles), id(st._sort_buffer)} == stores
+                assert st.particles is front and eng.back is back, step
+                assert eng.arena.owns(*dict(front).values(), *dict(back).values())
                 _assert_bitwise_equal(_state(ref), _state(mp))
 
     def test_arrays_that_are_not_live_take_the_in_place_kernel(self):
@@ -421,7 +426,7 @@ class TestFlipCommit:
         get updated."""
         with _make_sim("numpy-mp", 2) as mp:
             st, eng = mp.stepper, _engine(mp)
-            p, back = st.particles, st._sort_buffer
+            p, back = st.particles, eng.back
             live_vx, live_vy, staged_vx = p.vx, p.vy, back.vx
             ex_p, ey_p = st.backend.interpolate_redundant(
                 st.fields.e_1d, p.icell, p.dx, p.dy

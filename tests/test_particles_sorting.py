@@ -1,15 +1,23 @@
-"""Sorting tests: the counting-sort variants."""
+"""Sorting tests: the counting-sort permutation, and the store applying
+it — to its own columns (the one sort every stepper runs) or into a
+second store."""
 
 import numpy as np
 import pytest
 
+from repro.core import OptimizationConfig, PICStepper
+from repro.grid import GridSpec
 from repro.particles import (
+    LandauDamping,
     counting_sort_permutation,
     counting_sort_permutation_reference,
     make_storage,
-    sort_in_place,
-    sort_out_of_place,
 )
+
+
+def _sort(s, ncells=32, **kw):
+    """The counting sort of ``s`` by cell, applied by the store."""
+    return s.reorder(counting_sort_permutation(s.icell, ncells), **kw)
 
 
 class TestCountingSortPermutation:
@@ -63,7 +71,7 @@ class TestStorageSorting:
     def test_out_of_place_sorts(self, layout, rng):
         s = self._storage(layout, rng)
         before = s.as_dict()
-        out = sort_out_of_place(s, 32)
+        out = _sort(s, out=s.clone_empty())
         assert np.all(np.diff(np.asarray(out.icell)) >= 0)
         # attribute tuples move together: total content preserved
         order = np.argsort(before["icell"], kind="stable")
@@ -72,13 +80,13 @@ class TestStorageSorting:
     def test_out_of_place_reuses_buffer(self, layout, rng):
         s = self._storage(layout, rng)
         buf = s.clone_empty()
-        out = sort_out_of_place(s, 32, buffer=buf)
+        out = _sort(s, out=buf)
         assert out is buf
 
     def test_in_place_sorts(self, layout, rng):
         s = self._storage(layout, rng)
         before = s.as_dict()
-        sort_in_place(s, 32)
+        assert _sort(s) is s
         assert np.all(np.diff(np.asarray(s.icell)) >= 0)
         order = np.argsort(before["icell"], kind="stable")
         for k in before:
@@ -90,8 +98,8 @@ class TestStorageSorting:
         s1 = self._storage(layout, rng)
         s2 = make_storage(layout, s1.n, store_coords=True)
         s2.set_state(**s1.as_dict())
-        out = sort_out_of_place(s1, 32)
-        sort_in_place(s2, 32)
+        out = _sort(s1, out=s1.clone_empty())
+        _sort(s2)
         for k in ("icell", "dx", "vx", "iy"):
             np.testing.assert_array_equal(
                 np.asarray(getattr(out, k)), np.asarray(getattr(s2, k))
@@ -99,24 +107,29 @@ class TestStorageSorting:
 
     def test_already_sorted_is_identity(self, layout, rng):
         s = self._storage(layout, rng)
-        out1 = sort_out_of_place(s, 32)
-        snapshot = out1.as_dict()
-        sort_in_place(out1, 32)
+        _sort(s)
+        snapshot = s.as_dict()
+        _sort(s)
         for k, v in snapshot.items():
-            np.testing.assert_array_equal(np.asarray(getattr(out1, k)), v)
+            np.testing.assert_array_equal(np.asarray(getattr(s, k)), v)
 
-    def test_custom_perm_fn_is_routed(self, layout, rng):
-        # the stepper passes the backend's counting sort through
-        # perm_fn; any stable-sort implementation must be accepted
+    def test_custom_perm_fn_is_routed(self, layout, monkeypatch):
+        """The stepper's sort takes its permutation from its backend
+        (the C cursor loop on ``c``): any stable counting sort must be
+        accepted."""
         calls = []
 
         def perm_fn(keys, ncells):
             calls.append(ncells)
             return counting_sort_permutation_reference(keys, ncells)
 
-        s = self._storage(layout, rng)
-        out = sort_out_of_place(s, 32, perm_fn=perm_fn)
-        sort_in_place(out, 32, perm_fn=perm_fn)
-        assert calls == [32, 32]
-        assert np.all(np.diff(np.asarray(out.icell)) >= 0)
-
+        st = PICStepper(GridSpec(8, 8), OptimizationConfig(backend="numpy"),
+                        case=LandauDamping(), n_particles=200, seed=1)
+        try:
+            assert type(st.particles) is type(make_storage(layout, 0))
+            monkeypatch.setattr(st.backend, "counting_sort_permutation", perm_fn)
+            st._phase_sort()
+            assert calls == [st.ordering.ncells_allocated]
+            assert np.all(np.diff(np.asarray(st.particles.icell)) >= 0)
+        finally:
+            st.close()

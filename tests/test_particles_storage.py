@@ -53,14 +53,15 @@ class TestCommonBehaviour:
         assert storage.icell[0] == 63
 
     def test_reorder_out_of_place(self, storage, rng):
+        """Without ``out`` the store permutes its own columns and
+        returns itself, every column gathered into another array."""
         state = fill(storage, rng)
+        before = dict(storage)
         perm = rng.permutation(storage.n)
-        out = storage.reorder(perm)
-        assert out is not storage
+        assert storage.reorder(perm) is storage
         for k, v in state.items():
-            np.testing.assert_array_equal(np.asarray(getattr(out, k)), v[perm])
-        # original untouched
-        np.testing.assert_array_equal(np.asarray(storage.dx), state["dx"])
+            np.testing.assert_array_equal(np.asarray(getattr(storage, k)), v[perm])
+            assert storage[k] is not before[k]
 
     def test_reorder_into_buffer(self, storage, rng):
         state = fill(storage, rng)
@@ -72,8 +73,9 @@ class TestCommonBehaviour:
     @pytest.mark.parametrize("bad", [100, 10**12, -101])
     def test_reorder_out_of_range_raises_before_writing(self, storage, rng, bad):
         """A permutation entry outside ``[-n, n)`` raises NumPy's
-        ``IndexError`` and leaves every column of ``out`` as it was;
-        in-range negative entries count from the end, as in NumPy."""
+        ``IndexError`` and leaves every column of ``out`` — or, without
+        ``out``, of the store — as it was; in-range negative entries
+        count from the end, as in NumPy."""
         state = fill(storage, rng)
         buf = storage.clone_empty()
         fill(buf, rng)
@@ -84,6 +86,10 @@ class TestCommonBehaviour:
             storage.reorder(perm, out=buf)
         for k, v in before.items():
             np.testing.assert_array_equal(buf[k], v)
+        with pytest.raises(IndexError, match=f"index {bad} is out of bounds"):
+            storage.reorder(perm)
+        for k, v in state.items():
+            np.testing.assert_array_equal(storage[k], v)
         perm[57] = -1
         storage.reorder(perm, out=buf)
         for k, v in state.items():
@@ -228,17 +234,37 @@ class TestAxisGenericSoA:
             p["dx"] = np.zeros(self.N)
 
     def test_sort_in_place_and_out_of_place_agree(self, ndim, store_coords, rng):
-        from repro.particles import sort_in_place, sort_out_of_place
+        """The one sort — ``reorder`` without ``out``, which permutes
+        the store's own columns through its spares — equals the gather
+        into a second store, column for column, for any cut of the
+        rows.  The first sort allocates the two spares, one per dtype,
+        and no sort allocates anything more: every column owns an array
+        of its own dtype."""
+        from repro.particles import counting_sort_permutation
 
         p = ParticleSoA(self.N, 1.0, store_coords, ndim)
-        p.set_state(**_random_state(p.keys(), self.N, rng))
-        q = p.clone_empty()
-        q.set_state(**p)
-        sort_in_place(p, 64)
-        out = sort_out_of_place(q, 64)
-        assert np.all(np.diff(p.icell) >= 0)
-        for name in p.keys():
-            np.testing.assert_array_equal(p[name], out[name])
+        assert p._spares == {}
+        arrays = None
+        cuts = (None, [slice(0, self.N)],
+                [slice(0, 8), slice(8, 8), slice(8, 29), slice(29, None)])
+        for cut in cuts:
+            p.set_state(**_random_state(p.keys(), self.N, rng))
+            perm = counting_sort_permutation(p.icell, 64)
+            want = p.reorder(perm, out=p.clone_empty())
+            map_rows = None if cut is None else (
+                lambda gather, cut=cut: [gather(rows) for rows in cut])
+            assert p.reorder(perm, map_rows=map_rows) is p
+            assert np.all(np.diff(p.icell) >= 0)
+            for name in p.keys():
+                np.testing.assert_array_equal(p[name], want[name], err_msg=name)
+                assert p[name].dtype == (np.int64 if name[0] == "i" else np.float64)
+                assert p[name].base is None
+            assert {a.dtype for a in p._spares.values()} == {
+                np.dtype(np.int64), np.dtype(np.float64)}
+            assert len(p._spares) == 2
+            now = {id(a) for a in (*dict(p).values(), *p._spares.values())}
+            assert now == (arrays or now)
+            arrays = now
 
 
 def test_shared_storage_flip_on_a_3d_store():

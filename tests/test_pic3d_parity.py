@@ -185,11 +185,12 @@ class TestMpDepositParity:
         st = PICStepper3D(_grid(), TwoStream3D(), 1200, dt=0.1,
                           config=_config(backend="numpy-mp", workers=2))
         try:
-            front, back = st.particles, st._sort_buffer
+            eng = st.backend.engine_for(st)
+            front, back = st.particles, eng.back
             assert isinstance(front, SharedParticleStorage) and front.ndim == 3
             was_front, was_back = dict(front), dict(back)
             st.step()
-            assert st.particles is front and st._sort_buffer is back
+            assert st.particles is front and eng.back is back
             for key in front.keys():
                 assert front[key] is was_back[key] and back[key] is was_front[key]
             for per in st.timings.worker_phases.values():
@@ -215,7 +216,7 @@ def _scenario_3d(**overrides) -> Scenario:
         index=0, ncx=8, ncy=4, n_particles=1200, n_steps=5,
         case_name="two-stream", ordering="morton",
         position_update="bitwise",
-        sort_period=2, sort_variant="out-of-place",
+        sort_period=2,
         seed=1, dims=3, ncz=4,
     )
     params.update(overrides)

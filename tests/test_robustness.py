@@ -12,7 +12,8 @@ from repro.core.kernels import (
 from repro.curves import get_ordering
 from repro.grid import GridSpec, RedundantFields
 from repro.particles import LandauDamping, make_storage
-from repro.particles.sorting import sort_in_place, sort_out_of_place
+from repro.particles.sorting import counting_sort_permutation
+from repro.pic3d import GridSpec3D, LandauDamping3D, PICStepper3D
 
 
 def push_positions_bitwise(s, ncx, ncy, ordering):
@@ -43,9 +44,9 @@ class TestEmptyAndTiny:
             if n:
                 s.set_state(np.array([3]), np.array([0.5]), np.array([0.5]),
                             np.array([1.0]), np.array([0.0]))
-            out = sort_out_of_place(s, 64)
-            assert out.n == n
-            sort_in_place(s, 64)
+            perm = counting_sort_permutation(s.icell, 64)
+            assert s.reorder(perm, out=s.clone_empty()).n == n
+            assert s.reorder(perm) is s
 
     def test_single_particle_simulation(self):
         grid = GridSpec(8, 8, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
@@ -89,16 +90,15 @@ class TestExtremeMotion:
         icell = np.asarray(st.particles.icell)
         assert icell.min() >= 0 and icell.max() < st.ordering.ncells_allocated
 
-    def test_zero_dt_freezes_positions(self):
-        grid = GridSpec(16, 16, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
-        st = PICStepper(
-            grid, OptimizationConfig(),
-            case=LandauDamping(alpha=0.1), n_particles=1000,
-            dt=0.0, quiet=True, seed=None,
-        )
-        before = np.asarray(st.particles.dx).copy()
-        st.run(3)
-        np.testing.assert_array_equal(np.asarray(st.particles.dx), before)
+    @pytest.mark.parametrize("dt", [0.0, -0.1, float("nan")])
+    def test_nonpositive_dt_is_refused(self, dt):
+        """Hoisted units divide by ``dt``: both steppers refuse one that
+        is not positive, as a submitted job does."""
+        with pytest.raises(ValueError, match="dt must be positive"):
+            PICStepper(GridSpec(16, 16), OptimizationConfig(),
+                       case=LandauDamping(), n_particles=100, dt=dt)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            PICStepper3D(GridSpec3D(8, 4, 4), LandauDamping3D(), 100, dt=dt)
 
 
 class TestConservationUnderStress:

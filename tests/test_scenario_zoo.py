@@ -171,7 +171,7 @@ class TestVerificationHooks:
                 index=0, ncx=16, ncy=8, n_particles=500, n_steps=4,
                 case_name=name, ordering="morton",
                 position_update="bitwise",
-                sort_period=0, sort_variant="out-of-place",
+                sort_period=0,
             )
             assert s.case() is not None
 

@@ -1,7 +1,6 @@
 """The ``c`` backend's thread team: bitwise equal to one thread.
 
-A stepper on ``c`` runs update-v, the push and the out-of-place sort's
-gathers on ``config.workers`` threads over particle shards
+A stepper on ``c`` runs update-v, the push and the sort's gathers on ``config.workers`` threads over particle shards
 (:mod:`repro.core.team`).  These tests pin that
 
 * the shard cut and the thread-count rule (``taskset`` honoured);
@@ -34,6 +33,7 @@ from repro.core import OptimizationConfig, PICStepper, Simulation
 from repro.core.backends import CBackend
 from repro.core.team import ThreadTeam, shard_slices, usable_cpus
 from repro.grid import GridSpec
+from repro.model.config import ModelConfig
 from repro.particles import LandauDamping
 from repro.pic3d import GridSpec3D, LandauDamping3D, PICStepper3D
 from repro.resilience import FaultInjector, SupervisedRun
@@ -79,9 +79,11 @@ def _stepper_2d(backend, workers, ordering="morton", variant="bitwise",
 
 
 def _stepper_3d(backend, workers, ordering, sort_variant):
-    cfg = OptimizationConfig(ordering=ordering, backend=backend,
-                             workers=workers, sort_period=3,
-                             sort_variant=sort_variant)
+    """A 3D stepper; ``sort_variant`` is a model axis, and either value
+    runs the one sort (on the team, split by row range)."""
+    cfg = ModelConfig(ordering=ordering, backend=backend,
+                      workers=workers, sort_period=3,
+                      sort_variant=sort_variant)
     grid = GridSpec3D(8, 8, 4, xmax=4 * np.pi, ymax=4 * np.pi, zmax=2 * np.pi)
     return PICStepper3D(grid, LandauDamping3D(alpha=0.05), N, dt=0.1,
                         config=cfg)

@@ -88,7 +88,8 @@ PIC3D_FREE = "repro/parallel/"
 
 #: the config axes only the model reads, and the files under
 #: ``src/repro/`` that may read them (relative to ``src/``)
-MODEL_AXES = ("field_layout", "particle_layout", "loop_mode", "hoisting")
+MODEL_AXES = ("field_layout", "particle_layout", "loop_mode", "hoisting",
+              "sort_variant")
 MODEL_AXIS_READERS = ("repro/model/",)
 
 #: every dimension-suffixed class/def that still exists, by file
