@@ -165,20 +165,20 @@ class KernelBackend(abc.ABC):
         every coefficient 1 over :meth:`interpolate_rows`' result."""
 
     @abc.abstractmethod
-    def push(self, particles, extents, ordering, variant, scales) -> None:
+    def push(self, particles, extents, ordering, scales) -> None:
         """Advance positions, wrap, re-derive ``icell`` and the cell
         coordinates, over ``len(extents)`` axes, in place.
 
-        ``variant`` is one of ``"branch"`` / ``"modulo"`` / ``"bitwise"``
-        (§IV-C; ``"bitwise"`` requires power-of-two extents).
+        The extents pick the wrap (:func:`repro.core.kernels.wrap_for`:
+        bitwise on power-of-two extents, modulo on any other).
         ``particles`` is a storage or a plain mapping of arrays; the
         results are written *through* its ``icell``, offsets and any
         stored coordinates.
         """
 
     @abc.abstractmethod
-    def advance(self, particles, e_1d, extents, ordering,
-                variant) -> tuple[float, float]:
+    def advance(self, particles, e_1d, extents,
+                ordering) -> tuple[float, float]:
         """Update-v, then the in-place push, of ``particles`` in hoisted
         units — the bits of :meth:`update_v` over the store's columns
         followed by :meth:`push` with every scale 1 — as one pass where
@@ -215,15 +215,17 @@ class KernelBackend(abc.ABC):
     def update_velocities(self, vx, vy, ex_p, ey_p, coef_x=1.0, coef_y=1.0) -> None:
         self.kick((vx, vy), (ex_p, ey_p), (coef_x, coef_y))
 
+    # the ledger passes its config's ``position_update``; the extents
+    # pick the wrap, so ``variant`` is ignored
     def push_positions(
         self, particles, ncx, ncy, ordering, variant, scale_x=1.0, scale_y=1.0
     ) -> None:
-        self.push(particles, (ncx, ncy), ordering, variant, (scale_x, scale_y))
+        self.push(particles, (ncx, ncy), ordering, (scale_x, scale_y))
 
     def push_positions_3d(
         self, particles, shape, ordering, scale=(1.0, 1.0, 1.0), variant="bitwise"
     ) -> None:
-        self.push(particles, shape, ordering, variant, scale)
+        self.push(particles, shape, ordering, scale)
 
     # ------------------------------------------------------------------
     # Stepper lifecycle hooks (no-ops for in-process backends)
@@ -419,13 +421,11 @@ class NumpyBackend(KernelBackend):
 
     kinetic_terms = staticmethod(_k.kinetic_terms)
 
-    def push(self, particles, extents, ordering, variant, scales) -> None:
-        _k.push_blocked(
-            particles, extents, ordering, _k.AXIS_KERNELS[variant], scales
-        )
+    def push(self, particles, extents, ordering, scales) -> None:
+        _k.push_blocked(particles, extents, ordering, scales)
 
-    def advance(self, particles, e_1d, extents, ordering,
-                variant) -> tuple[float, float]:
+    def advance(self, particles, e_1d, extents,
+                ordering) -> tuple[float, float]:
         axes = "xyz"[: len(extents)]
         t0 = time.perf_counter()
         self.update_v(
@@ -433,7 +433,7 @@ class NumpyBackend(KernelBackend):
             tuple(particles["d" + a] for a in axes),
         )
         t1 = time.perf_counter()
-        self.push(particles, extents, ordering, variant, (1.0,) * len(axes))
+        self.push(particles, extents, ordering, (1.0,) * len(axes))
         return t1 - t0, time.perf_counter() - t1
 
     def counting_sort_permutation(self, keys, ncells):
@@ -450,7 +450,7 @@ class NumpyBackend(KernelBackend):
 #: ``ckernels.c``'s WRAP_* and ORDER_* codes.  Orderings not named here
 #: (L4D, Hilbert, anything registered later) are ORDER_OTHER: the C
 #: loop writes the coordinates and ``ordering.encode`` runs in Python.
-_WRAP_CODES = {"branch": 0, "modulo": 1, "bitwise": 2}
+_WRAP_CODES = {"modulo": 0, "bitwise": 1}
 _ORDER_OTHER, _ORDER_ROW_MAJOR, _ORDER_COLUMN_MAJOR, _ORDER_MORTON = range(4)
 _ORDER_CODES = {
     "row-major": _ORDER_ROW_MAJOR, "column-major": _ORDER_COLUMN_MAJOR,
@@ -675,21 +675,16 @@ class CBackend(NumpyBackend):
 
     # -- push ----------------------------------------------------------
     @staticmethod
-    def _push_args(p, extents, ordering, variant, scales):
+    def _push_args(p, extents, ordering, scales):
         """``(args, coords)``: the arguments of ``ckernels.c``'s push of
-        ``p`` after ``(ndim, n)``, and the coordinate columns, which the
-        caller holds until the call returns (they may be temporaries
-        ``args`` points into) — or ``None`` when an argument does not fit
-        the C ABI.  Raises for a bad variant or extent as the NumPy push
-        does."""
+        ``p`` after ``(ndim, n)``, the wrap code first
+        (:func:`repro.core.kernels.wrap_for`'s), and the coordinate
+        columns, which the caller holds until the call returns (they may
+        be temporaries ``args`` points into) — or ``None`` when an
+        argument does not fit the C ABI."""
         ndim, icell = len(extents), p["icell"]
         n, axes = len(icell), "xyz"[: len(extents)]
-        wrap = _WRAP_CODES[variant]
-        for nc in extents:
-            if variant == "bitwise" and nc & (nc - 1):
-                raise ValueError(
-                    f"bitwise wrap requires power-of-two extent, got {nc}"
-                )
+        wrap = _WRAP_CODES[_k.wrap_for(extents)]
         order = _ORDER_CODES.get(ordering.name, _ORDER_OTHER)
         d = _columns([p["d" + a] for a in axes], np.float64, (n,))
         v = _columns([p["v" + a] for a in axes], np.float64, (n,))
@@ -719,29 +714,28 @@ class CBackend(NumpyBackend):
         )
         return args, coords
 
-    def push(self, particles, extents, ordering, variant, scales) -> None:
+    def push(self, particles, extents, ordering, scales) -> None:
         """``ckernels.c``'s ``push``, in place; the inherited NumPy push
         when an argument does not fit the C ABI."""
-        call = self._push_args(particles, extents, ordering, variant, scales)
+        call = self._push_args(particles, extents, ordering, scales)
         if call is None:
-            return super().push(particles, extents, ordering, variant, scales)
+            return super().push(particles, extents, ordering, scales)
         args, coords = call
         self._lib.push(len(extents), len(particles["icell"]), *args)
         if args[1] == _ORDER_OTHER:
             particles["icell"][:] = ordering.encode(*coords)
 
-    def advance(self, particles, e_1d, extents, ordering,
-                variant) -> tuple[float, float]:
+    def advance(self, particles, e_1d, extents,
+                ordering) -> tuple[float, float]:
         """``ckernels.c``'s ``advance``: update-v and the in-place push
         block by block, with the bits of :meth:`update_v` then
         :meth:`push`; a cell outside the rows raises before any ``v``
         or ``x`` is written.  The inherited two calls when an argument
         does not fit the C ABI."""
         ndim, icell = len(extents), particles["icell"]
-        call = self._push_args(particles, extents, ordering, variant,
-                               (1.0,) * ndim)
+        call = self._push_args(particles, extents, ordering, (1.0,) * ndim)
         if call is None or not _fits(e_1d, np.float64, (len(e_1d), ndim << ndim)):
-            return super().advance(particles, e_1d, extents, ordering, variant)
+            return super().advance(particles, e_1d, extents, ordering)
         (wrap, order, ext, _, cells, d, v, icoord), coords = call
         seconds = _F64_N[2]()
         bad = self._lib.advance(

@@ -92,7 +92,8 @@ def _array_key(column: str) -> str:
 #: run holds the arrays any run holds) and the ``store_coords``
 #: override (the archive's own ``store_coords`` record names its
 #: particle columns) are dropped the same way — ``sort_variant`` among
-#: the axes: both sorts applied the same permutation.  So is
+#: the axes: both sorts applied the same permutation; and
+#: ``position_update``, since the grid picks the wrap.  So is
 #: ``hoisting``, which :func:`_saved_config` reads first: an archive
 #: that says ``false`` holds physical velocities, which
 #: :func:`_restore` converts.
@@ -106,7 +107,7 @@ _RETIRED_CONFIG_KEYS = frozenset(
         ("chunk", "size"),
     )
 ) | {"partition", "field_layout", "particle_layout", "loop_mode", "store_coords",
-     "hoisting", "sort_variant"}
+     "hoisting", "sort_variant", "position_update"}
 
 
 def _saved_config(meta: dict, path) -> tuple[OptimizationConfig, bool]:
@@ -139,7 +140,8 @@ def _write_archive(stepper, path, meta: dict, compress) -> pathlib.Path:
     The particle columns are stored in the stepper's internal (hoisted)
     units, one array per column; the stored config names no
     ``hoisting`` (a :class:`repro.model.config.ModelConfig` naming
-    un-hoisted units ran hoisted, and so are its arrays).  The archive
+    un-hoisted units ran hoisted, and so are its arrays) and no
+    ``position_update`` (the grid picked the wrap).  The archive
     is first written to a ``<name>.tmp`` sibling, flushed and fsynced, then
     moved over the final name with :func:`os.replace` — a crash
     mid-save leaves at worst a stale ``.tmp`` file, never a torn
@@ -161,7 +163,8 @@ def _write_archive(stepper, path, meta: dict, compress) -> pathlib.Path:
         "m": stepper.m,
         "weight": stepper.particles.weight,
         "config": json.dumps(
-            {k: v for k, v in asdict(stepper.config).items() if k != "hoisting"},
+            {k: v for k, v in asdict(stepper.config).items()
+             if k not in ("hoisting", "position_update")},
             sort_keys=True,
         ),
     }

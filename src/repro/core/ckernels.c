@@ -73,7 +73,9 @@
 #define CLONES
 #endif
 
-enum { WRAP_BRANCH, WRAP_MODULO, WRAP_BITWISE };
+/* The wrap variant a grid runs, as repro.core.kernels.wrap_for names
+ * it: bitwise on power-of-two extents, modulo on any other. */
+enum { WRAP_MODULO, WRAP_BITWISE };
 enum { ORDER_OTHER, ORDER_ROW_MAJOR, ORDER_COLUMN_MAJOR, ORDER_MORTON };
 
 /* ------------------------------------------------------------------ */
@@ -118,7 +120,7 @@ INLINE double gather(const int nc, const double *e, int64_t at,
 }
 
 /* ------------------------------------------------------------------ */
-/* The three periodic wraps of one axis (paper section IV-C).
+/* The two executed periodic wraps of one axis (paper section IV-C).
  *
  * x86's cvttsd2si returns INT64_MIN for NaN and anything outside
  * int64; in C that conversion is undefined, so it is spelled out —
@@ -144,7 +146,7 @@ INLINE double floored_mod(double x, double nc)
 
 /* Returns the wrapped coordinate, and its offset through `offset`.
  * Only the bitwise wrap is free of branches and calls, so only it
- * vectorizes; the other two call fmod. */
+ * vectorizes; the modulo wrap calls fmod. */
 INLINE int64_t wrap(const int variant, double x, int64_t nc, double *offset)
 {
     if (variant == WRAP_BITWISE) {
@@ -153,22 +155,9 @@ INLINE int64_t wrap(const int variant, double x, int64_t nc, double *offset)
         *offset = x - (double)(int64_t)fx;
         return (int64_t)(fx & (uint64_t)(nc - 1));
     }
-    if (variant == WRAP_MODULO) {
-        const double fx = floor(x);
-        *offset = x - fx;
-        return to_int64(floored_mod(fx, (double)nc));
-    }
-    if (x < 0.0 || x >= (double)nc)
-        x = floored_mod(x, (double)nc);
-    double fx = floor(x);
-    int64_t i = to_int64(fx);
-    if (i == nc) { /* the float modulo rounded up to nc itself */
-        i = 0;
-        fx = 0.0;
-        x = 0.0;
-    }
+    const double fx = floor(x);
     *offset = x - fx;
-    return i;
+    return to_int64(floored_mod(fx, (double)nc));
 }
 
 /* ------------------------------------------------------------------ */
@@ -379,7 +368,7 @@ INLINE void push_order(const int ndim, const int variant, const int order,
         push_columns(ndim, variant, ORDER_OTHER, 1, s);
 }
 
-/* The bitwise wrap is the one that vectorizes (the other two call
+/* The bitwise wrap is the one that vectorizes (the modulo wrap calls
  * fmod), so it alone is cloned. */
 static CLONES void push_bitwise(const int ndim, const push_args *s)
 {
@@ -389,15 +378,10 @@ static CLONES void push_bitwise(const int ndim, const push_args *s)
         push_order(3, WRAP_BITWISE, s->order, s);
 }
 
-static void push_fmod(const int ndim, const int variant, const push_args *s)
+static void push_modulo(const int ndim, const push_args *s)
 {
-    if (ndim == 2) {
-        if (variant == WRAP_BRANCH)
-            push_order(2, WRAP_BRANCH, s->order, s);
-        else
-            push_order(2, WRAP_MODULO, s->order, s);
-    } else if (variant == WRAP_BRANCH)
-        push_order(3, WRAP_BRANCH, s->order, s);
+    if (ndim == 2)
+        push_order(2, WRAP_MODULO, s->order, s);
     else
         push_order(3, WRAP_MODULO, s->order, s);
 }
@@ -415,10 +399,10 @@ static void push_span(const int ndim, const int variant, const push_args *s,
         b.v[a] = s->v[a] ? s->v[a] + lo : NULL;
         b.icoord[a] = s->icoord[a] ? s->icoord[a] + lo : NULL;
     }
-    if (variant == WRAP_BRANCH || variant == WRAP_MODULO)
-        push_fmod(ndim, variant, &b);
-    else
+    if (variant == WRAP_BITWISE)
         push_bitwise(ndim, &b);
+    else
+        push_modulo(ndim, &b);
 }
 
 /* ------------------------------------------------------------------ */

@@ -1,12 +1,12 @@
 """Configuration of a run: the knobs a stepper executes.
 
 Every field here changes what a run does — which cell ordering keys
-the particles, which push variant the loops use, how often the
-particles are sorted, which backend runs the kernels.  The paper's
-variants that no stepper executes (point-based fields, AoS particles,
-the single loop, un-hoisted units, the in-place sort) and the
-cumulative stack of Table IV are axes of
-:class:`repro.model.config.ModelConfig`, which prices them.
+the particles, how often the particles are sorted, which backend runs
+the kernels.  The paper's variants that no stepper executes
+(point-based fields, AoS particles, the single loop, un-hoisted units,
+the in-place sort, the branchy position update) and the cumulative
+stack of Table IV are axes of :class:`repro.model.config.ModelConfig`,
+which prices them.
 """
 
 from __future__ import annotations
@@ -14,9 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 __all__ = ["OptimizationConfig"]
-
-_POSITION_UPDATES = ("branch", "modulo", "bitwise")
-
 
 @dataclass(frozen=True)
 class OptimizationConfig:
@@ -27,7 +24,10 @@ class OptimizationConfig:
     keeps velocities and the field in hoisted units, so that the
     particle loops carry no per-particle multiplies (§IV-D); its sort
     gathers every particle column out of place (§V-B1,
-    :meth:`~repro.particles.storage.ParticleStorage.reorder`).
+    :meth:`~repro.particles.storage.ParticleStorage.reorder`); and its
+    push wraps positions the way the grid allows
+    (:func:`repro.core.kernels.wrap_for`: bitwise on power-of-two
+    extents, §IV-C3, modulo on any other, §IV-C2).
 
     Parameters
     ----------
@@ -39,11 +39,6 @@ class OptimizationConfig:
         (:attr:`effective_store_coords`).
     ordering_kwargs:
         Extra ordering parameters (L4D tile height: ``{"size": 8}``).
-    position_update:
-        ``"branch"`` — test-and-wrap (the `if` version);
-        ``"modulo"`` — unconditional floor+modulo;
-        ``"bitwise"`` — cast-based floor and ``& (nc-1)`` wrap
-        (§IV-C2/3; requires power-of-two grid dims).
     sort_period:
         Sort particles by cell index every this many iterations
         (0 disables sorting).
@@ -75,21 +70,21 @@ class OptimizationConfig:
 
     ordering: str = "morton"
     ordering_kwargs: dict = field(default_factory=dict)
-    position_update: str = "bitwise"
     sort_period: int = 20
     backend: str = "auto"
     workers: int | None = None
     mp_task_timeout: float = 60.0
 
-    #: the particle store every stepper runs.  A class constant, not a
-    #: field, so no config can set it; the frozen benchmark ledger
-    #: (``benchmarks/ledger/simbench.py``) reads it to time
-    #: ``load_particles``.
+    #: the particle store every stepper runs, and the wrap every grid of
+    #: the benchmark runs (all power-of-two).  Class constants, not
+    #: fields, so no config can set them; the frozen benchmark ledger
+    #: (``benchmarks/ledger/simbench.py``) reads ``particle_layout`` to
+    #: time ``load_particles`` and hands ``position_update`` to the push
+    #: adapters, which ignore it.
     particle_layout = "soa"
+    position_update = "bitwise"
 
     def __post_init__(self):
-        if self.position_update not in _POSITION_UPDATES:
-            raise ValueError(f"position_update must be one of {_POSITION_UPDATES}")
         if self.sort_period < 0:
             raise ValueError("sort_period must be >= 0")
         if self.workers is not None and self.workers < 1:

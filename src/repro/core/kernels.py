@@ -52,7 +52,7 @@ __all__ = [
     "kick",
     "kinetic_terms",
     "push_blocked",
-    "AXIS_KERNELS",
+    "wrap_for",
 ]
 
 
@@ -260,9 +260,9 @@ def kinetic_terms(vs, scales, out):
 
 
 # ----------------------------------------------------------------------
-# Position update (Fig. 1 line 10) — the three §IV-C variants.
-# Each takes current (ix_or_none, dx, displacement) per axis and
-# returns new (icoord, offset); `wrap_*` selects the periodic fold.
+# Position update (Fig. 1 line 10) — the two executed §IV-C wraps.
+# Each takes one axis' advanced positions and returns new
+# (icoord, offset); the grid's extents select which one runs.
 # ----------------------------------------------------------------------
 _INT64_MIN = np.iinfo(np.int64).min
 
@@ -280,28 +280,6 @@ def _to_int64(x):
         return x.astype(np.int64)
     ok = np.abs(x) < 2.0**63
     return np.where(ok, np.where(ok, x, 0.0).astype(np.int64), _INT64_MIN)
-
-
-def _axis_branch(x, nc):
-    """Test-and-wrap: apply the float modulo only to escaped particles.
-
-    This is the `if (x < 0 || x >= nc) x = modulo(x, nc)` version; the
-    data-dependent branch is rendered as a mask + partial update, which
-    is exactly what a predicated (non-vectorized) loop does.
-    """
-    outside = (x < 0.0) | (x >= nc)
-    if np.any(outside):
-        x = x.copy()
-        x[outside] = np.mod(x[outside], nc)
-    fx = np.floor(x)
-    i = _to_int64(fx)
-    # float modulo can round up to exactly nc: fold that particle home
-    hit = i == nc
-    if np.any(hit):
-        i = np.where(hit, 0, i)
-        fx = np.where(hit, 0.0, fx)
-        x = np.where(hit, 0.0, x)
-    return i, x - fx
 
 
 def _axis_modulo(x, nc):
@@ -329,7 +307,27 @@ def _axis_bitwise(x, nc):
     return fx & (nc - 1), x - fx
 
 
-def push_blocked(particles, extents, ordering, axis_fn, scales):
+_AXIS_WRAPS = {"modulo": _axis_modulo, "bitwise": _axis_bitwise}
+
+
+def wrap_for(extents) -> str:
+    """The periodic wrap a grid of ``extents`` runs, by name — the one
+    place it is decided, for every backend and the scalar reference.
+
+    ``"bitwise"`` (§IV-C3) when every extent is a power of two: the
+    only wrap free of branches and calls, so the only one the C push
+    vectorizes.  ``"modulo"`` (§IV-C2) otherwise, the one of the two
+    that runs on such a grid.  Both land every finite position in the
+    same cell at the same offset, except an exact negative integer,
+    where the bitwise floor leaves the offset 1.0 one cell down.  The
+    paper's starting point, test-and-wrap (§IV-C1), is priced by
+    :mod:`repro.model` (``ModelConfig.position_update``) and executed
+    nowhere.
+    """
+    return "bitwise" if all(nc & (nc - 1) == 0 for nc in extents) else "modulo"
+
+
+def push_blocked(particles, extents, ordering, scales):
     """The one position-update body: advance, wrap, re-derive cells, in
     place.
 
@@ -341,14 +339,15 @@ def push_blocked(particles, extents, ordering, axis_fn, scales):
     ``icell``, the offsets and the stored coordinates are overwritten.
 
     ``ordering`` supplies the coordinates <-> icell bijection,
-    ``axis_fn(x, nc) -> (icoord, offset)`` the periodic fold and
-    ``scales`` the stored-velocity -> grid-displacement factor per axis
-    (1.0 in the stepper's hoisted units).  An axis reads only its own arrays, and
+    :func:`wrap_for` picks the periodic fold and ``scales`` are the
+    stored-velocity -> grid-displacement factors per axis (1.0 in the
+    stepper's hoisted units).  An axis reads only its own arrays, and
     ``icell`` and the coordinates — the inputs every axis shares — are
     written last.
     """
     p = particles
     axes = "xyz"[: len(extents)]
+    axis_fn = _AXIS_WRAPS[wrap_for(extents)]
     for sl in blocks(len(p["icell"])):
         if "ix" in p:
             old = [p["i" + a][sl] for a in axes]
@@ -365,13 +364,3 @@ def push_blocked(particles, extents, ordering, axis_fn, scales):
         if "ix" in p:
             for a, i_new in zip(axes, new):
                 p["i" + a][sl] = i_new
-
-
-#: Per-axis wrap kernels, keyed the same way — the building blocks the
-#: backend layer (:mod:`repro.core.backends`) composes with the shared
-#: push driver, so every backend agrees on the cell bookkeeping.
-AXIS_KERNELS = {
-    "branch": _axis_branch,
-    "modulo": _axis_modulo,
-    "bitwise": _axis_bitwise,
-}

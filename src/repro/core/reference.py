@@ -25,6 +25,8 @@ import math
 
 import numpy as np
 
+from repro.core.kernels import wrap_for
+
 __all__ = [
     "accumulate_redundant_ref",
     "interpolate_redundant_ref",
@@ -94,13 +96,14 @@ def push_axis_ref(x: float, nc: int) -> tuple[int, float]:
 
 
 def push_axis_variant_ref(x: float, nc: int, variant: str) -> tuple[int, float]:
-    """Scalar rendering of one §IV-C axis-wrap variant.
+    """Scalar rendering of one executed §IV-C axis wrap, ``"bitwise"``
+    or ``"modulo"`` (:func:`repro.core.kernels.wrap_for` names the one
+    a grid runs).
 
-    Bit-for-bit mirror of the vectorized kernels in
-    :data:`repro.core.kernels.AXIS_KERNELS`: same operations in the
-    same order (``np.mod`` where the vectorized kernel uses it, since
-    its rounding is what the fast path produces).  Returns
-    ``(icoord, offset)``.
+    Bit-for-bit mirror of the vectorized wraps of
+    :mod:`repro.core.kernels`: same operations in the same order
+    (``np.mod`` where the vectorized kernel uses it, since its rounding
+    is what the fast path produces).  Returns ``(icoord, offset)``.
     """
     if variant == "bitwise":
         if nc & (nc - 1):
@@ -112,15 +115,7 @@ def push_axis_variant_ref(x: float, nc: int, variant: str) -> tuple[int, float]:
         fx = math.floor(x)
         i = int(np.mod(fx, nc))
         return i, x - fx
-    if variant == "branch":
-        if x < 0.0 or x >= nc:
-            x = float(np.mod(x, nc))
-        fx = math.floor(x)
-        i = int(fx)
-        if i == nc:  # float modulo can round up to exactly nc
-            return 0, 0.0
-        return i, x - fx
-    raise KeyError(f"unknown position-update variant {variant!r}")
+    raise KeyError(f"unknown wrap {variant!r}")
 
 
 class ReferenceStepper:
@@ -139,9 +134,10 @@ class ReferenceStepper:
     path; every per-particle operation — including the counting sort
     permutation — is the plain scalar rendering.
 
-    Parameters mirror the stepper's: ``config`` picks ordering, axis
-    variant and sort cadence (the backend is an execution strategy,
-    which a reference has none of); units are hoisted, as in the
+    Parameters mirror the stepper's: ``config`` picks ordering and sort
+    cadence (the backend is an execution strategy, which a reference
+    has none of) and the grid the wrap
+    (:func:`repro.core.kernels.wrap_for`); units are hoisted, as in the
     stepper.
     """
 
@@ -240,7 +236,7 @@ class ReferenceStepper:
 
     def _phase_update_x(self) -> None:
         g = self.grid
-        variant = self.config.position_update
+        variant = wrap_for(g.shape)
         for p in range(self.n):
             x = (int(self.ix[p]) + float(self.dx[p])) + float(self.vx[p])
             y = (int(self.iy[p]) + float(self.dy[p])) + float(self.vy[p])

@@ -236,15 +236,13 @@ class StepLoop:
         ), check_cells=True)
 
     def _phase_update_x(self) -> None:
-        args = (self.grid.shape, self.ordering, self.config.position_update,
-                (1.0,) * len(self.grid.shape))
+        args = (self.grid.shape, self.ordering, (1.0,) * len(self.grid.shape))
         self._on_team(lambda p: self.backend.push(p, *args))
 
     def _phase_advance(self) -> tuple[float, float]:
         """Update-v then update-x in one backend pass; the seconds of
         each loop (on the team: of the caller's shard)."""
-        args = (self.fields.e_1d, self.grid.shape, self.ordering,
-                self.config.position_update)
+        args = (self.fields.e_1d, self.grid.shape, self.ordering)
         return self._on_team(lambda p: self.backend.advance(p, *args),
                              check_cells=True)[0]
 
@@ -365,11 +363,6 @@ class PICStepper(StepLoop):
     ):
         if not dt > 0:
             raise ValueError("dt must be positive")
-        if config.position_update == "bitwise" and not grid.pow2:
-            raise ValueError(
-                "bitwise position update requires power-of-two grid dims "
-                f"(got {grid.ncx} x {grid.ncy})"
-            )
         self.grid = grid
         self.config = config
         self.dt = float(dt)

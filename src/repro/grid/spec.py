@@ -19,8 +19,9 @@ class GridSpec:
     every kernel in :mod:`repro.core` works in these *grid units*.
 
     ``ncx`` and ``ncy`` are kept as powers of two throughout the paper
-    (the bitwise periodic wrap of §IV-C2 requires it); this class allows
-    arbitrary sizes but exposes :attr:`pow2` so callers can check.
+    (the bitwise periodic wrap of §IV-C3 requires it); this class allows
+    arbitrary sizes, on which the push wraps by modulo
+    (:func:`repro.core.kernels.wrap_for`), and exposes :attr:`pow2`.
     """
 
     ncx: int

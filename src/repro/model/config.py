@@ -4,11 +4,12 @@ paper's baselines, and the cumulative stack of Table IV.
 A :class:`ModelConfig` is an
 :class:`~repro.core.config.OptimizationConfig` — the model still runs
 it through :class:`~repro.core.simulation.Simulation` to harvest real
-particle states — with five more axes the model prices and no stepper
+particle states — with six more axes the model prices and no stepper
 executes: the point-based field layout, AoS particles, the single
-particle loop, un-hoisted units and the in-place sort.  Every run
-stores redundant rows and SoA columns, runs the split loops, keeps
-hoisted units and sorts out of place whatever they say
+particle loop, un-hoisted units, the in-place sort and the position
+update's wrap.  Every run stores redundant rows and SoA columns, runs
+the split loops, keeps hoisted units, sorts out of place and wraps
+the way its grid allows whatever they say
 (``tests/test_layout_axes.py``).
 """
 
@@ -24,6 +25,7 @@ _FIELD_LAYOUTS = ("standard", "redundant")
 _PARTICLE_LAYOUTS = ("soa", "aos")
 _LOOP_MODES = ("fused", "split")
 _SORT_VARIANTS = ("out-of-place", "in-place")
+_POSITION_UPDATES = ("branch", "modulo", "bitwise")
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,12 @@ class ModelConfig(OptimizationConfig):
         ``"out-of-place"`` — every particle record gathered once into
         fresh memory (§V-B1, measured twice as fast); ``"in-place"`` —
         the O(1)-memory cycle walk, ~3 moves per displaced record.
+    position_update:
+        ``"branch"`` — test-and-wrap (the ``if`` version, Table IV's
+        baseline); ``"modulo"`` — unconditional floor + modulo
+        (§IV-C2); ``"bitwise"`` — cast-based floor and ``& (nc-1)``
+        wrap (§IV-C3, power-of-two extents).  A run executes
+        :func:`repro.core.kernels.wrap_for`'s wrap whatever this says.
     """
 
     field_layout: str = "redundant"
@@ -59,6 +67,7 @@ class ModelConfig(OptimizationConfig):
     loop_mode: str = "split"
     hoisting: bool = True
     sort_variant: str = "out-of-place"
+    position_update: str = "bitwise"
 
     def __post_init__(self):
         super().__post_init__()
@@ -70,6 +79,8 @@ class ModelConfig(OptimizationConfig):
             raise ValueError(f"loop_mode must be one of {_LOOP_MODES}")
         if self.sort_variant not in _SORT_VARIANTS:
             raise ValueError(f"sort_variant must be one of {_SORT_VARIANTS}")
+        if self.position_update not in _POSITION_UPDATES:
+            raise ValueError(f"position_update must be one of {_POSITION_UPDATES}")
 
     # ------------------------------------------------------------------
     # The cumulative stack of Table IV.  Each named constructor is the

@@ -124,19 +124,17 @@ def _exec_update_v(body, front, back, e_1d, lo, hi):
     )
 
 
-def _exec_push(body, front, back, lo, hi, extents, ordering, variant, scales):
+def _exec_push(body, front, back, lo, hi, extents, ordering, scales):
     """The push of the shard onto the back buffer's cells, offsets and
     coordinates, from the front's velocities."""
-    body.push(_stage(front, back, lo, hi), extents, ordering, variant, scales)
+    body.push(_stage(front, back, lo, hi), extents, ordering, scales)
 
 
-def _exec_advance(body, front, back, e_1d, lo, hi, extents, ordering,
-                  variant):
+def _exec_advance(body, front, back, e_1d, lo, hi, extents, ordering):
     """Update-v then the push of the shard, onto the back buffer's
     every column, in the body's one pass; returns the body's two loop
     seconds."""
-    return body.advance(_stage(front, back, lo, hi), e_1d, extents,
-                        ordering, variant)
+    return body.advance(_stage(front, back, lo, hi), e_1d, extents, ordering)
 
 
 def _exec_deposit(body, slab, icell, offsets, groups, charge):
@@ -602,22 +600,22 @@ class ShmEngine:
         names = [k for k in self._stepper.particles.keys() if k[0] == "v"]
         self._run_staged("update_v", "update_v", names, e_1d)
 
-    def _push_args(self, extents, variant):
+    def _push_args(self, extents):
         return {"extents": tuple(int(nc) for nc in extents),
-                "variant": variant, "ordering": self.ordering.spec}
+                "ordering": self.ordering.spec}
 
-    def push(self, extents, variant, scales):
+    def push(self, extents, scales):
         names = [k for k in self._stepper.particles.keys() if k[0] != "v"]
         self._run_staged("update_x", "push", names,
                          scales=[float(sc) for sc in scales],
-                         **self._push_args(extents, variant))
+                         **self._push_args(extents))
 
-    def advance(self, e_1d, extents, variant):
+    def advance(self, e_1d, extents):
         """Both loops in one dispatch; the two loop seconds of the
         slowest shard."""
         results = self._run_staged(
             "update_x", "advance", list(self._stepper.particles.keys()), e_1d,
-            **self._push_args(extents, variant),
+            **self._push_args(extents),
         )
         return max(results, key=sum)
 
@@ -793,19 +791,19 @@ class MultiprocessBackend(NumpyBackend):
             return self._body_for(*vs).update_v(vs, e_1d, icell, offsets)
         eng.update_v(e_1d)
 
-    def push(self, particles, extents, ordering, variant, scales):
+    def push(self, particles, extents, ordering, scales):
         eng = _engine_owning(particles["icell"])
         if eng is None or not eng.is_front(particles) or ordering is not eng.ordering:
             return self._body_for(particles["icell"]).push(
-                particles, extents, ordering, variant, scales)
-        eng.push(extents, variant, scales)
+                particles, extents, ordering, scales)
+        eng.push(extents, scales)
 
-    def advance(self, particles, e_1d, extents, ordering, variant):
+    def advance(self, particles, e_1d, extents, ordering):
         eng = _engine_owning(e_1d, particles["icell"])
         if eng is None or not eng.is_front(particles) or ordering is not eng.ordering:
             return self._body_for(particles["icell"]).advance(
-                particles, e_1d, extents, ordering, variant)
-        return eng.advance(e_1d, extents, variant)
+                particles, e_1d, extents, ordering)
+        return eng.advance(e_1d, extents)
 
     def accumulate_rows(self, rho_1d, icell, offsets, charge=1.0,
                         corners=None):

@@ -6,13 +6,15 @@ opens up the possibility to run simulations ... in a three-dimensional
 physical space."  This subpackage takes that step with the same design
 vocabulary as the 2D code:
 
-* a 3D Morton (or row-major) cell ordering over a power-of-two box —
-  the 2D classes of :mod:`repro.curves` over a 3D shape;
+* a 3D Morton cell ordering over a power-of-two box, or a row-major
+  one over any box — the 2D classes of :mod:`repro.curves` over a 3D
+  shape;
 * the redundant cell-based layout generalized to 8 corners per cell:
   ``rho_1d[ncell][8]`` and ``e_1d[ncell][24]`` (3 components x 8
   corners — three cache lines per cell on a 64-byte-line machine);
 * trilinear (Cloud-in-Cell) accumulate/interpolate and the branchless
-  bitwise position update — the dimension-generic kernels of
+  position update (bitwise on a power-of-two box, modulo on any
+  other) — the dimension-generic kernels of
   :mod:`repro.core.kernels`, over the generic
   :class:`repro.grid.fields.RedundantFields`;
 * the spectral Poisson solve of

@@ -96,7 +96,7 @@ class PICStepper3D(StepLoop):
 
     Parameters mirror the legacy constructor; a full
     :class:`~repro.core.config.OptimizationConfig` may be supplied via
-    ``config`` to drive ordering, push variant, sorting and backend
+    ``config`` to drive ordering, sorting and backend
     selection exactly as in 2D (``backend``/``sort_period``
     are then taken from the config and the legacy kwargs ignored).
     """
@@ -116,14 +116,11 @@ class PICStepper3D(StepLoop):
         if config is None:
             config = OptimizationConfig(
                 ordering="morton",
-                position_update="bitwise",
                 sort_period=int(sort_period),
                 backend=backend,
             )
         if not dt > 0:
             raise ValueError("dt must be positive")
-        if config.position_update == "bitwise" and not grid.pow2:
-            raise ValueError("the bitwise push requires power-of-two dims")
         self.grid = grid
         self.config = config
         self.dt = float(dt)

@@ -74,9 +74,11 @@ class PICJob:
         checkpoint metadata records all three, so they park, resume and
         recover like any other job.
     grid:
-        ``(ncx, ncy)`` cell counts.  Power-of-two dimensions are
-        required by the default Morton ordering and bitwise position
-        update (the orderings validate this at build time).
+        ``(ncx, ncy)`` cell counts.  Only the Morton (the default) and
+        Hilbert orderings need power-of-two extents (they validate this
+        at build time); row-major, column-major and L4D run any grid,
+        whose push wraps by modulo where an extent is not a power of
+        two (:func:`repro.core.kernels.wrap_for`).
     n_particles:
         Particle count.
     steps:

@@ -7,7 +7,7 @@ into an enforced contract with three layers:
 
 * :mod:`repro.verify.configspace` — a seeded sampler over the
   optimization-config space (grid size, particle count, ordering,
-  layout, sort cadence, axis variant, backend knobs), so
+  layout, sort cadence, backend knobs), so
   equivalence is checked across *random* corners of the space rather
   than the handful a human picked;
 * :mod:`repro.verify.differ` — the :class:`DifferentialRunner`, which

@@ -11,7 +11,7 @@ runner sweeps per scenario, so they live in
 ``repro verify --seed 0 --samples 8`` names a reproducible test
 matrix: a divergence report can be replayed bit-for-bit from its seed
 and index.  The sampler respects the codebase's structural
-constraints (power-of-two grids so the bitwise push is always legal,
+constraints (power-of-two grids so that every ordering is legal,
 populations on both sides of the kernels' cache-block size).
 """
 
@@ -35,13 +35,12 @@ from repro.particles.initializers import (
 __all__ = ["Scenario", "ScenarioSampler"]
 
 #: Sampling pools — every entry must be legal on every grid in
-#: ``_GRID_POOL`` (all power-of-two, so bitwise wrap and all five
-#: orderings are available everywhere).
+#: ``_GRID_POOL`` (all power-of-two, so all five orderings are
+#: available everywhere).
 _GRID_POOL = ((16, 8), (32, 8), (16, 16), (32, 4))
 _ORDERING_POOL = ("row-major", "column-major", "l4d", "morton", "hilbert")
 #: the retired field-layout axis (paper-weighted); only its draw is left
 _LAYOUT_POOL = ("redundant", "redundant", "standard")
-_PUSH_POOL = ("branch", "modulo", "bitwise")
 _SORT_PERIODS = (0, 2, 3, 5)
 #: the retired sort-variant axis; only its draw is left
 _SORT_VARIANTS = ("in-place", "out-of-place")
@@ -61,7 +60,7 @@ _CASE_POOL = (
 #: always covers the 3D stepper without dominating the budget)
 _DIMS_POOL = (2, 2, 2, 3)
 #: 3D pools are narrower on purpose: power-of-two dims keep the
-#: bitwise push legal, the 3D stepper lays cells out on two curves
+#: Morton curve legal, the 3D stepper lays cells out on two curves
 #: (row-major and Morton), and it has the two classic cases
 _GRID3D_POOL = ((8, 4, 4), (16, 4, 4), (8, 8, 4))
 _ORDERING3D_POOL = ("row-major", "morton")
@@ -79,7 +78,6 @@ class Scenario:
     n_steps: int
     case_name: str
     ordering: str
-    position_update: str
     sort_period: int
     dt: float = 0.05
     seed: int = 0
@@ -122,7 +120,6 @@ class Scenario:
         """The :class:`OptimizationConfig` for one execution combo."""
         kwargs = dict(
             ordering=self.ordering,
-            position_update=self.position_update,
             sort_period=self.sort_period,
             backend=backend,
         )
@@ -137,7 +134,7 @@ class Scenario:
             shape += f"x{self.ncz} 3d"
         return (
             f"#{self.index} {self.case_name} {shape} "
-            f"n={self.n_particles} {self.ordering}/{self.position_update} "
+            f"n={self.n_particles} {self.ordering} "
             f"{sort}"
         )
 
@@ -180,11 +177,12 @@ class ScenarioSampler:
             n_particles=int(self._pick(self.n_particles_pool)),
             n_steps=int(self._pick(self.n_steps_pool)),
             case_name=self._pick(_CASE_POOL),
-            # the retired field-layout, split/fused, hoisting and
-            # sort-variant axes drew here: their draws stay, so
-            # scenario k of seed s still names the same configuration
-            ordering=(self._pick(_ORDERING_POOL), self._pick(_LAYOUT_POOL))[0],
-            position_update=(self._rng.integers(2), self._pick(_PUSH_POOL))[1],
+            # the retired field-layout, split/fused, push-wrap (one of
+            # three), hoisting and sort-variant axes drew here: their
+            # draws stay, so scenario k of seed s still names the same
+            # configuration
+            ordering=(self._pick(_ORDERING_POOL), self._pick(_LAYOUT_POOL),
+                      self._rng.integers(2), self._rng.integers(3))[0],
             sort_period=(self._rng.integers(2), int(self._pick(_SORT_PERIODS)),
                          self._pick(_SORT_VARIANTS))[1],
             seed=int(self._rng.integers(2**31)),
@@ -195,8 +193,8 @@ class ScenarioSampler:
     def _sample_one_3d(self) -> Scenario:
         """One 3D scenario — the axes the 3D stepper actually offers.
 
-        The knobs (push variant, sorting) sweep the same pools as 2D so
-        the promise matrix covers the 3D stepper end to end.
+        The sort period sweeps the same pool as 2D so the promise
+        matrix covers the 3D stepper end to end.
         """
         ncx, ncy, ncz = self._pick(_GRID3D_POOL)
         scenario = Scenario(
@@ -207,10 +205,11 @@ class ScenarioSampler:
             n_steps=int(self._pick(self.n_steps_pool)),
             case_name=self._pick(_CASE3D_POOL),
             ordering=self._pick(_ORDERING3D_POOL),
-            # the retired split/fused axis drew here: its draw stays, so
-            # scenario k of seed s still names the same configuration
-            position_update=(self._rng.integers(2), self._pick(_PUSH_POOL))[1],
-            sort_period=int(self._pick(_SORT_PERIODS)),
+            # the retired split/fused and push-wrap (one of three) axes
+            # drew here: their draws stay, so scenario k of seed s still
+            # names the same configuration
+            sort_period=(self._rng.integers(2), self._rng.integers(3),
+                         int(self._pick(_SORT_PERIODS)))[2],
             seed=int(self._rng.integers(2**31)),
             dims=3,
             ncz=ncz,

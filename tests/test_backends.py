@@ -29,6 +29,7 @@ from repro.core.reference import (
     accumulate_redundant_ref,
     interpolate_redundant_ref,
     push_axis_ref,
+    push_axis_variant_ref,
 )
 from repro.curves import get_ordering
 from repro.grid import GridSpec
@@ -202,25 +203,34 @@ class TestKernelEquivalence:
 
     @pytest.mark.parametrize("variant", ["branch", "modulo", "bitwise"])
     def test_push_axis_vs_reference(self, backend, rng, variant):
-        # positions up to several periods outside the box, both signs
-        x = rng.uniform(-3 * NCX, 4 * NCX, 500)
-        s, ordering = self._at_rest(x, x[::-1].copy(), NCX, NCY)
-        backend.push(s, (NCX, NCY), ordering, variant, (1.0, 1.0))
-        for x_a, i, off in ((x, s.ix, s.dx), (x[::-1], s.iy, s.dy)):
-            assert np.all((0 <= i) & (i < NCX))
-            assert np.all((0.0 <= off) & (off < 1.0))
-            for p in range(len(x_a)):
-                ri, roff = push_axis_ref(float(x_a[p]), NCX)
-                # all variants land the same physical position modulo the box
-                got = (i[p] + off[p]) % NCX
-                want = (ri + roff) % NCX
-                assert got == pytest.approx(want, abs=1e-9)
-        np.testing.assert_array_equal(s.icell, ordering.encode(s.ix, s.iy))
+        """Through the ledger's adapter, whatever wrap it is handed,
+        on a power-of-two grid (bitwise) and one that is not (modulo)."""
+        for nc in (NCX, 12):
+            # positions up to several periods outside the box, both signs
+            x = rng.uniform(-3 * nc, 4 * nc, 500)
+            s, ordering = self._at_rest(x, x[::-1].copy(), nc, nc)
+            backend.push_positions(s, nc, nc, ordering, variant, 1.0, 1.0)
+            for x_a, i, off in ((x, s.ix, s.dx), (x[::-1], s.iy, s.dy)):
+                assert np.all((0 <= i) & (i < nc))
+                assert np.all((0.0 <= off) & (off < 1.0))
+                for p in range(len(x_a)):
+                    ri, roff = push_axis_ref(float(x_a[p]), nc)
+                    # both wraps land the reference's position modulo the box
+                    got = (i[p] + off[p]) % nc
+                    want = (ri + roff) % nc
+                    assert got == pytest.approx(want, abs=1e-9)
+            np.testing.assert_array_equal(s.icell, ordering.encode(s.ix, s.iy))
 
     def test_push_axis_bitwise_requires_pow2(self, backend):
-        s, ordering = self._at_rest(np.array([1.5]), np.array([1.5]), 12, 12)
-        with pytest.raises(ValueError, match="power-of-two"):
-            backend.push(s, (12, 12), ordering, "bitwise", (1.0, 1.0))
+        """The bitwise wrap needs power-of-two extents, so a 12 x 12
+        grid runs the modulo wrap: the scalar modulo's bits."""
+        x = np.array([1.5, -0.25, 12.0, -12.0, 40.75, -3.0])
+        s, ordering = self._at_rest(x, x[::-1].copy(), 12, 12)
+        backend.push(s, (12, 12), ordering, (1.0, 1.0))
+        for x_a, i, off in ((x, s.ix, s.dx), (x[::-1], s.iy, s.dy)):
+            want = [push_axis_variant_ref(float(v), 12, "modulo") for v in x_a]
+            assert list(i) == [w[0] for w in want]
+            assert list(off) == [w[1] for w in want]
 
     def test_push_positions_matches_numpy_backend(self, backend, rng):
         from repro.particles import make_storage

@@ -69,21 +69,40 @@ C_BLOCK = int(re.search(
 #: around the block edges of ``advance``, and the vector remainders
 ADVANCE_SIZES = [0, 1, *LANES, C_BLOCK - 1, C_BLOCK, C_BLOCK + 1,
                  2 * C_BLOCK + 17]
+#: the values of the priced ``position_update`` axis, which the frozen
+#: ledger's push adapters are handed and ignore: the grid picks the wrap
 VARIANTS = ["branch", "modulo", "bitwise"]
 #: (ndim, ordering label) — every 2D curve of the registry, both 3D
-#: ones (labelled ``-3d``: the same classes over three extents)
+#: ones (labelled ``-3d``: the same classes over three extents), on
+#: power-of-two extents (the bitwise wrap); and the curves that take any
+#: extents again on extents that are not (``@<shape>``: the modulo wrap)
 CURVES = [
     (2, "row-major"), (2, "column-major"), (2, "morton"), (2, "l4d"),
     (2, "hilbert"), (3, "row-major-3d"), (3, "morton-3d"),
+    (2, "row-major@24x16"), (2, "column-major@24x16"), (2, "l4d@24x16"),
+    (3, "row-major-3d@12x8x8"),
 ]
 
 
-def _ordering(ndim, name):
-    if ndim == 3:
-        return get_ordering(name.removesuffix("-3d"), 8, 4, 16), (8, 4, 16)
-    # rectangular where the curve allows it: Morton's surplus bits
-    shape = (16, 16) if name == "hilbert" else (16, 8)
-    return get_ordering(name, *shape), shape
+def _ordering(ndim, label):
+    name, _, dims = label.partition("@")
+    if dims:
+        shape = tuple(int(d) for d in dims.split("x"))
+    elif ndim == 3:
+        shape = (8, 4, 16)
+    else:
+        # rectangular where the curve allows it: Morton's surplus bits
+        shape = (16, 16) if name == "hilbert" else (16, 8)
+    return get_ordering(name.removesuffix("-3d"), *shape), shape
+
+
+def _adapter_push(backend, p, shape, ordering, variant, scales):
+    """The push through the frozen ledger's adapter of ``len(shape)``
+    axes, handed one value of the priced wrap axis."""
+    if len(shape) == 2:
+        backend.push_positions(p, *shape, ordering, variant, *scales)
+    else:
+        backend.push_positions_3d(p, shape, ordering, scales, variant)
 
 
 #: (ndim, ordering, grid shape, ordering kwargs) of the grid loops:
@@ -153,18 +172,18 @@ def _assert_same(p, q, what):
         assert np.array_equal(p[name], q[name]), (what, name)
 
 
-def _advance_pair(c, split, state, e_1d, shape, ordering, variant):
+def _advance_pair(c, split, state, e_1d, shape, ordering):
     """``c.advance`` on one copy of ``state`` and ``split``'s update-v
     then push (every scale 1: hoisted units) on another: both stores,
     after asserting the returned loop seconds are two non-negative
     numbers."""
     axes = "xyz"[: len(shape)]
     one, two = _copy(state), _copy(state)
-    seconds = c.advance(one, e_1d, shape, ordering, variant)
+    seconds = c.advance(one, e_1d, shape, ordering)
     assert len(seconds) == 2 and min(seconds) >= 0.0
     split.update_v(tuple(two["v" + a] for a in axes), e_1d, two.icell,
                    tuple(two["d" + a] for a in axes))
-    split.push(two, shape, ordering, variant, (1.0,) * len(shape))
+    split.push(two, shape, ordering, (1.0,) * len(shape))
     return one, two
 
 
@@ -202,12 +221,15 @@ class TestEquivalence:
         numpy.accumulate_rows(rho_0, state.icell, offsets, -0.37)
         assert rho_c.tobytes() == rho_n.tobytes() == rho_0.tobytes()
 
-        # push: the ledger's zero displacement, unit and other scales
+        # push: the ledger's zero displacement, unit and other scales;
+        # through the ledger's adapter, whatever wrap it is handed
         for scales in ((0.0,) * ndim, (1.0,) * ndim, (0.37, 1.9, 0.5)[:ndim]):
-            p, q = _copy(state), _copy(state)
-            c.push(p, shape, ordering, variant, scales)
-            numpy.push(q, shape, ordering, variant, scales)
+            p, q, r = _copy(state), _copy(state), _copy(state)
+            c.push(p, shape, ordering, scales)
+            numpy.push(q, shape, ordering, scales)
+            _adapter_push(c, r, shape, ordering, variant, scales)
             _assert_same(p, q, ("push", scales))
+            _assert_same(r, q, ("adapter push", scales))
 
         # sort permutation
         assert np.array_equal(
@@ -248,21 +270,18 @@ class TestEquivalence:
     def test_advance_equals_update_v_then_push(self, ndim, curve, n, stored):
         """The strip-mined pass has the bits of update-v over the whole
         population followed by the push — ``c``'s and NumPy's — on
-        either side of every block edge, for every wrap, ordering (L4D
-        and Hilbert encoded after the last block), stored and
+        either side of every block edge, for both wraps, every ordering
+        (L4D and Hilbert encoded after the last block), stored and
         recomputed coordinates."""
         c, numpy = get_backend("c"), get_backend("numpy")
         rng = np.random.default_rng(n + ndim)
         ordering, shape = _ordering(ndim, curve)
         state = _population(rng, ndim, n, ordering, shape, stored)
         e_1d = rng.normal(size=(ordering.ncells_allocated, ndim << ndim))
-        for variant in VARIANTS:
-            for split in (c, numpy):
-                one, two = _advance_pair(c, split, state, e_1d, shape,
-                                         ordering, variant)
-                for k in state.keys():
-                    assert one[k].tobytes() == two[k].tobytes(), (
-                        split.name, variant, k)
+        for split in (c, numpy):
+            one, two = _advance_pair(c, split, state, e_1d, shape, ordering)
+            for k in state.keys():
+                assert one[k].tobytes() == two[k].tobytes(), (split.name, k)
 
     @pytest.mark.parametrize("stored", [True, False], ids=["stored", "recomputed"])
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -274,7 +293,8 @@ class TestEquivalence:
         ``ordering.encode`` runs on the slice).  The front is untouched,
         the back buffer outside the slice too, and the slice holds, on
         the ``c`` body as on ``numpy``, what the whole in-place push
-        leaves."""
+        leaves — whatever wrap the ledger's adapter is handed for the
+        whole push."""
         from repro.parallel.executor import _exec_push
 
         c, numpy = get_backend("c"), get_backend("numpy")
@@ -285,14 +305,14 @@ class TestEquivalence:
         staged = [k for k in state.keys() if k[0] != "v"]
         scales = (0.37, 1.9, 0.5)[:ndim]
         in_place = _copy(state)
-        c.push(in_place, shape, ordering, variant, scales)
+        _adapter_push(c, in_place, shape, ordering, variant, scales)
         for lo, hi in ((0, n), (BLOCK - 3, n - 5)):
             dsts = []
             for backend in (c, numpy):
                 src = _copy(state)
                 dst = {k: np.full(n, 7, dtype=state[k].dtype) for k in staged}
                 _exec_push(backend, dict(src), dst, lo, hi, shape, ordering,
-                           variant, scales)
+                           scales)
                 _assert_same(src, state, "source")
                 dsts.append(dst)
             for k in staged:
@@ -440,9 +460,9 @@ def test_exports_are_the_signature_table():
 # ----------------------------------------------------------------------
 @needs_cc
 class TestDefinedOnEveryInput:
-    def _poisoned(self, stored=True):
+    def _poisoned(self, stored=True, curve="morton"):
         rng = np.random.default_rng(0)
-        ordering, shape = _ordering(2, "morton")
+        ordering, shape = _ordering(2, curve)
         p = _population(rng, 2, 64, ordering, shape, stored)
         p.vx[:] = rng.normal(size=64)
         p.vy[:] = rng.normal(size=64)
@@ -454,7 +474,7 @@ class TestDefinedOnEveryInput:
         """``icoord`` stays a coordinate and the offset carries the
         poison out, for the supervisor's finite guard to find."""
         p, ordering, shape = self._poisoned()
-        get_backend("c").push(p, shape, ordering, "bitwise", (1.0, 1.0))
+        get_backend("c").push(p, shape, ordering, (1.0, 1.0))
         bad = slice(0, 3)  # nan, +inf, -inf
         assert not np.isfinite(p.dx[bad]).any()
         assert np.isnan(p.dx[0]) and p.dx[1] == np.inf and p.dx[2] == -np.inf
@@ -468,18 +488,23 @@ class TestDefinedOnEveryInput:
         """``kernels._to_int64`` and ``ckernels.c::to_int64`` define the
         out-of-range cast to the same value (the one x86's cvttsd2si
         produces), on every host and without a NumPy cast warning — so
-        the guard trips at the same step on either backend."""
-        p, ordering, shape = self._poisoned()
-        q = _copy(p)
-        get_backend("c").push(p, shape, ordering, variant, (1.0, 1.0))
-        with warnings.catch_warnings():
-            warnings.filterwarnings("error", message=".*encountered in cast")
-            # mod(inf) and inf - inf are NaN by IEEE, and say so
-            warnings.filterwarnings(
-                "ignore", message=".*encountered in (remainder|subtract)")
-            get_backend("numpy").push(q, shape, ordering, variant, (1.0, 1.0))
-        for name in ("dx", "dy", "ix", "iy"):
-            np.testing.assert_array_equal(p[name], q[name], err_msg=name)
+        the guard trips at the same step on either backend, under both
+        wraps (a Morton and a 24 x 16 row-major grid), whatever wrap the
+        ledger's adapter is handed."""
+        for curve in ("morton", "row-major@24x16"):
+            p, ordering, shape = self._poisoned(curve=curve)
+            q = _copy(p)
+            _adapter_push(get_backend("c"), p, shape, ordering, variant,
+                          (1.0, 1.0))
+            with warnings.catch_warnings():
+                warnings.filterwarnings("error", message=".*encountered in cast")
+                # mod(inf) and inf - inf are NaN by IEEE, and say so
+                warnings.filterwarnings(
+                    "ignore", message=".*encountered in (remainder|subtract)")
+                get_backend("numpy").push(q, shape, ordering, (1.0, 1.0))
+            for name in ("dx", "dy", "ix", "iy"):
+                np.testing.assert_array_equal(p[name], q[name],
+                                              err_msg=(curve, name))
 
     def test_update_v_and_kinetic_terms_of_non_finite_inputs(self):
         """NaN, ±inf and beyond-int64 offsets and velocities carry
@@ -508,32 +533,33 @@ class TestDefinedOnEveryInput:
     @pytest.mark.parametrize("ndim", [2, 3])
     def test_non_finite_inputs_at_lane_remainders(self, ndim, n):
         """Populations around the vector width, a third of every offset
-        and velocity column poisoned: every wrap of the push, update-v,
+        and velocity column poisoned: both wraps of the push (Morton
+        and row-major extents that are not powers of two), update-v,
         the strip-mined pass and the
         kinetic-energy terms keep NumPy's bits through the vector bodies
         and their epilogues."""
         c, numpy = get_backend("c"), get_backend("numpy")
         rng = np.random.default_rng(n)
-        ordering, shape = _ordering(ndim, "morton" if ndim == 2 else "morton-3d")
         axes = "xyz"[:ndim]
-        p = _population(rng, ndim, n, ordering, shape, True)
-        _poison([p["v" + a] for a in axes])
         scales = (1.0, 0.37, 1.9)[:ndim]
-        e_1d = rng.normal(size=(ordering.ncells_allocated, ndim << ndim))
-        for variant in VARIANTS:
+        modulo = "row-major@24x16" if ndim == 2 else "row-major-3d@12x8x8"
+        for curve in ("morton" if ndim == 2 else "morton-3d", modulo):
+            ordering, shape = _ordering(ndim, curve)
+            p = _population(rng, ndim, n, ordering, shape, True)
+            _poison([p["v" + a] for a in axes])
+            e_1d = rng.normal(size=(ordering.ncells_allocated, ndim << ndim))
             q, r = _copy(p), _copy(p)
-            c.push(q, shape, ordering, variant, scales)
+            c.push(q, shape, ordering, scales)
             with warnings.catch_warnings():
                 warnings.filterwarnings("error", message=".*encountered in cast")
                 warnings.filterwarnings(
                     "ignore", message=".*encountered in (remainder|subtract|add)")
-                numpy.push(r, shape, ordering, variant, scales)
-                one, two = _advance_pair(c, numpy, p, e_1d, shape, ordering,
-                                         variant)
+                numpy.push(r, shape, ordering, scales)
+                one, two = _advance_pair(c, numpy, p, e_1d, shape, ordering)
                 for k in p.keys():
-                    assert one[k].tobytes() == two[k].tobytes(), (variant, k)
+                    assert one[k].tobytes() == two[k].tobytes(), (curve, k)
             for k in r.keys():
-                assert q[k].tobytes() == r[k].tobytes(), (variant, k)
+                assert q[k].tobytes() == r[k].tobytes(), (curve, k)
 
         offsets = _poison([p["d" + a].copy() for a in axes])
         vs = [p["v" + a] for a in axes]
@@ -563,7 +589,7 @@ class TestDefinedOnEveryInput:
                 p.icell[at] = bad
                 before = _copy(p)
                 with pytest.raises(IndexError, match=f"particle {at}:"):
-                    c.advance(p, e_1d, shape, ordering, "bitwise")
+                    c.advance(p, e_1d, shape, ordering)
                 _assert_same(p, before, (at, bad))
 
     def test_guard_trips_at_the_same_step_as_numpy(self):
@@ -714,14 +740,6 @@ class TestDefinedOnEveryInput:
             numpy.update_v(vn, *args)
             assert np.array_equal(vc, vn)
 
-    def test_bad_variant_and_extent_raise_like_numpy(self):
-        p, ordering, shape = self._poisoned()
-        c = get_backend("c")
-        with pytest.raises(KeyError):
-            c.push(p, shape, ordering, "no-such-wrap", (1.0, 1.0))
-        with pytest.raises(ValueError, match="power-of-two"):
-            c.push(p, (12, 8), ordering, "bitwise", (1.0, 1.0))
-
 
 # ----------------------------------------------------------------------
 # One statement, two clones
@@ -747,8 +765,8 @@ class TestClones:
     def test_every_kernel_has_the_bits_of_the_baseline_build(
         self, baseline, ndim, curve, n
     ):
-        """Push (every wrap, stored and recomputed coordinates), the
-        strip-mined pass (the same), update-v, the
+        """Push (the curve's extents' wrap, stored and recomputed
+        coordinates), the strip-mined pass (the same), update-v, the
         deposit (rows and columns), the gather, the kinetic-energy
         terms, the sort and the grid loops: byte for byte the baseline
         build's, on populations poisoned with NaN, ±inf and
@@ -763,18 +781,17 @@ class TestClones:
         for stored in (True, False):
             state = _population(rng, ndim, n, ordering, shape, stored)
             _poison([state["v" + a] for a in axes])
-            for variant in VARIANTS:
-                pushed = []
-                for b in (c, baseline):
-                    p = _copy(state)
-                    b.push(p, shape, ordering, variant, scales)
-                    a = _copy(state)
-                    b.advance(a, e_1d, shape, ordering, variant)
-                    pushed.append((p, a))
-                (p, a), (q, a_q) = pushed
-                for k in p.keys():
-                    assert p[k].tobytes() == q[k].tobytes(), (variant, stored, k)
-                    assert a[k].tobytes() == a_q[k].tobytes(), (variant, stored, k)
+            pushed = []
+            for b in (c, baseline):
+                p = _copy(state)
+                b.push(p, shape, ordering, scales)
+                a = _copy(state)
+                b.advance(a, e_1d, shape, ordering)
+                pushed.append((p, a))
+            (p, a), (q, a_q) = pushed
+            for k in p.keys():
+                assert p[k].tobytes() == q[k].tobytes(), (stored, k)
+                assert a[k].tobytes() == a_q[k].tobytes(), (stored, k)
 
         state = _population(rng, ndim, n, ordering, shape, True)
         offsets = tuple(state["d" + a] for a in axes)

@@ -109,14 +109,14 @@ class TestReflectingPush:
     def test_interior_matches_periodic_kernel(self, rng):
         """Slow particles that never touch a wall move identically under
         reflecting and periodic updates."""
-        from repro.core.kernels import AXIS_KERNELS, push_blocked
+        from repro.core.kernels import push_blocked
 
         o = get_ordering("morton", NC, NC)
         sr = self._particles(rng, o, v_scale=0.01)
         sp = make_storage("soa", sr.n, store_coords=True)
         sp.set_state(**sr.as_dict())
         push_positions_reflecting(sr, NC, NC, o)
-        push_blocked(sp, (NC, NC), o, AXIS_KERNELS["bitwise"], (1.0, 1.0))
+        push_blocked(sp, (NC, NC), o, (1.0, 1.0))
         np.testing.assert_allclose(
             np.asarray(sr.ix) + np.asarray(sr.dx),
             np.asarray(sp.ix) + np.asarray(sp.dx),

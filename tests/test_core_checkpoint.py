@@ -119,8 +119,7 @@ def fresh_stepper(grid, cfg=None, n=3000):
 
 def _config_3d(**overrides):
     params = dict(
-        ordering="morton",
-        position_update="bitwise", sort_period=3,
+        ordering="morton", sort_period=3,
         backend="numpy",
     )
     params.update(overrides)
@@ -653,6 +652,37 @@ class TestRetiredConfigKeys:
                 b.close()
         a.close()
         assert digests[0] == digests[1]
+
+    def test_archive_naming_a_wrap_continues_on_the_grids(self, grid, tmp_path):
+        """No archive is written with ``position_update`` (not even a
+        :class:`ModelConfig` run's, which names one); an archive whose
+        stored config names ``"branch"`` or ``"modulo"`` — what a writer
+        of the field left — loads as the run config and continues, across
+        sorts, on the bits of the unmodified archive: the grid picks the
+        wrap."""
+        model = fresh_stepper(grid, ModelConfig(position_update="branch"), n=200)
+        path = save_checkpoint(model, tmp_path / "model.npz")
+        model.close()
+        with np.load(path) as data:
+            saved = json.loads(json.loads(str(data["_meta"]))["config"])
+        assert "position_update" not in saved and "field_layout" in saved
+
+        a = fresh_stepper(grid, OptimizationConfig(sort_period=3), n=1500)
+        a.run(5)
+        digests = []
+        for variant in (None, "branch", "modulo"):
+            path = save_checkpoint(a, tmp_path / f"{variant}.npz")
+            if variant is not None:
+                rewrite_saved_config(path, {"position_update": variant})
+            b = load_checkpoint(path)
+            try:
+                assert b.config == a.config
+                b.run(7)
+                digests.append(state_digest(b))
+            finally:
+                b.close()
+        a.close()
+        assert digests[1] == digests[0] and digests[2] == digests[0]
 
     def test_other_unknown_key_still_rejected(self, grid, tmp_path):
         a = fresh_stepper(grid, n=500)

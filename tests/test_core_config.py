@@ -11,16 +11,17 @@ from repro.core import OptimizationConfig
 from repro.model.config import ModelConfig
 from tests.conftest import RETIRED_CONFIG
 
-#: the seven fields a run executes
+#: the six fields a run executes
 RUN_FIELDS = (
-    "ordering", "ordering_kwargs", "position_update",
-    "sort_period", "backend", "workers", "mp_task_timeout",
+    "ordering", "ordering_kwargs", "sort_period", "backend", "workers",
+    "mp_task_timeout",
 )
-#: the keywords that left the run config: the five model axes and the
+#: the keywords that left the run config: the six model axes and the
 #: ``store_coords`` override
 MODEL_ONLY = {"field_layout": "standard", "particle_layout": "aos",
               "loop_mode": "fused", "hoisting": False,
-              "sort_variant": "in-place", "store_coords": False}
+              "sort_variant": "in-place", "position_update": "branch",
+              "store_coords": False}
 
 
 class TestValidation:
@@ -57,7 +58,7 @@ class TestValidation:
         with pytest.raises(TypeError):
             OptimizationConfig(**{field: MODEL_ONLY[field]})
 
-    def test_run_config_is_the_seven_executed_fields(self):
+    def test_run_config_is_the_six_executed_fields(self):
         assert tuple(
             f.name for f in dataclasses.fields(OptimizationConfig)
         ) == RUN_FIELDS
@@ -67,6 +68,14 @@ class TestValidation:
         """The frozen benchmark ledger reads ``cfg.particle_layout``."""
         assert OptimizationConfig().particle_layout == "soa"
         assert "particle_layout" not in dataclasses.asdict(OptimizationConfig())
+
+    def test_position_update_is_a_constant_not_a_field(self):
+        """The frozen benchmark ledger reads ``cfg.position_update`` and
+        hands it to the push adapters; a run wraps the way its grid
+        allows."""
+        assert OptimizationConfig().position_update == "bitwise"
+        assert "position_update" not in dataclasses.asdict(OptimizationConfig())
+        assert ModelConfig(position_update="branch").position_update == "branch"
 
     def test_every_field_has_a_knob_ledger_row(self):
         """Every knob pays rent: docs/tuning.md justifies each field of

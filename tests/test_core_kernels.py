@@ -3,21 +3,22 @@
 import numpy as np
 import pytest
 
+from repro.core.backends import get_backend
 from repro.core.kernels import (
-    AXIS_KERNELS,
     accumulate_rows,
     corner_weights,
     interpolate_rows,
     kick,
     push_blocked,
+    wrap_for,
     _axis_bitwise,
-    _axis_branch,
     _axis_modulo,
 )
 from repro.core.reference import (
     accumulate_redundant_ref,
     interpolate_redundant_ref,
     push_axis_ref,
+    push_axis_variant_ref,
 )
 from repro.curves import get_ordering
 from repro.grid import RedundantFields
@@ -25,12 +26,17 @@ from repro.particles import make_storage
 from tests.conftest import random_particle_arrays
 
 NCX = NCY = 16
+#: the values of the priced ``position_update`` axis, which the
+#: ledger's ``push_positions`` adapter takes and ignores
 VARIANTS = ["branch", "modulo", "bitwise"]
+#: one power-of-two grid (bitwise wrap) and two that are not (modulo)
+EXTENTS = [(16, 16), (24, 16), (12, 8, 8)]
 
 
 def push(s, ordering, variant, scales=(1.0, 1.0)):
-    """The in-place 2D push of one wrap variant."""
-    push_blocked(s, (NCX, NCY), ordering, AXIS_KERNELS[variant], scales)
+    """The in-place 2D push through the ledger's adapter, handed one
+    value of the priced wrap axis."""
+    get_backend("numpy").push_positions(s, NCX, NCY, ordering, variant, *scales)
 
 
 def point_corners(ix, iy):
@@ -237,9 +243,9 @@ class TestUpdateVelocities:
 
 
 class TestAxisWraps:
-    """The three §IV-C periodic-wrap formulations must agree physically."""
+    """The two executed §IV-C periodic wraps must agree physically."""
 
-    @pytest.mark.parametrize("axis_fn", [_axis_branch, _axis_modulo, _axis_bitwise])
+    @pytest.mark.parametrize("axis_fn", [_axis_modulo, _axis_bitwise])
     def test_position_equivalence_vs_reference(self, rng, axis_fn):
         nc = 16
         x = rng.uniform(-40, 56, 5000)
@@ -252,7 +258,7 @@ class TestAxisWraps:
             rpos = (ri + rd) % nc
             assert pos == pytest.approx(rpos, abs=1e-9)
 
-    @pytest.mark.parametrize("axis_fn", [_axis_branch, _axis_modulo, _axis_bitwise])
+    @pytest.mark.parametrize("axis_fn", [_axis_modulo, _axis_bitwise])
     def test_indices_in_range(self, rng, axis_fn):
         i, d = axis_fn(rng.uniform(-100, 100, 10_000), 32)
         assert i.min() >= 0 and i.max() < 32
@@ -286,13 +292,13 @@ class TestAxisWraps:
 
     def test_inside_particles_unchanged(self, rng):
         x = rng.uniform(0, 16, 1000)
-        for fn in (_axis_branch, _axis_modulo, _axis_bitwise):
+        for fn in (_axis_modulo, _axis_bitwise):
             i, d = fn(x, 16)
             np.testing.assert_allclose(i + d, x, atol=1e-12, err_msg=fn.__name__)
 
     def test_exact_negative_integer(self):
-        # x = -2.0: all variants must land at physical position 14
-        for fn in (_axis_branch, _axis_modulo, _axis_bitwise):
+        # x = -2.0: both wraps must land at physical position 14
+        for fn in (_axis_modulo, _axis_bitwise):
             i, d = fn(np.array([-2.0]), 16)
             assert (float(i[0]) + float(d[0])) % 16 == pytest.approx(14.0), fn.__name__
 
@@ -347,7 +353,8 @@ class TestPushPositions:
 
 
 class TestPushVariantsAgree:
-    """branch / modulo / bitwise must produce the same physical state."""
+    """Every value the ledger's adapter is handed gives the same state:
+    the grid picks the wrap."""
 
     @pytest.mark.parametrize("ordering_name", ["row-major", "morton"])
     def test_all_variants_same_physical_positions(self, rng, ordering_name):
@@ -362,5 +369,37 @@ class TestPushVariantsAgree:
             results.append(
                 (np.asarray(s.ix) + np.asarray(s.dx)) % NCX
             )
-        np.testing.assert_allclose(results[0], results[1], atol=1e-9)
-        np.testing.assert_allclose(results[0] % NCX, results[2] % NCX, atol=1e-9)
+        assert all(np.array_equal(r, results[0]) for r in results[1:])
+
+
+class TestWrapFollowsTheExtents:
+    """:func:`wrap_for` is the one rule: bitwise when every extent is a
+    power of two, modulo otherwise — and the push runs it."""
+
+    def test_the_rule(self):
+        assert [wrap_for(e) for e in EXTENTS] == ["bitwise", "modulo", "modulo"]
+        assert wrap_for((32, 8, 4)) == "bitwise"
+        assert wrap_for((16, 12)) == wrap_for((16, 16, 3)) == "modulo"
+
+    @pytest.mark.parametrize("extents", EXTENTS, ids=lambda e: "x".join(map(str, e)))
+    def test_push_has_the_scalar_wraps_bits(self, rng, extents):
+        """The blocked push of a row-major population several periods
+        outside the box equals, bit for bit, the scalar reference of the
+        wrap :func:`wrap_for` names, axis by axis."""
+        axes = "xyz"[: len(extents)]
+        o = get_ordering("row-major", *extents)
+        n = 3000
+        coords = [rng.integers(0, nc, n) for nc in extents]
+        cols = {"icell": o.encode(*coords)}
+        for a, c, nc in zip(axes, coords, extents):
+            cols["i" + a], cols["d" + a] = c, rng.random(n)
+            cols["v" + a] = rng.normal(0.0, 3.0 * nc, n)
+        before = {k: v.copy() for k, v in cols.items()}
+        push_blocked(cols, extents, o, (1.0,) * len(extents))
+        wrap = wrap_for(extents)
+        for a, nc in zip(axes, extents):
+            x = before["i" + a] + before["d" + a] + before["v" + a]
+            want = [push_axis_variant_ref(float(xk), nc, wrap) for xk in x]
+            assert np.array_equal(cols["i" + a], [w[0] for w in want])
+            assert np.array_equal(cols["d" + a], [w[1] for w in want])
+        assert np.array_equal(cols["icell"], o.encode(*(cols["i" + a] for a in axes)))

@@ -7,6 +7,7 @@ from repro.core import OptimizationConfig, PICStepper
 from repro.grid import GridSpec, RedundantFields
 from repro.model.config import ModelConfig
 from repro.particles import LandauDamping, ParticleSoA
+from repro.verify.golden import state_digest
 
 
 @pytest.fixture
@@ -21,12 +22,62 @@ def make_stepper(grid, cfg, n=4000, **kw):
     return PICStepper(grid, cfg, case=LandauDamping(alpha=0.05), n_particles=n, **kw)
 
 
-class TestConstruction:
-    def test_rejects_bitwise_on_non_pow2(self):
-        g = GridSpec(12, 16)
-        with pytest.raises(ValueError, match="power-of-two"):
-            PICStepper(g, OptimizationConfig(), case=LandauDamping(), n_particles=10)
+class TestNonPowerOfTwoGrids:
+    """A grid whose extents are not powers of two runs with the default
+    config on a scan ordering: its push wraps by modulo
+    (:func:`repro.core.kernels.wrap_for`), with the same bits on every
+    backend."""
 
+    @staticmethod
+    def _run_job(backend):
+        from repro.service import PICJob
+
+        job = PICJob(grid=(24, 16), ordering="row-major", n_particles=3000,
+                     backend=backend, workers=2, seed=5)
+        sim = job.build_simulation()
+        try:
+            sim.run(5)
+            assert sim.stepper.iteration == 5
+            return state_digest(sim.stepper)
+        finally:
+            sim.close()
+
+    def test_job_runs_five_steps_on_every_backend(self):
+        from repro.core.backends import available_backends
+        from repro.core.kernels import wrap_for
+
+        assert wrap_for((24, 16)) == "modulo"
+        digests = {b: self._run_job(b) for b in sorted(available_backends())}
+        assert set(digests.values()) == {digests["numpy"]}, digests
+
+    def test_repro_run_on_a_24_by_16_grid(self, capsys):
+        from repro.cli import main
+
+        argv = ["run", "--grid", "24", "16", "--ordering", "row-major",
+                "--particles", "3000", "--steps", "5", "--seed", "5"]
+        assert main(argv) == 0
+        assert "grid=24x16" in capsys.readouterr().out
+
+    def test_3d_stepper_on_12_by_8_by_8(self):
+        from repro.core.backends import available_backends
+        from repro.pic3d import GridSpec3D, LandauDamping3D, PICStepper3D
+
+        digests = {}
+        for backend in sorted(available_backends()):
+            cfg = OptimizationConfig(ordering="row-major", backend=backend,
+                                     workers=2, sort_period=3)
+            st = PICStepper3D(GridSpec3D(12, 8, 8), LandauDamping3D(alpha=0.05),
+                              3000, dt=0.1, config=cfg)
+            try:
+                st.run(5)
+                assert st.iteration == 5
+                digests[backend] = state_digest(st)
+            finally:
+                st.close()
+        assert set(digests.values()) == {digests["numpy"]}
+
+
+class TestConstruction:
     def test_rejects_particles_and_case(self, grid):
         from repro.particles import make_storage
 

@@ -150,8 +150,6 @@ class TestCrossConfigPhysics:
         series = {}
         for ordering in ("row-major", "l4d", "morton", "hilbert"):
             cfg = OptimizationConfig(ordering=ordering)
-            if ordering == "hilbert":
-                cfg = cfg.with_(position_update="modulo")
             sim = Simulation(
                 grid, LandauDamping(alpha=0.1), 20_000, cfg,
                 dt=0.1, quiet=True, seed=None,

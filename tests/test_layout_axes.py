@@ -1,10 +1,11 @@
 """The layout, unit and sort axes are model axes: a :class:`ModelConfig`
 naming the point-based field layout (``field_layout="standard"``), AoS
 particles (``particle_layout="aos"``), un-hoisted units
-(``hoisting=False``) or the in-place sort (``sort_variant="in-place"``)
-— the model runs it through the stepper to harvest particle states —
-runs redundant rows, SoA columns, hoisted units and the one sort, and
-lands on the bits of the hoisted run.
+(``hoisting=False``), the in-place sort (``sort_variant="in-place"``)
+or a wrap (``position_update``) — the model runs it through the stepper
+to harvest particle states — runs redundant rows, SoA columns, hoisted
+units, the one sort and the grid's wrap, and lands on the bits of the
+hoisted run.
 
 The digests below were recorded by the code that still executed both
 layouts and both unit systems, from the hoisted run, where every
@@ -14,7 +15,8 @@ corner order, which is the redundant deposit plus its corner-order fold
 from +0.0, and the gather is the same left fold.  Each case takes a
 different ordering and push variant, so the decoded (row-major /
 column-major) coordinates, the reflecting wall and the Boris rotation
-are all in it.
+are all in it; the ``modulo`` and ``bitwise`` digests are the ones both
+wraps gave, and the wall case's fold never read the variant.
 """
 
 import numpy as np

@@ -152,9 +152,11 @@ def test_model_axis_lint_is_green_on_the_tree():
 
 def test_model_axis_lint_sees_a_read_at_any_depth(tmp_path):
     """Reading ``.field_layout`` / ``.particle_layout`` / ``.loop_mode``
-    / ``.hoisting`` / ``.sort_variant`` anywhere under ``src/repro/`` fails — inside a
-    method or a comprehension too, and in ``core/config.py``, which
-    holds the ledger's ``particle_layout`` constant but reads no axis;
+    / ``.hoisting`` / ``.sort_variant`` / ``.position_update`` anywhere
+    under ``src/repro/`` fails — inside a method or a comprehension too,
+    and in ``core/config.py``, which holds the ledger's
+    ``particle_layout`` and ``position_update`` constants but reads no
+    axis;
     only ``repro/model/`` may read them, and naming one as a keyword
     (building a config) or a dict key (an old archive's stored config)
     is no read."""
@@ -179,6 +181,11 @@ def test_model_axis_lint_sees_a_read_at_any_depth(tmp_path):
     )
     (pkg / "model" / "costmodel.py").write_text(
         "extra = not cfg.hoisting\nslow = cfg.sort_variant == 'in-place'\n"
+        "branchy = cfg.position_update == 'branch'\n"
+    )
+    (pkg / "core" / "reference.py").write_text(
+        "def push(self):\n"
+        "    return {a: self.config.position_update for a in 'xy'}\n"
     )
     (pkg / "core" / "sort.py").write_text(
         "def sort(self):\n"
@@ -186,17 +193,19 @@ def test_model_axis_lint_sees_a_read_at_any_depth(tmp_path):
     )
     (pkg / "core" / "clean.py").write_text(
         "cfg = Config(field_layout='standard', hoisting=False,\n"
-        "             sort_variant='in-place')\n"
+        "             sort_variant='in-place', position_update='branch')\n"
         "layout = 'aos'\nhoisted = saved.get('hoisting', True)\n"
     )
     errors = load_tool("check_imports").check_model_axes(tmp_path)
     assert sorted(e.split(": ", 1)[0].split("repro/", 1)[1] for e in errors) == [
-        "core/config.py:1", "core/sort.py:2", "core/stepper.py:3",
-        "pic3d/stepper3d.py:2", "verify/differ.py:1", "verify/differ.py:2",
+        "core/config.py:1", "core/reference.py:2", "core/sort.py:2",
+        "core/stepper.py:3", "pic3d/stepper3d.py:2", "verify/differ.py:1",
+        "verify/differ.py:2",
     ]
     assert any("reads .particle_layout" in e for e in errors)
     assert any("reads .hoisting" in e for e in errors)
     assert any("reads .sort_variant" in e for e in errors)
+    assert any("reads .position_update" in e for e in errors)
 
 
 def test_dimension_ratchet_is_by_name(tmp_path):

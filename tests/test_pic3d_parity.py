@@ -30,8 +30,7 @@ def _grid(ncx=8, ncy=4, ncz=4):
 
 def _config(**overrides):
     params = dict(
-        ordering="morton",
-        position_update="bitwise", sort_period=3,
+        ordering="morton", sort_period=3,
         backend="numpy",
     )
     params.update(overrides)
@@ -215,7 +214,6 @@ def _scenario_3d(**overrides) -> Scenario:
     params = dict(
         index=0, ncx=8, ncy=4, n_particles=1200, n_steps=5,
         case_name="two-stream", ordering="morton",
-        position_update="bitwise",
         sort_period=2,
         seed=1, dims=3, ncz=4,
     )

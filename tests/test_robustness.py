@@ -17,8 +17,9 @@ from repro.pic3d import GridSpec3D, LandauDamping3D, PICStepper3D
 
 
 def push_positions_bitwise(s, ncx, ncy, ordering):
-    """The in-place bitwise push of the NumPy kernels."""
-    get_backend("numpy").push(s, (ncx, ncy), ordering, "bitwise", (1.0, 1.0))
+    """The in-place push of the NumPy kernels (bitwise on these
+    power-of-two grids)."""
+    get_backend("numpy").push(s, (ncx, ncy), ordering, (1.0, 1.0))
 
 
 class TestEmptyAndTiny:

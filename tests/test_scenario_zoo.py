@@ -37,8 +37,7 @@ def _grid(ncx=32, ncy=8):
 
 def _config(**overrides):
     params = dict(
-        ordering="morton",
-        position_update="bitwise", sort_period=0,
+        ordering="morton", sort_period=0,
         backend="numpy",
     )
     params.update(overrides)
@@ -170,7 +169,6 @@ class TestVerificationHooks:
             s = Scenario(
                 index=0, ncx=16, ncy=8, n_particles=500, n_steps=4,
                 case_name=name, ordering="morton",
-                position_update="bitwise",
                 sort_period=0,
             )
             assert s.case() is not None

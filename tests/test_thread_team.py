@@ -4,10 +4,12 @@ A stepper on ``c`` runs update-v, the push and the sort's gathers on ``config.wo
 (:mod:`repro.core.team`).  These tests pin that
 
 * the shard cut and the thread-count rule (``taskset`` honoured);
-* every 2D ordering, wrap variant and step shape (one-pass ``advance``
-  and a hooked step's two loops), across a sort, at 1–8 threads, gives
-  the serial ``numpy`` run's bits phase by phase, and so do 3D Morton
-  and row-major;
+* every 2D ordering, priced wrap (a model axis: the grid picks the
+  executed one) and step shape (one-pass ``advance`` and a hooked
+  step's two loops), across a sort, at 1–8 threads, gives the serial
+  ``numpy`` run's bits phase by phase, and so do 3D Morton and
+  row-major — on power-of-two grids (the bitwise wrap) and on grids
+  that are not (the modulo wrap);
 * a bad cell raises the serial error before any shard writes, a
   trapped kernel gives the serial failure report, and no thread
   outlives its stepper;
@@ -44,6 +46,9 @@ pytestmark = pytest.mark.skipif(not CBackend.is_available(),
 B = 64
 N = 3 * B + 17
 ORDERINGS_2D = ["row-major", "column-major", "morton", "l4d", "hilbert"]
+#: the orderings that run any extents (Morton and Hilbert need powers of two)
+ANY_GRID_ORDERINGS_2D = ["row-major", "column-major", "l4d"]
+#: the values of the priced ``position_update`` axis
 VARIANTS = ["branch", "modulo", "bitwise"]
 THREADS = list(range(1, 9))
 
@@ -69,22 +74,24 @@ def _team_threads():
 
 
 def _stepper_2d(backend, workers, ordering="morton", variant="bitwise",
-                n=N, sort_period=3):
-    cfg = OptimizationConfig(ordering=ordering, position_update=variant,
-                             backend=backend, workers=workers,
-                             sort_period=sort_period)
-    grid = GridSpec(16, 16, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
+                n=N, sort_period=3, extents=(16, 16)):
+    """A 2D stepper; ``variant`` is the model's ``position_update``
+    axis, and every value runs the wrap ``extents`` pick."""
+    cfg = ModelConfig(ordering=ordering, position_update=variant,
+                      backend=backend, workers=workers,
+                      sort_period=sort_period)
+    grid = GridSpec(*extents, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
     return PICStepper(grid, cfg, case=LandauDamping(alpha=0.05),
                       n_particles=n, dt=0.1, seed=1)
 
 
-def _stepper_3d(backend, workers, ordering, sort_variant):
+def _stepper_3d(backend, workers, ordering, sort_variant, extents=(8, 8, 4)):
     """A 3D stepper; ``sort_variant`` is a model axis, and either value
     runs the one sort (on the team, split by row range)."""
     cfg = ModelConfig(ordering=ordering, backend=backend,
                       workers=workers, sort_period=3,
                       sort_variant=sort_variant)
-    grid = GridSpec3D(8, 8, 4, xmax=4 * np.pi, ymax=4 * np.pi, zmax=2 * np.pi)
+    grid = GridSpec3D(*extents, xmax=4 * np.pi, ymax=4 * np.pi, zmax=2 * np.pi)
     return PICStepper3D(grid, LandauDamping3D(alpha=0.05), N, dt=0.1,
                         config=cfg)
 
@@ -199,6 +206,31 @@ def test_team_equals_serial_numpy_3d(threads, ordering, hooked, sort_variant):
     want = _trail(_stepper_3d("numpy", None, ordering, sort_variant),
                   hooked=hooked)
     st = _stepper_3d("c", threads, ordering, sort_variant)
+    assert len(st._shards()) == (min(threads, 4) if threads > 1 else 0)
+    assert _trail(st, hooked=hooked) == want
+
+
+@pytest.mark.parametrize("hooked", [False, True], ids=["advance", "hooked"])
+@pytest.mark.parametrize("ordering", ANY_GRID_ORDERINGS_2D)
+@pytest.mark.parametrize("threads", THREADS)
+def test_team_equals_serial_numpy_on_a_modulo_grid_2d(threads, ordering, hooked):
+    """24 x 16 cells: the modulo wrap, on the team as in serial."""
+    assert kernels.wrap_for((24, 16)) == "modulo"
+    want = _trail(_stepper_2d("numpy", None, ordering, extents=(24, 16)),
+                  hooked=hooked)
+    st = _stepper_2d("c", threads, ordering, extents=(24, 16))
+    assert len(st._shards()) == (min(threads, 4) if threads > 1 else 0)
+    assert _trail(st, hooked=hooked) == want
+
+
+@pytest.mark.parametrize("hooked", [False, True], ids=["advance", "hooked"])
+@pytest.mark.parametrize("threads", THREADS)
+def test_team_equals_serial_numpy_on_a_modulo_grid_3d(threads, hooked):
+    """12 x 8 x 8 cells (row-major: Morton needs powers of two)."""
+    assert kernels.wrap_for((12, 8, 8)) == "modulo"
+    want = _trail(_stepper_3d("numpy", None, "row-major", "out-of-place",
+                              (12, 8, 8)), hooked=hooked)
+    st = _stepper_3d("c", threads, "row-major", "out-of-place", (12, 8, 8))
     assert len(st._shards()) == (min(threads, 4) if threads > 1 else 0)
     assert _trail(st, hooked=hooked) == want
 

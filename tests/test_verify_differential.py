@@ -41,26 +41,27 @@ from repro.verify import (
 ROOT = Path(__file__).resolve().parents[1]
 
 #: ``ScenarioSampler(0).sample(16)`` as the sampler with a loop mode
-#: axis, a field-layout axis, a hoisting axis and a sort-variant axis
-#: drew it (the hoisting and sort-variant draws dropped): (ncx, ncy,
-#: ncz, n_particles, n_steps, case, ordering, push, sort period, seed)
+#: axis, a field-layout axis, a hoisting axis, a sort-variant axis and a
+#: push-wrap axis drew it (the hoisting, sort-variant and push-wrap
+#: draws dropped): (ncx, ncy, ncz, n_particles, n_steps, case, ordering,
+#: sort period, seed)
 SEED_0_SCENARIOS = [
-    (16, 4, 4, 2000, 6, 'landau', 'row-major', 'branch', 0, 1746484540),
-    (32, 4, 1, 2000, 10, 'exb-drift', 'morton', 'modulo', 2, 1440696408),
-    (32, 8, 1, 9000, 10, 'landau', 'morton', 'branch', 5, 1162779116),
-    (32, 8, 1, 2000, 6, 'gaussian-bump', 'row-major', 'branch', 3, 552547096),
-    (32, 4, 1, 2000, 6, 'exb-drift', 'hilbert', 'bitwise', 3, 1478428096),
-    (32, 8, 1, 9000, 6, 'bounded-wall', 'morton', 'modulo', 2, 1543657889),
-    (8, 4, 4, 9000, 10, 'landau', 'morton', 'branch', 2, 1545136977),
-    (16, 16, 1, 2000, 10, 'gaussian-bump', 'column-major', 'branch', 3, 180421576),
-    (32, 4, 1, 2000, 10, 'two-stream', 'column-major', 'branch', 3, 1231901276),
-    (32, 4, 1, 2000, 10, 'beam-plasma', 'morton', 'branch', 2, 426303516),
-    (8, 4, 4, 2000, 10, 'two-stream', 'row-major', 'bitwise', 5, 428456153),
-    (8, 8, 4, 500, 6, 'two-stream', 'row-major', 'modulo', 5, 1991049241),
-    (32, 8, 1, 2000, 10, 'two-stream', 'l4d', 'bitwise', 2, 1296558497),
-    (8, 4, 4, 2000, 10, 'two-stream', 'row-major', 'modulo', 3, 494452713),
-    (8, 4, 4, 2000, 6, 'two-stream', 'morton', 'bitwise', 5, 396530696),
-    (16, 8, 1, 9000, 10, 'exb-drift', 'morton', 'branch', 5, 2107100304),
+    (16, 4, 4, 2000, 6, 'landau', 'row-major', 0, 1746484540),
+    (32, 4, 1, 2000, 10, 'exb-drift', 'morton', 2, 1440696408),
+    (32, 8, 1, 9000, 10, 'landau', 'morton', 5, 1162779116),
+    (32, 8, 1, 2000, 6, 'gaussian-bump', 'row-major', 3, 552547096),
+    (32, 4, 1, 2000, 6, 'exb-drift', 'hilbert', 3, 1478428096),
+    (32, 8, 1, 9000, 6, 'bounded-wall', 'morton', 2, 1543657889),
+    (8, 4, 4, 9000, 10, 'landau', 'morton', 2, 1545136977),
+    (16, 16, 1, 2000, 10, 'gaussian-bump', 'column-major', 3, 180421576),
+    (32, 4, 1, 2000, 10, 'two-stream', 'column-major', 3, 1231901276),
+    (32, 4, 1, 2000, 10, 'beam-plasma', 'morton', 2, 426303516),
+    (8, 4, 4, 2000, 10, 'two-stream', 'row-major', 5, 428456153),
+    (8, 8, 4, 500, 6, 'two-stream', 'row-major', 5, 1991049241),
+    (32, 8, 1, 2000, 10, 'two-stream', 'l4d', 2, 1296558497),
+    (8, 4, 4, 2000, 10, 'two-stream', 'row-major', 3, 494452713),
+    (8, 4, 4, 2000, 6, 'two-stream', 'morton', 5, 396530696),
+    (16, 8, 1, 9000, 10, 'exb-drift', 'morton', 5, 2107100304),
 ]
 
 
@@ -80,21 +81,20 @@ class TestScenarioSampler:
 
     def test_seed_0_names_the_scenarios_it_always_named(self):
         """Scenario k of seed 0 is the configuration it was before the
-        split/fused, field-layout, hoisting and sort-variant axes
-        retired (recorded
+        split/fused, field-layout, hoisting, sort-variant and push-wrap
+        axes retired (recorded
         from the samplers that still drew them), in every remaining
         field: the draws they made are still consumed in place."""
         got = [
             (s.ncx, s.ncy, s.ncz, s.n_particles, s.n_steps, s.case_name,
-             s.ordering, s.position_update,
-             s.sort_period, s.seed)
+             s.ordering, s.sort_period, s.seed)
             for s in ScenarioSampler(0).sample(16)
         ]
         assert got == SEED_0_SCENARIOS
 
     def test_scenarios_are_constructible(self):
         # every sampled scenario must produce a valid grid + config on
-        # every backend-independent axis (pow2 grid => bitwise legal)
+        # every backend-independent axis (pow2 grid => every ordering legal)
         for s in ScenarioSampler(seed=3).sample(20):
             grid = s.grid()
             assert grid.pow2
@@ -115,7 +115,6 @@ def _small_scenario(**overrides) -> Scenario:
     params = dict(
         index=0, ncx=32, ncy=8, n_particles=1500, n_steps=6,
         case_name="landau", ordering="morton",
-        position_update="bitwise",
         sort_period=2,
         seed=11,
     )
@@ -214,11 +213,8 @@ class TestReferenceBaseline:
     def test_reference_matches_numpy_bitwise_50_steps(self):
         grid = GridSpec(32, 8, xmax=4 * np.pi, ymax=2 * np.pi)
         case = LandauDamping(alpha=0.1, vth=1.0)
-        cfg = OptimizationConfig(
-            ordering="morton", position_update="bitwise",
-            sort_period=10,
-            backend="numpy",
-        )
+        cfg = OptimizationConfig(ordering="morton", sort_period=10,
+                                 backend="numpy")
         fast = PICStepper(grid, cfg, case=case, n_particles=300,
                           seed=3, quiet=True)
         ref = ReferenceStepper(grid, cfg, case=case, n_particles=300,
@@ -250,6 +246,31 @@ class TestReferenceBaseline:
             position_update=push, hoisting=hoist, sort_period=4,
             backend="numpy",
         )
+        fast = PICStepper(grid, cfg, case=case, n_particles=200,
+                          seed=5, quiet=True)
+        ref = ReferenceStepper(grid, cfg, case=case, n_particles=200,
+                               seed=5, quiet=True)
+        try:
+            fast.run(12)
+            ref.run(12)
+            for name in ("icell", "dx", "dy", "vx", "vy"):
+                a = np.asarray(getattr(fast.particles, name))
+                assert a.tobytes() == getattr(ref, name).tobytes(), name
+            assert np.asarray(fast.rho_grid).tobytes() == \
+                ref.rho_grid.tobytes()
+        finally:
+            fast.close()
+
+    def test_reference_matches_numpy_on_a_modulo_grid(self):
+        """24 x 8 cells: the reference and the stepper take the modulo
+        wrap from the same rule, and agree bitwise across sorts."""
+        from repro.core.kernels import wrap_for
+
+        grid = GridSpec(24, 8, xmax=4 * np.pi, ymax=2 * np.pi)
+        assert wrap_for(grid.shape) == "modulo"
+        case = LandauDamping(alpha=0.1, vth=1.0)
+        cfg = OptimizationConfig(ordering="row-major", sort_period=4,
+                                 backend="numpy")
         fast = PICStepper(grid, cfg, case=case, n_particles=200,
                           seed=5, quiet=True)
         ref = ReferenceStepper(grid, cfg, case=case, n_particles=200,

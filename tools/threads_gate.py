@@ -2,8 +2,9 @@
 """Threads gate: the ``c`` backend's thread team gives one thread's bits.
 
 Runs the team's promise matrix (``tests/test_thread_team.py``: 1–8
-threads over every 2D ordering, wrap variant and step shape, 3D Morton
-and row-major, errors and thread lifecycle) and the parent digests of
+threads over every 2D ordering and step shape, 3D Morton and
+row-major, both wraps — power-of-two grids and 24×16 / 12×8×8 —
+errors and thread lifecycle) and the parent digests of
 ``tests/test_cache_blocking.py`` (``c`` at 1, 2, 4 and 8 threads) twice:
 
 * unpinned, as the host schedules it;
