@@ -38,14 +38,18 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 from repro.core import OptimizationConfig, Simulation
 from repro.core.backends import get_backend
 from repro.grid import GridSpec
+from repro.model.config import ModelConfig
 from repro.model.experiments import default_scaled_machine
 from repro.model.openmp import ThreadScalingModel
 from repro.parallel.executor import MultiprocessBackend
 from repro.particles import LandauDamping
+
+from conftest import run_once
 
 GRID_SIDE = 64
 SIZES = (10_000, 100_000, 1_000_000)
@@ -84,7 +88,7 @@ def _run(backend, workers, n_particles, steps, repeats) -> dict:
 def _model_prediction(n_particles: int) -> dict:
     """Roofline-model speedups for the same loop mix (paper machine)."""
     model = ThreadScalingModel(default_scaled_machine())
-    cfg = _config("numpy")
+    cfg = ModelConfig(sort_period=20)
     totals = {
         p: sum(model.iteration_seconds(cfg, n_particles, p).values())
         for p in WORKERS
@@ -181,10 +185,6 @@ def _report(result: dict) -> str:
 
 def test_shm_scaling(benchmark):
     """pytest-benchmark entry: full sweep, JSON emitted to results/."""
-    import pytest
-
-    from conftest import run_once
-
     if not MultiprocessBackend.is_available():
         pytest.skip("POSIX shared memory unavailable")
     result = run_once(benchmark, measure_scaling)

@@ -485,6 +485,7 @@ def _cmd_verify(args) -> int:
         check_golden,
         golden_cases,
         load_golden,
+        modulo_scenario,
         run_all_oracles,
     )
 
@@ -496,7 +497,8 @@ def _cmd_verify(args) -> int:
         include_mp=not args.no_mp,
         mp_workers=args.mp_workers,
     )
-    for scenario in sampler.sample(args.samples):
+    # every sampled grid is a power of two: one fixed grid runs modulo
+    for scenario in [*sampler.sample(args.samples), modulo_scenario(args.samples)]:
         report = runner.run_scenario(scenario)
         print(report.describe())
         if not report.ok:
@@ -541,6 +543,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    import ctypes
     import signal
     import threading
 
@@ -552,6 +555,12 @@ def _cmd_serve(args) -> int:
                          "checkpoints live there)")
     gc_older_than = (parse_age(args.gc_older_than)
                      if args.gc_older_than is not None else None)
+    # keep arrays under 32 MiB on the heap and 64 MiB free at its top
+    # (glibc's M_MMAP_THRESHOLD -3 / M_TRIM_THRESHOLD -1): else a served
+    # job's NumPy phases fault their pages back in (EXPERIMENTS.md)
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", lambda *_: 0)
+    mallopt(-3, 32 << 20)
+    mallopt(-1, 64 << 20)
 
     def on_settle(job_id, doc):
         drift = doc.get("energy_drift")

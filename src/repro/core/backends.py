@@ -187,7 +187,7 @@ class KernelBackend(abc.ABC):
 
     @abc.abstractmethod
     def counting_sort_permutation(self, keys, ncells):
-        """Stable O(N + C) counting-sort permutation of ``keys``
+        """Stable counting-sort permutation of ``keys`` by cell
         (stability fixes it uniquely, whoever computes it)."""
 
     @abc.abstractmethod
@@ -437,8 +437,7 @@ class NumpyBackend(KernelBackend):
         return t1 - t0, time.perf_counter() - t1
 
     def counting_sort_permutation(self, keys, ncells):
-        """The vectorized histogram + prefix-sum + scatter of
-        :mod:`repro.particles.sorting`."""
+        """The 16-bit radix passes of :mod:`repro.particles.sorting`."""
         from repro.particles.sorting import counting_sort_permutation
 
         return counting_sort_permutation(keys, ncells)

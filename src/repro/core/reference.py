@@ -124,8 +124,8 @@ class ReferenceStepper:
     Drives the scalar kernels above through the full leap-frog cycle
     the optimized :class:`~repro.core.stepper.PICStepper` runs::
 
-        sort (counting sort, when due) -> interpolate + kick -> push
-        -> zero rho, deposit -> Poisson solve
+        sort (counting sort: at t=0, then when due) -> interpolate
+        + kick -> push -> zero rho, deposit -> Poisson solve
 
     and must agree with the numpy backend **bitwise**, step
     after step (``tests/test_verify_differential.py`` holds it to 50
@@ -140,6 +140,9 @@ class ReferenceStepper:
     (:func:`repro.core.kernels.wrap_for`); units are hoisted, as in the
     stepper.
     """
+
+    #: the particle columns, each a plain array attribute
+    _COLUMNS = ("icell", "ix", "iy", "dx", "dy", "vx", "vy")
 
     def __init__(
         self,
@@ -176,14 +179,10 @@ class ReferenceStepper:
         )
         self.weight = loaded.weight
         self.n = loaded.n
-        # plain contiguous copies: the reference owns its state outright
-        self.icell = np.array(loaded.icell, dtype=np.int64)
-        self.ix = np.array(loaded.ix, dtype=np.int64)
-        self.iy = np.array(loaded.iy, dtype=np.int64)
-        self.dx = np.array(loaded.dx, dtype=np.float64)
-        self.dy = np.array(loaded.dy, dtype=np.float64)
-        self.vx = np.array(loaded.vx, dtype=np.float64)
-        self.vy = np.array(loaded.vy, dtype=np.float64)
+        for name in self._COLUMNS:
+            setattr(self, name, loaded[name])
+        # the t=0 sort gathers plain copies: the reference owns its state
+        self._phase_sort()
         self.iteration = 0
         self._init_fields_and_stagger()
 
@@ -225,7 +224,7 @@ class ReferenceStepper:
         perm = counting_sort_permutation_reference(
             self.icell, self.ordering.ncells_allocated
         )
-        for name in ("icell", "ix", "iy", "dx", "dy", "vx", "vy"):
+        for name in self._COLUMNS:
             setattr(self, name, getattr(self, name)[perm])
 
     def _phase_update_v(self) -> None:

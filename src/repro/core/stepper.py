@@ -406,6 +406,8 @@ class PICStepper(StepLoop):
                 f"({self.particles.store_coords} vs {config.effective_store_coords})"
             )
         self._attach_runtime()
+        if case is not None:  # Fig. 1's line 1: sort at t=0
+            self._phase_sort()
         #: physical (Ex, Ey) at grid points from the latest solve
         self.ex_grid = np.zeros((grid.ncx, grid.ncy))
         self.ey_grid = np.zeros((grid.ncx, grid.ncy))

@@ -21,7 +21,7 @@ class GridSpec:
     ``ncx`` and ``ncy`` are kept as powers of two throughout the paper
     (the bitwise periodic wrap of §IV-C3 requires it); this class allows
     arbitrary sizes, on which the push wraps by modulo
-    (:func:`repro.core.kernels.wrap_for`), and exposes :attr:`pow2`.
+    (:func:`repro.core.kernels.wrap_for`).
     """
 
     ncx: int
@@ -79,11 +79,6 @@ class GridSpec:
     @property
     def area(self) -> float:
         return self.lx * self.ly
-
-    @property
-    def pow2(self) -> bool:
-        """True when both extents are powers of two (bitwise wrap legal)."""
-        return not (self.ncx & (self.ncx - 1)) and not (self.ncy & (self.ncy - 1))
 
     # ------------------------------------------------------------------
     def to_grid_coords(self, x_phys, y_phys) -> tuple[np.ndarray, np.ndarray]:

@@ -122,9 +122,6 @@ class MachineSpec:
     def cycle_ns(self) -> float:
         return 1.0 / self.freq_ghz
 
-    def miss_penalty(self, level_index: int) -> float:
-        return self.levels[level_index].miss_penalty_cycles
-
     def scaled(self, factor: int, name_suffix: str | None = None) -> "MachineSpec":
         """Shrink all cache capacities by ``factor`` (geometry otherwise kept).
 

@@ -513,7 +513,6 @@ def load_particles(
     seed: int | None = 0,
     quiet: bool = False,
     density: float = 1.0,
-    presorted: bool = True,
     store_coords: bool = True,
 ) -> ParticleStorage:
     """Sample ``n`` particles of ``case`` into a particle container.
@@ -522,8 +521,9 @@ def load_particles(
     represents a plasma of mean number density ``density``:
     ``w = density * area / n`` (so ``sum w = density * Lx * Ly``).
 
-    ``presorted=True`` performs the initial sort by cell index that the
-    pseudo-code's initialization step requires (line 1 of Fig. 1).
+    The particles come in sample order, unsorted: the initial sort by
+    cell index of Fig. 1's line 1 is the stepper's, which runs at
+    construction the sort it runs every ``sort_period``.
     """
     rng = np.random.default_rng(seed) if seed is not None else None
     if not quiet and rng is None:
@@ -532,10 +532,6 @@ def load_particles(
     xg, yg = grid.to_grid_coords(x_phys, y_phys)
     ix, iy, dxo, dyo = grid.split_coords(xg, yg)
     icell = ordering.encode(ix, iy)
-    if presorted:
-        order = np.argsort(icell, kind="stable")
-        icell, ix, iy = icell[order], ix[order], iy[order]
-        dxo, dyo, vx, vy = dxo[order], dyo[order], vx[order], vy[order]
     weight = density * grid.area / n
     storage = make_storage(layout, n, weight=weight, store_coords=store_coords)
     storage.set_state(

@@ -18,21 +18,24 @@ Every function in this module is a pure function of its array inputs;
 none keeps global mutable state, so all are thread-safe to call
 concurrently.
 
-The permutation itself (:func:`counting_sort_permutation`) is a *real*
-O(N + C) counting sort — histogram (``np.bincount``), exclusive prefix
-sum (``np.cumsum``), stable scatter — not an ``np.argsort`` call.  The
-scatter pass, the one step NumPy has no primitive for, is executed at
-C speed through SciPy's COO→CSR conversion, whose inner loop is
-exactly the counting-sort cursor scatter (stable: within each cell the
-original particle order survives).  On 2M keys over 4096 cells this
-measures ~5x faster than ``np.argsort(kind="stable")``.  The ``c`` backend
-runs the cursor loop itself (``sort_permutation`` in ``ckernels.c``).
+The permutation itself (:func:`counting_sort_permutation`) is an LSD
+radix sort over 16-bit digits of the cell index, each pass one stable
+``np.argsort`` of a ``uint16`` digit, which NumPy runs as a counting
+sort: one pass up to 2**16 cells, one more per further 16 bits of
+``ncells - 1``.  The ``c`` backend runs the cursor loop itself
+(``sort_permutation`` in ``ckernels.c``).
+
+Per call, min of 9 (NumPy 2.4, one core of a 2-CPU x86-64 AVX-512
+host), SciPy's COO→CSR scatter it replaced → these passes, in ms:
+4,000 keys over 512 cells 0.10 → 0.027; 1M over 16,384 21.4 → 17.1
+random, 12.3 → 9.8 nearly sorted (one key in ten moved by a cell);
+two passes, 262,144 over 262,144 5.4 → 8.0, and the worst case, 1M
+over 262,144 nearly sorted, 13.9 → 20.7 (only ``numpy`` runs it).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 __all__ = [
     "counting_sort_permutation",
@@ -41,19 +44,15 @@ __all__ = [
 
 
 def counting_sort_permutation(keys: np.ndarray, ncells: int) -> np.ndarray:
-    """Stable permutation sorting ``keys`` ascending — a true counting sort.
+    """Stable permutation sorting ``keys`` ascending — radix passes.
 
-    Histogram + exclusive prefix sum fix each cell's output slice; the
-    stable scatter (particle ``p`` with the ``r``-th smallest key lands
-    at position ``r``, ties keeping input order) runs in C via the
-    COO→CSR conversion, which performs literally
-    ``perm[cursor[k]] = p; cursor[k] += 1`` over the particles in input
-    order.  O(N + ncells) time, one index array of transient memory.
+    One stable 16-bit argsort per digit of ``ncells - 1``, least
+    significant first (the module docstring); O(N) per pass.
 
     Returns ``perm`` such that ``keys[perm]`` is sorted.
 
     Equivalence promise: stability makes the permutation *unique*, so
-    every implementation in the repo (this scatter, the Python
+    every implementation in the repo (these passes, the Python
     reference, the C cursor loop) returns the bitwise-identical
     index array.  Thread-safety: a pure
     function of ``keys`` — no module state is touched, concurrent calls
@@ -65,14 +64,11 @@ def counting_sort_permutation(keys: np.ndarray, ncells: int) -> np.ndarray:
         raise ValueError("keys out of range [0, ncells)")
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    mat = sparse.csr_matrix(
-        (
-            np.broadcast_to(np.int8(1), (n,)),
-            (keys.astype(np.int64, copy=False), np.arange(n, dtype=np.int64)),
-        ),
-        shape=(int(ncells), n),
-    )
-    return mat.indices.astype(np.int64, copy=False)
+    perm = np.argsort(keys.astype(np.uint16), kind="stable")
+    for shift in range(16, (int(ncells) - 1).bit_length(), 16):
+        digit = (keys[perm] >> shift).astype(np.uint16)
+        perm = perm[np.argsort(digit, kind="stable")]
+    return perm.astype(np.int64, copy=False)
 
 
 def counting_sort_permutation_reference(keys: np.ndarray, ncells: int) -> np.ndarray:

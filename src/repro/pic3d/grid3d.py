@@ -58,7 +58,3 @@ class GridSpec3D:
     def volume(self) -> float:
         lx, ly, lz = self.lengths
         return lx * ly * lz
-
-    @property
-    def pow2(self) -> bool:
-        return all(not (n & (n - 1)) for n in self.shape)

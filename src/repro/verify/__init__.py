@@ -28,7 +28,7 @@ regeneration workflow; the ``repro verify`` CLI subcommand is the
 front door.
 """
 
-from repro.verify.configspace import Scenario, ScenarioSampler
+from repro.verify.configspace import Scenario, ScenarioSampler, modulo_scenario
 from repro.verify.differ import (
     Combo,
     DifferentialRunner,
@@ -49,6 +49,7 @@ from repro.verify.oracles import OracleResult, run_all_oracles
 __all__ = [
     "Scenario",
     "ScenarioSampler",
+    "modulo_scenario",
     "Combo",
     "DifferentialRunner",
     "Divergence",

@@ -12,7 +12,8 @@ runner sweeps per scenario, so they live in
 matrix: a divergence report can be replayed bit-for-bit from its seed
 and index.  The sampler respects the codebase's structural
 constraints (power-of-two grids so that every ordering is legal,
-populations on both sides of the kernels' cache-block size).
+populations on both sides of the kernels' cache-block size); the push
+wraps by modulo only in the fixed :func:`modulo_scenario`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from repro.particles.initializers import (
     TwoStream,
 )
 
-__all__ = ["Scenario", "ScenarioSampler"]
+__all__ = ["Scenario", "ScenarioSampler", "modulo_scenario"]
 
 #: Sampling pools — every entry must be legal on every grid in
 #: ``_GRID_POOL`` (all power-of-two, so all five orderings are
@@ -137,6 +138,14 @@ class Scenario:
             f"n={self.n_particles} {self.ordering} "
             f"{sort}"
         )
+
+
+def modulo_scenario(index: int) -> Scenario:
+    """24 x 16 cells, row-major: what ``repro verify`` runs after the
+    sampled scenarios, as scenario ``index``, drawing nothing."""
+    return Scenario(index=index, ncx=24, ncy=16, n_particles=2000,
+                    n_steps=10, case_name="landau", ordering="row-major",
+                    sort_period=3)
 
 
 @dataclass

@@ -6,7 +6,12 @@ import pytest
 from repro.core import OptimizationConfig, PICStepper
 from repro.grid import GridSpec, RedundantFields
 from repro.model.config import ModelConfig
-from repro.particles import LandauDamping, ParticleSoA
+from repro.particles import (
+    LandauDamping,
+    ParticleSoA,
+    counting_sort_permutation_reference,
+    load_particles,
+)
 from repro.verify.golden import state_digest
 
 
@@ -20,6 +25,24 @@ def make_stepper(grid, cfg, n=4000, **kw):
     kw.setdefault("quiet", True)
     kw.setdefault("seed", None)
     return PICStepper(grid, cfg, case=LandauDamping(alpha=0.05), n_particles=n, **kw)
+
+
+def _available(name):
+    from repro.core.backends import available_backends
+
+    return pytest.param(name, marks=pytest.mark.skipif(
+        name not in available_backends(), reason=f"{name} unavailable"))
+
+
+def reference_sorted_load(grid, ordering, n=4000, seed=None, quiet=True):
+    """What ``make_stepper`` loads, permuted by the scalar counting sort:
+    the t=0 order every case-built stepper reaches through its own
+    ``_phase_sort``."""
+    loaded = load_particles(grid, ordering, LandauDamping(alpha=0.05), n,
+                            seed=seed, quiet=quiet, store_coords=True)
+    perm = counting_sort_permutation_reference(
+        np.asarray(loaded.icell), ordering.ncells_allocated)
+    return loaded.reorder(perm)
 
 
 class TestNonPowerOfTwoGrids:
@@ -110,6 +133,30 @@ class TestConstruction:
             assert type(s.fields) is RedundantFields
             assert type(s.particles) is ParticleSoA
 
+    @pytest.mark.parametrize("backend", [_available(b) for b in ("numpy", "c", "numpy-mp")])
+    def test_case_built_stepper_sorts_at_t0(self, grid, backend):
+        """The loader hands over sample order; the t=0 store is that
+        order permuted by the scalar counting sort, and equals, bit for
+        bit, a stepper handed the sorted store as ``particles=``."""
+        cfg = OptimizationConfig(ordering="hilbert", backend=backend, workers=2)
+        built = make_stepper(grid, cfg, n=3000, seed=4, quiet=False)
+        try:
+            want = reference_sorted_load(grid, built.ordering, 3000, seed=4,
+                                         quiet=False)
+            for k in ("icell", "ix", "iy", "dx", "dy"):
+                assert (np.asarray(built.particles[k]).tobytes()
+                        == want[k].tobytes()), k
+            handed = PICStepper(grid, cfg, particles=want, dt=0.1)
+            try:
+                assert handed.particles.keys() == built.particles.keys()
+                for k in built.particles.keys():
+                    assert (np.asarray(built.particles[k]).tobytes()
+                            == np.asarray(handed.particles[k]).tobytes()), k
+            finally:
+                handed.close()
+        finally:
+            built.close()
+
     def test_initial_fields_computed(self, grid):
         s = make_stepper(grid, OptimizationConfig(), n=5000)
         # Landau perturbation must produce a nonzero initial Ex
@@ -166,12 +213,9 @@ class TestStepInvariants:
         """Stored velocities are grid displacement per step: converted
         back, they are the loaded physical velocities after the t=0
         half-kick of the stored (pre-scaled) field, ``-E_s/2``."""
-        from repro.particles.initializers import load_particles
-
         st = make_stepper(grid, OptimizationConfig(), n=2000)
         p = st.particles
-        v0 = load_particles(grid, st.ordering, LandauDamping(alpha=0.05), 2000,
-                            seed=None, quiet=True, store_coords=True)
+        v0 = reference_sorted_load(grid, st.ordering, 2000)
         e_s = st.backend.interpolate_rows(st.fields.e_1d, p.icell, (p.dx, p.dy))
         for v, v_0, e, h in zip(st.physical_velocities(), (v0.vx, v0.vy), e_s,
                                 (grid.dx, grid.dy)):
@@ -238,13 +282,6 @@ class TestConfigEquivalence:
             s.run(self.REFERENCE_STEPS)
             fe = 0.5 * np.sum(s.ex_grid**2 + s.ey_grid**2)
             assert fe == pytest.approx(reference_energy, rel=1e-9), variant
-
-
-def _available(name):
-    from repro.core.backends import available_backends
-
-    return pytest.param(name, marks=pytest.mark.skipif(
-        name not in available_backends(), reason=f"{name} unavailable"))
 
 
 #: (label, dims, config overrides): the default (Morton), L4D (encoded

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.kernels import wrap_for
 from repro.grid import GridSpec
 
 
@@ -34,7 +35,9 @@ class TestConstruction:
 
     @pytest.mark.parametrize("ncx,ncy,expect", [(8, 8, True), (8, 12, False), (3, 4, False)])
     def test_pow2_flag(self, ncx, ncy, expect):
-        assert GridSpec(ncx, ncy).pow2 is expect
+        # the extents alone pick the wrap: bitwise on powers of two
+        wrap = wrap_for(GridSpec(ncx, ncy).shape)
+        assert (wrap == "bitwise") is expect
 
     def test_frozen(self):
         g = GridSpec(8, 8)

@@ -9,6 +9,7 @@ from repro.particles import (
     LandauDamping,
     TwoStream,
     UniformMaxwellian,
+    counting_sort_permutation_reference,
     halton_sequence,
     load_particles,
     sample_perturbed_positions,
@@ -128,18 +129,30 @@ class TestLoadParticles:
         p = load_particles(grid, o, LandauDamping(), 1000, density=2.0)
         assert p.weight * p.n == pytest.approx(2.0 * grid.area)
 
-    def test_presorted_by_cell(self, grid):
+    def test_loads_in_sample_order(self, grid):
+        """The loader does not sort (the stepper does, at t=0): particle
+        ``k`` is the case's ``k``-th sample."""
         o = get_ordering("morton", 16, 16)
         p = load_particles(grid, o, LandauDamping(alpha=0.1), 5000, seed=1)
-        assert np.all(np.diff(np.asarray(p.icell)) >= 0)
-
-    def test_unsorted_option(self, grid):
-        o = get_ordering("row-major", 16, 16)
-        p = load_particles(
-            grid, o, LandauDamping(alpha=0.1), 5000, seed=1, presorted=False,
-            store_coords=False,
-        )
+        x, y, vx, _ = LandauDamping(alpha=0.1).sample(
+            5000, grid, np.random.default_rng(1), False)
+        ix, iy, _, _ = grid.split_coords(*grid.to_grid_coords(x, y))
         assert np.any(np.diff(np.asarray(p.icell)) < 0)
+        np.testing.assert_array_equal(np.asarray(p.icell), o.encode(ix, iy))
+        np.testing.assert_array_equal(np.asarray(p.vx), vx)
+
+    def test_reference_sort_orders_the_load(self, grid):
+        """The loaded store permuted by the counting sort is sorted by
+        cell, its rows moved whole."""
+        o = get_ordering("row-major", 16, 16)
+        p = load_particles(grid, o, LandauDamping(alpha=0.1), 5000, seed=1,
+                           store_coords=False)
+        before = p.as_dict()
+        perm = counting_sort_permutation_reference(before["icell"], o.ncells_allocated)
+        p.reorder(perm)
+        assert np.all(np.diff(np.asarray(p.icell)) >= 0)
+        for k, col in before.items():
+            np.testing.assert_array_equal(np.asarray(p[k]), col[perm])
 
     def test_icell_consistent_with_coords(self, grid):
         o = get_ordering("l4d", 16, 16, size=4)

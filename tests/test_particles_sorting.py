@@ -2,6 +2,11 @@
 it — to its own columns (the one sort every stepper runs) or into a
 second store."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -38,10 +43,23 @@ class TestCountingSortPermutation:
         np.testing.assert_array_equal(perm, [1, 3, 0, 2, 4])
 
     def test_matches_reference(self, rng):
-        keys = rng.integers(0, 16, 300)
-        fast = counting_sort_permutation(keys, 16)
-        ref = counting_sort_permutation_reference(keys, 16)
-        np.testing.assert_array_equal(fast, ref)
+        """One radix pass up to 2**16 cells, two past it: random and
+        nearly sorted keys (one in ten moved by a cell), both ends of
+        the key range present."""
+        for ncells in (16, 1, 3, 1 << 16, (1 << 16) + 1, 1 << 20):
+            for nearly_sorted in (False, True):
+                keys = np.concatenate(
+                    [[ncells - 1, 0], rng.integers(0, ncells, 3000)])
+                if nearly_sorted:
+                    keys.sort()
+                    moved = rng.random(keys.size) < 0.1
+                    keys[moved] = (keys[moved]
+                                   + rng.integers(-1, 2, moved.sum())) % ncells
+                fast = counting_sort_permutation(keys, ncells)
+                assert fast.dtype == np.int64
+                np.testing.assert_array_equal(
+                    fast, counting_sort_permutation_reference(keys, ncells),
+                    err_msg=f"{ncells} cells, nearly sorted: {nearly_sorted}")
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -133,3 +151,29 @@ class TestStorageSorting:
             assert np.all(np.diff(np.asarray(st.particles.icell)) >= 0)
         finally:
             st.close()
+
+
+_NO_SCIPY_PROBE = """
+import sys
+import repro.core, repro.service, repro.cli
+from repro.service import PICJob
+
+sim = PICJob(grid=(16, 16), n_particles=2000, seed=1).build_simulation()
+try:
+    sim.run(5)
+finally:
+    sim.close()
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_a_job_never_loads_scipy():
+    """The permutation is NumPy's own: importing the engine, the
+    service and the CLI and running a job load no SciPy module."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_PROBE], capture_output=True,
+        text=True, timeout=300, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

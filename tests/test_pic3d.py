@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.backends import get_backend
-from repro.core.kernels import accumulate_rows, corner_weights, interpolate_rows
+from repro.core.kernels import (
+    accumulate_rows, corner_weights, interpolate_rows, wrap_for,
+)
 from repro.curves import MortonOrdering, RowMajorOrdering, get_ordering
 from repro.grid.fields import RedundantFields, corner_offsets
 from repro.grid.poisson import SpectralPoissonSolver
@@ -63,8 +65,8 @@ class TestGrid3D:
         assert g.cell_volume == pytest.approx(0.125)
 
     def test_pow2(self):
-        assert GridSpec3D(4, 8, 16).pow2
-        assert not GridSpec3D(4, 6, 16).pow2
+        assert wrap_for(GridSpec3D(4, 8, 16).shape) == "bitwise"
+        assert wrap_for(GridSpec3D(4, 6, 16).shape) == "modulo"
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import OptimizationConfig
+from repro.core.kernels import wrap_for
 from repro.pic3d import GridSpec3D, PICStepper3D, TwoStream3D
 from repro.verify.configspace import Scenario, ScenarioSampler
 from repro.verify.differ import DifferentialRunner, Perturbation
@@ -228,7 +229,7 @@ class TestDiffer3D:
         assert three_d, "the dims axis must produce 3D scenarios"
         for s in three_d:
             grid = s.grid3d()
-            assert grid.pow2
+            assert wrap_for(grid.shape) == "bitwise"
             assert s.case_name in ("landau", "two-stream")
             assert s.case3d() is not None
             assert "3d" in s.label()

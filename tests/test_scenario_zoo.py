@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import OptimizationConfig
+from repro.core.kernels import wrap_for
 from repro.core.stepper import PICStepper
 from repro.grid.spec import GridSpec
 from repro.model.config import ModelConfig
@@ -77,7 +78,7 @@ class TestInitializers:
 
     def test_default_grids_are_pow2(self):
         for case in (BoundedPlasma(), BeamPlasma(), MagnetizedExB()):
-            assert case.default_grid().pow2
+            assert wrap_for(case.default_grid().shape) == "bitwise"
 
 
 # ----------------------------------------------------------------------

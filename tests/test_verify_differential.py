@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import OptimizationConfig
+from repro.core.kernels import wrap_for
 from repro.core.reference import ReferenceStepper
 from repro.core.stepper import PICStepper
 from repro.grid.spec import GridSpec
@@ -36,6 +37,7 @@ from repro.verify import (
     generate_golden,
     golden_cases,
     load_golden,
+    modulo_scenario,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -97,7 +99,7 @@ class TestScenarioSampler:
         # every backend-independent axis (pow2 grid => every ordering legal)
         for s in ScenarioSampler(seed=3).sample(20):
             grid = s.grid()
-            assert grid.pow2
+            assert wrap_for(grid.shape) == "bitwise"
             cfg = s.config(backend="numpy")
             assert cfg.ordering == s.ordering
             assert s.case() is not None
@@ -132,6 +134,17 @@ class TestDifferentialRunner:
         reports = runner.run(ScenarioSampler(seed=0).sample(3))
         for report in reports:
             assert report.ok, report.describe()
+
+    def test_modulo_scenario_wraps_by_modulo_on_every_combo(self):
+        """The fixed scenario ``repro verify`` runs after the sampled
+        ones: a 24 x 16 grid, whose push no sampled scenario runs."""
+        scenario = modulo_scenario(8)
+        assert scenario.index == 8
+        assert wrap_for(scenario.grid().shape) == "modulo"
+        report = DifferentialRunner(include_mp=True, mp_workers=2).run_scenario(
+            scenario)
+        assert report.pairs and report.sort_permutation_ok
+        assert report.ok, report.describe()
 
     def test_mp_combo_is_bitwise(self):
         runner = DifferentialRunner(include_mp=True, mp_workers=2)
