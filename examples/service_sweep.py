@@ -23,7 +23,7 @@ from repro.service import JobEngine, JobState, PICJob
 
 def base_job(**overrides):
     kw = dict(grid=(16, 16), n_particles=2_000, steps=40, dt=0.05,
-              backend="numpy", checkpoint_every=10)
+              checkpoint_every=10)
     kw.update(overrides)
     return PICJob(**kw)
 

@@ -59,6 +59,7 @@ def _run_description(**defaults) -> argparse.ArgumentParser:
     job.add_argument("--ordering", choices=available_orderings(),
                      default="morton")
     job.add_argument("--backend", choices=(AUTO, *known_backend_names()),
+                     default=AUTO,
                      help="kernel execution backend (default: %(default)s; "
                      "numpy-mp fans the particle loops out over worker "
                      "processes)")
@@ -84,8 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser(
         "run", help="run a simulation case",
-        parents=[_run_description(particles=100_000, dt=0.1, grid=(64, 16),
-                                  backend="auto")],
+        parents=[_run_description(particles=100_000, dt=0.1, grid=(64, 16))],
     )
     run.add_argument("--every", type=int, default=10,
                      help="print diagnostics every N steps")
@@ -233,8 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     smt = sub.add_parser(
         "submit", help="queue a job document into a spool directory",
-        parents=[_run_description(particles=10_000, dt=0.05, grid=(32, 16),
-                                  backend="numpy")],
+        parents=[_run_description(particles=10_000, dt=0.05, grid=(32, 16))],
     )
     smt.add_argument("--spool", required=True, metavar="DIR",
                      help="spool directory a 'repro serve' watches")

@@ -78,6 +78,39 @@ class GuardViolation:
         }
 
 
+def _nonfinite(arr) -> int:
+    """How many elements of ``arr`` are NaN or ±inf.
+
+    One reduction, no N-sized temporary, on the clean path: NaN and
+    ±inf propagate through a sum, so a finite sum proves every element
+    finite.  Only a non-finite sum (a poisoned array, or finite values
+    whose sum overflows) pays for the exact count."""
+    arr = np.asarray(arr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(arr.sum()):
+            return 0
+    return arr.size - int(np.count_nonzero(np.isfinite(arr)))
+
+
+def _outside(arr, hi) -> int:
+    """How many elements of ``arr`` lie outside ``[0, hi]`` (NaN is
+    not counted).
+
+    One reduction, no N-sized temporary, on the clean path: read as
+    unsigned integers of the same width, the bit patterns of ``[+0,
+    hi]`` are exactly those up to ``hi``'s own — a negative int or
+    float sets the sign bit, and NaN, ``-0.0`` and anything above
+    ``hi`` read larger too — so ``max() <= bits(hi)`` proves the whole
+    array in bounds.  Anything else pays for the exact count, which
+    leaves out NaN (and ``-0.0``, which is in bounds)."""
+    arr = np.asarray(arr)
+    bits = np.dtype(f"u{arr.dtype.itemsize}")
+    top = np.asarray(hi, arr.dtype).view(bits)
+    if not arr.size or arr.view(bits).max() <= top:
+        return 0
+    return int(np.count_nonzero((arr < 0) | (arr > hi)))
+
+
 class Guard:
     """One invariant check.  Subclasses set :attr:`name` and implement
     :meth:`check` returning ``None`` (ok) or a :class:`GuardViolation`."""
@@ -114,16 +147,14 @@ class FiniteGuard(Guard):
     def check(self, stepper, history, step):
         p = stepper.particles
         for attr in self._PARTICLE_ARRAYS:
-            arr = np.asarray(getattr(p, attr))
-            bad = arr.size - int(np.isfinite(arr).sum())
+            bad = _nonfinite(getattr(p, attr))
             if bad:
                 return self._violation(
                     step, f"{bad} non-finite value(s) in particles.{attr}",
                     value=bad,
                 )
         for attr in self._GRID_ARRAYS:
-            arr = np.asarray(getattr(stepper, attr))
-            bad = arr.size - int(np.isfinite(arr).sum())
+            bad = _nonfinite(getattr(stepper, attr))
             if bad:
                 return self._violation(
                     step, f"{bad} non-finite value(s) in {attr}", value=bad,
@@ -144,29 +175,25 @@ class CellBoundsGuard(Guard):
 
     def check(self, stepper, history, step):
         p = stepper.particles
-        icell = np.asarray(p.icell)
         nalloc = stepper.ordering.ncells_allocated
-        if icell.size:
-            bad = int(((icell < 0) | (icell >= nalloc)).sum())
+        bad = _outside(p.icell, nalloc - 1)
+        if bad:
+            return self._violation(
+                step,
+                f"{bad} particle(s) outside the allocated cell range "
+                f"[0, {nalloc})",
+                value=bad, threshold=nalloc,
+            )
+        for attr in ("dx", "dy"):
+            # NaN is never counted: non-finite offsets are the finite
+            # guard's finding, not a bounds breach
+            bad = _outside(getattr(p, attr), 1.0)
             if bad:
                 return self._violation(
                     step,
-                    f"{bad} particle(s) outside the allocated cell range "
-                    f"[0, {nalloc})",
-                    value=bad, threshold=nalloc,
+                    f"{bad} particle(s) with {attr} outside [0, 1]",
+                    value=bad,
                 )
-        for attr in ("dx", "dy"):
-            off = np.asarray(getattr(p, attr))
-            if off.size:
-                # NaN compares false on purpose: non-finite offsets are
-                # the finite guard's finding, not a bounds breach
-                bad = int(((off < 0.0) | (off > 1.0)).sum())
-                if bad:
-                    return self._violation(
-                        step,
-                        f"{bad} particle(s) with {attr} outside [0, 1]",
-                        value=bad,
-                    )
         return None
 
 

@@ -93,7 +93,10 @@ class PICJob:
         Cell ordering for the redundant field layout (any name of
         :func:`repro.curves.available_orderings`).
     backend:
-        Kernel-execution backend (``"auto"`` resolves at build time).
+        Kernel-execution backend.  The default ``"auto"`` resolves at
+        build time: ``"c"`` where it builds, else ``"numpy"`` (the two
+        are bitwise equal, so the choice moves time, never results).
+        A job stored with an explicit name runs on that backend.
         ``"numpy-mp"`` jobs each own a private worker pool and
         :class:`~repro.parallel.shm.SharedArena` — jobs never share
         shared-memory segments.
@@ -154,7 +157,7 @@ class PICJob:
     dt: float = 0.05
     alpha: float | None = None
     ordering: str = "morton"
-    backend: str = "numpy"
+    backend: str = "auto"
     workers: int | None = None
     seed: int | None = None
     domain: tuple[float, float, float, float] | None = None

@@ -308,11 +308,21 @@ class TestOneFrontDoor:
     def test_flags_and_defaults_are_the_parents(self, verb):
         """No verb gained, lost or re-defaulted a flag when `run` and
         `submit` moved their ten shared flags to one argparse parent
-        (fixture: the same table dumped at the PR 22 commit)."""
+        (fixture: the same table dumped at the PR 22 commit).  One value
+        has moved since, on purpose: `submit.backend.default` is `auto`,
+        the one backend default `run`, `submit` and `PICJob` share."""
         import json
 
         recorded = json.loads((DATA / "cli_flags_pr22.json").read_text())
         assert flag_table(verb_parser(verb)) == recorded[verb]
+
+    def test_one_backend_default(self):
+        from repro.cli import _job_from_args
+        from repro.service import PICJob
+
+        for argv in (["run"], ["submit", "--spool", "s"]):
+            args = build_parser().parse_args(argv)
+            assert _job_from_args(args).backend == PICJob().backend == "auto"
 
     @pytest.mark.parametrize("name", CASE_NAMES)
     def test_every_case_on_every_front_door(self, name):

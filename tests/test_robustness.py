@@ -172,6 +172,11 @@ from repro.resilience import (
     SupervisionError,
     truncate_file,
 )
+from repro.resilience.guards import (  # noqa: E402
+    CellBoundsGuard,
+    FiniteGuard,
+    GuardViolation,
+)
 
 
 def _landau_sim(backend="numpy", n=2000, **cfg_kw):
@@ -236,6 +241,128 @@ class TestGuards:
             np.asarray(sim.particles.vx)[0] = np.inf
             assert suite.check(sim.stepper, sim.history, 3) == []
             assert len(suite.check(sim.stepper, sim.history, 5)) == 1
+
+
+def _exact_finite(stepper, step):
+    """The finite guard's verdict by a mask count over every array."""
+    scans = [(stepper.particles, FiniteGuard._PARTICLE_ARRAYS, "particles."),
+             (stepper, FiniteGuard._GRID_ARRAYS, "")]
+    for owner, attrs, prefix in scans:
+        for attr in attrs:
+            arr = np.asarray(getattr(owner, attr))
+            bad = arr.size - int(np.isfinite(arr).sum())
+            if bad:
+                return GuardViolation(
+                    "finite", step,
+                    f"{bad} non-finite value(s) in {prefix}{attr}", float(bad))
+    return None
+
+
+def _exact_cells(stepper, step):
+    """The cells guard's verdict by a mask count over every column."""
+    p = stepper.particles
+    nalloc = stepper.ordering.ncells_allocated
+    icell = np.asarray(p.icell)
+    bad = int(((icell < 0) | (icell >= nalloc)).sum())
+    if bad:
+        return GuardViolation(
+            "cells", step,
+            f"{bad} particle(s) outside the allocated cell range "
+            f"[0, {nalloc})",
+            float(bad), float(nalloc))
+    for attr in ("dx", "dy"):
+        off = np.asarray(getattr(p, attr))
+        bad = int(((off < 0.0) | (off > 1.0)).sum())
+        if bad:
+            return GuardViolation(
+                "cells", step, f"{bad} particle(s) with {attr} outside [0, 1]",
+                float(bad))
+    return None
+
+
+#: plants for every finite-guard array: (name, values), put at
+#: positions 3 and 200 of the flattened array
+_FINITE_PLANTS = [
+    ("nan", [np.nan]),
+    ("+inf", [np.inf]),
+    ("-inf", [-np.inf]),
+    ("+inf,-inf", [np.inf, -np.inf]),
+    ("overflowing-sum", [1e308, 1e308]),
+]
+
+#: plants for the cells guard's columns; ``"nalloc"`` stands for the
+#: ordering's ``ncells_allocated``
+_CELL_PLANTS = [
+    ("icell", "-1", [-1]),
+    ("icell", "nalloc", ["nalloc"]),
+    ("icell", "both-ends", [-1, "nalloc"]),
+    *[(col, name, vals) for col in ("dx", "dy") for name, vals in [
+        ("-1e-17", [-1e-17]),
+        ("1+ulp", [1.0 + 2.0 ** -52]),
+        ("nan", [np.nan]),
+        ("-nan", [-np.nan]),
+        ("-0.0", [-0.0]),
+        ("+inf", [np.inf]),
+        ("overflowing-sum", [1e308, 1e308]),
+    ]],
+]
+
+
+class TestGuardFastPath:
+    """``finite`` and ``cells`` settle a clean state with one reduction
+    per array; whatever the planted value, their verdict (name, step,
+    value, threshold, message) is the exact mask count's."""
+
+    STEP = 4
+
+    def _plant_and_check(self, owner, attr, vals):
+        with _landau_sim() as sim:
+            sim.run(2)
+            owner = sim.stepper if owner == "stepper" else sim.particles
+            arr = np.asarray(getattr(owner, attr))
+            nalloc = sim.stepper.ordering.ncells_allocated
+            vals = [nalloc if v == "nalloc" else v for v in vals]
+            np.put(arr, [3, 200][:len(vals)], vals)
+            st = sim.stepper
+            got = {g.name: g.check(st, sim.history, self.STEP)
+                   for g in (FiniteGuard(), CellBoundsGuard())}
+            want = {"finite": _exact_finite(st, self.STEP),
+                    "cells": _exact_cells(st, self.STEP)}
+            assert got == want
+            return got
+
+    def test_clean_state_passes_both(self):
+        with _landau_sim() as sim:
+            sim.run(2)
+            assert _exact_finite(sim.stepper, 0) is None
+            assert _exact_cells(sim.stepper, 0) is None
+            assert FiniteGuard().check(sim.stepper, sim.history, 0) is None
+            assert CellBoundsGuard().check(sim.stepper, sim.history, 0) is None
+
+    @pytest.mark.parametrize("plant", _FINITE_PLANTS, ids=lambda p: p[0])
+    @pytest.mark.parametrize("attr", [*FiniteGuard._PARTICLE_ARRAYS,
+                                      *FiniteGuard._GRID_ARRAYS])
+    def test_finite_plants(self, attr, plant):
+        name, vals = plant
+        particle = attr in FiniteGuard._PARTICLE_ARRAYS
+        owner = "particles" if particle else "stepper"
+        got = self._plant_and_check(owner, attr, vals)
+        if name == "overflowing-sum":  # finite values: the guard is silent
+            assert got["finite"] is None
+        else:
+            assert got["finite"].value == len(vals)
+            assert attr in got["finite"].message
+
+    @pytest.mark.parametrize("col, name, vals", _CELL_PLANTS,
+                             ids=[f"{c}-{n}" for c, n, _ in _CELL_PLANTS])
+    def test_cell_plants(self, col, name, vals):
+        got = self._plant_and_check("particles", col, vals)
+        if name in ("nan", "-nan"):  # the finite guard's, not a bounds breach
+            assert got["cells"] is None and got["finite"].value == 1
+        elif name == "-0.0":  # in bounds: -0.0 == 0.0
+            assert got == {"cells": None, "finite": None}
+        else:
+            assert got["cells"].value == len(vals)
 
 
 class TestFaultInjector:

@@ -8,11 +8,13 @@ scan after engine shutdown.
 
 from __future__ import annotations
 
+import dataclasses
 import pathlib
 
 import numpy as np
 import pytest
 
+from repro.core.backends import CBackend
 from repro.resilience.faultinject import FaultInjector
 from repro.service import (
     JobEngine,
@@ -474,6 +476,46 @@ class TestZooThroughTheService:
         assert res.ok
         assert res.history.as_dict() == ref.history.as_dict()
         assert final_digests[job.steps] == want
+
+
+class TestDefaultBackend:
+    """A job that names no backend runs ``auto``: ``c`` where it builds,
+    ``numpy`` where it does not — the same bits either way."""
+
+    @staticmethod
+    def default_job() -> PICJob:
+        job = dataclasses.replace(small_job(), backend=PICJob.backend)
+        assert job.backend == "auto"
+        return job
+
+    @staticmethod
+    def served(job: PICJob, final_digests):
+        with JobEngine(max_workers=1) as engine:
+            res = engine.result(engine.submit(job), timeout=60)
+        assert res.ok
+        return res, final_digests.pop(job.steps)
+
+    def test_default_job_runs_on_c(self, final_digests):
+        if not CBackend.is_available():
+            pytest.skip("no C compiler")
+        res, _ = self.served(self.default_job(), final_digests)
+        assert res.supervisor["backend_history"] == ["c"]
+
+    def test_default_job_bitwise_equals_numpy(self, final_digests):
+        job = self.default_job()
+        res, digest = self.served(job, final_digests)
+        ref, want = self.served(dataclasses.replace(job, backend="numpy"),
+                                final_digests)
+        assert ref.supervisor["backend_history"] == ["numpy"]
+        assert res.history.as_dict() == ref.history.as_dict()
+        assert digest == want
+
+    def test_default_job_without_a_compiler_runs_numpy(self, monkeypatch,
+                                                       final_digests):
+        monkeypatch.setattr(CBackend, "is_available",
+                            classmethod(lambda cls: False))
+        res, _ = self.served(self.default_job(), final_digests)
+        assert res.supervisor["backend_history"] == ["numpy"]
 
 
 # ----------------------------------------------------------------------

@@ -249,6 +249,9 @@ class TestEngineRecovery:
             assert engine.stats.resumes == 1
         assert first["step"] == 102  # resumed from the parked iteration
         assert result.ok and result.steps_done == job.steps
+        # the backend the journal stores, not today's default
+        assert job.backend == "numpy"
+        assert result.supervisor["backend_history"] == ["numpy"]
         n = len(sidecar.times)  # iterations 0..101
         assert {k: v[:n] for k, v in result.history.as_dict().items()} == \
             sidecar.as_dict()

@@ -67,7 +67,7 @@ def build_campaign(n_jobs: int, steps: int) -> list[tuple[str, PICJob]]:
         (f"chaos-{i:02d}",
          PICJob(case=cases[i % len(cases)], grid=(16, 16),
                 n_particles=8000 + 500 * i, steps=steps,
-                checkpoint_every=10, backend="numpy", seed=7 + i))
+                checkpoint_every=10, seed=7 + i))
         for i in range(n_jobs)
     ]
 

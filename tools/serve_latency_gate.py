@@ -42,7 +42,7 @@ def main() -> int:
     poll = build_parser().parse_args(["serve", "--spool", "x"]).poll
     limit = poll / 2
     job = PICJob(case="landau", grid=(16, 16), n_particles=1500, steps=10,
-                 backend="numpy", seed=3)
+                 seed=3)
     with tempfile.TemporaryDirectory(prefix="repro-latency-gate-") as tmp:
         spool = pathlib.Path(tmp) / "spool"
         try:
