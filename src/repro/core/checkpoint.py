@@ -8,13 +8,19 @@ fields (which are deterministic functions of the particles, but saving
 them avoids an extra solve and preserves bit-exactness across the
 restart boundary).
 
-The 2D and the 3D entry points are two thin descriptions — which
-metadata, which grid arrays, which stepper class — over one body: one
-atomic writer, one archive reader/validator, one state restore.
+One pair of entry points serves both dimensions: the archive's grid
+record (two extents and two ranges, or three of each) names the grid
+class a restore builds, and the dimension names the metadata key that
+holds the format version (``format_version`` in 2D,
+``format_version_3d`` in 3D, so that a reader of one dimension only
+ever read its own).  ``save_checkpoint_3d`` / ``load_checkpoint_3d``
+are the same two functions under the names the benchmark ledger calls.
 
-Crash safety: the writer writes to a ``.tmp`` sibling, fsyncs, and
-atomically renames into place, so an interrupted save can never leave
-a torn archive under the final name.  The reader rejects
+Crash safety: :func:`write_atomic` writes to a ``.tmp`` sibling,
+fsyncs, and atomically renames into place, so an interrupted save can
+never leave a torn file under the final name; the job journal's
+whole-document writer (:func:`repro.service.journal.write_json_atomic`)
+goes through it too.  The reader rejects
 torn/corrupt/incomplete archives with :class:`CheckpointMismatchError`
 instead of leaking ``zipfile`` or ``KeyError`` tracebacks — the error
 type the run supervisor (:mod:`repro.resilience.supervisor`) relies on
@@ -37,6 +43,7 @@ from repro.core.config import OptimizationConfig
 from repro.core.stepper import PICStepper
 from repro.grid.spec import GridSpec
 from repro.particles.storage import ParticleSoA, particle_fields
+from repro.pic3d.grid3d import GridSpec3D
 
 __all__ = [
     "save_checkpoint",
@@ -44,6 +51,7 @@ __all__ = [
     "save_checkpoint_3d",
     "load_checkpoint_3d",
     "CheckpointMismatchError",
+    "write_atomic",
 ]
 
 #: config fields that give the stored arrays their meaning; a restore
@@ -132,49 +140,22 @@ def _saved_config(meta: dict, path) -> tuple[OptimizationConfig, bool]:
 
 
 # ----------------------------------------------------------------------
-# The one body: writer, reader, restore
+# The atomic writer
 # ----------------------------------------------------------------------
-def _write_archive(stepper, path, meta: dict, compress) -> pathlib.Path:
-    """Write particles + grids + ``meta`` to ``path`` (.npz), atomically.
-
-    The particle columns are stored in the stepper's internal (hoisted)
-    units, one array per column; the stored config names no
-    ``hoisting`` (a :class:`repro.model.config.ModelConfig` naming
-    un-hoisted units ran hoisted, and so are its arrays) and no
-    ``position_update`` (the grid picked the wrap).  The archive
-    is first written to a ``<name>.tmp`` sibling, flushed and fsynced, then
-    moved over the final name with :func:`os.replace` — a crash
-    mid-save leaves at worst a stale ``.tmp`` file, never a torn
-    archive where a previous good checkpoint used to be.
-    """
+def write_atomic(path, write) -> pathlib.Path:
+    """Create ``path`` atomically and durably: ``write(fh)`` fills a
+    ``<name>.tmp`` sibling opened for binary writing, which is flushed,
+    fsynced and moved over ``path`` with :func:`os.replace`, then the
+    directory is fsynced so the rename is durable too (best effort on
+    filesystems whose directories cannot be).  A crash mid-write leaves
+    at worst a stale ``.tmp`` sibling, never a torn file where a
+    previous good one used to be; on any error the ``.tmp`` is removed
+    and the error re-raised."""
     path = pathlib.Path(path)
-    version_key, version, grid_arrays = _FORMATS[stepper.particles.ndim]
-    arrays = {
-        _array_key(name): np.asarray(column)
-        for name, column in stepper.particles.items()
-    }
-    arrays.update((name, getattr(stepper, name)) for name in grid_arrays)
-    meta = {
-        **meta,
-        version_key: version,
-        "iteration": stepper.iteration,
-        "dt": stepper.dt,
-        "q": stepper.q,
-        "m": stepper.m,
-        "weight": stepper.particles.weight,
-        "config": json.dumps(
-            {k: v for k, v in asdict(stepper.config).items()
-             if k not in ("hoisting", "position_update")},
-            sort_keys=True,
-        ),
-    }
-    if path.suffix != ".npz":
-        path = path.with_name(path.name + ".npz")
     tmp = path.with_name(path.name + ".tmp")
-    writer = np.savez_compressed if compress else np.savez
     try:
         with open(tmp, "wb") as fh:
-            writer(fh, _meta=json.dumps(meta), **arrays)
+            write(fh)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -184,7 +165,7 @@ def _write_archive(stepper, path, meta: dict, compress) -> pathlib.Path:
         except OSError:
             pass
         raise
-    try:  # make the rename itself durable (best effort on odd filesystems)
+    try:
         dir_fd = os.open(path.parent, os.O_RDONLY)
         try:
             os.fsync(dir_fd)
@@ -195,21 +176,92 @@ def _write_archive(stepper, path, meta: dict, compress) -> pathlib.Path:
     return path
 
 
+# ----------------------------------------------------------------------
+# Save and load, either dimension
+# ----------------------------------------------------------------------
+def _grid_record(grid) -> list:
+    """``[*extents, min, max per axis]``: six numbers in 2D, nine in 3D."""
+    return [*grid.shape, *(getattr(grid, a + end)
+                           for a in "xyz"[: len(grid.shape)]
+                           for end in ("min", "max"))]
+
+
+def _grid_from_record(record):
+    """The grid a :func:`_grid_record` describes."""
+    ndim = len(record) // 3
+    cls = GridSpec if ndim == 2 else GridSpec3D
+    return cls(*(int(nc) for nc in record[:ndim]), *record[ndim:])
+
+
+def save_checkpoint(stepper: PICStepper, path, *, compress: bool = False) -> pathlib.Path:
+    """Write the stepper's full state to ``path`` (.npz), atomically.
+
+    Returns the path written (with ``.npz`` appended if missing, the
+    same normalisation :func:`numpy.savez` applies).
+
+    The particle columns are stored in the stepper's internal (hoisted)
+    units, one array per column, beside the solved grids; the stored
+    config names no ``hoisting`` (a :class:`repro.model.config.ModelConfig`
+    naming un-hoisted units ran hoisted, and so are its arrays) and no
+    ``position_update`` (the grid picked the wrap).
+
+    ``compress`` defaults to off: particle phase space is high-entropy
+    float64, so deflate shrinks the archive by well under half while
+    costing ~30x the write time — the wrong trade on the supervisor's
+    checkpoint cadence.  Pass ``compress=True`` for archival
+    checkpoints where size matters more than latency.
+    """
+    path = pathlib.Path(path)
+    p = stepper.particles
+    version_key, version, grid_arrays = _FORMATS[p.ndim]
+    arrays = {_array_key(name): np.asarray(column) for name, column in p.items()}
+    arrays.update((name, getattr(stepper, name)) for name in grid_arrays)
+    meta = {
+        version_key: version,
+        "iteration": stepper.iteration,
+        "dt": stepper.dt,
+        "q": stepper.q,
+        "m": stepper.m,
+        "eps0": stepper.eps0,
+        "weight": p.weight,
+        # the one stored particle layout; older loaders build their
+        # store from this key, this one ignores it
+        "layout": "soa",
+        "store_coords": p.store_coords,
+        "grid": _grid_record(stepper.grid),
+        # scenario-zoo physics attributes; absent keys on old archives
+        # restore to the plain periodic electrostatic defaults
+        "boundary": stepper.boundary,
+        "bz": stepper.bz,
+        "ext_e": list(stepper.ext_e),
+        "config": json.dumps(
+            {k: v for k, v in asdict(stepper.config).items()
+             if k not in ("hoisting", "position_update")},
+            sort_keys=True,
+        ),
+    }
+    if path.suffix != ".npz":
+        path = path.with_name(path.name + ".npz")
+    writer = np.savez_compressed if compress else np.savez
+    return write_atomic(
+        path, lambda fh: writer(fh, _meta=json.dumps(meta), **arrays))
+
+
 @contextlib.contextmanager
-def _open_archive(path, ndim, config):
-    """Open, validate and config-check an ``ndim``-dimensional archive;
+def _open_archive(path, config):
+    """Open, validate and config-check an archive of either dimension;
     yields ``(meta, data, config, hoisted)`` with ``config`` defaulted
     to the saved one and ``hoisted`` whether the stored velocities are
     (:func:`_saved_config`).
 
-    Everything unusable — truncated or corrupt archives, unknown
-    format versions (including a checkpoint of the other dimension),
-    missing arrays, a state-incompatible ``config`` — raises
+    Everything unusable — truncated or corrupt archives, a grid record
+    of neither dimension, unknown format versions (including a format
+    key of the other dimension than the grid record's), missing arrays,
+    a state-incompatible ``config`` — raises
     :class:`CheckpointMismatchError`, never a raw
     :mod:`zipfile`/``KeyError`` traceback.
     """
     path = pathlib.Path(path)
-    version_key, version, grid_arrays = _FORMATS[ndim]
     try:
         npz = np.load(path, allow_pickle=False)
     except _CORRUPT_ERRORS as exc:
@@ -224,6 +276,13 @@ def _open_archive(path, ndim, config):
                 f"checkpoint {path} has a missing or corrupt metadata "
                 f"record: {exc}"
             ) from exc
+        ndim = len(meta.get("grid") or ()) // 3
+        if ndim not in _FORMATS or len(meta["grid"]) != 3 * ndim:
+            raise CheckpointMismatchError(
+                f"checkpoint {path} has no 2D or 3D grid record: "
+                f"{meta.get('grid')!r}"
+            )
+        version_key, version, grid_arrays = _FORMATS[ndim]
         if meta.get(version_key) != version:
             raise CheckpointMismatchError(
                 f"unsupported checkpoint version: {version_key} is "
@@ -254,85 +313,22 @@ def _open_archive(path, ndim, config):
             ) from exc
 
 
-def _restore(stepper, grid, config, particles, meta, data, hoisted,
-             instrumentation):
-    """Fill a blank stepper (``cls.__new__``) with checkpointed state —
-    no re-initialization, the state is given.  Physical velocities
-    (``hoisted`` false) are converted to grid displacement per step by
-    the constructor's own expression, once."""
-    stepper.grid = grid
-    stepper.config = config
-    stepper.dt = float(meta["dt"])
-    stepper.q = float(meta["q"])
-    stepper.m = float(meta["m"])
-    stepper._build_fields()
-    particles.set_state(
-        **{name: data[_array_key(name)] for name in particles.keys()}
-    )
-    if not hoisted:
-        for a, h in zip("xyz", grid.spacings):
-            particles["v" + a][:] = particles["v" + a] * (stepper.dt / h)
-    stepper.particles = particles
-    stepper._attach_runtime(instrumentation)
-    stepper.iteration = int(meta["iteration"])
-    for name in _FORMATS[particles.ndim][2]:
-        setattr(stepper, name, np.array(data[name]))
-    # reload the stored-unit field into the layout so the next
-    # update-velocities sees exactly what it would have seen
-    stepper._load_fields()
-    # backend hook, as in the constructors: multi-process backends
-    # relocate the restored state into shared memory here (values are
-    # copied verbatim, so the restore stays bit-exact)
-    stepper._prepare()
-    return stepper
-
-
-# ----------------------------------------------------------------------
-# 2D
-# ----------------------------------------------------------------------
-def save_checkpoint(stepper: PICStepper, path, *, compress: bool = False) -> pathlib.Path:
-    """Write the stepper's full state to ``path`` (.npz), atomically.
-
-    Returns the path written (with ``.npz`` appended if missing, the
-    same normalisation :func:`numpy.savez` applies).
-
-    ``compress`` defaults to off: particle phase space is high-entropy
-    float64, so deflate shrinks the archive by well under half while
-    costing ~30x the write time — the wrong trade on the supervisor's
-    checkpoint cadence.  Pass ``compress=True`` for archival
-    checkpoints where size matters more than latency.
-    """
-    p, g = stepper.particles, stepper.grid
-    meta = {
-        "eps0": stepper.eps0,
-        # the one stored particle layout; older loaders build their
-        # store from this key, this one ignores it
-        "layout": "soa",
-        "store_coords": p.store_coords,
-        "grid": [g.ncx, g.ncy, g.xmin, g.xmax, g.ymin, g.ymax],
-        # scenario-zoo physics attributes; absent keys on old archives
-        # restore to the plain periodic electrostatic defaults
-        "boundary": stepper.boundary,
-        "bz": stepper.bz,
-        "ext_e": list(stepper.ext_e),
-    }
-    return _write_archive(stepper, path, meta, compress)
-
-
 def load_checkpoint(
     path,
     config: OptimizationConfig | None = None,
     *,
     instrumentation=None,
 ) -> PICStepper:
-    """Rebuild a stepper from a checkpoint.
+    """Rebuild a stepper from a checkpoint of either dimension.
 
     ``config`` defaults to the checkpointed one; passing a different
     config is allowed only if it is state-compatible (same ordering) —
     anything else would silently reinterpret the stored arrays.  An
     archive written by an un-hoisted run (physical velocities) is
-    converted to hoisted units on load.  The particle columns are the ones the archive
-    stored (its ``store_coords`` record).
+    converted to hoisted units on load, by the constructor's own
+    expression.  The particle columns are the ones the archive stored
+    (its ``store_coords`` record; an archive without one stored the
+    coordinates).
     Switching the *backend* is explicitly state-compatible: that is how
     the run supervisor degrades a failing backend during a rollback.
 
@@ -341,63 +337,47 @@ def load_checkpoint(
     into (rollback keeps one wall-clock ledger per run); by default a
     fresh recorder is created.
 
+    The restore is no re-initialization: the state is given, the
+    stored field is loaded into the rows as the next update-v would
+    have seen it, and the backend hook relocates the state into shared
+    memory on multi-process backends (values copied verbatim).
+
     Raises :class:`CheckpointMismatchError` for anything unusable.
     """
-    with _open_archive(path, 2, config) as (meta, data, config, hoisted):
-        ncx, ncy, xmin, xmax, ymin, ymax = meta["grid"]
+    with _open_archive(path, config) as (meta, data, config, hoisted):
+        grid = _grid_from_record(meta["grid"])
         stepper = PICStepper.__new__(PICStepper)
-        stepper.eps0 = float(meta["eps0"])
+        stepper.grid = grid
+        stepper.config = config
+        stepper.dt = float(meta["dt"])
+        stepper.q = float(meta["q"])
+        stepper.m = float(meta["m"])
+        stepper.eps0 = float(meta.get("eps0", 1.0))
         # scenario-zoo physics: wall boundary, magnetization, drive field
-        # (pre-zoo checkpoints carry none of these -> periodic defaults)
+        # (pre-zoo and 3D archives of earlier writers carry none of
+        # these -> periodic defaults)
         stepper.boundary = str(meta.get("boundary", "periodic"))
         stepper.bz = float(meta.get("bz", 0.0))
         stepper.ext_e = tuple(float(v) for v in meta.get("ext_e", (0.0, 0.0)))
-        particles = ParticleSoA(
-            len(data["icell"]), meta["weight"], meta["store_coords"]
+        stepper._build_fields()
+        particles = ParticleSoA(len(data["icell"]), meta["weight"],
+                                meta.get("store_coords", True), len(grid.shape))
+        particles.set_state(
+            **{name: data[_array_key(name)] for name in particles.keys()}
         )
-        return _restore(
-            stepper, GridSpec(int(ncx), int(ncy), xmin, xmax, ymin, ymax),
-            config, particles, meta, data, hoisted, instrumentation,
-        )
+        if not hoisted:
+            for v, h in zip(stepper._columns("v", particles), grid.spacings):
+                v[:] = v * (stepper.dt / h)
+        stepper.particles = particles
+        stepper._attach_runtime(instrumentation)
+        stepper.iteration = int(meta["iteration"])
+        for name in _FORMATS[particles.ndim][2]:
+            setattr(stepper, name, np.array(data[name]))
+        stepper._load_fields()
+        stepper._prepare()
+        return stepper
 
 
-# ----------------------------------------------------------------------
-# 3D
-# ----------------------------------------------------------------------
-def save_checkpoint_3d(stepper, path, *, compress: bool = False) -> pathlib.Path:
-    """Write a :class:`~repro.pic3d.stepper3d.PICStepper3D`'s state —
-    :func:`save_checkpoint` for the 3D stepper."""
-    g = stepper.grid
-    meta = {
-        "grid": [g.ncx, g.ncy, g.ncz,
-                 g.xmin, g.xmax, g.ymin, g.ymax, g.zmin, g.zmax],
-    }
-    return _write_archive(stepper, path, meta, compress)
-
-
-def load_checkpoint_3d(
-    path,
-    config: OptimizationConfig | None = None,
-    *,
-    instrumentation=None,
-):
-    """Rebuild a :class:`~repro.pic3d.stepper3d.PICStepper3D` —
-    :func:`load_checkpoint` for 3D archives, with the same ``config``
-    compatibility rule (the ordering must agree; the backend may
-    change) and ``instrumentation`` hand-over."""
-    from repro.pic3d.grid3d import GridSpec3D
-    from repro.pic3d.stepper3d import PICStepper3D
-
-    with _open_archive(path, 3, config) as (meta, data, config, hoisted):
-        ncx, ncy, ncz, xmin, xmax, ymin, ymax, zmin, zmax = meta["grid"]
-        grid = GridSpec3D(
-            int(ncx), int(ncy), int(ncz),
-            xmin=xmin, xmax=xmax, ymin=ymin, ymax=ymax, zmin=zmin, zmax=zmax,
-        )
-        particles = ParticleSoA(
-            len(data["icell"]), meta["weight"], store_coords=True, ndim=3
-        )
-        return _restore(
-            PICStepper3D.__new__(PICStepper3D), grid, config, particles,
-            meta, data, hoisted, instrumentation,
-        )
+#: the names the benchmark ledger calls for 3D archives
+save_checkpoint_3d = save_checkpoint
+load_checkpoint_3d = load_checkpoint

@@ -201,7 +201,7 @@ class Simulation:
         self.history.kinetic_energy.append(
             kinetic_energy(
                 p.vx, p.vy, p.weight, st.m,
-                scale=(st._vel_scale_x, st._vel_scale_y),
+                scale=st._vel_scales,
                 scratch=self._ke_scratch, backend=st.backend,
             )
         )

@@ -1,4 +1,4 @@
-"""The leap-frog PIC time stepper (Fig. 1 of the paper).
+"""The leap-frog PIC time stepper (Fig. 1 of the paper), 2D or 3D.
 
 One :class:`PICStepper` instance owns the grid, the field storage, the
 particle storage, and the Poisson solver, and advances the coupled
@@ -15,7 +15,7 @@ The particle loops run split (§IV-A), over redundant field rows
 pass of the backend's :meth:`~repro.core.backends.KernelBackend.advance`
 (``c`` runs the two loops block by block, so that update-x reads what
 update-v just streamed from cache), then the deposit as its own full
-pass.  A step with a :attr:`StepLoop.phase_hook`, and the zoo's Python
+pass.  A step with a :attr:`PICStepper.phase_hook`, and the zoo's Python
 bodies, run update-v and update-x as two full passes instead, to the
 same bits.  Cache blocking is otherwise not the stepper's business: the
 NumPy kernels block internally (:mod:`repro.core.kernels`).
@@ -30,19 +30,24 @@ are multiply-free; the stepper converts back to physical units for
 diagnostics.  The un-hoisted baseline of Table IV is priced by
 :mod:`repro.model` only.
 
-:class:`StepLoop` is the loop itself — sort cadence, phase order,
-hooks, instrumentation, backend lifecycle — and the phase bodies over
-the redundant rows in hoisted units, the solve (ρ fold, Poisson,
-scaled field broadcast) included, written once over ``grid.shape``
-and the particle store's axis columns.
-:class:`PICStepper` adds what only 2D has (Boris / external drive, the
-reflecting wall);
-:class:`repro.pic3d.stepper3d.PICStepper3D` is a constructor, a loader,
-the energies and its field scales.
+Dimensions
+----------
+The paper's data structures do not depend on the dimension, and
+neither does this class: it takes a :class:`~repro.grid.spec.GridSpec`
+or a :class:`~repro.pic3d.grid3d.GridSpec3D` and reads of it only
+``grid.shape``, ``grid.spacings`` and the cell measure (their
+product).  One constructor, one loader
+(:func:`~repro.particles.initializers.load_particles`), one set of
+unit scales (one factor per axis), one t=0 stagger, one set of phase
+bodies and one solve serve both.  What only 2D has is the scenario
+zoo's physics (Boris / external drive, the reflecting wall), which a
+3D grid refuses; :class:`repro.pic3d.stepper3d.PICStepper3D` is a
+constructor adapter with the legacy 3D signature.
 """
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -54,44 +59,180 @@ from repro.core.team import ThreadTeam, shard_slices, usable_cpus
 from repro.curves.base import get_ordering
 from repro.grid.fields import RedundantFields
 from repro.grid.poisson import SpectralPoissonSolver
-from repro.grid.spec import GridSpec
-from repro.particles.initializers import InitialCondition, load_particles
+from repro.particles.initializers import load_particles
 from repro.particles.storage import ParticleStorage
 from repro.perf.instrument import Instrumentation, StepTimings
 
-__all__ = ["StepLoop", "PICStepper", "StepTimings"]
+__all__ = ["PICStepper", "StepTimings"]
 
 #: the solved field's grid-point components, physical units, per axis
 _E_GRID = ("ex_grid", "ey_grid", "ez_grid")
 
 
-class StepLoop:
-    """Fig. 1's main loop over whatever state a subclass owns.
+class PICStepper:
+    """Advance a periodic Vlasov–Poisson system by leap-frog, 2d2v on a
+    :class:`~repro.grid.spec.GridSpec` or 3d3v on a
+    :class:`~repro.pic3d.grid3d.GridSpec3D`.
 
-    A subclass builds ``grid``, ``config``, ``ordering``, ``fields``,
-    ``solver`` and ``particles`` (a
-    :class:`~repro.particles.storage.ParticleStorage`), then calls
-    :meth:`_attach_runtime` and :meth:`_prepare`, and supplies
-    ``_charge_factor`` and ``_field_scales``.  The phase bodies here
-    serve redundant rows in hoisted units; a subclass with more cases
-    overrides the body and falls through to these.
+    Parameters
+    ----------
+    grid:
+        The spatial grid; its number of axes is the run's dimension.
+    config:
+        The cell ordering, sort period and backend to run.
+    particles:
+        Pre-built particle storage (physical velocities); mutually
+        exclusive with ``case``.
+    case, n_particles, seed, quiet:
+        Alternatively, an initial condition to sample (its ``sample``
+        returns positions then velocities, one array per axis).  The
+        scenario zoo's attributes (``boundary``, ``bz``, ``ext_e``) are
+        read off the case, in 2D only.
+    dt:
+        Time step (plasma-frequency units with the defaults).
+    q, m:
+        Charge and mass of the macro-particles' species (electrons by
+        default: ``q=-1, m=1``); a uniform neutralizing background is
+        implied by the zero-mean Poisson solve.
     """
 
     # scenario-zoo attributes as class-level defaults so instances
     # reconstructed via ``__new__`` (the checkpoint loader, including
-    # pre-zoo checkpoints) and steppers without a zoo (3D) behave as
-    # plain periodic electrostatic steppers unless the case says
-    # otherwise
+    # pre-zoo checkpoints) behave as plain periodic electrostatic
+    # steppers unless the archive says otherwise
     boundary = "periodic"
     bz = 0.0
     ext_e = (0.0, 0.0)
-    #: whether update-v or update-x is a Python body of the zoo, which
-    #: the backend's one-pass :meth:`KernelBackend.advance` cannot run
-    _zoo_phases = False
+
+    def __init__(
+        self,
+        grid,
+        config: OptimizationConfig,
+        *,
+        particles: ParticleStorage | None = None,
+        case=None,
+        n_particles: int | None = None,
+        dt: float = 0.05,
+        q: float = -1.0,
+        m: float = 1.0,
+        eps0: float = 1.0,
+        seed: int | None = 0,
+        quiet: bool = False,
+    ):
+        if not dt > 0:
+            raise ValueError("dt must be positive")
+        self.grid = grid
+        self.config = config
+        self.dt = float(dt)
+        self.q = float(q)
+        self.m = float(m)
+        self.eps0 = float(eps0)
+        # scenario-zoo extensions, carried as attributes *on the case*
+        # (defaults reproduce the plain periodic electrostatic stepper
+        # bit for bit): a non-periodic boundary, a uniform out-of-plane
+        # magnetic field, a uniform external electric field
+        self.boundary = str(getattr(case, "boundary", "periodic") or "periodic")
+        if self.boundary not in ("periodic", "reflecting"):
+            raise ValueError(
+                f"unsupported boundary {self.boundary!r} "
+                "(periodic or reflecting)"
+            )
+        self.bz = float(getattr(case, "bz", 0.0) or 0.0)
+        ext = getattr(case, "ext_e", None) or (0.0, 0.0)
+        self.ext_e = (float(ext[0]), float(ext[1]))
+        if self._zoo_phases and len(grid.shape) != 2:
+            raise ValueError("walls, Boris rotation and external drive are 2D only")
+        self._build_fields()
+
+        if particles is not None:
+            if case is not None:
+                raise ValueError("pass either particles or case, not both")
+            self.particles = particles
+        else:
+            if case is None or n_particles is None:
+                raise ValueError("pass particles, or case and n_particles")
+            self.particles = load_particles(
+                grid,
+                self.ordering,
+                case,
+                n_particles,
+                seed=seed,
+                quiet=quiet,
+                store_coords=config.effective_store_coords,
+            )
+        if self.particles.store_coords != config.effective_store_coords:
+            raise ValueError(
+                "particle storage store_coords does not match config "
+                f"({self.particles.store_coords} vs {config.effective_store_coords})"
+            )
+        self._attach_runtime()
+        if case is not None:  # Fig. 1's line 1: sort at t=0
+            self._phase_sort()
+        #: rho and the physical field at grid points from the latest solve
+        self.rho_grid = np.zeros(grid.shape)
+        for name in _E_GRID[: len(grid.shape)]:
+            setattr(self, name, np.zeros(grid.shape))
+        self._prepare(self._init_fields_and_stagger)
+
+    def _build_fields(self) -> None:
+        """Ordering, field storage and solver from grid + config."""
+        grid, config = self.grid, self.config
+        self.ordering = get_ordering(
+            config.ordering, *grid.shape, **config.ordering_kwargs
+        )
+        self.fields = RedundantFields(grid, self.ordering)
+        self.solver = SpectralPoissonSolver(grid, self.eps0)
+
+    # ------------------------------------------------------------------
+    # Unit scalings (§IV-D), one factor per axis
+    # ------------------------------------------------------------------
+    @property
+    def _vel_scales(self) -> tuple:
+        """Stored-velocity -> physical-velocity factor per axis,
+        ``spacing / dt``."""
+        return tuple(h / self.dt for h in self.grid.spacings)
+
+    @property
+    def _field_scales(self) -> tuple:
+        """Physical-field -> stored-field factor per axis:
+        ``q*dt^2/(m*spacing)``, so update-v adds grid displacement
+        directly."""
+        return tuple(
+            self.q * self.dt**2 / (self.m * h) for h in self.grid.spacings
+        )
+
+    @property
+    def _charge_factor(self) -> float:
+        """Per-particle factor turning CiC weights into charge density:
+        ``q * w`` over the cell measure (area in 2D, volume in 3D)."""
+        return self.q * self.particles.weight / math.prod(self.grid.spacings)
+
+    def physical_velocities(self) -> tuple:
+        """Velocities in physical units, one array per axis."""
+        return tuple(
+            np.asarray(v) * s
+            for v, s in zip(self._columns("v"), self._vel_scales)
+        )
+
+    # ------------------------------------------------------------------
+    # Initialization
+    # ------------------------------------------------------------------
+    def _init_fields_and_stagger(self) -> None:
+        """Compute rho and E at t=0, then shift v to t = -dt/2 (leap-frog)."""
+        # loaded velocities are physical: convert to grid units/step
+        for v, h in zip(self._columns("v"), self.grid.spacings):
+            np.multiply(v, self.dt / h, out=v)
+        self._deposit_and_solve()
+        # half-kick backwards so v sits at -dt/2 while x sits at 0; with
+        # a magnetic field this stays a plain electric half-kick (the
+        # gyrophase offset is a one-off transient the time-averaging
+        # oracles are insensitive to)
+        e_p = self._add_external_field(self._interpolate())
+        self.backend.kick(self._columns("v"), e_p, (-0.5,) * len(e_p))
 
     def _attach_runtime(self, instrumentation=None) -> None:
         """Everything a stepper holds besides physics state; shared by
-        the constructors and the checkpoint loader."""
+        the constructor and the checkpoint loader."""
         #: resolved kernel-execution backend (config.backend, "auto" applied)
         self.backend: KernelBackend = get_backend(self.config.backend)
         # the store's own fold / broadcast methods run this body too
@@ -230,12 +371,19 @@ class StepLoop:
         )
 
     def _phase_update_v(self) -> None:
+        if self.bz != 0.0 or self.ext_e != (0.0, 0.0):
+            self._phase_update_v_boris()
+            return
         e_1d = self.fields.e_1d
         self._on_team(lambda p: self.backend.update_v(
             self._columns("v", p), e_1d, p["icell"], self._columns("d", p),
         ), check_cells=True)
 
     def _phase_update_x(self) -> None:
+        if self.boundary == "reflecting":
+            g = self.grid
+            push_positions_reflecting(self.particles, g.ncx, g.ncy, self.ordering)
+            return
         args = (self.grid.shape, self.ordering, (1.0,) * len(self.grid.shape))
         self._on_team(lambda p: self.backend.push(p, *args))
 
@@ -325,165 +473,24 @@ class StepLoop:
             self.step()
 
 
-class PICStepper(StepLoop):
-    """Advance a 2d2v periodic Vlasov–Poisson system by leap-frog.
-
-    Parameters
-    ----------
-    grid:
-        The spatial grid.
-    config:
-        Which optimization variant of each kernel to run.
-    particles:
-        Pre-built particle storage; mutually exclusive with ``case``.
-    case, n_particles, seed, quiet:
-        Alternatively, an :class:`InitialCondition` to sample.
-    dt:
-        Time step (plasma-frequency units with the defaults).
-    q, m:
-        Charge and mass of the macro-particles' species (electrons by
-        default: ``q=-1, m=1``); a uniform neutralizing background is
-        implied by the zero-mean Poisson solve.
-    """
-
-    def __init__(
-        self,
-        grid: GridSpec,
-        config: OptimizationConfig,
-        *,
-        particles: ParticleStorage | None = None,
-        case: InitialCondition | None = None,
-        n_particles: int | None = None,
-        dt: float = 0.05,
-        q: float = -1.0,
-        m: float = 1.0,
-        eps0: float = 1.0,
-        seed: int | None = 0,
-        quiet: bool = False,
-    ):
-        if not dt > 0:
-            raise ValueError("dt must be positive")
-        self.grid = grid
-        self.config = config
-        self.dt = float(dt)
-        self.q = float(q)
-        self.m = float(m)
-        self.eps0 = float(eps0)
-        # scenario-zoo extensions, carried as attributes *on the case*
-        # (defaults reproduce the plain periodic electrostatic stepper
-        # bit for bit): a non-periodic boundary, a uniform out-of-plane
-        # magnetic field, a uniform external electric field
-        self.boundary = str(getattr(case, "boundary", "periodic") or "periodic")
-        if self.boundary not in ("periodic", "reflecting"):
-            raise ValueError(
-                f"unsupported boundary {self.boundary!r} "
-                "(periodic or reflecting)"
-            )
-        self.bz = float(getattr(case, "bz", 0.0) or 0.0)
-        ext = getattr(case, "ext_e", None) or (0.0, 0.0)
-        self.ext_e = (float(ext[0]), float(ext[1]))
-        self._build_fields()
-
-        if particles is not None:
-            if case is not None:
-                raise ValueError("pass either particles or case, not both")
-            self.particles = particles
-        else:
-            if case is None or n_particles is None:
-                raise ValueError("pass particles, or case and n_particles")
-            self.particles = load_particles(
-                grid,
-                self.ordering,
-                case,
-                n_particles,
-                seed=seed,
-                quiet=quiet,
-                store_coords=config.effective_store_coords,
-            )
-        if self.particles.store_coords != config.effective_store_coords:
-            raise ValueError(
-                "particle storage store_coords does not match config "
-                f"({self.particles.store_coords} vs {config.effective_store_coords})"
-            )
-        self._attach_runtime()
-        if case is not None:  # Fig. 1's line 1: sort at t=0
-            self._phase_sort()
-        #: physical (Ex, Ey) at grid points from the latest solve
-        self.ex_grid = np.zeros((grid.ncx, grid.ncy))
-        self.ey_grid = np.zeros((grid.ncx, grid.ncy))
-        self.rho_grid = np.zeros((grid.ncx, grid.ncy))
-        self._prepare(self._init_fields_and_stagger)
-
-    def _build_fields(self) -> None:
-        """Ordering, field storage and solver from grid + config."""
-        grid, config = self.grid, self.config
-        self.ordering = get_ordering(
-            config.ordering, *grid.shape, **config.ordering_kwargs
-        )
-        self.fields = RedundantFields(grid, self.ordering)
-        self.solver = SpectralPoissonSolver(grid, self.eps0)
-
     # ------------------------------------------------------------------
-    # Unit scalings (§IV-D)
+    # The scenario zoo's phases (2D)
     # ------------------------------------------------------------------
     @property
-    def _vel_scale_x(self) -> float:
-        """Stored-velocity -> physical-velocity factor along x."""
-        return self.grid.dx / self.dt
+    def _zoo_phases(self) -> bool:
+        """Whether update-v or update-x is a Python body of the zoo,
+        which the backend's one-pass :meth:`KernelBackend.advance`
+        cannot run."""
+        return (self.bz != 0.0 or self.ext_e != (0.0, 0.0)
+                or self.boundary == "reflecting")
 
-    @property
-    def _vel_scale_y(self) -> float:
-        return self.grid.dy / self.dt
-
-    @property
-    def _field_scales(self) -> tuple[float, float]:
-        """Physical-field -> stored-field factor per axis:
-        ``q*dt^2/(m*spacing)``, so update-v adds grid displacement
-        directly."""
-        return tuple(
-            self.q * self.dt**2 / (self.m * h)
-            for h in (self.grid.dx, self.grid.dy)
-        )
-
-    @property
-    def _charge_factor(self) -> float:
-        """Per-particle factor turning CiC weights into charge density."""
-        return self.q * self.particles.weight / self.grid.cell_area
-
-    def physical_velocities(self) -> tuple[np.ndarray, np.ndarray]:
-        """Velocities in physical units."""
-        return (
-            np.asarray(self.particles.vx) * self._vel_scale_x,
-            np.asarray(self.particles.vy) * self._vel_scale_y,
-        )
-
-    # ------------------------------------------------------------------
-    # Initialization
-    # ------------------------------------------------------------------
-    def _init_fields_and_stagger(self) -> None:
-        """Compute rho and E at t=0, then shift v to t = -dt/2 (leap-frog)."""
-        # loaded velocities are physical: convert to grid units/step
-        self.particles.vx[:] = self.particles.vx * (self.dt / self.grid.dx)
-        self.particles.vy[:] = self.particles.vy * (self.dt / self.grid.dy)
-        self._deposit_and_solve()
-        # half-kick backwards so v sits at -dt/2 while x sits at 0; with
-        # a magnetic field this stays a plain electric half-kick (the
-        # gyrophase offset is a one-off transient the time-averaging
-        # oracles are insensitive to)
-        e_p = self._add_external_field(*self._interpolate())
-        self.backend.kick(self._columns("v"), e_p, (-0.5, -0.5))
-
-    # ------------------------------------------------------------------
-    # Phases: what 2D adds to StepLoop's bodies
-    # ------------------------------------------------------------------
-    def _add_external_field(self, ex_p, ey_p):
+    def _add_external_field(self, e_p: tuple) -> tuple:
         """Add the case's uniform external E (stored units); no-op bitwise
         when ``ext_e`` is zero — the arrays pass through untouched."""
         if self.ext_e != (0.0, 0.0):
-            sx, sy = self._field_scales
-            ex_p = ex_p + self.ext_e[0] * sx
-            ey_p = ey_p + self.ext_e[1] * sy
-        return ex_p, ey_p
+            e_p = tuple(e + ext * s for e, ext, s
+                        in zip(e_p, self.ext_e, self._field_scales))
+        return e_p
 
     def _phase_update_v_boris(self) -> None:
         """Velocity update under a uniform out-of-plane ``bz`` (Boris).
@@ -495,7 +502,7 @@ class PICStepper(StepLoop):
         cheap whole-array sweep in the parent.
         """
         p = self.particles
-        e_p = self._add_external_field(*self._interpolate())
+        e_p = self._add_external_field(self._interpolate())
         if self.bz == 0.0:
             # external E only: one full kick, same kernel as unmagnetized
             self.backend.kick((p.vx, p.vy), e_p, (1.0, 1.0))
@@ -503,7 +510,7 @@ class PICStepper(StepLoop):
         self.backend.kick((p.vx, p.vy), e_p, (0.5, 0.5))
         t = self.q * self.bz * self.dt / (2.0 * self.m)
         s = 2.0 * t / (1.0 + t * t)
-        svx, svy = self._vel_scale_x, self._vel_scale_y
+        svx, svy = self._vel_scales
         vx_ph = np.asarray(p.vx) * svx
         vy_ph = np.asarray(p.vy) * svy
         vpx = vx_ph + vy_ph * t
@@ -511,21 +518,3 @@ class PICStepper(StepLoop):
         p.vx[:] = (vx_ph + vpy * s) / svx
         p.vy[:] = (vy_ph - vpx * s) / svy
         self.backend.kick((p.vx, p.vy), e_p, (0.5, 0.5))
-
-    @property
-    def _zoo_phases(self) -> bool:
-        return (self.bz != 0.0 or self.ext_e != (0.0, 0.0)
-                or self.boundary == "reflecting")
-
-    def _phase_update_v(self) -> None:
-        if self.bz != 0.0 or self.ext_e != (0.0, 0.0):
-            self._phase_update_v_boris()
-        else:
-            super()._phase_update_v()
-
-    def _phase_update_x(self) -> None:
-        if self.boundary == "reflecting":
-            g = self.grid
-            push_positions_reflecting(self.particles, g.ncx, g.ncy, self.ordering)
-        else:
-            super()._phase_update_x()

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["GridSpec"]
+__all__ = ["GridSpec", "split_axis"]
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,11 @@ class GridSpec:
         return self.ly / self.ncy
 
     @property
+    def lengths(self) -> tuple[float, float]:
+        """Domain length per axis, ``(lx, ly)``."""
+        return (self.lx, self.ly)
+
+    @property
     def shape(self) -> tuple[int, int]:
         """Cells per axis — what dimension-generic code reads."""
         return (self.ncx, self.ncy)
@@ -88,16 +93,23 @@ class GridSpec:
         return x, y
 
     def split_coords(self, x_grid, y_grid):
-        """Grid coords -> ``(ix, iy, dx_off, dy_off)`` with periodic wrap.
+        """Grid coords -> ``(ix, iy, dx_off, dy_off)`` with periodic wrap
+        (:func:`split_axis` per axis)."""
+        ix, dx = split_axis(x_grid, self.ncx)
+        iy, dy = split_axis(y_grid, self.ncy)
+        return ix, iy, dx, dy
 
-        This is the canonical decomposition of §II: integer cell
-        coordinate plus fractional offset in ``[0, 1)``.
-        """
-        x = np.mod(np.asarray(x_grid, dtype=np.float64), self.ncx)
-        y = np.mod(np.asarray(y_grid, dtype=np.float64), self.ncy)
-        ix = np.floor(x).astype(np.int64)
-        iy = np.floor(y).astype(np.int64)
-        # floating wrap can land exactly on the upper boundary: fold it
-        ix = np.where(ix == self.ncx, 0, ix)
-        iy = np.where(iy == self.ncy, 0, iy)
-        return ix, iy, x - np.floor(x), y - np.floor(y)
+
+def split_axis(x_grid, n: int):
+    """Grid coordinates along an axis of ``n`` cells -> ``(cell,
+    offset)``, periodically wrapped.
+
+    This is the canonical decomposition of §II: integer cell
+    coordinate in ``[0, n)`` plus fractional offset in ``[0, 1)``.
+    """
+    x = np.mod(np.asarray(x_grid, dtype=np.float64), n)
+    cell = np.floor(x)
+    x -= cell
+    i = cell.astype(np.int64)
+    # floating wrap can land exactly on the upper boundary: fold it
+    return np.where(i == n, 0, i), x

@@ -18,12 +18,13 @@ CI reproduce the analytic rates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.curves.base import CellOrdering
-from repro.grid.spec import GridSpec
+from repro.grid.spec import GridSpec, split_axis
 from repro.particles.storage import ParticleStorage, make_storage
 
 __all__ = [
@@ -505,9 +506,9 @@ def make_case(name: str, alpha: float | None = None) -> InitialCondition:
 
 
 def load_particles(
-    grid: GridSpec,
+    grid,
     ordering: CellOrdering,
-    case: InitialCondition,
+    case,
     n: int,
     layout: str = "soa",
     seed: int | None = 0,
@@ -517,9 +518,19 @@ def load_particles(
 ) -> ParticleStorage:
     """Sample ``n`` particles of ``case`` into a particle container.
 
+    Any dimension: ``grid`` is a :class:`~repro.grid.spec.GridSpec` or a
+    :class:`~repro.pic3d.grid3d.GridSpec3D`, and ``case.sample(n, grid,
+    rng, quiet)`` returns the physical positions, then the physical
+    velocities, one array per axis.  Each axis is written straight into
+    the store and its sample dropped, so no second copy of the
+    population sits beside the store.
+
     The macro-particle weight is set so the sampled population
     represents a plasma of mean number density ``density``:
-    ``w = density * area / n`` (so ``sum w = density * Lx * Ly``).
+    ``w = density * (domain measure) / n`` (in 2D ``sum w = density *
+    Lx * Ly``).  Positions are split into a periodically wrapped cell
+    coordinate plus an offset in ``[0, 1)`` (§II); velocities stay
+    physical, the stepper converts them.
 
     The particles come in sample order, unsorted: the initial sort by
     cell index of Fig. 1's line 1 is the stepper's, which runs at
@@ -528,19 +539,23 @@ def load_particles(
     rng = np.random.default_rng(seed) if seed is not None else None
     if not quiet and rng is None:
         raise ValueError("random start requires a seed")
-    x_phys, y_phys, vx, vy = case.sample(n, grid, rng, quiet)
-    xg, yg = grid.to_grid_coords(x_phys, y_phys)
-    ix, iy, dxo, dyo = grid.split_coords(xg, yg)
-    icell = ordering.encode(ix, iy)
-    weight = density * grid.area / n
-    storage = make_storage(layout, n, weight=weight, store_coords=store_coords)
-    storage.set_state(
-        icell,
-        dxo,
-        dyo,
-        vx,
-        vy,
-        ix if store_coords else None,
-        iy if store_coords else None,
-    )
+    ndim = len(grid.shape)
+    weight = density * math.prod(grid.lengths) / n
+    storage = make_storage(layout, n, weight=weight,
+                           store_coords=store_coords, ndim=ndim)
+    sample = list(case.sample(n, grid, rng, quiet))
+    coords = []
+    for k, (a, h, nc) in enumerate(zip("xyz", grid.spacings, grid.shape)):
+        x = np.asarray(sample[k], dtype=np.float64) - getattr(grid, a + "min")
+        sample[k] = None
+        x /= h
+        i, storage["d" + a][:] = split_axis(x, nc)
+        del x
+        if store_coords:
+            storage["i" + a][:] = i
+            i = storage["i" + a]
+        coords.append(i)
+        storage["v" + a][:] = sample[ndim + k]
+        sample[ndim + k] = None
+    storage.icell[:] = ordering.encode(*coords)
     return storage

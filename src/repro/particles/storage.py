@@ -211,12 +211,13 @@ class ParticleSoA(ParticleStorage):
 
 
 def make_storage(
-    layout: str, n: int, weight: float = 1.0, store_coords: bool = True
+    layout: str, n: int, weight: float = 1.0, store_coords: bool = True,
+    ndim: int = 2,
 ) -> ParticleStorage:
     """Factory, for callers that name the layout: ``"soa"`` is the only
     stored one."""
     if layout == "soa":
-        return ParticleSoA(n, weight, store_coords)
+        return ParticleSoA(n, weight, store_coords, ndim)
     raise ValueError(
         f"unknown particle layout {layout!r} (the stored one is 'soa'; "
         "'aos' is priced by repro.model, not stored)"

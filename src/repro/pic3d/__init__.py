@@ -19,11 +19,12 @@ vocabulary as the 2D code:
   :class:`repro.grid.fields.RedundantFields`;
 * the spectral Poisson solve of
   :class:`repro.grid.poisson.SpectralPoissonSolver` over the 3D shape,
-  and a leap-frog stepper (:mod:`repro.pic3d.stepper3d`) validated on
-  3D Landau damping.
+  and the leap-frog :class:`repro.core.stepper.PICStepper` over a 3D
+  grid, validated on 3D Landau damping.
 
 What this package holds is what stays per dimension: the 3D grid, the
-two 3D cases and the stepper.
+two 3D cases and the legacy 3D constructor
+(:class:`~repro.pic3d.stepper3d.PICStepper3D`).
 """
 
 from repro.pic3d.grid3d import GridSpec3D

@@ -1,17 +1,16 @@
-"""Config-driven 3d3v leap-frog PIC stepper on redundant cell rows.
+"""The 3D cases and the legacy 3D constructor.
 
-A client of the 2D machinery: the step loop, sort, phase hooks, backend lifecycle *and the phase bodies*, the
-solve included, are :class:`repro.core.stepper.StepLoop`'s, the field
-store the generic :class:`~repro.grid.fields.RedundantFields`, the
-particles a :class:`~repro.particles.storage.ParticleSoA` with
-``ndim=3``, and ``numpy-mp`` drives it through the same engine as 2D.
-What lives here is the 3D state: constructor, particle loader,
-energies and the field scales.  Units are hoisted, as in 2D
-(velocities stored as grid displacement per step, field rows
-pre-scaled by ``q*dt^2/(m*spacing)``), and the sort is 2D's: the store
-gathers each of its ten columns through a spare column of its dtype,
-split by row range on the ``c`` team, so no second store sits on the
-peak footprint the construction sets.
+A 3d3v run is a :class:`repro.core.stepper.PICStepper` over a
+:class:`~repro.pic3d.grid3d.GridSpec3D`: the same constructor, loader,
+unit scales, stagger, phase bodies, solve, sort and checkpoint pair as
+2D, the particles a :class:`~repro.particles.storage.ParticleSoA` with
+``ndim=3`` and the field rows the generic
+:class:`~repro.grid.fields.RedundantFields` (8 corners per cell).
+What lives here is the two 3D cases (always a quiet start: their
+``sample`` ignores ``rng`` and ``quiet``) and :class:`PICStepper3D`,
+an adapter that keeps the legacy constructor signature and defaults,
+maps any configured ordering name onto the two curves a 3D grid has,
+and carries the accessors and energies the benchmark ledger reads.
 """
 
 from __future__ import annotations
@@ -19,12 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import OptimizationConfig
-from repro.core.stepper import StepLoop
-from repro.curves.base import available_orderings, get_ordering
-from repro.grid.fields import RedundantFields
-from repro.grid.poisson import SpectralPoissonSolver
+from repro.core.stepper import PICStepper
+from repro.curves.base import available_orderings
 from repro.particles.initializers import halton_sequence, sample_perturbed_positions
-from repro.particles.storage import ParticleSoA
 from repro.pic3d.grid3d import GridSpec3D
 
 __all__ = ["LandauDamping3D", "TwoStream3D", "PICStepper3D"]
@@ -62,8 +58,9 @@ class LandauDamping3D:
         self.vth = float(vth)
         self.mode = int(mode)
 
-    def sample(self, n: int, grid: GridSpec3D):
-        """Quiet-start sample of physical positions and velocities."""
+    def sample(self, n: int, grid: GridSpec3D, rng=None, quiet=False):
+        """Quiet-start sample of physical positions and velocities
+        (``rng`` and ``quiet`` are ignored: always a quiet start)."""
         return _quiet_start(n, grid, self.alpha, self.mode, self.vth)
 
 
@@ -84,21 +81,24 @@ class TwoStream3D:
         self.alpha = float(alpha)
         self.mode = int(mode)
 
-    def sample(self, n: int, grid: GridSpec3D):
-        """Quiet-start sample of physical positions and velocities."""
+    def sample(self, n: int, grid: GridSpec3D, rng=None, quiet=False):
+        """Quiet-start sample of physical positions and velocities
+        (``rng`` and ``quiet`` are ignored: always a quiet start)."""
         x, y, z, vx, vy, vz = _quiet_start(n, grid, self.alpha, self.mode, self.vth)
         beam = np.where(halton_sequence(n, 23) < 0.5, self.v0, -self.v0)
         return x, y, z, vx + beam, vy, vz
 
 
-class PICStepper3D(StepLoop):
-    """Leap-frog 3d3v Vlasov–Poisson stepper (hoisted units).
+class PICStepper3D(PICStepper):
+    """The legacy 3D constructor of a :class:`PICStepper`.
 
     Parameters mirror the legacy constructor; a full
     :class:`~repro.core.config.OptimizationConfig` may be supplied via
     ``config`` to drive ordering, sorting and backend
     selection exactly as in 2D (``backend``/``sort_period``
     are then taken from the config and the legacy kwargs ignored).
+    The configured ordering runs row-major if it is a scan order and
+    Morton otherwise; the run's config names the curve that runs.
     """
 
     def __init__(
@@ -119,67 +119,19 @@ class PICStepper3D(StepLoop):
                 sort_period=int(sort_period),
                 backend=backend,
             )
-        if not dt > 0:
-            raise ValueError("dt must be positive")
-        self.grid = grid
-        self.config = config
-        self.dt = float(dt)
-        self.q = float(q)
-        self.m = float(m)
-        self._build_fields()
-
-        self.particles = self._load_particles(case, n_particles)
-        self._attach_runtime()
-        self._phase_sort()
-        self._prepare(self._init_fields_and_stagger)
-
-    def _build_fields(self) -> None:
-        """Ordering, field storage and solver from grid + config."""
-        name = self.config.ordering.lower()
+        name = config.ordering.lower()
         if name not in available_orderings():
             raise KeyError(
                 f"unknown ordering {name!r}; available: {available_orderings()}"
             )
         curve = "row-major" if name in _SCAN_ORDERS else "morton"
-        self.ordering = get_ordering(curve, *self.grid.shape)
-        self.fields = RedundantFields(self.grid, self.ordering)
-        self.solver = SpectralPoissonSolver(self.grid)
-
-    def _load_particles(self, case, n: int) -> ParticleSoA:
-        """Sample ``case`` at density 1, every column computed straight
-        into the store (in hoisted units: grid displacement per step)."""
-        grid = self.grid
-        p = ParticleSoA(n, grid.volume / n, store_coords=True, ndim=3)
-        sample = case.sample(n, grid)
-        lows = (grid.xmin, grid.ymin, grid.zmin)
-        for a, x, v, low, h, nc in zip(
-            "xyz", sample[:3], sample[3:], lows, grid.spacings, grid.shape
-        ):
-            xg = (x - low) / h
-            cell = np.floor(xg)
-            p["i" + a][:] = cell.astype(np.int64) % nc
-            p["d" + a][:] = xg - cell
-            p["v" + a][:] = v * self.dt / h
-        p.icell[:] = self.ordering.encode(p.ix, p.iy, p.iz)
-        return p
-
-    def _init_fields_and_stagger(self) -> None:
-        """rho and E at t=0, then the leap-frog half kick backwards."""
-        self._deposit_and_solve()
-        self.backend.kick(self._columns("v"), self._interpolate(), (-0.5,) * 3)
+        super().__init__(
+            grid, config.with_(ordering=curve, ordering_kwargs={}),
+            case=case, n_particles=n_particles, dt=dt, q=q, m=m,
+            seed=None, quiet=True,
+        )
 
     # ------------------------------------------------------------------
-    @property
-    def _field_scales(self) -> tuple[float, float, float]:
-        """Physical field -> displacement per step, per axis."""
-        dx, dy, dz = self.grid.spacings
-        f = self.q * self.dt**2 / self.m
-        return f / dx, f / dy, f / dz
-
-    @property
-    def _charge_factor(self) -> float:
-        return self.q * self.weight / self.grid.cell_volume
-
     @property
     def n(self) -> int:
         return self.particles.n
@@ -192,20 +144,13 @@ class PICStepper3D(StepLoop):
     def sort_period(self) -> int:
         return self.config.sort_period
 
-    # ------------------------------------------------------------------
     def field_energy(self) -> float:
         return 0.5 * float(
             np.sum(self.ex_grid**2 + self.ey_grid**2 + self.ez_grid**2)
         ) * self.grid.cell_volume
 
     def kinetic_energy(self) -> float:
-        dx, dy, dz = self.grid.spacings
-        p = self.particles
-        v2 = (
-            (p.vx * dx / self.dt) ** 2
-            + (p.vy * dy / self.dt) ** 2
-            + (p.vz * dz / self.dt) ** 2
-        )
+        v2 = sum(v**2 for v in self.physical_velocities())
         return 0.5 * self.m * self.weight * float(np.sum(v2))
 
     def total_energy(self) -> float:

@@ -247,7 +247,12 @@ class JobEngine:
         self.journal = JobJournal(self.data_dir / "journal.jsonl")
         self.stats = EngineStats()
         self._lock = threading.Lock()
+        #: scheduling: workers wait here for a runnable job, and
+        #: ``result`` / ``join`` for terminal states
         self._cond = threading.Condition(self._lock)
+        #: per-step events: ``stream`` consumers wait here, so a running
+        #: job's steps wake no idle worker
+        self._events = threading.Condition(self._lock)
         self._jobs: dict[str, _JobRecord] = {}
         self._heap: list[tuple[int, int, str]] = []
         self._running: dict[str, _JobRecord] = {}
@@ -528,8 +533,8 @@ class JobEngine:
                         if remaining <= 0:
                             raise TimeoutError(
                                 f"no event from {job_id} within {timeout}s")
-                    self._cond.wait(remaining if remaining is not None
-                                    else 0.5)
+                    self._events.wait(remaining if remaining is not None
+                                      else 0.5)
                 if len(rec.events) <= index:  # terminal and drained
                     return
                 event = rec.events[index]
@@ -834,7 +839,7 @@ class JobEngine:
             with self._lock:
                 rec.steps_done = sim.stepper.iteration
                 rec.events.append(event)
-                self._cond.notify_all()
+                self._events.notify_all()
 
         return on_step
 
@@ -873,6 +878,7 @@ class JobEngine:
             retries=int(rec.supervisor_agg.get("recoveries", 0)))
         shutil.rmtree(rec.ckpt_dir, ignore_errors=True)
         self._cond.notify_all()
+        self._events.notify_all()
         for listener in self._terminal_listeners:
             try:
                 listener(rec.job_id)

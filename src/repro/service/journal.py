@@ -19,7 +19,8 @@ tail is indistinguishable from a truncated file), never raising on
 garbage.  Whole-document artifacts that must never be seen torn — the
 per-job ``history.json`` diagnostic sidecars, spool leases and result
 documents — instead go through :func:`write_json_atomic`, the
-tmp + fsync + ``os.replace`` idiom of :mod:`repro.core.checkpoint`.
+tmp + fsync + ``os.replace`` writer of :mod:`repro.core.checkpoint`
+(:func:`~repro.core.checkpoint.write_atomic`).
 
 The journal is the *scheduling* truth (which jobs exist, what state
 they were last seen in, how many times they were retried, where their
@@ -36,6 +37,8 @@ import os
 import pathlib
 import time
 
+from repro.core.checkpoint import write_atomic
+
 __all__ = ["JobJournal", "write_json_atomic", "read_json_tolerant"]
 
 #: journal states that mean "this job will never run again"
@@ -45,35 +48,15 @@ TERMINAL_STATES = ("succeeded", "failed", "cancelled")
 def write_json_atomic(path, payload: dict) -> pathlib.Path:
     """Write ``payload`` as JSON at ``path`` atomically and durably.
 
-    The checkpoint module's crash-safety idiom: write a ``.tmp``
+    The checkpoint module's crash-safety idiom,
+    :func:`repro.core.checkpoint.write_atomic`: write a ``.tmp``
     sibling, flush, fsync, then :func:`os.replace` over the final name
     (plus a best-effort directory fsync), so a reader never observes a
     torn document and a crash mid-write leaves at worst a stale
     ``.tmp`` sibling.
     """
-    path = pathlib.Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
-        raise
-    try:  # make the rename durable too (best effort on odd filesystems)
-        dir_fd = os.open(path.parent, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
-    except OSError:  # pragma: no cover - e.g. non-fsyncable directories
-        pass
-    return path
+    text = json.dumps(payload, indent=2)
+    return write_atomic(path, lambda fh: fh.write(text.encode("utf-8")))
 
 
 def read_json_tolerant(path) -> dict | None:

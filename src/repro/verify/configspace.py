@@ -32,40 +32,44 @@ from repro.particles.initializers import (
     MagnetizedExB,
     TwoStream,
 )
+from repro.pic3d import GridSpec3D, LandauDamping3D, TwoStream3D
 
 __all__ = ["Scenario", "ScenarioSampler", "modulo_scenario"]
 
-#: Sampling pools — every entry must be legal on every grid in
-#: ``_GRID_POOL`` (all power-of-two, so all five orderings are
-#: available everywhere).
-_GRID_POOL = ((16, 8), (32, 8), (16, 16), (32, 4))
-_ORDERING_POOL = ("row-major", "column-major", "l4d", "morton", "hilbert")
+#: Sampling pools per dimension — every entry must be legal on every
+#: grid of its dimension: all power-of-two, so that every ordering a
+#: dimension has is available everywhere (2D: all five; 3D: the two
+#: curves, row-major and Morton).  3D has the two classic cases; the
+#: 2D pool adds ``gaussian-bump``, the skewed-density load-balancing
+#: stress case (most particles clumped in one corner, so the
+#: ``numpy-mp`` combos' histogram-balanced deposit cuts sit far from
+#: the equal-cell ones), and the scenario-zoo cases
+#: (``bounded-wall``/``beam-plasma``/``exb-drift``), which route the
+#: stepper through its reflecting-boundary, drifting-beam and
+#: Boris-rotation paths.
+_GRID_POOLS = {
+    2: ((16, 8), (32, 8), (16, 16), (32, 4)),
+    3: ((8, 4, 4), (16, 4, 4), (8, 8, 4)),
+}
+_ORDERING_POOLS = {
+    2: ("row-major", "column-major", "l4d", "morton", "hilbert"),
+    3: ("row-major", "morton"),
+}
+_CASE_POOLS = {
+    2: ("landau", "two-stream", "gaussian-bump",
+        "bounded-wall", "beam-plasma", "exb-drift"),
+    3: ("landau", "two-stream"),
+}
 #: the retired field-layout axis (paper-weighted); only its draw is left
 _LAYOUT_POOL = ("redundant", "redundant", "standard")
 _SORT_PERIODS = (0, 2, 3, 5)
 #: the retired sort-variant axis; only its draw is left
 _SORT_VARIANTS = ("in-place", "out-of-place")
-#: ``gaussian-bump`` is the skewed-density load-balancing stress case:
-#: most particles clumped in one corner, so the ``numpy-mp`` combos'
-#: histogram-balanced deposit cuts sit far from the equal-cell ones.  The
-#: scenario-zoo cases (``bounded-wall``/``beam-plasma``/``exb-drift``)
-#: route the stepper through its reflecting-boundary, drifting-beam
-#: and Boris-rotation paths.
-_CASE_POOL = (
-    "landau", "two-stream", "gaussian-bump",
-    "bounded-wall", "beam-plasma", "exb-drift",
-)
 
 #: dimensionality axis — 2D-weighted (the paper's study is 2D; the 3D
 #: port rides along at one scenario in four so the sampled matrix
-#: always covers the 3D stepper without dominating the budget)
+#: always covers 3D runs without dominating the budget)
 _DIMS_POOL = (2, 2, 2, 3)
-#: 3D pools are narrower on purpose: power-of-two dims keep the
-#: Morton curve legal, the 3D stepper lays cells out on two curves
-#: (row-major and Morton), and it has the two classic cases
-_GRID3D_POOL = ((8, 4, 4), (16, 4, 4), (8, 8, 4))
-_ORDERING3D_POOL = ("row-major", "morton")
-_CASE3D_POOL = ("landau", "two-stream")
 
 
 @dataclass(frozen=True)
@@ -82,21 +86,23 @@ class Scenario:
     sort_period: int
     dt: float = 0.05
     seed: int = 0
-    dims: int = 2  #: 2 -> PICStepper, 3 -> PICStepper3D
+    dims: int = 2  #: 2 or 3: the grid and case the scenario builds
     ncz: int = 1  #: z cell count (only meaningful when ``dims == 3``)
 
-    def grid(self) -> GridSpec:
+    def grid(self):
+        """The scenario's grid: a :class:`GridSpec`, or a
+        :class:`~repro.pic3d.grid3d.GridSpec3D` when ``dims == 3``."""
+        if self.dims == 3:
+            return GridSpec3D(self.ncx, self.ncy, self.ncz, xmax=4 * np.pi,
+                              ymax=2 * np.pi, zmax=2 * np.pi)
         return GridSpec(self.ncx, self.ncy, xmax=4 * np.pi, ymax=2 * np.pi)
 
-    def grid3d(self):
-        from repro.pic3d.grid3d import GridSpec3D
-
-        return GridSpec3D(
-            self.ncx, self.ncy, self.ncz,
-            xmax=4 * np.pi, ymax=2 * np.pi, zmax=2 * np.pi,
-        )
-
     def case(self):
+        """The scenario's initial condition, of its dimension."""
+        if self.dims == 3:
+            if self.case_name == "landau":
+                return LandauDamping3D(alpha=0.1, vth=1.0)
+            return TwoStream3D()
         if self.case_name == "landau":
             return LandauDamping(alpha=0.1, vth=1.0)
         if self.case_name == "gaussian-bump":
@@ -108,13 +114,6 @@ class Scenario:
         if self.case_name == "exb-drift":
             return MagnetizedExB()
         return TwoStream(v0=2.4, vth=0.5, alpha=0.01)
-
-    def case3d(self):
-        from repro.pic3d.stepper3d import LandauDamping3D, TwoStream3D
-
-        if self.case_name == "landau":
-            return LandauDamping3D(alpha=0.1, vth=1.0)
-        return TwoStream3D()
 
     def config(self, backend: str = "numpy",
                workers: int | None = None) -> OptimizationConfig:
@@ -176,52 +175,37 @@ class ScenarioSampler:
 
     def sample_one(self) -> Scenario:
         dims = int(self._pick(_DIMS_POOL))
-        if dims == 3:
-            return self._sample_one_3d()
-        ncx, ncy = self._pick(_GRID_POOL)
+        shape = self._pick(_GRID_POOLS[dims])
+        n_particles = int(self._pick(self.n_particles_pool))
+        n_steps = int(self._pick(self.n_steps_pool))
+        case_name = self._pick(_CASE_POOLS[dims])
+        ordering = self._pick(_ORDERING_POOLS[dims])
+        # the retired axes drew here — in 2D the field layout, split /
+        # fused, the push wrap (one of three) and one more flag before
+        # the sort period, the sort variant after it; in 3D split /
+        # fused and the push wrap: their draws stay, so scenario k of
+        # seed s still names the same configuration
+        if dims == 2:
+            self._pick(_LAYOUT_POOL)
+        self._rng.integers(2)
+        self._rng.integers(3)
+        if dims == 2:
+            self._rng.integers(2)
+        sort_period = int(self._pick(_SORT_PERIODS))
+        if dims == 2:
+            self._pick(_SORT_VARIANTS)
         scenario = Scenario(
             index=self._count,
-            ncx=ncx,
-            ncy=ncy,
-            n_particles=int(self._pick(self.n_particles_pool)),
-            n_steps=int(self._pick(self.n_steps_pool)),
-            case_name=self._pick(_CASE_POOL),
-            # the retired field-layout, split/fused, push-wrap (one of
-            # three), hoisting and sort-variant axes drew here: their
-            # draws stay, so scenario k of seed s still names the same
-            # configuration
-            ordering=(self._pick(_ORDERING_POOL), self._pick(_LAYOUT_POOL),
-                      self._rng.integers(2), self._rng.integers(3))[0],
-            sort_period=(self._rng.integers(2), int(self._pick(_SORT_PERIODS)),
-                         self._pick(_SORT_VARIANTS))[1],
+            ncx=shape[0],
+            ncy=shape[1],
+            n_particles=n_particles,
+            n_steps=n_steps,
+            case_name=case_name,
+            ordering=ordering,
+            sort_period=sort_period,
             seed=int(self._rng.integers(2**31)),
-        )
-        self._count += 1
-        return scenario
-
-    def _sample_one_3d(self) -> Scenario:
-        """One 3D scenario — the axes the 3D stepper actually offers.
-
-        The sort period sweeps the same pool as 2D so the promise
-        matrix covers the 3D stepper end to end.
-        """
-        ncx, ncy, ncz = self._pick(_GRID3D_POOL)
-        scenario = Scenario(
-            index=self._count,
-            ncx=ncx,
-            ncy=ncy,
-            n_particles=int(self._pick(self.n_particles_pool)),
-            n_steps=int(self._pick(self.n_steps_pool)),
-            case_name=self._pick(_CASE3D_POOL),
-            ordering=self._pick(_ORDERING3D_POOL),
-            # the retired split/fused and push-wrap (one of three) axes
-            # drew here: their draws stay, so scenario k of seed s still
-            # names the same configuration
-            sort_period=(self._rng.integers(2), self._rng.integers(3),
-                         int(self._pick(_SORT_PERIODS)))[2],
-            seed=int(self._rng.integers(2**31)),
-            dims=3,
-            ncz=ncz,
+            dims=dims,
+            ncz=shape[2] if dims == 3 else 1,
         )
         self._count += 1
         return scenario

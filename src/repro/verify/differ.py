@@ -26,8 +26,8 @@ scalar ReferenceStepper             bitwise (checked separately in tests;
 ==================================  =========================================
 
 3D scenarios (``Scenario.dims == 3``) run the same lockstep drive over
-:class:`~repro.pic3d.stepper3d.PICStepper3D` under the same matrix —
-the step loop, the sort and the ``numpy-mp`` engine are the 2D ones.
+the same :class:`~repro.core.stepper.PICStepper`, built on the
+scenario's 3D grid and case, under the same matrix.
 
 Because the steppers advance in lockstep with
 :attr:`~repro.core.stepper.PICStepper.phase_hook` capture, a
@@ -174,19 +174,13 @@ class _Run:
         #: particle arrays captured at every phase checkpoint (the cell
         #: coordinates are a function of ``icell``)
         self.arrays = particle_fields(scenario.dims, store_coords=False)
-        if scenario.dims == 3:
-            from repro.pic3d.stepper3d import PICStepper3D
-
-            self.stepper = PICStepper3D(
-                scenario.grid3d(), scenario.case3d(), scenario.n_particles,
-                dt=scenario.dt, config=cfg,
-            )
-        else:
-            self.stepper = PICStepper(
-                scenario.grid(), cfg,
-                case=scenario.case(), n_particles=scenario.n_particles,
-                dt=scenario.dt, seed=scenario.seed, quiet=True,
-            )
+        #: the solved grids captured after the solve
+        self.grids = ("rho_grid", "ex_grid", "ey_grid", "ez_grid")[: scenario.dims + 1]
+        self.stepper = PICStepper(
+            scenario.grid(), cfg,
+            case=scenario.case(), n_particles=scenario.n_particles,
+            dt=scenario.dt, seed=scenario.seed, quiet=True,
+        )
         self.stepper.phase_hook = self._hook
         self.phase_states: dict[str, dict[str, np.ndarray]] = {}
         self.step_index = 0
@@ -197,12 +191,7 @@ class _Run:
         if phase in ("accumulate", "solve"):
             state["rho_raw"] = np.array(st.fields.rho_1d)
         if phase == "solve":
-            state["rho_grid"] = np.array(st.rho_grid)
-            state["ex_grid"] = np.array(st.ex_grid)
-            state["ey_grid"] = np.array(st.ey_grid)
-            ez = getattr(st, "ez_grid", None)
-            if ez is not None:
-                state["ez_grid"] = np.array(ez)
+            state.update((name, np.array(getattr(st, name))) for name in self.grids)
         return state
 
     def _hook(self, phase: str, stepper) -> None:

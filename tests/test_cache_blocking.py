@@ -164,11 +164,13 @@ def test_blocked_kernels_equal_single_block_on_a_modulo_grid(
 PARENT_DIGEST_2D = "ba99a38fea98c9d6c1924cdc1ebf5f3744354dc5be10a5a5c20d0ec57366e22a"
 #: 3D Landau, 16x8x8, 40,000 particles, dt 0.1, sort every 5, after 8
 #: steps — particles + rho/E grids as the ``c`` backend of commit
-#: bf17aec produced them.  (``numpy`` printed
+#: bf17aec produced them (277da2c7…8dca; ``numpy`` printed
 #: de284d30…fbc30 there: its gather was an ``einsum``, whose association
-#: follows NumPy's SIMD build; deposit, kick, push and sort are
-#: unchanged.)
-PARENT_DIGEST_3D = "277da2c720e29cf1442ef4f43d0a90c995c9d12e8d1b084abed43e29404b8dca"
+#: follows NumPy's SIMD build), re-pinned once when 3D took 2D's t=0
+#: velocity conversion ``v * (dt / h)`` for ``v * dt / h``: a copy of
+#: the previous commit with only that expression changed printed the
+#: new value on every combo below (docs/verification.md)
+PARENT_DIGEST_3D = "9359e4eeac76fa45e4438548d08a18d5e6e82124b38c0da3281e03ecaf65a91e"
 
 _needs_cc = pytest.mark.skipif(
     not CBackend.is_available(), reason="no C compiler"

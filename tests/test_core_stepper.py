@@ -1,4 +1,9 @@
-"""Stepper tests: construction, invariants, config equivalence."""
+"""Stepper tests: construction, invariants, config equivalence.
+
+One :class:`PICStepper` builds 2D and 3D runs: where a check holds in
+both, it is parametrized over ``ndim`` (:func:`make_run`)."""
+
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from repro.particles import (
     counting_sort_permutation_reference,
     load_particles,
 )
+from repro.pic3d import GridSpec3D, LandauDamping3D
 from repro.verify.golden import state_digest
 
 
@@ -27,6 +33,22 @@ def make_stepper(grid, cfg, n=4000, **kw):
     return PICStepper(grid, cfg, case=LandauDamping(alpha=0.05), n_particles=n, **kw)
 
 
+def make_run(ndim, cfg=None, n=4000, **kw):
+    """A case-built quiet-start Landau stepper of either dimension."""
+    cfg = cfg or OptimizationConfig()
+    if ndim == 2:
+        return make_stepper(GridSpec(16, 16, 0.0, 4 * np.pi, 0.0, 4 * np.pi),
+                            cfg, n, **kw)
+    kw.setdefault("dt", 0.1)
+    grid = GridSpec3D(16, 8, 8, 0, 4 * np.pi, 0, 4 * np.pi, 0, 4 * np.pi)
+    return PICStepper(grid, cfg, case=LandauDamping3D(alpha=0.1),
+                      n_particles=n, seed=None, quiet=True, **kw)
+
+
+#: the ``ndim`` axis of the checks both dimensions share
+NDIMS = pytest.mark.parametrize("ndim", [2, 3], ids=["2d", "3d"])
+
+
 def _available(name):
     from repro.core.backends import available_backends
 
@@ -34,11 +56,12 @@ def _available(name):
         name not in available_backends(), reason=f"{name} unavailable"))
 
 
-def reference_sorted_load(grid, ordering, n=4000, seed=None, quiet=True):
+def reference_sorted_load(grid, ordering, n=4000, seed=None, quiet=True,
+                          case=LandauDamping(alpha=0.05)):
     """What ``make_stepper`` loads, permuted by the scalar counting sort:
     the t=0 order every case-built stepper reaches through its own
     ``_phase_sort``."""
-    loaded = load_particles(grid, ordering, LandauDamping(alpha=0.05), n,
+    loaded = load_particles(grid, ordering, case, n,
                             seed=seed, quiet=quiet, store_coords=True)
     perm = counting_sort_permutation_reference(
         np.asarray(loaded.icell), ordering.ncells_allocated)
@@ -133,17 +156,28 @@ class TestConstruction:
             assert type(s.fields) is RedundantFields
             assert type(s.particles) is ParticleSoA
 
-    @pytest.mark.parametrize("backend", [_available(b) for b in ("numpy", "c", "numpy-mp")])
-    def test_case_built_stepper_sorts_at_t0(self, grid, backend):
+    @pytest.mark.parametrize("ndim,backend", [
+        pytest.param(ndim, *_available(b).values, marks=_available(b).marks,
+                     id=b if ndim == 2 else f"{b}-3d")
+        for ndim in (2, 3) for b in ("numpy", "c", "numpy-mp")
+    ])
+    def test_case_built_stepper_sorts_at_t0(self, ndim, backend):
         """The loader hands over sample order; the t=0 store is that
         order permuted by the scalar counting sort, and equals, bit for
         bit, a stepper handed the sorted store as ``particles=``."""
-        cfg = OptimizationConfig(ordering="hilbert", backend=backend, workers=2)
-        built = make_stepper(grid, cfg, n=3000, seed=4, quiet=False)
+        ordering = "hilbert" if ndim == 2 else "morton"
+        cfg = OptimizationConfig(ordering=ordering, backend=backend, workers=2)
+        if ndim == 2:
+            built = make_run(2, cfg, n=3000, seed=4, quiet=False)
+            case = LandauDamping(alpha=0.05)
+        else:
+            built = make_run(3, cfg, n=3000)
+            case = LandauDamping3D(alpha=0.1)
+        grid = built.grid
         try:
             want = reference_sorted_load(grid, built.ordering, 3000, seed=4,
-                                         quiet=False)
-            for k in ("icell", "ix", "iy", "dx", "dy"):
+                                         quiet=False, case=case)
+            for k in (k for k in want.keys() if k[0] != "v"):
                 assert (np.asarray(built.particles[k]).tobytes()
                         == want[k].tobytes()), k
             handed = PICStepper(grid, cfg, particles=want, dt=0.1)
@@ -157,11 +191,19 @@ class TestConstruction:
         finally:
             built.close()
 
-    def test_initial_fields_computed(self, grid):
-        s = make_stepper(grid, OptimizationConfig(), n=5000)
-        # Landau perturbation must produce a nonzero initial Ex
-        assert np.abs(s.ex_grid).max() > 0
-        assert s.rho_grid.shape == (16, 16)
+    # [3d] was test_pic3d.py::TestStepper3D::test_initial_perturbation_present
+    @NDIMS
+    def test_initial_fields_computed(self, ndim):
+        """The t=0 solve ran: the Landau ripple along x gives a nonzero
+        initial Ex, well above the transverse components."""
+        s = make_run(ndim, n=40_000)
+        try:
+            assert s.rho_grid.shape == s.grid.shape
+            transverse = max(np.abs(getattr(s, f"e{a}_grid")).max()
+                             for a in "yz"[: ndim - 1])
+            assert np.abs(s.ex_grid).max() > 10 * transverse
+        finally:
+            s.close()
 
 
 class TestStepInvariants:
@@ -187,10 +229,21 @@ class TestStepInvariants:
         assert icell.min() >= 0
         assert icell.max() < stepper.ordering.ncells_allocated
 
-    def test_total_charge_invariant(self, stepper):
-        q0 = stepper.rho_grid.sum()
-        stepper.run(5)
-        assert stepper.rho_grid.sum() == pytest.approx(q0, abs=1e-9)
+    # [3d] was test_pic3d.py::TestStepper3D::test_total_charge_invariant
+    @NDIMS
+    def test_total_charge_invariant(self, ndim):
+        """rho sums to the population's charge ``q * w * n`` over the
+        cell measure (area in 2D, volume in 3D), at t=0 and after."""
+        st = make_run(ndim, n=5000)
+        try:
+            q0 = st.rho_grid.sum()
+            p = st.particles
+            assert q0 == pytest.approx(
+                st.q * p.weight * p.n / math.prod(st.grid.spacings), rel=1e-9)
+            st.run(5)
+            assert st.rho_grid.sum() == pytest.approx(q0, abs=1e-9)
+        finally:
+            st.close()
 
     def test_sort_applied_on_schedule(self, grid):
         s = make_stepper(

@@ -242,16 +242,44 @@ def test_dimension_ratchet_is_by_name(tmp_path):
         assert any(needle in e for e in errors), (needle, errors)
     # deletions the ratchet has recorded: the 3D field store and CiC
     # kernels by name; since the 3D ordering hierarchy, Morton pair and
-    # solver went too, 13 names are left
+    # solver went too, and the verifier's 3D grid / case / sampler
+    # with the 3D stepper's own build, 10 names are left (the two
+    # checkpoint names are aliases of the one pair)
     names = {n for listed in lint.DIMENSIONAL_ALLOWED.values() for n in listed}
     assert not names & {
         "RedundantFields3D", "corner_weights_3d", "corner_offsets_3d",
-        "fused_interp_kick_push_3d",
+        "fused_interp_kick_push_3d", "grid3d", "case3d", "_sample_one_3d",
     }
-    assert len(names) == 13
+    assert len(names) == 10
     assert lint.DIMENSIONAL_ALLOWED["repro/core/backends.py"] == {
         "interpolate_redundant_3d", "accumulate_redundant_3d", "push_positions_3d",
     }
+
+
+def test_dimension_ratchet_sees_module_level_aliases(tmp_path):
+    """A dimension-suffixed name bound by a module-level assignment —
+    an alias of a generic function — is a name the ratchet knows like a
+    ``def``: unlisted it fails, listed it passes.  A function's local
+    variable is no module name."""
+    lint = load_tool("check_imports")
+    pkg = tmp_path / "repro" / "core"
+    pkg.mkdir(parents=True)
+    (pkg / "checkpoint.py").write_text(
+        "def save_checkpoint(): ...\n"
+        "save_checkpoint_3d = save_checkpoint\n"
+        "LOADER_3D: object = save_checkpoint\n"
+        "def helper():\n"
+        "    local_3d = 1\n"
+        "    return local_3d\n"
+    )
+    assert lint.check_dimension_ratchet(tmp_path, {}) == [
+        "repro/core/checkpoint.py:2: definition 'save_checkpoint_3d' is "
+        "not in DIMENSIONAL_ALLOWED",
+        "repro/core/checkpoint.py:3: definition 'LOADER_3D' is not in "
+        "DIMENSIONAL_ALLOWED",
+    ]
+    allowed = {"repro/core/checkpoint.py": {"save_checkpoint_3d", "LOADER_3D"}}
+    assert lint.check_dimension_ratchet(tmp_path, allowed) == []
 
 
 def test_dimension_free_modules_hold_no_dimension_tag(tmp_path):

@@ -254,10 +254,6 @@ class TestStepper3D:
             PICStepper3D(GridSpec3D(*shape), LandauDamping3D(), 100,
                          config=OptimizationConfig(ordering="mortn"))
 
-    def test_initial_perturbation_present(self, stepper):
-        assert stepper.field_energy() > 0
-        assert np.abs(stepper.ex_grid).max() > 10 * np.abs(stepper.ey_grid).max()
-
     def test_energy_conserved(self, stepper):
         e0 = stepper.total_energy()
         stepper.run(30)
@@ -267,11 +263,6 @@ class TestStepper3D:
         fe0 = stepper.field_energy()
         stepper.run(30)  # total 60 by now (class-scoped)
         assert stepper.field_energy() < 0.7 * fe0
-
-    def test_total_charge_invariant(self, stepper):
-        total = stepper.rho_grid.sum()
-        expected = stepper.q * stepper.weight * 40_000 / stepper.grid.cell_volume
-        assert total == pytest.approx(expected, rel=1e-9)
 
     def test_offsets_in_range(self, stepper):
         for k in ("dx", "dy", "dz"):

@@ -66,7 +66,7 @@ class _ClumpedPlasma3D:
     blob's cells hold most particles at t=0 and shed them as it
     disperses, so any cut of the cells made at t=0 goes stale."""
 
-    def sample(self, n, grid):
+    def sample(self, n, grid, rng=None, quiet=False):
         rng = np.random.default_rng(11)
         lo = np.array([grid.xmin, grid.ymin, grid.zmin])
         lengths = np.array(grid.lengths)
@@ -228,10 +228,11 @@ class TestDiffer3D:
         three_d = [s for s in samples if s.dims == 3]
         assert three_d, "the dims axis must produce 3D scenarios"
         for s in three_d:
-            grid = s.grid3d()
+            grid = s.grid()
+            assert isinstance(grid, GridSpec3D)
             assert wrap_for(grid.shape) == "bitwise"
             assert s.case_name in ("landau", "two-stream")
-            assert s.case3d() is not None
+            assert s.case() is not None
             assert "3d" in s.label()
 
     def test_3d_promise_matrix_pins_mp_at_2_and_4_workers(self):

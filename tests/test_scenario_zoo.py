@@ -28,7 +28,7 @@ from repro.particles.initializers import (
     BoundedPlasma,
     MagnetizedExB,
 )
-from repro.verify.configspace import _CASE_POOL, Scenario
+from repro.verify.configspace import _CASE_POOLS, Scenario
 from repro.verify.golden import golden_cases, default_golden_dir
 
 
@@ -163,7 +163,7 @@ class TestStepperSemantics:
 class TestVerificationHooks:
     def test_zoo_cases_in_configspace_pool(self):
         for name in ("bounded-wall", "beam-plasma", "exb-drift"):
-            assert name in _CASE_POOL
+            assert name in _CASE_POOLS[2]
 
     def test_zoo_scenarios_constructible(self):
         for name in ("bounded-wall", "beam-plasma", "exb-drift"):

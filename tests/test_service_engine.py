@@ -392,6 +392,33 @@ class TestStreaming:
                     "mode_amplitude", "phase_seconds", "segment"):
             assert key in events[0]
 
+    def test_steps_wake_no_idle_worker(self):
+        """A running job's per-step events wake stream consumers only:
+        the idle worker of a two-worker engine wakes for the submit,
+        the settle and the shutdown, not once per step."""
+        import threading
+
+        wakeups = []
+
+        class CountingCondition(threading.Condition):
+            def wait(self, timeout=None):
+                woken = super().wait(timeout)
+                wakeups.append(threading.current_thread().name)
+                return woken
+
+        engine = JobEngine(max_workers=2, autostart=False)
+        engine._cond = CountingCondition(engine._lock)
+        try:
+            engine.start()
+            a = engine.submit(small_job(steps=60))
+            events = list(engine.stream(a, timeout=60))
+            assert engine.result(a, timeout=60).state is JobState.SUCCEEDED
+        finally:
+            engine.close()
+        assert {e["step"] for e in events} == set(range(1, 61))
+        by_workers = [n for n in wakeups if n.startswith("repro-job-worker")]
+        assert len(by_workers) <= 8, by_workers
+
     def test_stream_after_completion_replays_then_ends(self):
         with JobEngine(max_workers=1) as engine:
             a = engine.submit(small_job(steps=8))

@@ -49,8 +49,10 @@ checkpoint loader reads an old archive's ``"hoisting"`` key, not the
 attribute.
 
 The second lint is a ratchet on the 2D/3D fork (ROADMAP, "One
-statement per kernel").  A ``class``/``def`` whose name ends in
-``3d``/``3D`` (or carries it before a ``_``-separated suffix) must be
+statement per kernel").  A ``class``/``def`` — or a module-level
+assignment target, so that an alias such as ``save_checkpoint_3d =
+save_checkpoint`` counts too — whose name ends in ``3d``/``3D`` (or
+carries it before a ``_``-separated suffix) must be
 written down in :data:`DIMENSIONAL_ALLOWED`, per file and **by name**:
 a name that is not listed fails, a listed name that is no longer
 defined fails, and so does one defined twice in its file (an override
@@ -93,11 +95,11 @@ MODEL_AXES = ("field_layout", "particle_layout", "loop_mode", "hoisting",
               "sort_variant", "position_update")
 MODEL_AXIS_READERS = ("repro/model/",)
 
-#: every dimension-suffixed class/def that still exists, by file
-#: (relative to ``src/``): the three ``*_3d`` adapters the frozen
-#: benchmark ledger calls, the two 3D checkpoint entry points, the 3D
-#: grid / case / stepper classes, the verifier's 3D scenario sampler
-#: and its 3D two-stream oracle
+#: every dimension-suffixed class/def and module-level name that still
+#: exists, by file (relative to ``src/``): the three ``*_3d`` adapters
+#: the frozen benchmark ledger calls, the ledger's names for the one
+#: checkpoint pair (aliases), the 3D grid / case classes, the legacy
+#: 3D stepper constructor and the verifier's 3D two-stream oracle
 DIMENSIONAL_ALLOWED = {
     "repro/core/backends.py": {
         "interpolate_redundant_3d", "accumulate_redundant_3d", "push_positions_3d",
@@ -105,7 +107,6 @@ DIMENSIONAL_ALLOWED = {
     "repro/core/checkpoint.py": {"save_checkpoint_3d", "load_checkpoint_3d"},
     "repro/pic3d/grid3d.py": {"GridSpec3D"},
     "repro/pic3d/stepper3d.py": {"LandauDamping3D", "TwoStream3D", "PICStepper3D"},
-    "repro/verify/configspace.py": {"grid3d", "case3d", "_sample_one_3d"},
     "repro/verify/oracles.py": {"two_stream_3d_oracle"},
 }
 
@@ -120,10 +121,16 @@ DIMENSION_FREE = (
 )
 
 
+#: a dimension suffix: ``3d``/``3D`` at the end of a name or before a
+#: ``_``-separated suffix
+_DIMENSIONAL = re.compile(r"3[dD](_|$)")
+
+
 def dimension_names(path: Path, strings: bool) -> list[tuple[int, str, str]]:
     """``(line, "definition" | "string", name)`` of every
-    dimension-suffixed definition (and, with ``strings``, string
-    constant) in one module.  The entries of ``__all__`` are no tags:
+    dimension-suffixed definition — ``class``/``def`` at any depth, or
+    a name a module-level assignment binds — (and, with ``strings``,
+    string constant) in one module.  The entries of ``__all__`` are no tags:
     they name definitions, which the definition rule already sees."""
     tree = ast.parse(path.read_text(), filename=str(path))
     exported = {
@@ -133,10 +140,17 @@ def dimension_names(path: Path, strings: bool) -> list[tuple[int, str, str]]:
         and any(getattr(t, "id", None) == "__all__" for t in node.targets)
         for entry in getattr(node.value, "elts", ())
     }
-    found = []
+    found = [
+        (node.lineno, "definition", target.id)
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+        if isinstance(target, ast.Name) and _DIMENSIONAL.search(target.id)
+    ]
     for node in ast.walk(tree):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            if re.search(r"3[dD](_|$)", node.name):
+            if _DIMENSIONAL.search(node.name):
                 found.append((node.lineno, "definition", node.name))
         elif (
             strings and isinstance(node, ast.Constant)
@@ -287,7 +301,8 @@ def main() -> int:
           f"{' and '.join(MODEL_AXIS_READERS)} read "
           f"{', '.join(MODEL_AXES)}; "
           f"the {sum(map(len, DIMENSIONAL_ALLOWED.values()))} "
-          f"dimension-suffixed definitions are the ones written down")
+          f"dimension-suffixed definitions and aliases are the ones "
+          f"written down")
     return 0
 
 
