@@ -23,11 +23,6 @@ from repro.core.backends import (
     register_backend,
     resolve_backend_name,
 )
-from repro.core.boundaries import (
-    compact_particles,
-    push_positions_absorbing,
-    push_positions_reflecting,
-)
 from repro.core.config import OptimizationConfig
 from repro.core.stepper import PICStepper, StepTimings
 from repro.core.simulation import Simulation, SimulationHistory
@@ -56,7 +51,4 @@ __all__ = [
     "mode_amplitude",
     "damping_rate_fit",
     "growth_rate_fit",
-    "push_positions_reflecting",
-    "push_positions_absorbing",
-    "compact_particles",
 ]

@@ -158,32 +158,36 @@ class KernelBackend(abc.ABC):
         """``v += coef * e_p`` in place, per axis of the tuples."""
 
     @abc.abstractmethod
-    def update_v(self, vs, e_1d, icell, offsets) -> None:
+    def update_v(self, vs, e_1d, icell, offsets, drive=None) -> None:
         """Update-v (Fig. 1 line 9) in hoisted units: ``v += E`` in
         place, per axis, with ``E`` gathered from the rows as
         :meth:`interpolate_rows` does — the bits of :meth:`kick` with
-        every coefficient 1 over :meth:`interpolate_rows`' result."""
+        every coefficient 1 over :meth:`interpolate_rows`' result, or
+        of :func:`repro.core.kernels.drive_kick` with a 2D ``drive``
+        (:class:`~repro.core.kernels.Drive`: the zoo's external field
+        and Boris rotation)."""
 
     @abc.abstractmethod
-    def push(self, particles, extents, ordering, scales) -> None:
+    def push(self, particles, extents, ordering, scales, wrap=None) -> None:
         """Advance positions, wrap, re-derive ``icell`` and the cell
         coordinates, over ``len(extents)`` axes, in place.
 
-        The extents pick the wrap (:func:`repro.core.kernels.wrap_for`:
-        bitwise on power-of-two extents, modulo on any other).
-        ``particles`` is a storage or a plain mapping of arrays; the
-        results are written *through* its ``icell``, offsets and any
-        stored coordinates.
+        ``wrap`` names the fold (:func:`repro.core.kernels.wrap_for`;
+        by default the extents pick: bitwise on power-of-two extents,
+        modulo on any other).  ``particles`` is a storage or a plain
+        mapping of arrays; the results are written *through* its
+        ``icell``, offsets and any stored coordinates, and under the
+        ``"reflect"`` wrap its velocities.
         """
 
     @abc.abstractmethod
-    def advance(self, particles, e_1d, extents,
-                ordering) -> tuple[float, float]:
+    def advance(self, particles, e_1d, extents, ordering, wrap=None,
+                drive=None) -> tuple[float, float]:
         """Update-v, then the in-place push, of ``particles`` in hoisted
-        units — the bits of :meth:`update_v` over the store's columns
-        followed by :meth:`push` with every scale 1 — as one pass where
-        the backend has one.  Returns the seconds spent in each of the
-        two loops."""
+        units — the bits of :meth:`update_v` (with ``drive``) over the
+        store's columns followed by :meth:`push` (with ``wrap``) with
+        every scale 1 — as one pass where the backend has one.  Returns
+        the seconds spent in each of the two loops."""
 
     @abc.abstractmethod
     def counting_sort_permutation(self, keys, ncells):
@@ -415,25 +419,28 @@ class NumpyBackend(KernelBackend):
         for v, e_p, coef in zip(vs, e_ps, coefs):
             _k.kick(v, e_p, coef)
 
-    def update_v(self, vs, e_1d, icell, offsets) -> None:
-        self.kick(vs, self.interpolate_rows(e_1d, icell, offsets),
-                  (1.0,) * len(vs))
+    def update_v(self, vs, e_1d, icell, offsets, drive=None) -> None:
+        e_p = self.interpolate_rows(e_1d, icell, offsets)
+        if drive is None:
+            self.kick(vs, e_p, (1.0,) * len(vs))
+        else:
+            _k.drive_kick(vs, e_p, drive)
 
     kinetic_terms = staticmethod(_k.kinetic_terms)
 
-    def push(self, particles, extents, ordering, scales) -> None:
-        _k.push_blocked(particles, extents, ordering, scales)
+    def push(self, particles, extents, ordering, scales, wrap=None) -> None:
+        _k.push_blocked(particles, extents, ordering, scales, wrap)
 
-    def advance(self, particles, e_1d, extents,
-                ordering) -> tuple[float, float]:
+    def advance(self, particles, e_1d, extents, ordering, wrap=None,
+                drive=None) -> tuple[float, float]:
         axes = "xyz"[: len(extents)]
         t0 = time.perf_counter()
         self.update_v(
             tuple(particles["v" + a] for a in axes), e_1d, particles["icell"],
-            tuple(particles["d" + a] for a in axes),
+            tuple(particles["d" + a] for a in axes), drive,
         )
         t1 = time.perf_counter()
-        self.push(particles, extents, ordering, (1.0,) * len(axes))
+        self.push(particles, extents, ordering, (1.0,) * len(axes), wrap)
         return t1 - t0, time.perf_counter() - t1
 
     def counting_sort_permutation(self, keys, ncells):
@@ -449,7 +456,7 @@ class NumpyBackend(KernelBackend):
 #: ``ckernels.c``'s WRAP_* and ORDER_* codes.  Orderings not named here
 #: (L4D, Hilbert, anything registered later) are ORDER_OTHER: the C
 #: loop writes the coordinates and ``ordering.encode`` runs in Python.
-_WRAP_CODES = {"modulo": 0, "bitwise": 1}
+_WRAP_CODES = {"modulo": 0, "bitwise": 1, "reflect": 2}
 _ORDER_OTHER, _ORDER_ROW_MAJOR, _ORDER_COLUMN_MAJOR, _ORDER_MORTON = range(4)
 _ORDER_CODES = {
     "row-major": _ORDER_ROW_MAJOR, "column-major": _ORDER_COLUMN_MAJOR,
@@ -468,10 +475,30 @@ _COLS, _I64S, _F64S = (ctypes.POINTER(t) for t in (_PTR, _I64, _F64))
 _PTR_N, _I64_N, _F64_N = (
     {k: t * k for k in (2, 3, 4, 8)} for t in (_PTR, _I64, _F64)
 )
+
+
+class _Drive(ctypes.Structure):
+    """``ckernels.c``'s ``drive``: a :class:`repro.core.kernels.Drive`."""
+
+    _fields_ = [("field", _INT), ("rotate", _INT), ("e", _F64_N[2]),
+                ("t", _F64), ("s", _F64), ("scale", _F64_N[2])]
+
+
+def _c_drive(drive):
+    """The ``const drive *`` argument of a 2D ``drive``, or ``None``."""
+    if drive is None:
+        return None
+    return ctypes.byref(_Drive(
+        drive.field is not None, drive.rotation is not None,
+        _F64_N[2](*(drive.field or (0.0, 0.0))),
+        *(drive.rotation or (0.0, 0.0)), _F64_N[2](*drive.scales),
+    ))
+
 #: ``ckernels.c``'s exported functions: (restype, argtypes)
 _C_SIGNATURES = {
     "interp_rows": (_I64, (_INT, _I64, _I64, _PTR, _PTR, _COLS, _COLS)),
-    "update_v_rows": (_I64, (_INT, _I64, _I64, _PTR, _PTR, _COLS, _COLS)),
+    "update_v_rows": (_I64, (_INT, _I64, _I64, _PTR, _PTR, _COLS, _COLS,
+                             ctypes.POINTER(_Drive))),
     "push": (None, (_INT, _I64, _INT, _INT, _I64S, _F64S, _PTR,
                     _COLS, _COLS, _COLS)),
     "deposit_rows": (_I64, (_INT, _I64, _I64, _COLS, _I64, _PTR, _COLS, _F64)),
@@ -480,7 +507,7 @@ _C_SIGNATURES = {
     "sort_permutation": (_I64, (_I64, _I64, _PTR, _PTR, _PTR)),
     "kinetic_terms": (None, (_INT, _I64, _COLS, _F64S, _PTR)),
     "advance": (_I64, (_INT, _I64, _I64, _PTR, _INT, _INT, _I64S, _PTR,
-                       _COLS, _COLS, _COLS, _F64S)),
+                       _COLS, _COLS, _COLS, ctypes.POINTER(_Drive), _F64S)),
     "first_outside": (_I64, (_I64, _PTR, _I64)),
     "kernel_isa": (ctypes.c_char_p, ()),
 }
@@ -527,16 +554,18 @@ class CBackend(NumpyBackend):
     runs (``build_info.isa``); both give the same bits.
 
     Overrides the redundant-row gather, update-v (the gather and the
-    kick in one pass, no N-sized ``e_p`` between them) and the deposit,
-    the ρ fold and the field broadcast, the push, update-v and the push
-    as one pass over cache-sized particle blocks (:meth:`advance`), the
-    sort permutation and the kinetic-energy terms; the stand-alone kick
-    (one ``np.add``, which measures no slower than a C loop — the Boris
-    path and the t=0 half-kick call it) and any argument that does not
-    :func:`_fits` the C ABI run the inherited NumPy kernels.  The arithmetic is
-    written to NumPy's bits — the same weight products, the same corner
-    fold, ``v + e`` in NumPy's order, no FMA contraction — so
-    everything is bitwise equal to ``numpy`` in both dimensions.
+    kick in one pass, no N-sized ``e_p`` between them, the zoo's drive
+    stages included) and the deposit, the ρ fold and the field
+    broadcast, the push (every wrap), update-v and the push as one pass
+    over cache-sized particle blocks (:meth:`advance`), the sort
+    permutation and the kinetic-energy terms; the stand-alone kick (one
+    ``np.add``, which measures no slower than a C loop — the t=0
+    half-kick calls it), a drive outside 2D and any argument that does
+    not :func:`_fits` the C ABI run the inherited NumPy kernels.  The
+    arithmetic is written to NumPy's bits — the same weight products,
+    the same corner fold, ``v + e`` in NumPy's order, no FMA
+    contraction — so everything is bitwise equal to ``numpy`` in both
+    dimensions.
     """
 
     name = "c"
@@ -587,14 +616,15 @@ class CBackend(NumpyBackend):
         _check_cells(bad, icell, len(e_1d))
         return e_p
 
-    def update_v(self, vs, e_1d, icell, offsets) -> None:
+    def update_v(self, vs, e_1d, icell, offsets, drive=None) -> None:
         ndim, n = len(offsets), len(icell)
         d = self._row_offsets(e_1d, ndim << ndim, icell, offsets)
         v = _columns(vs, np.float64, (n,)) if d is not None else None
-        if v is None or len(vs) != ndim:
-            return super().update_v(vs, e_1d, icell, offsets)
+        if v is None or len(vs) != ndim or drive is not None and ndim != 2:
+            return super().update_v(vs, e_1d, icell, offsets, drive)
         bad = self._lib.update_v_rows(
             ndim, n, len(e_1d), e_1d.ctypes.data, icell.ctypes.data, d, v,
+            _c_drive(drive),
         )
         _check_cells(bad, icell, len(e_1d))
 
@@ -674,16 +704,16 @@ class CBackend(NumpyBackend):
 
     # -- push ----------------------------------------------------------
     @staticmethod
-    def _push_args(p, extents, ordering, scales):
+    def _push_args(p, extents, ordering, scales, wrap):
         """``(args, coords)``: the arguments of ``ckernels.c``'s push of
-        ``p`` after ``(ndim, n)``, the wrap code first
-        (:func:`repro.core.kernels.wrap_for`'s), and the coordinate
+        ``p`` after ``(ndim, n)``, the code of ``wrap`` first (default:
+        :func:`repro.core.kernels.wrap_for`'s), and the coordinate
         columns, which the caller holds until the call returns (they may
         be temporaries ``args`` points into) — or ``None`` when an
         argument does not fit the C ABI."""
         ndim, icell = len(extents), p["icell"]
         n, axes = len(icell), "xyz"[: len(extents)]
-        wrap = _WRAP_CODES[_k.wrap_for(extents)]
+        wrap = _WRAP_CODES[wrap or _k.wrap_for(extents)]
         order = _ORDER_CODES.get(ordering.name, _ORDER_OTHER)
         d = _columns([p["d" + a] for a in axes], np.float64, (n,))
         v = _columns([p["v" + a] for a in axes], np.float64, (n,))
@@ -713,33 +743,36 @@ class CBackend(NumpyBackend):
         )
         return args, coords
 
-    def push(self, particles, extents, ordering, scales) -> None:
+    def push(self, particles, extents, ordering, scales, wrap=None) -> None:
         """``ckernels.c``'s ``push``, in place; the inherited NumPy push
         when an argument does not fit the C ABI."""
-        call = self._push_args(particles, extents, ordering, scales)
+        call = self._push_args(particles, extents, ordering, scales, wrap)
         if call is None:
-            return super().push(particles, extents, ordering, scales)
+            return super().push(particles, extents, ordering, scales, wrap)
         args, coords = call
         self._lib.push(len(extents), len(particles["icell"]), *args)
         if args[1] == _ORDER_OTHER:
             particles["icell"][:] = ordering.encode(*coords)
 
-    def advance(self, particles, e_1d, extents,
-                ordering) -> tuple[float, float]:
+    def advance(self, particles, e_1d, extents, ordering, wrap=None,
+                drive=None) -> tuple[float, float]:
         """``ckernels.c``'s ``advance``: update-v and the in-place push
         block by block, with the bits of :meth:`update_v` then
         :meth:`push`; a cell outside the rows raises before any ``v``
         or ``x`` is written.  The inherited two calls when an argument
         does not fit the C ABI."""
         ndim, icell = len(extents), particles["icell"]
-        call = self._push_args(particles, extents, ordering, (1.0,) * ndim)
-        if call is None or not _fits(e_1d, np.float64, (len(e_1d), ndim << ndim)):
-            return super().advance(particles, e_1d, extents, ordering)
-        (wrap, order, ext, _, cells, d, v, icoord), coords = call
+        call = self._push_args(particles, extents, ordering, (1.0,) * ndim, wrap)
+        if call is None or drive is not None and ndim != 2 or not _fits(
+            e_1d, np.float64, (len(e_1d), ndim << ndim)
+        ):
+            return super().advance(particles, e_1d, extents, ordering, wrap,
+                                   drive)
+        (code, order, ext, _, cells, d, v, icoord), coords = call
         seconds = _F64_N[2]()
         bad = self._lib.advance(
-            ndim, len(icell), len(e_1d), e_1d.ctypes.data, wrap, order, ext,
-            cells, d, v, icoord, seconds,
+            ndim, len(icell), len(e_1d), e_1d.ctypes.data, code, order, ext,
+            cells, d, v, icoord, _c_drive(drive), seconds,
         )
         _check_cells(bad, icell, len(e_1d))
         if order == _ORDER_OTHER:

@@ -74,8 +74,9 @@
 #endif
 
 /* The wrap variant a grid runs, as repro.core.kernels.wrap_for names
- * it: bitwise on power-of-two extents, modulo on any other. */
-enum { WRAP_MODULO, WRAP_BITWISE };
+ * it: bitwise on power-of-two extents, modulo on any other, the mirror
+ * fold between reflecting walls. */
+enum { WRAP_MODULO, WRAP_BITWISE, WRAP_REFLECT };
 enum { ORDER_OTHER, ORDER_ROW_MAJOR, ORDER_COLUMN_MAJOR, ORDER_MORTON };
 
 /* ------------------------------------------------------------------ */
@@ -120,7 +121,8 @@ INLINE double gather(const int nc, const double *e, int64_t at,
 }
 
 /* ------------------------------------------------------------------ */
-/* The two executed periodic wraps of one axis (paper section IV-C).
+/* The two executed periodic wraps of one axis (paper section IV-C),
+ * and the reflecting wall of its section VI outlook.
  *
  * x86's cvttsd2si returns INT64_MIN for NaN and anything outside
  * int64; in C that conversion is undefined, so it is spelled out —
@@ -144,16 +146,28 @@ INLINE double floored_mod(double x, double nc)
     return 0.0;
 }
 
-/* Returns the wrapped coordinate, and its offset through `offset`.
- * Only the bitwise wrap is free of branches and calls, so only it
- * vectorizes; the modulo wrap calls fmod. */
-INLINE int64_t wrap(const int variant, double x, int64_t nc, double *offset)
+/* Returns the wrapped coordinate, its offset through `offset` and, for
+ * the wall, the velocity factor through `flip`.  Only the bitwise wrap
+ * is free of branches and calls, so only it vectorizes; the modulo wrap
+ * and the wall call fmod. */
+INLINE int64_t wrap(const int variant, double x, int64_t nc, double *offset,
+                    double *flip)
 {
     if (variant == WRAP_BITWISE) {
         /* floor(x) = (int)x - (x < 0); mod = & (nc - 1), nc = 2^k */
         const uint64_t fx = (uint64_t)to_int64(x) - (uint64_t)(x < 0.0);
         *offset = x - (double)(int64_t)fx;
         return (int64_t)(fx & (uint64_t)(nc - 1));
+    }
+    if (variant == WRAP_REFLECT) {
+        /* x_f = L - |mod(x, 2L) - L|: the velocity flips on the
+         * descending half; x_f == L parks in the last cell at 1.0 */
+        const double l = (double)nc, over = floored_mod(x, 2.0 * l) - l;
+        const double folded = l - fabs(over), fx = floor(folded);
+        const int64_t i = to_int64(fx);
+        *flip = over > 0.0 ? -1.0 : 1.0;
+        *offset = i >= nc ? 1.0 : folded - fx;
+        return i >= nc ? nc - 1 : i;
     }
     const double fx = floor(x);
     *offset = x - fx;
@@ -285,15 +299,16 @@ typedef struct {
  * push() below instantiates every combination, so that each runs
  * without a per-particle dispatch.  Every column is a restrict
  * parameter (GCC honours restrict on parameters, not on locals loaded
- * from the column arrays), read and written through that one pointer.
+ * from the column arrays), read and written through that one pointer;
+ * the velocities are written by the wall alone, times its factor.
  * Particles are independent, so the bitwise wrap vectorizes across
  * them. */
 INLINE void push_loop(const int ndim, const int variant, const int order,
                       const int stored, int64_t n, const curve *curv,
                       const double *scale, int64_t *restrict cell,
                       double *restrict d0, double *restrict d1,
-                      double *restrict d2, const double *restrict v0,
-                      const double *restrict v1, const double *restrict v2,
+                      double *restrict d2, double *restrict v0,
+                      double *restrict v1, double *restrict v2,
                       int64_t *restrict i0s, int64_t *restrict i1s,
                       int64_t *restrict i2s)
 {
@@ -316,16 +331,22 @@ INLINE void push_loop(const int ndim, const int variant, const int order,
             i2 = i[ndim - 1];
         }
         /* Fig. 1 line 10: x = i + d + scale * v per axis, wrapped */
-        double o0, o1, o2 = 0.0;
-        i0 = wrap(variant, (double)i0 + d0[j] + sc0 * v0[j], nc0, &o0);
-        i1 = wrap(variant, (double)i1 + d1[j] + sc1 * v1[j], nc1, &o1);
+        double o0, o1, o2 = 0.0, f0 = 1.0, f1 = 1.0, f2 = 1.0;
+        i0 = wrap(variant, (double)i0 + d0[j] + sc0 * v0[j], nc0, &o0, &f0);
+        i1 = wrap(variant, (double)i1 + d1[j] + sc1 * v1[j], nc1, &o1, &f1);
         if (ndim == 3)
-            i2 = wrap(variant, (double)i2 + d2[j] + sc2 * v2[j], nc2, &o2);
+            i2 = wrap(variant, (double)i2 + d2[j] + sc2 * v2[j], nc2, &o2, &f2);
         const int64_t c = encode(ndim, order, &k, i0, i1, i2);
         d0[j] = o0;
         d1[j] = o1;
         if (ndim == 3)
             d2[j] = o2;
+        if (variant == WRAP_REFLECT) {
+            v0[j] = v0[j] * f0;
+            v1[j] = v1[j] * f1;
+            if (ndim == 3)
+                v2[j] = v2[j] * f2;
+        }
         if (stored) {
             i0s[j] = i0;
             i1s[j] = i1;
@@ -368,8 +389,8 @@ INLINE void push_order(const int ndim, const int variant, const int order,
         push_columns(ndim, variant, ORDER_OTHER, 1, s);
 }
 
-/* The bitwise wrap is the one that vectorizes (the modulo wrap calls
- * fmod), so it alone is cloned. */
+/* The bitwise wrap is the one that vectorizes (the modulo wrap and the
+ * wall call fmod), so it alone is cloned. */
 static CLONES void push_bitwise(const int ndim, const push_args *s)
 {
     if (ndim == 2)
@@ -378,10 +399,14 @@ static CLONES void push_bitwise(const int ndim, const push_args *s)
         push_order(3, WRAP_BITWISE, s->order, s);
 }
 
-static void push_modulo(const int ndim, const push_args *s)
+static void push_fmod(const int ndim, const int variant, const push_args *s)
 {
-    if (ndim == 2)
+    if (ndim == 2 && variant == WRAP_REFLECT)
+        push_order(2, WRAP_REFLECT, s->order, s);
+    else if (ndim == 2)
         push_order(2, WRAP_MODULO, s->order, s);
+    else if (variant == WRAP_REFLECT)
+        push_order(3, WRAP_REFLECT, s->order, s);
     else
         push_order(3, WRAP_MODULO, s->order, s);
 }
@@ -402,7 +427,7 @@ static void push_span(const int ndim, const int variant, const push_args *s,
     if (variant == WRAP_BITWISE)
         push_bitwise(ndim, &b);
     else
-        push_modulo(ndim, &b);
+        push_fmod(ndim, variant, &b);
 }
 
 /* ------------------------------------------------------------------ */
@@ -423,22 +448,49 @@ INLINE int64_t interp_loop(const int ndim, int64_t n, int64_t ncell,
     return -1;
 }
 
+/* The scenario zoo's stages of a 2D update-v, in stored units
+ * (repro.core.kernels.Drive): `field` adds e[] to the gathered field;
+ * `rotate` runs Boris's half kick, rotation of the physical velocities
+ * (v * scale) by (t, s) and half kick, where without it the field takes
+ * one full kick.  No flag is a `+ 0.0`: that would turn a -0.0 field
+ * into +0.0. */
+typedef struct {
+    int field, rotate;
+    double e[2], t, s, scale[2];
+} drive;
+
 /* Fig. 1 line 9 in one pass: the gather above, then v += e per axis
- * (hoisted units), without the e_p columns in between.  The cells were
- * checked by the caller.  Particles are independent: the loop
- * vectorizes across them, each corner value one gather. */
-INLINE void update_v_loop(const int ndim, int64_t n,
+ * (hoisted units), without the e_p columns in between; `driven` (2D
+ * only) runs the drive's stages, whose flags select between results
+ * rather than branch.  The cells were checked by the caller.  Particles
+ * are independent: the loop vectorizes across them, each corner value
+ * one gather. */
+INLINE void update_v_loop(const int ndim, const int driven, int64_t n,
                           const double *restrict rows,
                           const int64_t *restrict cell,
                           const double *restrict d0, const double *restrict d1,
                           const double *restrict d2, double *restrict v0,
-                          double *restrict v1, double *restrict v2)
+                          double *restrict v1, double *restrict v2,
+                          const drive *dr)
 {
     const int nc = 1 << ndim, width = ndim << ndim;
+    const drive g = *dr;
     for (int64_t k = 0; k < n; k++) { /* cvec: update-v */
         double w[MAXCORNER];
         weights(ndim, d0[k], d1[k], d2[k], w);
         const int64_t at = cell[k] * width;
+        if (driven) {
+            double e0 = gather(nc, rows, at, w), e1 = gather(nc, rows, at + nc, w);
+            e0 = g.field ? e0 + g.e[0] : e0;
+            e1 = g.field ? e1 + g.e[1] : e1;
+            const double h0 = 0.5 * e0, h1 = 0.5 * e1;
+            const double x = (v0[k] + h0) * g.scale[0],
+                         y = (v1[k] + h1) * g.scale[1];
+            const double px = x + y * g.t, py = y - x * g.t;
+            v0[k] = g.rotate ? (x + py * g.s) / g.scale[0] + h0 : v0[k] + e0;
+            v1[k] = g.rotate ? (y - px * g.s) / g.scale[1] + h1 : v1[k] + e1;
+            continue;
+        }
         v0[k] = v0[k] + gather(nc, rows, at, w);
         v1[k] = v1[k] + gather(nc, rows, at + nc, w);
         if (ndim == 3)
@@ -446,21 +498,26 @@ INLINE void update_v_loop(const int ndim, int64_t n,
     }
 }
 
-/* Update-v over particles [lo, hi), whose cells the caller checked. */
+/* Update-v over particles [lo, hi), whose cells the caller checked;
+ * `dr` NULL runs no drive (the caller passes none in 3D). */
 static CLONES void update_v_span(const int ndim, int64_t lo, int64_t hi,
                                  const double *e, const int64_t *icell,
-                                 double *const *d, double *const *v)
+                                 double *const *d, double *const *v,
+                                 const drive *dr)
 {
+    static const drive none = {0, 0, {0.0, 0.0}, 0.0, 0.0, {1.0, 1.0}};
     const int64_t n = hi - lo;
     const int64_t *const cell = icell + lo;
     double *const d0 = d[0] + lo, *const d1 = d[1] + lo,
                   *const d2 = d[ndim - 1] + lo;
     double *const v0 = v[0] + lo, *const v1 = v[1] + lo,
                   *const v2 = v[ndim - 1] + lo;
-    if (ndim == 2)
-        update_v_loop(2, n, e, cell, d0, d1, d2, v0, v1, v2);
+    if (ndim == 3)
+        update_v_loop(3, 0, n, e, cell, d0, d1, d2, v0, v1, v2, &none);
+    else if (dr)
+        update_v_loop(2, 1, n, e, cell, d0, d1, d2, v0, v1, v2, dr);
     else
-        update_v_loop(3, n, e, cell, d0, d1, d2, v0, v1, v2);
+        update_v_loop(2, 0, n, e, cell, d0, d1, d2, v0, v1, v2, &none);
 }
 
 /* `col[c]` is corner c's column, cell j at col[c][j * stride], or NULL
@@ -682,17 +739,18 @@ int64_t interp_rows(int ndim, int64_t n, int64_t ncell, const double *e,
 }
 
 /* Update-v (Fig. 1 line 9, one of the three loops of section IV-A):
- * v[a][k] += (field along axis a at particle k), in place.  Returns
- * -1, or the first particle whose cell is outside [0, ncell), before
- * any v is written. */
+ * v[a][k] += (field along axis a at particle k), in place, through the
+ * stages of `dr` (NULL: none).  Returns -1, or the first particle whose
+ * cell is outside [0, ncell), before any v is written. */
 CLONES int64_t update_v_rows(int ndim, int64_t n, int64_t ncell,
                              const double *e, const int64_t *icell,
-                             double *const *d, double *const *v)
+                             double *const *d, double *const *v,
+                             const drive *dr)
 {
     const int64_t bad = first_outside(n, icell, ncell);
     if (bad >= 0)
         return bad;
-    update_v_span(ndim, 0, n, e, icell, d, v);
+    update_v_span(ndim, 0, n, e, icell, d, v, dr);
     return -1;
 }
 
@@ -727,10 +785,11 @@ void push(int ndim, int64_t n, int variant, int order, const int64_t *extent,
     push_span(ndim, variant, &s, 0, n);
 }
 
-/* The strip-mined push: update-v, then the in-place push (hoisted
- * units: every scale 1), over one block of BLOCK particles after
- * another, so that the push reads the cells, offsets and velocities
- * update-v just streamed from L1/L2 rather than from memory.  Particles are independent in both loops,
+/* The strip-mined push: update-v (through the stages of `dr`), then the
+ * in-place push (hoisted units: every scale 1), over one block of BLOCK
+ * particles after another, so that the push reads the cells, offsets and
+ * velocities update-v just streamed from L1/L2 rather than from memory.
+ * Particles are independent in both loops,
  * so the block size moves no bit; the deposit is not folded in (its
  * rows and the field's would share L2 with the block, docs/kernels.md
  * "Strip-mined push").  Every cell is checked first: -1, or the first
@@ -750,7 +809,7 @@ static double now(void)
 int64_t advance(int ndim, int64_t n, int64_t ncell, const double *e,
                 int variant, int order, const int64_t *extent,
                 int64_t *icell, double *const *d, double *const *v,
-                int64_t *const *icoord, double *seconds)
+                int64_t *const *icoord, const drive *dr, double *seconds)
 {
     static const double unit[MAXDIM] = {1.0, 1.0, 1.0};
     double t0 = now(), update_v = 0.0, update_x = 0.0;
@@ -761,7 +820,7 @@ int64_t advance(int ndim, int64_t n, int64_t ncell, const double *e,
                                        d, v, icoord);
     for (int64_t lo = 0; lo < n; lo += BLOCK) {
         const int64_t hi = n - lo < BLOCK ? n : lo + BLOCK;
-        update_v_span(ndim, lo, hi, e, icell, d, v);
+        update_v_span(ndim, lo, hi, e, icell, d, v, dr);
         const double t1 = now();
         push_span(ndim, variant, &s, lo, hi);
         const double t2 = now();

@@ -36,6 +36,8 @@ iteration of the same loop — there is no second code path.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.grid.fields import corner_offsets
@@ -50,6 +52,8 @@ __all__ = [
     "broadcast_rows",
     "interpolate_rows",
     "kick",
+    "Drive",
+    "drive_kick",
     "kinetic_terms",
     "push_blocked",
     "wrap_for",
@@ -236,13 +240,54 @@ def interpolate_rows(e_1d, icell, offsets):
 
 
 # ----------------------------------------------------------------------
-# Velocity update (Fig. 1 line 9)
+# Velocity update (Fig. 1 line 9) and the scenario zoo's stages of it
 # ----------------------------------------------------------------------
 def kick(v, e_p, coef):
     """``v += coef * e_p`` in place; multiply-free for the scalar 1.0."""
     if np.ndim(coef) != 0 or coef != 1.0:
         e_p = coef * e_p
     np.add(v, e_p, out=v)
+
+
+class Drive(NamedTuple):
+    """The scenario zoo's stages of a 2D update-v, in stored units.
+
+    ``field`` is a uniform external field per axis, added to the
+    gathered one before any kick; ``None`` adds nothing (not ``+ 0.0``,
+    which turns a −0.0 field into +0.0).  ``rotation`` is Boris's
+    ``(t, s)`` for a uniform out-of-plane magnetic field, with
+    ``scales`` the stored -> physical velocity factors of the two axes:
+    half kick, exact rotation of the physical velocities, half kick.
+    Without a rotation the field takes one full kick.
+    """
+
+    field: tuple | None = None
+    rotation: tuple | None = None
+    scales: tuple = (1.0, 1.0)
+
+
+def drive_kick(vs, e_p, drive):
+    """Update-v's kick of the gathered field ``e_p`` through ``drive``'s
+    stages, in place: :func:`kick` with coefficient 1, or, with a
+    rotation, half kick, rotation and half kick block by block — the
+    operations, in their order, that ``ckernels.c::update_v_loop``
+    runs."""
+    if drive.field is not None:
+        e_p = [e + g for e, g in zip(e_p, drive.field)]
+    if drive.rotation is None:
+        for v, e in zip(vs, e_p):
+            kick(v, e, 1.0)
+        return
+    (t, s), (svx, svy) = drive.rotation, drive.scales
+    vx, vy = vs
+    for sl in blocks(len(vx)):
+        h = [0.5 * e[sl] for e in e_p]
+        vx_ph = (vx[sl] + h[0]) * svx
+        vy_ph = (vy[sl] + h[1]) * svy
+        vpx = vx_ph + vy_ph * t
+        vpy = vy_ph - vx_ph * t
+        vx[sl] = (vx_ph + vpy * s) / svx + h[0]
+        vy[sl] = (vy_ph - vpx * s) / svy + h[1]
 
 
 # ----------------------------------------------------------------------
@@ -260,9 +305,10 @@ def kinetic_terms(vs, scales, out):
 
 
 # ----------------------------------------------------------------------
-# Position update (Fig. 1 line 10) — the two executed §IV-C wraps.
-# Each takes one axis' advanced positions and returns new
-# (icoord, offset); the grid's extents select which one runs.
+# Position update (Fig. 1 line 10) — the two executed §IV-C wraps and
+# the reflecting wall.  Each takes one axis' advanced positions and
+# returns new (icoord, offset), the wall also the velocity factor;
+# wrap_for selects which one runs.
 # ----------------------------------------------------------------------
 _INT64_MIN = np.iinfo(np.int64).min
 
@@ -307,27 +353,50 @@ def _axis_bitwise(x, nc):
     return fx & (nc - 1), x - fx
 
 
-_AXIS_WRAPS = {"modulo": _axis_modulo, "bitwise": _axis_bitwise}
-
-
-def wrap_for(extents) -> str:
-    """The periodic wrap a grid of ``extents`` runs, by name — the one
-    place it is decided, for every backend and the scalar reference.
-
-    ``"bitwise"`` (§IV-C3) when every extent is a power of two: the
-    only wrap free of branches and calls, so the only one the C push
-    vectorizes.  ``"modulo"`` (§IV-C2) otherwise, the one of the two
-    that runs on such a grid.  Both land every finite position in the
-    same cell at the same offset, except an exact negative integer,
-    where the bitwise floor leaves the offset 1.0 one cell down.  The
-    paper's starting point, test-and-wrap (§IV-C1), is priced by
-    :mod:`repro.model` (``ModelConfig.position_update``) and executed
-    nowhere.
+def _axis_reflect(x, nc):
+    """Mirror fold into ``[0, nc]`` between reflecting walls (§VI
+    outlook), no branch: the mirrored extension of ``[0, L]`` is
+    periodic in ``2L``, so ``x_f = L - |mod(x, 2L) - L|``, and the
+    velocity flips (returned factor −1.0, else 1.0) where the fold took
+    the descending half, after an odd number of bounces.  A position
+    parked on the far wall (``x_f == nc``) lands in the last cell at
+    offset 1.0.  Works any number of box widths outside.
     """
+    over = np.mod(x, 2.0 * nc) - nc
+    folded = nc - np.abs(over)
+    flip = np.where(over > 0.0, -1.0, 1.0)
+    fx = np.floor(folded)
+    i = _to_int64(fx)
+    hit = i >= nc
+    return np.where(hit, nc - 1, i), np.where(hit, 1.0, folded - fx), flip
+
+
+_AXIS_WRAPS = {"modulo": _axis_modulo, "bitwise": _axis_bitwise,
+               "reflect": _axis_reflect}
+
+
+def wrap_for(extents, boundary="periodic") -> str:
+    """The wrap a grid of ``extents`` runs, by name — the one place it
+    is decided, for every backend and the scalar reference.
+
+    ``"reflect"`` between reflecting walls (``boundary="reflecting"``,
+    the scenario zoo's wall case; :func:`_axis_reflect`).  On a
+    periodic grid, ``"bitwise"`` (§IV-C3) when every extent is a power
+    of two: the only wrap free of branches and calls, so the only one
+    the C push vectorizes.  ``"modulo"`` (§IV-C2) otherwise, the one of
+    the two that runs on such a grid.  Both land every finite position
+    in the same cell at the same offset, except an exact negative
+    integer, where the bitwise floor leaves the offset 1.0 one cell
+    down.  The paper's starting point, test-and-wrap (§IV-C1), is
+    priced by :mod:`repro.model` (``ModelConfig.position_update``) and
+    executed nowhere.
+    """
+    if boundary == "reflecting":
+        return "reflect"
     return "bitwise" if all(nc & (nc - 1) == 0 for nc in extents) else "modulo"
 
 
-def push_blocked(particles, extents, ordering, scales):
+def push_blocked(particles, extents, ordering, scales, wrap=None):
     """The one position-update body: advance, wrap, re-derive cells, in
     place.
 
@@ -336,18 +405,19 @@ def push_blocked(particles, extents, ordering, scales):
     ``icell``) to arrays, for each axis ``a`` of
     ``"xyz"[:len(extents)]``; a
     :class:`~repro.particles.storage.ParticleStorage` is such a mapping.
-    ``icell``, the offsets and the stored coordinates are overwritten.
+    ``icell``, the offsets and the stored coordinates are overwritten,
+    and under the ``"reflect"`` wrap the velocity of every bounced axis.
 
-    ``ordering`` supplies the coordinates <-> icell bijection,
-    :func:`wrap_for` picks the periodic fold and ``scales`` are the
-    stored-velocity -> grid-displacement factors per axis (1.0 in the
-    stepper's hoisted units).  An axis reads only its own arrays, and
-    ``icell`` and the coordinates — the inputs every axis shares — are
-    written last.
+    ``ordering`` supplies the coordinates <-> icell bijection, ``wrap``
+    names the fold (default: :func:`wrap_for` of the extents) and
+    ``scales`` are the stored-velocity -> grid-displacement factors per
+    axis (1.0 in the stepper's hoisted units).  An axis reads only its
+    own arrays, and ``icell`` and the coordinates — the inputs every
+    axis shares — are written last.
     """
     p = particles
     axes = "xyz"[: len(extents)]
-    axis_fn = _AXIS_WRAPS[wrap_for(extents)]
+    axis_fn = _AXIS_WRAPS[wrap or wrap_for(extents)]
     for sl in blocks(len(p["icell"])):
         if "ix" in p:
             old = [p["i" + a][sl] for a in axes]
@@ -356,9 +426,12 @@ def push_blocked(particles, extents, ordering, scales):
             old = ordering.decode(p["icell"][sl])
         new = []
         for a, i_old, nc, scale in zip(axes, old, extents, scales):
-            x = i_old + p["d" + a][sl] + scale * p["v" + a][sl]
-            i_new, offset = axis_fn(np.asarray(x), nc)
+            v = p["v" + a]
+            x = i_old + p["d" + a][sl] + scale * v[sl]
+            i_new, offset, *flip = axis_fn(np.asarray(x), nc)
             p["d" + a][sl] = offset
+            if flip:
+                v[sl] = v[sl] * flip[0]
             new.append(i_new)
         p["icell"][sl] = ordering.encode(*new)
         if "ix" in p:

@@ -15,10 +15,13 @@ The particle loops run split (§IV-A), over redundant field rows
 pass of the backend's :meth:`~repro.core.backends.KernelBackend.advance`
 (``c`` runs the two loops block by block, so that update-x reads what
 update-v just streamed from cache), then the deposit as its own full
-pass.  A step with a :attr:`PICStepper.phase_hook`, and the zoo's Python
-bodies, run update-v and update-x as two full passes instead, to the
-same bits.  Cache blocking is otherwise not the stepper's business: the
-NumPy kernels block internally (:mod:`repro.core.kernels`).
+pass.  A step with a :attr:`PICStepper.phase_hook` runs update-v and
+update-x as two full passes instead, to the same bits.  The scenario
+zoo's physics rides in the same kernels: its reflecting wall is the
+push's third wrap and its Boris rotation and external drive are stages
+of update-v (:class:`~repro.core.kernels.Drive`).  Cache blocking is
+otherwise not the stepper's business: the NumPy kernels block
+internally (:mod:`repro.core.kernels`).
 
 Unit conventions
 ----------------
@@ -53,8 +56,8 @@ import time
 import numpy as np
 
 from repro.core.backends import CBackend, KernelBackend, _check_cells, get_backend
-from repro.core.boundaries import push_positions_reflecting
 from repro.core.config import OptimizationConfig
+from repro.core.kernels import Drive, wrap_for
 from repro.core.team import ThreadTeam, shard_slices, usable_cpus
 from repro.curves.base import get_ordering
 from repro.grid.fields import RedundantFields
@@ -96,14 +99,6 @@ class PICStepper:
         implied by the zero-mean Poisson solve.
     """
 
-    # scenario-zoo attributes as class-level defaults so instances
-    # reconstructed via ``__new__`` (the checkpoint loader, including
-    # pre-zoo checkpoints) behave as plain periodic electrostatic
-    # steppers unless the archive says otherwise
-    boundary = "periodic"
-    bz = 0.0
-    ext_e = (0.0, 0.0)
-
     def __init__(
         self,
         grid,
@@ -140,7 +135,8 @@ class PICStepper:
         self.bz = float(getattr(case, "bz", 0.0) or 0.0)
         ext = getattr(case, "ext_e", None) or (0.0, 0.0)
         self.ext_e = (float(ext[0]), float(ext[1]))
-        if self._zoo_phases and len(grid.shape) != 2:
+        if len(grid.shape) != 2 and (self.boundary != "periodic" or self.bz
+                                     or self.ext_e != (0.0, 0.0)):
             raise ValueError("walls, Boris rotation and external drive are 2D only")
         self._build_fields()
 
@@ -226,8 +222,11 @@ class PICStepper:
         # half-kick backwards so v sits at -dt/2 while x sits at 0; with
         # a magnetic field this stays a plain electric half-kick (the
         # gyrophase offset is a one-off transient the time-averaging
-        # oracles are insensitive to)
-        e_p = self._add_external_field(self._interpolate())
+        # oracles are insensitive to), the drive's field added
+        e_p = self.backend.interpolate_rows(
+            self.fields.e_1d, self.particles.icell, self._columns("d"))
+        if self._drive is not None and self._drive.field is not None:
+            e_p = tuple(e + g for e, g in zip(e_p, self._drive.field))
         self.backend.kick(self._columns("v"), e_p, (-0.5,) * len(e_p))
 
     def _attach_runtime(self, instrumentation=None) -> None:
@@ -237,6 +236,9 @@ class PICStepper:
         self.backend: KernelBackend = get_backend(self.config.backend)
         # the store's own fold / broadcast methods run this body too
         self.fields.body = self.backend
+        #: the push's wrap and update-v's drive, from the zoo attributes
+        self._wrap = wrap_for(self.grid.shape, self.boundary)
+        self._drive = self._make_drive()
         #: per-phase wall-clock recorder; `.timings` is its cumulative view
         self.instrumentation = (
             instrumentation if instrumentation is not None else Instrumentation()
@@ -364,33 +366,23 @@ class PICStepper:
         p = self.particles if p is None else p
         return tuple(p[prefix + a] for a in "xyz"[: len(self.grid.shape)])
 
-    def _interpolate(self) -> tuple:
-        """Field at particles, in *stored* (hoisted) units."""
-        return self.backend.interpolate_rows(
-            self.fields.e_1d, self.particles.icell, self._columns("d")
-        )
-
     def _phase_update_v(self) -> None:
-        if self.bz != 0.0 or self.ext_e != (0.0, 0.0):
-            self._phase_update_v_boris()
-            return
-        e_1d = self.fields.e_1d
+        e_1d, drive = self.fields.e_1d, self._drive
         self._on_team(lambda p: self.backend.update_v(
             self._columns("v", p), e_1d, p["icell"], self._columns("d", p),
+            drive,
         ), check_cells=True)
 
     def _phase_update_x(self) -> None:
-        if self.boundary == "reflecting":
-            g = self.grid
-            push_positions_reflecting(self.particles, g.ncx, g.ncy, self.ordering)
-            return
-        args = (self.grid.shape, self.ordering, (1.0,) * len(self.grid.shape))
+        args = (self.grid.shape, self.ordering, (1.0,) * len(self.grid.shape),
+                self._wrap)
         self._on_team(lambda p: self.backend.push(p, *args))
 
     def _phase_advance(self) -> tuple[float, float]:
         """Update-v then update-x in one backend pass; the seconds of
         each loop (on the team: of the caller's shard)."""
-        args = (self.fields.e_1d, self.grid.shape, self.ordering)
+        args = (self.fields.e_1d, self.grid.shape, self.ordering, self._wrap,
+                self._drive)
         return self._on_team(lambda p: self.backend.advance(p, *args),
                              check_cells=True)[0]
 
@@ -439,7 +431,7 @@ class PICStepper:
             if hook is not None:
                 hook("sort", self)
 
-            if hook is None and not self._zoo_phases:
+            if hook is None:
                 # update-v's own seconds, and the rest of the call (the
                 # arguments, an encode in Python) with update-x's
                 t0 = time.perf_counter()
@@ -474,47 +466,18 @@ class PICStepper:
 
 
     # ------------------------------------------------------------------
-    # The scenario zoo's phases (2D)
+    # The scenario zoo's update-v stages (2D)
     # ------------------------------------------------------------------
-    @property
-    def _zoo_phases(self) -> bool:
-        """Whether update-v or update-x is a Python body of the zoo,
-        which the backend's one-pass :meth:`KernelBackend.advance`
-        cannot run."""
-        return (self.bz != 0.0 or self.ext_e != (0.0, 0.0)
-                or self.boundary == "reflecting")
-
-    def _add_external_field(self, e_p: tuple) -> tuple:
-        """Add the case's uniform external E (stored units); no-op bitwise
-        when ``ext_e`` is zero — the arrays pass through untouched."""
+    def _make_drive(self) -> Drive | None:
+        """Update-v's :class:`~repro.core.kernels.Drive` of ``ext_e``
+        (stored units) and ``bz`` (Boris's ``t = q bz dt / 2m`` and
+        ``s = 2t / (1 + t²)``), or ``None`` when both are zero."""
+        field = rotation = None
         if self.ext_e != (0.0, 0.0):
-            e_p = tuple(e + ext * s for e, ext, s
-                        in zip(e_p, self.ext_e, self._field_scales))
-        return e_p
-
-    def _phase_update_v_boris(self) -> None:
-        """Velocity update under a uniform out-of-plane ``bz`` (Boris).
-
-        Half electric kick, exact magnetic rotation of the *physical*
-        velocities, half electric kick — the standard volume-preserving
-        splitting.  Both half kicks reuse the backend's kick kernel so
-        any engine-side parallelism still applies; the rotation is a
-        cheap whole-array sweep in the parent.
-        """
-        p = self.particles
-        e_p = self._add_external_field(self._interpolate())
-        if self.bz == 0.0:
-            # external E only: one full kick, same kernel as unmagnetized
-            self.backend.kick((p.vx, p.vy), e_p, (1.0, 1.0))
-            return
-        self.backend.kick((p.vx, p.vy), e_p, (0.5, 0.5))
-        t = self.q * self.bz * self.dt / (2.0 * self.m)
-        s = 2.0 * t / (1.0 + t * t)
-        svx, svy = self._vel_scales
-        vx_ph = np.asarray(p.vx) * svx
-        vy_ph = np.asarray(p.vy) * svy
-        vpx = vx_ph + vy_ph * t
-        vpy = vy_ph - vx_ph * t
-        p.vx[:] = (vx_ph + vpy * s) / svx
-        p.vy[:] = (vy_ph - vpx * s) / svy
-        self.backend.kick((p.vx, p.vy), e_p, (0.5, 0.5))
+            field = tuple(e * s for e, s in zip(self.ext_e, self._field_scales))
+        if self.bz != 0.0:
+            t = self.q * self.bz * self.dt / (2.0 * self.m)
+            rotation = (t, 2.0 * t / (1.0 + t * t))
+        if field is None and rotation is None:
+            return None
+        return Drive(field, rotation, self._vel_scales)

@@ -51,6 +51,7 @@ from multiprocessing.connection import wait
 import numpy as np
 
 from repro.core.backends import AUTO, NumpyBackend, get_backend, register_backend
+from repro.core.kernels import wrap_for
 from repro.core.team import usable_cpus
 from repro.curves.base import get_ordering
 from repro.parallel.partition import (
@@ -113,28 +114,32 @@ def _stage(front, back, lo, hi):
     return cols
 
 
-def _exec_update_v(body, front, back, e_1d, lo, hi):
-    """Update-v of the shard onto the back buffer's velocities (``back``
-    names exactly those, one per axis)."""
+def _exec_update_v(body, front, back, e_1d, lo, hi, drive=None):
+    """Update-v (with ``drive``) of the shard onto the back buffer's
+    velocities (``back`` names exactly those, one per axis)."""
     p = _stage(front, back, lo, hi)
     axes = "xyz"[: len(back)]
     body.update_v(
         tuple(p["v" + a] for a in axes), e_1d, p["icell"],
-        tuple(p["d" + a] for a in axes),
+        tuple(p["d" + a] for a in axes), drive,
     )
 
 
-def _exec_push(body, front, back, lo, hi, extents, ordering, scales):
+def _exec_push(body, front, back, lo, hi, extents, ordering, scales,
+               wrap=None):
     """The push of the shard onto the back buffer's cells, offsets and
-    coordinates, from the front's velocities."""
-    body.push(_stage(front, back, lo, hi), extents, ordering, scales)
+    coordinates (and, under the wall, velocities), from the front's
+    velocities."""
+    body.push(_stage(front, back, lo, hi), extents, ordering, scales, wrap)
 
 
-def _exec_advance(body, front, back, e_1d, lo, hi, extents, ordering):
+def _exec_advance(body, front, back, e_1d, lo, hi, extents, ordering,
+                  wrap=None, drive=None):
     """Update-v then the push of the shard, onto the back buffer's
     every column, in the body's one pass; returns the body's two loop
     seconds."""
-    return body.advance(_stage(front, back, lo, hi), e_1d, extents, ordering)
+    return body.advance(_stage(front, back, lo, hi), e_1d, extents, ordering,
+                        wrap, drive)
 
 
 def _exec_deposit(body, slab, icell, offsets, groups, charge):
@@ -596,26 +601,30 @@ class ShmEngine:
         front.flip(back, names)
         return results
 
-    def update_v(self, e_1d):
+    def update_v(self, e_1d, drive):
         names = [k for k in self._stepper.particles.keys() if k[0] == "v"]
-        self._run_staged("update_v", "update_v", names, e_1d)
+        self._run_staged("update_v", "update_v", names, e_1d, drive=drive)
 
-    def _push_args(self, extents):
+    def _push_args(self, extents, wrap):
         return {"extents": tuple(int(nc) for nc in extents),
-                "ordering": self.ordering.spec}
+                "ordering": self.ordering.spec,
+                "wrap": wrap or wrap_for(extents)}
 
-    def push(self, extents, scales):
-        names = [k for k in self._stepper.particles.keys() if k[0] != "v"]
+    def push(self, extents, scales, wrap):
+        """The push; the wall writes the velocities too, so then they
+        are staged as well."""
+        args = self._push_args(extents, wrap)
+        names = [k for k in self._stepper.particles.keys()
+                 if k[0] != "v" or args["wrap"] == "reflect"]
         self._run_staged("update_x", "push", names,
-                         scales=[float(sc) for sc in scales],
-                         **self._push_args(extents))
+                         scales=[float(sc) for sc in scales], **args)
 
-    def advance(self, e_1d, extents):
+    def advance(self, e_1d, extents, wrap, drive):
         """Both loops in one dispatch; the two loop seconds of the
         slowest shard."""
         results = self._run_staged(
             "update_x", "advance", list(self._stepper.particles.keys()), e_1d,
-            **self._push_args(extents),
+            drive=drive, **self._push_args(extents, wrap),
         )
         return max(results, key=sum)
 
@@ -690,9 +699,9 @@ class MultiprocessBackend(NumpyBackend):
     ρ rows, are dispatched to the pool of the :class:`ShmEngine` that
     owns the arrays; its workers run the engine's body — the kernels
     ``"auto"`` resolves to, ``c``'s compiled loops wherever they build
-    (the name is historical).  The engine's other arrays — the gather
-    and the kick (the zoo's Boris update-v, the t=0 half-kick), the ρ
-    fold, the field broadcast, the kinetic-energy terms, any loop over
+    (the name is historical); the zoo's wall and drive travel in the
+    shard messages.  The engine's other arrays — the gather and the
+    kick (the t=0 half-kick), the ρ fold, the field broadcast, the kinetic-energy terms, any loop over
     the back buffer — run that body in the parent, in place.  Arrays
     no engine owns, a deposit with ``corners=`` and the sort run the
     inherited :class:`NumpyBackend` kernels serially, with identical
@@ -779,7 +788,7 @@ class MultiprocessBackend(NumpyBackend):
         return self._body_for(*vs).kinetic_terms(vs, scales, out)
 
     # -- the particle loops over the live storage go to the pool
-    def update_v(self, vs, e_1d, icell, offsets):
+    def update_v(self, vs, e_1d, icell, offsets, drive=None):
         eng = _engine_owning(e_1d, icell, *vs, *offsets)
         axes = "xyz"[: len(vs)]
         if eng is None or not (
@@ -788,22 +797,23 @@ class MultiprocessBackend(NumpyBackend):
                              **{"v" + a: v for a, v in zip(axes, vs)},
                              **{"d" + a: d for a, d in zip(axes, offsets)})
         ):
-            return self._body_for(*vs).update_v(vs, e_1d, icell, offsets)
-        eng.update_v(e_1d)
+            return self._body_for(*vs).update_v(vs, e_1d, icell, offsets, drive)
+        eng.update_v(e_1d, drive)
 
-    def push(self, particles, extents, ordering, scales):
+    def push(self, particles, extents, ordering, scales, wrap=None):
         eng = _engine_owning(particles["icell"])
         if eng is None or not eng.is_front(particles) or ordering is not eng.ordering:
             return self._body_for(particles["icell"]).push(
-                particles, extents, ordering, scales)
-        eng.push(extents, scales)
+                particles, extents, ordering, scales, wrap)
+        eng.push(extents, scales, wrap)
 
-    def advance(self, particles, e_1d, extents, ordering):
+    def advance(self, particles, e_1d, extents, ordering, wrap=None,
+                drive=None):
         eng = _engine_owning(e_1d, particles["icell"])
         if eng is None or not eng.is_front(particles) or ordering is not eng.ordering:
             return self._body_for(particles["icell"]).advance(
-                particles, e_1d, extents, ordering)
-        return eng.advance(e_1d, extents)
+                particles, e_1d, extents, ordering, wrap, drive)
+        return eng.advance(e_1d, extents, wrap, drive)
 
     def accumulate_rows(self, rho_1d, icell, offsets, charge=1.0,
                         corners=None):

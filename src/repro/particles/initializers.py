@@ -336,8 +336,8 @@ class BoundedPlasma(InitialCondition):
     """A plasma slab between reflecting walls (§VI boundary outlook).
 
     The case carries ``boundary="reflecting"`` — the stepper reads the
-    attribute and swaps the periodic position kernel for the
-    triangle-wave fold of :mod:`repro.core.boundaries`.  Particles
+    attribute and runs the push's ``"reflect"`` wrap, the triangle-wave
+    fold of :func:`repro.core.kernels.wrap_for`.  Particles
     start in a central slab covering ``slab_frac`` of the box along x
     (uniform along y), so the population expands, hits the walls and
     bounces; the acceptance oracle holds the bounce dynamics to two
@@ -432,7 +432,8 @@ class MagnetizedExB(InitialCondition):
 
     The case carries ``bz`` (uniform external magnetic field) and
     ``ext_e`` (uniform external electric field) — the stepper reads
-    both attributes and runs the Boris velocity rotation.  A spatially
+    both attributes and runs update-v's drive stage
+    (:class:`repro.core.kernels.Drive`), the Boris velocity rotation.  A spatially
     uniform population keeps the self-consistent field at noise level,
     so every particle gyrates about a guiding center drifting at the
     charge-independent ``v_d = E x B / B^2 = (0, -ex0/bz)``; the

@@ -44,9 +44,9 @@ __all__ = ["Scenario", "ScenarioSampler", "modulo_scenario"]
 #: stress case (most particles clumped in one corner, so the
 #: ``numpy-mp`` combos' histogram-balanced deposit cuts sit far from
 #: the equal-cell ones), and the scenario-zoo cases
-#: (``bounded-wall``/``beam-plasma``/``exb-drift``), which route the
-#: stepper through its reflecting-boundary, drifting-beam and
-#: Boris-rotation paths.
+#: (``bounded-wall``/``beam-plasma``/``exb-drift``), which run the
+#: push's reflecting wall, a drifting beam and update-v's Boris /
+#: external-drive stage.
 _GRID_POOLS = {
     2: ((16, 8), (32, 8), (16, 16), (32, 4)),
     3: ((8, 4, 4), (16, 4, 4), (8, 8, 4)),

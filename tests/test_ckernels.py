@@ -42,7 +42,7 @@ from repro.core.backends import (
     CBackend,
     get_backend,
 )
-from repro.core.kernels import BLOCK
+from repro.core.kernels import BLOCK, Drive, _axis_reflect
 from repro.curves import get_ordering
 from repro.grid import GridSpec, RedundantFields
 from repro.model.config import ModelConfig
@@ -117,6 +117,17 @@ GRIDS = [
 
 #: the inputs no double -> int64 conversion may meet unguarded
 BAD = (np.nan, np.inf, -np.inf, 1e300, -1e300, 2.0**63, -(2.0**63))
+
+#: the scenario zoo's update-v stages: the field alone, the rotation
+#: alone (a −0.0 entry of the gathered field must stay −0.0: nothing is
+#: added), both, and neither
+DRIVES = {
+    "field": Drive(field=(0.013, -0.002)),
+    "rotation": Drive(rotation=(-0.025, -0.04996876951905059),
+                      scales=(7.853981633974483, 15.707963267948966)),
+    "both": Drive((0.013, -0.0), (0.31, 0.56), (0.5, 2.0)),
+    "none": Drive(),
+}
 
 #: the values a fold or a broadcast must carry with NumPy's bits
 SPECIAL = (np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -1e308)
@@ -282,6 +293,42 @@ class TestEquivalence:
             one, two = _advance_pair(c, split, state, e_1d, shape, ordering)
             for k in state.keys():
                 assert one[k].tobytes() == two[k].tobytes(), (split.name, k)
+
+    @pytest.mark.parametrize("drive", list(DRIVES))
+    @pytest.mark.parametrize("n", ADVANCE_SIZES)
+    @pytest.mark.parametrize("curve", [c for d, c in CURVES if d == 2])
+    def test_wall_and_drive_equal_numpy(self, curve, n, drive):
+        """The scenario zoo inside the kernels: update-v through each
+        drive, the push through the reflecting wall (particles several
+        box widths out, velocities flipped) and the strip-mined pass
+        through both have NumPy's bits on ``c``, on either side of
+        every block edge, for every 2D ordering; the pass equals
+        update-v then the push."""
+        c, numpy = get_backend("c"), get_backend("numpy")
+        rng = np.random.default_rng(n)
+        ordering, shape = _ordering(2, curve)
+        state = _population(rng, 2, n, ordering, shape, curve != "row-major")
+        e_1d = rng.normal(size=(ordering.ncells_allocated, 8))
+        e_1d.reshape(-1)[::7] = -0.0
+        dr = DRIVES[drive]
+        offsets, vs = (state.dx, state.dy), (state.vx, state.vy)
+        got, want = ([v.copy() for v in vs] for _ in range(2))
+        c.update_v(got, e_1d, state.icell, offsets, dr)
+        numpy.update_v(want, e_1d, state.icell, offsets, dr)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes(), drive
+
+        p, q = _copy(state), _copy(state)
+        c.push(p, shape, ordering, (1.0, 1.0), "reflect")
+        numpy.push(q, shape, ordering, (1.0, 1.0), "reflect")
+        _assert_same(p, q, "reflect push")
+        assert ((p.dx >= 0.0) & (p.dx <= 1.0)).all()
+
+        one, two = _copy(state), _copy(state)
+        c.advance(one, e_1d, shape, ordering, "reflect", dr)
+        numpy.update_v((two.vx, two.vy), e_1d, two.icell, (two.dx, two.dy), dr)
+        numpy.push(two, shape, ordering, (1.0, 1.0), "reflect")
+        _assert_same(one, two, ("advance", drive))
 
     @pytest.mark.parametrize("stored", [True, False], ids=["stored", "recomputed"])
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -505,6 +552,64 @@ class TestDefinedOnEveryInput:
             for name in ("dx", "dy", "ix", "iy"):
                 np.testing.assert_array_equal(p[name], q[name],
                                               err_msg=(curve, name))
+
+    def test_reflect_push_of_every_input(self):
+        """The wall's fold casts through ``to_int64`` / ``_to_int64``:
+        positions NaN, ±inf, ±1e300, beyond int64, exact hits on 0 and
+        on the far wall, offsets and velocities of −0.0 give NumPy's
+        bits on ``c`` with no cast warning.  A non-finite position keeps
+        a non-finite offset, at coordinate ``INT64_MIN`` as under the
+        modulo wrap, for the finite guard to find; every other lands
+        inside, a hit on the far wall in the last cell at offset 1.0;
+        nothing unbounced flips."""
+        c, numpy = get_backend("c"), get_backend("numpy")
+        ordering, shape = _ordering(2, "morton")
+        nc = float(shape[0])
+        x = np.array([*BAD, 0.0, nc, 2 * nc, -0.0, 3.5, -2.5, nc + 0.5])
+        n = len(x)
+        p = ParticleSoA(n, 1.0, store_coords=True, ndim=2)
+        p.set_state(icell=ordering.encode(np.zeros(n, int), np.zeros(n, int)),
+                    dx=np.where(x == 0.0, -0.0, 0.0), dy=np.full(n, 0.25),
+                    vx=x, vy=np.full(n, -0.0),
+                    ix=np.zeros(n, int), iy=np.zeros(n, int))
+        q = _copy(p)
+        c.push(p, shape, ordering, (1.0, 1.0), "reflect")
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", message=".*encountered in cast")
+            warnings.filterwarnings(
+                "ignore", message=".*encountered in (remainder|subtract)")
+            numpy.push(q, shape, ordering, (1.0, 1.0), "reflect")
+        for name in p.keys():
+            assert p[name].tobytes() == q[name].tobytes(), name
+        assert not np.isfinite(p.dx[:3]).any()
+        assert (p.ix[:3] == np.iinfo(np.int64).min).all()
+        assert ((0 <= p.ix[3:]) & (p.ix[3:] < shape[0])).all()
+        hit = slice(len(BAD), len(BAD) + 4)  # 0, nc, 2 nc, -0.0
+        assert list(p.ix[hit]) == [0, shape[0] - 1, 0, 0]
+        assert list(p.dx[hit]) == [0.0, 1.0, 0.0, 0.0]
+        assert p.vx[hit].tobytes() == x[hit].tobytes()
+        assert list(p.vx[-3:]) == [3.5, 2.5, -(nc + 0.5)]
+        assert p.vy.tobytes() == np.full(n, -0.0).tobytes()
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", message=".*encountered in cast")
+            warnings.filterwarnings("ignore", message=".*encountered in remainder")
+            i, off, flip = _axis_reflect(np.array([np.nan, np.inf, 1e300, -0.0]), 8)
+        assert i[0] == i[1] == np.iinfo(np.int64).min and np.isnan(off[:2]).all()
+        assert 0 <= i[2] < 8 and (i[3], off[3], flip[3]) == (0, 0.0, 1.0)
+
+    def test_drive_adds_no_zero(self):
+        """A drive without a field adds nothing: on a −0.0 field the
+        velocity −0.0 stays −0.0 on both backends (``+ 0.0`` would make
+        it +0.0)."""
+        ordering, shape = _ordering(2, "morton")
+        n = 17
+        state = _population(np.random.default_rng(0), 2, n, ordering, shape, True)
+        e_1d = np.full((ordering.ncells_allocated, 8), -0.0)
+        for backend in (get_backend("c"), get_backend("numpy")):
+            for dr in (None, Drive()):
+                vs = (np.full(n, -0.0), np.full(n, -0.0))
+                backend.update_v(vs, e_1d, state.icell, (state.dx, state.dy), dr)
+                assert all(np.signbit(v).all() for v in vs), (backend.name, dr)
 
     def test_update_v_and_kinetic_terms_of_non_finite_inputs(self):
         """NaN, ±inf and beyond-int64 offsets and velocities carry

@@ -366,8 +366,8 @@ def _snapshot(stepper):
 
 class TestOnePass:
     """An unhooked step runs update-v and update-x as the backend's one
-    ``advance`` pass; a hooked step, and the zoo's Python bodies, run
-    them as two."""
+    ``advance`` pass, the zoo's wall and drive included; a hooked step
+    runs them as two."""
 
     @pytest.mark.parametrize("backend", [_available(b) for b in ("numpy", "c", "numpy-mp")])
     @pytest.mark.parametrize("label,dims,overrides", ONE_PASS_CASES,
@@ -390,19 +390,18 @@ class TestOnePass:
             assert bare[k].tobytes() == hooked[k].tobytes(), (label, k)
 
     @staticmethod
-    def _count_advances(monkeypatch, raising=False):
-        """Wrap every backend's ``advance`` in a counter (or make it
-        raise); returns the list the calls append to."""
+    def _count_advances(monkeypatch):
+        """Wrap every backend's ``advance`` in a counter; returns the
+        list the calls append to."""
         import repro.core.backends as B
+        from repro.parallel.executor import MultiprocessBackend
 
         calls = []
-        for cls in (B.NumpyBackend, B.CBackend):
+        for cls in (B.NumpyBackend, B.CBackend, MultiprocessBackend):
             real = cls.advance
 
             def spy(self, *args, _real=real, **kwargs):
                 calls.append(self.name)
-                if raising:
-                    raise AssertionError("a zoo phase ran the one-pass kernel")
                 return _real(self, *args, **kwargs)
 
             monkeypatch.setattr(cls, "advance", spy)
@@ -427,18 +426,22 @@ class TestOnePass:
         finally:
             st.close()
 
-    @pytest.mark.parametrize("backend", [_available(b) for b in ("numpy", "c")])
+    @pytest.mark.parametrize("backend", [_available(b) for b in ("numpy", "c", "numpy-mp")])
     @pytest.mark.parametrize("case", ["bounded-wall", "exb-drift"])
-    def test_zoo_cases_run_their_python_bodies(self, backend, case, monkeypatch):
+    def test_zoo_cases_run_one_pass(self, backend, case, monkeypatch):
+        """The wall is the push's third wrap and Boris and the drive are
+        stages of update-v, so an unhooked zoo step is one ``advance``
+        call too."""
         from repro.particles.initializers import BoundedPlasma, MagnetizedExB
 
-        self._count_advances(monkeypatch, raising=True)
+        calls = self._count_advances(monkeypatch)
         ic = BoundedPlasma() if case == "bounded-wall" else MagnetizedExB()
         grid = GridSpec(32, 8, xmax=4 * np.pi, ymax=2 * np.pi)
-        st = PICStepper(grid, OptimizationConfig(backend=backend), case=ic,
-                        n_particles=2000, seed=0, quiet=True)
+        st = PICStepper(grid, OptimizationConfig(backend=backend, workers=2),
+                        case=ic, n_particles=2000, seed=0, quiet=True)
         try:
             st.run(3)
+            assert calls == [backend] * 3
             assert np.isfinite(np.asarray(st.particles.vx)).all()
         finally:
             st.close()

@@ -5,8 +5,8 @@ Three layers per scenario:
 * **initializer structure** — the sampled phase space has the shape the
   case advertises (slab support, beam fraction, drift attributes);
 * **stepper semantics** — the zoo attributes (reflecting boundary,
-  ``bz`` rotation, external drive field) reach the stepper, force the
-  split loop path, and produce the right short-horizon physics
+  ``bz`` rotation, external drive field) reach the stepper, run in the
+  one-pass kernels every case runs, and produce the right short-horizon physics
   (confinement, measurable E×B drift) at tier-1 cost;
 * **verification hooks** — each case has a configspace row, a golden
   digest under the gate, and a CLI spelling; the full calibrated
@@ -85,9 +85,21 @@ class TestInitializers:
 # Stepper semantics
 # ----------------------------------------------------------------------
 class TestStepperSemantics:
-    def test_zoo_cases_force_split_path(self):
-        """Reflecting/magnetized cases run the split phases, under any
-        ``loop_mode`` of a :class:`ModelConfig` (every stepper does)."""
+    def test_zoo_cases_take_the_one_pass_path(self, monkeypatch):
+        """Reflecting/magnetized cases run the backend's one ``advance``
+        call per unhooked step, with the wall and the drive it was
+        handed, under any ``loop_mode`` of a :class:`ModelConfig`
+        (every stepper does); both loops are booked."""
+        from repro.core.backends import NumpyBackend
+
+        seen = []
+        real = NumpyBackend.advance
+
+        def spy(self, particles, e_1d, extents, ordering, wrap=None, drive=None):
+            seen.append((wrap, drive is not None))
+            return real(self, particles, e_1d, extents, ordering, wrap, drive)
+
+        monkeypatch.setattr(NumpyBackend, "advance", spy)
         grid = _grid()
         cfg = ModelConfig(**dataclasses.asdict(_config()), loop_mode="fused")
         for case in (BoundedPlasma(), MagnetizedExB()):
@@ -98,6 +110,7 @@ class TestStepperSemantics:
                 assert s.timings.update_v > 0 and s.timings.update_x > 0
             finally:
                 s.close()
+        assert seen == [("reflect", False), ("bitwise", True)]
 
     def test_plain_case_attributes_default_to_periodic(self):
         from repro.particles.initializers import LandauDamping

@@ -19,6 +19,8 @@ The population is ``3 * BLOCK + 17`` particles under a block size
 patched down to 64, so up to four uneven shards run in milliseconds.
 """
 
+import dataclasses
+import functools
 import gc
 import hashlib
 import os
@@ -37,8 +39,10 @@ from repro.core.team import ThreadTeam, shard_slices, usable_cpus
 from repro.grid import GridSpec
 from repro.model.config import ModelConfig
 from repro.particles import LandauDamping
+from repro.particles.initializers import BoundedPlasma, MagnetizedExB
 from repro.pic3d import GridSpec3D, LandauDamping3D, PICStepper3D
 from repro.resilience import FaultInjector, SupervisedRun
+from repro.verify.golden import state_digest
 
 pytestmark = pytest.mark.skipif(not CBackend.is_available(),
                                 reason="no C compiler")
@@ -420,3 +424,63 @@ def test_numpy_mp_on_the_c_body_starts_no_team_anywhere(monkeypatch):
     assert st._team is None and _team_threads() == []
     assert _trail(st) == want
     assert st.timings.fallbacks == 0
+
+
+# ----------------------------------------------------------------------
+# The scenario zoo on every engine
+# ----------------------------------------------------------------------
+@dataclasses.dataclass(frozen=True)
+class _Driven(LandauDamping):
+    """A uniform external field and no magnetic field: the drive alone."""
+
+    ext_e: tuple = (0.1, -0.05)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Gyrating(LandauDamping):
+    """A magnetic field and no external field: the Boris rotation alone."""
+
+    bz: float = 0.7
+
+
+ZOO = {
+    "bounded_wall": BoundedPlasma(),
+    "exb_drift": MagnetizedExB(),
+    "drive_only": _Driven(alpha=0.1),
+    "boris_only": _Gyrating(alpha=0.1),
+}
+#: more than two of the real kernel blocks, so the team cuts two shards
+N_ZOO = 20_000
+
+
+def _zoo_digest(case, backend, workers, hooked, steps=6):
+    grid = GridSpec(32, 8, 0.0, 4 * np.pi, 0.0, 2 * np.pi)
+    cfg = OptimizationConfig(sort_period=4, backend=backend, workers=workers)
+    st = PICStepper(grid, cfg, case=ZOO[case], n_particles=N_ZOO, seed=2)
+    try:
+        if backend == "c":
+            assert (st._team is None) == (workers == 1)
+        if hooked:
+            st.phase_hook = lambda phase, s: None
+        st.run(steps)
+        return state_digest(st)
+    finally:
+        st.close()
+
+
+@functools.lru_cache(maxsize=None)
+def _zoo_numpy_digest(case):
+    return _zoo_digest(case, "numpy", None, hooked=False)
+
+
+@pytest.mark.parametrize("hooked", [False, True], ids=["unhooked", "hooked"])
+@pytest.mark.parametrize("backend,workers", [("c", 1), ("c", 2), ("numpy-mp", 2)],
+                         ids=["c", "thread_team", "numpy-mp"])
+@pytest.mark.parametrize("case", list(ZOO))
+def test_zoo_on_every_engine(case, backend, workers, hooked, monkeypatch):
+    """The wall, Boris and the drive run inside the kernels of every
+    engine — ``c`` on one thread, the ``c`` team, ``numpy-mp``'s
+    workers — hooked (two passes) and unhooked (one ``advance``), with
+    ``numpy``'s bits."""
+    monkeypatch.setattr(kernels, "BLOCK", 8192)
+    assert _zoo_digest(case, backend, workers, hooked) == _zoo_numpy_digest(case)
