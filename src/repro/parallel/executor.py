@@ -281,16 +281,14 @@ class WorkerPool:
     respawned.
     """
 
-    def __init__(self, nworkers, timeout=60.0, start_method=None):
+    def __init__(self, nworkers, timeout=60.0):
         import multiprocessing as mp
 
         self.nworkers = int(nworkers)
         self.timeout = float(timeout)
-        if start_method is None:
-            start_method = (
-                "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-            )
-        self._ctx = mp.get_context(start_method)
+        self._ctx = mp.get_context(
+            "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+        )
         self._tid = 0
         self._closed = False
         #: number of workers killed and respawned over the pool's life
@@ -456,14 +454,9 @@ class ShmEngine:
     run, in the workers and in the parent's serial retry alike.
     """
 
-    def __init__(self, stepper, nworkers=None, task_timeout=None):
+    def __init__(self, stepper):
         cfg = stepper.config
-        if nworkers is None:
-            nworkers = getattr(cfg, "workers", None) or usable_cpus()
-        self.nworkers = max(1, int(nworkers))
-        if task_timeout is None:
-            task_timeout = getattr(cfg, "mp_task_timeout", 60.0)
-        self.task_timeout = float(task_timeout)
+        self.nworkers = cfg.workers or usable_cpus()
         self.instrumentation = stepper.instrumentation
         self.arena = SharedArena()
         # rebind before allocating the back buffer: the plain storage
@@ -495,7 +488,7 @@ class ShmEngine:
         #: the kernels every shard runs, picked once — before the pool
         #: forks, so the workers start with them loaded
         self.body = get_backend(AUTO)
-        self.pool = WorkerPool(self.nworkers, timeout=self.task_timeout)
+        self.pool = WorkerPool(self.nworkers, timeout=cfg.mp_task_timeout)
         #: consecutive dispatches in which *every* shard failed; at
         #: ``max_failure_streak`` the engine declares itself
         #: unrecoverable (see :meth:`_dispatch`)
@@ -525,7 +518,7 @@ class ShmEngine:
                 f"numpy-mp pool already declared unrecoverable after "
                 f"{self._failure_streak} fully-failed dispatches"
             )
-        done, failed = self.pool.run_shards(shards, timeout=self.task_timeout)
+        done, failed = self.pool.run_shards(shards)
         instr = self.instrumentation
         if instr is not None:
             for (wid, _msg), (secs, loops) in done:
@@ -751,7 +744,7 @@ class MultiprocessBackend(NumpyBackend):
         _log.info(
             "numpy-mp engine: %d workers running the %s kernels, task "
             "timeout %.1fs, %d shared segments", engine.nworkers,
-            engine.body.name, engine.task_timeout,
+            engine.body.name, engine.pool.timeout,
             len(engine.arena.segment_names),
         )
 

@@ -93,11 +93,11 @@ def sample_perturbed_positions(
     k: float,
     rng: np.random.Generator | None = None,
     quiet: bool = False,
-    halton_base: int = 2,
 ) -> np.ndarray:
-    """Sample positions from ``1 + alpha*cos(k x)`` on ``[0, length)``."""
+    """Sample positions from ``1 + alpha*cos(k x)`` on ``[0, length)``
+    (a quiet start draws the base-2 Halton sequence)."""
     if quiet:
-        u = halton_sequence(n, halton_base)
+        u = halton_sequence(n, 2)
     else:
         if rng is None:
             raise ValueError("random sampling requires an rng")

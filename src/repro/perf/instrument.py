@@ -159,11 +159,10 @@ class Instrumentation:
     One :meth:`step` context per time step, one :meth:`phase` context
     per kernel call inside it (a phase entered more than once sums
     into the step's record).  Keeps the cumulative
-    :class:`StepTimings` plus, when ``keep_per_step`` is true, one
-    record per step for time-series inspection.
+    :class:`StepTimings` plus one record per step for time-series
+    inspection.
     """
 
-    keep_per_step: bool = True
     timings: StepTimings = field(default_factory=StepTimings)
     #: one ``{"step": i, "particles": n, "<phase>": seconds...}`` per step
     per_step: list[dict] = field(default_factory=list)
@@ -194,8 +193,7 @@ class Instrumentation:
             self._current = None
             self.timings.steps += 1
             self.timings.particle_steps += int(n_particles)
-            if self.keep_per_step:
-                self.per_step.append(current)
+            self.per_step.append(current)
 
     @contextmanager
     def phase(self, name: str):

@@ -271,19 +271,18 @@ _GUARD_FACTORIES = {
 
 @dataclass
 class GuardSuite:
-    """A configured set of guards run every ``every`` steps.
+    """A configured set of guards, run after every step.
 
-    :meth:`check` is the supervisor-facing entry point: it returns
-    ``[]`` without touching anything on off-cycle steps, and the list
-    of violations (possibly from several guards) otherwise.
+    :meth:`check` is the supervisor-facing entry point: it returns the
+    list of violations (possibly from several guards), ``[]`` when the
+    state is clean.
     """
 
     guards: list[Guard] = field(default_factory=list)
-    every: int = 1
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_spec(cls, spec: str, every: int = 1) -> "GuardSuite":
+    def from_spec(cls, spec: str) -> "GuardSuite":
         """Parse a ``--guards`` spec: comma-separated ``name[:param]``.
 
         ``"default"`` expands to :data:`DEFAULT_GUARD_SPEC`, ``"all"``
@@ -293,7 +292,7 @@ class GuardSuite:
         """
         spec = (spec or "").strip().lower()
         if spec in ("none", "off", ""):
-            return cls([], every)
+            return cls([])
         if spec == "default":
             spec = DEFAULT_GUARD_SPEC
         elif spec == "all":
@@ -314,11 +313,11 @@ class GuardSuite:
             if param and not takes_param:
                 raise ValueError(f"guard {name!r} takes no parameter")
             guards.append(factory(float(param)) if param else factory())
-        return cls(guards, every)
+        return cls(guards)
 
     @classmethod
-    def default(cls, every: int = 1) -> "GuardSuite":
-        return cls.from_spec(DEFAULT_GUARD_SPEC, every)
+    def default(cls) -> "GuardSuite":
+        return cls.from_spec(DEFAULT_GUARD_SPEC)
 
     # ------------------------------------------------------------------
     @property
@@ -326,13 +325,7 @@ class GuardSuite:
         return tuple(g.name for g in self.guards)
 
     def check(self, stepper, history, step: int) -> list[GuardViolation]:
-        """All violations at ``step``; [] when off-cycle or clean."""
-        if not self.guards or self.every <= 0 or step % self.every != 0:
-            return []
-        return self.check_now(stepper, history, step)
-
-    def check_now(self, stepper, history, step: int) -> list[GuardViolation]:
-        """Run every guard regardless of the ``every`` cycle."""
+        """All violations at ``step``; [] when clean."""
         out = []
         for guard in self.guards:
             v = guard.check(stepper, history, step)

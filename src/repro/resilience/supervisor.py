@@ -14,8 +14,10 @@ identical** to an unsupervised one — while adding, between steps:
 3. **recovery**: when a step raises or a guard trips, the run rolls
    back to the newest *loadable and clean* checkpoint (torn archives
    are discarded, restored state is re-guarded) and retries, with
-   optional exponential backoff; after ``max_retries`` consecutive
-   failures without progress the kernel backend is **degraded** along
+   optional exponential backoff (``backoff_base · 2**(k−1)`` seconds
+   before the k-th retry, capped at :data:`MAX_BACKOFF_S`); after
+   ``max_retries`` consecutive failures without progress the kernel
+   backend is **degraded** along
    :func:`~repro.core.backends.degradation_chain` (``c`` → ``numpy``,
    ``numpy-mp`` → ``numpy``) — all backends produce identical physics,
    so a degraded run is slower, never wrong.
@@ -50,6 +52,11 @@ from repro.core.checkpoint import (
 from repro.resilience.guards import GuardSuite, GuardViolation
 
 logger = logging.getLogger("repro.resilience")
+
+#: retry backoff: the k-th consecutive retry sleeps
+#: ``backoff_base * BACKOFF_FACTOR**(k-1)`` seconds, at most MAX_BACKOFF_S
+BACKOFF_FACTOR = 2.0
+MAX_BACKOFF_S = 30.0
 
 __all__ = [
     "SupervisedRun",
@@ -188,18 +195,13 @@ class SupervisedRun:
     guards:
         A :class:`~repro.resilience.guards.GuardSuite` or a spec string
         for :meth:`GuardSuite.from_spec` (``"default"``, ``"none"``,
-        ``"finite,charge:1e-6"``, ...).
-    guard_every:
-        Run the guards every this many steps (spec-string form only;
-        a passed suite keeps its own cycle).
+        ``"finite,charge:1e-6"``, ...), run after every step.
     max_retries:
         Consecutive recoveries without a fresh checkpoint before the
-        backend is degraded one link down the chain.
-    degrade:
-        Allow backend degradation at all; with ``False`` the run fails
-        with :class:`SupervisionError` once retries are exhausted.
-    backoff_base, backoff_factor, max_backoff:
-        Sleep ``min(base * factor**(attempt-1), max_backoff)`` seconds
+        backend is degraded one link down the chain; with the chain
+        exhausted the run fails with :class:`SupervisionError`.
+    backoff_base:
+        Sleep ``min(base * 2**(attempt-1), MAX_BACKOFF_S)`` seconds
         before each retry; the default base of 0 disables sleeping
         (faults here are deterministic, not contention).
     deadline_s:
@@ -232,12 +234,8 @@ class SupervisedRun:
         checkpoint_every: int = 50,
         keep_checkpoints: int = 3,
         guards: GuardSuite | str = "default",
-        guard_every: int = 1,
         max_retries: int = 3,
-        degrade: bool = True,
         backoff_base: float = 0.0,
-        backoff_factor: float = 2.0,
-        max_backoff: float = 30.0,
         deadline_s: float | None = None,
         elapsed_offset: float = 0.0,
         on_checkpoint=None,
@@ -257,13 +255,10 @@ class SupervisedRun:
         self.rotation = CheckpointRotation(checkpoint_dir, keep_checkpoints)
         self.checkpoint_every = int(checkpoint_every)
         if isinstance(guards, str):
-            guards = GuardSuite.from_spec(guards, guard_every)
+            guards = GuardSuite.from_spec(guards)
         self.guards = guards
         self.max_retries = int(max_retries)
-        self.degrade = bool(degrade)
         self.backoff_base = float(backoff_base)
-        self.backoff_factor = float(backoff_factor)
-        self.max_backoff = float(max_backoff)
         self.deadline_s = None if deadline_s is None else float(deadline_s)
         self.elapsed_offset = float(elapsed_offset)
         self.on_checkpoint = on_checkpoint
@@ -396,8 +391,8 @@ class SupervisedRun:
             self._degrade(exc)
         elif self.backoff_base > 0.0:
             pause = min(
-                self.backoff_base * self.backoff_factor ** (self._attempts - 1),
-                self.max_backoff,
+                self.backoff_base * BACKOFF_FACTOR ** (self._attempts - 1),
+                MAX_BACKOFF_S,
             )
             self.report.backoff_seconds += pause
             time.sleep(pause)
@@ -406,12 +401,11 @@ class SupervisedRun:
         self._publish_report()
 
     def _degrade(self, exc: Exception) -> None:
-        if not self.degrade or self._chain_pos + 1 >= len(self._chain):
+        if self._chain_pos + 1 >= len(self._chain):
             self._publish_report()
             raise SupervisionError(
                 f"giving up after {self._attempts - 1} retries on backend "
-                f"{self.backend_name!r} (degradation "
-                f"{'exhausted' if self.degrade else 'disabled'}): {exc}",
+                f"{self.backend_name!r} (degradation exhausted): {exc}",
                 self.report,
             ) from exc
         old = self.backend_name
@@ -428,9 +422,9 @@ class SupervisedRun:
         """Restore the newest loadable *and clean* checkpoint.
 
         Torn/corrupt archives (:class:`CheckpointMismatchError`) and
-        restored states that immediately trip a guard (e.g. a NaN that
-        slipped past a sparse guard cycle into a checkpoint) are
-        discarded and the next older archive is tried.
+        restored states that immediately trip a guard (the first
+        checkpoint of a run is written before any guard has seen its
+        state) are discarded and the next older archive is tried.
         """
         cfg = self.sim.config.with_(backend=self.backend_name)
         for path in self.rotation.existing():
@@ -442,7 +436,7 @@ class SupervisedRun:
                 self.rotation.discard(path)
                 self.report.checkpoints_discarded += 1
                 continue
-            bad = self.guards.check_now(stepper, None, stepper.iteration)
+            bad = self.guards.check(stepper, None, stepper.iteration)
             if bad:
                 stepper.close()
                 self.rotation.discard(path)

@@ -51,6 +51,10 @@ _GRID_POOLS = {
     2: ((16, 8), (32, 8), (16, 16), (32, 4)),
     3: ((8, 4, 4), (16, 4, 4), (8, 8, 4)),
 }
+#: particle counts straddle :data:`repro.core.kernels.BLOCK`, so the
+#: sampled matrix runs single-block and multi-block kernels
+_N_PARTICLES_POOL = (500, 2000, 9000)
+_N_STEPS_POOL = (6, 10)
 _ORDERING_POOLS = {
     2: ("row-major", "column-major", "l4d", "morton", "hilbert"),
     3: ("row-major", "morton"),
@@ -160,10 +164,6 @@ class ScenarioSampler:
     """
 
     seed: int = 0
-    #: particle counts straddle :data:`repro.core.kernels.BLOCK`, so
-    #: the sampled matrix runs single-block and multi-block kernels
-    n_particles_pool: tuple[int, ...] = (500, 2000, 9000)
-    n_steps_pool: tuple[int, ...] = (6, 10)
     _rng: np.random.Generator = field(init=False, repr=False)
     _count: int = field(default=0, init=False, repr=False)
 
@@ -176,8 +176,8 @@ class ScenarioSampler:
     def sample_one(self) -> Scenario:
         dims = int(self._pick(_DIMS_POOL))
         shape = self._pick(_GRID_POOLS[dims])
-        n_particles = int(self._pick(self.n_particles_pool))
-        n_steps = int(self._pick(self.n_steps_pool))
+        n_particles = int(self._pick(_N_PARTICLES_POOL))
+        n_steps = int(self._pick(_N_STEPS_POOL))
         case_name = self._pick(_CASE_POOLS[dims])
         ordering = self._pick(_ORDERING_POOLS[dims])
         # the retired axes drew here — in 2D the field layout, split /

@@ -444,10 +444,9 @@ def two_stream_3d_oracle(backend: str = "numpy") -> OracleResult:
     )
 
 
-def run_all_oracles(backend: str = "numpy",
-                    include_3d: bool = True) -> list[OracleResult]:
+def run_all_oracles(backend: str = "numpy") -> list[OracleResult]:
     """The full acceptance battery against one backend."""
-    results = [
+    return [
         landau_damping_oracle(backend),
         two_stream_oracle(backend),
         energy_drift_oracle(backend),
@@ -456,7 +455,5 @@ def run_all_oracles(backend: str = "numpy",
         beam_plasma_oracle(backend),
         bounded_plasma_oracle(backend),
         exb_drift_oracle(backend),
+        two_stream_3d_oracle(backend),
     ]
-    if include_3d:
-        results.append(two_stream_3d_oracle(backend))
-    return results

@@ -11,9 +11,13 @@ parallel execution, ``numpy-mp`` is the one rendering that runs it.
 And the engine that runs it names no dimension: nothing under
 ``repro/parallel/`` imports ``repro.pic3d``.  Nor does anything a run
 executes read the config axes only the model prices
-(``field_layout``, ``particle_layout``, ``loop_mode``).
+(``field_layout``, ``particle_layout``, ``loop_mode``).  Beside the
+dimension ratchet sits an options ratchet: the settable values of the
+run config and of the layers around the stepper, pinned by name.
 """
 
+import dataclasses
+import inspect
 import os
 import pathlib
 import subprocess
@@ -297,3 +301,57 @@ def test_dimension_free_modules_hold_no_dimension_tag(tmp_path):
     assert errors == [
         "repro/curves/hilbert.py:3: string 'morton-3d' in a DIMENSION_FREE module"
     ]
+
+
+def _settable(target) -> tuple[str, ...]:
+    """The values a caller can set: a dataclass's init fields, else the
+    parameters of the callable's signature."""
+    if dataclasses.is_dataclass(target):
+        return tuple(f.name for f in dataclasses.fields(target) if f.init)
+    return tuple(inspect.signature(target).parameters)
+
+
+def test_options_ratchet():
+    """Every settable value below has a caller outside the tests that
+    sets it, or is one a run cannot do without: adding a knob back, or
+    removing one, edits this table."""
+    from repro.core import OptimizationConfig
+    from repro.parallel.executor import ShmEngine, WorkerPool
+    from repro.particles.initializers import sample_perturbed_positions
+    from repro.perf.instrument import Instrumentation
+    from repro.resilience import GuardSuite, SupervisedRun
+    from repro.verify.configspace import ScenarioSampler
+    from repro.verify.oracles import run_all_oracles
+
+    assert {
+        name: _settable(target) for name, target in {
+            "OptimizationConfig": OptimizationConfig,
+            "SupervisedRun": SupervisedRun,
+            "GuardSuite": GuardSuite,
+            "GuardSuite.from_spec": GuardSuite.from_spec,
+            "GuardSuite.default": GuardSuite.default,
+            "WorkerPool": WorkerPool,
+            "ShmEngine": ShmEngine,
+            "Instrumentation": Instrumentation,
+            "run_all_oracles": run_all_oracles,
+            "sample_perturbed_positions": sample_perturbed_positions,
+            "ScenarioSampler": ScenarioSampler,
+        }.items()
+    } == {
+        "OptimizationConfig": ("ordering", "ordering_kwargs", "sort_period",
+                               "backend", "workers", "mp_task_timeout"),
+        "SupervisedRun": ("sim", "checkpoint_dir", "checkpoint_every",
+                          "keep_checkpoints", "guards", "max_retries",
+                          "backoff_base", "deadline_s", "elapsed_offset",
+                          "on_checkpoint", "injector"),
+        "GuardSuite": ("guards",),
+        "GuardSuite.from_spec": ("spec",),
+        "GuardSuite.default": (),
+        "WorkerPool": ("nworkers", "timeout"),
+        "ShmEngine": ("stepper",),
+        "Instrumentation": ("timings", "per_step", "supervisor", "engine"),
+        "run_all_oracles": ("backend",),
+        "sample_perturbed_positions": ("n", "length", "alpha", "k", "rng",
+                                       "quiet"),
+        "ScenarioSampler": ("seed",),
+    }

@@ -135,15 +135,6 @@ class TestInstrumentation:
         assert len(rec["per_step"]) == 3
         assert json.loads(instr.to_json())["cumulative"]["particle_steps"] == 30
 
-    def test_keep_per_step_off(self):
-        instr = Instrumentation(keep_per_step=False)
-        with instr.step(10):
-            with instr.phase("sort"):
-                pass
-        assert instr.per_step == []
-        assert instr.last_step is None
-        assert instr.timings.steps == 1
-
     def test_phase_outside_step_still_counts_cumulative(self):
         instr = Instrumentation()
         with instr.phase("solve"):

@@ -196,13 +196,13 @@ class TestGuards:
         suite = GuardSuite.default()
         with _landau_sim() as sim:
             sim.run(3)
-            assert suite.check_now(sim.stepper, sim.history, 3) == []
+            assert suite.check(sim.stepper, sim.history, 3) == []
 
     def test_finite_guard_flags_nan(self):
         suite = GuardSuite.from_spec("finite")
         with _landau_sim() as sim:
             np.asarray(sim.particles.vx)[5] = np.nan
-            (v,) = suite.check_now(sim.stepper, sim.history, 1)
+            (v,) = suite.check(sim.stepper, sim.history, 1)
             assert v.guard == "finite" and "vx" in v.message
 
     def test_cells_guard_flags_out_of_range(self):
@@ -211,14 +211,14 @@ class TestGuards:
             np.asarray(sim.particles.icell)[0] = (
                 sim.stepper.ordering.ncells_allocated + 5
             )
-            (v,) = suite.check_now(sim.stepper, sim.history, 1)
+            (v,) = suite.check(sim.stepper, sim.history, 1)
             assert v.guard == "cells" and v.value == 1
 
     def test_charge_guard_flags_lost_deposit(self):
         suite = GuardSuite.from_spec("charge:1e-8")
         with _landau_sim() as sim:
             sim.stepper.rho_grid *= 0.5
-            (v,) = suite.check_now(sim.stepper, sim.history, 1)
+            (v,) = suite.check(sim.stepper, sim.history, 1)
             assert v.guard == "charge" and v.value > v.threshold
 
     def test_spec_parsing(self):
@@ -234,13 +234,6 @@ class TestGuards:
             GuardSuite.from_spec("entropy")
         with pytest.raises(ValueError, match="no parameter"):
             GuardSuite.from_spec("finite:3")
-
-    def test_guard_cycle_skips_off_steps(self):
-        suite = GuardSuite.from_spec("finite", every=5)
-        with _landau_sim() as sim:
-            np.asarray(sim.particles.vx)[0] = np.inf
-            assert suite.check(sim.stepper, sim.history, 3) == []
-            assert len(suite.check(sim.stepper, sim.history, 5)) == 1
 
 
 def _exact_finite(stepper, step):

@@ -303,15 +303,39 @@ class TestDeadlinesAndBackoff:
         view = JobJournal.replay(tmp_path / "journal.jsonl")
         assert view[job_id]["state"] == "failed"
 
-    def test_backoff_sleeps_between_retries(self):
-        inj = FaultInjector(seed=3).add_nan(step=6, array="vx", count=5)
+    @staticmethod
+    def _backoff_sleeps(monkeypatch, base, k):
+        """The sleeps a supervised run books for ``k`` consecutive
+        failures of one step (every retry rolls back to the same
+        checkpoint, so none of them resets the count)."""
+        slept = []
+        monkeypatch.setattr(time, "sleep", slept.append)
+        left = [k]
+
+        class FailTimes:
+            def before_step(self, stepper, step):
+                if step == 6 and left[0]:
+                    left[0] -= 1
+                    raise RuntimeError("injected step failure")
+
         sim = small_job(steps=12, checkpoint_every=4).build_simulation()
-        with SupervisedRun(sim, checkpoint_every=4, injector=inj,
-                           backoff_base=0.02) as sup:
+        with SupervisedRun(sim, checkpoint_every=4, injector=FailTimes(),
+                           max_retries=k, backoff_base=base) as sup:
             sup.run(12)
-            assert sup.report.recoveries >= 1
-            assert sup.report.backoff_seconds > 0.0
-            assert sup.report.as_dict()["backoff_seconds"] > 0.0
+            assert sup.report.recoveries == k
+            assert sup.report.as_dict()["backoff_seconds"] == sum(slept)
+        return slept
+
+    def test_backoff_sleeps_between_retries(self, monkeypatch):
+        """k consecutive failures sleep base, 2·base, ..., 2**(k-1)·base:
+        base·(2**k − 1) in all."""
+        slept = self._backoff_sleeps(monkeypatch, 0.02, 3)
+        assert slept == [0.02, 0.04, 0.08]
+        assert sum(slept) == pytest.approx(0.02 * (2**3 - 1))
+
+    def test_backoff_is_capped_at_thirty_seconds(self, monkeypatch):
+        """The retry that would sleep 40 s sleeps the 30 s cap."""
+        assert self._backoff_sleeps(monkeypatch, 10.0, 3) == [10.0, 20.0, 30.0]
 
     def test_on_checkpoint_callback(self, tmp_path):
         seen = []

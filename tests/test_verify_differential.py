@@ -108,8 +108,8 @@ class TestScenarioSampler:
         """The sampled populations sit on both sides of one kernel
         block (the chunk every NumPy kernel works in)."""
         from repro.core.kernels import BLOCK
+        from repro.verify.configspace import _N_PARTICLES_POOL as pools
 
-        pools = ScenarioSampler(seed=0).n_particles_pool
         assert min(pools) <= BLOCK < max(pools)
 
 
