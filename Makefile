@@ -52,9 +52,10 @@ csan:
 	$(PYTHON) tools/c_sanitize_gate.py
 
 # GCC's -fopt-info-vec report of ckernels.c under the shipped flags: the
-# push, update-v and kinetic-terms loops and the deposit's corner row
-# add are vectorized in the x86-64-v4 clone, the deposit never across
-# particles; skips where there is no compiler or no target_clones
+# push and update-v loops, the eight-accumulator loop of the energies'
+# sum of squares and the deposit's corner row add are vectorized in the
+# x86-64-v4 clone, the deposit never across particles; skips where
+# there is no compiler or no target_clones
 cvec:
 	$(PYTHON) tools/c_vectorize_gate.py
 

@@ -19,7 +19,7 @@ Every backend implements the same ten kernels (:class:`KernelBackend`)
 — seven particle loops over the redundant rows of any dimension (one of
 them :meth:`~KernelBackend.advance`, update-v then the push as one
 pass), the two per-cell loops of that layout (ρ fold and field
-broadcast) and the kinetic-energy terms of the diagnostics — and
+broadcast) and the energy diagnostics' sum of squares — and
 all backends must produce identical physics; the
 cross-backend equivalence suite (``tests/test_backends.py``) checks
 each registered backend against the scalar oracles.
@@ -98,10 +98,10 @@ class KernelBackend(abc.ABC):
     the steppers call: seven particle loops over the redundant
     ``[ncell][2^ndim]`` rows, written over tuples of per-axis arrays so
     one method serves 2D and 3D, the two per-cell loops between those
-    rows and the grid points the solver works on, and the per-particle
-    terms of the kinetic energy.  :class:`NumpyBackend` implements all
-    ten; a faster backend subclasses it and overrides what it
-    accelerates.
+    rows and the grid points the solver works on, and the sum of
+    squares of the kinetic and field energies.  :class:`NumpyBackend`
+    implements all ten; a faster backend subclasses it and overrides
+    what it accelerates.
     """
 
     #: Registry key; subclasses must override.
@@ -195,9 +195,12 @@ class KernelBackend(abc.ABC):
         (stability fixes it uniquely, whoever computes it)."""
 
     @abc.abstractmethod
-    def kinetic_terms(self, vs, scales, out):
-        """``out = Σ_a (v_a * scale_a)²`` per particle, a left fold
-        over the axes; returns ``out``."""
+    def sum_squares(self, columns, scales) -> float:
+        """``Σ_k Σ_a (c_a[k] * scale_a)²`` over two or three equally
+        shaped columns (read in C order): per term a left fold over the
+        columns, over the terms the bits of NumPy's pairwise ``np.sum``
+        (:func:`repro.core.kernels.sum_squares`) — the energies'
+        one pass."""
 
     # ------------------------------------------------------------------
     # The axis-spelled names the frozen benchmark ledger calls
@@ -426,7 +429,7 @@ class NumpyBackend(KernelBackend):
         else:
             _k.drive_kick(vs, e_p, drive)
 
-    kinetic_terms = staticmethod(_k.kinetic_terms)
+    sum_squares = staticmethod(_k.sum_squares)
 
     def push(self, particles, extents, ordering, scales, wrap=None) -> None:
         _k.push_blocked(particles, extents, ordering, scales, wrap)
@@ -505,7 +508,7 @@ _C_SIGNATURES = {
     "reduce_rows": (_I64, (_INT, _I64S, _I64, _PTR, _PTR, _PTR)),
     "broadcast_rows": (_I64, (_INT, _I64S, _I64, _PTR, _COLS, _F64S, _PTR)),
     "sort_permutation": (_I64, (_I64, _I64, _PTR, _PTR, _PTR)),
-    "kinetic_terms": (None, (_INT, _I64, _COLS, _F64S, _PTR)),
+    "sum_squares": (ctypes.c_double, (_INT, _I64, _COLS, _F64S)),
     "advance": (_I64, (_INT, _I64, _I64, _PTR, _INT, _INT, _I64S, _PTR,
                        _COLS, _COLS, _COLS, ctypes.POINTER(_Drive), _F64S)),
     "first_outside": (_I64, (_I64, _PTR, _I64)),
@@ -549,7 +552,7 @@ class CBackend(NumpyBackend):
     compiled by the host ``cc`` at first use (:mod:`repro.core.cbuild`)
     and called through :mod:`ctypes`, which releases the GIL for the
     duration of each call.  On x86-64 the push, update-v, the deposit
-    and the kinetic-energy terms are built twice, for the baseline and
+    and the energies' sum of squares are built twice, for the baseline and
     for AVX-512 (x86-64-v4), and the loader binds the clone the host
     runs (``build_info.isa``); both give the same bits.
 
@@ -558,7 +561,8 @@ class CBackend(NumpyBackend):
     stages included) and the deposit, the ρ fold and the field
     broadcast, the push (every wrap), update-v and the push as one pass
     over cache-sized particle blocks (:meth:`advance`), the sort
-    permutation and the kinetic-energy terms; the stand-alone kick (one
+    permutation and the energies' sum of squares (NumPy's pairwise
+    fold over terms formed on the fly); the stand-alone kick (one
     ``np.add``, which measures no slower than a C loop — the t=0
     half-kick calls it), a drive outside 2D and any argument that does
     not :func:`_fits` the C ABI run the inherited NumPy kernels.  The
@@ -789,18 +793,13 @@ class CBackend(NumpyBackend):
         return self._lib.first_outside(len(icell), icell.ctypes.data, ncell)
 
     # -- diagnostics ---------------------------------------------------
-    def kinetic_terms(self, vs, scales, out):
-        n = len(out)
-        v = _columns(vs, np.float64, (n,), write=False)
-        if (
-            v is None or not _fits(out, np.float64, (n,))
-            or len(scales) != len(vs) or any(np.ndim(s) for s in scales)
-        ):
-            return super().kinetic_terms(vs, scales, out)
-        self._lib.kinetic_terms(
-            len(vs), n, v, _F64_N[len(vs)](*scales), out.ctypes.data
-        )
-        return out
+    def sum_squares(self, columns, scales) -> float:
+        flat = [np.ravel(c) if isinstance(c, np.ndarray) else c for c in columns]
+        n = np.size(flat[0])
+        c = _columns(flat, np.float64, (n,), write=False)
+        if c is None or len(scales) != len(flat) or any(np.ndim(s) for s in scales):
+            return super().sum_squares(columns, scales)
+        return self._lib.sum_squares(len(flat), n, c, _F64_N[len(flat)](*scales))
 
     # -- sort ----------------------------------------------------------
     def counting_sort_permutation(self, keys, ncells):

@@ -17,8 +17,9 @@
  *    in particle order — the fold of one np.bincount per corner;
  *  - the rho fold starts every grid point from +0.0 and adds its corner
  *    entries in corner order; the field broadcast is one product;
- *  - the kinetic-energy terms are a left fold over the axes of
- *    (v * scale)^2;
+ *  - the energies' sum of squares is a left fold over the columns of
+ *    (c * scale)^2 per term, and NumPy's pairwise np.sum over the terms
+ *    (sum_squares below);
  *  - build with -ffp-contract=off: a fused multiply-add rounds once
  *    where NumPy rounds twice.  A vector lane runs the same operations
  *    in the same order as the scalar statement, so vectorizing moves
@@ -51,7 +52,7 @@
 #endif
 
 /* The hot entry points (update-v, the bitwise push, the deposit, the
- * kinetic-energy terms) are compiled twice from the one statement:
+ * energies' sum of squares) are compiled twice from the one statement:
  * for the x86-64 baseline and for x86-64-v4 (AVX-512 F/BW/CD/DQ/VL),
  * and the dynamic loader's ifunc resolver binds the clone the host
  * runs, so one cached object serves every host.  AVX2 alone would not
@@ -925,31 +926,97 @@ int64_t sort_permutation(int64_t n, int64_t ncell, const int64_t *key,
     return -1;
 }
 
-/* The kinetic-energy terms: out[k] = sum over axes of (v[a][k] *
- * scale[a])^2, a left fold from axis 0; the caller sums out. */
-INLINE void kinetic_loop(const int ndim, int64_t n, const double *restrict v0,
-                         const double *restrict v1, const double *restrict v2,
-                         const double *scale, double *restrict out)
+/* The energy diagnostics' sum of squares (section IV's energy check):
+ * sum over k of the left fold over the columns of (c[a][k] * scale[a])^2,
+ * each term formed on the fly (no N-sized array), the terms folded as
+ * NumPy's float64 pairwise sum (np.sum) folds an array of them:
+ *
+ *  - below 8 terms, one running sum from 0.0;
+ *  - from 8 to PAIRWISE_LEAF terms, eight accumulators seeded with the
+ *    first eight terms and stepped by 8, combined as
+ *    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the tail
+ *    added in order;
+ *  - above PAIRWISE_LEAF, the sum of the two halves split at n / 2
+ *    rounded down to a multiple of 8.
+ *
+ * The eight accumulators are eight lanes: vectorizing the stepping loop
+ * moves no bit. */
+#define PAIRWISE_LEAF 128
+
+INLINE double square_term(const int ncol, const double *restrict c0,
+                          const double *restrict c1, const double *restrict c2,
+                          double s0, double s1, double s2, int64_t k)
 {
-    const double s0 = scale[0], s1 = scale[1], s2 = scale[ndim - 1];
-    for (int64_t k = 0; k < n; k++) { /* cvec: kinetic terms */
-        const double t0 = v0[k] * s0, t1 = v1[k] * s1;
-        double acc = t0 * t0 + t1 * t1;
-        if (ndim == 3) {
-            const double t2 = v2[k] * s2;
-            acc += t2 * t2;
+    const double t0 = c0[k] * s0, t1 = c1[k] * s1;
+    double acc = t0 * t0 + t1 * t1;
+    if (ncol == 3) {
+        const double t2 = c2[k] * s2;
+        acc += t2 * t2;
+    }
+    return acc;
+}
+
+/* One leaf of the pairwise tree: n <= PAIRWISE_LEAF terms from c[.][0]. */
+INLINE double squares_leaf(const int ncol, int64_t n, const double *restrict c0,
+                           const double *restrict c1, const double *restrict c2,
+                           double s0, double s1, double s2)
+{
+    double res = 0.0;
+    int64_t k = 0;
+    if (n >= 8) {
+        double r[8];
+        for (int j = 0; j < 8; j++)
+            r[j] = square_term(ncol, c0, c1, c2, s0, s1, s2, j);
+        for (k = 8; k < n - n % 8; k += 8) /* cvec: sum squares */
+            for (int j = 0; j < 8; j++)
+                r[j] += square_term(ncol, c0, c1, c2, s0, s1, s2, k + j);
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    }
+    for (; k < n; k++)
+        res += square_term(ncol, c0, c1, c2, s0, s1, s2, k);
+    return res;
+}
+
+/* The pairwise tree without recursion (the clones inline no recursive
+ * call): descend to the leftmost leaf, remembering every right half;
+ * each finished subtree is added to the left sibling it completes. */
+INLINE double squares_tree(const int ncol, int64_t n, const double *c0,
+                           const double *c1, const double *c2,
+                           double s0, double s1, double s2)
+{
+    int64_t right_lo[64], right_n[64]; /* n halves at most 63 times */
+    double left[64];
+    int has_left[64], top = 0;
+    int64_t lo = 0;
+    for (;;) {
+        while (n > PAIRWISE_LEAF) {
+            int64_t half = n / 2;
+            half -= half % 8;
+            right_lo[top] = lo + half;
+            right_n[top] = n - half;
+            has_left[top++] = 0;
+            n = half;
         }
-        out[k] = acc;
+        double acc = squares_leaf(ncol, n, c0 + lo, c1 + lo, c2 + lo,
+                                  s0, s1, s2);
+        while (top > 0 && has_left[top - 1])
+            acc = left[--top] + acc;
+        if (top == 0)
+            return acc;
+        left[top - 1] = acc;
+        has_left[top - 1] = 1;
+        lo = right_lo[top - 1];
+        n = right_n[top - 1];
     }
 }
 
-CLONES void kinetic_terms(int ndim, int64_t n, double *const *v,
-                          const double *scale, double *out)
+CLONES double sum_squares(int ncol, int64_t n, const double *const *c,
+                          const double *scale)
 {
-    if (ndim == 2)
-        kinetic_loop(2, n, v[0], v[1], v[1], scale, out);
-    else
-        kinetic_loop(3, n, v[0], v[1], v[2], scale, out);
+    if (ncol == 2)
+        return squares_tree(2, n, c[0], c[1], c[1], scale[0], scale[1],
+                            scale[1]);
+    return squares_tree(3, n, c[0], c[1], c[2], scale[0], scale[1], scale[2]);
 }
 
 /* The clone of the hot entry points the loader bound: "x86-64-v4" or

@@ -24,29 +24,40 @@ __all__ = [
 ]
 
 
-def field_energy(ex: np.ndarray, ey: np.ndarray, cell_area: float, eps0: float = 1.0) -> float:
-    """Electrostatic field energy ``(eps0/2) * sum(|E|^2) * dA``."""
-    return 0.5 * eps0 * float(np.sum(ex * ex + ey * ey)) * cell_area
+def _sum_squares(backend):
+    return _k.sum_squares if backend is None else backend.sum_squares
+
+
+def field_energy(
+    ex: np.ndarray, ey: np.ndarray, cell_area: float, eps0: float = 1.0,
+    backend=None, ez: np.ndarray | None = None,
+) -> float:
+    """Electrostatic field energy ``(eps0/2) * sum(|E|^2) * dA``.
+
+    ``ez`` makes it 3D (``cell_area`` is then the cell volume).  The
+    sum is ``backend.sum_squares`` over the components with unit scales
+    (the NumPy kernel without a backend): the bits of
+    ``np.sum(ex*ex + ey*ey [+ ez*ez])``, without its grid-sized
+    temporaries.
+    """
+    comps = (ex, ey) if ez is None else (ex, ey, ez)
+    return 0.5 * eps0 * _sum_squares(backend)(comps, (1.0,) * len(comps)) * cell_area
 
 
 def kinetic_energy(
     vx: np.ndarray, vy: np.ndarray, weight: float, mass: float = 1.0,
-    scale=(1.0, 1.0), scratch: np.ndarray | None = None, backend=None,
+    scale=(1.0, 1.0), backend=None, vz: np.ndarray | None = None,
 ) -> float:
     """Kinetic energy ``(m/2) * w * sum(v^2)`` of the macro-particles.
 
-    ``scale`` converts stored velocities to physical ones per axis.
-    The per-particle terms ``(vx*sx)² + (vy*sy)²`` are written by
-    ``backend.kinetic_terms`` (the NumPy kernel without one) into one
-    N-sized array — ``scratch`` when the caller keeps one across steps
-    — and summed in a single ``np.sum`` over it: the values and the
-    reduction of ``sum(square(vx*sx) + square(vy*sy))`` without its
-    five N-sized temporaries.
+    ``scale`` converts stored velocities to physical ones per axis
+    (three entries with ``vz``).  The sum is ``backend.sum_squares``
+    (the NumPy kernel without a backend): one pass over the velocity
+    columns, the bits of ``np.sum((vx*sx)**2 + (vy*sy)**2 [+ ...])``,
+    with no N-sized temporary.
     """
-    vs = (np.asarray(vx), np.asarray(vy))
-    e = np.empty(len(vs[0])) if scratch is None else scratch
-    terms = _k.kinetic_terms if backend is None else backend.kinetic_terms
-    return 0.5 * mass * weight * float(np.sum(terms(vs, scale, e)))
+    vs = (vx, vy) if vz is None else (vx, vy, vz)
+    return 0.5 * mass * weight * _sum_squares(backend)(vs, scale)
 
 
 def mode_amplitude(rho: np.ndarray, mode_x: int = 1, mode_y: int = 0) -> float:

@@ -54,7 +54,7 @@ __all__ = [
     "kick",
     "Drive",
     "drive_kick",
-    "kinetic_terms",
+    "sum_squares",
     "push_blocked",
     "wrap_for",
 ]
@@ -291,17 +291,38 @@ def drive_kick(vs, e_p, drive):
 
 
 # ----------------------------------------------------------------------
-# Kinetic-energy terms (the diagnostics' one particle pass)
+# The energies' sum of squares (the diagnostics' one pass)
 # ----------------------------------------------------------------------
-def kinetic_terms(vs, scales, out):
-    """``out = Σ_a (v_a * s_a)²`` per particle, a left fold over the
-    axes, formed block by block without N-sized temporaries; returns
-    ``out``."""
-    for sl in blocks(len(out)):
-        np.square(vs[0][sl] * scales[0], out=out[sl])
-        for v, scale in zip(vs[1:], scales[1:]):
-            out[sl] += np.square(v[sl] * scale)
-    return out
+#: NumPy's float64 pairwise sum (``np.sum``) adds up to this many terms
+#: without splitting them
+PAIRWISE_LEAF = 128
+
+
+def sum_squares(columns, scales):
+    """``Σ_k Σ_a (c_a[k] * s_a)²`` over the columns (any shape, read in
+    C order): per term a left fold over the columns, over the terms
+    NumPy's pairwise fold — the bits of ``np.sum`` over an array of the
+    terms, without the N-sized array.
+
+    NumPy's pairwise sum splits more than :data:`PAIRWISE_LEAF` terms
+    at ``n / 2`` rounded down to a multiple of 8 and adds the two
+    halves' sums; this follows those splits down to subtrees of at most
+    :data:`BLOCK` terms and sums each with ``np.sum``, so every
+    temporary is block-sized.
+    """
+    cols = [np.ravel(np.asarray(c, dtype=np.float64)) for c in columns]
+
+    def tree(lo, n):
+        if n <= max(BLOCK, PAIRWISE_LEAF):
+            sl = slice(lo, lo + n)
+            terms = np.square(cols[0][sl] * scales[0])
+            for c, scale in zip(cols[1:], scales[1:]):
+                terms += np.square(c[sl] * scale)
+            return np.sum(terms)
+        half = n // 2 - n // 2 % 8
+        return tree(lo, half) + tree(lo + half, n - half)
+
+    return float(tree(0, len(cols[0])))
 
 
 # ----------------------------------------------------------------------

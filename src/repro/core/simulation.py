@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.config import OptimizationConfig
-from repro.core.diagnostics import field_energy, kinetic_energy, mode_amplitude
+from repro.core.diagnostics import mode_amplitude
 from repro.core.stepper import PICStepper
 from repro.grid.spec import GridSpec
 from repro.particles.initializers import InitialCondition
@@ -101,9 +101,6 @@ class Simulation:
     parked job resumes without re-running initialization.
     """
 
-    #: N-sized scratch of the kinetic-energy diagnostic, kept across steps
-    _ke_scratch: np.ndarray | None = None
-
     def __init__(
         self,
         grid: GridSpec,
@@ -190,21 +187,9 @@ class Simulation:
     # ------------------------------------------------------------------
     def _record(self) -> None:
         st = self.stepper
-        g = st.grid
-        p = st.particles
-        if self._ke_scratch is None or len(self._ke_scratch) != p.n:
-            self._ke_scratch = np.empty(p.n)
         self.history.times.append(st.iteration * st.dt)
-        self.history.field_energy.append(
-            field_energy(st.ex_grid, st.ey_grid, g.cell_area, st.eps0)
-        )
-        self.history.kinetic_energy.append(
-            kinetic_energy(
-                p.vx, p.vy, p.weight, st.m,
-                scale=st._vel_scales,
-                scratch=self._ke_scratch, backend=st.backend,
-            )
-        )
+        self.history.field_energy.append(st.field_energy())
+        self.history.kinetic_energy.append(st.kinetic_energy())
         self.history.mode_amplitude.append(
             mode_amplitude(st.rho_grid, self.mode_x, self.mode_y)
         )

@@ -57,6 +57,7 @@ import numpy as np
 
 from repro.core.backends import CBackend, KernelBackend, _check_cells, get_backend
 from repro.core.config import OptimizationConfig
+from repro.core.diagnostics import field_energy, kinetic_energy
 from repro.core.kernels import Drive, wrap_for
 from repro.core.team import ThreadTeam, shard_slices, usable_cpus
 from repro.curves.base import get_ordering
@@ -209,6 +210,26 @@ class PICStepper:
             np.asarray(v) * s
             for v, s in zip(self._columns("v"), self._vel_scales)
         )
+
+    # ------------------------------------------------------------------
+    # Energies (§IV's conservation check), one pass each, any dimension
+    # ------------------------------------------------------------------
+    def field_energy(self) -> float:
+        """``(eps0/2) Σ|E|²`` over the latest solve's grid field, times
+        the cell measure."""
+        e = [getattr(self, name) for name in _E_GRID[: len(self.grid.shape)]]
+        return field_energy(*e[:2], math.prod(self.grid.spacings), self.eps0,
+                            self.backend, *e[2:])
+
+    def kinetic_energy(self) -> float:
+        """``(m/2) w Σ|v|²`` of the particles, velocities in physical
+        units (the stored columns times :attr:`_vel_scales`)."""
+        v = self._columns("v")
+        return kinetic_energy(*v[:2], self.particles.weight, self.m,
+                              self._vel_scales, self.backend, *v[2:])
+
+    def total_energy(self) -> float:
+        return self.field_energy() + self.kinetic_energy()
 
     # ------------------------------------------------------------------
     # Initialization

@@ -694,8 +694,9 @@ class MultiprocessBackend(NumpyBackend):
     ``"auto"`` resolves to, ``c``'s compiled loops wherever they build
     (the name is historical); the zoo's wall and drive travel in the
     shard messages.  The engine's other arrays — the gather and the
-    kick (the t=0 half-kick), the ρ fold, the field broadcast, the kinetic-energy terms, any loop over
-    the back buffer — run that body in the parent, in place.  Arrays
+    kick (the t=0 half-kick), the ρ fold, the field broadcast, the
+    kinetic energy's sum of squares, any loop over the back buffer —
+    run that body in the parent, in place.  Arrays
     no engine owns, a deposit with ``corners=`` and the sort run the
     inherited :class:`NumpyBackend` kernels serially, with identical
     results.  Every stepper, 2D or 3D, gets the engine:
@@ -777,8 +778,8 @@ class MultiprocessBackend(NumpyBackend):
     def broadcast_rows(self, fields, components, scales):
         self._body_for(fields.e_1d).broadcast_rows(fields, components, scales)
 
-    def kinetic_terms(self, vs, scales, out):
-        return self._body_for(*vs).kinetic_terms(vs, scales, out)
+    def sum_squares(self, columns, scales):
+        return self._body_for(*columns).sum_squares(columns, scales)
 
     # -- the particle loops over the live storage go to the pool
     def update_v(self, vs, e_1d, icell, offsets, drive=None):

@@ -10,7 +10,7 @@ What lives here is the two 3D cases (always a quiet start: their
 ``sample`` ignores ``rng`` and ``quiet``) and :class:`PICStepper3D`,
 an adapter that keeps the legacy constructor signature and defaults,
 maps any configured ordering name onto the two curves a 3D grid has,
-and carries the accessors and energies the benchmark ledger reads.
+and carries the accessors the benchmark ledger reads.
 """
 
 from __future__ import annotations
@@ -143,15 +143,3 @@ class PICStepper3D(PICStepper):
     @property
     def sort_period(self) -> int:
         return self.config.sort_period
-
-    def field_energy(self) -> float:
-        return 0.5 * float(
-            np.sum(self.ex_grid**2 + self.ey_grid**2 + self.ez_grid**2)
-        ) * self.grid.cell_volume
-
-    def kinetic_energy(self) -> float:
-        v2 = sum(v**2 for v in self.physical_velocities())
-        return 0.5 * self.m * self.weight * float(np.sum(v2))
-
-    def total_energy(self) -> float:
-        return self.field_energy() + self.kinetic_energy()

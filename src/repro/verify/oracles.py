@@ -325,17 +325,7 @@ def bounded_plasma_oracle(backend: str = "numpy") -> OracleResult:
         dt=0.05, quiet=True,
     )
     try:
-        def total_energy():
-            vx, vy = stepper.physical_velocities()
-            ke = 0.5 * stepper.m * stepper.particles.weight * float(
-                np.sum(vx**2 + vy**2)
-            )
-            fe = 0.5 * float(
-                np.sum(stepper.ex_grid**2 + stepper.ey_grid**2)
-            ) * grid.cell_area
-            return ke + fe
-
-        e0 = total_energy()
+        e0 = stepper.total_energy()
         xs, excursion = [], 0.0
         for _ in range(300):
             stepper.step()
@@ -343,7 +333,7 @@ def bounded_plasma_oracle(backend: str = "numpy") -> OracleResult:
                 stepper.particles.dx
             )
             xs.append(float(np.mean(xg)) * grid.dx)
-            excursion = max(excursion, abs(total_energy() - e0) / e0)
+            excursion = max(excursion, abs(stepper.total_energy() - e0) / e0)
     finally:
         stepper.close()
     center = grid.xmin + 0.5 * grid.lx

@@ -73,7 +73,7 @@ class TestRegistry:
         """What a backend can override is the abstract set — the
         particle loops over redundant rows (update-v and the push as
         one pass among them), that layout's two per-cell loops and the
-        kinetic-energy terms; the axis-spelled names the
+        energies' sum of squares; the axis-spelled names the
         frozen ledger calls are adapters defined once on the base
         class, and no registered backend overrides one."""
         import repro.core.backends as B
@@ -81,7 +81,7 @@ class TestRegistry:
         kernels = {
             "interpolate_rows", "accumulate_rows", "kick", "update_v",
             "push", "counting_sort_permutation", "reduce_rows",
-            "broadcast_rows", "kinetic_terms", "advance",
+            "broadcast_rows", "sum_squares", "advance",
         }
         hooks = {"is_available", "prepare_stepper", "release_stepper"}
         adapters = {

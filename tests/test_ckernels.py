@@ -42,6 +42,7 @@ from repro.core.backends import (
     CBackend,
     get_backend,
 )
+from repro.core.diagnostics import field_energy
 from repro.core.kernels import BLOCK, Drive, _axis_reflect
 from repro.curves import get_ordering
 from repro.grid import GridSpec, RedundantFields
@@ -198,6 +199,36 @@ def _advance_pair(c, split, state, e_1d, shape, ordering):
     return one, two
 
 
+def _bits(x) -> bytes:
+    """The bytes of a float64 scalar."""
+    return np.float64(x).tobytes()
+
+
+#: sizes of the sum-of-squares sweep: every size to 299 (both sides of
+#: the 8-term unroll, of the 128-term pairwise leaf and of its first
+#: splits), NumPy's block edges, a size whose halves are not multiples
+#: of 8 at every level, and a million
+SUM_SIZES = [*range(300), 4095, 4096, 4097, 8191, 8192, 8193, 100003, 10**6]
+
+
+def _sum_squares_mismatches(backends, ncol, sizes=SUM_SIZES, seed=0):
+    """``(n, k)`` for every size ``n`` where ``backends[k].sum_squares``
+    differs in a bit from ``np.sum`` over the explicit terms (``ncol``
+    columns, scales other than 1)."""
+    rng = np.random.default_rng(seed)
+    scales = (0.37, 1.9, 3e-3)[:ncol]
+    out = []
+    for n in sizes:
+        cols = [rng.normal(size=n) for _ in range(ncol)]
+        terms = np.square(cols[0] * scales[0])
+        for col, scale in zip(cols[1:], scales[1:]):
+            terms += np.square(col * scale)
+        want = _bits(np.sum(terms))
+        out += [(n, k) for k, b in enumerate(backends)
+                if _bits(b.sum_squares(cols, scales)) != want]
+    return out
+
+
 # ----------------------------------------------------------------------
 # NumPy's bits
 # ----------------------------------------------------------------------
@@ -252,8 +283,8 @@ class TestEquivalence:
     @pytest.mark.parametrize("ndim", [2, 3])
     def test_update_v_and_kinetic_terms_equal_numpy(self, ndim, n):
         """Update-v in one C pass has the bits of NumPy's gather then
-        kick, and the kinetic-energy terms those of NumPy's blocked
-        fold, whatever the scratch held."""
+        kick, and the kinetic energy's sum of squares those of NumPy's
+        blocked pairwise fold."""
         c, numpy = get_backend("c"), get_backend("numpy")
         rng = np.random.default_rng(n + ndim)
         ordering, shape = _ordering(ndim, "morton" if ndim == 2 else "morton-3d")
@@ -271,9 +302,27 @@ class TestEquivalence:
             assert g.tobytes() == w.tobytes() == t.tobytes()
 
         for scales in ((1.0,) * ndim, (0.37, 1.9, 3e-3)[:ndim]):
-            got = c.kinetic_terms(vs, scales, np.full(n, np.nan))
-            want = numpy.kinetic_terms(vs, scales, np.full(n, np.nan))
-            assert got.tobytes() == want.tobytes(), scales
+            got, want = (b.sum_squares(vs, scales) for b in (c, numpy))
+            assert _bits(got) == _bits(want), scales
+
+    @pytest.mark.parametrize("ncol", [2, 3])
+    def test_sum_squares_is_numpys_pairwise_sum(self, ncol):
+        """The energies' sum of squares, on ``c`` and on ``numpy``, is
+        ``np.sum`` over the explicit terms bit for bit at every size of
+        :data:`SUM_SIZES`."""
+        assert _sum_squares_mismatches(
+            [get_backend("c"), get_backend("numpy")], ncol) == []
+
+    @pytest.mark.parametrize("shape", [(128, 128), (512, 512), (24, 16), (7, 9)])
+    def test_field_energy_is_the_numpy_expression(self, shape):
+        """``field_energy`` through either backend (or none) has the
+        bits of ``0.5 * eps0 * np.sum(ex*ex + ey*ey) * dA``."""
+        rng = np.random.default_rng(shape[0])
+        ex, ey = rng.normal(size=shape), rng.normal(size=shape)
+        want = 0.5 * 1.3 * float(np.sum(ex * ex + ey * ey)) * 0.07
+        for b in (get_backend("c"), get_backend("numpy"), None):
+            got = field_energy(ex, ey, 0.07, 1.3, backend=b)
+            assert _bits(got) == _bits(want), b
 
     @pytest.mark.parametrize("stored", [True, False], ids=["stored", "recomputed"])
     @pytest.mark.parametrize("n", ADVANCE_SIZES)
@@ -613,8 +662,8 @@ class TestDefinedOnEveryInput:
 
     def test_update_v_and_kinetic_terms_of_non_finite_inputs(self):
         """NaN, ±inf and beyond-int64 offsets and velocities carry
-        through update-v and the kinetic-energy terms with NumPy's
-        bits; neither converts a double to an integer."""
+        through update-v and the kinetic energy's sum of squares with
+        NumPy's bits; neither converts a double to an integer."""
         c, numpy = get_backend("c"), get_backend("numpy")
         p, ordering, _shape = self._poisoned()
         p.dx[8 : 8 + len(BAD)] = BAD
@@ -628,11 +677,32 @@ class TestDefinedOnEveryInput:
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
         assert np.isnan(got[0][8]) and np.isnan(got[1][0])
-        with np.errstate(all="ignore"):
-            want = numpy.kinetic_terms((p.vx, p.vy), (2.0, 0.5), np.empty(p.n))
-        got = c.kinetic_terms((p.vx, p.vy), (2.0, 0.5), np.empty(p.n))
-        assert got.tobytes() == want.tobytes()
-        assert np.isnan(got[0]) and got[1] == got[2] == np.inf
+        no_nan = tuple(np.nan_to_num(v, nan=0.0, posinf=np.inf, neginf=-np.inf)
+                       for v in (p.vx, p.vy))
+        for vs, want in (((p.vx, p.vy), np.nan), (no_nan, np.inf)):
+            with np.errstate(all="ignore"):
+                got, ref = (b.sum_squares(vs, (2.0, 0.5)) for b in (c, numpy))
+            assert _bits(got) == _bits(ref)
+            np.testing.assert_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 128, 129, 8193])
+    def test_sum_squares_of_non_finite_inputs(self, n):
+        """±inf anywhere gives +inf and NaN (with or without an inf)
+        gives NaN, on ``c``, on ``numpy`` and in ``np.sum`` alike."""
+        c, numpy = get_backend("c"), get_backend("numpy")
+        rng = np.random.default_rng(n)
+        for poisons, want in (((np.inf,), np.inf), ((-np.inf,), np.inf),
+                              ((np.nan,), np.nan), ((np.inf, np.nan), np.nan)):
+            for at in sorted({0, n // 2, n - 1}):
+                cols = [rng.normal(size=n) for _ in range(3)]
+                for j, poison in enumerate(poisons):
+                    cols[j][(at + 5 * j) % n] = poison
+                with np.errstate(all="ignore"):
+                    ref = np.sum(sum(np.square(col) for col in cols))
+                    for b in (c, numpy):
+                        np.testing.assert_equal(
+                            b.sum_squares(cols, (1.0, 0.5, 2.0)), want)
+                np.testing.assert_equal(ref, want)
 
     @pytest.mark.parametrize("n", LANES)
     @pytest.mark.parametrize("ndim", [2, 3])
@@ -641,7 +711,7 @@ class TestDefinedOnEveryInput:
         and velocity column poisoned: both wraps of the push (Morton
         and row-major extents that are not powers of two), update-v,
         the strip-mined pass and the
-        kinetic-energy terms keep NumPy's bits through the vector bodies
+        kinetic energy's sum of squares keep NumPy's bits through the vector bodies
         and their epilogues."""
         c, numpy = get_backend("c"), get_backend("numpy")
         rng = np.random.default_rng(n)
@@ -675,9 +745,9 @@ class TestDefinedOnEveryInput:
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
         with np.errstate(all="ignore"):
-            want = numpy.kinetic_terms(vs, (2.0, 0.5, 3.0)[:ndim], np.empty(n))
-        got = c.kinetic_terms(vs, (2.0, 0.5, 3.0)[:ndim], np.empty(n))
-        assert got.tobytes() == want.tobytes()
+            want = numpy.sum_squares(vs, (2.0, 0.5, 3.0)[:ndim])
+        got = c.sum_squares(vs, (2.0, 0.5, 3.0)[:ndim])
+        assert _bits(got) == _bits(want)
 
     def test_advance_of_a_cell_outside_the_grid_raises_and_touches_nothing(self):
         """The cell check runs over every particle before the first
@@ -872,8 +942,8 @@ class TestClones:
     ):
         """Push (the curve's extents' wrap, stored and recomputed
         coordinates), the strip-mined pass (the same), update-v, the
-        deposit (rows and columns), the gather, the kinetic-energy
-        terms, the sort and the grid loops: byte for byte the baseline
+        deposit (rows and columns), the gather, the sum of squares,
+        the sort and the grid loops: byte for byte the baseline
         build's, on populations poisoned with NaN, ±inf and
         beyond-int64 values."""
         c = get_backend("c")
@@ -913,12 +983,18 @@ class TestClones:
             slab = np.full((1 << ndim, ncell), np.nan)
             b.accumulate_rows(slab.T, state.icell, offsets, 0.5, corners=[0, 1])
             out += [rho, slab]
-            out.append(b.kinetic_terms(vs, (0.37, 1.9, 3e-3)[:ndim], np.empty(n)))
+            out.append(np.float64(b.sum_squares(vs, (0.37, 1.9, 3e-3)[:ndim])))
             out.append(b.counting_sort_permutation(state.icell, ncell))
         want, have = got.values()
         assert len(want) == len(have)
         for i, (g, w) in enumerate(zip(want, have)):
             assert g.tobytes() == w.tobytes(), i
+
+    @pytest.mark.parametrize("ncol", [2, 3])
+    def test_sum_squares_of_both_builds_is_numpys_sum(self, baseline, ncol):
+        """The clone this host binds and the baseline body both give
+        ``np.sum``'s bits over :data:`SUM_SIZES`."""
+        assert _sum_squares_mismatches([get_backend("c"), baseline], ncol) == []
 
     @pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
     @pytest.mark.parametrize("ndim,curve,shape,kw", GRIDS)
@@ -935,6 +1011,33 @@ class TestClones:
         fc.body.broadcast_rows(fc, comps, (-0.37, 2.5, 1e-3)[:ndim])
         fb.body.broadcast_rows(fb, comps, (-0.37, 2.5, 1e-3)[:ndim])
         assert fc.e_1d.tobytes() == fb.e_1d.tobytes()
+
+
+#: NumPy's AVX-512 dispatch off (its baseline and AVX2 loops run)
+NO_AVX512 = ("X86_V4,AVX512_ICL,AVX512_SPR,AVX512_CLX,AVX512_CNL,"
+             "AVX512_SKX")
+
+
+@needs_cc
+class TestNumpyDispatch:
+    def test_sum_squares_is_numpys_sum_with_avx512_dispatch_off(self):
+        """``c`` renders NumPy's pairwise fold, not one dispatch of it:
+        the sweep of :data:`SUM_SIZES` still holds, on ``c`` and on
+        ``numpy``, in a process where NumPy runs without its AVX-512
+        loops."""
+        child = (
+            "from numpy._core._multiarray_umath import (\n"
+            "    __cpu_dispatch__ as targets, __cpu_features__ as on)\n"
+            "from repro.core.backends import get_backend\n"
+            "from tests.test_ckernels import _sum_squares_mismatches\n"
+            "b = [get_backend('c'), get_backend('numpy')]\n"
+            "print([t for t in targets if on.get(t) and t in %r.split(',')])\n"
+            "print([_sum_squares_mismatches(b, k) for k in (2, 3)])\n"
+        ) % NO_AVX512
+        env = dict(os.environ, PYTHONPATH=SRC, NPY_DISABLE_CPU_FEATURES=NO_AVX512)
+        out = subprocess.run([sys.executable, "-c", child], env=env,
+                             cwd=Path(SRC).parent, capture_output=True, text=True)
+        assert out.stdout.splitlines() == ["[]", "[[], []]"], out.stderr
 
 
 # ----------------------------------------------------------------------

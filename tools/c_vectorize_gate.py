@@ -8,8 +8,10 @@ vectorized on that line with 64-byte vectors — AVX-512, which only the
 x86-64-v4 clone has (the baseline x86-64 body stops at 16 bytes) — once
 for every instantiation that clone compiles:
 
-* ``push``, ``update-v`` (its drive instantiation included) and
-  ``kinetic terms`` as loops, across particles, which are independent;
+* ``push`` and ``update-v`` (its drive instantiation included) as
+  loops, across particles, which are independent;
+* ``sum squares`` as a loop whose eight lanes are the eight
+  accumulators of NumPy's pairwise sum, once per column count;
 * ``deposit row add`` as a basic block, across one particle's corners,
   and never as a loop: two particles may share a cell.
 
@@ -33,12 +35,12 @@ sys.path.insert(0, str(ROOT / "src"))
 #: scan coordinates divide, and stay scalar; the modulo wrap and the
 #: reflecting wall call fmod, and stay scalar too); update-v per ndim
 #: plus its 2D drive instantiation (the scenario zoo's field and Boris
-#: rotation, selected by flags rather than branches); the kinetic terms
-#: and the row deposit per ndim
+#: rotation, selected by flags rather than branches); the energies' sum
+#: of squares per column count (2 and 3); the row deposit per ndim
 REQUIRED = {
     "push": ("loop", 2 * 4),
     "update-v": ("loop", 3),
-    "kinetic terms": ("loop", 2),
+    "sum squares": ("loop", 2),
     "deposit row add": ("basic block part", 2),
 }
 
