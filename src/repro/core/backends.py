@@ -175,9 +175,9 @@ class KernelBackend(abc.ABC):
         ``wrap`` names the fold (:func:`repro.core.kernels.wrap_for`;
         by default the extents pick: bitwise on power-of-two extents,
         modulo on any other).  ``particles`` is a storage or a plain
-        mapping of arrays; the results are written *through* its
-        ``icell``, offsets and any stored coordinates, and under the
-        ``"reflect"`` wrap its velocities.
+        mapping of arrays with every column a store holds; the results
+        are written *through* its ``icell``, offsets and cell
+        coordinates, and under the ``"reflect"`` wrap its velocities.
         """
 
     @abc.abstractmethod
@@ -709,54 +709,44 @@ class CBackend(NumpyBackend):
     # -- push ----------------------------------------------------------
     @staticmethod
     def _push_args(p, extents, ordering, scales, wrap):
-        """``(args, coords)``: the arguments of ``ckernels.c``'s push of
-        ``p`` after ``(ndim, n)``, the code of ``wrap`` first (default:
-        :func:`repro.core.kernels.wrap_for`'s), and the coordinate
-        columns, which the caller holds until the call returns (they may
-        be temporaries ``args`` points into) — or ``None`` when an
-        argument does not fit the C ABI."""
+        """The arguments of ``ckernels.c``'s push of ``p`` after
+        ``(ndim, n)``, the code of ``wrap`` first (default:
+        :func:`repro.core.kernels.wrap_for`'s): the store's own
+        ``icell``, offset, velocity and coordinate columns, which the
+        push overwrites — or ``None`` when an argument does not fit the
+        C ABI."""
         ndim, icell = len(extents), p["icell"]
         n, axes = len(icell), "xyz"[: len(extents)]
         wrap = _WRAP_CODES[wrap or _k.wrap_for(extents)]
         order = _ORDER_CODES.get(ordering.name, _ORDER_OTHER)
         d = _columns([p["d" + a] for a in axes], np.float64, (n,))
         v = _columns([p["v" + a] for a in axes], np.float64, (n,))
+        icoord = _columns([p["i" + a] for a in axes], np.int64, (n,))
         if (
-            d is None or v is None
+            d is None or v is None or icoord is None
             or not _fits(icell, np.int64, (n,))
             or not all(0 < nc < 2**31 for nc in extents)
             or any(np.ndim(s) for s in scales)
         ):
             return None
-        # scan orders decode inline; other curves keep the coordinates
-        # stored, or have them decoded here into temporaries the push
-        # overwrites
-        coords = icoord = None
-        if "ix" in p:
-            coords = [p["i" + a] for a in axes]
-        elif order not in (_ORDER_ROW_MAJOR, _ORDER_COLUMN_MAJOR):
-            coords = [np.ascontiguousarray(c, dtype=np.int64)
-                      for c in ordering.decode(icell)]
-        if coords is not None:
-            icoord = _columns(coords, np.int64, (n,))
-            if icoord is None:
-                return None
-        args = (
-            wrap, order, _I64_N[ndim](*extents), _F64_N[ndim](*scales),
-            icell.ctypes.data, d, v, icoord,
-        )
-        return args, coords
+        return (wrap, order, _I64_N[ndim](*extents), _F64_N[ndim](*scales),
+                icell.ctypes.data, d, v, icoord)
+
+    @staticmethod
+    def _encode_other(p, ordering, order, ndim) -> None:
+        """An ordering the C push cannot encode (L4D, Hilbert) leaves
+        ``icell`` to it: re-derived here from the coordinates it wrote."""
+        if order == _ORDER_OTHER:
+            p["icell"][:] = ordering.encode(*(p["i" + a] for a in "xyz"[:ndim]))
 
     def push(self, particles, extents, ordering, scales, wrap=None) -> None:
         """``ckernels.c``'s ``push``, in place; the inherited NumPy push
         when an argument does not fit the C ABI."""
-        call = self._push_args(particles, extents, ordering, scales, wrap)
-        if call is None:
+        args = self._push_args(particles, extents, ordering, scales, wrap)
+        if args is None:
             return super().push(particles, extents, ordering, scales, wrap)
-        args, coords = call
         self._lib.push(len(extents), len(particles["icell"]), *args)
-        if args[1] == _ORDER_OTHER:
-            particles["icell"][:] = ordering.encode(*coords)
+        self._encode_other(particles, ordering, args[1], len(extents))
 
     def advance(self, particles, e_1d, extents, ordering, wrap=None,
                 drive=None) -> tuple[float, float]:
@@ -766,21 +756,20 @@ class CBackend(NumpyBackend):
         or ``x`` is written.  The inherited two calls when an argument
         does not fit the C ABI."""
         ndim, icell = len(extents), particles["icell"]
-        call = self._push_args(particles, extents, ordering, (1.0,) * ndim, wrap)
-        if call is None or drive is not None and ndim != 2 or not _fits(
+        args = self._push_args(particles, extents, ordering, (1.0,) * ndim, wrap)
+        if args is None or drive is not None and ndim != 2 or not _fits(
             e_1d, np.float64, (len(e_1d), ndim << ndim)
         ):
             return super().advance(particles, e_1d, extents, ordering, wrap,
                                    drive)
-        (code, order, ext, _, cells, d, v, icoord), coords = call
+        code, order, ext, _, cells, d, v, icoord = args
         seconds = _F64_N[2]()
         bad = self._lib.advance(
             ndim, len(icell), len(e_1d), e_1d.ctypes.data, code, order, ext,
             cells, d, v, icoord, _c_drive(drive), seconds,
         )
         _check_cells(bad, icell, len(e_1d))
-        if order == _ORDER_OTHER:
-            icell[:] = ordering.encode(*coords)
+        self._encode_other(particles, ordering, order, ndim)
         return seconds[0], seconds[1]
 
     def first_outside(self, icell, ncell) -> int:

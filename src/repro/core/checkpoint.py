@@ -55,9 +55,7 @@ __all__ = [
 ]
 
 #: config fields that give the stored arrays their meaning; a restore
-#: target must agree on them (the backend, notably, is *not* one; the
-#: stored coordinate columns are named by the archive's own
-#: ``store_coords`` record)
+#: target must agree on them (the backend, notably, is *not* one)
 _STATE_FIELDS = ("ordering", "ordering_kwargs")
 
 #: per dimension: the metadata key holding the format version (an
@@ -98,8 +96,9 @@ def _array_key(column: str) -> str:
 #: lint that shows no live code still reads one — stays empty.  The
 #: model axes (an archive of a :class:`repro.model.config.ModelConfig`
 #: run holds the arrays any run holds) and the ``store_coords``
-#: override (the archive's own ``store_coords`` record names its
-#: particle columns) are dropped the same way — ``sort_variant`` among
+#: override (every store holds the coordinates; an archive without
+#: them has them decoded at load, :func:`load_checkpoint`) are dropped
+#: the same way — ``sort_variant`` among
 #: the axes: both sorts applied the same permutation; and
 #: ``position_update``, since the grid picks the wrap.  So is
 #: ``hoisting``, which :func:`_saved_config` reads first: an archive
@@ -225,9 +224,9 @@ def save_checkpoint(stepper: PICStepper, path, *, compress: bool = False) -> pat
         "eps0": stepper.eps0,
         "weight": p.weight,
         # the one stored particle layout; older loaders build their
-        # store from this key, this one ignores it
+        # store from this key, this one ignores it; they read the
+        # coordinate columns as stored, which they always are now
         "layout": "soa",
-        "store_coords": p.store_coords,
         "grid": _grid_record(stepper.grid),
         # scenario-zoo physics attributes; absent keys on old archives
         # restore to the plain periodic electrostatic defaults
@@ -288,7 +287,9 @@ def _open_archive(path, config):
                 f"unsupported checkpoint version: {version_key} is "
                 f"{meta.get(version_key)!r}, this loader reads {version}"
             )
-        columns = particle_fields(ndim, meta.get("store_coords", True))
+        columns = particle_fields(ndim)
+        if not meta.get("store_coords", True):
+            columns = columns[: 1 + 2 * ndim]  # icell, offsets, velocities
         required = [_array_key(name) for name in columns] + list(grid_arrays)
         missing = [k for k in required if k not in data.files]
         if missing:
@@ -326,9 +327,10 @@ def load_checkpoint(
     anything else would silently reinterpret the stored arrays.  An
     archive written by an un-hoisted run (physical velocities) is
     converted to hoisted units on load, by the constructor's own
-    expression.  The particle columns are the ones the archive stored
-    (its ``store_coords`` record; an archive without one stored the
-    coordinates).
+    expression.  An archive whose ``store_coords`` record says
+    ``false`` — a scan-order run of a writer that recomputed the
+    coordinates — holds no coordinate columns; they are decoded from
+    ``icell`` through the archive's ordering.
     Switching the *backend* is explicitly state-compatible: that is how
     the run supervisor degrades a failing backend during a rollback.
 
@@ -361,10 +363,13 @@ def load_checkpoint(
         stepper.ext_e = tuple(float(v) for v in meta.get("ext_e", (0.0, 0.0)))
         stepper._build_fields()
         particles = ParticleSoA(len(data["icell"]), meta["weight"],
-                                meta.get("store_coords", True), len(grid.shape))
-        particles.set_state(
-            **{name: data[_array_key(name)] for name in particles.keys()}
-        )
+                                len(grid.shape))
+        state = {name: data[_array_key(name)] for name in particles.keys()
+                 if _array_key(name) in data.files}
+        if "ix" not in state:  # written by a run that recomputed them
+            state.update(zip(("ix", "iy", "iz"),
+                             stepper.ordering.decode(state["icell"])))
+        particles.set_state(**state)
         if not hoisted:
             for v, h in zip(stepper._columns("v", particles), grid.spacings):
                 v[:] = v * (stepper.dt / h)

@@ -268,24 +268,12 @@ INLINE int64_t encode(const int ndim, const int order, const curve *k,
     return (int64_t)code;
 }
 
-/* Scan orders decode in one division per axis, so their coordinates
- * are recomputed rather than stored (section IV-B).  Integer division
- * has no vector form: this path stays scalar. */
-INLINE void decode_scan(const int ndim, const int order, const curve *k,
-                        int64_t icell, int64_t *icoord)
-{
-    uint64_t rest = (uint64_t)icell;
-    for (int j = 0; j < ndim; j++) {
-        const int a = order == ORDER_ROW_MAJOR ? ndim - 1 - j : j;
-        icoord[a] = (int64_t)(rest % k->extent[a]);
-        rest /= k->extent[a];
-    }
-}
-
 /* ------------------------------------------------------------------ */
 /* One pass of the position update over the population, in place.
- * `d`, `v`, `icoord` are arrays of ndim column pointers; `icoord` is NULL
- * when the coordinates are not stored (scan orders only). */
+ * `d`, `v`, `icoord` are arrays of ndim column pointers: every store
+ * keeps its cell coordinates, whatever the order (section IV-B
+ * recomputes them for the scan orders, but that division has no vector
+ * form and would keep the loop scalar). */
 typedef struct {
     int order;
     int64_t n;
@@ -296,47 +284,36 @@ typedef struct {
     int64_t *icoord[MAXDIM];
 } push_args;
 
-/* The loop, over compile-time `ndim`, `variant`, `order` and `stored`:
- * push() below instantiates every combination, so that each runs
- * without a per-particle dispatch.  Every column is a restrict
- * parameter (GCC honours restrict on parameters, not on locals loaded
- * from the column arrays), read and written through that one pointer;
- * the velocities are written by the wall alone, times its factor.
- * Particles are independent, so the bitwise wrap vectorizes across
- * them. */
+/* The loop, over compile-time `ndim`, `variant` and `order`: push()
+ * below instantiates every combination, so that each runs without a
+ * per-particle dispatch.  Every column is a restrict parameter (GCC
+ * honours restrict on parameters, not on locals loaded from the column
+ * arrays), read and written through that one pointer; the velocities
+ * are written by the wall alone, times its factor.  Particles are
+ * independent, so the bitwise wrap vectorizes across them. */
 INLINE void push_loop(const int ndim, const int variant, const int order,
-                      const int stored, int64_t n, const curve *curv,
-                      const double *scale, int64_t *restrict cell,
-                      double *restrict d0, double *restrict d1,
-                      double *restrict d2, double *restrict v0,
-                      double *restrict v1, double *restrict v2,
-                      int64_t *restrict i0s, int64_t *restrict i1s,
-                      int64_t *restrict i2s)
+                      int64_t n, const curve *curv, const double *scale,
+                      int64_t *restrict cell, double *restrict d0,
+                      double *restrict d1, double *restrict d2,
+                      double *restrict v0, double *restrict v1,
+                      double *restrict v2, int64_t *restrict i0s,
+                      int64_t *restrict i1s, int64_t *restrict i2s)
 {
     const curve k = *curv;
     const int64_t nc0 = (int64_t)k.extent[0], nc1 = (int64_t)k.extent[1],
                   nc2 = (int64_t)k.extent[2];
     const double sc0 = scale[0], sc1 = scale[1], sc2 = scale[2];
     for (int64_t j = 0; j < n; j++) { /* cvec: push */
-        int64_t i0, i1, i2 = 0;
-        if (stored) {
-            i0 = i0s[j];
-            i1 = i1s[j];
-            if (ndim == 3)
-                i2 = i2s[j];
-        } else {
-            int64_t i[MAXDIM];
-            decode_scan(ndim, order, &k, cell[j], i);
-            i0 = i[0];
-            i1 = i[1];
-            i2 = i[ndim - 1];
-        }
         /* Fig. 1 line 10: x = i + d + scale * v per axis, wrapped */
         double o0, o1, o2 = 0.0, f0 = 1.0, f1 = 1.0, f2 = 1.0;
-        i0 = wrap(variant, (double)i0 + d0[j] + sc0 * v0[j], nc0, &o0, &f0);
-        i1 = wrap(variant, (double)i1 + d1[j] + sc1 * v1[j], nc1, &o1, &f1);
+        const int64_t i0 = wrap(variant, (double)i0s[j] + d0[j] + sc0 * v0[j],
+                                nc0, &o0, &f0);
+        const int64_t i1 = wrap(variant, (double)i1s[j] + d1[j] + sc1 * v1[j],
+                                nc1, &o1, &f1);
+        int64_t i2 = 0;
         if (ndim == 3)
-            i2 = wrap(variant, (double)i2 + d2[j] + sc2 * v2[j], nc2, &o2, &f2);
+            i2 = wrap(variant, (double)i2s[j] + d2[j] + sc2 * v2[j], nc2, &o2,
+                      &f2);
         const int64_t c = encode(ndim, order, &k, i0, i1, i2);
         d0[j] = o0;
         d1[j] = o1;
@@ -348,12 +325,10 @@ INLINE void push_loop(const int ndim, const int variant, const int order,
             if (ndim == 3)
                 v2[j] = v2[j] * f2;
         }
-        if (stored) {
-            i0s[j] = i0;
-            i1s[j] = i1;
-            if (ndim == 3)
-                i2s[j] = i2;
-        }
+        i0s[j] = i0;
+        i1s[j] = i1;
+        if (ndim == 3)
+            i2s[j] = i2;
         if (order != ORDER_OTHER)
             cell[j] = c;
     }
@@ -361,33 +336,27 @@ INLINE void push_loop(const int ndim, const int variant, const int order,
 
 /* push_loop over the columns of `s`, as its restrict parameters */
 INLINE void push_columns(const int ndim, const int variant, const int order,
-                         const int stored, const push_args *s)
+                         const push_args *s)
 {
     int64_t *const *i = s->icoord;
-    push_loop(ndim, variant, order, stored, s->n, &s->k, s->scale, s->icell,
+    push_loop(ndim, variant, order, s->n, &s->k, s->scale, s->icell,
               s->d[0], s->d[1], s->d[2], s->v[0], s->v[1], s->v[2], i[0],
               i[1], i[2]);
 }
 
-/* Coordinates are stored for every order but the scan orders, which
- * decode them (a NULL `icoord` with any other order decodes and
- * encodes column-major). */
+/* One instantiation per order the loop encodes; any other order (L4D,
+ * Hilbert) writes the coordinates only, and its caller encodes. */
 INLINE void push_order(const int ndim, const int variant, const int order,
                        const push_args *s)
 {
-    if (!s->icoord[0]) {
-        if (order == ORDER_ROW_MAJOR)
-            push_columns(ndim, variant, ORDER_ROW_MAJOR, 0, s);
-        else
-            push_columns(ndim, variant, ORDER_COLUMN_MAJOR, 0, s);
-    } else if (order == ORDER_ROW_MAJOR)
-        push_columns(ndim, variant, ORDER_ROW_MAJOR, 1, s);
+    if (order == ORDER_ROW_MAJOR)
+        push_columns(ndim, variant, ORDER_ROW_MAJOR, s);
     else if (order == ORDER_COLUMN_MAJOR)
-        push_columns(ndim, variant, ORDER_COLUMN_MAJOR, 1, s);
+        push_columns(ndim, variant, ORDER_COLUMN_MAJOR, s);
     else if (order == ORDER_MORTON)
-        push_columns(ndim, variant, ORDER_MORTON, 1, s);
+        push_columns(ndim, variant, ORDER_MORTON, s);
     else
-        push_columns(ndim, variant, ORDER_OTHER, 1, s);
+        push_columns(ndim, variant, ORDER_OTHER, s);
 }
 
 /* The bitwise wrap is the one that vectorizes (the modulo wrap and the
@@ -413,7 +382,7 @@ static void push_fmod(const int ndim, const int variant, const push_args *s)
 }
 
 /* The push over particles [lo, hi) of `s`: every column pointer moved
- * to lo (a NULL one stays NULL). */
+ * to lo (a NULL one, of an axis past ndim, stays NULL). */
 static void push_span(const int ndim, const int variant, const push_args *s,
                       int64_t lo, int64_t hi)
 {
@@ -770,7 +739,7 @@ static push_args make_push_args(int ndim, int64_t n, int order,
         s.scale[a] = on ? scale[a] : 0.0;
         s.d[a] = on ? d[a] : NULL;
         s.v[a] = on ? v[a] : NULL;
-        s.icoord[a] = on && icoord ? icoord[a] : NULL;
+        s.icoord[a] = on ? icoord[a] : NULL;
     }
     return s;
 }

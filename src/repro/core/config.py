@@ -24,7 +24,7 @@ class OptimizationConfig:
     keeps velocities and the field in hoisted units, so that the
     particle loops carry no per-particle multiplies (§IV-D); its sort
     gathers every particle column out of place (§V-B1,
-    :meth:`~repro.particles.storage.ParticleStorage.reorder`); and its
+    :meth:`~repro.particles.storage.ParticleSoA.reorder`); and its
     push wraps positions the way the grid allows
     (:func:`repro.core.kernels.wrap_for`: bitwise on power-of-two
     extents, §IV-C3, modulo on any other, §IV-C2).
@@ -35,8 +35,8 @@ class OptimizationConfig:
         Cell ordering name for the redundant layout (``"row-major"``,
         ``"l4d"``, ``"morton"``, ``"hilbert"``, ``"column-major"``);
         it also defines ``icell`` (the paper always keys particles by
-        a cell index) and whether ``ix``/``iy`` are stored
-        (:attr:`effective_store_coords`).
+        a cell index).  Every ordering stores the cell coordinates
+        ``ix``/``iy`` next to ``icell``.
     ordering_kwargs:
         Extra ordering parameters (L4D tile height: ``{"size": 8}``).
     sort_period:
@@ -75,13 +75,18 @@ class OptimizationConfig:
     workers: int | None = None
     mp_task_timeout: float = 60.0
 
-    #: the particle store every stepper runs, and the wrap every grid of
-    #: the benchmark runs (all power-of-two).  Class constants, not
-    #: fields, so no config can set them; the frozen benchmark ledger
-    #: (``benchmarks/ledger/simbench.py``) reads ``particle_layout`` to
-    #: time ``load_particles`` and hands ``position_update`` to the push
-    #: adapters, which ignore it.
+    #: the particle store every stepper runs — SoA columns with the
+    #: cell coordinates stored, whatever the ordering — and the wrap
+    #: every grid of the benchmark runs (all power-of-two).  Class
+    #: constants, not fields, so no config can set them; the frozen
+    #: benchmark ledger (``benchmarks/ledger/simbench.py``) reads
+    #: ``particle_layout`` and ``effective_store_coords`` to time
+    #: ``load_particles`` and hands ``position_update`` to the push
+    #: adapters, which ignore it.  The paper's §IV-B rule — recompute
+    #: the coordinates of the scan orders — is priced by
+    #: :class:`repro.model.config.ModelConfig` only.
     particle_layout = "soa"
+    effective_store_coords = True
     position_update = "bitwise"
 
     def __post_init__(self):
@@ -99,13 +104,6 @@ class OptimizationConfig:
             raise ValueError(f"backend must be one of {valid}")
 
     # ------------------------------------------------------------------
-    @property
-    def effective_store_coords(self) -> bool:
-        """Whether particles keep ``ix``/``iy`` stored: the paper's
-        §IV-B rule — stored for every ordering except row-major and
-        column-major, whose decode is a single operation."""
-        return self.ordering not in ("row-major", "column-major")
-
     def with_(self, **changes) -> "OptimizationConfig":
         """Functional update (``dataclasses.replace`` wrapper)."""
         return replace(self, **changes)

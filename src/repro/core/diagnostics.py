@@ -156,12 +156,8 @@ def phase_space_histogram(stepper, vmax: float = 5.0, bins=(64, 32)):
     Returns an ``(bins[0], bins[1])`` array, x along axis 0.  This is
     the diagnostic that shows two-stream trapping vortices.
     """
-    g = stepper.grid
-    if stepper.particles.store_coords:
-        ix = np.asarray(stepper.particles.ix)
-    else:
-        ix, _ = stepper.ordering.decode(np.asarray(stepper.particles.icell))
-    x = g.xmin + (ix + np.asarray(stepper.particles.dx)) * g.dx
+    g, p = stepper.grid, stepper.particles
+    x = g.xmin + (np.asarray(p.ix) + np.asarray(p.dx)) * g.dx
     vx, _ = stepper.physical_velocities()
     hist, _, _ = np.histogram2d(
         x, np.clip(vx, -vmax, vmax), bins=bins,

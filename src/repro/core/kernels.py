@@ -421,40 +421,31 @@ def push_blocked(particles, extents, ordering, scales, wrap=None):
     """The one position-update body: advance, wrap, re-derive cells, in
     place.
 
-    ``particles`` maps ``icell``, ``d<a>``, ``v<a>`` (and ``i<a>`` when
-    cell coordinates are stored; otherwise they are decoded from
-    ``icell``) to arrays, for each axis ``a`` of
-    ``"xyz"[:len(extents)]``; a
-    :class:`~repro.particles.storage.ParticleStorage` is such a mapping.
-    ``icell``, the offsets and the stored coordinates are overwritten,
-    and under the ``"reflect"`` wrap the velocity of every bounced axis.
+    ``particles`` maps ``icell``, ``d<a>``, ``v<a>`` and ``i<a>`` to
+    arrays, for each axis ``a`` of ``"xyz"[:len(extents)]``; a
+    :class:`~repro.particles.storage.ParticleSoA` is such a mapping.
+    ``icell``, the offsets and the coordinates are overwritten, and
+    under the ``"reflect"`` wrap the velocity of every bounced axis.
 
-    ``ordering`` supplies the coordinates <-> icell bijection, ``wrap``
+    ``ordering`` supplies the coordinates -> icell map, ``wrap``
     names the fold (default: :func:`wrap_for` of the extents) and
     ``scales`` are the stored-velocity -> grid-displacement factors per
     axis (1.0 in the stepper's hoisted units).  An axis reads only its
-    own arrays, and ``icell`` and the coordinates — the inputs every
-    axis shares — are written last.
+    own arrays, and ``icell`` — the output every axis shares — is
+    written last.
     """
     p = particles
     axes = "xyz"[: len(extents)]
     axis_fn = _AXIS_WRAPS[wrap or wrap_for(extents)]
     for sl in blocks(len(p["icell"])):
-        if "ix" in p:
-            old = [p["i" + a][sl] for a in axes]
-        else:
-            # row-major family: recompute coords from icell in one op each
-            old = ordering.decode(p["icell"][sl])
         new = []
-        for a, i_old, nc, scale in zip(axes, old, extents, scales):
-            v = p["v" + a]
-            x = i_old + p["d" + a][sl] + scale * v[sl]
+        for a, nc, scale in zip(axes, extents, scales):
+            v, i = p["v" + a], p["i" + a]
+            x = i[sl] + p["d" + a][sl] + scale * v[sl]
             i_new, offset, *flip = axis_fn(np.asarray(x), nc)
             p["d" + a][sl] = offset
             if flip:
                 v[sl] = v[sl] * flip[0]
+            i[sl] = i_new
             new.append(i_new)
         p["icell"][sl] = ordering.encode(*new)
-        if "ix" in p:
-            for a, i_new in zip(axes, new):
-                p["i" + a][sl] = i_new

@@ -175,7 +175,7 @@ class ReferenceStepper:
         self.solver = SpectralPoissonSolver(grid, eps0)
         loaded = load_particles(
             grid, self.ordering, case, n_particles,
-            layout="soa", seed=seed, quiet=quiet, store_coords=True,
+            seed=seed, quiet=quiet,
         )
         self.weight = loaded.weight
         self.n = loaded.n

@@ -64,7 +64,7 @@ from repro.curves.base import get_ordering
 from repro.grid.fields import RedundantFields
 from repro.grid.poisson import SpectralPoissonSolver
 from repro.particles.initializers import load_particles
-from repro.particles.storage import ParticleStorage
+from repro.particles.storage import ParticleSoA
 from repro.perf.instrument import Instrumentation, StepTimings
 
 __all__ = ["PICStepper", "StepTimings"]
@@ -105,7 +105,7 @@ class PICStepper:
         grid,
         config: OptimizationConfig,
         *,
-        particles: ParticleStorage | None = None,
+        particles: ParticleSoA | None = None,
         case=None,
         n_particles: int | None = None,
         dt: float = 0.05,
@@ -155,12 +155,6 @@ class PICStepper:
                 n_particles,
                 seed=seed,
                 quiet=quiet,
-                store_coords=config.effective_store_coords,
-            )
-        if self.particles.store_coords != config.effective_store_coords:
-            raise ValueError(
-                "particle storage store_coords does not match config "
-                f"({self.particles.store_coords} vs {config.effective_store_coords})"
             )
         self._attach_runtime()
         if case is not None:  # Fig. 1's line 1: sort at t=0

@@ -99,11 +99,6 @@ class LocalityReport:
     close_threshold: int
 
     @property
-    def mean_isotropic(self) -> float:
-        """Mean jump assuming no preferred move direction (paper's model)."""
-        return 0.5 * (self.mean_dx + self.mean_dy)
-
-    @property
     def frac_close_isotropic(self) -> float:
         """Fraction of close jumps assuming unbiased move directions."""
         return 0.5 * (self.frac_close_dx + self.frac_close_dy)

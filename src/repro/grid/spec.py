@@ -85,20 +85,6 @@ class GridSpec:
     def area(self) -> float:
         return self.lx * self.ly
 
-    # ------------------------------------------------------------------
-    def to_grid_coords(self, x_phys, y_phys) -> tuple[np.ndarray, np.ndarray]:
-        """Physical positions -> grid coordinates in ``[0, ncx) x [0, ncy)``."""
-        x = (np.asarray(x_phys, dtype=np.float64) - self.xmin) / self.dx
-        y = (np.asarray(y_phys, dtype=np.float64) - self.ymin) / self.dy
-        return x, y
-
-    def split_coords(self, x_grid, y_grid):
-        """Grid coords -> ``(ix, iy, dx_off, dy_off)`` with periodic wrap
-        (:func:`split_axis` per axis)."""
-        ix, dx = split_axis(x_grid, self.ncx)
-        iy, dy = split_axis(y_grid, self.ncy)
-        return ix, iy, dx, dy
-
 
 def split_axis(x_grid, n: int):
     """Grid coordinates along an axis of ``n`` cells -> ``(cell,

@@ -46,10 +46,6 @@ class BandwidthModel:
         k = self.knee_sharpness
         return (ramp**-k + peak**-k) ** (-1.0 / k)
 
-    def stream_speedup(self, nthreads: int) -> float:
-        """STREAM triad speedup vs one thread (Fig. 8's x-annotations)."""
-        return self.bandwidth_gbs(nthreads) / self.bandwidth_gbs(1)
-
     def memory_time(self, bytes_moved: float, nthreads: int) -> float:
         """Seconds to move ``bytes_moved`` with ``nthreads`` streaming."""
         return bytes_moved / (self.bandwidth_gbs(nthreads) * 1e9)

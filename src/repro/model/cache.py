@@ -79,14 +79,6 @@ class CacheLevel:
                 s.pop()
         s.insert(0, line)
 
-    def contains(self, line: int) -> bool:
-        """Non-mutating lookup (testing helper)."""
-        return line in self._sets[line % self.n_sets]
-
-    @property
-    def miss_ratio(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
 
 @dataclass
 class CacheSimResult:
@@ -224,7 +216,3 @@ class CacheHierarchy:
             tuple(lv.accesses - b for lv, b in zip(levels, before_acc)),
             tuple(lv.misses - b for lv, b in zip(levels, before_miss)),
         )
-
-    def simulate_series(self, traces) -> list[CacheSimResult]:
-        """Replay an iterable of traces warm, one result per trace."""
-        return [self.simulate(t) for t in traces]

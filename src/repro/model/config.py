@@ -7,7 +7,9 @@ it through :class:`~repro.core.simulation.Simulation` to harvest real
 particle states — with six more axes the model prices and no stepper
 executes: the point-based field layout, AoS particles, the single
 particle loop, un-hoisted units, the in-place sort and the position
-update's wrap.  Every run stores redundant rows and SoA columns, runs
+update's wrap — and, as a property, the paper's §IV-B rule for the
+cell coordinates (:attr:`ModelConfig.effective_store_coords`).  Every
+run stores redundant rows and SoA columns with the coordinates, runs
 the split loops, keeps hoisted units, sorts out of place and wraps
 the way its grid allows whatever they say
 (``tests/test_layout_axes.py``).
@@ -81,6 +83,15 @@ class ModelConfig(OptimizationConfig):
             raise ValueError(f"sort_variant must be one of {_SORT_VARIANTS}")
         if self.position_update not in _POSITION_UPDATES:
             raise ValueError(f"position_update must be one of {_POSITION_UPDATES}")
+
+    @property
+    def effective_store_coords(self) -> bool:
+        """Whether the priced particle record holds ``ix``/``iy``: the
+        paper's §IV-B rule — stored for every ordering except
+        row-major and column-major, whose decode is a single
+        operation.  (Every run stores them: the division that decode
+        takes keeps the compiled push scalar.)"""
+        return self.ordering not in ("row-major", "column-major")
 
     # ------------------------------------------------------------------
     # The cumulative stack of Table IV.  Each named constructor is the

@@ -355,10 +355,6 @@ class TuneResult:
     #: mapping period -> modeled seconds per iteration
     costs: dict
 
-    def cost_of(self, period: int) -> float:
-        """Modeled per-iteration cost of one candidate period."""
-        return self.costs[period]
-
 
 def tune_sort_period_model(
     model: LoopCostModel,

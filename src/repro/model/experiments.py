@@ -177,7 +177,7 @@ class MissExperiment:
                 st._phase_sort()
             iter_result = empty
             if self.trace_fused:
-                trace = trace_fused_loop(st.particles, self.mmap, st.ordering)
+                trace = trace_fused_loop(st.particles, self.mmap)
                 res = hierarchy.simulate(trace)
                 iter_result = iter_result + res
                 # attribute the fused misses to the phases in proportion
@@ -201,20 +201,20 @@ class MissExperiment:
                 # writes rho, so nothing is zeroed first)
                 if LoopKind.UPDATE_V in self.loops:
                     res = hierarchy.simulate(
-                        trace_update_velocities(st.particles, self.mmap, st.ordering)
+                        trace_update_velocities(st.particles, self.mmap)
                     )
                     series.totals[LoopKind.UPDATE_V] += res
                     iter_result = iter_result + res
                 st._phase_update_v()
                 if LoopKind.UPDATE_X in self.loops:
                     res = hierarchy.simulate(
-                        trace_update_positions(st.particles, self.mmap, st.ordering)
+                        trace_update_positions(st.particles, self.mmap)
                     )
                     series.totals[LoopKind.UPDATE_X] += res
                 st._phase_update_x()
                 if LoopKind.ACCUMULATE in self.loops:
                     res = hierarchy.simulate(
-                        trace_accumulate(st.particles, self.mmap, st.ordering)
+                        trace_accumulate(st.particles, self.mmap)
                     )
                     series.totals[LoopKind.ACCUMULATE] += res
                     iter_result = iter_result + res

@@ -118,10 +118,6 @@ class MachineSpec:
     def line_bytes(self) -> int:
         return self.levels[0].line_bytes
 
-    @property
-    def cycle_ns(self) -> float:
-        return 1.0 / self.freq_ghz
-
     def scaled(self, factor: int, name_suffix: str | None = None) -> "MachineSpec":
         """Shrink all cache capacities by ``factor`` (geometry otherwise kept).
 

@@ -40,10 +40,6 @@ class ScalingPoint:
     def comm_fraction(self) -> float:
         return self.comm_seconds / self.exec_seconds if self.exec_seconds else 0.0
 
-    @property
-    def compute_seconds(self) -> float:
-        return self.exec_seconds - self.comm_seconds
-
 
 def _iteration_compute_seconds(
     thread_model: ThreadScalingModel,

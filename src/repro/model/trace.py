@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.particles.storage import ParticleStorage
+from repro.particles.storage import ParticleSoA
 
 __all__ = [
     "MemoryLayoutMap",
@@ -145,10 +145,8 @@ def _particle_cols(mmap: MemoryLayoutMap, idx: np.ndarray, attrs) -> list[np.nda
     return [mmap.particle_attr_addrs(a, idx) for a in attrs]
 
 
-def _coords_of(particles: ParticleStorage, ordering):
-    if particles.store_coords:
-        return np.asarray(particles.ix), np.asarray(particles.iy)
-    return ordering.decode(np.asarray(particles.icell))
+def _coords_of(particles: ParticleSoA):
+    return np.asarray(particles.ix), np.asarray(particles.iy)
 
 
 def _standard_corner_cols(mmap, arrays, ix, iy) -> list[np.ndarray]:
@@ -167,7 +165,7 @@ def _interleave(cols: list[np.ndarray]) -> np.ndarray:
 
 
 def trace_update_velocities(
-    particles: ParticleStorage, mmap: MemoryLayoutMap, ordering=None
+    particles: ParticleSoA, mmap: MemoryLayoutMap
 ) -> np.ndarray:
     """Addresses issued by one update-velocities pass."""
     idx = np.arange(particles.n, dtype=np.int64)
@@ -175,14 +173,14 @@ def trace_update_velocities(
     if mmap.field_layout == "redundant":
         cols.append(mmap.e_row_addrs(particles.icell))
     else:
-        ix, iy = _coords_of(particles, ordering)
+        ix, iy = _coords_of(particles)
         cols += _standard_corner_cols(mmap, ("ex", "ey"), ix, iy)
     cols += _particle_cols(mmap, idx, ("vx", "vy"))
     return _interleave(cols)
 
 
 def trace_update_positions(
-    particles: ParticleStorage, mmap: MemoryLayoutMap, ordering=None
+    particles: ParticleSoA, mmap: MemoryLayoutMap
 ) -> np.ndarray:
     """Addresses issued by one update-positions pass (sequential only)."""
     idx = np.arange(particles.n, dtype=np.int64)
@@ -193,7 +191,7 @@ def trace_update_positions(
 
 
 def trace_accumulate(
-    particles: ParticleStorage, mmap: MemoryLayoutMap, ordering=None
+    particles: ParticleSoA, mmap: MemoryLayoutMap
 ) -> np.ndarray:
     """Addresses issued by one accumulate pass."""
     idx = np.arange(particles.n, dtype=np.int64)
@@ -201,13 +199,13 @@ def trace_accumulate(
     if mmap.field_layout == "redundant":
         cols.append(mmap.rho_row_addrs(particles.icell))
     else:
-        ix, iy = _coords_of(particles, ordering)
+        ix, iy = _coords_of(particles)
         cols += _standard_corner_cols(mmap, ("rho",), ix, iy)
     return _interleave(cols)
 
 
 def trace_fused_loop(
-    particles: ParticleStorage, mmap: MemoryLayoutMap, ordering=None
+    particles: ParticleSoA, mmap: MemoryLayoutMap
 ) -> np.ndarray:
     """Addresses of the single fused loop: all three access sets per particle.
 
@@ -221,7 +219,7 @@ def trace_fused_loop(
     if mmap.field_layout == "redundant":
         cols.append(mmap.e_row_addrs(particles.icell))
     else:
-        ix, iy = _coords_of(particles, ordering)
+        ix, iy = _coords_of(particles)
         cols += _standard_corner_cols(mmap, ("ex", "ey"), ix, iy)
     cols += _particle_cols(mmap, idx, ("vx", "vy"))
     if mmap.store_coords:

@@ -190,11 +190,10 @@ class SharedParticleStorage(ParticleSoA):
     never changes.
     """
 
-    def __init__(self, n, weight=1.0, store_coords=True, ndim=2, *,
-                 arena: SharedArena):
+    def __init__(self, n, weight=1.0, ndim=2, *, arena: SharedArena):
         self._arena = arena
         self._alloc = arena.alloc
-        super().__init__(n, weight, store_coords, ndim)
+        super().__init__(n, weight, ndim)
         #: the engine's back buffer, the sort's gather target (set by
         #: the engine; a store outside one cannot sort itself)
         self.back: SharedParticleStorage | None = None
@@ -205,9 +204,8 @@ class SharedParticleStorage(ParticleSoA):
         self.flip(back, self.keys())
 
     def clone_empty(self):
-        return SharedParticleStorage(
-            self.n, self.weight, self.store_coords, self.ndim, arena=self._arena
-        )
+        return SharedParticleStorage(self.n, self.weight, self.ndim,
+                                     arena=self._arena)
 
     def flip(self, other: "SharedParticleStorage", names) -> None:
         """Exchange the named attribute arrays with ``other``.
@@ -225,7 +223,7 @@ class SharedParticleStorage(ParticleSoA):
     @classmethod
     def from_storage(cls, src, arena: SharedArena) -> "SharedParticleStorage":
         """Copy an existing storage's state into a shared one."""
-        out = cls(src.n, src.weight, src.store_coords, src.ndim, arena=arena)
+        out = cls(src.n, src.weight, src.ndim, arena=arena)
         out.set_state(**src)
         return out
 

@@ -15,12 +15,7 @@ Sorting is the periodic counting sort by cell index of §II/§V-B1: a
 counting-sort permutation, applied out of place by the store itself.
 """
 
-from repro.particles.storage import (
-    ParticleSoA,
-    ParticleStorage,
-    make_storage,
-    particle_fields,
-)
+from repro.particles.storage import ParticleSoA, particle_fields
 from repro.particles.initializers import (
     CASE_NAMES,
     BeamPlasma,
@@ -43,9 +38,7 @@ from repro.particles.sorting import (
 )
 
 __all__ = [
-    "ParticleStorage",
     "ParticleSoA",
-    "make_storage",
     "particle_fields",
     "InitialCondition",
     "LandauDamping",

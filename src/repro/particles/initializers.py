@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.curves.base import CellOrdering
 from repro.grid.spec import GridSpec, split_axis
-from repro.particles.storage import ParticleStorage, make_storage
+from repro.particles.storage import ParticleSoA
 
 __all__ = [
     "InitialCondition",
@@ -516,8 +516,8 @@ def load_particles(
     quiet: bool = False,
     density: float = 1.0,
     store_coords: bool = True,
-) -> ParticleStorage:
-    """Sample ``n`` particles of ``case`` into a particle container.
+) -> ParticleSoA:
+    """Sample ``n`` particles of ``case`` into a particle store.
 
     Any dimension: ``grid`` is a :class:`~repro.grid.spec.GridSpec` or a
     :class:`~repro.pic3d.grid3d.GridSpec3D`, and ``case.sample(n, grid,
@@ -530,33 +530,37 @@ def load_particles(
     represents a plasma of mean number density ``density``:
     ``w = density * (domain measure) / n`` (in 2D ``sum w = density *
     Lx * Ly``).  Positions are split into a periodically wrapped cell
-    coordinate plus an offset in ``[0, 1)`` (§II); velocities stay
-    physical, the stepper converts them.
+    coordinate, stored, plus an offset in ``[0, 1)`` (§II); velocities
+    stay physical, the stepper converts them.
+
+    ``layout`` and ``store_coords`` are the frozen benchmark ledger's
+    keywords: ``"soa"`` and ``True``, the one store, are their only
+    values.
 
     The particles come in sample order, unsorted: the initial sort by
     cell index of Fig. 1's line 1 is the stepper's, which runs at
     construction the sort it runs every ``sort_period``.
     """
+    if layout != "soa" or store_coords is not True:
+        raise ValueError(
+            f"unknown particle layout {layout!r} / store_coords "
+            f"{store_coords!r}: every store is 'soa' with its cell "
+            "coordinates ('aos' is priced by repro.model, not stored)"
+        )
     rng = np.random.default_rng(seed) if seed is not None else None
     if not quiet and rng is None:
         raise ValueError("random start requires a seed")
     ndim = len(grid.shape)
     weight = density * math.prod(grid.lengths) / n
-    storage = make_storage(layout, n, weight=weight,
-                           store_coords=store_coords, ndim=ndim)
+    storage = ParticleSoA(n, weight, ndim)
     sample = list(case.sample(n, grid, rng, quiet))
-    coords = []
     for k, (a, h, nc) in enumerate(zip("xyz", grid.spacings, grid.shape)):
         x = np.asarray(sample[k], dtype=np.float64) - getattr(grid, a + "min")
         sample[k] = None
         x /= h
-        i, storage["d" + a][:] = split_axis(x, nc)
+        storage["i" + a][:], storage["d" + a][:] = split_axis(x, nc)
         del x
-        if store_coords:
-            storage["i" + a][:] = i
-            i = storage["i" + a]
-        coords.append(i)
         storage["v" + a][:] = sample[ndim + k]
         sample[ndim + k] = None
-    storage.icell[:] = ordering.encode(*coords)
+    storage.icell[:] = ordering.encode(*(storage["i" + a] for a in "xyz"[:ndim]))
     return storage

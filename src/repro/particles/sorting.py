@@ -9,7 +9,7 @@ The paper applies the permutation out of place (§V-B1: a second
 buffer, twice the memory, measured twice as fast as in place).  What
 runs here is two steps: the counting sort builds an N-sized
 permutation, then the store gathers every column through it
-(:meth:`~repro.particles.storage.ParticleStorage.reorder`), one column
+(:meth:`~repro.particles.storage.ParticleSoA.reorder`), one column
 at a time into a spare column whose binding it then takes — out of
 place, at one column's extra memory per dtype.  The in-place cycle
 walk is priced by :mod:`repro.model` only.

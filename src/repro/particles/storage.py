@@ -7,45 +7,38 @@ dimensions (axes ``a`` in ``"xyz"[:ndim]``):
 * ``d<a>`` — normalized in-cell offsets in ``[0, 1)``
 * ``v<a>`` — velocities, in the stepper's grid units per time step
   (loop hoisting, §IV-D)
-* optionally ``i<a>`` — integer cell coordinates, stored only for
-  orderings whose decode is not a single operation (paper §IV-B keeps
-  them for L4D and Morton, recomputes for row-major)
+* ``i<a>`` — integer cell coordinates, stored for every ordering.  The
+  paper (§IV-B) recomputes them for row-major, whose decode is one
+  division per axis; here that division keeps the compiled push
+  scalar, and storing them makes it 2-3x faster (docs/paper-map.md)
 
 :func:`particle_fields` is the one place that spells this list; a
 storage keeps its columns in one mapping keyed by those names and
 reads both as attributes (``p.dx``) and as a read-only mapping
-(``p["dx"]``, ``"ix" in p``, ``dict(p)``) — the form the blocked
+(``p["dx"]``, ``"dz" in p``, ``dict(p)``) — the form the blocked
 kernels of :mod:`repro.core.kernels` slice.
 
 :class:`ParticleSoA` keeps one contiguous numpy array per attribute —
 the layout that vectorizes (unit stride, §IV-C1) — and, from its first
 sort on, one spare column per dtype: the periodic sort
-(:meth:`ParticleStorage.reorder` without ``out``) gathers each column
+(:meth:`ParticleSoA.reorder` without ``out``) gathers each column
 into the spare of its dtype and swaps the two bindings, out of place
 at one column's extra memory.
 """
 
 from __future__ import annotations
 
-import abc
-
 import numpy as np
 
-__all__ = [
-    "particle_fields",
-    "ParticleStorage",
-    "ParticleSoA",
-    "make_storage",
-]
+__all__ = ["particle_fields", "ParticleSoA"]
 
 
-def particle_fields(ndim: int, store_coords: bool) -> tuple[str, ...]:
+def particle_fields(ndim: int) -> tuple[str, ...]:
     """Column names of an ``ndim``-dimensional particle population, in
     the order every consumer (``set_state``, the checkpoint format, the
     differential verifier) iterates them."""
     axes = "xyz"[:ndim]
-    names = ("icell", *("d" + a for a in axes), *("v" + a for a in axes))
-    return names + tuple("i" + a for a in axes) if store_coords else names
+    return ("icell", *(p + a for p in "dvi" for a in axes))
 
 
 def _dtype(name: str):
@@ -59,16 +52,14 @@ def _column(name: str) -> property:
             return self._columns[name]
         except KeyError:
             raise AttributeError(
-                f"{name!r} is not stored (ndim={self.ndim}, "
-                f"store_coords={self.store_coords})"
-            ) from None
+                f"{name!r} is not stored (ndim={self.ndim})") from None
 
     return property(get)
 
 
 def _gather(perm, pairs, map_rows) -> None:
     """``dst[:] = src[perm]`` for every ``(src, dst)`` of ``pairs``, over
-    the row slices of ``map_rows`` (:meth:`ParticleStorage.reorder`)."""
+    the row slices of ``map_rows`` (:meth:`ParticleSoA.reorder`)."""
     def gather(rows):
         for src, dst in pairs:
             np.take(src, perm[rows], out=dst[rows], mode="wrap")
@@ -79,28 +70,30 @@ def _gather(perm, pairs, map_rows) -> None:
         map_rows(gather)
 
 
-class ParticleStorage(abc.ABC):
-    """The particle-store interface: named columns, bulk state, reorder."""
+class ParticleSoA:
+    """Structure of Arrays: one contiguous array per column, named by
+    :func:`particle_fields`; bulk state and reorder."""
 
-    def __init__(self, n: int, weight: float = 1.0, store_coords: bool = True,
-                 ndim: int = 2):
+    #: ``alloc(n, dtype=...)`` of one zero-filled column — the hook by
+    #: which :class:`repro.parallel.shm.SharedParticleStorage` places
+    #: the arrays in shared memory instead
+    _alloc = staticmethod(np.zeros)
+
+    def __init__(self, n: int, weight: float = 1.0, ndim: int = 2):
         self.n = int(n)
         #: statistical weight of every macro-particle (uniform, §II)
         self.weight = float(weight)
-        #: whether integer cell coordinates are stored alongside icell
-        self.store_coords = bool(store_coords)
         self.ndim = int(ndim)
         #: column name -> live array, in :func:`particle_fields` order
-        self._columns: dict[str, np.ndarray] = self._allocate(
-            self.n, particle_fields(self.ndim, self.store_coords)
-        )
-
-    @abc.abstractmethod
-    def _allocate(self, n: int, names) -> dict[str, np.ndarray]:
-        """Zero-filled columns of length ``n``, keyed by name."""
+        self._columns: dict[str, np.ndarray] = {
+            name: self._alloc(self.n, dtype=_dtype(name))
+            for name in particle_fields(self.ndim)
+        }
+        #: dtype -> the spare column :meth:`_permute` gathers into
+        self._spares = {}
 
     # -- columns as attributes and as a read-only mapping ----------------
-    icell, dx, dy, dz, vx, vy, vz, ix, iy, iz = map(_column, particle_fields(3, True))
+    icell, dx, dy, dz, vx, vy, vz, ix, iy, iz = map(_column, particle_fields(3))
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._columns[name]
@@ -122,12 +115,12 @@ class ParticleStorage(abc.ABC):
         for name, arr in self._columns.items():
             if named.get(name) is None:
                 raise ValueError(
-                    f"no {name!r} given (ndim={self.ndim}, store_coords="
-                    f"{self.store_coords} requires {tuple(self._columns)})"
+                    f"no {name!r} given (ndim={self.ndim} requires "
+                    f"{tuple(self._columns)})"
                 )
             arr[:] = named[name]
 
-    def reorder(self, perm: np.ndarray, out: "ParticleStorage | None" = None,
+    def reorder(self, perm: np.ndarray, out: "ParticleSoA | None" = None,
                 map_rows=None):
         """Apply a permutation: element j of the result is element perm[j].
 
@@ -153,41 +146,10 @@ class ParticleStorage(abc.ABC):
         if out is None:
             self._permute(perm, map_rows)
             return self
-        if not isinstance(out, ParticleStorage):
+        if not isinstance(out, ParticleSoA):
             raise TypeError(f"out must be a {type(self).__name__}")
         _gather(perm, [(col, out[name]) for name, col in self.items()], map_rows)
         return out
-
-    @abc.abstractmethod
-    def _permute(self, perm: np.ndarray, map_rows) -> None:
-        """Permute the store's own columns through a checked ``perm``."""
-
-    @abc.abstractmethod
-    def clone_empty(self) -> "ParticleStorage":
-        """A new storage of the same size and columns (zero-filled)."""
-
-    # -- shared helpers ---------------------------------------------------
-    def total_charge(self, q: float) -> float:
-        """Total macro-charge carried, ``q * w * n``."""
-        return q * self.weight * self.n
-
-    def as_dict(self) -> dict[str, np.ndarray]:
-        """Copies of all attributes (testing convenience)."""
-        return {f: np.array(v) for f, v in self._columns.items()}
-
-
-class ParticleSoA(ParticleStorage):
-    """Structure of Arrays: one contiguous array per attribute."""
-
-    #: ``alloc(n, dtype=...)`` of one zero-filled column — the hook by
-    #: which :class:`repro.parallel.shm.SharedParticleStorage` places
-    #: the arrays in shared memory instead
-    _alloc = staticmethod(np.zeros)
-
-    def _allocate(self, n, names):
-        #: dtype -> the spare column :meth:`_permute` gathers into
-        self._spares = {}
-        return {name: self._alloc(n, dtype=_dtype(name)) for name in names}
 
     def _permute(self, perm, map_rows):
         """One column at a time: gather it into the spare of its dtype,
@@ -206,19 +168,15 @@ class ParticleSoA(ParticleStorage):
             _gather(perm, [(col, spare)], map_rows)
             columns[name], spares[dt] = spare, col
 
-    def clone_empty(self):
-        return ParticleSoA(self.n, self.weight, self.store_coords, self.ndim)
+    def clone_empty(self) -> "ParticleSoA":
+        """A new store of the same size and columns (zero-filled)."""
+        return ParticleSoA(self.n, self.weight, self.ndim)
 
+    # -- shared helpers ---------------------------------------------------
+    def total_charge(self, q: float) -> float:
+        """Total macro-charge carried, ``q * w * n``."""
+        return q * self.weight * self.n
 
-def make_storage(
-    layout: str, n: int, weight: float = 1.0, store_coords: bool = True,
-    ndim: int = 2,
-) -> ParticleStorage:
-    """Factory, for callers that name the layout: ``"soa"`` is the only
-    stored one."""
-    if layout == "soa":
-        return ParticleSoA(n, weight, store_coords, ndim)
-    raise ValueError(
-        f"unknown particle layout {layout!r} (the stored one is 'soa'; "
-        "'aos' is priced by repro.model, not stored)"
-    )
+    def as_dict(self) -> dict[str, np.ndarray]:
+        """Copies of all attributes (testing convenience)."""
+        return {f: np.array(v) for f, v in self._columns.items()}

@@ -171,9 +171,9 @@ class _Run:
         self.combo = combo
         self.perturbation = perturbation
         cfg = scenario.config(backend=combo.backend, workers=combo.workers)
-        #: particle arrays captured at every phase checkpoint (the cell
-        #: coordinates are a function of ``icell``)
-        self.arrays = particle_fields(scenario.dims, store_coords=False)
+        #: particle arrays captured at every phase checkpoint, the cell
+        #: coordinates included
+        self.arrays = particle_fields(scenario.dims)
         #: the solved grids captured after the solve
         self.grids = ("rho_grid", "ex_grid", "ey_grid", "ez_grid")[: scenario.dims + 1]
         self.stepper = PICStepper(

@@ -193,11 +193,11 @@ class TestKernelEquivalence:
     def _at_rest(x, y, ncx, ncy):
         """A population whose push lands it at ``(x, y)``: everyone in
         cell (0, 0) at offset 0, the whole move in the velocity."""
-        from repro.particles import make_storage
+        from repro.particles import ParticleSoA
 
         n = len(x)
         zi, zf = np.zeros(n, dtype=np.int64), np.zeros(n)
-        s = make_storage("soa", n, store_coords=True)
+        s = ParticleSoA(n)
         s.set_state(zi, zf, zf, x, y, zi, zi)
         return s, get_ordering("row-major", ncx, ncy)
 
@@ -233,7 +233,7 @@ class TestKernelEquivalence:
             assert list(off) == [w[1] for w in want]
 
     def test_push_positions_matches_numpy_backend(self, backend, rng):
-        from repro.particles import make_storage
+        from repro.particles import ParticleSoA
 
         numpy_backend = get_backend("numpy")
         ordering = get_ordering("morton", NCX, NCY)
@@ -241,7 +241,7 @@ class TestKernelEquivalence:
         icell = ordering.encode(ix, iy)
 
         def fresh():
-            s = make_storage("soa", N, store_coords=True)
+            s = ParticleSoA(N)
             s.set_state(icell.copy(), dx.copy(), dy.copy(),
                         vx.copy(), vy.copy(), ix.copy(), iy.copy())
             return s

@@ -71,7 +71,7 @@ def _kernels_2d(n, variant, sort, rho0, shape=(8, 8), curve="morton"):
              rng.normal(0, 2, n), rng.normal(0, 2, n), ix, iy)
     fields = RedundantFields(grid, ordering)
     fields.load_field_from_grid(rng.normal(size=shape), rng.normal(size=shape))
-    p = ParticleSoA(n, store_coords=True)
+    p = ParticleSoA(n)
     p.set_state(*state)
 
     e_p = b.interpolate_rows(fields.e_1d, p.icell, (p.dx, p.dy))
@@ -240,7 +240,7 @@ def _interp_2d(n):
 def _push_2d(n):
     rng = np.random.default_rng(0)
     ordering = get_ordering("morton", 16, 16)
-    p = ParticleSoA(n, store_coords=True)
+    p = ParticleSoA(n)
     ix, iy = rng.integers(0, 16, n), rng.integers(0, 16, n)
     p.set_state(ordering.encode(ix, iy), rng.random(n), rng.random(n),
                 rng.normal(size=n), rng.normal(size=n), ix, iy)

@@ -4,7 +4,7 @@ Three promises, each with its own class:
 
 * **NumPy's bits** — every ``c`` kernel equals its ``numpy`` twin with
   ``np.array_equal``, over both dimensions, populations around the NumPy
-  block size, all three wraps, every ordering, stored and recomputed
+  block size, all three wraps, every ordering, sampled and decoded
   coordinates, scales 0 / 1 / other and particles several periods
   outside the box; update-v in one loop equals the gather then the
   kick; the ρ fold
@@ -151,21 +151,24 @@ def _with_specials(a):
 
 def _population(rng, ndim, n, ordering, shape, stored):
     """A random population whose velocities carry it several periods
-    outside the box."""
+    outside the box.  Its cell coordinates are the sampled ones
+    (``stored``), or — as the checkpoint loader restores an archive of a
+    writer that recomputed them — decoded from ``icell``."""
     coords = [rng.integers(0, nc, n) for nc in shape]
     cols = {"icell": ordering.encode(*coords)}
+    if not stored:
+        coords = ordering.decode(cols["icell"])
     for a, c, nc in zip("xyz", coords, shape):
         cols["d" + a] = rng.random(n)
         cols["v" + a] = rng.normal(0.0, 3.0 * nc, n)
-        if stored:
-            cols["i" + a] = c
-    p = ParticleSoA(n, 1.0, store_coords=stored, ndim=ndim)
+        cols["i" + a] = c
+    p = ParticleSoA(n, 1.0, ndim)
     p.set_state(**cols)
     return p
 
 
 def _copy(p):
-    q = ParticleSoA(p.n, p.weight, p.store_coords, p.ndim)
+    q = ParticleSoA(p.n, p.weight, p.ndim)
     q.set_state(**p.as_dict())
     return q
 
@@ -616,7 +619,7 @@ class TestDefinedOnEveryInput:
         nc = float(shape[0])
         x = np.array([*BAD, 0.0, nc, 2 * nc, -0.0, 3.5, -2.5, nc + 0.5])
         n = len(x)
-        p = ParticleSoA(n, 1.0, store_coords=True, ndim=2)
+        p = ParticleSoA(n, 1.0, 2)
         p.set_state(icell=ordering.encode(np.zeros(n, int), np.zeros(n, int)),
                     dx=np.where(x == 0.0, -0.0, 0.0), dy=np.full(n, 0.25),
                     vx=x, vy=np.full(n, -0.0),

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.kernels import _axis_reflect, push_blocked
 from repro.curves import get_ordering
-from repro.particles import make_storage
+from repro.particles import ParticleSoA
 from tests.conftest import random_particle_arrays
 
 NC = 16
@@ -69,7 +69,7 @@ class TestReflectAxis:
 class TestReflectingPush:
     def _particles(self, rng, ordering, n=500, v_scale=10.0):
         ix, iy, dx, dy, vx, vy = random_particle_arrays(rng, n, NC, NC)
-        s = make_storage("soa", n, store_coords=True)
+        s = ParticleSoA(n)
         s.set_state(ordering.encode(ix, iy), dx, dy, v_scale * vx, v_scale * vy, ix, iy)
         return s
 
@@ -84,7 +84,7 @@ class TestReflectingPush:
     def test_velocity_flip_consistency(self, rng):
         """A particle that bounced once moves back toward the interior."""
         o = get_ordering("row-major", NC, NC)
-        s = make_storage("soa", 1, store_coords=True)
+        s = ParticleSoA(1)
         s.set_state(
             o.encode(np.array([NC - 1]), np.array([0])),
             np.array([0.9]), np.array([0.5]),
@@ -116,7 +116,7 @@ class TestReflectingPush:
         reflecting and periodic updates."""
         o = get_ordering("morton", NC, NC)
         sr = self._particles(rng, o, v_scale=0.01)
-        sp = make_storage("soa", sr.n, store_coords=True)
+        sp = ParticleSoA(sr.n)
         sp.set_state(**sr.as_dict())
         _reflect(sr, o)
         push_blocked(sp, (NC, NC), o, (1.0, 1.0))

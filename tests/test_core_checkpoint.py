@@ -99,6 +99,23 @@ COMMITTED_ARCHIVES = {
 #: undisturbed run's)
 ARCHIVE_3D_STEPLOOP = pathlib.Path(__file__).parent / "data" / "checkpoint3d_steploop.npz"
 STEPLOOP_RESUMED_10 = "4793dbbfc0259aeccd6736856fce666841a7b373a3beabba143f2b5ca2782af5"
+#: archives of scan-order runs written while those orders recomputed
+#: their cell coordinates (``store_coords`` false, no ``pix`` / ``piy``
+#: / ``piz``): Landau (alpha 0.05), 16x16 over 4pi, 2,000 particles,
+#: seed 7, dt 0.1, row-major, sort every 3, ``numpy``; and
+#: ``PICStepper3D`` configured row-major, Landau3D (alpha 0.1), 8x4x4
+#: over 4pi x 2pi x 2pi, 2,000 particles, the same stepping — both
+#: saved after 5 steps.  Beside each, the ``_resume_digest`` that code
+#: printed after 5 more steps (on ``numpy``, ``c`` and ``numpy-mp``
+#: alike, and equal to the undisturbed run's)
+SCAN_ORDER_ARCHIVES = {
+    "2d-row-major": (
+        pathlib.Path(__file__).parent / "data" / "checkpoint_rowmajor_recomputed.npz",
+        "c3716f0bdc2b1e966a17b856cf0a545ce399545f037dae3d76c374e75ed1939e"),
+    "3d-row-major": (
+        pathlib.Path(__file__).parent / "data" / "checkpoint3d_rowmajor_recomputed.npz",
+        "7dc23ceed6c6d30ecfe83457a01205d20afbfc4ef2e4f248f95fff6784ac6304"),
+}
 
 
 def _resume_digest(st):
@@ -107,7 +124,7 @@ def _resume_digest(st):
     ``vz`` / ``ez_grid`` in 3D."""
     h = hashlib.sha256()
     ndim = st.particles.ndim
-    for name in particle_fields(ndim, False):
+    for name in particle_fields(ndim)[: 1 + 2 * ndim]:
         h.update(np.ascontiguousarray(np.asarray(st.particles[name])).tobytes())
     for name in ("rho_grid", "ex_grid", "ey_grid", "ez_grid")[: ndim + 1]:
         h.update(np.ascontiguousarray(getattr(st, name)).tobytes())
@@ -616,12 +633,43 @@ def test_three_class_stepper_3d_archive_resumes_on_its_digest(backend, workers):
         st.close()
 
 
+@pytest.mark.parametrize("backend,workers", [
+    pytest.param("numpy", None, id="numpy"),
+    pytest.param("c", None, id="c", marks=pytest.mark.skipif(
+        not CBackend.is_available(), reason="no C compiler")),
+    pytest.param("numpy-mp", 2, id="numpy-mp"),
+])
+@pytest.mark.parametrize("name", list(SCAN_ORDER_ARCHIVES))
+def test_archive_without_coordinates_resumes_on_its_parent_digest(
+    name, backend, workers
+):
+    """A scan-order archive that holds no coordinate columns loads with
+    the coordinates decoded from ``icell`` and continues, on every
+    backend, on the digest the code that wrote it continued on."""
+    path, digest = SCAN_ORDER_ARCHIVES[name]
+    with np.load(path) as data:
+        assert json.loads(str(data["_meta"]))["store_coords"] is False
+        assert not {"pix", "piy", "piz"} & set(data.files)
+    st = load_checkpoint(path, OptimizationConfig(
+        ordering="row-major", sort_period=3, backend=backend, workers=workers))
+    try:
+        p = st.particles
+        assert st.iteration == 5 and list(p.keys()) == list(particle_fields(p.ndim))
+        coords = [p["i" + a] for a in "xyz"[: p.ndim]]
+        np.testing.assert_array_equal(st.ordering.encode(*coords), p.icell)
+        st.run(5)
+        assert _resume_digest(st) == digest
+    finally:
+        st.close()
+
+
 def test_archive_with_a_store_coords_override_keeps_its_columns(grid, tmp_path):
     """An archive written under an explicit ``store_coords`` override —
     a Morton run without ``ix``/``iy``, which the run config can no
-    longer spell — loads with the columns it stored (its
-    ``store_coords`` record says which) and continues on the bits of
-    the same run with stored coordinates."""
+    longer spell — loads into the one store, its coordinates decoded
+    from ``icell`` to the bits the run held, and continues on the bits
+    of the same run with stored coordinates; saved again, it holds
+    them."""
     a = fresh_stepper(grid, n=1500)
     a.run(6)
     path = save_checkpoint(a, tmp_path / "ck.npz")
@@ -631,15 +679,17 @@ def test_archive_with_a_store_coords_override_keeps_its_columns(grid, tmp_path):
     rewrite_saved_config(path, {"store_coords": False})
     b = load_checkpoint(path)
     try:
-        assert b.particles.store_coords is False
-        assert b.config.effective_store_coords is True
+        assert b.particles.keys() == a.particles.keys()
+        for name in a.particles.keys():
+            assert b.particles[name].tobytes() == a.particles[name].tobytes()
         assert b.config == a.config
         a.run(8)
         b.run(8)
         assert state_digest(b) == state_digest(a)
-        again = load_checkpoint(save_checkpoint(b, tmp_path / "again.npz"))
-        assert again.particles.keys() == b.particles.keys()
-        again.close()
+        path = save_checkpoint(b, tmp_path / "again.npz")
+        with np.load(path) as data:
+            assert {"pix", "piy"} <= set(data.files)
+            assert "store_coords" not in json.loads(str(data["_meta"]))
     finally:
         b.close()
         a.close()

@@ -104,20 +104,30 @@ class TestValidation:
 
 
 class TestStoreCoordsDefault:
+    """The paper's §IV-B rule — recompute the scan orders' coordinates —
+    is a priced model axis; every run stores them."""
+
     def test_row_major_recomputes(self):
-        assert OptimizationConfig(ordering="row-major").effective_store_coords is False
+        assert ModelConfig(ordering="row-major").effective_store_coords is False
+        assert OptimizationConfig(ordering="row-major").effective_store_coords is True
 
     def test_column_major_recomputes(self):
-        assert OptimizationConfig(ordering="column-major").effective_store_coords is False
+        assert ModelConfig(ordering="column-major").effective_store_coords is False
+        assert OptimizationConfig(ordering="column-major").effective_store_coords is True
 
     @pytest.mark.parametrize("name", ["l4d", "morton", "hilbert"])
     def test_sfc_orderings_store(self, name):
+        assert ModelConfig(ordering=name).effective_store_coords is True
         assert OptimizationConfig(ordering=name).effective_store_coords is True
 
     def test_explicit_override(self):
-        """There is no override: the ordering's rule is the one value."""
-        with pytest.raises(TypeError):
-            OptimizationConfig(ordering="morton", store_coords=False)
+        """There is no override: a class constant on the run config,
+        the ordering's rule on the model's, and no field on either."""
+        assert "effective_store_coords" not in {
+            f.name for f in dataclasses.fields(ModelConfig)}
+        for cls in (OptimizationConfig, ModelConfig):
+            with pytest.raises(TypeError):
+                cls(ordering="morton", store_coords=False)
 
 
 #: ``dataclasses.asdict`` of the seven Table IV rows as the run config

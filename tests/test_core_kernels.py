@@ -22,7 +22,7 @@ from repro.core.reference import (
 )
 from repro.curves import get_ordering
 from repro.grid import RedundantFields
-from repro.particles import make_storage
+from repro.particles import ParticleSoA
 from tests.conftest import random_particle_arrays
 
 NCX = NCY = 16
@@ -310,7 +310,7 @@ class TestAxisWraps:
 class TestPushPositions:
     def _make(self, rng, layout, ordering, n=400):
         ix, iy, dx, dy, vx, vy = random_particle_arrays(rng, n, NCX, NCY)
-        s = make_storage(layout, n, store_coords=True)
+        s = ParticleSoA(n)
         s.set_state(ordering.encode(ix, iy), dx, dy, vx, vy, ix, iy)
         return s
 
@@ -343,13 +343,18 @@ class TestPushPositions:
         np.testing.assert_allclose(wrapped, 0.0, atol=1e-9)
 
     def test_without_stored_coords(self, rng, variant, layout):
+        """A scan-order state saved without its coordinates gets them
+        decoded from ``icell`` (the checkpoint loader's path), and the
+        push keeps the two in step."""
         o = get_ordering("row-major", NCX, NCY)
         ix, iy, dx, dy, vx, vy = random_particle_arrays(rng, 200, NCX, NCY)
-        s = make_storage(layout, 200, store_coords=False)
-        s.set_state(o.encode(ix, iy), dx, dy, vx, vy)
+        s = ParticleSoA(200)
+        s.set_state(o.encode(ix, iy), dx, dy, vx, vy, *o.decode(o.encode(ix, iy)))
         push(s, o, variant)
         jx, jy = o.decode(np.asarray(s.icell))
         assert jx.min() >= 0 and jx.max() < NCX
+        np.testing.assert_array_equal(jx, s.ix)
+        np.testing.assert_array_equal(jy, s.iy)
 
 
 class TestPushVariantsAgree:
@@ -363,7 +368,7 @@ class TestPushVariantsAgree:
         vx *= 10  # multi-cell moves, both directions
         results = []
         for variant in VARIANTS:
-            s = make_storage("soa", 1000, store_coords=True)
+            s = ParticleSoA(1000)
             s.set_state(o.encode(ix, iy), dx, dy, vx, vy, ix, iy)
             push(s, o, variant)
             results.append(

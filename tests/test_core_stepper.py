@@ -61,8 +61,7 @@ def reference_sorted_load(grid, ordering, n=4000, seed=None, quiet=True,
     """What ``make_stepper`` loads, permuted by the scalar counting sort:
     the t=0 order every case-built stepper reaches through its own
     ``_phase_sort``."""
-    loaded = load_particles(grid, ordering, case, n,
-                            seed=seed, quiet=quiet, store_coords=True)
+    loaded = load_particles(grid, ordering, case, n, seed=seed, quiet=quiet)
     perm = counting_sort_permutation_reference(
         np.asarray(loaded.icell), ordering.ncells_allocated)
     return loaded.reorder(perm)
@@ -123,28 +122,60 @@ class TestNonPowerOfTwoGrids:
         assert set(digests.values()) == {digests["numpy"]}
 
 
+#: ``state_digest`` after 10 steps of the scan orders' runs, printed by
+#: the code that recomputed their cell coordinates instead of storing
+#: them: Landau (alpha 0.05), 16x16 over 4pi, 2,000 particles, seed 7,
+#: dt 0.1, sort every 3; and ``PICStepper3D`` configured row-major,
+#: Landau3D (alpha 0.1), 8x4x4 over 4pi x 2pi x 2pi, 2,000 particles,
+#: the same stepping
+SCAN_ORDER_DIGESTS = {
+    "2d-row-major": "c3716f0bdc2b1e966a17b856cf0a545ce399545f037dae3d76c374e75ed1939e",
+    "2d-column-major": "85b54b551611a89a8302c2661417fa79dd4ab5d043c42b602d2fffb40f4e661c",
+    "3d-row-major": "00438fca9ee6c8cdb1207746fa47f12b6bc8c76a91cc0366349bc315d22e4d14",
+}
+
+
+@pytest.mark.parametrize("backend", [
+    _available("numpy"), _available("c"), _available("numpy-mp")])
+@pytest.mark.parametrize("run", list(SCAN_ORDER_DIGESTS))
+def test_scan_order_runs_keep_their_digests(run, backend):
+    """Storing the scan orders' coordinates, rather than decoding them
+    from ``icell``, moves no bit on any backend."""
+    from repro.pic3d import PICStepper3D
+
+    ndim, ordering = run.split("-", 1)
+    cfg = OptimizationConfig(ordering=ordering, sort_period=3, backend=backend,
+                             workers=2 if backend == "numpy-mp" else None)
+    if ndim == "2d":
+        st = PICStepper(GridSpec(16, 16, 0.0, 4 * np.pi, 0.0, 4 * np.pi), cfg,
+                        case=LandauDamping(alpha=0.05), n_particles=2000,
+                        dt=0.1, seed=7)
+    else:
+        grid = GridSpec3D(8, 4, 4, 0.0, 4 * np.pi, 0.0, 2 * np.pi, 0.0, 2 * np.pi)
+        st = PICStepper3D(grid, LandauDamping3D(alpha=0.1), 2000, dt=0.1, config=cfg)
+    try:
+        assert "ix" in st.particles
+        st.run(10)
+        assert state_digest(st) == SCAN_ORDER_DIGESTS[run]
+    finally:
+        st.close()
+
+
 class TestConstruction:
     def test_rejects_particles_and_case(self, grid):
-        from repro.particles import make_storage
+        from repro.particles import ParticleSoA
 
         with pytest.raises(ValueError):
             PICStepper(
                 grid,
                 OptimizationConfig(),
-                particles=make_storage("soa", 10),
+                particles=ParticleSoA(10),
                 case=LandauDamping(),
             )
 
     def test_rejects_neither(self, grid):
         with pytest.raises(ValueError):
             PICStepper(grid, OptimizationConfig())
-
-    def test_rejects_store_coords_mismatch(self, grid):
-        from repro.particles import make_storage
-
-        parts = make_storage("soa", 10, store_coords=False)
-        with pytest.raises(ValueError, match="store_coords"):
-            PICStepper(grid, OptimizationConfig(), particles=parts)
 
     def test_every_config_stores_redundant_rows_and_soa_columns(self, grid):
         """Table IV's baseline names point-based fields and AoS

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.kernels import wrap_for
 from repro.grid import GridSpec
+from repro.grid.spec import split_axis
 
 
 class TestConstruction:
@@ -46,51 +47,37 @@ class TestConstruction:
 
 
 class TestCoordinateTransforms:
-    def test_to_grid_coords(self):
-        g = GridSpec(10, 10, 2.0, 12.0, 0.0, 5.0)
-        x, y = g.to_grid_coords(7.0, 2.5)
-        assert x == pytest.approx(5.0)
-        assert y == pytest.approx(5.0)
+    """:func:`split_axis`, the loader's one split of a grid coordinate
+    into a periodically wrapped cell and an offset."""
 
     def test_roundtrip(self, rng):
-        g = GridSpec(16, 8, -1.0, 3.0, 0.0, 2.0)
-        xp = rng.uniform(-1, 3, 100)
-        yp = rng.uniform(0, 2, 100)
-        xg, yg = g.to_grid_coords(xp, yp)
-        np.testing.assert_allclose(xg * g.dx + g.xmin, xp, atol=1e-12)
-        np.testing.assert_allclose(yg * g.dy + g.ymin, yp, atol=1e-12)
+        x = rng.uniform(0, 16, 100)
+        i, d = split_axis(x, 16)
+        np.testing.assert_allclose(i + d, x, atol=1e-12)
 
     def test_split_coords_basic(self):
-        g = GridSpec(8, 8)
-        ix, iy, dx, dy = g.split_coords(3.25, 7.75)
+        (ix, dx), (iy, dy) = split_axis(3.25, 8), split_axis(7.75, 8)
         assert (ix, iy) == (3, 7)
         assert dx == pytest.approx(0.25)
         assert dy == pytest.approx(0.75)
 
     def test_split_coords_wraps_negative(self):
-        g = GridSpec(8, 8)
-        ix, _, dx, _ = g.split_coords(-0.25, 0.0)
+        ix, dx = split_axis(-0.25, 8)
         assert ix == 7
         assert dx == pytest.approx(0.75)
 
     def test_split_coords_wraps_beyond(self):
-        g = GridSpec(8, 8)
-        ix, _, dx, _ = g.split_coords(17.5, 0.0)
+        ix, dx = split_axis(17.5, 8)
         assert ix == 1
         assert dx == pytest.approx(0.5)
 
     def test_split_coords_boundary_fold(self):
         # exactly the upper boundary must fold to cell 0
-        g = GridSpec(8, 8)
-        ix, iy, dx, dy = g.split_coords(8.0, 8.0)
-        assert (ix, iy) == (0, 0)
+        ix, dx = split_axis(8.0, 8)
+        assert (ix, dx) == (0, 0.0)
 
     def test_split_coords_ranges(self, rng):
-        g = GridSpec(16, 16)
-        x = rng.uniform(-100, 100, 10_000)
-        y = rng.uniform(-100, 100, 10_000)
-        ix, iy, dx, dy = g.split_coords(x, y)
-        assert ix.min() >= 0 and ix.max() < 16
-        assert iy.min() >= 0 and iy.max() < 16
-        assert dx.min() >= 0 and dx.max() < 1.0 + 1e-15
-        assert dy.min() >= 0 and dy.max() < 1.0 + 1e-15
+        for n in (16, 12):
+            i, d = split_axis(rng.uniform(-100, 100, 10_000), n)
+            assert i.min() >= 0 and i.max() < n
+            assert d.min() >= 0 and d.max() < 1.0 + 1e-15

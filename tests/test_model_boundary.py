@@ -212,6 +212,41 @@ def test_model_axis_lint_sees_a_read_at_any_depth(tmp_path):
     assert any("reads .position_update" in e for e in errors)
 
 
+def test_model_axis_lint_sees_a_store_coords_read(tmp_path):
+    """The §IV-B rule is a model axis too: a stepper, checkpoint or
+    kernel that reads ``.effective_store_coords`` to fork the particle
+    record fails; the run config's class constant (a store, not a
+    load), the ledger-pinned keyword and an old archive's
+    ``"store_coords"`` key do not, nor does the model's own read."""
+    pkg = tmp_path / "repro"
+    for sub in ("core", "model", "particles"):
+        (pkg / sub).mkdir(parents=True)
+    (pkg / "core" / "stepper.py").write_text(
+        "def load(config):\n"
+        "    return load_particles(store_coords=config.effective_store_coords)\n"
+    )
+    (pkg / "core" / "backends.py").write_text(
+        "coords = [cfg.effective_store_coords and 'ix' for cfg in ()]\n"
+    )
+    (pkg / "core" / "config.py").write_text(
+        "class C:\n    effective_store_coords = True\n"
+    )
+    (pkg / "core" / "checkpoint.py").write_text(
+        "stored = meta.get('store_coords', True)\n"
+    )
+    (pkg / "particles" / "initializers.py").write_text(
+        "def load_particles(store_coords=True):\n    return store_coords\n"
+    )
+    (pkg / "model" / "costmodel.py").write_text(
+        "record = 7 if config.effective_store_coords else 5\n"
+    )
+    errors = load_tool("check_imports").check_model_axes(tmp_path)
+    assert sorted(e.split(": ", 1)[0].split("repro/", 1)[1] for e in errors) == [
+        "core/backends.py:1", "core/stepper.py:2",
+    ]
+    assert all("reads .effective_store_coords" in e for e in errors)
+
+
 def test_dimension_ratchet_is_by_name(tmp_path):
     """The 2D/3D ratchet knows each dimension-suffixed definition by
     file *and name*: a new one fails, so does a listed one that is
@@ -317,6 +352,7 @@ def test_options_ratchet():
     removing one, edits this table."""
     from repro.core import OptimizationConfig
     from repro.parallel.executor import ShmEngine, WorkerPool
+    from repro.particles import ParticleSoA, load_particles, particle_fields
     from repro.particles.initializers import sample_perturbed_positions
     from repro.perf.instrument import Instrumentation
     from repro.resilience import GuardSuite, SupervisedRun
@@ -336,6 +372,9 @@ def test_options_ratchet():
             "run_all_oracles": run_all_oracles,
             "sample_perturbed_positions": sample_perturbed_positions,
             "ScenarioSampler": ScenarioSampler,
+            "ParticleSoA": ParticleSoA,
+            "particle_fields": particle_fields,
+            "load_particles": load_particles,
         }.items()
     } == {
         "OptimizationConfig": ("ordering", "ordering_kwargs", "sort_period",
@@ -354,4 +393,11 @@ def test_options_ratchet():
         "sample_perturbed_positions": ("n", "length", "alpha", "k", "rng",
                                        "quiet"),
         "ScenarioSampler": ("seed",),
+        # one particle record: no store_coords knob on the store or its
+        # column list; the loader's ``layout`` / ``store_coords`` are the
+        # frozen ledger's keywords, each with one legal value
+        "ParticleSoA": ("n", "weight", "ndim"),
+        "particle_fields": ("ndim",),
+        "load_particles": ("grid", "ordering", "case", "n", "layout", "seed",
+                           "quiet", "density", "store_coords"),
     }

@@ -14,9 +14,9 @@ from repro.core import OptimizationConfig, PICStepper
 from repro.grid import GridSpec
 from repro.particles import (
     LandauDamping,
+    ParticleSoA,
     counting_sort_permutation,
     counting_sort_permutation_reference,
-    make_storage,
 )
 
 
@@ -74,7 +74,7 @@ class TestCountingSortPermutation:
 @pytest.mark.parametrize("layout", ["soa"])
 class TestStorageSorting:
     def _storage(self, layout, rng, n=200, ncells=32):
-        s = make_storage(layout, n, store_coords=True)
+        s = ParticleSoA(n)
         s.set_state(
             rng.integers(0, ncells, n),
             rng.random(n),
@@ -114,7 +114,7 @@ class TestStorageSorting:
 
     def test_in_place_equals_out_of_place(self, layout, rng):
         s1 = self._storage(layout, rng)
-        s2 = make_storage(layout, s1.n, store_coords=True)
+        s2 = ParticleSoA(s1.n)
         s2.set_state(**s1.as_dict())
         out = _sort(s1, out=s1.clone_empty())
         _sort(s2)
@@ -144,7 +144,7 @@ class TestStorageSorting:
         st = PICStepper(GridSpec(8, 8), OptimizationConfig(backend="numpy"),
                         case=LandauDamping(), n_particles=200, seed=1)
         try:
-            assert type(st.particles) is type(make_storage(layout, 0))
+            assert type(st.particles) is ParticleSoA
             monkeypatch.setattr(st.backend, "counting_sort_permutation", perm_fn)
             st._phase_sort()
             assert calls == [st.ordering.ncells_allocated]

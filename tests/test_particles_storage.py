@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.particles import ParticleSoA, make_storage, particle_fields
+from repro.curves import get_ordering
+from repro.grid import GridSpec
+from repro.particles import LandauDamping, ParticleSoA, load_particles, particle_fields
 
 
 @pytest.fixture(params=["soa"])
 def storage(request):
-    return make_storage(request.param, 100, weight=0.5, store_coords=True)
+    return ParticleSoA(100, weight=0.5)
 
 
 def fill(storage, rng):
@@ -27,15 +29,25 @@ def fill(storage, rng):
 
 
 class TestFactory:
+    """The loader builds the one store; its ``layout`` keyword, pinned
+    by the frozen benchmark ledger, takes ``"soa"`` only."""
+
     def test_makes_correct_types(self):
-        assert type(make_storage("soa", 10)) is ParticleSoA
+        grid = GridSpec(8, 8)
+        p = load_particles(grid, get_ordering("row-major", 8, 8),
+                           LandauDamping(), 10)
+        assert type(p) is ParticleSoA
+        assert list(p.keys()) == list(particle_fields(2))
 
     def test_rejects_unknown_layout(self):
         """``"soa"`` is the one stored layout: the AoS one the paper
-        starts from is priced by the model, and stores nothing."""
-        for layout in ("csr", "aos"):
+        starts from is priced by the model, and stores nothing; nor is
+        there a store without the cell coordinates."""
+        grid, case = GridSpec(8, 8), LandauDamping()
+        ordering = get_ordering("morton", 8, 8)
+        for kw in ({"layout": "csr"}, {"layout": "aos"}, {"store_coords": False}):
             with pytest.raises(ValueError, match="unknown particle layout"):
-                make_storage(layout, 10)
+                load_particles(grid, ordering, case, 10, **kw)
 
 
 class TestCommonBehaviour:
@@ -117,30 +129,36 @@ class TestCommonBehaviour:
 
 
 class TestCoordsOptional:
+    """Every store holds the cell coordinates; a state without them is
+    completed by decoding ``icell``, as the checkpoint loader does for
+    an archive of a writer that recomputed them."""
+
     @pytest.mark.parametrize("layout", ["soa"])
     def test_no_coords_raises_on_access(self, layout):
-        s = make_storage(layout, 5, store_coords=False)
-        with pytest.raises(AttributeError):
-            _ = s.ix
-        with pytest.raises(AttributeError):
-            _ = s.iy
+        s = ParticleSoA(5)
+        assert s.ix.shape == s.iy.shape == (5,)
+        with pytest.raises(AttributeError, match="'iz' is not stored"):
+            _ = s.iz
 
     @pytest.mark.parametrize("layout", ["soa"])
     def test_set_state_without_coords(self, layout, rng):
-        s = make_storage(layout, 5, store_coords=False)
-        s.set_state(np.arange(5), *(rng.random(5) for _ in range(4)))
-        assert "ix" not in s.as_dict()
+        o = get_ordering("row-major", 4, 8)
+        icell = rng.integers(0, 32, 5)
+        s = ParticleSoA(5)
+        s.set_state(icell, *(rng.random(5) for _ in range(4)), *o.decode(icell))
+        np.testing.assert_array_equal(o.encode(s.ix, s.iy), icell)
+        np.testing.assert_array_equal(s.ix, icell // 8)
 
     @pytest.mark.parametrize("layout", ["soa"])
     def test_set_state_missing_coords_raises(self, layout, rng):
-        s = make_storage(layout, 5, store_coords=True)
-        with pytest.raises(ValueError):
+        s = ParticleSoA(5)
+        with pytest.raises(ValueError, match="'ix'"):
             s.set_state(np.arange(5), *(rng.random(5) for _ in range(4)))
 
 
 class TestLayoutDifferences:
     def test_soa_views_contiguous(self, rng):
-        s = make_storage("soa", 50)
+        s = ParticleSoA(50)
         assert s.vx.strides == (8,)
 
 
@@ -153,37 +171,47 @@ def ndim(request):
 
 
 @pytest.fixture(params=[True, False], ids=["coords", "no-coords"])
-def store_coords(request):
+def given_coords(request):
+    """Whether a state carries its cell coordinates, or leaves them to
+    be decoded from ``icell`` (an archive of a writer that recomputed
+    them, as the checkpoint loader restores it)."""
     return request.param
 
 
-def _random_state(names, n, rng):
-    return {
-        k: rng.integers(0, 64, n) if k[0] == "i" else rng.normal(size=n)
-        for k in names
-    }
+def _random_state(ndim, n, rng, given_coords=True):
+    """A state in :func:`particle_fields` order over 64 cells."""
+    ordering = get_ordering("row-major", *((8, 8), (4, 4, 4))[ndim - 2])
+    coords = [rng.integers(0, nc, n) for nc in ordering.shape]
+    state = {k: rng.normal(size=n) for k in particle_fields(ndim)}
+    state["icell"] = ordering.encode(*coords)
+    if not given_coords:
+        coords = ordering.decode(state["icell"])
+    state.update(zip(("ix", "iy", "iz"), coords))
+    return state
 
 
 class TestAxisGenericSoA:
     N = 37
 
-    def test_columns_come_from_particle_fields(self, ndim, store_coords):
+    def test_columns_come_from_particle_fields(self, ndim, given_coords):
         axes = "xyz"[:ndim]
-        want = ["icell"] + ["d" + a for a in axes] + ["v" + a for a in axes]
-        if store_coords:
-            want += ["i" + a for a in axes]
-        assert list(particle_fields(ndim, store_coords)) == want
-        p = ParticleSoA(self.N, 0.5, store_coords, ndim)
+        want = ["icell"] + [p + a for p in "dvi" for a in axes]
+        names = particle_fields(ndim)
+        assert list(names) == want
+        if not given_coords:  # what the checkpoint reader requires then
+            assert list(names[: 1 + 2 * ndim]) == want[: 1 + 2 * ndim]
+            assert all(k[0] != "i" for k in names[1 : 1 + 2 * ndim])
+        p = ParticleSoA(self.N, 0.5, ndim)
         assert list(p.keys()) == want
         for name in want:
             assert p[name].shape == (self.N,)
             assert p[name].dtype == (np.int64 if name[0] == "i" else np.float64)
             assert not p[name].any()  # allocated zero-filled
 
-    def test_set_state_by_position_and_by_name(self, ndim, store_coords, rng):
-        names = particle_fields(ndim, store_coords)
-        state = _random_state(names, self.N, rng)
-        by_name = ParticleSoA(self.N, 1.0, store_coords, ndim)
+    def test_set_state_by_position_and_by_name(self, ndim, given_coords, rng):
+        names = particle_fields(ndim)
+        state = _random_state(ndim, self.N, rng, given_coords)
+        by_name = ParticleSoA(self.N, 1.0, ndim)
         by_name.set_state(**state)
         by_position = by_name.clone_empty()
         by_position.set_state(*state.values())
@@ -191,15 +219,16 @@ class TestAxisGenericSoA:
             np.testing.assert_array_equal(by_name[name], state[name])
             np.testing.assert_array_equal(by_position[name], state[name])
 
-    def test_set_state_missing_column_raises(self, ndim, store_coords, rng):
-        names = particle_fields(ndim, store_coords)
-        state = _random_state(names[:-1], self.N, rng)
+    def test_set_state_missing_column_raises(self, ndim, given_coords, rng):
+        names = particle_fields(ndim)
+        state = _random_state(ndim, self.N, rng, given_coords)
+        del state[names[-1]]
         with pytest.raises(ValueError, match=names[-1]):
-            ParticleSoA(self.N, 1.0, store_coords, ndim).set_state(**state)
+            ParticleSoA(self.N, 1.0, ndim).set_state(**state)
 
-    def test_reorder_into_buffer(self, ndim, store_coords, rng):
-        p = ParticleSoA(self.N, 1.0, store_coords, ndim)
-        state = _random_state(p.keys(), self.N, rng)
+    def test_reorder_into_buffer(self, ndim, given_coords, rng):
+        p = ParticleSoA(self.N, 1.0, ndim)
+        state = _random_state(ndim, self.N, rng, given_coords)
         p.set_state(**state)
         perm = rng.permutation(self.N)
         buf = p.clone_empty()
@@ -208,22 +237,24 @@ class TestAxisGenericSoA:
             np.testing.assert_array_equal(arr, state[name][perm])
             np.testing.assert_array_equal(p[name], state[name])  # source intact
 
-    def test_clone_empty_keeps_shape(self, ndim, store_coords):
-        p = ParticleSoA(self.N, 0.25, store_coords, ndim)
+    def test_clone_empty_keeps_shape(self, ndim, given_coords, rng):
+        p = ParticleSoA(self.N, 0.25, ndim)
+        p.set_state(**_random_state(ndim, self.N, rng, given_coords))
         c = p.clone_empty()
         assert type(c) is ParticleSoA
-        assert (c.n, c.weight, c.store_coords, c.ndim) == (self.N, 0.25, store_coords, ndim)
+        assert (c.n, c.weight, c.ndim) == (self.N, 0.25, ndim)
         assert c.keys() == p.keys()
-        assert all(c[k] is not p[k] for k in p.keys())
+        assert all(c[k] is not p[k] and not c[k].any() for k in p.keys())
 
-    def test_mapping_protocol_and_attributes_agree(self, ndim, store_coords):
-        p = ParticleSoA(self.N, 1.0, store_coords, ndim)
+    def test_mapping_protocol_and_attributes_agree(self, ndim, given_coords, rng):
+        p = ParticleSoA(self.N, 1.0, ndim)
+        p.set_state(**_random_state(ndim, self.N, rng, given_coords))
         as_dict = dict(p)
         assert list(as_dict) == list(p.keys())
         for name, arr in p.items():
             assert as_dict[name] is arr is p[name] is getattr(p, name)
             assert name in p
-        missing = {"dz", "vz", "ix", "iy", "iz"} - set(p.keys())
+        missing = {"dz", "vz", "iz"} - set(p.keys())
         for name in missing:
             assert name not in p
             with pytest.raises(KeyError):
@@ -233,7 +264,7 @@ class TestAxisGenericSoA:
         with pytest.raises(TypeError):  # read-only: columns are not rebindable
             p["dx"] = np.zeros(self.N)
 
-    def test_sort_in_place_and_out_of_place_agree(self, ndim, store_coords, rng):
+    def test_sort_in_place_and_out_of_place_agree(self, ndim, given_coords, rng):
         """The one sort — ``reorder`` without ``out``, which permutes
         the store's own columns through its spares — equals the gather
         into a second store, column for column, for any cut of the
@@ -242,13 +273,13 @@ class TestAxisGenericSoA:
         of its own dtype."""
         from repro.particles import counting_sort_permutation
 
-        p = ParticleSoA(self.N, 1.0, store_coords, ndim)
+        p = ParticleSoA(self.N, 1.0, ndim)
         assert p._spares == {}
         arrays = None
         cuts = (None, [slice(0, self.N)],
                 [slice(0, 8), slice(8, 8), slice(8, 29), slice(29, None)])
         for cut in cuts:
-            p.set_state(**_random_state(p.keys(), self.N, rng))
+            p.set_state(**_random_state(ndim, self.N, rng, given_coords))
             perm = counting_sort_permutation(p.icell, 64)
             want = p.reorder(perm, out=p.clone_empty())
             map_rows = None if cut is None else (
@@ -274,7 +305,7 @@ def test_shared_storage_flip_on_a_3d_store():
 
     arena = SharedArena()
     try:
-        front = SharedParticleStorage(8, 1.0, True, 3, arena=arena)
+        front = SharedParticleStorage(8, 1.0, 3, arena=arena)
         back = front.clone_empty()
         assert back.ndim == 3 and isinstance(back, SharedParticleStorage)
         assert all(arena.owns(arr) for _k, arr in (*front.items(), *back.items()))
@@ -285,7 +316,7 @@ def test_shared_storage_flip_on_a_3d_store():
             flipped = name in staged
             assert front[name] is (was_back if flipped else was_front)[name]
             assert back[name] is (was_front if flipped else was_back)[name]
-        plain = ParticleSoA(8, 1.0, True, 3)
+        plain = ParticleSoA(8, 1.0, 3)
         plain.set_state(**{k: np.arange(8) for k in plain.keys()})
         moved = SharedParticleStorage.from_storage(plain, arena)
         assert moved.ndim == 3 and moved.keys() == plain.keys()

@@ -26,8 +26,7 @@ class TestCacheLevel:
         lv.access(a)
         lv.access(b)
         lv.access(c)  # evicts a
-        assert lv.contains(b) and lv.contains(c)
-        assert not lv.contains(a)
+        assert [lv.access(x) for x in (b, c, a)] == [True, True, False]
 
     def test_mru_protected(self):
         lv = level(capacity=256, assoc=2)
@@ -37,33 +36,26 @@ class TestCacheLevel:
         lv.access(b)
         lv.access(a)  # a becomes MRU
         lv.access(c)  # evicts b
-        assert lv.contains(a) and not lv.contains(b)
+        assert [lv.access(x) for x in (a, b)] == [True, False]
 
     def test_different_sets_independent(self):
         lv = level(capacity=256, assoc=2)
         lv.access(0)
         lv.access(1)  # different set
-        assert lv.contains(0) and lv.contains(1)
+        assert [lv.access(x) for x in (0, 1)] == [True, True]
 
     def test_flush(self):
         lv = level()
         lv.access(3)
         lv.flush()
-        assert not lv.contains(3)
         assert lv.accesses == 0
+        assert lv.access(3) is False
 
     def test_install_no_count(self):
         lv = level()
         lv.install(9)
-        assert lv.contains(9)
         assert lv.accesses == 0 and lv.misses == 0
-
-    def test_miss_ratio(self):
-        lv = level()
-        assert lv.miss_ratio == 0.0
-        lv.access(1)
-        lv.access(1)
-        assert lv.miss_ratio == pytest.approx(0.5)
+        assert lv.access(9) is True
 
 
 class TestCacheSimResult:
@@ -145,7 +137,7 @@ class TestHierarchyNoPrefetch:
 
     def test_simulate_series(self):
         h = two_level()
-        results = h.simulate_series([np.array([0]), np.array([0]), np.array([64])])
+        results = [h.simulate(t) for t in (np.array([0]), np.array([0]), np.array([64]))]
         assert [r.misses_by_name()["L1"] for r in results] == [1, 0, 1]
 
     def test_sub_line_addresses_share_line(self):
@@ -186,7 +178,7 @@ class TestPrefetcher:
         addrs = np.arange(64) * 64
         h.simulate(addrs)
         # a recent stream line is resident in L2 without being demanded
-        assert h.levels[1].contains(60)
+        assert h.levels[1].access(60) is True
 
     def test_contention_drops_streams(self, rng):
         """Irregular traffic interleaved with a stream must produce more

@@ -240,11 +240,6 @@ class TestModelTuner:
                 model, OPT, 1000, BASE_MISSES, miss_growth_per_iter=-0.1
             )
 
-    def test_cost_of_accessor(self, model):
-        res = tune_sort_period_model(model, OPT, 1000, BASE_MISSES)
-        for p, c in res.costs.items():
-            assert res.cost_of(p) == c
-
 
 class TestCalibration:
     def _record(self):

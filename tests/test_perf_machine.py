@@ -66,9 +66,6 @@ class TestMachineSpec:
                 1, 1, 1.0, 1.0,
             )
 
-    def test_cycle_ns(self):
-        assert MachineSpec.haswell().cycle_ns == pytest.approx(1 / 2.3)
-
 
 class TestScaling:
     def test_scaled_divides_capacities(self):

@@ -12,7 +12,7 @@ from repro.model.trace import (
     trace_update_positions,
     trace_update_velocities,
 )
-from repro.particles import make_storage
+from repro.particles import ParticleSoA
 from tests.conftest import random_particle_arrays
 
 NCX = NCY = 16
@@ -23,14 +23,10 @@ def ordering():
     return get_ordering("morton", NCX, NCY)
 
 
-def particles_for(rng, n=64, store_coords=True, ordering=None):
+def particles_for(rng, n=64, ordering=None):
     ix, iy, dx, dy, vx, vy = random_particle_arrays(rng, n, NCX, NCY)
-    s = make_storage("soa", n, store_coords=store_coords)
-    icell = ordering.encode(ix, iy)
-    if store_coords:
-        s.set_state(icell, dx, dy, vx, vy, ix, iy)
-    else:
-        s.set_state(icell, dx, dy, vx, vy)
+    s = ParticleSoA(n)
+    s.set_state(ordering.encode(ix, iy), dx, dy, vx, vy, ix, iy)
     return s
 
 
@@ -84,19 +80,19 @@ class TestTraceShapes:
     def test_update_v_redundant_addresses_per_particle(self, rng, ordering):
         p = particles_for(rng, ordering=ordering)
         m = MemoryLayoutMap(p.n, "soa", True, "redundant", 256, NCX, NCY)
-        t = trace_update_velocities(p, m, ordering)
+        t = trace_update_velocities(p, m)
         assert len(t) == p.n * 6  # icell,dx,dy + E row + vx,vy
 
     def test_update_v_standard_addresses_per_particle(self, rng, ordering):
         p = particles_for(rng, ordering=ordering)
         m = MemoryLayoutMap(p.n, "soa", True, "standard", 0, NCX, NCY)
-        t = trace_update_velocities(p, m, ordering)
+        t = trace_update_velocities(p, m)
         assert len(t) == p.n * (3 + 8 + 2)
 
     def test_update_x_sequential_only(self, rng, ordering):
         p = particles_for(rng, ordering=ordering)
         m = MemoryLayoutMap(p.n, "soa", True, "redundant", 256, NCX, NCY)
-        t = trace_update_positions(p, m, ordering)
+        t = trace_update_positions(p, m)
         assert len(t) == p.n * 7
         # strictly per-particle interleaved: every 7-address block is
         # one particle's attributes, each 8 bytes past the previous
@@ -106,39 +102,39 @@ class TestTraceShapes:
     def test_accumulate_redundant(self, rng, ordering):
         p = particles_for(rng, ordering=ordering)
         m = MemoryLayoutMap(p.n, "soa", True, "redundant", 256, NCX, NCY)
-        t = trace_accumulate(p, m, ordering)
+        t = trace_accumulate(p, m)
         assert len(t) == p.n * 4
 
     def test_accumulate_standard_corners(self, rng, ordering):
         p = particles_for(rng, ordering=ordering)
         m = MemoryLayoutMap(p.n, "soa", True, "standard", 0, NCX, NCY)
-        t = trace_accumulate(p, m, ordering)
+        t = trace_accumulate(p, m)
         assert len(t) == p.n * (3 + 4)
 
     def test_fused_superset_of_split(self, rng, ordering):
         p = particles_for(rng, ordering=ordering)
         m = MemoryLayoutMap(p.n, "soa", True, "redundant", 256, NCX, NCY)
-        fused = set(trace_fused_loop(p, m, ordering).tolist())
+        fused = set(trace_fused_loop(p, m).tolist())
         for tracer in (trace_update_velocities, trace_accumulate):
-            assert set(tracer(p, m, ordering).tolist()) <= fused
+            assert set(tracer(p, m).tolist()) <= fused
 
     def test_field_addresses_follow_icell(self, rng, ordering):
         p = particles_for(rng, ordering=ordering)
         m = MemoryLayoutMap(p.n, "soa", True, "redundant", 256, NCX, NCY)
-        t = trace_update_velocities(p, m, ordering).reshape(p.n, 6)
+        t = trace_update_velocities(p, m).reshape(p.n, 6)
         expected = m.e_row_addrs(np.asarray(p.icell))
         np.testing.assert_array_equal(t[:, 3], expected)
 
     def test_standard_wraps_corner_addresses(self, ordering):
         # a particle in the last cell must touch grid point (0, 0)
-        s = make_storage("soa", 1, store_coords=True)
+        s = ParticleSoA(1)
         s.set_state(
             ordering.encode(np.array([NCX - 1]), np.array([NCY - 1])),
             np.array([0.5]), np.array([0.5]), np.zeros(1), np.zeros(1),
             np.array([NCX - 1]), np.array([NCY - 1]),
         )
         m = MemoryLayoutMap(1, "soa", True, "standard", 0, NCX, NCY)
-        t = trace_accumulate(s, m, ordering)
+        t = trace_accumulate(s, m)
         origin = int(m.grid_point_addrs("rho", np.array([0]), np.array([0]))[0])
         assert origin in t.tolist()
 
@@ -147,7 +143,7 @@ class TestTraceShapes:
         # one executed store, SoA
         p = particles_for(rng, ordering=ordering)
         m = MemoryLayoutMap(p.n, "aos", True, "redundant", 256, NCX, NCY)
-        t = trace_update_positions(p, m, ordering).reshape(p.n, 7)
+        t = trace_update_positions(p, m).reshape(p.n, 7)
         # all 7 attributes of one particle live within one 56-byte record
         spread = t.max(axis=1) - t.min(axis=1)
         assert spread.max() < 56

@@ -11,7 +11,7 @@ from repro.core.kernels import (
 )
 from repro.curves import get_ordering
 from repro.grid import GridSpec, RedundantFields
-from repro.particles import LandauDamping, make_storage
+from repro.particles import LandauDamping, ParticleSoA
 from repro.particles.sorting import counting_sort_permutation
 from repro.pic3d import GridSpec3D, LandauDamping3D, PICStepper3D
 
@@ -35,16 +35,17 @@ class TestEmptyAndTiny:
 
     def test_push_empty_storage(self):
         o = get_ordering("morton", 8, 8)
-        s = make_storage("soa", 0, store_coords=True)
+        s = ParticleSoA(0)
         push_positions_bitwise(s, 8, 8, o)  # must not raise
         assert s.n == 0
 
     def test_sort_empty_and_single(self):
         for n in (0, 1):
-            s = make_storage("soa", n, store_coords=False)
+            s = ParticleSoA(n)
             if n:
                 s.set_state(np.array([3]), np.array([0.5]), np.array([0.5]),
-                            np.array([1.0]), np.array([0.0]))
+                            np.array([1.0]), np.array([0.0]), np.array([1]),
+                            np.array([1]))
             perm = counting_sort_permutation(s.icell, 64)
             assert s.reorder(perm, out=s.clone_empty()).n == n
             assert s.reorder(perm) is s
@@ -67,7 +68,7 @@ class TestExtremeMotion:
         move-at-most-one-cell tricks the paper rejects)."""
         o = get_ordering("morton", 16, 16)
         n = 500
-        s = make_storage("soa", n, store_coords=True)
+        s = ParticleSoA(n)
         ix = rng.integers(0, 16, n)
         iy = rng.integers(0, 16, n)
         s.set_state(o.encode(ix, iy), rng.random(n), rng.random(n),
@@ -109,15 +110,11 @@ class TestConservationUnderStress:
         fields_grid = GridSpec(16, 16, 0.0, 4 * np.pi, 0.0, 4 * np.pi)
         fields = RedundantFields(fields_grid, o)
         n = 3000
-        s = make_storage("soa", n, store_coords=(ordering != "row-major"))
+        s = ParticleSoA(n)
         ix = rng.integers(0, 16, n)
         iy = rng.integers(0, 16, n)
-        if s.store_coords:
-            s.set_state(o.encode(ix, iy), rng.random(n), rng.random(n),
-                        rng.normal(0, 40, n), rng.normal(0, 40, n), ix, iy)
-        else:
-            s.set_state(o.encode(ix, iy), rng.random(n), rng.random(n),
-                        rng.normal(0, 40, n), rng.normal(0, 40, n))
+        s.set_state(o.encode(ix, iy), rng.random(n), rng.random(n),
+                    rng.normal(0, 40, n), rng.normal(0, 40, n), ix, iy)
         for _ in range(5):
             push_positions_bitwise(s, 16, 16, o)
             accumulate_rows(fields.rho_1d, s.icell, (s.dx, s.dy), 1.0)

@@ -113,11 +113,9 @@ class SteppingMachine(RuleBasedStateMachine):
         icell = np.asarray(p.icell)
         assert icell.min() >= 0
         assert icell.max() < self.stepper.ordering.ncells_allocated
-        if p.store_coords:
-            np.testing.assert_array_equal(
-                icell,
-                self.stepper.ordering.encode(np.asarray(p.ix), np.asarray(p.iy)),
-            )
+        np.testing.assert_array_equal(
+            icell, self.stepper.ordering.encode(np.asarray(p.ix), np.asarray(p.iy))
+        )
 
     @invariant()
     def energy_in_envelope(self):

@@ -31,9 +31,9 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 #: marker name -> (how GCC must report it, instantiations): the bitwise
-#: push per ndim x the four orders with stored coordinates (recomputed
-#: scan coordinates divide, and stay scalar; the modulo wrap and the
-#: reflecting wall call fmod, and stay scalar too); update-v per ndim
+#: push per ndim x the four orders, every one with stored coordinates
+#: (the modulo wrap and the reflecting wall call fmod, and stay
+#: scalar); update-v per ndim
 #: plus its 2D drive instantiation (the scenario zoo's field and Boris
 #: rotation, selected by flags rather than branches); the energies' sum
 #: of squares per column count (2 and 3); the row deposit per ndim

@@ -39,14 +39,16 @@ And once more: no module under ``src/repro/`` outside ``repro/model/``
 reads one of :data:`MODEL_AXES` (an attribute load, at any depth).
 Those :class:`~repro.model.config.ModelConfig` axes name the paper's
 baselines — point-based fields, AoS particles, the single loop,
-un-hoisted units, the in-place sort, the branchy position update —
+un-hoisted units, the in-place sort, the branchy position update, the
+§IV-B rule that recomputes the scan orders' cell coordinates —
 which the model prices and no stepper executes: every run keeps
-redundant rows and SoA columns, runs the split loops, stores hoisted
-units, sorts out of place and wraps the way its grid allows.  The run
-config's ``particle_layout`` and ``position_update`` class constants,
+redundant rows and SoA columns with the coordinates, runs the split
+loops, stores hoisted units, sorts out of place and wraps the way its
+grid allows.  The run config's ``particle_layout``,
+``effective_store_coords`` and ``position_update`` class constants,
 which the frozen benchmark ledger reads, are no exception; the
-checkpoint loader reads an old archive's ``"hoisting"`` key, not the
-attribute.
+checkpoint loader reads an old archive's ``"hoisting"`` and
+``"store_coords"`` keys, not the attributes.
 
 The second lint is a ratchet on the 2D/3D fork (ROADMAP, "One
 statement per kernel").  A ``class``/``def`` — or a module-level
@@ -92,7 +94,7 @@ PIC3D_FREE = "repro/parallel/"
 #: the config axes only the model reads, and the files under
 #: ``src/repro/`` that may read them (relative to ``src/``)
 MODEL_AXES = ("field_layout", "particle_layout", "loop_mode", "hoisting",
-              "sort_variant", "position_update")
+              "sort_variant", "position_update", "effective_store_coords")
 MODEL_AXIS_READERS = ("repro/model/",)
 
 #: every dimension-suffixed class/def and module-level name that still
